@@ -26,18 +26,15 @@ import (
 	"caladrius/internal/api"
 	"caladrius/internal/audit"
 	"caladrius/internal/chaos"
-	"caladrius/internal/config"
 	"caladrius/internal/core"
+	"caladrius/internal/daemon"
 	"caladrius/internal/experiments"
 	"caladrius/internal/forecast"
 	"caladrius/internal/heron"
 	"caladrius/internal/incident"
 	"caladrius/internal/metrics"
-	"caladrius/internal/profiler"
-	"caladrius/internal/sched"
 	"caladrius/internal/telemetry"
 	"caladrius/internal/topology"
-	"caladrius/internal/tracker"
 	"caladrius/internal/tsdb"
 	"caladrius/internal/usage"
 	"caladrius/internal/workload"
@@ -422,50 +419,40 @@ func BenchmarkRegistryLookup(b *testing.B) {
 	}
 }
 
-// benchMiddlewareHandler builds the instrumented service handler over
-// a small simulated deployment, with extra service options merged in.
-func benchMiddlewareHandler(b *testing.B, extra api.Options) http.Handler {
+// benchDaemon assembles the daemon over warm minutes of simulated
+// word-count history with every optional subsystem off — the model
+// tier, its scheduler and the request middleware only — so a benchmark
+// measures the path it names. tune switches back on what it measures.
+func benchDaemon(b *testing.B, warm time.Duration, tune func(*daemon.Config)) *daemon.Daemon {
 	b.Helper()
-	sim, err := heron.NewWordCount(heron.WordCountOptions{RatePerMinute: 8e6})
+	sub, err := heron.SimulateWordCount(heron.WordCountOptions{RatePerMinute: 8e6}, warm)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := sim.Run(2 * time.Minute); err != nil {
-		b.Fatal(err)
+	cfg := daemon.Default()
+	cfg.Substrate = sub
+	cfg.CalibrationLookback = warm
+	cfg.CalibrationWarmup = 2
+	cfg.LogOutput = io.Discard
+	cfg.ScrapeInterval = 0
+	cfg.UsageTopK = 0
+	cfg.ProfileInterval = 0
+	if tune != nil {
+		tune(&cfg)
 	}
-	asOf := sim.Start().Add(2 * time.Minute)
-	top, err := heron.WordCountTopology(8, 1, 3)
+	d, err := daemon.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan, err := topology.RoundRobinPack(top, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := tracker.New(func() time.Time { return asOf })
-	if err := tr.Register(top, plan); err != nil {
-		b.Fatal(err)
-	}
-	provider, err := metrics.NewTSDBProvider(sim.DB(), time.Minute)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := config.Default()
-	cfg.CalibrationLookback = 2 * time.Minute
-	extra.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	extra.Now = func() time.Time { return asOf }
-	svc, err := api.NewService(cfg, tr, provider, extra)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return svc.Handler()
+	b.Cleanup(func() { _ = d.Close() })
+	return d
 }
 
 // BenchmarkMiddlewareRequest measures the full instrumented request
 // path — route classification, counters, histogram, access log — over
 // a trivial handler, isolating the telemetry overhead per request.
 func BenchmarkMiddlewareRequest(b *testing.B) {
-	handler := benchMiddlewareHandler(b, api.Options{})
+	handler := benchDaemon(b, 2*time.Minute, nil).Handler()
 	req := httptest.NewRequest("GET", "/api/v1/health", nil)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -480,8 +467,7 @@ func BenchmarkMiddlewareRequest(b *testing.B) {
 // topology mapping, and the accountant's Begin/Finish pair on a warm
 // principal — the per-request overhead of tenancy accounting.
 func BenchmarkMiddlewareRequestAttributed(b *testing.B) {
-	acct := usage.New(usage.Options{Registry: telemetry.NewRegistry()})
-	handler := benchMiddlewareHandler(b, api.Options{Usage: acct})
+	handler := benchDaemon(b, 2*time.Minute, func(c *daemon.Config) { c.UsageTopK = 256 }).Handler()
 	req := httptest.NewRequest("GET", "/api/v1/health", nil)
 	req.Header.Set(api.TenantHeader, "bench-tenant")
 	b.ReportAllocs()
@@ -514,47 +500,6 @@ func BenchmarkUsageRecord(b *testing.B) {
 	}
 }
 
-// benchPredictEnv builds the instrumented handler over a small
-// simulated deployment, returning the tracker so benchmarks can force
-// calibration-cache invalidation between requests.
-func benchPredictEnv(b *testing.B, extra api.Options) (http.Handler, *tracker.Tracker, *topology.Topology, *topology.PackingPlan) {
-	b.Helper()
-	sim, err := heron.NewWordCount(heron.WordCountOptions{RatePerMinute: 8e6})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sim.Run(5 * time.Minute); err != nil {
-		b.Fatal(err)
-	}
-	asOf := sim.Start().Add(5 * time.Minute)
-	top, err := heron.WordCountTopology(8, 1, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := topology.RoundRobinPack(top, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := tracker.New(func() time.Time { return asOf })
-	if err := tr.Register(top, plan); err != nil {
-		b.Fatal(err)
-	}
-	provider, err := metrics.NewTSDBProvider(sim.DB(), time.Minute)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := config.Default()
-	cfg.CalibrationLookback = 5 * time.Minute
-	cfg.CalibrationWarmup = 2
-	extra.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	extra.Now = func() time.Time { return asOf }
-	svc, err := api.NewService(cfg, tr, provider, extra)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return svc.Handler(), tr, top, plan
-}
-
 func benchPredict(b *testing.B, handler http.Handler) {
 	b.Helper()
 	req := httptest.NewRequest("POST", "/api/v1/model/topology/word-count/performance?sync=true",
@@ -572,13 +517,18 @@ func benchPredict(b *testing.B, handler http.Handler) {
 // re-registers the packing plan, which fires the tracker change hook
 // and evicts the topology's calibration-cache entry.
 func BenchmarkPredictColdCache(b *testing.B) {
-	handler, tr, top, plan := benchPredictEnv(b, api.Options{})
+	d := benchDaemon(b, 5*time.Minute, nil)
+	handler := d.Handler()
+	info, err := d.Tracker.Get("word-count")
+	if err != nil {
+		b.Fatal(err)
+	}
 	benchPredict(b, handler) // warm code paths; cache is evicted per iteration below
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		if err := tr.Update(top, plan); err != nil { // evicts the cache entry
+		if err := d.Tracker.Update(info.Topology, info.Plan); err != nil { // evicts the cache entry
 			b.Fatal(err)
 		}
 		b.StartTimer()
@@ -592,7 +542,7 @@ func BenchmarkPredictColdCache(b *testing.B) {
 // ratio (recorded by scripts/bench.sh as predict_cache.speedup) is the
 // calibration cache's headline win; the acceptance floor is 5x.
 func BenchmarkPredictWarmCache(b *testing.B) {
-	handler, _, _, _ := benchPredictEnv(b, api.Options{})
+	handler := benchDaemon(b, 5*time.Minute, nil).Handler()
 	benchPredict(b, handler) // populate the cache
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -606,9 +556,9 @@ func BenchmarkPredictWarmCache(b *testing.B) {
 // leader's in-flight run, so one burst costs about one model
 // evaluation plus fan-out, not eight.
 func BenchmarkCoalescedPredict(b *testing.B) {
-	scheduler := sched.New(sched.Options{Workers: 2, QueueDepth: 64})
-	defer scheduler.Close()
-	handler, _, _, _ := benchPredictEnv(b, api.Options{Scheduler: scheduler})
+	handler := benchDaemon(b, 5*time.Minute, func(c *daemon.Config) {
+		c.SchedWorkers, c.SchedQueueDepth = 2, 64
+	}).Handler()
 	benchPredict(b, handler) // populate the calibration cache
 	const burst = 8
 	b.ReportAllocs()
@@ -651,7 +601,7 @@ func BenchmarkPackingPlan(b *testing.B) {
 // path on a service without the continuous profiler — the baseline
 // for the profiler's serving-overhead budget.
 func BenchmarkPredictProfilerOff(b *testing.B) {
-	handler, _, _, _ := benchPredictEnv(b, api.Options{})
+	handler := benchDaemon(b, 5*time.Minute, nil).Handler()
 	benchPredict(b, handler) // populate the calibration cache
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -667,19 +617,15 @@ func BenchmarkPredictProfilerOff(b *testing.B) {
 // per 1s interval instead of 250ms per 10s). scripts/bench.sh records
 // the on/off ratio in BENCH_core.json; the budget is ≤1% overhead.
 func BenchmarkPredictProfilerOn(b *testing.B) {
-	prof, err := profiler.New(profiler.Options{
-		Registry:  telemetry.NewRegistry(),
-		Interval:  time.Second,
-		CPUWindow: 25 * time.Millisecond,
-		Epoch:     10 * time.Second,
+	d := benchDaemon(b, 5*time.Minute, func(c *daemon.Config) {
+		c.ProfileInterval = time.Second
+		c.ProfileCPUWindow = 25 * time.Millisecond
+		c.ProfileEpoch = 10 * time.Second
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go prof.Run(ctx)
-	handler, _, _, _ := benchPredictEnv(b, api.Options{Profiler: prof})
+	go d.Profiler.Run(ctx)
+	handler := d.Handler()
 	benchPredict(b, handler) // populate the calibration cache
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -51,8 +51,7 @@
 // per (topology, packing-plan version, lookback window) until a
 // tracker update invalidates them, and a tenant-fair admission queue
 // sheds overload with 429 + Retry-After. Scheduler state is served
-// through /api/v1/sched (see `calctl dash`); -sched-queue 0 runs model
-// work inline without it.
+// through /api/v1/sched (see `calctl dash`).
 //
 // Usage:
 //
@@ -72,466 +71,108 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
-	"caladrius/internal/api"
-	"caladrius/internal/audit"
 	"caladrius/internal/config"
-	"caladrius/internal/heron"
-	"caladrius/internal/incident"
-	"caladrius/internal/metrics"
-	"caladrius/internal/profiler"
-	"caladrius/internal/sched"
-	"caladrius/internal/telemetry"
-	"caladrius/internal/topology"
-	"caladrius/internal/tracker"
-	"caladrius/internal/tsdb"
-	"caladrius/internal/usage"
-	"caladrius/internal/workload"
+	"caladrius/internal/daemon"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "caladrius:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	configPath := flag.String("config", "", "path to a YAML configuration file")
-	addr := flag.String("addr", "", "listen address (overrides config)")
-	rate := flag.Float64("rate", 30e6, "demo topology offered source rate (tuples/minute)")
-	splitterP := flag.Int("splitter", 3, "demo splitter parallelism")
-	counterP := flag.Int("counter", 4, "demo counter parallelism")
-	warmMinutes := flag.Int("warm-minutes", 30, "simulated minutes of metric history to pre-populate")
-	metricsFile := flag.String("metrics", "", "serve from a heronsim -save metrics snapshot instead of simulating")
-	debugAddr := flag.String("debug-addr", "", "optional second listener for /debug/pprof, /debug/vars and /metrics (e.g. localhost:8643)")
-	scrapeInterval := flag.Duration("scrape-interval", 5*time.Second, "self-monitoring scrape period; 0 disables the scraper, history and alerts")
-	historyRetention := flag.Duration("history-retention", time.Hour, "how much scraped telemetry history to keep")
-	historyFile := flag.String("history-file", "", "persist scraped history to this file on shutdown and reload it on boot")
-	auditResolveInterval := flag.Duration("audit-resolve-interval", 15*time.Second, "how often the audit resolver joins predictions with actuals; 0 disables the prediction ledger")
-	auditRetention := flag.Duration("audit-retention", 2*time.Hour, "how long resolved audit records are retained")
-	auditFile := flag.String("audit-file", "", "persist the audit ledger to this file on shutdown and reload it on boot")
-	driftThreshold := flag.Float64("drift-threshold", 0.25, "rolling MAPE above which the model-accuracy-drift SLO fires")
-	staleAfter := flag.Duration("stale-calibration-after", 30*time.Minute, "calibration age at which the model-stale-calibration SLO fires")
-	fetchRetries := flag.Int("fetch-retries", -1, "metrics fetch retries on transient failure; 0 disables, -1 uses the config value")
-	fetchBackoff := flag.Duration("fetch-backoff", -1, "delay before the first fetch retry (doubles each retry); -1 uses the config value")
-	fetchTimeout := flag.Duration("fetch-timeout", -1, "per-attempt metrics fetch bound; 0 disables, -1 uses the config value")
-	incidentDir := flag.String("incident-dir", "", "capture incident bundles (profiles, logs, spans, metric windows) under this directory when an SLO fires; empty disables the flight recorder")
-	incidentRetention := flag.Int("incident-retention", 16, "how many incident bundles to keep on disk (oldest deleted first)")
-	incidentCooldown := flag.Duration("incident-cooldown", 5*time.Minute, "minimum spacing between SLO-triggered captures of the same rule")
-	mutexFraction := flag.Int("mutex-profile-fraction", -1, "sample 1/n mutex contention events for incident mutex profiles; 0 disables, -1 uses the config value")
-	blockRate := flag.Int("block-profile-rate", -1, "sample blocking events of at least this many nanoseconds for incident block profiles; 0 disables, -1 uses the config value")
-	usageTopK := flag.Int("usage-topk", -1, "track at most this many (tenant, topology) usage principals, evicting into an 'other' rollup; 0 disables usage accounting, -1 uses the config value")
-	usageWindow := flag.Duration("usage-window", -1, "trailing window /api/v1/usage ranks principals over; -1 uses the config value")
-	profileInterval := flag.Duration("profile-interval", -1, "continuous profiler capture period; 0 disables the profiler, -1 uses the config value")
-	profileBaseline := flag.String("profile-baseline", "", "persist the profiling baseline snapshot to this file and reload it on boot")
-	profileTopK := flag.Int("profile-topk", -1, "default row count for profile top/diff/flame responses; -1 uses the config value")
-	schedWorkers := flag.Int("sched-workers", -1, "model-run scheduler worker pool size; 0 auto-sizes to max(2, GOMAXPROCS), -1 uses the config value")
-	schedQueue := flag.Int("sched-queue", -2, "model-run scheduler admission queue depth (excess sheds with 429); 0 disables the scheduler, -2 uses the config value")
-	calCacheTTL := flag.Duration("calcache-ttl", -1, "calibration cache entry lifetime; 0 keeps entries until invalidation, -1 uses the config value")
-	flag.Parse()
-
-	cfg := config.Default()
-	if *configPath != "" {
-		var err error
-		cfg, err = config.Load(*configPath)
-		if err != nil {
-			return err
-		}
-	}
-	if *addr != "" {
-		cfg.APIAddr = *addr
-	}
-	if *fetchRetries >= 0 {
-		cfg.FetchRetries = *fetchRetries
-	}
-	if *fetchBackoff >= 0 {
-		cfg.FetchBackoff = *fetchBackoff
-	}
-	if *fetchTimeout >= 0 {
-		cfg.FetchTimeout = *fetchTimeout
-	}
-	if *mutexFraction >= 0 {
-		cfg.MutexProfileFraction = *mutexFraction
-	}
-	if *blockRate >= 0 {
-		cfg.BlockProfileRate = *blockRate
-	}
-	if *usageTopK >= 0 {
-		cfg.UsageTopK = *usageTopK
-	}
-	if *usageWindow >= 0 {
-		cfg.UsageWindow = *usageWindow
-	}
-	if *profileInterval >= 0 {
-		cfg.ProfileInterval = *profileInterval
-	}
-	if *profileTopK >= 0 {
-		cfg.ProfileTopK = *profileTopK
-	}
-	if *schedWorkers >= 0 {
-		cfg.SchedWorkers = *schedWorkers
-	}
-	if *schedQueue >= 0 {
-		cfg.SchedQueueDepth = *schedQueue
-	}
-	if *calCacheTTL >= 0 {
-		cfg.CalCacheTTL = *calCacheTTL
-	}
-	// Without these rates the runtime never samples contention, and an
-	// incident bundle's mutex/block profiles come out empty.
-	runtime.SetMutexProfileFraction(cfg.MutexProfileFraction)
-	runtime.SetBlockProfileRate(cfg.BlockProfileRate)
-	// The structured log is teed: stderr for humans, a bounded in-memory
-	// ring so incident bundles carry the moments before the trigger.
-	logRing := telemetry.NewLogRing(0)
-	logger := slog.New(telemetry.TeeHandlers(
-		slog.NewTextHandler(os.Stderr, nil),
-		logRing.Handler(slog.LevelInfo),
-	))
-	reg := telemetry.NewRegistry()
-	tracer := telemetry.NewTracer(0, nil)
-
-	// Metric substrate: load a snapshot from a previous heronsim run,
-	// or simulate fresh history.
-	var db *tsdb.DB
-	var asOf time.Time
-	if *metricsFile != "" {
-		var err error
-		db, err = tsdb.LoadFile(*metricsFile)
-		if err != nil {
-			return err
-		}
-		latest, err := db.Latest(heron.MetricExecuteCount, nil)
-		if err != nil {
-			return fmt.Errorf("snapshot has no execute-count metrics: %w", err)
-		}
-		asOf = latest.T.Add(time.Minute)
-		logger.Info("loaded metrics snapshot", "file", *metricsFile, "points", db.TotalPoints(), "as_of", asOf)
-	} else {
-		sim, err := heron.NewWordCount(heron.WordCountOptions{
-			SplitterP: *splitterP,
-			CounterP:  *counterP,
-			Schedule:  workload.ConstantRate(*rate / 60),
-			Metrics:   reg,
-		})
-		if err != nil {
-			return err
-		}
-		logger.Info("simulating metric history", "minutes", *warmMinutes, "rate_tpm", *rate)
-		if err := sim.Run(time.Duration(*warmMinutes) * time.Minute); err != nil {
-			return err
-		}
-		db = sim.DB()
-		asOf = sim.Start().Add(time.Duration(*warmMinutes) * time.Minute)
-	}
-
-	top, err := heron.WordCountTopology(8, *splitterP, *counterP)
+func run(args []string) error {
+	cfg, err := parseFlags(args)
 	if err != nil {
 		return err
 	}
-	plan, err := topology.RoundRobinPack(top, 2)
+	d, err := daemon.New(cfg)
 	if err != nil {
 		return err
-	}
-	tr := tracker.New(func() time.Time { return asOf })
-	if err := tr.Register(top, plan); err != nil {
-		return err
-	}
-	tsdbProvider, err := metrics.NewTSDBProvider(db, cfg.MetricsWindow)
-	if err != nil {
-		return err
-	}
-	var provider metrics.Provider = tsdbProvider
-	if cfg.FetchRetries > 0 || cfg.FetchTimeout > 0 {
-		rc := metrics.RetryConfig{Retries: cfg.FetchRetries, Backoff: cfg.FetchBackoff, Timeout: cfg.FetchTimeout}
-		if rc.Retries == 0 {
-			rc.Retries = -1 // timeout-only policy: 0 would mean "use the default retry count"
-		}
-		provider = metrics.NewRetryingProvider(tsdbProvider, rc, reg)
-		logger.Info("metrics fetch policy", "retries", cfg.FetchRetries, "backoff", cfg.FetchBackoff, "timeout", cfg.FetchTimeout)
-	}
-	if *metricsFile == "" && cfg.CalibrationLookback > time.Duration(*warmMinutes)*time.Minute {
-		// Simulated history is only warm-minutes long.
-		cfg.CalibrationLookback = time.Duration(*warmMinutes) * time.Minute
-	}
-	// Self-monitoring: scrape the registry into a second history store
-	// (the demo metric db keeps simulated topology metrics; this one
-	// keeps the service's own telemetry, stamped with real wall time).
-	var history *tsdb.DB
-	var scraper *telemetry.Scraper
-	var slo *telemetry.SLO
-	if *scrapeInterval > 0 {
-		if *historyFile != "" {
-			h, err := tsdb.LoadFile(*historyFile)
-			switch {
-			case err == nil:
-				history = h
-				logger.Info("loaded telemetry history", "file", *historyFile, "points", h.TotalPoints())
-			case errors.Is(err, os.ErrNotExist):
-				// First boot: nothing to restore yet.
-			default:
-				return fmt.Errorf("load history: %w", err)
-			}
-		}
-		if history == nil {
-			history = tsdb.New(*historyRetention)
-		} else {
-			history.SetRetention(*historyRetention)
-		}
-		scraper = telemetry.NewScraper(reg, history, telemetry.ScrapeOptions{Interval: *scrapeInterval})
-		scraper.AddCollector(telemetry.RegisterRuntime(reg, time.Now(), time.Now))
-	}
-
-	// Prediction audit ledger: records every model run, and a resolver
-	// joins records against the demo metric store's actuals. It rides on
-	// self-monitoring — its accuracy series live in the history store.
-	var ledger *audit.Ledger
-	if *auditResolveInterval > 0 && scraper != nil {
-		ledger, err = audit.NewLedger(audit.Options{
-			Provider:      provider,
-			History:       history,
-			Registry:      reg,
-			Now:           func() time.Time { return asOf },
-			SeriesNow:     time.Now,
-			Retention:     *auditRetention,
-			MetricsWindow: cfg.MetricsWindow,
-		})
-		if err != nil {
-			return err
-		}
-		if *auditFile != "" {
-			switch err := ledger.LoadFile(*auditFile); {
-			case err == nil:
-				logger.Info("loaded audit ledger", "file", *auditFile, "records", ledger.Len())
-			case errors.Is(err, os.ErrNotExist):
-				// First boot: nothing to restore yet.
-			default:
-				return fmt.Errorf("load audit ledger: %w", err)
-			}
-		}
-		scraper.AddCollector(ledger.Collector())
-	}
-
-	// Continuous profiler: an always-on sampling loop folding pprof
-	// captures into epoch windows, diffed against a persisted baseline.
-	// Its caladrius_profile_* gauges flow through the scraper like any
-	// other instrument, feeding the hot-function-regression SLO.
-	var prof *profiler.Profiler
-	if cfg.ProfileInterval > 0 {
-		prof, err = profiler.New(profiler.Options{
-			Registry:     reg,
-			Interval:     cfg.ProfileInterval,
-			CPUWindow:    cfg.ProfileCPUWindow,
-			Epoch:        cfg.ProfileEpoch,
-			Windows:      cfg.ProfileWindows,
-			TopK:         cfg.ProfileTopK,
-			BaselinePath: *profileBaseline,
-			Logger:       logger,
-		})
-		if err != nil {
-			return err
-		}
-		logger.Info("continuous profiler enabled", "interval", cfg.ProfileInterval,
-			"cpu_window", cfg.ProfileCPUWindow, "epoch", cfg.ProfileEpoch,
-			"windows", cfg.ProfileWindows)
-	}
-
-	if scraper != nil {
-		rules := telemetry.DefaultSLORules()
-		if ledger != nil {
-			rules = append(rules, telemetry.ModelAccuracyRules(*driftThreshold, *staleAfter, 0)...)
-		}
-		if prof != nil {
-			rules = append(rules, telemetry.ProfilerRules(cfg.ProfileRegressionDelta, 0)...)
-		}
-		slo, err = telemetry.NewSLO(history, reg, nil, rules)
-		if err != nil {
-			return err
-		}
-		scraper.AfterScrape(func(time.Time) { slo.Evaluate() })
-	}
-
-	// Incident flight recorder: armed on the SLO evaluator, capturing a
-	// bundle the moment a rule starts firing.
-	var recorder *incident.Recorder
-	if *incidentDir != "" {
-		var attachments []incident.Attachment
-		if prof != nil {
-			// Bundles from profiler-enabled daemons carry the baseline
-			// regression diff alongside the raw pprof captures.
-			attachments = append(attachments, incident.Attachment{
-				Name: "profile-diff.json", Capture: prof.DiffArtifact,
-			})
-		}
-		recorder, err = incident.New(incident.Options{
-			Dir:         *incidentDir,
-			Registry:    reg,
-			History:     history,
-			Logs:        logRing,
-			Tracer:      tracer,
-			Cooldown:    *incidentCooldown,
-			MaxBundles:  *incidentRetention,
-			Logger:      logger,
-			Attachments: attachments,
-		})
-		if err != nil {
-			return err
-		}
-		if slo != nil {
-			slo.OnFiring(recorder.FiringHook())
-		}
-		logger.Info("incident flight recorder armed", "dir", recorder.Dir(),
-			"retention", *incidentRetention, "cooldown", *incidentCooldown)
-	}
-
-	// Usage accountant: every request and model run bills a
-	// (tenant, topology) principal, cardinality-capped at topk. The
-	// per-principal caladrius_tenant_* series land in the shared
-	// registry, so the scraper carries them into the history store and
-	// query_range/SLO/dash work on them unchanged.
-	var acct *usage.Accountant
-	var simTicks func() uint64
-	if cfg.UsageTopK > 0 {
-		acct = usage.New(usage.Options{
-			Capacity: cfg.UsageTopK,
-			Window:   cfg.UsageWindow,
-			Registry: reg,
-		})
-		if *metricsFile == "" {
-			// Demo-sim mode: model runs can drive simulator ticks; meter
-			// them per principal off the sim's own tick counter.
-			ticksC := reg.Counter("caladrius_sim_ticks_total", telemetry.Labels{"topology": top.Name()})
-			simTicks = func() uint64 { return uint64(ticksC.Value()) }
-		}
-		logger.Info("usage accounting enabled", "topk", cfg.UsageTopK, "window", cfg.UsageWindow)
-	}
-
-	// Model-run scheduler: bounded worker pool with coalescing and
-	// tenant-aware admission control. Queue depth 0 runs model work
-	// inline (the pre-scheduler behaviour).
-	var scheduler *sched.Scheduler
-	if cfg.SchedQueueDepth > 0 {
-		scheduler = sched.New(sched.Options{
-			Workers:    cfg.SchedWorkers,
-			QueueDepth: cfg.SchedQueueDepth,
-			Registry:   reg,
-		})
-		defer scheduler.Close()
-		st := scheduler.Stats()
-		logger.Info("model-run scheduler running", "workers", st.Workers,
-			"queue_depth", st.QueueLimit, "calcache_ttl", cfg.CalCacheTTL)
-	}
-
-	svc, err := api.NewService(cfg, tr, provider, api.Options{
-		Logger:      logger,
-		Now:         func() time.Time { return asOf },
-		Telemetry:   reg,
-		Tracer:      tracer,
-		History:     history,
-		SLO:         slo,
-		Audit:       ledger,
-		Incidents:   recorder,
-		Usage:       acct,
-		SimTicks:    simTicks,
-		Scheduler:   scheduler,
-		CalCacheTTL: cfg.CalCacheTTL,
-		Profiler:    prof,
-	})
-	if err != nil {
-		return err
-	}
-
-	mux := http.NewServeMux()
-	mux.Handle("/api/", svc.Handler())
-	mux.Handle("/tracker/", http.StripPrefix("/tracker", tr.Handler()))
-	mux.Handle("/metrics", telemetry.Handler(reg))
-	if *debugAddr != "" {
-		debug := debugMux(reg)
-		logger.Info("debug listening", "addr", *debugAddr)
-		go func() {
-			srv := &http.Server{Addr: *debugAddr, Handler: debug, ReadHeaderTimeout: 5 * time.Second}
-			if err := srv.ListenAndServe(); err != nil {
-				logger.Error("debug listener failed", "err", err)
-			}
-		}()
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if scraper != nil {
-		logger.Info("self-monitoring scraper running", "interval", *scrapeInterval, "retention", *historyRetention)
-		go scraper.Run(ctx)
-	}
-	if ledger != nil {
-		logger.Info("audit resolver running", "interval", *auditResolveInterval, "retention", *auditRetention)
-		go ledger.Run(ctx.Done(), *auditResolveInterval)
-	}
-	if prof != nil {
-		go prof.Run(ctx)
-	}
-
-	logger.Info("caladrius listening", "addr", cfg.APIAddr, "topology", top.Name())
-	server := &http.Server{Addr: cfg.APIAddr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	errCh := make(chan error, 1)
-	go func() { errCh <- server.ListenAndServe() }()
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-	stop()
-	logger.Info("shutting down")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_ = server.Shutdown(shutdownCtx)
-	if recorder != nil {
-		// Finish any capture already in flight before exiting; bundles
-		// on disk are re-indexed on the next boot.
-		recorder.Close()
-	}
-	if ledger != nil {
-		ledger.ResolveOnce(asOf) // resolve what we can before snapshotting
-		if *auditFile != "" {
-			if err := ledger.SaveFile(*auditFile); err != nil {
-				logger.Error("saving audit ledger", "file", *auditFile, "err", err)
-			} else {
-				logger.Info("saved audit ledger", "file", *auditFile, "records", ledger.Len())
-			}
-		}
-	}
-	if scraper != nil && *historyFile != "" {
-		scraper.ScrapeOnce(time.Now()) // one final scrape so the snapshot is current
-		if err := history.SaveFile(*historyFile); err != nil {
-			logger.Error("saving telemetry history", "file", *historyFile, "err", err)
-		} else {
-			logger.Info("saved telemetry history", "file", *historyFile, "points", history.TotalPoints())
-		}
-	}
-	return nil
+	return d.Run(ctx)
 }
 
-// debugMux serves the operational debug surface: pprof profiles,
-// expvar and the metrics registry. Kept off the API listener so
-// profiling endpoints are only reachable where -debug-addr points.
-func debugMux(reg *telemetry.Registry) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.Handle("/metrics", telemetry.Handler(reg))
-	return mux
+// parseFlags turns the command line into the daemon's configuration:
+// the YAML file (or the defaults), then every flag that was given a
+// non-sentinel value on top of it.
+func parseFlags(args []string) (daemon.Config, error) {
+	c := daemon.Default()
+	fs := flag.NewFlagSet("caladrius", flag.ContinueOnError)
+	configPath := fs.String("config", "", "path to a YAML configuration file")
+	addr := fs.String("addr", "", "listen address (overrides config)")
+	fs.Float64Var(&c.Rate, "rate", c.Rate, "demo topology offered source rate (tuples/minute)")
+	fs.IntVar(&c.SplitterP, "splitter", c.SplitterP, "demo splitter parallelism")
+	fs.IntVar(&c.CounterP, "counter", c.CounterP, "demo counter parallelism")
+	fs.IntVar(&c.WarmMinutes, "warm-minutes", c.WarmMinutes, "simulated minutes of metric history to pre-populate")
+	fs.StringVar(&c.MetricsFile, "metrics", "", "serve from a heronsim -save metrics snapshot instead of simulating")
+	fs.StringVar(&c.DebugAddr, "debug-addr", "", "optional second listener for /debug/pprof, /debug/vars and /metrics (e.g. localhost:8643)")
+	fs.DurationVar(&c.ScrapeInterval, "scrape-interval", c.ScrapeInterval, "self-monitoring scrape period; 0 disables the scraper, history and alerts")
+	fs.DurationVar(&c.HistoryRetention, "history-retention", c.HistoryRetention, "how much scraped telemetry history to keep")
+	fs.StringVar(&c.HistoryFile, "history-file", "", "persist scraped history to this file on shutdown and reload it on boot")
+	fs.DurationVar(&c.AuditResolveInterval, "audit-resolve-interval", c.AuditResolveInterval, "how often the audit resolver joins predictions with actuals; 0 disables the prediction ledger")
+	fs.DurationVar(&c.AuditRetention, "audit-retention", c.AuditRetention, "how long resolved audit records are retained")
+	fs.StringVar(&c.AuditFile, "audit-file", "", "persist the audit ledger to this file on shutdown and reload it on boot")
+	fs.Float64Var(&c.DriftThreshold, "drift-threshold", c.DriftThreshold, "rolling MAPE above which the model-accuracy-drift SLO fires")
+	fs.DurationVar(&c.StaleCalibrationAfter, "stale-calibration-after", c.StaleCalibrationAfter, "calibration age at which the model-stale-calibration SLO fires")
+	fetchRetries := fs.Int("fetch-retries", -1, "metrics fetch retries on transient failure; 0 disables, -1 uses the config value")
+	fetchBackoff := fs.Duration("fetch-backoff", -1, "delay before the first fetch retry (doubles each retry); -1 uses the config value")
+	fetchTimeout := fs.Duration("fetch-timeout", -1, "per-attempt metrics fetch bound; 0 disables, -1 uses the config value")
+	fs.StringVar(&c.IncidentDir, "incident-dir", "", "capture incident bundles (profiles, logs, spans, metric windows) under this directory when an SLO fires; empty disables the flight recorder")
+	fs.IntVar(&c.IncidentRetention, "incident-retention", c.IncidentRetention, "how many incident bundles to keep on disk (oldest deleted first)")
+	fs.DurationVar(&c.IncidentCooldown, "incident-cooldown", c.IncidentCooldown, "minimum spacing between SLO-triggered captures of the same rule")
+	mutexFraction := fs.Int("mutex-profile-fraction", -1, "sample 1/n mutex contention events for incident mutex profiles; 0 disables, -1 uses the config value")
+	blockRate := fs.Int("block-profile-rate", -1, "sample blocking events of at least this many nanoseconds for incident block profiles; 0 disables, -1 uses the config value")
+	usageTopK := fs.Int("usage-topk", -1, "track at most this many (tenant, topology) usage principals, evicting into an 'other' rollup; 0 disables usage accounting, -1 uses the config value")
+	usageWindow := fs.Duration("usage-window", -1, "trailing window /api/v1/usage ranks principals over; -1 uses the config value")
+	profileInterval := fs.Duration("profile-interval", -1, "continuous profiler capture period; 0 disables the profiler, -1 uses the config value")
+	fs.StringVar(&c.ProfileBaseline, "profile-baseline", "", "persist the profiling baseline snapshot to this file and reload it on boot")
+	profileTopK := fs.Int("profile-topk", -1, "default row count for profile top/diff/flame responses; -1 uses the config value")
+	schedWorkers := fs.Int("sched-workers", -1, "model-run scheduler worker pool size; 0 auto-sizes to max(2, GOMAXPROCS), -1 uses the config value")
+	schedQueue := fs.Int("sched-queue", -1, "model-run scheduler admission queue depth, at least 1 (excess sheds with 429); -1 uses the config value")
+	calCacheTTL := fs.Duration("calcache-ttl", -1, "calibration cache entry lifetime; 0 keeps entries until invalidation, -1 uses the config value")
+	if err := fs.Parse(args); err != nil {
+		return c, err
+	}
+
+	if *configPath != "" {
+		var err error
+		if c.Config, err = config.Load(*configPath); err != nil {
+			return c, err
+		}
+	}
+	if *addr != "" {
+		c.APIAddr = *addr
+	}
+	override(&c.FetchRetries, *fetchRetries)
+	override(&c.FetchBackoff, *fetchBackoff)
+	override(&c.FetchTimeout, *fetchTimeout)
+	override(&c.MutexProfileFraction, *mutexFraction)
+	override(&c.BlockProfileRate, *blockRate)
+	override(&c.UsageTopK, *usageTopK)
+	override(&c.UsageWindow, *usageWindow)
+	override(&c.ProfileInterval, *profileInterval)
+	override(&c.ProfileTopK, *profileTopK)
+	override(&c.SchedWorkers, *schedWorkers)
+	override(&c.SchedQueueDepth, *schedQueue)
+	override(&c.CalCacheTTL, *calCacheTTL)
+	return c, c.Config.Validate()
+}
+
+// override sets a configuration value from its flag unless the flag was
+// left at (or set to) the negative "use the config value" sentinel.
+func override[T int | time.Duration](dst *T, flagValue T) {
+	if flagValue >= 0 {
+		*dst = flagValue
+	}
 }

@@ -10,7 +10,7 @@ import (
 // TestAccuracyCommandDisabled: against a server without an audit
 // ledger the command explains how to enable it instead of erroring.
 func TestAccuracyCommandDisabled(t *testing.T) {
-	srv, _, _ := newTestServerOpts(t, true, false)
+	srv, _ := newTestServerOpts(t, true, false)
 	out, err := captureStdout(t, func() error {
 		return run([]string{"-server", srv.URL, "accuracy"})
 	})
@@ -25,7 +25,8 @@ func TestAccuracyCommandDisabled(t *testing.T) {
 // TestAccuracyCommand drives a graded and a counterfactual prediction,
 // resolves the ledger, and checks the summary rendering.
 func TestAccuracyCommand(t *testing.T) {
-	srv, _, led := newTestServerOpts(t, true, true)
+	srv, d := newTestServerOpts(t, true, true)
+	led := d.Ledger
 	base := []string{"-server", srv.URL}
 	// Graded run (deployed config at observed rate) and a what-if run.
 	if err := run(append(append([]string{}, base...), "perf", "word-count")); err != nil {

@@ -193,25 +193,18 @@ func renderDash(c *client, window, step time.Duration, width int) error {
 		}
 	}
 
-	// Model-run scheduler snapshot. Scheduler-disabled daemons (and
-	// older ones without the endpoint) answer 404; say so rather than
-	// silently omitting the panel.
+	// Model-run scheduler snapshot.
 	var ds dashSched
-	found, err = c.getDecodeOpt("/api/v1/sched", &ds)
-	if err != nil {
+	if err := c.getDecode("/api/v1/sched", &ds); err != nil {
 		return err
 	}
+	sc, cc := ds.Scheduler, ds.CalCache
 	fmt.Println("\nscheduler:")
-	if !found {
-		fmt.Println("  (scheduler disabled — model runs execute inline)")
-	} else {
-		s, cc := ds.Scheduler, ds.CalCache
-		fmt.Printf("  queue %d/%d  busy %d/%d  tenants %d  runs %d  coalesced %d  sheds %d  mean run %.1fms\n",
-			s.Queued, s.QueueLimit, s.Busy, s.Workers, s.ActiveTenants,
-			s.Runs, s.Coalesced, s.Sheds, s.MeanRunMs)
-		fmt.Printf("  calcache %d entries  hit rate %.0f%%  (%d hits, %d misses, %d stale, %d invalidations)\n",
-			cc.Entries, cc.HitRate*100, cc.Hits, cc.Misses, cc.Stale, cc.Invalidations)
-	}
+	fmt.Printf("  queue %d/%d  busy %d/%d  tenants %d  runs %d  coalesced %d  sheds %d  mean run %.1fms\n",
+		sc.Queued, sc.QueueLimit, sc.Busy, sc.Workers, sc.ActiveTenants,
+		sc.Runs, sc.Coalesced, sc.Sheds, sc.MeanRunMs)
+	fmt.Printf("  calcache %d entries  hit rate %.0f%%  (%d hits, %d misses, %d stale, %d invalidations)\n",
+		cc.Entries, cc.HitRate*100, cc.Hits, cc.Misses, cc.Stale, cc.Invalidations)
 
 	// Top principals by request volume over the server's usage window.
 	// Older daemons and -usage-topk 0 answer 404 here; omit the panel.

@@ -6,8 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"caladrius/internal/api"
-	"caladrius/internal/sched"
+	"caladrius/internal/daemon"
 	"caladrius/internal/telemetry"
 )
 
@@ -15,7 +14,8 @@ import (
 // exist, then runs one bounded dashboard refresh against the live
 // endpoints.
 func TestDashCommand(t *testing.T) {
-	srv, scraper := newTestServer(t)
+	srv, d := newTestServer(t)
+	scraper := d.Scraper
 	for i := 0; i < 4; i++ {
 		resp, err := http.Get(srv.URL + "/api/v1/health")
 		if err != nil {
@@ -47,7 +47,7 @@ func TestDashCommand(t *testing.T) {
 // with -scrape-interval 0 the history endpoints answer 404; dash must
 // render placeholder panels instead of erroring out.
 func TestDashGracefulWhenSelfMonitoringDisabled(t *testing.T) {
-	srv, _, _ := newTestServerOpts(t, false, false)
+	srv, _ := newTestServerOpts(t, false, false)
 	out, err := captureStdout(t, func() error {
 		return run([]string{"-server", srv.URL, "dash", "-iterations", "1", "-no-clear"})
 	})
@@ -59,13 +59,10 @@ func TestDashGracefulWhenSelfMonitoringDisabled(t *testing.T) {
 	}
 }
 
-// TestDashSchedulerPanel: against a scheduler-enabled daemon the dash
-// renders the scheduler snapshot; without one it says so explicitly.
+// TestDashSchedulerPanel: the dash renders the scheduler snapshot.
 func TestDashSchedulerPanel(t *testing.T) {
-	scheduler := sched.New(sched.Options{Workers: 1, QueueDepth: 8})
-	defer scheduler.Close()
-	srv, _, _ := newTestServerOpts(t, false, false, func(o *api.Options) {
-		o.Scheduler = scheduler
+	srv, _ := newTestServerOpts(t, false, false, func(c *daemon.Config) {
+		c.SchedWorkers, c.SchedQueueDepth = 1, 8
 	})
 	// Drive one model run through the scheduler so the counters move.
 	resp, err := http.Post(srv.URL+"/api/v1/model/topology/word-count/performance?sync=true",
@@ -81,25 +78,10 @@ func TestDashSchedulerPanel(t *testing.T) {
 		return run([]string{"-server", srv.URL, "dash", "-iterations", "1", "-no-clear"})
 	})
 	if err != nil {
-		t.Fatalf("dash against scheduler-enabled server: %v", err)
+		t.Fatalf("dash: %v", err)
 	}
 	if !strings.Contains(out, "queue 0/8") || !strings.Contains(out, "runs 1") {
 		t.Fatalf("dash missing scheduler snapshot:\n%s", out)
-	}
-	if strings.Contains(out, "scheduler disabled") {
-		t.Fatalf("dash shows disabled notice against a scheduler-enabled server:\n%s", out)
-	}
-
-	// Scheduler-less daemon: explicit notice, not a silent omission.
-	plain, _, _ := newTestServerOpts(t, false, false)
-	out, err = captureStdout(t, func() error {
-		return run([]string{"-server", plain.URL, "dash", "-iterations", "1", "-no-clear"})
-	})
-	if err != nil {
-		t.Fatalf("dash against scheduler-less server: %v", err)
-	}
-	if !strings.Contains(out, "scheduler disabled") {
-		t.Fatalf("dash missing scheduler-disabled notice:\n%s", out)
 	}
 }
 

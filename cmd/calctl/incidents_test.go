@@ -1,35 +1,36 @@
 package main
 
 import (
+	"net/http"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"caladrius/internal/api"
+	"caladrius/internal/daemon"
 	"caladrius/internal/incident"
-	"caladrius/internal/telemetry"
-	"caladrius/internal/tsdb"
 )
 
 func TestIncidentsCommand(t *testing.T) {
-	logs := telemetry.NewLogRing(16)
-	logs.Append(time.Now(), 0, "http request", "req-seed", []byte("status=200"))
-	tracer := telemetry.NewTracer(8, nil)
-	tracer.Start("req-seed", "performance").End()
-	rec, err := incident.New(incident.Options{
-		Dir:        filepath.Join(t.TempDir(), "incidents"),
-		Registry:   telemetry.NewRegistry(),
-		History:    tsdb.New(time.Hour),
-		Logs:       logs,
-		Tracer:     tracer,
-		CPUProfile: 20 * time.Millisecond,
+	srv, d := newTestServerOpts(t, true, false, func(c *daemon.Config) {
+		c.IncidentDir = filepath.Join(t.TempDir(), "incidents")
 	})
+	rec := d.Recorder
+	// One traced model run: its access-log line and its span share the
+	// trace id, so the bundle can join them.
+	req, err := http.NewRequest(http.MethodPost, srv.URL+"/api/v1/model/topology/word-count/performance?sync=true", strings.NewReader("{}"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(rec.Close)
-	srv, _, _ := newTestServerOpts(t, true, false, func(o *api.Options) { o.Incidents = rec })
+	req.Header.Set(api.TraceHeader, "req-seed")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("seed predict = %d", resp.StatusCode)
+	}
 	base := []string{"-server", srv.URL}
 	runWith := func(args ...string) (string, error) {
 		return captureStdout(t, func() error {
@@ -100,7 +101,7 @@ func TestIncidentsCommand(t *testing.T) {
 }
 
 func TestIncidentsCommandDegraded(t *testing.T) {
-	srv, _, _ := newTestServerOpts(t, false, false)
+	srv, _ := newTestServerOpts(t, false, false)
 	out, err := captureStdout(t, func() error {
 		return run([]string{"-server", srv.URL, "incidents"})
 	})

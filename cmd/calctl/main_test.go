@@ -9,98 +9,59 @@ import (
 	"testing"
 	"time"
 
-	"caladrius/internal/api"
-	"caladrius/internal/audit"
-	"caladrius/internal/config"
+	"caladrius/internal/daemon"
 	"caladrius/internal/heron"
-	"caladrius/internal/metrics"
-	"caladrius/internal/telemetry"
-	"caladrius/internal/topology"
-	"caladrius/internal/tracker"
-	"caladrius/internal/tsdb"
 	"caladrius/internal/workload"
 )
 
-// newTestServer stands up a full service over simulated metrics, with
-// the self-monitoring pipeline (scraper, history store, SLO rules)
-// wired in so the history endpoints and `calctl dash` have data.
-func newTestServer(t *testing.T) (*httptest.Server, *telemetry.Scraper) {
-	srv, scraper, _ := newTestServerOpts(t, true, false)
-	return srv, scraper
+// newTestServer stands up the daemon over simulated metrics, with the
+// self-monitoring pipeline (scraper, history store, SLO rules) wired in
+// so the history endpoints and `calctl dash` have data. Tests scrape by
+// hand through the returned daemon's Scraper.
+func newTestServer(t *testing.T) (*httptest.Server, *daemon.Daemon) {
+	return newTestServerOpts(t, true, false)
 }
 
 // newTestServerOpts controls whether the self-monitoring pipeline and
-// the prediction audit ledger are wired in — the degraded-mode calctl
-// tests need servers without them.
-func newTestServerOpts(t *testing.T, selfMonitoring, withAudit bool, mutate ...func(*api.Options)) (*httptest.Server, *telemetry.Scraper, *audit.Ledger) {
+// the prediction audit ledger are on — the degraded-mode calctl tests
+// need daemons without them. The continuous profiler is off unless a
+// mutate function supplies one.
+func newTestServerOpts(t *testing.T, selfMonitoring, withAudit bool, mutate ...func(*daemon.Config)) (*httptest.Server, *daemon.Daemon) {
 	t.Helper()
-	sim, err := heron.NewWordCount(heron.WordCountOptions{
+	const warm = 30 * time.Minute
+	sub, err := heron.SimulateWordCount(heron.WordCountOptions{
 		SplitterP: 3, CounterP: 8,
-		Schedule: workload.StepRate(20e6/60, 45e6/60, 15*time.Minute),
-	})
+		Schedule: workload.StepRate(20e6/60, 45e6/60, warm/2),
+	}, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(30 * time.Minute); err != nil {
-		t.Fatal(err)
+	cfg := daemon.Default()
+	cfg.Substrate = sub
+	cfg.CalibrationLookback = warm
+	cfg.LogOutput = io.Discard
+	cfg.ProfileInterval = 0
+	if !selfMonitoring {
+		cfg.ScrapeInterval = 0
 	}
-	asOf := sim.Start().Add(30 * time.Minute)
-	top, err := heron.WordCountTopology(8, 3, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := topology.RoundRobinPack(top, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := tracker.New(func() time.Time { return asOf })
-	if err := tr.Register(top, plan); err != nil {
-		t.Fatal(err)
-	}
-	prov, err := metrics.NewTSDBProvider(sim.DB(), time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := config.Default()
-	cfg.CalibrationLookback = 30 * time.Minute
-	opts := api.Options{Now: func() time.Time { return asOf }}
-	var history *tsdb.DB
-	var scraper *telemetry.Scraper
-	if selfMonitoring {
-		reg := telemetry.NewRegistry()
-		history = tsdb.New(time.Hour)
-		scraper = telemetry.NewScraper(reg, history, telemetry.ScrapeOptions{})
-		slo, err := telemetry.NewSLO(history, reg, nil, telemetry.DefaultSLORules())
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Telemetry, opts.History, opts.SLO = reg, history, slo
-	}
-	var led *audit.Ledger
-	if withAudit {
-		led, err = audit.NewLedger(audit.Options{
-			Provider: prov,
-			History:  history,
-			Now:      func() time.Time { return asOf },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Audit = led
+	if !withAudit {
+		cfg.AuditResolveInterval = 0
 	}
 	for _, m := range mutate {
-		m(&opts)
+		m(&cfg)
 	}
-	svc, err := api.NewService(cfg, tr, prov, opts)
+	d, err := daemon.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mux := http.NewServeMux()
-	mux.Handle("/api/", svc.Handler())
-	mux.Handle("/metrics", telemetry.Handler(svc.Metrics()))
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return srv, scraper, led
+	srv := httptest.NewServer(d.Handler())
+	t.Cleanup(func() {
+		srv.Close()
+		if err := d.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	return srv, d
 }
 
 // captureStdout runs f with os.Stdout redirected to a pipe and returns

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"caladrius/internal/api"
+	"caladrius/internal/daemon"
 	"caladrius/internal/profiler"
 	"caladrius/internal/profiler/pproftest"
 	"caladrius/internal/telemetry"
@@ -13,13 +13,14 @@ import (
 
 // withProfiler wires a profiler with two synthetic windows — steady,
 // then one with a regressed hotNew function — into the test server.
-func withProfiler(t *testing.T) func(*api.Options) {
+func withProfiler(t *testing.T) func(*daemon.Config) {
 	t.Helper()
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	clock := base
 	hot := false
+	reg := telemetry.NewRegistry()
 	p, err := profiler.New(profiler.Options{
-		Registry:    telemetry.NewRegistry(),
+		Registry:    reg,
 		Epoch:       time.Minute,
 		DiffWindows: 1,
 		MinSamples:  1,
@@ -43,11 +44,11 @@ func withProfiler(t *testing.T) func(*api.Options) {
 	if err := p.CaptureOnce(); err != nil {
 		t.Fatal(err)
 	}
-	return func(o *api.Options) { o.Profiler = p }
+	return func(c *daemon.Config) { c.Registry, c.Profiler = reg, p }
 }
 
 func TestProfileCommand(t *testing.T) {
-	srv, _, _ := newTestServerOpts(t, false, false, withProfiler(t))
+	srv, _ := newTestServerOpts(t, false, false, withProfiler(t))
 	base := []string{"-server", srv.URL}
 	cases := []struct {
 		name  string
@@ -99,7 +100,7 @@ func TestProfileCommand(t *testing.T) {
 }
 
 func TestProfileCommandErrors(t *testing.T) {
-	srv, _, _ := newTestServerOpts(t, false, false, withProfiler(t))
+	srv, _ := newTestServerOpts(t, false, false, withProfiler(t))
 	base := []string{"-server", srv.URL}
 	bad := [][]string{
 		{"profile", "bogus"},                 // unknown subcommand
@@ -119,7 +120,7 @@ func TestProfileCommandErrors(t *testing.T) {
 // Against a profiler-disabled daemon every profile subcommand prints
 // the explicit notice and exits 0 rather than failing.
 func TestProfileCommandDisabled(t *testing.T) {
-	srv, _, _ := newTestServerOpts(t, false, false)
+	srv, _ := newTestServerOpts(t, false, false)
 	base := []string{"-server", srv.URL}
 	for _, args := range [][]string{
 		{"profile"},

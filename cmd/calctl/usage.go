@@ -91,21 +91,15 @@ func usageCmd(c *client, args []string) error {
 	}
 
 	// Admission-control context for the table above: how much of the
-	// tenants' demand the scheduler coalesced or shed. Absent against
-	// scheduler-disabled daemons.
+	// tenants' demand the scheduler coalesced or shed.
 	var ds dashSched
-	found, err = c.getDecodeOpt("/api/v1/sched", &ds)
-	if err != nil {
+	if err := c.getDecode("/api/v1/sched", &ds); err != nil {
 		return err
 	}
-	if found {
-		s := ds.Scheduler
-		fmt.Printf("\nscheduler: %d runs, %d coalesced, %d shed (429); queue %d/%d, %d active tenants, calcache hit rate %.0f%%\n",
-			s.Runs, s.Coalesced, s.Sheds, s.Queued, s.QueueLimit,
-			s.ActiveTenants, ds.CalCache.HitRate*100)
-	} else {
-		fmt.Println("\nscheduler: disabled — model runs execute inline, no admission control")
-	}
+	s := ds.Scheduler
+	fmt.Printf("\nscheduler: %d runs, %d coalesced, %d shed (429); queue %d/%d, %d active tenants, calcache hit rate %.0f%%\n",
+		s.Runs, s.Coalesced, s.Sheds, s.Queued, s.QueueLimit,
+		s.ActiveTenants, ds.CalCache.HitRate*100)
 	return nil
 }
 

@@ -17,18 +17,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
 	"time"
 
 	"caladrius/internal/api"
-	"caladrius/internal/config"
 	"caladrius/internal/core"
+	"caladrius/internal/daemon"
 	"caladrius/internal/heron"
-	"caladrius/internal/metrics"
-	"caladrius/internal/topology"
-	"caladrius/internal/tracker"
 	"caladrius/internal/workload"
 )
 
@@ -55,44 +53,27 @@ func run() error {
 	}
 	// Rebuild with the seasonal schedule anchored at the simulation
 	// start.
-	sim, err = heron.NewWordCount(heron.WordCountOptions{
+	history, err := heron.SimulateWordCount(heron.WordCountOptions{
 		SplitterP: 2, CounterP: 3,
 		Schedule: workload.SeasonalRate(spec, sim.Start()),
 		Tick:     time.Second,
-	})
+	}, 3*24*time.Hour)
 	if err != nil {
 		return err
 	}
-	if err := sim.Run(3 * 24 * time.Hour); err != nil {
-		return err
-	}
-	asOf := sim.Start().Add(3 * 24 * time.Hour)
 
 	// --- Stand up the Caladrius service over that history. -----------
-	top, err := heron.WordCountTopology(8, 2, 3)
-	if err != nil {
-		return err
-	}
-	plan, err := topology.RoundRobinPack(top, 2)
-	if err != nil {
-		return err
-	}
-	tr := tracker.New(func() time.Time { return asOf })
-	if err := tr.Register(top, plan); err != nil {
-		return err
-	}
-	provider, err := metrics.NewTSDBProvider(sim.DB(), time.Minute)
-	if err != nil {
-		return err
-	}
-	cfg := config.Default()
+	cfg := daemon.Default()
+	cfg.Substrate = history
+	cfg.LogOutput = io.Discard
 	cfg.CalibrationLookback = 3 * 24 * time.Hour
 	cfg.CalibrationWarmup = 10
-	svc, err := api.New(cfg, tr, provider, nil, func() time.Time { return asOf })
+	d, err := daemon.New(cfg)
 	if err != nil {
 		return err
 	}
-	srv := httptest.NewServer(svc.Handler())
+	defer d.Close()
+	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 	fmt.Println("== caladrius service listening at", srv.URL)
 

@@ -2,8 +2,8 @@
 // service through which clients request traffic forecasts and topology
 // performance predictions. Modelling runs asynchronously by default —
 // a request returns 202 Accepted with a job id to poll — because model
-// evaluation can take seconds; ?sync=true runs inline for small
-// requests and tests.
+// evaluation can take seconds; ?sync=true holds the request open until
+// the run finishes, for small requests and tests.
 //
 // Endpoints:
 //
@@ -36,6 +36,7 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -89,8 +90,8 @@ type Service struct {
 	jobsDone    *telemetry.Counter
 	jobsFailed  *telemetry.Counter
 
-	// schedr is the bounded model-run scheduler; nil runs model work
-	// inline (and /api/v1/sched answers 404).
+	// schedr is the bounded model-run scheduler every model run is
+	// queued through.
 	schedr *sched.Scheduler
 	// calcache holds calibrated topology models keyed by (topology,
 	// packing-plan version, provider window); invalidated by tracker
@@ -122,7 +123,7 @@ type Options struct {
 	// request latencies always measure real wall time.
 	Now func() time.Time
 	// Telemetry is the metrics registry to instrument into. Default: a
-	// fresh private registry, exposed via Service.Metrics.
+	// fresh private registry.
 	Telemetry *telemetry.Registry
 	// Tracer records model-pipeline traces. Default: a fresh tracer
 	// retaining telemetry.DefaultMaxTraces traces.
@@ -155,9 +156,7 @@ type Options struct {
 	// Scheduler is the bounded model-run scheduler every predict/plan/
 	// calibrate request is queued through: identical concurrent requests
 	// coalesce into one run, and admission control sheds excess load as
-	// 429 + Retry-After with per-tenant fairness. Nil runs model work
-	// inline — one goroutine per async job, no admission control — and
-	// leaves /api/v1/sched answering 404.
+	// 429 + Retry-After with per-tenant fairness. Required.
 	Scheduler *sched.Scheduler
 	// CalCacheTTL bounds calibration-cache entry age; 0 means entries
 	// only leave on tracker/packing changes and forced recalibrations.
@@ -165,19 +164,17 @@ type Options struct {
 	CalCacheTTL time.Duration
 }
 
-// New builds a service. logger and now are optional; telemetry is
-// private (use NewService to share a registry).
-func New(cfg config.Config, tr *tracker.Tracker, provider metrics.Provider, logger *slog.Logger, now func() time.Time) (*Service, error) {
-	return NewService(cfg, tr, provider, Options{Logger: logger, Now: now})
-}
-
-// NewService builds a service with explicit options.
+// NewService builds a service. The tracker, the metrics provider and
+// opts.Scheduler are required; every other option is optional.
 func NewService(cfg config.Config, tr *tracker.Tracker, provider metrics.Provider, opts Options) (*Service, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if tr == nil || provider == nil {
 		return nil, errors.New("api: nil tracker or metrics provider")
+	}
+	if opts.Scheduler == nil {
+		return nil, errors.New("api: nil scheduler (Options.Scheduler is required)")
 	}
 	if opts.Logger == nil {
 		opts.Logger = slog.Default()
@@ -233,13 +230,6 @@ func NewService(cfg config.Config, tr *tracker.Tracker, provider metrics.Provide
 	tr.OnChange(s.invalidateModel)
 	return s, nil
 }
-
-// Metrics returns the registry the service instruments into, for
-// mounting a /metrics endpoint.
-func (s *Service) Metrics() *telemetry.Registry { return s.tel }
-
-// Tracer returns the tracer holding recent model-run traces.
-func (s *Service) Tracer() *telemetry.Tracer { return s.tracer }
 
 // Handler returns the REST API handler, wrapped in the request
 // telemetry middleware and access log.
@@ -322,6 +312,23 @@ type PerformanceResponse struct {
 	Prediction core.TopologyPrediction `json:"prediction"`
 	// EvaluatedRateTPM is the source rate the prediction used.
 	EvaluatedRateTPM float64 `json:"evaluated_rate_tpm"`
+}
+
+// finiteSaturation makes a prediction encodable. A topology or path
+// that never saturates has saturation source +Inf (Eq. 13 has no finite
+// solution), and JSON has no token for that; it goes out as the largest
+// finite float — the registry's convention for the +Inf histogram bound
+// — so "rate < saturation_source_tpm" still holds for every client.
+func finiteSaturation(p *core.TopologyPrediction) {
+	clamp := func(v *float64) {
+		if math.IsInf(*v, 1) {
+			*v = math.MaxFloat64
+		}
+	}
+	clamp(&p.SaturationSource)
+	for i := range p.Paths {
+		clamp(&p.Paths[i].SaturationSource)
+	}
 }
 
 // --- handlers ------------------------------------------------------------
@@ -514,52 +521,46 @@ func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
 // the client; async runs use their job id as the trace id.
 const TraceHeader = "X-Caladrius-Trace"
 
-// dispatch runs fn inline (?sync=true) or as an asynchronous job,
-// opening a trace whose root span covers the whole model run. Async
-// jobs trace under their job id; sync runs trace under the request's
-// middleware-assigned trace id (already echoed in the TraceHeader
-// response header), so the header, the access-log line and the span
-// tree of one request share a single id.
+// dispatch runs fn for a waiting client (?sync=true) or as an
+// asynchronous job, opening a trace whose root span covers the whole
+// model run. Async jobs trace under their job id; sync runs trace under
+// the request's middleware-assigned trace id (already echoed in the
+// TraceHeader response header), so the header, the access-log line and
+// the span tree of one request share a single id.
 //
-// With a scheduler configured every model run is queued through it
-// instead of executing on the request (or a fresh job) goroutine:
-// concurrency is bounded by the worker pool, identical concurrent
-// requests coalesce into one run, queue time appears as a "queue-wait"
-// span, and admission control may shed the request as 429 +
-// Retry-After before any model work starts. Sync requests queue at
-// High priority (a client is blocked on them), async jobs at Normal —
-// except rank backtests, batch work that queues at Low either way.
+// Every model run is queued through the scheduler instead of executing
+// on the request goroutine: concurrency is bounded by the worker pool,
+// identical concurrent requests coalesce into one run, queue time
+// appears as a "queue-wait" span, and admission control may shed the
+// request as 429 + Retry-After before any model work starts. Sync
+// requests queue at High priority (a client is blocked on them), async
+// jobs at Normal — except rank backtests, batch work that queues at Low
+// either way.
 func (s *Service) dispatch(w http.ResponseWriter, r *http.Request, op, topoName string, req any, fn func(context.Context) (any, error)) {
 	tenant := RequestTenant(r.Context())
 	isSync := r.URL.Query().Get("sync") == "true"
+	sreq := sched.Request{
+		Topology: topoName,
+		Kind:     op,
+		Tenant:   tenant,
+		Hash:     requestHash(op, topoName, req),
+		Priority: schedPriority(op, isSync),
+	}
 	if isSync {
 		root := s.tracer.Start(RequestTraceID(r.Context()), op)
 		root.SetAttr("path", r.URL.Path)
 		root.SetAttr("mode", "sync")
 		root.SetAttr("tenant", tenant)
-		ctx := telemetry.ContextWithSpan(r.Context(), root)
 		var result any
-		var err error
-		if s.schedr == nil {
-			result, err = fn(ctx)
-		} else {
-			sreq := sched.Request{
-				Topology: topoName,
-				Kind:     op,
-				Tenant:   tenant,
-				Hash:     requestHash(op, topoName, req),
-				Priority: schedPriority(op, isSync),
+		h, err := s.schedr.Submit(telemetry.ContextWithSpan(r.Context(), root), sreq, fn)
+		if err == nil {
+			if h.Coalesced() {
+				root.SetAttr("coalesced", "true")
 			}
-			var h sched.Handle
-			if h, err = s.schedr.Submit(ctx, sreq, fn); err == nil {
-				if h.Coalesced() {
-					root.SetAttr("coalesced", "true")
-				}
-				// Wait under the request context: a disconnecting client
-				// abandons its wait, but the run itself completes (other
-				// coalesced waiters may share it) and is still audited.
-				result, err = h.Wait(r.Context())
-			}
+			// Wait under the request context: a disconnecting client
+			// abandons its wait, but the run itself completes (other
+			// coalesced waiters may share it) and is still audited.
+			result, err = h.Wait(r.Context())
 		}
 		if err != nil {
 			root.SetAttr("error", err.Error())
@@ -583,59 +584,35 @@ func (s *Service) dispatch(w http.ResponseWriter, r *http.Request, op, topoName 
 	// a fresh one. The tenant rides along so the run's cost still bills
 	// the requester, not anonymous.
 	ctx := telemetry.ContextWithSpan(ContextWithTenant(context.Background(), tenant), root)
-	if s.schedr != nil {
-		sreq := sched.Request{
-			Topology: topoName,
-			Kind:     op,
-			Tenant:   tenant,
-			Hash:     requestHash(op, topoName, req),
-			Priority: schedPriority(op, isSync),
-		}
-		h, err := s.schedr.Submit(ctx, sreq, fn)
-		if err != nil {
-			// Shed before any model work started: the job never ran, so
-			// it leaves no record — the client gets the 429 itself.
-			s.jobs.remove(job.ID)
-			root.SetAttr("error", err.Error())
-			root.End()
-			w.Header().Set(TraceHeader, root.TraceID())
-			writeError(w, err)
-			return
-		}
-		if h.Coalesced() {
-			root.SetAttr("coalesced", "true")
-		}
-		s.jobs.start(job.ID)
-		s.jobsRunning.Inc()
-		h.OnDone(func(result any, err error) {
-			defer s.jobsRunning.Dec()
-			if err != nil {
-				root.SetAttr("error", err.Error())
-			}
-			root.End()
-			if err != nil {
-				s.jobs.complete(job.ID, nil, err)
-				s.jobsFailed.Inc()
-			} else {
-				s.jobs.complete(job.ID, result, nil)
-				s.jobsDone.Inc()
-			}
-		})
-	} else {
-		s.jobsRunning.Inc()
-		s.jobs.run(job.ID, func() (any, error) {
-			defer s.jobsRunning.Dec()
-			defer root.End()
-			result, err := fn(ctx)
-			if err != nil {
-				root.SetAttr("error", err.Error())
-				s.jobsFailed.Inc()
-			} else {
-				s.jobsDone.Inc()
-			}
-			return result, err
-		})
+	h, err := s.schedr.Submit(ctx, sreq, fn)
+	if err != nil {
+		// Shed before any model work started: the job never ran, so
+		// it leaves no record — the client gets the 429 itself.
+		s.jobs.remove(job.ID)
+		root.SetAttr("error", err.Error())
+		root.End()
+		w.Header().Set(TraceHeader, root.TraceID())
+		writeError(w, err)
+		return
 	}
+	if h.Coalesced() {
+		root.SetAttr("coalesced", "true")
+	}
+	s.jobs.start(job.ID)
+	s.jobsRunning.Inc()
+	h.OnDone(func(result any, err error) {
+		defer s.jobsRunning.Dec()
+		if err != nil {
+			root.SetAttr("error", err.Error())
+		}
+		root.End()
+		s.jobs.complete(job.ID, result, err)
+		if err != nil {
+			s.jobsFailed.Inc()
+		} else {
+			s.jobsDone.Inc()
+		}
+	})
 	w.Header().Set(TraceHeader, job.ID)
 	w.Header().Set("Location", "/api/v1/jobs/"+job.ID)
 	writeJSON(w, http.StatusAccepted, map[string]any{
@@ -801,6 +778,7 @@ func (s *Service) runPerformance(ctx context.Context, topoName string, req Perfo
 	if err != nil {
 		return nil, err
 	}
+	finiteSaturation(&pred)
 	return &PerformanceResponse{Topology: topoName, Prediction: pred, EvaluatedRateTPM: rate}, nil
 }
 
@@ -982,6 +960,7 @@ func (s *Service) runSuggest(ctx context.Context, topoName string, req SuggestRe
 	if err != nil {
 		return nil, err
 	}
+	finiteSaturation(&pred)
 	return &SuggestResponse{Topology: topoName, EvaluatedRateTPM: rate, Parallelism: plan, Prediction: pred}, nil
 }
 
@@ -1191,8 +1170,17 @@ func httpError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]any{"error": msg})
 }
 
+// writeJSON encodes v before committing the status line, so a value
+// encoding/json rejects becomes a JSON 500 instead of an empty body
+// under the status the handler meant to send.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		buf.Reset()
+		_ = json.NewEncoder(&buf).Encode(map[string]string{"error": "encode response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }

@@ -3,8 +3,10 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,64 +14,87 @@ import (
 	"caladrius/internal/core"
 	"caladrius/internal/heron"
 	"caladrius/internal/metrics"
-	"caladrius/internal/topology"
+	"caladrius/internal/sched"
 	"caladrius/internal/tracker"
 	"caladrius/internal/tsdb"
 	"caladrius/internal/workload"
 )
 
-// testEnv runs a simulation covering both regimes (linear then
-// saturated), registers the topology, and returns a service anchored at
-// the end of the simulated window.
-func testEnv(t *testing.T) (*Service, *httptest.Server, time.Time) {
-	return testEnvWith(t, Options{})
+// deployment is the simulated word-count deployment every api test
+// serves: 40 minutes of history covering both regimes (linear, then
+// saturated), registered with a tracker and read through a TSDB
+// provider, with "now" frozen at the end of the simulated window.
+type deployment struct {
+	tr       *tracker.Tracker
+	provider *metrics.TSDBProvider
+	cfg      config.Config
+	asOf     time.Time
 }
 
-// testEnvWith is testEnv with explicit service options; a nil opts.Now
-// is anchored at the end of the simulated window.
-func testEnvWith(t *testing.T, opts Options) (*Service, *httptest.Server, time.Time) {
+func newDeployment(t *testing.T) deployment {
 	t.Helper()
-	sim, err := heron.NewWordCount(heron.WordCountOptions{
+	const warm = 40 * time.Minute
+	return simulate(t, heron.WordCountOptions{
 		SplitterP: 3, CounterP: 8,
-		Schedule: workload.StepRate(20e6/60, 45e6/60, 20*time.Minute),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Run(40 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	asOf := sim.Start().Add(40 * time.Minute)
+		Schedule: workload.StepRate(20e6/60, 45e6/60, warm/2),
+	}, warm)
+}
 
-	top, err := heron.WordCountTopology(8, 3, 8)
+// simulate runs the word-count topology for warm and registers the
+// result as a deployment.
+func simulate(t *testing.T, opts heron.WordCountOptions, warm time.Duration) deployment {
+	t.Helper()
+	sub, err := heron.SimulateWordCount(opts, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := topology.RoundRobinPack(top, 2)
-	if err != nil {
+	tr := tracker.New(func() time.Time { return sub.AsOf })
+	if err := tr.Register(sub.Topology, sub.Plan); err != nil {
 		t.Fatal(err)
 	}
-	tr := tracker.New(func() time.Time { return asOf })
-	if err := tr.Register(top, plan); err != nil {
-		t.Fatal(err)
-	}
-	provider, err := metrics.NewTSDBProvider(sim.DB(), time.Minute)
+	provider, err := metrics.NewTSDBProvider(sub.DB, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := config.Default()
-	cfg.CalibrationLookback = 40 * time.Minute
+	cfg.CalibrationLookback = warm
 	cfg.CalibrationWarmup = 3
+	return deployment{tr: tr, provider: provider, cfg: cfg, asOf: sub.AsOf}
+}
+
+// serve builds a service over the deployment and an HTTP server in
+// front of it. A nil opts.Now is the deployment's frozen clock; a nil
+// opts.Scheduler is a default-sized scheduler closed with the test.
+func (d deployment) serve(t *testing.T, opts Options) (*Service, *httptest.Server) {
+	t.Helper()
 	if opts.Now == nil {
-		opts.Now = func() time.Time { return asOf }
+		opts.Now = func() time.Time { return d.asOf }
 	}
-	svc, err := NewService(cfg, tr, provider, opts)
+	if opts.Scheduler == nil {
+		opts.Scheduler = sched.New(sched.Options{})
+		t.Cleanup(opts.Scheduler.Close)
+	}
+	svc, err := NewService(d.cfg, d.tr, d.provider, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(svc.Handler())
 	t.Cleanup(srv.Close)
-	return svc, srv, asOf
+	return svc, srv
+}
+
+// testEnv serves the deployment with default options, returning the
+// service, its server and the frozen clock's time.
+func testEnv(t *testing.T) (*Service, *httptest.Server, time.Time) {
+	return testEnvWith(t, Options{})
+}
+
+// testEnvWith is testEnv with explicit service options.
+func testEnvWith(t *testing.T, opts Options) (*Service, *httptest.Server, time.Time) {
+	t.Helper()
+	d := newDeployment(t)
+	svc, srv := d.serve(t, opts)
+	return svc, srv, d.asOf
 }
 
 func postJSON(t *testing.T, url string, body any) *http.Response {
@@ -350,7 +375,9 @@ func TestModelInspectionEndpoint(t *testing.T) {
 
 func TestServiceConstructorValidation(t *testing.T) {
 	cfg := config.Default()
-	if _, err := New(cfg, nil, nil, nil, nil); err == nil {
+	scheduler := sched.New(sched.Options{})
+	defer scheduler.Close()
+	if _, err := NewService(cfg, nil, nil, Options{Scheduler: scheduler}); err == nil {
 		t.Error("nil deps accepted")
 	}
 	bad := cfg
@@ -360,8 +387,69 @@ func TestServiceConstructorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(bad, tr, prov, nil, nil); err == nil {
+	if _, err := NewService(bad, tr, prov, Options{Scheduler: scheduler}); err == nil {
 		t.Error("invalid config accepted")
+	}
+	if _, err := NewService(cfg, tr, prov, Options{}); err == nil {
+		t.Error("nil scheduler accepted")
+	}
+}
+
+// TestUnsaturatedPredictionIsValidJSON is the regression test for the
+// empty-200 bug: at the daemon's default demo rate (30 M tuples/min on
+// 3 splitters) the topology never saturates, calibration leaves SP at
+// +Inf, and the saturation source — which JSON cannot carry — must
+// reach the client as the largest finite float, not as a body-less 200.
+func TestUnsaturatedPredictionIsValidJSON(t *testing.T) {
+	d := simulate(t, heron.WordCountOptions{SplitterP: 3, CounterP: 4, RatePerMinute: 30e6}, 10*time.Minute)
+	d.cfg.CalibrationLookback = 10 * time.Minute
+	_, srv := d.serve(t, Options{})
+
+	check := func(name string, p core.TopologyPrediction) {
+		t.Helper()
+		if p.SinkThroughput <= 0 || p.Risk != core.RiskLow || p.SaturationSource != math.MaxFloat64 ||
+			len(p.Paths) != 1 || p.Paths[0].SaturationSource != math.MaxFloat64 {
+			t.Errorf("%s prediction = %+v", name, p)
+		}
+	}
+	base := srv.URL + "/api/v1/model/topology/word-count/"
+	perf := decode[PerformanceResponse](t, postJSON(t, base+"performance?sync=true", struct{}{}), http.StatusOK)
+	check("performance", perf.Prediction)
+	plan := decode[SuggestResponse](t, postJSON(t, base+"suggest?sync=true", struct{}{}), http.StatusOK)
+	check("suggest", plan.Prediction)
+
+	// The async path stores the same result in the job record.
+	accepted := decode[map[string]string](t, postJSON(t, base+"performance", struct{}{}), http.StatusAccepted)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		r, err := http.Get(srv.URL + accepted["poll"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := decode[struct {
+			Status JobStatus           `json:"status"`
+			Result PerformanceResponse `json:"result"`
+		}](t, r, http.StatusOK)
+		if job.Status == JobDone {
+			check("job result", job.Result.Prediction)
+			break
+		}
+		if job.Status == JobFailed || time.Now().After(deadline) {
+			t.Fatalf("job = %+v", job)
+		}
+	}
+}
+
+// TestWriteJSONUnencodable: a value encoding/json rejects becomes a JSON
+// 500, never an empty body under the intended status.
+func TestWriteJSONUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"v": math.Inf(1)})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", rec.Code)
+	}
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || !strings.Contains(body["error"], "unsupported value") {
+		t.Fatalf("body = %q (%v)", rec.Body.String(), err)
 	}
 }
 

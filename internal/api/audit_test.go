@@ -9,80 +9,35 @@ import (
 	"time"
 
 	"caladrius/internal/audit"
-	"caladrius/internal/config"
-	"caladrius/internal/heron"
-	"caladrius/internal/metrics"
-	"caladrius/internal/topology"
-	"caladrius/internal/tracker"
 	"caladrius/internal/tsdb"
-	"caladrius/internal/workload"
 )
 
 // auditEnvState is one simulated service life: the ledger, the server
-// and the pieces a "restarted" service reuses (provider, tracker,
-// config) when a test spans a shutdown.
+// and the deployment a "restarted" service is served over again when a
+// test spans a shutdown.
 type auditEnvState struct {
-	led      *audit.Ledger
-	srv      *httptest.Server
-	asOf     time.Time
-	provider *metrics.TSDBProvider
-	tr       *tracker.Tracker
-	cfg      config.Config
+	deployment
+	led *audit.Ledger
+	srv *httptest.Server
 }
 
 // auditEnv is testEnv plus a prediction audit ledger wired over the
 // same simulated metrics, so records resolve against real actuals.
-// extra customises the service options (Audit and Now are filled in).
+// extra customises the service options (Audit is filled in).
 func auditEnv(t *testing.T, extra Options) *auditEnvState {
 	t.Helper()
-	sim, err := heron.NewWordCount(heron.WordCountOptions{
-		SplitterP: 3, CounterP: 8,
-		Schedule: workload.StepRate(20e6/60, 45e6/60, 20*time.Minute),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Run(40 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	asOf := sim.Start().Add(40 * time.Minute)
-
-	top, err := heron.WordCountTopology(8, 3, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := topology.RoundRobinPack(top, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := tracker.New(func() time.Time { return asOf })
-	if err := tr.Register(top, plan); err != nil {
-		t.Fatal(err)
-	}
-	provider, err := metrics.NewTSDBProvider(sim.DB(), time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := newDeployment(t)
 	led, err := audit.NewLedger(audit.Options{
-		Provider: provider,
+		Provider: d.provider,
 		History:  extra.History,
-		Now:      func() time.Time { return asOf },
+		Now:      func() time.Time { return d.asOf },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := config.Default()
-	cfg.CalibrationLookback = 40 * time.Minute
-	cfg.CalibrationWarmup = 3
-	extra.Now = func() time.Time { return asOf }
 	extra.Audit = led
-	svc, err := NewService(cfg, tr, provider, extra)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(svc.Handler())
-	t.Cleanup(srv.Close)
-	return &auditEnvState{led: led, srv: srv, asOf: asOf, provider: provider, tr: tr, cfg: cfg}
+	_, srv := d.serve(t, extra)
+	return &auditEnvState{deployment: d, led: led, srv: srv}
 }
 
 // TestAuditEndpointsDisabled: a service built without a ledger answers
@@ -274,16 +229,7 @@ func TestShutdownSnapshotRestoresAuditHistory(t *testing.T) {
 	if err := led2.LoadFile(auditPath); err != nil {
 		t.Fatalf("audit LoadFile: %v", err)
 	}
-	svc2, err := NewService(env.cfg, env.tr, env.provider, Options{
-		Now:     func() time.Time { return env.asOf },
-		History: db2,
-		Audit:   led2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2 := httptest.NewServer(svc2.Handler())
-	t.Cleanup(srv2.Close)
+	_, srv2 := env.serve(t, Options{History: db2, Audit: led2})
 
 	// The restored history serves the accuracy series over query_range.
 	v := url.Values{

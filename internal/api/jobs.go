@@ -55,13 +55,13 @@ func (s *jobStore) create() Job {
 	return *j
 }
 
-// start marks a job running — the scheduler path's transition when the
-// run is accepted into the queue.
+// start marks a job running: the scheduler accepted its run into the
+// queue.
 func (s *jobStore) start(id string) {
 	s.setStatus(id, JobRunning, nil, "")
 }
 
-// complete records a job's outcome — the scheduler path's completion
+// complete records a job's outcome, from the scheduler's completion
 // callback.
 func (s *jobStore) complete(id string, result any, err error) {
 	if err != nil {
@@ -76,19 +76,6 @@ func (s *jobStore) remove(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.jobs, id)
-}
-
-// run executes fn in its own goroutine, tracking status transitions.
-func (s *jobStore) run(id string, fn func() (any, error)) {
-	s.setStatus(id, JobRunning, nil, "")
-	go func() {
-		result, err := fn()
-		if err != nil {
-			s.setStatus(id, JobFailed, nil, err.Error())
-			return
-		}
-		s.setStatus(id, JobDone, result, "")
-	}()
 }
 
 func (s *jobStore) setStatus(id string, st JobStatus, result any, errMsg string) {

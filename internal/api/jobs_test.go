@@ -13,46 +13,27 @@ func TestJobStoreLifecycle(t *testing.T) {
 	if j.ID != "job-1" || j.Status != JobPending || !j.CreatedAt.Equal(now) {
 		t.Fatalf("job = %+v", j)
 	}
-	done := make(chan struct{})
-	s.run(j.ID, func() (any, error) {
-		<-done
-		return "result", nil
-	})
+	s.start(j.ID)
 	got, ok := s.get(j.ID)
 	if !ok || got.Status != JobRunning {
 		t.Fatalf("running job = %+v (ok=%v)", got, ok)
 	}
-	close(done)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		got, _ = s.get(j.ID)
-		if got.Status == JobDone {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck: %+v", got)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if got.Result != "result" {
-		t.Errorf("result = %v", got.Result)
+	s.complete(j.ID, "result", nil)
+	if got, _ = s.get(j.ID); got.Status != JobDone || got.Result != "result" {
+		t.Errorf("done job = %+v", got)
 	}
 	// Failure path.
 	j2 := s.create()
-	s.run(j2.ID, func() (any, error) { return nil, errors.New("boom") })
-	deadline = time.Now().Add(2 * time.Second)
-	for {
-		got, _ = s.get(j2.ID)
-		if got.Status == JobFailed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job2 stuck: %+v", got)
-		}
-		time.Sleep(time.Millisecond)
+	s.start(j2.ID)
+	s.complete(j2.ID, "ignored", errors.New("boom"))
+	if got, _ = s.get(j2.ID); got.Status != JobFailed || got.Error != "boom" || got.Result != nil {
+		t.Errorf("failed job = %+v", got)
 	}
-	if got.Error != "boom" {
-		t.Errorf("error = %q", got.Error)
+	// A job shed before it ran leaves no record.
+	j3 := s.create()
+	s.remove(j3.ID)
+	if _, ok := s.get(j3.ID); ok {
+		t.Error("removed job still found")
 	}
 	// Unknown ids are inert.
 	if _, ok := s.get("nope"); ok {

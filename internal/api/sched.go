@@ -8,10 +8,7 @@ import (
 
 // The scheduler surface: GET /api/v1/sched exposes a point-in-time
 // snapshot of the model-run scheduler (queue, workers, coalescing,
-// sheds) and the calibration cache (hits, misses, residency). Like the
-// other opt-in surfaces it answers 404 when the service runs without a
-// scheduler — calctl uses that to print its "scheduler disabled"
-// notice instead of an empty panel.
+// sheds) and the calibration cache (hits, misses, residency).
 
 // SchedResponse is the payload of GET /api/v1/sched.
 type SchedResponse struct {
@@ -20,10 +17,6 @@ type SchedResponse struct {
 }
 
 func (s *Service) handleSched(w http.ResponseWriter, r *http.Request) {
-	if s.schedr == nil {
-		httpError(w, http.StatusNotFound, "scheduler disabled: service runs model work inline")
-		return
-	}
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "use GET")
 		return

@@ -11,14 +11,10 @@ import (
 	"time"
 
 	"caladrius/internal/audit"
-	"caladrius/internal/config"
 	"caladrius/internal/core"
 	"caladrius/internal/heron"
-	"caladrius/internal/metrics"
 	"caladrius/internal/sched"
 	"caladrius/internal/topology"
-	"caladrius/internal/tracker"
-	"caladrius/internal/workload"
 )
 
 // The scheduler e2e surface: these tests drive the full HTTP stack
@@ -28,65 +24,26 @@ import (
 // calibration-cache invalidation through tracker change hooks.
 
 type schedEnv struct {
+	deployment
 	svc *Service
 	srv *httptest.Server
 	led *audit.Ledger
-	tr  *tracker.Tracker
-	cfg config.Config
 }
 
-// newSchedEnv builds the simulated word-count deployment with an audit
-// ledger and the given scheduler (nil = inline service).
+// newSchedEnv serves the simulated word-count deployment with an audit
+// ledger through the given scheduler.
 func newSchedEnv(t *testing.T, scheduler *sched.Scheduler) schedEnv {
 	t.Helper()
-	sim, err := heron.NewWordCount(heron.WordCountOptions{
-		SplitterP: 3, CounterP: 8,
-		Schedule: workload.StepRate(20e6/60, 45e6/60, 20*time.Minute),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Run(40 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	asOf := sim.Start().Add(40 * time.Minute)
-	top, err := heron.WordCountTopology(8, 3, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := topology.RoundRobinPack(top, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := tracker.New(func() time.Time { return asOf })
-	if err := tr.Register(top, plan); err != nil {
-		t.Fatal(err)
-	}
-	provider, err := metrics.NewTSDBProvider(sim.DB(), time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := newDeployment(t)
 	led, err := audit.NewLedger(audit.Options{
-		Provider: provider,
-		Now:      func() time.Time { return asOf },
+		Provider: d.provider,
+		Now:      func() time.Time { return d.asOf },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := config.Default()
-	cfg.CalibrationLookback = 40 * time.Minute
-	cfg.CalibrationWarmup = 3
-	svc, err := NewService(cfg, tr, provider, Options{
-		Now:       func() time.Time { return asOf },
-		Audit:     led,
-		Scheduler: scheduler,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(svc.Handler())
-	t.Cleanup(srv.Close)
-	return schedEnv{svc: svc, srv: srv, led: led, tr: tr, cfg: cfg}
+	svc, srv := d.serve(t, Options{Audit: led, Scheduler: scheduler})
+	return schedEnv{deployment: d, svc: svc, srv: srv, led: led}
 }
 
 func postJSONTenant(t *testing.T, url, tenant string, body any) *http.Response {
@@ -108,18 +65,6 @@ func postJSONTenant(t *testing.T, url, tenant string, body any) *http.Response {
 		t.Fatal(err)
 	}
 	return resp
-}
-
-func TestSchedEndpointDisabled(t *testing.T) {
-	_, srv, _ := testEnv(t)
-	resp, err := http.Get(srv.URL + "/api/v1/sched")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /api/v1/sched without scheduler = %d; want 404", resp.StatusCode)
-	}
 }
 
 // TestCoalescedRequestsOneModelRun: concurrent identical sync predicts

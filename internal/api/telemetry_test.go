@@ -49,7 +49,7 @@ func TestRoutePattern(t *testing.T) {
 // gauge through the registry.
 func TestMiddlewareCounts(t *testing.T) {
 	svc, srv, _ := testEnv(t)
-	reg := svc.Metrics()
+	reg := svc.tel
 
 	for i := 0; i < 3; i++ {
 		resp, err := http.Get(srv.URL + "/api/v1/health")
@@ -151,7 +151,7 @@ func TestSyncTracePropagation(t *testing.T) {
 		SourceRateTPM: 30e6,
 	})
 	decode[PerformanceResponse](t, resp2, http.StatusOK)
-	tj2, ok := svc.Tracer().Snapshot(resp2.Header.Get(TraceHeader))
+	tj2, ok := svc.tracer.Snapshot(resp2.Header.Get(TraceHeader))
 	if !ok {
 		t.Fatal("second trace not retained")
 	}
@@ -217,10 +217,10 @@ func TestAsyncJobTrace(t *testing.T) {
 	if stages < 3 {
 		t.Errorf("async trace has %d named pipeline stages, want ≥ 3 (got %v)", stages, names)
 	}
-	if got := svc.Metrics().Counter("caladrius_jobs_completed_total", telemetry.Labels{"outcome": "done"}).Value(); got < 1 {
+	if got := svc.tel.Counter("caladrius_jobs_completed_total", telemetry.Labels{"outcome": "done"}).Value(); got < 1 {
 		t.Errorf("jobs done counter = %g, want ≥ 1", got)
 	}
-	if got := svc.Metrics().Gauge("caladrius_jobs_running", nil).Value(); got != 0 {
+	if got := svc.tel.Gauge("caladrius_jobs_running", nil).Value(); got != 0 {
 		t.Errorf("jobs running gauge = %g, want 0", got)
 	}
 }
@@ -235,7 +235,7 @@ func TestMetricsVisiblyIncrement(t *testing.T) {
 	decode[PerformanceResponse](t, resp, http.StatusOK)
 
 	var buf strings.Builder
-	if err := svc.Metrics().WritePrometheus(&buf); err != nil {
+	if err := svc.tel.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -10,6 +10,7 @@ import (
 	"caladrius/internal/config"
 	"caladrius/internal/heron"
 	"caladrius/internal/metrics"
+	"caladrius/internal/sched"
 	"caladrius/internal/topology"
 	"caladrius/internal/tracker"
 	"caladrius/internal/tsdb"
@@ -56,7 +57,9 @@ func TestProviderUnavailableReturns503(t *testing.T) {
 	if err := tr.Register(top, plan); err != nil {
 		t.Fatal(err)
 	}
-	svc, err := NewService(config.Default(), tr, downProvider{}, Options{Now: func() time.Time { return now }})
+	scheduler := sched.New(sched.Options{})
+	t.Cleanup(scheduler.Close)
+	svc, err := NewService(config.Default(), tr, downProvider{}, Options{Now: func() time.Time { return now }, Scheduler: scheduler})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,32 +1,20 @@
 package bench
 
 import (
-	"errors"
 	"io"
-	"log/slog"
-	"net"
-	"net/http"
+	"net/http/httptest"
+	"strings"
 	"time"
 
-	"caladrius/internal/api"
-	"caladrius/internal/audit"
 	"caladrius/internal/chaos"
-	"caladrius/internal/config"
-	"caladrius/internal/heron"
+	"caladrius/internal/daemon"
 	"caladrius/internal/metrics"
-	"caladrius/internal/sched"
 	"caladrius/internal/telemetry"
-	"caladrius/internal/topology"
-	"caladrius/internal/tracker"
-	"caladrius/internal/tsdb"
-	"caladrius/internal/usage"
-	"caladrius/internal/workload"
 )
 
 // DaemonOptions configures an in-process daemon. The zero value is a
-// usable small deployment: word-count demo sim, scheduler, audit
-// ledger, usage accountant, self-monitoring scraper and short-window
-// SLO rules — everything the load mix's five operations touch.
+// usable small deployment: the shipped daemon's wiring over a short
+// word-count demo history, with short-window SLO rules.
 type DaemonOptions struct {
 	// RateTPM is the demo topology's offered source rate in
 	// tuples/minute. Default 6e6.
@@ -35,14 +23,12 @@ type DaemonOptions struct {
 	// Default 8.
 	WarmMinutes int
 	// ChaosPlan optionally wraps the metrics provider with the plan's
-	// provider-side faults (metrics-outage/gap/latency).
+	// provider-side faults (metrics-outage/gap/latency). Fault times
+	// are relative to Now() at StartDaemon.
 	ChaosPlan *chaos.Plan
-	// Origin maps the plan's relative fault times onto the clock.
-	// Default: Now() at StartDaemon.
-	Origin time.Time
-	// Now is the wall clock for chaos fault gating and SLO window
-	// anchoring. Deterministic soak tests substitute a fake. Default
-	// time.Now.
+	// Now is the wall clock for chaos fault gating, scrape stamps and
+	// SLO window anchoring. Deterministic soak tests substitute a fake.
+	// Default time.Now.
 	Now func() time.Time
 	// SLOWindow shortens the default HTTP SLO rule windows so a soak
 	// of seconds can watch rules fire and resolve. Default 5s.
@@ -50,28 +36,16 @@ type DaemonOptions struct {
 	// ScrapeInterval is carried onto the scraper for Scraper.Run
 	// callers. Default 500ms.
 	ScrapeInterval time.Duration
-	// HistoryRetention bounds the self-monitoring store. Default 15m.
-	HistoryRetention time.Duration
-	// SchedWorkers / SchedQueueDepth size the model-run scheduler.
-	// Defaults: 2 workers, queue depth 32.
-	SchedWorkers    int
-	SchedQueueDepth int
 }
 
-// Daemon is a fully wired in-process Caladrius serving stack listening
-// on a loopback port — the soak target, and the default caladriusbench
+// Daemon is the shipped daemon assembled in-process and served on a
+// loopback port — the soak target, and the default caladriusbench
 // target when no -target is given.
 type Daemon struct {
-	URL       string
-	Registry  *telemetry.Registry
-	History   *tsdb.DB
-	Scraper   *telemetry.Scraper
-	SLO       *telemetry.SLO
-	Scheduler *sched.Scheduler
+	*daemon.Daemon
+	URL string
 
-	ln     net.Listener
-	server *http.Server
-	done   chan struct{}
+	srv *httptest.Server
 }
 
 // SoakSLORules are DefaultSLORules' two HTTP rules with the window
@@ -79,34 +53,21 @@ type Daemon struct {
 // fire→resolve cycle. Rule names match the defaults — assertions and
 // dashboards keyed on them work unchanged.
 func SoakSLORules(w time.Duration) []telemetry.Rule {
-	return []telemetry.Rule{
-		{
-			Name:        "http-p95-latency",
-			Description: "p95 request latency above 500ms over the soak window",
-			Metric:      telemetry.QuantileSeries("caladrius_http_request_duration_seconds", 0.95),
-			Agg:         tsdb.AggMax,
-			Window:      w,
-			Op:          telemetry.OpGreater,
-			Threshold:   0.5,
-		},
-		{
-			Name:          "http-5xx-rate",
-			Description:   "more than 5% of requests returned 5xx over the soak window",
-			Metric:        "caladrius_http_requests_total",
-			Selector:      tsdb.Labels{"class": "5xx"},
-			Ratio:         true,
-			DenomSelector: nil,
-			Window:        w,
-			Op:            telemetry.OpGreater,
-			Threshold:     0.05,
-		},
+	var rules []telemetry.Rule
+	for _, r := range telemetry.DefaultSLORules() {
+		if strings.HasPrefix(r.Name, "http-") {
+			r.Window = w
+			rules = append(rules, r)
+		}
 	}
+	return rules
 }
 
-// StartDaemon wires and starts an in-process daemon. Callers own the
-// scrape loop: run d.Scraper.Run(ctx) for wall-clock soaks, or call
-// d.Scraper.ScrapeOnce with explicit timestamps for deterministic
-// tests. Always Close the daemon.
+// StartDaemon assembles a daemon through the composition root and
+// serves it on a loopback port. Callers own the scrape loop: run
+// d.Scraper.Run(ctx) for wall-clock soaks, or call d.Scraper.ScrapeOnce
+// with explicit timestamps for deterministic tests. Always Close the
+// daemon.
 func StartDaemon(opts DaemonOptions) (*Daemon, error) {
 	if opts.RateTPM <= 0 {
 		opts.RateTPM = 6e6
@@ -123,160 +84,33 @@ func StartDaemon(opts DaemonOptions) (*Daemon, error) {
 	if opts.ScrapeInterval <= 0 {
 		opts.ScrapeInterval = 500 * time.Millisecond
 	}
-	if opts.HistoryRetention <= 0 {
-		opts.HistoryRetention = 15 * time.Minute
-	}
-	if opts.SchedWorkers <= 0 {
-		opts.SchedWorkers = 2
-	}
-	if opts.SchedQueueDepth <= 0 {
-		opts.SchedQueueDepth = 32
-	}
-	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	reg := telemetry.NewRegistry()
-
-	const splitterP, counterP = 3, 4
-	sim, err := heron.NewWordCount(heron.WordCountOptions{
-		SplitterP: splitterP,
-		CounterP:  counterP,
-		Schedule:  workload.ConstantRate(opts.RateTPM / 60),
-		Metrics:   reg,
-	})
-	if err != nil {
-		return nil, err
-	}
-	warm := time.Duration(opts.WarmMinutes) * time.Minute
-	if err := sim.Run(warm); err != nil {
-		return nil, err
-	}
-	asOf := sim.Start().Add(warm)
-	frozen := func() time.Time { return asOf }
-
-	top, err := heron.WordCountTopology(8, splitterP, counterP)
-	if err != nil {
-		return nil, err
-	}
-	pack, err := topology.RoundRobinPack(top, 2)
-	if err != nil {
-		return nil, err
-	}
-	tr := tracker.New(frozen)
-	if err := tr.Register(top, pack); err != nil {
-		return nil, err
-	}
-
-	cfg := config.Default()
-	cfg.CalibrationLookback = warm
-	cfg.FetchRetries = 0 // no retry layer: fault windows map 1:1 onto 503s
-	cfg.FetchTimeout = 0
-	cfg.SchedWorkers = opts.SchedWorkers
-	cfg.SchedQueueDepth = opts.SchedQueueDepth
-
-	var provider metrics.Provider
-	tsdbProvider, err := metrics.NewTSDBProvider(sim.DB(), cfg.MetricsWindow)
-	if err != nil {
-		return nil, err
-	}
-	provider = tsdbProvider
+	dc := daemon.Default()
+	dc.FetchRetries = 0 // no retry layer: fault windows map 1:1 onto 503s
+	dc.FetchTimeout = 0
+	dc.Rate = opts.RateTPM
+	dc.WarmMinutes = opts.WarmMinutes
+	dc.ScrapeInterval = opts.ScrapeInterval
+	dc.LogOutput = io.Discard
+	dc.Wall = opts.Now
+	dc.SLORules = SoakSLORules(opts.SLOWindow)
 	if opts.ChaosPlan != nil {
-		origin := opts.Origin
-		if origin.IsZero() {
-			origin = opts.Now()
+		origin := opts.Now()
+		dc.WrapProvider = func(p metrics.Provider) (metrics.Provider, error) {
+			return chaos.NewFaultyProvider(p, opts.ChaosPlan, chaos.ProviderOptions{Origin: origin, Now: opts.Now})
 		}
-		faulty, err := chaos.NewFaultyProvider(tsdbProvider, opts.ChaosPlan, chaos.ProviderOptions{
-			Origin: origin,
-			Now:    opts.Now,
-		})
-		if err != nil {
-			return nil, err
-		}
-		provider = faulty
 	}
-
-	history := tsdb.New(opts.HistoryRetention)
-	scraper := telemetry.NewScraper(reg, history, telemetry.ScrapeOptions{
-		Interval: opts.ScrapeInterval,
-		Now:      opts.Now,
-	})
-	scraper.AddCollector(telemetry.RegisterRuntime(reg, opts.Now(), opts.Now))
-
-	ledger, err := audit.NewLedger(audit.Options{
-		Provider:      provider,
-		History:       history,
-		Registry:      reg,
-		Now:           frozen,
-		SeriesNow:     opts.Now,
-		Retention:     time.Hour,
-		MetricsWindow: cfg.MetricsWindow,
-	})
+	d, err := daemon.New(dc)
 	if err != nil {
 		return nil, err
 	}
-	scraper.AddCollector(ledger.Collector())
-
-	slo, err := telemetry.NewSLO(history, reg, opts.Now, SoakSLORules(opts.SLOWindow))
-	if err != nil {
-		return nil, err
-	}
-	scraper.AfterScrape(func(time.Time) { slo.Evaluate() })
-
-	acct := usage.New(usage.Options{Capacity: 64, Window: 15 * time.Minute, Registry: reg})
-	scheduler := sched.New(sched.Options{
-		Workers:    opts.SchedWorkers,
-		QueueDepth: opts.SchedQueueDepth,
-		Registry:   reg,
-	})
-
-	svc, err := api.NewService(cfg, tr, provider, api.Options{
-		Logger:    logger,
-		Now:       frozen,
-		Telemetry: reg,
-		History:   history,
-		SLO:       slo,
-		Audit:     ledger,
-		Usage:     acct,
-		Scheduler: scheduler,
-	})
-	if err != nil {
-		scheduler.Close()
-		return nil, err
-	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		scheduler.Close()
-		return nil, err
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/api/", svc.Handler())
-	mux.Handle("/metrics", telemetry.Handler(reg))
-	server := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	d := &Daemon{
-		URL:       "http://" + ln.Addr().String(),
-		Registry:  reg,
-		History:   history,
-		Scraper:   scraper,
-		SLO:       slo,
-		Scheduler: scheduler,
-		ln:        ln,
-		server:    server,
-		done:      make(chan struct{}),
-	}
-	go func() {
-		defer close(d.done)
-		if err := server.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			logger.Error("bench daemon listener failed", "err", err)
-		}
-	}()
-	return d, nil
+	srv := httptest.NewServer(d.Handler())
+	return &Daemon{Daemon: d, URL: srv.URL, srv: srv}, nil
 }
 
 // Close tears the daemon down: listener, in-flight connections,
 // scheduler workers. After Close returns, every goroutine the daemon
 // started has exited — the soak leak check depends on that.
 func (d *Daemon) Close() error {
-	err := d.server.Close() // also closes the listener and active conns
-	<-d.done
-	d.Scheduler.Close()
-	return err
+	d.srv.Close()
+	return d.Daemon.Close()
 }

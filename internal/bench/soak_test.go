@@ -52,7 +52,6 @@ func TestSoakDeterministicFaultCycle(t *testing.T) {
 
 	d, err := StartDaemon(DaemonOptions{
 		Now:       clock.Now,
-		Origin:    clock.Now(),
 		ChaosPlan: MetricsOutagePlan(outageAt, outageFor),
 		SLOWindow: 2 * time.Second,
 	})

@@ -115,7 +115,7 @@ type Config struct {
 	// (0 = max(2, GOMAXPROCS)).
 	SchedWorkers int
 	// SchedQueueDepth bounds the scheduler's admission queue; requests
-	// past it are shed with 429 + Retry-After.
+	// past it are shed with 429 + Retry-After. At least 1.
 	SchedQueueDepth int
 	// CalCacheTTL is the calibration cache's entry lifetime
 	// (0 = entries only leave on tracker/packing invalidation).
@@ -417,8 +417,8 @@ func (c Config) Validate() error {
 	if c.SchedWorkers < 0 {
 		return fmt.Errorf("config: negative sched workers %d", c.SchedWorkers)
 	}
-	if c.SchedQueueDepth < 0 {
-		return fmt.Errorf("config: negative sched queue depth %d", c.SchedQueueDepth)
+	if c.SchedQueueDepth < 1 {
+		return fmt.Errorf("config: sched queue depth %d: want at least 1 (every model run goes through the scheduler; depth 0 no longer selects an inline path)", c.SchedQueueDepth)
 	}
 	if c.CalCacheTTL < 0 {
 		return fmt.Errorf("config: negative calibration cache ttl %s", c.CalCacheTTL)

@@ -146,6 +146,7 @@ func TestParseErrors(t *testing.T) {
 		{"profiler:\n  cpu_window_ms: 20000", "shorter than the interval"},
 		{"profiler:\n  windows: -2", "profile windows"},
 		{"profiler:\n  regression_delta: 1.5", "regression delta"},
+		{"sched:\n  queue_depth: 0", "no longer selects an inline path"},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src)

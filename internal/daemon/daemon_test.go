@@ -1,0 +1,252 @@
+package daemon
+
+import (
+	"context"
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"caladrius/internal/heron"
+	"caladrius/internal/workload"
+)
+
+// testConfig is Default shrunk to a 10-minute saturating demo history,
+// quiet, with the background loops parked (an hour between ticks) so a
+// test sees only the scrapes and resolves it asks for.
+func testConfig() Config {
+	cfg := Default()
+	cfg.Rate = 45e6
+	cfg.WarmMinutes = 10
+	cfg.LogOutput = io.Discard
+	cfg.ScrapeInterval = time.Hour
+	cfg.AuditResolveInterval = time.Hour
+	cfg.ProfileInterval = time.Hour
+	return cfg
+}
+
+// freeAddr asks the kernel for an unused loopback address.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+// goroutinesSettleTo waits for the goroutine count to drop back to
+// want: connection and server goroutines unwind just after Close.
+func goroutinesSettleTo(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		got := runtime.NumGoroutine()
+		if got <= want {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines = %d, want ≤ %d (baseline)\n%s", got, want, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+const predictPath = "/api/v1/model/topology/word-count/performance?sync=true"
+
+// TestRunCloseRestore is the lifecycle run() could never be tested for:
+// Run serves a prediction and the debug surface, shutdown stops both
+// listeners and snapshots the history and the ledger, a second daemon
+// restores exactly what the first one saved, and nothing either one
+// started outlives it.
+func TestRunCloseRestore(t *testing.T) {
+	t.Cleanup(func() {
+		runtime.SetMutexProfileFraction(0)
+		runtime.SetBlockProfileRate(0)
+	})
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}, Timeout: 10 * time.Second}
+	runtime.GC()
+	baseline := runtime.NumGoroutine()
+
+	dir := t.TempDir()
+	cfg := testConfig()
+	cfg.APIAddr, cfg.DebugAddr = freeAddr(t), freeAddr(t)
+	cfg.HistoryFile = filepath.Join(dir, "history.json")
+	cfg.AuditFile = filepath.Join(dir, "audit.json")
+	cfg.IncidentDir = filepath.Join(dir, "incidents")
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ran := make(chan error, 1)
+	go func() { ran <- d.Run(ctx) }()
+
+	status := func(method, url string) int {
+		t.Helper()
+		req, err := http.NewRequest(method, url, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			return 0
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for deadline := time.Now().Add(10 * time.Second); status("GET", "http://"+cfg.APIAddr+"/api/v1/health") != http.StatusOK; {
+		select {
+		case err := <-ran:
+			t.Fatalf("Run returned during boot: %v", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("daemon never became healthy")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := status("POST", "http://"+cfg.APIAddr+predictPath); got != http.StatusOK {
+		t.Fatalf("predict = %d", got)
+	}
+	if got := status("GET", "http://"+cfg.DebugAddr+"/debug/vars"); got != http.StatusOK {
+		t.Fatalf("debug listener = %d", got)
+	}
+
+	cancel()
+	if err := <-ran; err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatalf("Close after Run: %v", err)
+	}
+	for _, addr := range []string{cfg.APIAddr, cfg.DebugAddr} {
+		if c, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+			c.Close()
+			t.Errorf("listener %s still accepting after Close", addr)
+		}
+	}
+	points, records := d.History.TotalPoints(), d.Ledger.Len()
+	if points == 0 || records != 1 {
+		t.Fatalf("first life ended with %d history points, %d audit records; want > 0 and 1", points, records)
+	}
+	goroutinesSettleTo(t, baseline)
+
+	// Second life: the same files, restored before anything is served.
+	d2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d2.History.TotalPoints(); got != points {
+		t.Errorf("restored history points = %d, want %d", got, points)
+	}
+	if got := d2.Ledger.Len(); got != records {
+		t.Errorf("restored audit records = %d, want %d", got, records)
+	}
+	if err := d2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	goroutinesSettleTo(t, baseline)
+}
+
+// TestCloseAfterFailure: Close is safe on the nil daemon a failed New
+// returns and after a Run that could not bind, and a failed Run leaves
+// no goroutine behind.
+func TestCloseAfterFailure(t *testing.T) {
+	bad := testConfig()
+	bad.SchedQueueDepth = 0
+	d, err := New(bad)
+	if err == nil || !strings.Contains(err.Error(), "queue depth") {
+		t.Fatalf("New with queue depth 0: %v", err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatalf("Close on failed New: %v", err)
+	}
+
+	runtime.GC()
+	baseline := runtime.NumGoroutine()
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	cfg := testConfig()
+	cfg.APIAddr = taken.Addr().String()
+	if d, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Run(context.Background()); err == nil {
+		t.Fatal("Run bound an address that was taken")
+	}
+	for i := 0; i < 2; i++ {
+		if err := d.Close(); err != nil {
+			t.Fatalf("Close #%d after failed Run: %v", i+1, err)
+		}
+	}
+	goroutinesSettleTo(t, baseline)
+}
+
+// TestSnapshotSubstrateServesSameSurface: a daemon booted from a
+// heronsim metrics snapshot answers every mount the simulating daemon
+// does, with the same statuses.
+func TestSnapshotSubstrateServesSameSurface(t *testing.T) {
+	simulated := testConfig()
+	sub, err := heron.SimulateWordCount(heron.WordCountOptions{
+		SplitterP: simulated.SplitterP,
+		CounterP:  simulated.CounterP,
+		Schedule:  workload.ConstantRate(simulated.Rate / 60),
+	}, time.Duration(simulated.WarmMinutes)*time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := testConfig()
+	snapshot.MetricsFile = filepath.Join(t.TempDir(), "metrics.json")
+	if err := sub.DB.SaveFile(snapshot.MetricsFile); err != nil {
+		t.Fatal(err)
+	}
+
+	probes := []struct {
+		method, path string
+		want         int
+	}{
+		{"GET", "/api/v1/health", http.StatusOK},
+		{"POST", predictPath, http.StatusOK},
+		{"GET", "/api/v1/model/topology/word-count/model", http.StatusOK},
+		{"GET", "/api/v1/sched", http.StatusOK},
+		{"GET", "/api/v1/usage", http.StatusOK},
+		{"GET", "/api/v1/alerts", http.StatusOK},
+		{"GET", "/api/v1/audit", http.StatusOK},
+		{"GET", "/api/v1/profiles", http.StatusOK},
+		{"GET", "/api/v1/query_range?metric=caladrius_http_requests_total&window=1m&step=5s", http.StatusOK},
+		{"GET", "/api/v1/incidents", http.StatusNotFound}, // no -incident-dir
+		{"GET", "/tracker/topologies/word-count", http.StatusOK},
+		{"GET", "/metrics", http.StatusOK},
+		{"GET", "/debug/vars", http.StatusNotFound}, // debug listener only
+	}
+	for name, cfg := range map[string]Config{"simulated": simulated, "snapshot": snapshot} {
+		d, err := New(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, p := range probes {
+			rec := httptest.NewRecorder()
+			d.Handler().ServeHTTP(rec, httptest.NewRequest(p.method, p.path, strings.NewReader("{}")))
+			if rec.Code != p.want {
+				t.Errorf("%s: %s %s = %d, want %d (%s)", name, p.method, p.path, rec.Code, p.want, rec.Body)
+			}
+		}
+		if err := d.Close(); err != nil {
+			t.Errorf("%s: Close: %v", name, err)
+		}
+	}
+}

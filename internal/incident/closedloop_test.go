@@ -3,26 +3,18 @@ package incident_test
 import (
 	"encoding/json"
 	"io"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"caladrius/internal/api"
-	"caladrius/internal/audit"
 	"caladrius/internal/chaos"
-	"caladrius/internal/config"
+	"caladrius/internal/daemon"
 	"caladrius/internal/heron"
 	"caladrius/internal/incident"
-	"caladrius/internal/metrics"
 	"caladrius/internal/telemetry"
-	"caladrius/internal/topology"
-	"caladrius/internal/tracker"
-	"caladrius/internal/tsdb"
 )
 
 // The incident closed loop, end to end over HTTP: a chaos slow fault
@@ -67,14 +59,7 @@ func TestClosedLoopIncidentCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo, err := heron.WordCountTopology(8, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pack, err := topology.RoundRobinPack(topo, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sub := sim.Substrate()
 	// Slow ×0.5 on every splitter instance for minutes [36, 50) — the
 	// same fault the chaos closed loop uses to force model drift.
 	inj, err := chaos.NewInjector(&chaos.Plan{Faults: []chaos.Fault{{
@@ -84,7 +69,7 @@ func TestClosedLoopIncidentCapture(t *testing.T) {
 		Component: "splitter",
 		Instance:  chaos.AllInstances,
 		Factor:    0.5,
-	}}}, topo, pack)
+	}}}, sub.Topology, sub.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,71 +79,27 @@ func TestClosedLoopIncidentCapture(t *testing.T) {
 	}
 	clock := &simClock{t: sim.Start().Add(30 * time.Minute)}
 
-	tr := tracker.New(clock.Now)
-	if err := tr.Register(topo, pack); err != nil {
-		t.Fatal(err)
-	}
-	prov, err := metrics.NewTSDBProvider(sim.DB(), time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The full daemon wiring in miniature: registry, log ring, tracer,
-	// history store, audit ledger, drift SLO, recorder, API service.
-	reg := telemetry.NewRegistry()
-	logRing := telemetry.NewLogRing(256)
-	logger := slog.New(logRing.Handler(slog.LevelInfo))
-	tracer := telemetry.NewTracer(64, nil)
-	history := tsdb.New(24 * time.Hour)
-	led, err := audit.NewLedger(audit.Options{
-		Provider:      prov,
-		History:       history,
-		Registry:      reg,
-		Now:           clock.Now,
-		RollingWindow: rollingN,
-		ObserveWindow: 5 * time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	slo, err := telemetry.NewSLO(history, reg, clock.Now,
-		telemetry.ModelAccuracyRules(driftMAPE, 24*time.Hour, 15*time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := incident.New(incident.Options{
-		Dir:        t.TempDir(),
-		Registry:   reg,
-		History:    history,
-		Logs:       logRing,
-		Tracer:     tracer,
-		Cooldown:   10 * time.Minute,
-		CPUProfile: 30 * time.Millisecond,
-		Now:        clock.Now,
-		Logger:     slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelError})),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	slo.OnFiring(rec.FiringHook())
-
-	cfg := config.Default()
+	// The shipped daemon's wiring over the live simulation, every clock
+	// the simulated one: registry, log ring, tracer, history store,
+	// audit ledger, drift SLO, recorder, API service.
+	cfg := daemon.Default()
+	cfg.Substrate = sub
+	cfg.Now, cfg.Wall = clock.Now, clock.Now
+	cfg.LogOutput = io.Discard
 	cfg.CalibrationLookback = 30 * time.Minute
-	svc, err := api.NewService(cfg, tr, prov, api.Options{
-		Logger:    logger,
-		Now:       clock.Now,
-		Telemetry: reg,
-		Tracer:    tracer,
-		History:   history,
-		SLO:       slo,
-		Audit:     led,
-		Incidents: rec,
-	})
+	cfg.CalCacheTTL = 0 // the healthy calibration must go stale, not expire
+	cfg.HistoryRetention = 24 * time.Hour
+	cfg.ProfileInterval = 0
+	cfg.SLORules = telemetry.ModelAccuracyRules(driftMAPE, 24*time.Hour, 15*time.Minute)
+	cfg.IncidentDir = t.TempDir()
+	cfg.IncidentCooldown = 10 * time.Minute
+	d, err := daemon.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(svc.Handler())
+	defer d.Close()
+	reg, led, slo, rec := d.Registry, d.Ledger, d.SLO, d.Recorder
+	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 
 	post := func(path string) {

@@ -3,10 +3,8 @@ package profiler_test
 import (
 	"encoding/json"
 	"io"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,15 +13,11 @@ import (
 
 	"caladrius/internal/api"
 	"caladrius/internal/chaos"
-	"caladrius/internal/config"
+	"caladrius/internal/daemon"
 	"caladrius/internal/heron"
 	"caladrius/internal/incident"
-	"caladrius/internal/metrics"
 	"caladrius/internal/profiler"
 	"caladrius/internal/telemetry"
-	"caladrius/internal/topology"
-	"caladrius/internal/tracker"
-	"caladrius/internal/tsdb"
 )
 
 // The profiler closed loop, end to end over HTTP: a chaos slow fault
@@ -122,14 +116,7 @@ func TestClosedLoopProfileRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo, err := heron.WordCountTopology(8, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pack, err := topology.RoundRobinPack(topo, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sub := sim.Substrate()
 	// Slow ×0.5 on every splitter instance for minutes [36, 50): the 3
 	// splitters' halved service rate sits below the 20M/min offered
 	// load, so the fault shows up as sustained backpressure.
@@ -140,7 +127,7 @@ func TestClosedLoopProfileRegression(t *testing.T) {
 		Component: "splitter",
 		Instance:  chaos.AllInstances,
 		Factor:    0.5,
-	}}}, topo, pack)
+	}}}, sub.Topology, sub.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,20 +137,11 @@ func TestClosedLoopProfileRegression(t *testing.T) {
 	}
 	clock := &simClock{t: sim.Start().Add(35 * time.Minute)}
 
-	tr := tracker.New(clock.Now)
-	if err := tr.Register(topo, pack); err != nil {
-		t.Fatal(err)
-	}
-	prov, err := metrics.NewTSDBProvider(sim.DB(), time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The profiler-enabled daemon wiring in miniature: registry,
-	// history store, scraper, profiler, regression SLO, recorder with
-	// the diff attachment, API service.
-	history := tsdb.New(24 * time.Hour)
-	scraper := telemetry.NewScraper(reg, history, telemetry.ScrapeOptions{})
+	// The shipped daemon's wiring over the live simulation, every clock
+	// the simulated one: history store, scraper, regression SLO,
+	// recorder with the diff attachment, API service. The profiler is
+	// handed in pre-built: one-window diffs and a low sample floor are
+	// tuning no daemon setting expresses.
 	prof, err := profiler.New(profiler.Options{
 		Registry:    reg,
 		Epoch:       time.Minute,
@@ -177,43 +155,25 @@ func TestClosedLoopProfileRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slo, err := telemetry.NewSLO(history, reg, clock.Now,
-		telemetry.ProfilerRules(delta, 15*time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := incident.New(incident.Options{
-		Dir:        t.TempDir(),
-		Registry:   reg,
-		History:    history,
-		Cooldown:   30 * time.Minute,
-		CPUProfile: 20 * time.Millisecond,
-		Now:        clock.Now,
-		Logger:     slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelError})),
-		Attachments: []incident.Attachment{
-			{Name: "profile-diff.json", Capture: prof.DiffArtifact},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	slo.OnFiring(rec.FiringHook())
-
-	cfg := config.Default()
+	cfg := daemon.Default()
+	cfg.Substrate = sub
+	cfg.Registry = reg
+	cfg.Profiler = prof
+	cfg.Now, cfg.Wall = clock.Now, clock.Now
+	cfg.LogOutput = io.Discard
 	cfg.CalibrationLookback = 30 * time.Minute
-	svc, err := api.NewService(cfg, tr, prov, api.Options{
-		Now:       clock.Now,
-		Telemetry: reg,
-		History:   history,
-		SLO:       slo,
-		Incidents: rec,
-		Profiler:  prof,
-	})
+	cfg.HistoryRetention = 24 * time.Hour
+	cfg.AuditResolveInterval = 0
+	cfg.SLORules = telemetry.ProfilerRules(delta, 15*time.Minute)
+	cfg.IncidentDir = t.TempDir()
+	cfg.IncidentCooldown = 30 * time.Minute
+	d, err := daemon.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(svc.Handler())
+	defer d.Close()
+	scraper, rec := d.Scraper, d.Recorder
+	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 
 	bp := reg.Gauge("caladrius_sim_backpressure_active_instances", telemetry.Labels{"topology": "word-count"})

@@ -1,20 +1,16 @@
 #!/usr/bin/env bash
 # Full verification recipe: build, static checks, the whole test
-# suite, then the race detector over the concurrency-heavy packages
-# (the scraper/SLO pipeline, the instrumented API, the TSDB, the
-# parallel sweep engine and the simulator it fans out, the audit
-# ledger with its background resolver, the incident flight recorder
-# with its capture worker, the usage accountant with its concurrent
-# top-K churn suite, the model-run scheduler with its coalescing and
-# calibration-cache churn suites, the continuous profiler with its
-# concurrent capture/query/baseline-swap suite, and the chaos layer —
-# whose invariant suite runs its fixed 3-seed × every-fault-kind
-# matrix under -race here, and the load/soak harness), then a
-# short fuzz smoke over the three parsers that face untrusted input
-# (config YAML, API range queries, pprof protobuf profiles), and
-# finally a ~10s smoke soak: caladriusbench drives an in-process
-# daemon through a chaos metrics outage and exits non-zero unless the
-# SLOs resolve and the process returns to its goroutine baseline.
+# suite, the whole suite again under the race detector (every package,
+# not a hand-kept list: the chaos invariant suite's 3-seed × every-
+# fault-kind matrix, the soak harness and the daemon lifecycle test all
+# run under -race here), the nested benchmark module's vet and tests —
+# it compiles against internal/*, so a signature change that breaks it
+# fails here and not in the benchmark driver — then a short fuzz smoke
+# over the three parsers that face untrusted input (config YAML, API
+# range queries, pprof protobuf profiles), and finally a ~10s smoke
+# soak: caladriusbench drives an in-process daemon through a chaos
+# metrics outage and exits non-zero unless the SLOs resolve and the
+# process returns to its goroutine baseline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,15 +23,8 @@ fi
 go build ./...
 go vet ./...
 go test ./...
-go test -race ./internal/telemetry ./internal/api ./internal/tsdb
-go test -race ./internal/incident
-go test -race ./internal/audit
-go test -race ./internal/usage
-go test -race ./internal/sched
-go test -race ./internal/experiments ./internal/heron
-go test -race ./internal/chaos ./internal/metrics
-go test -race ./internal/profiler
-go test -race ./internal/bench
+go test -race ./...
+(cd benchmark && go vet ./... && go test ./...)
 FUZZTIME="${VERIFY_FUZZTIME:-10s}"
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime "$FUZZTIME" ./internal/yamlite
 go test -run '^$' -fuzz '^FuzzParseQueryRange$' -fuzztime "$FUZZTIME" ./internal/api
