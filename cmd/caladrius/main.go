@@ -56,7 +56,7 @@
 // Usage:
 //
 //	caladrius [-config caladrius.yaml] [-addr :8642] [-rate 30e6] [-debug-addr localhost:8643]
-//	          [-scrape-interval 5s] [-history-retention 1h] [-history-file caladrius-history.json]
+//	          [-scrape-interval 5s] [-history-retention 1h] [-history-file caladrius-history.tsdb]
 //	          [-audit-resolve-interval 15s] [-audit-retention 2h] [-audit-file caladrius-audit.json]
 //	          [-incident-dir caladrius-incidents] [-incident-retention 16] [-incident-cooldown 5m]
 //	          [-usage-topk 256] [-usage-window 15m] [-sched-workers 4] [-sched-queue 64] [-calcache-ttl 10m]

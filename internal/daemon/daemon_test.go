@@ -2,12 +2,15 @@ package daemon
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -248,5 +251,76 @@ func TestSnapshotSubstrateServesSameSurface(t *testing.T) {
 		if err := d.Close(); err != nil {
 			t.Errorf("%s: Close: %v", name, err)
 		}
+	}
+}
+
+// TestHistoryFileContract pins what boot does with -history-file: a
+// missing file is a first boot and starts empty, a file cut short (a
+// kill mid-write that dodged the tmp+rename) refuses to boot and says
+// why, and what Close saves the next New serves back unchanged.
+func TestHistoryFileContract(t *testing.T) {
+	cfg := testConfig()
+	cfg.HistoryFile = filepath.Join(t.TempDir(), "history.tsdb")
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New with a missing history file: %v", err)
+	}
+	if got := d.History.TotalPoints(); got != 0 {
+		t.Fatalf("first boot starts with %d history points, want 0", got)
+	}
+
+	// Three scrapes a minute back, so the range asked for below holds
+	// them and not the final scrape Close stamps at the wall clock.
+	at := time.Now().Add(-time.Minute).Truncate(time.Second)
+	for i := 0; i < 3; i++ {
+		d.Scraper.ScrapeOnce(at.Add(time.Duration(i) * 5 * time.Second))
+	}
+	panel := "/api/v1/query_range?metric=caladrius_go_goroutines&agg=max&merge=max&step=5s" +
+		"&start=" + strconv.FormatInt(at.Unix(), 10) + "&end=" + strconv.FormatInt(at.Unix()+30, 10)
+	queryRange := func(d *Daemon) string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		d.Handler().ServeHTTP(rec, httptest.NewRequest("GET", panel, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("query_range = %d (%s)", rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	before := queryRange(d)
+	if strings.Count(before, `"t"`) != 3 {
+		t.Fatalf("query_range before Close does not hold the 3 scrapes: %s", before)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	points := d.History.TotalPoints()
+
+	d2, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New over the file Close wrote: %v", err)
+	}
+	if got := d2.History.TotalPoints(); got != points {
+		t.Errorf("restored history points = %d, want %d", got, points)
+	}
+	if after := queryRange(d2); after != before {
+		t.Errorf("query_range after restore = %s, want %s", after, before)
+	}
+	if err := d2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	saved, err := os.ReadFile(cfg.HistoryFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cfg.HistoryFile, saved[:len(saved)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d3, err := New(cfg)
+	if err == nil || !strings.HasPrefix(err.Error(), "load history: ") || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("New over a truncated history file: err = %v, want load history: … unexpected EOF", err)
+	}
+	if err := d3.Close(); err != nil {
+		t.Errorf("Close on failed New: %v", err)
 	}
 }

@@ -2,9 +2,13 @@ package tsdb
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"time"
@@ -12,31 +16,41 @@ import (
 
 // Snapshotting lets a metrics database be written to disk and loaded
 // later — the workflow of profiling a topology once (heronsim -save)
-// and serving Caladrius from the dump (caladrius -metrics). The format
-// is line-delimited JSON: one header line, then one line per series
-// carrying its identity and points, deterministic (sorted) so dumps
-// diff cleanly.
+// and serving Caladrius from the dump (caladrius -metrics), and the
+// daemon's own -history-file. The format is binary and columnar; for a
+// text dump of a simulation use heronsim -csv.
+//
+// A file is one JSON header line (so `head -1` identifies it), then
+// one record per series in (metric, canonical labels) order:
+//
+//	uvarint len, metric
+//	uvarint label count, then per label in key order:
+//	    uvarint len, key, uvarint len, value
+//	uvarint point count n (≥ 1)
+//	n varints: UnixNano of the first point, then deltas
+//	n × 8 bytes: float64 bits, little-endian
+//
+// The same database always produces the same bytes. Raw float bits
+// round-trip ±Inf and NaN, which JSON cannot carry.
 
-// snapshotHeader identifies the format.
+// snapshotHeader identifies the format. Points is the total point
+// count, checked after the last series.
 type snapshotHeader struct {
 	Format    string `json:"format"`
 	Version   int    `json:"version"`
 	Retention int64  `json:"retention_ns"`
-	Series    int    `json:"series"`
+	Series    uint64 `json:"series"`
+	Points    uint64 `json:"points"`
 }
 
-type snapshotSeries struct {
-	Metric string          `json:"metric"`
-	Labels Labels          `json:"labels"`
-	Points []snapshotPoint `json:"points"`
-}
+const (
+	snapshotFormat  = "caladrius-tsdb"
+	snapshotVersion = 2
 
-type snapshotPoint struct {
-	T int64   `json:"t"` // UnixNano
-	V float64 `json:"v"`
-}
-
-const snapshotFormat = "caladrius-tsdb"
+	// minPointBytes is the least a point occupies in a snapshot: a
+	// one-byte varint and eight value bytes.
+	minPointBytes = 9
+)
 
 // WriteSnapshot serialises the full database to w.
 func (db *DB) WriteSnapshot(w io.Writer) error {
@@ -49,9 +63,11 @@ func (db *DB) WriteSnapshot(w io.Writer) error {
 		data   *seriesData
 	}
 	var entries []entry
+	var total uint64
 	for metric, bySeries := range db.metrics {
 		for key, sd := range bySeries {
 			entries = append(entries, entry{metric, key, sd})
+			total += uint64(len(sd.points))
 		}
 	}
 	sort.Slice(entries, func(i, j int) bool {
@@ -62,57 +78,205 @@ func (db *DB) WriteSnapshot(w io.Writer) error {
 	})
 
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(snapshotHeader{
+	if err := json.NewEncoder(bw).Encode(snapshotHeader{
 		Format:    snapshotFormat,
-		Version:   1,
+		Version:   snapshotVersion,
 		Retention: int64(db.retention),
-		Series:    len(entries),
+		Series:    uint64(len(entries)),
+		Points:    total,
 	}); err != nil {
 		return err
 	}
+	var buf []byte
+	var keys []string
 	for _, e := range entries {
-		s := snapshotSeries{Metric: e.metric, Labels: e.data.labels, Points: make([]snapshotPoint, len(e.data.points))}
-		for i, p := range e.data.points {
-			s.Points[i] = snapshotPoint{T: p.T.UnixNano(), V: p.V}
+		keys = keys[:0]
+		for k := range e.data.labels {
+			keys = append(keys, k)
 		}
-		if err := enc.Encode(s); err != nil {
+		sort.Strings(keys)
+		buf = appendString(buf[:0], e.metric)
+		buf = binary.AppendUvarint(buf, uint64(len(keys)))
+		for _, k := range keys {
+			buf = appendString(appendString(buf, k), e.data.labels[k])
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(e.data.points)))
+		var prev int64
+		for _, p := range e.data.points {
+			ns := p.T.UnixNano()
+			buf = binary.AppendVarint(buf, ns-prev)
+			prev = ns
+		}
+		for _, p := range e.data.points {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.V))
+		}
+		if _, err := bw.Write(buf); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
+func appendString(buf []byte, s string) []byte {
+	return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
+}
+
 // ReadSnapshot loads a database from a snapshot produced by
-// WriteSnapshot. The snapshot's retention setting is restored.
+// WriteSnapshot. The snapshot's retention setting is restored. The
+// input is untrusted: no declared length is allocated before the bytes
+// it stands for are known to be present.
 func ReadSnapshot(r io.Reader) (*DB, error) {
-	dec := json.NewDecoder(bufio.NewReader(r))
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("tsdb: read snapshot: %w", err)
+	}
+	return decodeSnapshot(data)
+}
+
+// decodeSnapshot parses a whole snapshot held in memory, which is what
+// lets every declared length be checked against the bytes left.
+func decodeSnapshot(data []byte) (*DB, error) {
+	eol := bytes.IndexByte(data, '\n')
+	if eol < 0 {
+		return nil, fmt.Errorf("tsdb: snapshot header: %w", io.ErrUnexpectedEOF)
+	}
 	var h snapshotHeader
-	if err := dec.Decode(&h); err != nil {
+	if err := json.Unmarshal(data[:eol], &h); err != nil {
 		return nil, fmt.Errorf("tsdb: snapshot header: %w", err)
 	}
 	if h.Format != snapshotFormat {
 		return nil, fmt.Errorf("tsdb: snapshot format %q, want %q", h.Format, snapshotFormat)
 	}
-	if h.Version != 1 {
-		return nil, fmt.Errorf("tsdb: unsupported snapshot version %d", h.Version)
+	if h.Version != snapshotVersion {
+		return nil, fmt.Errorf("tsdb: snapshot version %d is not supported (this build reads and writes version %d only): regenerate the file", h.Version, snapshotVersion)
 	}
 	db := New(time.Duration(h.Retention))
-	for i := 0; i < h.Series; i++ {
-		var s snapshotSeries
-		if err := dec.Decode(&s); err != nil {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	d := snapshotDecoder{buf: data[eol+1:]}
+	var points uint64
+	for i := uint64(0); i < h.Series; i++ {
+		n, err := d.series(db)
+		if err != nil {
 			return nil, fmt.Errorf("tsdb: snapshot series %d/%d: %w", i+1, h.Series, err)
 		}
-		if s.Metric == "" {
-			return nil, fmt.Errorf("tsdb: snapshot series %d has empty metric", i+1)
-		}
-		pts := make([]Point, len(s.Points))
-		for j, p := range s.Points {
-			pts[j] = Point{T: time.Unix(0, p.T).UTC(), V: p.V}
-		}
-		db.AppendSeries(s.Metric, s.Labels, pts)
+		points += n
+	}
+	if len(d.buf) != 0 {
+		return nil, fmt.Errorf("tsdb: snapshot has %d trailing bytes after %d series", len(d.buf), h.Series)
+	}
+	if points != h.Points {
+		return nil, fmt.Errorf("tsdb: snapshot holds %d points, header declares %d", points, h.Points)
 	}
 	return db, nil
+}
+
+// snapshotDecoder consumes the binary part of a snapshot from the
+// front of buf. The first failure sticks in err and empties buf, so
+// every later read returns zero; running out of bytes is
+// io.ErrUnexpectedEOF.
+type snapshotDecoder struct {
+	buf []byte
+	err error
+	// prevMetric and prevKey identify the last series read: series
+	// arrive in strictly ascending order, which rules out duplicates.
+	prevMetric, prevKey string
+}
+
+func (d *snapshotDecoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+	d.buf = nil
+}
+
+func (d *snapshotDecoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.buf)
+	if n == 0 {
+		d.fail(io.ErrUnexpectedEOF)
+	} else if n < 0 {
+		d.fail(errors.New("varint overflows 64 bits"))
+	} else {
+		d.buf = d.buf[n:]
+	}
+	return v
+}
+
+// varint reads a zigzag-encoded signed value (binary.AppendVarint).
+func (d *snapshotDecoder) varint() int64 {
+	u := d.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// take returns the next n bytes; a declared length is never trusted
+// beyond the bytes present.
+func (d *snapshotDecoder) take(n uint64) []byte {
+	if n > uint64(len(d.buf)) {
+		d.fail(io.ErrUnexpectedEOF)
+		return nil
+	}
+	b := d.buf[:n]
+	d.buf = d.buf[n:]
+	return b
+}
+
+func (d *snapshotDecoder) string() string { return string(d.take(d.uvarint())) }
+
+// series reads one series record and installs it into db (whose lock
+// the caller holds), returning the number of points the record held.
+func (d *snapshotDecoder) series(db *DB) (uint64, error) {
+	metric := d.string()
+	// Labels grow pair by pair: each costs input bytes, so a hostile
+	// count runs out of input long before it costs memory.
+	labels := Labels{}
+	for n, prev := d.uvarint(), ""; n > 0 && d.err == nil; n-- {
+		k, v := d.string(), d.string()
+		if len(labels) > 0 && k <= prev {
+			d.fail(fmt.Errorf("label %q out of order", k))
+		}
+		labels[k], prev = v, k
+	}
+	n := d.uvarint()
+	key := labels.canonical()
+	switch {
+	case d.err != nil:
+		return 0, d.err
+	case metric == "":
+		return 0, errors.New("empty metric")
+	case n == 0:
+		return 0, errors.New("no points")
+	case n > uint64(len(d.buf)/minPointBytes):
+		return 0, io.ErrUnexpectedEOF
+	case metric < d.prevMetric || (metric == d.prevMetric && key <= d.prevKey):
+		return 0, fmt.Errorf("series %s{%s} out of order", metric, key)
+	}
+	d.prevMetric, d.prevKey = metric, key
+
+	pts := make([]Point, n)
+	sorted := true
+	var ns int64
+	for i := range pts {
+		prev := ns
+		ns += d.varint()
+		if i > 0 && ns < prev {
+			sorted = false
+		}
+		pts[i].T = time.Unix(0, ns).UTC()
+	}
+	values := d.take(8 * n)
+	if d.err != nil {
+		return 0, d.err
+	}
+	for i := range pts {
+		pts[i].V = math.Float64frombits(binary.LittleEndian.Uint64(values[8*i:]))
+	}
+	if !sorted {
+		sort.SliceStable(pts, func(a, b int) bool { return pts[a].T.Before(pts[b].T) })
+	}
+	sd := db.seriesLocked(metric, key, labels)
+	sd.points = pts
+	db.trimLocked(sd)
+	return n, nil
 }
 
 // SaveFile writes the snapshot to a file (atomically, via a temp file
@@ -137,10 +301,9 @@ func (db *DB) SaveFile(path string) error {
 
 // LoadFile reads a snapshot file.
 func LoadFile(path string) (*DB, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadSnapshot(f)
+	return decodeSnapshot(data)
 }

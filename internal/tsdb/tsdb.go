@@ -170,19 +170,20 @@ func (db *DB) appendLocked(sd *seriesData, t time.Time, v float64) {
 	} else {
 		sd.points = append(sd.points, Point{T: t, V: v})
 	}
-	if db.retention > 0 {
-		cutoff := sd.points[len(sd.points)-1].T.Add(-db.retention)
-		firstKeep := sort.Search(len(sd.points), func(i int) bool { return !sd.points[i].T.Before(cutoff) })
-		if firstKeep > 0 {
-			sd.points = append(sd.points[:0], sd.points[firstKeep:]...)
-		}
-	}
+	db.trimLocked(sd)
 }
 
-// AppendSeries bulk-appends a slice of points to one series.
-func (db *DB) AppendSeries(metric string, labels Labels, pts []Point) {
-	for _, p := range pts {
-		db.Append(metric, labels, p.T, p.V)
+// trimLocked drops the points of sd (sorted, non-empty) older than the
+// retention window, measured back from its newest point. Caller holds
+// db.mu.
+func (db *DB) trimLocked(sd *seriesData) {
+	if db.retention <= 0 {
+		return
+	}
+	cutoff := sd.points[len(sd.points)-1].T.Add(-db.retention)
+	firstKeep := sort.Search(len(sd.points), func(i int) bool { return !sd.points[i].T.Before(cutoff) })
+	if firstKeep > 0 {
+		sd.points = append(sd.points[:0], sd.points[firstKeep:]...)
 	}
 }
 

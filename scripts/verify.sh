@@ -6,11 +6,11 @@
 # run under -race here), the nested benchmark module's vet and tests —
 # it compiles against internal/*, so a signature change that breaks it
 # fails here and not in the benchmark driver — then a short fuzz smoke
-# over the three parsers that face untrusted input (config YAML, API
-# range queries, pprof protobuf profiles), and finally a ~10s smoke
-# soak: caladriusbench drives an in-process daemon through a chaos
-# metrics outage and exits non-zero unless the SLOs resolve and the
-# process returns to its goroutine baseline.
+# over the four parsers that face untrusted input (config YAML, API
+# range queries, pprof protobuf profiles, TSDB snapshot files), and
+# finally a ~10s smoke soak: caladriusbench drives an in-process daemon
+# through a chaos metrics outage and exits non-zero unless the SLOs
+# resolve and the process returns to its goroutine baseline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,6 +29,7 @@ FUZZTIME="${VERIFY_FUZZTIME:-10s}"
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime "$FUZZTIME" ./internal/yamlite
 go test -run '^$' -fuzz '^FuzzParseQueryRange$' -fuzztime "$FUZZTIME" ./internal/api
 go test -run '^$' -fuzz '^FuzzPprofParse$' -fuzztime "$FUZZTIME" ./internal/profiler
+go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime "$FUZZTIME" ./internal/tsdb
 SOAK_OUT=$(mktemp)
 go run ./cmd/caladriusbench -soak -duration 6s -slo-window 4s -settle 12s -o "$SOAK_OUT"
 rm -f "$SOAK_OUT"
