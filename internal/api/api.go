@@ -18,6 +18,7 @@
 //	GET  /api/v1/model/topology/{topology}/graph          topology graph analyses
 //	POST /api/v1/model/topology/{topology}/query          Gremlin-style graph query
 //	GET  /api/v1/jobs/{id}                                job status/result
+//	GET  /api/v1/jobs/{id}/trace                          span tree of a model run (job or sync trace id)
 //	GET  /api/v1/query_range                              scraped telemetry history (see history.go)
 //	GET  /api/v1/alerts                                   SLO alert states (see history.go)
 //	GET  /api/v1/audit                                    prediction audit ledger (see audit.go)
@@ -85,7 +86,6 @@ type Service struct {
 	usage       *usage.Accountant
 	profiler    *profiler.Profiler
 	sampler     *core.CostSampler
-	httpInst    *httpInstruments
 	jobsRunning *telemetry.Gauge
 	jobsDone    *telemetry.Counter
 	jobsFailed  *telemetry.Counter
@@ -212,7 +212,6 @@ func NewService(cfg config.Config, tr *tracker.Tracker, provider metrics.Provide
 		usage:       opts.Usage,
 		profiler:    opts.Profiler,
 		sampler:     sampler,
-		httpInst:    newHTTPInstruments(reg),
 		jobsRunning: reg.Gauge("caladrius_jobs_running", nil),
 		jobsDone:    reg.Counter("caladrius_jobs_completed_total", telemetry.Labels{"outcome": "done"}),
 		jobsFailed:  reg.Counter("caladrius_jobs_completed_total", telemetry.Labels{"outcome": "failed"}),
@@ -231,31 +230,10 @@ func NewService(cfg config.Config, tr *tracker.Tracker, provider metrics.Provide
 	return s, nil
 }
 
-// Handler returns the REST API handler, wrapped in the request
-// telemetry middleware and access log.
-func (s *Service) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/api/v1/health", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "time": s.now().UTC()})
-	})
-	mux.HandleFunc("/api/v1/models/traffic", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"models": forecast.Names()})
-	})
-	mux.HandleFunc("/api/v1/model/traffic/", s.handleTraffic)
-	mux.HandleFunc("/api/v1/model/topology/", s.handleTopology)
-	mux.HandleFunc("/api/v1/jobs/", s.handleJob)
-	mux.HandleFunc("/api/v1/query_range", s.handleQueryRange)
-	mux.HandleFunc("/api/v1/alerts", s.handleAlerts)
-	mux.HandleFunc("/api/v1/audit", s.handleAuditList)
-	mux.HandleFunc("/api/v1/audit/", s.handleAuditRecord)
-	mux.HandleFunc("/api/v1/incidents", s.handleIncidentsList)
-	mux.HandleFunc("/api/v1/incidents/", s.handleIncident)
-	mux.HandleFunc("/api/v1/usage", s.handleUsage)
-	mux.HandleFunc("/api/v1/sched", s.handleSched)
-	mux.HandleFunc("/api/v1/profiles", s.handleProfiles)
-	mux.HandleFunc("/api/v1/profiles/", s.handleProfiles)
-	return instrument(mux, s.httpInst, s.logger, s.usage)
-}
+// Handler returns the REST API handler: the route table (routes.go)
+// registered on a ServeMux, wrapped in the request telemetry middleware
+// and access log.
+func (s *Service) Handler() http.Handler { return s.router(routes) }
 
 // --- request/response types ---------------------------------------------
 
@@ -333,29 +311,6 @@ func finiteSaturation(p *core.TopologyPrediction) {
 
 // --- handlers ------------------------------------------------------------
 
-func (s *Service) handleTraffic(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	rest := strings.TrimPrefix(r.URL.Path, "/api/v1/model/traffic/")
-	topoName, action, hasAction := strings.Cut(rest, "/")
-	if topoName == "" || (hasAction && action != "rank") {
-		httpError(w, http.StatusBadRequest, "want /api/v1/model/traffic/{name}[/rank]")
-		return
-	}
-	var req TrafficRequest
-	if err := decodeBody(r.Body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if hasAction {
-		s.dispatch(w, r, "rank", topoName, req, func(ctx context.Context) (any, error) { return s.runRank(ctx, topoName, req) })
-		return
-	}
-	s.dispatch(w, r, "traffic", topoName, req, func(ctx context.Context) (any, error) { return s.runTraffic(ctx, topoName, req) })
-}
-
 // RankEntry is one model's backtest outcome on the topology's own
 // traffic history.
 type RankEntry struct {
@@ -383,10 +338,7 @@ func (s *Service) runRank(ctx context.Context, topoName string, req TrafficReque
 	if req.SourceMinutes <= 0 {
 		req.SourceMinutes = int(s.cfg.CalibrationLookback / time.Minute)
 	}
-	asOf := req.AsOf
-	if asOf.IsZero() {
-		asOf = s.now()
-	}
+	asOf := s.orNow(req.AsOf)
 	history, err := s.sourceRate(ctx, topoName, info.Topology.Spouts(), asOf.Add(-time.Duration(req.SourceMinutes)*time.Minute), asOf)
 	if err != nil {
 		return nil, fmt.Errorf("traffic history: %w", err)
@@ -411,110 +363,59 @@ func (s *Service) runRank(ctx context.Context, topoName string, req TrafficReque
 	return resp, nil
 }
 
-func (s *Service) handleTopology(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/api/v1/model/topology/")
-	parts := strings.Split(rest, "/")
-	if len(parts) != 2 || parts[0] == "" {
-		httpError(w, http.StatusBadRequest, "want /api/v1/model/topology/{name}/{performance|suggest|calibrate|model|graph}")
-		return
-	}
-	topoName, action := parts[0], parts[1]
-	if action == "model" || action == "graph" {
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
-		if action == "graph" {
-			resp, err := s.graphInfo(topoName)
-			if err != nil {
-				writeError(w, err)
-				return
-			}
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		tm, _, err := s.topologyModel(r.Context(), topoName, time.Time{})
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, modelJSON(topoName, tm))
-		return
-	}
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	switch action {
-	case "performance":
-		var req PerformanceRequest
+// modelRoute is the handler of a model endpoint: decode the JSON body
+// into the run's request type and queue the run through dispatch under
+// op.
+func modelRoute[Req, Resp any](op string, run func(*Service, context.Context, string, Req) (Resp, error)) func(*Service, http.ResponseWriter, *http.Request) {
+	return func(s *Service, w http.ResponseWriter, r *http.Request) {
+		var req Req
 		if err := decodeBody(r.Body, &req); err != nil {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		s.dispatch(w, r, "performance", topoName, req, func(ctx context.Context) (any, error) { return s.runPerformance(ctx, topoName, req) })
-	case "suggest":
-		var req SuggestRequest
-		if err := decodeBody(r.Body, &req); err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		s.dispatch(w, r, "suggest", topoName, req, func(ctx context.Context) (any, error) { return s.runSuggest(ctx, topoName, req) })
-	case "query":
-		var req GraphQueryRequest
-		if err := decodeBody(r.Body, &req); err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		s.dispatch(w, r, "graph-query", topoName, req, func(ctx context.Context) (any, error) { return s.runGraphQuery(ctx, topoName, req) })
-	case "calibrate":
-		var req PerformanceRequest
-		if err := decodeBody(r.Body, &req); err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		s.invalidateModel(topoName)
-		s.dispatch(w, r, "calibrate", topoName, req, func(ctx context.Context) (any, error) {
-			_, _, err := s.topologyModel(ctx, topoName, req.AsOf)
-			if err != nil {
-				return nil, err
-			}
-			return map[string]any{"topology": topoName, "calibrated": true}, nil
-		})
-	default:
-		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown action %q", action))
+		topoName := r.PathValue("topology")
+		s.dispatch(w, r, op, topoName, req, func(ctx context.Context) (any, error) { return run(s, ctx, topoName, req) })
 	}
 }
 
+func (s *Service) handleHealth(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "time": s.now().UTC()})
+}
+
+func (s *Service) handleModels(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, map[string]any{"models": forecast.Names()})
+}
+
+func (s *Service) handleGraph(w http.ResponseWriter, r *http.Request) {
+	resp, err := s.graphInfo(r.PathValue("topology"))
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
 func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	rest := strings.TrimPrefix(r.URL.Path, "/api/v1/jobs/")
-	id, sub, hasSub := strings.Cut(rest, "/")
-	if hasSub {
-		if sub != "trace" {
-			httpError(w, http.StatusNotFound, fmt.Sprintf("unknown job sub-resource %q", sub))
-			return
-		}
-		// Traces are looked up in the tracer directly, so traces of
-		// synchronous runs (ids from the X-Caladrius-Trace header) are
-		// retrievable through the same endpoint.
-		tj, ok := s.tracer.Snapshot(id)
-		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Sprintf("no trace for job %q (evicted or never ran)", id))
-			return
-		}
-		writeJSON(w, http.StatusOK, tj)
-		return
-	}
+	id := r.PathValue("id")
 	job, ok := s.jobs.get(id)
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown job %q", id))
 		return
 	}
 	writeJSON(w, http.StatusOK, job)
+}
+
+// handleJobTrace looks the id up in the tracer directly, so traces of
+// synchronous runs (ids from the X-Caladrius-Trace header) are
+// retrievable through the same endpoint.
+func (s *Service) handleJobTrace(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	tj, ok := s.tracer.Snapshot(id)
+	if !ok {
+		httpError(w, http.StatusNotFound, fmt.Sprintf("no trace for job %q (evicted or never ran)", id))
+		return
+	}
+	writeJSON(w, http.StatusOK, tj)
 }
 
 // TraceHeader carries the trace id of a synchronous model run back to
@@ -535,10 +436,10 @@ const TraceHeader = "X-Caladrius-Trace"
 // request as 429 + Retry-After before any model work starts. Sync
 // requests queue at High priority (a client is blocked on them), async
 // jobs at Normal — except rank backtests, batch work that queues at Low
-// either way.
+// either way. A GET has no job form: it always runs synchronously.
 func (s *Service) dispatch(w http.ResponseWriter, r *http.Request, op, topoName string, req any, fn func(context.Context) (any, error)) {
 	tenant := RequestTenant(r.Context())
-	isSync := r.URL.Query().Get("sync") == "true"
+	isSync := r.Method == http.MethodGet || r.URL.Query().Get("sync") == "true"
 	sreq := sched.Request{
 		Topology: topoName,
 		Kind:     op,
@@ -667,10 +568,7 @@ func (s *Service) runTraffic(ctx context.Context, topoName string, req TrafficRe
 	if req.HorizonMinutes <= 0 {
 		req.HorizonMinutes = 60
 	}
-	asOf := req.AsOf
-	if asOf.IsZero() {
-		asOf = s.now()
-	}
+	asOf := s.orNow(req.AsOf)
 	start := asOf.Add(-time.Duration(req.SourceMinutes) * time.Minute)
 	history, err := s.sourceRate(ctx, topoName, info.Topology.Spouts(), start, asOf)
 	if err != nil {
@@ -724,17 +622,13 @@ func (s *Service) runTraffic(ctx context.Context, topoName string, req TrafficRe
 
 // runPerformance evaluates a proposed configuration.
 func (s *Service) runPerformance(ctx context.Context, topoName string, req PerformanceRequest) (*PerformanceResponse, error) {
-	asOf := req.AsOf
-	if asOf.IsZero() {
-		asOf = s.now()
-	}
+	asOf := s.orNow(req.AsOf)
 	tm, calCached, err := s.topologyModel(ctx, topoName, asOf)
 	if err != nil {
 		return nil, err
 	}
 	rate := req.SourceRateTPM
-	switch {
-	case req.UseForecast:
+	if req.UseForecast {
 		fctx, fsp := telemetry.StartSpan(ctx, "forecast")
 		tr, err := s.runTraffic(fctx, topoName, TrafficRequest{
 			SourceMinutes:  req.SourceMinutes,
@@ -753,19 +647,8 @@ func (s *Service) runPerformance(ctx context.Context, topoName string, req Perfo
 				rate = p.Upper
 			}
 		}
-	case rate == 0:
-		info, err := s.trackerGet(ctx, topoName)
-		if err != nil {
-			return nil, err
-		}
-		pts, err := s.sourceRate(ctx, topoName, info.Topology.Spouts(), asOf.Add(-15*time.Minute), asOf)
-		if err != nil {
-			return nil, fmt.Errorf("current source rate: %w", err)
-		}
-		rate = pts[len(pts)-1].V
-	}
-	if rate < 0 || math.IsNaN(rate) {
-		return nil, fmt.Errorf("api: bad source rate %g", rate)
+	} else if rate, err = s.evalRate(ctx, topoName, asOf, rate); err != nil {
+		return nil, err
 	}
 	// A run is counterfactual — audited for context but not graded —
 	// when it evaluates anything other than the deployed configuration
@@ -794,6 +677,36 @@ func (s *Service) sourceRate(ctx context.Context, topoName string, spouts []stri
 	_, sp := telemetry.StartSpan(ctx, "source-rate")
 	defer sp.End()
 	return s.provider.SourceRate(topoName, spouts, start, end)
+}
+
+// orNow anchors a request: its own as_of, or the service clock when
+// the client left it zero.
+func (s *Service) orNow(asOf time.Time) time.Time {
+	if asOf.IsZero() {
+		return s.now()
+	}
+	return asOf
+}
+
+// evalRate is the source rate a predict/plan run evaluates at: the
+// requested one, or — when zero — the last point of the trailing 15
+// minutes of observed source throughput.
+func (s *Service) evalRate(ctx context.Context, topoName string, asOf time.Time, rate float64) (float64, error) {
+	if rate == 0 {
+		info, err := s.trackerGet(ctx, topoName)
+		if err != nil {
+			return 0, err
+		}
+		pts, err := s.sourceRate(ctx, topoName, info.Topology.Spouts(), asOf.Add(-15*time.Minute), asOf)
+		if err != nil {
+			return 0, fmt.Errorf("current source rate: %w", err)
+		}
+		rate = pts[len(pts)-1].V
+	}
+	if rate < 0 || math.IsNaN(rate) {
+		return 0, fmt.Errorf("%w: bad source rate %g", errInvalidRequest, rate)
+	}
+	return rate, nil
 }
 
 // topologyModel returns the calibrated model for the topology, served
@@ -892,11 +805,32 @@ func (s *Service) topologyModel(ctx context.Context, topoName string, asOf time.
 }
 
 // invalidateModel evicts one topology's calibrated model and graph
-// analyses — the tracker change hook, also run before a forced
+// analyses — the tracker change hook, also the first step of a forced
 // recalibration.
 func (s *Service) invalidateModel(topoName string) {
 	s.calcache.Invalidate(topoName)
 	s.graphs.Invalidate(topoName)
+}
+
+// runCalibrate forces a recalibration. The eviction happens here, inside
+// the scheduled run: a calibrate that admission control sheds must leave
+// the cached model in place.
+func (s *Service) runCalibrate(ctx context.Context, topoName string, req PerformanceRequest) (map[string]any, error) {
+	s.invalidateModel(topoName)
+	if _, _, err := s.topologyModel(ctx, topoName, req.AsOf); err != nil {
+		return nil, err
+	}
+	return map[string]any{"topology": topoName, "calibrated": true}, nil
+}
+
+// runModel reports the calibrated model parameters, calibrating first
+// on a cold cache — hence a scheduled run like any other.
+func (s *Service) runModel(ctx context.Context, topoName string, _ struct{}) (ModelResponse, error) {
+	tm, _, err := s.topologyModel(ctx, topoName, time.Time{})
+	if err != nil {
+		return ModelResponse{}, err
+	}
+	return modelJSON(topoName, tm), nil
 }
 
 // SuggestRequest asks the planner for the minimal parallelisms that
@@ -922,29 +856,21 @@ type SuggestResponse struct {
 
 // runSuggest plans the minimal safe parallelisms for a source rate.
 func (s *Service) runSuggest(ctx context.Context, topoName string, req SuggestRequest) (*SuggestResponse, error) {
-	asOf := req.AsOf
-	if asOf.IsZero() {
-		asOf = s.now()
-	}
+	asOf := s.orNow(req.AsOf)
 	tm, calCached, err := s.topologyModel(ctx, topoName, asOf)
 	if err != nil {
 		return nil, err
 	}
-	rate := req.SourceRateTPM
-	if rate == 0 {
-		info, err := s.trackerGet(ctx, topoName)
-		if err != nil {
-			return nil, err
-		}
-		pts, err := s.sourceRate(ctx, topoName, info.Topology.Spouts(), asOf.Add(-15*time.Minute), asOf)
-		if err != nil {
-			return nil, fmt.Errorf("current source rate: %w", err)
-		}
-		rate = pts[len(pts)-1].V
+	rate, err := s.evalRate(ctx, topoName, asOf, req.SourceRateTPM)
+	if err != nil {
+		return nil, err
 	}
 	headroom := req.Headroom
 	if headroom == 0 {
 		headroom = 0.2
+	}
+	if headroom < 0 {
+		return nil, fmt.Errorf("%w: negative headroom %g", errInvalidRequest, headroom)
 	}
 	_, plSp := telemetry.StartSpan(ctx, "plan")
 	plan, err := tm.SuggestParallelism(rate, headroom)
@@ -985,7 +911,7 @@ type GraphQueryResponse struct {
 // cache.
 func (s *Service) runGraphQuery(ctx context.Context, topoName string, req GraphQueryRequest) (*GraphQueryResponse, error) {
 	if strings.TrimSpace(req.Query) == "" {
-		return nil, fmt.Errorf("api: empty graph query")
+		return nil, fmt.Errorf("%w: empty graph query", errInvalidRequest)
 	}
 	info, err := s.trackerGet(ctx, topoName)
 	if err != nil {
@@ -1003,11 +929,12 @@ func (s *Service) runGraphQuery(ctx context.Context, topoName string, req GraphQ
 	case "logical":
 		g = logical
 	default:
-		return nil, fmt.Errorf("api: unknown graph %q (want logical or physical)", req.Graph)
+		return nil, fmt.Errorf("%w: unknown graph %q (want logical or physical)", errInvalidRequest, req.Graph)
 	}
 	result, err := g.Query(req.Query)
 	if err != nil {
-		return nil, err
+		// The graph is built and cached; what can fail is the query text.
+		return nil, fmt.Errorf("%w: %v", errInvalidRequest, err)
 	}
 	return &GraphQueryResponse{Topology: topoName, Query: req.Query, Result: result}, nil
 }
@@ -1115,9 +1042,16 @@ func decodeBody(body io.Reader, v any) error {
 	return nil
 }
 
+// errInvalidRequest marks a model run rejected for what the client
+// asked (a negative rate, an unknown graph), not for anything the
+// service did: a 400, never a 5xx.
+var errInvalidRequest = errors.New("api: invalid request")
+
 func statusFor(err error) int {
 	var over *sched.ErrOverloaded
 	switch {
+	case errors.Is(err, errInvalidRequest):
+		return http.StatusBadRequest
 	case errors.As(err, &over):
 		// Admission control shed the request: the service is healthy
 		// but saturated, and this tenant is over its fair share. 429 —

@@ -284,14 +284,21 @@ func TestHTTPErrors(t *testing.T) {
 		want               int
 	}{
 		{"GET", "/api/v1/model/traffic/word-count", "", http.StatusMethodNotAllowed},
-		{"POST", "/api/v1/model/traffic/", "", http.StatusBadRequest},
+		{"POST", "/api/v1/model/traffic/", "", http.StatusNotFound},
 		{"POST", "/api/v1/model/traffic/ghost?sync=true", "{}", http.StatusNotFound},
 		{"POST", "/api/v1/model/traffic/word-count?sync=true", `{"bogus_field": 1}`, http.StatusBadRequest},
 		{"POST", "/api/v1/model/topology/word-count/bogus", "{}", http.StatusNotFound},
-		{"POST", "/api/v1/model/topology/word-count", "{}", http.StatusBadRequest},
+		{"POST", "/api/v1/model/topology/word-count", "{}", http.StatusNotFound},
 		{"GET", "/api/v1/jobs/nope", "", http.StatusNotFound},
 		{"POST", "/api/v1/jobs/nope", "", http.StatusMethodNotAllowed},
-		{"POST", "/api/v1/model/topology/word-count/performance?sync=true", `{"source_rate_tpm": -5}`, http.StatusInternalServerError},
+		// What the client asked for is wrong: 400, never a 5xx the
+		// http-5xx-rate SLO would count.
+		{"POST", "/api/v1/model/topology/word-count/performance?sync=true", `{"source_rate_tpm": -5}`, http.StatusBadRequest},
+		{"POST", "/api/v1/model/topology/word-count/suggest?sync=true", `{"source_rate_tpm": -5}`, http.StatusBadRequest},
+		{"POST", "/api/v1/model/topology/word-count/suggest?sync=true", `{"headroom": -0.5}`, http.StatusBadRequest},
+		{"POST", "/api/v1/model/topology/word-count/query?sync=true", `{"query": " "}`, http.StatusBadRequest},
+		{"POST", "/api/v1/model/topology/word-count/query?sync=true", `{"query": "g.V().bogus()"}`, http.StatusBadRequest},
+		{"POST", "/api/v1/model/topology/word-count/query?sync=true", `{"query": "g.V().count()", "graph": "imaginary"}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		req, err := http.NewRequest(c.method, srv.URL+c.path, bytes.NewReader([]byte(c.body)))
@@ -534,7 +541,7 @@ func TestRankEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Body.Close()
-	if r.StatusCode != http.StatusBadRequest {
+	if r.StatusCode != http.StatusNotFound {
 		t.Errorf("bogus traffic action status = %d", r.StatusCode)
 	}
 }

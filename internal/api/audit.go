@@ -5,7 +5,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"caladrius/internal/audit"
 	"caladrius/internal/core"
@@ -14,9 +13,8 @@ import (
 
 // The prediction audit surface: every model run the service performs
 // is recorded into the audit ledger (internal/audit) through the
-// core.RunRecorder hook, and exposed read-only here. Like the other
-// self-monitoring endpoints, the surface is opt-in — both handlers
-// answer 404 when the service was built without a ledger.
+// core.RunRecorder hook, and exposed read-only here. Both routes need
+// the ledger (needsAudit): without one they answer 404.
 
 // ledgerRecorder adapts the audit ledger to core.RunRecorder, binding
 // the request-scoped identity core does not know: topology name, model
@@ -105,14 +103,6 @@ type AuditRecordResponse struct {
 }
 
 func (s *Service) handleAuditList(w http.ResponseWriter, r *http.Request) {
-	if s.audit == nil {
-		httpError(w, http.StatusNotFound, "audit disabled: service has no prediction ledger")
-		return
-	}
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	q := r.URL.Query()
 	// Unknown parameters are rejected, not silently ignored — a typoed
 	// filter (tennant=acme) would otherwise return unfiltered records
@@ -172,15 +162,7 @@ func (s *Service) handleAuditList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleAuditRecord(w http.ResponseWriter, r *http.Request) {
-	if s.audit == nil {
-		httpError(w, http.StatusNotFound, "audit disabled: service has no prediction ledger")
-		return
-	}
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	idStr := strings.TrimPrefix(r.URL.Path, "/api/v1/audit/")
+	idStr := r.PathValue("id")
 	id, err := strconv.ParseInt(idStr, 10, 64)
 	if err != nil || id <= 0 {
 		httpError(w, http.StatusBadRequest, "bad audit record id "+strconv.Quote(idStr))

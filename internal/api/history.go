@@ -15,9 +15,9 @@ import (
 // Self-monitoring endpoints. The scraper (telemetry.Scraper) appends
 // the service's own registry into an embedded tsdb.DB; these handlers
 // expose that history (GET /api/v1/query_range) and the SLO
-// evaluator's alert states (GET /api/v1/alerts). Both answer 404 when
-// the service was built without a history store — self-monitoring is
-// opt-in.
+// evaluator's alert states (GET /api/v1/alerts). Self-monitoring is
+// opt-in: the routes need the history store and the SLO evaluator
+// (needsHistory, needsSLO) and answer 404 without them.
 
 // maxRangeBuckets bounds how many downsample buckets one query_range
 // request may ask for.
@@ -167,14 +167,6 @@ func parseQueryRange(q url.Values, now time.Time) (rangeQuery, error) {
 }
 
 func (s *Service) handleQueryRange(w http.ResponseWriter, r *http.Request) {
-	if s.history == nil {
-		httpError(w, http.StatusNotFound, "self-monitoring disabled: service has no history store")
-		return
-	}
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	rq, err := parseQueryRange(r.URL.Query(), time.Now().UTC())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
@@ -205,15 +197,7 @@ func (s *Service) handleQueryRange(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Service) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	if s.slo == nil {
-		httpError(w, http.StatusNotFound, "self-monitoring disabled: service has no SLO evaluator")
-		return
-	}
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
+func (s *Service) handleAlerts(w http.ResponseWriter, _ *http.Request) {
 	alerts := s.slo.Evaluate()
 	resp := AlertsResponse{Alerts: make([]AlertJSON, len(alerts))}
 	for i, a := range alerts {

@@ -78,19 +78,19 @@ func TestSelfMonitoringEndToEnd(t *testing.T) {
 	}
 
 	// Cumulative per-route latency observation count, downsampled.
-	qr := getDecode[QueryRangeResponse](t, rangeURL("caladrius_http_request_duration_seconds_count", url.Values{"route": {routeHealth}}), http.StatusOK)
+	qr := getDecode[QueryRangeResponse](t, rangeURL("caladrius_http_request_duration_seconds_count", url.Values{"route": {"/api/v1/health"}}), http.StatusOK)
 	if len(qr.Points) == 0 {
 		t.Fatal("query_range returned no latency-count points")
 	}
 	if last := qr.Points[len(qr.Points)-1].V; last < 13 {
 		t.Errorf("final health observation count = %g, want ≥ 13", last)
 	}
-	if qr.Selector["route"] != routeHealth || qr.Agg != "max" || qr.Step != "10s" {
+	if qr.Selector["route"] != "/api/v1/health" || qr.Agg != "max" || qr.Step != "10s" {
 		t.Errorf("echoed query = %+v", qr)
 	}
 
 	// The scraper-derived p95 series exists for the health route.
-	p95 := getDecode[QueryRangeResponse](t, rangeURL(telemetry.QuantileSeries("caladrius_http_request_duration_seconds", 0.95), url.Values{"route": {routeHealth}}), http.StatusOK)
+	p95 := getDecode[QueryRangeResponse](t, rangeURL(telemetry.QuantileSeries("caladrius_http_request_duration_seconds", 0.95), url.Values{"route": {"/api/v1/health"}}), http.StatusOK)
 	if len(p95.Points) == 0 {
 		t.Fatal("query_range returned no derived p95 points")
 	}

@@ -8,14 +8,8 @@ import (
 )
 
 // The incident flight-recorder surface: bundles captured when an SLO
-// fired (or on demand) are listed and downloaded here. Like the other
-// observability endpoints the surface is opt-in — every handler
-// answers 404 when the service was built without a recorder.
-//
-//	GET  /api/v1/incidents                         list bundle manifests
-//	POST /api/v1/incidents/capture                 capture a bundle now
-//	GET  /api/v1/incidents/{id}                    one manifest + artifact links
-//	GET  /api/v1/incidents/{id}/artifacts/{name}   download one artifact
+// fired (or on demand) are listed and downloaded here. The routes need
+// the recorder (needsIncidents): without one they answer 404.
 
 // IncidentListResponse is the payload of GET /api/v1/incidents.
 type IncidentListResponse struct {
@@ -30,15 +24,7 @@ type IncidentResponse struct {
 	ArtifactURLs map[string]string `json:"artifact_urls,omitempty"`
 }
 
-func (s *Service) handleIncidentsList(w http.ResponseWriter, r *http.Request) {
-	if s.incidents == nil {
-		httpError(w, http.StatusNotFound, "incident recorder disabled: start the daemon with -incident-dir")
-		return
-	}
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
+func (s *Service) handleIncidentsList(w http.ResponseWriter, _ *http.Request) {
 	list := s.incidents.List()
 	if list == nil {
 		list = []incident.Manifest{}
@@ -47,72 +33,47 @@ func (s *Service) handleIncidentsList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleIncident(w http.ResponseWriter, r *http.Request) {
-	if s.incidents == nil {
-		httpError(w, http.StatusNotFound, "incident recorder disabled: start the daemon with -incident-dir")
-		return
-	}
-	rest := strings.TrimPrefix(r.URL.Path, "/api/v1/incidents/")
-	if rest == "capture" {
-		s.handleIncidentCapture(w, r)
-		return
-	}
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	id, sub, hasSub := strings.Cut(rest, "/")
-	if id == "" {
-		httpError(w, http.StatusBadRequest, "want /api/v1/incidents/{id}[/artifacts/{name}]")
-		return
-	}
-	if hasSub {
-		name, ok := strings.CutPrefix(sub, "artifacts/")
-		if !ok || name == "" || strings.Contains(name, "/") {
-			httpError(w, http.StatusNotFound, "want /api/v1/incidents/{id}/artifacts/{name}")
-			return
-		}
-		path, ok := s.incidents.ArtifactPath(id, name)
-		if !ok {
-			httpError(w, http.StatusNotFound, "no artifact "+name+" in incident "+id)
-			return
-		}
-		if strings.HasSuffix(name, ".json") {
-			w.Header().Set("Content-Type", "application/json")
-		} else {
-			w.Header().Set("Content-Type", "application/octet-stream")
-		}
-		http.ServeFile(w, r, path)
-		return
-	}
+	id := r.PathValue("id")
 	m, ok := s.incidents.Get(id)
 	if !ok {
 		httpError(w, http.StatusNotFound, "no incident "+id+" (pruned or never captured)")
 		return
 	}
-	resp := IncidentResponse{Manifest: m, ArtifactURLs: map[string]string{}}
-	for _, a := range m.Artifacts {
-		resp.ArtifactURLs[a.Name] = "/api/v1/incidents/" + m.ID + "/artifacts/" + a.Name
+	writeJSON(w, http.StatusOK, incidentResponse(m))
+}
+
+func (s *Service) handleIncidentArtifact(w http.ResponseWriter, r *http.Request) {
+	id, name := r.PathValue("id"), r.PathValue("name")
+	path, ok := s.incidents.ArtifactPath(id, name)
+	if !ok {
+		httpError(w, http.StatusNotFound, "no artifact "+name+" in incident "+id)
+		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	if strings.HasSuffix(name, ".json") {
+		w.Header().Set("Content-Type", "application/json")
+	} else {
+		w.Header().Set("Content-Type", "application/octet-stream")
+	}
+	http.ServeFile(w, r, path)
 }
 
 // handleIncidentCapture performs a synchronous manual capture. It
 // bypasses the SLO cooldown (explicit operator intent) but serializes
 // with any in-flight capture, so the response carries the finished
 // manifest.
-func (s *Service) handleIncidentCapture(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
+func (s *Service) handleIncidentCapture(w http.ResponseWriter, _ *http.Request) {
 	m, err := s.incidents.CaptureNow()
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
+	writeJSON(w, http.StatusOK, incidentResponse(m))
+}
+
+func incidentResponse(m incident.Manifest) IncidentResponse {
 	resp := IncidentResponse{Manifest: m, ArtifactURLs: map[string]string{}}
 	for _, a := range m.Artifacts {
 		resp.ArtifactURLs[a.Name] = "/api/v1/incidents/" + m.ID + "/artifacts/" + a.Name
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }

@@ -6,173 +6,12 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"caladrius/internal/telemetry"
 	"caladrius/internal/usage"
 )
-
-// Route patterns the middleware aggregates metrics under. Raw paths
-// carry topology names and job ids; aggregating per pattern keeps
-// cardinality bounded no matter how many topologies the service
-// models.
-const (
-	routeHealth           = "/api/v1/health"
-	routeModels           = "/api/v1/models/traffic"
-	routeTraffic          = "/api/v1/model/traffic/{topology}"
-	routeRank             = "/api/v1/model/traffic/{topology}/rank"
-	routePerformance      = "/api/v1/model/topology/{topology}/performance"
-	routeSuggest          = "/api/v1/model/topology/{topology}/suggest"
-	routeCalibrate        = "/api/v1/model/topology/{topology}/calibrate"
-	routeModel            = "/api/v1/model/topology/{topology}/model"
-	routeGraph            = "/api/v1/model/topology/{topology}/graph"
-	routeQuery            = "/api/v1/model/topology/{topology}/query"
-	routeJob              = "/api/v1/jobs/{id}"
-	routeJobTrace         = "/api/v1/jobs/{id}/trace"
-	routeQueryRange       = "/api/v1/query_range"
-	routeAlerts           = "/api/v1/alerts"
-	routeAudit            = "/api/v1/audit"
-	routeAuditRecord      = "/api/v1/audit/{id}"
-	routeIncidents        = "/api/v1/incidents"
-	routeIncidentCapture  = "/api/v1/incidents/capture"
-	routeIncident         = "/api/v1/incidents/{id}"
-	routeIncidentArtifact = "/api/v1/incidents/{id}/artifacts/{name}"
-	routeUsage            = "/api/v1/usage"
-	routeSched            = "/api/v1/sched"
-	routeProfiles         = "/api/v1/profiles"
-	routeProfilesTop      = "/api/v1/profiles/top"
-	routeProfilesDiff     = "/api/v1/profiles/diff"
-	routeProfilesFlame    = "/api/v1/profiles/flame"
-	routeProfilesBaseline = "/api/v1/profiles/baseline"
-	routeOther            = "other"
-)
-
-var allRoutes = []string{
-	routeHealth, routeModels, routeTraffic, routeRank,
-	routePerformance, routeSuggest, routeCalibrate, routeModel,
-	routeGraph, routeQuery, routeJob, routeJobTrace,
-	routeQueryRange, routeAlerts, routeAudit, routeAuditRecord,
-	routeIncidents, routeIncidentCapture, routeIncident, routeIncidentArtifact,
-	routeUsage, routeSched,
-	routeProfiles, routeProfilesTop, routeProfilesDiff,
-	routeProfilesFlame, routeProfilesBaseline,
-	routeOther,
-}
-
-// NoTopology is the topology value usage attribution charges requests
-// that do not address a specific topology (health, query_range, …).
-const NoTopology = "-"
-
-// routePattern maps a concrete request path to its route pattern
-// without allocating.
-func routePattern(path string) string {
-	pattern, _ := routeInfo(path)
-	return pattern
-}
-
-// routeInfo maps a concrete request path to its route pattern and the
-// topology name it addresses (NoTopology for topology-less routes),
-// without allocating. The topology half is what scopes a request's
-// usage principal: only routes that carry a {topology} segment can be
-// attributed finer than the tenant itself.
-func routeInfo(path string) (pattern, topology string) {
-	switch path {
-	case routeHealth:
-		return routeHealth, NoTopology
-	case routeModels:
-		return routeModels, NoTopology
-	case routeQueryRange:
-		return routeQueryRange, NoTopology
-	case routeAlerts:
-		return routeAlerts, NoTopology
-	case routeAudit:
-		return routeAudit, NoTopology
-	case routeIncidents:
-		return routeIncidents, NoTopology
-	case routeIncidentCapture:
-		return routeIncidentCapture, NoTopology
-	case routeUsage:
-		return routeUsage, NoTopology
-	case routeSched:
-		return routeSched, NoTopology
-	case routeProfiles:
-		return routeProfiles, NoTopology
-	case routeProfilesTop:
-		return routeProfilesTop, NoTopology
-	case routeProfilesDiff:
-		return routeProfilesDiff, NoTopology
-	case routeProfilesFlame:
-		return routeProfilesFlame, NoTopology
-	case routeProfilesBaseline:
-		return routeProfilesBaseline, NoTopology
-	}
-	if rest, ok := strings.CutPrefix(path, "/api/v1/incidents/"); ok {
-		id, sub, hasSub := strings.Cut(rest, "/")
-		switch {
-		case id == "":
-			return routeOther, NoTopology
-		case !hasSub:
-			return routeIncident, NoTopology
-		}
-		if name, ok := strings.CutPrefix(sub, "artifacts/"); ok && name != "" && !strings.Contains(name, "/") {
-			return routeIncidentArtifact, NoTopology
-		}
-		return routeOther, NoTopology
-	}
-	if rest, ok := strings.CutPrefix(path, "/api/v1/audit/"); ok {
-		if rest != "" && !strings.Contains(rest, "/") {
-			return routeAuditRecord, NoTopology
-		}
-		return routeOther, NoTopology
-	}
-	if rest, ok := strings.CutPrefix(path, "/api/v1/model/traffic/"); ok {
-		name, action, hasAction := strings.Cut(rest, "/")
-		switch {
-		case name == "":
-			return routeOther, NoTopology
-		case !hasAction:
-			return routeTraffic, name
-		case action == "rank":
-			return routeRank, name
-		}
-		return routeOther, NoTopology
-	}
-	if rest, ok := strings.CutPrefix(path, "/api/v1/model/topology/"); ok {
-		name, action, _ := strings.Cut(rest, "/")
-		if name == "" {
-			return routeOther, NoTopology
-		}
-		switch action {
-		case "performance":
-			return routePerformance, name
-		case "suggest":
-			return routeSuggest, name
-		case "calibrate":
-			return routeCalibrate, name
-		case "model":
-			return routeModel, name
-		case "graph":
-			return routeGraph, name
-		case "query":
-			return routeQuery, name
-		}
-		return routeOther, NoTopology
-	}
-	if rest, ok := strings.CutPrefix(path, "/api/v1/jobs/"); ok {
-		id, sub, hasSub := strings.Cut(rest, "/")
-		switch {
-		case id == "":
-			return routeOther, NoTopology
-		case !hasSub:
-			return routeJob, NoTopology
-		case sub == "trace":
-			return routeJobTrace, NoTopology
-		}
-	}
-	return routeOther, NoTopology
-}
 
 // --- request trace ids -----------------------------------------------------
 
@@ -267,47 +106,56 @@ func sanitizeTenant(t string) string {
 // statusClasses index requests_total counters: status/100-1.
 var statusClasses = [5]string{"1xx", "2xx", "3xx", "4xx", "5xx"}
 
-// routeInstruments holds the pre-registered instruments of one route,
-// so the per-request hot path performs only map lookups and atomic
-// increments — no registrations, no allocations.
+// routeInstruments holds the pre-registered instruments of one route
+// label, so the per-request hot path performs only atomic increments —
+// no registrations, no lookups, no allocations.
 type routeInstruments struct {
+	label    string
 	requests [5]*telemetry.Counter
 	latency  *telemetry.Histogram
 	bytes    *telemetry.Counter
 }
 
+// httpInstruments is the middleware's instrument set: routes[i] counts
+// the requests of table[i], other those no row matched.
 type httpInstruments struct {
 	inFlight *telemetry.Gauge
 	panics   *telemetry.Counter
-	routes   map[string]*routeInstruments
+	routes   []*routeInstruments
+	other    *routeInstruments
 }
 
-func newHTTPInstruments(reg *telemetry.Registry) *httpInstruments {
+func newHTTPInstruments(reg *telemetry.Registry, table []route) *httpInstruments {
 	reg.SetHelp("caladrius_http_requests_total", "Requests served, by route pattern and status class.")
 	reg.SetHelp("caladrius_http_request_duration_seconds", "Request latency, by route pattern.")
 	reg.SetHelp("caladrius_http_response_bytes_total", "Response body bytes written, by route pattern.")
 	reg.SetHelp("caladrius_http_in_flight_requests", "Requests currently being served.")
 	reg.SetHelp("caladrius_http_panics_total", "Handler panics recovered by the middleware.")
+	register := func(label string) *routeInstruments {
+		ri := &routeInstruments{
+			label:   label,
+			latency: reg.Histogram("caladrius_http_request_duration_seconds", telemetry.DefLatencyBuckets, telemetry.Labels{"route": label}),
+			bytes:   reg.Counter("caladrius_http_response_bytes_total", telemetry.Labels{"route": label}),
+		}
+		for i, class := range statusClasses {
+			ri.requests[i] = reg.Counter("caladrius_http_requests_total", telemetry.Labels{"route": label, "class": class})
+		}
+		return ri
+	}
 	h := &httpInstruments{
 		inFlight: reg.Gauge("caladrius_http_in_flight_requests", nil),
 		panics:   reg.Counter("caladrius_http_panics_total", nil),
-		routes:   make(map[string]*routeInstruments, len(allRoutes)),
+		other:    register(otherRoute),
 	}
-	for _, route := range allRoutes {
-		ri := &routeInstruments{
-			latency: reg.Histogram("caladrius_http_request_duration_seconds", telemetry.DefLatencyBuckets, telemetry.Labels{"route": route}),
-			bytes:   reg.Counter("caladrius_http_response_bytes_total", telemetry.Labels{"route": route}),
-		}
-		for i, class := range statusClasses {
-			ri.requests[i] = reg.Counter("caladrius_http_requests_total", telemetry.Labels{"route": route, "class": class})
-		}
-		h.routes[route] = ri
+	for _, rt := range table {
+		h.routes = append(h.routes, register(rt.pattern))
 	}
 	return h
 }
 
-// statusRecorder captures the status code and body size a handler
-// writes. wroteHeader distinguishes "handler never responded" (the
+// statusRecorder captures what becomes of one request: the status code
+// and body size the handler writes, and the route ServeMux matched it
+// to. wroteHeader distinguishes "handler never responded" (the
 // panic-recovery path may still send a 500) from "panicked mid-body"
 // (too late — the status is already on the wire).
 type statusRecorder struct {
@@ -315,6 +163,24 @@ type statusRecorder struct {
 	status      int
 	bytes       int
 	wroteHeader bool
+
+	// route and topology are the request's metric label set and usage
+	// principal topology, stamped by matched.
+	route    *routeInstruments
+	topology string
+	tenant   string
+	acct     *usage.Accountant
+}
+
+// matched records the route the request belongs to and opens its usage
+// attribution. The matched row's wrapper (Service.serve) calls it before
+// the handler runs; the middleware calls it for the requests no row
+// claimed.
+func (r *statusRecorder) matched(ri *routeInstruments, topology string) {
+	r.route, r.topology = ri, topology
+	if r.acct != nil {
+		r.acct.Begin(r.tenant, topology)
+	}
 }
 
 func (r *statusRecorder) WriteHeader(status int) {
@@ -343,8 +209,12 @@ func (r *statusRecorder) Write(p []byte) (int, error) {
 //
 // When acct is non-nil every request is additionally attributed to its
 // (tenant, topology) usage principal: tenant from the sanitized
-// X-Caladrius-Tenant header, topology from the route. The accountant's
-// top-K cap makes this safe against hostile high-cardinality headers.
+// X-Caladrius-Tenant header, topology from the matched route. The
+// accountant's top-K cap makes this safe against hostile
+// high-cardinality headers.
+//
+// next is the ServeMux the route table is registered on; the row it
+// matches reports itself through statusRecorder.matched.
 func instrument(next http.Handler, inst *httpInstruments, logger *slog.Logger, acct *usage.Accountant) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -355,13 +225,9 @@ func instrument(next http.Handler, inst *httpInstruments, logger *slog.Logger, a
 		}
 		w.Header().Set(TraceHeader, trace)
 		tenant := sanitizeTenant(r.Header.Get(TenantHeader))
-		_, topo := routeInfo(r.URL.Path)
-		if acct != nil {
-			acct.Begin(tenant, topo)
-		}
 		ctx := context.WithValue(r.Context(), reqTraceKey{}, trace)
 		r = r.WithContext(ContextWithTenant(ctx, tenant))
-		rec := statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		rec := statusRecorder{ResponseWriter: w, status: http.StatusOK, tenant: tenant, acct: acct}
 		defer func() {
 			if v := recover(); v != nil {
 				inst.panics.Inc()
@@ -380,8 +246,12 @@ func instrument(next http.Handler, inst *httpInstruments, logger *slog.Logger, a
 			inst.inFlight.Dec()
 
 			elapsed := time.Since(start)
-			route := routePattern(r.URL.Path)
-			ri := inst.routes[route]
+			if rec.route == nil {
+				// No row claimed the request: an unknown path, or one
+				// ServeMux redirected to its clean form by itself.
+				rec.matched(inst.other, NoTopology)
+			}
+			ri := rec.route
 			idx := rec.status/100 - 1
 			if idx < 0 || idx >= len(ri.requests) {
 				idx = 4
@@ -396,11 +266,11 @@ func instrument(next http.Handler, inst *httpInstruments, logger *slog.Logger, a
 			ri.latency.ObserveExemplar(elapsed.Seconds(), trace)
 			ri.bytes.Add(float64(rec.bytes))
 			if acct != nil {
-				acct.Finish(tenant, topo, rec.status, elapsed)
+				acct.Finish(tenant, rec.topology, rec.status, elapsed)
 			}
 			logger.Info("http request",
 				"method", r.Method,
-				"route", route,
+				"route", ri.label,
 				"path", r.URL.Path,
 				"status", rec.status,
 				"bytes", rec.bytes,

@@ -9,9 +9,9 @@ import (
 
 // The continuous-profiler surface: status, hot-function tables,
 // baseline regression diffs, and merged flame stacks over the recent
-// epoch windows. Like the other opt-in surfaces it answers 404 when
-// the daemon runs with the profiler disabled (-profile-interval 0) —
-// calctl uses that to print its "profiler disabled" notice.
+// epoch windows. The routes need the profiler (needsProfiler): with
+// -profile-interval 0 they answer 404, which calctl turns into its
+// "profiler disabled" notice.
 
 // ProfileTopResponse is the payload of GET /api/v1/profiles/top.
 type ProfileTopResponse struct {
@@ -68,65 +68,43 @@ func profileParams(w http.ResponseWriter, r *http.Request) (profiler.Kind, int, 
 	return profiler.Kind(kind), n, true
 }
 
-func (s *Service) handleProfiles(w http.ResponseWriter, r *http.Request) {
-	if s.profiler == nil {
-		httpError(w, http.StatusNotFound, "continuous profiler disabled: start the daemon with -profile-interval > 0")
+func (s *Service) handleProfiles(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, s.profiler.Status())
+}
+
+func (s *Service) handleProfilesTop(w http.ResponseWriter, r *http.Request) {
+	kind, n, ok := profileParams(w, r)
+	if !ok {
 		return
 	}
-	switch r.URL.Path {
-	case routeProfiles:
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
-		writeJSON(w, http.StatusOK, s.profiler.Status())
-	case routeProfilesTop:
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
-		kind, n, ok := profileParams(w, r)
-		if !ok {
-			return
-		}
-		funcs, total, samples, unit := s.profiler.Top(kind, n)
-		writeJSON(w, http.StatusOK, ProfileTopResponse{
-			Kind: kind, Unit: unit, Total: total, Samples: samples, Functions: funcs,
-		})
-	case routeProfilesDiff:
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
-		kind, n, ok := profileParams(w, r)
-		if !ok {
-			return
-		}
-		st := s.profiler.Status()
-		writeJSON(w, http.StatusOK, ProfileDiffResponse{
-			Baseline: st.Baseline,
-			Diff:     s.profiler.DiffKind(kind, n),
-		})
-	case routeProfilesFlame:
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
-		kind, n, ok := profileParams(w, r)
-		if !ok {
-			return
-		}
-		stacks, total, unit := s.profiler.Flame(kind, n)
-		writeJSON(w, http.StatusOK, ProfileFlameResponse{
-			Kind: kind, Unit: unit, Total: total, Stacks: stacks,
-		})
-	case routeProfilesBaseline:
-		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "use POST")
-			return
-		}
-		writeJSON(w, http.StatusOK, s.profiler.SetBaseline())
-	default:
-		httpError(w, http.StatusNotFound, "want /api/v1/profiles[/top|/diff|/flame|/baseline]")
+	funcs, total, samples, unit := s.profiler.Top(kind, n)
+	writeJSON(w, http.StatusOK, ProfileTopResponse{
+		Kind: kind, Unit: unit, Total: total, Samples: samples, Functions: funcs,
+	})
+}
+
+func (s *Service) handleProfilesDiff(w http.ResponseWriter, r *http.Request) {
+	kind, n, ok := profileParams(w, r)
+	if !ok {
+		return
 	}
+	writeJSON(w, http.StatusOK, ProfileDiffResponse{
+		Baseline: s.profiler.Status().Baseline,
+		Diff:     s.profiler.DiffKind(kind, n),
+	})
+}
+
+func (s *Service) handleProfilesFlame(w http.ResponseWriter, r *http.Request) {
+	kind, n, ok := profileParams(w, r)
+	if !ok {
+		return
+	}
+	stacks, total, unit := s.profiler.Flame(kind, n)
+	writeJSON(w, http.StatusOK, ProfileFlameResponse{
+		Kind: kind, Unit: unit, Total: total, Stacks: stacks,
+	})
+}
+
+func (s *Service) handleProfilesBaseline(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, s.profiler.SetBaseline())
 }

@@ -13,9 +13,9 @@ import (
 	"caladrius/internal/telemetry"
 )
 
-// profilerEnv builds a service whose profiler folds synthetic
-// profiles, with one regressed window already captured.
-func profilerEnv(t *testing.T) (*Service, string) {
+// testProfiler builds a profiler that folds synthetic profiles, with
+// one regressed window already captured.
+func testProfiler(t *testing.T) *profiler.Profiler {
 	t.Helper()
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	clock := base
@@ -46,7 +46,13 @@ func profilerEnv(t *testing.T) (*Service, string) {
 	if err := p.CaptureOnce(); err != nil {
 		t.Fatal(err)
 	}
-	svc, srv, _ := testEnvWith(t, Options{Profiler: p})
+	return p
+}
+
+// profilerEnv serves the test deployment with testProfiler wired in.
+func profilerEnv(t *testing.T) (*Service, string) {
+	t.Helper()
+	svc, srv, _ := testEnvWith(t, Options{Profiler: testProfiler(t)})
 	return svc, srv.URL
 }
 

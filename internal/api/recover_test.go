@@ -17,20 +17,19 @@ import (
 // panic counter, log the stack and leave the in-flight gauge at zero.
 func TestPanicRecovery(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	inst := newHTTPInstruments(reg)
 	var logBuf bytes.Buffer
-	logger := slog.New(slog.NewTextHandler(&logBuf, nil))
+	svc := &Service{tel: reg, logger: slog.New(slog.NewTextHandler(&logBuf, nil))}
 
-	mux := http.NewServeMux()
-	mux.HandleFunc("/api/v1/health", func(w http.ResponseWriter, r *http.Request) {
-		panic("boom before write")
-	})
-	mux.HandleFunc("/api/v1/alerts", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write([]byte(`{"partial":`))
-		panic("boom mid-body")
-	})
-	srv := httptest.NewServer(instrument(mux, inst, logger, nil))
+	srv := httptest.NewServer(svc.router([]route{
+		{"GET", "/api/v1/health", func(*Service, http.ResponseWriter, *http.Request) {
+			panic("boom before write")
+		}, nil},
+		{"GET", "/api/v1/alerts", func(_ *Service, w http.ResponseWriter, _ *http.Request) {
+			w.WriteHeader(http.StatusOK)
+			_, _ = w.Write([]byte(`{"partial":`))
+			panic("boom mid-body")
+		}, nil},
+	}))
 	defer srv.Close()
 
 	// Panic before any write: the client sees a proper JSON 500.
@@ -60,7 +59,7 @@ func TestPanicRecovery(t *testing.T) {
 	if got := reg.Counter("caladrius_http_panics_total", nil).Value(); got != 2 {
 		t.Errorf("panics counter = %g, want 2", got)
 	}
-	for _, route := range []string{routeHealth, routeAlerts} {
+	for _, route := range []string{"/api/v1/health", "/api/v1/alerts"} {
 		c := reg.Counter("caladrius_http_requests_total", telemetry.Labels{"route": route, "class": "5xx"})
 		if got := c.Value(); got != 1 {
 			t.Errorf("%s 5xx = %g, want 1", route, got)
@@ -72,5 +71,10 @@ func TestPanicRecovery(t *testing.T) {
 	logs := logBuf.String()
 	if !strings.Contains(logs, "handler panic") || !strings.Contains(logs, "goroutine") {
 		t.Errorf("panic log missing message or stack:\n%s", logs)
+	}
+	// A panic does not cost the request its access-log line, nor earn
+	// it a second one.
+	if got := strings.Count(logs, `msg="http request"`); got != 2 {
+		t.Errorf("access-log lines = %d, want 2 (one per request):\n%s", got, logs)
 	}
 }

@@ -16,11 +16,7 @@ type SchedResponse struct {
 	CalCache  sched.CalCacheStats `json:"calcache"`
 }
 
-func (s *Service) handleSched(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
+func (s *Service) handleSched(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, SchedResponse{
 		Scheduler: s.schedr.Stats(),
 		CalCache:  s.calcache.Stats(),

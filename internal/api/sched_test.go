@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"caladrius/internal/core"
 	"caladrius/internal/heron"
 	"caladrius/internal/sched"
+	"caladrius/internal/telemetry"
 	"caladrius/internal/topology"
 )
 
@@ -349,5 +351,87 @@ func TestAsyncJobThroughScheduler(t *testing.T) {
 	}
 	if scheduler.Stats().Runs == 0 {
 		t.Fatal("async job did not run through the scheduler")
+	}
+}
+
+// findSpan returns the first span called name in the tree.
+func findSpan(spans []telemetry.SpanJSON, name string) *telemetry.SpanJSON {
+	for i := range spans {
+		if spans[i].Name == name {
+			return &spans[i]
+		}
+		if sp := findSpan(spans[i].Children, name); sp != nil {
+			return sp
+		}
+	}
+	return nil
+}
+
+// TestShedRunsLeaveModelCached: with the scheduler saturated, a forced
+// calibrate and a model inspection are both shed as 429 + Retry-After
+// before any model work — in particular before the calibrate's
+// eviction, so the next predict still finds the model cached instead
+// of paying a cold calibration the overload would make worse.
+func TestShedRunsLeaveModelCached(t *testing.T) {
+	scheduler := sched.New(sched.Options{Workers: 1, QueueDepth: 1})
+	defer scheduler.Close()
+	env := newSchedEnv(t, scheduler)
+	base := env.srv.URL + "/api/v1/model/topology/word-count/"
+
+	decode[PerformanceResponse](t, postJSON(t, base+"performance?sync=true", PerformanceRequest{SourceRateTPM: 20e6}), http.StatusOK)
+	warm := getDecode[ModelResponse](t, base+"model", http.StatusOK)
+
+	// Pin the worker and fill the queue, all as tenant "hog".
+	release, started := make(chan struct{}), make(chan struct{})
+	blocker, err := scheduler.Submit(context.Background(), sched.Request{Topology: "blk", Kind: "test", Tenant: "hog"},
+		func(context.Context) (any, error) { close(started); <-release; return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	queued, err := scheduler.Submit(context.Background(), sched.Request{Topology: "blk", Kind: "test", Tenant: "hog"},
+		func(context.Context) (any, error) { return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, shed := range []struct{ method, path string }{
+		{"POST", "calibrate?sync=true"},
+		{"POST", "calibrate"},
+		{"GET", "model"},
+	} {
+		resp := requestAs(t, "hog", shed.method, base+shed.path, nil)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+			t.Errorf("%s %s under saturation: status %d, Retry-After %q; want 429 with a hint",
+				shed.method, shed.path, resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+	}
+	if n := env.svc.calcache.Len(); n != 1 {
+		t.Fatalf("calibration cache holds %d models after shed calibrates, want 1 (a shed run evicted it)", n)
+	}
+	close(release)
+	blocker.Wait(context.Background())
+	queued.Wait(context.Background())
+
+	resp := postJSON(t, base+"performance?sync=true", PerformanceRequest{SourceRateTPM: 21e6})
+	decode[PerformanceResponse](t, resp, http.StatusOK)
+	tj := getDecode[telemetry.TraceJSON](t, env.srv.URL+"/api/v1/jobs/"+resp.Header.Get(TraceHeader)+"/trace", http.StatusOK)
+	if sp := findSpan(tj.Spans, "calibrate"); sp == nil || sp.Attrs["cache"] != "hit" {
+		t.Errorf("predict after shed calibrates: calibrate span = %+v, want cache=hit", sp)
+	}
+
+	// The inspection is a scheduled, traced run like any other, and its
+	// warm answer is what it was before it went through the scheduler.
+	mresp, err := http.Get(base + "model")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := decode[ModelResponse](t, mresp, http.StatusOK); !reflect.DeepEqual(got, warm) {
+		t.Errorf("warm model answer changed:\n got %+v\nwant %+v", got, warm)
+	}
+	mt := getDecode[telemetry.TraceJSON](t, env.srv.URL+"/api/v1/jobs/"+mresp.Header.Get(TraceHeader)+"/trace", http.StatusOK)
+	if len(mt.Spans) != 1 || mt.Spans[0].Name != "model" || findSpan(mt.Spans, "queue-wait") == nil {
+		t.Errorf("model inspection trace = %+v, want a \"model\" root with a queue-wait span", mt.Spans)
 	}
 }

@@ -9,41 +9,6 @@ import (
 	"caladrius/internal/telemetry"
 )
 
-func TestRoutePattern(t *testing.T) {
-	cases := map[string]string{
-		"/api/v1/health":                                routeHealth,
-		"/api/v1/models/traffic":                        routeModels,
-		"/api/v1/model/traffic/word-count":              routeTraffic,
-		"/api/v1/model/traffic/word-count/rank":         routeRank,
-		"/api/v1/model/traffic/word-count/bogus":        routeOther,
-		"/api/v1/model/traffic/":                        routeOther,
-		"/api/v1/model/topology/word-count/performance": routePerformance,
-		"/api/v1/model/topology/word-count/suggest":     routeSuggest,
-		"/api/v1/model/topology/word-count/calibrate":   routeCalibrate,
-		"/api/v1/model/topology/word-count/model":       routeModel,
-		"/api/v1/model/topology/word-count/graph":       routeGraph,
-		"/api/v1/model/topology/word-count/query":       routeQuery,
-		"/api/v1/model/topology/word-count/bogus":       routeOther,
-		"/api/v1/model/topology/":                       routeOther,
-		"/api/v1/jobs/job-1":                            routeJob,
-		"/api/v1/jobs/job-1/trace":                      routeJobTrace,
-		"/api/v1/jobs/job-1/bogus":                      routeOther,
-		"/api/v1/jobs/":                                 routeOther,
-		"/api/v1/query_range":                           routeQueryRange,
-		"/api/v1/alerts":                                routeAlerts,
-		"/api/v1/audit":                                 routeAudit,
-		"/api/v1/audit/42":                              routeAuditRecord,
-		"/api/v1/audit/42/bogus":                        routeOther,
-		"/api/v1/audit/":                                routeOther,
-		"/somewhere/else":                               routeOther,
-	}
-	for path, want := range cases {
-		if got := routePattern(path); got != want {
-			t.Errorf("routePattern(%q) = %q, want %q", path, got, want)
-		}
-	}
-}
-
 // TestMiddlewareCounts exercises the instrumented handler and checks
 // the per-route counters, the latency histogram and the in-flight
 // gauge through the registry.
@@ -64,19 +29,19 @@ func TestMiddlewareCounts(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	health2xx := reg.Counter("caladrius_http_requests_total", telemetry.Labels{"route": routeHealth, "class": "2xx"})
+	health2xx := reg.Counter("caladrius_http_requests_total", telemetry.Labels{"route": "/api/v1/health", "class": "2xx"})
 	if got := health2xx.Value(); got != 3 {
 		t.Errorf("health 2xx = %g, want 3", got)
 	}
-	job4xx := reg.Counter("caladrius_http_requests_total", telemetry.Labels{"route": routeJob, "class": "4xx"})
+	job4xx := reg.Counter("caladrius_http_requests_total", telemetry.Labels{"route": "/api/v1/jobs/{id}", "class": "4xx"})
 	if got := job4xx.Value(); got != 1 {
 		t.Errorf("job 4xx = %g, want 1", got)
 	}
-	lat := reg.Histogram("caladrius_http_request_duration_seconds", telemetry.DefLatencyBuckets, telemetry.Labels{"route": routeHealth})
+	lat := reg.Histogram("caladrius_http_request_duration_seconds", telemetry.DefLatencyBuckets, telemetry.Labels{"route": "/api/v1/health"})
 	if got := lat.Count(); got != 3 {
 		t.Errorf("health latency observations = %d, want 3", got)
 	}
-	bytes := reg.Counter("caladrius_http_response_bytes_total", telemetry.Labels{"route": routeHealth})
+	bytes := reg.Counter("caladrius_http_response_bytes_total", telemetry.Labels{"route": "/api/v1/health"})
 	if got := bytes.Value(); got <= 0 {
 		t.Errorf("health response bytes = %g, want > 0", got)
 	}

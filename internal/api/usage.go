@@ -12,9 +12,9 @@ import (
 )
 
 // The usage surface: GET /api/v1/usage ranks the principals the
-// accountant tracked over its trailing window. Like the other
-// self-monitoring endpoints it is opt-in — 404 when the service was
-// built without an accountant — and calctl degrades accordingly.
+// accountant tracked over its trailing window. The route needs the
+// accountant (needsUsage): 404 without one, and calctl degrades
+// accordingly.
 
 // usageSortKeys maps the ?by= parameter onto window fields.
 var usageSortKeys = map[string]func(usage.Totals) uint64{
@@ -44,14 +44,6 @@ type UsageResponse struct {
 }
 
 func (s *Service) handleUsage(w http.ResponseWriter, r *http.Request) {
-	if s.usage == nil {
-		httpError(w, http.StatusNotFound, "usage disabled: service has no usage accountant")
-		return
-	}
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	q := r.URL.Query()
 	for k := range q {
 		if k != "by" && k != "n" {

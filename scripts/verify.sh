@@ -10,7 +10,9 @@
 # range queries, pprof protobuf profiles, TSDB snapshot files), and
 # finally a ~10s smoke soak: caladriusbench drives an in-process daemon
 # through a chaos metrics outage and exits non-zero unless the SLOs
-# resolve and the process returns to its goroutine baseline.
+# resolve and the process returns to its goroutine baseline. Last, it
+# prints scripts/loc.sh's non-test line counts, the number net-negative
+# PRs quote.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,3 +36,4 @@ SOAK_OUT=$(mktemp)
 go run ./cmd/caladriusbench -soak -duration 6s -slo-window 4s -settle 12s -o "$SOAK_OUT"
 rm -f "$SOAK_OUT"
 echo "verify: all checks passed"
+scripts/loc.sh
