@@ -269,22 +269,102 @@ func BenchmarkTSDBAppendHandle(b *testing.B) {
 	}
 }
 
-// BenchmarkTSDBDownsample measures the component-rollup query the
-// models issue during calibration.
+// BenchmarkTSDBDownsample measures the two query shapes the daemon
+// issues: the component rollup calibration reads (4 instances × one day
+// of minutes, summed), and the calctl dash request-rate panel (72 series
+// × 720 points at 5 s) at its 5 m/10 s and zoomed-out 1 h/60 s ranges —
+// the go-test twins of the benchmark's tsdb.downsample_{5m,1h}_us.
 func BenchmarkTSDBDownsample(b *testing.B) {
-	db := tsdb.New(0)
 	t0 := time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC)
+	rollup := tsdb.New(0)
 	for inst := 0; inst < 4; inst++ {
-		labels := tsdb.Labels{"component": "splitter", "instance": fmt.Sprintf("%d", inst)}
+		h := rollup.Handle("execute-count", tsdb.Labels{"component": "splitter", "instance": fmt.Sprintf("%d", inst)})
 		for m := 0; m < 1440; m++ {
-			db.Append("execute-count", labels, t0.Add(time.Duration(m)*time.Minute), float64(m))
+			h.Append(t0.Add(time.Duration(m)*time.Minute), float64(m))
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Downsample("execute-count", tsdb.Labels{"component": "splitter"}, t0, t0.Add(24*time.Hour), time.Minute, tsdb.AggSum, tsdb.AggSum); err != nil {
-			b.Fatal(err)
+	panel := tsdb.New(0)
+	for s := 0; s < 72; s++ {
+		h := panel.Handle("requests:rate", tsdb.Labels{"route": fmt.Sprintf("/r%d", s/6), "method": []string{"GET", "POST"}[s%2], "class": fmt.Sprintf("%dxx", 2+s%3)})
+		for i := 0; i < 720; i++ {
+			h.Append(t0.Add(time.Duration(i)*5*time.Second), float64(s*i%41))
 		}
+	}
+	end := t0.Add(time.Hour)
+	for _, q := range []struct {
+		name          string
+		db            *tsdb.DB
+		metric        string
+		sel           tsdb.Labels
+		start, end    time.Time
+		step          time.Duration
+		bucket, merge tsdb.Agg
+	}{
+		{"rollup-day", rollup, "execute-count", tsdb.Labels{"component": "splitter"}, t0, t0.Add(24 * time.Hour), time.Minute, tsdb.AggSum, tsdb.AggSum},
+		{"panel-5m", panel, "requests:rate", nil, end.Add(-5 * time.Minute), end, 10 * time.Second, tsdb.AggMean, tsdb.AggSum},
+		{"panel-1h", panel, "requests:rate", nil, end.Add(-time.Hour), end, time.Minute, tsdb.AggMean, tsdb.AggSum},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := q.db.Downsample(q.metric, q.sel, q.start, q.end, q.step, q.bucket, q.merge); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAuditResolveFullRing measures one resolver pass over a full
+// ring of 4,096 pending records against the simulated word-count
+// history — the go-test twin of the benchmark's audit.resolve_ms. With
+// a frozen clock (the shipped daemon's model clock) every record asks
+// for the same observation window; with a live clock every record has
+// its own. Refilling the ring is not timed.
+func BenchmarkAuditResolveFullRing(b *testing.B) {
+	sub, err := heron.SimulateWordCount(heron.WordCountOptions{SplitterP: 3, CounterP: 4, RatePerMinute: 45e6}, 2*time.Hour)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prov, err := metrics.NewTSDBProvider(sub.DB, time.Minute)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := audit.Record{
+		Topology:      "word-count",
+		Model:         "predict",
+		SourceRateTPM: 45e6,
+		Calibration: []core.ComponentCalibration{
+			{Component: "counter", Parallelism: 4}, {Component: "splitter", Parallelism: 3}, {Component: "spout", Parallelism: 8},
+		},
+		Predicted: audit.Predicted{SinkTPM: 2.4e8, Risk: "high", Sink: "counter", TotalCPUCores: 9},
+	}
+	const ring = 4096
+	for _, clock := range []struct {
+		name string
+		tick time.Duration // between consecutive records' CreatedAt
+	}{{"frozen-clock", 0}, {"live-clock", time.Second}} {
+		b.Run(clock.name, func(b *testing.B) {
+			led, err := audit.NewLedger(audit.Options{
+				Provider: prov, History: tsdb.New(time.Hour), Registry: telemetry.NewRegistry(),
+				Now: func() time.Time { return sub.AsOf }, Capacity: ring,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for j := 0; j < ring; j++ {
+					rec.CreatedAt = sub.AsOf.Add(-time.Duration(ring-1-j) * clock.tick)
+					led.Record(rec)
+				}
+				b.StartTimer()
+				if n := led.ResolveOnce(sub.AsOf); n != ring {
+					b.Fatalf("ResolveOnce = %d, want %d", n, ring)
+				}
+			}
+		})
 	}
 }
 

@@ -227,14 +227,72 @@ type Ledger struct {
 	seq  int64 // last assigned id; ids start at 1
 
 	runs            map[modelKey]*telemetry.Counter
-	resolvedC       map[modelKey]*telemetry.Counter
 	rolling         map[modelKey]*rollingStats
-	mapeG           map[modelKey]*telemetry.Gauge
-	signedG         map[modelKey]*telemetry.Gauge
-	precG           map[modelKey]*telemetry.Gauge
-	recG            map[modelKey]*telemetry.Gauge
+	inst            map[modelKey]*instruments
 	calAgeG         map[string]*telemetry.Gauge
+	calAgeH         map[string]*tsdb.SeriesHandle
 	lastCalibration map[string]time.Time
+}
+
+// instruments is where the resolver writes one (topology, model)'s
+// results, interned so a pass builds no label maps: the registry side
+// is nil without a Registry, the series handles without a History.
+type instruments struct {
+	resolved                     *telemetry.Counter
+	mapeG, signedG, precG, recG  *telemetry.Gauge // registered with the first audited record
+	ape, mape, signed, prec, rec *tsdb.SeriesHandle
+}
+
+func (l *Ledger) instrumentsLocked(key modelKey) *instruments {
+	in := l.inst[key]
+	if in == nil {
+		in = &instruments{}
+		if l.reg != nil {
+			in.resolved = l.reg.Counter(MetricResolved, telemetry.Labels{"topology": key.topology, "model": key.model})
+		}
+		if l.db != nil {
+			labels := tsdb.Labels{"topology": key.topology, "model": key.model}
+			in.ape = l.db.Handle(MetricAPE, labels)
+			in.mape = l.db.Handle(MetricMAPE, labels)
+			in.signed = l.db.Handle(MetricSignedError, labels)
+			in.prec = l.db.Handle(MetricPrecision, labels)
+			in.rec = l.db.Handle(MetricRecall, labels)
+		}
+		l.inst[key] = in
+	}
+	return in
+}
+
+// rollingLocked returns (creating if needed) the rolling state of key.
+func (l *Ledger) rollingLocked(key modelKey) *rollingStats {
+	rs := l.rolling[key]
+	if rs == nil {
+		rs = &rollingStats{}
+		l.rolling[key] = rs
+	}
+	return rs
+}
+
+// add folds one resolved record into the rolling state; errs is nil for
+// a counterfactual record, which is counted but not graded.
+func (rs *rollingStats) add(errs *Errors, rollingN int) {
+	rs.resolved++
+	if errs == nil {
+		return
+	}
+	rs.audited++
+	rs.ape = appendTrim(rs.ape, errs.SinkAPE, rollingN)
+	rs.signed = appendTrim(rs.signed, errs.SinkSigned, rollingN)
+	switch errs.RiskOutcome {
+	case RiskTP:
+		rs.tp++
+	case RiskFP:
+		rs.fp++
+	case RiskFN:
+		rs.fn++
+	case RiskTN:
+		rs.tn++
+	}
 }
 
 // NewLedger builds a ledger. Provider is required; History and
@@ -290,13 +348,10 @@ func NewLedger(opts Options) (*Ledger, error) {
 		satBpMs:         opts.SaturatedBpMs,
 		recs:            make([]Record, opts.Capacity),
 		runs:            map[modelKey]*telemetry.Counter{},
-		resolvedC:       map[modelKey]*telemetry.Counter{},
 		rolling:         map[modelKey]*rollingStats{},
-		mapeG:           map[modelKey]*telemetry.Gauge{},
-		signedG:         map[modelKey]*telemetry.Gauge{},
-		precG:           map[modelKey]*telemetry.Gauge{},
-		recG:            map[modelKey]*telemetry.Gauge{},
+		inst:            map[modelKey]*instruments{},
 		calAgeG:         map[string]*telemetry.Gauge{},
+		calAgeH:         map[string]*tsdb.SeriesHandle{},
 		lastCalibration: map[string]time.Time{},
 	}, nil
 }

@@ -101,29 +101,8 @@ func (l *Ledger) ReadSnapshot(r io.Reader) error {
 		if rec.ID > l.seq {
 			l.seq = rec.ID
 		}
-		key := modelKey{rec.Topology, rec.Model}
 		if rec.Resolved {
-			rs := l.rolling[key]
-			if rs == nil {
-				rs = &rollingStats{}
-				l.rolling[key] = rs
-			}
-			rs.resolved++
-			if e := rec.Errors; e != nil {
-				rs.audited++
-				rs.ape = appendTrim(rs.ape, e.SinkAPE, l.rollingN)
-				rs.signed = appendTrim(rs.signed, e.SinkSigned, l.rollingN)
-				switch e.RiskOutcome {
-				case RiskTP:
-					rs.tp++
-				case RiskFP:
-					rs.fp++
-				case RiskFN:
-					rs.fn++
-				case RiskTN:
-					rs.tn++
-				}
-			}
+			l.rollingLocked(modelKey{rec.Topology, rec.Model}).add(rec.Errors, l.rollingN)
 		}
 	}
 	for topo, at := range hdr.Calibrations {

@@ -56,14 +56,20 @@ func (l *Ledger) ResolveOnce(now time.Time) int {
 		}
 	}
 	l.mu.Unlock()
+	seriesAt := l.seriesNow()
 	if len(pending) == 0 {
-		l.emitSeries(now, l.seriesNow())
+		l.emitSeries(now, seriesAt, nil)
 		return 0
 	}
 
+	seen := pass{
+		provider:     l.provider,
+		components:   map[windowKey]componentActuals{},
+		backpressure: map[windowKey]backpressureActuals{},
+	}
 	resolutions := make([]resolution, 0, len(pending))
 	for _, rec := range pending {
-		obs, ok := l.observe(rec)
+		obs, ok := l.observe(rec, &seen)
 		if !ok {
 			continue
 		}
@@ -75,13 +81,12 @@ func (l *Ledger) ResolveOnce(now time.Time) int {
 	}
 
 	// Apply under lock, oldest first — the rolling window order the
-	// closed-loop accuracy test replicates.
-	type apePoint struct {
-		key modelKey
-		at  time.Time
-		ape float64
-	}
-	var apes []apePoint
+	// closed-loop accuracy test replicates. Everything a record's
+	// resolution feeds (rolling stats, resolved counter, APE point) is
+	// counted here, where a record a concurrent pass already applied is
+	// skipped.
+	var apes []tsdb.BatchSample
+	resolved := map[*telemetry.Counter]int{}
 	l.mu.Lock()
 	applied := 0
 	for _, res := range resolutions {
@@ -96,74 +101,96 @@ func (l *Ledger) ResolveOnce(now time.Time) int {
 		l.recs[idx].Observed = &obs
 		l.recs[idx].Errors = res.errs
 		key := modelKey{rec.Topology, rec.Model}
-		rs := l.rolling[key]
-		if rs == nil {
-			rs = &rollingStats{}
-			l.rolling[key] = rs
+		l.rollingLocked(key).add(res.errs, l.rollingN)
+		in := l.instrumentsLocked(key)
+		if in.resolved != nil {
+			resolved[in.resolved]++
 		}
-		rs.resolved++
-		if res.errs != nil {
-			rs.audited++
-			rs.ape = appendTrim(rs.ape, res.errs.SinkAPE, l.rollingN)
-			rs.signed = appendTrim(rs.signed, res.errs.SinkSigned, l.rollingN)
-			switch res.errs.RiskOutcome {
-			case RiskTP:
-				rs.tp++
-			case RiskFP:
-				rs.fp++
-			case RiskFN:
-				rs.fn++
-			case RiskTN:
-				rs.tn++
-			}
-			apes = append(apes, apePoint{key: key, at: rec.CreatedAt, ape: res.errs.SinkAPE})
-		}
-		applied++
-	}
-	// Snapshot the per-key rolling state for the unlocked gauge/series
-	// writes below.
-	counters := make([]*telemetry.Counter, 0, applied)
-	for _, res := range resolutions {
-		if rec, _, ok := l.getLocked(res.id); ok && rec.Resolved {
-			counters = append(counters, l.resolvedCounterLocked(modelKey{rec.Topology, rec.Model}))
-		}
-	}
-	l.mu.Unlock()
-
-	for _, c := range counters {
-		if c != nil {
-			c.Inc()
-		}
-	}
-	seriesAt := l.seriesNow()
-	if l.db != nil {
-		for _, p := range apes {
+		if res.errs != nil && l.db != nil {
 			// On a unified clock the record's creation instant is the
 			// natural stamp; when the series clock diverges (frozen demo
 			// clock) use the cycle instant so points stay in window.
-			at := p.at
+			stamp := rec.CreatedAt
 			if !seriesAt.Equal(now) {
-				at = seriesAt
+				stamp = seriesAt
 			}
-			l.db.Append(MetricAPE, tsdb.Labels{"topology": p.key.topology, "model": p.key.model}, at, p.ape)
+			apes = append(apes, tsdb.BatchSample{H: in.ape, T: stamp, V: res.errs.SinkAPE})
 		}
+		applied++
 	}
-	l.emitSeries(now, seriesAt)
+	l.mu.Unlock()
+
+	for c, n := range resolved {
+		c.Add(float64(n))
+	}
+	l.emitSeries(now, seriesAt, apes)
 	return applied
 }
 
-func (l *Ledger) resolvedCounterLocked(key modelKey) *telemetry.Counter {
-	c := l.resolvedC[key]
-	if c == nil && l.reg != nil {
-		c = l.reg.Counter(MetricResolved, telemetry.Labels{"topology": key.topology, "model": key.model})
-		l.resolvedC[key] = c
-	}
-	return c
+// windowKey names one observation window of one entity within a pass.
+// The window is [end−ObserveWindow, end), so end identifies it.
+type windowKey struct {
+	topology, component string
+	end                 time.Time
 }
 
-// observe queries the provider for one record's actuals. ok is false
-// when the observation window has no usable data yet (retry later).
-func (l *Ledger) observe(rec Record) (Observed, bool) {
+type componentActuals struct {
+	ss metrics.SteadyState
+	ok bool // the window had data
+}
+
+type backpressureActuals struct {
+	msPerWindow float64
+	ok          bool // the series answered (with data or with none)
+}
+
+// pass remembers what the provider answered during one ResolveOnce, so
+// each distinct window is queried once however many records join
+// against it — a failure included: its records stay pending together
+// and the next pass asks again. Only identical keys share; records
+// created at different instants keep their own exact windows.
+type pass struct {
+	provider     metrics.Provider
+	components   map[windowKey]componentActuals
+	backpressure map[windowKey]backpressureActuals
+}
+
+func (p *pass) component(topology, component string, start, end time.Time) (metrics.SteadyState, bool) {
+	key := windowKey{topology, component, end}
+	a, seen := p.components[key]
+	if !seen {
+		if ws, err := p.provider.ComponentWindows(topology, component, start, end); err == nil && len(ws) > 0 {
+			a.ss, err = metrics.Summarise(ws, 0)
+			a.ok = err == nil
+		}
+		p.components[key] = a
+	}
+	return a.ss, a.ok
+}
+
+// topologyBackpressure is the mean per-window topology backpressure
+// time. A missing series means the writer observed none.
+func (p *pass) topologyBackpressure(topology string, start, end time.Time) (float64, bool) {
+	key := windowKey{topology: topology, end: end}
+	a, seen := p.backpressure[key]
+	if !seen {
+		pts, err := p.provider.TopologyBackpressureMs(topology, start, end)
+		a.ok = err == nil || errors.Is(err, metrics.ErrNoData)
+		if err == nil && len(pts) > 0 {
+			var sum float64
+			for _, pt := range pts {
+				sum += pt.V
+			}
+			a.msPerWindow = sum / float64(len(pts))
+		}
+		p.backpressure[key] = a
+	}
+	return a.msPerWindow, a.ok
+}
+
+// observe joins one record with its actuals. ok is false when the
+// observation window has no usable data yet (retry later).
+func (l *Ledger) observe(rec Record, seen *pass) (Observed, bool) {
 	start := rec.CreatedAt.Add(-l.observeWindow)
 	end := rec.CreatedAt
 	sink := rec.Predicted.Sink
@@ -173,12 +200,8 @@ func (l *Ledger) observe(rec Record) (Observed, bool) {
 	if sink == "" {
 		return Observed{}, false
 	}
-	ws, err := l.provider.ComponentWindows(rec.Topology, sink, start, end)
-	if err != nil || len(ws) == 0 {
-		return Observed{}, false
-	}
-	ss, err := metrics.Summarise(ws, 0)
-	if err != nil {
+	ss, ok := seen.component(rec.Topology, sink, start, end)
+	if !ok {
 		return Observed{}, false
 	}
 	obs := Observed{
@@ -189,27 +212,15 @@ func (l *Ledger) observe(rec Record) (Observed, bool) {
 		// tuples/minute, the model's unit.
 		SinkTPM: ss.Execute * float64(time.Minute) / float64(l.metricsWindow),
 	}
-	// Backpressure: mean per-window topology backpressure time against
-	// the calibration saturation threshold. A missing series means the
-	// writer observed none.
-	if pts, err := l.provider.TopologyBackpressureMs(rec.Topology, start, end); err == nil && len(pts) > 0 {
-		var sum float64
-		for _, p := range pts {
-			sum += p.V
-		}
-		obs.BackpressureMsPerWindow = sum / float64(len(pts))
-	} else if err != nil && !errors.Is(err, metrics.ErrNoData) {
+	// Backpressure against the calibration saturation threshold.
+	if obs.BackpressureMsPerWindow, ok = seen.topologyBackpressure(rec.Topology, start, end); !ok {
 		return Observed{}, false
 	}
 	obs.Backpressure = obs.BackpressureMsPerWindow >= l.satBpMs
 	// CPU: sum observed component loads over the calibrated components
 	// (the same set TotalCPU was predicted over).
 	for _, cc := range rec.Calibration {
-		cws, err := l.provider.ComponentWindows(rec.Topology, cc.Component, start, end)
-		if err != nil || len(cws) == 0 {
-			continue
-		}
-		if css, err := metrics.Summarise(cws, 0); err == nil {
+		if css, ok := seen.component(rec.Topology, cc.Component, start, end); ok {
 			obs.TotalCPUCores += css.CPULoad
 		}
 	}
@@ -270,72 +281,57 @@ func appendTrim(s []float64, v float64, n int) []float64 {
 	return s
 }
 
-// emitSeries refreshes the rolling gauges and appends the rolling
-// caladrius_model_* series. now is the record clock (ages are computed
-// on it); seriesAt stamps the appended points.
-func (l *Ledger) emitSeries(now, seriesAt time.Time) {
-	type keyState struct {
-		key                     modelKey
-		mape, signed, prec, rec float64
-		haveRolling             bool
-		mapeG, signedG, pG, rG  *telemetry.Gauge
-	}
+// emitSeries refreshes the rolling gauges and writes the pass's
+// caladrius_model_* points — the given per-record ones plus the rolling
+// state of every audited key — as one batch. now is the record clock
+// (ages are computed on it); seriesAt stamps the points.
+func (l *Ledger) emitSeries(now, seriesAt time.Time, batch []tsdb.BatchSample) {
 	l.mu.Lock()
-	states := make([]keyState, 0, len(l.rolling))
 	for key, rs := range l.rolling {
-		st := keyState{key: key}
-		if len(rs.ape) > 0 {
-			st.haveRolling = true
-			st.mape = mean(rs.ape)
-			st.signed = mean(rs.signed)
-		}
-		st.prec, st.rec = PrecisionRecall(rs.tp, rs.fp, rs.fn)
-		if rs.audited > 0 && l.reg != nil {
-			labels := telemetry.Labels{"topology": key.topology, "model": key.model}
-			if l.mapeG[key] == nil {
-				l.mapeG[key] = l.reg.Gauge(MetricMAPE, labels)
-				l.signedG[key] = l.reg.Gauge(MetricSignedError, labels)
-				l.precG[key] = l.reg.Gauge(MetricPrecision, labels)
-				l.recG[key] = l.reg.Gauge(MetricRecall, labels)
-			}
-			st.mapeG, st.signedG = l.mapeG[key], l.signedG[key]
-			st.pG, st.rG = l.precG[key], l.recG[key]
-		}
-		states = append(states, st)
-	}
-	ages := make(map[string]float64, len(l.lastCalibration))
-	ageGauges := make(map[string]*telemetry.Gauge, len(l.lastCalibration))
-	for topo, at := range l.lastCalibration {
-		ages[topo] = now.Sub(at).Seconds()
-		ageGauges[topo] = l.calAgeGaugeLocked(topo)
-	}
-	l.mu.Unlock()
-
-	for _, st := range states {
-		if !st.haveRolling {
+		if len(rs.ape) == 0 {
 			continue
 		}
-		if st.mapeG != nil {
-			st.mapeG.Set(st.mape)
-			st.signedG.Set(st.signed)
-			st.pG.Set(st.prec)
-			st.rG.Set(st.rec)
+		in := l.instrumentsLocked(key)
+		mape, signed := mean(rs.ape), mean(rs.signed)
+		prec, rec := PrecisionRecall(rs.tp, rs.fp, rs.fn)
+		if l.reg != nil {
+			if in.mapeG == nil {
+				labels := telemetry.Labels{"topology": key.topology, "model": key.model}
+				in.mapeG = l.reg.Gauge(MetricMAPE, labels)
+				in.signedG = l.reg.Gauge(MetricSignedError, labels)
+				in.precG = l.reg.Gauge(MetricPrecision, labels)
+				in.recG = l.reg.Gauge(MetricRecall, labels)
+			}
+			in.mapeG.Set(mape)
+			in.signedG.Set(signed)
+			in.precG.Set(prec)
+			in.recG.Set(rec)
 		}
 		if l.db != nil {
-			labels := tsdb.Labels{"topology": st.key.topology, "model": st.key.model}
-			l.db.Append(MetricMAPE, labels, seriesAt, st.mape)
-			l.db.Append(MetricSignedError, labels, seriesAt, st.signed)
-			l.db.Append(MetricPrecision, labels, seriesAt, st.prec)
-			l.db.Append(MetricRecall, labels, seriesAt, st.rec)
+			batch = append(batch,
+				tsdb.BatchSample{H: in.mape, T: seriesAt, V: mape},
+				tsdb.BatchSample{H: in.signed, T: seriesAt, V: signed},
+				tsdb.BatchSample{H: in.prec, T: seriesAt, V: prec},
+				tsdb.BatchSample{H: in.rec, T: seriesAt, V: rec})
 		}
 	}
-	for topo, age := range ages {
-		if g := ageGauges[topo]; g != nil {
+	for topo, at := range l.lastCalibration {
+		age := now.Sub(at).Seconds()
+		if g := l.calAgeGaugeLocked(topo); g != nil {
 			g.Set(age)
 		}
 		if l.db != nil {
-			l.db.Append(MetricCalibrationAge, tsdb.Labels{"topology": topo}, seriesAt, age)
+			h := l.calAgeH[topo]
+			if h == nil {
+				h = l.db.Handle(MetricCalibrationAge, tsdb.Labels{"topology": topo})
+				l.calAgeH[topo] = h
+			}
+			batch = append(batch, tsdb.BatchSample{H: h, T: seriesAt, V: age})
 		}
+	}
+	l.mu.Unlock()
+	if l.db != nil {
+		l.db.AppendBatch(batch)
 	}
 }
 

@@ -10,7 +10,6 @@ package metrics
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"caladrius/internal/heron"
@@ -94,64 +93,69 @@ func NewTSDBProvider(db *tsdb.DB, window time.Duration) (*TSDBProvider, error) {
 // Window returns the provider's rollup interval.
 func (p *TSDBProvider) Window() time.Duration { return p.window }
 
-// seriesByTime fetches one metric for a selector and indexes it by
-// bucket time.
-func (p *TSDBProvider) seriesByTime(metric string, sel tsdb.Labels, start, end time.Time, agg tsdb.Agg) (map[time.Time]float64, error) {
-	s, err := p.db.Downsample(metric, sel, start, end, p.window, tsdb.AggSum, agg)
-	if err != nil {
-		if errors.Is(err, tsdb.ErrNoData) {
-			return map[time.Time]float64{}, nil
-		}
+// points fetches one metric for a selector as per-window values in
+// ascending time order; a range that holds nothing is empty, not an
+// error.
+func (p *TSDBProvider) points(metric string, sel tsdb.Labels, start, end time.Time, merge tsdb.Agg) ([]tsdb.Point, error) {
+	s, err := p.db.Downsample(metric, sel, start, end, p.window, tsdb.AggSum, merge)
+	if err != nil && !errors.Is(err, tsdb.ErrNoData) {
 		return nil, err
 	}
-	out := make(map[time.Time]float64, len(s.Points))
-	for _, pt := range s.Points {
-		out[pt.T] = pt.V
+	return s.Points, nil
+}
+
+// mergeWindows hands each point of pts (ascending) to store together
+// with the window of ws (ascending) stamped at its time, inserting the
+// windows ws lacks. Every metric of one entity is rolled up on the same
+// grid, so past the first metric the windows are found in step.
+func mergeWindows(ws []Window, pts []tsdb.Point, store func(*Window, float64)) []Window {
+	if len(ws) == 0 {
+		ws = make([]Window, 0, len(pts))
 	}
-	return out, nil
+	i := 0
+	for _, pt := range pts {
+		for i < len(ws) && ws[i].T.Before(pt.T) {
+			i++
+		}
+		if i == len(ws) || !ws[i].T.Equal(pt.T) {
+			ws = append(ws, Window{})
+			copy(ws[i+1:], ws[i:])
+			ws[i] = Window{T: pt.T}
+		}
+		store(&ws[i], pt.V)
+	}
+	return ws
+}
+
+// windowMetrics maps each stored metric onto its Window field and its
+// cross-instance merge: counts sum, latencies average.
+var windowMetrics = []struct {
+	name  string
+	merge tsdb.Agg
+	store func(*Window, float64)
+}{
+	{heron.MetricSourceCount, tsdb.AggSum, func(w *Window, v float64) { w.Source = v }},
+	{heron.MetricArrivalCount, tsdb.AggSum, func(w *Window, v float64) { w.Arrival = v }},
+	{heron.MetricExecuteCount, tsdb.AggSum, func(w *Window, v float64) { w.Execute = v }},
+	{heron.MetricEmitCount, tsdb.AggSum, func(w *Window, v float64) { w.Emit = v }},
+	{heron.MetricFailCount, tsdb.AggSum, func(w *Window, v float64) { w.FailedTuples = v }},
+	{heron.MetricBackpressureMs, tsdb.AggSum, func(w *Window, v float64) { w.BackpressureMs = v }},
+	{heron.MetricCPULoad, tsdb.AggSum, func(w *Window, v float64) { w.CPULoad = v }},
+	{heron.MetricLatencyMs, tsdb.AggMean, func(w *Window, v float64) { w.LatencyMs = v }},
 }
 
 func (p *TSDBProvider) windows(sel tsdb.Labels, start, end time.Time) ([]Window, error) {
-	type metricSpec struct {
-		name  string
-		merge tsdb.Agg // cross-instance merge: counts sum, latencies average
-		store func(*Window, float64)
-	}
-	specs := []metricSpec{
-		{heron.MetricSourceCount, tsdb.AggSum, func(w *Window, v float64) { w.Source = v }},
-		{heron.MetricArrivalCount, tsdb.AggSum, func(w *Window, v float64) { w.Arrival = v }},
-		{heron.MetricExecuteCount, tsdb.AggSum, func(w *Window, v float64) { w.Execute = v }},
-		{heron.MetricEmitCount, tsdb.AggSum, func(w *Window, v float64) { w.Emit = v }},
-		{heron.MetricFailCount, tsdb.AggSum, func(w *Window, v float64) { w.FailedTuples = v }},
-		{heron.MetricBackpressureMs, tsdb.AggSum, func(w *Window, v float64) { w.BackpressureMs = v }},
-		{heron.MetricCPULoad, tsdb.AggSum, func(w *Window, v float64) { w.CPULoad = v }},
-		{heron.MetricLatencyMs, tsdb.AggMean, func(w *Window, v float64) { w.LatencyMs = v }},
-	}
-	byTime := map[time.Time]*Window{}
-	found := false
-	for _, spec := range specs {
-		vals, err := p.seriesByTime(spec.name, sel, start, end, spec.merge)
+	var out []Window
+	for _, m := range windowMetrics {
+		pts, err := p.points(m.name, sel, start, end, m.merge)
 		if err != nil {
 			return nil, err
 		}
-		for t, v := range vals {
-			found = true
-			w, ok := byTime[t]
-			if !ok {
-				w = &Window{T: t}
-				byTime[t] = w
-			}
-			spec.store(w, v)
-		}
+		out = mergeWindows(out, pts, m.store)
 	}
-	if !found {
+	if len(out) == 0 {
 		return nil, fmt.Errorf("%w: selector %v in [%s, %s)", ErrNoData, sel, start, end)
 	}
-	out := make([]Window, 0, len(byTime))
-	for _, w := range byTime {
-		out = append(out, *w)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].T.Before(out[j].T) })
 	return out, nil
 }
 
@@ -174,24 +178,23 @@ func (p *TSDBProvider) SourceRate(topology string, spouts []string, start, end t
 	if len(spouts) == 0 {
 		return nil, errors.New("metrics: no spout components given")
 	}
-	totals := map[time.Time]float64{}
+	// Windows stand in for points so the spouts merge by time the way
+	// metrics do; a window starts at +0, which keeps the sum's bits.
+	var totals []Window
 	for _, spout := range spouts {
-		vals, err := p.seriesByTime(heron.MetricSourceCount, tsdb.Labels{"topology": topology, "component": spout}, start, end, tsdb.AggSum)
+		pts, err := p.points(heron.MetricSourceCount, tsdb.Labels{"topology": topology, "component": spout}, start, end, tsdb.AggSum)
 		if err != nil {
 			return nil, err
 		}
-		for t, v := range vals {
-			totals[t] += v
-		}
+		totals = mergeWindows(totals, pts, func(w *Window, v float64) { w.Source += v })
 	}
 	if len(totals) == 0 {
 		return nil, fmt.Errorf("%w: source rate of %q spouts %v", ErrNoData, topology, spouts)
 	}
-	out := make([]tsdb.Point, 0, len(totals))
-	for t, v := range totals {
-		out = append(out, tsdb.Point{T: t, V: v})
+	out := make([]tsdb.Point, len(totals))
+	for i, w := range totals {
+		out[i] = tsdb.Point{T: w.T, V: w.Source}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].T.Before(out[j].T) })
 	return out, nil
 }
 

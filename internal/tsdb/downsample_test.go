@@ -1,0 +1,254 @@
+package tsdb
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+	"time"
+)
+
+// The differential oracle for Downsample: the map-based implementation
+// every figure CSV and BENCH baseline was generated with, kept verbatim
+// (together with the Query it was built on) so the streaming rewrite is
+// tested for bit-identity instead of assumed to have it.
+
+func referenceQuery(db *DB, metric string, sel Labels, start, end time.Time) ([]Series, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	bySeries := db.metrics[metric]
+	if len(bySeries) == 0 {
+		return nil, fmt.Errorf("%w: metric %q", ErrNoData, metric)
+	}
+	keys := make([]string, 0, len(bySeries))
+	for k, sd := range bySeries {
+		if sd.labels.Matches(sel) {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	var out []Series
+	for _, k := range keys {
+		sd := bySeries[k]
+		lo := sort.Search(len(sd.points), func(i int) bool { return !sd.points[i].T.Before(start) })
+		hi := sort.Search(len(sd.points), func(i int) bool { return !sd.points[i].T.Before(end) })
+		if lo >= hi {
+			continue
+		}
+		out = append(out, Series{
+			Metric: metric,
+			Labels: sd.labels.Clone(),
+			Points: append([]Point(nil), sd.points[lo:hi]...),
+		})
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("%w: metric %q selector %v in [%s, %s)", ErrNoData, metric, sel, start, end)
+	}
+	return out, nil
+}
+
+func referenceDownsample(db *DB, metric string, sel Labels, start, end time.Time, step time.Duration, bucketAgg, mergeAgg Agg) (Series, error) {
+	if step <= 0 {
+		return Series{}, fmt.Errorf("tsdb: non-positive step %s", step)
+	}
+	series, err := referenceQuery(db, metric, sel, start, end)
+	if err != nil {
+		return Series{}, err
+	}
+	type bucketKey int64
+	perSeries := make([]map[bucketKey]float64, len(series))
+	for i, s := range series {
+		buckets := make(map[bucketKey][]float64)
+		for _, p := range s.Points {
+			b := bucketKey(p.T.UnixNano() / int64(step))
+			buckets[b] = append(buckets[b], p.V)
+		}
+		reduced := make(map[bucketKey]float64, len(buckets))
+		for b, vs := range buckets {
+			v, err := aggregate(bucketAgg, vs)
+			if err != nil {
+				return Series{}, err
+			}
+			reduced[b] = v
+		}
+		perSeries[i] = reduced
+	}
+	merged := make(map[bucketKey][]float64)
+	for _, m := range perSeries {
+		for b, v := range m {
+			merged[b] = append(merged[b], v)
+		}
+	}
+	keys := make([]bucketKey, 0, len(merged))
+	for b := range merged {
+		keys = append(keys, b)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	out := Series{Metric: metric, Labels: sel.Clone()}
+	for _, b := range keys {
+		v, err := aggregate(mergeAgg, merged[b])
+		if err != nil {
+			return Series{}, err
+		}
+		out.Points = append(out.Points, Point{T: time.Unix(0, int64(b)*int64(step)).UTC(), V: v})
+	}
+	return out, nil
+}
+
+var allAggs = []Agg{AggSum, AggMean, AggMin, AggMax, AggCount, AggMedian, AggLast}
+
+// randomStore builds a small seeded store covering the shapes the
+// streaming pass must get right: several series per metric under
+// overlapping label sets, irregular spacing with gaps, duplicate
+// timestamps, out-of-order appends (through both write APIs), values
+// whose summation order shows in the low bits, non-finite values and
+// signed zeros, timestamps straddling the Unix epoch (where the bucket
+// division truncates toward zero), and retention on or off. It returns
+// the store and the time span its points were drawn from.
+func randomStore(rng *rand.Rand) (db *DB, origin time.Time, span time.Duration) {
+	var retention time.Duration
+	if rng.Intn(2) == 0 {
+		retention = time.Duration(1+rng.Intn(40)) * time.Minute
+	}
+	db = New(retention)
+	origin = t0
+	if rng.Intn(3) == 0 {
+		origin = time.Unix(-int64(rng.Intn(1800)), -int64(rng.Intn(1e9))).UTC()
+	}
+	spacing := []time.Duration{time.Second, 7 * time.Second, 10 * time.Second, time.Minute, 61 * time.Second}[rng.Intn(5)]
+	points := 1 + rng.Intn(60)
+	span = time.Duration(points) * spacing
+	for s, n := 0, rng.Intn(7); s < n; s++ {
+		labels := Labels{"component": []string{"a", "b"}[rng.Intn(2)], "instance": fmt.Sprint(rng.Intn(3))}
+		if rng.Intn(4) == 0 {
+			labels["stream"] = "x"
+		}
+		h := db.Handle("m", labels)
+		at := origin.Add(time.Duration(rng.Int63n(int64(spacing))))
+		for i := 0; i < points; i++ {
+			switch rng.Intn(12) {
+			case 0: // duplicate timestamp
+			case 1: // gap
+				at = at.Add(time.Duration(2+rng.Intn(20)) * spacing)
+			case 2: // jitter off the grid
+				at = at.Add(spacing + time.Duration(rng.Int63n(int64(spacing))))
+			default:
+				at = at.Add(spacing)
+			}
+			v := rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-4))
+			switch rng.Intn(40) {
+			case 0:
+				v = math.NaN()
+			case 1:
+				v = math.Inf(1 - 2*rng.Intn(2))
+			case 2:
+				v = math.Copysign(0, -1)
+			}
+			stamp := at
+			if rng.Intn(8) == 0 { // out of order
+				stamp = at.Add(-time.Duration(rng.Int63n(int64(5 * spacing))))
+			}
+			if rng.Intn(2) == 0 {
+				h.Append(stamp, v)
+			} else {
+				db.Append("m", labels, stamp, v)
+			}
+		}
+	}
+	return db, origin, span
+}
+
+// checkDownsample compares Downsample with the reference for one query
+// shape across all 7 × 7 aggregation pairs (plus an unknown aggregation
+// on each side), bit for bit.
+func checkDownsample(t *testing.T, db *DB, metric string, sel Labels, start, end time.Time, step time.Duration) {
+	t.Helper()
+	aggs := append([]Agg{"bogus"}, allAggs...)
+	for _, bucketAgg := range aggs {
+		for _, mergeAgg := range aggs {
+			want, wantErr := referenceDownsample(db, metric, sel, start, end, step, bucketAgg, mergeAgg)
+			got, gotErr := db.Downsample(metric, sel, start, end, step, bucketAgg, mergeAgg)
+			where := fmt.Sprintf("Downsample(%q, %v, [%s, %s), %s, %s, %s)", metric, sel, start, end, step, bucketAgg, mergeAgg)
+			if wantErr != nil || gotErr != nil {
+				if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() ||
+					errors.Is(wantErr, ErrNoData) != errors.Is(gotErr, ErrNoData) {
+					t.Fatalf("%s: error %v, reference %v", where, gotErr, wantErr)
+				}
+				continue
+			}
+			if got.Metric != want.Metric || fmt.Sprint(got.Labels) != fmt.Sprint(want.Labels) || (got.Labels == nil) != (want.Labels == nil) {
+				t.Fatalf("%s: identity %q%v, reference %q%v", where, got.Metric, got.Labels, want.Metric, want.Labels)
+			}
+			if len(got.Points) != len(want.Points) {
+				t.Fatalf("%s: %d points, reference %d", where, len(got.Points), len(want.Points))
+			}
+			for i, p := range got.Points {
+				w := want.Points[i]
+				if p.T != w.T || math.Float64bits(p.V) != math.Float64bits(w.V) {
+					t.Fatalf("%s: point %d = (%s, %x), reference (%s, %x)", where, i,
+						p.T, math.Float64bits(p.V), w.T, math.Float64bits(w.V))
+				}
+			}
+		}
+	}
+}
+
+// checkSeed runs the differential over one seeded store: selectors
+// matching many, one and no series (and an absent metric), ranges
+// inside, across and outside the data, and steps that do and do not
+// divide the spacing.
+func checkSeed(t *testing.T, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	db, origin, span := randomStore(rng)
+	selectors := []Labels{nil, {"component": "a"}, {"component": "b", "instance": "1"}, {"component": "absent"}}
+	steps := []time.Duration{time.Nanosecond, time.Second, 7 * time.Second, 13 * time.Second, time.Minute, 7 * time.Minute, 24 * time.Hour}
+	for i := 0; i < 3; i++ {
+		start := origin.Add(time.Duration(rng.Int63n(int64(2*span))) - span/2)
+		end := start.Add(time.Duration(rng.Int63n(int64(3 * span))))
+		step := steps[rng.Intn(len(steps))]
+		sel := selectors[rng.Intn(len(selectors))]
+		checkDownsample(t, db, "m", sel, start, end, step)
+
+		want, wantErr := referenceQuery(db, "m", sel, start, end)
+		got, gotErr := db.Query("m", sel, start, end)
+		if fmt.Sprint(got, gotErr) != fmt.Sprint(want, wantErr) {
+			t.Fatalf("Query(%v, [%s, %s)) = %v, %v; reference %v, %v", sel, start, end, got, gotErr, want, wantErr)
+		}
+	}
+	whole := origin.Add(-24 * time.Hour)
+	checkDownsample(t, db, "m", nil, whole, whole.Add(72*time.Hour), steps[rng.Intn(len(steps))])
+	checkDownsample(t, db, "absent", nil, whole, whole.Add(72*time.Hour), time.Minute)
+	checkDownsample(t, db, "m", nil, whole, whole.Add(72*time.Hour), -time.Duration(rng.Intn(2)))
+}
+
+func TestDownsampleMatchesReference(t *testing.T) {
+	seeds := 300
+	if testing.Short() {
+		seeds = 40
+	}
+	for seed := int64(0); seed < int64(seeds); seed++ {
+		checkSeed(t, seed)
+	}
+}
+
+// FuzzDownsampleMatchesReference lets the fuzzer pick the store (by
+// generator seed) and the query's alignment directly.
+func FuzzDownsampleMatchesReference(f *testing.F) {
+	f.Add(int64(1), int64(time.Minute), int64(0), int64(time.Hour))
+	f.Add(int64(2), int64(7*time.Second), int64(-time.Minute), int64(3*time.Minute))
+	f.Add(int64(3), int64(1), int64(0), int64(1))
+	f.Add(int64(5), int64(-1), int64(0), int64(time.Hour))
+	f.Fuzz(func(t *testing.T, seed, step, startOffset, width int64) {
+		const year = int64(365 * 24 * time.Hour)
+		if startOffset < -year || startOffset > year || width < -year || width > year {
+			t.Skip("range outside what UnixNano represents around the generated data")
+		}
+		checkSeed(t, seed)
+		db, origin, _ := randomStore(rand.New(rand.NewSource(seed)))
+		start := origin.Add(time.Duration(startOffset))
+		checkDownsample(t, db, "m", nil, start, start.Add(time.Duration(width)), time.Duration(step))
+	})
+}

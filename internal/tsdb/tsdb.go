@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -279,6 +280,40 @@ func (db *DB) SeriesCount(metric string) int {
 	return len(db.metrics[metric])
 }
 
+// seriesRange is one matching series' in-range points. The points
+// alias the store: valid only while db.mu is held.
+type seriesRange struct {
+	key    string
+	labels Labels
+	points []Point
+}
+
+// selectLocked returns, in canonical label order, every series of the
+// metric matching the selector that has points with start ≤ t < end.
+// Caller holds db.mu.
+func (db *DB) selectLocked(metric string, sel Labels, start, end time.Time) ([]seriesRange, error) {
+	bySeries := db.metrics[metric]
+	if len(bySeries) == 0 {
+		return nil, fmt.Errorf("%w: metric %q", ErrNoData, metric)
+	}
+	var out []seriesRange
+	for k, sd := range bySeries {
+		if !sd.labels.Matches(sel) {
+			continue
+		}
+		lo := sort.Search(len(sd.points), func(i int) bool { return !sd.points[i].T.Before(start) })
+		hi := sort.Search(len(sd.points), func(i int) bool { return !sd.points[i].T.Before(end) })
+		if lo < hi {
+			out = append(out, seriesRange{key: k, labels: sd.labels, points: sd.points[lo:hi]})
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("%w: metric %q selector %v in [%s, %s)", ErrNoData, metric, sel, start, end)
+	}
+	slices.SortFunc(out, func(a, b seriesRange) int { return strings.Compare(a.key, b.key) })
+	return out, nil
+}
+
 // Query returns all series of the metric matching the selector,
 // restricted to points with start ≤ t < end. Series and their points
 // are copies; callers may mutate them freely. Series are returned in
@@ -286,34 +321,13 @@ func (db *DB) SeriesCount(metric string) int {
 func (db *DB) Query(metric string, sel Labels, start, end time.Time) ([]Series, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	bySeries := db.metrics[metric]
-	if len(bySeries) == 0 {
-		return nil, fmt.Errorf("%w: metric %q", ErrNoData, metric)
+	ranges, err := db.selectLocked(metric, sel, start, end)
+	if err != nil {
+		return nil, err
 	}
-	keys := make([]string, 0, len(bySeries))
-	for k, sd := range bySeries {
-		if sd.labels.Matches(sel) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	var out []Series
-	for _, k := range keys {
-		sd := bySeries[k]
-		lo := sort.Search(len(sd.points), func(i int) bool { return !sd.points[i].T.Before(start) })
-		hi := sort.Search(len(sd.points), func(i int) bool { return !sd.points[i].T.Before(end) })
-		if lo >= hi {
-			continue
-		}
-		s := Series{
-			Metric: metric,
-			Labels: sd.labels.Clone(),
-			Points: append([]Point(nil), sd.points[lo:hi]...),
-		}
-		out = append(out, s)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("%w: metric %q selector %v in [%s, %s)", ErrNoData, metric, sel, start, end)
+	out := make([]Series, len(ranges))
+	for i, r := range ranges {
+		out[i] = Series{Metric: metric, Labels: r.labels.Clone(), Points: append([]Point(nil), r.points...)}
 	}
 	return out, nil
 }
@@ -403,50 +417,80 @@ func (db *DB) Aggregate(metric string, sel Labels, start, end time.Time, agg Agg
 // instances into a component). Buckets with no points are omitted.
 // The returned series has one point per non-empty bucket, stamped at
 // the bucket start, in ascending time order.
+//
+// It is one pass over the store under the read lock. Within a bucket
+// bucketAgg sees a series' points in time order and mergeAgg sees the
+// per-series values in canonical series order — the floating-point
+// summation order every figure CSV was generated with.
 func (db *DB) Downsample(metric string, sel Labels, start, end time.Time, step time.Duration, bucketAgg, mergeAgg Agg) (Series, error) {
 	if step <= 0 {
 		return Series{}, fmt.Errorf("tsdb: non-positive step %s", step)
 	}
-	series, err := db.Query(metric, sel, start, end)
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	ranges, err := db.selectLocked(metric, sel, start, end)
 	if err != nil {
 		return Series{}, err
 	}
-	type bucketKey int64
-	perSeries := make([]map[bucketKey]float64, len(series))
-	for i, s := range series {
-		buckets := make(map[bucketKey][]float64)
-		for _, p := range s.Points {
-			b := bucketKey(p.T.UnixNano() / int64(step))
-			buckets[b] = append(buckets[b], p.V)
-		}
-		reduced := make(map[bucketKey]float64, len(buckets))
-		for b, vs := range buckets {
-			v, err := aggregate(bucketAgg, vs)
-			if err != nil {
-				return Series{}, err
+	bucketOf := func(p Point) int64 { return p.T.UnixNano() / int64(step) }
+	// heads[i] is the bucket of the first unconsumed point of ranges[i].
+	// Points are time-sorted, so a series' buckets are contiguous runs
+	// and the next output bucket is the smallest head.
+	heads := make([]int64, len(ranges))
+	next, last, longest := int64(math.MaxInt64), int64(math.MinInt64), 0
+	for i, r := range ranges {
+		heads[i] = bucketOf(r.points[0])
+		next = min(next, heads[i])
+		last = max(last, bucketOf(r.points[len(r.points)-1]))
+		longest = max(longest, len(r.points))
+	}
+	// Sized for series that share their buckets (instances of one
+	// component, routes of one panel); others grow it.
+	size := longest
+	if span := last - next; span >= 0 && span < int64(longest) {
+		size = int(span) + 1
+	}
+	out := Series{Metric: metric, Labels: sel.Clone(), Points: make([]Point, 0, size)}
+	run := make([]float64, 0, 16)
+	cells := make([]float64, 0, len(ranges))
+	for live := len(ranges); live > 0; {
+		b := next
+		next = math.MaxInt64
+		cells = cells[:0]
+		for i := range ranges {
+			pts := ranges[i].points
+			if len(pts) == 0 {
+				continue
 			}
-			reduced[b] = v
+			if heads[i] == b {
+				run = run[:0]
+				n := 0
+				for ; n < len(pts); n++ {
+					if nb := bucketOf(pts[n]); nb != b {
+						heads[i] = nb
+						break
+					}
+					run = append(run, pts[n].V)
+				}
+				v, err := aggregate(bucketAgg, run)
+				if err != nil {
+					return Series{}, err
+				}
+				cells = append(cells, v)
+				pts = pts[n:]
+				ranges[i].points = pts
+				if len(pts) == 0 {
+					live--
+					continue
+				}
+			}
+			next = min(next, heads[i])
 		}
-		perSeries[i] = reduced
-	}
-	merged := make(map[bucketKey][]float64)
-	for _, m := range perSeries {
-		for b, v := range m {
-			merged[b] = append(merged[b], v)
-		}
-	}
-	keys := make([]bucketKey, 0, len(merged))
-	for b := range merged {
-		keys = append(keys, b)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := Series{Metric: metric, Labels: sel.Clone()}
-	for _, b := range keys {
-		v, err := aggregate(mergeAgg, merged[b])
+		v, err := aggregate(mergeAgg, cells)
 		if err != nil {
 			return Series{}, err
 		}
-		out.Points = append(out.Points, Point{T: time.Unix(0, int64(b)*int64(step)).UTC(), V: v})
+		out.Points = append(out.Points, Point{T: time.Unix(0, b*int64(step)).UTC(), V: v})
 	}
 	return out, nil
 }
