@@ -48,7 +48,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"caladrius/internal/audit"
@@ -97,20 +96,6 @@ type Service struct {
 	// packing-plan version, provider window); invalidated by tracker
 	// change hooks and forced recalibrations.
 	calcache *sched.CalCache
-
-	// calMu guards calFlights, the per-topology calibration
-	// singleflight: concurrent cache misses on one topology share a
-	// single fetch→calibrate run instead of racing duplicates.
-	calMu      sync.Mutex
-	calFlights map[string]*calFlight
-}
-
-// calFlight is one in-progress calibration run other requests for the
-// same topology wait on.
-type calFlight struct {
-	done chan struct{}
-	tm   *core.TopologyModel
-	err  error
 }
 
 // Options carries the service's optional dependencies.
@@ -221,7 +206,6 @@ func NewService(cfg config.Config, tr *tracker.Tracker, provider metrics.Provide
 			Now:      opts.Now,
 			Registry: reg,
 		}),
-		calFlights: map[string]*calFlight{},
 	}
 	// Tracker updates and packing-plan changes evict exactly the changed
 	// topology's calibrated model and graph analyses; everything else
@@ -715,9 +699,9 @@ func (s *Service) evalRate(ctx context.Context, topoName string, asOf time.Time,
 // has not passed). cached reports whether the request skipped the
 // fetch→calibrate stages — either a cache hit, or a wait on a
 // calibration another concurrent request was already running (the
-// calibration singleflight). The run is recorded under a "calibrate"
-// span (attr cache=hit|miss|coalesced); on a true miss the core
-// calibration reports per-component stage timings into it.
+// cache's singleflight). The run is recorded under a "calibrate" span
+// (attr cache=hit|miss|coalesced); on a true miss the core calibration
+// reports per-component stage timings into it.
 func (s *Service) topologyModel(ctx context.Context, topoName string, asOf time.Time) (tm *core.TopologyModel, cached bool, err error) {
 	ctx, sp := telemetry.StartSpan(ctx, "calibrate")
 	defer sp.End()
@@ -725,39 +709,16 @@ func (s *Service) topologyModel(ctx context.Context, topoName string, asOf time.
 	if err != nil {
 		return nil, false, err
 	}
-	window := s.cfg.CalibrationLookback
-	if m, ok := s.calcache.Lookup(topoName, info.Plan.Version, window); ok {
-		sp.SetAttr("cache", "hit")
-		return m, true, nil
-	}
-	// Miss: join or become the topology's calibration singleflight.
-	// Two concurrent predicts on a cold topology run one calibration,
-	// not two — the second waits and is marked cache-served.
-	s.calMu.Lock()
-	if f, ok := s.calFlights[topoName]; ok {
-		s.calMu.Unlock()
-		sp.SetAttr("cache", "coalesced")
-		<-f.done
-		return f.tm, f.err == nil, f.err
-	}
-	f := &calFlight{done: make(chan struct{})}
-	s.calFlights[topoName] = f
-	s.calMu.Unlock()
-	defer func() {
-		f.tm, f.err = tm, err
-		s.calMu.Lock()
-		delete(s.calFlights, topoName)
-		s.calMu.Unlock()
-		close(f.done)
-	}()
-	// Double-check after winning the flight: a calibration that
-	// completed between the lookup and the flight may have filled the
-	// cache already.
-	if m, ok := s.calcache.Lookup(topoName, info.Plan.Version, window); ok {
-		sp.SetAttr("cache", "hit")
-		return m, true, nil
-	}
-	sp.SetAttr("cache", "miss")
+	tm, source, err := s.calcache.Load(topoName, info.Plan.Version, s.cfg.CalibrationLookback, func() (*core.TopologyModel, error) {
+		return s.calibrate(ctx, topoName, info, asOf)
+	})
+	sp.SetAttr("cache", string(source))
+	return tm, err == nil && source != sched.CalMiss, err
+}
+
+// calibrate is the miss path of topologyModel: a full recalibration
+// over the lookback window ending at asOf (zero = now).
+func (s *Service) calibrate(ctx context.Context, topoName string, info tracker.Info, asOf time.Time) (*core.TopologyModel, error) {
 	// A cache miss performs a full recalibration — usually the most
 	// expensive run a request triggers, so it is metered and charged to
 	// the requesting principal like any predict/plan run.
@@ -767,21 +728,22 @@ func (s *Service) topologyModel(ctx context.Context, topoName string, asOf time.
 	if asOf.IsZero() {
 		asOf = s.now()
 	}
-	start := asOf.Add(-window)
+	start := asOf.Add(-s.cfg.CalibrationLookback)
 	// Topology-aware calibration attributes backpressure to the true
 	// bottleneck, discarding the spurious upstream backpressure that
 	// burst-resume cycles induce.
+	sp := telemetry.SpanFromContext(ctx)
 	models, crep, err := core.CalibrateTopologyFromProviderReport(s.provider, info.Topology, start, asOf, core.CalibrationOptions{
 		Warmup: s.cfg.CalibrationWarmup,
 		Window: s.cfg.MetricsWindow,
-		Stages: telemetry.SpanFromContext(ctx),
+		Stages: sp,
 	})
 	if err != nil {
-		return nil, false, fmt.Errorf("calibrate %s: %w", topoName, err)
+		return nil, fmt.Errorf("calibrate %s: %w", topoName, err)
 	}
-	tm, err = core.NewTopologyModel(info.Topology, models)
+	tm, err := core.NewTopologyModel(info.Topology, models)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	// A calibration that had to widen past metric gaps, or still ran on
 	// sparse windows, is kept — but every prediction it makes is
@@ -794,14 +756,13 @@ func (s *Service) topologyModel(ctx context.Context, topoName string, asOf time.
 	}
 	// Warm the graph cache alongside the model: analyses use both.
 	if _, _, err := s.graphs.Get(info.Topology, info.Plan); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	s.calcache.Store(topoName, info.Plan.Version, window, tm)
 	if s.audit != nil {
 		s.audit.NoteCalibration(topoName, asOf)
 	}
 	s.logger.Info("calibrated topology model", "topology", topoName, "plan_version", info.Plan.Version)
-	return tm, false, nil
+	return tm, nil
 }
 
 // invalidateModel evicts one topology's calibrated model and graph

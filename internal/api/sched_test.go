@@ -8,12 +8,14 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"caladrius/internal/audit"
 	"caladrius/internal/core"
 	"caladrius/internal/heron"
+	"caladrius/internal/metrics"
 	"caladrius/internal/sched"
 	"caladrius/internal/telemetry"
 	"caladrius/internal/topology"
@@ -433,5 +435,112 @@ func TestShedRunsLeaveModelCached(t *testing.T) {
 	mt := getDecode[telemetry.TraceJSON](t, env.srv.URL+"/api/v1/jobs/"+mresp.Header.Get(TraceHeader)+"/trace", http.StatusOK)
 	if len(mt.Spans) != 1 || mt.Spans[0].Name != "model" || findSpan(mt.Spans, "queue-wait") == nil {
 		t.Errorf("model inspection trace = %+v, want a \"model\" root with a queue-wait span", mt.Spans)
+	}
+}
+
+// gatedProvider counts the calibration fetches of one component and
+// holds each until release is closed, so a test decides how many
+// requests are in flight while a calibration runs.
+type gatedProvider struct {
+	metrics.Provider
+	component string
+	fetches   atomic.Int64
+	release   chan struct{}
+}
+
+func (p *gatedProvider) ComponentWindows(topology, component string, start, end time.Time) ([]metrics.Window, error) {
+	if component == p.component {
+		p.fetches.Add(1)
+		<-p.release
+	}
+	return p.Provider.ComponentWindows(topology, component, start, end)
+}
+
+// TestColdTopologyCalibratesOnce: concurrent, pairwise different
+// predict and suggest requests on a cold topology — nothing for the
+// scheduler to coalesce — share one calibration through the cache's
+// singleflight. The leader reports a miss and an uncached calibration
+// to the audit ledger; the rest wait for it and report a cached one.
+func TestColdTopologyCalibratesOnce(t *testing.T) {
+	const clients = 6
+	d := newDeployment(t)
+	led, err := audit.NewLedger(audit.Options{Provider: d.provider, Now: func() time.Time { return d.asOf }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheduler := sched.New(sched.Options{Workers: clients, QueueDepth: 32})
+	defer scheduler.Close()
+	provider := &gatedProvider{Provider: d.provider, component: "splitter", release: make(chan struct{})}
+	svc, err := NewService(d.cfg, d.tr, provider, Options{
+		Audit: led, Scheduler: scheduler, Now: func() time.Time { return d.asOf },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	base := srv.URL + "/api/v1/model/topology/word-count/"
+
+	var wg sync.WaitGroup
+	statuses := make([]int, clients)
+	traces := make([]string, clients)
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var resp *http.Response
+			if i%2 == 0 {
+				resp = postJSON(t, base+"performance?sync=true", PerformanceRequest{SourceRateTPM: 20e6 + float64(i)*1e6})
+			} else {
+				resp = postJSON(t, base+"suggest?sync=true", SuggestRequest{SourceRateTPM: 30e6 + float64(i)*1e6})
+			}
+			resp.Body.Close()
+			statuses[i], traces[i] = resp.StatusCode, resp.Header.Get(TraceHeader)
+		}(i)
+	}
+	// Every request has looked the model up and missed: each is now the
+	// flight's leader, held in the gated fetch, or about to join it.
+	deadline := time.Now().Add(10 * time.Second)
+	for svc.calcache.Stats().Misses < clients {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d requests reached the calibration cache", svc.calcache.Stats().Misses, clients)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(provider.release)
+	wg.Wait()
+
+	if n := provider.fetches.Load(); n != 1 {
+		t.Errorf("%d concurrent cold requests ran %d calibrations, want 1", clients, n)
+	}
+	sources := map[string]int{}
+	for i, code := range statuses {
+		if code != http.StatusOK {
+			t.Fatalf("request %d status = %d, want 200", i, code)
+		}
+		tj := getDecode[telemetry.TraceJSON](t, srv.URL+"/api/v1/jobs/"+traces[i]+"/trace", http.StatusOK)
+		sp := findSpan(tj.Spans, "calibrate")
+		if sp == nil {
+			t.Fatalf("request %d has no calibrate span", i)
+		}
+		sources[sp.Attrs["cache"]]++
+	}
+	// A request that reaches the flight just after it landed leads an
+	// empty one and is served from the cache: a hit, not a second run.
+	if sources["miss"] != 1 || sources["coalesced"]+sources["hit"] != clients-1 {
+		t.Errorf("calibrate span cache attrs = %v, want 1 miss and %d coalesced", sources, clients-1)
+	}
+	// One lookup per request — the leader's re-check is not a second miss.
+	if st := svc.calcache.Stats(); st.Misses != clients || st.Hits != 0 || st.Entries != 1 {
+		t.Errorf("calcache stats = %+v, want %d misses, 0 hits, 1 entry", st, clients)
+	}
+	uncached := 0
+	for _, rec := range led.List(audit.Filter{}) {
+		if !rec.CachedCalibration {
+			uncached++
+		}
+	}
+	if led.Len() != clients || uncached != 1 {
+		t.Errorf("audit ledger: %d records, %d with an uncached calibration; want %d and 1", led.Len(), uncached, clients)
 	}
 }

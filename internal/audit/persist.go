@@ -6,8 +6,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
+
+	"caladrius/internal/atomicfile"
 )
 
 // Ledger persistence mirrors the tsdb snapshot format: a JSON header
@@ -113,24 +114,7 @@ func (l *Ledger) ReadSnapshot(r io.Reader) error {
 
 // SaveFile atomically writes the ledger snapshot to path.
 func (l *Ledger) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := l.WriteSnapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return atomicfile.Write(path, l.WriteSnapshot)
 }
 
 // LoadFile reads a ledger snapshot from path.

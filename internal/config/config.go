@@ -44,6 +44,8 @@ package config
 import (
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"caladrius/internal/yamlite"
@@ -120,6 +122,31 @@ type Config struct {
 	// CalCacheTTL is the calibration cache's entry lifetime
 	// (0 = entries only leave on tracker/packing invalidation).
 	CalCacheTTL time.Duration
+
+	// The rest have no YAML key: cmd/caladrius sets them by flag, and
+	// in-process callers by assignment. Their rows of the settings table
+	// describe them; 0 and "" mean off (or "the default") as said there.
+
+	// Demo substrate: WarmMinutes of simulated word-count history at
+	// Rate tuples/minute, or the heronsim snapshot in MetricsFile.
+	Rate                float64
+	SplitterP, CounterP int
+	WarmMinutes         int
+	MetricsFile         string
+
+	DebugAddr             string
+	ScrapeInterval        time.Duration
+	HistoryRetention      time.Duration
+	HistoryFile           string
+	AuditResolveInterval  time.Duration
+	AuditRetention        time.Duration
+	AuditFile             string
+	DriftThreshold        float64
+	StaleCalibrationAfter time.Duration
+	IncidentDir           string
+	IncidentRetention     int
+	IncidentCooldown      time.Duration
+	ProfileBaseline       string
 }
 
 // Default returns the configuration used when no file is given.
@@ -153,6 +180,19 @@ func Default() Config {
 		SchedWorkers:           0, // auto: max(2, GOMAXPROCS)
 		SchedQueueDepth:        64,
 		CalCacheTTL:            10 * time.Minute,
+
+		Rate:                  30e6,
+		SplitterP:             3,
+		CounterP:              4,
+		WarmMinutes:           30,
+		ScrapeInterval:        5 * time.Second,
+		HistoryRetention:      time.Hour,
+		AuditResolveInterval:  15 * time.Second,
+		AuditRetention:        2 * time.Hour,
+		DriftThreshold:        0.25,
+		StaleCalibrationAfter: 30 * time.Minute,
+		IncidentRetention:     16,
+		IncidentCooldown:      5 * time.Minute,
 	}
 }
 
@@ -166,301 +206,103 @@ func Load(path string) (Config, error) {
 }
 
 // Parse parses configuration text, applying defaults for absent keys.
+// A section or key the settings table does not have is an error: a
+// misspelt key would otherwise leave its default silently in force.
 func Parse(src string) (Config, error) {
 	doc, err := yamlite.ParseMap(src)
 	if err != nil {
 		return Config{}, err
 	}
 	cfg := Default()
-
-	if api, ok, err := section(doc, "api"); err != nil {
-		return Config{}, err
-	} else if ok {
-		if v, ok, err := stringKey(api, "addr"); err != nil {
-			return Config{}, err
-		} else if ok {
-			cfg.APIAddr = v
-		}
-		if v, ok, err := floatKey(api, "request_timeout_seconds"); err != nil {
-			return Config{}, err
-		} else if ok {
-			cfg.RequestTimeout = time.Duration(v * float64(time.Second))
-		}
-	}
-
-	if m, ok, err := section(doc, "metrics"); err != nil {
-		return Config{}, err
-	} else if ok {
-		if v, ok, err := floatKey(m, "window_seconds"); err != nil {
-			return Config{}, err
-		} else if ok {
-			cfg.MetricsWindow = time.Duration(v * float64(time.Second))
-		}
-	}
-
-	if raw, present := doc["traffic_models"]; present {
-		list, ok := raw.([]any)
+	sections := []string{"traffic_models"}
+	keys := map[string][]string{} // section → the keys the table has for it
+	for _, s := range settings {
+		sec, key, ok := strings.Cut(s.key, ".")
 		if !ok {
-			return Config{}, fmt.Errorf("config: traffic_models is %T, want list", raw)
+			continue // flag-only
 		}
-		cfg.TrafficModels = nil
-		for i, item := range list {
-			m, ok := item.(map[string]any)
-			if !ok {
-				return Config{}, fmt.Errorf("config: traffic_models[%d] is %T, want mapping", i, item)
-			}
-			name, ok, err := stringKey(m, "name")
-			if err != nil {
+		if keys[sec] == nil {
+			sections = append(sections, sec)
+		}
+		keys[sec] = append(keys[sec], key)
+		m, isMap := doc[sec].(map[string]any)
+		if _, present := doc[sec]; present && !isMap {
+			return Config{}, fmt.Errorf("config: %s is %T, want mapping", sec, doc[sec])
+		}
+		if raw, present := m[key]; present {
+			if err := s.fromYAML(&cfg, raw); err != nil {
 				return Config{}, err
 			}
-			if !ok || name == "" {
-				return Config{}, fmt.Errorf("config: traffic_models[%d] missing name", i)
+		}
+	}
+	if raw, present := doc["traffic_models"]; present {
+		if cfg.TrafficModels, err = trafficModels(raw); err != nil {
+			return Config{}, err
+		}
+	}
+	for sec, raw := range doc {
+		if sec == "traffic_models" {
+			continue
+		}
+		if keys[sec] == nil {
+			return Config{}, fmt.Errorf("config: unknown section %q (sections: %s)", sec, strings.Join(sections, ", "))
+		}
+		for key := range raw.(map[string]any) { // a mapping: checked above
+			if !slices.Contains(keys[sec], key) {
+				return Config{}, fmt.Errorf("config: unknown key %s.%s (keys of %s: %s)", sec, key, sec, strings.Join(keys[sec], ", "))
 			}
-			ref := ModelRef{Name: name}
-			if rawOpts, present := m["options"]; present {
-				opts, ok := rawOpts.(map[string]any)
-				if !ok {
-					return Config{}, fmt.Errorf("config: traffic_models[%d].options is %T, want mapping", i, rawOpts)
-				}
-				ref.Options = opts
-			}
-			cfg.TrafficModels = append(cfg.TrafficModels, ref)
 		}
 	}
-
-	if f, ok, err := section(doc, "fetch"); err != nil {
-		return Config{}, err
-	} else if ok {
-		if v, ok, err := floatKey(f, "retries"); err != nil {
-			return Config{}, err
-		} else if ok {
-			cfg.FetchRetries = int(v)
-		}
-		if v, ok, err := floatKey(f, "backoff_ms"); err != nil {
-			return Config{}, err
-		} else if ok {
-			cfg.FetchBackoff = time.Duration(v * float64(time.Millisecond))
-		}
-		if v, ok, err := floatKey(f, "timeout_seconds"); err != nil {
-			return Config{}, err
-		} else if ok {
-			cfg.FetchTimeout = time.Duration(v * float64(time.Second))
-		}
-	}
-
-	if p, ok, err := section(doc, "profiling"); err != nil {
-		return Config{}, err
-	} else if ok {
-		if v, ok, err := floatKey(p, "mutex_fraction"); err != nil {
-			return Config{}, err
-		} else if ok {
-			cfg.MutexProfileFraction = int(v)
-		}
-		if v, ok, err := floatKey(p, "block_rate_ns"); err != nil {
-			return Config{}, err
-		} else if ok {
-			cfg.BlockProfileRate = int(v)
-		}
-	}
-
-	if u, ok, err := section(doc, "usage"); err != nil {
-		return Config{}, err
-	} else if ok {
-		if v, ok, err := floatKey(u, "topk"); err != nil {
-			return Config{}, err
-		} else if ok {
-			cfg.UsageTopK = int(v)
-		}
-		if v, ok, err := floatKey(u, "window_seconds"); err != nil {
-			return Config{}, err
-		} else if ok {
-			cfg.UsageWindow = time.Duration(v * float64(time.Second))
-		}
-	}
-
-	if pr, ok, err := section(doc, "profiler"); err != nil {
-		return Config{}, err
-	} else if ok {
-		if v, ok, err := floatKey(pr, "interval_seconds"); err != nil {
-			return Config{}, err
-		} else if ok {
-			cfg.ProfileInterval = time.Duration(v * float64(time.Second))
-		}
-		if v, ok, err := floatKey(pr, "cpu_window_ms"); err != nil {
-			return Config{}, err
-		} else if ok {
-			cfg.ProfileCPUWindow = time.Duration(v * float64(time.Millisecond))
-		}
-		if v, ok, err := floatKey(pr, "epoch_seconds"); err != nil {
-			return Config{}, err
-		} else if ok {
-			cfg.ProfileEpoch = time.Duration(v * float64(time.Second))
-		}
-		if v, ok, err := floatKey(pr, "windows"); err != nil {
-			return Config{}, err
-		} else if ok {
-			cfg.ProfileWindows = int(v)
-		}
-		if v, ok, err := floatKey(pr, "topk"); err != nil {
-			return Config{}, err
-		} else if ok {
-			cfg.ProfileTopK = int(v)
-		}
-		if v, ok, err := floatKey(pr, "regression_delta"); err != nil {
-			return Config{}, err
-		} else if ok {
-			cfg.ProfileRegressionDelta = v
-		}
-	}
-
-	if sc, ok, err := section(doc, "sched"); err != nil {
-		return Config{}, err
-	} else if ok {
-		if v, ok, err := floatKey(sc, "workers"); err != nil {
-			return Config{}, err
-		} else if ok {
-			cfg.SchedWorkers = int(v)
-		}
-		if v, ok, err := floatKey(sc, "queue_depth"); err != nil {
-			return Config{}, err
-		} else if ok {
-			cfg.SchedQueueDepth = int(v)
-		}
-		if v, ok, err := floatKey(sc, "cache_ttl_minutes"); err != nil {
-			return Config{}, err
-		} else if ok {
-			cfg.CalCacheTTL = time.Duration(v * float64(time.Minute))
-		}
-	}
-
-	if c, ok, err := section(doc, "calibration"); err != nil {
-		return Config{}, err
-	} else if ok {
-		if v, ok, err := floatKey(c, "warmup_windows"); err != nil {
-			return Config{}, err
-		} else if ok {
-			cfg.CalibrationWarmup = int(v)
-		}
-		if v, ok, err := floatKey(c, "lookback_minutes"); err != nil {
-			return Config{}, err
-		} else if ok {
-			cfg.CalibrationLookback = time.Duration(v * float64(time.Minute))
-		}
-	}
-
 	return cfg, cfg.Validate()
 }
 
-// Validate checks invariants.
+// trafficModels parses the traffic_models list — the one setting that
+// is not a scalar, and so not a row of the settings table.
+func trafficModels(raw any) ([]ModelRef, error) {
+	list, ok := raw.([]any)
+	if !ok {
+		return nil, fmt.Errorf("config: traffic_models is %T, want list", raw)
+	}
+	var refs []ModelRef
+	for i, item := range list {
+		m, ok := item.(map[string]any)
+		if !ok {
+			return nil, fmt.Errorf("config: traffic_models[%d] is %T, want mapping", i, item)
+		}
+		name, isString := m["name"].(string)
+		if m["name"] != nil && !isString {
+			return nil, fmt.Errorf("config: traffic_models[%d].name is %T, want string", i, m["name"])
+		}
+		if name == "" {
+			return nil, fmt.Errorf("config: traffic_models[%d] missing name", i)
+		}
+		ref := ModelRef{Name: name}
+		if rawOpts, present := m["options"]; present {
+			opts, ok := rawOpts.(map[string]any)
+			if !ok {
+				return nil, fmt.Errorf("config: traffic_models[%d].options is %T, want mapping", i, rawOpts)
+			}
+			ref.Options = opts
+		}
+		refs = append(refs, ref)
+	}
+	return refs, nil
+}
+
+// Validate checks every setting against its row's bounds, then the
+// rules that span settings.
 func (c Config) Validate() error {
-	if c.APIAddr == "" {
-		return fmt.Errorf("config: empty api addr")
-	}
-	if c.RequestTimeout <= 0 {
-		return fmt.Errorf("config: non-positive request timeout %s", c.RequestTimeout)
-	}
-	if c.MetricsWindow <= 0 {
-		return fmt.Errorf("config: non-positive metrics window %s", c.MetricsWindow)
+	for _, s := range settings {
+		if err := s.check(&c); err != nil {
+			return err
+		}
 	}
 	if len(c.TrafficModels) == 0 {
 		return fmt.Errorf("config: no traffic models configured")
-	}
-	if c.CalibrationWarmup < 0 {
-		return fmt.Errorf("config: negative calibration warmup %d", c.CalibrationWarmup)
-	}
-	if c.CalibrationLookback <= 0 {
-		return fmt.Errorf("config: non-positive calibration lookback %s", c.CalibrationLookback)
-	}
-	if c.FetchRetries < 0 {
-		return fmt.Errorf("config: negative fetch retries %d", c.FetchRetries)
-	}
-	if c.FetchBackoff < 0 {
-		return fmt.Errorf("config: negative fetch backoff %s", c.FetchBackoff)
-	}
-	if c.FetchTimeout < 0 {
-		return fmt.Errorf("config: negative fetch timeout %s", c.FetchTimeout)
-	}
-	if c.MutexProfileFraction < 0 {
-		return fmt.Errorf("config: negative mutex profile fraction %d", c.MutexProfileFraction)
-	}
-	if c.BlockProfileRate < 0 {
-		return fmt.Errorf("config: negative block profile rate %d", c.BlockProfileRate)
-	}
-	if c.UsageTopK < 0 {
-		return fmt.Errorf("config: negative usage topk %d", c.UsageTopK)
-	}
-	if c.UsageWindow <= 0 {
-		return fmt.Errorf("config: non-positive usage window %s", c.UsageWindow)
-	}
-	if c.ProfileInterval < 0 {
-		return fmt.Errorf("config: negative profile interval %s", c.ProfileInterval)
-	}
-	if c.ProfileCPUWindow < 0 {
-		return fmt.Errorf("config: negative profile cpu window %s", c.ProfileCPUWindow)
 	}
 	if c.ProfileInterval > 0 && c.ProfileCPUWindow >= c.ProfileInterval {
 		return fmt.Errorf("config: profile cpu window %s must be shorter than the interval %s",
 			c.ProfileCPUWindow, c.ProfileInterval)
 	}
-	if c.ProfileEpoch < 0 {
-		return fmt.Errorf("config: negative profile epoch %s", c.ProfileEpoch)
-	}
-	if c.ProfileWindows < 0 {
-		return fmt.Errorf("config: negative profile windows %d", c.ProfileWindows)
-	}
-	if c.ProfileTopK < 0 {
-		return fmt.Errorf("config: negative profile topk %d", c.ProfileTopK)
-	}
-	if c.ProfileRegressionDelta < 0 || c.ProfileRegressionDelta > 1 {
-		return fmt.Errorf("config: profile regression delta %g outside [0, 1]", c.ProfileRegressionDelta)
-	}
-	if c.SchedWorkers < 0 {
-		return fmt.Errorf("config: negative sched workers %d", c.SchedWorkers)
-	}
-	if c.SchedQueueDepth < 1 {
-		return fmt.Errorf("config: sched queue depth %d: want at least 1 (every model run goes through the scheduler; depth 0 no longer selects an inline path)", c.SchedQueueDepth)
-	}
-	if c.CalCacheTTL < 0 {
-		return fmt.Errorf("config: negative calibration cache ttl %s", c.CalCacheTTL)
-	}
 	return nil
-}
-
-func section(doc map[string]any, key string) (map[string]any, bool, error) {
-	raw, present := doc[key]
-	if !present {
-		return nil, false, nil
-	}
-	m, ok := raw.(map[string]any)
-	if !ok {
-		return nil, false, fmt.Errorf("config: %s is %T, want mapping", key, raw)
-	}
-	return m, true, nil
-}
-
-func stringKey(m map[string]any, key string) (string, bool, error) {
-	raw, present := m[key]
-	if !present {
-		return "", false, nil
-	}
-	s, ok := raw.(string)
-	if !ok {
-		return "", false, fmt.Errorf("config: %s is %T, want string", key, raw)
-	}
-	return s, true, nil
-}
-
-func floatKey(m map[string]any, key string) (float64, bool, error) {
-	raw, present := m[key]
-	if !present {
-		return 0, false, nil
-	}
-	switch v := raw.(type) {
-	case float64:
-		return v, true, nil
-	case int64:
-		return float64(v), true, nil
-	default:
-		return 0, false, fmt.Errorf("config: %s is %T, want number", key, raw)
-	}
 }

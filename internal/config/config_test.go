@@ -120,35 +120,50 @@ func TestParsePartialKeepsDefaults(t *testing.T) {
 	}
 }
 
+// parseErrorCases are inputs Parse must refuse, each with a fragment of
+// the message; FuzzConfigParse starts from them.
+var parseErrorCases = []struct {
+	src  string
+	frag string
+}{
+	{"api: 5", "api is int64, want mapping"},
+	{"api:\n  addr: 99", "api.addr is int64, want string"},
+	{"api:\n  request_timeout_seconds: no", "api.request_timeout_seconds is string, want number"},
+	{"traffic_models: scalar", "want list"},
+	{"traffic_models:\n  - 5", "want mapping"},
+	{"traffic_models:\n  - options: {}", "missing name"},
+	{"traffic_models:\n  - name: 5", "traffic_models[0].name is int64, want string"},
+	{"traffic_models:\n  - name: x\n    options: 5", "want mapping"},
+	{"traffic_models: []", "no traffic models"},
+	{"api:\n  request_timeout_seconds: -1", "api.request_timeout_seconds is -1s, want at least 1ns"},
+	{"metrics:\n  window_seconds: 0", "metrics.window_seconds is 0s"},
+	{"calibration:\n  warmup_windows: -2", "calibration.warmup_windows is -2, want at least 0"},
+	{"calibration:\n  lookback_minutes: 0", "calibration.lookback_minutes is 0s"},
+	{"api:\n  addr: ''", `api.addr (-addr) is "" (0 characters), want at least 1`},
+	{"profiling:\n  mutex_fraction: -1", "profiling.mutex_fraction (-mutex-profile-fraction) is -1"},
+	{"profiling:\n  block_rate_ns: -1", "profiling.block_rate_ns (-block-profile-rate) is -1"},
+	{"usage:\n  topk: -1", "usage.topk (-usage-topk) is -1"},
+	{"usage:\n  window_seconds: 0", "usage.window_seconds (-usage-window) is 0s"},
+	{"profiler:\n  interval_seconds: -1", "profiler.interval_seconds (-profile-interval) is -1s"},
+	{"profiler:\n  cpu_window_ms: 20000", "shorter than the interval"},
+	{"profiler:\n  windows: -2", "profiler.windows is -2"},
+	{"profiler:\n  regression_delta: 1.5", "profiler.regression_delta is 1.5, want at most 1"},
+	{"sched:\n  queue_depth: 0", "sched.queue_depth (-sched-queue) is 0, want at least 1: model-run scheduler admission queue depth"},
+	// What the per-key parse blocks this table replaced let through.
+	{"sched:\n  queue_dept: 3", "unknown key sched.queue_dept (keys of sched: workers, queue_depth, cache_ttl_minutes)"},
+	{"bogus: 1", `unknown section "bogus" (sections: traffic_models, api, metrics,`},
+	{"sched:\n  workers: 2.7", "sched.workers is 2.7, want a whole number"},
+	{"fetch:\n  retries: -0.5", "fetch.retries is -0.5, want a whole number"},
+	{"usage:\n  topk: 1e30", "usage.topk is 1e+30, want a whole number"},
+	{"sched:\n  cache_ttl_minutes: 1e30", "sched.cache_ttl_minutes is 1e+30, too large for a duration"},
+	{"profiler:\n  regression_delta: NaN", "profiler.regression_delta is NaN"},
+	{"sched:\n  workers: inf", "sched.workers is +Inf, want a whole number"},
+	{"usage:\n  topk: [1]", "usage.topk is []interface {}, want number"},
+	{"sched:", "sched is <nil>, want mapping"},
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []struct {
-		src  string
-		frag string
-	}{
-		{"api: 5", "want mapping"},
-		{"api:\n  addr: 99", "want string"},
-		{"api:\n  request_timeout_seconds: no", "want number"},
-		{"traffic_models: scalar", "want list"},
-		{"traffic_models:\n  - 5", "want mapping"},
-		{"traffic_models:\n  - options: {}", "missing name"},
-		{"traffic_models:\n  - name: x\n    options: 5", "want mapping"},
-		{"traffic_models: []", "no traffic models"},
-		{"api:\n  request_timeout_seconds: -1", "timeout"},
-		{"metrics:\n  window_seconds: 0", "window"},
-		{"calibration:\n  warmup_windows: -2", "warmup"},
-		{"calibration:\n  lookback_minutes: 0", "lookback"},
-		{"api:\n  addr: ''", "empty api addr"},
-		{"profiling:\n  mutex_fraction: -1", "mutex profile fraction"},
-		{"profiling:\n  block_rate_ns: -1", "block profile rate"},
-		{"usage:\n  topk: -1", "usage topk"},
-		{"usage:\n  window_seconds: 0", "usage window"},
-		{"profiler:\n  interval_seconds: -1", "profile interval"},
-		{"profiler:\n  cpu_window_ms: 20000", "shorter than the interval"},
-		{"profiler:\n  windows: -2", "profile windows"},
-		{"profiler:\n  regression_delta: 1.5", "regression delta"},
-		{"sched:\n  queue_depth: 0", "no longer selects an inline path"},
-	}
-	for _, c := range cases {
+	for _, c := range parseErrorCases {
 		_, err := Parse(c.src)
 		if err == nil {
 			t.Errorf("Parse(%q): expected error", c.src)

@@ -48,9 +48,9 @@ fetch:
 
 func TestParseFetchErrors(t *testing.T) {
 	cases := map[string]string{
-		"fetch:\n  retries: -1\n":         "negative fetch retries",
-		"fetch:\n  backoff_ms: -10\n":     "negative fetch backoff",
-		"fetch:\n  timeout_seconds: -1\n": "negative fetch timeout",
+		"fetch:\n  retries: -1\n":         "fetch.retries (-fetch-retries) is -1, want at least 0",
+		"fetch:\n  backoff_ms: -10\n":     "fetch.backoff_ms (-fetch-backoff) is -10ms, want at least 0s",
+		"fetch:\n  timeout_seconds: -1\n": "fetch.timeout_seconds (-fetch-timeout) is -1s, want at least 0s",
 		"fetch: nope\n":                   "want mapping",
 		"fetch:\n  retries: lots\n":       "want number",
 	}

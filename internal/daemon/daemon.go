@@ -35,33 +35,11 @@ import (
 	"caladrius/internal/workload"
 )
 
-// Config is everything a daemon is assembled from: the service
-// configuration (the YAML file's keys), the values cmd/caladrius takes
-// only as flags — one field per flag, documented there, zero meaning
-// what the flag's zero means — and the seams in-process callers fill.
+// Config is everything a daemon is assembled from: the settings — every
+// YAML key and every cmd/caladrius flag, validated by New — and the
+// seams in-process callers fill.
 type Config struct {
 	config.Config
-
-	// Demo substrate: WarmMinutes of simulated word-count history at
-	// Rate tuples/minute, or the heronsim snapshot in MetricsFile.
-	Rate                float64
-	SplitterP, CounterP int
-	WarmMinutes         int
-	MetricsFile         string
-
-	DebugAddr             string
-	ScrapeInterval        time.Duration
-	HistoryRetention      time.Duration
-	HistoryFile           string
-	AuditResolveInterval  time.Duration
-	AuditRetention        time.Duration
-	AuditFile             string
-	DriftThreshold        float64
-	StaleCalibrationAfter time.Duration
-	IncidentDir           string
-	IncidentRetention     int
-	IncidentCooldown      time.Duration
-	ProfileBaseline       string
 
 	// Seams: no flag sets these and the shipped binary leaves them zero.
 
@@ -91,24 +69,10 @@ type Config struct {
 	Profiler *profiler.Profiler
 }
 
-// Default returns the configuration of a daemon started with no flags:
-// cmd/caladrius's flag defaults, and where in-process callers start.
+// Default returns the configuration of a daemon started with no flags
+// and no file, which is also where in-process callers start.
 func Default() Config {
-	return Config{
-		Config:                config.Default(),
-		Rate:                  30e6,
-		SplitterP:             3,
-		CounterP:              4,
-		WarmMinutes:           30,
-		ScrapeInterval:        5 * time.Second,
-		HistoryRetention:      time.Hour,
-		AuditResolveInterval:  15 * time.Second,
-		AuditRetention:        2 * time.Hour,
-		DriftThreshold:        0.25,
-		StaleCalibrationAfter: 30 * time.Minute,
-		IncidentRetention:     16,
-		IncidentCooldown:      5 * time.Minute,
-	}
+	return Config{Config: config.Default()}
 }
 
 // Daemon is one assembled Caladrius service. The exported fields are

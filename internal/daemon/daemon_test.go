@@ -199,6 +199,29 @@ func TestCloseAfterFailure(t *testing.T) {
 	goroutinesSettleTo(t, baseline)
 }
 
+// TestNewValidatesEverySetting: the settings only flags reach are held
+// to their bounds for in-process callers too — New is where a Config
+// that never saw cmd/caladrius is checked.
+func TestNewValidatesEverySetting(t *testing.T) {
+	for name, breakIt := range map[string]func(*Config){
+		"-scrape-interval":    func(c *Config) { c.ScrapeInterval = -time.Second },
+		"-history-retention":  func(c *Config) { c.HistoryRetention = -5 * time.Second },
+		"-audit-retention":    func(c *Config) { c.AuditRetention = -time.Hour },
+		"-incident-retention": func(c *Config) { c.IncidentRetention = -1 },
+		"-drift-threshold":    func(c *Config) { c.DriftThreshold = -1 },
+		"-splitter":           func(c *Config) { c.SplitterP = 0 },
+		"-rate":               func(c *Config) { c.Rate = -5 },
+	} {
+		cfg := testConfig()
+		breakIt(&cfg)
+		d, err := New(cfg)
+		if err == nil || !strings.Contains(err.Error(), name+" is") {
+			d.Close()
+			t.Errorf("New with a bad %s: error %v, want one naming the flag", name, err)
+		}
+	}
+}
+
 // TestSnapshotSubstrateServesSameSurface: a daemon booted from a
 // heronsim metrics snapshot answers every mount the simulating daemon
 // does, with the same statuses.

@@ -167,7 +167,7 @@ func TestFiringHookCooldown(t *testing.T) {
 	rec, reg, _, _, db := newTestRecorder(t, clock, 8)
 	rule := testRule()
 	for i := -20; i <= 0; i++ {
-		db.Append(rule.Metric, nil, clock.Now().Add(time.Duration(i)*time.Minute), 0.3)
+		db.Handle(rule.Metric, nil).Append(clock.Now().Add(time.Duration(i)*time.Minute), 0.3)
 	}
 	hook := rec.FiringHook()
 

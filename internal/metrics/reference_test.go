@@ -176,13 +176,13 @@ func TestMergeWindowsOffGrid(t *testing.T) {
 	at := func(m int) time.Time { return time.Date(2026, 7, 1, 0, m, 0, 0, time.UTC) }
 	sel := tsdb.Labels{"topology": "t", "component": "c", "instance": "0"}
 	for _, m := range []int{2, 4, 6} {
-		db.Append(heron.MetricArrivalCount, sel, at(m), float64(m))
+		db.Handle(heron.MetricArrivalCount, sel).Append(at(m), float64(m))
 	}
 	for _, m := range []int{1, 3, 4, 9} {
-		db.Append(heron.MetricEmitCount, sel, at(m), float64(10*m))
+		db.Handle(heron.MetricEmitCount, sel).Append(at(m), float64(10*m))
 	}
 	for _, m := range []int{0, 9, 11} {
-		db.Append(heron.MetricSourceCount, sel, at(m), float64(100*m))
+		db.Handle(heron.MetricSourceCount, sel).Append(at(m), float64(100*m))
 	}
 	p, err := NewTSDBProvider(db, time.Minute)
 	if err != nil {

@@ -6,13 +6,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
+	"caladrius/internal/atomicfile"
 	"caladrius/internal/telemetry"
 )
 
@@ -682,18 +683,14 @@ func loadBaseline(path string) (*Baseline, error) {
 	return &b, nil
 }
 
-// saveBaseline persists b atomically (write temp, rename).
+// saveBaseline persists b atomically.
 func saveBaseline(path string, b *Baseline) error {
 	data, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	return atomicfile.Write(path, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	})
 }

@@ -57,6 +57,10 @@ type CalCache struct {
 	mu      sync.RWMutex
 	entries map[string]calEntry
 
+	// flights is the per-topology calibration singleflight (see Load).
+	flightMu sync.Mutex
+	flights  map[string]*calFlight
+
 	hits          atomic.Uint64
 	misses        atomic.Uint64
 	stale         atomic.Uint64
@@ -78,6 +82,7 @@ func NewCalCache(opts CalCacheOptions) *CalCache {
 		ttl:     opts.TTL,
 		now:     opts.Now,
 		entries: map[string]calEntry{},
+		flights: map[string]*calFlight{},
 	}
 	if opts.Registry != nil {
 		r := opts.Registry
@@ -99,29 +104,95 @@ func NewCalCache(opts CalCacheOptions) *CalCache {
 // against exactly planVersion and window and (with a TTL configured)
 // has not expired. The hit path is 0 allocs/op.
 func (c *CalCache) Lookup(topology string, planVersion int, window time.Duration) (*core.TopologyModel, bool) {
-	c.mu.RLock()
-	e, ok := c.entries[topology]
-	c.mu.RUnlock()
-	if !ok {
-		c.misses.Add(1)
-		if c.missesC != nil {
-			c.missesC.Inc()
+	m, present := c.usable(topology, planVersion, window)
+	switch {
+	case m != nil:
+		c.hits.Add(1)
+		if c.hitsC != nil {
+			c.hitsC.Inc()
 		}
-		return nil, false
-	}
-	if e.planVersion != planVersion || e.window != window ||
-		(c.ttl > 0 && c.now().Sub(e.storedAt) >= c.ttl) {
+	case present:
 		c.stale.Add(1)
 		if c.staleC != nil {
 			c.staleC.Inc()
 		}
-		return nil, false
+	default:
+		c.misses.Add(1)
+		if c.missesC != nil {
+			c.missesC.Inc()
+		}
 	}
-	c.hits.Add(1)
-	if c.hitsC != nil {
-		c.hitsC.Inc()
+	return m, m != nil
+}
+
+// usable is Lookup without the counting: the model if the topology's
+// entry answers for (planVersion, window) now, and whether there is an
+// entry at all.
+func (c *CalCache) usable(topology string, planVersion int, window time.Duration) (m *core.TopologyModel, present bool) {
+	c.mu.RLock()
+	e, ok := c.entries[topology]
+	c.mu.RUnlock()
+	if !ok || e.planVersion != planVersion || e.window != window ||
+		(c.ttl > 0 && c.now().Sub(e.storedAt) >= c.ttl) {
+		return nil, ok
 	}
 	return e.model, true
+}
+
+// CalSource says how Load came by the model it returned; the values are
+// the calibrate span's cache attribute.
+type CalSource string
+
+const (
+	CalHit       CalSource = "hit"       // served from the cache
+	CalMiss      CalSource = "miss"      // this call ran calibrate
+	CalCoalesced CalSource = "coalesced" // waited on, and shares the outcome of, another call's calibrate
+)
+
+// calFlight is one in-progress calibration other Loads of the same
+// topology wait on.
+type calFlight struct {
+	done  chan struct{}
+	model *core.TopologyModel
+	err   error
+}
+
+// Load is Lookup backed by calibrate: on a miss it runs calibrate and
+// Stores the model, and concurrent misses on one topology share a
+// single run — two predicts on a cold topology calibrate once, not
+// twice. It counts as one lookup. A failed calibration is handed to
+// the calls that joined it and is not cached. calibrate runs with no
+// cache lock held, so Lookup and Invalidate do not wait on it; an
+// Invalidate during the run does not stop its model being stored.
+func (c *CalCache) Load(topology string, planVersion int, window time.Duration, calibrate func() (*core.TopologyModel, error)) (*core.TopologyModel, CalSource, error) {
+	if m, ok := c.Lookup(topology, planVersion, window); ok {
+		return m, CalHit, nil
+	}
+	c.flightMu.Lock()
+	if f, ok := c.flights[topology]; ok {
+		c.flightMu.Unlock()
+		<-f.done
+		return f.model, CalCoalesced, f.err
+	}
+	f := &calFlight{done: make(chan struct{})}
+	c.flights[topology] = f
+	c.flightMu.Unlock()
+	defer func() {
+		c.flightMu.Lock()
+		delete(c.flights, topology)
+		c.flightMu.Unlock()
+		close(f.done)
+	}()
+	// A flight that landed between the lookup and taking the lead has
+	// filled the cache already.
+	if m, _ := c.usable(topology, planVersion, window); m != nil {
+		f.model = m
+		return m, CalHit, nil
+	}
+	if f.model, f.err = calibrate(); f.err == nil {
+		c.Store(topology, planVersion, window, f.model)
+	}
+	return f.model, CalMiss, f.err
 }
 
 // Store caches model for topology. A later Store for the same topology

@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -215,6 +217,107 @@ func TestCalCacheStoreNilModelIgnored(t *testing.T) {
 
 // BenchmarkCalCacheHit asserts the warm lookup path is 0 allocs/op —
 // the property that makes cache-served predicts cheap.
+// TestCalCacheLoad: a miss runs calibrate and stores its model, a hit
+// does not run it, and one Load is one counted lookup.
+func TestCalCacheLoad(t *testing.T) {
+	c := NewCalCache(CalCacheOptions{})
+	m, runs := testModel(t), 0
+	calibrate := func() (*core.TopologyModel, error) { runs++; return m, nil }
+	for i, want := range []CalSource{CalMiss, CalHit, CalHit} {
+		got, src, err := c.Load("wc", 1, time.Minute, calibrate)
+		if err != nil || got != m || src != want {
+			t.Fatalf("Load #%d = %v, %q, %v; want the model, %q", i, got, src, err, want)
+		}
+	}
+	if st := c.Stats(); runs != 1 || st.Misses != 1 || st.Hits != 2 || st.Entries != 1 {
+		t.Errorf("runs = %d, stats = %+v; want 1 run, 1 miss, 2 hits, 1 entry", runs, st)
+	}
+	// A superseded plan version is a stale lookup and a fresh run.
+	if _, src, _ := c.Load("wc", 2, time.Minute, calibrate); src != CalMiss || runs != 2 || c.Stats().Stale != 1 {
+		t.Errorf("Load of a newer plan version: source %q, %d runs, stats %+v; want a second run counted stale", src, runs, c.Stats())
+	}
+}
+
+// TestCalCacheLoadFlight parks a calibration and drives the flight
+// around it: joiners share its outcome without running their own, an
+// Invalidate in the middle returns at once, and only a successful
+// outcome is cached.
+func TestCalCacheLoadFlight(t *testing.T) {
+	errCal := errors.New("metrics provider down")
+	for _, tc := range []struct {
+		name    string
+		err     error
+		entries int
+	}{
+		{"a successful calibration is stored despite the invalidate", nil, 1},
+		{"a failed calibration reaches its joiners and is not cached", errCal, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCalCache(CalCacheOptions{})
+			m := testModel(t)
+			running, release := make(chan struct{}), make(chan struct{})
+			var runs atomic.Int64
+			calibrate := func() (*core.TopologyModel, error) {
+				if runs.Add(1) == 1 {
+					close(running)
+					<-release
+				}
+				if tc.err != nil {
+					return nil, tc.err
+				}
+				return m, nil
+			}
+			type outcome struct {
+				m   *core.TopologyModel
+				src CalSource
+				err error
+			}
+			const joiners = 4
+			out := make(chan outcome, 1+joiners) // one send per Load below
+			load := func() {
+				got, src, err := c.Load("wc", 1, time.Minute, calibrate)
+				out <- outcome{got, src, err}
+			}
+			go load()
+			<-running
+			for i := 0; i < joiners; i++ {
+				go load()
+			}
+			// Every joiner has counted its miss and is on the flight or
+			// a step away from it; the cache stays usable meanwhile.
+			for c.Stats().Misses < 1+joiners {
+				time.Sleep(time.Millisecond)
+			}
+			c.Store("sibling", 1, time.Minute, m)
+			if c.Invalidate("wc") {
+				t.Error("Invalidate found an entry while the first calibration was still running")
+			}
+			if _, ok := c.Lookup("sibling", 1, time.Minute); !ok {
+				t.Error("Lookup of another topology failed during the flight")
+			}
+			close(release)
+			sources := map[CalSource]int{}
+			for i := 0; i < 1+joiners; i++ {
+				o := <-out
+				sources[o.src]++
+				if !errors.Is(o.err, tc.err) || (tc.err == nil) != (o.m == m) {
+					t.Errorf("Load = %v, %q, %v; want the flight's outcome (err %v)", o.m, o.src, o.err, tc.err)
+				}
+			}
+			// A joiner that reaches the flight as it lands leads a new
+			// one: served from the cache after a success (never a second
+			// run), left to calibrate again after a failure.
+			if n := int(runs.Load()); sources[CalMiss] != n || (tc.err == nil && n != 1) {
+				t.Errorf("%d calibrations, sources %v; want one run shared by every Load", n, sources)
+			}
+			c.Invalidate("sibling")
+			if n := c.Len(); n != tc.entries {
+				t.Errorf("cache holds %d entries for wc after the flight, want %d", n, tc.entries)
+			}
+		})
+	}
+}
+
 func BenchmarkCalCacheHit(b *testing.B) {
 	c := NewCalCache(CalCacheOptions{TTL: time.Hour, Registry: telemetry.NewRegistry()})
 	c.Store("wordcount", 7, 10*time.Minute, &core.TopologyModel{})

@@ -70,7 +70,7 @@ func TestSLOScrapeGapsDoNotFlap(t *testing.T) {
 			var firedAt *time.Time
 			for i, sample := range tc.timeline {
 				if sample != nil {
-					db.Append("temp", nil, sloT0.Add(time.Duration(i)*time.Minute+30*time.Second), *sample)
+					db.Handle("temp", nil).Append(sloT0.Add(time.Duration(i)*time.Minute+30*time.Second), *sample)
 				}
 				now = sloT0.Add(time.Duration(i+1) * time.Minute)
 				a := s.Evaluate()[0]
@@ -118,10 +118,10 @@ func TestSLORatioIdleDenominatorIsGap(t *testing.T) {
 	all, bad := tsdb.Labels{"class": "2xx"}, tsdb.Labels{"class": "5xx"}
 
 	// Minute 0: 100 requests, 10 of them 5xx → 10% error rate, firing.
-	db.Append("reqs", all, sloT0.Add(10*time.Second), 0)
-	db.Append("reqs", bad, sloT0.Add(10*time.Second), 0)
-	db.Append("reqs", all, sloT0.Add(50*time.Second), 90)
-	db.Append("reqs", bad, sloT0.Add(50*time.Second), 10)
+	db.Handle("reqs", all).Append(sloT0.Add(10*time.Second), 0)
+	db.Handle("reqs", bad).Append(sloT0.Add(10*time.Second), 0)
+	db.Handle("reqs", all).Append(sloT0.Add(50*time.Second), 90)
+	db.Handle("reqs", bad).Append(sloT0.Add(50*time.Second), 10)
 	if a := s.Evaluate()[0]; a.State != StateFiring {
 		t.Fatalf("error-rate alert = %+v, want firing", a)
 	}
@@ -137,10 +137,10 @@ func TestSLORatioIdleDenominatorIsGap(t *testing.T) {
 
 	// Minute 2: traffic returns healthy → resolved once.
 	now = sloT0.Add(3 * time.Minute)
-	db.Append("reqs", all, sloT0.Add(130*time.Second), 100)
-	db.Append("reqs", all, sloT0.Add(170*time.Second), 200)
-	db.Append("reqs", bad, sloT0.Add(130*time.Second), 10)
-	db.Append("reqs", bad, sloT0.Add(170*time.Second), 10)
+	db.Handle("reqs", all).Append(sloT0.Add(130*time.Second), 100)
+	db.Handle("reqs", all).Append(sloT0.Add(170*time.Second), 200)
+	db.Handle("reqs", bad).Append(sloT0.Add(130*time.Second), 10)
+	db.Handle("reqs", bad).Append(sloT0.Add(170*time.Second), 10)
 	if a := s.Evaluate()[0]; a.State != StateOK {
 		t.Fatalf("recovered alert = %+v, want ok", a)
 	}

@@ -32,7 +32,7 @@ func TestSLOThresholdFiresAndResolves(t *testing.T) {
 	}
 
 	// Mean 80 over the window → firing.
-	db.Append("temp", nil, sloT0.Add(30*time.Second), 80)
+	db.Handle("temp", nil).Append(sloT0.Add(30*time.Second), 80)
 	alerts = s.Evaluate()
 	a := alerts[0]
 	if a.State != StateFiring || a.Value == nil || *a.Value != 80 || a.Since == nil {
@@ -54,7 +54,7 @@ func TestSLOThresholdFiresAndResolves(t *testing.T) {
 
 	// Window slides past the hot sample and onto a cool one → resolved.
 	now = sloT0.Add(3 * time.Minute)
-	db.Append("temp", nil, sloT0.Add(150*time.Second), 20)
+	db.Handle("temp", nil).Append(sloT0.Add(150*time.Second), 20)
 	alerts = s.Evaluate()
 	if alerts[0].State != StateOK || alerts[0].Since != nil {
 		t.Errorf("resolved alert = %+v", alerts[0])
@@ -74,10 +74,10 @@ func TestSLORatioMode(t *testing.T) {
 	s, db, _ := sloFixture(t, []Rule{rule}, &now)
 
 	// 100 total requests, 10 of them 5xx → ratio 0.1 > 0.05.
-	db.Append("requests_total", tsdb.Labels{"class": "2xx"}, sloT0, 1000)
-	db.Append("requests_total", tsdb.Labels{"class": "5xx"}, sloT0, 40)
-	db.Append("requests_total", tsdb.Labels{"class": "2xx"}, sloT0.Add(30*time.Second), 1090)
-	db.Append("requests_total", tsdb.Labels{"class": "5xx"}, sloT0.Add(30*time.Second), 50)
+	db.Handle("requests_total", tsdb.Labels{"class": "2xx"}).Append(sloT0, 1000)
+	db.Handle("requests_total", tsdb.Labels{"class": "5xx"}).Append(sloT0, 40)
+	db.Handle("requests_total", tsdb.Labels{"class": "2xx"}).Append(sloT0.Add(30*time.Second), 1090)
+	db.Handle("requests_total", tsdb.Labels{"class": "5xx"}).Append(sloT0.Add(30*time.Second), 50)
 	alerts := s.Evaluate()
 	a := alerts[0]
 	if a.State != StateFiring || a.Value == nil || *a.Value != 0.1 {
@@ -86,8 +86,8 @@ func TestSLORatioMode(t *testing.T) {
 
 	// A single sample per series cannot measure increase → no data.
 	now = sloT0.Add(10 * time.Minute)
-	db.Append("requests_total", tsdb.Labels{"class": "2xx"}, sloT0.Add(9*time.Minute+30*time.Second), 2000)
-	db.Append("requests_total", tsdb.Labels{"class": "5xx"}, sloT0.Add(9*time.Minute+30*time.Second), 50)
+	db.Handle("requests_total", tsdb.Labels{"class": "2xx"}).Append(sloT0.Add(9*time.Minute+30*time.Second), 2000)
+	db.Handle("requests_total", tsdb.Labels{"class": "5xx"}).Append(sloT0.Add(9*time.Minute+30*time.Second), 50)
 	alerts = s.Evaluate()
 	if alerts[0].State != StateNoData {
 		t.Errorf("single-sample ratio alert = %+v", alerts[0])
@@ -98,7 +98,7 @@ func TestSLOOpLess(t *testing.T) {
 	now := sloT0.Add(time.Minute)
 	rule := Rule{Name: "starved", Metric: "qps", Agg: tsdb.AggMean, Window: time.Minute, Op: OpLess, Threshold: 5}
 	s, db, _ := sloFixture(t, []Rule{rule}, &now)
-	db.Append("qps", nil, sloT0.Add(30*time.Second), 1)
+	db.Handle("qps", nil).Append(sloT0.Add(30*time.Second), 1)
 	if a := s.Evaluate()[0]; a.State != StateFiring {
 		t.Errorf("op-less alert = %+v", a)
 	}
@@ -108,7 +108,7 @@ func TestSLONoDataKeepsFiringTimestamp(t *testing.T) {
 	now := sloT0.Add(time.Minute)
 	rule := Rule{Name: "hot", Metric: "temp", Window: time.Minute, Threshold: 50}
 	s, db, _ := sloFixture(t, []Rule{rule}, &now)
-	db.Append("temp", nil, sloT0.Add(30*time.Second), 80)
+	db.Handle("temp", nil).Append(sloT0.Add(30*time.Second), 80)
 	fired := s.Evaluate()[0]
 	if fired.State != StateFiring {
 		t.Fatalf("alert = %+v", fired)

@@ -153,7 +153,7 @@ func randomStore(rng *rand.Rand) (db *DB, origin time.Time, span time.Duration) 
 			if rng.Intn(2) == 0 {
 				h.Append(stamp, v)
 			} else {
-				db.Append("m", labels, stamp, v)
+				db.Handle("m", labels).Append(stamp, v)
 			}
 		}
 	}

@@ -12,6 +12,8 @@ import (
 	"os"
 	"sort"
 	"time"
+
+	"caladrius/internal/atomicfile"
 )
 
 // Snapshotting lets a metrics database be written to disk and loaded
@@ -279,24 +281,10 @@ func (d *snapshotDecoder) series(db *DB) (uint64, error) {
 	return n, nil
 }
 
-// SaveFile writes the snapshot to a file (atomically, via a temp file
-// in the same directory).
+// SaveFile writes the snapshot to path atomically and durably (see
+// atomicfile.Write), creating path's directory if it is missing.
 func (db *DB) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := db.WriteSnapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return atomicfile.Write(path, db.WriteSnapshot)
 }
 
 // LoadFile reads a snapshot file.

@@ -22,9 +22,9 @@ func populated(t testing.TB) *DB {
 	t.Helper()
 	db := New(0)
 	for i := 0; i < 30; i++ {
-		db.Append("execute-count", Labels{"component": "splitter", "instance": "0"}, minuteAt(i), float64(i*10))
-		db.Append("execute-count", Labels{"component": "splitter", "instance": "1"}, minuteAt(i), float64(i*11))
-		db.Append("cpu-load", Labels{"component": "counter"}, minuteAt(i), 0.5+float64(i)/100)
+		db.Handle("execute-count", Labels{"component": "splitter", "instance": "0"}).Append(minuteAt(i), float64(i*10))
+		db.Handle("execute-count", Labels{"component": "splitter", "instance": "1"}).Append(minuteAt(i), float64(i*11))
+		db.Handle("cpu-load", Labels{"component": "counter"}).Append(minuteAt(i), 0.5+float64(i)/100)
 	}
 	return db
 }
@@ -74,7 +74,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 
 func TestSnapshotPreservesRetention(t *testing.T) {
 	db := New(42 * time.Minute)
-	db.Append("m", nil, minuteAt(0), 1)
+	db.Handle("m", nil).Append(minuteAt(0), 1)
 	var buf bytes.Buffer
 	if err := db.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func TestSnapshotNonFinite(t *testing.T) {
 	values := []float64{math.Inf(1), math.Inf(-1), nan, math.Copysign(0, -1), 1.5}
 	db := New(0)
 	for i, v := range values {
-		db.Append("m", nil, minuteAt(i), v)
+		db.Handle("m", nil).Append(minuteAt(i), v)
 	}
 	back, err := ReadSnapshot(bytes.NewReader(snapshotBytes(t, db)))
 	if err != nil {
@@ -224,7 +224,7 @@ func TestSnapshotOutOfOrderDeltas(t *testing.T) {
 		}
 		want := New(retention)
 		for i, o := range offsets {
-			want.Append("m", Labels{"k": "v"}, t0.Add(time.Duration(o)*time.Second), float64(i))
+			want.Handle("m", Labels{"k": "v"}).Append(t0.Add(time.Duration(o)*time.Second), float64(i))
 		}
 		if got := snapshotBytes(t, back); !bytes.Equal(got, snapshotBytes(t, want)) {
 			t.Errorf("retention %s: loaded series differs from appended one", retention)
@@ -281,7 +281,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add(snapshotBytes(f, populated(f)))
 	f.Add(snapshotBytes(f, New(time.Minute)))
 	unlabelled := New(0)
-	unlabelled.Append("m", nil, minuteAt(0), 1)
+	unlabelled.Handle("m", nil).Append(minuteAt(0), 1)
 	f.Add(snapshotBytes(f, unlabelled))
 	f.Add(rawSnapshot(1, 4, rawSeries("m", []string{"k", "v"}, 5, 3, 9, 3)))
 	for _, src := range hostileSnapshots() {
@@ -352,7 +352,7 @@ func TestQuickSnapshotRoundTrip(t *testing.T) {
 			if r.Intn(3) == 0 {
 				labels["weird key"] = `va"lue`
 			}
-			db.Append(metrics[r.Intn(len(metrics))], labels, t0.Add(time.Duration(r.Intn(10000))*time.Second), r.NormFloat64()*1e6)
+			db.Handle(metrics[r.Intn(len(metrics))], labels).Append(t0.Add(time.Duration(r.Intn(10000))*time.Second), r.NormFloat64()*1e6)
 		}
 		x := snapshotBytes(t, db)
 		back, err := ReadSnapshot(bytes.NewReader(x))

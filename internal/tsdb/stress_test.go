@@ -32,8 +32,8 @@ func TestConcurrentAppendQueryDownsample(t *testing.T) {
 			own := "stress_metric_" + strconv.Itoa(w)
 			for i := 0; i < iters; i++ {
 				ts := base.Add(time.Duration(i) * time.Second)
-				db.Append(own, Labels{"writer": strconv.Itoa(w)}, ts, float64(i))
-				db.Append("stress_shared", Labels{"writer": strconv.Itoa(w)}, ts, float64(i))
+				db.Handle(own, Labels{"writer": strconv.Itoa(w)}).Append(ts, float64(i))
+				db.Handle("stress_shared", Labels{"writer": strconv.Itoa(w)}).Append(ts, float64(i))
 			}
 		}(w)
 	}
@@ -152,7 +152,7 @@ func TestAppendBatchLazyHandleBind(t *testing.T) {
 	if _, err := db.Latest("lazy", nil); err != nil {
 		// A final drop may have won; re-append and confirm the store
 		// still works.
-		db.Append("lazy", nil, base, 1)
+		db.Handle("lazy", nil).Append(base, 1)
 		if _, err := db.Latest("lazy", nil); err != nil {
 			t.Fatalf("store unusable after drop/append race: %v", err)
 		}

@@ -131,17 +131,6 @@ func (db *DB) SetRetention(d time.Duration) {
 	db.mu.Unlock()
 }
 
-// Append records one observation.
-func (db *DB) Append(metric string, labels Labels, t time.Time, v float64) {
-	if metric == "" {
-		panic("tsdb: empty metric name")
-	}
-	key := labels.canonical()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.appendLocked(db.seriesLocked(metric, key, labels), t, v)
-}
-
 // seriesLocked returns (creating if needed) the series of metric with
 // the given pre-canonicalised label key. Caller holds db.mu.
 func (db *DB) seriesLocked(metric, key string, labels Labels) *seriesData {
@@ -188,11 +177,13 @@ func (db *DB) trimLocked(sd *seriesData) {
 	}
 }
 
-// SeriesHandle is an interned reference to one series. Append through
-// a handle skips the per-call label canonicalisation DB.Append pays,
-// and after the first point skips the metric/series map lookups too —
-// the hot-path write API for producers (like the simulator) that emit
-// into a fixed set of series every window.
+// SeriesHandle is an interned reference to one series, and the only
+// way to write: the store's two write entry points, Append for one
+// sample and DB.AppendBatch for many, both take a handle. Interning
+// pays the label canonicalisation once, and after the first point a
+// handle skips the metric/series map lookups too, so producers (like
+// the simulator) that emit into a fixed set of series every window keep
+// their handles; a one-off writer calls db.Handle(m, l).Append(t, v).
 //
 // Handles are safe for concurrent use. A handle holds its own copy of
 // the labels, so callers may mutate the map passed to Handle. After

@@ -17,7 +17,7 @@ func TestAppendAndQuery(t *testing.T) {
 	db := New(0)
 	labels := Labels{"topology": "wc", "component": "splitter", "instance": "0"}
 	for i := 0; i < 10; i++ {
-		db.Append("emit-count", labels, minuteAt(i), float64(i*100))
+		db.Handle("emit-count", labels).Append(minuteAt(i), float64(i*100))
 	}
 	got, err := db.Query("emit-count", Labels{"component": "splitter"}, minuteAt(2), minuteAt(5))
 	if err != nil {
@@ -41,7 +41,7 @@ func TestAppendAndQuery(t *testing.T) {
 func TestQueryCopiesAreIndependent(t *testing.T) {
 	db := New(0)
 	l := Labels{"instance": "0"}
-	db.Append("m", l, minuteAt(0), 1)
+	db.Handle("m", l).Append(minuteAt(0), 1)
 	got, err := db.Query("m", nil, minuteAt(0), minuteAt(1))
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestQueryNoData(t *testing.T) {
 	if _, err := db.Query("missing", nil, minuteAt(0), minuteAt(1)); !errors.Is(err, ErrNoData) {
 		t.Errorf("missing metric: %v", err)
 	}
-	db.Append("m", Labels{"a": "1"}, minuteAt(0), 1)
+	db.Handle("m", Labels{"a": "1"}).Append(minuteAt(0), 1)
 	if _, err := db.Query("m", Labels{"a": "2"}, minuteAt(0), minuteAt(1)); !errors.Is(err, ErrNoData) {
 		t.Errorf("non-matching selector: %v", err)
 	}
@@ -74,9 +74,9 @@ func TestQueryNoData(t *testing.T) {
 func TestOutOfOrderAppend(t *testing.T) {
 	db := New(0)
 	l := Labels{"i": "0"}
-	db.Append("m", l, minuteAt(5), 5)
-	db.Append("m", l, minuteAt(1), 1)
-	db.Append("m", l, minuteAt(3), 3)
+	db.Handle("m", l).Append(minuteAt(5), 5)
+	db.Handle("m", l).Append(minuteAt(1), 1)
+	db.Handle("m", l).Append(minuteAt(3), 3)
 	got, err := db.Query("m", nil, minuteAt(0), minuteAt(10))
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestRetention(t *testing.T) {
 	db := New(10 * time.Minute)
 	l := Labels{"i": "0"}
 	for i := 0; i < 100; i++ {
-		db.Append("m", l, minuteAt(i), float64(i))
+		db.Handle("m", l).Append(minuteAt(i), float64(i))
 	}
 	got, err := db.Query("m", nil, minuteAt(0), minuteAt(200))
 	if err != nil {
@@ -115,7 +115,7 @@ func TestSetRetention(t *testing.T) {
 	db := New(0)
 	l := Labels{"i": "0"}
 	for i := 0; i < 100; i++ {
-		db.Append("m", l, minuteAt(i), float64(i))
+		db.Handle("m", l).Append(minuteAt(i), float64(i))
 	}
 	if got := db.TotalPoints(); got != 100 {
 		t.Fatalf("points before retention = %d, want 100", got)
@@ -124,7 +124,7 @@ func TestSetRetention(t *testing.T) {
 	// the path cmd/caladrius takes after restoring a -history-file
 	// snapshot saved under a different retention setting.
 	db.SetRetention(10 * time.Minute)
-	db.Append("m", l, minuteAt(100), 100)
+	db.Handle("m", l).Append(minuteAt(100), 100)
 	got, err := db.Query("m", nil, minuteAt(0), minuteAt(200))
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestSetRetention(t *testing.T) {
 	}
 	// Loosening back to forever stops further pruning.
 	db.SetRetention(0)
-	db.Append("m", l, minuteAt(101), 101)
+	db.Handle("m", l).Append(minuteAt(101), 101)
 	if got := db.TotalPoints(); got != 12 {
 		t.Errorf("points after disabling retention = %d, want 12", got)
 	}
@@ -147,7 +147,7 @@ func TestSetRetention(t *testing.T) {
 func TestAggregations(t *testing.T) {
 	db := New(0)
 	for i, v := range []float64{1, 2, 3, 4, 5} {
-		db.Append("m", Labels{"i": "0"}, minuteAt(i), v)
+		db.Handle("m", Labels{"i": "0"}).Append(minuteAt(i), v)
 	}
 	cases := []struct {
 		agg  Agg
@@ -171,7 +171,7 @@ func TestAggregations(t *testing.T) {
 	// Even-length median interpolates.
 	db2 := New(0)
 	for i, v := range []float64{1, 2, 3, 4} {
-		db2.Append("m", Labels{"i": "0"}, minuteAt(i), v)
+		db2.Handle("m", Labels{"i": "0"}).Append(minuteAt(i), v)
 	}
 	got, err := db2.Aggregate("m", nil, minuteAt(0), minuteAt(10), AggMedian)
 	if err != nil {
@@ -188,8 +188,8 @@ func TestDownsampleMergesInstances(t *testing.T) {
 	// a bucket per instance, then sum across instances.
 	for i := 0; i < 6; i++ {
 		ts := t0.Add(time.Duration(i*20) * time.Second)
-		db.Append("emit-count", Labels{"component": "splitter", "instance": "0"}, ts, 10)
-		db.Append("emit-count", Labels{"component": "splitter", "instance": "1"}, ts, 20)
+		db.Handle("emit-count", Labels{"component": "splitter", "instance": "0"}).Append(ts, 10)
+		db.Handle("emit-count", Labels{"component": "splitter", "instance": "1"}).Append(ts, 20)
 	}
 	s, err := db.Downsample("emit-count", Labels{"component": "splitter"}, t0, t0.Add(2*time.Minute), time.Minute, AggSum, AggSum)
 	if err != nil {
@@ -208,8 +208,8 @@ func TestDownsampleMergesInstances(t *testing.T) {
 
 func TestDownsampleMeanMerge(t *testing.T) {
 	db := New(0)
-	db.Append("cpu", Labels{"instance": "0"}, minuteAt(0), 0.5)
-	db.Append("cpu", Labels{"instance": "1"}, minuteAt(0), 1.5)
+	db.Handle("cpu", Labels{"instance": "0"}).Append(minuteAt(0), 0.5)
+	db.Handle("cpu", Labels{"instance": "1"}).Append(minuteAt(0), 1.5)
 	s, err := db.Downsample("cpu", nil, minuteAt(0), minuteAt(1), time.Minute, AggMean, AggMean)
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +221,7 @@ func TestDownsampleMeanMerge(t *testing.T) {
 
 func TestDownsampleRejectsBadStep(t *testing.T) {
 	db := New(0)
-	db.Append("m", nil, minuteAt(0), 1)
+	db.Handle("m", nil).Append(minuteAt(0), 1)
 	if _, err := db.Downsample("m", nil, minuteAt(0), minuteAt(1), 0, AggSum, AggSum); err == nil {
 		t.Error("zero step accepted")
 	}
@@ -229,8 +229,8 @@ func TestDownsampleRejectsBadStep(t *testing.T) {
 
 func TestLatest(t *testing.T) {
 	db := New(0)
-	db.Append("m", Labels{"i": "0"}, minuteAt(1), 10)
-	db.Append("m", Labels{"i": "1"}, minuteAt(3), 30)
+	db.Handle("m", Labels{"i": "0"}).Append(minuteAt(1), 10)
+	db.Handle("m", Labels{"i": "1"}).Append(minuteAt(3), 30)
 	p, err := db.Latest("m", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -245,9 +245,9 @@ func TestLatest(t *testing.T) {
 
 func TestLabelValuesAndMetrics(t *testing.T) {
 	db := New(0)
-	db.Append("m", Labels{"component": "b"}, minuteAt(0), 1)
-	db.Append("m", Labels{"component": "a"}, minuteAt(0), 1)
-	db.Append("n", Labels{"component": "c"}, minuteAt(0), 1)
+	db.Handle("m", Labels{"component": "b"}).Append(minuteAt(0), 1)
+	db.Handle("m", Labels{"component": "a"}).Append(minuteAt(0), 1)
+	db.Handle("n", Labels{"component": "c"}).Append(minuteAt(0), 1)
 	vals := db.LabelValues("m", "component")
 	if len(vals) != 2 || vals[0] != "a" || vals[1] != "b" {
 		t.Errorf("values = %v", vals)
@@ -263,7 +263,7 @@ func TestLabelValuesAndMetrics(t *testing.T) {
 
 func TestDropMetric(t *testing.T) {
 	db := New(0)
-	db.Append("m", nil, minuteAt(0), 1)
+	db.Handle("m", nil).Append(minuteAt(0), 1)
 	if !db.DropMetric("m") {
 		t.Error("drop existing returned false")
 	}
@@ -284,7 +284,7 @@ func TestConcurrentAppendQuery(t *testing.T) {
 			defer wg.Done()
 			l := Labels{"instance": string(rune('0' + w))}
 			for i := 0; i < 500; i++ {
-				db.Append("m", l, minuteAt(i), float64(i))
+				db.Handle("m", l).Append(minuteAt(i), float64(i))
 				if i%50 == 0 {
 					db.Query("m", nil, minuteAt(0), minuteAt(1000)) //nolint:errcheck
 					db.Latest("m", nil)                             //nolint:errcheck
@@ -311,7 +311,7 @@ func TestConcurrentAppendDownsampleWithRetention(t *testing.T) {
 			defer wg.Done()
 			l := Labels{"instance": string(rune('0' + w))}
 			for i := 0; i < 300; i++ {
-				db.Append("m", l, minuteAt(i), float64(i))
+				db.Handle("m", l).Append(minuteAt(i), float64(i))
 			}
 		}(w)
 	}
@@ -348,7 +348,7 @@ func TestQuickDownsampleSumConservation(t *testing.T) {
 		for i := 0; i < n; i++ {
 			v := float64(r.Intn(1000))
 			inst := string(rune('0' + r.Intn(4)))
-			db.Append("m", Labels{"instance": inst}, t0.Add(time.Duration(r.Intn(3600))*time.Second), v)
+			db.Handle("m", Labels{"instance": inst}).Append(t0.Add(time.Duration(r.Intn(3600))*time.Second), v)
 			total += v
 		}
 		for _, step := range []time.Duration{time.Minute, 5 * time.Minute, time.Hour} {
@@ -376,7 +376,7 @@ func TestQuickQueryOrderedAndBounded(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		db := New(0)
 		for i := 0; i < 100; i++ {
-			db.Append("m", Labels{"i": "0"}, t0.Add(time.Duration(r.Intn(1000))*time.Second), 1)
+			db.Handle("m", Labels{"i": "0"}).Append(t0.Add(time.Duration(r.Intn(1000))*time.Second), 1)
 		}
 		start := t0.Add(time.Duration(r.Intn(500)) * time.Second)
 		end := start.Add(time.Duration(1+r.Intn(500)) * time.Second)
@@ -404,15 +404,8 @@ func TestQuickQueryOrderedAndBounded(t *testing.T) {
 	}
 }
 
-func TestAppendPanicsOnEmptyMetric(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for empty metric name")
-		}
-	}()
-	New(0).Append("", nil, t0, 1)
-}
-
+// A handle interned per write and one interned once address the same
+// series.
 func TestHandleAppendMatchesAppend(t *testing.T) {
 	plain, handled := New(0), New(0)
 	labels := Labels{"topology": "wc", "component": "splitter", "instance": "1"}
@@ -420,7 +413,7 @@ func TestHandleAppendMatchesAppend(t *testing.T) {
 	// Mutating the caller's map after Handle must not affect the handle.
 	labels["instance"] = "corrupted"
 	for i := 0; i < 10; i++ {
-		plain.Append("emit-count", Labels{"topology": "wc", "component": "splitter", "instance": "1"}, minuteAt(i), float64(i))
+		plain.Handle("emit-count", Labels{"topology": "wc", "component": "splitter", "instance": "1"}).Append(minuteAt(i), float64(i))
 		h.Append(minuteAt(i), float64(i))
 	}
 	for _, db := range []*DB{plain, handled} {

@@ -6,7 +6,8 @@
 # run under -race here), the nested benchmark module's vet and tests —
 # it compiles against internal/*, so a signature change that breaks it
 # fails here and not in the benchmark driver — then a short fuzz smoke
-# over the four parsers that face untrusted input (config YAML, API
+# over the four parsers that face untrusted input (config YAML — both
+# the untyped yamlite layer and the typed settings on top of it — API
 # range queries, pprof protobuf profiles, TSDB snapshot files) and the
 # Downsample-vs-reference differential, and finally a ~10s smoke soak: caladriusbench drives an in-process daemon
 # through a chaos metrics outage and exits non-zero unless the SLOs
@@ -29,6 +30,7 @@ go test -race ./...
 (cd benchmark && go vet ./... && go test ./...)
 FUZZTIME="${VERIFY_FUZZTIME:-10s}"
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime "$FUZZTIME" ./internal/yamlite
+go test -run '^$' -fuzz '^FuzzConfigParse$' -fuzztime "$FUZZTIME" ./internal/config
 go test -run '^$' -fuzz '^FuzzParseQueryRange$' -fuzztime "$FUZZTIME" ./internal/api
 go test -run '^$' -fuzz '^FuzzPprofParse$' -fuzztime "$FUZZTIME" ./internal/profiler
 go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime "$FUZZTIME" ./internal/tsdb
