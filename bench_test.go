@@ -500,9 +500,9 @@ func BenchmarkRegistryLookup(b *testing.B) {
 }
 
 // benchDaemon assembles the daemon over warm minutes of simulated
-// word-count history with every optional subsystem off — the model
-// tier, its scheduler and the request middleware only — so a benchmark
-// measures the path it names. tune switches back on what it measures.
+// word-count history with the profiler off, and without Run: no loop
+// scrapes, resolves or captures behind the path a benchmark names.
+// tune switches back on what it measures.
 func benchDaemon(b *testing.B, warm time.Duration, tune func(*daemon.Config)) *daemon.Daemon {
 	b.Helper()
 	sub, err := heron.SimulateWordCount(heron.WordCountOptions{RatePerMinute: 8e6}, warm)
@@ -514,8 +514,6 @@ func benchDaemon(b *testing.B, warm time.Duration, tune func(*daemon.Config)) *d
 	cfg.CalibrationLookback = warm
 	cfg.CalibrationWarmup = 2
 	cfg.LogOutput = io.Discard
-	cfg.ScrapeInterval = 0
-	cfg.UsageTopK = 0
 	cfg.ProfileInterval = 0
 	if tune != nil {
 		tune(&cfg)
@@ -529,25 +527,12 @@ func benchDaemon(b *testing.B, warm time.Duration, tune func(*daemon.Config)) *d
 }
 
 // BenchmarkMiddlewareRequest measures the full instrumented request
-// path — route classification, counters, histogram, access log — over
-// a trivial handler, isolating the telemetry overhead per request.
+// path — route classification, counters, histogram, access log, and
+// usage attribution (tenant-header sanitisation, route → topology
+// mapping, the accountant's Begin/Finish pair on a warm principal) —
+// over a trivial handler, isolating the telemetry overhead per request.
 func BenchmarkMiddlewareRequest(b *testing.B) {
 	handler := benchDaemon(b, 2*time.Minute, nil).Handler()
-	req := httptest.NewRequest("GET", "/api/v1/health", nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, req)
-	}
-}
-
-// BenchmarkMiddlewareRequestAttributed measures the same request path
-// with usage attribution wired in: tenant-header sanitisation, route →
-// topology mapping, and the accountant's Begin/Finish pair on a warm
-// principal — the per-request overhead of tenancy accounting.
-func BenchmarkMiddlewareRequestAttributed(b *testing.B) {
-	handler := benchDaemon(b, 2*time.Minute, func(c *daemon.Config) { c.UsageTopK = 256 }).Handler()
 	req := httptest.NewRequest("GET", "/api/v1/health", nil)
 	req.Header.Set(api.TenantHeader, "bench-tenant")
 	b.ReportAllocs()

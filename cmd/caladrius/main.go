@@ -9,16 +9,16 @@
 // registry instrument into a second embedded time-series store, an SLO
 // evaluator checks alert rules after each scrape, and the history is
 // served back through /api/v1/query_range and /api/v1/alerts (see
-// `calctl dash`). -scrape-interval 0 disables self-monitoring;
-// -history-file persists the history across restarts.
+// `calctl dash`). -scrape-interval sets the period; -history-file
+// persists the history across restarts.
 //
-// When self-monitoring is on, the daemon also audits its own models: a
-// prediction audit ledger records every performance/plan run, a
-// background resolver joins records against observed actuals and
+// The daemon also audits its own models: a prediction audit ledger
+// records every performance/plan run, a background resolver joins
+// records against observed actuals every -audit-resolve-interval and
 // derives caladrius_model_* accuracy series, and two extra SLO rules
 // watch for accuracy drift and stale calibrations. The ledger is
-// served through /api/v1/audit (see `calctl accuracy`);
-// -audit-resolve-interval 0 disables it, -audit-file persists it.
+// served through /api/v1/audit (see `calctl accuracy`); -audit-file
+// persists it.
 //
 // With -incident-dir set, an incident flight recorder arms itself on
 // the SLO evaluator: the moment any rule starts firing, it captures a
@@ -34,9 +34,9 @@
 // principals (the rest roll into an "other" bucket). Per-principal
 // caladrius_tenant_* series flow through the scraper like everything
 // else, and the ranked breakdown is served through /api/v1/usage (see
-// `calctl usage`); -usage-topk 0 disables accounting.
+// `calctl usage`).
 //
-// An always-on continuous profiler captures CPU/heap/goroutine/mutex
+// On by default, a continuous profiler captures CPU/heap/goroutine/mutex
 // pprof profiles every -profile-interval, folds them into per-function
 // tables over a bounded ring of epoch windows, and diffs the live
 // windows against a persisted baseline (-profile-baseline). The top

@@ -73,13 +73,13 @@ sched:
 		{
 			name: "flag-only settings",
 			args: []string{"-splitter", "2", "-counter", "6", "-metrics", "m.json", "-debug-addr", "localhost:1",
-				"-scrape-interval", "0", "-history-retention", "30m", "-audit-resolve-interval", "1s",
+				"-scrape-interval", "2s", "-history-retention", "30m", "-audit-resolve-interval", "1s",
 				"-audit-retention", "1h", "-audit-file", "a.json", "-drift-threshold", "0.5",
 				"-stale-calibration-after", "1m", "-incident-dir", "inc", "-incident-retention", "4",
 				"-incident-cooldown", "1s", "-profile-baseline", "b.json"},
 			want: func(c *daemon.Config) {
 				c.SplitterP, c.CounterP, c.MetricsFile, c.DebugAddr = 2, 6, "m.json", "localhost:1"
-				c.ScrapeInterval, c.HistoryRetention = 0, 30*time.Minute
+				c.ScrapeInterval, c.HistoryRetention = 2*time.Second, 30*time.Minute
 				c.AuditResolveInterval, c.AuditRetention, c.AuditFile = time.Second, time.Hour, "a.json"
 				c.DriftThreshold, c.StaleCalibrationAfter = 0.5, time.Minute
 				c.IncidentDir, c.IncidentRetention, c.IncidentCooldown = "inc", 4, time.Second
@@ -104,14 +104,14 @@ sched:
 			name: "explicit values override the config file, zeros included",
 			args: []string{"-config", yaml, "-addr", ":7001", "-fetch-retries", "0", "-fetch-backoff", "1ms",
 				"-fetch-timeout", "0", "-mutex-profile-fraction", "0", "-block-profile-rate", "7",
-				"-usage-topk", "0", "-usage-window", "2m", "-profile-interval", "0", "-profile-topk", "5",
+				"-usage-topk", "1", "-usage-window", "2m", "-profile-interval", "0", "-profile-topk", "5",
 				"-sched-workers", "0", "-sched-queue", "8", "-calcache-ttl", "0"},
 			want: func(c *daemon.Config) {
 				fromFile(c)
 				c.APIAddr = ":7001"
 				c.FetchRetries, c.FetchBackoff, c.FetchTimeout = 0, time.Millisecond, 0
 				c.MutexProfileFraction, c.BlockProfileRate = 0, 7
-				c.UsageTopK, c.UsageWindow = 0, 2*time.Minute
+				c.UsageTopK, c.UsageWindow = 1, 2*time.Minute
 				c.ProfileInterval, c.ProfileTopK = 0, 5
 				c.SchedWorkers, c.SchedQueueDepth, c.CalCacheTTL = 0, 8, 0
 			},
@@ -136,7 +136,7 @@ sched:
 		},
 		// -1 used to mean "not given" on twelve flags; it is now what it
 		// looks like, a negative count.
-		{name: "-usage-topk -1", args: []string{"-usage-topk", "-1"}, wantErr: []string{"-usage-topk", "is -1, want at least 0"}},
+		{name: "-usage-topk -1", args: []string{"-usage-topk", "-1"}, wantErr: []string{"-usage-topk", "is -1, want at least 1"}},
 		{name: "-calcache-ttl -1ns", args: []string{"-config", yaml, "-calcache-ttl", "-1ns"}, wantErr: []string{"-calcache-ttl", "is -1ns, want at least 0s"}},
 		{name: "-addr ''", args: []string{"-addr", ""}, wantErr: []string{`api.addr (-addr) is "" (0 characters), want at least 1`}},
 		// What the hand-written copies let through.
@@ -153,10 +153,17 @@ sched:
 		{name: "-splitter 0", args: []string{"-splitter", "0"}, wantErr: []string{"-splitter is 0, want at least 1"}},
 		{name: "-rate -5", args: []string{"-rate", "-5"}, wantErr: []string{"-rate is -5, want at least 1"}},
 		{name: "-history-retention -5s", args: []string{"-history-retention", "-5s"}, wantErr: []string{"-history-retention is -5s, want at least 0s"}},
-		{name: "-audit-retention -1h", args: []string{"-audit-retention", "-1h"}, wantErr: []string{"-audit-retention is -1h0m0s, want at least 0s"}},
-		{name: "-incident-retention -1", args: []string{"-incident-retention", "-1"}, wantErr: []string{"-incident-retention is -1, want at least 0"}},
+		{name: "-audit-retention -1h", args: []string{"-audit-retention", "-1h"}, wantErr: []string{"-audit-retention is -1h0m0s, want at least 1ns"}},
+		{name: "-incident-retention -1", args: []string{"-incident-retention", "-1"}, wantErr: []string{"-incident-retention is -1, want at least 1"}},
 		{name: "-drift-threshold -1", args: []string{"-drift-threshold", "-1"}, wantErr: []string{"-drift-threshold is -1, want at least 0"}},
-		{name: "-scrape-interval -1s", args: []string{"-scrape-interval", "-1s"}, wantErr: []string{"-scrape-interval is -1s, want at least 0s", "0 disables"}},
+		{name: "-scrape-interval -1s", args: []string{"-scrape-interval", "-1s"}, wantErr: []string{"-scrape-interval is -1s, want at least 1ns", "always on"}},
+		// The always-on subsystems have no off-switch, and the profiler's
+		// CPU window no 0 that hides it from the fits-the-interval rule.
+		{name: "-scrape-interval 0", args: []string{"-scrape-interval", "0"}, wantErr: []string{"-scrape-interval is 0s, want at least 1ns", "always on"}},
+		{name: "-audit-resolve-interval 0", args: []string{"-audit-resolve-interval", "0"}, wantErr: []string{"-audit-resolve-interval is 0s, want at least 1ns", "always on"}},
+		{name: "-usage-topk 0", args: []string{"-usage-topk", "0"}, wantErr: []string{"usage.topk (-usage-topk) is 0, want at least 1", "always on"}},
+		{name: "a zero cpu window under a short interval", args: []string{"-profile-interval", "100ms", "-config", write("window.yaml", "profiler:\n  cpu_window_ms: 0\n")},
+			wantErr: []string{"profiler.cpu_window_ms is 0s, want at least 1ns"}},
 		{name: "-sched-workers 2.7", args: []string{"-sched-workers", "2.7"}, wantErr: []string{"-sched-workers", "parse error"}},
 	}
 	for _, c := range cases {

@@ -79,13 +79,8 @@ func accuracyCmd(c *client, args []string) error {
 		return c.getJSON(path)
 	}
 	var resp accuracyResponse
-	found, err := c.getDecodeOpt(path, &resp)
-	if err != nil {
+	if err := c.getDecode(path, &resp); err != nil {
 		return err
-	}
-	if !found {
-		fmt.Println("audit disabled on server (start caladrius with self-monitoring and -audit-resolve-interval > 0)")
-		return nil
 	}
 
 	if len(resp.Stats) == 0 {

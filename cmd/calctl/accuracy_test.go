@@ -7,25 +7,10 @@ import (
 	"caladrius/internal/audit"
 )
 
-// TestAccuracyCommandDisabled: against a server without an audit
-// ledger the command explains how to enable it instead of erroring.
-func TestAccuracyCommandDisabled(t *testing.T) {
-	srv, _ := newTestServerOpts(t, true, false)
-	out, err := captureStdout(t, func() error {
-		return run([]string{"-server", srv.URL, "accuracy"})
-	})
-	if err != nil {
-		t.Fatalf("accuracy against auditless server: %v", err)
-	}
-	if !strings.Contains(out, "audit disabled on server") {
-		t.Fatalf("output = %q, want audit-disabled notice", out)
-	}
-}
-
 // TestAccuracyCommand drives a graded and a counterfactual prediction,
 // resolves the ledger, and checks the summary rendering.
 func TestAccuracyCommand(t *testing.T) {
-	srv, d := newTestServerOpts(t, true, true)
+	srv, d := newTestServer(t)
 	led := d.Ledger
 	base := []string{"-server", srv.URL}
 	// Graded run (deployed config at observed rate) and a what-if run.

@@ -119,14 +119,8 @@ func renderDash(c *client, window, step time.Duration, width int) error {
 			"merge":  {p.merge},
 		}
 		var rr dashRange
-		found, err := c.getDecodeOpt("/api/v1/query_range?"+v.Encode(), &rr)
-		if err != nil {
+		if err := c.getDecode("/api/v1/query_range?"+v.Encode(), &rr); err != nil {
 			return err
-		}
-		if !found {
-			// -scrape-interval 0 daemon: history endpoints answer 404.
-			fmt.Printf("%-14s %*s  (self-monitoring disabled)\n", p.title, width, "")
-			continue
 		}
 		vals := make([]float64, len(rr.Points))
 		for i, pt := range rr.Points {
@@ -140,33 +134,28 @@ func renderDash(c *client, window, step time.Duration, width int) error {
 	}
 
 	var ar dashAlerts
-	found, err := c.getDecodeOpt("/api/v1/alerts", &ar)
-	if err != nil {
+	if err := c.getDecode("/api/v1/alerts", &ar); err != nil {
 		return err
 	}
 	fmt.Println("\nalerts:")
-	switch {
-	case !found:
-		fmt.Println("  (self-monitoring disabled)")
-	case len(ar.Alerts) == 0:
+	if len(ar.Alerts) == 0 {
 		fmt.Println("  (no rules configured)")
-	default:
-		for _, a := range ar.Alerts {
-			val := "-"
-			if a.Value != nil {
-				val = fmt.Sprintf("%.4g", *a.Value)
-			}
-			line := fmt.Sprintf("  %-10s %-24s %s %s %g over %s",
-				strings.ToUpper(a.State), a.Rule, val, a.Op, a.Threshold, a.Window)
-			if a.State == "firing" && a.Since != nil {
-				line += "  since " + a.Since.Format(time.RFC3339)
-			}
-			fmt.Println(line)
+	}
+	for _, a := range ar.Alerts {
+		val := "-"
+		if a.Value != nil {
+			val = fmt.Sprintf("%.4g", *a.Value)
 		}
+		line := fmt.Sprintf("  %-10s %-24s %s %s %g over %s",
+			strings.ToUpper(a.State), a.Rule, val, a.Op, a.Threshold, a.Window)
+		if a.State == "firing" && a.Since != nil {
+			line += "  since " + a.Since.Format(time.RFC3339)
+		}
+		fmt.Println(line)
 	}
 
 	var il incidentList
-	found, err = c.getDecodeOpt("/api/v1/incidents", &il)
+	found, err := c.getDecodeOpt("/api/v1/incidents", &il)
 	if err != nil {
 		return err
 	}
@@ -207,27 +196,22 @@ func renderDash(c *client, window, step time.Duration, width int) error {
 		cc.Entries, cc.HitRate*100, cc.Hits, cc.Misses, cc.Stale, cc.Invalidations)
 
 	// Top principals by request volume over the server's usage window.
-	// Older daemons and -usage-topk 0 answer 404 here; omit the panel.
 	var ur usageResponse
-	found, err = c.getDecodeOpt("/api/v1/usage?by=requests&n=3", &ur)
-	if err != nil {
+	if err := c.getDecode("/api/v1/usage?by=requests&n=3", &ur); err != nil {
 		return err
 	}
-	if found {
-		fmt.Println("\ntop tenants (by requests):")
-		if len(ur.Top) == 0 {
-			fmt.Println("  (no usage recorded)")
-		} else {
-			for _, p := range ur.Top {
-				tenant := p.Tenant
-				if p.Rollup {
-					tenant = "(other)"
-				}
-				fmt.Printf("  %-16s %-14s %6d reqs  %8.1f cpu_ms  %s\n",
-					tenant, p.Topology, p.Window.Requests,
-					float64(p.Window.CPUNS)/1e6, fmtBytes(p.Window.AllocBytes))
-			}
+	fmt.Println("\ntop tenants (by requests):")
+	if len(ur.Top) == 0 {
+		fmt.Println("  (no usage recorded)")
+	}
+	for _, p := range ur.Top {
+		tenant := p.Tenant
+		if p.Rollup {
+			tenant = "(other)"
 		}
+		fmt.Printf("  %-16s %-14s %6d reqs  %8.1f cpu_ms  %s\n",
+			tenant, p.Topology, p.Window.Requests,
+			float64(p.Window.CPUNS)/1e6, fmtBytes(p.Window.AllocBytes))
 	}
 	return nil
 }

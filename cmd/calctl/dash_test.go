@@ -43,25 +43,9 @@ func TestDashCommand(t *testing.T) {
 	}
 }
 
-// TestDashGracefulWhenSelfMonitoringDisabled: against a daemon started
-// with -scrape-interval 0 the history endpoints answer 404; dash must
-// render placeholder panels instead of erroring out.
-func TestDashGracefulWhenSelfMonitoringDisabled(t *testing.T) {
-	srv, _ := newTestServerOpts(t, false, false)
-	out, err := captureStdout(t, func() error {
-		return run([]string{"-server", srv.URL, "dash", "-iterations", "1", "-no-clear"})
-	})
-	if err != nil {
-		t.Fatalf("dash against monitoring-less server: %v", err)
-	}
-	if got := strings.Count(out, "(self-monitoring disabled)"); got != len(dashPanels)+1 {
-		t.Fatalf("disabled placeholders = %d, want %d (one per panel plus alerts):\n%s", got, len(dashPanels)+1, out)
-	}
-}
-
 // TestDashSchedulerPanel: the dash renders the scheduler snapshot.
 func TestDashSchedulerPanel(t *testing.T) {
-	srv, _ := newTestServerOpts(t, false, false, func(c *daemon.Config) {
+	srv, _ := newTestServer(t, func(c *daemon.Config) {
 		c.SchedWorkers, c.SchedQueueDepth = 1, 8
 	})
 	// Drive one model run through the scheduler so the counters move.

@@ -12,7 +12,7 @@ import (
 )
 
 func TestIncidentsCommand(t *testing.T) {
-	srv, d := newTestServerOpts(t, true, false, func(c *daemon.Config) {
+	srv, d := newTestServer(t, func(c *daemon.Config) {
 		c.IncidentDir = filepath.Join(t.TempDir(), "incidents")
 	})
 	rec := d.Recorder
@@ -101,7 +101,7 @@ func TestIncidentsCommand(t *testing.T) {
 }
 
 func TestIncidentsCommandDegraded(t *testing.T) {
-	srv, _ := newTestServerOpts(t, false, false)
+	srv, _ := newTestServer(t)
 	out, err := captureStdout(t, func() error {
 		return run([]string{"-server", srv.URL, "incidents"})
 	})

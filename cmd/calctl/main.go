@@ -277,10 +277,10 @@ func (c *client) getDecode(path string, v any) error {
 	return err
 }
 
-// getDecodeOpt is getDecode for opt-in server features (self-
-// monitoring, the audit ledger): a 404 reports found=false with no
-// error, so callers can degrade gracefully instead of failing against
-// a daemon started with those subsystems disabled.
+// getDecodeOpt is getDecode for the two opt-in server features (the
+// incident recorder, the continuous profiler): a 404 reports
+// found=false with no error, so callers can degrade gracefully instead
+// of failing against a daemon started without them.
 func (c *client) getDecodeOpt(path string, v any) (found bool, err error) {
 	resp, err := c.http.Get(c.base + path)
 	if err != nil {

@@ -14,19 +14,10 @@ import (
 	"caladrius/internal/workload"
 )
 
-// newTestServer stands up the daemon over simulated metrics, with the
-// self-monitoring pipeline (scraper, history store, SLO rules) wired in
-// so the history endpoints and `calctl dash` have data. Tests scrape by
-// hand through the returned daemon's Scraper.
-func newTestServer(t *testing.T) (*httptest.Server, *daemon.Daemon) {
-	return newTestServerOpts(t, true, false)
-}
-
-// newTestServerOpts controls whether the self-monitoring pipeline and
-// the prediction audit ledger are on — the degraded-mode calctl tests
-// need daemons without them. The continuous profiler is off unless a
-// mutate function supplies one.
-func newTestServerOpts(t *testing.T, selfMonitoring, withAudit bool, mutate ...func(*daemon.Config)) (*httptest.Server, *daemon.Daemon) {
+// newTestServer stands up the daemon over simulated metrics. Tests
+// scrape by hand through the returned daemon's Scraper. The continuous
+// profiler is off unless a mutate function supplies one.
+func newTestServer(t *testing.T, mutate ...func(*daemon.Config)) (*httptest.Server, *daemon.Daemon) {
 	t.Helper()
 	const warm = 30 * time.Minute
 	sub, err := heron.SimulateWordCount(heron.WordCountOptions{
@@ -41,12 +32,6 @@ func newTestServerOpts(t *testing.T, selfMonitoring, withAudit bool, mutate ...f
 	cfg.CalibrationLookback = warm
 	cfg.LogOutput = io.Discard
 	cfg.ProfileInterval = 0
-	if !selfMonitoring {
-		cfg.ScrapeInterval = 0
-	}
-	if !withAudit {
-		cfg.AuditResolveInterval = 0
-	}
 	for _, m := range mutate {
 		m(&cfg)
 	}

@@ -48,7 +48,7 @@ func withProfiler(t *testing.T) func(*daemon.Config) {
 }
 
 func TestProfileCommand(t *testing.T) {
-	srv, _ := newTestServerOpts(t, false, false, withProfiler(t))
+	srv, _ := newTestServer(t, withProfiler(t))
 	base := []string{"-server", srv.URL}
 	cases := []struct {
 		name  string
@@ -100,7 +100,7 @@ func TestProfileCommand(t *testing.T) {
 }
 
 func TestProfileCommandErrors(t *testing.T) {
-	srv, _ := newTestServerOpts(t, false, false, withProfiler(t))
+	srv, _ := newTestServer(t, withProfiler(t))
 	base := []string{"-server", srv.URL}
 	bad := [][]string{
 		{"profile", "bogus"},                 // unknown subcommand
@@ -120,7 +120,7 @@ func TestProfileCommandErrors(t *testing.T) {
 // Against a profiler-disabled daemon every profile subcommand prints
 // the explicit notice and exits 0 rather than failing.
 func TestProfileCommandDisabled(t *testing.T) {
-	srv, _ := newTestServerOpts(t, false, false)
+	srv, _ := newTestServer(t)
 	base := []string{"-server", srv.URL}
 	for _, args := range [][]string{
 		{"profile"},

@@ -58,13 +58,8 @@ func usageCmd(c *client, args []string) error {
 		return c.getJSON(path)
 	}
 	var resp usageResponse
-	found, err := c.getDecodeOpt(path, &resp)
-	if err != nil {
+	if err := c.getDecode(path, &resp); err != nil {
 		return err
-	}
-	if !found {
-		fmt.Println("usage accounting disabled on server (start caladrius with -usage-topk > 0)")
-		return nil
 	}
 	fmt.Printf("usage over the last %s (ranked by %s; %d/%d principals live, %d evicted into other)\n",
 		time.Duration(resp.WindowSeconds*float64(time.Second)), resp.By,

@@ -98,7 +98,9 @@ type Service struct {
 	calcache *sched.CalCache
 }
 
-// Options carries the service's optional dependencies.
+// Options carries the service's dependencies beyond the tracker and the
+// metrics provider. The ones every daemon runs are marked Required, so
+// no endpoint or model run has a shape without them.
 type Options struct {
 	// Logger receives the structured access log and service events.
 	// Default: slog.Default().
@@ -113,22 +115,20 @@ type Options struct {
 	// Tracer records model-pipeline traces. Default: a fresh tracer
 	// retaining telemetry.DefaultMaxTraces traces.
 	Tracer *telemetry.Tracer
-	// History is the store the telemetry scraper appends into. Nil
-	// leaves /api/v1/query_range answering 404.
+	// History is the store the telemetry scraper appends into, served by
+	// /api/v1/query_range. Required.
 	History *tsdb.DB
-	// SLO evaluates alert rules against History. Nil leaves
-	// /api/v1/alerts answering 404.
+	// SLO evaluates alert rules against History, served by
+	// /api/v1/alerts. Required.
 	SLO *telemetry.SLO
 	// Audit is the prediction audit ledger every model run is recorded
-	// into. Nil disables recording and leaves /api/v1/audit answering
-	// 404.
+	// into, served by /api/v1/audit. Required.
 	Audit *audit.Ledger
 	// Incidents is the flight recorder whose bundles the incidents
 	// endpoints serve. Nil leaves /api/v1/incidents answering 404.
 	Incidents *incident.Recorder
 	// Usage is the per-(tenant, topology) accountant every request and
-	// model run is attributed to. Nil disables attribution and leaves
-	// /api/v1/usage answering 404.
+	// model run is attributed to, served by /api/v1/usage. Required.
 	Usage *usage.Accountant
 	// Profiler is the continuous profiler whose windows, diffs and
 	// flame stacks the profiles endpoints serve. Nil leaves
@@ -136,7 +136,7 @@ type Options struct {
 	Profiler *profiler.Profiler
 	// SimTicks optionally supplies a monotonic simulator-tick total so
 	// model-run costs include the ticks they drove (the demo sim's
-	// caladrius_sim_ticks_total). Only read when Usage is set.
+	// caladrius_sim_ticks_total).
 	SimTicks func() uint64
 	// Scheduler is the bounded model-run scheduler every predict/plan/
 	// calibrate request is queued through: identical concurrent requests
@@ -150,7 +150,8 @@ type Options struct {
 }
 
 // NewService builds a service. The tracker, the metrics provider and
-// opts.Scheduler are required; every other option is optional.
+// the options marked Required must be non-nil; the rest have defaults
+// or, Incidents and Profiler, switch their endpoints off.
 func NewService(cfg config.Config, tr *tracker.Tracker, provider metrics.Provider, opts Options) (*Service, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -158,8 +159,19 @@ func NewService(cfg config.Config, tr *tracker.Tracker, provider metrics.Provide
 	if tr == nil || provider == nil {
 		return nil, errors.New("api: nil tracker or metrics provider")
 	}
-	if opts.Scheduler == nil {
-		return nil, errors.New("api: nil scheduler (Options.Scheduler is required)")
+	for _, req := range []struct {
+		field string
+		unset bool
+	}{
+		{"Scheduler", opts.Scheduler == nil},
+		{"History", opts.History == nil},
+		{"SLO", opts.SLO == nil},
+		{"Audit", opts.Audit == nil},
+		{"Usage", opts.Usage == nil},
+	} {
+		if req.unset {
+			return nil, fmt.Errorf("api: Options.%s is required", req.field)
+		}
 	}
 	if opts.Logger == nil {
 		opts.Logger = slog.Default()
@@ -176,10 +188,6 @@ func NewService(cfg config.Config, tr *tracker.Tracker, provider metrics.Provide
 	reg := opts.Telemetry
 	reg.SetHelp("caladrius_jobs_running", "Asynchronous modelling jobs currently executing.")
 	reg.SetHelp("caladrius_jobs_completed_total", "Finished asynchronous jobs, by outcome.")
-	var sampler *core.CostSampler
-	if opts.Usage != nil {
-		sampler = &core.CostSampler{Ticks: opts.SimTicks}
-	}
 	s := &Service{
 		cfg:         cfg,
 		tracker:     tr,
@@ -196,7 +204,7 @@ func NewService(cfg config.Config, tr *tracker.Tracker, provider metrics.Provide
 		incidents:   opts.Incidents,
 		usage:       opts.Usage,
 		profiler:    opts.Profiler,
-		sampler:     sampler,
+		sampler:     &core.CostSampler{Ticks: opts.SimTicks},
 		jobsRunning: reg.Gauge("caladrius_jobs_running", nil),
 		jobsDone:    reg.Counter("caladrius_jobs_completed_total", telemetry.Labels{"outcome": "done"}),
 		jobsFailed:  reg.Counter("caladrius_jobs_completed_total", telemetry.Labels{"outcome": "failed"}),
@@ -758,9 +766,7 @@ func (s *Service) calibrate(ctx context.Context, topoName string, info tracker.I
 	if _, _, err := s.graphs.Get(info.Topology, info.Plan); err != nil {
 		return nil, err
 	}
-	if s.audit != nil {
-		s.audit.NoteCalibration(topoName, asOf)
-	}
+	s.audit.NoteCalibration(topoName, asOf)
 	s.logger.Info("calibrated topology model", "topology", topoName, "plan_version", info.Plan.Version)
 	return tm, nil
 }

@@ -10,13 +10,16 @@ import (
 	"testing"
 	"time"
 
+	"caladrius/internal/audit"
 	"caladrius/internal/config"
 	"caladrius/internal/core"
 	"caladrius/internal/heron"
 	"caladrius/internal/metrics"
 	"caladrius/internal/sched"
+	"caladrius/internal/telemetry"
 	"caladrius/internal/tracker"
 	"caladrius/internal/tsdb"
+	"caladrius/internal/usage"
 	"caladrius/internal/workload"
 )
 
@@ -62,18 +65,46 @@ func simulate(t *testing.T, opts heron.WordCountOptions, warm time.Duration) dep
 	return deployment{tr: tr, provider: provider, cfg: cfg, asOf: sub.AsOf}
 }
 
-// serve builds a service over the deployment and an HTTP server in
-// front of it. A nil opts.Now is the deployment's frozen clock; a nil
-// opts.Scheduler is a default-sized scheduler closed with the test.
-func (d deployment) serve(t *testing.T, opts Options) (*Service, *httptest.Server) {
+// withRequired fills each of opts' required components (and the clock)
+// left nil with a default one over provider — the scheduler closed with
+// the test — built on whichever of Telemetry and History opts does give.
+func withRequired(t *testing.T, provider metrics.Provider, now time.Time, opts Options) Options {
 	t.Helper()
 	if opts.Now == nil {
-		opts.Now = func() time.Time { return d.asOf }
+		opts.Now = func() time.Time { return now }
 	}
 	if opts.Scheduler == nil {
 		opts.Scheduler = sched.New(sched.Options{})
 		t.Cleanup(opts.Scheduler.Close)
 	}
+	if opts.Telemetry == nil {
+		opts.Telemetry = telemetry.NewRegistry()
+	}
+	if opts.History == nil {
+		opts.History = tsdb.New(0)
+	}
+	var err error
+	if opts.SLO == nil {
+		if opts.SLO, err = telemetry.NewSLO(opts.History, opts.Telemetry, nil, telemetry.DefaultSLORules()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if opts.Audit == nil {
+		if opts.Audit, err = audit.NewLedger(audit.Options{Provider: provider, History: opts.History, Now: opts.Now}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if opts.Usage == nil {
+		opts.Usage = usage.New(usage.Options{Registry: opts.Telemetry})
+	}
+	return opts
+}
+
+// serve builds a service over the deployment and an HTTP server in
+// front of it, on the deployment's frozen clock unless opts has its own.
+func (d deployment) serve(t *testing.T, opts Options) (*Service, *httptest.Server) {
+	t.Helper()
+	opts = withRequired(t, d.provider, d.asOf, opts)
 	svc, err := NewService(d.cfg, d.tr, d.provider, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -397,8 +428,22 @@ func TestServiceConstructorValidation(t *testing.T) {
 	if _, err := NewService(bad, tr, prov, Options{Scheduler: scheduler}); err == nil {
 		t.Error("invalid config accepted")
 	}
-	if _, err := NewService(cfg, tr, prov, Options{}); err == nil {
-		t.Error("nil scheduler accepted")
+	// Each required option, left nil on its own, is refused by name.
+	for field, unset := range map[string]func(*Options){
+		"Scheduler": func(o *Options) { o.Scheduler = nil },
+		"History":   func(o *Options) { o.History = nil },
+		"SLO":       func(o *Options) { o.SLO = nil },
+		"Audit":     func(o *Options) { o.Audit = nil },
+		"Usage":     func(o *Options) { o.Usage = nil },
+	} {
+		opts := withRequired(t, prov, time.Time{}, Options{})
+		unset(&opts)
+		if _, err := NewService(cfg, tr, prov, opts); err == nil || !strings.Contains(err.Error(), "Options."+field+" is required") {
+			t.Errorf("nil %s: err = %v, want it to name Options.%s", field, err, field)
+		}
+	}
+	if _, err := NewService(cfg, tr, prov, withRequired(t, prov, time.Time{}, Options{})); err != nil {
+		t.Errorf("every required option given: %v", err)
 	}
 }
 

@@ -13,8 +13,7 @@ import (
 
 // The prediction audit surface: every model run the service performs
 // is recorded into the audit ledger (internal/audit) through the
-// core.RunRecorder hook, and exposed read-only here. Both routes need
-// the ledger (needsAudit): without one they answer 404.
+// core.RunRecorder hook, and exposed read-only here.
 
 // ledgerRecorder adapts the audit ledger to core.RunRecorder, binding
 // the request-scoped identity core does not know: topology name, model
@@ -69,14 +68,10 @@ func (r ledgerRecorder) RecordRun(run core.ModelRun) {
 	})
 }
 
-// auditRecorder builds the RunRecorder for one model run, or nil when
-// the service has no ledger (PredictRecorded then degrades to Predict).
-// cachedCal marks runs whose calibration was served from the cache (or
-// another request's in-flight calibration) rather than performed fresh.
+// auditRecorder builds the RunRecorder for one model run. cachedCal
+// marks runs whose calibration was served from the cache (or another
+// request's in-flight calibration) rather than performed fresh.
 func (s *Service) auditRecorder(ctx context.Context, topology, model string, counterfactual, cachedCal bool) core.RunRecorder {
-	if s.audit == nil {
-		return nil
-	}
 	return ledgerRecorder{
 		led:            s.audit,
 		topology:       topology,

@@ -21,41 +21,14 @@ type auditEnvState struct {
 	srv *httptest.Server
 }
 
-// auditEnv is testEnv plus a prediction audit ledger wired over the
-// same simulated metrics, so records resolve against real actuals.
-// extra customises the service options (Audit is filled in).
-func auditEnv(t *testing.T, extra Options) *auditEnvState {
+// auditEnv is testEnv with the deployment and the ledger serve wired
+// over its simulated metrics in hand, so a test can resolve records
+// against real actuals and serve the deployment again.
+func auditEnv(t *testing.T, opts Options) *auditEnvState {
 	t.Helper()
 	d := newDeployment(t)
-	led, err := audit.NewLedger(audit.Options{
-		Provider: d.provider,
-		History:  extra.History,
-		Now:      func() time.Time { return d.asOf },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	extra.Audit = led
-	_, srv := d.serve(t, extra)
-	return &auditEnvState{deployment: d, led: led, srv: srv}
-}
-
-// TestAuditEndpointsDisabled: a service built without a ledger answers
-// 404 on the audit surface, and predictions still work.
-func TestAuditEndpointsDisabled(t *testing.T) {
-	_, srv, _ := testEnv(t)
-	resp := postJSON(t, srv.URL+"/api/v1/model/topology/word-count/performance?sync=true", PerformanceRequest{SourceRateTPM: 20e6})
-	decode[PerformanceResponse](t, resp, http.StatusOK)
-	for _, path := range []string{"/api/v1/audit", "/api/v1/audit/1"} {
-		r, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Body.Close()
-		if r.StatusCode != http.StatusNotFound {
-			t.Errorf("GET %s status = %d, want 404", path, r.StatusCode)
-		}
-	}
+	svc, srv := d.serve(t, opts)
+	return &auditEnvState{deployment: d, led: svc.audit, srv: srv}
 }
 
 // TestAuditEndToEnd drives predict and plan runs through the service,

@@ -15,9 +15,7 @@ import (
 // Self-monitoring endpoints. The scraper (telemetry.Scraper) appends
 // the service's own registry into an embedded tsdb.DB; these handlers
 // expose that history (GET /api/v1/query_range) and the SLO
-// evaluator's alert states (GET /api/v1/alerts). Self-monitoring is
-// opt-in: the routes need the history store and the SLO evaluator
-// (needsHistory, needsSLO) and answer 404 without them.
+// evaluator's alert states (GET /api/v1/alerts).
 
 // maxRangeBuckets bounds how many downsample buckets one query_range
 // request may ask for.

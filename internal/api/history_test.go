@@ -152,22 +152,6 @@ func TestSelfMonitoringEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSelfMonitoringDisabled verifies both endpoints answer 404 on a
-// service built without a history store or SLO evaluator.
-func TestSelfMonitoringDisabled(t *testing.T) {
-	_, srv, _ := testEnv(t)
-	for _, path := range []string{"/api/v1/query_range?metric=x", "/api/v1/alerts"} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("GET %s status = %d, want 404", path, resp.StatusCode)
-		}
-	}
-}
-
 func TestParseRangeTime(t *testing.T) {
 	if ts, err := parseRangeTime("2026-08-05T12:00:00Z"); err != nil || !ts.Equal(histT0) {
 		t.Errorf("RFC3339 = %v, %v", ts, err)

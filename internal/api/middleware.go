@@ -178,9 +178,7 @@ type statusRecorder struct {
 // claimed.
 func (r *statusRecorder) matched(ri *routeInstruments, topology string) {
 	r.route, r.topology = ri, topology
-	if r.acct != nil {
-		r.acct.Begin(r.tenant, topology)
-	}
+	r.acct.Begin(r.tenant, topology)
 }
 
 func (r *statusRecorder) WriteHeader(status int) {
@@ -207,8 +205,8 @@ func (r *statusRecorder) Write(p []byte) (int, error) {
 // still unsent), the stack goes to the logger, and the request still
 // lands in every instrument so panic spikes show up in the history.
 //
-// When acct is non-nil every request is additionally attributed to its
-// (tenant, topology) usage principal: tenant from the sanitized
+// Every request is additionally attributed in acct to its (tenant,
+// topology) usage principal: tenant from the sanitized
 // X-Caladrius-Tenant header, topology from the matched route. The
 // accountant's top-K cap makes this safe against hostile
 // high-cardinality headers.
@@ -265,9 +263,7 @@ func instrument(next http.Handler, inst *httpInstruments, logger *slog.Logger, a
 			ri.requests[idx].Inc()
 			ri.latency.ObserveExemplar(elapsed.Seconds(), trace)
 			ri.bytes.Add(float64(rec.bytes))
-			if acct != nil {
-				acct.Finish(tenant, rec.topology, rec.status, elapsed)
-			}
+			acct.Finish(tenant, rec.topology, rec.status, elapsed)
 			logger.Info("http request",
 				"method", r.Method,
 				"route", ri.label,

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"caladrius/internal/telemetry"
+	"caladrius/internal/usage"
 )
 
 // TestPanicRecovery drives panicking handlers through the middleware:
@@ -18,7 +19,7 @@ import (
 func TestPanicRecovery(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	var logBuf bytes.Buffer
-	svc := &Service{tel: reg, logger: slog.New(slog.NewTextHandler(&logBuf, nil))}
+	svc := &Service{tel: reg, logger: slog.New(slog.NewTextHandler(&logBuf, nil)), usage: usage.New(usage.Options{})}
 
 	srv := httptest.NewServer(svc.router([]route{
 		{"GET", "/api/v1/health", func(*Service, http.ResponseWriter, *http.Request) {

@@ -2,21 +2,17 @@ package api
 
 import "net/http"
 
-// subsystem is an optional dependency (see Options) some endpoints
-// need. Built without it, the service answers those endpoints 404 with
-// the subsystem's notice — the status calctl keys its "disabled on
-// server" messages on.
+// subsystem is one of the two dependencies a daemon can run without
+// (see Options) that some endpoints need. Built without it, the service
+// answers those endpoints 404 with the subsystem's notice — the status
+// calctl keys its "disabled on server" messages on.
 type subsystem struct {
 	enabled func(*Service) bool
 	notice  string
 }
 
 var (
-	needsHistory   = &subsystem{func(s *Service) bool { return s.history != nil }, "self-monitoring disabled: service has no history store"}
-	needsSLO       = &subsystem{func(s *Service) bool { return s.slo != nil }, "self-monitoring disabled: service has no SLO evaluator"}
-	needsAudit     = &subsystem{func(s *Service) bool { return s.audit != nil }, "audit disabled: service has no prediction ledger"}
 	needsIncidents = &subsystem{func(s *Service) bool { return s.incidents != nil }, "incident recorder disabled: start the daemon with -incident-dir"}
-	needsUsage     = &subsystem{func(s *Service) bool { return s.usage != nil }, "usage disabled: service has no usage accountant"}
 	needsProfiler  = &subsystem{func(s *Service) bool { return s.profiler != nil }, "continuous profiler disabled: start the daemon with -profile-interval > 0"}
 )
 
@@ -50,15 +46,15 @@ var routes = []route{
 	{"POST", "/api/v1/model/topology/{topology}/query", modelRoute("graph-query", (*Service).runGraphQuery), nil},
 	{"GET", "/api/v1/jobs/{id}", (*Service).handleJob, nil},
 	{"GET", "/api/v1/jobs/{id}/trace", (*Service).handleJobTrace, nil},
-	{"GET", "/api/v1/query_range", (*Service).handleQueryRange, needsHistory},
-	{"GET", "/api/v1/alerts", (*Service).handleAlerts, needsSLO},
-	{"GET", "/api/v1/audit", (*Service).handleAuditList, needsAudit},
-	{"GET", "/api/v1/audit/{id}", (*Service).handleAuditRecord, needsAudit},
+	{"GET", "/api/v1/query_range", (*Service).handleQueryRange, nil},
+	{"GET", "/api/v1/alerts", (*Service).handleAlerts, nil},
+	{"GET", "/api/v1/audit", (*Service).handleAuditList, nil},
+	{"GET", "/api/v1/audit/{id}", (*Service).handleAuditRecord, nil},
 	{"GET", "/api/v1/incidents", (*Service).handleIncidentsList, needsIncidents},
 	{"POST", "/api/v1/incidents/capture", (*Service).handleIncidentCapture, needsIncidents},
 	{"GET", "/api/v1/incidents/{id}", (*Service).handleIncident, needsIncidents},
 	{"GET", "/api/v1/incidents/{id}/artifacts/{name}", (*Service).handleIncidentArtifact, needsIncidents},
-	{"GET", "/api/v1/usage", (*Service).handleUsage, needsUsage},
+	{"GET", "/api/v1/usage", (*Service).handleUsage, nil},
 	{"GET", "/api/v1/sched", (*Service).handleSched, nil},
 	{"GET", "/api/v1/profiles", (*Service).handleProfiles, needsProfiler},
 	{"GET", "/api/v1/profiles/top", (*Service).handleProfilesTop, needsProfiler},

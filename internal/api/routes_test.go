@@ -228,16 +228,19 @@ func TestRouteTableContract(t *testing.T) {
 }
 
 // TestDisabledSubsystemsAnswer404 pins the one disabled-subsystem code
-// path: built without its subsystem, every row that needs one answers
-// 404 with the subsystem's notice — whatever the method — and is still
-// counted under its own label.
+// path: built without its subsystem, every row that needs one — the
+// incident and profiler rows, nothing else — answers 404 with the
+// subsystem's notice, whatever the method, and is still counted under
+// its own label.
 func TestDisabledSubsystemsAnswer404(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	handler := (&Service{tel: reg, logger: slog.New(slog.NewTextHandler(io.Discard, nil))}).Handler()
+	handler := (&Service{tel: reg, logger: slog.New(slog.NewTextHandler(io.Discard, nil)), usage: usage.New(usage.Options{})}).Handler()
+	optional := 0
 	for _, rt := range routes {
 		if rt.needs == nil {
 			continue
 		}
+		optional++
 		for _, method := range []string{"GET", "POST"} {
 			rec := httptest.NewRecorder()
 			handler.ServeHTTP(rec, httptest.NewRequest(method, strings.NewReplacer("{id}", "1", "{name}", "x").Replace(rt.pattern), nil))
@@ -248,6 +251,9 @@ func TestDisabledSubsystemsAnswer404(t *testing.T) {
 		if got := reg.Counter("caladrius_http_requests_total", telemetry.Labels{"route": rt.pattern, "class": "4xx"}).Value(); got != 2 {
 			t.Errorf("%s: 4xx = %g, want 2", rt.pattern, got)
 		}
+	}
+	if optional != 9 {
+		t.Errorf("%d rows need an optional subsystem, want the 4 incident and 5 profiler rows", optional)
 	}
 }
 

@@ -471,9 +471,7 @@ func TestColdTopologyCalibratesOnce(t *testing.T) {
 	scheduler := sched.New(sched.Options{Workers: clients, QueueDepth: 32})
 	defer scheduler.Close()
 	provider := &gatedProvider{Provider: d.provider, component: "splitter", release: make(chan struct{})}
-	svc, err := NewService(d.cfg, d.tr, provider, Options{
-		Audit: led, Scheduler: scheduler, Now: func() time.Time { return d.asOf },
-	})
+	svc, err := NewService(d.cfg, d.tr, provider, withRequired(t, provider, d.asOf, Options{Audit: led, Scheduler: scheduler}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"caladrius/internal/config"
 	"caladrius/internal/heron"
 	"caladrius/internal/metrics"
-	"caladrius/internal/sched"
 	"caladrius/internal/topology"
 	"caladrius/internal/tracker"
 	"caladrius/internal/tsdb"
@@ -57,9 +56,7 @@ func TestProviderUnavailableReturns503(t *testing.T) {
 	if err := tr.Register(top, plan); err != nil {
 		t.Fatal(err)
 	}
-	scheduler := sched.New(sched.Options{})
-	t.Cleanup(scheduler.Close)
-	svc, err := NewService(config.Default(), tr, downProvider{}, Options{Now: func() time.Time { return now }, Scheduler: scheduler})
+	svc, err := NewService(config.Default(), tr, downProvider{}, withRequired(t, downProvider{}, now, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}

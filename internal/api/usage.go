@@ -12,9 +12,7 @@ import (
 )
 
 // The usage surface: GET /api/v1/usage ranks the principals the
-// accountant tracked over its trailing window. The route needs the
-// accountant (needsUsage): 404 without one, and calctl degrades
-// accordingly.
+// accountant tracked over its trailing window.
 
 // usageSortKeys maps the ?by= parameter onto window fields.
 var usageSortKeys = map[string]func(usage.Totals) uint64{
@@ -112,10 +110,9 @@ func (s *Service) handleUsage(w http.ResponseWriter, r *http.Request) {
 }
 
 // chargeRun attributes one model run's measured cost to the request's
-// (tenant, topology) principal. No-op without an accountant or for
-// unmetered (zero) costs.
+// (tenant, topology) principal. No-op for unmetered (zero) costs.
 func (s *Service) chargeRun(ctx context.Context, topology string, cost core.RunCost) {
-	if s.usage == nil || cost == (core.RunCost{}) {
+	if cost == (core.RunCost{}) {
 		return
 	}
 	s.usage.RecordRun(RequestTenant(ctx), topology,

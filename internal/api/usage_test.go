@@ -54,23 +54,6 @@ func findUsage(top []usage.PrincipalUsage, tenant, topology string) *usage.Princ
 	return nil
 }
 
-// TestUsageEndpointDisabled: a service built without an accountant
-// answers 404 on /api/v1/usage (the calctl degrade contract), and the
-// instrumented handler keeps serving without attribution.
-func TestUsageEndpointDisabled(t *testing.T) {
-	_, srv, _ := testEnv(t)
-	resp := requestAs(t, "team-a", "GET", srv.URL+"/api/v1/usage", nil)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("usage status = %d, want 404", resp.StatusCode)
-	}
-	r2 := requestAs(t, "team-a", "GET", srv.URL+"/api/v1/health", nil)
-	r2.Body.Close()
-	if r2.StatusCode != http.StatusOK {
-		t.Errorf("health with tenant header = %d", r2.StatusCode)
-	}
-}
-
 // TestUsageEndToEndTwoTenants is the acceptance flow: two tenants drive
 // real predict/plan traffic through the instrumented handler, usage is
 // read back ranked by CPU and by allocations, the caladrius_tenant_*

@@ -60,12 +60,12 @@ func (l *Ledger) WriteSnapshot(w io.Writer) error {
 // contents. Records beyond capacity keep only the newest; resolved
 // non-counterfactual records replay into the rolling accuracy state in
 // order, so gauges and stats resume where the previous process left
-// off.
+// off. A snapshot that is malformed, or holds another number of records
+// than its header says, is an error that leaves the ledger as it was.
 func (l *Ledger) ReadSnapshot(r io.Reader) error {
 	br := bufio.NewReader(r)
-	dec := json.NewDecoder(br)
 	var hdr snapshotHeader
-	if err := dec.Decode(&hdr); err != nil {
+	if err := readLine(br, &hdr); err != nil {
 		return fmt.Errorf("audit: snapshot header: %w", err)
 	}
 	if hdr.Format != snapshotFormat {
@@ -74,16 +74,25 @@ func (l *Ledger) ReadSnapshot(r io.Reader) error {
 	if hdr.Version != snapshotVersion {
 		return fmt.Errorf("audit: unsupported snapshot version %d", hdr.Version)
 	}
-	recs := make([]Record, 0, hdr.Records)
+	if hdr.Records < 0 {
+		return fmt.Errorf("audit: snapshot header says %d records", hdr.Records)
+	}
+	// The header's count sizes nothing past the ledger's own capacity:
+	// the file is not trusted to say how much memory to ask for.
+	recs := make([]Record, 0, min(hdr.Records, l.capacity))
 	for {
 		var rec Record
-		if err := dec.Decode(&rec); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return fmt.Errorf("audit: snapshot record: %w", err)
+		err := readLine(br, &rec)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return fmt.Errorf("audit: snapshot record %d: %w", len(recs)+1, err)
 		}
 		recs = append(recs, rec)
+	}
+	if len(recs) != hdr.Records {
+		return fmt.Errorf("audit: snapshot header says %d records, read %d", hdr.Records, len(recs))
 	}
 	if len(recs) > l.capacity {
 		recs = recs[len(recs)-l.capacity:]
@@ -110,6 +119,20 @@ func (l *Ledger) ReadSnapshot(r io.Reader) error {
 		l.lastCalibration[topo] = at
 	}
 	return nil
+}
+
+// readLine decodes the next line of a snapshot into v. It returns
+// io.EOF at the end of the input; a last line without its newline is a
+// file cut short, not a record.
+func readLine(br *bufio.Reader, v any) error {
+	line, err := br.ReadBytes('\n')
+	if err == io.EOF && len(line) > 0 {
+		return io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(line, v)
 }
 
 // SaveFile atomically writes the ledger snapshot to path.

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"context"
 	"errors"
 	"time"
 
@@ -335,17 +336,14 @@ func (l *Ledger) emitSeries(now, seriesAt time.Time, batch []tsdb.BatchSample) {
 	}
 }
 
-// Run ticks ResolveOnce every interval until the context is done,
-// stamping each cycle with the ledger clock.
-func (l *Ledger) Run(done <-chan struct{}, interval time.Duration) {
-	if interval <= 0 {
-		interval = 15 * time.Second
-	}
+// Run ticks ResolveOnce every interval, which must be positive, until
+// ctx is done, stamping each cycle with the ledger clock.
+func (l *Ledger) Run(ctx context.Context, interval time.Duration) {
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
 		select {
-		case <-done:
+		case <-ctx.Done():
 			return
 		case <-t.C:
 			l.ResolveOnce(l.now())

@@ -85,7 +85,7 @@ func StartDaemon(opts DaemonOptions) (*Daemon, error) {
 		opts.ScrapeInterval = 500 * time.Millisecond
 	}
 	dc := daemon.Default()
-	dc.FetchRetries = 0 // no retry layer: fault windows map 1:1 onto 503s
+	dc.FetchRetries = 0 // no retries: fault windows map 1:1 onto 503s
 	dc.FetchTimeout = 0
 	dc.Rate = opts.RateTPM
 	dc.WarmMinutes = opts.WarmMinutes

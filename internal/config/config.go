@@ -93,8 +93,8 @@ type Config struct {
 	BlockProfileRate int
 	// UsageTopK is the usage accountant's live-principal cap K: at most
 	// this many (tenant, topology) principals are tracked individually;
-	// the rest roll into the "other" bucket. 0 disables usage
-	// accounting entirely.
+	// the rest roll into the "other" bucket. At least 1: usage accounting
+	// is always on.
 	UsageTopK int
 	// UsageWindow is the trailing window /api/v1/usage ranks principals
 	// over.
@@ -125,7 +125,7 @@ type Config struct {
 
 	// The rest have no YAML key: cmd/caladrius sets them by flag, and
 	// in-process callers by assignment. Their rows of the settings table
-	// describe them; 0 and "" mean off (or "the default") as said there.
+	// describe them; 0 and "" mean off only where said there.
 
 	// Demo substrate: WarmMinutes of simulated word-count history at
 	// Rate tuples/minute, or the heronsim snapshot in MetricsFile.

@@ -16,6 +16,11 @@ func TestDefaults(t *testing.T) {
 	if cfg.APIAddr != ":8642" || len(cfg.TrafficModels) != 2 {
 		t.Errorf("defaults = %+v", cfg)
 	}
+	// The only statement of the fetch policy's defaults: the retry layer
+	// takes what it is given.
+	if cfg.FetchRetries != 2 || cfg.FetchBackoff != 50*time.Millisecond || cfg.FetchTimeout != 10*time.Second {
+		t.Errorf("fetch defaults = %d retries, %s backoff, %s timeout; want 2, 50ms, 10s", cfg.FetchRetries, cfg.FetchBackoff, cfg.FetchTimeout)
+	}
 }
 
 func TestParseFull(t *testing.T) {
@@ -75,15 +80,18 @@ usage:
 	}
 }
 
-// UsageTopK 0 is a valid way to disable accounting; negatives and a
-// dead window are not.
+// Usage accounting has no off-switch: the smallest cap is one
+// principal, and a 0 is refused with the reason.
 func TestParseUsageSection(t *testing.T) {
-	cfg, err := Parse("usage:\n  topk: 0\n")
+	cfg, err := Parse("usage:\n  topk: 1\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.UsageTopK != 0 || cfg.UsageWindow != Default().UsageWindow {
+	if cfg.UsageTopK != 1 || cfg.UsageWindow != Default().UsageWindow {
 		t.Errorf("usage = %+v", cfg)
+	}
+	if _, err := Parse("usage:\n  topk: 0\n"); err == nil || !strings.Contains(err.Error(), "always on") {
+		t.Errorf("usage.topk 0: error %v, want one saying accounting is always on", err)
 	}
 }
 
@@ -160,6 +168,9 @@ var parseErrorCases = []struct {
 	{"sched:\n  workers: inf", "sched.workers is +Inf, want a whole number"},
 	{"usage:\n  topk: [1]", "usage.topk is []interface {}, want number"},
 	{"sched:", "sched is <nil>, want mapping"},
+	// Leaving the CPU window 0 used to mean "the default" and hide it
+	// from the shorter-than-the-interval rule above.
+	{"profiler:\n  interval_seconds: 0.1\n  cpu_window_ms: 0", "profiler.cpu_window_ms is 0s, want at least 1ns"},
 }
 
 func TestParseErrors(t *testing.T) {

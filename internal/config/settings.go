@@ -45,13 +45,13 @@ var settings = []setting{
 	{func(c *Config) any { return &c.FetchTimeout }, "fetch.timeout_seconds", "fetch-timeout", time.Second, 0, most, "per-attempt metrics fetch bound; 0 disables"},
 	{func(c *Config) any { return &c.MutexProfileFraction }, "profiling.mutex_fraction", "mutex-profile-fraction", 0, 0, most, "sample 1/n mutex contention events for incident mutex profiles; 0 disables"},
 	{func(c *Config) any { return &c.BlockProfileRate }, "profiling.block_rate_ns", "block-profile-rate", time.Nanosecond, 0, most, "sample blocking events of at least this many nanoseconds for incident block profiles; 0 disables"},
-	{func(c *Config) any { return &c.UsageTopK }, "usage.topk", "usage-topk", 0, 0, most, "track at most this many (tenant, topology) usage principals, evicting into an 'other' rollup; 0 disables usage accounting"},
+	{func(c *Config) any { return &c.UsageTopK }, "usage.topk", "usage-topk", 0, 1, most, "track at most this many (tenant, topology) usage principals, evicting into an 'other' rollup; usage accounting is always on, so there is no cap 0"},
 	{func(c *Config) any { return &c.UsageWindow }, "usage.window_seconds", "usage-window", time.Second, 1, most, "trailing window /api/v1/usage ranks principals over"},
 	{func(c *Config) any { return &c.ProfileInterval }, "profiler.interval_seconds", "profile-interval", time.Second, 0, most, "continuous profiler capture period; 0 disables the profiler"},
-	{func(c *Config) any { return &c.ProfileCPUWindow }, "profiler.cpu_window_ms", "", time.Millisecond, 0, most, "how long each periodic CPU capture samples; 0 uses the profiler's default"},
-	{func(c *Config) any { return &c.ProfileEpoch }, "profiler.epoch_seconds", "", time.Second, 0, most, "width of one profiler fold window; 0 uses the profiler's default"},
-	{func(c *Config) any { return &c.ProfileWindows }, "profiler.windows", "", 0, 0, most, "completed windows the profiler keeps; 0 uses the profiler's default"},
-	{func(c *Config) any { return &c.ProfileTopK }, "profiler.topk", "profile-topk", 0, 0, most, "default row count for profile top/diff/flame responses; 0 uses the profiler's default"},
+	{func(c *Config) any { return &c.ProfileCPUWindow }, "profiler.cpu_window_ms", "", time.Millisecond, 1, most, "how long each periodic CPU capture samples"},
+	{func(c *Config) any { return &c.ProfileEpoch }, "profiler.epoch_seconds", "", time.Second, 1, most, "width of one profiler fold window"},
+	{func(c *Config) any { return &c.ProfileWindows }, "profiler.windows", "", 0, 1, most, "completed windows the profiler keeps"},
+	{func(c *Config) any { return &c.ProfileTopK }, "profiler.topk", "profile-topk", 0, 1, most, "default row count for profile top/diff/flame responses"},
 	{func(c *Config) any { return &c.ProfileRegressionDelta }, "profiler.regression_delta", "", 0, 0, 1, "profile-hot-function-regression SLO threshold, a fraction of total flat time"},
 	{func(c *Config) any { return &c.SchedWorkers }, "sched.workers", "sched-workers", 0, 0, most, "model-run scheduler worker pool size; 0 auto-sizes to max(2, GOMAXPROCS)"},
 	{func(c *Config) any { return &c.SchedQueueDepth }, "sched.queue_depth", "sched-queue", 0, 1, most, "model-run scheduler admission queue depth (excess sheds with 429); every model run goes through the scheduler, so there is no depth 0"},
@@ -63,17 +63,17 @@ var settings = []setting{
 	{func(c *Config) any { return &c.WarmMinutes }, "", "warm-minutes", 0, 1, 366 * 24 * 60, "simulated minutes of metric history to pre-populate, a year at most"},
 	{func(c *Config) any { return &c.MetricsFile }, "", "metrics", 0, 0, most, "serve from a heronsim -save metrics snapshot instead of simulating"},
 	{func(c *Config) any { return &c.DebugAddr }, "", "debug-addr", 0, 0, most, "optional second listener for /debug/pprof, /debug/vars and /metrics (e.g. localhost:8643)"},
-	{func(c *Config) any { return &c.ScrapeInterval }, "", "scrape-interval", 0, 0, most, "self-monitoring scrape period; 0 disables the scraper, history and alerts"},
+	{func(c *Config) any { return &c.ScrapeInterval }, "", "scrape-interval", 0, 1, most, "self-monitoring scrape period; the scraper, history and alerts are always on, so there is no period 0"},
 	{func(c *Config) any { return &c.HistoryRetention }, "", "history-retention", 0, 0, most, "how much scraped telemetry history to keep; 0 keeps all of it"},
 	{func(c *Config) any { return &c.HistoryFile }, "", "history-file", 0, 0, most, "persist scraped history to this file on shutdown and reload it on boot"},
-	{func(c *Config) any { return &c.AuditResolveInterval }, "", "audit-resolve-interval", 0, 0, most, "how often the audit resolver joins predictions with actuals; 0 disables the prediction ledger"},
-	{func(c *Config) any { return &c.AuditRetention }, "", "audit-retention", 0, 0, most, "how long resolved audit records are retained; 0 uses the ledger's default"},
+	{func(c *Config) any { return &c.AuditResolveInterval }, "", "audit-resolve-interval", 0, 1, most, "how often the audit resolver joins predictions with actuals; the prediction ledger is always on, so there is no interval 0"},
+	{func(c *Config) any { return &c.AuditRetention }, "", "audit-retention", 0, 1, most, "how long resolved audit records are retained"},
 	{func(c *Config) any { return &c.AuditFile }, "", "audit-file", 0, 0, most, "persist the audit ledger to this file on shutdown and reload it on boot"},
 	{func(c *Config) any { return &c.DriftThreshold }, "", "drift-threshold", 0, 0, math.Inf(1), "rolling MAPE above which the model-accuracy-drift SLO fires"},
 	{func(c *Config) any { return &c.StaleCalibrationAfter }, "", "stale-calibration-after", 0, 0, most, "calibration age at which the model-stale-calibration SLO fires"},
 	{func(c *Config) any { return &c.IncidentDir }, "", "incident-dir", 0, 0, most, "capture incident bundles (profiles, logs, spans, metric windows) under this directory when an SLO fires; empty disables the flight recorder"},
-	{func(c *Config) any { return &c.IncidentRetention }, "", "incident-retention", 0, 0, most, "how many incident bundles to keep on disk (oldest deleted first); 0 uses the recorder's default"},
-	{func(c *Config) any { return &c.IncidentCooldown }, "", "incident-cooldown", 0, 0, most, "minimum spacing between SLO-triggered captures of the same rule; 0 uses the recorder's default"},
+	{func(c *Config) any { return &c.IncidentRetention }, "", "incident-retention", 0, 1, most, "how many incident bundles to keep on disk (oldest deleted first)"},
+	{func(c *Config) any { return &c.IncidentCooldown }, "", "incident-cooldown", 0, 1, most, "minimum spacing between SLO-triggered captures of the same rule"},
 	{func(c *Config) any { return &c.ProfileBaseline }, "", "profile-baseline", 0, 0, most, "persist the profiling baseline snapshot to this file and reload it on boot"},
 }
 

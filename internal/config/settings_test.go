@@ -135,6 +135,36 @@ func TestSettingsTableShape(t *testing.T) {
 	}
 }
 
+// TestOffSwitches pins the complete list of settings whose zero value
+// switches something off, so a new off-switch is added here on purpose —
+// each one doubles the daemon shapes tests must cover. No row's 0 means
+// "some other number": a default is what Default() holds.
+func TestOffSwitches(t *testing.T) {
+	want := []string{
+		"fetch.retries (-fetch-retries)",
+		"fetch.timeout_seconds (-fetch-timeout)",
+		"profiling.mutex_fraction (-mutex-profile-fraction)",
+		"profiling.block_rate_ns (-block-profile-rate)",
+		"profiler.interval_seconds (-profile-interval)",
+		"-incident-dir",
+	}
+	var got []string
+	for _, s := range settings {
+		if strings.Contains(s.help, "disables") {
+			got = append(got, s.name())
+			if s.min != 0 {
+				t.Errorf("%s: help says a zero disables it, but its minimum is %g", s.name(), s.min)
+			}
+		}
+		if strings.Contains(s.help, "uses the") {
+			t.Errorf("%s: help %q gives 0 the meaning of another number", s.name(), s.help)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("off-switches = %q\nwant %q", got, want)
+	}
+}
+
 func TestEverySettingFromYAML(t *testing.T) {
 	for _, s := range settings {
 		if s.key == "" {

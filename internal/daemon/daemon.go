@@ -77,7 +77,7 @@ func Default() Config {
 
 // Daemon is one assembled Caladrius service. The exported fields are
 // its live components, for in-process callers that drive the loops by
-// hand instead of calling Run; each is nil when its subsystem is off.
+// hand instead of calling Run; only Recorder and Profiler can be nil.
 type Daemon struct {
 	Registry  *telemetry.Registry
 	Tracker   *tracker.Tracker
@@ -154,54 +154,48 @@ func New(cfg Config) (*Daemon, error) {
 			return nil, err
 		}
 	}
-	if cfg.FetchRetries > 0 || cfg.FetchTimeout > 0 {
-		rc := metrics.RetryConfig{Retries: cfg.FetchRetries, Backoff: cfg.FetchBackoff, Timeout: cfg.FetchTimeout}
-		if rc.Retries == 0 {
-			rc.Retries = -1 // timeout-only policy: 0 would mean "use the default retry count"
-		}
-		provider = metrics.NewRetryingProvider(provider, rc, reg)
-		logger.Info("metrics fetch policy", "retries", cfg.FetchRetries, "backoff", cfg.FetchBackoff, "timeout", cfg.FetchTimeout)
-	}
+	// With no retries and no timeout the wrapper passes calls through
+	// and still counts caladrius_fetch_failures_total.
+	provider = metrics.NewRetryingProvider(provider, metrics.RetryConfig{
+		Retries: cfg.FetchRetries, Backoff: cfg.FetchBackoff, Timeout: cfg.FetchTimeout,
+	}, reg)
+	logger.Info("metrics fetch policy", "retries", cfg.FetchRetries, "backoff", cfg.FetchBackoff, "timeout", cfg.FetchTimeout)
 
 	// Self-monitoring: scrape the registry into a second history store
 	// (the substrate's db keeps topology metrics; this one keeps the
 	// service's own telemetry, stamped with wall time).
-	if cfg.ScrapeInterval > 0 {
-		if d.History, err = d.loadHistory(); err != nil {
-			return nil, err
-		}
-		d.Scraper = telemetry.NewScraper(reg, d.History, telemetry.ScrapeOptions{Interval: cfg.ScrapeInterval, Now: d.wall})
-		d.Scraper.AddCollector(telemetry.RegisterRuntime(reg, d.wall(), d.wall))
+	if d.History, err = d.loadHistory(); err != nil {
+		return nil, err
 	}
+	d.Scraper = telemetry.NewScraper(reg, d.History, telemetry.ScrapeOptions{Interval: cfg.ScrapeInterval, Now: d.wall})
+	d.Scraper.AddCollector(telemetry.RegisterRuntime(reg, d.wall(), d.wall))
 
 	// Prediction audit ledger: records every model run, and a resolver
-	// joins records against the substrate's actuals. It rides on
-	// self-monitoring — its accuracy series live in the history store.
-	if cfg.AuditResolveInterval > 0 && d.Scraper != nil {
-		d.Ledger, err = audit.NewLedger(audit.Options{
-			Provider:      provider,
-			History:       d.History,
-			Registry:      reg,
-			Now:           d.now,
-			SeriesNow:     d.wall,
-			Retention:     cfg.AuditRetention,
-			MetricsWindow: cfg.MetricsWindow,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if cfg.AuditFile != "" {
-			switch err := d.Ledger.LoadFile(cfg.AuditFile); {
-			case err == nil:
-				logger.Info("loaded audit ledger", "file", cfg.AuditFile, "records", d.Ledger.Len())
-			case errors.Is(err, os.ErrNotExist):
-				// First boot: nothing to restore yet.
-			default:
-				return nil, fmt.Errorf("load audit ledger: %w", err)
-			}
-		}
-		d.Scraper.AddCollector(d.Ledger.Collector())
+	// joins records against the substrate's actuals. Its accuracy series
+	// live in the history store.
+	d.Ledger, err = audit.NewLedger(audit.Options{
+		Provider:      provider,
+		History:       d.History,
+		Registry:      reg,
+		Now:           d.now,
+		SeriesNow:     d.wall,
+		Retention:     cfg.AuditRetention,
+		MetricsWindow: cfg.MetricsWindow,
+	})
+	if err != nil {
+		return nil, err
 	}
+	if cfg.AuditFile != "" {
+		switch err := d.Ledger.LoadFile(cfg.AuditFile); {
+		case err == nil:
+			logger.Info("loaded audit ledger", "file", cfg.AuditFile, "records", d.Ledger.Len())
+		case errors.Is(err, os.ErrNotExist):
+			// First boot: nothing to restore yet.
+		default:
+			return nil, fmt.Errorf("load audit ledger: %w", err)
+		}
+	}
+	d.Scraper.AddCollector(d.Ledger.Collector())
 
 	// Continuous profiler: a sampling loop folding pprof captures into
 	// epoch windows, diffed against a persisted baseline. Its
@@ -228,40 +222,32 @@ func New(cfg Config) (*Daemon, error) {
 			"windows", cfg.ProfileWindows)
 	}
 
-	if d.Scraper != nil {
-		rules := cfg.SLORules
-		if rules == nil {
-			rules = telemetry.DefaultSLORules()
-			if d.Ledger != nil {
-				rules = append(rules, telemetry.ModelAccuracyRules(cfg.DriftThreshold, cfg.StaleCalibrationAfter, 0)...)
-			}
-			if d.Profiler != nil {
-				rules = append(rules, telemetry.ProfilerRules(cfg.ProfileRegressionDelta, 0)...)
-			}
+	rules := cfg.SLORules
+	if rules == nil {
+		rules = append(telemetry.DefaultSLORules(), telemetry.ModelAccuracyRules(cfg.DriftThreshold, cfg.StaleCalibrationAfter, 0)...)
+		if d.Profiler != nil {
+			rules = append(rules, telemetry.ProfilerRules(cfg.ProfileRegressionDelta, 0)...)
 		}
-		if d.SLO, err = telemetry.NewSLO(d.History, reg, d.wall, rules); err != nil {
-			return nil, err
-		}
-		d.Scraper.AfterScrape(func(time.Time) { d.SLO.Evaluate() })
 	}
+	if d.SLO, err = telemetry.NewSLO(d.History, reg, d.wall, rules); err != nil {
+		return nil, err
+	}
+	d.Scraper.AfterScrape(func(time.Time) { d.SLO.Evaluate() })
 
 	// Usage accountant: every request and model run bills a
 	// (tenant, topology) principal, cardinality-capped at topk. The
 	// per-principal caladrius_tenant_* series land in the shared
 	// registry, so the scraper carries them into the history store and
 	// query_range/SLO/dash work on them unchanged.
-	var acct *usage.Accountant
+	acct := usage.New(usage.Options{Capacity: cfg.UsageTopK, Window: cfg.UsageWindow, Registry: reg})
 	var simTicks func() uint64
-	if cfg.UsageTopK > 0 {
-		acct = usage.New(usage.Options{Capacity: cfg.UsageTopK, Window: cfg.UsageWindow, Registry: reg})
-		if cfg.MetricsFile == "" {
-			// Model runs can drive simulator ticks; meter them per
-			// principal off the sim's own tick counter.
-			ticksC := reg.Counter("caladrius_sim_ticks_total", telemetry.Labels{"topology": sub.Topology.Name()})
-			simTicks = func() uint64 { return uint64(ticksC.Value()) }
-		}
-		logger.Info("usage accounting enabled", "topk", cfg.UsageTopK, "window", cfg.UsageWindow)
+	if cfg.MetricsFile == "" {
+		// Model runs can drive simulator ticks; meter them per
+		// principal off the sim's own tick counter.
+		ticksC := reg.Counter("caladrius_sim_ticks_total", telemetry.Labels{"topology": sub.Topology.Name()})
+		simTicks = func() uint64 { return uint64(ticksC.Value()) }
 	}
+	logger.Info("usage accounting enabled", "topk", cfg.UsageTopK, "window", cfg.UsageWindow)
 
 	// Incident flight recorder: armed on the SLO evaluator, capturing a
 	// bundle the moment a rule starts firing.
@@ -289,9 +275,7 @@ func New(cfg Config) (*Daemon, error) {
 		if err != nil {
 			return nil, err
 		}
-		if d.SLO != nil {
-			d.SLO.OnFiring(d.Recorder.FiringHook())
-		}
+		d.SLO.OnFiring(d.Recorder.FiringHook())
 		logger.Info("incident flight recorder armed", "dir", d.Recorder.Dir(),
 			"retention", cfg.IncidentRetention, "cooldown", cfg.IncidentCooldown)
 	}
@@ -407,14 +391,10 @@ func (d *Daemon) Run(ctx context.Context) error {
 	}
 	loops, stop := context.WithCancel(ctx)
 	d.stopLoops = stop
-	if d.Scraper != nil {
-		d.logger.Info("self-monitoring scraper running", "interval", d.cfg.ScrapeInterval, "retention", d.cfg.HistoryRetention)
-		d.goLoop(func() { d.Scraper.Run(loops) })
-	}
-	if d.Ledger != nil {
-		d.logger.Info("audit resolver running", "interval", d.cfg.AuditResolveInterval, "retention", d.cfg.AuditRetention)
-		d.goLoop(func() { d.Ledger.Run(loops.Done(), d.cfg.AuditResolveInterval) })
-	}
+	d.logger.Info("self-monitoring scraper running", "interval", d.cfg.ScrapeInterval, "retention", d.cfg.HistoryRetention)
+	d.goLoop(func() { d.Scraper.Run(loops) })
+	d.logger.Info("audit resolver running", "interval", d.cfg.AuditResolveInterval, "retention", d.cfg.AuditRetention)
+	d.goLoop(func() { d.Ledger.Run(loops, d.cfg.AuditResolveInterval) })
 	if d.Profiler != nil {
 		d.goLoop(func() { d.Profiler.Run(loops) })
 	}
@@ -478,19 +458,17 @@ func (d *Daemon) shutdown() error {
 		d.Recorder.Close() // bundles on disk are re-indexed on the next boot
 	}
 	var errs []error
-	if d.Ledger != nil {
-		// Resolve what we can first: the accuracy series this writes
-		// belong in the history snapshot as much as in the ledger's.
-		d.Ledger.ResolveOnce(d.now())
-		if d.cfg.AuditFile != "" {
-			if err := d.Ledger.SaveFile(d.cfg.AuditFile); err != nil {
-				errs = append(errs, fmt.Errorf("saving audit ledger: %w", err))
-			} else {
-				d.logger.Info("saved audit ledger", "file", d.cfg.AuditFile, "records", d.Ledger.Len())
-			}
+	// Resolve what we can first: the accuracy series this writes belong
+	// in the history snapshot as much as in the ledger's.
+	d.Ledger.ResolveOnce(d.now())
+	if d.cfg.AuditFile != "" {
+		if err := d.Ledger.SaveFile(d.cfg.AuditFile); err != nil {
+			errs = append(errs, fmt.Errorf("saving audit ledger: %w", err))
+		} else {
+			d.logger.Info("saved audit ledger", "file", d.cfg.AuditFile, "records", d.Ledger.Len())
 		}
 	}
-	if d.Scraper != nil && d.cfg.HistoryFile != "" {
+	if d.cfg.HistoryFile != "" {
 		d.Scraper.ScrapeOnce(d.wall()) // one final scrape so the snapshot is current
 		if err := d.History.SaveFile(d.cfg.HistoryFile); err != nil {
 			errs = append(errs, fmt.Errorf("saving telemetry history: %w", err))

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -201,7 +202,8 @@ func TestCloseAfterFailure(t *testing.T) {
 
 // TestNewValidatesEverySetting: the settings only flags reach are held
 // to their bounds for in-process callers too — New is where a Config
-// that never saw cmd/caladrius is checked.
+// that never saw cmd/caladrius is checked. The always-on subsystems have
+// no 0 that switches them off, and no 0 stands for a default.
 func TestNewValidatesEverySetting(t *testing.T) {
 	for name, breakIt := range map[string]func(*Config){
 		"-scrape-interval":    func(c *Config) { c.ScrapeInterval = -time.Second },
@@ -218,6 +220,99 @@ func TestNewValidatesEverySetting(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), name+" is") {
 			d.Close()
 			t.Errorf("New with a bad %s: error %v, want one naming the flag", name, err)
+		}
+	}
+	for name, zero := range map[string]func(*Config){
+		"-scrape-interval is 0s":             func(c *Config) { c.ScrapeInterval = 0 },
+		"-audit-resolve-interval is 0s":      func(c *Config) { c.AuditResolveInterval = 0 },
+		"usage.topk (-usage-topk) is 0":      func(c *Config) { c.UsageTopK = 0 },
+		"profiler.cpu_window_ms is 0s":       func(c *Config) { c.ProfileCPUWindow = 0 },
+		"profiler.epoch_seconds is 0s":       func(c *Config) { c.ProfileEpoch = 0 },
+		"profiler.windows is 0":              func(c *Config) { c.ProfileWindows = 0 },
+		"profiler.topk (-profile-topk) is 0": func(c *Config) { c.ProfileTopK = 0 },
+		"-audit-retention is 0s":             func(c *Config) { c.AuditRetention = 0 },
+		"-incident-retention is 0":           func(c *Config) { c.IncidentRetention = 0 },
+		"-incident-cooldown is 0s":           func(c *Config) { c.IncidentCooldown = 0 },
+	} {
+		cfg := testConfig()
+		zero(&cfg)
+		d, err := New(cfg)
+		if err == nil || !strings.Contains(err.Error(), name+", want at least") {
+			d.Close()
+			t.Errorf("New: error %v, want %q refused with its minimum", err, name)
+		}
+	}
+	// With the CPU window always a real number, the rule that it fits
+	// inside the interval cannot be sidestepped by leaving it 0.
+	cfg := testConfig()
+	cfg.ProfileInterval, cfg.ProfileCPUWindow = 100*time.Millisecond, 0
+	if d, err := New(cfg); err == nil || !strings.Contains(err.Error(), "profiler.cpu_window_ms") {
+		d.Close()
+		t.Errorf("New with a 100ms interval and cpu window 0: error %v, want one naming profiler.cpu_window_ms", err)
+	}
+}
+
+// TestDaemonShape: a daemon has one shape. Whatever the two remaining
+// off-switches say, every component but the recorder and the profiler
+// is there, the SLO rule set is composed from them, and the surfaces
+// that used to be conditional answer.
+func TestDaemonShape(t *testing.T) {
+	for name, tc := range map[string]struct {
+		mutate             func(*Config)
+		recorder, profiler bool
+	}{
+		"default":              {func(*Config) {}, false, true},
+		"-profile-interval 0":  {func(c *Config) { c.ProfileInterval = 0 }, false, false},
+		"-incident-dir":        {func(c *Config) { c.IncidentDir = t.TempDir() }, true, true},
+		"both switches thrown": {func(c *Config) { c.ProfileInterval, c.IncidentDir = 0, t.TempDir() }, true, false},
+	} {
+		cfg := Default()
+		cfg.WarmMinutes, cfg.LogOutput = 10, io.Discard
+		tc.mutate(&cfg)
+		d, err := New(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		v := reflect.ValueOf(d).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			want := true
+			switch f.Name {
+			case "Recorder":
+				want = tc.recorder
+			case "Profiler":
+				want = tc.profiler
+			}
+			if got := !v.Field(i).IsNil(); got != want {
+				t.Errorf("%s: Daemon.%s set = %v, want %v", name, f.Name, got, want)
+			}
+		}
+		rules := map[string]bool{}
+		for _, r := range d.SLO.Rules() {
+			rules[r.Name] = true
+		}
+		for rule, want := range map[string]bool{
+			"http-p95-latency":                true,
+			"model-accuracy-drift":            true,
+			"model-stale-calibration":         true,
+			"profile-hot-function-regression": tc.profiler,
+		} {
+			if rules[rule] != want {
+				t.Errorf("%s: SLO rule %s present = %v, want %v", name, rule, rules[rule], want)
+			}
+		}
+		for _, path := range []string{"/api/v1/query_range?metric=caladrius_go_goroutines&window=1m&step=5s", "/api/v1/alerts", "/api/v1/audit", "/api/v1/usage"} {
+			rec := httptest.NewRecorder()
+			d.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+			if rec.Code != http.StatusOK {
+				t.Errorf("%s: GET %s = %d, want 200 (%s)", name, path, rec.Code, rec.Body)
+			}
+		}
+		if err := d.Close(); err != nil {
+			t.Errorf("%s: Close: %v", name, err)
 		}
 	}
 }

@@ -9,31 +9,20 @@ import (
 	"caladrius/internal/tsdb"
 )
 
-// RetryConfig tunes the retrying provider decorator.
+// RetryConfig tunes the retrying provider decorator. Every field is
+// taken literally — the defaults are config.Default()'s to state — so
+// the zero value is a pass-through that only counts failures.
 type RetryConfig struct {
 	// Retries is the number of additional attempts after the first
-	// failed one. Default 2.
+	// failed one. 0 never retries.
 	Retries int
 	// Backoff is the delay before the first retry; it doubles after
-	// every further attempt. Default 50ms.
+	// every further attempt. 0 retries immediately.
 	Backoff time.Duration
 	// Timeout bounds each individual attempt; an attempt that exceeds
 	// it fails as ErrUnavailable (the in-flight call is abandoned, the
 	// Provider interface carries no context). 0 disables the bound.
 	Timeout time.Duration
-}
-
-func (c RetryConfig) withDefaults() RetryConfig {
-	if c.Retries == 0 {
-		c.Retries = 2
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 50 * time.Millisecond
-	}
-	return c
 }
 
 // RetryingProvider decorates a Provider with per-call timeouts and
@@ -52,7 +41,7 @@ type RetryingProvider struct {
 
 // NewRetryingProvider wraps inner. reg may be nil (no counters).
 func NewRetryingProvider(inner Provider, cfg RetryConfig, reg *telemetry.Registry) *RetryingProvider {
-	p := &RetryingProvider{inner: inner, cfg: cfg.withDefaults(), sleep: time.Sleep}
+	p := &RetryingProvider{inner: inner, cfg: cfg, sleep: time.Sleep}
 	if reg != nil {
 		reg.SetHelp("caladrius_fetch_retries_total", "Metrics-provider fetch attempts retried after a transient failure.")
 		reg.SetHelp("caladrius_fetch_failures_total", "Metrics-provider fetches that failed after exhausting retries.")
@@ -77,7 +66,7 @@ func doFetch[T any](p *RetryingProvider, call func() (T, error)) (T, error) {
 	var err error
 	for attempt := 0; ; attempt++ {
 		v, err = attemptFetch(p.cfg.Timeout, call)
-		if err == nil || !retryable(err) || attempt == p.cfg.Retries {
+		if err == nil || !retryable(err) || attempt >= p.cfg.Retries {
 			break
 		}
 		if p.retries != nil {

@@ -140,13 +140,22 @@ func TestAttemptTimeoutBecomesUnavailable(t *testing.T) {
 	}
 }
 
+// TestRetryDefaults: RetryConfig has none of its own. The fields are
+// literal, so the zero config never retries or sleeps and still counts
+// the failure; the policy's defaults are config.Default()'s to state.
 func TestRetryDefaults(t *testing.T) {
-	cfg := RetryConfig{}.withDefaults()
-	if cfg.Retries != 2 || cfg.Backoff != 50*time.Millisecond || cfg.Timeout != 0 {
-		t.Errorf("defaults = %+v, want {2 50ms 0}", cfg)
+	inner := &flakyProvider{failN: 1, err: unavailable()}
+	reg := telemetry.NewRegistry()
+	failing := NewRetryingProvider(inner, RetryConfig{}, reg)
+	failing.sleep = func(d time.Duration) { t.Errorf("slept %s with Retries 0", d) }
+	if _, err := failing.SourceRate("t", []string{"s"}, time.Time{}, time.Time{}); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("want the first failure passed through, got %v", err)
 	}
-	if cfg := (RetryConfig{Retries: -3}).withDefaults(); cfg.Retries != 0 {
-		t.Errorf("negative retries → %d, want 0", cfg.Retries)
+	if inner.calls.Load() != 1 {
+		t.Errorf("calls = %d, want 1 (Retries 0 is no retry)", inner.calls.Load())
+	}
+	if v := reg.Counter("caladrius_fetch_failures_total", telemetry.Labels{"provider": "metrics"}).Value(); v != 1 {
+		t.Errorf("failures counter = %g, want 1", v)
 	}
 	// All five methods pass through a healthy inner provider.
 	p := NewRetryingProvider(&flakyProvider{}, RetryConfig{}, nil)

@@ -163,7 +163,6 @@ func TestClosedLoopProfileRegression(t *testing.T) {
 	cfg.LogOutput = io.Discard
 	cfg.CalibrationLookback = 30 * time.Minute
 	cfg.HistoryRetention = 24 * time.Hour
-	cfg.AuditResolveInterval = 0
 	cfg.SLORules = telemetry.ProfilerRules(delta, 15*time.Minute)
 	cfg.IncidentDir = t.TempDir()
 	cfg.IncidentCooldown = 30 * time.Minute

@@ -208,8 +208,8 @@ func TestBaselineDiff(t *testing.T) {
 	}
 }
 
-// TestBaselinePersistence checks save/load round-trip and version
-// rejection.
+// TestBaselinePersistence checks save/load round-trip, and that a
+// truncated or future-versioned file is rejected.
 func TestBaselinePersistence(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "baseline.json")
@@ -242,9 +242,28 @@ func TestBaselinePersistence(t *testing.T) {
 		t.Fatalf("loaded baseline CreatedAt %v != saved %v", st.Baseline.CreatedAt, p.Status().Baseline.CreatedAt)
 	}
 
+	// A file cut short anywhere is an error, never a panic or a baseline
+	// with fewer functions: every proper prefix fails to load, and boot
+	// refuses it.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cutPath := filepath.Join(dir, "cut.json")
+	for cut := 0; cut < len(data); cut++ {
+		if err := os.WriteFile(cutPath, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if b, err := loadBaseline(cutPath); err == nil {
+			t.Fatalf("cut at %d of %d: loaded baseline %+v from a truncated file", cut, len(data), b)
+		}
+	}
+	if _, err := New(Options{Registry: telemetry.NewRegistry(), BaselinePath: cutPath, Source: src.source, Now: clock.Now}); err == nil {
+		t.Fatal("New accepted a truncated baseline")
+	}
+
 	// Future-versioned files are rejected with a clear error.
 	var raw map[string]any
-	data, _ := os.ReadFile(path)
 	if err := json.Unmarshal(data, &raw); err != nil {
 		t.Fatal(err)
 	}

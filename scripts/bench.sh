@@ -35,7 +35,7 @@ SEED_SCRAPE_CONC_NS=16781639
 
 echo "== micro benchmarks (${MICRO_TIME}) =="
 MICRO=$(go test -run '^$' \
-    -bench 'BenchmarkSimulatorMinute$|BenchmarkSimulatorMinuteWithInjector$|BenchmarkTSDBAppend$|BenchmarkTSDBAppendHandle$|BenchmarkLogRingAppend$|BenchmarkSLOEvaluateArmed$|BenchmarkUsageRecord$|BenchmarkMiddlewareRequest$|BenchmarkMiddlewareRequestAttributed$|BenchmarkPredictColdCache$|BenchmarkPredictWarmCache$|BenchmarkCoalescedPredict$' \
+    -bench 'BenchmarkSimulatorMinute$|BenchmarkSimulatorMinuteWithInjector$|BenchmarkTSDBAppend$|BenchmarkTSDBAppendHandle$|BenchmarkLogRingAppend$|BenchmarkSLOEvaluateArmed$|BenchmarkUsageRecord$|BenchmarkMiddlewareRequest$|BenchmarkPredictColdCache$|BenchmarkPredictWarmCache$|BenchmarkCoalescedPredict$' \
     -benchmem -benchtime "$MICRO_TIME" .)
 echo "$MICRO"
 
@@ -100,8 +100,6 @@ USAGE_B=$(pick "$MICRO" BenchmarkUsageRecord 5)
 USAGE_ALLOCS=$(pick "$MICRO" BenchmarkUsageRecord 7)
 MW_NS=$(pick "$MICRO" BenchmarkMiddlewareRequest 3)
 MW_ALLOCS=$(pick "$MICRO" BenchmarkMiddlewareRequest 7)
-MWATTR_NS=$(pick "$MICRO" BenchmarkMiddlewareRequestAttributed 3)
-MWATTR_ALLOCS=$(pick "$MICRO" BenchmarkMiddlewareRequestAttributed 7)
 COLD_NS=$(pick "$MICRO" BenchmarkPredictColdCache 3)
 WARM_NS=$(pick "$MICRO" BenchmarkPredictWarmCache 3)
 WARM_ALLOCS=$(pick "$MICRO" BenchmarkPredictWarmCache 7)
@@ -183,12 +181,10 @@ cat > "$OUT" <<EOF
     "now": {"ns_op": ${USAGE_NS}, "b_op": ${USAGE_B}, "allocs_op": ${USAGE_ALLOCS}},
     "budget": "warm-principal Begin+Finish must stay at 0 allocs/op"
   },
-  "middleware_request_attributed": {
-    "plain_ns_op": ${MW_NS},
-    "attributed_ns_op": ${MWATTR_NS},
-    "overhead_vs_plain": $(ratio "$MWATTR_NS" "$MW_NS"),
-    "extra_allocs_op": $((MWATTR_ALLOCS - MW_ALLOCS)),
-    "note": "tenant attribution on the instrumented request path — header sanitisation, route-to-topology mapping, and the accountant pair"
+  "middleware_request": {
+    "ns_op": ${MW_NS},
+    "allocs_op": ${MW_ALLOCS},
+    "note": "the instrumented request path over a trivial handler, tenant attribution included — the accountant pair alone is usage_record, and the benchmark's usage.begin_finish_ns layer"
   },
   "profiler_fold": {
     "ns_op": ${FOLD_NS},

@@ -6,11 +6,12 @@
 # run under -race here), the nested benchmark module's vet and tests —
 # it compiles against internal/*, so a signature change that breaks it
 # fails here and not in the benchmark driver — then a short fuzz smoke
-# over the four parsers that face untrusted input (config YAML — both
+# over the five parsers that face untrusted input (config YAML — both
 # the untyped yamlite layer and the typed settings on top of it — API
-# range queries, pprof protobuf profiles, TSDB snapshot files) and the
-# Downsample-vs-reference differential, and finally a ~10s smoke soak: caladriusbench drives an in-process daemon
-# through a chaos metrics outage and exits non-zero unless the SLOs
+# range queries, pprof protobuf profiles, TSDB snapshot files, audit
+# ledger snapshot files) and the Downsample-vs-reference differential,
+# and finally a ~10s smoke soak: caladriusbench drives an in-process
+# daemon through a chaos metrics outage and exits non-zero unless the SLOs
 # resolve and the process returns to its goroutine baseline. Last, it
 # prints scripts/loc.sh's non-test line counts, the number net-negative
 # PRs quote.
@@ -34,6 +35,7 @@ go test -run '^$' -fuzz '^FuzzConfigParse$' -fuzztime "$FUZZTIME" ./internal/con
 go test -run '^$' -fuzz '^FuzzParseQueryRange$' -fuzztime "$FUZZTIME" ./internal/api
 go test -run '^$' -fuzz '^FuzzPprofParse$' -fuzztime "$FUZZTIME" ./internal/profiler
 go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime "$FUZZTIME" ./internal/tsdb
+go test -run '^$' -fuzz '^FuzzAuditReadSnapshot$' -fuzztime "$FUZZTIME" ./internal/audit
 go test -run '^$' -fuzz '^FuzzDownsampleMatchesReference$' -fuzztime "$FUZZTIME" ./internal/tsdb
 SOAK_OUT=$(mktemp)
 go run ./cmd/caladriusbench -soak -duration 6s -slo-window 4s -settle 12s -o "$SOAK_OUT"
