@@ -124,8 +124,8 @@ func BenchmarkAblationSchedulerPlans(b *testing.B) {
 // the sequential path on the same multi-rate figure (Fig. 4: 20 rate
 // points × 5 repeats = 100 independent simulations). The outputs are
 // byte-identical; only the wall clock differs, by up to min(8,
-// GOMAXPROCS)× on unloaded hardware. scripts/bench.sh records both
-// timings in BENCH_core.json.
+// GOMAXPROCS)× on unloaded hardware. The benchmark measures the ratio
+// over the whole figure suite as experiments.parallel_speedup.
 func benchSweepParallel(b *testing.B, parallelism int) {
 	b.Helper()
 	sweep := benchSweep
@@ -161,8 +161,8 @@ func BenchmarkSimulatorMinute(b *testing.B) {
 // BenchmarkSimulatorMinuteWithInjector measures the same minute with a
 // fault injector attached whose plan never fires inside the benchmark
 // horizon — the per-tick cost of the chaos hook itself. The fault-free
-// overhead budget is <5% over BenchmarkSimulatorMinute at 0 allocs/op;
-// scripts/bench.sh records the measured ratio in BENCH_core.json.
+// overhead budget is <5% over BenchmarkSimulatorMinute at 0 allocs/op.
+// The benchmark's heron.sim_minute_us is the injector-free minute.
 func BenchmarkSimulatorMinuteWithInjector(b *testing.B) {
 	sim, err := heron.NewWordCount(heron.WordCountOptions{RatePerMinute: 8e6})
 	if err != nil {
@@ -604,8 +604,9 @@ func BenchmarkPredictColdCache(b *testing.B) {
 // BenchmarkPredictWarmCache measures the same prediction when the
 // calibration cache holds the topology's model: the request skips the
 // provider fetch and component fitting entirely. The warm-vs-cold
-// ratio (recorded by scripts/bench.sh as predict_cache.speedup) is the
-// calibration cache's headline win; the acceptance floor is 5x.
+// ratio is the calibration cache's headline win; the acceptance floor
+// is 5x. The benchmark measures the two sides as core.predict_us (what
+// a hit still pays) and core.calibrate_ms (what a miss adds).
 func BenchmarkPredictWarmCache(b *testing.B) {
 	handler := benchDaemon(b, 5*time.Minute, nil).Handler()
 	benchPredict(b, handler) // populate the cache
@@ -679,8 +680,8 @@ func BenchmarkPredictProfilerOff(b *testing.B) {
 // while the continuous profiler runs its capture loop in the
 // background at the default 2.5% duty cycle, time-compressed so a
 // multi-second bench run spans many capture rounds (25ms CPU window
-// per 1s interval instead of 250ms per 10s). scripts/bench.sh records
-// the on/off ratio in BENCH_core.json; the budget is ≤1% overhead.
+// per 1s interval instead of 250ms per 10s). The budget is ≤1%
+// overhead against BenchmarkPredictWarmCache.
 func BenchmarkPredictProfilerOn(b *testing.B) {
 	d := benchDaemon(b, 5*time.Minute, func(c *daemon.Config) {
 		c.ProfileInterval = time.Second

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"caladrius/internal/telemetry"
 )
 
 // JobStatus is the lifecycle state of an asynchronous modelling job.
@@ -31,11 +33,21 @@ type Job struct {
 	Error string `json:"error,omitempty"`
 }
 
+// maxFinishedJobs bounds how many finished jobs — each holding its
+// full Result — the store answers for, like every other per-request
+// structure in the daemon. It is the tracer's bound, so a job and its
+// GET /api/v1/jobs/{id}/trace stop answering at about the same age.
+const maxFinishedJobs = telemetry.DefaultMaxTraces
+
 type jobStore struct {
 	mu   sync.Mutex
 	seq  int
 	jobs map[string]*Job
 	now  func() time.Time
+	// finished is a ring of the done and failed jobs' ids in the order
+	// they finished; nFinished counts every one ever written to it.
+	finished  [maxFinishedJobs]string
+	nFinished int
 }
 
 func newJobStore(now func() time.Time) *jobStore {
@@ -88,6 +100,15 @@ func (s *jobStore) setStatus(id string, st JobStatus, result any, errMsg string)
 	j.Status = st
 	j.Result = result
 	j.Error = errMsg
+	if st == JobDone || st == JobFailed {
+		// Take the oldest finished job's slot; its id then answers like
+		// an unknown one. A pending or running job is never in the ring,
+		// so it is never evicted.
+		slot := &s.finished[s.nFinished%maxFinishedJobs]
+		delete(s.jobs, *slot)
+		*slot = id
+		s.nFinished++
+	}
 }
 
 // get returns a snapshot of the job.

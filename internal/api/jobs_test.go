@@ -41,3 +41,39 @@ func TestJobStoreLifecycle(t *testing.T) {
 	}
 	s.setStatus("nope", JobDone, nil, "") // must not panic
 }
+
+// TestJobStoreBoundsFinishedJobs completes more jobs than the store
+// keeps while one stays running from the start: the oldest finished are
+// forgotten, the unfinished one and the newest are not.
+func TestJobStoreBoundsFinishedJobs(t *testing.T) {
+	s := newJobStore(nil)
+	running := s.create()
+	s.start(running.ID)
+	var done []string
+	for i := 0; i < maxFinishedJobs+10; i++ {
+		j := s.create()
+		s.start(j.ID)
+		if i%2 == 0 {
+			s.complete(j.ID, i, nil)
+		} else {
+			s.complete(j.ID, nil, errors.New("boom"))
+		}
+		done = append(done, j.ID)
+	}
+	for _, id := range done[:10] {
+		if _, ok := s.get(id); ok {
+			t.Errorf("evicted job %s still served", id)
+		}
+	}
+	for _, id := range done[10:] {
+		if _, ok := s.get(id); !ok {
+			t.Fatalf("job %s among the newest %d finished is gone", id, maxFinishedJobs)
+		}
+	}
+	if got, ok := s.get(running.ID); !ok || got.Status != JobRunning {
+		t.Errorf("running job = %+v (ok=%v), want it kept", got, ok)
+	}
+	if len(s.jobs) != maxFinishedJobs+1 {
+		t.Errorf("store holds %d jobs, want %d finished + 1 running", len(s.jobs), maxFinishedJobs)
+	}
+}

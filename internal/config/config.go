@@ -170,7 +170,8 @@ func Default() Config {
 		UsageWindow:          15 * time.Minute,
 		// A 250ms CPU window every 10s is a 2.5% sampling duty cycle
 		// whose measured cost on the predict path stays under the 1%
-		// overhead budget (see BENCH_core.json).
+		// overhead budget (BenchmarkPredictProfilerOn against
+		// BenchmarkPredictWarmCache).
 		ProfileInterval:        10 * time.Second,
 		ProfileCPUWindow:       250 * time.Millisecond,
 		ProfileEpoch:           time.Minute,

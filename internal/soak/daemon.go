@@ -1,4 +1,4 @@
-package bench
+package soak
 
 import (
 	"io"
@@ -12,35 +12,34 @@ import (
 	"caladrius/internal/telemetry"
 )
 
-// DaemonOptions configures an in-process daemon. The zero value is a
-// usable small deployment: the shipped daemon's wiring over a short
-// word-count demo history, with short-window SLO rules.
+// The soak's deployment, fixed: a short word-count demo history below
+// saturation, scraped often enough that a seconds-long SLO window holds
+// several points.
+const (
+	simRateTPM     = 6e6 // demo topology's offered source rate, tuples/minute
+	warmMinutes    = 8   // simulated metric history pre-populated at boot
+	scrapeInterval = 500 * time.Millisecond
+)
+
+// DaemonOptions configures an in-process daemon: the shipped daemon's
+// wiring over the soak's demo history, with short-window SLO rules and
+// the chaos plan between it and its metrics.
 type DaemonOptions struct {
-	// RateTPM is the demo topology's offered source rate in
-	// tuples/minute. Default 6e6.
-	RateTPM float64
-	// WarmMinutes of simulated metric history to pre-populate.
-	// Default 8.
-	WarmMinutes int
-	// ChaosPlan optionally wraps the metrics provider with the plan's
+	// ChaosPlan wraps the metrics provider with the plan's
 	// provider-side faults (metrics-outage/gap/latency). Fault times
-	// are relative to Now() at StartDaemon.
+	// are relative to Now() at StartDaemon. Required.
 	ChaosPlan *chaos.Plan
 	// Now is the wall clock for chaos fault gating, scrape stamps and
 	// SLO window anchoring. Deterministic soak tests substitute a fake.
 	// Default time.Now.
 	Now func() time.Time
 	// SLOWindow shortens the default HTTP SLO rule windows so a soak
-	// of seconds can watch rules fire and resolve. Default 5s.
+	// of seconds can watch rules fire and resolve.
 	SLOWindow time.Duration
-	// ScrapeInterval is carried onto the scraper for Scraper.Run
-	// callers. Default 500ms.
-	ScrapeInterval time.Duration
 }
 
 // Daemon is the shipped daemon assembled in-process and served on a
-// loopback port — the soak target, and the default caladriusbench
-// target when no -target is given.
+// loopback port — the soak target.
 type Daemon struct {
 	*daemon.Daemon
 	URL string
@@ -69,35 +68,21 @@ func SoakSLORules(w time.Duration) []telemetry.Rule {
 // with explicit timestamps for deterministic tests. Always Close the
 // daemon.
 func StartDaemon(opts DaemonOptions) (*Daemon, error) {
-	if opts.RateTPM <= 0 {
-		opts.RateTPM = 6e6
-	}
-	if opts.WarmMinutes <= 0 {
-		opts.WarmMinutes = 8
-	}
 	if opts.Now == nil {
 		opts.Now = time.Now
-	}
-	if opts.SLOWindow <= 0 {
-		opts.SLOWindow = 5 * time.Second
-	}
-	if opts.ScrapeInterval <= 0 {
-		opts.ScrapeInterval = 500 * time.Millisecond
 	}
 	dc := daemon.Default()
 	dc.FetchRetries = 0 // no retries: fault windows map 1:1 onto 503s
 	dc.FetchTimeout = 0
-	dc.Rate = opts.RateTPM
-	dc.WarmMinutes = opts.WarmMinutes
-	dc.ScrapeInterval = opts.ScrapeInterval
+	dc.Rate = simRateTPM
+	dc.WarmMinutes = warmMinutes
+	dc.ScrapeInterval = scrapeInterval
 	dc.LogOutput = io.Discard
 	dc.Wall = opts.Now
 	dc.SLORules = SoakSLORules(opts.SLOWindow)
-	if opts.ChaosPlan != nil {
-		origin := opts.Now()
-		dc.WrapProvider = func(p metrics.Provider) (metrics.Provider, error) {
-			return chaos.NewFaultyProvider(p, opts.ChaosPlan, chaos.ProviderOptions{Origin: origin, Now: opts.Now})
-		}
+	origin := opts.Now()
+	dc.WrapProvider = func(p metrics.Provider) (metrics.Provider, error) {
+		return chaos.NewFaultyProvider(p, opts.ChaosPlan, chaos.ProviderOptions{Origin: origin, Now: opts.Now})
 	}
 	d, err := daemon.New(dc)
 	if err != nil {

@@ -1,4 +1,4 @@
-package bench
+package soak
 
 import (
 	"context"
@@ -21,31 +21,28 @@ const goroutineSlack = 6
 // most; anything past this is a retained-reference leak, not noise.
 const heapSlackBytes = 256 << 20
 
-// SoakConfig parameterises RunSoak.
+// The load the soak drives, fixed: DefaultMix from a small closed-loop
+// worker population on one seeded (op, tenant) ring.
+const (
+	soakConcurrency = 4
+	soakSeed        = 1
+)
+
+// sloRule is the rule a metrics outage must trip: half of DefaultMix
+// answers 503 while the backend is away, far above its 5% threshold.
+const sloRule = "http-5xx-rate"
+
+// SoakConfig parameterises RunSoak. Every duration must be positive.
 type SoakConfig struct {
-	// Duration of the load phase. Default 10s.
+	// Duration of the load phase.
 	Duration time.Duration
-	// Mix of operations. Default DefaultMixSpec.
-	Mix Mix
-	// Concurrency is the closed-loop worker population. Default 4.
-	Concurrency int
-	// Seed drives the schedule. Default 1.
-	Seed int64
-	// Tenants rotate through the tenant header; nil = defaults.
-	Tenants []string
-	// Plan is the chaos fault plan fired during the load phase.
-	// Default: MetricsOutagePlan over the middle of the run.
-	Plan *chaos.Plan
-	// SLOWindow / ScrapeInterval configure self-monitoring (see
-	// DaemonOptions). Defaults 5s / 500ms.
-	SLOWindow      time.Duration
-	ScrapeInterval time.Duration
-	// Settle bounds the post-load wait for SLOs to resolve. Default
-	// max(15s, 3×SLOWindow).
+	// SLOWindow is the HTTP SLO rules' window (see DaemonOptions).
+	SLOWindow time.Duration
+	// Settle bounds the post-load wait for SLOs to resolve.
 	Settle time.Duration
-	// RateTPM / WarmMinutes size the demo sim (see DaemonOptions).
-	RateTPM     float64
-	WarmMinutes int
+	// Plan is the chaos fault plan fired during the load phase.
+	// Default: MetricsOutagePlan over the second quarter of the run.
+	Plan *chaos.Plan
 }
 
 // MetricsOutagePlan is a hand-written plan with one metrics-outage
@@ -76,6 +73,8 @@ type SoakResult struct {
 	HeapFinal         uint64                     `json:"heap_final_bytes"`
 	Transitions       map[string]RuleTransitions `json:"slo_transitions"`
 	FinalAlerts       []telemetry.Alert          `json:"final_alerts"`
+	Settle            chaos.Duration             `json:"settle"`
+	CloseError        string                     `json:"close_error,omitempty"`
 	Failures          []string                   `json:"failures"`
 }
 
@@ -88,65 +87,36 @@ func (r *SoakResult) Passed() bool { return len(r.Failures) == 0 }
 // leak and accounting assertions. It is wall-clock driven; the
 // deterministic fake-clock variant lives in the package tests.
 func RunSoak(cfg SoakConfig) (*SoakResult, error) {
-	if cfg.Duration <= 0 {
-		cfg.Duration = 10 * time.Second
-	}
-	if cfg.Mix.Total() == 0 {
-		cfg.Mix = MustMix(DefaultMixSpec)
-	}
-	if cfg.Concurrency <= 0 {
-		cfg.Concurrency = 4
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.SLOWindow <= 0 {
-		cfg.SLOWindow = 5 * time.Second
-	}
-	if cfg.ScrapeInterval <= 0 {
-		cfg.ScrapeInterval = 500 * time.Millisecond
-	}
-	if cfg.Settle <= 0 {
-		cfg.Settle = 15 * time.Second
-		if m := 3 * cfg.SLOWindow; m > cfg.Settle {
-			cfg.Settle = m
-		}
+	if cfg.Duration <= 0 || cfg.SLOWindow <= 0 || cfg.Settle <= 0 {
+		return nil, fmt.Errorf("soak: duration %s, SLO window %s and settle %s must all be > 0",
+			cfg.Duration, cfg.SLOWindow, cfg.Settle)
 	}
 	if cfg.Plan == nil {
 		cfg.Plan = MetricsOutagePlan(cfg.Duration/4, cfg.Duration/4)
 	}
 
-	res := &SoakResult{Transitions: map[string]RuleTransitions{}}
+	sched, err := Generate(ScheduleConfig{
+		Mix:         DefaultMix,
+		Concurrency: soakConcurrency,
+		Duration:    cfg.Duration,
+		Seed:        soakSeed,
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	res := &SoakResult{Transitions: map[string]RuleTransitions{}, Settle: chaos.Duration(cfg.Settle)}
 	runtime.GC()
 	res.GoroutineBaseline = runtime.NumGoroutine()
 	res.HeapBaseline = heapAlloc()
 
-	d, err := StartDaemon(DaemonOptions{
-		RateTPM:        cfg.RateTPM,
-		WarmMinutes:    cfg.WarmMinutes,
-		ChaosPlan:      cfg.Plan,
-		SLOWindow:      cfg.SLOWindow,
-		ScrapeInterval: cfg.ScrapeInterval,
-	})
+	d, err := StartDaemon(DaemonOptions{ChaosPlan: cfg.Plan, SLOWindow: cfg.SLOWindow})
 	if err != nil {
-		return nil, fmt.Errorf("bench: soak daemon: %w", err)
+		return nil, fmt.Errorf("soak: daemon: %w", err)
 	}
 	scrapeCtx, stopScraper := context.WithCancel(context.Background())
 	go d.Scraper.Run(scrapeCtx)
 
-	sched, err := Generate(ScheduleConfig{
-		Mode:        ClosedLoop,
-		Mix:         cfg.Mix,
-		Concurrency: cfg.Concurrency,
-		Duration:    cfg.Duration,
-		Seed:        cfg.Seed,
-		Tenants:     cfg.Tenants,
-	})
-	if err != nil {
-		stopScraper()
-		_ = d.Close()
-		return nil, err
-	}
 	client := &http.Client{Timeout: 10 * time.Second}
 	runner, err := NewRunner(sched, RunnerOptions{BaseURL: d.URL, Client: client})
 	if err != nil {
@@ -154,15 +124,9 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		_ = d.Close()
 		return nil, err
 	}
-	report, err := runner.Run(context.Background())
-	if err != nil {
-		stopScraper()
-		_ = d.Close()
-		return nil, err
-	}
-	res.Report = report
+	res.Report = runner.Run(context.Background())
 	res.Issued = runner.Issued()
-	res.Recorded = report.Totals.Count
+	res.Recorded = res.Report.Totals.Count
 
 	// Settle: background scrapes keep feeding the SLO evaluator; wait
 	// for every rule to leave firing (ok or no_data both count as
@@ -180,7 +144,7 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		if firing == 0 || time.Now().After(deadline) {
 			break
 		}
-		time.Sleep(cfg.ScrapeInterval)
+		time.Sleep(scrapeInterval)
 	}
 
 	stopScraper()
@@ -190,7 +154,9 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 			ToResolved: d.Registry.Counter("caladrius_slo_transitions_total", telemetry.Labels{"rule": r.Name, "to": "resolved"}).Value(),
 		}
 	}
-	closeErr := d.Close()
+	if err := d.Close(); err != nil {
+		res.CloseError = err.Error()
+	}
 	client.CloseIdleConnections()
 
 	// Goroutine drain: connections and workers unwind asynchronously
@@ -207,34 +173,53 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	runtime.GC()
 	res.HeapFinal = heapAlloc()
 
-	// --- exit assertions -------------------------------------------------
-	if closeErr != nil {
-		res.Failures = append(res.Failures, fmt.Sprintf("daemon close: %v", closeErr))
+	res.Failures = verdict(res, cfg.Plan, DefaultMix)
+	return res, nil
+}
+
+// verdict is every exit assertion of the soak, as a function of what
+// the run observed: the failure messages for res after plan was fired
+// at mix, empty when the soak passed.
+func verdict(res *SoakResult, plan *chaos.Plan, mix Mix) []string {
+	var failures []string
+	if res.CloseError != "" {
+		failures = append(failures, fmt.Sprintf("daemon close: %s", res.CloseError))
 	}
 	for _, a := range res.FinalAlerts {
 		if a.State == telemetry.StateFiring {
-			res.Failures = append(res.Failures, fmt.Sprintf("SLO %q still firing after %s settle", a.Rule, cfg.Settle))
+			failures = append(failures, fmt.Sprintf("SLO %q still firing after %s settle", a.Rule, time.Duration(res.Settle)))
 		}
 	}
 	if res.GoroutineFinal > res.GoroutineBaseline+goroutineSlack {
-		res.Failures = append(res.Failures, fmt.Sprintf("goroutine leak: baseline %d, final %d (slack %d)",
+		failures = append(failures, fmt.Sprintf("goroutine leak: baseline %d, final %d (slack %d)",
 			res.GoroutineBaseline, res.GoroutineFinal, goroutineSlack))
 	}
 	if res.HeapFinal > res.HeapBaseline+heapSlackBytes {
-		res.Failures = append(res.Failures, fmt.Sprintf("heap growth: baseline %d bytes, final %d bytes",
+		failures = append(failures, fmt.Sprintf("heap growth: baseline %d bytes, final %d bytes",
 			res.HeapBaseline, res.HeapFinal))
 	}
 	if res.Issued != res.Recorded {
-		res.Failures = append(res.Failures, fmt.Sprintf("unaccounted responses: issued %d, recorded %d", res.Issued, res.Recorded))
+		failures = append(failures, fmt.Sprintf("unaccounted responses: issued %d, recorded %d", res.Issued, res.Recorded))
 	}
 	if res.Report.Totals.Other > 0 {
-		res.Failures = append(res.Failures, fmt.Sprintf("%d responses outside 2xx/4xx/5xx/transport classes", res.Report.Totals.Other))
+		failures = append(failures, fmt.Sprintf("%d responses outside 2xx/4xx/5xx/transport classes", res.Report.Totals.Other))
 	}
-	if len(cfg.Plan.MetricsFaults()) > 0 && res.Report.Totals.Unavail503 == 0 &&
-		cfg.Mix.Weight(OpPredict)+cfg.Mix.Weight(OpPlan) > 0 {
-		res.Failures = append(res.Failures, "chaos plan has metrics faults but no 503s were observed — the fault never bit")
+	// A metrics outage under a mix with model operations has to be
+	// seen three times over: by the clients as 503s, by the evaluator
+	// as the 5xx rule firing, and again as it resolving. A run where
+	// any of the three is missing exercised nothing.
+	if len(plan.MetricsFaults()) > 0 && mix.Weight(OpPredict)+mix.Weight(OpPlan) > 0 {
+		if res.Report.Totals.Unavail503 == 0 {
+			failures = append(failures, "chaos plan has metrics faults but no 503s were observed — the fault never bit")
+		}
+		switch tr := res.Transitions[sloRule]; {
+		case tr.ToFiring < 1:
+			failures = append(failures, fmt.Sprintf("SLO %q never fired although the chaos plan has metrics faults", sloRule))
+		case tr.ToResolved < 1:
+			failures = append(failures, fmt.Sprintf("SLO %q fired but never resolved", sloRule))
+		}
 	}
-	return res, nil
+	return failures
 }
 
 func heapAlloc() uint64 {

@@ -1,4 +1,4 @@
-package bench
+package soak
 
 import (
 	"context"
@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"caladrius/internal/chaos"
 	"caladrius/internal/telemetry"
 )
 
@@ -67,8 +68,7 @@ func TestSoakDeterministicFaultCycle(t *testing.T) {
 
 	client := &http.Client{Timeout: 10 * time.Second}
 	sched, err := Generate(ScheduleConfig{
-		Mode:        ClosedLoop,
-		Mix:         MustMix("predict=3,query_range=1,usage=1"),
+		Mix:         Mix{{OpPredict, 3}, {OpQueryRange, 1}, {OpUsage, 1}},
 		Concurrency: 1,
 		Duration:    totalWindow,
 		Seed:        7,
@@ -119,7 +119,7 @@ func TestSoakDeterministicFaultCycle(t *testing.T) {
 				}
 				_, _ = io.Copy(io.Discard, resp.Body)
 				_ = resp.Body.Close()
-				runner.rec.Record(e.Op, resp.StatusCode, time.Millisecond)
+				runner.rec.Record(e.Op, resp.StatusCode)
 				if resp.StatusCode == http.StatusServiceUnavailable {
 					outage503++
 					if resp.Header.Get("Retry-After") != "" {
@@ -206,5 +206,90 @@ func TestSoakDeterministicFaultCycle(t *testing.T) {
 	}
 	if final > baseline+goroutineSlack {
 		t.Errorf("goroutines did not return to baseline: %d -> %d (slack %d)", baseline, final, goroutineSlack)
+	}
+}
+
+// TestVerdictTable feeds verdict one synthetic result per exit
+// assertion: each must produce exactly its own message, and a clean
+// result none.
+func TestVerdictTable(t *testing.T) {
+	outage := MetricsOutagePlan(time.Second, time.Second)
+	clean := func() *SoakResult {
+		return &SoakResult{
+			Report:            Report{Totals: OpReport{Count: 100, Status2xx: 80, Status5xx: 20, Unavail503: 20}},
+			Issued:            100,
+			Recorded:          100,
+			GoroutineBaseline: 3,
+			GoroutineFinal:    3 + goroutineSlack,
+			HeapBaseline:      1 << 20,
+			HeapFinal:         1<<20 + heapSlackBytes,
+			Transitions:       map[string]RuleTransitions{sloRule: {ToFiring: 1, ToResolved: 1}},
+			FinalAlerts:       []telemetry.Alert{{Rule: sloRule, State: telemetry.StateOK}},
+			Settle:            chaos.Duration(12 * time.Second),
+		}
+	}
+	cases := []struct {
+		name   string
+		mutate func(*SoakResult)
+		plan   *chaos.Plan
+		mix    Mix
+		want   string // "" = passes
+	}{
+		{name: "clean", want: ""},
+		{name: "close error", mutate: func(r *SoakResult) { r.CloseError = "listener busy" },
+			want: "daemon close: listener busy"},
+		{name: "still firing", mutate: func(r *SoakResult) {
+			r.FinalAlerts = []telemetry.Alert{{Rule: sloRule, State: telemetry.StateFiring}}
+			r.Transitions[sloRule] = RuleTransitions{ToFiring: 2, ToResolved: 1}
+		}, want: `SLO "http-5xx-rate" still firing after 12s settle`},
+		{name: "goroutine leak", mutate: func(r *SoakResult) { r.GoroutineFinal++ },
+			want: "goroutine leak: baseline 3, final 10 (slack 6)"},
+		{name: "heap growth", mutate: func(r *SoakResult) { r.HeapFinal++ },
+			want: "heap growth: baseline 1048576 bytes, final 269484033 bytes"},
+		{name: "issued not recorded", mutate: func(r *SoakResult) { r.Recorded = 99 },
+			want: "unaccounted responses: issued 100, recorded 99"},
+		{name: "outside the status classes", mutate: func(r *SoakResult) { r.Report.Totals.Other = 2 },
+			want: "2 responses outside 2xx/4xx/5xx/transport classes"},
+		{name: "fault never bit", mutate: func(r *SoakResult) { r.Report.Totals.Unavail503 = 0 },
+			want: "chaos plan has metrics faults but no 503s were observed — the fault never bit"},
+		{name: "never fired", mutate: func(r *SoakResult) { r.Transitions[sloRule] = RuleTransitions{} },
+			want: `SLO "http-5xx-rate" never fired although the chaos plan has metrics faults`},
+		{name: "never resolved", mutate: func(r *SoakResult) { r.Transitions[sloRule] = RuleTransitions{ToFiring: 1} },
+			want: `SLO "http-5xx-rate" fired but never resolved`},
+		// The guard: without a metrics fault, or without a model
+		// operation to hit it, no 503 and no transition is owed.
+		{name: "no metrics faults owes no outage", plan: &chaos.Plan{}, mutate: func(r *SoakResult) {
+			r.Report.Totals.Unavail503 = 0
+			r.Transitions = map[string]RuleTransitions{}
+		}, want: ""},
+		{name: "read-only mix owes no outage", mix: Mix{{OpUsage, 1}}, mutate: func(r *SoakResult) {
+			r.Report.Totals.Unavail503 = 0
+			r.Transitions = map[string]RuleTransitions{}
+		}, want: ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res := clean()
+			if tc.mutate != nil {
+				tc.mutate(res)
+			}
+			plan, mix := tc.plan, tc.mix
+			if plan == nil {
+				plan = outage
+			}
+			if mix == nil {
+				mix = DefaultMix
+			}
+			got := verdict(res, plan, mix)
+			if tc.want == "" {
+				if len(got) != 0 {
+					t.Fatalf("verdict = %q, want a pass", got)
+				}
+				return
+			}
+			if len(got) != 1 || got[0] != tc.want {
+				t.Fatalf("verdict = %q, want exactly %q", got, tc.want)
+			}
+		})
 	}
 }

@@ -45,8 +45,9 @@ func benchRegistry(b *testing.B) *Registry {
 
 // BenchmarkScraperScrapeOnce measures one full registry→TSDB scrape —
 // the write path that holds the TSDB lock against concurrent
-// query_range reads. bench.sh tracks its ns/op and allocs/op as the
-// scrape-path contention figure in BENCH_api.json.
+// query_range reads. The benchmark measures the same call on the live
+// registry as telemetry.scrape_ms / telemetry.scrape_allocs, and what
+// it costs a concurrent reader as tsdb.downsample_under_append_us.
 func BenchmarkScraperScrapeOnce(b *testing.B) {
 	reg := benchRegistry(b)
 	db := tsdb.New(15 * time.Minute)

@@ -2,7 +2,7 @@
 # Full verification recipe: build, static checks, the whole test
 # suite, the whole suite again under the race detector (every package,
 # not a hand-kept list: the chaos invariant suite's 3-seed × every-
-# fault-kind matrix, the soak harness and the daemon lifecycle test all
+# fault-kind matrix, the soak package and the daemon lifecycle test all
 # run under -race here), the nested benchmark module's vet and tests —
 # it compiles against internal/*, so a signature change that breaks it
 # fails here and not in the benchmark driver — then a short fuzz smoke
@@ -10,9 +10,10 @@
 # the untyped yamlite layer and the typed settings on top of it — API
 # range queries, pprof protobuf profiles, TSDB snapshot files, audit
 # ledger snapshot files) and the Downsample-vs-reference differential,
-# and finally a ~10s smoke soak: caladriusbench drives an in-process
-# daemon through a chaos metrics outage and exits non-zero unless the SLOs
-# resolve and the process returns to its goroutine baseline. Last, it
+# and finally a ~10s smoke soak: caladriussoak drives an in-process
+# daemon through a chaos metrics outage and exits non-zero unless the
+# 5xx SLO fires and resolves, every response is accounted for and the
+# process returns to its goroutine and heap baseline. Last, it
 # prints scripts/loc.sh's non-test line counts, the number net-negative
 # PRs quote.
 set -euo pipefail
@@ -37,8 +38,6 @@ go test -run '^$' -fuzz '^FuzzPprofParse$' -fuzztime "$FUZZTIME" ./internal/prof
 go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime "$FUZZTIME" ./internal/tsdb
 go test -run '^$' -fuzz '^FuzzAuditReadSnapshot$' -fuzztime "$FUZZTIME" ./internal/audit
 go test -run '^$' -fuzz '^FuzzDownsampleMatchesReference$' -fuzztime "$FUZZTIME" ./internal/tsdb
-SOAK_OUT=$(mktemp)
-go run ./cmd/caladriusbench -soak -duration 6s -slo-window 4s -settle 12s -o "$SOAK_OUT"
-rm -f "$SOAK_OUT"
+go run ./cmd/caladriussoak -duration 6s -slo-window 4s -settle 12s > /dev/null
 echo "verify: all checks passed"
 scripts/loc.sh
