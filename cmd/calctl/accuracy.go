@@ -6,53 +6,13 @@ import (
 	"net/url"
 	"strconv"
 	"time"
+
+	"caladrius/internal/api"
 )
 
 // The accuracy command summarises the service's prediction audit
 // ledger: per-(topology, model) rolling error metrics followed by the
-// most recent audit records. Like dash, it reads the wire format
-// directly rather than importing internal packages.
-
-type accuracyStats struct {
-	Topology       string     `json:"topology"`
-	Model          string     `json:"model"`
-	Resolved       int        `json:"resolved"`
-	Audited        int        `json:"audited"`
-	MAPE           *float64   `json:"mape"`
-	SignedError    *float64   `json:"signed_error"`
-	Precision      float64    `json:"precision"`
-	Recall         float64    `json:"recall"`
-	LastCalibrated *time.Time `json:"last_calibrated"`
-}
-
-type accuracyRecord struct {
-	ID             int64          `json:"id"`
-	Topology       string         `json:"topology"`
-	Model          string         `json:"model"`
-	CreatedAt      time.Time      `json:"created_at"`
-	SourceRateTPM  float64        `json:"source_rate_tpm"`
-	Parallelism    map[string]int `json:"parallelism"`
-	Counterfactual bool           `json:"counterfactual"`
-	Predicted      struct {
-		SinkTPM float64 `json:"sink_tpm"`
-		Risk    string  `json:"backpressure_risk"`
-	} `json:"predicted"`
-	Resolved bool `json:"resolved"`
-	Observed *struct {
-		SinkTPM      float64 `json:"sink_tpm"`
-		Backpressure bool    `json:"backpressure"`
-	} `json:"observed"`
-	Errors *struct {
-		SinkSigned  float64 `json:"sink_signed_error"`
-		SinkAPE     float64 `json:"sink_ape"`
-		RiskOutcome string  `json:"risk_outcome"`
-	} `json:"errors"`
-}
-
-type accuracyResponse struct {
-	Records []accuracyRecord `json:"records"`
-	Stats   []accuracyStats  `json:"stats"`
-}
+// most recent audit records.
 
 func accuracyCmd(c *client, args []string) error {
 	fs := flag.NewFlagSet("accuracy", flag.ContinueOnError)
@@ -78,7 +38,7 @@ func accuracyCmd(c *client, args []string) error {
 	if *raw {
 		return c.getJSON(path)
 	}
-	var resp accuracyResponse
+	var resp api.AuditListResponse
 	if err := c.getDecode(path, &resp); err != nil {
 		return err
 	}

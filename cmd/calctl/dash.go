@@ -4,9 +4,13 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"net/http"
 	"net/url"
 	"strings"
 	"time"
+
+	"caladrius/internal/api"
+	"caladrius/internal/telemetry"
 )
 
 // The dash command is a polling terminal dashboard over the service's
@@ -34,50 +38,6 @@ var dashPanels = []dashPanel{
 	{title: "prof Δhot", metric: "caladrius_profile_top_regression_delta", agg: "last", merge: "max", scale: 100, unit: "%"},
 	{title: "sched queue", metric: "caladrius_sched_queue_depth", agg: "max", merge: "max", scale: 1, unit: ""},
 	{title: "sheds", metric: "caladrius_sched_sheds_total:rate", agg: "mean", merge: "sum", scale: 60, unit: "sheds/min"},
-}
-
-// Local decode targets: the dashboard reads the wire format directly
-// rather than importing internal/api.
-type dashRange struct {
-	Points []struct {
-		T time.Time `json:"t"`
-		V float64   `json:"v"`
-	} `json:"points"`
-}
-
-type dashSched struct {
-	Scheduler struct {
-		Workers       int     `json:"workers"`
-		QueueLimit    int     `json:"queue_limit"`
-		Queued        int     `json:"queued"`
-		Busy          int     `json:"busy"`
-		Runs          uint64  `json:"runs"`
-		Coalesced     uint64  `json:"coalesced"`
-		Sheds         uint64  `json:"sheds"`
-		ActiveTenants int     `json:"active_tenants"`
-		MeanRunMs     float64 `json:"mean_run_ms"`
-	} `json:"scheduler"`
-	CalCache struct {
-		Entries       int     `json:"entries"`
-		Hits          uint64  `json:"hits"`
-		Misses        uint64  `json:"misses"`
-		Stale         uint64  `json:"stale"`
-		Invalidations uint64  `json:"invalidations"`
-		HitRate       float64 `json:"hit_rate"`
-	} `json:"calcache"`
-}
-
-type dashAlerts struct {
-	Alerts []struct {
-		Rule        string     `json:"rule"`
-		Description string     `json:"description"`
-		State       string     `json:"state"`
-		Value       *float64   `json:"value"`
-		Threshold   float64    `json:"threshold"`
-		Op          string     `json:"op"`
-		Window      string     `json:"window"`
-		Since       *time.Time `json:"since"`
-	} `json:"alerts"`
 }
 
 func dashCmd(c *client, args []string) error {
@@ -118,7 +78,7 @@ func renderDash(c *client, window, step time.Duration, width int) error {
 			"agg":    {p.agg},
 			"merge":  {p.merge},
 		}
-		var rr dashRange
+		var rr api.QueryRangeResponse
 		if err := c.getDecode("/api/v1/query_range?"+v.Encode(), &rr); err != nil {
 			return err
 		}
@@ -133,7 +93,7 @@ func renderDash(c *client, window, step time.Duration, width int) error {
 		fmt.Printf("%-14s %s  %.3g %s\n", p.title, sparkline(vals, width), vals[len(vals)-1], p.unit)
 	}
 
-	var ar dashAlerts
+	var ar api.AlertsResponse
 	if err := c.getDecode("/api/v1/alerts", &ar); err != nil {
 		return err
 	}
@@ -147,15 +107,15 @@ func renderDash(c *client, window, step time.Duration, width int) error {
 			val = fmt.Sprintf("%.4g", *a.Value)
 		}
 		line := fmt.Sprintf("  %-10s %-24s %s %s %g over %s",
-			strings.ToUpper(a.State), a.Rule, val, a.Op, a.Threshold, a.Window)
-		if a.State == "firing" && a.Since != nil {
+			strings.ToUpper(string(a.State)), a.Rule, val, a.Op, a.Threshold, a.Window)
+		if a.State == telemetry.StateFiring && a.Since != nil {
 			line += "  since " + a.Since.Format(time.RFC3339)
 		}
 		fmt.Println(line)
 	}
 
-	var il incidentList
-	found, err := c.getDecodeOpt("/api/v1/incidents", &il)
+	var il api.IncidentListResponse
+	found, err := c.request(http.MethodGet, "/api/v1/incidents", nil, &il)
 	if err != nil {
 		return err
 	}
@@ -183,7 +143,7 @@ func renderDash(c *client, window, step time.Duration, width int) error {
 	}
 
 	// Model-run scheduler snapshot.
-	var ds dashSched
+	var ds api.SchedResponse
 	if err := c.getDecode("/api/v1/sched", &ds); err != nil {
 		return err
 	}
@@ -196,7 +156,7 @@ func renderDash(c *client, window, step time.Duration, width int) error {
 		cc.Entries, cc.HitRate*100, cc.Hits, cc.Misses, cc.Stale, cc.Invalidations)
 
 	// Top principals by request volume over the server's usage window.
-	var ur usageResponse
+	var ur api.UsageResponse
 	if err := c.getDecode("/api/v1/usage?by=requests&n=3", &ur); err != nil {
 		return err
 	}
@@ -211,7 +171,7 @@ func renderDash(c *client, window, step time.Duration, width int) error {
 		}
 		fmt.Printf("  %-16s %-14s %6d reqs  %8.1f cpu_ms  %s\n",
 			tenant, p.Topology, p.Window.Requests,
-			float64(p.Window.CPUNS)/1e6, fmtBytes(p.Window.AllocBytes))
+			float64(p.Window.CPUNanos)/1e6, fmtBytes(p.Window.AllocBytes))
 	}
 	return nil
 }

@@ -73,13 +73,13 @@ func TestBucketQuantileGuards(t *testing.T) {
 	buckets := []telemetry.BucketJSON{{LE: 1, Count: 5}, {LE: 2, Count: 10}}
 	// A zero-count histogram or an empty bucket slice must report 0,
 	// not NaN (rank 0/0) — the metrics table prints the result.
-	if got := bucketQuantile(buckets, 0, 0.95); got != 0 {
+	if got := bucketQuantile([]telemetry.BucketJSON{{LE: 1}, {LE: 2}}, 0.95); got != 0 {
 		t.Errorf("zero-count quantile = %g, want 0", got)
 	}
-	if got := bucketQuantile(nil, 10, 0.95); got != 0 {
+	if got := bucketQuantile(nil, 0.95); got != 0 {
 		t.Errorf("empty-buckets quantile = %g, want 0", got)
 	}
-	if got := bucketQuantile(buckets, 10, 0.5); got <= 0 || got > 1 {
+	if got := bucketQuantile(buckets, 0.5); got <= 0 || got > 1 {
 		t.Errorf("p50 = %g, want within (0, 1]", got)
 	}
 }

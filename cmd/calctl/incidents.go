@@ -3,9 +3,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"net/http"
 	"sort"
 	"strings"
 	"time"
+
+	"caladrius/internal/api"
 )
 
 // The incidents command browses the daemon's incident flight-recorder
@@ -14,46 +17,6 @@ import (
 //	calctl incidents                 list captured bundles
 //	calctl incidents show <id>       render one bundle's manifest
 //	calctl incidents capture         trigger a manual capture now
-//
-// Like dash, the wire format is decoded locally rather than importing
-// internal/incident.
-
-type incidentManifest struct {
-	Version     int       `json:"version"`
-	ID          string    `json:"id"`
-	CapturedAt  time.Time `json:"captured_at"`
-	Trigger     string    `json:"trigger"`
-	Rule        string    `json:"rule"`
-	Description string    `json:"description"`
-	Alert       *struct {
-		Value     *float64 `json:"value"`
-		Threshold float64  `json:"threshold"`
-		Op        string   `json:"op"`
-		Window    string   `json:"window"`
-	} `json:"alert"`
-	Artifacts []struct {
-		Name  string `json:"name"`
-		Bytes int64  `json:"bytes"`
-	} `json:"artifacts"`
-	TraceIDs       []string `json:"trace_ids"`
-	JoinedTraceIDs []string `json:"joined_trace_ids"`
-	LogRecords     int      `json:"log_records"`
-	SpanTraces     int      `json:"span_traces"`
-	Metrics        *struct {
-		Metric string    `json:"metric"`
-		Start  time.Time `json:"start"`
-		End    time.Time `json:"end"`
-		Series int       `json:"series"`
-		Points int       `json:"points"`
-	} `json:"metrics"`
-	Notes        []string          `json:"notes"`
-	ArtifactURLs map[string]string `json:"artifact_urls"`
-}
-
-type incidentList struct {
-	Incidents []incidentManifest `json:"incidents"`
-	Count     int                `json:"count"`
-}
 
 func incidentsCmd(c *client, args []string) error {
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
@@ -79,8 +42,8 @@ func incidentsCmd(c *client, args []string) error {
 	if *raw {
 		return c.getJSON("/api/v1/incidents")
 	}
-	var list incidentList
-	found, err := c.getDecodeOpt("/api/v1/incidents", &list)
+	var list api.IncidentListResponse
+	found, err := c.request(http.MethodGet, "/api/v1/incidents", nil, &list)
 	if err != nil {
 		return err
 	}
@@ -105,8 +68,8 @@ func incidentsCmd(c *client, args []string) error {
 }
 
 func incidentShow(c *client, id string) error {
-	var m incidentManifest
-	found, err := c.getDecodeOpt("/api/v1/incidents/"+id, &m)
+	var m api.IncidentResponse
+	found, err := c.request(http.MethodGet, "/api/v1/incidents/"+id, nil, &m)
 	if err != nil {
 		return err
 	}

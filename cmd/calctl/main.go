@@ -44,6 +44,7 @@ import (
 	"strings"
 	"time"
 
+	"caladrius/internal/api"
 	"caladrius/internal/telemetry"
 )
 
@@ -172,12 +173,9 @@ func trafficCmd(c *client, args []string) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	body := map[string]any{
-		"source_minutes":  *sourceMinutes,
-		"horizon_minutes": *horizonMinutes,
-	}
+	body := api.TrafficRequest{SourceMinutes: *sourceMinutes, HorizonMinutes: *horizonMinutes}
 	if *model != "" {
-		body["models"] = []string{*model}
+		body.Models = []string{*model}
 	}
 	return c.postJSON("/api/v1/model/traffic/"+topo+syncSuffix(*sync), body)
 }
@@ -196,16 +194,12 @@ func perfCmd(c *client, args []string) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	body := map[string]any{}
-	if *rate != 0 {
-		body["source_rate_tpm"] = *rate
-	}
+	body := api.PerformanceRequest{SourceRateTPM: *rate}
 	if *useForecast {
-		body["use_forecast"] = true
-		body["horizon_minutes"] = *horizonMinutes
+		body.UseForecast, body.HorizonMinutes = true, *horizonMinutes
 	}
 	if *pFlag != "" {
-		overrides := map[string]int{}
+		body.Parallelism = map[string]int{}
 		for _, kv := range strings.Split(*pFlag, ",") {
 			parts := strings.SplitN(kv, "=", 2)
 			if len(parts) != 2 {
@@ -215,9 +209,8 @@ func perfCmd(c *client, args []string) error {
 			if err != nil {
 				return fmt.Errorf("bad parallelism %q: %v", kv, err)
 			}
-			overrides[parts[0]] = n
+			body.Parallelism[parts[0]] = n
 		}
-		body["parallelism"] = overrides
 	}
 	return c.postJSON("/api/v1/model/topology/"+topo+"/performance"+syncSuffix(*sync), body)
 }
@@ -234,11 +227,8 @@ func suggestCmd(c *client, args []string) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	body := map[string]any{"headroom": *headroom}
-	if *rate != 0 {
-		body["source_rate_tpm"] = *rate
-	}
-	return c.postJSON("/api/v1/model/topology/"+topo+"/suggest"+syncSuffix(*sync), body)
+	return c.postJSON("/api/v1/model/topology/"+topo+"/suggest"+syncSuffix(*sync),
+		api.SuggestRequest{SourceRateTPM: *rate, Headroom: *headroom})
 }
 
 func queryCmd(c *client, args []string) error {
@@ -254,10 +244,8 @@ func queryCmd(c *client, args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: calctl query <topology> [-graph logical|physical] <gremlin>")
 	}
-	return c.postJSON("/api/v1/model/topology/"+topo+"/query?sync=true", map[string]any{
-		"query": fs.Arg(0),
-		"graph": *graphKind,
-	})
+	return c.postJSON("/api/v1/model/topology/"+topo+"/query?sync=true",
+		api.GraphQueryRequest{Query: fs.Arg(0), Graph: *graphKind})
 }
 
 func syncSuffix(sync bool) string {
@@ -270,19 +258,24 @@ func syncSuffix(sync bool) string {
 // getDecode fetches path and decodes the JSON response into v,
 // failing on error statuses.
 func (c *client) getDecode(path string, v any) error {
-	found, err := c.getDecodeOpt(path, v)
+	found, err := c.request(http.MethodGet, path, nil, v)
 	if err == nil && !found {
 		return fmt.Errorf("server returned 404 Not Found for %s", path)
 	}
 	return err
 }
 
-// getDecodeOpt is getDecode for the two opt-in server features (the
-// incident recorder, the continuous profiler): a 404 reports
-// found=false with no error, so callers can degrade gracefully instead
-// of failing against a daemon started without them.
-func (c *client) getDecodeOpt(path string, v any) (found bool, err error) {
-	resp, err := c.http.Get(c.base + path)
+// request sends one request and decodes the JSON response into v,
+// failing on error statuses except 404. A 404 reports found=false with
+// no error: the two opt-in server features (the incident recorder, the
+// continuous profiler) answer it when off, and callers degrade to a
+// notice instead of failing.
+func (c *client) request(method, path string, body io.Reader, v any) (found bool, err error) {
+	req, err := http.NewRequest(method, c.base+path, body)
+	if err != nil {
+		return false, err
+	}
+	resp, err := c.http.Do(req)
 	if err != nil {
 		return false, err
 	}
@@ -333,7 +326,7 @@ func metricsCmd(c *client, args []string) error {
 				if s.Sum != nil {
 					r.meanMs = *s.Sum / float64(*s.Count) * 1000
 				}
-				r.p95Ms = bucketQuantile(s.Buckets, *s.Count, 0.95) * 1000
+				r.p95Ms = bucketQuantile(s.Buckets, 0.95) * 1000
 				rows = append(rows, r)
 			}
 		default:
@@ -363,6 +356,16 @@ func metricsCmd(c *client, args []string) error {
 	return nil
 }
 
+// bucketQuantile adapts the JSON buckets of a histogram series to
+// telemetry.EstimateQuantile, which owns the interpolation and guards.
+func bucketQuantile(buckets []telemetry.BucketJSON, q float64) float64 {
+	bounds, cum := make([]float64, len(buckets)), make([]float64, len(buckets))
+	for i, b := range buckets {
+		bounds[i], cum[i] = b.LE, float64(b.Count)
+	}
+	return telemetry.EstimateQuantile(bounds, cum, q)
+}
+
 func labelString(labels telemetry.Labels) string {
 	if len(labels) == 0 {
 		return ""
@@ -377,29 +380,6 @@ func labelString(labels telemetry.Labels) string {
 		parts[i] = k + "=" + labels[k]
 	}
 	return "{" + strings.Join(parts, ",") + "}"
-}
-
-// bucketQuantile estimates a quantile from cumulative histogram
-// buckets by linear interpolation inside the containing bucket, the
-// same estimate Prometheus' histogram_quantile computes.
-func bucketQuantile(buckets []telemetry.BucketJSON, count uint64, q float64) float64 {
-	if count == 0 || len(buckets) == 0 {
-		return 0
-	}
-	rank := q * float64(count)
-	var lo float64
-	var below uint64
-	for _, b := range buckets {
-		if float64(b.Count) >= rank {
-			span := float64(b.Count - below)
-			if span == 0 || b.LE > 1e300 {
-				return lo
-			}
-			return lo + (b.LE-lo)*(rank-float64(below))/span
-		}
-		lo, below = b.LE, b.Count
-	}
-	return lo
 }
 
 func traceCmd(c *client, id string) error {

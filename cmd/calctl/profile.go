@@ -1,83 +1,34 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
+
+	"caladrius/internal/api"
+	"caladrius/internal/profiler"
 )
 
 // The profile command reads the continuous profiler's surface: a
 // status summary, hot-function tables, and baseline regression diffs.
-// Like dash and usage, it reads the wire format directly rather than
-// importing internal packages, and it degrades gracefully (clear
-// message, exit 0) against daemons started with -profile-interval 0,
-// where /api/v1/profiles 404s.
+// It degrades gracefully (clear message, exit 0) against daemons
+// started with -profile-interval 0, where /api/v1/profiles 404s.
 
 const profileDisabledNotice = "continuous profiler disabled on server (start caladrius with -profile-interval > 0)"
 
-type profileBaselineMeta struct {
-	Version   int       `json:"version"`
-	CreatedAt time.Time `json:"created_at"`
-	Auto      bool      `json:"auto"`
-	Funcs     int       `json:"funcs"`
-}
-
-type profileStatus struct {
-	Interval        string               `json:"interval"`
-	CPUWindow       string               `json:"cpu_window"`
-	Epoch           string               `json:"epoch"`
-	WindowCap       int                  `json:"window_cap"`
-	WindowsRetained int                  `json:"windows_retained"`
-	Captures        map[string]uint64    `json:"captures"`
-	CaptureErrors   uint64               `json:"capture_errors"`
-	Samples         map[string]int64     `json:"samples"`
-	TopRegression   map[string]float64   `json:"top_regression_delta"`
-	Baseline        *profileBaselineMeta `json:"baseline"`
-	LastCapture     *time.Time           `json:"last_capture"`
-	LastDuty        float64              `json:"last_duty_ratio"`
-	LastErrors      map[string]string    `json:"last_errors"`
-}
-
-type profileFunc struct {
-	Function string `json:"function"`
-	Flat     int64  `json:"flat"`
-	Cum      int64  `json:"cum"`
-}
-
-type profileTopResponse struct {
-	Kind      string        `json:"kind"`
-	Unit      string        `json:"unit"`
-	Total     int64         `json:"total"`
-	Samples   int64         `json:"samples"`
-	Functions []profileFunc `json:"functions"`
-}
-
-type profileDiffEntry struct {
-	Function  string  `json:"function"`
-	BaseFlat  float64 `json:"base_flat_frac"`
-	CurFlat   float64 `json:"cur_flat_frac"`
-	DeltaFlat float64 `json:"delta_flat_frac"`
-}
-
-type profileDiff struct {
-	Kind    string             `json:"kind"`
-	Total   int64              `json:"total"`
-	Samples int64              `json:"samples"`
-	Unit    string             `json:"unit"`
-	Guarded bool               `json:"guarded"`
-	Entries []profileDiffEntry `json:"entries"`
-}
-
-type profileDiffResponse struct {
-	Baseline *profileBaselineMeta `json:"baseline"`
-	Diff     *profileDiff         `json:"diff"`
+// profileRequest is client.request for the profiler routes: a 404 means
+// the profiler is off, which prints the notice and reports ok=false.
+func profileRequest(c *client, method, path string, v any) (ok bool, err error) {
+	ok, err = c.request(method, path, nil, v)
+	if err == nil && !ok {
+		fmt.Println(profileDisabledNotice)
+	}
+	return ok, err
 }
 
 func profileCmd(c *client, args []string) error {
@@ -115,14 +66,9 @@ func profileStatusCmd(c *client, raw bool) error {
 	if raw {
 		return c.getJSON("/api/v1/profiles")
 	}
-	var st profileStatus
-	found, err := c.getDecodeOpt("/api/v1/profiles", &st)
-	if err != nil {
+	var st profiler.Status
+	if ok, err := profileRequest(c, http.MethodGet, "/api/v1/profiles", &st); !ok {
 		return err
-	}
-	if !found {
-		fmt.Println(profileDisabledNotice)
-		return nil
 	}
 	fmt.Printf("profiler: interval %s, cpu window %s, epoch %s, %d/%d windows retained, duty %.2f%%\n",
 		st.Interval, st.CPUWindow, st.Epoch, st.WindowsRetained, st.WindowCap, st.LastDuty*100)
@@ -136,11 +82,11 @@ func profileStatusCmd(c *client, raw bool) error {
 	} else {
 		fmt.Println("baseline: none yet (first epoch window still filling)")
 	}
-	kinds := make([]string, 0, len(st.Captures))
+	kinds := make([]profiler.Kind, 0, len(st.Captures))
 	for k := range st.Captures {
 		kinds = append(kinds, k)
 	}
-	sort.Strings(kinds)
+	slices.Sort(kinds)
 	fmt.Printf("%-10s %-10s %-14s %s\n", "kind", "captures", "samples", "top_regression")
 	for _, k := range kinds {
 		fmt.Printf("%-10s %-10d %-14d %+.4f\n", k, st.Captures[k], st.Samples[k], st.TopRegression[k])
@@ -160,14 +106,9 @@ func profileTopCmd(c *client, v url.Values, raw bool) error {
 	if raw {
 		return c.getJSON(path)
 	}
-	var top profileTopResponse
-	found, err := c.getDecodeOpt(path, &top)
-	if err != nil {
+	var top api.ProfileTopResponse
+	if ok, err := profileRequest(c, http.MethodGet, path, &top); !ok {
 		return err
-	}
-	if !found {
-		fmt.Println(profileDisabledNotice)
-		return nil
 	}
 	fmt.Printf("top functions by flat %s (%s profile, %d samples over the diff window)\n",
 		orDefault(top.Unit, "value"), top.Kind, top.Samples)
@@ -188,14 +129,9 @@ func profileDiffCmd(c *client, v url.Values, raw bool) error {
 	if raw {
 		return c.getJSON(path)
 	}
-	var resp profileDiffResponse
-	found, err := c.getDecodeOpt(path, &resp)
-	if err != nil {
+	var resp api.ProfileDiffResponse
+	if ok, err := profileRequest(c, http.MethodGet, path, &resp); !ok {
 		return err
-	}
-	if !found {
-		fmt.Println(profileDisabledNotice)
-		return nil
 	}
 	if resp.Baseline == nil || resp.Diff == nil {
 		fmt.Println("no baseline yet (first epoch window still filling)")
@@ -227,22 +163,8 @@ func profileDiffCmd(c *client, v url.Values, raw bool) error {
 // profileBaselineCmd re-baselines over POST; the disabled daemon's 404
 // degrades to the same notice the read paths print.
 func profileBaselineCmd(c *client) error {
-	resp, err := c.http.Post(c.base+"/api/v1/profiles/baseline", "application/json", nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, resp.Body)
-		fmt.Println(profileDisabledNotice)
-		return nil
-	}
-	if resp.StatusCode >= 400 {
-		data, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("server returned %s: %s", resp.Status, strings.TrimSpace(string(data)))
-	}
-	var meta profileBaselineMeta
-	if err := json.NewDecoder(resp.Body).Decode(&meta); err != nil {
+	var meta profiler.BaselineMeta
+	if ok, err := profileRequest(c, http.MethodPost, "/api/v1/profiles/baseline", &meta); !ok {
 		return err
 	}
 	fmt.Printf("baseline reset: created %s, %d functions\n",

@@ -6,43 +6,13 @@ import (
 	"net/url"
 	"strconv"
 	"time"
+
+	"caladrius/internal/api"
 )
 
 // The usage command ranks the (tenant, topology) principals the
 // service attributed its traffic and model runs to, over the server's
-// trailing usage window. Like dash and accuracy, it reads the wire
-// format directly rather than importing internal packages, and it
-// degrades gracefully (clear message, exit 0) against older daemons
-// or ones started with -usage-topk 0, where /api/v1/usage 404s.
-
-type usageTotals struct {
-	Requests   uint64 `json:"requests"`
-	Errors     uint64 `json:"errors"`
-	LatencyNS  uint64 `json:"latency_ns"`
-	Runs       uint64 `json:"runs"`
-	WallNS     uint64 `json:"wall_ns"`
-	CPUNS      uint64 `json:"cpu_ns"`
-	AllocBytes uint64 `json:"alloc_bytes"`
-	SimTicks   uint64 `json:"sim_ticks"`
-}
-
-type usagePrincipal struct {
-	Tenant   string      `json:"tenant"`
-	Topology string      `json:"topology"`
-	Rollup   bool        `json:"rollup"`
-	InFlight int64       `json:"in_flight"`
-	Totals   usageTotals `json:"totals"`
-	Window   usageTotals `json:"window"`
-}
-
-type usageResponse struct {
-	WindowSeconds float64          `json:"window_seconds"`
-	Capacity      int              `json:"capacity"`
-	Principals    int              `json:"principals"`
-	Evictions     uint64           `json:"evictions"`
-	By            string           `json:"by"`
-	Top           []usagePrincipal `json:"top"`
-}
+// trailing usage window.
 
 func usageCmd(c *client, args []string) error {
 	fs := flag.NewFlagSet("usage", flag.ContinueOnError)
@@ -57,7 +27,7 @@ func usageCmd(c *client, args []string) error {
 	if *raw {
 		return c.getJSON(path)
 	}
-	var resp usageResponse
+	var resp api.UsageResponse
 	if err := c.getDecode(path, &resp); err != nil {
 		return err
 	}
@@ -73,7 +43,7 @@ func usageCmd(c *client, args []string) error {
 	for _, p := range resp.Top {
 		meanMs := "-"
 		if p.Window.Requests > 0 {
-			meanMs = fmt.Sprintf("%.3f", float64(p.Window.LatencyNS)/float64(p.Window.Requests)/1e6)
+			meanMs = fmt.Sprintf("%.3f", float64(p.Window.LatencyNanos)/float64(p.Window.Requests)/1e6)
 		}
 		tenant := p.Tenant
 		if p.Rollup {
@@ -81,13 +51,13 @@ func usageCmd(c *client, args []string) error {
 		}
 		fmt.Printf("%-16s %-14s %-8d %-7d %-9s %-6d %-9.3f %-10s %d\n",
 			tenant, p.Topology, p.Window.Requests, p.Window.Errors, meanMs,
-			p.Window.Runs, float64(p.Window.CPUNS)/1e6,
+			p.Window.Runs, float64(p.Window.CPUNanos)/1e6,
 			fmtBytes(p.Window.AllocBytes), p.Window.SimTicks)
 	}
 
 	// Admission-control context for the table above: how much of the
 	// tenants' demand the scheduler coalesced or shed.
-	var ds dashSched
+	var ds api.SchedResponse
 	if err := c.getDecode("/api/v1/sched", &ds); err != nil {
 		return err
 	}

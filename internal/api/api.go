@@ -284,20 +284,24 @@ type PerformanceResponse struct {
 	EvaluatedRateTPM float64 `json:"evaluated_rate_tpm"`
 }
 
-// finiteSaturation makes a prediction encodable. A topology or path
-// that never saturates has saturation source +Inf (Eq. 13 has no finite
-// solution), and JSON has no token for that; it goes out as the largest
-// finite float — the registry's convention for the +Inf histogram bound
-// — so "rate < saturation_source_tpm" still holds for every client.
-func finiteSaturation(p *core.TopologyPrediction) {
-	clamp := func(v *float64) {
-		if math.IsInf(*v, 1) {
-			*v = math.MaxFloat64
-		}
+// finiteSaturation is a saturation source as the API and the audit
+// ledger carry it. A topology or path that never saturates has
+// saturation source +Inf (Eq. 13 has no finite solution), and JSON has
+// no token for that; it goes out as the largest finite float — the
+// registry's convention for the +Inf histogram bound — so "rate <
+// saturation_source_tpm" still holds for every client.
+func finiteSaturation(v float64) float64 {
+	if math.IsInf(v, 1) {
+		return math.MaxFloat64
 	}
-	clamp(&p.SaturationSource)
+	return v
+}
+
+// encodable applies finiteSaturation to a prediction and its paths.
+func encodable(p *core.TopologyPrediction) {
+	p.SaturationSource = finiteSaturation(p.SaturationSource)
 	for i := range p.Paths {
-		clamp(&p.Paths[i].SaturationSource)
+		p.Paths[i].SaturationSource = finiteSaturation(p.Paths[i].SaturationSource)
 	}
 }
 
@@ -653,7 +657,7 @@ func (s *Service) runPerformance(ctx context.Context, topoName string, req Perfo
 	if err != nil {
 		return nil, err
 	}
-	finiteSaturation(&pred)
+	encodable(&pred)
 	return &PerformanceResponse{Topology: topoName, Prediction: pred, EvaluatedRateTPM: rate}, nil
 }
 
@@ -853,7 +857,7 @@ func (s *Service) runSuggest(ctx context.Context, topoName string, req SuggestRe
 	if err != nil {
 		return nil, err
 	}
-	finiteSaturation(&pred)
+	encodable(&pred)
 	return &SuggestResponse{Topology: topoName, EvaluatedRateTPM: rate, Parallelism: plan, Prediction: pred}, nil
 }
 

@@ -489,6 +489,18 @@ func TestUnsaturatedPredictionIsValidJSON(t *testing.T) {
 			t.Fatalf("job = %+v", job)
 		}
 	}
+
+	// The audit ledger records the value the responses sent, not a 0
+	// that typed clients read as "already saturated".
+	recs := getDecode[AuditListResponse](t, srv.URL+"/api/v1/audit", http.StatusOK).Records
+	if len(recs) != 3 {
+		t.Fatalf("audit records = %d, want 3", len(recs))
+	}
+	for _, r := range recs {
+		if r.Predicted.SaturationSourceTPM != math.MaxFloat64 {
+			t.Errorf("audit record %d saturation_source_tpm = %g, want %g", r.ID, r.Predicted.SaturationSourceTPM, math.MaxFloat64)
+		}
+	}
 }
 
 // TestWriteJSONUnencodable: a value encoding/json rejects becomes a JSON

@@ -2,7 +2,6 @@ package api
 
 import (
 	"context"
-	"math"
 	"net/http"
 	"strconv"
 
@@ -30,10 +29,6 @@ type ledgerRecorder struct {
 
 func (r ledgerRecorder) RecordRun(run core.ModelRun) {
 	p := run.Prediction
-	sat := p.SaturationSource
-	if math.IsInf(sat, 1) {
-		sat = 0 // unsaturatable; JSON cannot carry +Inf
-	}
 	cp := p.CriticalPath()
 	sink := ""
 	if len(cp.Path) > 0 {
@@ -59,7 +54,7 @@ func (r ledgerRecorder) RecordRun(run core.ModelRun) {
 		Predicted: audit.Predicted{
 			SinkTPM:             p.SinkThroughput,
 			OutputTPM:           cp.OutputRate,
-			SaturationSourceTPM: sat,
+			SaturationSourceTPM: finiteSaturation(p.SaturationSource),
 			Bottleneck:          p.Bottleneck,
 			Risk:                string(p.Risk),
 			TotalCPUCores:       p.TotalCPU,

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"caladrius/internal/telemetry"
 	"caladrius/internal/tsdb"
 )
 
@@ -51,21 +52,7 @@ type QueryRangeResponse struct {
 
 // AlertsResponse is the payload of GET /api/v1/alerts.
 type AlertsResponse struct {
-	Alerts []AlertJSON `json:"alerts"`
-}
-
-// AlertJSON mirrors telemetry.Alert for clients that decode the alerts
-// endpoint without importing the telemetry package.
-type AlertJSON struct {
-	Rule        string     `json:"rule"`
-	Description string     `json:"description,omitempty"`
-	State       string     `json:"state"`
-	Value       *float64   `json:"value,omitempty"`
-	Threshold   float64    `json:"threshold"`
-	Op          string     `json:"op"`
-	Window      string     `json:"window"`
-	Since       *time.Time `json:"since,omitempty"`
-	EvaluatedAt time.Time  `json:"evaluated_at"`
+	Alerts []telemetry.Alert `json:"alerts"`
 }
 
 func validAgg(a tsdb.Agg) bool {
@@ -196,20 +183,5 @@ func (s *Service) handleQueryRange(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleAlerts(w http.ResponseWriter, _ *http.Request) {
-	alerts := s.slo.Evaluate()
-	resp := AlertsResponse{Alerts: make([]AlertJSON, len(alerts))}
-	for i, a := range alerts {
-		resp.Alerts[i] = AlertJSON{
-			Rule:        a.Rule,
-			Description: a.Description,
-			State:       string(a.State),
-			Value:       a.Value,
-			Threshold:   a.Threshold,
-			Op:          a.Op,
-			Window:      a.Window,
-			Since:       a.Since,
-			EvaluatedAt: a.EvaluatedAt,
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, AlertsResponse{Alerts: s.slo.Evaluate()})
 }

@@ -65,8 +65,9 @@ const (
 )
 
 // Predicted holds the quantities one model run predicted.
-// SaturationSourceTPM is 0 when the topology cannot saturate (the
-// model's +Inf; JSON cannot carry infinities).
+// SaturationSourceTPM is the largest finite float when the topology
+// cannot saturate (the model's +Inf, which JSON cannot carry), the value
+// the performance and suggest endpoints send for the same run.
 type Predicted struct {
 	SinkTPM             float64 `json:"sink_tpm"`
 	OutputTPM           float64 `json:"output_tpm"`

@@ -32,7 +32,7 @@ func (r loopRecorder) RecordRun(run core.ModelRun) {
 	p := run.Prediction
 	sat := p.SaturationSource
 	if math.IsInf(sat, 1) {
-		sat = 0
+		sat = math.MaxFloat64
 	}
 	cp := p.CriticalPath()
 	sink := ""

@@ -198,7 +198,7 @@ func TestClosedLoopProfileRegression(t *testing.T) {
 		}
 		for _, a := range ar.Alerts {
 			if a.Rule == "profile-hot-function-regression" {
-				return a.State
+				return string(a.State)
 			}
 		}
 		t.Fatalf("%s: profile-hot-function-regression not evaluated", phase)

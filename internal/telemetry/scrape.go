@@ -282,15 +282,17 @@ func (s *Scraper) appendQuantiles(name string, labels Labels, key string, bounds
 		return
 	}
 	for _, q := range s.quantiles {
-		v := estimateQuantile(bounds, inc, q)
+		v := EstimateQuantile(bounds, inc, q)
 		s.emit(key+"|"+QuantileSeries("", q), QuantileSeries(name, q), labels, "", "", t, v)
 	}
 }
 
-// estimateQuantile interpolates the q-quantile from cumulative bucket
+// EstimateQuantile interpolates the q-quantile from cumulative bucket
 // counts with upper bounds — the histogram_quantile estimate. A rank
-// landing in the +Inf bucket reports the highest finite bound.
-func estimateQuantile(bounds, cum []float64, q float64) float64 {
+// landing in the +Inf bucket reports the highest finite bound, and an
+// empty or all-zero histogram reports 0, never NaN. The scraper's :pNN
+// series and calctl's metrics table both use it.
+func EstimateQuantile(bounds, cum []float64, q float64) float64 {
 	if len(cum) == 0 {
 		return 0
 	}

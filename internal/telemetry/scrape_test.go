@@ -132,17 +132,21 @@ func TestScrapeHistogramBucketsAndQuantiles(t *testing.T) {
 func TestEstimateQuantile(t *testing.T) {
 	bounds := []float64{1, 2, 4, math.MaxFloat64}
 	cum := []float64{10, 30, 40, 40}
-	if got := estimateQuantile(bounds, cum, 0.5); math.Abs(got-1.5) > 1e-9 {
+	if got := EstimateQuantile(bounds, cum, 0.5); math.Abs(got-1.5) > 1e-9 {
 		t.Errorf("p50 = %g, want 1.5", got) // rank 20 → halfway through (1,2]
 	}
-	if got := estimateQuantile(bounds, cum, 1.0); got != 4 {
+	if got := EstimateQuantile(bounds, cum, 1.0); got != 4 {
 		t.Errorf("p100 = %g, want 4 (rank in +Inf bucket reports last finite bound)", got)
 	}
-	if got := estimateQuantile(nil, nil, 0.9); got != 0 {
+	if got := EstimateQuantile(nil, nil, 0.9); got != 0 {
 		t.Errorf("empty = %g, want 0", got)
 	}
-	if got := estimateQuantile(bounds, []float64{0, 0, 0, 0}, 0.9); got != 0 {
+	if got := EstimateQuantile(bounds, []float64{0, 0, 0, 0}, 0.9); got != 0 {
 		t.Errorf("zero-count = %g, want 0", got)
+	}
+	// A rank exactly on a bucket's count reports that bucket's bound.
+	if got := EstimateQuantile([]float64{1, 2}, []float64{5, 10}, 0.5); got != 1 {
+		t.Errorf("p50 on a boundary = %g, want 1", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full verification recipe: build, static checks, the whole test
-# suite, the whole suite again under the race detector (every package,
+# Full verification recipe: build, static checks (gofmt, vet, and no
+# copy of a wire schema under cmd/), the whole test suite, the whole
+# suite again under the race detector (every package,
 # not a hand-kept list: the chaos invariant suite's 3-seed × every-
 # fault-kind matrix, the soak package and the daemon lifecycle test all
 # run under -race here), the nested benchmark module's vet and tests —
@@ -23,6 +24,13 @@ UNFORMATTED=$(gofmt -l .)
 if [ -n "$UNFORMATTED" ]; then
     echo "verify: gofmt needed on:" >&2
     echo "$UNFORMATTED" >&2
+    exit 1
+fi
+# The CLI decodes and encodes the server's own types: a json:"…" tag in
+# a non-test file under cmd/ is a hand-written copy of a wire schema.
+if MIRRORS=$(grep -rln --include='*.go' --exclude='*_test.go' 'json:"' cmd/); then
+    echo "verify: json struct tags in non-test files under cmd/ (decode into the server's own types):" >&2
+    echo "$MIRRORS" >&2
     exit 1
 fi
 go build ./...
