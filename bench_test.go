@@ -418,10 +418,11 @@ func BenchmarkCounterInc(b *testing.B) {
 // here. Once warm the ring overwrites slots in place, reusing each
 // slot's attr buffer: 0 allocs/op.
 func BenchmarkLogRingAppend(b *testing.B) {
-	r := telemetry.NewLogRing(1024)
+	const capacity = 1024
+	r := telemetry.NewLogRing(capacity)
 	attrs := []byte("method=GET route=/api/v1/health status=200 duration_ms=0.42")
 	t0 := time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 2*r.Cap(); i++ {
+	for i := 0; i < 2*capacity; i++ {
 		r.Append(t0, slog.LevelInfo, "http request", "req-1", attrs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {

@@ -75,7 +75,7 @@ func run() error {
 	defer d.Close()
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
-	fmt.Println("== caladrius service listening at", srv.URL)
+	fmt.Println("== caladrius service listening")
 
 	// --- 1. Forecast tomorrow's traffic. ------------------------------
 	var forecastResp api.TrafficResponse

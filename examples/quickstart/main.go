@@ -51,8 +51,10 @@ func run() error {
 	fmt.Println("== 2. calibrating component models from 15 minutes of metrics")
 	window := sim.Start().Add(15 * time.Minute)
 	models := map[string]*core.ComponentModel{}
-	for comp, p := range map[string]int{"spout": 8, "splitter": 2, "counter": 3} {
-		m, err := core.CalibrateFromProvider(provider, "word-count", comp, p,
+	components := []string{"spout", "splitter", "counter"}
+	parallelism := map[string]int{"spout": 8, "splitter": 2, "counter": 3}
+	for _, comp := range components {
+		m, err := core.CalibrateFromProvider(provider, "word-count", comp, parallelism[comp],
 			sim.Start(), window, core.CalibrationOptions{Warmup: 4})
 		if err != nil {
 			return fmt.Errorf("calibrate %s: %w", comp, err)
@@ -96,8 +98,8 @@ func run() error {
 	if err := profile(6, 3, 35e6, "counter", 3); err != nil {
 		return err
 	}
-	for comp, m := range models {
-		fmt.Printf("   %-8s per-instance SP now %s\n", comp, fmtRate(m.Instance.SP))
+	for _, comp := range components {
+		fmt.Printf("   %-8s per-instance SP now %s\n", comp, fmtRate(models[comp].Instance.SP))
 	}
 
 	// --- 3. Dry-run the future without deploying. ---------------------

@@ -58,7 +58,11 @@ func run() error {
 		return err
 	}
 	fmt.Println("== scheduler packing plans for (spout=8, splitter=4, counter=5):")
-	for name, plan := range map[string]*topology.PackingPlan{"round-robin": rr, "first-fit-decreasing": ffd} {
+	for _, packed := range []struct {
+		name string
+		plan *topology.PackingPlan
+	}{{"round-robin", rr}, {"first-fit-decreasing", ffd}} {
+		name, plan := packed.name, packed.plan
 		remote := graph.RemoteTransferFraction(top, plan)
 		var worst float64
 		for _, f := range remote {

@@ -13,7 +13,6 @@ import (
 	"caladrius/internal/metrics"
 	"caladrius/internal/telemetry"
 	"caladrius/internal/tsdb"
-	"caladrius/internal/workload"
 )
 
 // countingProvider counts the provider queries the resolver makes, per
@@ -159,7 +158,7 @@ func TestResolveDistinctInstantsKeepOwnWindows(t *testing.T) {
 	// An unsaturated ramp: every minute's throughput differs.
 	sub, err := heron.SimulateWordCount(heron.WordCountOptions{
 		SplitterP: 3, CounterP: 4,
-		Schedule: workload.RampRate(10e6/60, 20e6/60, 12*time.Minute),
+		Schedule: func(elapsed time.Duration) float64 { return (10e6 + 10e6*elapsed.Minutes()/12) / 60 },
 	}, 12*time.Minute)
 	if err != nil {
 		t.Fatalf("SimulateWordCount: %v", err)

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"encoding/json"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,7 +12,7 @@ import (
 	"caladrius/internal/topology"
 )
 
-func wordCountTargets(t *testing.T) (*topology.Topology, *topology.PackingPlan) {
+func wordCountTargets(t testing.TB) (*topology.Topology, *topology.PackingPlan) {
 	t.Helper()
 	topo, err := heron.WordCountTopology(8, 3, 3)
 	if err != nil {
@@ -75,6 +76,75 @@ func TestParsePlanRejectsUnknownFields(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "componnet") {
 		t.Errorf("want unknown-field error naming the typo, got %v", err)
 	}
+}
+
+// TestPlanReaderRejectsMalformedPlans: a plan file that says more than
+// one plan, or a fault whose end overflows time.Duration and so falls
+// before its onset, is refused rather than run as something else.
+func TestPlanReaderRejectsMalformedPlans(t *testing.T) {
+	topo, pack := wordCountTargets(t)
+	cases := []struct {
+		name, src, wantErr string
+	}{
+		{"second plan after the first",
+			`{"faults":[]}{"faults":[{"kind":"crash","at":"1m","duration":"30s","component":"splitter"}]}`,
+			"trailing data"},
+		{"garbage after the plan", `{"faults":[]} x`, "trailing data"},
+		{"end overflows",
+			`{"faults":[{"kind":"metrics-outage","at":"2000000h","duration":"2000000h"}]}`,
+			"overflows"},
+	}
+	for _, tc := range cases {
+		p, err := ParsePlan([]byte(tc.src))
+		if err == nil {
+			err = p.Validate(topo, pack)
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+// FuzzParsePlan: whatever the file says, ParsePlan returns a plan or an
+// error and never both; a parsed plan survives re-encoding unchanged;
+// and a plan that validates has every fault end after its onset.
+func FuzzParsePlan(f *testing.F) {
+	seed, err := os.ReadFile("../../cmd/heronsim/testdata/plan.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{"seed":7,"faults":[{"kind":"metrics-latency","at":0,"duration":"1m","latency":"5ms"}]}`))
+	f.Add([]byte(`{"faults":[]}{"faults":[]}`))
+	f.Add([]byte(`{"faults":[{"kind":"metrics-gap","at":"2000000h","duration":"2000000h"}]}`))
+	topo, pack := wordCountTargets(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ParsePlan(data)
+		if err != nil {
+			if p != nil {
+				t.Fatalf("ParsePlan returned a plan with error %v", err)
+			}
+			return
+		}
+		again, err := json.Marshal(p)
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		back, err := ParsePlan(again)
+		if err != nil {
+			t.Fatalf("re-parse %s: %v", again, err)
+		}
+		if !reflect.DeepEqual(back, p) {
+			t.Fatalf("round trip changed the plan:\n got %+v\nwant %+v", back, p)
+		}
+		if p.Validate(topo, pack) == nil {
+			for _, fa := range p.Faults {
+				if fa.End() <= time.Duration(fa.At) {
+					t.Fatalf("validated fault %s ends at %s, before its onset %s", fa, fa.End(), time.Duration(fa.At))
+				}
+			}
+		}
+	})
 }
 
 func TestValidate(t *testing.T) {

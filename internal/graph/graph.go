@@ -1,10 +1,12 @@
 // Package graph implements the property-graph store and traversal API
 // Caladrius uses for topology analysis. The original system delegates
 // this to Apache TinkerPop; this package provides the subset Caladrius
-// exercises — labelled vertices and edges with arbitrary properties, a
-// fluent traversal builder (V/Out/In/HasLabel/Has/Values/Path/Dedup),
-// path enumeration and topological ordering — as an embeddable,
-// concurrency-safe in-memory store.
+// exercises — labelled vertices and edges with arbitrary properties and
+// a fluent traversal builder (V/Out/In/HasLabel/Has/Values/Path/Dedup)
+// behind the Gremlin endpoint — as an embeddable, concurrency-safe
+// in-memory store. A graph is projected once per packing-plan version
+// (Cache) and never mutated afterwards. Component-path enumeration and
+// topological order for the models live in internal/topology.
 package graph
 
 import (
@@ -103,52 +105,6 @@ func (g *Graph) AddEdge(from, to, label string, props Properties) (string, error
 	return id, nil
 }
 
-// RemoveVertex deletes a vertex and every edge touching it.
-func (g *Graph) RemoveVertex(id string) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, ok := g.vertices[id]; !ok {
-		return fmt.Errorf("%w: vertex %q", ErrNotFound, id)
-	}
-	for _, eid := range append(append([]string(nil), g.out[id]...), g.in[id]...) {
-		g.removeEdgeLocked(eid)
-	}
-	delete(g.vertices, id)
-	delete(g.out, id)
-	delete(g.in, id)
-	return nil
-}
-
-// RemoveEdge deletes an edge by ID.
-func (g *Graph) RemoveEdge(id string) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, ok := g.edges[id]; !ok {
-		return fmt.Errorf("%w: edge %q", ErrNotFound, id)
-	}
-	g.removeEdgeLocked(id)
-	return nil
-}
-
-func (g *Graph) removeEdgeLocked(id string) {
-	e, ok := g.edges[id]
-	if !ok {
-		return
-	}
-	g.out[e.From] = removeString(g.out[e.From], id)
-	g.in[e.To] = removeString(g.in[e.To], id)
-	delete(g.edges, id)
-}
-
-func removeString(xs []string, s string) []string {
-	for i, v := range xs {
-		if v == s {
-			return append(xs[:i], xs[i+1:]...)
-		}
-	}
-	return xs
-}
-
 // Vertex returns a copy of the vertex, or ErrNotFound.
 func (g *Graph) Vertex(id string) (Vertex, error) {
 	g.mu.RLock()
@@ -158,18 +114,6 @@ func (g *Graph) Vertex(id string) (Vertex, error) {
 		return Vertex{}, fmt.Errorf("%w: vertex %q", ErrNotFound, id)
 	}
 	return Vertex{ID: v.ID, Label: v.Label, Props: v.Props.clone()}, nil
-}
-
-// SetVertexProp updates one property of an existing vertex.
-func (g *Graph) SetVertexProp(id, key string, value any) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	v, ok := g.vertices[id]
-	if !ok {
-		return fmt.Errorf("%w: vertex %q", ErrNotFound, id)
-	}
-	v.Props[key] = value
-	return nil
 }
 
 // VertexCount and EdgeCount report graph size.
@@ -184,33 +128,6 @@ func (g *Graph) EdgeCount() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return len(g.edges)
-}
-
-// Edges returns copies of all edges, ordered by ID.
-func (g *Graph) Edges() []Edge {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make([]Edge, 0, len(g.edges))
-	for _, e := range g.edges {
-		out = append(out, Edge{ID: e.ID, Label: e.Label, From: e.From, To: e.To, Props: e.Props.clone()})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// OutNeighbors returns IDs of vertices reachable over one outgoing edge
-// with any of the given labels (all labels when none given), sorted.
-func (g *Graph) OutNeighbors(id string, labels ...string) []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.neighborsLocked(id, g.out, func(e *Edge) string { return e.To }, labels)
-}
-
-// InNeighbors returns IDs of vertices with an edge into id, sorted.
-func (g *Graph) InNeighbors(id string, labels ...string) []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.neighborsLocked(id, g.in, func(e *Edge) string { return e.From }, labels)
 }
 
 func (g *Graph) neighborsLocked(id string, index map[string][]string, pick func(*Edge) string, labels []string) []string {
@@ -238,98 +155,4 @@ func containsString(xs []string, s string) bool {
 		}
 	}
 	return false
-}
-
-// AllPaths enumerates every simple (vertex-disjoint) path from one
-// vertex to another following outgoing edges, in deterministic order.
-// maxLen bounds path length in vertices (0 = unbounded).
-func (g *Graph) AllPaths(from, to string, maxLen int) ([][]string, error) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if _, ok := g.vertices[from]; !ok {
-		return nil, fmt.Errorf("%w: vertex %q", ErrNotFound, from)
-	}
-	if _, ok := g.vertices[to]; !ok {
-		return nil, fmt.Errorf("%w: vertex %q", ErrNotFound, to)
-	}
-	var out [][]string
-	onPath := map[string]bool{from: true}
-	var walk func(path []string)
-	walk = func(path []string) {
-		cur := path[len(path)-1]
-		if cur == to {
-			out = append(out, append([]string(nil), path...))
-			return
-		}
-		if maxLen > 0 && len(path) >= maxLen {
-			return
-		}
-		for _, n := range g.neighborsLocked(cur, g.out, func(e *Edge) string { return e.To }, nil) {
-			if onPath[n] {
-				continue
-			}
-			onPath[n] = true
-			walk(append(path, n))
-			delete(onPath, n)
-		}
-	}
-	walk([]string{from})
-	return out, nil
-}
-
-// TopoSort returns vertex IDs in topological order, or an error if the
-// graph has a cycle. Ties break lexicographically.
-func (g *Graph) TopoSort() ([]string, error) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	indeg := make(map[string]int, len(g.vertices))
-	for id := range g.vertices {
-		indeg[id] = 0
-	}
-	for _, e := range g.edges {
-		indeg[e.To]++
-	}
-	var frontier []string
-	for id, d := range indeg {
-		if d == 0 {
-			frontier = append(frontier, id)
-		}
-	}
-	sort.Strings(frontier)
-	var order []string
-	for len(frontier) > 0 {
-		id := frontier[0]
-		frontier = frontier[1:]
-		order = append(order, id)
-		var next []string
-		for _, eid := range g.out[id] {
-			to := g.edges[eid].To
-			indeg[to]--
-			if indeg[to] == 0 {
-				next = append(next, to)
-			}
-		}
-		sort.Strings(next)
-		frontier = mergeSorted(frontier, next)
-	}
-	if len(order) != len(g.vertices) {
-		return nil, errors.New("graph: cycle detected")
-	}
-	return order, nil
-}
-
-func mergeSorted(a, b []string) []string {
-	out := make([]string, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
 }

@@ -2,11 +2,9 @@ package graph
 
 import (
 	"errors"
-	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
-	"testing/quick"
 )
 
 func mustAddVertex(t *testing.T, g *Graph, id, label string, props Properties) {
@@ -16,13 +14,11 @@ func mustAddVertex(t *testing.T, g *Graph, id, label string, props Properties) {
 	}
 }
 
-func mustAddEdge(t *testing.T, g *Graph, from, to, label string) string {
+func mustAddEdge(t *testing.T, g *Graph, from, to, label string) {
 	t.Helper()
-	id, err := g.AddEdge(from, to, label, nil)
-	if err != nil {
+	if _, err := g.AddEdge(from, to, label, nil); err != nil {
 		t.Fatal(err)
 	}
-	return id
 }
 
 func chainGraph(t *testing.T) *Graph {
@@ -75,38 +71,6 @@ func TestDuplicateAndMissing(t *testing.T) {
 	}
 }
 
-func TestRemoveVertexCascades(t *testing.T) {
-	g := chainGraph(t)
-	if err := g.RemoveVertex("b"); err != nil {
-		t.Fatal(err)
-	}
-	if g.VertexCount() != 2 || g.EdgeCount() != 0 {
-		t.Errorf("after cascade: %d vertices, %d edges", g.VertexCount(), g.EdgeCount())
-	}
-	if err := g.RemoveVertex("b"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("double remove: %v", err)
-	}
-}
-
-func TestRemoveEdge(t *testing.T) {
-	g := New()
-	mustAddVertex(t, g, "a", "x", nil)
-	mustAddVertex(t, g, "b", "x", nil)
-	id := mustAddEdge(t, g, "a", "b", "e")
-	if err := g.RemoveEdge(id); err != nil {
-		t.Fatal(err)
-	}
-	if g.EdgeCount() != 0 {
-		t.Error("edge not removed")
-	}
-	if len(g.OutNeighbors("a")) != 0 {
-		t.Error("adjacency not cleaned")
-	}
-	if err := g.RemoveEdge(id); !errors.Is(err, ErrNotFound) {
-		t.Errorf("double remove: %v", err)
-	}
-}
-
 func TestNeighborsWithLabels(t *testing.T) {
 	g := New()
 	for _, id := range []string{"a", "b", "c"} {
@@ -114,96 +78,25 @@ func TestNeighborsWithLabels(t *testing.T) {
 	}
 	mustAddEdge(t, g, "a", "b", "red")
 	mustAddEdge(t, g, "a", "c", "blue")
-	if got := g.OutNeighbors("a"); !reflect.DeepEqual(got, []string{"b", "c"}) {
+	ids := func(tr *Traversal) []string {
+		t.Helper()
+		got, err := tr.IDs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if got := ids(g.V("a").Out()); !reflect.DeepEqual(got, []string{"b", "c"}) {
 		t.Errorf("all = %v", got)
 	}
-	if got := g.OutNeighbors("a", "red"); !reflect.DeepEqual(got, []string{"b"}) {
+	if got := ids(g.V("a").Out("red")); !reflect.DeepEqual(got, []string{"b"}) {
 		t.Errorf("red = %v", got)
 	}
-	if got := g.InNeighbors("c", "blue"); !reflect.DeepEqual(got, []string{"a"}) {
+	if got := ids(g.V("c").In("blue")); !reflect.DeepEqual(got, []string{"a"}) {
 		t.Errorf("in blue = %v", got)
 	}
-	if got := g.InNeighbors("a"); len(got) != 0 {
+	if got := ids(g.V("a").In()); len(got) != 0 {
 		t.Errorf("in of source = %v", got)
-	}
-}
-
-func TestSetVertexProp(t *testing.T) {
-	g := chainGraph(t)
-	if err := g.SetVertexProp("a", "parallelism", 4); err != nil {
-		t.Fatal(err)
-	}
-	v, _ := g.Vertex("a")
-	if v.Props["parallelism"] != 4 {
-		t.Errorf("prop = %v", v.Props["parallelism"])
-	}
-	if err := g.SetVertexProp("ghost", "k", 1); !errors.Is(err, ErrNotFound) {
-		t.Errorf("missing vertex: %v", err)
-	}
-}
-
-func TestAllPaths(t *testing.T) {
-	g := New()
-	for _, id := range []string{"s", "a", "b", "t"} {
-		mustAddVertex(t, g, id, "x", nil)
-	}
-	mustAddEdge(t, g, "s", "a", "e")
-	mustAddEdge(t, g, "s", "b", "e")
-	mustAddEdge(t, g, "a", "t", "e")
-	mustAddEdge(t, g, "b", "t", "e")
-	paths, err := g.AllPaths("s", "t", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]string{{"s", "a", "t"}, {"s", "b", "t"}}
-	if !reflect.DeepEqual(paths, want) {
-		t.Errorf("paths = %v", paths)
-	}
-	// Length bound cuts both (paths have 3 vertices).
-	bounded, err := g.AllPaths("s", "t", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bounded) != 0 {
-		t.Errorf("bounded = %v", bounded)
-	}
-	if _, err := g.AllPaths("ghost", "t", 0); !errors.Is(err, ErrNotFound) {
-		t.Errorf("missing from: %v", err)
-	}
-	if _, err := g.AllPaths("s", "ghost", 0); !errors.Is(err, ErrNotFound) {
-		t.Errorf("missing to: %v", err)
-	}
-}
-
-func TestAllPathsHandlesCycle(t *testing.T) {
-	g := New()
-	for _, id := range []string{"a", "b", "c"} {
-		mustAddVertex(t, g, id, "x", nil)
-	}
-	mustAddEdge(t, g, "a", "b", "e")
-	mustAddEdge(t, g, "b", "a", "e")
-	mustAddEdge(t, g, "b", "c", "e")
-	paths, err := g.AllPaths("a", "c", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(paths, [][]string{{"a", "b", "c"}}) {
-		t.Errorf("paths = %v", paths)
-	}
-}
-
-func TestTopoSort(t *testing.T) {
-	g := chainGraph(t)
-	order, err := g.TopoSort()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(order, []string{"a", "b", "c"}) {
-		t.Errorf("order = %v", order)
-	}
-	mustAddEdge(t, g, "c", "a", "back")
-	if _, err := g.TopoSort(); err == nil {
-		t.Error("cycle not detected")
 	}
 }
 
@@ -284,18 +177,6 @@ func TestTraversalDedupAndLimit(t *testing.T) {
 	}
 }
 
-func TestEdgesSnapshot(t *testing.T) {
-	g := chainGraph(t)
-	es := g.Edges()
-	if len(es) != 2 || es[0].From != "a" {
-		t.Errorf("edges = %+v", es)
-	}
-	es[0].From = "tampered"
-	if g.Edges()[0].From != "a" {
-		t.Error("Edges aliases internal state")
-	}
-}
-
 func TestConcurrentUse(t *testing.T) {
 	g := New()
 	mustAddVertex(t, g, "root", "x", nil)
@@ -309,57 +190,12 @@ func TestConcurrentUse(t *testing.T) {
 				g.AddVertex(id, "x", nil) //nolint:errcheck
 				g.AddEdge("root", id, "e", nil)
 				g.V().HasLabel("x").Count() //nolint:errcheck
-				g.OutNeighbors("root")
+				g.V("root").Out().IDs()     //nolint:errcheck
 			}
 		}(w)
 	}
 	wg.Wait()
 	if g.VertexCount() != 1+8*10 {
 		t.Errorf("vertices = %d", g.VertexCount())
-	}
-}
-
-func TestQuickTopoSortRespectsEdges(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := New()
-		n := 2 + r.Intn(15)
-		ids := make([]string, n)
-		for i := range ids {
-			ids[i] = string(rune('a' + i))
-			if err := g.AddVertex(ids[i], "x", nil); err != nil {
-				return false
-			}
-		}
-		// Random DAG: edges only forward in index order.
-		type pair struct{ f, t int }
-		var edges []pair
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if r.Intn(3) == 0 {
-					if _, err := g.AddEdge(ids[i], ids[j], "e", nil); err != nil {
-						return false
-					}
-					edges = append(edges, pair{i, j})
-				}
-			}
-		}
-		order, err := g.TopoSort()
-		if err != nil {
-			return false
-		}
-		pos := map[string]int{}
-		for i, id := range order {
-			pos[id] = i
-		}
-		for _, e := range edges {
-			if pos[ids[e.f]] >= pos[ids[e.t]] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }

@@ -219,10 +219,3 @@ func (c *Cache) Invalidate(topologyName string) {
 	defer c.mu.Unlock()
 	delete(c.entries, topologyName)
 }
-
-// Stats reports cache hits and misses.
-func (c *Cache) Stats() (hits, misses int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}

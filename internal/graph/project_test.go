@@ -37,15 +37,11 @@ func TestBuildLogical(t *testing.T) {
 	if v.Props["parallelism"] != 2 || v.Props["kind"] != "bolt" {
 		t.Errorf("splitter props = %+v", v.Props)
 	}
-	order, err := g.TopoSort()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if order[0] != ComponentVertexID("spout") {
-		t.Errorf("order = %v", order)
+	if up, err := g.V(ComponentVertexID("spout")).In().IDs(); err != nil || len(up) != 0 {
+		t.Errorf("spout upstream = %v, %v", up, err)
 	}
 	// Grouping recorded on the edge.
-	for _, e := range g.Edges() {
+	for _, e := range g.edges {
 		if e.To == ComponentVertexID("counter") && e.Props["grouping"] != "fields" {
 			t.Errorf("counter edge grouping = %v", e.Props["grouping"])
 		}
@@ -68,7 +64,7 @@ func TestBuildPhysical(t *testing.T) {
 	}
 	// Instance-level stream edges: 2*2 + 2*4 = 12.
 	streamEdges := 0
-	for _, e := range g.Edges() {
+	for _, e := range g.edges {
 		if e.Label == EdgeStream {
 			streamEdges++
 		}
@@ -124,7 +120,7 @@ func TestPhysicalStreamManagerPlumbing(t *testing.T) {
 	}
 	// Both containers exchange data → transfer edges in both directions.
 	transfers := 0
-	for _, e := range g.Edges() {
+	for _, e := range g.edges {
 		if e.Label == EdgeTransfer {
 			transfers++
 		}
@@ -137,8 +133,8 @@ func TestPhysicalStreamManagerPlumbing(t *testing.T) {
 		if id.Component == "counter" {
 			continue // sink: no outgoing data
 		}
-		outs := g.OutNeighbors(InstanceVertexID(id), EdgeEmit)
-		if len(outs) != 1 {
+		outs, err := g.V(InstanceVertexID(id)).Out(EdgeEmit).IDs()
+		if err != nil || len(outs) != 1 {
 			t.Errorf("%s emit edges = %v", id, outs)
 		}
 	}
@@ -154,7 +150,7 @@ func TestBuildPhysicalSingleContainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range g.Edges() {
+	for _, e := range g.edges {
 		if e.Label == EdgeTransfer {
 			t.Errorf("unexpected transfer edge in single-container plan")
 		}
@@ -196,9 +192,8 @@ func TestCacheHitAndInvalidate(t *testing.T) {
 	if l1 != l2 || p1 != p2 {
 		t.Error("second Get should return cached graphs")
 	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("stats = %d/%d", hits, misses)
+	if c.hits != 1 || c.misses != 1 {
+		t.Errorf("hits/misses = %d/%d", c.hits, c.misses)
 	}
 	// Version bump invalidates.
 	plan2 := *plan

@@ -37,22 +37,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices, which must be equal length.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			panic(fmt.Sprintf("linalg: ragged row %d: len %d, want %d", i, len(r), cols))
-		}
-		copy(m.Data[i*cols:(i+1)*cols], r)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -78,28 +62,6 @@ func (m *Matrix) Transpose() *Matrix {
 		}
 	}
 	return t
-}
-
-// Mul returns m·b.
-func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
-	if m.Cols != b.Rows {
-		return nil, fmt.Errorf("%w: (%dx%d)·(%dx%d)", ErrShape, m.Rows, m.Cols, b.Rows, b.Cols)
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mi := m.Row(i)
-		oi := out.Row(i)
-		for k, mik := range mi {
-			if mik == 0 {
-				continue
-			}
-			bk := b.Row(k)
-			for j, bkj := range bk {
-				oi[j] += mik * bkj
-			}
-		}
-	}
-	return out, nil
 }
 
 // MulVec returns m·x for a vector x of length m.Cols.
@@ -266,11 +228,6 @@ func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
 		}
 	}
 	return SolveCholesky(l, b)
-}
-
-// LeastSquares solves min ‖X·β − y‖² via the normal equations.
-func LeastSquares(x *Matrix, y []float64) ([]float64, error) {
-	return RidgeLeastSquares(x, y, 0)
 }
 
 // RidgeLeastSquares solves min ‖X·β − y‖² + λ‖β‖². λ must be ≥ 0.
@@ -511,30 +468,6 @@ func Stddev(xs []float64) float64 {
 	return math.Sqrt(ss / float64(len(xs)-1))
 }
 
-// LinearFit fits y = a + b·x by ordinary least squares and returns
-// (intercept a, slope b). It requires at least two distinct x values.
-func LinearFit(x, y []float64) (a, b float64, err error) {
-	if len(x) != len(y) {
-		return 0, 0, fmt.Errorf("%w: x %d, y %d", ErrShape, len(x), len(y))
-	}
-	if len(x) < 2 {
-		return 0, 0, errors.New("linalg: need at least 2 points for a line")
-	}
-	mx, my := Mean(x), Mean(y)
-	var sxx, sxy float64
-	for i := range x {
-		dx := x[i] - mx
-		sxx += dx * dx
-		sxy += dx * (y[i] - my)
-	}
-	if sxx == 0 {
-		return 0, 0, fmt.Errorf("%w: all x identical", ErrSingular)
-	}
-	b = sxy / sxx
-	a = my - b*mx
-	return a, b, nil
-}
-
 // LinearFitThroughOrigin fits y = b·x (no intercept), appropriate when
 // the physical relationship is proportional, e.g. CPU load per input
 // rate in Caladrius' CPU model.
@@ -551,27 +484,4 @@ func LinearFitThroughOrigin(x, y []float64) (b float64, err error) {
 		return 0, fmt.Errorf("%w: all x zero", ErrSingular)
 	}
 	return sxy / sxx, nil
-}
-
-// R2 computes the coefficient of determination of predictions pred
-// against observations y.
-func R2(y, pred []float64) float64 {
-	if len(y) != len(pred) || len(y) == 0 {
-		return math.NaN()
-	}
-	my := Mean(y)
-	var ssRes, ssTot float64
-	for i := range y {
-		r := y[i] - pred[i]
-		d := y[i] - my
-		ssRes += r * r
-		ssTot += d * d
-	}
-	if ssTot == 0 {
-		if ssRes == 0 {
-			return 1
-		}
-		return math.NaN()
-	}
-	return 1 - ssRes/ssTot
 }

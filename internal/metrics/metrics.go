@@ -90,9 +90,6 @@ func NewTSDBProvider(db *tsdb.DB, window time.Duration) (*TSDBProvider, error) {
 	return &TSDBProvider{db: db, window: window}, nil
 }
 
-// Window returns the provider's rollup interval.
-func (p *TSDBProvider) Window() time.Duration { return p.window }
-
 // points fetches one metric for a selector as per-window values in
 // ascending time order; a range that holds nothing is empty, not an
 // error.

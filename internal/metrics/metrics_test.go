@@ -42,8 +42,8 @@ func TestNewTSDBProviderValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Window() != time.Minute {
-		t.Errorf("window = %s", p.Window())
+	if p.window != time.Minute {
+		t.Errorf("window = %s", p.window)
 	}
 }
 

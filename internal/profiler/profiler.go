@@ -428,19 +428,6 @@ func (p *Profiler) mergedLocked(kind Kind) *Table {
 	return out
 }
 
-// allWindowsLocked merges every retained window for kind (the widest
-// view the ring can answer; retention tests lean on it).
-func (p *Profiler) allWindowsLocked(kind Kind) *Table {
-	out := NewTable()
-	for _, w := range p.ring {
-		out.Merge(w.tables[kind])
-	}
-	if p.cur != nil {
-		out.Merge(p.cur.tables[kind])
-	}
-	return out
-}
-
 // setBaselineLocked snapshots the same merged recent view diffs are
 // computed over — so re-baselining accepts the current profile and
 // zeroes the regression delta — and persists it when a path is

@@ -11,6 +11,19 @@ import (
 	"caladrius/internal/telemetry"
 )
 
+// allWindowsLocked merges every retained window for kind: the widest
+// view the ring can answer.
+func (p *Profiler) allWindowsLocked(kind Kind) *Table {
+	out := NewTable()
+	for _, w := range p.ring {
+		out.Merge(w.tables[kind])
+	}
+	if p.cur != nil {
+		out.Merge(p.cur.tables[kind])
+	}
+	return out
+}
+
 // fakeClock is a mutex-guarded manual clock for driving epoch
 // rotation deterministically.
 type fakeClock struct {

@@ -303,12 +303,6 @@ func New(opts Options) *Scheduler {
 	return s
 }
 
-// Workers returns the worker-pool size.
-func (s *Scheduler) Workers() int { return s.workers }
-
-// QueueDepth returns the admission queue bound.
-func (s *Scheduler) QueueDepth() int { return s.depth }
-
 // Submit enqueues one model run, or joins an identical in-flight one.
 // The returned Handle resolves when the run completes. ErrOverloaded
 // means admission control shed the request; ErrClosed means the
@@ -381,15 +375,6 @@ func (s *Scheduler) Submit(ctx context.Context, req Request, fn func(context.Con
 	s.cond.Signal()
 	s.mu.Unlock()
 	return Handle{r: r}, nil
-}
-
-// Do is Submit followed by Wait — the synchronous path.
-func (s *Scheduler) Do(ctx context.Context, req Request, fn func(context.Context) (any, error)) (any, error) {
-	h, err := s.Submit(ctx, req, fn)
-	if err != nil {
-		return nil, err
-	}
-	return h.Wait(ctx)
 }
 
 // retryAfterLocked estimates when a shed client should retry: the

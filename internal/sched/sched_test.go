@@ -19,6 +19,15 @@ func newTestScheduler(t *testing.T, workers, depth int) *Scheduler {
 	return s
 }
 
+// Do is Submit followed by Wait.
+func (s *Scheduler) Do(ctx context.Context, req Request, fn func(context.Context) (any, error)) (any, error) {
+	h, err := s.Submit(ctx, req, fn)
+	if err != nil {
+		return nil, err
+	}
+	return h.Wait(ctx)
+}
+
 func TestSubmitRunsAndReturnsResult(t *testing.T) {
 	s := newTestScheduler(t, 2, 8)
 	h, err := s.Submit(context.Background(), Request{Topology: "wc", Kind: "predict", Tenant: "a"},

@@ -59,9 +59,6 @@ func NewLogRing(capacity int) *LogRing {
 	return &LogRing{slots: make([]logSlot, capacity)}
 }
 
-// Cap returns the ring capacity.
-func (r *LogRing) Cap() int { return len(r.slots) }
-
 // Len returns how many records the ring currently holds.
 func (r *LogRing) Len() int {
 	r.mu.Lock()
@@ -70,14 +67,6 @@ func (r *LogRing) Len() int {
 		return len(r.slots)
 	}
 	return int(r.total)
-}
-
-// Total returns how many records were ever appended (including ones
-// the ring has since overwritten).
-func (r *LogRing) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
 }
 
 // Append records one entry, overwriting the oldest when full. msg and

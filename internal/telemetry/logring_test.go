@@ -33,8 +33,8 @@ func TestLogRingCapacityBoundKeepsTail(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Append(time.Unix(int64(i), 0), slog.LevelInfo, fmt.Sprintf("m%d", i), "", nil)
 	}
-	if r.Len() != 4 || r.Total() != 10 {
-		t.Fatalf("Len = %d, Total = %d", r.Len(), r.Total())
+	if r.Len() != 4 || r.total != 10 {
+		t.Fatalf("Len = %d, Total = %d", r.Len(), r.total)
 	}
 	recs := r.Snapshot()
 	if len(recs) != 4 {
@@ -63,7 +63,7 @@ func TestLogRingAttrsCopied(t *testing.T) {
 // TestLogRingConcurrent exercises Append/Snapshot from many goroutines
 // so `go test -race` can catch unsynchronized access, and checks that a
 // writer's tail is never lost: after all writers finish, the snapshot
-// is exactly the last Cap() appends in order of append sequence.
+// is exactly the last len(slots) appends in order of append sequence.
 func TestLogRingConcurrent(t *testing.T) {
 	const writers, perWriter = 8, 500
 	r := NewLogRing(64)
@@ -98,12 +98,12 @@ func TestLogRingConcurrent(t *testing.T) {
 	writersWG.Wait()
 	close(stop)
 	readers.Wait()
-	if r.Total() != writers*perWriter {
-		t.Fatalf("Total = %d, want %d", r.Total(), writers*perWriter)
+	if r.total != writers*perWriter {
+		t.Fatalf("Total = %d, want %d", r.total, writers*perWriter)
 	}
 	recs := r.Snapshot()
-	if len(recs) != r.Cap() {
-		t.Fatalf("snapshot len = %d, want %d", len(recs), r.Cap())
+	if len(recs) != len(r.slots) {
+		t.Fatalf("snapshot len = %d, want %d", len(recs), len(r.slots))
 	}
 	// Per-writer sequence numbers must be increasing within the window —
 	// overwrites drop the oldest, never reorder.
@@ -175,7 +175,7 @@ func TestLogRingAppendNoAllocs(t *testing.T) {
 	attrs := []byte("route=/api/v1/health status=200")
 	now := time.Now()
 	// Warm every slot so attr buffers are sized.
-	for i := 0; i < 2*r.Cap(); i++ {
+	for i := 0; i < 2*len(r.slots); i++ {
 		r.Append(now, slog.LevelInfo, "warm", "t-1", attrs)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {

@@ -131,9 +131,6 @@ func NewScraper(reg *Registry, db *tsdb.DB, opts ScrapeOptions) *Scraper {
 	}
 }
 
-// Interval returns the configured scrape period.
-func (s *Scraper) Interval() time.Duration { return s.interval }
-
 // AddCollector registers fn to run at the start of every scrape, for
 // pull-style sources that refresh gauges on demand (see
 // RegisterRuntime).

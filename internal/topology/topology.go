@@ -167,11 +167,6 @@ func (b *Builder) AddBolt(name string, parallelism int) *Builder {
 	return b.addComponent(name, Bolt, parallelism, Resources{})
 }
 
-// AddSpoutWithResources declares a source with explicit resources.
-func (b *Builder) AddSpoutWithResources(name string, parallelism int, res Resources) *Builder {
-	return b.addComponent(name, Spout, parallelism, res)
-}
-
 // AddBoltWithResources declares a bolt with explicit resources.
 func (b *Builder) AddBoltWithResources(name string, parallelism int, res Resources) *Builder {
 	return b.addComponent(name, Bolt, parallelism, res)
@@ -330,11 +325,6 @@ func (t *Topology) Streams() []Stream {
 	return append([]Stream(nil), t.streams...)
 }
 
-// Inbound returns streams arriving at the component.
-func (t *Topology) Inbound(name string) []Stream {
-	return append([]Stream(nil), t.inbound[name]...)
-}
-
 // Outbound returns streams leaving the component.
 func (t *Topology) Outbound(name string) []Stream {
 	return append([]Stream(nil), t.outbound[name]...)
@@ -349,27 +339,6 @@ func (t *Topology) Spouts() []string {
 		}
 	}
 	return out
-}
-
-// Sinks returns components with no outbound streams, in topological
-// order.
-func (t *Topology) Sinks() []string {
-	var out []string
-	for _, n := range t.order {
-		if len(t.outbound[n]) == 0 {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// TotalInstances is the sum of component parallelisms.
-func (t *Topology) TotalInstances() int {
-	var n int
-	for _, c := range t.components {
-		n += c.Parallelism
-	}
-	return n
 }
 
 // Paths enumerates every component-level path from any spout to any

@@ -36,11 +36,11 @@ func TestBuildWordCount(t *testing.T) {
 	if got := top.Spouts(); !reflect.DeepEqual(got, []string{"spout"}) {
 		t.Errorf("spouts = %v", got)
 	}
-	if got := top.Sinks(); !reflect.DeepEqual(got, []string{"counter"}) {
-		t.Errorf("sinks = %v", got)
+	if got := top.Outbound("counter"); len(got) != 0 {
+		t.Errorf("sink outbound = %v", got)
 	}
-	if top.TotalInstances() != 8 {
-		t.Errorf("instances = %d", top.TotalInstances())
+	if got := len(top.Instances()); got != 8 {
+		t.Errorf("instances = %d", got)
 	}
 	c := top.Component("splitter")
 	if c == nil || c.Kind != Bolt || c.Parallelism != 2 {
@@ -144,7 +144,7 @@ func TestBuilderValidation(t *testing.T) {
 				Connect("s", "b", ShuffleGrouping).Build()
 		}, "duplicate stream"},
 		{"bad resources", func() (*Topology, error) {
-			return NewBuilder("t").AddSpoutWithResources("s", 1, Resources{CPUCores: -1, RAMMB: 10}).Build()
+			return NewBuilder("t").addComponent("s", Spout, 1, Resources{CPUCores: -1, RAMMB: 10}).Build()
 		}, "non-positive resources"},
 	}
 	for _, c := range cases {
@@ -171,8 +171,14 @@ func TestMultipleNamedStreams(t *testing.T) {
 	if got := len(top.Outbound("s")); got != 2 {
 		t.Errorf("outbound = %d", got)
 	}
-	if got := len(top.Inbound("b")); got != 2 {
-		t.Errorf("inbound = %d", got)
+	inbound := 0
+	for _, s := range top.Streams() {
+		if s.To == "b" {
+			inbound++
+		}
+	}
+	if inbound != 2 {
+		t.Errorf("inbound = %d", inbound)
 	}
 	// Parallel streams to the same component do not double the paths.
 	if got := top.Paths(); len(got) != 1 {
@@ -281,7 +287,7 @@ func TestRoundRobinPackClampsContainers(t *testing.T) {
 
 func TestFirstFitDecreasingPack(t *testing.T) {
 	top, err := NewBuilder("t").
-		AddSpoutWithResources("s", 2, Resources{CPUCores: 2, RAMMB: 1024}).
+		addComponent("s", Spout, 2, Resources{CPUCores: 2, RAMMB: 1024}).
 		AddBoltWithResources("b", 4, Resources{CPUCores: 1, RAMMB: 512}).
 		Connect("s", "b", ShuffleGrouping).
 		Build()
@@ -349,7 +355,7 @@ func TestQuickRoundRobinPacksEverythingOnce(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return plan.Validate(top) == nil && plan.InstanceCount() == top.TotalInstances()
+		return plan.Validate(top) == nil && plan.InstanceCount() == len(top.Instances())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -123,20 +123,11 @@ func appendString(buf []byte, s string) []byte {
 	return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
 }
 
-// ReadSnapshot loads a database from a snapshot produced by
-// WriteSnapshot. The snapshot's retention setting is restored. The
-// input is untrusted: no declared length is allocated before the bytes
+// decodeSnapshot loads a database from a snapshot produced by
+// WriteSnapshot, restoring its retention setting. The input is
+// untrusted: holding it whole in memory lets every declared length be
+// checked against the bytes left, so none is allocated before the bytes
 // it stands for are known to be present.
-func ReadSnapshot(r io.Reader) (*DB, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("tsdb: read snapshot: %w", err)
-	}
-	return decodeSnapshot(data)
-}
-
-// decodeSnapshot parses a whole snapshot held in memory, which is what
-// lets every declared length be checked against the bytes left.
 func decodeSnapshot(data []byte) (*DB, error) {
 	eol := bytes.IndexByte(data, '\n')
 	if eol < 0 {

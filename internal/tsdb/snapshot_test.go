@@ -18,6 +18,16 @@ import (
 	"time"
 )
 
+// ReadSnapshot decodes a snapshot from r the way LoadFile decodes a
+// file.
+func ReadSnapshot(r io.Reader) (*DB, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return decodeSnapshot(data)
+}
+
 func populated(t testing.TB) *DB {
 	t.Helper()
 	db := New(0)

@@ -186,10 +186,7 @@ func (db *DB) trimLocked(sd *seriesData) {
 // their handles; a one-off writer calls db.Handle(m, l).Append(t, v).
 //
 // Handles are safe for concurrent use. A handle holds its own copy of
-// the labels, so callers may mutate the map passed to Handle. After
-// DropMetric, an already-bound handle keeps appending into the
-// detached series (invisible to queries); re-intern with Handle to
-// write into the recreated metric.
+// the labels, so callers may mutate the map passed to Handle.
 type SeriesHandle struct {
 	db     *DB
 	metric string
@@ -250,18 +247,6 @@ func (db *DB) AppendBatch(samples []BatchSample) {
 		}
 		db.appendLocked(h.sd, samples[i].T, samples[i].V)
 	}
-}
-
-// Metrics returns the sorted list of metric names present.
-func (db *DB) Metrics() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.metrics))
-	for m := range db.metrics {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // SeriesCount returns the number of distinct series stored for metric.
@@ -526,16 +511,6 @@ func (db *DB) LabelValues(metric, key string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// DropMetric removes all series of a metric. It reports whether the
-// metric existed.
-func (db *DB) DropMetric(metric string) bool {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	_, ok := db.metrics[metric]
-	delete(db.metrics, metric)
-	return ok
 }
 
 // TotalPoints returns the total number of stored points, for tests and

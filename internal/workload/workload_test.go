@@ -2,107 +2,10 @@ package workload
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 )
-
-func TestCorpusDeterministic(t *testing.T) {
-	a := NewCorpus(CorpusOptions{Seed: 1})
-	b := NewCorpus(CorpusOptions{Seed: 1})
-	for i := 0; i < 100; i++ {
-		sa, sb := a.Sentence(), b.Sentence()
-		if sa != sb {
-			t.Fatalf("sentence %d differs: %q vs %q", i, sa, sb)
-		}
-	}
-	c := NewCorpus(CorpusOptions{Seed: 2})
-	same := true
-	for i := 0; i < 20; i++ {
-		if a.Sentence() != c.Sentence() {
-			same = false
-		}
-	}
-	if same {
-		t.Error("different seeds produced identical streams")
-	}
-}
-
-func TestCorpusMeanSentenceLength(t *testing.T) {
-	got := MeanSentenceLength(CorpusOptions{Seed: 7}, 50000)
-	if math.Abs(got-GatsbyMeanSentenceLength) > 0.1 {
-		t.Errorf("mean sentence length = %.3f, want ≈ %.3f", got, GatsbyMeanSentenceLength)
-	}
-}
-
-func TestCorpusWordsAreValid(t *testing.T) {
-	c := NewCorpus(CorpusOptions{Seed: 3, VocabularySize: 100})
-	seen := map[string]bool{}
-	for i := 0; i < 2000; i++ {
-		for _, w := range Split(c.Sentence()) {
-			if w == "" || strings.ContainsAny(w, " \t\n") {
-				t.Fatalf("bad word %q", w)
-			}
-			seen[w] = true
-		}
-	}
-	if len(seen) < 20 || len(seen) > 100 {
-		t.Errorf("distinct words = %d, want within (20, 100]", len(seen))
-	}
-}
-
-func TestCorpusZipfSkew(t *testing.T) {
-	c := NewCorpus(CorpusOptions{Seed: 5, VocabularySize: 1000})
-	counts := map[string]int{}
-	total := 0
-	for i := 0; i < 5000; i++ {
-		for _, w := range Split(c.Sentence()) {
-			counts[w]++
-			total++
-		}
-	}
-	// The most frequent word should be a visible head of the
-	// distribution (Zipf), not uniform (~0.1%).
-	max := 0
-	for _, n := range counts {
-		if n > max {
-			max = n
-		}
-	}
-	if frac := float64(max) / float64(total); frac < 0.05 {
-		t.Errorf("head word fraction = %.4f, expected Zipf head > 0.05", frac)
-	}
-}
-
-func TestSyntheticWordUniqueness(t *testing.T) {
-	seen := map[string]bool{}
-	for i := 0; i < 10000; i++ {
-		w := syntheticWord(i)
-		if seen[w] {
-			t.Fatalf("rank %d repeats word %q", i, w)
-		}
-		seen[w] = true
-	}
-}
-
-func TestPoissonMean(t *testing.T) {
-	c := NewCorpus(CorpusOptions{Seed: 11})
-	for _, lambda := range []float64{0.5, 3, 10, 50} {
-		var sum float64
-		n := 20000
-		for i := 0; i < n; i++ {
-			sum += float64(poisson(c.rng, lambda))
-		}
-		mean := sum / float64(n)
-		if math.Abs(mean-lambda) > 0.05*lambda+0.1 {
-			t.Errorf("poisson(%g) mean = %g", lambda, mean)
-		}
-	}
-	if poisson(c.rng, 0) != 0 || poisson(c.rng, -1) != 0 {
-		t.Error("non-positive lambda should give 0")
-	}
-}
 
 var tStart = time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
 
@@ -207,10 +110,6 @@ func TestRateSchedules(t *testing.T) {
 	s := StepRate(10, 20, time.Minute)
 	if s(30*time.Second) != 10 || s(time.Minute) != 20 {
 		t.Error("step rate wrong")
-	}
-	r := RampRate(0, 100, time.Minute)
-	if r(0) != 0 || r(30*time.Second) != 50 || r(2*time.Minute) != 100 {
-		t.Errorf("ramp rate wrong: %g %g %g", r(0), r(30*time.Second), r(2*time.Minute))
 	}
 	spec := TrafficSpec{Base: 600} // 600/min = 10/sec
 	sr := SeasonalRate(spec, tStart)

@@ -7,16 +7,18 @@
 # run under -race here), the nested benchmark module's vet and tests —
 # it compiles against internal/*, so a signature change that breaks it
 # fails here and not in the benchmark driver — then a short fuzz smoke
-# over the five parsers that face untrusted input (config YAML — both
+# over the six parsers that face untrusted input (config YAML — both
 # the untyped yamlite layer and the typed settings on top of it — API
 # range queries, pprof protobuf profiles, TSDB snapshot files, audit
-# ledger snapshot files) and the Downsample-vs-reference differential,
+# ledger snapshot files, chaos fault plans) and the
+# Downsample-vs-reference differential,
 # and finally a ~10s smoke soak: caladriussoak drives an in-process
 # daemon through a chaos metrics outage and exits non-zero unless the
 # 5xx SLO fires and resolves, every response is accounted for and the
 # process returns to its goroutine and heap baseline. Last, it
 # prints scripts/loc.sh's non-test line counts, the number net-negative
-# PRs quote.
+# PRs quote, and how many functions (and lines) under internal/ only
+# tests reach, from the reachability test in exports_test.go.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,7 +47,9 @@ go test -run '^$' -fuzz '^FuzzParseQueryRange$' -fuzztime "$FUZZTIME" ./internal
 go test -run '^$' -fuzz '^FuzzPprofParse$' -fuzztime "$FUZZTIME" ./internal/profiler
 go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime "$FUZZTIME" ./internal/tsdb
 go test -run '^$' -fuzz '^FuzzAuditReadSnapshot$' -fuzztime "$FUZZTIME" ./internal/audit
+go test -run '^$' -fuzz '^FuzzParsePlan$' -fuzztime "$FUZZTIME" ./internal/chaos
 go test -run '^$' -fuzz '^FuzzDownsampleMatchesReference$' -fuzztime "$FUZZTIME" ./internal/tsdb
 go run ./cmd/caladriussoak -duration 6s -slo-window 4s -settle 12s > /dev/null
 echo "verify: all checks passed"
 scripts/loc.sh
+go test -run '^TestEveryFunctionNamesItsUser$' -v . | grep -o 'test-only functions: .*'
