@@ -378,7 +378,7 @@ func BenchmarkAuditRecord(b *testing.B) {
 		b.Fatal(err)
 	}
 	t0 := time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC)
-	led, err := audit.NewLedger(audit.Options{Provider: prov, Now: func() time.Time { return t0 }})
+	led, err := audit.NewLedger(audit.Options{Provider: prov, History: tsdb.New(0), Registry: telemetry.NewRegistry(), Now: func() time.Time { return t0 }})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -451,7 +451,7 @@ func BenchmarkSLOEvaluateArmed(b *testing.B) {
 	}
 	now := t0.Add(time.Second)
 	slo, err := telemetry.NewSLO(db, reg, func() time.Time { return now },
-		telemetry.ModelAccuracyRules(0.08, 24*time.Hour, 15*time.Minute))
+		telemetry.ModelAccuracyRules(0.08, 24*time.Hour))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -459,6 +459,8 @@ func BenchmarkSLOEvaluateArmed(b *testing.B) {
 		Dir:      b.TempDir(),
 		Registry: reg,
 		History:  db,
+		Logs:     telemetry.NewLogRing(0),
+		Tracer:   telemetry.NewTracer(0, nil),
 		Now:      func() time.Time { return now },
 		Logger:   slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})

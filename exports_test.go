@@ -13,9 +13,10 @@ import (
 	"testing"
 )
 
-// testOnly names the user of every function under internal/ that the
-// programs (cmd/, examples/ and the benchmark module) cannot reach, so
-// only tests call it. An entry is allowed for three kinds of function:
+// testOnly names the user of every function and exported package-level
+// variable under internal/ that the programs (cmd/, examples/ and the
+// benchmark module) cannot reach, so only tests use it. An entry is
+// allowed for three kinds of declaration:
 // a seam another package's tests drive, an item of PAPER.md's inventory
 // kept for the paper's sake, and the pproftest package, which exists to
 // support tests. Anything else is deleted, or moved into a _test.go
@@ -63,9 +64,10 @@ var testOnly = map[string]string{
 }
 
 // TestEveryFunctionNamesItsUser type-checks the module from source and
-// marks every function reachable from the programs. A function nothing
-// reaches and testOnly does not list fails the test, and so does an
-// entry for a function that is reachable or gone.
+// marks every function and variable reachable from the programs. A
+// function or exported package-level variable nothing reaches and
+// testOnly does not list fails the test, and so does an entry for one
+// that is reachable or gone.
 func TestEveryFunctionNamesItsUser(t *testing.T) {
 	l := newLoader(t)
 	var roots []*pkg
@@ -90,28 +92,45 @@ func TestEveryFunctionNamesItsUser(t *testing.T) {
 	}
 	r.run()
 
-	var lines int
+	var funcs, vars, lines int
 	got := map[string]bool{}
+	unreached := func(p *pkg, name string, pos token.Pos) {
+		got[name] = true
+		if testOnly[name] == "" && testOnly[p.key] == "" {
+			t.Errorf("%s (%s) is reachable only from tests: delete it, move it into a _test.go file, or name its user in testOnly",
+				name, l.fset.Position(pos))
+		}
+	}
 	for _, p := range l.ordered {
 		if !strings.HasPrefix(p.rel, "internal/") {
 			continue
 		}
 		for _, f := range p.files {
 			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Name.Name == "init" || r.marked[p.info.Defs[fd.Name]] {
-					continue
-				}
-				name := funcKey(p, fd)
-				got[name] = true
-				first := fd.Pos()
-				if fd.Doc != nil {
-					first = fd.Doc.Pos()
-				}
-				lines += l.fset.Position(fd.End()).Line - l.fset.Position(first).Line + 1
-				if testOnly[name] == "" && testOnly[p.key] == "" {
-					t.Errorf("%s (%s) is reachable only from tests: delete it, move it into a _test.go file, or name its user in testOnly",
-						name, l.fset.Position(fd.Pos()))
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Name.Name == "init" || r.marked[p.info.Defs[d.Name]] {
+						continue
+					}
+					funcs++
+					first := d.Pos()
+					if d.Doc != nil {
+						first = d.Doc.Pos()
+					}
+					lines += l.fset.Position(d.End()).Line - l.fset.Position(first).Line + 1
+					unreached(p, funcKey(p, d), d.Pos())
+				case *ast.GenDecl:
+					if d.Tok != token.VAR {
+						continue
+					}
+					for _, s := range d.Specs {
+						for _, n := range s.(*ast.ValueSpec).Names {
+							if n.IsExported() && !r.marked[p.info.Defs[n]] {
+								vars++
+								unreached(p, p.key+"."+n.Name, n.Pos())
+							}
+						}
+					}
 				}
 			}
 		}
@@ -121,7 +140,7 @@ func TestEveryFunctionNamesItsUser(t *testing.T) {
 			t.Errorf("testOnly lists %s, which a program reaches or which no longer exists", name)
 		}
 	}
-	t.Logf("test-only functions: %d (%d lines)", len(got), lines)
+	t.Logf("test-only functions: %d (%d lines), variables: %d", funcs, lines, vars)
 }
 
 func hasPrefixKey(m map[string]bool, prefix string) bool {

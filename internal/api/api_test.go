@@ -90,7 +90,7 @@ func withRequired(t *testing.T, provider metrics.Provider, now time.Time, opts O
 		}
 	}
 	if opts.Audit == nil {
-		if opts.Audit, err = audit.NewLedger(audit.Options{Provider: provider, History: opts.History, Now: opts.Now}); err != nil {
+		if opts.Audit, err = audit.NewLedger(audit.Options{Provider: provider, History: opts.History, Registry: opts.Telemetry, Now: opts.Now}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -621,16 +621,18 @@ func TestGraphQueryEndpoint(t *testing.T) {
 	if !ok || len(vals) != 3 {
 		t.Errorf("logical values = %#v", qr2.Result)
 	}
-	// Errors.
+	// Errors, including a traversal that would grow past the traverser
+	// bound (379,224 traversers unbounded).
 	for _, body := range []GraphQueryRequest{
 		{Query: ""},
 		{Query: "g.V().bogus()"},
 		{Query: "g.V().count()", Graph: "imaginary"},
+		{Query: "g.V().out().in().out().in().out().in().count()"},
 	} {
 		r := postJSON(t, srv.URL+"/api/v1/model/topology/word-count/query?sync=true", body)
 		r.Body.Close()
-		if r.StatusCode == http.StatusOK {
-			t.Errorf("query %+v accepted", body)
+		if r.StatusCode != http.StatusBadRequest {
+			t.Errorf("query %+v status = %d, want 400", body, r.StatusCode)
 		}
 	}
 }

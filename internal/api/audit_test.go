@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"caladrius/internal/audit"
+	"caladrius/internal/telemetry"
 	"caladrius/internal/tsdb"
 )
 
@@ -166,15 +167,17 @@ func TestAuditEndToEnd(t *testing.T) {
 // service built from the snapshots serves the error series over
 // /api/v1/query_range and the resolved records over /api/v1/audit.
 func TestShutdownSnapshotRestoresAuditHistory(t *testing.T) {
-	db := tsdb.New(24 * time.Hour)
-	env := auditEnv(t, Options{History: db})
+	db, reg := tsdb.New(24*time.Hour), telemetry.NewRegistry()
+	env := auditEnv(t, Options{History: db, Telemetry: reg})
 
-	// One graded run, resolved so caladrius_model_* series exist.
+	// One graded run, resolved and scraped so caladrius_model_* series
+	// exist.
 	resp := postJSON(t, env.srv.URL+"/api/v1/model/topology/word-count/performance?sync=true", PerformanceRequest{})
 	decode[PerformanceResponse](t, resp, http.StatusOK)
 	if n := env.led.ResolveOnce(env.asOf); n != 1 {
 		t.Fatalf("ResolveOnce = %d, want 1", n)
 	}
+	telemetry.NewScraper(reg, db, telemetry.ScrapeOptions{}).ScrapeOnce(env.asOf)
 
 	// Graceful shutdown: snapshot history and ledger, as the daemon does.
 	dir := t.TempDir()
@@ -191,18 +194,10 @@ func TestShutdownSnapshotRestoresAuditHistory(t *testing.T) {
 	if err != nil {
 		t.Fatalf("history LoadFile: %v", err)
 	}
-	led2, err := audit.NewLedger(audit.Options{
-		Provider: env.provider,
-		History:  db2,
-		Now:      func() time.Time { return env.asOf },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := led2.LoadFile(auditPath); err != nil {
+	svc2, srv2 := env.serve(t, Options{History: db2})
+	if err := svc2.audit.LoadFile(auditPath); err != nil {
 		t.Fatalf("audit LoadFile: %v", err)
 	}
-	_, srv2 := env.serve(t, Options{History: db2, Audit: led2})
 
 	// The restored history serves the accuracy series over query_range.
 	v := url.Values{

@@ -39,15 +39,8 @@ type schedEnv struct {
 func newSchedEnv(t *testing.T, scheduler *sched.Scheduler) schedEnv {
 	t.Helper()
 	d := newDeployment(t)
-	led, err := audit.NewLedger(audit.Options{
-		Provider: d.provider,
-		Now:      func() time.Time { return d.asOf },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, srv := d.serve(t, Options{Audit: led, Scheduler: scheduler})
-	return schedEnv{deployment: d, svc: svc, srv: srv, led: led}
+	svc, srv := d.serve(t, Options{Scheduler: scheduler})
+	return schedEnv{deployment: d, svc: svc, srv: srv, led: svc.audit}
 }
 
 func postJSONTenant(t *testing.T, url, tenant string, body any) *http.Response {
@@ -464,17 +457,14 @@ func (p *gatedProvider) ComponentWindows(topology, component string, start, end 
 func TestColdTopologyCalibratesOnce(t *testing.T) {
 	const clients = 6
 	d := newDeployment(t)
-	led, err := audit.NewLedger(audit.Options{Provider: d.provider, Now: func() time.Time { return d.asOf }})
-	if err != nil {
-		t.Fatal(err)
-	}
 	scheduler := sched.New(sched.Options{Workers: clients, QueueDepth: 32})
 	defer scheduler.Close()
 	provider := &gatedProvider{Provider: d.provider, component: "splitter", release: make(chan struct{})}
-	svc, err := NewService(d.cfg, d.tr, provider, withRequired(t, provider, d.asOf, Options{Audit: led, Scheduler: scheduler}))
+	svc, err := NewService(d.cfg, d.tr, provider, withRequired(t, provider, d.asOf, Options{Scheduler: scheduler}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	led := svc.audit
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 	base := srv.URL + "/api/v1/model/topology/word-count/"

@@ -10,9 +10,12 @@
 // throughput/backpressure/CPU models records its inputs, the
 // calibration snapshot (α/SP/ST per component) and the predicted
 // quantities; the resolver computes per-record signed error and APE,
-// rolling MAPE, and backpressure-classifier precision/recall, writing
-// them as caladrius_model_* series that feed the accuracy-drift and
-// stale-calibration SLO rules (telemetry.ModelAccuracyRules).
+// rolling MAPE, and backpressure-classifier precision/recall. Each
+// graded record's APE is appended to the history store as an event; the
+// rolling figures are registry gauges, which the self-monitoring scraper
+// copies into history like every other instrument, to feed the
+// accuracy-drift and stale-calibration SLO rules
+// (telemetry.ModelAccuracyRules).
 //
 // The record hot path — Ledger.Record — performs no allocation: the
 // ring is preallocated, ids are integers, and the run counters are
@@ -30,9 +33,10 @@ import (
 	"caladrius/internal/tsdb"
 )
 
-// Series the ledger writes into the history store (and mirrors as
-// registry gauges/counters). All carry topology and model labels
-// except the calibration age, which is per topology.
+// Series the ledger exports. MetricAPE is the one it appends to the
+// history store itself; the rest are registry instruments. All carry
+// topology and model labels except the calibration age, which is per
+// topology.
 const (
 	// MetricRuns counts recorded model runs.
 	MetricRuns = "caladrius_model_runs_total"
@@ -159,19 +163,20 @@ type Record struct {
 type Options struct {
 	// Provider supplies the actuals the resolver joins against.
 	Provider metrics.Provider
-	// History optionally receives the caladrius_model_* series (the
-	// store the SLO rules evaluate). Nil skips series writes.
+	// History receives the per-record caladrius_model_ape points. It is
+	// the store the scraper copies Registry into and the SLO rules
+	// evaluate. Required.
 	History *tsdb.DB
-	// Registry optionally receives the run counters and rolling gauges.
-	// Nil skips instrument registration.
+	// Registry receives the run counters and rolling gauges. Required:
+	// the gauges reach History only through the scraper that walks it.
 	Registry *telemetry.Registry
 	// Now stamps records; align it with the service clock (the clock
 	// the metrics provider's data lives on). Default: time.Now.
 	Now func() time.Time
-	// SeriesNow stamps the caladrius_model_* series appended into
+	// SeriesNow stamps the caladrius_model_ape points appended into
 	// History. It exists because a daemon may model a frozen or
 	// simulated service clock while its self-monitoring history runs on
-	// wall time — pass time.Now there so accuracy series land in the
+	// wall time — pass time.Now there so accuracy points land in the
 	// SLO evaluation window. Default: Now.
 	SeriesNow func() time.Time
 	// Capacity bounds retained records (ring buffer). Default 4096.
@@ -231,33 +236,23 @@ type Ledger struct {
 	rolling         map[modelKey]*rollingStats
 	inst            map[modelKey]*instruments
 	calAgeG         map[string]*telemetry.Gauge
-	calAgeH         map[string]*tsdb.SeriesHandle
 	lastCalibration map[string]time.Time
 }
 
 // instruments is where the resolver writes one (topology, model)'s
-// results, interned so a pass builds no label maps: the registry side
-// is nil without a Registry, the series handles without a History.
+// results, interned so a pass builds no label maps.
 type instruments struct {
-	resolved                     *telemetry.Counter
-	mapeG, signedG, precG, recG  *telemetry.Gauge // registered with the first audited record
-	ape, mape, signed, prec, rec *tsdb.SeriesHandle
+	resolved                    *telemetry.Counter
+	mapeG, signedG, precG, recG *telemetry.Gauge // registered with the first audited record
+	ape                         *tsdb.SeriesHandle
 }
 
 func (l *Ledger) instrumentsLocked(key modelKey) *instruments {
 	in := l.inst[key]
 	if in == nil {
-		in = &instruments{}
-		if l.reg != nil {
-			in.resolved = l.reg.Counter(MetricResolved, telemetry.Labels{"topology": key.topology, "model": key.model})
-		}
-		if l.db != nil {
-			labels := tsdb.Labels{"topology": key.topology, "model": key.model}
-			in.ape = l.db.Handle(MetricAPE, labels)
-			in.mape = l.db.Handle(MetricMAPE, labels)
-			in.signed = l.db.Handle(MetricSignedError, labels)
-			in.prec = l.db.Handle(MetricPrecision, labels)
-			in.rec = l.db.Handle(MetricRecall, labels)
+		in = &instruments{
+			resolved: l.reg.Counter(MetricResolved, telemetry.Labels{"topology": key.topology, "model": key.model}),
+			ape:      l.db.Handle(MetricAPE, tsdb.Labels{"topology": key.topology, "model": key.model}),
 		}
 		l.inst[key] = in
 	}
@@ -296,11 +291,17 @@ func (rs *rollingStats) add(errs *Errors, rollingN int) {
 	}
 }
 
-// NewLedger builds a ledger. Provider is required; History and
-// Registry are optional surfaces.
+// NewLedger builds a ledger. Provider, History and Registry are
+// required.
 func NewLedger(opts Options) (*Ledger, error) {
 	if opts.Provider == nil {
 		return nil, errors.New("audit: ledger needs a metrics provider")
+	}
+	if opts.History == nil {
+		return nil, errors.New("audit: ledger needs a history store")
+	}
+	if opts.Registry == nil {
+		return nil, errors.New("audit: ledger needs a telemetry registry")
 	}
 	if opts.Now == nil {
 		opts.Now = time.Now
@@ -326,15 +327,14 @@ func NewLedger(opts Options) (*Ledger, error) {
 	if opts.SaturatedBpMs <= 0 {
 		opts.SaturatedBpMs = 10_000
 	}
-	if opts.Registry != nil {
-		opts.Registry.SetHelp(MetricRuns, "Model runs recorded in the audit ledger, by topology and model.")
-		opts.Registry.SetHelp(MetricResolved, "Audit records the resolver joined with observed actuals.")
-		opts.Registry.SetHelp(MetricMAPE, "Rolling mean absolute percentage error of predicted sink throughput.")
-		opts.Registry.SetHelp(MetricSignedError, "Rolling mean signed relative error of predicted sink throughput.")
-		opts.Registry.SetHelp(MetricPrecision, "Backpressure-risk classifier precision (cumulative).")
-		opts.Registry.SetHelp(MetricRecall, "Backpressure-risk classifier recall (cumulative).")
-		opts.Registry.SetHelp(MetricCalibrationAge, "Seconds since the topology model was last calibrated.")
-	}
+	reg := opts.Registry
+	reg.SetHelp(MetricRuns, "Model runs recorded in the audit ledger, by topology and model.")
+	reg.SetHelp(MetricResolved, "Audit records the resolver joined with observed actuals.")
+	reg.SetHelp(MetricMAPE, "Rolling mean absolute percentage error of predicted sink throughput.")
+	reg.SetHelp(MetricSignedError, "Rolling mean signed relative error of predicted sink throughput.")
+	reg.SetHelp(MetricPrecision, "Backpressure-risk classifier precision (cumulative).")
+	reg.SetHelp(MetricRecall, "Backpressure-risk classifier recall (cumulative).")
+	reg.SetHelp(MetricCalibrationAge, "Seconds since the topology model was last calibrated.")
 	return &Ledger{
 		provider:        opts.Provider,
 		db:              opts.History,
@@ -352,7 +352,6 @@ func NewLedger(opts Options) (*Ledger, error) {
 		rolling:         map[modelKey]*rollingStats{},
 		inst:            map[modelKey]*instruments{},
 		calAgeG:         map[string]*telemetry.Gauge{},
-		calAgeH:         map[string]*tsdb.SeriesHandle{},
 		lastCalibration: map[string]time.Time{},
 	}, nil
 }
@@ -379,14 +378,12 @@ func (l *Ledger) Record(rec Record) int64 {
 		l.head = (l.head + 1) % l.capacity
 	}
 	c := l.runs[modelKey{rec.Topology, rec.Model}]
-	if c == nil && l.reg != nil {
+	if c == nil {
 		c = l.reg.Counter(MetricRuns, telemetry.Labels{"topology": rec.Topology, "model": rec.Model})
 		l.runs[modelKey{rec.Topology, rec.Model}] = c
 	}
 	l.mu.Unlock()
-	if c != nil {
-		c.Inc()
-	}
+	c.Inc()
 	return rec.ID
 }
 
@@ -407,15 +404,10 @@ func (l *Ledger) NoteCalibration(topology string, at time.Time) {
 	l.lastCalibration[topology] = at
 	g := l.calAgeGaugeLocked(topology)
 	l.mu.Unlock()
-	if g != nil {
-		g.Set(0)
-	}
+	g.Set(0)
 }
 
 func (l *Ledger) calAgeGaugeLocked(topology string) *telemetry.Gauge {
-	if l.reg == nil {
-		return nil
-	}
 	g := l.calAgeG[topology]
 	if g == nil {
 		g = l.reg.Gauge(MetricCalibrationAge, telemetry.Labels{"topology": topology})
@@ -432,9 +424,7 @@ func (l *Ledger) Collector() func() {
 		now := l.now()
 		l.mu.Lock()
 		for topo, at := range l.lastCalibration {
-			if g := l.calAgeGaugeLocked(topo); g != nil {
-				g.Set(now.Sub(at).Seconds())
-			}
+			l.calAgeGaugeLocked(topo).Set(now.Sub(at).Seconds())
 		}
 		l.mu.Unlock()
 	}

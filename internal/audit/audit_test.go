@@ -3,6 +3,7 @@ package audit
 import (
 	"bytes"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -72,10 +73,16 @@ func sinkWindows(end time.Time, count int, execute float64) []metrics.Window {
 	return ws
 }
 
-func testLedger(t *testing.T, opts Options) *Ledger {
+func testLedger(t testing.TB, opts Options) *Ledger {
 	t.Helper()
 	if opts.Provider == nil {
 		opts.Provider = &stubProvider{}
+	}
+	if opts.History == nil {
+		opts.History = tsdb.New(0)
+	}
+	if opts.Registry == nil {
+		opts.Registry = telemetry.NewRegistry()
 	}
 	led, err := NewLedger(opts)
 	if err != nil {
@@ -228,6 +235,22 @@ func TestLedgerSnapshotRoundTrip(t *testing.T) {
 	}
 	if fromFile.Len() != 3 {
 		t.Fatalf("LoadFile Len = %d, want 3", fromFile.Len())
+	}
+}
+
+func TestNewLedgerRefusesMissingDependencies(t *testing.T) {
+	db, reg := tsdb.New(0), telemetry.NewRegistry()
+	for _, tc := range []struct {
+		want string
+		opts Options
+	}{
+		{"metrics provider", Options{History: db, Registry: reg}},
+		{"history store", Options{Provider: &stubProvider{}, Registry: reg}},
+		{"telemetry registry", Options{Provider: &stubProvider{}, History: db}},
+	} {
+		if _, err := NewLedger(tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("NewLedger without a %s: err = %v", tc.want, err)
+		}
 	}
 }
 

@@ -109,9 +109,17 @@ func TestClosedLoopAccuracyDrift(t *testing.T) {
 	})
 	led.NoteCalibration("word-count", now)
 	slo, err := telemetry.NewSLO(db, reg, func() time.Time { return now },
-		telemetry.ModelAccuracyRules(driftMAPE, 24*time.Hour, 15*time.Minute))
+		telemetry.ModelAccuracyRules(driftMAPE, 24*time.Hour))
 	if err != nil {
 		t.Fatalf("NewSLO: %v", err)
+	}
+	// The scraper is what carries the rolling gauges into the history
+	// the SLO reads; resolve runs one scrape after each pass.
+	scraper := telemetry.NewScraper(reg, db, telemetry.ScrapeOptions{})
+	resolve := func() int {
+		n := led.ResolveOnce(now)
+		scraper.ScrapeOnce(now)
+		return n
 	}
 	rec := loopRecorder{led: led}
 	firing := reg.Counter("caladrius_slo_transitions_total", telemetry.Labels{"rule": "model-accuracy-drift", "to": "firing"})
@@ -171,7 +179,7 @@ func TestClosedLoopAccuracyDrift(t *testing.T) {
 		createdAts = append(createdAts, now.Add(time.Duration(i-len(preds)+1)*time.Minute))
 		predSinks = append(predSinks, p)
 	}
-	if n := led.ResolveOnce(now); n != 6 {
+	if n := resolve(); n != 6 {
 		t.Fatalf("phase 1 ResolveOnce = %d, want 6", n)
 	}
 	stats := led.Stats()
@@ -214,7 +222,7 @@ func TestClosedLoopAccuracyDrift(t *testing.T) {
 		createdAts = append(createdAts, now.Add(time.Duration(i-len(preds)+1)*time.Minute))
 		predSinks = append(predSinks, p)
 	}
-	if n := led.ResolveOnce(now); n != rollingN {
+	if n := resolve(); n != rollingN {
 		t.Fatalf("phase 2 ResolveOnce = %d, want %d", n, rollingN)
 	}
 	stats = led.Stats()
@@ -250,7 +258,7 @@ func TestClosedLoopAccuracyDrift(t *testing.T) {
 		createdAts = append(createdAts, now.Add(time.Duration(i-len(preds)+1)*time.Minute))
 		predSinks = append(predSinks, p)
 	}
-	led.ResolveOnce(now)
+	resolve()
 	stats = led.Stats()
 	want = expectedMAPE()
 	if diff := math.Abs(*stats[0].MAPE - want); diff > 1e-9 {

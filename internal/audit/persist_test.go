@@ -15,13 +15,10 @@ import (
 // calibration mark.
 func snapshotBytes(tb testing.TB) []byte {
 	tb.Helper()
-	led, err := NewLedger(Options{
+	led := testLedger(tb, Options{
 		Provider: &stubProvider{windows: map[string][]metrics.Window{"counter": sinkWindows(audT0, 5, 100)}},
 		Now:      func() time.Time { return audT0 },
 	})
-	if err != nil {
-		tb.Fatal(err)
-	}
 	led.Record(predictRecord(110))
 	cf := predictRecord(500)
 	cf.Counterfactual = true
@@ -42,10 +39,7 @@ func snapshotBytes(tb testing.TB) []byte {
 // touched the ledger shows.
 func occupiedLedger(tb testing.TB) (*Ledger, []Record) {
 	tb.Helper()
-	led, err := NewLedger(Options{Provider: &stubProvider{}, Capacity: 8, Now: func() time.Time { return audT0 }})
-	if err != nil {
-		tb.Fatal(err)
-	}
+	led := testLedger(tb, Options{Capacity: 8, Now: func() time.Time { return audT0 }})
 	led.Record(predictRecord(77))
 	return led, led.List(Filter{})
 }

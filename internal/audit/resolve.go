@@ -44,8 +44,9 @@ type resolution struct {
 
 // ResolveOnce runs one resolver cycle at the given instant: joins
 // every pending record whose observation window has data, updates the
-// rolling accuracy state, refreshes gauges, and appends the
-// caladrius_model_* series. It returns the number of records resolved.
+// rolling accuracy state, appends each graded record's
+// caladrius_model_ape point and refreshes the gauges. It returns the
+// number of records resolved.
 func (l *Ledger) ResolveOnce(now time.Time) int {
 	// Copy pending records out so provider queries run unlocked.
 	l.mu.Lock()
@@ -57,9 +58,8 @@ func (l *Ledger) ResolveOnce(now time.Time) int {
 		}
 	}
 	l.mu.Unlock()
-	seriesAt := l.seriesNow()
 	if len(pending) == 0 {
-		l.emitSeries(now, seriesAt, nil)
+		l.refreshGauges(now)
 		return 0
 	}
 
@@ -86,6 +86,7 @@ func (l *Ledger) ResolveOnce(now time.Time) int {
 	// resolution feeds (rolling stats, resolved counter, APE point) is
 	// counted here, where a record a concurrent pass already applied is
 	// skipped.
+	seriesAt := l.seriesNow()
 	var apes []tsdb.BatchSample
 	resolved := map[*telemetry.Counter]int{}
 	l.mu.Lock()
@@ -104,10 +105,8 @@ func (l *Ledger) ResolveOnce(now time.Time) int {
 		key := modelKey{rec.Topology, rec.Model}
 		l.rollingLocked(key).add(res.errs, l.rollingN)
 		in := l.instrumentsLocked(key)
-		if in.resolved != nil {
-			resolved[in.resolved]++
-		}
-		if res.errs != nil && l.db != nil {
+		resolved[in.resolved]++
+		if res.errs != nil {
 			// On a unified clock the record's creation instant is the
 			// natural stamp; when the series clock diverges (frozen demo
 			// clock) use the cycle instant so points stay in window.
@@ -124,7 +123,8 @@ func (l *Ledger) ResolveOnce(now time.Time) int {
 	for c, n := range resolved {
 		c.Add(float64(n))
 	}
-	l.emitSeries(now, seriesAt, apes)
+	l.db.AppendBatch(apes)
+	l.refreshGauges(now)
 	return applied
 }
 
@@ -282,57 +282,32 @@ func appendTrim(s []float64, v float64, n int) []float64 {
 	return s
 }
 
-// emitSeries refreshes the rolling gauges and writes the pass's
-// caladrius_model_* points — the given per-record ones plus the rolling
-// state of every audited key — as one batch. now is the record clock
-// (ages are computed on it); seriesAt stamps the points.
-func (l *Ledger) emitSeries(now, seriesAt time.Time, batch []tsdb.BatchSample) {
+// refreshGauges sets the rolling gauges of every audited key and the
+// calibration ages, computed on the record clock now. The scraper
+// copies them into the history store.
+func (l *Ledger) refreshGauges(now time.Time) {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	for key, rs := range l.rolling {
 		if len(rs.ape) == 0 {
 			continue
 		}
 		in := l.instrumentsLocked(key)
-		mape, signed := mean(rs.ape), mean(rs.signed)
+		if in.mapeG == nil {
+			labels := telemetry.Labels{"topology": key.topology, "model": key.model}
+			in.mapeG = l.reg.Gauge(MetricMAPE, labels)
+			in.signedG = l.reg.Gauge(MetricSignedError, labels)
+			in.precG = l.reg.Gauge(MetricPrecision, labels)
+			in.recG = l.reg.Gauge(MetricRecall, labels)
+		}
 		prec, rec := PrecisionRecall(rs.tp, rs.fp, rs.fn)
-		if l.reg != nil {
-			if in.mapeG == nil {
-				labels := telemetry.Labels{"topology": key.topology, "model": key.model}
-				in.mapeG = l.reg.Gauge(MetricMAPE, labels)
-				in.signedG = l.reg.Gauge(MetricSignedError, labels)
-				in.precG = l.reg.Gauge(MetricPrecision, labels)
-				in.recG = l.reg.Gauge(MetricRecall, labels)
-			}
-			in.mapeG.Set(mape)
-			in.signedG.Set(signed)
-			in.precG.Set(prec)
-			in.recG.Set(rec)
-		}
-		if l.db != nil {
-			batch = append(batch,
-				tsdb.BatchSample{H: in.mape, T: seriesAt, V: mape},
-				tsdb.BatchSample{H: in.signed, T: seriesAt, V: signed},
-				tsdb.BatchSample{H: in.prec, T: seriesAt, V: prec},
-				tsdb.BatchSample{H: in.rec, T: seriesAt, V: rec})
-		}
+		in.mapeG.Set(mean(rs.ape))
+		in.signedG.Set(mean(rs.signed))
+		in.precG.Set(prec)
+		in.recG.Set(rec)
 	}
 	for topo, at := range l.lastCalibration {
-		age := now.Sub(at).Seconds()
-		if g := l.calAgeGaugeLocked(topo); g != nil {
-			g.Set(age)
-		}
-		if l.db != nil {
-			h := l.calAgeH[topo]
-			if h == nil {
-				h = l.db.Handle(MetricCalibrationAge, tsdb.Labels{"topology": topo})
-				l.calAgeH[topo] = h
-			}
-			batch = append(batch, tsdb.BatchSample{H: h, T: seriesAt, V: age})
-		}
-	}
-	l.mu.Unlock()
-	if l.db != nil {
-		l.db.AppendBatch(batch)
+		l.calAgeGaugeLocked(topo).Set(now.Sub(at).Seconds())
 	}
 }
 

@@ -169,8 +169,8 @@ func TestResolveOnceJoins(t *testing.T) {
 	if !pt.T.Equal(audT0) || pt.V != 0.1 {
 		t.Fatalf("APE point = %+v, want 0.1 at %s", pt, audT0)
 	}
-	if pt, err := db.Latest(MetricMAPE, nil); err != nil || pt.V != 0.1 {
-		t.Fatalf("MAPE point = %+v, %v", pt, err)
+	if g := reg.Gauge(MetricMAPE, telemetry.Labels{"topology": "word-count", "model": "predict"}); g.Value() != 0.1 {
+		t.Fatalf("%s gauge = %g, want 0.1", MetricMAPE, g.Value())
 	}
 	c := reg.Counter(MetricResolved, telemetry.Labels{"topology": "word-count", "model": "predict"})
 	if c.Value() != 1 {
@@ -258,7 +258,8 @@ func TestResolveRollingWindowTrim(t *testing.T) {
 
 // TestResolveDivergedSeriesClock: with a frozen record clock and a
 // wall series clock, accuracy points land on the series clock so SLO
-// windows can see them.
+// windows can see them: the APE point the ledger appends, and the MAPE
+// gauge a scrape on the wall clock copies.
 func TestResolveDivergedSeriesClock(t *testing.T) {
 	recNow := audT0
 	wall := audT0.Add(200 * 24 * time.Hour)
@@ -266,9 +267,11 @@ func TestResolveDivergedSeriesClock(t *testing.T) {
 		"counter": sinkWindows(audT0, 5, 100),
 	}}
 	db := tsdb.New(500 * 24 * time.Hour)
+	reg := telemetry.NewRegistry()
 	led := testLedger(t, Options{
 		Provider:  prov,
 		History:   db,
+		Registry:  reg,
 		Now:       func() time.Time { return recNow },
 		SeriesNow: func() time.Time { return wall },
 	})
@@ -276,6 +279,7 @@ func TestResolveDivergedSeriesClock(t *testing.T) {
 	if n := led.ResolveOnce(recNow); n != 1 {
 		t.Fatalf("ResolveOnce = %d, want 1", n)
 	}
+	telemetry.NewScraper(reg, db, telemetry.ScrapeOptions{}).ScrapeOnce(wall)
 	for _, m := range []string{MetricAPE, MetricMAPE} {
 		pt, err := db.Latest(m, nil)
 		if err != nil {

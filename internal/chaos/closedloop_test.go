@@ -144,9 +144,17 @@ func TestClosedLoopDriftDuringSlowFault(t *testing.T) {
 	}
 	led.NoteCalibration("word-count", now)
 	slo, err := telemetry.NewSLO(db, reg, func() time.Time { return now },
-		telemetry.ModelAccuracyRules(driftMAPE, 24*time.Hour, 15*time.Minute))
+		telemetry.ModelAccuracyRules(driftMAPE, 24*time.Hour))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The scraper carries the rolling gauges into the history the SLO
+	// reads; resolve runs one scrape after each pass.
+	scraper := telemetry.NewScraper(reg, db, telemetry.ScrapeOptions{})
+	resolve := func() int {
+		n := led.ResolveOnce(now)
+		scraper.ScrapeOnce(now)
+		return n
 	}
 	rec := loopRecorder{led: led}
 	firing := reg.Counter("caladrius_slo_transitions_total", telemetry.Labels{"rule": "model-accuracy-drift", "to": "firing"})
@@ -175,7 +183,7 @@ func TestClosedLoopDriftDuringSlowFault(t *testing.T) {
 
 	// Phase 1 — healthy: minutes 30–36, no fault yet.
 	predictN(tm, 6)
-	if n := led.ResolveOnce(now); n != 6 {
+	if n := resolve(); n != 6 {
 		t.Fatalf("phase 1 ResolveOnce = %d, want 6", n)
 	}
 	if m := mape("phase 1"); m >= driftMAPE {
@@ -194,7 +202,7 @@ func TestClosedLoopDriftDuringSlowFault(t *testing.T) {
 	}
 	now = now.Add(6*time.Minute - time.Second)
 	predictN(tm, rollingN)
-	if n := led.ResolveOnce(now); n != rollingN {
+	if n := resolve(); n != rollingN {
 		t.Fatalf("phase 2 ResolveOnce = %d, want %d", n, rollingN)
 	}
 	if m := mape("phase 2"); m <= driftMAPE {
@@ -226,7 +234,7 @@ func TestClosedLoopDriftDuringSlowFault(t *testing.T) {
 	}
 	led.NoteCalibration("word-count", now)
 	predictN(tm2, rollingN)
-	led.ResolveOnce(now)
+	resolve()
 	if m := mape("phase 3"); m >= driftMAPE {
 		t.Fatalf("phase 3 MAPE %g still above %g after the fault cleared", m, driftMAPE)
 	}
@@ -289,7 +297,7 @@ func TestDegradedCalibrationFlagReachesLedger(t *testing.T) {
 	}
 	tm.Degraded = rep.Degraded
 
-	led, err := audit.NewLedger(audit.Options{Provider: fp})
+	led, err := audit.NewLedger(audit.Options{Provider: fp, History: tsdb.New(0), Registry: telemetry.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,6 +20,9 @@ func (p *Plan) LastSimFaultEnd() time.Duration {
 	return last
 }
 
+// SimKinds are the fault kinds the simulator hook applies.
+var SimKinds = []FaultKind{FaultCrash, FaultSlow, FaultStall, FaultPartition}
+
 // GenOptions tunes GeneratePlan.
 type GenOptions struct {
 	// Horizon is the run length the plan targets; required. Faults are

@@ -61,13 +61,6 @@ const (
 	FaultMetricsLatency FaultKind = "metrics-latency"
 )
 
-// SimKinds and MetricsKinds partition the fault kinds by the hook that
-// applies them.
-var (
-	SimKinds     = []FaultKind{FaultCrash, FaultSlow, FaultStall, FaultPartition}
-	MetricsKinds = []FaultKind{FaultMetricsOutage, FaultMetricsGap, FaultMetricsLatency}
-)
-
 func isSimKind(k FaultKind) bool {
 	return k == FaultCrash || k == FaultSlow || k == FaultStall || k == FaultPartition
 }

@@ -171,8 +171,8 @@ func New(cfg Config) (*Daemon, error) {
 	d.Scraper.AddCollector(telemetry.RegisterRuntime(reg, d.wall(), d.wall))
 
 	// Prediction audit ledger: records every model run, and a resolver
-	// joins records against the substrate's actuals. Its accuracy series
-	// live in the history store.
+	// joins records against the substrate's actuals. It appends per-record
+	// APE points to the history store; the scraper copies its gauges.
 	d.Ledger, err = audit.NewLedger(audit.Options{
 		Provider:      provider,
 		History:       d.History,
@@ -224,9 +224,9 @@ func New(cfg Config) (*Daemon, error) {
 
 	rules := cfg.SLORules
 	if rules == nil {
-		rules = append(telemetry.DefaultSLORules(), telemetry.ModelAccuracyRules(cfg.DriftThreshold, cfg.StaleCalibrationAfter, 0)...)
+		rules = append(telemetry.DefaultSLORules(), telemetry.ModelAccuracyRules(cfg.DriftThreshold, cfg.StaleCalibrationAfter)...)
 		if d.Profiler != nil {
-			rules = append(rules, telemetry.ProfilerRules(cfg.ProfileRegressionDelta, 0)...)
+			rules = append(rules, telemetry.ProfilerRules(cfg.ProfileRegressionDelta)...)
 		}
 	}
 	if d.SLO, err = telemetry.NewSLO(d.History, reg, d.wall, rules); err != nil {
@@ -458,8 +458,9 @@ func (d *Daemon) shutdown() error {
 		d.Recorder.Close() // bundles on disk are re-indexed on the next boot
 	}
 	var errs []error
-	// Resolve what we can first: the accuracy series this writes belong
-	// in the history snapshot as much as in the ledger's.
+	// Resolve what we can first: the APE points this writes, and the
+	// gauges the final scrape below copies, belong in the history
+	// snapshot as much as in the ledger's.
 	d.Ledger.ResolveOnce(d.now())
 	if d.cfg.AuditFile != "" {
 		if err := d.Ledger.SaveFile(d.cfg.AuditFile); err != nil {

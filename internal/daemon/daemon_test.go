@@ -13,9 +13,11 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"caladrius/internal/audit"
 	"caladrius/internal/heron"
 	"caladrius/internal/workload"
 )
@@ -440,5 +442,77 @@ func TestHistoryFileContract(t *testing.T) {
 	}
 	if err := d3.Close(); err != nil {
 		t.Errorf("Close on failed New: %v", err)
+	}
+}
+
+// TestOneWriterPerHistorySeries: over a minute at the shipped cadences
+// — a scrape every 5s, a resolver pass every 15s, the pass first when
+// both fall on one instant — the scraper is the only writer of the
+// ledger's gauge series, one point per scrape and never two at one
+// timestamp, and the resolver the only writer of caladrius_model_ape,
+// one point per graded record.
+func TestOneWriterPerHistorySeries(t *testing.T) {
+	start := time.Date(2026, 10, 1, 12, 0, 0, 0, time.UTC)
+	var elapsed atomic.Int64
+	cfg := testConfig()
+	cfg.Wall = func() time.Time { return start.Add(time.Duration(elapsed.Load())) }
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for i := 0; i < 5; i++ {
+		rec := httptest.NewRecorder()
+		d.Handler().ServeHTTP(rec, httptest.NewRequest("POST", predictPath, strings.NewReader("{}")))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("predict %d = %d (%s)", i, rec.Code, rec.Body)
+		}
+	}
+
+	shipped := Default()
+	scrapes := 0
+	for at := time.Duration(0); at <= time.Minute; at += shipped.ScrapeInterval {
+		elapsed.Store(int64(at))
+		if at%shipped.AuditResolveInterval == 0 {
+			d.Ledger.ResolveOnce(d.now())
+		}
+		d.Scraper.ScrapeOnce(d.wall())
+		scrapes++
+	}
+
+	from, to := start.Add(-time.Minute), start.Add(2*time.Minute)
+	for _, metric := range []string{audit.MetricMAPE, audit.MetricSignedError, audit.MetricPrecision, audit.MetricRecall, audit.MetricCalibrationAge} {
+		series, err := d.History.Query(metric, nil, from, to)
+		if err != nil {
+			t.Fatalf("%s: %v", metric, err)
+		}
+		for _, s := range series {
+			seen := map[time.Time]bool{}
+			for _, p := range s.Points {
+				if seen[p.T] {
+					t.Errorf("%s%v: two points at %s", metric, s.Labels, p.T)
+				}
+				seen[p.T] = true
+			}
+			if len(s.Points) != scrapes {
+				t.Errorf("%s%v: %d points, want one per scrape (%d)", metric, s.Labels, len(s.Points), scrapes)
+			}
+		}
+	}
+
+	graded := 0
+	for _, rec := range d.Ledger.List(audit.Filter{}) {
+		if rec.Errors != nil {
+			graded++
+		}
+	}
+	apes := 0
+	if series, err := d.History.Query(audit.MetricAPE, nil, from, to); err == nil {
+		for _, s := range series {
+			apes += len(s.Points)
+		}
+	}
+	if graded == 0 || apes != graded {
+		t.Errorf("%s: %d points, want one per graded record (%d)", audit.MetricAPE, apes, graded)
 	}
 }

@@ -99,12 +99,12 @@ func (g *Graph) Query(q string) (any, error) {
 			if !terminal {
 				return nil, fmt.Errorf("graph: ids() must be the final step")
 			}
-			return t.IDs()
+			return answer(t.IDs())
 		case "count":
 			if !terminal {
 				return nil, fmt.Errorf("graph: count() must be the final step")
 			}
-			return t.Count()
+			return answer(t.Count())
 		case "values":
 			if !terminal {
 				return nil, fmt.Errorf("graph: values() must be the final step")
@@ -116,17 +116,26 @@ func (g *Graph) Query(q string) (any, error) {
 			if !ok {
 				return nil, fmt.Errorf("graph: values key must be a string")
 			}
-			return t.Values(key)
+			return answer(t.Values(key))
 		case "path":
 			if !terminal {
 				return nil, fmt.Errorf("graph: path() must be the final step")
 			}
-			return t.Paths()
+			return answer(t.Paths())
 		default:
 			return nil, fmt.Errorf("graph: unknown step %q", call.name)
 		}
 	}
-	return t.IDs()
+	return answer(t.IDs())
+}
+
+// answer hands a terminal step's result to Query's caller: nil when the
+// step failed, never a nil slice inside a non-nil interface.
+func answer[T any](v T, err error) (any, error) {
+	if err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
 type gremlinCall struct {

@@ -24,6 +24,15 @@ type traverser struct {
 	path []string // visited vertex IDs including current
 }
 
+// maxTraversers bounds the traversers a step may hold. Query text is
+// untrusted, and each out().in() pair multiplies the traversers by about
+// 31 on the demo's 17-vertex physical graph, so a short query could
+// otherwise exhaust memory. The largest legitimate answer there is 96
+// instance paths.
+const maxTraversers = 1 << 16
+
+var errTooManyTraversers = fmt.Errorf("graph: traversal exceeds %d traversers", maxTraversers)
+
 type step func([]traverser) ([]traverser, error)
 
 // V starts a traversal at all vertices, or at the given IDs.
@@ -45,6 +54,9 @@ func (g *Graph) V(ids ...string) *Traversal {
 				start = append(start, id)
 			}
 			sort.Strings(start)
+		}
+		if len(start) > maxTraversers {
+			return nil, errTooManyTraversers
 		}
 		out := make([]traverser, len(start))
 		for i, id := range start {
@@ -152,6 +164,9 @@ func (t *Traversal) move(edgeLabels []string, outward bool) *Traversal {
 				next = t.g.neighborsLocked(tr.id, t.g.in, func(e *Edge) string { return e.From }, edgeLabels)
 			}
 			for _, n := range next {
+				if len(out) == maxTraversers {
+					return nil, errTooManyTraversers
+				}
 				np := append(append([]string(nil), tr.path...), n)
 				out = append(out, traverser{id: n, path: np})
 			}

@@ -90,7 +90,7 @@ func TestClosedLoopIncidentCapture(t *testing.T) {
 	cfg.CalCacheTTL = 0 // the healthy calibration must go stale, not expire
 	cfg.HistoryRetention = 24 * time.Hour
 	cfg.ProfileInterval = 0
-	cfg.SLORules = telemetry.ModelAccuracyRules(driftMAPE, 24*time.Hour, 15*time.Minute)
+	cfg.SLORules = telemetry.ModelAccuracyRules(driftMAPE, 24*time.Hour)
 	cfg.IncidentDir = t.TempDir()
 	cfg.IncidentCooldown = 10 * time.Minute
 	d, err := daemon.New(cfg)
@@ -141,11 +141,18 @@ func TestClosedLoopIncidentCapture(t *testing.T) {
 		t.Fatalf("%s: drift rule not evaluated", phase)
 	}
 
+	// resolve runs a resolver pass and then the scrape that carries its
+	// gauges into the history the rule reads.
+	resolve := func() {
+		led.ResolveOnce(clock.Now())
+		d.Scraper.ScrapeOnce(clock.Now())
+	}
+
 	post("/api/v1/model/topology/word-count/calibrate?sync=true")
 
 	// Phase 1 — healthy: predictions track reality, no capture.
 	predictN(6)
-	led.ResolveOnce(clock.Now())
+	resolve()
 	clock.Advance(time.Second) // history ranges are end-exclusive
 	evaluate("phase 1", telemetry.StateOK)
 	rec.Flush()
@@ -160,7 +167,7 @@ func TestClosedLoopIncidentCapture(t *testing.T) {
 	}
 	clock.Advance(6*time.Minute - time.Second)
 	predictN(rollingN)
-	led.ResolveOnce(clock.Now())
+	resolve()
 	clock.Advance(time.Second)
 	evaluate("phase 2", telemetry.StateFiring)
 	rec.Flush()
@@ -177,7 +184,7 @@ func TestClosedLoopIncidentCapture(t *testing.T) {
 	// Still firing on the next evaluation — no transition, no second
 	// bundle; and a manual re-fire inside the cooldown is suppressed.
 	evaluate("phase 2 again", telemetry.StateFiring)
-	rec.FiringHook()(telemetry.ModelAccuracyRules(driftMAPE, 24*time.Hour, 15*time.Minute)[0],
+	rec.FiringHook()(telemetry.ModelAccuracyRules(driftMAPE, 24*time.Hour)[0],
 		telemetry.Alert{Rule: "model-accuracy-drift"})
 	rec.Flush()
 	if n := len(rec.List()); n != 1 {

@@ -35,6 +35,14 @@ import (
 // detect layout changes.
 const BundleVersion = 1
 
+// A bundle's metrics extract reaches lookback before the firing rule's
+// own window, and its spans artifact holds the spanTraces most recent
+// traces.
+const (
+	lookback   = 5 * time.Minute
+	spanTraces = 32
+)
+
 // Artifact names inside a bundle directory.
 const (
 	ArtifactCPU       = "cpu.pprof"
@@ -113,9 +121,8 @@ type Manifest struct {
 	Notes []string `json:"notes,omitempty"`
 }
 
-// Options configures a Recorder. Dir and Registry are required; every
-// signal source (History, Logs, Tracer) is optional — absent sources
-// simply leave their artifact out of the bundle.
+// Options configures a Recorder. Dir, Registry and the three signal
+// sources (History, Logs, Tracer) are required.
 type Options struct {
 	// Dir is the bundle root; one subdirectory per incident.
 	Dir string
@@ -131,15 +138,9 @@ type Options struct {
 	// Cooldown is the per-rule minimum spacing between SLO-triggered
 	// captures. Default: 5 minutes.
 	Cooldown time.Duration
-	// Lookback extends the captured metrics window before the rule's
-	// own window. Default: 5 minutes.
-	Lookback time.Duration
 	// MaxBundles bounds on-disk retention; the oldest bundles beyond it
 	// are deleted after each capture. Default: 16.
 	MaxBundles int
-	// SpanTraces bounds how many recent traces a bundle captures.
-	// Default: 32.
-	SpanTraces int
 	// CPUProfile is how long the CPU profile samples. Default: 2s.
 	CPUProfile time.Duration
 	// Attachments are extra artifacts other subsystems contribute to
@@ -199,17 +200,20 @@ func New(opts Options) (*Recorder, error) {
 	if opts.Registry == nil {
 		return nil, errors.New("incident: recorder needs a telemetry registry")
 	}
+	if opts.History == nil {
+		return nil, errors.New("incident: recorder needs a history store")
+	}
+	if opts.Logs == nil {
+		return nil, errors.New("incident: recorder needs a log ring")
+	}
+	if opts.Tracer == nil {
+		return nil, errors.New("incident: recorder needs a tracer")
+	}
 	if opts.Cooldown <= 0 {
 		opts.Cooldown = 5 * time.Minute
 	}
-	if opts.Lookback <= 0 {
-		opts.Lookback = 5 * time.Minute
-	}
 	if opts.MaxBundles <= 0 {
 		opts.MaxBundles = 16
-	}
-	if opts.SpanTraces <= 0 {
-		opts.SpanTraces = 32
 	}
 	if opts.CPUProfile <= 0 {
 		opts.CPUProfile = 2 * time.Second
@@ -502,45 +506,41 @@ func (r *Recorder) capture(req captureReq) (Manifest, error) {
 
 	// Logs + spans, collecting trace ids for the join.
 	logTraces := map[string]bool{}
-	if r.opts.Logs != nil {
-		records := r.opts.Logs.Snapshot()
-		m.LogRecords = len(records)
-		for _, rec := range records {
-			if rec.Trace != "" {
-				logTraces[rec.Trace] = true
-			}
-		}
-		if err := writeJSONFile(filepath.Join(dir, ArtifactLogs), records); err != nil {
-			note("%s: %v", ArtifactLogs, err)
-		} else {
-			addArtifact(ArtifactLogs)
+	records := r.opts.Logs.Snapshot()
+	m.LogRecords = len(records)
+	for _, rec := range records {
+		if rec.Trace != "" {
+			logTraces[rec.Trace] = true
 		}
 	}
-	spanTraces := map[string]bool{}
-	if r.opts.Tracer != nil {
-		traces := r.opts.Tracer.Recent(r.opts.SpanTraces)
-		m.SpanTraces = len(traces)
-		for _, tj := range traces {
-			spanTraces[tj.TraceID] = true
-		}
-		if err := writeJSONFile(filepath.Join(dir, ArtifactSpans), traces); err != nil {
-			note("%s: %v", ArtifactSpans, err)
-		} else {
-			addArtifact(ArtifactSpans)
-		}
+	if err := writeJSONFile(filepath.Join(dir, ArtifactLogs), records); err != nil {
+		note("%s: %v", ArtifactLogs, err)
+	} else {
+		addArtifact(ArtifactLogs)
 	}
-	m.TraceIDs = sortedKeys(union(logTraces, spanTraces))
-	m.JoinedTraceIDs = sortedKeys(intersect(logTraces, spanTraces))
+	spanTraceIDs := map[string]bool{}
+	traces := r.opts.Tracer.Recent(spanTraces)
+	m.SpanTraces = len(traces)
+	for _, tj := range traces {
+		spanTraceIDs[tj.TraceID] = true
+	}
+	if err := writeJSONFile(filepath.Join(dir, ArtifactSpans), traces); err != nil {
+		note("%s: %v", ArtifactSpans, err)
+	} else {
+		addArtifact(ArtifactSpans)
+	}
+	m.TraceIDs = sortedKeys(union(logTraces, spanTraceIDs))
+	m.JoinedTraceIDs = sortedKeys(intersect(logTraces, spanTraceIDs))
 
 	// Windowed extract of the firing rule's series: the rule's own
 	// evaluation window plus the lookback, so the bundle shows the
 	// run-up, not just the breach.
-	if r.opts.History != nil && req.rule != nil {
+	if req.rule != nil {
 		window := req.rule.Window
 		if window <= 0 {
 			window = time.Minute
 		}
-		start := now.Add(-window - r.opts.Lookback)
+		start := now.Add(-window - lookback)
 		series, err := r.opts.History.Query(req.rule.Metric, req.rule.Selector, start, now.Add(time.Second))
 		if err != nil && !errors.Is(err, tsdb.ErrNoData) {
 			note("%s: %v", ArtifactMetrics, err)

@@ -5,6 +5,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -281,7 +282,8 @@ func TestRestartReindexesBundles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec2, err := New(Options{Dir: dir, Registry: telemetry.NewRegistry(), Now: clock.Now,
+	rec2, err := New(Options{Dir: dir, Registry: telemetry.NewRegistry(), History: tsdb.New(time.Hour),
+		Logs: telemetry.NewLogRing(8), Tracer: telemetry.NewTracer(8, nil), Now: clock.Now,
 		Logger: slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelError}))})
 	if err != nil {
 		t.Fatal(err)
@@ -290,6 +292,29 @@ func TestRestartReindexesBundles(t *testing.T) {
 	list := rec2.List()
 	if len(list) != 2 || list[0].ID != m2.ID || list[1].ID != m1.ID {
 		t.Fatalf("reindexed = %+v", list)
+	}
+}
+
+func TestNewRefusesMissingDependencies(t *testing.T) {
+	full := func() Options {
+		return Options{Dir: t.TempDir(), Registry: telemetry.NewRegistry(), History: tsdb.New(time.Hour),
+			Logs: telemetry.NewLogRing(8), Tracer: telemetry.NewTracer(8, nil)}
+	}
+	for want, unset := range map[string]func(*Options){
+		"bundle directory":   func(o *Options) { o.Dir = "" },
+		"telemetry registry": func(o *Options) { o.Registry = nil },
+		"history store":      func(o *Options) { o.History = nil },
+		"log ring":           func(o *Options) { o.Logs = nil },
+		"tracer":             func(o *Options) { o.Tracer = nil },
+	} {
+		opts := full()
+		unset(&opts)
+		if rec, err := New(opts); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("New without a %s: err = %v", want, err)
+			if rec != nil {
+				rec.Close()
+			}
+		}
 	}
 }
 

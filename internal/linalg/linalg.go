@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrSingular is returned when a system is singular to working
@@ -380,8 +381,7 @@ func Quantile(xs []float64, q float64) float64 {
 		return maxOf(xs)
 	}
 	cp := append([]float64(nil), xs...)
-	// Insertion-free approach: full sort is fine at our sizes.
-	sortFloats(cp)
+	slices.Sort(cp)
 	pos := q * float64(len(cp)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
@@ -390,36 +390,6 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return cp[lo]*(1-frac) + cp[hi]*frac
-}
-
-func sortFloats(xs []float64) {
-	// Heapsort: avoids importing sort for a single call site and is
-	// deterministic with no allocation.
-	n := len(xs)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(xs, i, n)
-	}
-	for end := n - 1; end > 0; end-- {
-		xs[0], xs[end] = xs[end], xs[0]
-		siftDown(xs, 0, end)
-	}
-}
-
-func siftDown(xs []float64, root, end int) {
-	for {
-		child := 2*root + 1
-		if child >= end {
-			return
-		}
-		if child+1 < end && xs[child+1] > xs[child] {
-			child++
-		}
-		if xs[root] >= xs[child] {
-			return
-		}
-		xs[root], xs[child] = xs[child], xs[root]
-		root = child
-	}
 }
 
 func minOf(xs []float64) float64 {

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"time"
@@ -39,17 +40,20 @@ type RetryingProvider struct {
 	sleep    func(time.Duration) // injectable for tests
 }
 
-// NewRetryingProvider wraps inner. reg may be nil (no counters).
+// NewRetryingProvider wraps inner, counting into reg (nil: a private
+// registry).
 func NewRetryingProvider(inner Provider, cfg RetryConfig, reg *telemetry.Registry) *RetryingProvider {
-	p := &RetryingProvider{inner: inner, cfg: cfg, sleep: time.Sleep}
-	if reg != nil {
-		reg.SetHelp("caladrius_fetch_retries_total", "Metrics-provider fetch attempts retried after a transient failure.")
-		reg.SetHelp("caladrius_fetch_failures_total", "Metrics-provider fetches that failed after exhausting retries.")
-		l := telemetry.Labels{"provider": "metrics"}
-		p.retries = reg.Counter("caladrius_fetch_retries_total", l)
-		p.failures = reg.Counter("caladrius_fetch_failures_total", l)
+	reg = cmp.Or(reg, telemetry.NewRegistry())
+	reg.SetHelp("caladrius_fetch_retries_total", "Metrics-provider fetch attempts retried after a transient failure.")
+	reg.SetHelp("caladrius_fetch_failures_total", "Metrics-provider fetches that failed after exhausting retries.")
+	l := telemetry.Labels{"provider": "metrics"}
+	return &RetryingProvider{
+		inner:    inner,
+		cfg:      cfg,
+		retries:  reg.Counter("caladrius_fetch_retries_total", l),
+		failures: reg.Counter("caladrius_fetch_failures_total", l),
+		sleep:    time.Sleep,
 	}
-	return p
 }
 
 // retryable reports whether the error is worth another attempt: only
@@ -69,13 +73,11 @@ func doFetch[T any](p *RetryingProvider, call func() (T, error)) (T, error) {
 		if err == nil || !retryable(err) || attempt >= p.cfg.Retries {
 			break
 		}
-		if p.retries != nil {
-			p.retries.Inc()
-		}
+		p.retries.Inc()
 		p.sleep(backoff)
 		backoff *= 2
 	}
-	if err != nil && retryable(err) && p.failures != nil {
+	if err != nil && retryable(err) {
 		p.failures.Inc()
 	}
 	return v, err

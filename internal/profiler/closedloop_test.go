@@ -163,7 +163,7 @@ func TestClosedLoopProfileRegression(t *testing.T) {
 	cfg.LogOutput = io.Discard
 	cfg.CalibrationLookback = 30 * time.Minute
 	cfg.HistoryRetention = 24 * time.Hour
-	cfg.SLORules = telemetry.ProfilerRules(delta, 15*time.Minute)
+	cfg.SLORules = telemetry.ProfilerRules(delta)
 	cfg.IncidentDir = t.TempDir()
 	cfg.IncidentCooldown = 30 * time.Minute
 	d, err := daemon.New(cfg)

@@ -256,13 +256,11 @@ type Profiler struct {
 	cur      *epochWindow
 	ring     []*epochWindow // completed windows, oldest first
 	baseline *Baseline
-	captures map[Kind]uint64
-	errCount uint64
 	lastErr  map[Kind]string
 	lastCap  time.Time
-	lastDuty float64
 
-	// instruments (registry-owned; scraped automatically)
+	// instruments (registry-owned; scraped automatically). Status reads
+	// its capture counts and duty ratio from them.
 	mCaptures map[Kind]*telemetry.Counter
 	mErrors   *telemetry.Counter
 	mSamples  map[Kind]*telemetry.Counter
@@ -291,7 +289,6 @@ func New(opts Options) (*Profiler, error) {
 	reg.SetHelp("caladrius_profile_capture_duration_seconds", "Wall time of one full capture round.")
 	p := &Profiler{
 		opts:      o,
-		captures:  make(map[Kind]uint64, len(Kinds)),
 		lastErr:   make(map[Kind]string),
 		mCaptures: make(map[Kind]*telemetry.Counter, len(Kinds)),
 		mSamples:  make(map[Kind]*telemetry.Counter, len(Kinds)),
@@ -356,7 +353,6 @@ func (p *Profiler) CaptureOnce() error {
 		if err != nil {
 			p.mErrors.Inc()
 			p.mu.Lock()
-			p.errCount++
 			p.lastErr[kind] = err.Error()
 			p.mu.Unlock()
 			if firstErr == nil {
@@ -370,7 +366,6 @@ func (p *Profiler) CaptureOnce() error {
 		before := tbl.Samples
 		tbl.Fold(prof)
 		folded := tbl.Samples - before
-		p.captures[kind]++
 		delete(p.lastErr, kind)
 		p.mu.Unlock()
 		p.mCaptures[kind].Inc()
@@ -380,9 +375,9 @@ func (p *Profiler) CaptureOnce() error {
 	}
 	end := p.opts.Now()
 	p.mDur.Observe(end.Sub(start).Seconds())
+	p.mDuty.Set(end.Sub(start).Seconds() / p.opts.Interval.Seconds())
 	p.mu.Lock()
 	p.lastCap = end
-	p.lastDuty = end.Sub(start).Seconds() / p.opts.Interval.Seconds()
 	p.mu.Unlock()
 	p.refreshMetrics(end)
 	return firstErr
@@ -552,7 +547,6 @@ func (p *Profiler) refreshMetrics(now time.Time) {
 	if p.baseline != nil {
 		p.mBaseAge.Set(now.Sub(p.baseline.CreatedAt).Seconds())
 	}
-	p.mDuty.Set(p.lastDuty)
 }
 
 // Top returns the merged recent per-function table for kind.
@@ -603,10 +597,10 @@ func (p *Profiler) Status() Status {
 		Captures:        make(map[Kind]uint64, len(Kinds)),
 		Samples:         make(map[Kind]int64, len(Kinds)),
 		TopRegression:   make(map[Kind]float64, len(Kinds)),
-		CaptureErrors:   p.errCount,
+		CaptureErrors:   uint64(p.mErrors.Value()),
 		Baseline:        p.baselineMetaLocked(),
 		BaselinePath:    p.opts.BaselinePath,
-		LastDuty:        p.lastDuty,
+		LastDuty:        p.mDuty.Value(),
 	}
 	if p.cur != nil {
 		t := p.cur.start
@@ -617,7 +611,7 @@ func (p *Profiler) Status() Status {
 		st.LastCapture = &t
 	}
 	for _, kind := range Kinds {
-		st.Captures[kind] = p.captures[kind]
+		st.Captures[kind] = uint64(p.mCaptures[kind].Value())
 		st.Samples[kind] = p.mergedLocked(kind).Samples
 		if d := p.diffLocked(kind, 1); d != nil {
 			st.TopRegression[kind] = d.TopDelta()

@@ -1,8 +1,8 @@
 package sched
 
 import (
+	"cmp"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"caladrius/internal/core"
@@ -41,15 +41,17 @@ type CalCacheOptions struct {
 	TTL time.Duration
 	// Now is the wall clock (tests). Default time.Now.
 	Now func() time.Time
-	// Registry optionally receives the caladrius_calcache_* series.
+	// Registry receives the caladrius_calcache_* series. Default: a
+	// private registry.
 	Registry *telemetry.Registry
 }
 
 // CalCache caches calibrated topology models keyed by topology name,
 // with entries validated against (packing-plan version, provider
 // window) and an optional TTL. The hit path performs zero heap
-// allocations — an RLock, one map probe and atomic counters — which is
-// what makes warm predicts skip the fetch→calibrate stages for free.
+// allocations — an RLock, one map probe and an atomic counter — which
+// is what makes warm predicts skip the fetch→calibrate stages for free.
+// The counters are the registry's; Stats reads them.
 type CalCache struct {
 	ttl time.Duration
 	now func() time.Time
@@ -60,11 +62,6 @@ type CalCache struct {
 	// flights is the per-topology calibration singleflight (see Load).
 	flightMu sync.Mutex
 	flights  map[string]*calFlight
-
-	hits          atomic.Uint64
-	misses        atomic.Uint64
-	stale         atomic.Uint64
-	invalidations atomic.Uint64
 
 	hitsC    *telemetry.Counter
 	missesC  *telemetry.Counter
@@ -78,26 +75,23 @@ func NewCalCache(opts CalCacheOptions) *CalCache {
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
-	c := &CalCache{
-		ttl:     opts.TTL,
-		now:     opts.Now,
-		entries: map[string]calEntry{},
-		flights: map[string]*calFlight{},
+	r := cmp.Or(opts.Registry, telemetry.NewRegistry())
+	r.SetHelp(MetricCalHits, "Calibration-cache lookups served from cache.")
+	r.SetHelp(MetricCalMisses, "Calibration-cache lookups with no usable entry.")
+	r.SetHelp(MetricCalStale, "Calibration-cache lookups rejected as superseded or expired.")
+	r.SetHelp(MetricCalInvalidations, "Calibration-cache entries explicitly evicted.")
+	r.SetHelp(MetricCalEntries, "Calibrated topology models resident in the cache.")
+	return &CalCache{
+		ttl:      opts.TTL,
+		now:      opts.Now,
+		entries:  map[string]calEntry{},
+		flights:  map[string]*calFlight{},
+		hitsC:    r.Counter(MetricCalHits, nil),
+		missesC:  r.Counter(MetricCalMisses, nil),
+		staleC:   r.Counter(MetricCalStale, nil),
+		invalidC: r.Counter(MetricCalInvalidations, nil),
+		entriesG: r.Gauge(MetricCalEntries, nil),
 	}
-	if opts.Registry != nil {
-		r := opts.Registry
-		r.SetHelp(MetricCalHits, "Calibration-cache lookups served from cache.")
-		r.SetHelp(MetricCalMisses, "Calibration-cache lookups with no usable entry.")
-		r.SetHelp(MetricCalStale, "Calibration-cache lookups rejected as superseded or expired.")
-		r.SetHelp(MetricCalInvalidations, "Calibration-cache entries explicitly evicted.")
-		r.SetHelp(MetricCalEntries, "Calibrated topology models resident in the cache.")
-		c.hitsC = r.Counter(MetricCalHits, nil)
-		c.missesC = r.Counter(MetricCalMisses, nil)
-		c.staleC = r.Counter(MetricCalStale, nil)
-		c.invalidC = r.Counter(MetricCalInvalidations, nil)
-		c.entriesG = r.Gauge(MetricCalEntries, nil)
-	}
-	return c
 }
 
 // Lookup returns the cached model for topology iff it was calibrated
@@ -107,20 +101,11 @@ func (c *CalCache) Lookup(topology string, planVersion int, window time.Duration
 	m, present := c.usable(topology, planVersion, window)
 	switch {
 	case m != nil:
-		c.hits.Add(1)
-		if c.hitsC != nil {
-			c.hitsC.Inc()
-		}
+		c.hitsC.Inc()
 	case present:
-		c.stale.Add(1)
-		if c.staleC != nil {
-			c.staleC.Inc()
-		}
+		c.staleC.Inc()
 	default:
-		c.misses.Add(1)
-		if c.missesC != nil {
-			c.missesC.Inc()
-		}
+		c.missesC.Inc()
 	}
 	return m, m != nil
 }
@@ -210,9 +195,7 @@ func (c *CalCache) Store(topology string, planVersion int, window time.Duration,
 	}
 	n := len(c.entries)
 	c.mu.Unlock()
-	if c.entriesG != nil {
-		c.entriesG.Set(float64(n))
-	}
+	c.entriesG.Set(float64(n))
 }
 
 // Invalidate evicts exactly the named topology's entry, reporting
@@ -229,13 +212,8 @@ func (c *CalCache) Invalidate(topology string) bool {
 	if !ok {
 		return false
 	}
-	c.invalidations.Add(1)
-	if c.invalidC != nil {
-		c.invalidC.Inc()
-	}
-	if c.entriesG != nil {
-		c.entriesG.Set(float64(n))
-	}
+	c.invalidC.Inc()
+	c.entriesG.Set(float64(n))
 	return true
 }
 
@@ -261,10 +239,10 @@ type CalCacheStats struct {
 func (c *CalCache) Stats() CalCacheStats {
 	st := CalCacheStats{
 		Entries:       c.Len(),
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		Stale:         c.stale.Load(),
-		Invalidations: c.invalidations.Load(),
+		Hits:          uint64(c.hitsC.Value()),
+		Misses:        uint64(c.missesC.Value()),
+		Stale:         uint64(c.staleC.Value()),
+		Invalidations: uint64(c.invalidC.Value()),
 	}
 	if total := st.Hits + st.Misses + st.Stale; total > 0 {
 		st.HitRate = float64(st.Hits) / float64(total)

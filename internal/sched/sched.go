@@ -29,6 +29,7 @@
 package sched
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -222,7 +223,8 @@ type Options struct {
 	QueueDepth int
 	// Now is the wall clock (tests). Default time.Now.
 	Now func() time.Time
-	// Registry optionally receives the caladrius_sched_* series.
+	// Registry receives the caladrius_sched_* series. Default: a
+	// private registry.
 	Registry *telemetry.Registry
 }
 
@@ -249,9 +251,6 @@ type Scheduler struct {
 	closed      bool
 	busy        int
 	avgRunNanos float64 // EWMA of completed run durations
-	runs        uint64
-	coalesced   uint64
-	sheds       uint64
 	wg          sync.WaitGroup
 }
 
@@ -274,6 +273,7 @@ func New(opts Options) *Scheduler {
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
+	opts.Registry = cmp.Or(opts.Registry, telemetry.NewRegistry())
 	s := &Scheduler{
 		workers:   opts.Workers,
 		depth:     opts.QueueDepth,
@@ -285,17 +285,15 @@ func New(opts Options) *Scheduler {
 		shedByT:   map[string]*telemetry.Counter{},
 	}
 	s.cond = sync.NewCond(&s.mu)
-	if s.reg != nil {
-		s.reg.SetHelp(MetricQueueDepth, "Model runs waiting in the scheduler queue.")
-		s.reg.SetHelp(MetricWorkersBusy, "Scheduler workers currently executing a model run.")
-		s.reg.SetHelp(MetricWaitSeconds, "Time model runs spend queued before a worker picks them up.")
-		s.reg.SetHelp(MetricRuns, "Model runs executed by the scheduler, by kind.")
-		s.reg.SetHelp(MetricCoalesced, "Submissions that joined an in-flight identical run, by kind.")
-		s.reg.SetHelp(MetricSheds, "Submissions shed by admission control, by tenant (cardinality-capped).")
-		s.queueDepthG = s.reg.Gauge(MetricQueueDepth, nil)
-		s.busyG = s.reg.Gauge(MetricWorkersBusy, nil)
-		s.waitHist = s.reg.Histogram(MetricWaitSeconds, telemetry.DefLatencyBuckets, nil)
-	}
+	s.reg.SetHelp(MetricQueueDepth, "Model runs waiting in the scheduler queue.")
+	s.reg.SetHelp(MetricWorkersBusy, "Scheduler workers currently executing a model run.")
+	s.reg.SetHelp(MetricWaitSeconds, "Time model runs spend queued before a worker picks them up.")
+	s.reg.SetHelp(MetricRuns, "Model runs executed by the scheduler, by kind.")
+	s.reg.SetHelp(MetricCoalesced, "Submissions that joined an in-flight identical run, by kind.")
+	s.reg.SetHelp(MetricSheds, "Submissions shed by admission control, by tenant (cardinality-capped).")
+	s.queueDepthG = s.reg.Gauge(MetricQueueDepth, nil)
+	s.busyG = s.reg.Gauge(MetricWorkersBusy, nil)
+	s.waitHist = s.reg.Histogram(MetricWaitSeconds, telemetry.DefLatencyBuckets, nil)
 	s.wg.Add(s.workers)
 	for i := 0; i < s.workers; i++ {
 		go s.worker()
@@ -321,12 +319,9 @@ func (s *Scheduler) Submit(ctx context.Context, req Request, fn func(context.Con
 	}
 	if req.Hash != 0 {
 		if r, ok := s.inflight[key]; ok {
-			s.coalesced++
 			kc := s.kindCountersLocked(req.Kind)
 			s.mu.Unlock()
-			if kc != nil {
-				kc.coalesced.Inc()
-			}
+			kc.coalesced.Inc()
 			return Handle{r: r, coalesced: true}, nil
 		}
 	}
@@ -344,13 +339,10 @@ func (s *Scheduler) Submit(ctx context.Context, req Request, fn func(context.Con
 		fair = 1
 	}
 	if s.queued >= s.depth && (s.tenants[req.Tenant] >= fair || s.queued >= 2*s.depth) {
-		s.sheds++
 		retry := s.retryAfterLocked()
 		shedC := s.shedCounterLocked(req.Tenant)
 		s.mu.Unlock()
-		if shedC != nil {
-			shedC.Inc()
-		}
+		shedC.Inc()
 		return Handle{}, &ErrOverloaded{Tenant: req.Tenant, RetryAfter: retry}
 	}
 	r := &run{done: make(chan struct{})}
@@ -369,9 +361,7 @@ func (s *Scheduler) Submit(ctx context.Context, req Request, fn func(context.Con
 	s.queues[req.Priority].push(it)
 	s.queued++
 	s.tenants[req.Tenant]++
-	if s.queueDepthG != nil {
-		s.queueDepthG.Set(float64(s.queued))
-	}
+	s.queueDepthG.Set(float64(s.queued))
 	s.cond.Signal()
 	s.mu.Unlock()
 	return Handle{r: r}, nil
@@ -398,11 +388,8 @@ func (s *Scheduler) retryAfterLocked() time.Duration {
 
 // kindCountersLocked interns the per-kind run/coalesced counters.
 // Kinds come from the API tier's fixed route set, so cardinality is
-// naturally bounded. Caller holds s.mu; returns nil with no registry.
+// naturally bounded. Caller holds s.mu.
 func (s *Scheduler) kindCountersLocked(kind string) *kindCounters {
-	if s.reg == nil {
-		return nil
-	}
 	kc, ok := s.runCounts[kind]
 	if !ok {
 		kc = &kindCounters{
@@ -416,11 +403,8 @@ func (s *Scheduler) kindCountersLocked(kind string) *kindCounters {
 
 // shedCounterLocked interns the per-tenant shed counter, capped at
 // shedTenantCap distinct tenants (overflow → "other"). Caller holds
-// s.mu; returns nil with no registry.
+// s.mu.
 func (s *Scheduler) shedCounterLocked(tenant string) *telemetry.Counter {
-	if s.reg == nil {
-		return nil
-	}
 	if c, ok := s.shedByT[tenant]; ok {
 		return c
 	}
@@ -454,17 +438,12 @@ func (s *Scheduler) worker() {
 		}
 		s.queued--
 		s.busy++
-		if s.queueDepthG != nil {
-			s.queueDepthG.Set(float64(s.queued))
-			s.busyG.Set(float64(s.busy))
-		}
+		s.queueDepthG.Set(float64(s.queued))
+		s.busyG.Set(float64(s.busy))
 		kc := s.kindCountersLocked(it.req.Kind)
 		s.mu.Unlock()
 
-		wait := s.now().Sub(it.enqueued)
-		if s.waitHist != nil {
-			s.waitHist.Observe(wait.Seconds())
-		}
+		s.waitHist.Observe(s.now().Sub(it.enqueued).Seconds())
 		it.waitSpan.End()
 		start := s.now()
 		result, err := runSafely(it.ctx, it.fn)
@@ -472,10 +451,7 @@ func (s *Scheduler) worker() {
 
 		s.mu.Lock()
 		s.busy--
-		s.runs++
-		if s.busyG != nil {
-			s.busyG.Set(float64(s.busy))
-		}
+		s.busyG.Set(float64(s.busy))
 		if s.tenants[it.req.Tenant]--; s.tenants[it.req.Tenant] <= 0 {
 			delete(s.tenants, it.req.Tenant)
 		}
@@ -489,9 +465,7 @@ func (s *Scheduler) worker() {
 			s.avgRunNanos += 0.2 * (float64(elapsed) - s.avgRunNanos)
 		}
 		s.mu.Unlock()
-		if kc != nil {
-			kc.runs.Inc()
-		}
+		kc.runs.Inc()
 		it.r.complete(result, err)
 	}
 }
@@ -532,9 +506,7 @@ func (s *Scheduler) Close() {
 			delete(s.inflight, it.key)
 		}
 	}
-	if s.queueDepthG != nil {
-		s.queueDepthG.Set(0)
-	}
+	s.queueDepthG.Set(0)
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	for _, it := range drained {
@@ -557,21 +529,27 @@ type Stats struct {
 	MeanRunMs     float64 `json:"mean_run_ms"`
 }
 
-// Stats snapshots the scheduler.
+// Stats snapshots the scheduler. Runs, Coalesced and Sheds sum the
+// per-kind and per-tenant counters /metrics exports.
 func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Stats{
+	st := Stats{
 		Workers:       s.workers,
 		QueueLimit:    s.depth,
 		Queued:        s.queued,
 		Busy:          s.busy,
-		Runs:          s.runs,
-		Coalesced:     s.coalesced,
-		Sheds:         s.sheds,
 		ActiveTenants: len(s.tenants),
 		MeanRunMs:     s.avgRunNanos / float64(time.Millisecond),
 	}
+	for _, kc := range s.runCounts {
+		st.Runs += uint64(kc.runs.Value())
+		st.Coalesced += uint64(kc.coalesced.Value())
+	}
+	for _, c := range s.shedByT {
+		st.Sheds += uint64(c.Value())
+	}
+	return st
 }
 
 // Hash64 is the FNV-1a fingerprint helper callers build request input

@@ -216,10 +216,6 @@ func NewRegistry() *Registry {
 	return &Registry{families: map[string]*family{}}
 }
 
-// Default is the process-wide registry used by binaries that do not
-// wire an explicit one.
-var Default = NewRegistry()
-
 // SetHelp attaches HELP text to a metric name.
 func (r *Registry) SetHelp(name, help string) {
 	r.mu.Lock()

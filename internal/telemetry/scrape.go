@@ -23,19 +23,18 @@ import (
 //   - histograms: "<name>_count", "<name>_sum" and one cumulative
 //     "<name>_bucket" series per bound with an extra `le` label, plus
 //     derived per-interval quantile gauges under "<name>:p50" /
-//     "<name>:p95" / "<name>:p99" (configurable), interpolated from the
-//     bucket increase since the previous scrape — the windowed latency
-//     series dashboards and SLO rules want.
+//     "<name>:p95" / "<name>:p99", interpolated from the bucket increase
+//     since the previous scrape — the windowed latency series dashboards
+//     and SLO rules want.
 //
 // The scraper registers its own instruments (scrape runs, samples
 // appended, last duration, retained points) into the same registry, so
 // the pipeline observes itself.
 type Scraper struct {
-	reg       *Registry
-	db        *tsdb.DB
-	interval  time.Duration
-	now       func() time.Time
-	quantiles []float64
+	reg      *Registry
+	db       *tsdb.DB
+	interval time.Duration
+	now      func() time.Time
 
 	mu           sync.Mutex
 	lastScrape   time.Time
@@ -79,20 +78,19 @@ type scrapeHandle struct {
 	gen uint64
 }
 
+// scrapeQuantiles are the per-interval histogram quantiles the scraper
+// derives.
+var scrapeQuantiles = [...]float64{0.5, 0.95, 0.99}
+
 // ScrapeOptions configures a Scraper.
 type ScrapeOptions struct {
 	// Interval is the scrape period for Run. Default: 5s.
 	Interval time.Duration
 	// Now stamps scrape times in Run. Default: time.Now.
 	Now func() time.Time
-	// Quantiles are the per-interval histogram quantiles to derive.
-	// Default: 0.5, 0.95, 0.99. Each must lie in (0, 1).
-	Quantiles []float64
 }
 
-// NewScraper builds a scraper from reg into db. It panics on a
-// quantile outside (0, 1) — a programming error, like a bad bucket
-// layout.
+// NewScraper builds a scraper from reg into db.
 func NewScraper(reg *Registry, db *tsdb.DB, opts ScrapeOptions) *Scraper {
 	if reg == nil || db == nil {
 		panic("telemetry: scraper needs a registry and a history db")
@@ -103,14 +101,6 @@ func NewScraper(reg *Registry, db *tsdb.DB, opts ScrapeOptions) *Scraper {
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
-	if opts.Quantiles == nil {
-		opts.Quantiles = []float64{0.5, 0.95, 0.99}
-	}
-	for _, q := range opts.Quantiles {
-		if q <= 0 || q >= 1 {
-			panic("telemetry: scrape quantile outside (0, 1)")
-		}
-	}
 	reg.SetHelp("caladrius_scrape_runs_total", "Self-monitoring scrape cycles completed.")
 	reg.SetHelp("caladrius_scrape_samples_total", "Samples appended into the history store.")
 	reg.SetHelp("caladrius_scrape_last_duration_seconds", "Wall-clock cost of the most recent scrape.")
@@ -120,7 +110,6 @@ func NewScraper(reg *Registry, db *tsdb.DB, opts ScrapeOptions) *Scraper {
 		db:           db,
 		interval:     opts.Interval,
 		now:          opts.Now,
-		quantiles:    opts.Quantiles,
 		prevCounters: map[string]prevCounter{},
 		prevBuckets:  map[string]prevBuckets{},
 		handles:      map[string]scrapeHandle{},
@@ -278,7 +267,7 @@ func (s *Scraper) appendQuantiles(name string, labels Labels, key string, bounds
 	if inc[len(inc)-1] <= 0 { // nothing observed this interval
 		return
 	}
-	for _, q := range s.quantiles {
+	for _, q := range scrapeQuantiles {
 		v := EstimateQuantile(bounds, inc, q)
 		s.emit(key+"|"+QuantileSeries("", q), QuantileSeries(name, q), labels, "", "", t, v)
 	}

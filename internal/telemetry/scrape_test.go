@@ -81,7 +81,7 @@ func TestScrapeCounterReset(t *testing.T) {
 func TestScrapeHistogramBucketsAndQuantiles(t *testing.T) {
 	reg := NewRegistry()
 	db := tsdb.New(0)
-	s := NewScraper(reg, db, ScrapeOptions{Quantiles: []float64{0.95}})
+	s := NewScraper(reg, db, ScrapeOptions{})
 	h := reg.Histogram("latency_seconds", []float64{0.1, 0.2, 0.4}, Labels{"route": "/x"})
 	h.Observe(0.05)
 	s.ScrapeOnce(scrapeT0)

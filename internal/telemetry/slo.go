@@ -310,6 +310,32 @@ func DefaultSLORules() []Rule {
 	}
 }
 
+// lastValueWindow bounds how far back the model-accuracy and profiler
+// rules look for their latest value: a few resolver cycles and
+// profiler epochs.
+const lastValueWindow = 15 * time.Minute
+
+// ProfilerRules returns the SLO rule fed by the continuous profiler's
+// caladrius_profile_* series: it fires when some function's share of
+// CPU flat time has regressed past deltaThreshold (a fraction of
+// total, so 0.2 = 20 percentage points) versus the profiling
+// baseline. The metric name is written out rather than imported so
+// telemetry stays dependency-free, mirroring ModelAccuracyRules.
+func ProfilerRules(deltaThreshold float64) []Rule {
+	return []Rule{
+		{
+			Name:        "profile-hot-function-regression",
+			Description: "a function's share of CPU flat time regressed past the budget versus the profiling baseline",
+			Metric:      "caladrius_profile_top_regression_delta",
+			Selector:    tsdb.Labels{"kind": "cpu"},
+			Agg:         tsdb.AggLast,
+			Window:      lastValueWindow,
+			Op:          OpGreater,
+			Threshold:   deltaThreshold,
+		},
+	}
+}
+
 // ModelAccuracyRules returns the two SLO rules fed by the prediction
 // audit ledger's caladrius_model_* series (internal/audit). The metric
 // names are written out rather than imported so telemetry stays
@@ -318,43 +344,15 @@ func DefaultSLORules() []Rule {
 // mapeThreshold is the rolling MAPE above which model accuracy counts
 // as drifted (e.g. 0.25 = 25% mean error); staleAfter is how old a
 // topology's calibration may grow before the stale-calibration rule
-// fires. window bounds how far back each rule looks for its latest
-// value — size it to a few resolver cycles.
-// ProfilerRules returns the SLO rule fed by the continuous profiler's
-// caladrius_profile_* series: it fires when some function's share of
-// CPU flat time has regressed past deltaThreshold (a fraction of
-// total, so 0.2 = 20 percentage points) versus the profiling
-// baseline. The metric name is written out rather than imported so
-// telemetry stays dependency-free, mirroring ModelAccuracyRules.
-func ProfilerRules(deltaThreshold float64, window time.Duration) []Rule {
-	if window <= 0 {
-		window = 15 * time.Minute
-	}
-	return []Rule{
-		{
-			Name:        "profile-hot-function-regression",
-			Description: "a function's share of CPU flat time regressed past the budget versus the profiling baseline",
-			Metric:      "caladrius_profile_top_regression_delta",
-			Selector:    tsdb.Labels{"kind": "cpu"},
-			Agg:         tsdb.AggLast,
-			Window:      window,
-			Op:          OpGreater,
-			Threshold:   deltaThreshold,
-		},
-	}
-}
-
-func ModelAccuracyRules(mapeThreshold float64, staleAfter, window time.Duration) []Rule {
-	if window <= 0 {
-		window = 15 * time.Minute
-	}
+// fires.
+func ModelAccuracyRules(mapeThreshold float64, staleAfter time.Duration) []Rule {
 	return []Rule{
 		{
 			Name:        "model-accuracy-drift",
 			Description: "rolling prediction MAPE above threshold — the model's view of the topology has drifted from its observed behaviour",
 			Metric:      "caladrius_model_mape",
 			Agg:         tsdb.AggLast,
-			Window:      window,
+			Window:      lastValueWindow,
 			Op:          OpGreater,
 			Threshold:   mapeThreshold,
 		},
@@ -363,7 +361,7 @@ func ModelAccuracyRules(mapeThreshold float64, staleAfter, window time.Duration)
 			Description: "topology model calibration older than the staleness budget",
 			Metric:      "caladrius_model_calibration_age_seconds",
 			Agg:         tsdb.AggLast,
-			Window:      window,
+			Window:      lastValueWindow,
 			Op:          OpGreater,
 			Threshold:   staleAfter.Seconds(),
 		},

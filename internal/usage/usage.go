@@ -27,6 +27,7 @@
 package usage
 
 import (
+	"cmp"
 	"sync"
 	"time"
 
@@ -99,8 +100,7 @@ func (t *Totals) add(o Totals) {
 // into this many rotating slots, expired lazily by epoch.
 const windowSlots = 8
 
-// instruments holds one principal's registry series. Nil when the
-// accountant was built without a registry.
+// instruments holds one principal's registry series.
 type instruments struct {
 	requests *telemetry.Counter
 	errors   *telemetry.Counter
@@ -133,8 +133,8 @@ type Options struct {
 	Window time.Duration
 	// Now stamps window slots. Default time.Now.
 	Now func() time.Time
-	// Registry optionally receives per-principal series and the
-	// accountant's self-metrics. Nil keeps accounting in-process only.
+	// Registry receives per-principal series and the accountant's
+	// self-metrics. Default: a private registry.
 	Registry *telemetry.Registry
 }
 
@@ -155,7 +155,6 @@ type Accountant struct {
 	head    *entry // most recently used
 	tail    *entry // least recently used
 	other   *entry // sticky rollup bucket, created lazily
-	evicted uint64
 }
 
 // New builds an accountant.
@@ -169,6 +168,7 @@ func New(opts Options) *Accountant {
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
+	opts.Registry = cmp.Or(opts.Registry, telemetry.NewRegistry())
 	a := &Accountant{
 		capacity: opts.Capacity,
 		window:   opts.Window,
@@ -180,21 +180,19 @@ func New(opts Options) *Accountant {
 	if a.slotDur <= 0 {
 		a.slotDur = time.Second
 	}
-	if a.reg != nil {
-		a.reg.SetHelp(MetricRequests, "Requests attributed to a (tenant, topology) principal.")
-		a.reg.SetHelp(MetricErrors, "5xx responses attributed to a principal.")
-		a.reg.SetHelp(MetricLatency, "Attributed request latency, by principal.")
-		a.reg.SetHelp(MetricInFlight, "Requests currently in flight, by principal.")
-		a.reg.SetHelp(MetricWallSecs, "Model-run wall time attributed to a principal.")
-		a.reg.SetHelp(MetricCPUSecs, "Model-run CPU thread time attributed to a principal.")
-		a.reg.SetHelp(MetricAllocBytes, "Model-run heap bytes allocated, attributed to a principal.")
-		a.reg.SetHelp(MetricSimTicks, "Simulator ticks attributed to a principal.")
-		a.reg.SetHelp(MetricRuns, "Model runs (predict/plan/calibrate) attributed to a principal.")
-		a.reg.SetHelp(MetricEvictions, "Principals LRU-evicted into the usage rollup bucket.")
-		a.reg.SetHelp(MetricPrincipals, "Live principals tracked by the usage accountant.")
-		a.evictions = a.reg.Counter(MetricEvictions, nil)
-		a.principals = a.reg.Gauge(MetricPrincipals, nil)
-	}
+	a.reg.SetHelp(MetricRequests, "Requests attributed to a (tenant, topology) principal.")
+	a.reg.SetHelp(MetricErrors, "5xx responses attributed to a principal.")
+	a.reg.SetHelp(MetricLatency, "Attributed request latency, by principal.")
+	a.reg.SetHelp(MetricInFlight, "Requests currently in flight, by principal.")
+	a.reg.SetHelp(MetricWallSecs, "Model-run wall time attributed to a principal.")
+	a.reg.SetHelp(MetricCPUSecs, "Model-run CPU thread time attributed to a principal.")
+	a.reg.SetHelp(MetricAllocBytes, "Model-run heap bytes allocated, attributed to a principal.")
+	a.reg.SetHelp(MetricSimTicks, "Simulator ticks attributed to a principal.")
+	a.reg.SetHelp(MetricRuns, "Model runs (predict/plan/calibrate) attributed to a principal.")
+	a.reg.SetHelp(MetricEvictions, "Principals LRU-evicted into the usage rollup bucket.")
+	a.reg.SetHelp(MetricPrincipals, "Live principals tracked by the usage accountant.")
+	a.evictions = a.reg.Counter(MetricEvictions, nil)
+	a.principals = a.reg.Gauge(MetricPrincipals, nil)
 	return a
 }
 
@@ -217,9 +215,7 @@ func (a *Accountant) Len() int {
 
 // Evictions returns how many principals were rolled into "other".
 func (a *Accountant) Evictions() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.evicted
+	return uint64(a.evictions.Value())
 }
 
 // Begin marks one request in flight for the principal.
@@ -227,9 +223,7 @@ func (a *Accountant) Begin(tenant, topology string) {
 	a.mu.Lock()
 	e := a.getLocked(Principal{Tenant: tenant, Topology: topology})
 	e.inFlight++
-	if e.inst != nil {
-		e.inst.inFlight.Inc()
-	}
+	e.inst.inFlight.Inc()
 	a.mu.Unlock()
 }
 
@@ -255,14 +249,12 @@ func (a *Accountant) Finish(tenant, topology string, status int, elapsed time.Du
 		e.tot.Errors++
 		w.Errors++
 	}
-	if e.inst != nil {
-		e.inst.inFlight.Dec()
-		e.inst.requests.Inc()
-		if isErr {
-			e.inst.errors.Inc()
-		}
-		e.inst.latency.Observe(elapsed.Seconds())
+	e.inst.inFlight.Dec()
+	e.inst.requests.Inc()
+	if isErr {
+		e.inst.errors.Inc()
 	}
+	e.inst.latency.Observe(elapsed.Seconds())
 	a.mu.Unlock()
 }
 
@@ -290,13 +282,11 @@ func (a *Accountant) RecordRun(tenant, topology string, wall, cpu time.Duration,
 	w.AllocBytes += allocBytes
 	e.tot.SimTicks += simTicks
 	w.SimTicks += simTicks
-	if e.inst != nil {
-		e.inst.runs.Inc()
-		e.inst.wall.Add(wall.Seconds())
-		e.inst.cpu.Add(cpu.Seconds())
-		e.inst.allocs.Add(float64(allocBytes))
-		e.inst.ticks.Add(float64(simTicks))
-	}
+	e.inst.runs.Inc()
+	e.inst.wall.Add(wall.Seconds())
+	e.inst.cpu.Add(cpu.Seconds())
+	e.inst.allocs.Add(float64(allocBytes))
+	e.inst.ticks.Add(float64(simTicks))
 	a.mu.Unlock()
 }
 
@@ -320,15 +310,10 @@ func (a *Accountant) getLocked(p Principal) *entry {
 	if live >= a.capacity {
 		a.evictLocked()
 	}
-	e := &entry{p: p}
-	if a.reg != nil {
-		e.inst = a.registerLocked(p)
-	}
+	e := &entry{p: p, inst: a.registerLocked(p)}
 	a.entries[p] = e
 	a.pushFrontLocked(e)
-	if a.principals != nil {
-		a.principals.Set(float64(len(a.entries) - a.otherCount()))
-	}
+	a.principals.Set(float64(len(a.entries) - a.otherCount()))
 	return e
 }
 
@@ -369,10 +354,7 @@ func (a *Accountant) unregisterLocked(p Principal) {
 func (a *Accountant) otherLocked() *entry {
 	if a.other == nil {
 		p := Principal{Tenant: Rollup, Topology: Rollup}
-		a.other = &entry{p: p}
-		if a.reg != nil {
-			a.other.inst = a.registerLocked(p)
-		}
+		a.other = &entry{p: p, inst: a.registerLocked(p)}
 		a.entries[p] = a.other
 	}
 	return a.other
@@ -413,26 +395,19 @@ func (a *Accountant) evictLocked() {
 			o.winEpoch[i] = ve
 		}
 	}
-	if o.inst != nil && victim.inst != nil {
-		o.inst.requests.Add(float64(victim.tot.Requests))
-		o.inst.errors.Add(float64(victim.tot.Errors))
-		o.inst.latency.Merge(victim.inst.latency)
-		o.inst.inFlight.Add(float64(victim.inFlight))
-		o.inst.wall.Add(time.Duration(victim.tot.WallNanos).Seconds())
-		o.inst.cpu.Add(time.Duration(victim.tot.CPUNanos).Seconds())
-		o.inst.allocs.Add(float64(victim.tot.AllocBytes))
-		o.inst.ticks.Add(float64(victim.tot.SimTicks))
-		o.inst.runs.Add(float64(victim.tot.Runs))
-	}
+	o.inst.requests.Add(float64(victim.tot.Requests))
+	o.inst.errors.Add(float64(victim.tot.Errors))
+	o.inst.latency.Merge(victim.inst.latency)
+	o.inst.inFlight.Add(float64(victim.inFlight))
+	o.inst.wall.Add(time.Duration(victim.tot.WallNanos).Seconds())
+	o.inst.cpu.Add(time.Duration(victim.tot.CPUNanos).Seconds())
+	o.inst.allocs.Add(float64(victim.tot.AllocBytes))
+	o.inst.ticks.Add(float64(victim.tot.SimTicks))
+	o.inst.runs.Add(float64(victim.tot.Runs))
 	a.removeLocked(victim)
 	delete(a.entries, victim.p)
-	if a.reg != nil {
-		a.unregisterLocked(victim.p)
-	}
-	a.evicted++
-	if a.evictions != nil {
-		a.evictions.Inc()
-	}
+	a.unregisterLocked(victim.p)
+	a.evictions.Inc()
 }
 
 // --- LRU list ---------------------------------------------------------------

@@ -7,18 +7,19 @@
 # run under -race here), the nested benchmark module's vet and tests —
 # it compiles against internal/*, so a signature change that breaks it
 # fails here and not in the benchmark driver — then a short fuzz smoke
-# over the six parsers that face untrusted input (config YAML — both
+# over the seven parsers that face untrusted input (config YAML — both
 # the untyped yamlite layer and the typed settings on top of it — API
-# range queries, pprof protobuf profiles, TSDB snapshot files, audit
-# ledger snapshot files, chaos fault plans) and the
+# range queries, Gremlin graph queries, pprof protobuf profiles, TSDB
+# snapshot files, audit ledger snapshot files, chaos fault plans) and the
 # Downsample-vs-reference differential,
 # and finally a ~10s smoke soak: caladriussoak drives an in-process
 # daemon through a chaos metrics outage and exits non-zero unless the
 # 5xx SLO fires and resolves, every response is accounted for and the
 # process returns to its goroutine and heap baseline. Last, it
 # prints scripts/loc.sh's non-test line counts, the number net-negative
-# PRs quote, and how many functions (and lines) under internal/ only
-# tests reach, from the reachability test in exports_test.go.
+# PRs quote, and how many functions (and lines) and exported variables
+# under internal/ only tests reach, from the reachability test in
+# exports_test.go.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,6 +45,7 @@ FUZZTIME="${VERIFY_FUZZTIME:-10s}"
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime "$FUZZTIME" ./internal/yamlite
 go test -run '^$' -fuzz '^FuzzConfigParse$' -fuzztime "$FUZZTIME" ./internal/config
 go test -run '^$' -fuzz '^FuzzParseQueryRange$' -fuzztime "$FUZZTIME" ./internal/api
+go test -run '^$' -fuzz '^FuzzGremlinQuery$' -fuzztime "$FUZZTIME" ./internal/graph
 go test -run '^$' -fuzz '^FuzzPprofParse$' -fuzztime "$FUZZTIME" ./internal/profiler
 go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime "$FUZZTIME" ./internal/tsdb
 go test -run '^$' -fuzz '^FuzzAuditReadSnapshot$' -fuzztime "$FUZZTIME" ./internal/audit
