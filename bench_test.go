@@ -4,11 +4,11 @@
 //
 //	go test -bench=. -benchmem
 //
-// Each BenchmarkFigNN target executes the full experiment — simulator
-// sweeps, model calibration, prediction and validation — and reports
-// the figure's headline findings once. Micro-benchmarks for the hot
-// paths (simulation stepping, model evaluation, forecasting, metrics
-// queries) follow.
+// Each BenchmarkExperiments sub-benchmark executes one row of the
+// evaluation — simulator sweeps, model calibration, prediction and
+// validation — and reports its figures' headline findings once.
+// Micro-benchmarks for the hot paths (simulation stepping, model
+// evaluation, forecasting, metrics queries) follow.
 package caladrius_test
 
 import (
@@ -41,87 +41,35 @@ import (
 )
 
 // benchSweep keeps figure benchmarks fast while preserving shape.
-var benchSweep = experiments.SweepOptions{WarmupMinutes: 3, MeasureMinutes: 4, Tick: 200 * time.Millisecond}
+var benchSweep = experiments.SweepOptions{WarmupMinutes: 3, MeasureMinutes: 4, Tick: 200 * time.Millisecond, Repeats: 5, NoiseStd: 0.015}
 
 var reportOnce sync.Map
 
-// runFigure executes one experiment per iteration, printing its
-// findings the first time.
-func runFigure(b *testing.B, name string, run func() (experiments.Table, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		tbl, err := run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, loaded := reportOnce.LoadOrStore(name, true); !loaded {
-			b.Logf("\n%s", tbl.ASCII())
-		}
+// BenchmarkExperiments runs each row of the evaluation once per
+// iteration, as a sub-benchmark named after the tables it produces
+// (BenchmarkExperiments/fig04+fig05+fig06 is Figs. 4–6's one sweep),
+// and logs the row's tables the first time.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Experiments {
+		name := strings.Join(e.Tables, "+")
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tables, err := e.Run(benchSweep)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, loaded := reportOnce.LoadOrStore(name, true); !loaded {
+					for _, tbl := range tables {
+						b.Logf("\n%s", tbl.ASCII())
+					}
+				}
+			}
+		})
 	}
 }
 
-func BenchmarkFig04InstanceThroughput(b *testing.B) {
-	runFigure(b, "fig04", func() (experiments.Table, error) { return experiments.Fig04InstanceThroughput(benchSweep) })
-}
-
-func BenchmarkFig05IORatio(b *testing.B) {
-	runFigure(b, "fig05", func() (experiments.Table, error) { return experiments.Fig05IORatio(benchSweep) })
-}
-
-func BenchmarkFig06BackpressureTime(b *testing.B) {
-	runFigure(b, "fig06", func() (experiments.Table, error) { return experiments.Fig06BackpressureTime(benchSweep) })
-}
-
-func BenchmarkFig07ComponentModel(b *testing.B) {
-	runFigure(b, "fig07", func() (experiments.Table, error) { return experiments.Fig07ComponentModel(benchSweep) })
-}
-
-func BenchmarkFig08ComponentValidation(b *testing.B) {
-	runFigure(b, "fig08", func() (experiments.Table, error) { return experiments.Fig08ComponentValidation(benchSweep) })
-}
-
-func BenchmarkFig09CounterModel(b *testing.B) {
-	runFigure(b, "fig09", func() (experiments.Table, error) { return experiments.Fig09CounterModel(benchSweep) })
-}
-
-func BenchmarkFig10CriticalPath(b *testing.B) {
-	runFigure(b, "fig10", func() (experiments.Table, error) { return experiments.Fig10CriticalPath(benchSweep) })
-}
-
-func BenchmarkFig11CPULoad(b *testing.B) {
-	runFigure(b, "fig11", func() (experiments.Table, error) { return experiments.Fig11CPULoad(benchSweep) })
-}
-
-func BenchmarkFig12CPUValidation(b *testing.B) {
-	runFigure(b, "fig12", func() (experiments.Table, error) { return experiments.Fig12CPUValidation(benchSweep) })
-}
-
-func BenchmarkTrafficForecast(b *testing.B) {
-	runFigure(b, "traffic", experiments.TrafficForecast)
-}
-
-func BenchmarkDhalionVsCaladrius(b *testing.B) {
-	runFigure(b, "dhalion", experiments.DhalionVsCaladrius)
-}
-
-func BenchmarkAblationWatermarkGap(b *testing.B) {
-	runFigure(b, "ablation-watermarks", func() (experiments.Table, error) { return experiments.AblationWatermarkGap(benchSweep) })
-}
-
-func BenchmarkAblationCalibrationAttribution(b *testing.B) {
-	runFigure(b, "ablation-attribution", func() (experiments.Table, error) { return experiments.AblationCalibrationAttribution(benchSweep) })
-}
-
-func BenchmarkAblationNoiseVsError(b *testing.B) {
-	runFigure(b, "ablation-noise", func() (experiments.Table, error) { return experiments.AblationNoiseVsError(benchSweep) })
-}
-
-func BenchmarkAblationSchedulerPlans(b *testing.B) {
-	runFigure(b, "ablation-schedulers", experiments.AblationSchedulerPlans)
-}
-
 // BenchmarkSweepParallel pits the sweep engine's worker pool against
-// the sequential path on the same multi-rate figure (Fig. 4: 20 rate
+// the sequential path on the same multi-rate sweep (Figs. 4–6: 20 rate
 // points × 5 repeats = 100 independent simulations). The outputs are
 // byte-identical; only the wall clock differs, by up to min(8,
 // GOMAXPROCS)× on unloaded hardware. The benchmark measures the ratio
@@ -130,8 +78,12 @@ func benchSweepParallel(b *testing.B, parallelism int) {
 	b.Helper()
 	sweep := benchSweep
 	sweep.Parallelism = parallelism
+	row, ok := experiments.Lookup("fig04")
+	if !ok {
+		b.Fatal("no row produces fig04")
+	}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig04InstanceThroughput(sweep); err != nil {
+		if _, err := row.Run(sweep); err != nil {
 			b.Fatal(err)
 		}
 	}

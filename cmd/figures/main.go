@@ -1,6 +1,9 @@
 // Command figures regenerates the paper's evaluation figures
-// (Figures 4–12 plus the traffic-forecast and Dhalion comparisons),
-// printing each as an ASCII table and optionally writing CSVs.
+// (Figures 4–12 plus the traffic-forecast and Dhalion comparisons and
+// four ablations), printing each as an ASCII table and optionally
+// writing CSVs. It runs every row of experiments.Experiments that
+// produces a selected table; -only names tables, and only those are
+// printed and written.
 //
 // Usage:
 //
@@ -10,8 +13,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -19,54 +24,38 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	only := flag.String("only", "", "comma-separated experiment names (fig04..fig12, traffic, dhalion)")
-	out := flag.String("out", "", "directory to write CSV files into")
-	accurate := flag.Bool("accurate", false, "longer runs and finer ticks for tighter averages")
-	parallel := flag.Int("parallel", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = sequential; output is identical at any setting)")
-	flag.Parse()
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("figures", flag.ExitOnError)
+	only := fs.String("only", "", "comma-separated experiment names (fig04..fig12, traffic, dhalion, ablation-*)")
+	out := fs.String("out", "", "directory to write CSV files into")
+	accurate := fs.Bool("accurate", false, "longer runs and finer ticks for tighter averages")
+	parallel := fs.Int("parallel", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = sequential; output is identical at any setting)")
+	fs.Parse(args)
 
 	sweep := experiments.DefaultSweep
 	if *accurate {
-		sweep = experiments.SweepOptions{WarmupMinutes: 8, MeasureMinutes: 10, Tick: 50 * time.Millisecond}
+		sweep.WarmupMinutes, sweep.MeasureMinutes, sweep.Tick = 8, 10, 50*time.Millisecond
 	}
 	sweep.Parallelism = *parallel
 
-	runners := map[string]func() (experiments.Table, error){
-		"fig04":                func() (experiments.Table, error) { return experiments.Fig04InstanceThroughput(sweep) },
-		"fig05":                func() (experiments.Table, error) { return experiments.Fig05IORatio(sweep) },
-		"fig06":                func() (experiments.Table, error) { return experiments.Fig06BackpressureTime(sweep) },
-		"fig07":                func() (experiments.Table, error) { return experiments.Fig07ComponentModel(sweep) },
-		"fig08":                func() (experiments.Table, error) { return experiments.Fig08ComponentValidation(sweep) },
-		"fig09":                func() (experiments.Table, error) { return experiments.Fig09CounterModel(sweep) },
-		"fig10":                func() (experiments.Table, error) { return experiments.Fig10CriticalPath(sweep) },
-		"fig11":                func() (experiments.Table, error) { return experiments.Fig11CPULoad(sweep) },
-		"fig12":                func() (experiments.Table, error) { return experiments.Fig12CPUValidation(sweep) },
-		"traffic":              experiments.TrafficForecast,
-		"dhalion":              experiments.DhalionVsCaladrius,
-		"ablation-watermarks":  func() (experiments.Table, error) { return experiments.AblationWatermarkGap(sweep) },
-		"ablation-attribution": func() (experiments.Table, error) { return experiments.AblationCalibrationAttribution(sweep) },
-		"ablation-noise":       func() (experiments.Table, error) { return experiments.AblationNoiseVsError(sweep) },
-		"ablation-schedulers":  experiments.AblationSchedulerPlans,
-	}
-	order := []string{"fig04", "fig05", "fig06", "fig07", "fig08", "fig09", "fig10", "fig11", "fig12", "traffic", "dhalion",
-		"ablation-watermarks", "ablation-attribution", "ablation-noise", "ablation-schedulers"}
-
-	selected := order
+	selected := map[string]bool{}
 	if *only != "" {
-		selected = nil
 		for _, name := range strings.Split(*only, ",") {
 			name = strings.TrimSpace(name)
-			if _, ok := runners[name]; !ok {
-				return fmt.Errorf("unknown experiment %q (have %s)", name, strings.Join(order, ", "))
+			if _, ok := experiments.Lookup(name); !ok {
+				var have []string
+				for _, e := range experiments.Experiments {
+					have = append(have, e.Tables...)
+				}
+				return fmt.Errorf("unknown experiment %q (have %s)", name, strings.Join(have, ", "))
 			}
-			selected = append(selected, name)
+			selected[name] = true
 		}
 	}
 	if *out != "" {
@@ -74,20 +63,31 @@ func run() error {
 			return err
 		}
 	}
-	for _, name := range selected {
-		started := time.Now()
-		tbl, err := runners[name]()
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+	want := func(name string) bool { return len(selected) == 0 || selected[name] }
+	for _, e := range experiments.Experiments {
+		if !slices.ContainsFunc(e.Tables, want) {
+			continue
 		}
-		fmt.Println(tbl.ASCII())
-		fmt.Printf("   (%s in %.1fs)\n\n", name, time.Since(started).Seconds())
-		if *out != "" {
-			path := filepath.Join(*out, name+".csv")
-			if err := os.WriteFile(path, []byte(tbl.CSV()), 0o644); err != nil {
-				return err
+		started := time.Now()
+		tables, err := e.Run(sweep)
+		if err != nil {
+			return fmt.Errorf("%s: %w", strings.Join(e.Tables, ", "), err)
+		}
+		var shown []string
+		for _, tbl := range tables {
+			if !want(tbl.Name) {
+				continue
+			}
+			shown = append(shown, tbl.Name)
+			fmt.Fprintln(stdout, tbl.ASCII())
+			if *out != "" {
+				path := filepath.Join(*out, tbl.Name+".csv")
+				if err := os.WriteFile(path, []byte(tbl.CSV()), 0o644); err != nil {
+					return err
+				}
 			}
 		}
+		fmt.Fprintf(stdout, "   (%s in %.1fs)\n\n", strings.Join(shown, ", "), time.Since(started).Seconds())
 	}
 	return nil
 }

@@ -81,6 +81,9 @@ func run(o options, out, errOut io.Writer) error {
 		}
 		opts.Schedule = trace.Schedule()
 	}
+	// The simulation is built here rather than deployed through
+	// metrics.DeployWordCount because a fault plan has to be armed on it
+	// before it runs.
 	sim, err := heron.NewWordCount(opts)
 	if err != nil {
 		return err

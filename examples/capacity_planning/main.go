@@ -70,23 +70,17 @@ func run() error {
 		trace.RateAt(20*time.Hour)/1e6)
 	// The evening peak exceeds the counter's p=3 capacity (≈26.9 M
 	// sentences/min), so the bottleneck saturates daily and its SP is
-	// observable from history alone.
-	sim, err := heron.NewWordCount(heron.WordCountOptions{
+	// observable from history alone. Calibration skips the first 10
+	// minutes as warm-up.
+	d, err := metrics.DeployWordCount(heron.WordCountOptions{
 		SplitterP: 6, CounterP: 3,
 		Schedule: trace.Schedule(),
 		Tick:     time.Second,
-	})
+	}, 10, 3*24*60-10)
 	if err != nil {
 		return err
 	}
-	if err := sim.Run(3 * 24 * time.Hour); err != nil {
-		return err
-	}
-	prov, err := metrics.NewTSDBProvider(sim.DB(), time.Minute)
-	if err != nil {
-		return err
-	}
-	start, end := sim.Start(), sim.Start().Add(3*24*time.Hour)
+	prov, start, end := d.Provider, d.Start, d.End
 
 	// --- 2. Pick the best forecast model by backtest. ------------------
 	history, err := prov.SourceRate("word-count", []string{"spout"}, start, end)
@@ -136,11 +130,8 @@ func run() error {
 	fmt.Printf("== %s forecasts tomorrow's peak at %.1f M tuples/min (upper band)\n", best.Model, peak/1e6)
 
 	// --- 4. Plan capacity for the peak and dry-run-verify it. ----------
-	top, err := heron.WordCountTopology(8, 6, 3)
-	if err != nil {
-		return err
-	}
-	models, err := core.CalibrateTopologyFromProvider(prov, top, start, end, core.CalibrationOptions{Warmup: 10})
+	top := d.Topology
+	models, err := core.CalibrateTopologyFromProvider(prov, top, start, end, core.CalibrationOptions{Warmup: d.Warmup})
 	if err != nil {
 		return err
 	}

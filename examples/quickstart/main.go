@@ -14,7 +14,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"caladrius/internal/core"
 	"caladrius/internal/heron"
@@ -33,29 +32,23 @@ func run() error {
 
 	// --- 1. Deploy and observe. --------------------------------------
 	fmt.Println("== 1. deploying word-count (spout=8, splitter=2, counter=3) at 18 M tuples/min")
-	sim, err := heron.NewWordCount(heron.WordCountOptions{
+	// Each deployment stabilises for 4 minutes before it is measured.
+	const warmup = 4
+	deployed, err := metrics.DeployWordCount(heron.WordCountOptions{
 		SplitterP: 2, CounterP: 3, RatePerMinute: currentRate,
-	})
-	if err != nil {
-		return err
-	}
-	if err := sim.Run(15 * time.Minute); err != nil {
-		return err
-	}
-	provider, err := metrics.NewTSDBProvider(sim.DB(), time.Minute)
+	}, warmup, 11)
 	if err != nil {
 		return err
 	}
 
 	// --- 2. Calibrate component models from observed metrics. --------
 	fmt.Println("== 2. calibrating component models from 15 minutes of metrics")
-	window := sim.Start().Add(15 * time.Minute)
 	models := map[string]*core.ComponentModel{}
 	components := []string{"spout", "splitter", "counter"}
 	parallelism := map[string]int{"spout": 8, "splitter": 2, "counter": 3}
 	for _, comp := range components {
-		m, err := core.CalibrateFromProvider(provider, "word-count", comp, parallelism[comp],
-			sim.Start(), window, core.CalibrationOptions{Warmup: 4})
+		m, err := core.CalibrateFromProvider(deployed.Provider, "word-count", comp, parallelism[comp],
+			deployed.Start, deployed.End, core.CalibrationOptions{Warmup: warmup})
 		if err != nil {
 			return fmt.Errorf("calibrate %s: %w", comp, err)
 		}
@@ -70,19 +63,12 @@ func run() error {
 	// gets its own profiling run in which *it* is the bottleneck.
 	fmt.Println("== 2b. profiling saturation: one run per bolt, each as the bottleneck")
 	profile := func(splitterP, counterP int, rate float64, comp string, p int) error {
-		s, err := heron.NewWordCount(heron.WordCountOptions{SplitterP: splitterP, CounterP: counterP, RatePerMinute: rate})
+		d, err := metrics.DeployWordCount(heron.WordCountOptions{SplitterP: splitterP, CounterP: counterP, RatePerMinute: rate}, warmup, 11)
 		if err != nil {
 			return err
 		}
-		if err := s.Run(15 * time.Minute); err != nil {
-			return err
-		}
-		prov, err := metrics.NewTSDBProvider(s.DB(), time.Minute)
-		if err != nil {
-			return err
-		}
-		m, err := core.CalibrateFromProvider(prov, "word-count", comp, p,
-			s.Start(), s.Start().Add(15*time.Minute), core.CalibrationOptions{Warmup: 4})
+		m, err := core.CalibrateFromProvider(d.Provider, "word-count", comp, p,
+			d.Start, d.End, core.CalibrationOptions{Warmup: warmup})
 		if err != nil {
 			return err
 		}
@@ -134,24 +120,13 @@ func run() error {
 
 	// --- 4. Verify by deploying the suggestion. -----------------------
 	fmt.Println("== 4. verifying the suggestion on the simulator")
-	verify, err := heron.NewWordCount(heron.WordCountOptions{
+	verify, err := metrics.DeployWordCount(heron.WordCountOptions{
 		SplitterP: plan["splitter"], CounterP: plan["counter"], RatePerMinute: futureRate,
-	})
+	}, warmup, 8)
 	if err != nil {
 		return err
 	}
-	if err := verify.Run(12 * time.Minute); err != nil {
-		return err
-	}
-	vp, err := metrics.NewTSDBProvider(verify.DB(), time.Minute)
-	if err != nil {
-		return err
-	}
-	ws, err := vp.ComponentWindows("word-count", "counter", verify.Start(), verify.Start().Add(12*time.Minute))
-	if err != nil {
-		return err
-	}
-	ss, err := metrics.Summarise(ws, 4)
+	ss, err := verify.SteadyState("counter")
 	if err != nil {
 		return err
 	}

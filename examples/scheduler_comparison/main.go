@@ -19,7 +19,6 @@ import (
 	"log"
 	"sort"
 	"sync"
-	"time"
 
 	"caladrius/internal/core"
 	"caladrius/internal/graph"
@@ -143,23 +142,11 @@ func calibrate() (map[string]*core.ComponentModel, error) {
 		{6, 3, 35e6}, // counter saturates
 	}
 	for _, r := range runs {
-		sim, err := heron.NewWordCount(heron.WordCountOptions{SplitterP: r.splitterP, CounterP: r.counterP, RatePerMinute: r.rate})
+		d, err := metrics.DeployWordCount(heron.WordCountOptions{SplitterP: r.splitterP, CounterP: r.counterP, RatePerMinute: r.rate}, 4, 8)
 		if err != nil {
 			return nil, err
 		}
-		if err := sim.Run(12 * time.Minute); err != nil {
-			return nil, err
-		}
-		prov, err := metrics.NewTSDBProvider(sim.DB(), time.Minute)
-		if err != nil {
-			return nil, err
-		}
-		top, err := heron.WordCountTopology(8, r.splitterP, r.counterP)
-		if err != nil {
-			return nil, err
-		}
-		runModels, err := core.CalibrateTopologyFromProvider(prov, top,
-			sim.Start(), sim.Start().Add(12*time.Minute), core.CalibrationOptions{Warmup: 4})
+		runModels, err := core.CalibrateTopologyFromProvider(d.Provider, d.Topology, d.Start, d.End, core.CalibrationOptions{Warmup: d.Warmup})
 		if err != nil {
 			return nil, err
 		}

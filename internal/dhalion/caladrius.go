@@ -3,12 +3,8 @@ package dhalion
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"caladrius/internal/core"
-	"caladrius/internal/heron"
-	"caladrius/internal/metrics"
-	"caladrius/internal/topology"
 )
 
 // CaladriusTuner is the model-driven counterpart of Scaler: each
@@ -25,36 +21,13 @@ type CaladriusTuner struct {
 	RatePerMinute float64
 	// SLOThroughputTPM is the required sink throughput.
 	SLOThroughputTPM float64
-	// Headroom is the planning margin (default 0.15).
-	Headroom float64
-	// MaxRounds bounds the loop (default 6).
-	MaxRounds int
-	// BackpressureThresholdMs matches Scaler's symptom threshold
-	// (default 5000).
-	BackpressureThresholdMs float64
-	// StabiliseMinutes / MeasureMinutes shape each simulated
-	// deployment (defaults 5 / 7).
-	StabiliseMinutes, MeasureMinutes int
 }
 
-func (c CaladriusTuner) withDefaults() CaladriusTuner {
-	if c.Headroom == 0 {
-		c.Headroom = 0.15
-	}
-	if c.MaxRounds == 0 {
-		c.MaxRounds = 6
-	}
-	if c.BackpressureThresholdMs == 0 {
-		c.BackpressureThresholdMs = 5000
-	}
-	if c.StabiliseMinutes == 0 {
-		c.StabiliseMinutes = 5
-	}
-	if c.MeasureMinutes == 0 {
-		c.MeasureMinutes = 7
-	}
-	return c
-}
+// The tuner plans with tunerHeadroom and gives up after tunerMaxRounds.
+const (
+	tunerHeadroom  = 0.15
+	tunerMaxRounds = 6
+)
 
 // knownModel accumulates per-component knowledge across rounds. α and
 // ψ refresh every round; the per-instance SP — which is intrinsic to
@@ -69,38 +42,30 @@ type knownModel struct {
 
 // Run tunes the word-count topology from the initial parallelisms.
 func (c CaladriusTuner) Run(initial map[string]int) (Result, error) {
-	c = c.withDefaults()
 	if c.SLOThroughputTPM <= 0 || c.RatePerMinute <= 0 {
 		return Result{}, fmt.Errorf("dhalion: caladrius tuner needs positive rate and SLO")
 	}
 	current := cloneInts(initial)
 	known := map[string]*knownModel{}
 	res := Result{}
-	for round := 0; round < c.MaxRounds; round++ {
-		m, prov, top, start, end, err := c.deploy(current)
+	for round := 0; round < tunerMaxRounds; round++ {
+		m, d, err := deploy(c.RatePerMinute, current, tunerMeasureMinutes)
 		if err != nil {
 			return res, err
 		}
 		r := Round{Parallelisms: cloneInts(current), Measurement: m}
-		sloMet := m.SinkThroughputTPM >= c.SLOThroughputTPM*0.98
-		hasBp := m.BackpressureMsPerMin >= c.BackpressureThresholdMs
+		sloMet := m.SinkThroughputTPM >= c.SLOThroughputTPM*(1-sloTolerance)
+		hasBp := m.BackpressureMsPerMin >= backpressureThresholdMs
 		if sloMet && !hasBp {
 			r.Diagnosis = "healthy: SLO met without backpressure"
-			res.Rounds = append(res.Rounds, r)
-			res.Converged = true
-			res.Reason = r.Diagnosis
-			res.FinalParallelisms = cloneInts(current)
-			return res, nil
+			return res.stop(r, true)
 		}
 		if !hasBp {
 			r.Diagnosis = "SLO missed without backpressure: source-limited"
-			res.Rounds = append(res.Rounds, r)
-			res.Reason = r.Diagnosis
-			res.FinalParallelisms = cloneInts(current)
-			return res, nil
+			return res.stop(r, false)
 		}
 		// Calibrate what this deployment can teach us.
-		models, err := core.CalibrateTopologyFromProvider(prov, top, start, end, core.CalibrationOptions{Warmup: c.StabiliseMinutes})
+		models, err := core.CalibrateTopologyFromProvider(d.Provider, d.Topology, d.Start, d.End, core.CalibrationOptions{Warmup: d.Warmup})
 		if err != nil {
 			return res, fmt.Errorf("dhalion: round %d calibrate: %w", round+1, err)
 		}
@@ -139,11 +104,11 @@ func (c CaladriusTuner) Run(initial map[string]int) (Result, error) {
 			}
 			composite[comp] = cm
 		}
-		tm, err := core.NewTopologyModel(top, composite)
+		tm, err := core.NewTopologyModel(d.Topology, composite)
 		if err != nil {
 			return res, err
 		}
-		plan, err := tm.SuggestParallelism(c.RatePerMinute, c.Headroom)
+		plan, err := tm.SuggestParallelism(c.RatePerMinute, tunerHeadroom)
 		if err != nil {
 			return res, err
 		}
@@ -167,57 +132,4 @@ func (c CaladriusTuner) Run(initial map[string]int) (Result, error) {
 	res.Reason = "round budget exhausted"
 	res.FinalParallelisms = cloneInts(current)
 	return res, nil
-}
-
-// deploy runs one word-count deployment and returns both the summary
-// measurement and the raw metrics needed for calibration.
-func (c CaladriusTuner) deploy(parallelisms map[string]int) (Measurement, metrics.Provider, *topology.Topology, time.Time, time.Time, error) {
-	sim, err := heron.NewWordCount(heron.WordCountOptions{
-		SpoutP:        parallelisms["spout"],
-		SplitterP:     parallelisms["splitter"],
-		CounterP:      parallelisms["counter"],
-		RatePerMinute: c.RatePerMinute,
-	})
-	if err != nil {
-		return Measurement{}, nil, nil, time.Time{}, time.Time{}, err
-	}
-	total := time.Duration(c.StabiliseMinutes+c.MeasureMinutes) * time.Minute
-	if err := sim.Run(total); err != nil {
-		return Measurement{}, nil, nil, time.Time{}, time.Time{}, err
-	}
-	prov, err := metrics.NewTSDBProvider(sim.DB(), time.Minute)
-	if err != nil {
-		return Measurement{}, nil, nil, time.Time{}, time.Time{}, err
-	}
-	start, end := sim.Start(), sim.Start().Add(total)
-	m := Measurement{ComponentBackpressureMs: map[string]float64{}}
-	for _, comp := range []string{"spout", "splitter", "counter"} {
-		ws, err := prov.ComponentWindows("word-count", comp, start, end)
-		if err != nil {
-			return Measurement{}, nil, nil, time.Time{}, time.Time{}, err
-		}
-		ss, err := metrics.Summarise(ws, c.StabiliseMinutes)
-		if err != nil {
-			return Measurement{}, nil, nil, time.Time{}, time.Time{}, err
-		}
-		m.ComponentBackpressureMs[comp] = ss.BackpressureMs
-		if comp == "counter" {
-			m.SinkThroughputTPM = ss.Execute
-		}
-	}
-	pts, err := prov.TopologyBackpressureMs("word-count", start.Add(time.Duration(c.StabiliseMinutes)*time.Minute), end)
-	if err != nil {
-		return Measurement{}, nil, nil, time.Time{}, time.Time{}, err
-	}
-	for _, p := range pts {
-		m.BackpressureMsPerMin += p.V
-	}
-	if len(pts) > 0 {
-		m.BackpressureMsPerMin /= float64(len(pts))
-	}
-	top, err := heron.WordCountTopology(parallelisms["spout"], parallelisms["splitter"], parallelisms["counter"])
-	if err != nil {
-		return Measurement{}, nil, nil, time.Time{}, time.Time{}, err
-	}
-	return m, prov, top, start, end, nil
 }

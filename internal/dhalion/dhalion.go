@@ -17,11 +17,9 @@ package dhalion
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"caladrius/internal/heron"
 	"caladrius/internal/metrics"
-	"caladrius/internal/workload"
 )
 
 // Measurement is what one deployment round observes after the topology
@@ -68,52 +66,50 @@ type Result struct {
 // metric Caladrius reduces.
 func (r Result) Deployments() int { return len(r.Rounds) }
 
+// stop ends a loop on round r: its diagnosis becomes the reason and its
+// parallelisms the final configuration.
+func (res *Result) stop(r Round, converged bool) (Result, error) {
+	res.Rounds = append(res.Rounds, r)
+	res.Converged = converged
+	res.Reason = r.Diagnosis
+	res.FinalParallelisms = cloneInts(r.Parallelisms)
+	return *res, nil
+}
+
+// The loops' fixed knobs. Both diagnose the backpressure symptom at
+// the same threshold and count an SLO as met within the same tolerance.
+const (
+	// sloTolerance lets the throughput fall this fraction short and
+	// still count as met.
+	sloTolerance = 0.02
+	// backpressureThresholdMs is the per-window backpressure time that
+	// counts as the backpressure symptom.
+	backpressureThresholdMs = 5000
+	// scaleFactor multiplies the bottleneck's parallelism each round
+	// (Dhalion scales gradually), by at least one instance.
+	scaleFactor = 1.5
+	// maxParallelism caps any single component.
+	maxParallelism = 64
+	// defaultMaxRounds bounds a Scaler whose MaxRounds is 0.
+	defaultMaxRounds = 12
+)
+
 // Scaler is the symptom → diagnosis → resolution loop.
 type Scaler struct {
 	// SLOThroughputTPM is the required sink throughput.
 	SLOThroughputTPM float64
-	// SLOTolerance allows the throughput to fall this fraction short
-	// and still count as met. Default 0.02.
-	SLOTolerance float64
-	// BackpressureThresholdMs is the per-window backpressure time that
-	// counts as the backpressure symptom. Default 5000.
-	BackpressureThresholdMs float64
-	// ScaleFactor multiplies the bottleneck's parallelism each round
-	// (Dhalion scales gradually). Default 1.5, minimum +1 instance.
-	ScaleFactor float64
 	// MaxRounds bounds the loop. Default 12.
 	MaxRounds int
-	// MaxParallelism caps any single component. Default 64.
-	MaxParallelism int
-}
-
-func (s Scaler) withDefaults() Scaler {
-	if s.SLOTolerance == 0 {
-		s.SLOTolerance = 0.02
-	}
-	if s.BackpressureThresholdMs == 0 {
-		s.BackpressureThresholdMs = 5000
-	}
-	if s.ScaleFactor == 0 {
-		s.ScaleFactor = 1.5
-	}
-	if s.MaxRounds == 0 {
-		s.MaxRounds = 12
-	}
-	if s.MaxParallelism == 0 {
-		s.MaxParallelism = 64
-	}
-	return s
 }
 
 // Run executes the scaling loop from the initial configuration.
 func (s Scaler) Run(initial map[string]int, d Deployer) (Result, error) {
-	s = s.withDefaults()
 	if s.SLOThroughputTPM <= 0 {
 		return Result{}, fmt.Errorf("dhalion: non-positive SLO %g", s.SLOThroughputTPM)
 	}
-	if s.ScaleFactor <= 1 {
-		return Result{}, fmt.Errorf("dhalion: scale factor %g must exceed 1", s.ScaleFactor)
+	maxRounds := s.MaxRounds
+	if maxRounds == 0 {
+		maxRounds = defaultMaxRounds
 	}
 	if d == nil {
 		return Result{}, errors.New("dhalion: nil deployer")
@@ -126,24 +122,20 @@ func (s Scaler) Run(initial map[string]int, d Deployer) (Result, error) {
 		current[k] = v
 	}
 	res := Result{}
-	for round := 0; round < s.MaxRounds; round++ {
+	for round := 0; round < maxRounds; round++ {
 		m, err := d.Deploy(cloneInts(current))
 		if err != nil {
 			return res, fmt.Errorf("dhalion: round %d deploy: %w", round+1, err)
 		}
 		r := Round{Parallelisms: cloneInts(current), Measurement: m}
 
-		sloMet := m.SinkThroughputTPM >= s.SLOThroughputTPM*(1-s.SLOTolerance)
-		hasBp := m.BackpressureMsPerMin >= s.BackpressureThresholdMs
+		sloMet := m.SinkThroughputTPM >= s.SLOThroughputTPM*(1-sloTolerance)
+		hasBp := m.BackpressureMsPerMin >= backpressureThresholdMs
 
 		switch {
 		case sloMet && !hasBp:
 			r.Diagnosis = "healthy: SLO met without backpressure"
-			res.Rounds = append(res.Rounds, r)
-			res.Converged = true
-			res.Reason = r.Diagnosis
-			res.FinalParallelisms = cloneInts(current)
-			return res, nil
+			return res.stop(r, true)
 		case hasBp:
 			bottleneck := ""
 			worst := -1.0
@@ -152,24 +144,18 @@ func (s Scaler) Run(initial map[string]int, d Deployer) (Result, error) {
 					worst, bottleneck = bp, comp
 				}
 			}
-			if bottleneck == "" || worst < s.BackpressureThresholdMs {
+			if bottleneck == "" || worst < backpressureThresholdMs {
 				r.Diagnosis = "backpressure without identifiable initiator"
-				res.Rounds = append(res.Rounds, r)
-				res.Reason = r.Diagnosis
-				res.FinalParallelisms = cloneInts(current)
-				return res, nil
+				return res.stop(r, false)
 			}
 			p := current[bottleneck]
-			next := int(float64(p) * s.ScaleFactor)
+			next := int(float64(p) * scaleFactor)
 			if next <= p {
 				next = p + 1
 			}
-			if next > s.MaxParallelism {
+			if next > maxParallelism {
 				r.Diagnosis = fmt.Sprintf("bottleneck %s already at max parallelism", bottleneck)
-				res.Rounds = append(res.Rounds, r)
-				res.Reason = r.Diagnosis
-				res.FinalParallelisms = cloneInts(current)
-				return res, nil
+				return res.stop(r, false)
 			}
 			r.Diagnosis = fmt.Sprintf("backpressure at %s: scale %d → %d", bottleneck, p, next)
 			current[bottleneck] = next
@@ -177,10 +163,7 @@ func (s Scaler) Run(initial map[string]int, d Deployer) (Result, error) {
 			// No backpressure but SLO missed: the source itself does
 			// not offer enough traffic; scaling cannot help.
 			r.Diagnosis = "SLO missed without backpressure: source-limited"
-			res.Rounds = append(res.Rounds, r)
-			res.Reason = r.Diagnosis
-			res.FinalParallelisms = cloneInts(current)
-			return res, nil
+			return res.stop(r, false)
 		}
 		res.Rounds = append(res.Rounds, r)
 	}
@@ -204,69 +187,49 @@ func cloneInts(m map[string]int) map[string]int {
 type WordCountDeployer struct {
 	// RatePerMinute is the offered source rate.
 	RatePerMinute float64
-	// StabiliseMinutes is the simulated warm-up before measurement.
-	// Default 5.
-	StabiliseMinutes int
-	// MeasureMinutes is the measurement window. Default 5.
-	MeasureMinutes int
-	// Deploys counts Deploy calls.
-	Deploys int
 }
 
-// Deploy implements Deployer.
-func (w *WordCountDeployer) Deploy(parallelisms map[string]int) (Measurement, error) {
-	w.Deploys++
-	stab := w.StabiliseMinutes
-	if stab == 0 {
-		stab = 5
-	}
-	meas := w.MeasureMinutes
-	if meas == 0 {
-		meas = 5
-	}
-	opts := heron.WordCountOptions{
-		SpoutP:    parallelisms["spout"],
-		SplitterP: parallelisms["splitter"],
-		CounterP:  parallelisms["counter"],
-		Schedule:  workload.ConstantRate(w.RatePerMinute / 60),
-	}
-	sim, err := heron.NewWordCount(opts)
+// Deploy implements Deployer: it waits stabiliseMinutes and measures
+// scalerMeasureMinutes.
+func (w WordCountDeployer) Deploy(parallelisms map[string]int) (Measurement, error) {
+	m, _, err := deploy(w.RatePerMinute, parallelisms, scalerMeasureMinutes)
+	return m, err
+}
+
+// Every deployment of either loop stabilises for stabiliseMinutes;
+// Dhalion then measures scalerMeasureMinutes, and the tuner, which also
+// calibrates from the run, tunerMeasureMinutes.
+const (
+	stabiliseMinutes     = 5
+	scalerMeasureMinutes = 5
+	tunerMeasureMinutes  = 7
+)
+
+// deploy runs one word-count deployment at rate and returns its summary
+// measurement together with the deployment it was read from.
+func deploy(rate float64, parallelisms map[string]int, measureMinutes int) (Measurement, *metrics.Deployment, error) {
+	d, err := metrics.DeployWordCount(heron.WordCountOptions{
+		SpoutP:        parallelisms["spout"],
+		SplitterP:     parallelisms["splitter"],
+		CounterP:      parallelisms["counter"],
+		RatePerMinute: rate,
+	}, stabiliseMinutes, measureMinutes)
 	if err != nil {
-		return Measurement{}, err
+		return Measurement{}, nil, err
 	}
-	total := time.Duration(stab+meas) * time.Minute
-	if err := sim.Run(total); err != nil {
-		return Measurement{}, err
-	}
-	prov, err := metrics.NewTSDBProvider(sim.DB(), time.Minute)
-	if err != nil {
-		return Measurement{}, err
-	}
-	start, end := sim.Start(), sim.Start().Add(total)
 	m := Measurement{ComponentBackpressureMs: map[string]float64{}}
 	for _, comp := range []string{"spout", "splitter", "counter"} {
-		ws, err := prov.ComponentWindows("word-count", comp, start, end)
+		ss, err := d.SteadyState(comp)
 		if err != nil {
-			return Measurement{}, err
-		}
-		ss, err := metrics.Summarise(ws, stab)
-		if err != nil {
-			return Measurement{}, err
+			return Measurement{}, nil, err
 		}
 		m.ComponentBackpressureMs[comp] = ss.BackpressureMs
 		if comp == "counter" {
 			m.SinkThroughputTPM = ss.Execute
 		}
 	}
-	pts, err := prov.TopologyBackpressureMs("word-count", start.Add(time.Duration(stab)*time.Minute), end)
-	if err != nil {
-		return Measurement{}, err
+	if m.BackpressureMsPerMin, err = d.BackpressureMs(); err != nil {
+		return Measurement{}, nil, err
 	}
-	for _, p := range pts {
-		m.BackpressureMsPerMin += p.V
-	}
-	if len(pts) > 0 {
-		m.BackpressureMsPerMin /= float64(len(pts))
-	}
-	return m, nil
+	return m, d, nil
 }

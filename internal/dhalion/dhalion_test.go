@@ -83,9 +83,6 @@ func TestScalerValidation(t *testing.T) {
 	if _, err := (Scaler{}).Run(map[string]int{"spout": 1}, d); err == nil {
 		t.Error("zero SLO accepted")
 	}
-	if _, err := (Scaler{SLOThroughputTPM: 1, ScaleFactor: 0.5}).Run(map[string]int{"spout": 1}, d); err == nil {
-		t.Error("scale factor ≤ 1 accepted")
-	}
 	if _, err := (Scaler{SLOThroughputTPM: 1}).Run(map[string]int{"spout": 0}, d); err == nil {
 		t.Error("zero parallelism accepted")
 	}

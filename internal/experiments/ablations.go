@@ -13,21 +13,22 @@ import (
 	"caladrius/internal/workload"
 )
 
-// AblationWatermarkGap studies the design assumption behind §IV-B1's
+// ablationWatermarkGap studies the design assumption behind §IV-B1's
 // bimodality claim: the high/low watermark hysteresis. With Heron's
 // default 100/50 MB gap, the backpressure-time metric is bimodal
 // (≈0 or ≈60 000 ms/min). Shrinking the gap leaves the bimodality
 // intact (the spout's burst-resume keeps the duty cycle near 1), while
 // widening the drain window lengthens each cycle without changing the
 // per-minute average — evidence the model's binary backpressure
-// approximation is robust to the watermark configuration.
-func AblationWatermarkGap(sweep SweepOptions) (Table, error) {
+// approximation is robust to the watermark configuration. It builds
+// its own simulations and measures them as metrics.Deployments, rather
+// than deploying through metrics.DeployWordCount, because word-count's
+// options do not reach the watermarks.
+func ablationWatermarkGap(sweep SweepOptions) ([]Table, error) {
 	t := Table{
-		Name:    "ablation-watermarks",
 		Title:   "Backpressure bimodality vs watermark configuration (ablation of §IV-B1's assumption)",
 		Columns: []string{"high_MB", "low_MB", "bp_below_sp_ms", "bp_above_sp_ms"},
 	}
-	sweep = sweep.withDefaults()
 	configs := []struct{ high, low float64 }{
 		{100e6, 50e6}, // Heron default
 		{20e6, 10e6},  // tight
@@ -36,7 +37,7 @@ func AblationWatermarkGap(sweep SweepOptions) (Table, error) {
 	}
 	top, err := heron.WordCountTopology(8, 1, 3)
 	if err != nil {
-		return t, err
+		return nil, err
 	}
 	run := func(high, low, rate float64) (float64, error) {
 		sim, err := heron.New(heron.Config{
@@ -58,15 +59,8 @@ func AblationWatermarkGap(sweep SweepOptions) (Table, error) {
 		if err != nil {
 			return 0, err
 		}
-		pts, err := prov.TopologyBackpressureMs("word-count", sim.Start().Add(time.Duration(sweep.WarmupMinutes)*time.Minute), sim.Start().Add(total))
-		if err != nil {
-			return 0, err
-		}
-		var sum float64
-		for _, p := range pts {
-			sum += p.V
-		}
-		return sum / float64(len(pts)), nil
+		d := metrics.Deployment{Provider: prov, Start: sim.Start(), End: sim.Start().Add(total), Topology: top, Warmup: sweep.WarmupMinutes}
+		return d.BackpressureMs()
 	}
 	// One task per (config, below/above-SP rate) pair; the shared
 	// topology is immutable and every task builds its own simulation.
@@ -79,7 +73,7 @@ func AblationWatermarkGap(sweep SweepOptions) (Table, error) {
 		return run(cfg.high, cfg.low, rate)
 	})
 	if err != nil {
-		return t, err
+		return nil, err
 	}
 	bimodalEverywhere := true
 	for ci, cfg := range configs {
@@ -94,46 +88,32 @@ func AblationWatermarkGap(sweep SweepOptions) (Table, error) {
 	} else {
 		t.Findings = append(t.Findings, "WARNING: some watermark configuration broke the bimodality assumption")
 	}
-	return t, nil
+	return []Table{t}, nil
 }
 
-// AblationCalibrationAttribution quantifies the value of topology-aware
+// ablationCalibrationAttribution quantifies the value of topology-aware
 // bottleneck attribution: calibrating from a counter-bottleneck run,
 // the naive per-component calibration assigns the splitter a spurious
 // saturation point (the upstream queues trip during the spouts'
 // burst-resume cycles), which corrupts capacity planning; the
 // topology-aware calibration does not.
-func AblationCalibrationAttribution(sweep SweepOptions) (Table, error) {
+func ablationCalibrationAttribution(sweep SweepOptions) ([]Table, error) {
 	t := Table{
-		Name:    "ablation-attribution",
 		Title:   "Naive vs topology-aware calibration on a counter-bottleneck run",
 		Columns: []string{"naive_splitter_sp_Mtpm", "aware_splitter_sp_is_inf", "true_sp_Mtpm"},
 	}
-	sweep = sweep.withDefaults()
-	sim, err := heron.NewWordCount(heron.WordCountOptions{SplitterP: 6, CounterP: 3, RatePerMinute: 35e6, Tick: sweep.Tick})
+	d, err := metrics.DeployWordCount(heron.WordCountOptions{SplitterP: 6, CounterP: 3, RatePerMinute: 35e6, Tick: sweep.Tick}, sweep.WarmupMinutes, sweep.MeasureMinutes)
 	if err != nil {
-		return t, err
+		return nil, err
 	}
-	total := time.Duration(sweep.WarmupMinutes+sweep.MeasureMinutes) * time.Minute
-	if err := sim.Run(total); err != nil {
-		return t, err
-	}
-	prov, err := metrics.NewTSDBProvider(sim.DB(), time.Minute)
+	opts := core.CalibrationOptions{Warmup: d.Warmup}
+	naive, err := core.CalibrateFromProvider(d.Provider, "word-count", "splitter", 6, d.Start, d.End, opts)
 	if err != nil {
-		return t, err
+		return nil, err
 	}
-	opts := core.CalibrationOptions{Warmup: sweep.WarmupMinutes}
-	naive, err := core.CalibrateFromProvider(prov, "word-count", "splitter", 6, sim.Start(), sim.Start().Add(total), opts)
+	aware, err := core.CalibrateTopologyFromProvider(d.Provider, d.Topology, d.Start, d.End, opts)
 	if err != nil {
-		return t, err
-	}
-	top, err := heron.WordCountTopology(8, 6, 3)
-	if err != nil {
-		return t, err
-	}
-	aware, err := core.CalibrateTopologyFromProvider(prov, top, sim.Start(), sim.Start().Add(total), opts)
-	if err != nil {
-		return t, err
+		return nil, err
 	}
 	awareInf := 0.0
 	if !aware["splitter"].Instance.SaturatedObservable() {
@@ -143,7 +123,7 @@ func AblationCalibrationAttribution(sweep SweepOptions) (Table, error) {
 	naiveSP := naive.Instance.SP
 	t.Rows = append(t.Rows, []float64{naiveSP / 1e6, awareInf, trueSP / 1e6})
 	if math.IsInf(naiveSP, 1) {
-		return t, fmt.Errorf("ablation: naive calibration unexpectedly clean")
+		return nil, fmt.Errorf("ablation: naive calibration unexpectedly clean")
 	}
 	under := 100 * (1 - naiveSP/trueSP)
 	t.Findings = append(t.Findings,
@@ -151,17 +131,16 @@ func AblationCalibrationAttribution(sweep SweepOptions) (Table, error) {
 		"topology-aware calibration correctly leaves the non-bottleneck SP unknown",
 	)
 	if awareInf != 1 {
-		return t, fmt.Errorf("ablation: topology-aware calibration also fooled")
+		return nil, fmt.Errorf("ablation: topology-aware calibration also fooled")
 	}
-	return t, nil
+	return []Table{t}, nil
 }
 
-// AblationNoiseVsError sweeps the per-deployment capacity variation and
+// ablationNoiseVsError sweeps the per-deployment capacity variation and
 // records the resulting saturation-throughput prediction error,
 // locating the paper's observed 2.5–4.8% errors on the noise axis.
-func AblationNoiseVsError(sweep SweepOptions) (Table, error) {
+func ablationNoiseVsError(sweep SweepOptions) ([]Table, error) {
 	t := Table{
-		Name:    "ablation-noise",
 		Title:   "ST prediction error vs per-deployment capacity variation",
 		Columns: []string{"noise_std_pct", "p2_st_error_pct", "p4_st_error_pct"},
 	}
@@ -189,7 +168,7 @@ func AblationNoiseVsError(sweep SweepOptions) (Table, error) {
 		return row, nil
 	})
 	if err != nil {
-		return t, err
+		return nil, err
 	}
 	t.Rows = append(t.Rows, rows...)
 	first, last := t.Rows[0], t.Rows[len(t.Rows)-1]
@@ -198,29 +177,29 @@ func AblationNoiseVsError(sweep SweepOptions) (Table, error) {
 			first[1], first[2], first[0], last[1], last[2], last[0]),
 		"the paper's 2.5–4.8% errors correspond to σ ≈ 1–3%, a plausible shared-cluster variation",
 	)
-	return t, nil
+	return []Table{t}, nil
 }
 
-// AblationSchedulerPlans compares packing plans (round-robin vs
+// ablationSchedulerPlans compares packing plans (round-robin vs
 // first-fit-decreasing) on container count and cross-container traffic
 // fraction — the scheduler-selection use case, as a reproducible table.
-func AblationSchedulerPlans() (Table, error) {
+// It simulates no deployment, so the sweep does not shape it.
+func ablationSchedulerPlans(SweepOptions) ([]Table, error) {
 	t := Table{
-		Name:    "ablation-schedulers",
 		Title:   "Packing plan comparison: round-robin vs first-fit-decreasing",
 		Columns: []string{"is_ffd", "containers", "worst_remote_fraction_pct"},
 	}
 	top, err := heron.WordCountTopology(8, 4, 5)
 	if err != nil {
-		return t, err
+		return nil, err
 	}
 	rr, err := topology.RoundRobinPack(top, 4)
 	if err != nil {
-		return t, err
+		return nil, err
 	}
 	ffd, err := topology.FirstFitDecreasingPack(top, 6, 12*1024)
 	if err != nil {
-		return t, err
+		return nil, err
 	}
 	for i, plan := range []*topology.PackingPlan{rr, ffd} {
 		worst := 0.0
@@ -235,5 +214,5 @@ func AblationSchedulerPlans() (Table, error) {
 		fmt.Sprintf("FFD packs into %d containers vs round-robin's %d; locality trade-off visible in the remote fractions",
 			len(ffd.Containers), len(rr.Containers)),
 	)
-	return t, nil
+	return []Table{t}, nil
 }

@@ -6,10 +6,7 @@ import (
 )
 
 func TestAblationWatermarkGap(t *testing.T) {
-	tbl, err := AblationWatermarkGap(fastSweep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := run(t, "ablation-watermarks", fastSweep)["ablation-watermarks"]
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -30,10 +27,7 @@ func TestAblationWatermarkGap(t *testing.T) {
 }
 
 func TestAblationCalibrationAttribution(t *testing.T) {
-	tbl, err := AblationCalibrationAttribution(fastSweep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := run(t, "ablation-attribution", fastSweep)["ablation-attribution"]
 	row := tbl.Rows[0]
 	naiveSP, awareInf, trueSP := row[0], row[1], row[2]
 	if awareInf != 1 {
@@ -47,10 +41,7 @@ func TestAblationCalibrationAttribution(t *testing.T) {
 func TestAblationNoiseVsError(t *testing.T) {
 	s := fastSweep
 	s.Repeats = 3
-	tbl, err := AblationNoiseVsError(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := run(t, "ablation-noise", s)["ablation-noise"]
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -63,10 +54,7 @@ func TestAblationNoiseVsError(t *testing.T) {
 }
 
 func TestAblationSchedulerPlans(t *testing.T) {
-	tbl, err := AblationSchedulerPlans()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := run(t, "ablation-schedulers", fastSweep)["ablation-schedulers"]
 	if len(tbl.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}

@@ -7,12 +7,50 @@ import (
 	"caladrius/internal/heron"
 )
 
-// Fig07ComponentModel reproduces Fig. 7: splitter component throughput
-// measured at parallelism 3, with the regression-derived model and its
-// Eq. 9-scaled predictions for parallelisms 2 and 4.
-func Fig07ComponentModel(sweep SweepOptions) (Table, error) {
+// componentModel reproduces Figs. 7, 8, 10, 11 and 12 from one splitter
+// calibration at parallelism 3 (a linear and a saturated run, §V-B).
+// Figs. 8 and 12 validate its throughput and CPU predictions against one
+// deployed sweep at parallelisms 2 and 4.
+func componentModel(sweep SweepOptions) ([]Table, error) {
+	models, err := calibrateSplitter(3, 8, 20e6, 48e6, sweep)
+	if err != nil {
+		return nil, err
+	}
+	splitter := models["splitter"]
+	f07, err := fig07(splitter, sweep)
+	if err != nil {
+		return nil, err
+	}
+	rates := rateGrid(4e6, 68e6, 8e6)
+	ps := []int{2, 4}
+	// One task per (rate, parallelism) pair, flattened rate-major so the
+	// collection order matches the nested sequential loops.
+	validation, err := RunPoints(sweep, len(rates)*len(ps), func(i int) (measuredCI, error) {
+		return measureCI(heron.WordCountOptions{SplitterP: ps[i%len(ps)], CounterP: 8, RatePerMinute: rates[i/len(ps)]}, sweep, "splitter")
+	})
+	if err != nil {
+		return nil, err
+	}
+	f10, err := fig10(models, rates, sweep)
+	if err != nil {
+		return nil, err
+	}
+	f11, err := fig11(splitter, rates, sweep)
+	if err != nil {
+		return nil, err
+	}
+	f12, err := fig12(splitter, rates, ps, validation)
+	if err != nil {
+		return nil, err
+	}
+	return []Table{f07, fig08(splitter, rates, ps, validation), f10, f11, f12}, nil
+}
+
+// fig07 reproduces Fig. 7: splitter component throughput measured at
+// parallelism 3, with the regression-derived model and its Eq. 9-scaled
+// predictions for parallelisms 2 and 4.
+func fig07(splitter *core.ComponentModel, sweep SweepOptions) (Table, error) {
 	t := Table{
-		Name:  "fig07",
 		Title: "Component (splitter) throughput at p=3 with p=2/p=4 predictions",
 		Columns: []string{
 			"source_Mtpm",
@@ -22,11 +60,6 @@ func Fig07ComponentModel(sweep SweepOptions) (Table, error) {
 			"p4_pred_input_Mtpm", "p4_pred_output_Mtpm",
 		},
 	}
-	models, err := calibrateSplitter(3, 8, 20e6, 48e6, sweep)
-	if err != nil {
-		return t, err
-	}
-	splitter := models["splitter"]
 	rates := rateGrid(2e6, 68e6, 6e6)
 	ms, err := RunPoints(sweep, len(rates), func(i int) (measuredCI, error) {
 		return measureCI(heron.WordCountOptions{SplitterP: 3, CounterP: 8, RatePerMinute: rates[i]}, sweep, "splitter")
@@ -54,13 +87,11 @@ func Fig07ComponentModel(sweep SweepOptions) (Table, error) {
 	return t, nil
 }
 
-// Fig08ComponentValidation reproduces Fig. 8: deploy the splitter at
-// parallelisms 2 and 4 and compare the measured curves against the
-// Fig. 7 predictions. The paper reports saturation-throughput errors
-// of 2.9% (p=2) and 2.5% (p=4).
-func Fig08ComponentValidation(sweep SweepOptions) (Table, error) {
+// fig08 reproduces Fig. 8: the splitter deployed at parallelisms 2 and
+// 4, measured against the Fig. 7 predictions. The paper reports
+// saturation-throughput errors of 2.9% (p=2) and 2.5% (p=4).
+func fig08(splitter *core.ComponentModel, rates []float64, ps []int, ms []measuredCI) Table {
 	t := Table{
-		Name:  "fig08",
 		Title: "Validation of splitter predictions at p=2 and p=4",
 		Columns: []string{
 			"source_Mtpm",
@@ -68,23 +99,8 @@ func Fig08ComponentValidation(sweep SweepOptions) (Table, error) {
 			"p4_meas_output_Mtpm", "p4_pred_output_Mtpm",
 		},
 	}
-	models, err := calibrateSplitter(3, 8, 20e6, 48e6, sweep)
-	if err != nil {
-		return t, err
-	}
-	splitter := models["splitter"]
 	type satPair struct{ meas, pred float64 }
 	satOut := map[int]*satPair{2: {}, 4: {}}
-	rates := rateGrid(4e6, 68e6, 8e6)
-	ps := []int{2, 4}
-	// One task per (rate, parallelism) pair, flattened rate-major so the
-	// collection order matches the nested sequential loops.
-	ms, err := RunPoints(sweep, len(rates)*len(ps), func(i int) (measuredCI, error) {
-		return measureCI(heron.WordCountOptions{SplitterP: ps[i%len(ps)], CounterP: 8, RatePerMinute: rates[i/len(ps)]}, sweep, "splitter")
-	})
-	if err != nil {
-		return t, err
-	}
 	for ri, rate := range rates {
 		row := []float64{rate / 1e6}
 		for pi, p := range ps {
@@ -98,24 +114,23 @@ func Fig08ComponentValidation(sweep SweepOptions) (Table, error) {
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	for _, p := range []int{2, 4} {
+	for _, p := range ps {
 		if satOut[p].meas > 0 {
 			e := relErr(satOut[p].pred, satOut[p].meas)
 			t.Findings = append(t.Findings, fmt.Sprintf("p=%d ST prediction error %.1f%% (paper: %.1f%%)",
 				p, 100*e, map[int]float64{2: 2.9, 4: 2.5}[p]))
 		}
 	}
-	return t, nil
+	return t
 }
 
-// Fig09CounterModel reproduces Fig. 9: the counter component's input
+// counterModel reproduces Fig. 9: the counter component's input
 // throughput versus its source throughput (the splitter's output) at
 // parallelism 3, with the prediction for parallelism 4. The counter is
 // fields-grouped; with the evaluation's unbiased dataset it follows
 // Eq. 9.
-func Fig09CounterModel(sweep SweepOptions) (Table, error) {
+func counterModel(sweep SweepOptions) ([]Table, error) {
 	t := Table{
-		Name:  "fig09",
 		Title: "Component (counter) input throughput: p=3 observed, p=4 predicted and validated",
 		Columns: []string{
 			"counter_source_Mtpm", "p3_input_Mtpm", "p4_pred_input_Mtpm", "p4_meas_input_Mtpm",
@@ -126,7 +141,7 @@ func Fig09CounterModel(sweep SweepOptions) (Table, error) {
 	// 205 M words/min ≈ 26.9 M sentences/min offered.
 	models, err := calibrateSplitter(8, 3, 20e6, 35e6, sweep)
 	if err != nil {
-		return t, err
+		return nil, err
 	}
 	counter := models["counter"]
 	alpha := heron.SplitterAlpha
@@ -136,7 +151,7 @@ func Fig09CounterModel(sweep SweepOptions) (Table, error) {
 		return measureCI(heron.WordCountOptions{SplitterP: 8, CounterP: counterPs[i%2], RatePerMinute: rates[i/2]}, sweep, "counter")
 	})
 	if err != nil {
-		return t, err
+		return nil, err
 	}
 	for i, sentences := range rates {
 		counterSource := sentences * alpha
@@ -156,22 +171,17 @@ func Fig09CounterModel(sweep SweepOptions) (Table, error) {
 			counter.Instance.SP/1e6, 3*counter.Instance.SP/1e6),
 		fmt.Sprintf("p=4 input prediction error at saturation %.1f%%", 100*e),
 	)
-	return t, nil
+	return []Table{t}, nil
 }
 
-// Fig10CriticalPath reproduces Fig. 10: the topology output throughput
-// predicted by chaining the calibrated component models (Eq. 12) versus
-// a deployed measurement, using the Fig. 1 parallelisms (spout 2,
-// splitter 2, counter 4). The paper reports a 2.8% error.
-func Fig10CriticalPath(sweep SweepOptions) (Table, error) {
+// fig10 reproduces Fig. 10: the topology output throughput predicted by
+// chaining the calibrated component models (Eq. 12) versus a deployed
+// measurement, using the Fig. 1 parallelisms (spout 2, splitter 2,
+// counter 4). The paper reports a 2.8% error.
+func fig10(models map[string]*core.ComponentModel, rates []float64, sweep SweepOptions) (Table, error) {
 	t := Table{
-		Name:    "fig10",
 		Title:   "Topology (critical path) output throughput: prediction vs measurement",
 		Columns: []string{"source_Mtpm", "predicted_out_Mtpm", "measured_out_Mtpm"},
-	}
-	models, err := calibrateSplitter(3, 8, 20e6, 48e6, sweep)
-	if err != nil {
-		return t, err
 	}
 	top, err := heron.WordCountTopology(2, 2, 4)
 	if err != nil {
@@ -182,7 +192,6 @@ func Fig10CriticalPath(sweep SweepOptions) (Table, error) {
 		return t, err
 	}
 	var satPred, satMeas float64
-	rates := rateGrid(4e6, 68e6, 8e6)
 	type pointRes struct {
 		sinkIn float64
 		meas   measuredCI
@@ -220,26 +229,19 @@ func Fig10CriticalPath(sweep SweepOptions) (Table, error) {
 	return t, nil
 }
 
-// Fig11CPULoad reproduces Fig. 11: splitter component CPU load versus
-// source throughput at parallelism 3, with the ψ-regression and the
-// predicted lines for parallelisms 2 and 4 (§V-E).
-func Fig11CPULoad(sweep SweepOptions) (Table, error) {
+// fig11 reproduces Fig. 11: splitter component CPU load versus source
+// throughput at parallelism 3, with the ψ-regression and the predicted
+// lines for parallelisms 2 and 4 (§V-E).
+func fig11(splitter *core.ComponentModel, rates []float64, sweep SweepOptions) (Table, error) {
 	t := Table{
-		Name:  "fig11",
 		Title: "Splitter CPU load at p=3 with p=2/p=4 predictions",
 		Columns: []string{
 			"source_Mtpm", "p3_cpu_cores", "p2_pred_cpu_cores", "p4_pred_cpu_cores",
 		},
 	}
-	models, err := calibrateSplitter(3, 8, 20e6, 48e6, sweep)
-	if err != nil {
-		return t, err
-	}
-	splitter := models["splitter"]
 	if splitter.CPUPsi <= 0 {
 		return t, fmt.Errorf("fig11: ψ not calibrated")
 	}
-	rates := rateGrid(4e6, 68e6, 8e6)
 	ms, err := RunPoints(sweep, len(rates), func(i int) (measuredCI, error) {
 		return measureCI(heron.WordCountOptions{SplitterP: 3, CounterP: 8, RatePerMinute: rates[i]}, sweep, "splitter")
 	})
@@ -263,12 +265,11 @@ func Fig11CPULoad(sweep SweepOptions) (Table, error) {
 	return t, nil
 }
 
-// Fig12CPUValidation reproduces Fig. 12: measured CPU load of the
-// splitter deployed at parallelisms 2 and 4 versus the predictions.
-// The paper reports errors of 4.8% (p=2) and 3.0% (p=4).
-func Fig12CPUValidation(sweep SweepOptions) (Table, error) {
+// fig12 reproduces Fig. 12: measured CPU load of the splitter deployed
+// at parallelisms 2 and 4 versus the predictions. The paper reports
+// errors of 4.8% (p=2) and 3.0% (p=4).
+func fig12(splitter *core.ComponentModel, rates []float64, ps []int, ms []measuredCI) (Table, error) {
 	t := Table{
-		Name:  "fig12",
 		Title: "Validation of splitter CPU-load predictions at p=2 and p=4",
 		Columns: []string{
 			"source_Mtpm",
@@ -276,20 +277,7 @@ func Fig12CPUValidation(sweep SweepOptions) (Table, error) {
 			"p4_meas_cpu", "p4_pred_cpu",
 		},
 	}
-	models, err := calibrateSplitter(3, 8, 20e6, 48e6, sweep)
-	if err != nil {
-		return t, err
-	}
-	splitter := models["splitter"]
 	worst := map[int]float64{}
-	rates := rateGrid(4e6, 68e6, 8e6)
-	ps := []int{2, 4}
-	ms, err := RunPoints(sweep, len(rates)*len(ps), func(i int) (measuredCI, error) {
-		return measureCI(heron.WordCountOptions{SplitterP: ps[i%len(ps)], CounterP: 8, RatePerMinute: rates[i/len(ps)]}, sweep, "splitter")
-	})
-	if err != nil {
-		return t, err
-	}
 	for ri, rate := range rates {
 		row := []float64{rate / 1e6}
 		for pi, p := range ps {
@@ -307,7 +295,7 @@ func Fig12CPUValidation(sweep SweepOptions) (Table, error) {
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	for _, p := range []int{2, 4} {
+	for _, p := range ps {
 		t.Findings = append(t.Findings, fmt.Sprintf("p=%d worst-case CPU prediction error %.1f%% (paper: %.1f%%)",
 			p, 100*worst[p], map[int]float64{2: 4.8, 4: 3.0}[p]))
 	}

@@ -1,14 +1,16 @@
 // Package experiments regenerates every figure of the paper's
 // evaluation (§V, Figures 4–12) plus the two system-level comparisons
-// (traffic forecasting and Dhalion-vs-Caladrius). Each experiment
-// returns a Table whose series mirror what the corresponding figure
-// plots; cmd/figures renders them as CSV/ASCII and bench_test.go wraps
-// them as benchmarks.
+// (traffic forecasting and Dhalion-vs-Caladrius) and four ablations.
+// Experiments is the one list of them: each row runs its simulations
+// once and returns every Table those simulations feed, whose series
+// mirror what the corresponding figure plots; cmd/figures renders them
+// as CSV/ASCII and bench_test.go wraps each row as a sub-benchmark.
 package experiments
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -21,7 +23,8 @@ import (
 // Table is one experiment's result: a figure-shaped data series plus
 // headline findings.
 type Table struct {
-	// Name is the experiment id, e.g. "fig04".
+	// Name is the experiment id, e.g. "fig04", taken from the row that
+	// produced the table.
 	Name string
 	// Title describes the figure being reproduced.
 	Title string
@@ -71,9 +74,57 @@ func (t Table) ASCII() string {
 	return b.String()
 }
 
-// SweepOptions controls the simulated rate sweeps. The defaults keep a
-// full figure regeneration fast; Accurate lengthens runs for tighter
-// steady-state averages.
+// Experiment is one row of the evaluation: the tables it produces, in
+// the order run returns them, and the run that produces them. Figures
+// that plot one sweep share a row, so each distinct simulation runs
+// once per suite.
+type Experiment struct {
+	Tables []string
+	run    func(SweepOptions) ([]Table, error)
+}
+
+// Experiments is the evaluation in the order cmd/figures prints it,
+// and the only statement of which experiments exist.
+var Experiments = []Experiment{
+	{[]string{"fig04", "fig05", "fig06"}, instanceSweep},
+	{[]string{"fig07", "fig08", "fig10", "fig11", "fig12"}, componentModel},
+	{[]string{"fig09"}, counterModel},
+	{[]string{"traffic"}, trafficForecast},
+	{[]string{"dhalion"}, dhalionVsCaladrius},
+	{[]string{"ablation-watermarks"}, ablationWatermarkGap},
+	{[]string{"ablation-attribution"}, ablationCalibrationAttribution},
+	{[]string{"ablation-noise"}, ablationNoiseVsError},
+	{[]string{"ablation-schedulers"}, ablationSchedulerPlans},
+}
+
+// Lookup returns the row that produces the named table.
+func Lookup(name string) (Experiment, bool) {
+	for _, e := range Experiments {
+		if slices.Contains(e.Tables, name) {
+			return e, true
+		}
+	}
+	return Experiment{}, false
+}
+
+// Run runs the row under sweep and returns its tables, named after the
+// row.
+func (e Experiment) Run(sweep SweepOptions) ([]Table, error) {
+	if err := sweep.validate(); err != nil {
+		return nil, err
+	}
+	tables, err := e.run(sweep)
+	if err != nil {
+		return nil, err
+	}
+	for i := range tables {
+		tables[i].Name = e.Tables[i]
+	}
+	return tables, nil
+}
+
+// SweepOptions shapes every simulated deployment of a run. Each field
+// means what it says: a zero NoiseStd is a noiseless simulator.
 type SweepOptions struct {
 	// WarmupMinutes and MeasureMinutes shape each simulated run.
 	WarmupMinutes, MeasureMinutes int
@@ -81,11 +132,10 @@ type SweepOptions struct {
 	Tick time.Duration
 	// Repeats is the number of noise-seeded repetitions per measured
 	// point (the paper repeated observations 10 times and plotted 90%
-	// intervals). Default 5.
+	// intervals).
 	Repeats int
 	// NoiseStd is the per-tick service-capacity noise applied to
 	// measurement runs, giving realistic run-to-run variation.
-	// Default 3%.
 	NoiseStd float64
 	// Parallelism bounds the sweep worker pool (see RunPoints). 0 uses
 	// GOMAXPROCS; 1 forces the sequential path. Results are identical
@@ -93,50 +143,34 @@ type SweepOptions struct {
 	Parallelism int
 }
 
-// DefaultSweep is used when the zero value is passed.
+// DefaultSweep is the sweep results/ was generated with. It keeps a
+// full figure regeneration fast; cmd/figures -accurate lengthens its
+// runs for tighter steady-state averages.
 var DefaultSweep = SweepOptions{WarmupMinutes: 5, MeasureMinutes: 6, Tick: 100 * time.Millisecond, Repeats: 5, NoiseStd: 0.015}
 
-func (o SweepOptions) withDefaults() SweepOptions {
-	if o.WarmupMinutes == 0 {
-		o.WarmupMinutes = DefaultSweep.WarmupMinutes
+// validate refuses a sweep that measures nothing, which would fill the
+// tables with NaN.
+func (o SweepOptions) validate() error {
+	switch {
+	case o.Repeats < 1:
+		return fmt.Errorf("experiments: %d repeats, want at least 1", o.Repeats)
+	case o.MeasureMinutes < 1:
+		return fmt.Errorf("experiments: %d measured minutes, want at least 1", o.MeasureMinutes)
+	case o.Tick <= 0:
+		return fmt.Errorf("experiments: non-positive tick %s", o.Tick)
 	}
-	if o.MeasureMinutes == 0 {
-		o.MeasureMinutes = DefaultSweep.MeasureMinutes
-	}
-	if o.Tick == 0 {
-		o.Tick = DefaultSweep.Tick
-	}
-	if o.Repeats == 0 {
-		o.Repeats = DefaultSweep.Repeats
-	}
-	if o.NoiseStd == 0 {
-		o.NoiseStd = DefaultSweep.NoiseStd
-	}
-	return o
+	return nil
 }
 
-// measurePoint runs one word-count simulation and returns the
-// steady-state per-minute metrics of a component.
+// measurePoint deploys word-count for one sweep-shaped run and returns
+// the steady-state per-minute metrics of a component.
 func measurePoint(opts heron.WordCountOptions, sweep SweepOptions, component string) (metrics.SteadyState, error) {
-	sweep = sweep.withDefaults()
 	opts.Tick = sweep.Tick
-	sim, err := heron.NewWordCount(opts)
+	d, err := metrics.DeployWordCount(opts, sweep.WarmupMinutes, sweep.MeasureMinutes)
 	if err != nil {
 		return metrics.SteadyState{}, err
 	}
-	total := time.Duration(sweep.WarmupMinutes+sweep.MeasureMinutes) * time.Minute
-	if err := sim.Run(total); err != nil {
-		return metrics.SteadyState{}, err
-	}
-	prov, err := metrics.NewTSDBProvider(sim.DB(), time.Minute)
-	if err != nil {
-		return metrics.SteadyState{}, err
-	}
-	ws, err := prov.ComponentWindows("word-count", component, sim.Start(), sim.Start().Add(total))
-	if err != nil {
-		return metrics.SteadyState{}, err
-	}
-	return metrics.Summarise(ws, sweep.WarmupMinutes)
+	return d.SteadyState(component)
 }
 
 // measuredCI is a repeated observation of one component at one rate:
@@ -154,8 +188,12 @@ type measuredCI struct {
 // order statistics are accumulated in are those of the old sequential
 // loop, so the result is bit-identical at any parallelism.
 func measureCI(opts heron.WordCountOptions, sweep SweepOptions, component string) (measuredCI, error) {
-	sweep = sweep.withDefaults()
-	states, err := RunRepeats(opts, sweep, component)
+	opts.ServiceNoiseStd = sweep.NoiseStd
+	states, err := RunPoints(sweep, sweep.Repeats, func(r int) (metrics.SteadyState, error) {
+		o := opts
+		o.NoiseSeed = RepeatSeed(r)
+		return measurePoint(o, sweep, component)
+	})
 	if err != nil {
 		return measuredCI{}, err
 	}
@@ -183,30 +221,21 @@ func measureCI(opts heron.WordCountOptions, sweep SweepOptions, component string
 // parallelism from one linear and one saturated run, as §V-B
 // prescribes.
 func calibrateSplitter(splitterP, counterP int, linearRate, satRate float64, sweep SweepOptions) (map[string]*core.ComponentModel, error) {
-	sweep = sweep.withDefaults()
 	// The linear and the saturated calibration runs are independent
 	// simulations; run both through the pool, then merge in the fixed
 	// linear-then-saturated order the sequential path used.
 	rates := []float64{linearRate, satRate}
 	perRate, err := RunPoints(sweep, len(rates), func(i int) (map[string]*core.ComponentModel, error) {
-		sim, err := heron.NewWordCount(heron.WordCountOptions{
+		d, err := metrics.DeployWordCount(heron.WordCountOptions{
 			SplitterP: splitterP, CounterP: counterP, RatePerMinute: rates[i], Tick: sweep.Tick,
 			ServiceNoiseStd: sweep.NoiseStd, NoiseSeed: 555,
-		})
-		if err != nil {
-			return nil, err
-		}
-		total := time.Duration(sweep.WarmupMinutes+sweep.MeasureMinutes) * time.Minute
-		if err := sim.Run(total); err != nil {
-			return nil, err
-		}
-		prov, err := metrics.NewTSDBProvider(sim.DB(), time.Minute)
+		}, sweep.WarmupMinutes, sweep.MeasureMinutes)
 		if err != nil {
 			return nil, err
 		}
 		out := map[string]*core.ComponentModel{}
 		for comp, p := range map[string]int{"spout": 8, "splitter": splitterP, "counter": counterP} {
-			m, err := core.CalibrateFromProvider(prov, "word-count", comp, p, sim.Start(), sim.Start().Add(total), core.CalibrationOptions{Warmup: sweep.WarmupMinutes})
+			m, err := core.CalibrateFromProvider(d.Provider, "word-count", comp, p, d.Start, d.End, core.CalibrationOptions{Warmup: d.Warmup})
 			if err != nil {
 				return nil, fmt.Errorf("calibrate %s: %w", comp, err)
 			}
@@ -238,13 +267,24 @@ func relErr(got, want float64) float64 {
 	return math.Abs(got-want) / want
 }
 
-// Fig04InstanceThroughput reproduces Fig. 4: splitter instance input
-// and output rate versus topology source throughput, parallelism 1,
-// sweeping the source from 1 to 20 M tuples/minute. The paper observes
-// a linear region up to SP ≈ 11 M and a plateau beyond.
-func Fig04InstanceThroughput(sweep SweepOptions) (Table, error) {
+// instanceSweep reproduces Figs. 4–6 from one sweep of the splitter at
+// parallelism 1, the source swept from 1 to 20 M tuples/minute.
+func instanceSweep(sweep SweepOptions) ([]Table, error) {
+	rates := rateGrid(1e6, 20e6, 1e6)
+	ms, err := RunPoints(sweep, len(rates), func(i int) (measuredCI, error) {
+		return measureCI(heron.WordCountOptions{SplitterP: 1, CounterP: 3, RatePerMinute: rates[i]}, sweep, "splitter")
+	})
+	if err != nil {
+		return nil, err
+	}
+	return []Table{fig04(rates, ms), fig05(rates, ms), fig06(rates, ms)}, nil
+}
+
+// fig04 reproduces Fig. 4: splitter instance input and output rate
+// versus topology source throughput. The paper observes a linear region
+// up to SP ≈ 11 M and a plateau beyond.
+func fig04(rates []float64, ms []measuredCI) Table {
 	t := Table{
-		Name:  "fig04",
 		Title: "Instance throughput (input, output) vs topology source throughput",
 		Columns: []string{
 			"source_Mtpm",
@@ -254,13 +294,6 @@ func Fig04InstanceThroughput(sweep SweepOptions) (Table, error) {
 	}
 	spInput := float64(heron.SplitterServiceRate) * 60 / 1e6
 	var maxLinearIn, satIn float64
-	rates := rateGrid(1e6, 20e6, 1e6)
-	ms, err := RunPoints(sweep, len(rates), func(i int) (measuredCI, error) {
-		return measureCI(heron.WordCountOptions{SplitterP: 1, CounterP: 3, RatePerMinute: rates[i]}, sweep, "splitter")
-	})
-	if err != nil {
-		return t, err
-	}
 	for i, rate := range rates {
 		m := ms[i]
 		t.Rows = append(t.Rows, []float64{
@@ -278,26 +311,18 @@ func Fig04InstanceThroughput(sweep SweepOptions) (Table, error) {
 		fmt.Sprintf("saturation point ≈ %.1f M tuples/min (paper: ≈11 M)", spInput),
 		fmt.Sprintf("input tracks source until SP (last linear %.1f M), plateaus at %.1f M beyond", maxLinearIn, satIn),
 	)
-	return t, nil
+	return t
 }
 
-// Fig05IORatio reproduces Fig. 5: the splitter's output/input ratio
-// versus source throughput — near-constant at the corpus mean sentence
-// length (paper: 7.63–7.64).
-func Fig05IORatio(sweep SweepOptions) (Table, error) {
+// fig05 reproduces Fig. 5: the splitter's output/input ratio versus
+// source throughput — near-constant at the corpus mean sentence length
+// (paper: 7.63–7.64).
+func fig05(rates []float64, ms []measuredCI) Table {
 	t := Table{
-		Name:    "fig05",
 		Title:   "Instance output/input ratio vs instance source throughput",
 		Columns: []string{"source_Mtpm", "ratio"},
 	}
 	minR, maxR := math.Inf(1), math.Inf(-1)
-	rates := rateGrid(1e6, 20e6, 1e6)
-	ms, err := RunPoints(sweep, len(rates), func(i int) (measuredCI, error) {
-		return measureCI(heron.WordCountOptions{SplitterP: 1, CounterP: 3, RatePerMinute: rates[i]}, sweep, "splitter")
-	})
-	if err != nil {
-		return t, err
-	}
 	for i, rate := range rates {
 		m := ms[i]
 		ratio := m.Emit / m.Exec
@@ -307,27 +332,19 @@ func Fig05IORatio(sweep SweepOptions) (Table, error) {
 	t.Findings = append(t.Findings,
 		fmt.Sprintf("ratio ∈ [%.4f, %.4f] (paper: 7.63–7.64, the corpus mean sentence length)", minR, maxR),
 	)
-	return t, nil
+	return t
 }
 
-// Fig06BackpressureTime reproduces Fig. 6: per-minute backpressure time
-// versus source throughput — ≈0 below SP, jumping steeply towards
-// 60 000 ms above it (the bimodality assumption of §IV-B1).
-func Fig06BackpressureTime(sweep SweepOptions) (Table, error) {
+// fig06 reproduces Fig. 6: per-minute backpressure time versus source
+// throughput — ≈0 below SP, jumping steeply towards 60 000 ms above it
+// (the bimodality assumption of §IV-B1).
+func fig06(rates []float64, ms []measuredCI) Table {
 	t := Table{
-		Name:    "fig06",
 		Title:   "Instance backpressure time vs instance source throughput",
 		Columns: []string{"source_Mtpm", "bp_ms_per_min"},
 	}
 	var below, above []float64
 	sp := float64(heron.SplitterServiceRate) * 60
-	rates := rateGrid(1e6, 20e6, 1e6)
-	ms, err := RunPoints(sweep, len(rates), func(i int) (measuredCI, error) {
-		return measureCI(heron.WordCountOptions{SplitterP: 1, CounterP: 3, RatePerMinute: rates[i]}, sweep, "splitter")
-	})
-	if err != nil {
-		return t, err
-	}
 	for i, rate := range rates {
 		m := ms[i]
 		t.Rows = append(t.Rows, []float64{rate / 1e6, m.BpMs})
@@ -338,23 +355,7 @@ func Fig06BackpressureTime(sweep SweepOptions) (Table, error) {
 		}
 	}
 	t.Findings = append(t.Findings,
-		fmt.Sprintf("below SP: max %.0f ms/min; above SP: min %.0f ms/min (paper: steep 0 → ~60000 step)", maxOf(below), minOf(above)),
+		fmt.Sprintf("below SP: max %.0f ms/min; above SP: min %.0f ms/min (paper: steep 0 → ~60000 step)", slices.Max(below), slices.Min(above)),
 	)
-	return t, nil
-}
-
-func maxOf(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, v := range xs {
-		m = math.Max(m, v)
-	}
-	return m
-}
-
-func minOf(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, v := range xs {
-		m = math.Min(m, v)
-	}
-	return m
+	return t
 }

@@ -12,13 +12,45 @@ import (
 
 // fastSweep keeps experiment tests quick while preserving the shape
 // claims (coarser tick, shorter windows).
-var fastSweep = SweepOptions{WarmupMinutes: 3, MeasureMinutes: 4, Tick: 200 * time.Millisecond, NoiseStd: 0.01}
+var fastSweep = SweepOptions{WarmupMinutes: 3, MeasureMinutes: 4, Tick: 200 * time.Millisecond, Repeats: 5, NoiseStd: 0.01}
 
-func TestFig04Shape(t *testing.T) {
-	tbl, err := Fig04InstanceThroughput(fastSweep)
+// rowRun keys a row's run by the row's first table and the sweep.
+type rowRun struct {
+	row   string
+	sweep SweepOptions
+}
+
+// runs holds each row's tables by name, so tests reading different
+// tables of one row share its simulations, as cmd/figures does. The
+// tests do not run in parallel.
+var runs = map[rowRun]map[string]Table{}
+
+// run runs, through Experiments, the row that produces name under
+// sweep and returns the row's tables by name.
+func run(t *testing.T, name string, sweep SweepOptions) map[string]Table {
+	t.Helper()
+	e, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("no row produces %q", name)
+	}
+	key := rowRun{e.Tables[0], sweep}
+	if out, ok := runs[key]; ok {
+		return out
+	}
+	tables, err := e.Run(sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := map[string]Table{}
+	for _, tbl := range tables {
+		out[tbl.Name] = tbl
+	}
+	runs[key] = out
+	return out
+}
+
+func TestFig04Shape(t *testing.T) {
+	tbl := run(t, "fig04", fastSweep)["fig04"]
 	if len(tbl.Rows) != 20 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -48,10 +80,7 @@ func TestFig04Shape(t *testing.T) {
 }
 
 func TestFig05RatioConstant(t *testing.T) {
-	tbl, err := Fig05IORatio(fastSweep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := run(t, "fig05", fastSweep)["fig05"]
 	for _, row := range tbl.Rows {
 		if math.Abs(row[1]-heron.SplitterAlpha) > 0.05 {
 			t.Errorf("ratio at %.0fM = %.4f", row[0], row[1])
@@ -60,10 +89,7 @@ func TestFig05RatioConstant(t *testing.T) {
 }
 
 func TestFig06Bimodal(t *testing.T) {
-	tbl, err := Fig06BackpressureTime(fastSweep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := run(t, "fig06", fastSweep)["fig06"]
 	sp := heron.SplitterServiceRate * 60 / 1e6
 	for _, row := range tbl.Rows {
 		src, bp := row[0], row[1]
@@ -77,16 +103,10 @@ func TestFig06Bimodal(t *testing.T) {
 }
 
 func TestFig07And08ComponentScaling(t *testing.T) {
-	tbl7, err := Fig07ComponentModel(fastSweep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := run(t, "fig07", fastSweep)
+	tbl7, tbl8 := tables["fig07"], tables["fig08"]
 	if len(tbl7.Rows) == 0 || len(tbl7.Findings) < 3 {
 		t.Fatalf("fig07 table incomplete: %+v", tbl7)
-	}
-	tbl8, err := Fig08ComponentValidation(fastSweep)
-	if err != nil {
-		t.Fatal(err)
 	}
 	// The headline claim: ST prediction errors in the single digits.
 	foundErrors := 0
@@ -110,10 +130,7 @@ func TestFig07And08ComponentScaling(t *testing.T) {
 }
 
 func TestFig09CounterValidation(t *testing.T) {
-	tbl, err := Fig09CounterModel(fastSweep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := run(t, "fig09", fastSweep)["fig09"]
 	// p=4 predicted vs measured agree within 5% everywhere measured.
 	for _, row := range tbl.Rows {
 		pred, meas := row[2], row[3]
@@ -124,10 +141,7 @@ func TestFig09CounterValidation(t *testing.T) {
 }
 
 func TestFig10CriticalPathError(t *testing.T) {
-	tbl, err := Fig10CriticalPath(fastSweep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := run(t, "fig10", fastSweep)["fig10"]
 	for _, row := range tbl.Rows {
 		pred, meas := row[1], row[2]
 		if meas > 0 && math.Abs(pred-meas)/meas > 0.06 {
@@ -137,16 +151,10 @@ func TestFig10CriticalPathError(t *testing.T) {
 }
 
 func TestFig11And12CPU(t *testing.T) {
-	tbl11, err := Fig11CPULoad(fastSweep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := run(t, "fig11", fastSweep)
+	tbl11, tbl12 := tables["fig11"], tables["fig12"]
 	if len(tbl11.Rows) == 0 {
 		t.Fatal("fig11 empty")
-	}
-	tbl12, err := Fig12CPUValidation(fastSweep)
-	if err != nil {
-		t.Fatal(err)
 	}
 	for _, row := range tbl12.Rows {
 		for _, pair := range [][2]float64{{row[1], row[2]}, {row[3], row[4]}} {
@@ -158,21 +166,67 @@ func TestFig11And12CPU(t *testing.T) {
 	}
 }
 
-func TestTrafficForecastExperiment(t *testing.T) {
-	tbl, err := TrafficForecast()
-	if err != nil {
-		t.Fatal(err)
+// TestNoiselessPredictionsAreExact pins EXPERIMENTS.md's "with a
+// noiseless simulator the models are exact": with NoiseStd 0, every
+// throughput and CPU prediction of Figs. 8, 10 and 12, calibrated at
+// p=3, matches its deployed measurement to a relative error of at most
+// 1e-9. What remains is float rounding (about 1e-14).
+func TestNoiselessPredictionsAreExact(t *testing.T) {
+	const bound = 1e-9
+	sweep := fastSweep
+	sweep.NoiseStd = 0
+	tables := run(t, "fig08", sweep)
+	for _, c := range []struct {
+		table string
+		pairs [][2]int // {measured, predicted} column indices
+	}{
+		{"fig08", [][2]int{{1, 2}, {3, 4}}},
+		{"fig10", [][2]int{{2, 1}}},
+		{"fig12", [][2]int{{1, 2}, {3, 4}}},
+	} {
+		tbl := tables[c.table]
+		if len(tbl.Rows) == 0 {
+			t.Fatalf("%s has no rows", c.table)
+		}
+		for _, row := range tbl.Rows {
+			for _, p := range c.pairs {
+				meas, pred := row[p[0]], row[p[1]]
+				if e := relErr(pred, meas); e > bound {
+					t.Errorf("%s at %.0fM, %s: predicted %.17g, measured %.17g, relative error %.3g > %g",
+						c.table, row[0], tbl.Columns[p[0]], pred, meas, e, bound)
+				}
+			}
+		}
 	}
+}
+
+// TestRunRefusesEmptySweep: a sweep that measures nothing is an error
+// from every row, not a table of NaN.
+func TestRunRefusesEmptySweep(t *testing.T) {
+	for name, mutate := range map[string]func(*SweepOptions){
+		"repeats":          func(o *SweepOptions) { o.Repeats = 0 },
+		"measured minutes": func(o *SweepOptions) { o.MeasureMinutes = 0 },
+		"tick":             func(o *SweepOptions) { o.Tick = 0 },
+	} {
+		sweep := fastSweep
+		mutate(&sweep)
+		for _, e := range Experiments {
+			if tables, err := e.Run(sweep); err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("%v with zero %s: tables %v, err %v", e.Tables, name, tables, err)
+			}
+		}
+	}
+}
+
+func TestTrafficForecastExperiment(t *testing.T) {
+	tbl := run(t, "traffic", fastSweep)["traffic"]
 	if len(tbl.Rows) != 24 {
 		t.Errorf("rows = %d", len(tbl.Rows))
 	}
 }
 
 func TestDhalionVsCaladriusExperiment(t *testing.T) {
-	tbl, err := DhalionVsCaladrius()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := run(t, "dhalion", fastSweep)["dhalion"]
 	if len(tbl.Rows) < 4 {
 		t.Errorf("dhalion rounds = %d, expected several", len(tbl.Rows))
 	}

@@ -3,9 +3,6 @@ package experiments
 import (
 	"runtime"
 	"sync"
-
-	"caladrius/internal/heron"
-	"caladrius/internal/metrics"
 )
 
 // This file implements the parallel sweep engine. Every figure of the
@@ -115,19 +112,6 @@ func RunPoints[T any](sweep SweepOptions, n int, fn func(i int) (T, error)) ([]T
 // produces the same simulation whether it runs first on one worker or
 // last on eight.
 func RepeatSeed(r int) int64 { return int64(1000 + 7919*r) }
-
-// RunRepeats fans the sweep's noise-seeded repetitions of one measured
-// point across the worker pool and returns the per-repeat steady
-// states in repeat order.
-func RunRepeats(opts heron.WordCountOptions, sweep SweepOptions, component string) ([]metrics.SteadyState, error) {
-	sweep = sweep.withDefaults()
-	opts.ServiceNoiseStd = sweep.NoiseStd
-	return RunPoints(sweep, sweep.Repeats, func(r int) (metrics.SteadyState, error) {
-		o := opts
-		o.NoiseSeed = RepeatSeed(r)
-		return measurePoint(o, sweep, component)
-	})
-}
 
 // rateGrid enumerates the sweep's rate points with the same repeated
 // float addition the sequential loops used, so the grid values are

@@ -127,26 +127,21 @@ func TestRunPointsFailingSimulation(t *testing.T) {
 	}
 }
 
-// TestSweepParallelismDeterminism is the tentpole guarantee: a figure
+// TestSweepParallelismDeterminism is the tentpole guarantee: figures
 // regenerated at Parallelism 8 must be byte-identical (CSV) to the
 // sequential Parallelism 1 run.
 func TestSweepParallelismDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("regenerates a figure twice")
+		t.Skip("regenerates a row twice")
 	}
-	seq, err := Fig05IORatio(tinySweep(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Fig05IORatio(tinySweep(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.CSV() != par.CSV() {
-		t.Fatalf("parallel sweep diverged from sequential:\n-- parallelism 1:\n%s\n-- parallelism 8:\n%s", seq.CSV(), par.CSV())
-	}
-	if len(seq.Rows) == 0 {
-		t.Fatal("figure produced no rows")
+	seq, par := run(t, "fig05", tinySweep(1)), run(t, "fig05", tinySweep(8))
+	for name, tbl := range seq {
+		if tbl.CSV() != par[name].CSV() {
+			t.Fatalf("%s: parallel sweep diverged from sequential:\n-- parallelism 1:\n%s\n-- parallelism 8:\n%s", name, tbl.CSV(), par[name].CSV())
+		}
+		if len(tbl.Rows) == 0 {
+			t.Fatalf("%s produced no rows", name)
+		}
 	}
 }
 

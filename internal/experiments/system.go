@@ -12,14 +12,14 @@ import (
 	"caladrius/internal/workload"
 )
 
-// TrafficForecast exercises §IV-A: fit the Prophet-substitute and the
+// trafficForecast exercises §IV-A: fit the Prophet-substitute and the
 // summary model on a week of strongly seasonal synthetic traffic and
 // compare their forecast accuracy over the next day. The paper's
 // premise is that seasonal production traffic defeats summary
-// statistics but suits an additive seasonal model.
-func TrafficForecast() (Table, error) {
+// statistics but suits an additive seasonal model. It simulates no
+// deployment, so the sweep does not shape it.
+func trafficForecast(SweepOptions) ([]Table, error) {
 	t := Table{
-		Name:    "traffic",
 		Title:   "Traffic forecasting on seasonal traffic: prophet vs summary (§IV-A)",
 		Columns: []string{"horizon_hour", "truth_Mtpm", "prophet_Mtpm", "summary_Mtpm"},
 	}
@@ -51,7 +51,7 @@ func TrafficForecast() (Table, error) {
 		return m.Predict(horizon)
 	})
 	if err != nil {
-		return t, err
+		return nil, err
 	}
 	pPreds, sPreds := preds[0], preds[1]
 
@@ -70,18 +70,19 @@ func TrafficForecast() (Table, error) {
 		fmt.Sprintf("24h-ahead MAPE: prophet %.1f%%, summary %.1f%% (seasonality defeats summary statistics)", 100*pMAPE, 100*sMAPE),
 	)
 	if pMAPE >= sMAPE {
-		return t, fmt.Errorf("traffic experiment: prophet (%.3f) did not beat summary (%.3f)", pMAPE, sMAPE)
+		return nil, fmt.Errorf("traffic experiment: prophet (%.3f) did not beat summary (%.3f)", pMAPE, sMAPE)
 	}
-	return t, nil
+	return []Table{t}, nil
 }
 
-// DhalionVsCaladrius reproduces the paper's headline motivation (§V):
+// dhalionVsCaladrius reproduces the paper's headline motivation (§V):
 // Dhalion converges on a throughput SLO through many reactive
 // deploy-measure rounds, while Caladrius' model-driven loop needs one
-// round per distinct bottleneck plus the final verification.
-func DhalionVsCaladrius() (Table, error) {
+// round per distinct bottleneck plus the final verification. Both loops
+// deploy with their own fixed minutes at the simulator's default tick,
+// not the sweep's.
+func dhalionVsCaladrius(SweepOptions) ([]Table, error) {
 	t := Table{
-		Name:    "dhalion",
 		Title:   "Deployments to reach SLO: Dhalion reactive scaling vs Caladrius dry-run planning",
 		Columns: []string{"round", "dhalion_splitter_p", "dhalion_counter_p", "dhalion_throughput_Mtpm"},
 	}
@@ -101,7 +102,7 @@ func DhalionVsCaladrius() (Table, error) {
 		return dhalion.CaladriusTuner{RatePerMinute: rate, SLOThroughputTPM: slo}.Run(start)
 	})
 	if err != nil {
-		return t, err
+		return nil, err
 	}
 	dres, cres := results[0], results[1]
 	for i, r := range dres.Rounds {
@@ -118,13 +119,13 @@ func DhalionVsCaladrius() (Table, error) {
 	// takes roughly one round per distinct bottleneck plus the final
 	// verification.
 	if !cres.Converged {
-		return t, fmt.Errorf("caladrius tuner did not converge: %s", cres.Reason)
+		return nil, fmt.Errorf("caladrius tuner did not converge: %s", cres.Reason)
 	}
 	caladriusDeploys := cres.Deployments()
 	plan := cres.FinalParallelisms
 	last := cres.Rounds[len(cres.Rounds)-1].Measurement
 	if last.SinkThroughputTPM < slo {
-		return t, fmt.Errorf("caladrius plan %v missed SLO: %.3g < %.3g", plan, last.SinkThroughputTPM, slo)
+		return nil, fmt.Errorf("caladrius plan %v missed SLO: %.3g < %.3g", plan, last.SinkThroughputTPM, slo)
 	}
 	t.Findings = append(t.Findings,
 		fmt.Sprintf("dhalion: %d deployments to converge (splitter %d, counter %d)",
@@ -134,7 +135,7 @@ func DhalionVsCaladrius() (Table, error) {
 		fmt.Sprintf("reduction: %.1fx fewer deployments", float64(dres.Deployments())/float64(caladriusDeploys)),
 	)
 	if caladriusDeploys >= dres.Deployments() {
-		return t, fmt.Errorf("caladrius (%d) did not beat dhalion (%d)", caladriusDeploys, dres.Deployments())
+		return nil, fmt.Errorf("caladrius (%d) did not beat dhalion (%d)", caladriusDeploys, dres.Deployments())
 	}
-	return t, nil
+	return []Table{t}, nil
 }

@@ -276,8 +276,9 @@ func (r *Recorder) loadExisting() error {
 		if err != nil {
 			continue // incomplete bundle (no manifest): ignore, retention will not count it
 		}
-		var m Manifest
-		if err := json.Unmarshal(data, &m); err != nil || m.ID != e.Name() {
+		m, err := readManifest(data, e.Name())
+		if err != nil {
+			r.opts.Logger.Warn("incident bundle not indexed", "bundle", e.Name(), "err", err)
 			continue
 		}
 		r.bundles = append(r.bundles, m)
@@ -289,6 +290,35 @@ func (r *Recorder) loadExisting() error {
 		return r.bundles[i].ID < r.bundles[j].ID
 	})
 	return nil
+}
+
+// readManifest decodes the manifest found in bundle directory dir. It
+// refuses one written by another bundle layout, one that names another
+// bundle, and one listing an artifact that is not a single path element
+// of dir: ArtifactPath joins those names onto the bundle directory.
+func readManifest(data []byte, dir string) (Manifest, error) {
+	var m Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		return Manifest{}, err
+	}
+	if m.Version != BundleVersion {
+		return Manifest{}, fmt.Errorf("manifest version %d, want %d", m.Version, BundleVersion)
+	}
+	if m.ID != dir {
+		return Manifest{}, fmt.Errorf("manifest id %q names another bundle", m.ID)
+	}
+	for _, a := range m.Artifacts {
+		if !fileName(a.Name) {
+			return Manifest{}, fmt.Errorf("artifact %q is not a file name", a.Name)
+		}
+	}
+	return m, nil
+}
+
+// fileName reports whether name is a single path element naming a file
+// inside a bundle directory.
+func fileName(name string) bool {
+	return name != "" && name != "." && name != ".." && !strings.ContainsAny(name, `/\`)
 }
 
 // FiringHook returns the callback to register with SLO.OnFiring: it
@@ -488,7 +518,7 @@ func (r *Recorder) capture(req captureReq) (Manifest, error) {
 
 	// Contributed attachments (e.g. the profiler's regression diff).
 	for _, att := range r.opts.Attachments {
-		if att.Name == "" || att.Capture == nil || strings.ContainsAny(att.Name, "/\\") {
+		if !fileName(att.Name) || att.Capture == nil {
 			note("attachment %q: invalid name or nil capture", att.Name)
 			continue
 		}

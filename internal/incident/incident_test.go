@@ -2,6 +2,7 @@ package incident
 
 import (
 	"encoding/json"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -331,4 +332,105 @@ func TestClosedRecorderRejectsWork(t *testing.T) {
 	if n := len(rec.List()); n != 0 {
 		t.Errorf("bundles = %d", n)
 	}
+}
+
+// writeBundle leaves a bundle directory named id holding manifest m, the
+// way a previous process (or anyone with write access) could.
+func writeBundle(t testing.TB, dir, id string, m Manifest) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Join(dir, id), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, id, manifestName), mustJSON(t, m), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRestartRefusesUnsafeManifests: at restart a manifest is indexed
+// only if it has this layout's version, names its own directory and
+// lists artifacts that are file names inside it. A manifest listing
+// "../x" used to be indexed, and ArtifactPath resolved it outside the
+// bundle directory.
+func TestRestartRefusesUnsafeManifests(t *testing.T) {
+	dir := t.TempDir()
+	ok := func(id string) Manifest {
+		return Manifest{Version: BundleVersion, ID: id, Trigger: TriggerManual, Artifacts: []Artifact{{Name: ArtifactLogs}}}
+	}
+	writeBundle(t, dir, "good", ok("good"))
+	for _, name := range []string{"../x", "..", ".", "", "a/b", `a\b`} {
+		m := ok("escape")
+		m.Artifacts = append(m.Artifacts, Artifact{Name: name})
+		writeBundle(t, dir, "escape", m)
+		rec, err := New(Options{Dir: dir, Registry: telemetry.NewRegistry(), History: tsdb.New(time.Hour),
+			Logs: telemetry.NewLogRing(8), Tracer: telemetry.NewTracer(8, nil),
+			Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if list := rec.List(); len(list) != 1 || list[0].ID != "good" {
+			t.Errorf("artifact %q: indexed %+v, want only the good bundle", name, list)
+		}
+		if p, found := rec.ArtifactPath("escape", name); found {
+			t.Errorf("artifact %q resolves to %s", name, p)
+		}
+		rec.Close()
+	}
+	for name, m := range map[string]Manifest{
+		"old-version": {Version: BundleVersion + 1, ID: "old-version"},
+		"unversioned": {ID: "unversioned"},
+		"borrowed-id": ok("good"),
+	} {
+		if _, err := readManifest(mustJSON(t, m), name); err == nil {
+			t.Errorf("%s: manifest %+v accepted", name, m)
+		}
+	}
+}
+
+func mustJSON(t testing.TB, v any) []byte {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// FuzzReadManifest: whatever a bundle directory's manifest.json holds,
+// reading it never panics, an accepted manifest names its directory and
+// only file names inside it, and restart indexes the bundle exactly when
+// readManifest accepts its manifest.
+func FuzzReadManifest(f *testing.F) {
+	f.Add([]byte(`{"version":1,"id":"b","captured_at":"2026-08-08T12:00:00Z","trigger":"manual","artifacts":[{"name":"logs.json","bytes":2}]}`))
+	f.Add([]byte(`{"version":1,"id":"b","artifacts":[{"name":"../x"}]}`))
+	f.Add([]byte(`{"version":0,"id":"b"}`))
+	f.Add([]byte(`{"version":1,"id":"b","artifacts":null,"alert":{"value":null}}`))
+	f.Add([]byte(`[]`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const id = "b"
+		m, readErr := readManifest(data, id)
+		if readErr == nil {
+			if m.ID != id || m.Version != BundleVersion {
+				t.Fatalf("accepted manifest id %q version %d", m.ID, m.Version)
+			}
+			for _, a := range m.Artifacts {
+				if p := filepath.Join("root", id, a.Name); filepath.Dir(p) != filepath.Join("root", id) {
+					t.Fatalf("accepted artifact %q resolves to %s", a.Name, p)
+				}
+			}
+		}
+		dir := t.TempDir()
+		if err := os.MkdirAll(filepath.Join(dir, id), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, id, manifestName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r := &Recorder{opts: Options{Dir: dir, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}}
+		if err := r.loadExisting(); err != nil {
+			t.Fatal(err)
+		}
+		if indexed := len(r.bundles) == 1; indexed != (readErr == nil) {
+			t.Fatalf("indexed = %v, readManifest error = %v", indexed, readErr)
+		}
+	})
 }

@@ -7,10 +7,11 @@
 # run under -race here), the nested benchmark module's vet and tests —
 # it compiles against internal/*, so a signature change that breaks it
 # fails here and not in the benchmark driver — then a short fuzz smoke
-# over the seven parsers that face untrusted input (config YAML — both
+# over the eight parsers that face untrusted input (config YAML — both
 # the untyped yamlite layer and the typed settings on top of it — API
 # range queries, Gremlin graph queries, pprof protobuf profiles, TSDB
-# snapshot files, audit ledger snapshot files, chaos fault plans) and the
+# snapshot files, audit ledger snapshot files, chaos fault plans,
+# incident manifests re-indexed at restart) and the
 # Downsample-vs-reference differential,
 # and finally a ~10s smoke soak: caladriussoak drives an in-process
 # daemon through a chaos metrics outage and exits non-zero unless the
@@ -50,6 +51,7 @@ go test -run '^$' -fuzz '^FuzzPprofParse$' -fuzztime "$FUZZTIME" ./internal/prof
 go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime "$FUZZTIME" ./internal/tsdb
 go test -run '^$' -fuzz '^FuzzAuditReadSnapshot$' -fuzztime "$FUZZTIME" ./internal/audit
 go test -run '^$' -fuzz '^FuzzParsePlan$' -fuzztime "$FUZZTIME" ./internal/chaos
+go test -run '^$' -fuzz '^FuzzReadManifest$' -fuzztime "$FUZZTIME" ./internal/incident
 go test -run '^$' -fuzz '^FuzzDownsampleMatchesReference$' -fuzztime "$FUZZTIME" ./internal/tsdb
 go run ./cmd/caladriussoak -duration 6s -slo-window 4s -settle 12s > /dev/null
 echo "verify: all checks passed"
