@@ -95,25 +95,45 @@ func BenchmarkSweepParallel8(b *testing.B) { benchSweepParallel(b, 8) }
 // --- micro-benchmarks -----------------------------------------------------
 
 // BenchmarkSimulatorMinute measures the cost of simulating one minute
-// of the 12-instance word-count topology at the default 100 ms tick.
+// at the default 100 ms tick, one Run per minute. bare is the
+// 12-instance word-count topology without a registry; daemon is the
+// demo daemon's warm-up shape (splitter 3, counter 4, 45e6 tuples/min,
+// event telemetry into a registry), the minute heron.sim_minute_us
+// times at boot.
 func BenchmarkSimulatorMinute(b *testing.B) {
-	sim, err := heron.NewWordCount(heron.WordCountOptions{RatePerMinute: 8e6})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sim.Run(time.Minute); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name     string
+		opts     heron.WordCountOptions
+		registry bool
+	}{
+		{"bare", heron.WordCountOptions{RatePerMinute: 8e6}, false},
+		{"daemon", heron.WordCountOptions{SplitterP: 3, CounterP: 4, RatePerMinute: 45e6}, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			opts := c.opts
+			if c.registry {
+				opts.Metrics = telemetry.NewRegistry()
+			}
+			sim, err := heron.NewWordCount(opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := sim.Run(time.Minute); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkSimulatorMinuteWithInjector measures the same minute with a
 // fault injector attached whose plan never fires inside the benchmark
 // horizon — the per-tick cost of the chaos hook itself. The fault-free
-// overhead budget is <5% over BenchmarkSimulatorMinute at 0 allocs/op.
+// overhead budget is <5% over BenchmarkSimulatorMinute/bare at 0
+// allocs/op.
 // The benchmark's heron.sim_minute_us is the injector-free minute.
 func BenchmarkSimulatorMinuteWithInjector(b *testing.B) {
 	sim, err := heron.NewWordCount(heron.WordCountOptions{RatePerMinute: 8e6})

@@ -34,7 +34,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"math/rand"
+	"slices"
 )
 
 // EmitProfile describes one output stream of a component.
@@ -165,11 +165,9 @@ func (z ZipfKeys) Weights(p int) []float64 {
 		probs[k-1] = 1 / math.Pow(float64(k), s)
 		norm += probs[k-1]
 	}
-	rng := rand.New(rand.NewSource(z.Seed))
 	w := make([]float64, p)
 	for k := 0; k < z.N; k++ {
 		key := fmt.Sprintf("key-%d-%d", z.Seed, k)
-		_ = rng // reserved for future key-identity shuffling
 		h := fnv.New32a()
 		h.Write([]byte(key))
 		w[int(h.Sum32())%p] += probs[k] / norm
@@ -185,20 +183,26 @@ type ExplicitKeys struct {
 	Probs map[string]float64
 }
 
-// Weights implements KeyModel.
+// Weights implements KeyModel. Keys are summed in sorted order, so the
+// float sums, and hence the weights, are the same on every call.
 func (e ExplicitKeys) Weights(p int) []float64 {
+	keys := make([]string, 0, len(e.Probs))
+	for key := range e.Probs {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
 	w := make([]float64, p)
 	var norm float64
-	for _, f := range e.Probs {
-		norm += f
+	for _, key := range keys {
+		norm += e.Probs[key]
 	}
 	if norm == 0 {
 		return UniformKeys{}.Weights(p)
 	}
-	for key, f := range e.Probs {
+	for _, key := range keys {
 		h := fnv.New32a()
 		h.Write([]byte(key))
-		w[int(h.Sum32())%p] += f / norm
+		w[int(h.Sum32())%p] += e.Probs[key] / norm
 	}
 	return w
 }

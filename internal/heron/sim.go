@@ -113,9 +113,9 @@ type Config struct {
 	// injection).
 	RestartDelay time.Duration
 	// Metrics, when set, receives simulator event telemetry: tick
-	// counts and wall-clock tick durations, backpressure on/off
-	// transitions, and tuples processed/dropped. Nil disables event
-	// telemetry entirely (no per-tick clock reads).
+	// counts, backpressure on/off transitions and active instances, and
+	// tuples processed/dropped, published once per Run. Nil disables
+	// event telemetry.
 	Metrics *telemetry.Registry
 	// Injector, when set, applies scheduled faults to the simulation
 	// (see FaultInjector in faults.go). It can also be attached after
@@ -127,7 +127,6 @@ type Config struct {
 // topology so several simulations can share one registry.
 type simEvents struct {
 	ticks     *telemetry.Counter
-	tickDur   *telemetry.Histogram
 	bpOn      *telemetry.Counter
 	bpOff     *telemetry.Counter
 	bpActive  *telemetry.Gauge
@@ -138,20 +137,25 @@ type simEvents struct {
 func newSimEvents(reg *telemetry.Registry, topo string) *simEvents {
 	l := telemetry.Labels{"topology": topo}
 	reg.SetHelp("caladrius_sim_ticks_total", "Simulation ticks executed.")
-	reg.SetHelp("caladrius_sim_tick_duration_seconds", "Wall-clock cost of one simulation tick.")
 	reg.SetHelp("caladrius_sim_backpressure_transitions_total", "Instance backpressure flag flips, by new state.")
 	reg.SetHelp("caladrius_sim_backpressure_active_instances", "Instances currently initiating backpressure.")
 	reg.SetHelp("caladrius_sim_tuples_processed_total", "Tuples executed across all instances.")
 	reg.SetHelp("caladrius_sim_tuples_dropped_total", "Tuples lost to user-logic failures and OOM restarts.")
 	return &simEvents{
 		ticks:     reg.Counter("caladrius_sim_ticks_total", l),
-		tickDur:   reg.Histogram("caladrius_sim_tick_duration_seconds", telemetry.DefTickBuckets, l),
 		bpOn:      reg.Counter("caladrius_sim_backpressure_transitions_total", telemetry.Labels{"topology": topo, "state": "on"}),
 		bpOff:     reg.Counter("caladrius_sim_backpressure_transitions_total", telemetry.Labels{"topology": topo, "state": "off"}),
 		bpActive:  reg.Gauge("caladrius_sim_backpressure_active_instances", l),
 		processed: reg.Counter("caladrius_sim_tuples_processed_total", l),
 		dropped:   reg.Counter("caladrius_sim_tuples_dropped_total", l),
 	}
+}
+
+// eventTally is the event telemetry of the ticks since the last
+// publish: step adds into it, Run publishes and zeroes it.
+type eventTally struct {
+	ticks, processed, dropped, bpOn, bpOff float64
+	active                                 float64 // instances in backpressure after the last tick
 }
 
 type route struct {
@@ -254,12 +258,14 @@ type Simulation struct {
 	wTopoBpMs float64
 	noise     *rand.Rand // nil when ServiceNoiseStd == 0
 	events    *simEvents // nil when Config.Metrics is nil
+	tally     eventTally
 
 	injector  FaultInjector // nil when no fault injection
 	faultTick bool          // a fault was active on the previous tick
 
 	topoBpSeries *tsdb.SeriesHandle
-	tickMs       float64 // float64(Tick.Milliseconds()), hoisted
+	batch        []tsdb.BatchSample // flushWindow's staging buffer, reused
+	tickMs       float64            // float64(Tick.Milliseconds()), hoisted
 }
 
 // New validates the configuration and builds a simulation.
@@ -451,7 +457,8 @@ func (s *Simulation) Start() time.Time { return s.cfg.Start }
 func (s *Simulation) Elapsed() time.Duration { return s.elapsed }
 
 // Run advances the simulation by the given simulated duration, writing
-// metrics for every completed rollup window.
+// metrics for every completed rollup window, then publishes the ticks'
+// event telemetry.
 func (s *Simulation) Run(d time.Duration) error {
 	if d < 0 {
 		return fmt.Errorf("heron: negative duration %s", d)
@@ -460,17 +467,33 @@ func (s *Simulation) Run(d time.Duration) error {
 	for s.elapsed < end {
 		s.step()
 	}
+	s.publishEvents()
 	return nil
+}
+
+// publishEvents adds the tally into the event instruments, one update
+// each, and zeroes it. With no tick since the last publish there is
+// nothing to say, so the instruments (the gauge included) stay as they
+// are.
+func (s *Simulation) publishEvents() {
+	t := s.tally
+	s.tally = eventTally{}
+	ev := s.events
+	if ev == nil || t.ticks == 0 {
+		return
+	}
+	ev.ticks.Add(t.ticks)
+	ev.processed.Add(t.processed)
+	ev.dropped.Add(t.dropped)
+	ev.bpOn.Add(t.bpOn)
+	ev.bpOff.Add(t.bpOff)
+	ev.bpActive.Set(t.active)
 }
 
 // step advances one tick.
 func (s *Simulation) step() {
 	dt := s.cfg.Tick
 	dtSec := dt.Seconds()
-	var wallStart time.Time
-	if s.events != nil {
-		wallStart = time.Now()
-	}
 	var tickProcessed, tickDropped float64
 
 	// Backpressure state broadcast: spouts react to the flags set at
@@ -614,7 +637,8 @@ func (s *Simulation) step() {
 	}
 
 	// Update watermark-based backpressure flags.
-	var bpOnN, bpOffN, bpActive int
+	tally := &s.tally
+	tally.active = 0
 	for _, inst := range s.instances {
 		was := inst.bp
 		pending := inst.queueTuples * inst.profile.BytesPerTuple
@@ -625,34 +649,24 @@ func (s *Simulation) step() {
 		}
 		if inst.bp {
 			inst.wBpMs += s.tickMs
-			bpActive++
+			tally.active++
 			if !was {
-				bpOnN++
+				tally.bpOn++
 			}
 		} else if was {
-			bpOffN++
+			tally.bpOff++
 		}
 	}
 	if s.topoBP {
 		s.wTopoBpMs += s.tickMs
 	}
+	tally.ticks++
+	tally.processed += tickProcessed
+	tally.dropped += tickDropped
 
 	s.elapsed += dt
 	if s.elapsed >= s.windowEnd+s.cfg.MetricsInterval {
 		s.flushWindow()
-	}
-	if ev := s.events; ev != nil {
-		ev.ticks.Inc()
-		ev.tickDur.Observe(time.Since(wallStart).Seconds())
-		ev.processed.Add(tickProcessed)
-		ev.dropped.Add(tickDropped)
-		ev.bpActive.Set(float64(bpActive))
-		if bpOnN > 0 {
-			ev.bpOn.Add(float64(bpOnN))
-		}
-		if bpOffN > 0 {
-			ev.bpOff.Add(float64(bpOffN))
-		}
 	}
 }
 
@@ -715,35 +729,42 @@ func (s *Simulation) instanceHeadroom(down *instanceState, dtSec float64) float6
 	return h + down.profile.ServiceRate*down.slow*dtSec
 }
 
+// stage queues one sample of the window being flushed.
+func (s *Simulation) stage(h *tsdb.SeriesHandle, t time.Time, v float64) {
+	s.batch = append(s.batch, tsdb.BatchSample{H: h, T: t, V: v})
+}
+
 // flushWindow writes the accumulated window metrics through the
-// series handles interned at New and resets the accumulators.
+// series handles interned at New, as one batch, and resets the
+// accumulators.
 func (s *Simulation) flushWindow() {
 	stamp := s.cfg.Start.Add(s.windowEnd)
+	s.batch = s.batch[:0]
 	for _, inst := range s.instances {
 		sr := &inst.series
 		if inst.isSpout {
-			sr.source.Append(stamp, inst.wSource)
-			sr.backlog.Append(stamp, inst.backlog)
+			s.stage(sr.source, stamp, inst.wSource)
+			s.stage(sr.backlog, stamp, inst.backlog)
 		}
-		sr.arrival.Append(stamp, inst.wArrived)
-		sr.execute.Append(stamp, inst.wExecuted)
-		sr.emit.Append(stamp, inst.wEmitted)
-		sr.fail.Append(stamp, inst.wFailed)
-		sr.bpMs.Append(stamp, inst.wBpMs)
-		sr.cpu.Append(stamp, inst.wCPUSecs/s.cfg.MetricsInterval.Seconds())
+		s.stage(sr.arrival, stamp, inst.wArrived)
+		s.stage(sr.execute, stamp, inst.wExecuted)
+		s.stage(sr.emit, stamp, inst.wEmitted)
+		s.stage(sr.fail, stamp, inst.wFailed)
+		s.stage(sr.bpMs, stamp, inst.wBpMs)
+		s.stage(sr.cpu, stamp, inst.wCPUSecs/s.cfg.MetricsInterval.Seconds())
 		if inst.wLatTicks > 0 {
-			sr.latency.Append(stamp, inst.wLatMs/inst.wLatTicks)
+			s.stage(sr.latency, stamp, inst.wLatMs/inst.wLatTicks)
 		}
 		for ri := range inst.routes {
 			r := &inst.routes[ri]
 			if !r.emitSeen {
 				continue
 			}
-			r.series.Append(stamp, r.wStreamEmit)
+			s.stage(r.series, stamp, r.wStreamEmit)
 			r.wStreamEmit = 0
 		}
-		sr.pending.Append(stamp, inst.queueTuples*inst.profile.BytesPerTuple)
-		sr.restarts.Append(stamp, inst.wRestarts)
+		s.stage(sr.pending, stamp, inst.queueTuples*inst.profile.BytesPerTuple)
+		s.stage(sr.restarts, stamp, inst.wRestarts)
 		c := &inst.cum
 		c.source += inst.wSource
 		c.arrived += inst.wArrived
@@ -759,7 +780,8 @@ func (s *Simulation) flushWindow() {
 		inst.wLatMs, inst.wLatTicks = 0, 0
 		inst.wQueueDropped, inst.wRouteDropped = 0, 0
 	}
-	s.topoBpSeries.Append(stamp, s.wTopoBpMs)
+	s.stage(s.topoBpSeries, stamp, s.wTopoBpMs)
+	s.db.AppendBatch(s.batch)
 	s.wTopoBpMs = 0
 	s.windowEnd += s.cfg.MetricsInterval
 }

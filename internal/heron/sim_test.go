@@ -2,6 +2,7 @@ package heron
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -468,6 +469,27 @@ func TestKeyModelWeights(t *testing.T) {
 	w = ZipfKeys{N: 0, S: 0}.Weights(2)
 	if math.Abs(w[0]+w[1]-1) > 1e-9 {
 		t.Errorf("degenerate zipf weights = %v", w)
+	}
+}
+
+// TestKeyModelsAreDeterministic holds KeyModel's contract bit for bit:
+// an explicit table whose float sums depend on the order its keys are
+// added in must still give the same weights on every call.
+func TestKeyModelsAreDeterministic(t *testing.T) {
+	probs := map[string]float64{}
+	for i := 0; i < 50; i++ {
+		probs["key-"+strconv.Itoa(i)] = 1 / float64(i+3)
+	}
+	for _, km := range []KeyModel{UniformKeys{}, ZipfKeys{N: 500, S: 1.2, Seed: 1}, ExplicitKeys{Probs: probs}} {
+		first := km.Weights(4)
+		for call := 0; call < 100; call++ {
+			w := km.Weights(4)
+			for i := range w {
+				if math.Float64bits(w[i]) != math.Float64bits(first[i]) {
+					t.Fatalf("%T call %d: weight %d = %v, first call gave %v", km, call, i, w[i], first[i])
+				}
+			}
+		}
 	}
 }
 

@@ -163,9 +163,6 @@ func (h *Histogram) Cumulative() []uint64 {
 // DefLatencyBuckets covers request latencies from 1 ms to 10 s.
 var DefLatencyBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
-// DefTickBuckets covers simulator tick costs from 1 µs to 25 ms.
-var DefTickBuckets = []float64{1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 5e-3, 2.5e-2}
-
 type kind int
 
 const (

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Full verification recipe: build, static checks (gofmt, vet, and no
-# copy of a wire schema under cmd/), the whole test suite, the whole
+# copy of a wire schema under cmd/), the whole test suite, every
+# benchmark once (-benchtime 1x, output discarded: a benchmark that
+# fails or panics fails verify instead of rotting), the whole
 # suite again under the race detector (every package,
 # not a hand-kept list: the chaos invariant suite's 3-seed × every-
 # fault-kind matrix, the soak package and the daemon lifecycle test all
@@ -40,6 +42,7 @@ fi
 go build ./...
 go vet ./...
 go test ./...
+go test -run '^$' -bench . -benchtime 1x ./... > /dev/null
 go test -race ./...
 (cd benchmark && go vet ./... && go test ./...)
 FUZZTIME="${VERIFY_FUZZTIME:-10s}"
