@@ -3,6 +3,8 @@ package api
 import (
 	"net/http"
 	"net/url"
+	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
@@ -149,6 +151,33 @@ func TestSelfMonitoringEndToEnd(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST query_range status = %d, want 405", resp2.StatusCode)
+	}
+}
+
+// TestQueryRangeEndBeyondNanosecondRange: an end past 2262, the last
+// instant int64 Unix nanoseconds hold, still answers with the history
+// before it.
+func TestQueryRangeEndBeyondNanosecondRange(t *testing.T) {
+	db := tsdb.New(0)
+	h := db.Handle("caladrius_probe", nil)
+	for i := 1; i <= 4; i++ {
+		h.Append(histT0.Add(time.Duration(i)*time.Minute), float64(i))
+	}
+	_, srv, _ := testEnvWith(t, Options{History: db})
+	query := func(end string) []RangePoint {
+		v := url.Values{
+			"metric": {"caladrius_probe"},
+			"start":  {strconv.FormatInt(histT0.Unix(), 10)},
+			"end":    {end},
+			"step":   {"1000h"},
+			"agg":    {"sum"},
+		}
+		return getDecode[QueryRangeResponse](t, srv.URL+"/api/v1/query_range?"+v.Encode(), http.StatusOK).Points
+	}
+	far := query("9999-01-01T00:00:00Z")
+	near := query(histT0.Add(time.Hour).Format(time.RFC3339))
+	if len(far) != 1 || far[0].V != 10 || !reflect.DeepEqual(far, near) {
+		t.Errorf("points to 9999 = %+v, to an hour later = %+v; want the same one bucket summing to 10", far, near)
 	}
 }
 

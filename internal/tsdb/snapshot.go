@@ -3,6 +3,7 @@ package tsdb
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -69,7 +71,7 @@ func (db *DB) WriteSnapshot(w io.Writer) error {
 	for metric, bySeries := range db.metrics {
 		for key, sd := range bySeries {
 			entries = append(entries, entry{metric, key, sd})
-			total += uint64(len(sd.points))
+			total += uint64(len(sd.samples))
 		}
 	}
 	sort.Slice(entries, func(i, j int) bool {
@@ -102,15 +104,14 @@ func (db *DB) WriteSnapshot(w io.Writer) error {
 		for _, k := range keys {
 			buf = appendString(appendString(buf, k), e.data.labels[k])
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(e.data.points)))
+		buf = binary.AppendUvarint(buf, uint64(len(e.data.samples)))
 		var prev int64
-		for _, p := range e.data.points {
-			ns := p.T.UnixNano()
-			buf = binary.AppendVarint(buf, ns-prev)
-			prev = ns
+		for _, s := range e.data.samples {
+			buf = binary.AppendVarint(buf, s.ns-prev)
+			prev = s.ns
 		}
-		for _, p := range e.data.points {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.V))
+		for _, s := range e.data.samples {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.v))
 		}
 		if _, err := bw.Write(buf); err != nil {
 			return err
@@ -245,29 +246,29 @@ func (d *snapshotDecoder) series(db *DB) (uint64, error) {
 	}
 	d.prevMetric, d.prevKey = metric, key
 
-	pts := make([]Point, n)
+	ss := make([]sample, n)
 	sorted := true
 	var ns int64
-	for i := range pts {
+	for i := range ss {
 		prev := ns
 		ns += d.varint()
 		if i > 0 && ns < prev {
 			sorted = false
 		}
-		pts[i].T = time.Unix(0, ns).UTC()
+		ss[i].ns = ns
 	}
 	values := d.take(8 * n)
 	if d.err != nil {
 		return 0, d.err
 	}
-	for i := range pts {
-		pts[i].V = math.Float64frombits(binary.LittleEndian.Uint64(values[8*i:]))
+	for i := range ss {
+		ss[i].v = math.Float64frombits(binary.LittleEndian.Uint64(values[8*i:]))
 	}
 	if !sorted {
-		sort.SliceStable(pts, func(a, b int) bool { return pts[a].T.Before(pts[b].T) })
+		slices.SortStableFunc(ss, func(a, b sample) int { return cmp.Compare(a.ns, b.ns) })
 	}
 	sd := db.seriesLocked(metric, key, labels)
-	sd.points = pts
+	sd.samples = ss
 	db.trimLocked(sd)
 	return n, nil
 }

@@ -309,11 +309,11 @@ func FuzzReadSnapshot(f *testing.F) {
 		// series whose snapshot is a fixed point of read-then-write.
 		for _, bySeries := range db.metrics {
 			for key, sd := range bySeries {
-				if len(sd.points) == 0 {
+				if len(sd.samples) == 0 {
 					t.Fatalf("series %q loaded empty", key)
 				}
-				for i := 1; i < len(sd.points); i++ {
-					if sd.points[i].T.Before(sd.points[i-1].T) {
+				for i := 1; i < len(sd.samples); i++ {
+					if sd.samples[i].ns < sd.samples[i-1].ns {
 						t.Fatalf("series %q unsorted at %d", key, i)
 					}
 				}

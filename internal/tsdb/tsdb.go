@@ -87,7 +87,8 @@ func (l Labels) Matches(sel Labels) bool {
 	return true
 }
 
-// Point is a single observation.
+// Point is a single observation, as readers get it back: T is in UTC
+// and carries no monotonic clock reading.
 type Point struct {
 	T time.Time
 	V float64
@@ -100,9 +101,40 @@ type Series struct {
 	Points []Point
 }
 
+// sample is how the store holds a point: 16 bytes to a Point's 32, and
+// no pointer (a time.Time carries a *Location), so a series' array is
+// allocated in a span the garbage collector never scans.
+type sample struct {
+	ns int64 // Unix nanoseconds, see unixNano
+	v  float64
+}
+
+// The instants an int64 of Unix nanoseconds can hold:
+// 1677-09-21T00:12:43.145224192Z to 2262-04-11T23:47:16.854775807Z.
+var (
+	minInstant = time.Unix(0, math.MinInt64)
+	maxInstant = time.Unix(0, math.MaxInt64)
+)
+
+// unixNano is t in Unix nanoseconds, saturated at the ends of the int64
+// range where time.Time.UnixNano would wrap around. Every instant that
+// enters the store, written or bounding a query, goes through it.
+func unixNano(t time.Time) int64 {
+	switch {
+	case t.Before(minInstant):
+		return math.MinInt64
+	case t.After(maxInstant):
+		return math.MaxInt64
+	}
+	return t.UnixNano()
+}
+
+// point is the Point a sample stands for.
+func (s sample) point() Point { return Point{T: time.Unix(0, s.ns).UTC(), V: s.v} }
+
 type seriesData struct {
-	labels Labels
-	points []Point // sorted by T ascending
+	labels  Labels
+	samples []sample // sorted by ns ascending, append order among equal ns
 }
 
 // DB is the in-memory time-series store.
@@ -150,30 +182,33 @@ func (db *DB) seriesLocked(metric, key string, labels Labels) *seriesData {
 // appendLocked inserts one point into sd and applies retention. Caller
 // holds db.mu.
 func (db *DB) appendLocked(sd *seriesData, t time.Time, v float64) {
-	n := len(sd.points)
-	if n > 0 && t.Before(sd.points[n-1].T) {
-		// Out-of-order write: insert at the right place (rare path).
-		idx := sort.Search(n, func(i int) bool { return sd.points[i].T.After(t) })
-		sd.points = append(sd.points, Point{})
-		copy(sd.points[idx+1:], sd.points[idx:])
-		sd.points[idx] = Point{T: t, V: v}
+	s := sample{ns: unixNano(t), v: v}
+	n := len(sd.samples)
+	if n > 0 && s.ns < sd.samples[n-1].ns {
+		// Out-of-order write: insert after its equals (rare path).
+		idx := sort.Search(n, func(i int) bool { return sd.samples[i].ns > s.ns })
+		sd.samples = slices.Insert(sd.samples, idx, s)
 	} else {
-		sd.points = append(sd.points, Point{T: t, V: v})
+		sd.samples = append(sd.samples, s)
 	}
 	db.trimLocked(sd)
 }
 
-// trimLocked drops the points of sd (sorted, non-empty) older than the
-// retention window, measured back from its newest point. Caller holds
+// trimLocked drops the samples of sd (sorted, non-empty) older than the
+// retention window, measured back from its newest sample. Caller holds
 // db.mu.
 func (db *DB) trimLocked(sd *seriesData) {
 	if db.retention <= 0 {
 		return
 	}
-	cutoff := sd.points[len(sd.points)-1].T.Add(-db.retention)
-	firstKeep := sort.Search(len(sd.points), func(i int) bool { return !sd.points[i].T.Before(cutoff) })
+	newest := sd.samples[len(sd.samples)-1].ns
+	cutoff := newest - int64(db.retention)
+	if cutoff > newest { // wrapped below the int64 range: keep everything
+		return
+	}
+	firstKeep := sort.Search(len(sd.samples), func(i int) bool { return sd.samples[i].ns >= cutoff })
 	if firstKeep > 0 {
-		sd.points = append(sd.points[:0], sd.points[firstKeep:]...)
+		sd.samples = append(sd.samples[:0], sd.samples[firstKeep:]...)
 	}
 }
 
@@ -205,7 +240,11 @@ func (db *DB) Handle(metric string, labels Labels) *SeriesHandle {
 	return &SeriesHandle{db: db, metric: metric, key: labels.canonical(), labels: labels.Clone()}
 }
 
-// Append records one observation into the interned series.
+// Append records one observation into the interned series. The store
+// keeps t as Unix nanoseconds: an instant before 1678 or after 2262,
+// which that cannot represent, is stored at the nearest end of the
+// range, and reads return it there, in UTC. AppendBatch stores its
+// samples' T the same way.
 func (h *SeriesHandle) Append(t time.Time, v float64) {
 	h.db.mu.Lock()
 	if h.sd == nil {
@@ -256,31 +295,33 @@ func (db *DB) SeriesCount(metric string) int {
 	return len(db.metrics[metric])
 }
 
-// seriesRange is one matching series' in-range points. The points
+// seriesRange is one matching series' in-range samples. The samples
 // alias the store: valid only while db.mu is held.
 type seriesRange struct {
-	key    string
-	labels Labels
-	points []Point
+	key     string
+	labels  Labels
+	samples []sample
 }
 
 // selectLocked returns, in canonical label order, every series of the
-// metric matching the selector that has points with start ≤ t < end.
+// metric matching the selector that has samples with start ≤ t < end.
 // Caller holds db.mu.
 func (db *DB) selectLocked(metric string, sel Labels, start, end time.Time) ([]seriesRange, error) {
 	bySeries := db.metrics[metric]
 	if len(bySeries) == 0 {
 		return nil, fmt.Errorf("%w: metric %q", ErrNoData, metric)
 	}
+	from, to := unixNano(start), unixNano(end)
 	var out []seriesRange
 	for k, sd := range bySeries {
 		if !sd.labels.Matches(sel) {
 			continue
 		}
-		lo := sort.Search(len(sd.points), func(i int) bool { return !sd.points[i].T.Before(start) })
-		hi := sort.Search(len(sd.points), func(i int) bool { return !sd.points[i].T.Before(end) })
+		ss := sd.samples
+		lo := sort.Search(len(ss), func(i int) bool { return ss[i].ns >= from })
+		hi := sort.Search(len(ss), func(i int) bool { return ss[i].ns >= to })
 		if lo < hi {
-			out = append(out, seriesRange{key: k, labels: sd.labels, points: sd.points[lo:hi]})
+			out = append(out, seriesRange{key: k, labels: sd.labels, samples: ss[lo:hi]})
 		}
 	}
 	if len(out) == 0 {
@@ -303,7 +344,11 @@ func (db *DB) Query(metric string, sel Labels, start, end time.Time) ([]Series, 
 	}
 	out := make([]Series, len(ranges))
 	for i, r := range ranges {
-		out[i] = Series{Metric: metric, Labels: r.labels.Clone(), Points: append([]Point(nil), r.points...)}
+		pts := make([]Point, len(r.samples))
+		for j, s := range r.samples {
+			pts[j] = s.point()
+		}
+		out[i] = Series{Metric: metric, Labels: r.labels.Clone(), Points: pts}
 	}
 	return out, nil
 }
@@ -372,16 +417,23 @@ func aggregate(agg Agg, vs []float64) (float64, error) {
 	}
 }
 
-// Aggregate reduces every matching point in the range to one value.
+// Aggregate reduces every matching point in the range to one value,
+// taking series in canonical label order and each series in time order.
 func (db *DB) Aggregate(metric string, sel Labels, start, end time.Time, agg Agg) (float64, error) {
-	series, err := db.Query(metric, sel, start, end)
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	ranges, err := db.selectLocked(metric, sel, start, end)
 	if err != nil {
 		return 0, err
 	}
-	var vs []float64
-	for _, s := range series {
-		for _, p := range s.Points {
-			vs = append(vs, p.V)
+	n := 0
+	for _, r := range ranges {
+		n += len(r.samples)
+	}
+	vs := make([]float64, 0, n)
+	for _, r := range ranges {
+		for _, s := range r.samples {
+			vs = append(vs, s.v)
 		}
 	}
 	return aggregate(agg, vs)
@@ -408,17 +460,17 @@ func (db *DB) Downsample(metric string, sel Labels, start, end time.Time, step t
 	if err != nil {
 		return Series{}, err
 	}
-	bucketOf := func(p Point) int64 { return p.T.UnixNano() / int64(step) }
-	// heads[i] is the bucket of the first unconsumed point of ranges[i].
-	// Points are time-sorted, so a series' buckets are contiguous runs
-	// and the next output bucket is the smallest head.
+	bucketOf := func(s sample) int64 { return s.ns / int64(step) }
+	// heads[i] is the bucket of the first unconsumed sample of
+	// ranges[i]. Samples are time-sorted, so a series' buckets are
+	// contiguous runs and the next output bucket is the smallest head.
 	heads := make([]int64, len(ranges))
 	next, last, longest := int64(math.MaxInt64), int64(math.MinInt64), 0
 	for i, r := range ranges {
-		heads[i] = bucketOf(r.points[0])
+		heads[i] = bucketOf(r.samples[0])
 		next = min(next, heads[i])
-		last = max(last, bucketOf(r.points[len(r.points)-1]))
-		longest = max(longest, len(r.points))
+		last = max(last, bucketOf(r.samples[len(r.samples)-1]))
+		longest = max(longest, len(r.samples))
 	}
 	// Sized for series that share their buckets (instances of one
 	// component, routes of one panel); others grow it.
@@ -434,28 +486,28 @@ func (db *DB) Downsample(metric string, sel Labels, start, end time.Time, step t
 		next = math.MaxInt64
 		cells = cells[:0]
 		for i := range ranges {
-			pts := ranges[i].points
-			if len(pts) == 0 {
+			ss := ranges[i].samples
+			if len(ss) == 0 {
 				continue
 			}
 			if heads[i] == b {
 				run = run[:0]
 				n := 0
-				for ; n < len(pts); n++ {
-					if nb := bucketOf(pts[n]); nb != b {
+				for ; n < len(ss); n++ {
+					if nb := bucketOf(ss[n]); nb != b {
 						heads[i] = nb
 						break
 					}
-					run = append(run, pts[n].V)
+					run = append(run, ss[n].v)
 				}
 				v, err := aggregate(bucketAgg, run)
 				if err != nil {
 					return Series{}, err
 				}
 				cells = append(cells, v)
-				pts = pts[n:]
-				ranges[i].points = pts
-				if len(pts) == 0 {
+				ss = ss[n:]
+				ranges[i].samples = ss
+				if len(ss) == 0 {
 					live--
 					continue
 				}
@@ -476,22 +528,22 @@ func (db *DB) Downsample(metric string, sel Labels, start, end time.Time, step t
 func (db *DB) Latest(metric string, sel Labels) (Point, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	best := Point{T: time.Time{}, V: math.NaN()}
+	var best sample
 	found := false
 	for _, sd := range db.metrics[metric] {
-		if !sd.labels.Matches(sel) || len(sd.points) == 0 {
+		if !sd.labels.Matches(sel) || len(sd.samples) == 0 {
 			continue
 		}
-		p := sd.points[len(sd.points)-1]
-		if !found || p.T.After(best.T) {
-			best = p
+		s := sd.samples[len(sd.samples)-1]
+		if !found || s.ns > best.ns {
+			best = s
 			found = true
 		}
 	}
 	if !found {
 		return Point{}, fmt.Errorf("%w: metric %q selector %v", ErrNoData, metric, sel)
 	}
-	return best, nil
+	return best.point(), nil
 }
 
 // LabelValues returns the sorted distinct values of the given label key
@@ -521,7 +573,7 @@ func (db *DB) TotalPoints() int {
 	var n int
 	for _, bySeries := range db.metrics {
 		for _, sd := range bySeries {
-			n += len(sd.points)
+			n += len(sd.samples)
 		}
 	}
 	return n

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"sort"
@@ -102,6 +103,61 @@ func TestOutOfOrderAppend(t *testing.T) {
 	}
 	if pts[0].V != 1 || pts[1].V != 3 || pts[2].V != 5 {
 		t.Errorf("points = %+v", pts)
+	}
+}
+
+// TestInstantsOutsideNanosecondRange: int64 Unix nanoseconds run from
+// 1677 to 2262. A query bound beyond either end still selects what lies
+// between, and a write beyond either end is stored at that end, in
+// snapshots too.
+func TestInstantsOutsideNanosecondRange(t *testing.T) {
+	db := New(0)
+	jan5 := time.Date(2026, 1, 5, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < 3; i++ {
+		db.Handle("m", nil).Append(jan5.Add(time.Duration(i)*time.Minute), float64(i+1))
+	}
+	year1 := time.Date(1, 1, 1, 0, 0, 0, 0, time.UTC)
+	year9999 := time.Date(9999, 1, 1, 0, 0, 0, 0, time.UTC)
+	for _, r := range [][2]time.Time{{jan5, year9999}, {year1, year9999}, {year1, jan5.Add(time.Hour)}} {
+		got, err := db.Query("m", nil, r[0], r[1])
+		if err != nil || len(got) != 1 || len(got[0].Points) != 3 || !got[0].Points[0].T.Equal(jan5) {
+			t.Errorf("Query [%s, %s) = %+v, %v; want the 3 points from %s", r[0], r[1], got, err, jan5)
+		}
+		if n, err := db.Aggregate("m", nil, r[0], r[1], AggCount); n != 3 || err != nil {
+			t.Errorf("Aggregate count [%s, %s) = %g, %v; want 3", r[0], r[1], n, err)
+		}
+		s, err := db.Downsample("m", nil, r[0], r[1], 1000*time.Hour, AggSum, AggSum)
+		if err != nil || len(s.Points) != 1 || s.Points[0].V != 6 {
+			t.Errorf("Downsample [%s, %s) = %+v, %v; want one bucket of 6", r[0], r[1], s.Points, err)
+		}
+	}
+	for _, r := range [][2]time.Time{{year1, year1.Add(time.Hour)}, {year9999, year9999.Add(time.Hour)}} {
+		if got, err := db.Query("m", nil, r[0], r[1]); !errors.Is(err, ErrNoData) {
+			t.Errorf("Query [%s, %s) = %+v, %v; want ErrNoData", r[0], r[1], got, err)
+		}
+	}
+
+	db.Handle("far", nil).Append(year9999, 1)
+	db.Handle("far", nil).Append(year1, 2)
+	back, err := ReadSnapshot(bytes.NewReader(snapshotBytes(t, db)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*DB{db, back} {
+		first, err := d.Query("far", nil, year1, jan5)
+		if err != nil || len(first[0].Points) != 1 || first[0].Points[0] != (Point{T: minInstant.UTC(), V: 2}) {
+			t.Errorf("year-1 write reads back as %+v, %v; want (%s, 2)", first, err, minInstant.UTC())
+		}
+		if last, err := d.Latest("far", nil); err != nil || last != (Point{T: maxInstant.UTC(), V: 1}) {
+			t.Errorf("year-9999 write reads back as %+v, %v; want (%s, 1)", last, err, maxInstant.UTC())
+		}
+	}
+	// Retention measured back from the first instant does not wrap
+	// around to the last and drop the series.
+	kept := New(time.Hour)
+	kept.Handle("m", nil).Append(year1, 1)
+	if n := kept.TotalPoints(); n != 1 {
+		t.Errorf("a year-1 write under an hour's retention keeps %d points, want 1", n)
 	}
 }
 
