@@ -1,0 +1,38 @@
+//go:build !race
+
+// The race detector allocates shadow memory beside every object, so a
+// resident-bytes budget holds only in a normal build.
+
+package heron
+
+import (
+	"runtime"
+	"testing"
+)
+
+// warmUpBytesPerSample is the resident heap budget of the daemon's
+// warm-up store. Most of its series are constant (fail and restart
+// counts, backpressure at 0 or 60,000 ms) and all tick once a minute,
+// so their chunks encode to 1.36 bytes a sample; with chunk headers,
+// size-class rounding, labels and index it measured 2.39 (go1.24,
+// linux/amd64).
+const warmUpBytesPerSample = 3
+
+// TestWarmUpResidentBytesPerSample measures heap growth after a GC,
+// across the warm-up simulation, divided by the samples it stored.
+func TestWarmUpResidentBytesPerSample(t *testing.T) {
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	db := warmUpStore(t)
+	perSample := float64(int64(heap()-before)) / float64(db.TotalPoints())
+	runtime.KeepAlive(db)
+	t.Logf("warm-up store: %.2f resident bytes/sample (budget %d)", perSample, warmUpBytesPerSample)
+	if perSample > warmUpBytesPerSample {
+		t.Errorf("warm-up store holds %.2f bytes/sample, budget %d", perSample, warmUpBytesPerSample)
+	}
+}

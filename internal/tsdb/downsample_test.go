@@ -71,9 +71,13 @@ var allAggs = []Agg{AggSum, AggMean, AggMin, AggMax, AggCount, AggMedian, AggLas
 // interned per write and AppendBatch), values whose summation order
 // shows in the low bits, non-finite values and signed zeros,
 // timestamps straddling the Unix epoch (where the bucket division
-// truncates toward zero), and retention on or off. It returns the
-// store, the oracle store given the same writes, and the time span the
-// points were drawn from.
+// truncates toward zero), and retention on or off. A third of the
+// stores run to several hundred points a series, so chunks seal: late
+// and equal stamps then land in sealed chunks, retention cuts inside
+// them, and a series may hold both saturated instants, the first and
+// last an int64 of nanoseconds can. It returns the store, the oracle
+// store given the same writes, and the time span the points were drawn
+// from.
 func randomStore(rng *rand.Rand) (db *DB, ref *pointDB, origin time.Time, span time.Duration) {
 	var retention time.Duration
 	if rng.Intn(2) == 0 {
@@ -86,6 +90,9 @@ func randomStore(rng *rand.Rand) (db *DB, ref *pointDB, origin time.Time, span t
 	}
 	spacing := []time.Duration{time.Second, 7 * time.Second, 10 * time.Second, time.Minute, 61 * time.Second}[rng.Intn(5)]
 	points := 1 + rng.Intn(60)
+	if rng.Intn(3) == 0 {
+		points = 1 + rng.Intn(5*chunkLen)
+	}
 	span = time.Duration(points) * spacing
 	for s, n := 0, rng.Intn(7); s < n; s++ {
 		labels := Labels{"component": []string{"a", "b"}[rng.Intn(2)], "instance": fmt.Sprint(rng.Intn(3))}
@@ -100,8 +107,23 @@ func randomStore(rng *rand.Rand) (db *DB, ref *pointDB, origin time.Time, span t
 			db.AppendBatch(batch)
 			batch = batch[:0]
 		}
+		// Both saturated instants, written one after the other: at the
+		// start the jump between them falls inside one chunk. Only one
+		// series gets them, as Latest breaks ties between series in map
+		// order.
+		saturateAt := -1
+		if s == 0 && rng.Intn(4) == 0 {
+			saturateAt = []int{0, rng.Intn(points)}[rng.Intn(2)]
+		}
+		var stamps []time.Time
 		at := origin.Add(time.Duration(rng.Int63n(int64(spacing))))
 		for i := 0; i < points; i++ {
+			if i == saturateAt {
+				for _, sat := range []time.Time{minInstant, maxInstant} {
+					ref.append("m", labels, sat, float64(i))
+					h.Append(sat, float64(i))
+				}
+			}
 			switch rng.Intn(12) {
 			case 0: // duplicate timestamp
 			case 1: // gap
@@ -121,9 +143,17 @@ func randomStore(rng *rand.Rand) (db *DB, ref *pointDB, origin time.Time, span t
 				v = math.Copysign(0, -1)
 			}
 			stamp := at
-			if rng.Intn(8) == 0 { // out of order
+			switch rng.Intn(40) {
+			case 0, 1, 2, 3, 4: // out of order
 				stamp = at.Add(-time.Duration(rng.Int63n(int64(5 * spacing))))
+			case 5: // far out of order, into any chunk
+				stamp = at.Add(-time.Duration(rng.Int63n(int64(at.Sub(origin)) + 1)))
+			case 6: // equal to any earlier stamp
+				if len(stamps) > 0 {
+					stamp = stamps[rng.Intn(len(stamps))]
+				}
 			}
+			stamps = append(stamps, stamp)
 			ref.append("m", labels, stamp, v)
 			switch rng.Intn(3) {
 			case 0:

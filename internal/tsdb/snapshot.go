@@ -71,7 +71,7 @@ func (db *DB) WriteSnapshot(w io.Writer) error {
 	for metric, bySeries := range db.metrics {
 		for key, sd := range bySeries {
 			entries = append(entries, entry{metric, key, sd})
-			total += uint64(len(sd.samples))
+			total += uint64(sd.len())
 		}
 	}
 	sort.Slice(entries, func(i, j int) bool {
@@ -93,6 +93,7 @@ func (db *DB) WriteSnapshot(w io.Writer) error {
 	}
 	var buf []byte
 	var keys []string
+	var ss []sample
 	for _, e := range entries {
 		keys = keys[:0]
 		for k := range e.data.labels {
@@ -104,13 +105,14 @@ func (db *DB) WriteSnapshot(w io.Writer) error {
 		for _, k := range keys {
 			buf = appendString(appendString(buf, k), e.data.labels[k])
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(e.data.samples)))
+		ss = e.data.appendSamples(ss[:0])
+		buf = binary.AppendUvarint(buf, uint64(len(ss)))
 		var prev int64
-		for _, s := range e.data.samples {
+		for _, s := range ss {
 			buf = binary.AppendVarint(buf, s.ns-prev)
 			prev = s.ns
 		}
-		for _, s := range e.data.samples {
+		for _, s := range ss {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.v))
 		}
 		if _, err := bw.Write(buf); err != nil {
@@ -175,6 +177,8 @@ type snapshotDecoder struct {
 	// prevMetric and prevKey identify the last series read: series
 	// arrive in strictly ascending order, which rules out duplicates.
 	prevMetric, prevKey string
+	// samples holds the record being read, before it is encoded.
+	samples []sample
 }
 
 func (d *snapshotDecoder) fail(err error) {
@@ -246,7 +250,8 @@ func (d *snapshotDecoder) series(db *DB) (uint64, error) {
 	}
 	d.prevMetric, d.prevKey = metric, key
 
-	ss := make([]sample, n)
+	ss := slices.Grow(d.samples[:0], int(n))[:n]
+	d.samples = ss
 	sorted := true
 	var ns int64
 	for i := range ss {
@@ -268,7 +273,7 @@ func (d *snapshotDecoder) series(db *DB) (uint64, error) {
 		slices.SortStableFunc(ss, func(a, b sample) int { return cmp.Compare(a.ns, b.ns) })
 	}
 	sd := db.seriesLocked(metric, key, labels)
-	sd.samples = ss
+	sd.push(ss...)
 	db.trimLocked(sd)
 	return n, nil
 }

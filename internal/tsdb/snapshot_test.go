@@ -309,11 +309,12 @@ func FuzzReadSnapshot(f *testing.F) {
 		// series whose snapshot is a fixed point of read-then-write.
 		for _, bySeries := range db.metrics {
 			for key, sd := range bySeries {
-				if len(sd.samples) == 0 {
+				ss := sd.appendSamples(nil)
+				if len(ss) == 0 {
 					t.Fatalf("series %q loaded empty", key)
 				}
-				for i := 1; i < len(sd.samples); i++ {
-					if sd.samples[i].ns < sd.samples[i-1].ns {
+				for i := 1; i < len(ss); i++ {
+					if ss[i].ns < ss[i-1].ns {
 						t.Fatalf("series %q unsorted at %d", key, i)
 					}
 				}

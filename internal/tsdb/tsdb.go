@@ -101,11 +101,10 @@ type Series struct {
 	Points []Point
 }
 
-// sample is how the store holds a point: 16 bytes to a Point's 32, and
-// no pointer (a time.Time carries a *Location), so a series' array is
-// allocated in a span the garbage collector never scans.
+// sample is one decoded point: the store's own instant, Unix
+// nanoseconds (see unixNano), and value.
 type sample struct {
-	ns int64 // Unix nanoseconds, see unixNano
+	ns int64
 	v  float64
 }
 
@@ -132,9 +131,88 @@ func unixNano(t time.Time) int64 {
 // point is the Point a sample stands for.
 func (s sample) point() Point { return Point{T: time.Unix(0, s.ns).UTC(), V: s.v} }
 
+// seriesData is one series: its samples sorted by instant, equal
+// instants in append order, in chunks (chunk.go). Every chunk but the
+// last is sealed, and so is the last once full; until then in-order
+// appends extend it from tail. Retention drops whole chunks from the
+// front and moves head past the cut samples of the one that straddles
+// the cutoff.
 type seriesData struct {
-	labels  Labels
-	samples []sample // sorted by ns ascending, append order among equal ns
+	labels Labels
+	chunks []chunk
+	head   cursor // before the first retained sample of chunks[0]
+	tail   cursor // after the newest sample, where the last chunk goes on
+}
+
+// push appends samples in instant order, none older than the newest.
+func (sd *seriesData) push(ss ...sample) {
+	for len(ss) > 0 {
+		if n := len(sd.chunks); n == 0 || sd.chunks[n-1].n == chunkLen {
+			// A series' chunks tend to encode to alike sizes, so the
+			// last one sizes the new one's buffer for what comes now.
+			var b []byte
+			if n > 0 {
+				b = make([]byte, 0, len(sd.chunks[n-1].b)*min(len(ss), chunkLen)/chunkLen+16)
+			}
+			sd.chunks = append(sd.chunks, chunk{b: b})
+			sd.tail = cursor{}
+		}
+		ch := &sd.chunks[len(sd.chunks)-1]
+		k := min(len(ss), chunkLen-ch.n)
+		ch.b = sd.tail.put(ch.b, ss[:k])
+		ch.last = ss[k-1].ns
+		if ch.n += k; ch.n == chunkLen {
+			ch.seal()
+		}
+		ss = ss[k:]
+	}
+}
+
+// insert places a sample older than the newest one after its equals,
+// re-encoding the chunk it falls in (the rare path). A full chunk
+// splits in two.
+func (sd *seriesData) insert(ns int64, v float64) {
+	i := sort.Search(len(sd.chunks), func(i int) bool { return sd.chunks[i].last > ns })
+	ss := sd.decode(i, nil)
+	j := sort.Search(len(ss), func(k int) bool { return ss[k].ns > ns })
+	var re seriesData
+	re.push(slices.Insert(ss, j, sample{ns, v})...)
+	if last := &re.chunks[len(re.chunks)-1]; i == len(sd.chunks)-1 {
+		sd.tail = re.tail
+	} else if last.n < chunkLen {
+		last.seal() // it stays in the middle
+	}
+	if i == 0 {
+		sd.head = cursor{}
+	}
+	sd.chunks = slices.Replace(sd.chunks, i, i+1, re.chunks...)
+}
+
+// decode appends the retained samples of chunk i to buf.
+func (sd *seriesData) decode(i int, buf []sample) []sample {
+	var c cursor
+	if i == 0 {
+		c = sd.head
+	}
+	ch := &sd.chunks[i]
+	return c.decode(ch.b, ch.n, slices.Grow(buf, ch.n-c.i))
+}
+
+// appendSamples appends every retained sample to buf.
+func (sd *seriesData) appendSamples(buf []sample) []sample {
+	for i := range sd.chunks {
+		buf = sd.decode(i, buf)
+	}
+	return buf
+}
+
+// len is the number of retained samples.
+func (sd *seriesData) len() int {
+	n := -sd.head.i
+	for i := range sd.chunks {
+		n += sd.chunks[i].n
+	}
+	return n
 }
 
 // DB is the in-memory time-series store.
@@ -182,33 +260,38 @@ func (db *DB) seriesLocked(metric, key string, labels Labels) *seriesData {
 // appendLocked inserts one point into sd and applies retention. Caller
 // holds db.mu.
 func (db *DB) appendLocked(sd *seriesData, t time.Time, v float64) {
-	s := sample{ns: unixNano(t), v: v}
-	n := len(sd.samples)
-	if n > 0 && s.ns < sd.samples[n-1].ns {
-		// Out-of-order write: insert after its equals (rare path).
-		idx := sort.Search(n, func(i int) bool { return sd.samples[i].ns > s.ns })
-		sd.samples = slices.Insert(sd.samples, idx, s)
+	ns := unixNano(t)
+	if len(sd.chunks) == 0 || ns >= sd.tail.ns {
+		sd.push(sample{ns, v})
 	} else {
-		sd.samples = append(sd.samples, s)
+		sd.insert(ns, v)
 	}
 	db.trimLocked(sd)
 }
 
-// trimLocked drops the samples of sd (sorted, non-empty) older than the
-// retention window, measured back from its newest sample. Caller holds
-// db.mu.
+// trimLocked drops the samples of sd (non-empty) older than the
+// retention window, measured back from its newest sample: whole chunks
+// first, then head moves past the cut samples of the first chunk left,
+// each of which it decodes once. Caller holds db.mu.
 func (db *DB) trimLocked(sd *seriesData) {
 	if db.retention <= 0 {
 		return
 	}
-	newest := sd.samples[len(sd.samples)-1].ns
+	newest := sd.tail.ns
 	cutoff := newest - int64(db.retention)
 	if cutoff > newest { // wrapped below the int64 range: keep everything
 		return
 	}
-	firstKeep := sort.Search(len(sd.samples), func(i int) bool { return sd.samples[i].ns >= cutoff })
-	if firstKeep > 0 {
-		sd.samples = append(sd.samples[:0], sd.samples[firstKeep:]...)
+	if k := sort.Search(len(sd.chunks), func(i int) bool { return sd.chunks[i].last >= cutoff }); k > 0 {
+		sd.chunks = slices.Delete(sd.chunks, 0, k)
+		sd.head = cursor{}
+	}
+	for first := &sd.chunks[0]; sd.head.i < first.n; {
+		c := sd.head
+		if c.next(first.b); c.ns >= cutoff {
+			return
+		}
+		sd.head = c
 	}
 }
 
@@ -295,39 +378,130 @@ func (db *DB) SeriesCount(metric string) int {
 	return len(db.metrics[metric])
 }
 
-// seriesRange is one matching series' in-range samples. The samples
-// alias the store: valid only while db.mu is held.
-type seriesRange struct {
-	key     string
-	labels  Labels
-	samples []sample
+// seriesIter reads one series' samples in time order up to an
+// inclusive bound, decoding them readBatch at a time. It reads the
+// store's chunks: valid only while db.mu is held.
+type seriesIter struct {
+	labels Labels
+	chunks []chunk  // chunks[0] is being read
+	cur    cursor   // after buf's last sample
+	buf    []sample // decoded samples not yet read, from the current one
+	back   []sample // buf's storage
+	hi     int64    // newest instant in range
 }
 
-// selectLocked returns, in canonical label order, every series of the
-// metric matching the selector that has samples with start ≤ t < end.
-// Caller holds db.mu.
-func (db *DB) selectLocked(metric string, sel Labels, start, end time.Time) ([]seriesRange, error) {
+// readBatch is how many samples an iterator decodes at a time.
+const readBatch = 32
+
+// seek returns an iterator at sd's first sample in [lo, hi], decoding
+// into back.
+func (sd *seriesData) seek(lo, hi int64, back []sample) seriesIter {
+	it := seriesIter{hi: hi, back: back}
+	c := sort.Search(len(sd.chunks), func(i int) bool { return sd.chunks[i].last >= lo })
+	if it.chunks = sd.chunks[c:]; c == 0 {
+		it.cur = sd.head
+	}
+	for it.fill(); len(it.buf) > 0 && it.buf[len(it.buf)-1].ns < lo; {
+		it.fill()
+	}
+	it.buf = it.buf[sort.Search(len(it.buf), func(k int) bool { return it.buf[k].ns >= lo }):]
+	return it
+}
+
+// ok reports whether the iterator is at a sample in range.
+func (it *seriesIter) ok() bool { return len(it.buf) > 0 }
+
+// next moves to the following sample, reporting whether it is in range.
+func (it *seriesIter) next() bool {
+	if it.buf = it.buf[1:]; len(it.buf) == 0 {
+		it.fill()
+	}
+	return len(it.buf) > 0
+}
+
+// fill replaces buf with the next decoded samples in range.
+func (it *seriesIter) fill() {
+	it.buf = nil
+	for len(it.chunks) > 0 && it.cur.i == it.chunks[0].n {
+		it.chunks, it.cur = it.chunks[1:], cursor{}
+	}
+	if len(it.chunks) == 0 {
+		return
+	}
+	ch := &it.chunks[0]
+	it.buf = it.cur.decode(ch.b, ch.n, it.back[:0])
+	if it.buf[len(it.buf)-1].ns > it.hi {
+		it.buf = it.buf[:sort.Search(len(it.buf), func(k int) bool { return it.buf[k].ns > it.hi })]
+		it.chunks, it.cur = nil, cursor{}
+	}
+}
+
+// bound is at least the number of in-range samples from the current
+// one on: the rest of the chunks up to the one holding hi.
+func (it *seriesIter) bound() int {
+	n := len(it.buf) - it.cur.i
+	for _, ch := range it.chunks {
+		n += ch.n
+		if ch.last >= it.hi {
+			break
+		}
+	}
+	return n
+}
+
+// newest is at least the instant of the iterator's last sample in
+// range.
+func (it *seriesIter) newest() int64 {
+	if len(it.chunks) == 0 {
+		return it.buf[len(it.buf)-1].ns
+	}
+	return min(it.chunks[len(it.chunks)-1].last, it.hi)
+}
+
+// selectLocked returns, in canonical label order, an iterator at the
+// first sample with start ≤ t < end of every series of the metric
+// matching the selector that has one. Caller holds db.mu.
+func (db *DB) selectLocked(metric string, sel Labels, start, end time.Time) ([]seriesIter, error) {
 	bySeries := db.metrics[metric]
 	if len(bySeries) == 0 {
 		return nil, fmt.Errorf("%w: metric %q", ErrNoData, metric)
 	}
-	from, to := unixNano(start), unixNano(end)
-	var out []seriesRange
-	for k, sd := range bySeries {
-		if !sd.labels.Matches(sel) {
-			continue
+	// The stored instants in range are [lo, hi]: a bound beyond either
+	// end of the int64 range takes in the instant saturated there.
+	lo, hi := unixNano(start), unixNano(end)-1
+	if end.After(maxInstant) {
+		hi = math.MaxInt64
+	}
+	type match struct {
+		key   string
+		sd    *seriesData
+		batch int // readBatch, or fewer for a shorter series
+	}
+	var matched []match
+	total := 0
+	if !start.After(maxInstant) && end.After(minInstant) {
+		for k, sd := range bySeries {
+			if sd.labels.Matches(sel) {
+				m := match{k, sd, min(readBatch, sd.len())}
+				matched = append(matched, m)
+				total += m.batch
+			}
 		}
-		ss := sd.samples
-		lo := sort.Search(len(ss), func(i int) bool { return ss[i].ns >= from })
-		hi := sort.Search(len(ss), func(i int) bool { return ss[i].ns >= to })
-		if lo < hi {
-			out = append(out, seriesRange{key: k, labels: sd.labels, samples: ss[lo:hi]})
+	}
+	slices.SortFunc(matched, func(a, b match) int { return strings.Compare(a.key, b.key) })
+	out := make([]seriesIter, 0, len(matched))
+	backs := make([]sample, total)
+	for _, m := range matched {
+		back := backs[:0:m.batch]
+		backs = backs[m.batch:]
+		if it := m.sd.seek(lo, hi, back); it.ok() {
+			it.labels = m.sd.labels
+			out = append(out, it)
 		}
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("%w: metric %q selector %v in [%s, %s)", ErrNoData, metric, sel, start, end)
 	}
-	slices.SortFunc(out, func(a, b seriesRange) int { return strings.Compare(a.key, b.key) })
 	return out, nil
 }
 
@@ -338,17 +512,18 @@ func (db *DB) selectLocked(metric string, sel Labels, start, end time.Time) ([]s
 func (db *DB) Query(metric string, sel Labels, start, end time.Time) ([]Series, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	ranges, err := db.selectLocked(metric, sel, start, end)
+	its, err := db.selectLocked(metric, sel, start, end)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Series, len(ranges))
-	for i, r := range ranges {
-		pts := make([]Point, len(r.samples))
-		for j, s := range r.samples {
-			pts[j] = s.point()
+	out := make([]Series, len(its))
+	for i := range its {
+		it := &its[i]
+		pts := make([]Point, 0, it.bound())
+		for ; it.ok(); it.next() {
+			pts = append(pts, it.buf[0].point())
 		}
-		out[i] = Series{Metric: metric, Labels: r.labels.Clone(), Points: pts}
+		out[i] = Series{Metric: metric, Labels: it.labels.Clone(), Points: pts}
 	}
 	return out, nil
 }
@@ -422,18 +597,18 @@ func aggregate(agg Agg, vs []float64) (float64, error) {
 func (db *DB) Aggregate(metric string, sel Labels, start, end time.Time, agg Agg) (float64, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	ranges, err := db.selectLocked(metric, sel, start, end)
+	its, err := db.selectLocked(metric, sel, start, end)
 	if err != nil {
 		return 0, err
 	}
 	n := 0
-	for _, r := range ranges {
-		n += len(r.samples)
+	for i := range its {
+		n += its[i].bound()
 	}
 	vs := make([]float64, 0, n)
-	for _, r := range ranges {
-		for _, s := range r.samples {
-			vs = append(vs, s.v)
+	for i := range its {
+		for it := &its[i]; it.ok(); it.next() {
+			vs = append(vs, it.buf[0].v)
 		}
 	}
 	return aggregate(agg, vs)
@@ -456,21 +631,22 @@ func (db *DB) Downsample(metric string, sel Labels, start, end time.Time, step t
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	ranges, err := db.selectLocked(metric, sel, start, end)
+	its, err := db.selectLocked(metric, sel, start, end)
 	if err != nil {
 		return Series{}, err
 	}
-	bucketOf := func(s sample) int64 { return s.ns / int64(step) }
-	// heads[i] is the bucket of the first unconsumed sample of
-	// ranges[i]. Samples are time-sorted, so a series' buckets are
-	// contiguous runs and the next output bucket is the smallest head.
-	heads := make([]int64, len(ranges))
+	bucketOf := func(ns int64) int64 { return ns / int64(step) }
+	// heads[i] is the bucket of its[i]'s current sample. Samples are
+	// time-sorted, so a series' buckets are contiguous runs and the next
+	// output bucket is the smallest head.
+	heads := make([]int64, len(its))
 	next, last, longest := int64(math.MaxInt64), int64(math.MinInt64), 0
-	for i, r := range ranges {
-		heads[i] = bucketOf(r.samples[0])
+	for i := range its {
+		it := &its[i]
+		heads[i] = bucketOf(it.buf[0].ns)
 		next = min(next, heads[i])
-		last = max(last, bucketOf(r.samples[len(r.samples)-1]))
-		longest = max(longest, len(r.samples))
+		last = max(last, bucketOf(it.newest()))
+		longest = max(longest, it.bound())
 	}
 	// Sized for series that share their buckets (instances of one
 	// component, routes of one panel); others grow it.
@@ -480,34 +656,38 @@ func (db *DB) Downsample(metric string, sel Labels, start, end time.Time, step t
 	}
 	out := Series{Metric: metric, Labels: sel.Clone(), Points: make([]Point, 0, size)}
 	run := make([]float64, 0, 16)
-	cells := make([]float64, 0, len(ranges))
-	for live := len(ranges); live > 0; {
+	cells := make([]float64, 0, len(its))
+	for live := len(its); live > 0; {
 		b := next
 		next = math.MaxInt64
 		cells = cells[:0]
-		for i := range ranges {
-			ss := ranges[i].samples
-			if len(ss) == 0 {
+		for i := range its {
+			it := &its[i]
+			if !it.ok() {
 				continue
 			}
 			if heads[i] == b {
 				run = run[:0]
-				n := 0
-				for ; n < len(ss); n++ {
-					if nb := bucketOf(ss[n]); nb != b {
-						heads[i] = nb
+				for it.ok() {
+					n := 0
+					for ; n < len(it.buf); n++ {
+						if nb := bucketOf(it.buf[n].ns); nb != b {
+							heads[i] = nb
+							break
+						}
+						run = append(run, it.buf[n].v)
+					}
+					if it.buf = it.buf[n:]; it.ok() {
 						break
 					}
-					run = append(run, ss[n].v)
+					it.fill()
 				}
 				v, err := aggregate(bucketAgg, run)
 				if err != nil {
 					return Series{}, err
 				}
 				cells = append(cells, v)
-				ss = ss[n:]
-				ranges[i].samples = ss
-				if len(ss) == 0 {
+				if !it.ok() {
 					live--
 					continue
 				}
@@ -531,12 +711,11 @@ func (db *DB) Latest(metric string, sel Labels) (Point, error) {
 	var best sample
 	found := false
 	for _, sd := range db.metrics[metric] {
-		if !sd.labels.Matches(sel) || len(sd.samples) == 0 {
+		if !sd.labels.Matches(sel) || len(sd.chunks) == 0 {
 			continue
 		}
-		s := sd.samples[len(sd.samples)-1]
-		if !found || s.ns > best.ns {
-			best = s
+		if !found || sd.tail.ns > best.ns {
+			best = sample{sd.tail.ns, sd.tail.value()}
 			found = true
 		}
 	}
@@ -573,7 +752,7 @@ func (db *DB) TotalPoints() int {
 	var n int
 	for _, bySeries := range db.metrics {
 		for _, sd := range bySeries {
-			n += len(sd.samples)
+			n += sd.len()
 		}
 	}
 	return n

@@ -13,10 +13,11 @@
 # the untyped yamlite layer and the typed settings on top of it — API
 # range queries, Gremlin graph queries, pprof protobuf profiles, TSDB
 # snapshot files, audit ledger snapshot files, chaos fault plans,
-# incident manifests re-indexed at restart) and two TSDB differentials
+# incident manifests re-indexed at restart), two TSDB differentials
 # (Downsample against its map-based reference, and every read and the
-# snapshot bytes against the []Point store the sample representation
-# replaced),
+# snapshot bytes against the []Point store kept as the oracle) and the
+# TSDB chunk codec's round trip (any non-decreasing run of instants and
+# value bits decodes to itself),
 # and finally a ~10s smoke soak: caladriussoak drives an in-process
 # daemon through a chaos metrics outage and exits non-zero unless the
 # 5xx SLO fires and resolves, every response is accounted for and the
@@ -59,6 +60,7 @@ go test -run '^$' -fuzz '^FuzzParsePlan$' -fuzztime "$FUZZTIME" ./internal/chaos
 go test -run '^$' -fuzz '^FuzzReadManifest$' -fuzztime "$FUZZTIME" ./internal/incident
 go test -run '^$' -fuzz '^FuzzDownsampleMatchesReference$' -fuzztime "$FUZZTIME" ./internal/tsdb
 go test -run '^$' -fuzz '^FuzzStoreMatchesOracle$' -fuzztime "$FUZZTIME" ./internal/tsdb
+go test -run '^$' -fuzz '^FuzzChunkRoundTrip$' -fuzztime "$FUZZTIME" ./internal/tsdb
 go run ./cmd/caladriussoak -duration 6s -slo-window 4s -settle 12s > /dev/null
 echo "verify: all checks passed"
 scripts/loc.sh
