@@ -2,14 +2,18 @@
 // tier: a check that passes or fails, not a measurement (benchmark/ is
 // what measures the service). It wires the shipped daemon in-process
 // (demo simulator, scheduler, audit ledger, usage accountant,
-// self-monitoring scraper and SLO evaluator), drives it with a seeded
-// closed-loop request mix while a chaos fault plan (internal/chaos)
-// takes the metrics backend away, and asserts at exit that the 5xx SLO
-// fired and resolved, every response was accounted for, and no
-// goroutines or heap leaked.
+// self-monitoring scraper and SLO evaluator), drives it with one fixed
+// request cycle (predict 4, query_range 3, plan 1, audit 1, usage 1 in
+// ten, from four closed-loop workers) while a chaos fault plan
+// (internal/chaos) takes the metrics backend away, and asserts at exit
+// that the 5xx SLO fired and resolved, every response was accounted
+// for, and no goroutines or heap leaked.
 //
 // The verdict is one JSON document on stdout; each failed assertion is
-// a line on stderr and the exit status is 2.
+// a line on stderr and the exit status is 2. The daemon serves a
+// pre-simulated history with no fault injector, so -chaos-plan takes
+// metrics faults only: a plan with simulator faults (crash, slow, stall,
+// partition) is an error, exit status 1.
 //
 //	go run ./cmd/caladriussoak -duration 6s -slo-window 4s -settle 12s
 //	caladriussoak -chaos-plan plan.json

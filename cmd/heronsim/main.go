@@ -3,7 +3,9 @@
 // offered rate, simulates it to steady state, and prints the per-minute
 // component metrics as a table or CSV. A fault plan (-faults) replays a
 // deterministic chaos schedule against the run; the fault trace goes to
-// stderr so piped CSV output stays clean.
+// stderr so piped CSV output stays clean. The plan takes simulator
+// faults only: a metrics fault (metrics-outage, -gap, -latency) is an
+// error, since the table is read straight from the simulator's store.
 //
 // Usage:
 //
@@ -45,7 +47,7 @@ func main() {
 	var o options
 	flag.Float64Var(&o.rate, "rate", 15e6, "offered source rate (tuples/minute); ignored with -trace")
 	flag.StringVar(&o.tracePath, "trace", "", "CSV traffic trace (elapsed,tuples_per_minute) to replay instead of a constant rate")
-	flag.StringVar(&o.faultsPath, "faults", "", "JSON fault plan (chaos schedule) to inject into the run")
+	flag.StringVar(&o.faultsPath, "faults", "", "JSON fault plan (chaos schedule, simulator faults only) to inject into the run")
 	flag.IntVar(&o.spoutP, "spout", 8, "spout parallelism")
 	flag.IntVar(&o.splitterP, "splitter", 1, "splitter parallelism")
 	flag.IntVar(&o.counterP, "counter", 3, "counter parallelism")
@@ -97,6 +99,10 @@ func run(o options, out, errOut io.Writer) error {
 		plan, err := chaos.ParsePlan(data)
 		if err != nil {
 			return err
+		}
+		if m := plan.MetricsFaults(); len(m) > 0 {
+			return fmt.Errorf("the fault plan's metrics faults %v cannot fire: "+
+				"heronsim reads the simulator's own store, with no metrics provider between", m)
 		}
 		top, err := heron.WordCountTopology(o.spoutP, o.splitterP, o.counterP)
 		if err != nil {

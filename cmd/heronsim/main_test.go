@@ -103,3 +103,18 @@ func TestBadFaultPlan(t *testing.T) {
 		t.Error("missing plan file accepted")
 	}
 }
+
+// TestMetricsFaultPlanRefused: heronsim reads the simulator's own store,
+// so a metrics fault could never fire and the run would print a clean
+// table with no fault trace. A plan holding one is an error.
+func TestMetricsFaultPlanRefused(t *testing.T) {
+	plan := filepath.Join(t.TempDir(), "outage.json")
+	if err := os.WriteFile(plan, []byte(`{"faults":[{"kind":"metrics-outage","at":"2m","duration":"1m"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o := defaultOptions()
+	o.faultsPath = plan
+	if err := run(o, &bytes.Buffer{}, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "metrics-outage") {
+		t.Errorf("metrics-outage plan error = %v, want one naming metrics-outage", err)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"caladrius/internal/core"
 	"caladrius/internal/metrics"
 	"caladrius/internal/telemetry"
 	"caladrius/internal/tsdb"
@@ -137,6 +138,24 @@ func TestLedgerRecordGetList(t *testing.T) {
 	}
 	if since := led.List(Filter{Since: audT0.Add(30 * time.Second)}); len(since) != 1 || since[0].ID != 2 {
 		t.Fatalf("List(since) = %+v", since)
+	}
+}
+
+// TestLedgerRecordDoesNotAllocate: every prediction request pays
+// Record synchronously. Once the first record has interned the
+// (topology, model) run counter, Record overwrites the preallocated
+// ring in place and allocates nothing.
+func TestLedgerRecordDoesNotAllocate(t *testing.T) {
+	const capacity = 8
+	led := testLedger(t, Options{Capacity: capacity, Now: func() time.Time { return audT0 }})
+	rec := predictRecord(1.9e7)
+	rec.CreatedAt = audT0
+	rec.Calibration = []core.ComponentCalibration{{Component: "counter", Parallelism: 4, Alpha: 0.001}}
+	for i := 0; i < capacity; i++ { // fill the ring: every measured Record overwrites
+		led.Record(rec)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { led.Record(rec) }); allocs != 0 {
+		t.Fatalf("Record allocates %.1f/op on the ring-overwrite path, want 0", allocs)
 	}
 }
 

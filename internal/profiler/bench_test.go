@@ -25,7 +25,8 @@ func warmFoldTable(tb testing.TB) (*Table, *Profile) {
 // profile whose functions and stacks are already in the table. This
 // is the per-capture hot path of the always-on profiler; the budget
 // is 0 allocs/op, which TestProfilerFoldWarmTableAllocatesNothing
-// holds it to.
+// holds it to. It explains the profiler's own CPU per capture, which no
+// layer of the benchmark times.
 func BenchmarkProfilerFold(b *testing.B) {
 	tbl, p := warmFoldTable(b)
 	b.ReportAllocs()
@@ -35,7 +36,9 @@ func BenchmarkProfilerFold(b *testing.B) {
 	}
 }
 
-// BenchmarkPprofParse tracks the decode cost per capture.
+// BenchmarkPprofParse measures the decode cost per capture, the other
+// half of the profiler's own CPU per capture, which no layer of the
+// benchmark times.
 func BenchmarkPprofParse(b *testing.B) {
 	stacks := make(map[string]int64, 64)
 	for i := 0; i < 64; i++ {

@@ -471,24 +471,3 @@ func TestHash64(t *testing.T) {
 		t.Fatal("Hash64 must be deterministic")
 	}
 }
-
-// BenchmarkSchedulerSubmit measures enqueue+run+wait overhead of the
-// scheduler itself with a no-op run — the tax every model run pays.
-func BenchmarkSchedulerSubmit(b *testing.B) {
-	s := New(Options{Workers: 2, QueueDepth: 1024})
-	defer s.Close()
-	ctx := context.Background()
-	req := Request{Topology: "wc", Kind: "predict", Tenant: "bench"}
-	fn := func(ctx context.Context) (any, error) { return nil, nil }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h, err := s.Submit(ctx, req, fn)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := h.Wait(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

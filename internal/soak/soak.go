@@ -1,12 +1,28 @@
+// Package soak is the chaos soak behind cmd/caladriussoak: a check,
+// not a measurement. It assembles the shipped daemon in-process, drives
+// it with one fixed request cycle from a few closed-loop workers while
+// a chaos fault plan takes the metrics backend away, and asserts at
+// exit that the self-monitoring SLOs fired and resolved, every response
+// was accounted for by status class, and teardown returned the process
+// to its goroutine and heap baseline. What the service costs per
+// request is measured elsewhere, by benchmark/, against a subprocess
+// daemon; nothing here times a request.
 package soak
 
 import (
 	"context"
 	"fmt"
+	"io"
+	"maps"
 	"net/http"
 	"runtime"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
+	"caladrius/internal/api"
 	"caladrius/internal/chaos"
 	"caladrius/internal/telemetry"
 )
@@ -21,14 +37,39 @@ const goroutineSlack = 6
 // most; anything past this is a retained-reference leak, not noise.
 const heapSlackBytes = 256 << 20
 
-// The load the soak drives, fixed: DefaultMix from a small closed-loop
-// worker population on one seeded (op, tenant) ring.
+// Operations the soak issues.
 const (
-	soakConcurrency = 4
-	soakSeed        = 1
+	OpPredict    = "predict"
+	OpPlan       = "plan"
+	OpQueryRange = "query_range"
+	OpAudit      = "audit"
+	OpUsage      = "usage"
 )
 
-// sloRule is the rule a metrics outage must trip: half of DefaultMix
+// paths are the routes the operations hit. predict and plan POST an
+// empty proposal for the demo topology; the rest are GETs.
+var paths = map[string]string{
+	OpPredict:    "/api/v1/model/topology/word-count/performance?sync=true",
+	OpPlan:       "/api/v1/model/topology/word-count/suggest?sync=true",
+	OpQueryRange: "/api/v1/query_range?metric=caladrius_http_requests_total&step=10s&agg=max&merge=sum",
+	OpAudit:      "/api/v1/audit?limit=50",
+	OpUsage:      "/api/v1/usage",
+}
+
+// cycle is the load the soak drives: request i sends cycle[i%10] as
+// tenant-(i%4). It is model-heavy with a steady read side, and half of
+// it (predict and plan) needs the metrics backend, so a metrics outage
+// fails half the traffic.
+var cycle = [10]string{
+	OpPredict, OpQueryRange, OpPredict, OpAudit, OpPlan,
+	OpPredict, OpQueryRange, OpUsage, OpPredict, OpQueryRange,
+}
+
+// workers is the closed-loop population: each worker sends the next
+// request of the cycle when its previous one completes.
+const workers = 4
+
+// sloRule is the rule a metrics outage must trip: half the cycle
 // answers 503 while the backend is away, far above its 5% threshold.
 const sloRule = "http-5xx-rate"
 
@@ -61,6 +102,143 @@ type RuleTransitions struct {
 	ToResolved float64 `json:"to_resolved"`
 }
 
+// OpReport counts one operation's outcomes by status class.
+type OpReport struct {
+	Count      uint64 `json:"count"`
+	Status2xx  uint64 `json:"status_2xx"`
+	Status4xx  uint64 `json:"status_4xx"`
+	Status5xx  uint64 `json:"status_5xx"`
+	Shed429    uint64 `json:"shed_429"`        // subset of 4xx: admission-control sheds
+	Unavail503 uint64 `json:"unavailable_503"` // subset of 5xx: backend unavailable
+	Transport  uint64 `json:"transport_errors"`
+	Other      uint64 `json:"unaccounted"` // status outside 2xx/4xx/5xx
+}
+
+// count classifies one outcome. status 0 means the request failed at
+// the transport layer (no HTTP response).
+func (o *OpReport) count(status int) {
+	o.Count++
+	switch {
+	case status == 0:
+		o.Transport++
+	case status >= 200 && status < 300:
+		o.Status2xx++
+	case status >= 400 && status < 500:
+		o.Status4xx++
+		if status == 429 {
+			o.Shed429++
+		}
+	case status >= 500 && status < 600:
+		o.Status5xx++
+		if status == 503 {
+			o.Unavail503++
+		}
+	default:
+		o.Other++
+	}
+}
+
+// Report is the status-class tally of the load phase.
+type Report struct {
+	Totals OpReport            `json:"totals"`
+	Ops    map[string]OpReport `json:"ops"`
+}
+
+// recorder tallies request outcomes by operation and status class.
+// Safe for concurrent use.
+type recorder struct {
+	mu     sync.Mutex
+	totals OpReport
+	ops    map[string]OpReport
+}
+
+// record tallies one outcome of op (status 0: see OpReport.count).
+func (r *recorder) record(op string, status int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.ops == nil {
+		r.ops = map[string]OpReport{}
+	}
+	st := r.ops[op]
+	st.count(status)
+	r.ops[op] = st
+	r.totals.count(status)
+}
+
+// report returns everything recorded so far.
+func (r *recorder) report() Report {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return Report{Totals: r.totals, Ops: maps.Clone(r.ops)}
+}
+
+// load sends the cycle to one daemon and tallies what comes back.
+type load struct {
+	base   string
+	client *http.Client
+	// now anchors query_range windows on the clock the daemon's
+	// scraper stamps history with.
+	now func() time.Time
+
+	next   atomic.Uint64
+	issued atomic.Uint64
+	rec    recorder
+}
+
+// issue sends request i of the cycle and tallies its outcome. It
+// returns the response, its body drained and closed, or nil when no
+// response came back.
+func (l *load) issue(i uint64) *http.Response {
+	op := cycle[i%uint64(len(cycle))]
+	method, url, body := http.MethodGet, l.base+paths[op], io.Reader(nil)
+	switch op {
+	case OpPredict, OpPlan:
+		method, body = http.MethodPost, strings.NewReader(`{}`)
+	case OpQueryRange:
+		// Window the last five minutes so the query lands on freshly
+		// scraped self-monitoring history.
+		now := l.now()
+		url += "&start=" + strconv.FormatInt(now.Add(-5*time.Minute).Unix(), 10) +
+			"&end=" + strconv.FormatInt(now.Add(time.Minute).Unix(), 10)
+	}
+	req, err := http.NewRequest(method, url, body)
+	if err != nil {
+		l.rec.record(op, 0)
+		return nil
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	req.Header.Set(api.TenantHeader, "tenant-"+strconv.FormatUint(i%4, 10))
+	l.issued.Add(1)
+	resp, err := l.client.Do(req)
+	if err != nil {
+		l.rec.record(op, 0)
+		return nil
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	_ = resp.Body.Close()
+	l.rec.record(op, resp.StatusCode)
+	return resp
+}
+
+// run sends the cycle from the worker population until d has elapsed
+// on l's clock. In-flight requests complete and are tallied.
+func (l *load) run(d time.Duration) {
+	deadline := l.now().Add(d)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for l.now().Before(deadline) {
+				l.issue(l.next.Add(1) - 1)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // SoakResult is the soak verdict plus everything needed to understand
 // it. Failures empty means the soak passed.
 type SoakResult struct {
@@ -82,7 +260,7 @@ type SoakResult struct {
 func (r *SoakResult) Passed() bool { return len(r.Failures) == 0 }
 
 // RunSoak runs the full soak: baseline capture → in-process daemon
-// with the chaos plan armed → closed-loop load for Duration →
+// with the chaos plan armed → the cycle for Duration →
 // post-load settle until SLOs resolve (bounded by Settle) → teardown →
 // leak and accounting assertions. It is wall-clock driven; the
 // deterministic fake-clock variant lives in the package tests.
@@ -94,15 +272,9 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	if cfg.Plan == nil {
 		cfg.Plan = MetricsOutagePlan(cfg.Duration/4, cfg.Duration/4)
 	}
-
-	sched, err := Generate(ScheduleConfig{
-		Mix:         DefaultMix,
-		Concurrency: soakConcurrency,
-		Duration:    cfg.Duration,
-		Seed:        soakSeed,
-	})
-	if err != nil {
-		return nil, err
+	if sim := cfg.Plan.SimFaults(); len(sim) > 0 {
+		return nil, fmt.Errorf("soak: the chaos plan's simulator faults %v cannot fire: "+
+			"the soak's daemon serves a pre-simulated history and has no fault injector", sim)
 	}
 
 	res := &SoakResult{Transitions: map[string]RuleTransitions{}, Settle: chaos.Duration(cfg.Settle)}
@@ -118,14 +290,10 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	go d.Scraper.Run(scrapeCtx)
 
 	client := &http.Client{Timeout: 10 * time.Second}
-	runner, err := NewRunner(sched, RunnerOptions{BaseURL: d.URL, Client: client})
-	if err != nil {
-		stopScraper()
-		_ = d.Close()
-		return nil, err
-	}
-	res.Report = runner.Run(context.Background())
-	res.Issued = runner.Issued()
+	l := &load{base: d.URL, client: client, now: time.Now}
+	l.run(cfg.Duration)
+	res.Report = l.rec.report()
+	res.Issued = l.issued.Load()
 	res.Recorded = res.Report.Totals.Count
 
 	// Settle: background scrapes keep feeding the SLO evaluator; wait
@@ -173,15 +341,15 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	runtime.GC()
 	res.HeapFinal = heapAlloc()
 
-	res.Failures = verdict(res, cfg.Plan, DefaultMix)
+	res.Failures = verdict(res, cfg.Plan)
 	return res, nil
 }
 
 // verdict is every exit assertion of the soak, as a function of what
-// the run observed: the failure messages for res after plan was fired
-// at mix, empty when the soak passed.
-func verdict(res *SoakResult, plan *chaos.Plan, mix Mix) []string {
-	var failures []string
+// the run observed: the failure messages for res after plan was fired,
+// empty (not nil: the verdict JSON lists them) when the soak passed.
+func verdict(res *SoakResult, plan *chaos.Plan) []string {
+	failures := []string{}
 	if res.CloseError != "" {
 		failures = append(failures, fmt.Sprintf("daemon close: %s", res.CloseError))
 	}
@@ -204,11 +372,11 @@ func verdict(res *SoakResult, plan *chaos.Plan, mix Mix) []string {
 	if res.Report.Totals.Other > 0 {
 		failures = append(failures, fmt.Sprintf("%d responses outside 2xx/4xx/5xx/transport classes", res.Report.Totals.Other))
 	}
-	// A metrics outage under a mix with model operations has to be
-	// seen three times over: by the clients as 503s, by the evaluator
-	// as the 5xx rule firing, and again as it resolving. A run where
-	// any of the three is missing exercised nothing.
-	if len(plan.MetricsFaults()) > 0 && mix.Weight(OpPredict)+mix.Weight(OpPlan) > 0 {
+	// A metrics outage has to be seen three times over: by the clients
+	// as 503s, by the evaluator as the 5xx rule firing, and again as it
+	// resolving. A run where any of the three is missing exercised
+	// nothing.
+	if len(plan.MetricsFaults()) > 0 {
 		if res.Report.Totals.Unavail503 == 0 {
 			failures = append(failures, "chaos plan has metrics faults but no 503s were observed — the fault never bit")
 		}

@@ -1,10 +1,9 @@
 package soak
 
 import (
-	"context"
-	"io"
 	"net/http"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -67,31 +66,14 @@ func TestSoakDeterministicFaultCycle(t *testing.T) {
 	}()
 
 	client := &http.Client{Timeout: 10 * time.Second}
-	sched, err := Generate(ScheduleConfig{
-		Mix:         Mix{{OpPredict, 3}, {OpQueryRange, 1}, {OpUsage, 1}},
-		Concurrency: 1,
-		Duration:    totalWindow,
-		Seed:        7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner, err := NewRunner(sched, RunnerOptions{
-		BaseURL: d.URL,
-		Client:  client,
-		Now:     clock.Now,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := &load{base: d.URL, client: client, now: clock.Now}
 
-	// Drive the cycle by hand: each tick advances the fake clock,
-	// issues a slice of the schedule, and scrapes at the fake time
-	// (AfterScrape feeds the SLO evaluator). The runner's own closed
-	// loop is wall-clock paced, so the deterministic variant owns
-	// dispatch itself.
+	// Drive the cycle by hand: each tick advances the fake clock, sends
+	// the next slice of the cycle and scrapes at the fake time
+	// (AfterScrape feeds the SLO evaluator). load.run paces itself on
+	// its clock, so the deterministic variant owns dispatch itself.
 	var (
-		next           int
+		next           uint64
 		outage503      int
 		outagePredicts int
 		sawRetryAfter  bool
@@ -103,32 +85,24 @@ func TestSoakDeterministicFaultCycle(t *testing.T) {
 		now := clock.Advance(step)
 		inOutage := elapsed+step > outageAt && elapsed < outageAt+outageFor
 		for i := 0; i < perTick; i++ {
-			e := sched.Events[next%len(sched.Events)]
+			op := cycle[next%uint64(len(cycle))]
+			resp := l.issue(next)
 			next++
-			if inOutage && e.Op == OpPredict {
-				// Issue model ops directly during the outage so the
-				// Retry-After contract is observable, not just the code.
-				outagePredicts++
-				req, err := runner.request(context.Background(), e)
-				if err != nil {
-					t.Fatal(err)
-				}
-				resp, err := client.Do(req)
-				if err != nil {
-					t.Fatalf("predict during outage: %v", err)
-				}
-				_, _ = io.Copy(io.Discard, resp.Body)
-				_ = resp.Body.Close()
-				runner.rec.Record(e.Op, resp.StatusCode)
-				if resp.StatusCode == http.StatusServiceUnavailable {
-					outage503++
-					if resp.Header.Get("Retry-After") != "" {
-						sawRetryAfter = true
-					}
-				}
+			if !inOutage || op != OpPredict {
 				continue
 			}
-			runner.issue(context.Background(), e)
+			// Predicts during the outage check the Retry-After
+			// contract, not just the status code.
+			outagePredicts++
+			if resp == nil {
+				t.Fatal("predict during outage: no response")
+			}
+			if resp.StatusCode == http.StatusServiceUnavailable {
+				outage503++
+				if resp.Header.Get("Retry-After") != "" {
+					sawRetryAfter = true
+				}
+			}
 		}
 		d.Scraper.ScrapeOnce(now)
 		for _, a := range d.SLO.Evaluate() {
@@ -139,7 +113,7 @@ func TestSoakDeterministicFaultCycle(t *testing.T) {
 	}
 
 	if outagePredicts == 0 {
-		t.Fatal("schedule never issued a predict during the outage window")
+		t.Fatal("the cycle never sent a predict during the outage window")
 	}
 	if outage503 == 0 {
 		t.Fatalf("no 503s across %d predicts during the metrics outage", outagePredicts)
@@ -156,9 +130,8 @@ func TestSoakDeterministicFaultCycle(t *testing.T) {
 	var finalFiring []string
 	for i := 0; i < 40; i++ {
 		now := clock.Advance(step)
-		e := sched.Events[next%len(sched.Events)]
+		l.issue(next)
 		next++
-		runner.issue(context.Background(), e)
 		d.Scraper.ScrapeOnce(now)
 		finalFiring = finalFiring[:0]
 		for _, a := range d.SLO.Evaluate() {
@@ -182,7 +155,10 @@ func TestSoakDeterministicFaultCycle(t *testing.T) {
 		t.Errorf("http-5xx-rate transitions: to_firing=%g to_resolved=%g, want >=1 each", fired, resolved)
 	}
 
-	rep := runner.rec.Report()
+	rep := l.rec.report()
+	if issued := l.issued.Load(); issued != rep.Totals.Count {
+		t.Errorf("issued %d requests, recorded %d", issued, rep.Totals.Count)
+	}
 	if rep.Totals.Other != 0 {
 		t.Errorf("%d responses fell outside 2xx/4xx/5xx accounting", rep.Totals.Other)
 	}
@@ -232,7 +208,6 @@ func TestVerdictTable(t *testing.T) {
 		name   string
 		mutate func(*SoakResult)
 		plan   *chaos.Plan
-		mix    Mix
 		want   string // "" = passes
 	}{
 		{name: "clean", want: ""},
@@ -256,13 +231,9 @@ func TestVerdictTable(t *testing.T) {
 			want: `SLO "http-5xx-rate" never fired although the chaos plan has metrics faults`},
 		{name: "never resolved", mutate: func(r *SoakResult) { r.Transitions[sloRule] = RuleTransitions{ToFiring: 1} },
 			want: `SLO "http-5xx-rate" fired but never resolved`},
-		// The guard: without a metrics fault, or without a model
-		// operation to hit it, no 503 and no transition is owed.
+		// The guard: without a metrics fault no 503 and no transition
+		// is owed.
 		{name: "no metrics faults owes no outage", plan: &chaos.Plan{}, mutate: func(r *SoakResult) {
-			r.Report.Totals.Unavail503 = 0
-			r.Transitions = map[string]RuleTransitions{}
-		}, want: ""},
-		{name: "read-only mix owes no outage", mix: Mix{{OpUsage, 1}}, mutate: func(r *SoakResult) {
 			r.Report.Totals.Unavail503 = 0
 			r.Transitions = map[string]RuleTransitions{}
 		}, want: ""},
@@ -273,17 +244,15 @@ func TestVerdictTable(t *testing.T) {
 			if tc.mutate != nil {
 				tc.mutate(res)
 			}
-			plan, mix := tc.plan, tc.mix
+			plan := tc.plan
 			if plan == nil {
 				plan = outage
 			}
-			if mix == nil {
-				mix = DefaultMix
-			}
-			got := verdict(res, plan, mix)
+			got := verdict(res, plan)
 			if tc.want == "" {
-				if len(got) != 0 {
-					t.Fatalf("verdict = %q, want a pass", got)
+				// An empty list, not nil: the verdict JSON prints [].
+				if got == nil || len(got) != 0 {
+					t.Fatalf("verdict = %#v, want an empty list", got)
 				}
 				return
 			}
@@ -291,5 +260,76 @@ func TestVerdictTable(t *testing.T) {
 				t.Fatalf("verdict = %q, want exactly %q", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestRunSoakRefusesSimulatorFaults: the soak's daemon serves a
+// pre-simulated history and has no fault injector, so a simulator
+// fault could never fire and the verdict would owe nothing for it. A
+// plan holding one is an error, raised before a daemon is assembled.
+func TestRunSoakRefusesSimulatorFaults(t *testing.T) {
+	plan := &chaos.Plan{Faults: []chaos.Fault{
+		{Kind: chaos.FaultCrash, At: chaos.Duration(time.Second), Duration: chaos.Duration(time.Second), Component: "counter", Instance: 1},
+	}}
+	_, err := RunSoak(SoakConfig{Duration: time.Second, SLOWindow: time.Second, Settle: time.Second, Plan: plan})
+	if err == nil || !strings.Contains(err.Error(), "crash counter[1]") {
+		t.Fatalf("RunSoak(crash-only plan) error = %v, want one naming crash counter[1]", err)
+	}
+}
+
+func TestRecorderStatusClassification(t *testing.T) {
+	var r recorder
+	for _, status := range []int{200, 201, 400, 429, 500, 503,
+		0,   // transport failure
+		302, // unexpected class
+	} {
+		r.record(OpPredict, status)
+	}
+
+	rep := r.report()
+	st := rep.Ops[OpPredict]
+	if st.Count != 8 {
+		t.Fatalf("count = %d, want 8", st.Count)
+	}
+	checks := []struct {
+		name string
+		got  uint64
+		want uint64
+	}{
+		{"2xx", st.Status2xx, 2},
+		{"4xx", st.Status4xx, 2},
+		{"shed 429", st.Shed429, 1},
+		{"5xx", st.Status5xx, 2},
+		{"unavailable 503", st.Unavail503, 1},
+		{"transport", st.Transport, 1},
+		{"unaccounted", st.Other, 1},
+	}
+	for _, c := range checks {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+	if rep.Totals.Count != 8 || rep.Totals.Shed429 != 1 || rep.Totals.Other != 1 {
+		t.Errorf("totals not aggregated: %+v", rep.Totals)
+	}
+}
+
+func TestRecorderConcurrent(t *testing.T) {
+	var r recorder
+	var wg sync.WaitGroup
+	const workers, per = 8, 500
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			op := cycle[w%len(cycle)]
+			for i := 0; i < per; i++ {
+				r.record(op, 200)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := r.report().Totals.Count; got != workers*per {
+		t.Fatalf("concurrent records lost: %d of %d", got, workers*per)
 	}
 }

@@ -72,7 +72,7 @@ type prevBuckets struct {
 // label canonicalisation plus a writer-lock round-trip per sample per
 // scrape) and flushing the walk through one AppendBatch is what keeps
 // the scraper's exclusive TSDB section short under load — measured by
-// BenchmarkScraperScrapeOnce and the benchmark's telemetry.scrape_ms.
+// the benchmark's telemetry.scrape_ms.
 type scrapeHandle struct {
 	h   *tsdb.SeriesHandle
 	gen uint64

@@ -43,28 +43,13 @@ func benchRegistry(b *testing.B) *Registry {
 	return reg
 }
 
-// BenchmarkScraperScrapeOnce measures one full registry→TSDB scrape —
-// the write path that holds the TSDB lock against concurrent
-// query_range reads. The benchmark measures the same call on the live
-// registry as telemetry.scrape_ms / telemetry.scrape_allocs, and what
-// it costs a concurrent reader as tsdb.downsample_under_append_us.
-func BenchmarkScraperScrapeOnce(b *testing.B) {
-	reg := benchRegistry(b)
-	db := tsdb.New(15 * time.Minute)
-	s := NewScraper(reg, db, ScrapeOptions{Interval: time.Second})
-	base := time.Unix(1_700_000_000, 0).UTC()
-	s.ScrapeOnce(base) // warm: rates and quantiles need a previous scrape
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.ScrapeOnce(base.Add(time.Duration(i+1) * time.Second))
-	}
-}
-
 // BenchmarkScrapeWithConcurrentReads measures ScrapeOnce while a reader
 // continuously issues Query+Downsample against the same DB — the
 // scrape-vs-query_range interleaving a loaded daemon sees. Lower ns/op
-// here means shorter writer-lock holds and less read starvation.
+// here means shorter writer-lock holds and less read starvation. It
+// explains the writer side of the benchmark's
+// tsdb.downsample_under_append_us, which times only the reader; the
+// scrape alone is telemetry.scrape_ms and telemetry.scrape_allocs.
 func BenchmarkScrapeWithConcurrentReads(b *testing.B) {
 	reg := benchRegistry(b)
 	db := tsdb.New(15 * time.Minute)

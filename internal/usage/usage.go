@@ -23,7 +23,7 @@
 // (caladrius_usage_evictions_total), so churn pressure is observable.
 //
 // The record path is the service's per-request hot path and performs
-// no allocation in steady state (see BenchmarkUsageRecord).
+// no allocation in steady state (TestRecordPathDoesNotAllocate).
 package usage
 
 import (

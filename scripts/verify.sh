@@ -18,8 +18,9 @@
 # snapshot bytes against the []Point store kept as the oracle) and the
 # TSDB chunk codec's round trip (any non-decreasing run of instants and
 # value bits decodes to itself),
-# and finally a ~10s smoke soak: caladriussoak drives an in-process
-# daemon through a chaos metrics outage and exits non-zero unless the
+# and finally a ~10s smoke soak: caladriussoak sends one fixed request
+# cycle to an in-process daemon through a chaos metrics outage and
+# exits non-zero unless the
 # 5xx SLO fires and resolves, every response is accounted for and the
 # process returns to its goroutine and heap baseline. Last, it
 # prints scripts/loc.sh's non-test line counts, the number net-negative
