@@ -33,6 +33,7 @@ import (
 	"caladrius/internal/heron"
 	"caladrius/internal/incident"
 	"caladrius/internal/metrics"
+	"caladrius/internal/profiler"
 	"caladrius/internal/telemetry"
 	"caladrius/internal/topology"
 	"caladrius/internal/tsdb"
@@ -351,10 +352,19 @@ func BenchmarkCoalescedPredict(b *testing.B) {
 // per 1s interval instead of 250ms per 10s). The budget is ≤1%
 // overhead against BenchmarkPredictWarmCache.
 func BenchmarkPredictProfilerOn(b *testing.B) {
+	reg := telemetry.NewRegistry()
+	prof, err := profiler.New(profiler.Options{
+		Registry:  reg,
+		Interval:  time.Second,
+		CPUWindow: 25 * time.Millisecond,
+		Epoch:     10 * time.Second,
+		Logger:    slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
 	d := benchDaemon(b, 5*time.Minute, func(c *daemon.Config) {
-		c.ProfileInterval = time.Second
-		c.ProfileCPUWindow = 25 * time.Millisecond
-		c.ProfileEpoch = 10 * time.Second
+		c.Registry, c.Profiler = reg, prof
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -25,7 +25,7 @@
 // bundle — pprof profiles, the recent structured-log ring, the recent
 // span ring, and the firing rule's metric window — under that
 // directory, debounced per rule by -incident-cooldown and bounded on
-// disk by -incident-retention. Bundles are served through
+// disk to the newest 16. Bundles are served through
 // /api/v1/incidents (see `calctl incidents`).
 //
 // Every request and model run is also billed to a (tenant, topology)

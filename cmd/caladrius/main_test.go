@@ -28,17 +28,12 @@ api:
   addr: ":7000"
 fetch:
   retries: 5
-  backoff_ms: 20
   timeout_seconds: 3
-profiling:
-  mutex_fraction: 10
-  block_rate_ns: 99
 usage:
   topk: 32
   window_seconds: 60
 profiler:
   interval_seconds: 20
-  topk: 9
 sched:
   workers: 3
   queue_depth: 16
@@ -46,10 +41,9 @@ sched:
 `)
 	fromFile := func(c *daemon.Config) {
 		c.APIAddr = ":7000"
-		c.FetchRetries, c.FetchBackoff, c.FetchTimeout = 5, 20*time.Millisecond, 3*time.Second
-		c.MutexProfileFraction, c.BlockProfileRate = 10, 99
+		c.FetchRetries, c.FetchTimeout = 5, 3*time.Second
 		c.UsageTopK, c.UsageWindow = 32, time.Minute
-		c.ProfileInterval, c.ProfileTopK = 20*time.Second, 9
+		c.ProfileInterval = 20 * time.Second
 		c.SchedWorkers, c.SchedQueueDepth, c.CalCacheTTL = 3, 16, 2*time.Minute
 	}
 
@@ -74,15 +68,13 @@ sched:
 			name: "flag-only settings",
 			args: []string{"-splitter", "2", "-counter", "6", "-metrics", "m.json", "-debug-addr", "localhost:1",
 				"-scrape-interval", "2s", "-history-retention", "30m", "-audit-resolve-interval", "1s",
-				"-audit-retention", "1h", "-audit-file", "a.json", "-drift-threshold", "0.5",
-				"-stale-calibration-after", "1m", "-incident-dir", "inc", "-incident-retention", "4",
-				"-incident-cooldown", "1s", "-profile-baseline", "b.json"},
+				"-audit-file", "a.json", "-incident-dir", "inc", "-incident-cooldown", "1s",
+				"-profile-baseline", "b.json"},
 			want: func(c *daemon.Config) {
 				c.SplitterP, c.CounterP, c.MetricsFile, c.DebugAddr = 2, 6, "m.json", "localhost:1"
 				c.ScrapeInterval, c.HistoryRetention = 2*time.Second, 30*time.Minute
-				c.AuditResolveInterval, c.AuditRetention, c.AuditFile = time.Second, time.Hour, "a.json"
-				c.DriftThreshold, c.StaleCalibrationAfter = 0.5, time.Minute
-				c.IncidentDir, c.IncidentRetention, c.IncidentCooldown = "inc", 4, time.Second
+				c.AuditResolveInterval, c.AuditFile = time.Second, "a.json"
+				c.IncidentDir, c.IncidentCooldown = "inc", time.Second
 				c.ProfileBaseline = "b.json"
 			},
 		},
@@ -102,17 +94,15 @@ sched:
 		},
 		{
 			name: "explicit values override the config file, zeros included",
-			args: []string{"-config", yaml, "-addr", ":7001", "-fetch-retries", "0", "-fetch-backoff", "1ms",
-				"-fetch-timeout", "0", "-mutex-profile-fraction", "0", "-block-profile-rate", "7",
-				"-usage-topk", "1", "-usage-window", "2m", "-profile-interval", "0", "-profile-topk", "5",
+			args: []string{"-config", yaml, "-addr", ":7001", "-fetch-retries", "0", "-fetch-timeout", "0",
+				"-usage-topk", "1", "-usage-window", "2m", "-profile-interval", "0",
 				"-sched-workers", "0", "-sched-queue", "8", "-calcache-ttl", "0"},
 			want: func(c *daemon.Config) {
 				fromFile(c)
 				c.APIAddr = ":7001"
-				c.FetchRetries, c.FetchBackoff, c.FetchTimeout = 0, time.Millisecond, 0
-				c.MutexProfileFraction, c.BlockProfileRate = 0, 7
+				c.FetchRetries, c.FetchTimeout = 0, 0
 				c.UsageTopK, c.UsageWindow = 1, 2*time.Minute
-				c.ProfileInterval, c.ProfileTopK = 0, 5
+				c.ProfileInterval = 0
 				c.SchedWorkers, c.SchedQueueDepth, c.CalCacheTTL = 0, 8, 0
 			},
 		},
@@ -153,17 +143,21 @@ sched:
 		{name: "-splitter 0", args: []string{"-splitter", "0"}, wantErr: []string{"-splitter is 0, want at least 1"}},
 		{name: "-rate -5", args: []string{"-rate", "-5"}, wantErr: []string{"-rate is -5, want at least 1"}},
 		{name: "-history-retention -5s", args: []string{"-history-retention", "-5s"}, wantErr: []string{"-history-retention is -5s, want at least 0s"}},
-		{name: "-audit-retention -1h", args: []string{"-audit-retention", "-1h"}, wantErr: []string{"-audit-retention is -1h0m0s, want at least 1ns"}},
-		{name: "-incident-retention -1", args: []string{"-incident-retention", "-1"}, wantErr: []string{"-incident-retention is -1, want at least 1"}},
-		{name: "-drift-threshold -1", args: []string{"-drift-threshold", "-1"}, wantErr: []string{"-drift-threshold is -1, want at least 0"}},
+		// Flags whose values became constants are gone, not ignored.
+		{name: "-audit-retention -1h", args: []string{"-audit-retention", "-1h"}, wantErr: []string{"flag provided but not defined: -audit-retention"}},
+		{name: "-incident-retention -1", args: []string{"-incident-retention", "-1"}, wantErr: []string{"flag provided but not defined: -incident-retention"}},
+		{name: "-drift-threshold -1", args: []string{"-drift-threshold", "-1"}, wantErr: []string{"flag provided but not defined: -drift-threshold"}},
 		{name: "-scrape-interval -1s", args: []string{"-scrape-interval", "-1s"}, wantErr: []string{"-scrape-interval is -1s, want at least 1ns", "always on"}},
 		// The always-on subsystems have no off-switch, and the profiler's
-		// CPU window no 0 that hides it from the fits-the-interval rule.
+		// CPU window is no setting: it cannot be zeroed to hide it from
+		// the fits-the-interval rule.
 		{name: "-scrape-interval 0", args: []string{"-scrape-interval", "0"}, wantErr: []string{"-scrape-interval is 0s, want at least 1ns", "always on"}},
 		{name: "-audit-resolve-interval 0", args: []string{"-audit-resolve-interval", "0"}, wantErr: []string{"-audit-resolve-interval is 0s, want at least 1ns", "always on"}},
 		{name: "-usage-topk 0", args: []string{"-usage-topk", "0"}, wantErr: []string{"usage.topk (-usage-topk) is 0, want at least 1", "always on"}},
 		{name: "a zero cpu window under a short interval", args: []string{"-profile-interval", "100ms", "-config", write("window.yaml", "profiler:\n  cpu_window_ms: 0\n")},
-			wantErr: []string{"profiler.cpu_window_ms is 0s, want at least 1ns"}},
+			wantErr: []string{"unknown key profiler.cpu_window_ms (keys of profiler: interval_seconds)"}},
+		{name: "a profile interval the cpu window does not fit", args: []string{"-profile-interval", "250ms"},
+			wantErr: []string{"profiler.interval_seconds (-profile-interval) is 250ms, want 0 or longer than the profiler's 250ms CPU window"}},
 		{name: "-sched-workers 2.7", args: []string{"-sched-workers", "2.7"}, wantErr: []string{"-sched-workers", "parse error"}},
 	}
 	for _, c := range cases {
@@ -183,40 +177,27 @@ sched:
 			// The defaults are spelled out here, not taken from
 			// config.Default, so a drifting default fails this test.
 			want := daemon.Config{Config: config.Config{
-				APIAddr:                ":8642",
-				RequestTimeout:         30 * time.Second,
-				MetricsWindow:          time.Minute,
-				TrafficModels:          []config.ModelRef{{Name: "prophet"}, {Name: "summary"}},
-				CalibrationWarmup:      4,
-				CalibrationLookback:    2 * time.Hour,
-				FetchRetries:           2,
-				FetchBackoff:           50 * time.Millisecond,
-				FetchTimeout:           10 * time.Second,
-				MutexProfileFraction:   100,
-				BlockProfileRate:       10000,
-				UsageTopK:              256,
-				UsageWindow:            15 * time.Minute,
-				ProfileInterval:        10 * time.Second,
-				ProfileCPUWindow:       250 * time.Millisecond,
-				ProfileEpoch:           time.Minute,
-				ProfileWindows:         8,
-				ProfileTopK:            20,
-				ProfileRegressionDelta: 0.2,
-				SchedWorkers:           0,
-				SchedQueueDepth:        64,
-				CalCacheTTL:            10 * time.Minute,
-				Rate:                   30e6,
-				SplitterP:              3,
-				CounterP:               4,
-				WarmMinutes:            30,
-				ScrapeInterval:         5 * time.Second,
-				HistoryRetention:       time.Hour,
-				AuditResolveInterval:   15 * time.Second,
-				AuditRetention:         2 * time.Hour,
-				DriftThreshold:         0.25,
-				StaleCalibrationAfter:  30 * time.Minute,
-				IncidentRetention:      16,
-				IncidentCooldown:       5 * time.Minute,
+				APIAddr:              ":8642",
+				MetricsWindow:        time.Minute,
+				TrafficModels:        []config.ModelRef{{Name: "prophet"}, {Name: "summary"}},
+				CalibrationWarmup:    4,
+				CalibrationLookback:  2 * time.Hour,
+				FetchRetries:         2,
+				FetchTimeout:         10 * time.Second,
+				UsageTopK:            256,
+				UsageWindow:          15 * time.Minute,
+				ProfileInterval:      10 * time.Second,
+				SchedWorkers:         0,
+				SchedQueueDepth:      64,
+				CalCacheTTL:          10 * time.Minute,
+				Rate:                 30e6,
+				SplitterP:            3,
+				CounterP:             4,
+				WarmMinutes:          30,
+				ScrapeInterval:       5 * time.Second,
+				HistoryRetention:     time.Hour,
+				AuditResolveInterval: 15 * time.Second,
+				IncidentCooldown:     5 * time.Minute,
 			}}
 			c.want(&want)
 			if !reflect.DeepEqual(got, want) {

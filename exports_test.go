@@ -50,7 +50,6 @@ var testOnly = map[string]string{
 	"heron.Simulation.Totals":               "internal/chaos invariant suite (assertConservation)",
 	"heron.ZipfKeys.Weights":                "internal/core TestBiasedFieldsGroupingModel (Eq. 11)",
 	"heron.ExplicitKeys.Weights":            "internal/core TestCalibrateTopologyInputShares",
-	"core.TopologyModel.PredictRecorded":    "internal/audit TestClosedLoopAccuracyDrift, internal/chaos TestClosedLoopDriftDuringSlowFault",
 	"tracker.Tracker.Update":                "internal/api TestTrackerUpdateEvictsExactlyChangedTopology",
 	"tracker.Tracker.Remove":                "internal/api TestTrackerRemoveEvictsEntry",
 	"tracker.Tracker.notify":                "tracker.Tracker.Update and Remove",

@@ -183,5 +183,5 @@ func (s *Service) handleQueryRange(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleAlerts(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, AlertsResponse{Alerts: s.slo.Evaluate()})
+	writeJSON(w, http.StatusOK, AlertsResponse{Alerts: s.slo.Alerts()})
 }

@@ -27,7 +27,8 @@ func getDecode[T any](t *testing.T, rawURL string, wantStatus int) T {
 // scraper's history store and an SLO evaluator wired in, real traffic
 // driven through the instrumented handler, deterministic scrapes, then
 // history read back through /api/v1/query_range and a deliberately
-// tripped rule observed firing through /api/v1/alerts.
+// tripped rule observed firing through /api/v1/alerts. As in the daemon,
+// each scrape evaluates the rules; the endpoint only reads the result.
 func TestSelfMonitoringEndToEnd(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	db := tsdb.New(time.Hour)
@@ -44,6 +45,7 @@ func TestSelfMonitoringEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	scraper.AfterScrape(func(time.Time) { slo.Evaluate() })
 	_, srv, _ := testEnvWith(t, Options{Telemetry: reg, History: db, SLO: slo})
 
 	hit := func(n int) {
@@ -117,7 +119,8 @@ func TestSelfMonitoringEndToEnd(t *testing.T) {
 			t.Errorf("rule %s missing since/value: %+v", a.Rule, a)
 		}
 	}
-	// A second evaluation sustains the alert without another transition.
+	// Each later scrape's evaluation sustained the alert without another
+	// transition, and a second read adds none either.
 	getDecode[AlertsResponse](t, srv.URL+"/api/v1/alerts", http.StatusOK)
 	fired := reg.Counter("caladrius_slo_transitions_total", telemetry.Labels{"rule": "traffic-seen", "to": "firing"})
 	if got := fired.Value(); got != 1 {

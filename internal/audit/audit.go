@@ -192,10 +192,6 @@ type Options struct {
 	// RollingWindow is how many audited records the rolling MAPE and
 	// signed error average over. Default 20.
 	RollingWindow int
-	// SaturatedBpMs is the per-window backpressure time above which the
-	// observation window counts as backpressured — the same threshold
-	// calibration uses for saturation (default 10 000 ms).
-	SaturatedBpMs float64
 }
 
 // modelKey indexes per-(topology, model) state without allocating.
@@ -224,7 +220,6 @@ type Ledger struct {
 	observeWindow time.Duration
 	metricsWindow time.Duration
 	rollingN      int
-	satBpMs       float64
 
 	mu   sync.Mutex
 	recs []Record // preallocated ring
@@ -324,9 +319,6 @@ func NewLedger(opts Options) (*Ledger, error) {
 	if opts.RollingWindow <= 0 {
 		opts.RollingWindow = 20
 	}
-	if opts.SaturatedBpMs <= 0 {
-		opts.SaturatedBpMs = 10_000
-	}
 	reg := opts.Registry
 	reg.SetHelp(MetricRuns, "Model runs recorded in the audit ledger, by topology and model.")
 	reg.SetHelp(MetricResolved, "Audit records the resolver joined with observed actuals.")
@@ -346,7 +338,6 @@ func NewLedger(opts Options) (*Ledger, error) {
 		observeWindow:   opts.ObserveWindow,
 		metricsWindow:   opts.MetricsWindow,
 		rollingN:        opts.RollingWindow,
-		satBpMs:         opts.SaturatedBpMs,
 		recs:            make([]Record, opts.Capacity),
 		runs:            map[modelKey]*telemetry.Counter{},
 		rolling:         map[modelKey]*rollingStats{},

@@ -136,9 +136,9 @@ func TestClosedLoopAccuracyDrift(t *testing.T) {
 				t.Fatalf("sim.Run: %v", err)
 			}
 			now = now.Add(time.Minute)
-			pred, err := m.PredictRecorded(rec, nil, rate)
+			pred, _, err := m.PredictMeasured(rec, nil, nil, rate)
 			if err != nil {
-				t.Fatalf("PredictRecorded: %v", err)
+				t.Fatalf("PredictMeasured: %v", err)
 			}
 			preds = append(preds, pred.SinkThroughput)
 		}

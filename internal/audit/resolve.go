@@ -5,6 +5,7 @@ import (
 	"errors"
 	"time"
 
+	"caladrius/internal/core"
 	"caladrius/internal/metrics"
 	"caladrius/internal/telemetry"
 	"caladrius/internal/tsdb"
@@ -24,7 +25,7 @@ import (
 // Per record the resolver reads the critical-path sink component's
 // windows (observed sink throughput = mean Execute per window scaled
 // to tuples/minute), the topology backpressure series (observed
-// backpressure = mean ms/window ≥ SaturatedBpMs, the calibration
+// backpressure = mean ms/window ≥ core.SaturatedBpMs, the calibration
 // saturation threshold), and the calibrated components' CPU loads.
 // Records whose window has no data yet stay pending and are retried
 // on the next cycle.
@@ -217,7 +218,7 @@ func (l *Ledger) observe(rec Record, seen *pass) (Observed, bool) {
 	if obs.BackpressureMsPerWindow, ok = seen.topologyBackpressure(rec.Topology, start, end); !ok {
 		return Observed{}, false
 	}
-	obs.Backpressure = obs.BackpressureMsPerWindow >= l.satBpMs
+	obs.Backpressure = obs.BackpressureMsPerWindow >= core.SaturatedBpMs
 	// CPU: sum observed component loads over the calibrated components
 	// (the same set TotalCPU was predicted over).
 	for _, cc := range rec.Calibration {

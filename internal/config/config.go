@@ -8,7 +8,6 @@
 //
 //	api:
 //	  addr: ":8642"
-//	  request_timeout_seconds: 30
 //	metrics:
 //	  window_seconds: 60
 //	traffic_models:
@@ -20,21 +19,12 @@
 //	  lookback_minutes: 120
 //	fetch:
 //	  retries: 2
-//	  backoff_ms: 50
 //	  timeout_seconds: 10
-//	profiling:
-//	  mutex_fraction: 100
-//	  block_rate_ns: 10000
 //	usage:
 //	  topk: 256
 //	  window_seconds: 900
 //	profiler:
 //	  interval_seconds: 10
-//	  cpu_window_ms: 250
-//	  epoch_seconds: 60
-//	  windows: 8
-//	  topk: 20
-//	  regression_delta: 0.2
 //	sched:
 //	  workers: 4
 //	  queue_depth: 64
@@ -48,6 +38,7 @@ import (
 	"strings"
 	"time"
 
+	"caladrius/internal/profiler"
 	"caladrius/internal/yamlite"
 )
 
@@ -61,8 +52,6 @@ type ModelRef struct {
 type Config struct {
 	// APIAddr is the listen address of the REST service.
 	APIAddr string
-	// RequestTimeout bounds model evaluations per request.
-	RequestTimeout time.Duration
 	// MetricsWindow is the metrics rollup interval of the metrics
 	// database being queried.
 	MetricsWindow time.Duration
@@ -77,20 +66,8 @@ type Config struct {
 	// FetchRetries is how many times a failed metrics fetch is retried
 	// (transient failures only; 0 disables retrying).
 	FetchRetries int
-	// FetchBackoff is the delay before the first retry; it doubles on
-	// each subsequent one.
-	FetchBackoff time.Duration
 	// FetchTimeout bounds each individual fetch attempt (0 = no bound).
 	FetchTimeout time.Duration
-	// MutexProfileFraction is runtime.SetMutexProfileFraction's rate:
-	// 1/n mutex contention events are sampled (0 disables sampling and
-	// leaves incident mutex profiles empty).
-	MutexProfileFraction int
-	// BlockProfileRate is runtime.SetBlockProfileRate's threshold in
-	// nanoseconds: blocking events lasting at least this long are
-	// sampled (0 disables sampling and leaves incident block profiles
-	// empty).
-	BlockProfileRate int
 	// UsageTopK is the usage accountant's live-principal cap K: at most
 	// this many (tenant, topology) principals are tracked individually;
 	// the rest roll into the "other" bucket. At least 1: usage accounting
@@ -101,18 +78,9 @@ type Config struct {
 	UsageWindow time.Duration
 	// ProfileInterval is the continuous profiler's capture period;
 	// 0 disables the profiler (and /api/v1/profiles answers 404).
+	// Otherwise it must be longer than profiler.CPUWindow, the CPU
+	// capture each round takes.
 	ProfileInterval time.Duration
-	// ProfileCPUWindow is how long each periodic CPU capture samples.
-	ProfileCPUWindow time.Duration
-	// ProfileEpoch is the width of one profiler fold window.
-	ProfileEpoch time.Duration
-	// ProfileWindows bounds the profiler's ring of completed windows.
-	ProfileWindows int
-	// ProfileTopK bounds function/stack lists served by default.
-	ProfileTopK int
-	// ProfileRegressionDelta is the profile-hot-function-regression SLO
-	// threshold: a fraction of total flat time (0.2 = 20 points).
-	ProfileRegressionDelta float64
 	// SchedWorkers is the model-run scheduler's worker-pool size
 	// (0 = max(2, GOMAXPROCS)).
 	SchedWorkers int
@@ -134,66 +102,46 @@ type Config struct {
 	WarmMinutes         int
 	MetricsFile         string
 
-	DebugAddr             string
-	ScrapeInterval        time.Duration
-	HistoryRetention      time.Duration
-	HistoryFile           string
-	AuditResolveInterval  time.Duration
-	AuditRetention        time.Duration
-	AuditFile             string
-	DriftThreshold        float64
-	StaleCalibrationAfter time.Duration
-	IncidentDir           string
-	IncidentRetention     int
-	IncidentCooldown      time.Duration
-	ProfileBaseline       string
+	DebugAddr            string
+	ScrapeInterval       time.Duration
+	HistoryRetention     time.Duration
+	HistoryFile          string
+	AuditResolveInterval time.Duration
+	AuditFile            string
+	IncidentDir          string
+	IncidentCooldown     time.Duration
+	ProfileBaseline      string
 }
 
 // Default returns the configuration used when no file is given.
 func Default() Config {
 	return Config{
 		APIAddr:             ":8642",
-		RequestTimeout:      30 * time.Second,
 		MetricsWindow:       time.Minute,
 		TrafficModels:       []ModelRef{{Name: "prophet"}, {Name: "summary"}},
 		CalibrationWarmup:   4,
 		CalibrationLookback: 2 * time.Hour,
 		FetchRetries:        2,
-		FetchBackoff:        50 * time.Millisecond,
 		FetchTimeout:        10 * time.Second,
-		// Sampling 1/100 contention events and ≥10µs blocking events is
-		// cheap enough for an always-on daemon while keeping incident
-		// contention profiles non-empty.
-		MutexProfileFraction: 100,
-		BlockProfileRate:     10000,
-		UsageTopK:            256,
-		UsageWindow:          15 * time.Minute,
-		// A 250ms CPU window every 10s is a 2.5% sampling duty cycle
-		// whose measured cost on the predict path stays under the 1%
-		// overhead budget (BenchmarkPredictProfilerOn against
+		UsageTopK:           256,
+		UsageWindow:         15 * time.Minute,
+		// The profiler's 250ms CPU window every 10s is a 2.5% sampling
+		// duty cycle whose measured cost on the predict path stays under
+		// the 1% overhead budget (BenchmarkPredictProfilerOn against
 		// BenchmarkPredictWarmCache).
-		ProfileInterval:        10 * time.Second,
-		ProfileCPUWindow:       250 * time.Millisecond,
-		ProfileEpoch:           time.Minute,
-		ProfileWindows:         8,
-		ProfileTopK:            20,
-		ProfileRegressionDelta: 0.20,
-		SchedWorkers:           0, // auto: max(2, GOMAXPROCS)
-		SchedQueueDepth:        64,
-		CalCacheTTL:            10 * time.Minute,
+		ProfileInterval: 10 * time.Second,
+		SchedWorkers:    0, // auto: max(2, GOMAXPROCS)
+		SchedQueueDepth: 64,
+		CalCacheTTL:     10 * time.Minute,
 
-		Rate:                  30e6,
-		SplitterP:             3,
-		CounterP:              4,
-		WarmMinutes:           30,
-		ScrapeInterval:        5 * time.Second,
-		HistoryRetention:      time.Hour,
-		AuditResolveInterval:  15 * time.Second,
-		AuditRetention:        2 * time.Hour,
-		DriftThreshold:        0.25,
-		StaleCalibrationAfter: 30 * time.Minute,
-		IncidentRetention:     16,
-		IncidentCooldown:      5 * time.Minute,
+		Rate:                 30e6,
+		SplitterP:            3,
+		CounterP:             4,
+		WarmMinutes:          30,
+		ScrapeInterval:       5 * time.Second,
+		HistoryRetention:     time.Hour,
+		AuditResolveInterval: 15 * time.Second,
+		IncidentCooldown:     5 * time.Minute,
 	}
 }
 
@@ -301,9 +249,9 @@ func (c Config) Validate() error {
 	if len(c.TrafficModels) == 0 {
 		return fmt.Errorf("config: no traffic models configured")
 	}
-	if c.ProfileInterval > 0 && c.ProfileCPUWindow >= c.ProfileInterval {
-		return fmt.Errorf("config: profile cpu window %s must be shorter than the interval %s",
-			c.ProfileCPUWindow, c.ProfileInterval)
+	if c.ProfileInterval > 0 && c.ProfileInterval <= profiler.CPUWindow {
+		return fmt.Errorf("config: profiler.interval_seconds (-profile-interval) is %s, want 0 or longer than the profiler's %s CPU window",
+			c.ProfileInterval, profiler.CPUWindow)
 	}
 	return nil
 }

@@ -16,10 +16,10 @@ func TestDefaults(t *testing.T) {
 	if cfg.APIAddr != ":8642" || len(cfg.TrafficModels) != 2 {
 		t.Errorf("defaults = %+v", cfg)
 	}
-	// The only statement of the fetch policy's defaults: the retry layer
-	// takes what it is given.
-	if cfg.FetchRetries != 2 || cfg.FetchBackoff != 50*time.Millisecond || cfg.FetchTimeout != 10*time.Second {
-		t.Errorf("fetch defaults = %d retries, %s backoff, %s timeout; want 2, 50ms, 10s", cfg.FetchRetries, cfg.FetchBackoff, cfg.FetchTimeout)
+	// The only statement of the fetch policy's settable defaults: the
+	// retry layer takes what it is given.
+	if cfg.FetchRetries != 2 || cfg.FetchTimeout != 10*time.Second {
+		t.Errorf("fetch defaults = %d retries, %s timeout; want 2, 10s", cfg.FetchRetries, cfg.FetchTimeout)
 	}
 }
 
@@ -27,7 +27,6 @@ func TestParseFull(t *testing.T) {
 	src := `
 api:
   addr: "127.0.0.1:9999"
-  request_timeout_seconds: 5
 metrics:
   window_seconds: 30
 traffic_models:
@@ -40,9 +39,6 @@ traffic_models:
 calibration:
   warmup_windows: 2
   lookback_minutes: 90
-profiling:
-  mutex_fraction: 50
-  block_rate_ns: 5000
 usage:
   topk: 64
   window_seconds: 300
@@ -53,9 +49,6 @@ usage:
 	}
 	if cfg.APIAddr != "127.0.0.1:9999" {
 		t.Errorf("addr = %q", cfg.APIAddr)
-	}
-	if cfg.RequestTimeout != 5*time.Second {
-		t.Errorf("timeout = %s", cfg.RequestTimeout)
 	}
 	if cfg.MetricsWindow != 30*time.Second {
 		t.Errorf("window = %s", cfg.MetricsWindow)
@@ -71,9 +64,6 @@ usage:
 	}
 	if cfg.CalibrationWarmup != 2 || cfg.CalibrationLookback != 90*time.Minute {
 		t.Errorf("calibration = %+v", cfg)
-	}
-	if cfg.MutexProfileFraction != 50 || cfg.BlockProfileRate != 5000 {
-		t.Errorf("profiling = %+v", cfg)
 	}
 	if cfg.UsageTopK != 64 || cfg.UsageWindow != 5*time.Minute {
 		t.Errorf("usage = %+v", cfg)
@@ -103,14 +93,17 @@ func TestParseProfilerSection(t *testing.T) {
 	if cfg.ProfileInterval != 0 {
 		t.Errorf("interval = %s, want 0 (disabled)", cfg.ProfileInterval)
 	}
-	cfg, err = Parse("profiler:\n  interval_seconds: 5\n  cpu_window_ms: 100\n  epoch_seconds: 30\n  windows: 4\n  topk: 7\n  regression_delta: 0.35\n")
+	cfg, err = Parse("profiler:\n  interval_seconds: 0.3\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.ProfileInterval != 5*time.Second || cfg.ProfileCPUWindow != 100*time.Millisecond ||
-		cfg.ProfileEpoch != 30*time.Second || cfg.ProfileWindows != 4 ||
-		cfg.ProfileTopK != 7 || cfg.ProfileRegressionDelta != 0.35 {
-		t.Errorf("profiler config = %+v", cfg)
+	if cfg.ProfileInterval != 300*time.Millisecond {
+		t.Errorf("interval = %s, want 300ms", cfg.ProfileInterval)
+	}
+	// The interval is the section's one key: the profiler's own
+	// defaults tune the rest.
+	if _, err := Parse("profiler:\n  windows: 8\n"); err == nil || !strings.Contains(err.Error(), "unknown key profiler.windows (keys of profiler: interval_seconds)") {
+		t.Errorf("profiler.windows: error %v, want an unknown key", err)
 	}
 }
 
@@ -136,26 +129,27 @@ var parseErrorCases = []struct {
 }{
 	{"api: 5", "api is int64, want mapping"},
 	{"api:\n  addr: 99", "api.addr is int64, want string"},
-	{"api:\n  request_timeout_seconds: no", "api.request_timeout_seconds is string, want number"},
+	{"metrics:\n  window_seconds: no", "metrics.window_seconds is string, want number"},
 	{"traffic_models: scalar", "want list"},
 	{"traffic_models:\n  - 5", "want mapping"},
 	{"traffic_models:\n  - options: {}", "missing name"},
 	{"traffic_models:\n  - name: 5", "traffic_models[0].name is int64, want string"},
 	{"traffic_models:\n  - name: x\n    options: 5", "want mapping"},
 	{"traffic_models: []", "no traffic models"},
-	{"api:\n  request_timeout_seconds: -1", "api.request_timeout_seconds is -1s, want at least 1ns"},
+	// Keys whose values became constants are refused, not ignored.
+	{"api:\n  request_timeout_seconds: 30", "unknown key api.request_timeout_seconds (keys of api: addr)"},
 	{"metrics:\n  window_seconds: 0", "metrics.window_seconds is 0s"},
 	{"calibration:\n  warmup_windows: -2", "calibration.warmup_windows is -2, want at least 0"},
 	{"calibration:\n  lookback_minutes: 0", "calibration.lookback_minutes is 0s"},
 	{"api:\n  addr: ''", `api.addr (-addr) is "" (0 characters), want at least 1`},
-	{"profiling:\n  mutex_fraction: -1", "profiling.mutex_fraction (-mutex-profile-fraction) is -1"},
-	{"profiling:\n  block_rate_ns: -1", "profiling.block_rate_ns (-block-profile-rate) is -1"},
+	{"profiling:\n  mutex_fraction: 100", `unknown section "profiling"`},
+	{"fetch:\n  backoff_ms: 50", "unknown key fetch.backoff_ms (keys of fetch: retries, timeout_seconds)"},
 	{"usage:\n  topk: -1", "usage.topk (-usage-topk) is -1"},
 	{"usage:\n  window_seconds: 0", "usage.window_seconds (-usage-window) is 0s"},
 	{"profiler:\n  interval_seconds: -1", "profiler.interval_seconds (-profile-interval) is -1s"},
-	{"profiler:\n  cpu_window_ms: 20000", "shorter than the interval"},
-	{"profiler:\n  windows: -2", "profiler.windows is -2"},
-	{"profiler:\n  regression_delta: 1.5", "profiler.regression_delta is 1.5, want at most 1"},
+	{"profiler:\n  interval_seconds: 0.25", "profiler.interval_seconds (-profile-interval) is 250ms, want 0 or longer than the profiler's 250ms CPU window"},
+	{"profiler:\n  topk: 20", "unknown key profiler.topk"},
+	{"profiler:\n  regression_delta: 0.2", "unknown key profiler.regression_delta"},
 	{"sched:\n  queue_depth: 0", "sched.queue_depth (-sched-queue) is 0, want at least 1: model-run scheduler admission queue depth"},
 	// What the per-key parse blocks this table replaced let through.
 	{"sched:\n  queue_dept: 3", "unknown key sched.queue_dept (keys of sched: workers, queue_depth, cache_ttl_minutes)"},
@@ -164,13 +158,13 @@ var parseErrorCases = []struct {
 	{"fetch:\n  retries: -0.5", "fetch.retries is -0.5, want a whole number"},
 	{"usage:\n  topk: 1e30", "usage.topk is 1e+30, want a whole number"},
 	{"sched:\n  cache_ttl_minutes: 1e30", "sched.cache_ttl_minutes is 1e+30, too large for a duration"},
-	{"profiler:\n  regression_delta: NaN", "profiler.regression_delta is NaN"},
+	{"sched:\n  queue_depth: NaN", "sched.queue_depth is NaN, want a whole number"},
 	{"sched:\n  workers: inf", "sched.workers is +Inf, want a whole number"},
 	{"usage:\n  topk: [1]", "usage.topk is []interface {}, want number"},
 	{"sched:", "sched is <nil>, want mapping"},
 	// Leaving the CPU window 0 used to mean "the default" and hide it
-	// from the shorter-than-the-interval rule above.
-	{"profiler:\n  interval_seconds: 0.1\n  cpu_window_ms: 0", "profiler.cpu_window_ms is 0s, want at least 1ns"},
+	// from the longer-than-the-window rule above; now no key sets it.
+	{"profiler:\n  interval_seconds: 0.1\n  cpu_window_ms: 0", "unknown key profiler.cpu_window_ms"},
 }
 
 func TestParseErrors(t *testing.T) {

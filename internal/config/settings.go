@@ -15,7 +15,7 @@ type setting struct {
 	key   string            // "section.key" in the YAML file; "" if only flags set it
 	flag  string            // its cmd/caladrius flag; "" if only the file sets it
 	// unit is what 1 under key means for a duration — what the key's
-	// suffix (_seconds, _ms, _minutes, _ns) promises the file's reader.
+	// suffix (_seconds, _minutes) promises the file's reader.
 	// Flags take Go duration syntax and need none.
 	unit time.Duration
 	// min and max are inclusive, in the field's own terms: a count, a
@@ -36,23 +36,14 @@ const most = 1 << 62
 // settings_test.go are loops over it.
 var settings = []setting{
 	{func(c *Config) any { return &c.APIAddr }, "api.addr", "addr", 0, 1, most, "listen address of the REST service"},
-	{func(c *Config) any { return &c.RequestTimeout }, "api.request_timeout_seconds", "", time.Second, 1, most, "bound on one request's model evaluations"},
 	{func(c *Config) any { return &c.MetricsWindow }, "metrics.window_seconds", "", time.Second, 1, most, "rollup interval of the metrics database being queried"},
 	{func(c *Config) any { return &c.CalibrationWarmup }, "calibration.warmup_windows", "", 0, 0, most, "leading metric windows dropped before calibrating performance models"},
 	{func(c *Config) any { return &c.CalibrationLookback }, "calibration.lookback_minutes", "", time.Minute, 1, most, "how much metric history calibration uses"},
 	{func(c *Config) any { return &c.FetchRetries }, "fetch.retries", "fetch-retries", 0, 0, most, "metrics fetch retries on transient failure; 0 disables"},
-	{func(c *Config) any { return &c.FetchBackoff }, "fetch.backoff_ms", "fetch-backoff", time.Millisecond, 0, most, "delay before the first fetch retry (doubles each retry)"},
 	{func(c *Config) any { return &c.FetchTimeout }, "fetch.timeout_seconds", "fetch-timeout", time.Second, 0, most, "per-attempt metrics fetch bound; 0 disables"},
-	{func(c *Config) any { return &c.MutexProfileFraction }, "profiling.mutex_fraction", "mutex-profile-fraction", 0, 0, most, "sample 1/n mutex contention events for incident mutex profiles; 0 disables"},
-	{func(c *Config) any { return &c.BlockProfileRate }, "profiling.block_rate_ns", "block-profile-rate", time.Nanosecond, 0, most, "sample blocking events of at least this many nanoseconds for incident block profiles; 0 disables"},
 	{func(c *Config) any { return &c.UsageTopK }, "usage.topk", "usage-topk", 0, 1, most, "track at most this many (tenant, topology) usage principals, evicting into an 'other' rollup; usage accounting is always on, so there is no cap 0"},
 	{func(c *Config) any { return &c.UsageWindow }, "usage.window_seconds", "usage-window", time.Second, 1, most, "trailing window /api/v1/usage ranks principals over"},
 	{func(c *Config) any { return &c.ProfileInterval }, "profiler.interval_seconds", "profile-interval", time.Second, 0, most, "continuous profiler capture period; 0 disables the profiler"},
-	{func(c *Config) any { return &c.ProfileCPUWindow }, "profiler.cpu_window_ms", "", time.Millisecond, 1, most, "how long each periodic CPU capture samples"},
-	{func(c *Config) any { return &c.ProfileEpoch }, "profiler.epoch_seconds", "", time.Second, 1, most, "width of one profiler fold window"},
-	{func(c *Config) any { return &c.ProfileWindows }, "profiler.windows", "", 0, 1, most, "completed windows the profiler keeps"},
-	{func(c *Config) any { return &c.ProfileTopK }, "profiler.topk", "profile-topk", 0, 1, most, "default row count for profile top/diff/flame responses"},
-	{func(c *Config) any { return &c.ProfileRegressionDelta }, "profiler.regression_delta", "", 0, 0, 1, "profile-hot-function-regression SLO threshold, a fraction of total flat time"},
 	{func(c *Config) any { return &c.SchedWorkers }, "sched.workers", "sched-workers", 0, 0, most, "model-run scheduler worker pool size; 0 auto-sizes to max(2, GOMAXPROCS)"},
 	{func(c *Config) any { return &c.SchedQueueDepth }, "sched.queue_depth", "sched-queue", 0, 1, most, "model-run scheduler admission queue depth (excess sheds with 429); every model run goes through the scheduler, so there is no depth 0"},
 	{func(c *Config) any { return &c.CalCacheTTL }, "sched.cache_ttl_minutes", "calcache-ttl", time.Minute, 0, most, "calibration cache entry lifetime; 0 keeps entries until invalidation"},
@@ -67,12 +58,8 @@ var settings = []setting{
 	{func(c *Config) any { return &c.HistoryRetention }, "", "history-retention", 0, 0, most, "how much scraped telemetry history to keep; 0 keeps all of it"},
 	{func(c *Config) any { return &c.HistoryFile }, "", "history-file", 0, 0, most, "persist scraped history to this file on shutdown and reload it on boot"},
 	{func(c *Config) any { return &c.AuditResolveInterval }, "", "audit-resolve-interval", 0, 1, most, "how often the audit resolver joins predictions with actuals; the prediction ledger is always on, so there is no interval 0"},
-	{func(c *Config) any { return &c.AuditRetention }, "", "audit-retention", 0, 1, most, "how long resolved audit records are retained"},
 	{func(c *Config) any { return &c.AuditFile }, "", "audit-file", 0, 0, most, "persist the audit ledger to this file on shutdown and reload it on boot"},
-	{func(c *Config) any { return &c.DriftThreshold }, "", "drift-threshold", 0, 0, math.Inf(1), "rolling MAPE above which the model-accuracy-drift SLO fires"},
-	{func(c *Config) any { return &c.StaleCalibrationAfter }, "", "stale-calibration-after", 0, 0, most, "calibration age at which the model-stale-calibration SLO fires"},
 	{func(c *Config) any { return &c.IncidentDir }, "", "incident-dir", 0, 0, most, "capture incident bundles (profiles, logs, spans, metric windows) under this directory when an SLO fires; empty disables the flight recorder"},
-	{func(c *Config) any { return &c.IncidentRetention }, "", "incident-retention", 0, 1, most, "how many incident bundles to keep on disk (oldest deleted first)"},
 	{func(c *Config) any { return &c.IncidentCooldown }, "", "incident-cooldown", 0, 1, most, "minimum spacing between SLO-triggered captures of the same rule"},
 	{func(c *Config) any { return &c.ProfileBaseline }, "", "profile-baseline", 0, 0, most, "persist the profiling baseline snapshot to this file and reload it on boot"},
 }

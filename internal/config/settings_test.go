@@ -37,15 +37,10 @@ func (s setting) put(c *Config, x float64) {
 	}
 }
 
-// sample returns two distinct in-bounds values for the row, neither
+// sample returns two distinct in-bounds values for every row, neither
 // its default nor in breach of the profiler's cross-field rule, in YAML
 // units: what a file would say after "key: ".
-func (s setting) sample() (a, b float64) {
-	if s.max < 9 {
-		return s.min + (s.max-s.min)/4, s.min + (s.max-s.min)/2
-	}
-	return 7, 9
-}
+func (s setting) sample() (a, b float64) { return 7, 9 }
 
 // text renders a sample as YAML (a number in the key's unit) or as a
 // flag argument (Go duration syntax), and want is the field value both
@@ -77,7 +72,7 @@ func (s setting) yamlFor(value string) string {
 }
 
 func TestSettingsTableShape(t *testing.T) {
-	units := map[string]time.Duration{"_seconds": time.Second, "_ms": time.Millisecond, "_minutes": time.Minute, "_ns": time.Nanosecond}
+	units := map[string]time.Duration{"_seconds": time.Second, "_minutes": time.Minute}
 	seenKey, seenFlag, seenField := map[string]bool{}, map[string]bool{}, map[any]bool{}
 	var c Config
 	keys, flags := 0, 0
@@ -119,11 +114,12 @@ func TestSettingsTableShape(t *testing.T) {
 			seenFlag[s.flag] = true
 		}
 	}
-	// The surface: 21 scalar keys (plus traffic_models) and 31 flags
-	// (plus -config). A PR that changes either number changed the
-	// daemon's interface and should say so.
-	if keys != 21 || flags != 31 {
-		t.Errorf("table has %d YAML keys and %d flags, want 21 and 31", keys, flags)
+	// The surface: 26 settings, 12 of them scalar keys (plus
+	// traffic_models) and 23 flags (plus -config). A change to any of
+	// the three numbers changed the daemon's interface and should say so.
+	t.Logf("settings: %d (%d keys, %d flags)", len(settings), keys, flags)
+	if len(settings) != 26 || keys != 12 || flags != 23 {
+		t.Errorf("table has %d settings, %d YAML keys and %d flags, want 26, 12 and 23", len(settings), keys, flags)
 	}
 	// Every scalar field of Config has a row.
 	rt := reflect.TypeOf(c)
@@ -143,8 +139,6 @@ func TestOffSwitches(t *testing.T) {
 	want := []string{
 		"fetch.retries (-fetch-retries)",
 		"fetch.timeout_seconds (-fetch-timeout)",
-		"profiling.mutex_fraction (-mutex-profile-fraction)",
-		"profiling.block_rate_ns (-block-profile-rate)",
 		"profiler.interval_seconds (-profile-interval)",
 		"-incident-dir",
 	}

@@ -20,34 +20,35 @@ type StageTimer interface {
 	StartStage(name string) func()
 }
 
+// SaturatedBpMs is the per-window backpressure time at or above which
+// a window counts as saturated, for calibration and for the audit
+// resolver alike. With a single bottleneck the metric is bimodal
+// (§IV-B1: ≈0 or ≈60 000), but when two saturated components alternate
+// as the active constraint each one's per-minute share can drop towards
+// half, so the threshold is a low 10 000 ms — far above the 0 mode,
+// comfortably below any saturated regime.
+const SaturatedBpMs = 10_000
+
+// When a metrics gap leaves some component fewer than minWindows
+// post-warmup windows, CalibrateTopologyFromProviderReport widens the
+// observe window backwards (doubling the lookback, up to maxWidenFactor
+// times the original span) and flags the result degraded.
+const (
+	minWindows     = 3
+	maxWidenFactor = 4
+)
+
 // CalibrationOptions tunes model calibration from metrics windows.
 type CalibrationOptions struct {
 	// Warmup drops the first N windows (topology stabilisation; the
 	// paper lets experiments reach steady state before measuring).
 	Warmup int
-	// SaturatedBpMs is the per-window backpressure time above which a
-	// window counts as saturated. With a single bottleneck the metric
-	// is bimodal (§IV-B1: ≈0 or ≈60 000), but when two saturated
-	// components alternate as the active constraint each one's
-	// per-minute share can drop towards half, so the default is a low
-	// 10 000 ms — far above the 0 mode, comfortably below any
-	// saturated regime.
-	SaturatedBpMs float64
 	// Window is the metrics rollup interval; default one minute. It
 	// converts per-window counts into tuples/minute rates.
 	Window time.Duration
 	// Stages, when set, is notified of each calibration stage so the
 	// caller can time them (tracing, metrics).
 	Stages StageTimer
-	// MinWindows is the fewest post-warmup windows every component
-	// must contribute before a calibration counts as well-observed.
-	// When a metrics gap leaves fewer, CalibrateTopologyFromProviderReport
-	// widens the observe window backwards (doubling the lookback, up
-	// to MaxWidenFactor) and flags the result degraded. Default 3.
-	MinWindows int
-	// MaxWidenFactor caps the widened lookback at this multiple of the
-	// original observe span. Default 4.
-	MaxWidenFactor int
 }
 
 // startStage begins a named stage, tolerating a nil timer.
@@ -59,17 +60,8 @@ func (o CalibrationOptions) startStage(name string) func() {
 }
 
 func (o CalibrationOptions) withDefaults() CalibrationOptions {
-	if o.SaturatedBpMs == 0 {
-		o.SaturatedBpMs = 10_000
-	}
 	if o.Window == 0 {
 		o.Window = time.Minute
-	}
-	if o.MinWindows == 0 {
-		o.MinWindows = 3
-	}
-	if o.MaxWidenFactor < 1 {
-		o.MaxWidenFactor = 4
 	}
 	return o
 }
@@ -90,9 +82,8 @@ func perMinute(count float64, window time.Duration) float64 {
 // saturated window, otherwise it is left at +Inf and the model is only
 // valid in the linear regime.
 func CalibrateComponent(name string, parallelism int, comp []metrics.Window, inst [][]metrics.Window, opts CalibrationOptions) (*ComponentModel, error) {
-	o := opts.withDefaults()
 	return calibrateMasked(name, parallelism, comp, inst, opts, func(w metrics.Window) bool {
-		return w.BackpressureMs >= o.SaturatedBpMs
+		return w.BackpressureMs >= SaturatedBpMs
 	})
 }
 
@@ -253,26 +244,25 @@ func CalibrateTopologyFromProvider(p metrics.Provider, topo *topology.Topology, 
 // ledger carries the flag so its predictions can be discounted.
 type CalibrationReport struct {
 	// Degraded is true when the observe window had to be widened, or
-	// when components stayed below MinWindows even after widening.
+	// when components stayed below minWindows even after widening.
 	Degraded bool
 	// Widened is how far the observe-window start was pulled back from
 	// the requested one (0 when the original window sufficed).
 	Widened time.Duration
-	// Sparse lists components still below MinWindows post-warmup
+	// Sparse lists components still below minWindows post-warmup
 	// windows after widening, sorted by component name.
 	Sparse []string
 }
 
 // CalibrateTopologyFromProviderReport is CalibrateTopologyFromProvider
 // plus gap tolerance: when any component contributes fewer than
-// MinWindows post-warmup windows over [start, end) — a metrics gap, a
+// minWindows post-warmup windows over [start, end) — a metrics gap, a
 // short history — the observe window's start is pulled back (doubling
-// the lookback each attempt, capped at MaxWidenFactor times the
+// the lookback each attempt, capped at maxWidenFactor times the
 // original span) until every component is well-observed or the cap is
 // hit. Any widening, or remaining sparseness, flags the calibration
 // degraded in the returned report.
 func CalibrateTopologyFromProviderReport(p metrics.Provider, topo *topology.Topology, start, end time.Time, opts CalibrationOptions) (map[string]*ComponentModel, CalibrationReport, error) {
-	o := opts.withDefaults()
 	span := end.Sub(start)
 	var rep CalibrationReport
 	cur := start
@@ -289,7 +279,7 @@ func CalibrateTopologyFromProviderReport(p metrics.Provider, topo *topology.Topo
 			return nil, rep, err
 		}
 		next := end.Add(-2 * end.Sub(cur))
-		if span <= 0 || end.Sub(next) > time.Duration(o.MaxWidenFactor)*span {
+		if span <= 0 || end.Sub(next) > time.Duration(maxWidenFactor)*span {
 			// Widening cap reached: surface what we have, flagged.
 			if err != nil {
 				return nil, rep, err
@@ -303,7 +293,7 @@ func CalibrateTopologyFromProviderReport(p metrics.Provider, topo *topology.Topo
 }
 
 // calibrateTopologySpan runs one calibration attempt over [start, end)
-// and reports which components stayed below MinWindows post-warmup
+// and reports which components stayed below minWindows post-warmup
 // windows.
 func calibrateTopologySpan(p metrics.Provider, topo *topology.Topology, start, end time.Time, opts CalibrationOptions) (map[string]*ComponentModel, []string, error) {
 	o := opts.withDefaults()
@@ -317,7 +307,7 @@ func calibrateTopologySpan(p metrics.Provider, topo *topology.Topology, start, e
 			return nil, nil, fmt.Errorf("core: calibrate %q: %w", c.Name, err)
 		}
 		windows[c.Name] = ws
-		if len(ws)-o.Warmup < o.MinWindows {
+		if len(ws)-o.Warmup < minWindows {
 			sparse = append(sparse, c.Name)
 		}
 	}
@@ -328,7 +318,7 @@ func calibrateTopologySpan(p metrics.Provider, topo *topology.Topology, start, e
 	for name, ws := range windows {
 		flags := make(map[time.Time]bool, len(ws))
 		for _, w := range ws {
-			flags[w.T] = w.BackpressureMs >= o.SaturatedBpMs
+			flags[w.T] = w.BackpressureMs >= SaturatedBpMs
 		}
 		bpAt[name] = flags
 	}
@@ -337,7 +327,7 @@ func calibrateTopologySpan(p metrics.Provider, topo *topology.Topology, start, e
 		endStage := o.startStage("calibrate:" + c.Name)
 		descendants := topo.Descendants(c.Name)
 		saturated := func(w metrics.Window) bool {
-			if w.BackpressureMs < o.SaturatedBpMs {
+			if w.BackpressureMs < SaturatedBpMs {
 				return false
 			}
 			for _, d := range descendants {

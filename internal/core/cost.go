@@ -105,11 +105,13 @@ func heapAllocBytes() uint64 {
 	return 0
 }
 
-// PredictMeasured is PredictRecorded plus resource metering: the run
-// is evaluated under a sampler mark and its RunCost is returned and
-// stamped into the audit record. A nil sampler reports zero cost; a
-// nil recorder skips auditing. Failed evaluations still report their
-// cost — the caller paid for them — but are not recorded.
+// PredictMeasured is Predict plus a RunRecorder notified of the
+// completed run and resource metering: the run is evaluated under a
+// sampler mark and its RunCost is returned and stamped into the audit
+// record. A nil sampler reports zero cost; a nil recorder skips
+// auditing. Failed evaluations still report their cost — the caller
+// paid for them — but are not recorded: there is no prediction to
+// audit.
 func (tm *TopologyModel) PredictMeasured(rec RunRecorder, s *CostSampler, parallelisms map[string]int, sourceRate float64) (TopologyPrediction, RunCost, error) {
 	m := s.Begin()
 	pred, err := tm.Predict(parallelisms, sourceRate)

@@ -7,7 +7,7 @@ import (
 
 // The audit hook. Like StageTimer for tracing, RunRecorder keeps core
 // free of any audit/telemetry dependency: the API tier passes the
-// prediction audit ledger (internal/audit) through PredictRecorded and
+// prediction audit ledger (internal/audit) through PredictMeasured and
 // core notifies it of every completed model evaluation, together with
 // the calibration snapshot the run was computed from.
 
@@ -75,14 +75,6 @@ func (tm *TopologyModel) CalibrationSnapshot() []ComponentCalibration {
 		tm.calSnap = snap
 	})
 	return tm.calSnap
-}
-
-// PredictRecorded is Predict plus a RunRecorder notified of the
-// completed run (nil rec behaves exactly like Predict). Failed
-// evaluations are not recorded — there is no prediction to audit.
-func (tm *TopologyModel) PredictRecorded(rec RunRecorder, parallelisms map[string]int, sourceRate float64) (TopologyPrediction, error) {
-	pred, _, err := tm.PredictMeasured(rec, nil, parallelisms, sourceRate)
-	return pred, err
 }
 
 // CriticalPath returns the prediction's critical path: the path with

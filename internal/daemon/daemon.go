@@ -63,11 +63,30 @@ type Config struct {
 	WrapProvider func(metrics.Provider) (metrics.Provider, error)
 	// SLORules replaces the rule set the daemon would compose.
 	SLORules []telemetry.Rule
-	// Profiler replaces the profiler built from the Profile* settings,
-	// for a synthetic capture source or tuning no setting expresses. It
-	// must instrument into Registry.
+	// Profiler replaces the profiler built from ProfileInterval and
+	// ProfileBaseline, for a synthetic capture source or tuning no
+	// setting expresses. It must instrument into Registry.
 	Profiler *profiler.Profiler
 }
+
+// Values no setting changes, each stated only here.
+const (
+	// fetchBackoff is the delay before the first metrics fetch retry; it
+	// doubles on each later one.
+	fetchBackoff = 50 * time.Millisecond
+	// Sampling 1/100 mutex contention events and blocking events of at
+	// least 10µs is cheap enough for an always-on daemon while keeping
+	// incident contention profiles non-empty.
+	mutexProfileFraction = 100
+	blockProfileRateNs   = 10_000
+	// The model-accuracy-drift SLO fires above this rolling MAPE, and
+	// model-stale-calibration at this calibration age.
+	driftThreshold        = 0.25
+	staleCalibrationAfter = 30 * time.Minute
+	// The profile-hot-function-regression SLO fires when a function's
+	// share of flat time grows by this fraction over the baseline.
+	profileRegressionDelta = 0.20
+)
 
 // Default returns the configuration of a daemon started with no flags
 // and no file, which is also where in-process callers start.
@@ -157,9 +176,9 @@ func New(cfg Config) (*Daemon, error) {
 	// With no retries and no timeout the wrapper passes calls through
 	// and still counts caladrius_fetch_failures_total.
 	provider = metrics.NewRetryingProvider(provider, metrics.RetryConfig{
-		Retries: cfg.FetchRetries, Backoff: cfg.FetchBackoff, Timeout: cfg.FetchTimeout,
+		Retries: cfg.FetchRetries, Backoff: fetchBackoff, Timeout: cfg.FetchTimeout,
 	}, reg)
-	logger.Info("metrics fetch policy", "retries", cfg.FetchRetries, "backoff", cfg.FetchBackoff, "timeout", cfg.FetchTimeout)
+	logger.Info("metrics fetch policy", "retries", cfg.FetchRetries, "backoff", fetchBackoff, "timeout", cfg.FetchTimeout)
 
 	// Self-monitoring: scrape the registry into a second history store
 	// (the substrate's db keeps topology metrics; this one keeps the
@@ -179,7 +198,6 @@ func New(cfg Config) (*Daemon, error) {
 		Registry:      reg,
 		Now:           d.now,
 		SeriesNow:     d.wall,
-		Retention:     cfg.AuditRetention,
 		MetricsWindow: cfg.MetricsWindow,
 	})
 	if err != nil {
@@ -206,10 +224,6 @@ func New(cfg Config) (*Daemon, error) {
 		d.Profiler, err = profiler.New(profiler.Options{
 			Registry:     reg,
 			Interval:     cfg.ProfileInterval,
-			CPUWindow:    cfg.ProfileCPUWindow,
-			Epoch:        cfg.ProfileEpoch,
-			Windows:      cfg.ProfileWindows,
-			TopK:         cfg.ProfileTopK,
 			BaselinePath: cfg.ProfileBaseline,
 			Now:          d.wall,
 			Logger:       logger,
@@ -217,16 +231,14 @@ func New(cfg Config) (*Daemon, error) {
 		if err != nil {
 			return nil, err
 		}
-		logger.Info("continuous profiler enabled", "interval", cfg.ProfileInterval,
-			"cpu_window", cfg.ProfileCPUWindow, "epoch", cfg.ProfileEpoch,
-			"windows", cfg.ProfileWindows)
+		logger.Info("continuous profiler enabled", "interval", cfg.ProfileInterval)
 	}
 
 	rules := cfg.SLORules
 	if rules == nil {
-		rules = append(telemetry.DefaultSLORules(), telemetry.ModelAccuracyRules(cfg.DriftThreshold, cfg.StaleCalibrationAfter)...)
+		rules = append(telemetry.DefaultSLORules(), telemetry.ModelAccuracyRules(driftThreshold, staleCalibrationAfter)...)
 		if d.Profiler != nil {
-			rules = append(rules, telemetry.ProfilerRules(cfg.ProfileRegressionDelta)...)
+			rules = append(rules, telemetry.ProfilerRules(profileRegressionDelta)...)
 		}
 	}
 	if d.SLO, err = telemetry.NewSLO(d.History, reg, d.wall, rules); err != nil {
@@ -267,7 +279,6 @@ func New(cfg Config) (*Daemon, error) {
 			Logs:        logRing,
 			Tracer:      tracer,
 			Cooldown:    cfg.IncidentCooldown,
-			MaxBundles:  cfg.IncidentRetention,
 			Now:         d.wall,
 			Logger:      logger,
 			Attachments: attachments,
@@ -277,7 +288,7 @@ func New(cfg Config) (*Daemon, error) {
 		}
 		d.SLO.OnFiring(d.Recorder.FiringHook())
 		logger.Info("incident flight recorder armed", "dir", d.Recorder.Dir(),
-			"retention", cfg.IncidentRetention, "cooldown", cfg.IncidentCooldown)
+			"cooldown", cfg.IncidentCooldown)
 	}
 
 	// Model-run scheduler: bounded worker pool with coalescing and
@@ -372,8 +383,8 @@ func (d *Daemon) Handler() http.Handler { return d.handler }
 // also takes over the process-wide mutex and block profiling rates:
 // without them incident bundles' contention profiles come out empty.
 func (d *Daemon) Run(ctx context.Context) error {
-	runtime.SetMutexProfileFraction(d.cfg.MutexProfileFraction)
-	runtime.SetBlockProfileRate(d.cfg.BlockProfileRate)
+	runtime.SetMutexProfileFraction(mutexProfileFraction)
+	runtime.SetBlockProfileRate(blockProfileRateNs)
 	ln, err := net.Listen("tcp", d.cfg.APIAddr)
 	if err != nil {
 		return errors.Join(err, d.Close())
@@ -393,7 +404,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 	d.stopLoops = stop
 	d.logger.Info("self-monitoring scraper running", "interval", d.cfg.ScrapeInterval, "retention", d.cfg.HistoryRetention)
 	d.goLoop(func() { d.Scraper.Run(loops) })
-	d.logger.Info("audit resolver running", "interval", d.cfg.AuditResolveInterval, "retention", d.cfg.AuditRetention)
+	d.logger.Info("audit resolver running", "interval", d.cfg.AuditResolveInterval)
 	d.goLoop(func() { d.Ledger.Run(loops, d.cfg.AuditResolveInterval) })
 	if d.Profiler != nil {
 		d.goLoop(func() { d.Profiler.Run(loops) })

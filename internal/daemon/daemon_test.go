@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -19,6 +20,8 @@ import (
 
 	"caladrius/internal/audit"
 	"caladrius/internal/heron"
+	"caladrius/internal/telemetry"
+	"caladrius/internal/tsdb"
 	"caladrius/internal/workload"
 )
 
@@ -208,13 +211,11 @@ func TestCloseAfterFailure(t *testing.T) {
 // no 0 that switches them off, and no 0 stands for a default.
 func TestNewValidatesEverySetting(t *testing.T) {
 	for name, breakIt := range map[string]func(*Config){
-		"-scrape-interval":    func(c *Config) { c.ScrapeInterval = -time.Second },
-		"-history-retention":  func(c *Config) { c.HistoryRetention = -5 * time.Second },
-		"-audit-retention":    func(c *Config) { c.AuditRetention = -time.Hour },
-		"-incident-retention": func(c *Config) { c.IncidentRetention = -1 },
-		"-drift-threshold":    func(c *Config) { c.DriftThreshold = -1 },
-		"-splitter":           func(c *Config) { c.SplitterP = 0 },
-		"-rate":               func(c *Config) { c.Rate = -5 },
+		"-scrape-interval":   func(c *Config) { c.ScrapeInterval = -time.Second },
+		"-history-retention": func(c *Config) { c.HistoryRetention = -5 * time.Second },
+		"-incident-cooldown": func(c *Config) { c.IncidentCooldown = -time.Second },
+		"-splitter":          func(c *Config) { c.SplitterP = 0 },
+		"-rate":              func(c *Config) { c.Rate = -5 },
 	} {
 		cfg := testConfig()
 		breakIt(&cfg)
@@ -225,16 +226,10 @@ func TestNewValidatesEverySetting(t *testing.T) {
 		}
 	}
 	for name, zero := range map[string]func(*Config){
-		"-scrape-interval is 0s":             func(c *Config) { c.ScrapeInterval = 0 },
-		"-audit-resolve-interval is 0s":      func(c *Config) { c.AuditResolveInterval = 0 },
-		"usage.topk (-usage-topk) is 0":      func(c *Config) { c.UsageTopK = 0 },
-		"profiler.cpu_window_ms is 0s":       func(c *Config) { c.ProfileCPUWindow = 0 },
-		"profiler.epoch_seconds is 0s":       func(c *Config) { c.ProfileEpoch = 0 },
-		"profiler.windows is 0":              func(c *Config) { c.ProfileWindows = 0 },
-		"profiler.topk (-profile-topk) is 0": func(c *Config) { c.ProfileTopK = 0 },
-		"-audit-retention is 0s":             func(c *Config) { c.AuditRetention = 0 },
-		"-incident-retention is 0":           func(c *Config) { c.IncidentRetention = 0 },
-		"-incident-cooldown is 0s":           func(c *Config) { c.IncidentCooldown = 0 },
+		"-scrape-interval is 0s":        func(c *Config) { c.ScrapeInterval = 0 },
+		"-audit-resolve-interval is 0s": func(c *Config) { c.AuditResolveInterval = 0 },
+		"usage.topk (-usage-topk) is 0": func(c *Config) { c.UsageTopK = 0 },
+		"-incident-cooldown is 0s":      func(c *Config) { c.IncidentCooldown = 0 },
 	} {
 		cfg := testConfig()
 		zero(&cfg)
@@ -244,13 +239,12 @@ func TestNewValidatesEverySetting(t *testing.T) {
 			t.Errorf("New: error %v, want %q refused with its minimum", err, name)
 		}
 	}
-	// With the CPU window always a real number, the rule that it fits
-	// inside the interval cannot be sidestepped by leaving it 0.
+	// A running profiler's interval has to fit its CPU capture.
 	cfg := testConfig()
-	cfg.ProfileInterval, cfg.ProfileCPUWindow = 100*time.Millisecond, 0
-	if d, err := New(cfg); err == nil || !strings.Contains(err.Error(), "profiler.cpu_window_ms") {
+	cfg.ProfileInterval = 100 * time.Millisecond
+	if d, err := New(cfg); err == nil || !strings.Contains(err.Error(), "-profile-interval) is 100ms, want 0 or longer") {
 		d.Close()
-		t.Errorf("New with a 100ms interval and cpu window 0: error %v, want one naming profiler.cpu_window_ms", err)
+		t.Errorf("New with a 100ms profile interval: error %v, want one naming -profile-interval", err)
 	}
 }
 
@@ -514,5 +508,75 @@ func TestOneWriterPerHistorySeries(t *testing.T) {
 	}
 	if graded == 0 || apes != graded {
 		t.Errorf("%s: %d points, want one per graded record (%d)", audit.MetricAPE, apes, graded)
+	}
+}
+
+// TestAlertReadsAdvanceNothing: only the scrape moves alert state. A
+// GET /api/v1/alerts between scrapes reads the last evaluation — however
+// far the clock has moved and however often clients poll, it flips no
+// rule, bumps no transition counter and captures no incident bundle.
+func TestAlertReadsAdvanceNothing(t *testing.T) {
+	t0 := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
+	var wall atomic.Int64
+	wall.Store(t0.UnixNano())
+	cfg := testConfig()
+	cfg.Wall = func() time.Time { return time.Unix(0, wall.Load()).UTC() }
+	cfg.IncidentDir = t.TempDir()
+	cfg.SLORules = []telemetry.Rule{
+		// Any request in the window trips it.
+		{Name: "traffic-seen", Metric: "caladrius_http_requests_total", Agg: tsdb.AggMax, Window: time.Minute, Threshold: 0.5},
+	}
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	get := func(path string) string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		d.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d %s", path, rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	state := func() telemetry.AlertState {
+		t.Helper()
+		var resp struct{ Alerts []telemetry.Alert }
+		if err := json.Unmarshal([]byte(get("/api/v1/alerts")), &resp); err != nil || len(resp.Alerts) != 1 {
+			t.Fatalf("alerts: %v, %+v", err, resp)
+		}
+		return resp.Alerts[0].State
+	}
+	transitions := func(to string) float64 {
+		return d.Registry.Counter("caladrius_slo_transitions_total", telemetry.Labels{"rule": "traffic-seen", "to": to}).Value()
+	}
+
+	if got := state(); got != telemetry.StateNoData {
+		t.Errorf("before any scrape: state %s, want no_data", got)
+	}
+	get("/api/v1/health")
+	// A scrape evaluates at its own instant, which its samples' window
+	// excludes: the rule still has no data.
+	d.Scraper.ScrapeOnce(t0)
+	wall.Store(t0.Add(10 * time.Second).UnixNano())
+	for i := 0; i < 3; i++ {
+		if got := state(); got != telemetry.StateNoData {
+			t.Errorf("read %d between scrapes: state %s, want the scrape's no_data", i+1, got)
+		}
+	}
+	d.Recorder.Flush()
+	if f, r, n := transitions("firing"), transitions("resolved"), len(d.Recorder.List()); f != 0 || r != 0 || n != 0 {
+		t.Errorf("after reads between scrapes: %g to firing, %g to resolved, %d bundles; want none", f, r, n)
+	}
+
+	// The next scrape sees the first one's samples and fires the rule.
+	d.Scraper.ScrapeOnce(t0.Add(10 * time.Second))
+	if got := state(); got != telemetry.StateFiring {
+		t.Errorf("after the second scrape: state %s, want firing", got)
+	}
+	d.Recorder.Flush()
+	if f, n := transitions("firing"), len(d.Recorder.List()); f != 1 || n != 1 {
+		t.Errorf("after the second scrape: %g to firing, %d bundles; want 1 and 1", f, n)
 	}
 }

@@ -138,7 +138,7 @@ func (p *Prophet) Fit(pts []tsdb.Point) error {
 		p.fillRow(x.Row(i), pt.T)
 		y[i] = pt.V / p.scale
 	}
-	beta, err := linalg.HuberRegression(x, y, linalg.HuberOptions{Lambda: p.Ridge})
+	beta, err := linalg.HuberRegression(x, y, p.Ridge)
 	if err != nil {
 		return fmt.Errorf("forecast: prophet fit: %w", err)
 	}

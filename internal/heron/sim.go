@@ -117,10 +117,6 @@ type Config struct {
 	// tuples processed/dropped, published once per Run. Nil disables
 	// event telemetry.
 	Metrics *telemetry.Registry
-	// Injector, when set, applies scheduled faults to the simulation
-	// (see FaultInjector in faults.go). It can also be attached after
-	// construction with WithFaultInjector.
-	Injector FaultInjector
 }
 
 // simEvents bundles the simulator's telemetry instruments, labelled by
@@ -340,7 +336,7 @@ func New(cfg Config) (*Simulation, error) {
 	if cfg.RestartDelay < 0 {
 		return nil, fmt.Errorf("heron: negative restart delay %s", cfg.RestartDelay)
 	}
-	s := &Simulation{cfg: cfg, db: cfg.DB, byComp: map[string][]*instanceState{}, injector: cfg.Injector}
+	s := &Simulation{cfg: cfg, db: cfg.DB, byComp: map[string][]*instanceState{}}
 	if cfg.Metrics != nil {
 		s.events = newSimEvents(cfg.Metrics, t.Name())
 	}

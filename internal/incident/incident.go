@@ -496,8 +496,7 @@ func (r *Recorder) capture(req captureReq) (Manifest, error) {
 
 	// Profiles. The CPU profile samples for the configured window; the
 	// four snapshot profiles are instantaneous. Mutex/block profiles
-	// are only as good as the runtime rates cmd/caladrius sets via
-	// -mutex-profile-fraction / -block-profile-rate.
+	// are only as good as the runtime rates daemon.Run sets.
 	if err := r.writeCPUProfile(filepath.Join(dir, ArtifactCPU)); err != nil {
 		note("%s: %v", ArtifactCPU, err)
 	} else {

@@ -276,45 +276,28 @@ func WeightedRidge(x *Matrix, y, w []float64, lambda float64) ([]float64, error)
 	return SolveSPD(g, rhs)
 }
 
-// HuberOptions controls robust regression.
-type HuberOptions struct {
-	// Delta is the Huber threshold in units of the residual scale
-	// (MAD-based). Residuals within Delta·scale get weight 1; beyond it
-	// weights decay as Delta·scale/|r|. Default 1.345 (95% Gaussian
-	// efficiency).
-	Delta float64
-	// MaxIter bounds the IRLS iterations. Default 25.
-	MaxIter int
-	// Tol is the coefficient-change convergence threshold. Default 1e-8.
-	Tol float64
-	// Lambda is an optional ridge penalty applied at every iteration.
-	Lambda float64
-}
+// Huber regression's IRLS constants. Residuals within huberDelta times
+// the residual scale (MAD-based) get weight 1; beyond it weights decay
+// as huberDelta·scale/|r|. 1.345 is the threshold of 95% Gaussian
+// efficiency. The iterations stop after huberMaxIter, or once the
+// coefficients move by less than huberTol in total.
+const (
+	huberDelta   = 1.345
+	huberMaxIter = 25
+	huberTol     = 1e-8
+)
 
-func (o HuberOptions) withDefaults() HuberOptions {
-	if o.Delta <= 0 {
-		o.Delta = 1.345
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 25
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-8
-	}
-	return o
-}
-
-// HuberRegression fits β minimising the Huber loss of X·β − y via IRLS.
-// It is robust to a moderate fraction of gross outliers in y.
-func HuberRegression(x *Matrix, y []float64, opts HuberOptions) ([]float64, error) {
-	opts = opts.withDefaults()
-	beta, err := RidgeLeastSquares(x, y, opts.Lambda)
+// HuberRegression fits β minimising the Huber loss of X·β − y via IRLS,
+// with the ridge penalty lambda applied at every iteration. It is
+// robust to a moderate fraction of gross outliers in y.
+func HuberRegression(x *Matrix, y []float64, lambda float64) ([]float64, error) {
+	beta, err := RidgeLeastSquares(x, y, lambda)
 	if err != nil {
 		return nil, err
 	}
 	w := make([]float64, x.Rows)
 	resid := make([]float64, x.Rows)
-	for iter := 0; iter < opts.MaxIter; iter++ {
+	for iter := 0; iter < huberMaxIter; iter++ {
 		pred, err := x.MulVec(beta)
 		if err != nil {
 			return nil, err
@@ -326,7 +309,7 @@ func HuberRegression(x *Matrix, y []float64, opts HuberOptions) ([]float64, erro
 		if scale < 1e-12 {
 			return beta, nil // perfect fit to working precision
 		}
-		thresh := opts.Delta * scale
+		thresh := huberDelta * scale
 		for i, r := range resid {
 			if ar := math.Abs(r); ar <= thresh {
 				w[i] = 1
@@ -334,7 +317,7 @@ func HuberRegression(x *Matrix, y []float64, opts HuberOptions) ([]float64, erro
 				w[i] = thresh / ar
 			}
 		}
-		next, err := WeightedRidge(x, y, w, opts.Lambda)
+		next, err := WeightedRidge(x, y, w, lambda)
 		if err != nil {
 			return nil, err
 		}
@@ -343,7 +326,7 @@ func HuberRegression(x *Matrix, y []float64, opts HuberOptions) ([]float64, erro
 			change += math.Abs(next[i] - beta[i])
 		}
 		beta = next
-		if change < opts.Tol {
+		if change < huberTol {
 			break
 		}
 	}

@@ -244,7 +244,7 @@ func TestHuberIgnoresOutliers(t *testing.T) {
 	for i := 0; i < n/10; i++ {
 		y[r.Intn(n)] += 500
 	}
-	beta, err := HuberRegression(x, y, HuberOptions{})
+	beta, err := HuberRegression(x, y, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestHuberIgnoresOutliers(t *testing.T) {
 func TestHuberPerfectFitShortCircuits(t *testing.T) {
 	x := &Matrix{Rows: 3, Cols: 2, Data: []float64{1, 0, 1, 1, 1, 2}}
 	y := []float64{1, 3, 5}
-	beta, err := HuberRegression(x, y, HuberOptions{})
+	beta, err := HuberRegression(x, y, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

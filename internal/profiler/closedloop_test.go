@@ -24,7 +24,8 @@ import (
 // drives the live topology into backpressure, the service's hot code
 // path shifts (hotFaultSpin replaces steadyServeSpin), the continuous
 // profiler's baseline diff catches the regression, the
-// profile-hot-function-regression SLO fires through /api/v1/alerts,
+// profile-hot-function-regression SLO fires on a scrape and reads
+// firing through /api/v1/alerts,
 // and the armed flight recorder captures exactly one bundle whose
 // profile-diff.json names the regressing function. When the fault
 // clears, the diff drops back under the budget and the rule resolves.
@@ -183,8 +184,18 @@ func TestClosedLoopProfileRegression(t *testing.T) {
 		}
 		clock.Advance(time.Minute)
 	}
-	// alertState evaluates the SLO over HTTP — the alerts endpoint runs
-	// the evaluator, which is what arms the recorder's firing hook.
+	// scrape appends the registry to history and, a second later,
+	// scrapes again: each scrape evaluates the SLO (which is what arms
+	// the recorder's firing hook) at its own instant, and history
+	// ranges are end-exclusive, so it is the second scrape's evaluation
+	// that sees the first one's samples.
+	scrape := func() {
+		scraper.ScrapeOnce(clock.Now())
+		clock.Advance(time.Second)
+		scraper.ScrapeOnce(clock.Now())
+	}
+	// alertState reads the rule's state, as the last scrape left it,
+	// over HTTP.
 	alertState := func(phase string) string {
 		t.Helper()
 		resp, err := http.Get(srv.URL + "/api/v1/alerts")
@@ -223,8 +234,7 @@ func TestClosedLoopProfileRegression(t *testing.T) {
 		t.Fatalf("healthy phase backpressure = %g instances, want 0", got)
 	}
 	captureEpoch(steadyServeSpin)
-	scraper.ScrapeOnce(clock.Now())
-	clock.Advance(time.Second) // history ranges are end-exclusive
+	scrape()
 	if got := alertState("phase 1"); got != string(telemetry.StateOK) {
 		t.Fatalf("phase 1 alert state = %s, want %s", got, telemetry.StateOK)
 	}
@@ -243,8 +253,7 @@ func TestClosedLoopProfileRegression(t *testing.T) {
 		t.Fatal("slow fault never drove backpressure")
 	}
 	captureEpoch(hotFaultSpin)
-	scraper.ScrapeOnce(clock.Now())
-	clock.Advance(time.Second)
+	scrape()
 	if got := alertState("phase 2"); got != string(telemetry.StateFiring) {
 		t.Fatalf("phase 2 alert state = %s, want %s", got, telemetry.StateFiring)
 	}
@@ -319,6 +328,7 @@ func TestClosedLoopProfileRegression(t *testing.T) {
 
 	// Still firing on the next evaluation — a state, not a transition:
 	// no second bundle.
+	scrape()
 	if got := alertState("phase 2 again"); got != string(telemetry.StateFiring) {
 		t.Fatalf("phase 2 re-evaluation = %s, want still firing", got)
 	}
@@ -337,8 +347,7 @@ func TestClosedLoopProfileRegression(t *testing.T) {
 		t.Fatalf("backpressure never drained after the fault: %g instances", got)
 	}
 	captureEpoch(steadyServeSpin)
-	scraper.ScrapeOnce(clock.Now())
-	clock.Advance(time.Second)
+	scrape()
 	if got := alertState("phase 3"); got != string(telemetry.StateOK) {
 		t.Fatalf("phase 3 alert state = %s, want %s (resolved)", got, telemetry.StateOK)
 	}

@@ -63,6 +63,10 @@ func RuntimeSource(cpuWindow time.Duration) Source {
 	}
 }
 
+// CPUWindow is how long each CPU capture samples unless Options says
+// otherwise. The daemon's capture interval must be longer.
+const CPUWindow = 250 * time.Millisecond
+
 // Options configures a Profiler. Zero fields take the defaults
 // documented on each.
 type Options struct {
@@ -74,7 +78,8 @@ type Options struct {
 
 	// Interval between capture rounds in Run. Default 10s.
 	Interval time.Duration
-	// CPUWindow is how long each CPU capture samples. Default 250ms.
+	// CPUWindow is how long each CPU capture samples. Default the
+	// package's CPUWindow, 250ms.
 	CPUWindow time.Duration
 	// Epoch is the width of one fold window. Default 1m.
 	Epoch time.Duration
@@ -107,7 +112,7 @@ func (o *Options) withDefaults() Options {
 		out.Interval = 10 * time.Second
 	}
 	if out.CPUWindow <= 0 {
-		out.CPUWindow = 250 * time.Millisecond
+		out.CPUWindow = CPUWindow
 	}
 	if out.Epoch <= 0 {
 		out.Epoch = time.Minute

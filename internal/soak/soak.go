@@ -301,7 +301,7 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	// green — no_data just means the window drained).
 	deadline := time.Now().Add(cfg.Settle)
 	for {
-		alerts := d.SLO.Evaluate()
+		alerts := d.SLO.Alerts()
 		firing := 0
 		for _, a := range alerts {
 			if a.State == telemetry.StateFiring {

@@ -386,49 +386,59 @@ func escapeLabel(v string) string {
 
 // --- export ----------------------------------------------------------------
 
-// WritePrometheus renders the registry in the Prometheus text
-// exposition format, deterministically ordered by metric name and
-// label signature.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.RLock()
+// each walks the registry in export order, deterministic by metric
+// name and then label signature: family for each family that holds an
+// instrument, then series for each of its series. The caller holds r.mu.
+func (r *Registry) each(family func(name string, f *family), series func(sig string, s *series)) {
 	names := make([]string, 0, len(r.families))
 	for n, f := range r.families {
-		if f.kind == -1 {
-			continue // help-only placeholder
+		if f.kind != -1 { // -1: a help-only placeholder
+			names = append(names, n)
 		}
-		names = append(names, n)
 	}
 	sort.Strings(names)
-	var b strings.Builder
 	for _, n := range names {
 		f := r.families[n]
-		if f.help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", n, f.help)
-		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", n, f.kind)
+		family(n, f)
 		sigs := make([]string, 0, len(f.series))
 		for sig := range f.series {
 			sigs = append(sigs, sig)
 		}
 		sort.Strings(sigs)
 		for _, sig := range sigs {
-			s := f.series[sig]
-			switch inst := s.inst.(type) {
-			case *Counter:
-				writeSample(&b, n, sig, "", inst.Value())
-			case *Gauge:
-				writeSample(&b, n, sig, "", inst.Value())
-			case *Histogram:
-				cum := inst.Cumulative()
-				for i, bound := range inst.bounds {
-					writeSample(&b, n+"_bucket", sig, `le="`+formatFloat(bound)+`"`, float64(cum[i]))
-				}
-				writeSample(&b, n+"_bucket", sig, `le="+Inf"`, float64(cum[len(cum)-1]))
-				writeSample(&b, n+"_sum", sig, "", inst.Sum())
-				writeSample(&b, n+"_count", sig, "", float64(inst.Count()))
-			}
+			series(sig, f.series[sig])
 		}
 	}
+}
+
+// WritePrometheus renders the registry in the Prometheus text
+// exposition format.
+func (r *Registry) WritePrometheus(w io.Writer) error {
+	var b strings.Builder
+	var name string
+	r.mu.RLock()
+	r.each(func(n string, f *family) {
+		name = n
+		if f.help != "" {
+			fmt.Fprintf(&b, "# HELP %s %s\n", n, f.help)
+		}
+		fmt.Fprintf(&b, "# TYPE %s %s\n", n, f.kind)
+	}, func(sig string, s *series) {
+		switch inst := s.inst.(type) {
+		case *Counter:
+			writeSample(&b, name, sig, "", inst.Value())
+		case *Gauge:
+			writeSample(&b, name, sig, "", inst.Value())
+		case *Histogram:
+			cum := inst.Cumulative()
+			for i, bound := range inst.bounds {
+				writeSample(&b, name+"_bucket", sig, `le="`+formatFloat(bound)+`"`, float64(cum[i]))
+			}
+			writeSample(&b, name+"_bucket", sig, `le="+Inf"`, float64(cum[len(cum)-1]))
+			writeSample(&b, name+"_sum", sig, "", inst.Sum())
+			writeSample(&b, name+"_count", sig, "", float64(inst.Count()))
+		}
+	})
 	r.mu.RUnlock()
 	_, err := io.WriteString(w, b.String())
 	return err
@@ -487,49 +497,33 @@ type MetricJSON struct {
 // Snapshot returns the registry contents for JSON rendering, ordered
 // like WritePrometheus.
 func (r *Registry) Snapshot() []MetricJSON {
+	out := []MetricJSON{} // an empty registry encodes as [], not null
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.families))
-	for n, f := range r.families {
-		if f.kind == -1 {
-			continue
-		}
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]MetricJSON, 0, len(names))
-	for _, n := range names {
-		f := r.families[n]
-		mj := MetricJSON{Name: n, Type: f.kind.String(), Help: f.help}
-		sigs := make([]string, 0, len(f.series))
-		for sig := range f.series {
-			sigs = append(sigs, sig)
-		}
-		sort.Strings(sigs)
-		for _, sig := range sigs {
-			s := f.series[sig]
-			sj := SeriesJSON{Labels: cloneLabels(s.labels)}
-			switch inst := s.inst.(type) {
-			case *Counter:
-				v := inst.Value()
-				sj.Value = &v
-			case *Gauge:
-				v := inst.Value()
-				sj.Value = &v
-			case *Histogram:
-				cum := inst.Cumulative()
-				for i, bound := range inst.bounds {
-					sj.Buckets = append(sj.Buckets, BucketJSON{LE: bound, Count: cum[i]})
-				}
-				sj.Buckets = append(sj.Buckets, BucketJSON{LE: math.MaxFloat64, Count: cum[len(cum)-1]})
-				sum, cnt := inst.Sum(), inst.Count()
-				sj.Sum, sj.Count = &sum, &cnt
-				sj.Exemplar = inst.Exemplar()
+	r.each(func(n string, f *family) {
+		out = append(out, MetricJSON{Name: n, Type: f.kind.String(), Help: f.help})
+	}, func(_ string, s *series) {
+		sj := SeriesJSON{Labels: cloneLabels(s.labels)}
+		switch inst := s.inst.(type) {
+		case *Counter:
+			v := inst.Value()
+			sj.Value = &v
+		case *Gauge:
+			v := inst.Value()
+			sj.Value = &v
+		case *Histogram:
+			cum := inst.Cumulative()
+			for i, bound := range inst.bounds {
+				sj.Buckets = append(sj.Buckets, BucketJSON{LE: bound, Count: cum[i]})
 			}
-			mj.Series = append(mj.Series, sj)
+			sj.Buckets = append(sj.Buckets, BucketJSON{LE: math.MaxFloat64, Count: cum[len(cum)-1]})
+			sum, cnt := inst.Sum(), inst.Count()
+			sj.Sum, sj.Count = &sum, &cnt
+			sj.Exemplar = inst.Exemplar()
 		}
-		out = append(out, mj)
-	}
+		mj := &out[len(out)-1]
+		mj.Series = append(mj.Series, sj)
+	})
 	return out
 }
 

@@ -127,6 +127,10 @@ func TestLabelEscaping(t *testing.T) {
 }
 
 func TestSnapshotJSONAndHandler(t *testing.T) {
+	// An empty registry is an empty list, not null.
+	if b, err := json.Marshal(NewRegistry().Snapshot()); err != nil || string(b) != "[]" {
+		t.Errorf("empty snapshot = %s, %v; want []", b, err)
+	}
 	r := NewRegistry()
 	r.Counter("c", nil).Add(7)
 	r.Histogram("h", []float64{1}, nil).Observe(0.5)

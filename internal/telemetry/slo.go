@@ -13,9 +13,10 @@ import (
 // The SLO evaluator checks declarative rules against recent windows of
 // the scraped history and tracks firing/resolved state per rule, with
 // transition counters registered back into the registry (so alert
-// flapping is itself observable). Evaluation is pull-based: callers —
-// the /api/v1/alerts handler and the scraper's AfterScrape hook —
-// invoke Evaluate whenever fresh state is wanted.
+// flapping is itself observable). Evaluate is the only thing that
+// advances that state, and the daemon calls it from one place, the
+// scraper's AfterScrape hook; readers such as the /api/v1/alerts
+// handler take the latest result from Alerts.
 
 // CompareOp orders a rule's observed value against its threshold.
 type CompareOp string
@@ -90,6 +91,7 @@ type SLO struct {
 	rules []Rule
 
 	mu         sync.Mutex
+	latest     []Alert // what the last Evaluate returned
 	firing     map[string]time.Time
 	toFiring   map[string]*Counter
 	toResolved map[string]*Counter
@@ -141,6 +143,8 @@ func NewSLO(db *tsdb.DB, reg *Registry, now func() time.Time, rules []Rule) (*SL
 		}
 		s.toFiring[r.Name] = reg.Counter("caladrius_slo_transitions_total", Labels{"rule": r.Name, "to": "firing"})
 		s.toResolved[r.Name] = reg.Counter("caladrius_slo_transitions_total", Labels{"rule": r.Name, "to": "resolved"})
+		s.latest = append(s.latest, Alert{Rule: r.Name, Description: r.Description, State: StateNoData,
+			Threshold: r.Threshold, Op: string(r.Op), Window: r.Window.String()})
 	}
 	return s, nil
 }
@@ -160,6 +164,14 @@ func (s *SLO) OnFiring(fn func(Rule, Alert)) {
 	s.mu.Lock()
 	s.onFiring = append(s.onFiring, fn)
 	s.mu.Unlock()
+}
+
+// Alerts returns the alert states the latest Evaluate computed, every
+// rule no_data before the first. Reading them changes nothing.
+func (s *SLO) Alerts() []Alert {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]Alert(nil), s.latest...)
 }
 
 // Evaluate checks every rule against its window ending now and returns
@@ -218,6 +230,7 @@ func (s *SLO) Evaluate() []Alert {
 			fired = append(fired, transition{rule: r, alert: a})
 		}
 	}
+	s.latest = out
 	var hooks []func(Rule, Alert)
 	if len(fired) > 0 {
 		hooks = append(hooks, s.onFiring...)
@@ -228,7 +241,7 @@ func (s *SLO) Evaluate() []Alert {
 			fn(tr.rule, tr.alert)
 		}
 	}
-	return out
+	return append([]Alert(nil), out...)
 }
 
 // eval computes one rule's observed value over [now-Window, now).

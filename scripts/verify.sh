@@ -24,9 +24,10 @@
 # 5xx SLO fires and resolves, every response is accounted for and the
 # process returns to its goroutine and heap baseline. Last, it
 # prints scripts/loc.sh's non-test line counts, the number net-negative
-# PRs quote, and how many functions (and lines) and exported variables
+# PRs quote, how many functions (and lines) and exported variables
 # under internal/ only tests reach, from the reachability test in
-# exports_test.go.
+# exports_test.go, and how many daemon settings there are (YAML keys and
+# flags among them), from the settings table's shape test.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -66,3 +67,4 @@ go run ./cmd/caladriussoak -duration 6s -slo-window 4s -settle 12s > /dev/null
 echo "verify: all checks passed"
 scripts/loc.sh
 go test -run '^TestEveryFunctionNamesItsUser$' -v . | grep -o 'test-only functions: .*'
+go test -run '^TestSettingsTableShape$' -v ./internal/config | grep -o 'settings: .*'
