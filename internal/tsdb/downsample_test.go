@@ -75,9 +75,11 @@ var allAggs = []Agg{AggSum, AggMean, AggMin, AggMax, AggCount, AggMedian, AggLas
 // stores run to several hundred points a series, so chunks seal: late
 // and equal stamps then land in sealed chunks, retention cuts inside
 // them, and a series may hold both saturated instants, the first and
-// last an int64 of nanoseconds can. It returns the store, the oracle
-// store given the same writes, and the time span the points were drawn
-// from.
+// last an int64 of nanoseconds can. Half the series hold exact decimals
+// at one exponent, integers among them, so that their chunks can seal
+// decimal; one NaN or −0 part-way breaks such a run. It returns the
+// store, the oracle store given the same writes, and the time span the
+// points were drawn from.
 func randomStore(rng *rand.Rand) (db *DB, ref *pointDB, origin time.Time, span time.Duration) {
 	var retention time.Duration
 	if rng.Intn(2) == 0 {
@@ -115,6 +117,10 @@ func randomStore(rng *rand.Rand) (db *DB, ref *pointDB, origin time.Time, span t
 		if s == 0 && rng.Intn(4) == 0 {
 			saturateAt = []int{0, rng.Intn(points)}[rng.Intn(2)]
 		}
+		// A decimal series draws at one magnitude and rounds to its
+		// exponent: 10^-k, k in 0..9.
+		decimals, magnitude := rng.Intn(2) == 0, math.Pow(10, float64(rng.Intn(12)-4))
+		unit, breakAt := math.Pow(10, float64(rng.Intn(10))), rng.Intn(points)
 		var stamps []time.Time
 		at := origin.Add(time.Duration(rng.Int63n(int64(spacing))))
 		for i := 0; i < points; i++ {
@@ -133,14 +139,25 @@ func randomStore(rng *rand.Rand) (db *DB, ref *pointDB, origin time.Time, span t
 			default:
 				at = at.Add(spacing)
 			}
-			v := rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-4))
-			switch rng.Intn(40) {
-			case 0:
-				v = math.NaN()
-			case 1:
-				v = math.Inf(1 - 2*rng.Intn(2))
-			case 2:
-				v = math.Copysign(0, -1)
+			var v float64
+			if decimals {
+				v = math.Round(rng.NormFloat64()*magnitude*unit) / unit
+				if v == 0 {
+					v = 0 // not −0, which no decimal chunk holds
+				}
+				if i == breakAt {
+					v = []float64{math.NaN(), math.Copysign(0, -1)}[rng.Intn(2)]
+				}
+			} else {
+				v = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-4))
+				switch rng.Intn(40) {
+				case 0:
+					v = math.NaN()
+				case 1:
+					v = math.Inf(1 - 2*rng.Intn(2))
+				case 2:
+					v = math.Copysign(0, -1)
+				}
 			}
 			stamp := at
 			switch rng.Intn(40) {

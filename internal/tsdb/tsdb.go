@@ -148,21 +148,25 @@ type seriesData struct {
 func (sd *seriesData) push(ss ...sample) {
 	for len(ss) > 0 {
 		if n := len(sd.chunks); n == 0 || sd.chunks[n-1].n == chunkLen {
-			// A series' chunks tend to encode to alike sizes, so the
-			// last one sizes the new one's buffer for what comes now.
-			var b []byte
-			if n > 0 {
-				b = make([]byte, 0, len(sd.chunks[n-1].b)*min(len(ss), chunkLen)/chunkLen+16)
-			}
-			sd.chunks = append(sd.chunks, chunk{b: b})
-			sd.tail = cursor{}
+			k := min(len(ss), chunkLen)
+			sd.chunks = append(sd.chunks, newChunk(&sd.tail, ss[:k]))
+			ss = ss[k:]
+			continue
 		}
 		ch := &sd.chunks[len(sd.chunks)-1]
-		k := min(len(ss), chunkLen-ch.n)
+		k := min(len(ss), chunkLen-int(ch.n))
 		ch.b = sd.tail.put(ch.b, ss[:k])
 		ch.last = ss[k-1].ns
-		if ch.n += k; ch.n == chunkLen {
-			ch.seal()
+		if ch.n += uint8(k); ch.n == chunkLen {
+			ch.seal(&sd.tail)
+			if len(sd.chunks) == 1 && sd.head.i > 0 {
+				// Retention had cut into the stream seal replaced:
+				// head moves to the same sample of the sealed one.
+				var buf [chunkLen]sample
+				cut := sd.head.i
+				sd.head = cursor{}
+				sd.head.decode(ch, buf[:0:cut])
+			}
 		}
 		ss = ss[k:]
 	}
@@ -180,7 +184,7 @@ func (sd *seriesData) insert(ns int64, v float64) {
 	if last := &re.chunks[len(re.chunks)-1]; i == len(sd.chunks)-1 {
 		sd.tail = re.tail
 	} else if last.n < chunkLen {
-		last.seal() // it stays in the middle
+		last.seal(&re.tail) // it stays in the middle
 	}
 	if i == 0 {
 		sd.head = cursor{}
@@ -195,7 +199,7 @@ func (sd *seriesData) decode(i int, buf []sample) []sample {
 		c = sd.head
 	}
 	ch := &sd.chunks[i]
-	return c.decode(ch.b, ch.n, slices.Grow(buf, ch.n-c.i))
+	return c.decode(ch, slices.Grow(buf, int(ch.n)-c.i))
 }
 
 // appendSamples appends every retained sample to buf.
@@ -210,7 +214,7 @@ func (sd *seriesData) appendSamples(buf []sample) []sample {
 func (sd *seriesData) len() int {
 	n := -sd.head.i
 	for i := range sd.chunks {
-		n += sd.chunks[i].n
+		n += int(sd.chunks[i].n)
 	}
 	return n
 }
@@ -242,7 +246,10 @@ func (db *DB) SetRetention(d time.Duration) {
 }
 
 // seriesLocked returns (creating if needed) the series of metric with
-// the given pre-canonicalised label key. Caller holds db.mu.
+// the given pre-canonicalised label key. A new series keeps labels
+// itself: the caller's own map, which nothing mutates after (a handle's
+// private copy, or the one a snapshot record was read into). Caller
+// holds db.mu.
 func (db *DB) seriesLocked(metric, key string, labels Labels) *seriesData {
 	bySeries, ok := db.metrics[metric]
 	if !ok {
@@ -251,7 +258,7 @@ func (db *DB) seriesLocked(metric, key string, labels Labels) *seriesData {
 	}
 	sd, ok := bySeries[key]
 	if !ok {
-		sd = &seriesData{labels: labels.Clone()}
+		sd = &seriesData{labels: labels}
 		bySeries[key] = sd
 	}
 	return sd
@@ -286,9 +293,10 @@ func (db *DB) trimLocked(sd *seriesData) {
 		sd.chunks = slices.Delete(sd.chunks, 0, k)
 		sd.head = cursor{}
 	}
-	for first := &sd.chunks[0]; sd.head.i < first.n; {
+	var one [1]sample
+	for first := &sd.chunks[0]; sd.head.i < int(first.n); {
 		c := sd.head
-		if c.next(first.b); c.ns >= cutoff {
+		if c.decode(first, one[:0]); c.ns >= cutoff {
 			return
 		}
 		sd.head = c
@@ -422,14 +430,14 @@ func (it *seriesIter) next() bool {
 // fill replaces buf with the next decoded samples in range.
 func (it *seriesIter) fill() {
 	it.buf = nil
-	for len(it.chunks) > 0 && it.cur.i == it.chunks[0].n {
+	for len(it.chunks) > 0 && it.cur.i == int(it.chunks[0].n) {
 		it.chunks, it.cur = it.chunks[1:], cursor{}
 	}
 	if len(it.chunks) == 0 {
 		return
 	}
 	ch := &it.chunks[0]
-	it.buf = it.cur.decode(ch.b, ch.n, it.back[:0])
+	it.buf = it.cur.decode(ch, it.back[:0])
 	if it.buf[len(it.buf)-1].ns > it.hi {
 		it.buf = it.buf[:sort.Search(len(it.buf), func(k int) bool { return it.buf[k].ns > it.hi })]
 		it.chunks, it.cur = nil, cursor{}
@@ -441,7 +449,7 @@ func (it *seriesIter) fill() {
 func (it *seriesIter) bound() int {
 	n := len(it.buf) - it.cur.i
 	for _, ch := range it.chunks {
-		n += ch.n
+		n += int(ch.n)
 		if ch.last >= it.hi {
 			break
 		}

@@ -310,6 +310,27 @@ func TestLatest(t *testing.T) {
 	if _, err := db.Latest("none", nil); !errors.Is(err, ErrNoData) {
 		t.Errorf("latest of missing metric: %v", err)
 	}
+
+	// The newest sample in a chunk sealed decimal: appended one at a
+	// time, and loaded whole from a snapshot, which never writes these
+	// thousandths' longer Gorilla stream.
+	sel := Labels{"i": "2"}
+	h := db.Handle("m", sel)
+	for k := range chunkLen {
+		h.Append(minuteAt(4+k), float64(10_000+k)/1e3)
+	}
+	loaded, err := decodeSnapshot(snapshotBytes(t, db))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, db := range map[string]*DB{"appended": db, "loaded": loaded} {
+		if ch := db.metrics["m"][sel.canonical()].chunks[0]; !ch.dec {
+			t.Fatalf("%s: the chunk of thousandths sealed as Gorilla", name)
+		}
+		if p, err := db.Latest("m", sel); err != nil || p.V != 10.119 || !p.T.Equal(minuteAt(4+chunkLen-1)) {
+			t.Errorf("%s: latest in a decimal chunk = %+v, %v", name, p, err)
+		}
+	}
 }
 
 func TestLabelValuesAndMetrics(t *testing.T) {

@@ -26,8 +26,10 @@
 # prints scripts/loc.sh's non-test line counts, the number net-negative
 # PRs quote, how many functions (and lines) and exported variables
 # under internal/ only tests reach, from the reachability test in
-# exports_test.go, and how many daemon settings there are (YAML keys and
-# flags among them), from the settings table's shape test.
+# exports_test.go, how many daemon settings there are (YAML keys and
+# flags among them), from the settings table's shape test, and the
+# TSDB's resident bytes a sample against their budgets, from the two
+# memory-budget tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,3 +70,5 @@ echo "verify: all checks passed"
 scripts/loc.sh
 go test -run '^TestEveryFunctionNamesItsUser$' -v . | grep -o 'test-only functions: .*'
 go test -run '^TestSettingsTableShape$' -v ./internal/config | grep -o 'settings: .*'
+go test -run '^TestResidentBytesPerSample$' -v ./internal/tsdb | grep -o 'resident bytes/sample.*'
+go test -run '^TestWarmUpResidentBytesPerSample$' -v ./internal/heron | grep -o 'resident bytes/sample.*'
