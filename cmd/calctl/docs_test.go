@@ -10,8 +10,9 @@ import (
 	"testing"
 )
 
-// TestCommandDocs: the package comment lists exactly the commands run
-// dispatches, in the same order, and README's layout row names each.
+// TestCommandDocs: the package comment and the "missing command" error
+// list exactly the commands run dispatches, in the same order, and
+// README's layout row names each.
 func TestCommandDocs(t *testing.T) {
 	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments)
 	if err != nil {
@@ -41,6 +42,10 @@ func TestCommandDocs(t *testing.T) {
 	}
 	if len(dispatched) == 0 || strings.Join(documented, " ") != strings.Join(dispatched, " ") {
 		t.Errorf("package comment lists %v, run dispatches %v", documented, dispatched)
+	}
+	want := "missing command (" + strings.Join(dispatched, "|") + ")"
+	if err := run(nil); err == nil || err.Error() != want {
+		t.Errorf("calctl with no command: %v, want %q", err, want)
 	}
 
 	readme, err := os.ReadFile("../../README.md")

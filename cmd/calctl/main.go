@@ -63,7 +63,7 @@ func run(args []string) error {
 	}
 	rest := global.Args()
 	if len(rest) == 0 {
-		return fmt.Errorf("missing command (health|models|traffic|perf|job)")
+		return fmt.Errorf("missing command (health|models|traffic|perf|suggest|model|graph|query|job|metrics|trace|dash|accuracy|incidents|usage|profile)")
 	}
 	c := &client{base: strings.TrimRight(*server, "/"), http: &http.Client{Timeout: 60 * time.Second}}
 	switch rest[0] {

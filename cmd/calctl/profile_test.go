@@ -11,20 +11,17 @@ import (
 	"caladrius/internal/telemetry"
 )
 
-// withProfiler wires a profiler with two synthetic windows — steady,
-// then one with a regressed hotNew function — into the test server.
+// withProfiler wires a profiler with synthetic windows — one steady,
+// then regressed ones with a hotNew function filling the diff span —
+// into the test server.
 func withProfiler(t *testing.T) func(*daemon.Config) {
 	t.Helper()
-	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	clock := base
+	clock := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	hot := false
 	reg := telemetry.NewRegistry()
 	p, err := profiler.New(profiler.Options{
-		Registry:    reg,
-		Epoch:       time.Minute,
-		DiffWindows: 1,
-		MinSamples:  1,
-		Now:         func() time.Time { return clock },
+		Registry: reg,
+		Now:      func() time.Time { return clock },
 		Source: func(kind profiler.Kind) ([]byte, error) {
 			stacks := map[string]int64{"main;steady": 900, "main;other": 100}
 			if hot {
@@ -36,13 +33,19 @@ func withProfiler(t *testing.T) func(*daemon.Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.CaptureOnce(); err != nil {
-		t.Fatal(err)
+	// Ten captures a window clear the diff's sample floor.
+	fill := func() {
+		for i := 0; i < 10; i++ {
+			if err := p.CaptureOnce(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	clock = clock.Add(61 * time.Second)
+	fill()
 	hot = true
-	if err := p.CaptureOnce(); err != nil {
-		t.Fatal(err)
+	for i := 0; i < p.Status().DiffWindows; i++ {
+		clock = clock.Add(61 * time.Second)
+		fill()
 	}
 	return func(c *daemon.Config) { c.Registry, c.Profiler = reg, p }
 }

@@ -9,6 +9,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -68,28 +69,7 @@ var testOnly = map[string]string{
 // testOnly does not list fails the test, and so does an entry for one
 // that is reachable or gone.
 func TestEveryFunctionNamesItsUser(t *testing.T) {
-	l := newLoader(t)
-	var roots []*pkg
-	for _, dir := range l.dirs("cmd", "examples") {
-		roots = append(roots, l.load(dir))
-	}
-	roots = append(roots, l.load("benchmark"))
-	for _, dir := range l.dirs("internal") {
-		l.load(dir)
-	}
-
-	r := newReach(l.ordered)
-	for _, p := range roots {
-		for _, f := range p.files {
-			for _, d := range f.Decls {
-				r.walk(p, d)
-			}
-		}
-	}
-	for _, p := range importClosure(roots, l) {
-		r.markInits(p)
-	}
-	r.run()
+	l, _, r := programReach(t)
 
 	var funcs, vars, lines int
 	got := map[string]bool{}
@@ -140,6 +120,35 @@ func TestEveryFunctionNamesItsUser(t *testing.T) {
 		}
 	}
 	t.Logf("test-only functions: %d (%d lines), variables: %d", funcs, lines, vars)
+}
+
+// programReach type-checks the module and marks what the programs
+// (cmd/, examples/ and the benchmark module) reach. It returns the
+// programs' own packages as roots.
+func programReach(t *testing.T) (*loader, []*pkg, *reach) {
+	l := newLoader(t)
+	var roots []*pkg
+	for _, dir := range l.dirs("cmd", "examples") {
+		roots = append(roots, l.load(dir))
+	}
+	roots = append(roots, l.load("benchmark"))
+	for _, dir := range l.dirs("internal") {
+		l.load(dir)
+	}
+
+	r := newReach(l.ordered)
+	for _, p := range roots {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				r.walk(p, d)
+			}
+		}
+	}
+	for _, p := range importClosure(roots, l) {
+		r.markInits(p)
+	}
+	r.run()
+	return l, roots, r
 }
 
 func hasPrefixKey(m map[string]bool, prefix string) bool {
@@ -471,4 +480,196 @@ func (r *reach) run() {
 			return
 		}
 	}
+}
+
+// seams names the user of every option field (an exported field of a
+// struct named Config, Options or …Options under internal/, bar
+// config.Config, whose rows TestEverySettingIsRead holds) that no
+// program sets. An entry is allowed for a fake that a named test
+// substitutes and for an item of PAPER.md's inventory. Any other value
+// nothing but tests sets is a constant beside its user.
+var seams = map[string]string{
+	// Fakes a named test substitutes.
+	"daemon.Config.Now":                  "internal/profiler TestClosedLoopProfileRegression and internal/incident TestClosedLoopIncidentCapture: the simulated clock",
+	"daemon.Config.Wall":                 "internal/daemon TestOneWriterPerHistorySeries, TestAlertReadsAdvanceNothing and the two closed loops: the simulated clock",
+	"daemon.Config.Registry":             "internal/profiler TestClosedLoopProfileRegression: the simulation counts into the daemon's registry; cmd/calctl TestProfileCommand",
+	"daemon.Config.Profiler":             "cmd/calctl TestProfileCommand and TestProfileCommandErrors: a profiler over a synthetic capture source",
+	"profiler.Options.Source":            "internal/api TestProfilesEndpoints, cmd/calctl TestProfileCommand, internal/profiler's tests: synthetic profiles",
+	"incident.Options.CPUProfile":        "internal/incident and internal/api incident tests: at the shipped 2 s every test bundle would spend 2 s sampling",
+	"chaos.ProviderOptions.Now":          "internal/chaos TestFaultyProviderOutage and TestFaultyProviderLatency: a fixed clock",
+	"chaos.ProviderOptions.Sleep":        "internal/chaos TestFaultyProviderLatency: records the injected delays instead of sleeping",
+	"soak.DaemonOptions.Now":             "internal/soak TestSoakDeterministicFaultCycle: a manual clock",
+	"usage.Options.Now":                  "internal/usage TestWindowRotation and the accountant tests: a fixed clock",
+	"heron.WordCountOptions.CounterKeys": "internal/core TestBiasedFieldsGroupingModel (Eq. 11) and TestCalibrateTopologyInputShares: skewed keys",
+
+	// PAPER.md inventory row 2: the multi-topology Cluster.
+	"heron.Config.DB":    "PAPER.md row 2: heron.Cluster shares one store across its topologies",
+	"heron.Config.Start": "PAPER.md row 2: heron.Cluster.Update restarts a topology where the old one stopped",
+}
+
+// TestEveryOptionNamesItsUser fails for an option field that code the
+// programs reach never writes, unless seams names its user, and for a
+// seams entry that a program writes or that no longer exists.
+func TestEveryOptionNamesItsUser(t *testing.T) {
+	l, roots, r := programReach(t)
+	options := map[types.Object]string{}
+	for _, p := range l.ordered {
+		if !strings.HasPrefix(p.rel, "internal/") {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			if name != "Config" && !strings.HasSuffix(name, "Options") || p.key+"."+name == "config.Config" {
+				continue
+			}
+			if st, ok := scope.Lookup(name).Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() {
+						options[f] = p.key + "." + name + "." + f.Name()
+					}
+				}
+			}
+		}
+	}
+
+	w := fieldWrites{options: options, from: map[types.Object][]types.Object{}}
+	for _, p := range roots {
+		for _, f := range p.files {
+			w.scan(p, f)
+		}
+	}
+	for obj := range r.marked {
+		w.scan(r.decls[obj].p, r.decls[obj].node)
+	}
+	for _, p := range importClosure(roots, l) {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				fd, isFunc := d.(*ast.FuncDecl)
+				gd, isGen := d.(*ast.GenDecl)
+				if isFunc && fd.Recv == nil && fd.Name.Name == "init" || isGen && gd.Tok == token.VAR {
+					w.scan(p, d)
+				}
+			}
+		}
+	}
+	written := w.resolve()
+
+	unset := map[string]bool{}
+	for f, key := range options {
+		if !written[f] {
+			unset[key] = true
+			if seams[key] == "" {
+				t.Errorf("%s (%s) is set only by tests or its own default: make it a constant beside its user, or name its user in seams",
+					key, l.fset.Position(f.Pos()))
+			}
+		}
+	}
+	for key := range seams {
+		if !unset[key] {
+			t.Errorf("seams lists %s, which a program sets or which no longer exists", key)
+		}
+	}
+	t.Logf("option fields: %d (%d seams)", len(options), len(seams))
+}
+
+// fieldWrites collects the struct fields that code sets: by key or
+// position in a composite literal, by assignment or by taking the
+// field's address. An assignment inside an if whose condition reads the
+// same field, or whose value reads it (o.F = cmp.Or(o.F, d)), is the
+// declaring package's default and does not count. A value that is
+// itself an option field forwards it: the write counts only if that
+// field is set.
+type fieldWrites struct {
+	options map[types.Object]string
+	from    map[types.Object][]types.Object // field → forwarded option fields; nil for a value of its own
+}
+
+func (w fieldWrites) scan(p *pkg, n ast.Node) {
+	set := func(sel *ast.Ident, value ast.Expr) {
+		var src types.Object
+		if v, ok := ast.Unparen(value).(*ast.SelectorExpr); ok && w.options[p.info.Uses[v.Sel]] != "" {
+			src = p.info.Uses[v.Sel]
+		}
+		f := p.info.Uses[sel]
+		w.from[f] = append(w.from[f], src)
+	}
+	var stack []ast.Node
+	ast.Inspect(n, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		stack = append(stack, n)
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			st, ok := p.info.Types[n].Type.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, e := range n.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					set(kv.Key.(*ast.Ident), kv.Value)
+				} else {
+					w.from[st.Field(i)] = append(w.from[st.Field(i)], nil)
+				}
+			}
+		case *ast.AssignStmt:
+			if n.Tok == token.DEFINE {
+				break
+			}
+			for i, lhs := range n.Lhs {
+				sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+				if !ok {
+					continue
+				}
+				var value ast.Expr
+				if len(n.Rhs) == len(n.Lhs) {
+					value = n.Rhs[i]
+				}
+				f := p.info.Uses[sel.Sel]
+				if reads(p, value, f) || slices.ContainsFunc(stack, func(n ast.Node) bool {
+					ifs, ok := n.(*ast.IfStmt)
+					return ok && reads(p, ifs.Cond, f)
+				}) {
+					continue
+				}
+				set(sel.Sel, value)
+			}
+		case *ast.UnaryExpr:
+			if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok && n.Op == token.AND {
+				set(sel.Sel, nil)
+			}
+		}
+		return true
+	})
+}
+
+// resolve is the set of fields some write sets, following forwards.
+func (w fieldWrites) resolve() map[types.Object]bool {
+	written := map[types.Object]bool{}
+	for grew := true; grew; {
+		grew = false
+		for f, srcs := range w.from {
+			for _, src := range srcs {
+				if !written[f] && (src == nil || written[src]) {
+					written[f], grew = true, true
+				}
+			}
+		}
+	}
+	return written
+}
+
+// reads reports whether expression e reads field f.
+func reads(p *pkg, e ast.Expr, f types.Object) bool {
+	found := false
+	if e != nil {
+		ast.Inspect(e, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && p.info.Uses[sel.Sel] == f {
+				found = true
+			}
+			return !found
+		})
+	}
+	return found
 }

@@ -366,7 +366,11 @@ func modelRoute[Req, Resp any](op string, run func(*Service, context.Context, st
 	return func(s *Service, w http.ResponseWriter, r *http.Request) {
 		var req Req
 		if err := decodeBody(r.Body, &req); err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+			status := http.StatusBadRequest
+			if errors.Is(err, errBodyTooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			httpError(w, status, err.Error())
 			return
 		}
 		topoName := r.PathValue("topology")
@@ -997,18 +1001,33 @@ func modelJSON(topoName string, tm *core.TopologyModel) ModelResponse {
 
 // --- plumbing --------------------------------------------------------------
 
+// maxBodyBytes bounds a model request's JSON body.
+const maxBodyBytes = 1 << 20
+
+// errBodyTooLarge answers a body over maxBodyBytes with a 413.
+var errBodyTooLarge = fmt.Errorf("request body exceeds the %d-byte (1 MiB) limit", maxBodyBytes)
+
+// decodeBody decodes one JSON value into v; an empty body leaves v
+// zero. Anything after the value but whitespace is an error: a second
+// value would otherwise be dropped unread.
 func decodeBody(body io.Reader, v any) error {
-	data, err := io.ReadAll(io.LimitReader(body, 1<<20))
+	data, err := io.ReadAll(io.LimitReader(body, maxBodyBytes+1))
 	if err != nil {
 		return err
+	}
+	if len(data) > maxBodyBytes {
+		return errBodyTooLarge
 	}
 	if len(data) == 0 {
 		return nil // all fields optional
 	}
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("bad request body: data after the JSON value")
 	}
 	return nil
 }

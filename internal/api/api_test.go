@@ -3,6 +3,7 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -313,23 +314,29 @@ func TestHTTPErrors(t *testing.T) {
 	cases := []struct {
 		method, path, body string
 		want               int
+		msg                string // in the error message, when set
 	}{
-		{"GET", "/api/v1/model/traffic/word-count", "", http.StatusMethodNotAllowed},
-		{"POST", "/api/v1/model/traffic/", "", http.StatusNotFound},
-		{"POST", "/api/v1/model/traffic/ghost?sync=true", "{}", http.StatusNotFound},
-		{"POST", "/api/v1/model/traffic/word-count?sync=true", `{"bogus_field": 1}`, http.StatusBadRequest},
-		{"POST", "/api/v1/model/topology/word-count/bogus", "{}", http.StatusNotFound},
-		{"POST", "/api/v1/model/topology/word-count", "{}", http.StatusNotFound},
-		{"GET", "/api/v1/jobs/nope", "", http.StatusNotFound},
-		{"POST", "/api/v1/jobs/nope", "", http.StatusMethodNotAllowed},
+		{"GET", "/api/v1/model/traffic/word-count", "", http.StatusMethodNotAllowed, ""},
+		{"POST", "/api/v1/model/traffic/", "", http.StatusNotFound, ""},
+		{"POST", "/api/v1/model/traffic/ghost?sync=true", "{}", http.StatusNotFound, ""},
+		{"POST", "/api/v1/model/traffic/word-count?sync=true", `{"bogus_field": 1}`, http.StatusBadRequest, ""},
+		{"POST", "/api/v1/model/topology/word-count/bogus", "{}", http.StatusNotFound, ""},
+		{"POST", "/api/v1/model/topology/word-count", "{}", http.StatusNotFound, ""},
+		{"GET", "/api/v1/jobs/nope", "", http.StatusNotFound, ""},
+		{"POST", "/api/v1/jobs/nope", "", http.StatusMethodNotAllowed, ""},
 		// What the client asked for is wrong: 400, never a 5xx the
 		// http-5xx-rate SLO would count.
-		{"POST", "/api/v1/model/topology/word-count/performance?sync=true", `{"source_rate_tpm": -5}`, http.StatusBadRequest},
-		{"POST", "/api/v1/model/topology/word-count/suggest?sync=true", `{"source_rate_tpm": -5}`, http.StatusBadRequest},
-		{"POST", "/api/v1/model/topology/word-count/suggest?sync=true", `{"headroom": -0.5}`, http.StatusBadRequest},
-		{"POST", "/api/v1/model/topology/word-count/query?sync=true", `{"query": " "}`, http.StatusBadRequest},
-		{"POST", "/api/v1/model/topology/word-count/query?sync=true", `{"query": "g.V().bogus()"}`, http.StatusBadRequest},
-		{"POST", "/api/v1/model/topology/word-count/query?sync=true", `{"query": "g.V().count()", "graph": "imaginary"}`, http.StatusBadRequest},
+		{"POST", "/api/v1/model/topology/word-count/performance?sync=true", `{"source_rate_tpm": -5}`, http.StatusBadRequest, ""},
+		{"POST", "/api/v1/model/topology/word-count/suggest?sync=true", `{"source_rate_tpm": -5}`, http.StatusBadRequest, ""},
+		{"POST", "/api/v1/model/topology/word-count/suggest?sync=true", `{"headroom": -0.5}`, http.StatusBadRequest, ""},
+		{"POST", "/api/v1/model/topology/word-count/query?sync=true", `{"query": " "}`, http.StatusBadRequest, ""},
+		{"POST", "/api/v1/model/topology/word-count/query?sync=true", `{"query": "g.V().bogus()"}`, http.StatusBadRequest, ""},
+		{"POST", "/api/v1/model/topology/word-count/query?sync=true", `{"query": "g.V().count()", "graph": "imaginary"}`, http.StatusBadRequest, ""},
+		// One JSON value per body: a second one used to be dropped
+		// unread, and with it the parallelism override.
+		{"POST", "/api/v1/model/topology/word-count/performance?sync=true", `{"source_rate_tpm": 5} {"parallelism": {"counter": 9}}`, http.StatusBadRequest, "data after the JSON value"},
+		{"POST", "/api/v1/model/topology/word-count/performance?sync=true", `{"source_rate_tpm": 5} x`, http.StatusBadRequest, "data after the JSON value"},
+		{"POST", "/api/v1/model/topology/word-count/query?sync=true", `{"query": "` + strings.Repeat("a", 1<<20) + `"}`, http.StatusRequestEntityTooLarge, "1 MiB"},
 	}
 	for _, c := range cases {
 		req, err := http.NewRequest(c.method, srv.URL+c.path, bytes.NewReader([]byte(c.body)))
@@ -340,9 +347,13 @@ func TestHTTPErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != c.want {
 			t.Errorf("%s %s: status %d, want %d", c.method, c.path, resp.StatusCode, c.want)
+		}
+		if !strings.Contains(string(body), c.msg) {
+			t.Errorf("%s %s: error %s does not say %q", c.method, c.path, body, c.msg)
 		}
 	}
 }

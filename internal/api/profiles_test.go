@@ -13,12 +13,11 @@ import (
 	"caladrius/internal/telemetry"
 )
 
-// testProfiler builds a profiler that folds synthetic profiles, with
-// one regressed window already captured.
+// testProfiler builds a profiler that folds synthetic profiles: one
+// steady window, then regressed windows filling the diff span.
 func testProfiler(t *testing.T) *profiler.Profiler {
 	t.Helper()
-	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	clock := base
+	clock := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	hot := false
 	src := func(kind profiler.Kind) ([]byte, error) {
 		stacks := map[string]int64{"main;steady": 900, "main;other": 100}
@@ -28,23 +27,26 @@ func testProfiler(t *testing.T) *profiler.Profiler {
 		return pproftest.CPUProfile(stacks), nil
 	}
 	p, err := profiler.New(profiler.Options{
-		Registry:    telemetry.NewRegistry(),
-		Epoch:       time.Minute,
-		DiffWindows: 1,
-		MinSamples:  1,
-		Now:         func() time.Time { return clock },
-		Source:      src,
+		Registry: telemetry.NewRegistry(),
+		Now:      func() time.Time { return clock },
+		Source:   src,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.CaptureOnce(); err != nil {
-		t.Fatal(err)
+	// Ten captures a window clear the diff's sample floor.
+	fill := func() {
+		for i := 0; i < 10; i++ {
+			if err := p.CaptureOnce(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	clock = clock.Add(61 * time.Second)
+	fill()
 	hot = true
-	if err := p.CaptureOnce(); err != nil {
-		t.Fatal(err)
+	for i := 0; i < p.Status().DiffWindows; i++ {
+		clock = clock.Add(61 * time.Second)
+		fill()
 	}
 	return p
 }

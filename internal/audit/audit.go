@@ -45,7 +45,7 @@ const (
 	// MetricAPE is the per-record absolute percentage error of the
 	// predicted sink throughput, stamped at the record's creation time.
 	MetricAPE = "caladrius_model_ape"
-	// MetricMAPE is the rolling mean APE over the last RollingWindow
+	// MetricMAPE is the rolling mean APE over the last 20
 	// audited records.
 	MetricMAPE = "caladrius_model_mape"
 	// MetricSignedError is the rolling mean signed relative error
@@ -179,27 +179,31 @@ type Options struct {
 	// wall time — pass time.Now there so accuracy points land in the
 	// SLO evaluation window. Default: Now.
 	SeriesNow func() time.Time
-	// Capacity bounds retained records (ring buffer). Default 4096.
-	Capacity int
-	// Retention evicts records older than this. Default 2h.
-	Retention time.Duration
-	// ObserveWindow is the trailing actuals window a record is resolved
-	// against: [CreatedAt−ObserveWindow, CreatedAt). Default 5m.
-	ObserveWindow time.Duration
 	// MetricsWindow is the provider's rollup interval, used to convert
 	// per-window counts to tuples/minute. Default 1m.
 	MetricsWindow time.Duration
-	// RollingWindow is how many audited records the rolling MAPE and
-	// signed error average over. Default 20.
-	RollingWindow int
 }
+
+// Values no caller changes.
+const (
+	// capacity bounds retained records (ring buffer).
+	capacity = 4096
+	// retention evicts records older than this.
+	retention = 2 * time.Hour
+	// observeWindow is the trailing actuals window a record is resolved
+	// against: [CreatedAt−observeWindow, CreatedAt).
+	observeWindow = 5 * time.Minute
+	// rollingWindow is how many audited records the rolling MAPE and
+	// signed error average over.
+	rollingWindow = 20
+)
 
 // modelKey indexes per-(topology, model) state without allocating.
 type modelKey struct{ topology, model string }
 
 // rollingStats accumulates resolver output for one (topology, model).
 type rollingStats struct {
-	ape    []float64 // last RollingWindow audited APEs, oldest first
+	ape    []float64 // last rollingWindow audited APEs, oldest first
 	signed []float64
 	// cumulative backpressure-classifier confusion counts
 	tp, fp, fn, tn int
@@ -215,11 +219,7 @@ type Ledger struct {
 	reg           *telemetry.Registry
 	now           func() time.Time
 	seriesNow     func() time.Time
-	capacity      int
-	retention     time.Duration
-	observeWindow time.Duration
 	metricsWindow time.Duration
-	rollingN      int
 
 	mu   sync.Mutex
 	recs []Record // preallocated ring
@@ -266,14 +266,14 @@ func (l *Ledger) rollingLocked(key modelKey) *rollingStats {
 
 // add folds one resolved record into the rolling state; errs is nil for
 // a counterfactual record, which is counted but not graded.
-func (rs *rollingStats) add(errs *Errors, rollingN int) {
+func (rs *rollingStats) add(errs *Errors) {
 	rs.resolved++
 	if errs == nil {
 		return
 	}
 	rs.audited++
-	rs.ape = appendTrim(rs.ape, errs.SinkAPE, rollingN)
-	rs.signed = appendTrim(rs.signed, errs.SinkSigned, rollingN)
+	rs.ape = appendTrim(rs.ape, errs.SinkAPE, rollingWindow)
+	rs.signed = appendTrim(rs.signed, errs.SinkSigned, rollingWindow)
 	switch errs.RiskOutcome {
 	case RiskTP:
 		rs.tp++
@@ -304,20 +304,8 @@ func NewLedger(opts Options) (*Ledger, error) {
 	if opts.SeriesNow == nil {
 		opts.SeriesNow = opts.Now
 	}
-	if opts.Capacity <= 0 {
-		opts.Capacity = 4096
-	}
-	if opts.Retention <= 0 {
-		opts.Retention = 2 * time.Hour
-	}
-	if opts.ObserveWindow <= 0 {
-		opts.ObserveWindow = 5 * time.Minute
-	}
 	if opts.MetricsWindow <= 0 {
 		opts.MetricsWindow = time.Minute
-	}
-	if opts.RollingWindow <= 0 {
-		opts.RollingWindow = 20
 	}
 	reg := opts.Registry
 	reg.SetHelp(MetricRuns, "Model runs recorded in the audit ledger, by topology and model.")
@@ -333,12 +321,8 @@ func NewLedger(opts Options) (*Ledger, error) {
 		reg:             opts.Registry,
 		now:             opts.Now,
 		seriesNow:       opts.SeriesNow,
-		capacity:        opts.Capacity,
-		retention:       opts.Retention,
-		observeWindow:   opts.ObserveWindow,
 		metricsWindow:   opts.MetricsWindow,
-		rollingN:        opts.RollingWindow,
-		recs:            make([]Record, opts.Capacity),
+		recs:            make([]Record, capacity),
 		runs:            map[modelKey]*telemetry.Counter{},
 		rolling:         map[modelKey]*rollingStats{},
 		inst:            map[modelKey]*instruments{},
@@ -361,12 +345,12 @@ func (l *Ledger) Record(rec Record) int64 {
 	rec.Resolved = false
 	rec.ResolvedAt, rec.Observed, rec.Errors = nil, nil, nil
 	l.evictLocked(rec.CreatedAt)
-	if l.n < l.capacity {
-		l.recs[(l.head+l.n)%l.capacity] = rec
+	if l.n < capacity {
+		l.recs[(l.head+l.n)%capacity] = rec
 		l.n++
 	} else {
 		l.recs[l.head] = rec
-		l.head = (l.head + 1) % l.capacity
+		l.head = (l.head + 1) % capacity
 	}
 	c := l.runs[modelKey{rec.Topology, rec.Model}]
 	if c == nil {
@@ -380,10 +364,10 @@ func (l *Ledger) Record(rec Record) int64 {
 
 // evictLocked drops records older than the retention horizon.
 func (l *Ledger) evictLocked(now time.Time) {
-	horizon := now.Add(-l.retention)
+	horizon := now.Add(-retention)
 	for l.n > 0 && l.recs[l.head].CreatedAt.Before(horizon) {
 		l.recs[l.head] = Record{}
-		l.head = (l.head + 1) % l.capacity
+		l.head = (l.head + 1) % capacity
 		l.n--
 	}
 }
@@ -440,7 +424,7 @@ func (l *Ledger) getLocked(id int64) (Record, int, bool) {
 	if id < oldest || id > l.seq {
 		return Record{}, 0, false
 	}
-	idx := (l.head + int(id-oldest)) % l.capacity
+	idx := (l.head + int(id-oldest)) % capacity
 	return l.recs[idx], idx, true
 }
 
@@ -466,7 +450,7 @@ func (l *Ledger) List(f Filter) []Record {
 	defer l.mu.Unlock()
 	out := make([]Record, 0, min(f.Limit, l.n))
 	for i := l.n - 1; i >= 0 && len(out) < f.Limit; i-- {
-		rec := l.recs[(l.head+i)%l.capacity]
+		rec := l.recs[(l.head+i)%capacity]
 		if f.Topology != "" && rec.Topology != f.Topology {
 			continue
 		}
@@ -507,7 +491,7 @@ type Stats struct {
 	Resolved int `json:"resolved"`
 	Audited  int `json:"audited"`
 	// MAPE and SignedError are the rolling means over the last
-	// RollingWindow audited records; nil before the first.
+	// 20 audited records; nil before the first.
 	MAPE        *float64 `json:"mape,omitempty"`
 	SignedError *float64 `json:"signed_error,omitempty"`
 	// Confusion counts and derived precision/recall of the

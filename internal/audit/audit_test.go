@@ -146,8 +146,7 @@ func TestLedgerRecordGetList(t *testing.T) {
 // (topology, model) run counter, Record overwrites the preallocated
 // ring in place and allocates nothing.
 func TestLedgerRecordDoesNotAllocate(t *testing.T) {
-	const capacity = 8
-	led := testLedger(t, Options{Capacity: capacity, Now: func() time.Time { return audT0 }})
+	led := testLedger(t, Options{Now: func() time.Time { return audT0 }})
 	rec := predictRecord(1.9e7)
 	rec.CreatedAt = audT0
 	rec.Calibration = []core.ComponentCalibration{{Component: "counter", Parallelism: 4, Alpha: 0.001}}
@@ -161,12 +160,12 @@ func TestLedgerRecordDoesNotAllocate(t *testing.T) {
 
 func TestLedgerRingEviction(t *testing.T) {
 	now := audT0
-	led := testLedger(t, Options{Capacity: 4, Now: func() time.Time { return now }})
-	for i := 0; i < 6; i++ {
+	led := testLedger(t, Options{Now: func() time.Time { return now }})
+	for i := 0; i < capacity+2; i++ {
 		led.Record(predictRecord(float64(i)))
 	}
-	if led.Len() != 4 {
-		t.Fatalf("Len = %d, want capacity 4", led.Len())
+	if led.Len() != capacity {
+		t.Fatalf("Len = %d, want capacity %d", led.Len(), capacity)
 	}
 	if _, ok := led.Get(2); ok {
 		t.Fatal("record 2 should have been evicted by the ring")
@@ -174,16 +173,16 @@ func TestLedgerRingEviction(t *testing.T) {
 	if rec, ok := led.Get(3); !ok || rec.Predicted.SinkTPM != 2 {
 		t.Fatalf("Get(3) = %+v, %v", rec, ok)
 	}
-	if rec, ok := led.Get(6); !ok || rec.Predicted.SinkTPM != 5 {
-		t.Fatalf("Get(6) = %+v, %v", rec, ok)
+	if rec, ok := led.Get(capacity + 2); !ok || rec.Predicted.SinkTPM != capacity+1 {
+		t.Fatalf("Get(%d) = %+v, %v", capacity+2, rec, ok)
 	}
 }
 
 func TestLedgerRetentionEviction(t *testing.T) {
 	now := audT0
-	led := testLedger(t, Options{Retention: 10 * time.Minute, Now: func() time.Time { return now }})
+	led := testLedger(t, Options{Now: func() time.Time { return now }})
 	led.Record(predictRecord(1))
-	now = now.Add(11 * time.Minute)
+	now = now.Add(retention + time.Minute)
 	led.Record(predictRecord(2))
 	if led.Len() != 1 {
 		t.Fatalf("Len = %d after retention horizon passed, want 1", led.Len())
@@ -198,7 +197,7 @@ func TestLedgerSnapshotRoundTrip(t *testing.T) {
 	prov := &stubProvider{windows: map[string][]metrics.Window{
 		"counter": sinkWindows(audT0, 5, 100),
 	}}
-	led := testLedger(t, Options{Provider: prov, Now: func() time.Time { return now }, RollingWindow: 4})
+	led := testLedger(t, Options{Provider: prov, Now: func() time.Time { return now }})
 	led.Record(predictRecord(110)) // resolves: APE 0.1
 	cf := predictRecord(500)
 	cf.Counterfactual = true
@@ -213,7 +212,7 @@ func TestLedgerSnapshotRoundTrip(t *testing.T) {
 	if err := led.WriteSnapshot(&buf); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
-	restored := testLedger(t, Options{Provider: prov, Now: func() time.Time { return now }, RollingWindow: 4})
+	restored := testLedger(t, Options{Provider: prov, Now: func() time.Time { return now }})
 	if err := restored.ReadSnapshot(&buf); err != nil {
 		t.Fatalf("ReadSnapshot: %v", err)
 	}

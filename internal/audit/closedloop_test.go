@@ -60,10 +60,8 @@ func (r loopRecorder) RecordRun(run core.ModelRun) {
 
 func TestClosedLoopAccuracyDrift(t *testing.T) {
 	const (
-		rate          = 20e6 // tuples/minute: unsaturated at these parallelisms
-		rollingN      = 8
-		observeWindow = 5 * time.Minute
-		driftMAPE     = 0.08
+		rate      = 20e6 // tuples/minute: unsaturated at these parallelisms
+		driftMAPE = 0.08
 	)
 
 	sim, err := heron.NewWordCount(heron.WordCountOptions{
@@ -100,12 +98,10 @@ func TestClosedLoopAccuracyDrift(t *testing.T) {
 	db := tsdb.New(24 * time.Hour)
 	reg := telemetry.NewRegistry()
 	led := testLedger(t, Options{
-		Provider:      prov,
-		History:       db,
-		Registry:      reg,
-		Now:           func() time.Time { return now },
-		RollingWindow: rollingN,
-		ObserveWindow: observeWindow,
+		Provider: prov,
+		History:  db,
+		Registry: reg,
+		Now:      func() time.Time { return now },
 	})
 	led.NoteCalibration("word-count", now)
 	slo, err := telemetry.NewSLO(db, reg, func() time.Time { return now },
@@ -148,16 +144,16 @@ func TestClosedLoopAccuracyDrift(t *testing.T) {
 	// expectedMAPE replays the resolver's join the way an offline
 	// experiment would: summarise the sink's trailing windows at each
 	// record's creation time and average the relative errors oldest
-	// first, over the last rollingN audited records.
+	// first, over the last rollingWindow audited records.
 	var createdAts []time.Time
 	var predSinks []float64
 	expectedMAPE := func() float64 {
 		t.Helper()
 		lo := 0
-		if len(predSinks) > rollingN {
-			lo = len(predSinks) - rollingN
+		if len(predSinks) > rollingWindow {
+			lo = len(predSinks) - rollingWindow
 		}
-		apes := make([]float64, 0, rollingN)
+		apes := make([]float64, 0, rollingWindow)
 		for i := lo; i < len(predSinks); i++ {
 			ws, err := prov.ComponentWindows("word-count", "counter", createdAts[i].Add(-observeWindow), createdAts[i])
 			if err != nil {
@@ -217,13 +213,13 @@ func TestClosedLoopAccuracyDrift(t *testing.T) {
 	}
 	now = now.Add(6 * time.Minute)
 	mutEnd := now
-	preds = predictN(tm, rollingN) // fills the whole rolling window with drifted runs
+	preds = predictN(tm, rollingWindow) // fills the whole rolling window with drifted runs
 	for i, p := range preds {
 		createdAts = append(createdAts, now.Add(time.Duration(i-len(preds)+1)*time.Minute))
 		predSinks = append(predSinks, p)
 	}
-	if n := resolve(); n != rollingN {
-		t.Fatalf("phase 2 ResolveOnce = %d, want %d", n, rollingN)
+	if n := resolve(); n != rollingWindow {
+		t.Fatalf("phase 2 ResolveOnce = %d, want %d", n, rollingWindow)
 	}
 	stats = led.Stats()
 	want = expectedMAPE()
@@ -253,7 +249,7 @@ func TestClosedLoopAccuracyDrift(t *testing.T) {
 		t.Fatalf("re-model: %v", err)
 	}
 	led.NoteCalibration("word-count", now)
-	preds = predictN(tm2, rollingN)
+	preds = predictN(tm2, rollingWindow)
 	for i, p := range preds {
 		createdAts = append(createdAts, now.Add(time.Duration(i-len(preds)+1)*time.Minute))
 		predSinks = append(predSinks, p)

@@ -90,11 +90,10 @@ func TestResolvePartialActuals(t *testing.T) {
 	}}
 	db := tsdb.New(0)
 	led, err := NewLedger(Options{
-		Provider:      prov,
-		History:       db,
-		Registry:      telemetry.NewRegistry(),
-		Now:           func() time.Time { return now },
-		ObserveWindow: 5 * time.Minute,
+		Provider: prov,
+		History:  db,
+		Registry: telemetry.NewRegistry(),
+		Now:      func() time.Time { return now },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,11 +140,10 @@ func TestResolveEmptyWindowStaysPending(t *testing.T) {
 	prov := &partialProvider{origin: origin, windows: map[string][]metrics.Window{}}
 	db := tsdb.New(0)
 	led, err := NewLedger(Options{
-		Provider:      prov,
-		History:       db,
-		Registry:      telemetry.NewRegistry(),
-		Now:           func() time.Time { return now },
-		ObserveWindow: 5 * time.Minute,
+		Provider: prov,
+		History:  db,
+		Registry: telemetry.NewRegistry(),
+		Now:      func() time.Time { return now },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -35,7 +35,7 @@ func (l *Ledger) WriteSnapshot(w io.Writer) error {
 	l.mu.Lock()
 	recs := make([]Record, 0, l.n)
 	for i := 0; i < l.n; i++ {
-		recs = append(recs, l.recs[(l.head+i)%l.capacity])
+		recs = append(recs, l.recs[(l.head+i)%capacity])
 	}
 	cals := make(map[string]time.Time, len(l.lastCalibration))
 	for topo, at := range l.lastCalibration {
@@ -79,7 +79,7 @@ func (l *Ledger) ReadSnapshot(r io.Reader) error {
 	}
 	// The header's count sizes nothing past the ledger's own capacity:
 	// the file is not trusted to say how much memory to ask for.
-	recs := make([]Record, 0, min(hdr.Records, l.capacity))
+	recs := make([]Record, 0, min(hdr.Records, capacity))
 	for {
 		var rec Record
 		err := readLine(br, &rec)
@@ -94,8 +94,8 @@ func (l *Ledger) ReadSnapshot(r io.Reader) error {
 	if len(recs) != hdr.Records {
 		return fmt.Errorf("audit: snapshot header says %d records, read %d", hdr.Records, len(recs))
 	}
-	if len(recs) > l.capacity {
-		recs = recs[len(recs)-l.capacity:]
+	if len(recs) > capacity {
+		recs = recs[len(recs)-capacity:]
 	}
 
 	l.mu.Lock()
@@ -112,7 +112,7 @@ func (l *Ledger) ReadSnapshot(r io.Reader) error {
 			l.seq = rec.ID
 		}
 		if rec.Resolved {
-			l.rollingLocked(modelKey{rec.Topology, rec.Model}).add(rec.Errors, l.rollingN)
+			l.rollingLocked(modelKey{rec.Topology, rec.Model}).add(rec.Errors)
 		}
 	}
 	for topo, at := range hdr.Calibrations {

@@ -39,7 +39,7 @@ func snapshotBytes(tb testing.TB) []byte {
 // touched the ledger shows.
 func occupiedLedger(tb testing.TB) (*Ledger, []Record) {
 	tb.Helper()
-	led := testLedger(tb, Options{Capacity: 8, Now: func() time.Time { return audT0 }})
+	led := testLedger(tb, Options{Now: func() time.Time { return audT0 }})
 	led.Record(predictRecord(77))
 	return led, led.List(Filter{})
 }

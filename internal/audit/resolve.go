@@ -14,7 +14,7 @@ import (
 // The resolver: joins pending audit records against observed actuals.
 //
 // Join semantics. A record created at time T is compared against the
-// trailing observation window [T−ObserveWindow, T): the actuals the
+// trailing observation window [T−observeWindow, T): the actuals the
 // metrics provider had already rolled up when the prediction was made.
 // This measures exactly what drift observability needs — how far the
 // model's view of the topology has diverged from its live behaviour —
@@ -53,7 +53,7 @@ func (l *Ledger) ResolveOnce(now time.Time) int {
 	l.mu.Lock()
 	pending := make([]Record, 0, l.n)
 	for i := 0; i < l.n; i++ {
-		rec := l.recs[(l.head+i)%l.capacity]
+		rec := l.recs[(l.head+i)%capacity]
 		if !rec.Resolved && !rec.CreatedAt.After(now) {
 			pending = append(pending, rec)
 		}
@@ -104,7 +104,7 @@ func (l *Ledger) ResolveOnce(now time.Time) int {
 		l.recs[idx].Observed = &obs
 		l.recs[idx].Errors = res.errs
 		key := modelKey{rec.Topology, rec.Model}
-		l.rollingLocked(key).add(res.errs, l.rollingN)
+		l.rollingLocked(key).add(res.errs)
 		in := l.instrumentsLocked(key)
 		resolved[in.resolved]++
 		if res.errs != nil {
@@ -130,7 +130,7 @@ func (l *Ledger) ResolveOnce(now time.Time) int {
 }
 
 // windowKey names one observation window of one entity within a pass.
-// The window is [end−ObserveWindow, end), so end identifies it.
+// The window is [end−observeWindow, end), so end identifies it.
 type windowKey struct {
 	topology, component string
 	end                 time.Time
@@ -193,7 +193,7 @@ func (p *pass) topologyBackpressure(topology string, start, end time.Time) (floa
 // observe joins one record with its actuals. ok is false when the
 // observation window has no usable data yet (retry later).
 func (l *Ledger) observe(rec Record, seen *pass) (Observed, bool) {
-	start := rec.CreatedAt.Add(-l.observeWindow)
+	start := rec.CreatedAt.Add(-observeWindow)
 	end := rec.CreatedAt
 	sink := rec.Predicted.Sink
 	if sink == "" {

@@ -225,34 +225,38 @@ func TestResolveCounterfactual(t *testing.T) {
 }
 
 // TestResolveRollingWindowTrim: the rolling MAPE averages only the
-// last RollingWindow audited records.
+// last rollingWindow audited records.
 func TestResolveRollingWindowTrim(t *testing.T) {
+	const n = rollingWindow + 2
 	now := audT0
 	prov := &stubProvider{windows: map[string][]metrics.Window{
-		"counter": sinkWindows(audT0.Add(10*time.Minute), 20, 100),
+		"counter": sinkWindows(audT0.Add(n*time.Minute), n+10, 100),
 	}}
-	led := testLedger(t, Options{Provider: prov, Now: func() time.Time { return now }, RollingWindow: 3, ObserveWindow: 5 * time.Minute})
-	// APEs 0.1, 0.2, 0.3, 0.4, 0.5 in creation order.
-	for i := 1; i <= 5; i++ {
+	led := testLedger(t, Options{Provider: prov, Now: func() time.Time { return now }})
+	// APEs 0.1, 0.2, 0.3, … in creation order.
+	for i := 1; i <= n; i++ {
 		led.Record(predictRecord(100 + 10*float64(i)))
 		now = now.Add(time.Minute)
 	}
-	if n := led.ResolveOnce(now); n != 5 {
-		t.Fatalf("ResolveOnce = %d, want 5", n)
+	if got := led.ResolveOnce(now); got != n {
+		t.Fatalf("ResolveOnce = %d, want %d", got, n)
 	}
 	stats := led.Stats()
 	if len(stats) != 1 || stats[0].MAPE == nil {
 		t.Fatalf("Stats = %+v", stats)
 	}
-	want := (0.3 + 0.4 + 0.5) / 3
-	if math.Abs(*stats[0].MAPE-want) > 1e-12 {
-		t.Fatalf("rolling MAPE = %g, want %g (last 3 only)", *stats[0].MAPE, want)
+	want := 0.0
+	for i := n - rollingWindow + 1; i <= n; i++ {
+		want += 0.1 * float64(i) / rollingWindow
 	}
-	if stats[0].Audited != 5 || stats[0].Resolved != 5 {
+	if math.Abs(*stats[0].MAPE-want) > 1e-12 {
+		t.Fatalf("rolling MAPE = %g, want %g (last %d only)", *stats[0].MAPE, want, rollingWindow)
+	}
+	if stats[0].Audited != n || stats[0].Resolved != n {
 		t.Fatalf("counts = %+v", stats[0])
 	}
-	if stats[0].TN != 5 {
-		t.Fatalf("TN = %d, want 5 (no backpressure anywhere)", stats[0].TN)
+	if stats[0].TN != n {
+		t.Fatalf("TN = %d, want %d (no backpressure anywhere)", stats[0].TN, n)
 	}
 }
 

@@ -111,7 +111,7 @@ func fleetRecord(i int, at time.Time) Record {
 // join every record of a shared pass must reproduce.
 func resolvedAlone(t *testing.T, prov metrics.Provider, rec Record, now time.Time) Record {
 	t.Helper()
-	led := testLedger(t, Options{Provider: prov, Now: func() time.Time { return now }, Capacity: 1})
+	led := testLedger(t, Options{Provider: prov, Now: func() time.Time { return now }})
 	id := led.Record(rec)
 	if n := led.ResolveOnce(now); n != 1 {
 		t.Fatalf("one-record ledger resolved %d", n)
@@ -270,7 +270,7 @@ func TestResolvedCounterOverlappingPasses(t *testing.T) {
 // it covers the interned handles and the shared instruments.
 func TestLedgerConcurrentUse(t *testing.T) {
 	prov, now := wordCountActuals(t, 12)
-	led := testLedger(t, Options{Provider: prov, Registry: telemetry.NewRegistry(), History: tsdb.New(0), Now: func() time.Time { return now }, Capacity: 1024})
+	led := testLedger(t, Options{Provider: prov, Registry: telemetry.NewRegistry(), History: tsdb.New(0), Now: func() time.Time { return now }})
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
 		wg.Add(4)

@@ -72,7 +72,7 @@ func alertState(t *testing.T, slo *telemetry.SLO, rule string) telemetry.AlertSt
 func TestClosedLoopDriftDuringSlowFault(t *testing.T) {
 	const (
 		rate      = 20e6 // tuples/minute; splitter p=3 SP ≈ 32.4e6
-		rollingN  = 8
+		rollingN  = 20   // the audit ledger's rolling MAPE window
 		driftMAPE = 0.08
 	)
 
@@ -93,14 +93,15 @@ func TestClosedLoopDriftDuringSlowFault(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Slow ×0.5 on every splitter instance for minutes [36, 50): the
+	// Slow ×0.5 on every splitter instance for minutes [36, 62), long
+	// enough for phase 2 to audit a whole rolling window under it: the
 	// degraded component capacity (16.2 M/min) falls below the offered
 	// 20 M/min, so observed sink throughput drops ≈ 23% under what the
 	// healthy calibration predicts — past the 8% drift budget.
 	plan := &Plan{Faults: []Fault{{
 		Kind:      FaultSlow,
 		At:        Duration(36 * time.Minute),
-		Duration:  Duration(14 * time.Minute),
+		Duration:  Duration(26 * time.Minute),
 		Component: "splitter",
 		Instance:  AllInstances,
 		Factor:    0.5,
@@ -132,12 +133,10 @@ func TestClosedLoopDriftDuringSlowFault(t *testing.T) {
 	db := tsdb.New(24 * time.Hour)
 	reg := telemetry.NewRegistry()
 	led, err := audit.NewLedger(audit.Options{
-		Provider:      prov,
-		History:       db,
-		Registry:      reg,
-		Now:           func() time.Time { return now },
-		RollingWindow: rollingN,
-		ObserveWindow: 5 * time.Minute,
+		Provider: prov,
+		History:  db,
+		Registry: reg,
+		Now:      func() time.Time { return now },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -216,14 +215,14 @@ func TestClosedLoopDriftDuringSlowFault(t *testing.T) {
 		t.Fatalf("firing transitions = %g, want 1", firing.Value())
 	}
 
-	// Phase 3 — the fault cleared at minute 50. Run 10 minutes so the
-	// spout backlog built during the fault drains (≈4.3 min of spare
+	// Phase 3 — the fault cleared at minute 62. Run 15 minutes so the
+	// spout backlog built during the fault drains (≈8 min of spare
 	// capacity) and the drain windows age out of the observe window,
 	// recalibrate on clean post-fault data, and audit fresh predictions.
-	if err := sim.Run(10 * time.Minute); err != nil {
+	if err := sim.Run(15 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	now = now.Add(10*time.Minute - time.Second)
+	now = now.Add(15*time.Minute - time.Second)
 	models2, err := core.CalibrateTopologyFromProvider(prov, topo, now.Add(-5*time.Minute), now, core.CalibrationOptions{Warmup: 1})
 	if err != nil {
 		t.Fatalf("re-calibrate: %v", err)

@@ -64,8 +64,8 @@ type Config struct {
 	// SLORules replaces the rule set the daemon would compose.
 	SLORules []telemetry.Rule
 	// Profiler replaces the profiler built from ProfileInterval and
-	// ProfileBaseline, for a synthetic capture source or tuning no
-	// setting expresses. It must instrument into Registry.
+	// ProfileBaseline, for a synthetic capture source. It must
+	// instrument into Registry.
 	Profiler *profiler.Profiler
 }
 

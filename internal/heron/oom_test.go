@@ -92,16 +92,3 @@ func TestNoOOMWithDefaultResources(t *testing.T) {
 		t.Errorf("restarts = %g with default resources", restarts)
 	}
 }
-
-func TestRestartDelayValidation(t *testing.T) {
-	top := oomTopology(t, 40)
-	_, err := New(Config{
-		Topology:     top,
-		Profiles:     WordCountProfiles(UniformKeys{}),
-		SpoutRates:   map[string]workload.RateSchedule{"spout": workload.ConstantRate(1)},
-		RestartDelay: -time.Second,
-	})
-	if err == nil {
-		t.Error("negative restart delay accepted")
-	}
-}

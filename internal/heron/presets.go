@@ -66,15 +66,12 @@ type WordCountOptions struct {
 	// "fortunately unbiased" dataset (§V-D). Use ZipfKeys or
 	// ExplicitKeys to study biased datasets.
 	CounterKeys KeyModel
-	// SlowFactors optionally degrades individual instances.
-	SlowFactors map[topology.InstanceID]float64
 	// ServiceNoiseStd and NoiseSeed forward to Config: per-tick
 	// multiplicative capacity noise for realistic run-to-run variation.
 	ServiceNoiseStd float64
 	NoiseSeed       int64
-	// Tick and MetricsInterval forward to Config.
-	Tick            time.Duration
-	MetricsInterval time.Duration
+	// Tick forwards to Config.
+	Tick time.Duration
 	// Metrics forwards to Config: the telemetry registry receiving
 	// simulator event counters (nil disables them).
 	Metrics *telemetry.Registry
@@ -161,8 +158,6 @@ func NewWordCount(opts WordCountOptions) (*Simulation, error) {
 		Profiles:        WordCountProfiles(opts.CounterKeys),
 		SpoutRates:      map[string]workload.RateSchedule{"spout": schedule},
 		Tick:            opts.Tick,
-		MetricsInterval: opts.MetricsInterval,
-		SlowFactors:     opts.SlowFactors,
 		ServiceNoiseStd: opts.ServiceNoiseStd,
 		NoiseSeed:       opts.NoiseSeed,
 		Metrics:         opts.Metrics,

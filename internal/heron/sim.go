@@ -46,7 +46,7 @@ const (
 	// per window: §V-E notes instances "may exceed the container memory
 	// limit when their input rate rises to sufficiently high levels".
 	// A restart drops the instance's queue (counted as failed tuples)
-	// and takes the instance offline for RestartDelay.
+	// and takes the instance offline for restartDelay.
 	MetricRestartCount = "restart-count"
 	// MetricLatencyMs is the average queueing delay a tuple experienced
 	// at this instance over the window, in milliseconds (Little's law:
@@ -64,6 +64,17 @@ const TopologyComponent = "__topology__"
 const (
 	DefaultHighWatermarkBytes = 100e6
 	DefaultLowWatermarkBytes  = 50e6
+)
+
+const (
+	// metricsInterval is the metrics rollup window.
+	metricsInterval = time.Minute
+	// restartDelay is how long an instance stays offline after an
+	// out-of-memory restart. An instance restarts when its pending
+	// queue exceeds its container RAM allocation — with the default
+	// 2 GB per instance and 100 MB watermarks this never fires; it is
+	// reachable via custom resources or watermarks (failure injection).
+	restartDelay = 10 * time.Second
 )
 
 // Config assembles a simulation.
@@ -84,18 +95,14 @@ type Config struct {
 	// hysteresis; defaults 100 MB / 50 MB.
 	HighWatermarkBytes float64
 	LowWatermarkBytes  float64
-	// Tick is the simulation step. Default 100 ms.
+	// Tick is the simulation step, at most the one-minute metrics
+	// window. Default 100 ms.
 	Tick time.Duration
-	// MetricsInterval is the metrics rollup window. Default 1 minute.
-	MetricsInterval time.Duration
 	// DB receives metrics; one is created when nil.
 	DB *tsdb.DB
 	// Start is the simulated wall-clock origin. Default 2026-01-05
 	// 00:00 UTC (a Monday, so weekly seasonality aligns).
 	Start time.Time
-	// SlowFactors scales individual instances' service rates (failure
-	// injection: a degraded instance has factor < 1).
-	SlowFactors map[topology.InstanceID]float64
 	// ServiceNoiseStd makes the run behave like a real deployment on a
 	// shared cluster: each instance's capacity is scaled once per run
 	// by a Gaussian factor (the host it landed on), and jittered each
@@ -105,13 +112,6 @@ type Config struct {
 	// NoiseSeed makes the noise reproducible; runs with different
 	// seeds act as independent repetitions of an experiment.
 	NoiseSeed int64
-	// RestartDelay is how long an instance stays offline after an
-	// out-of-memory restart. Default 10s. An instance restarts when its
-	// pending queue exceeds its container RAM allocation — with the
-	// default 2 GB per instance and 100 MB watermarks this never fires;
-	// it is reachable via custom resources or watermarks (failure
-	// injection).
-	RestartDelay time.Duration
 	// Metrics, when set, receives simulator event telemetry: tick
 	// counts, backpressure on/off transitions and active instances, and
 	// tuples processed/dropped, published once per Run. Nil disables
@@ -294,11 +294,8 @@ func New(cfg Config) (*Simulation, error) {
 	if cfg.Tick <= 0 {
 		return nil, fmt.Errorf("heron: non-positive tick %s", cfg.Tick)
 	}
-	if cfg.MetricsInterval == 0 {
-		cfg.MetricsInterval = time.Minute
-	}
-	if cfg.MetricsInterval < cfg.Tick {
-		return nil, fmt.Errorf("heron: metrics interval %s below tick %s", cfg.MetricsInterval, cfg.Tick)
+	if metricsInterval < cfg.Tick {
+		return nil, fmt.Errorf("heron: metrics interval %s below tick %s", metricsInterval, cfg.Tick)
 	}
 	if cfg.DB == nil {
 		cfg.DB = tsdb.New(0)
@@ -330,12 +327,6 @@ func New(cfg Config) (*Simulation, error) {
 	if cfg.ServiceNoiseStd < 0 {
 		return nil, fmt.Errorf("heron: negative service noise %g", cfg.ServiceNoiseStd)
 	}
-	if cfg.RestartDelay == 0 {
-		cfg.RestartDelay = 10 * time.Second
-	}
-	if cfg.RestartDelay < 0 {
-		return nil, fmt.Errorf("heron: negative restart delay %s", cfg.RestartDelay)
-	}
 	s := &Simulation{cfg: cfg, db: cfg.DB, byComp: map[string][]*instanceState{}}
 	if cfg.Metrics != nil {
 		s.events = newSimEvents(cfg.Metrics, t.Name())
@@ -347,12 +338,6 @@ func New(cfg Config) (*Simulation, error) {
 		cont, _ := cfg.Plan.ContainerOf(id)
 		comp := t.Component(id.Component)
 		slow := 1.0
-		if f, ok := cfg.SlowFactors[id]; ok {
-			if f <= 0 {
-				return nil, fmt.Errorf("heron: non-positive slow factor %g for %s", f, id)
-			}
-			slow = f
-		}
 		if s.noise != nil {
 			// Per-run systematic placement variation: the "host" this
 			// instance landed on for this deployment.
@@ -561,13 +546,13 @@ func (s *Simulation) step() {
 			inst.queueTuples += arrived
 			if inst.queueTuples*inst.profile.BytesPerTuple > inst.ramBytes {
 				// Out of memory: the instance restarts, losing its
-				// queued tuples and going offline for RestartDelay.
+				// queued tuples and going offline for restartDelay.
 				inst.wFailed += inst.queueTuples
 				inst.wQueueDropped += inst.queueTuples
 				tickDropped += inst.queueTuples
 				inst.queueTuples = 0
 				inst.wRestarts++
-				inst.downTicks = int(s.cfg.RestartDelay / s.cfg.Tick)
+				inst.downTicks = int(restartDelay / s.cfg.Tick)
 			}
 			if inst.downTicks > 0 {
 				inst.downTicks--
@@ -661,7 +646,7 @@ func (s *Simulation) step() {
 	tally.dropped += tickDropped
 
 	s.elapsed += dt
-	if s.elapsed >= s.windowEnd+s.cfg.MetricsInterval {
+	if s.elapsed >= s.windowEnd+metricsInterval {
 		s.flushWindow()
 	}
 }
@@ -747,7 +732,7 @@ func (s *Simulation) flushWindow() {
 		s.stage(sr.emit, stamp, inst.wEmitted)
 		s.stage(sr.fail, stamp, inst.wFailed)
 		s.stage(sr.bpMs, stamp, inst.wBpMs)
-		s.stage(sr.cpu, stamp, inst.wCPUSecs/s.cfg.MetricsInterval.Seconds())
+		s.stage(sr.cpu, stamp, inst.wCPUSecs/metricsInterval.Seconds())
 		if inst.wLatTicks > 0 {
 			s.stage(sr.latency, stamp, inst.wLatMs/inst.wLatTicks)
 		}
@@ -779,7 +764,7 @@ func (s *Simulation) flushWindow() {
 	s.stage(s.topoBpSeries, stamp, s.wTopoBpMs)
 	s.db.AppendBatch(s.batch)
 	s.wTopoBpMs = 0
-	s.windowEnd += s.cfg.MetricsInterval
+	s.windowEnd += metricsInterval
 }
 
 // InstanceSnapshot exposes live instance state for tests and debugging.

@@ -236,8 +236,16 @@ func TestSlowInstanceTriggersEarlierBackpressure(t *testing.T) {
 	// A degraded splitter instance halves its service rate; at a rate
 	// healthy p=2 would absorb (e.g. 16 M/min < 21.6 M/min), the slow
 	// instance saturates (8 M/min share > 5.4 M/min capacity).
-	slow := map[topology.InstanceID]float64{{Component: "splitter", Index: 1}: 0.5}
-	s := runWordCount(t, WordCountOptions{SplitterP: 2, RatePerMinute: 16e6, SlowFactors: slow}, 10)
+	s, err := NewWordCount(WordCountOptions{SplitterP: 2, RatePerMinute: 16e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.WithFaultInjector(&scriptInjector{to: 10 * minute, faults: map[topology.InstanceID]InstanceFault{
+		{Component: "splitter", Index: 1}: {SlowFactor: 0.5},
+	}})
+	if err := s.Run(10 * minute); err != nil {
+		t.Fatal(err)
+	}
 	bp := perMinuteRate(t, s, MetricBackpressureMs, TopologyComponent, 4, 10)
 	if bp < 50_000 {
 		t.Errorf("degraded instance: topology bp = %.0f ms, want ≳50000", bp)
@@ -356,10 +364,7 @@ func TestConfigValidation(t *testing.T) {
 		}, "non-spout"},
 		{"bad watermarks", func(c *Config) { c.HighWatermarkBytes, c.LowWatermarkBytes = 10, 20 }, "watermarks"},
 		{"bad tick", func(c *Config) { c.Tick = -time.Second }, "tick"},
-		{"window below tick", func(c *Config) { c.Tick = time.Second; c.MetricsInterval = time.Millisecond }, "below tick"},
-		{"bad slow factor", func(c *Config) {
-			c.SlowFactors = map[topology.InstanceID]float64{{Component: "spout", Index: 0}: 0}
-		}, "slow factor"},
+		{"window below tick", func(c *Config) { c.Tick = 2 * time.Minute }, "below tick"},
 		{"bad service rate", func(c *Config) {
 			p := map[string]ComponentProfile{}
 			for k, v := range profiles {

@@ -37,10 +37,12 @@ const BundleVersion = 1
 
 // A bundle's metrics extract reaches lookback before the firing rule's
 // own window, and its spans artifact holds the spanTraces most recent
-// traces.
+// traces. On disk the recorder keeps the maxBundles newest bundles,
+// deleting older ones after each capture.
 const (
 	lookback   = 5 * time.Minute
 	spanTraces = 32
+	maxBundles = 16
 )
 
 // Artifact names inside a bundle directory.
@@ -138,9 +140,6 @@ type Options struct {
 	// Cooldown is the per-rule minimum spacing between SLO-triggered
 	// captures. Default: 5 minutes.
 	Cooldown time.Duration
-	// MaxBundles bounds on-disk retention; the oldest bundles beyond it
-	// are deleted after each capture. Default: 16.
-	MaxBundles int
 	// CPUProfile is how long the CPU profile samples. Default: 2s.
 	CPUProfile time.Duration
 	// Attachments are extra artifacts other subsystems contribute to
@@ -211,9 +210,6 @@ func New(opts Options) (*Recorder, error) {
 	}
 	if opts.Cooldown <= 0 {
 		opts.Cooldown = 5 * time.Minute
-	}
-	if opts.MaxBundles <= 0 {
-		opts.MaxBundles = 16
 	}
 	if opts.CPUProfile <= 0 {
 		opts.CPUProfile = 2 * time.Second
@@ -619,13 +615,13 @@ func (r *Recorder) capture(req captureReq) (Manifest, error) {
 	return m, nil
 }
 
-// pruneLocked trims the index to MaxBundles and returns the evicted
+// pruneLocked trims the index to maxBundles and returns the evicted
 // manifests; the caller deletes their directories outside the lock.
 func (r *Recorder) pruneLocked() []Manifest {
-	if len(r.bundles) <= r.opts.MaxBundles {
+	if len(r.bundles) <= maxBundles {
 		return nil
 	}
-	n := len(r.bundles) - r.opts.MaxBundles
+	n := len(r.bundles) - maxBundles
 	evicted := append([]Manifest(nil), r.bundles[:n]...)
 	r.bundles = append(r.bundles[:0], r.bundles[n:]...)
 	return evicted

@@ -67,7 +67,7 @@ func testAlert(rule telemetry.Rule, at time.Time) telemetry.Alert {
 
 // newTestRecorder builds a fully-sourced recorder with a fast CPU
 // profile window and a fake clock.
-func newTestRecorder(t *testing.T, clock *fakeClock, maxBundles int) (*Recorder, *telemetry.Registry, *telemetry.LogRing, *telemetry.Tracer, *tsdb.DB) {
+func newTestRecorder(t *testing.T, clock *fakeClock) (*Recorder, *telemetry.Registry, *telemetry.LogRing, *telemetry.Tracer, *tsdb.DB) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	logs := telemetry.NewLogRing(64)
@@ -80,7 +80,6 @@ func newTestRecorder(t *testing.T, clock *fakeClock, maxBundles int) (*Recorder,
 		Logs:       logs,
 		Tracer:     tracer,
 		Cooldown:   5 * time.Minute,
-		MaxBundles: maxBundles,
 		CPUProfile: 20 * time.Millisecond,
 		Now:        clock.Now,
 		Logger:     slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelError})),
@@ -99,7 +98,7 @@ func counterValue(t *testing.T, reg *telemetry.Registry, name string, labels tel
 
 func TestCaptureNowBundle(t *testing.T) {
 	clock := newFakeClock()
-	rec, reg, logs, tracer, _ := newTestRecorder(t, clock, 8)
+	rec, reg, logs, tracer, _ := newTestRecorder(t, clock)
 
 	logs.Append(clock.Now(), slog.LevelInfo, "http request", "req-1", []byte("status=200"))
 	sp := tracer.Start("req-1", "performance")
@@ -166,7 +165,7 @@ func TestCaptureNowBundle(t *testing.T) {
 
 func TestFiringHookCooldown(t *testing.T) {
 	clock := newFakeClock()
-	rec, reg, _, _, db := newTestRecorder(t, clock, 8)
+	rec, reg, _, _, db := newTestRecorder(t, clock)
 	rule := testRule()
 	for i := -20; i <= 0; i++ {
 		db.Handle(rule.Metric, nil).Append(clock.Now().Add(time.Duration(i)*time.Minute), 0.3)
@@ -226,7 +225,7 @@ func TestFiringHookCooldown(t *testing.T) {
 
 func TestCooldownIsPerRule(t *testing.T) {
 	clock := newFakeClock()
-	rec, _, _, _, _ := newTestRecorder(t, clock, 8)
+	rec, _, _, _, _ := newTestRecorder(t, clock)
 	hook := rec.FiringHook()
 	r1, r2 := testRule(), testRule()
 	r2.Name = "http-p95-latency"
@@ -240,9 +239,9 @@ func TestCooldownIsPerRule(t *testing.T) {
 
 func TestRetentionPrunesOldest(t *testing.T) {
 	clock := newFakeClock()
-	rec, _, _, _, _ := newTestRecorder(t, clock, 2)
+	rec, _, _, _, _ := newTestRecorder(t, clock)
 	var ids []string
-	for i := 0; i < 3; i++ {
+	for i := 0; i < maxBundles+1; i++ {
 		m, err := rec.CaptureNow()
 		if err != nil {
 			t.Fatal(err)
@@ -251,12 +250,12 @@ func TestRetentionPrunesOldest(t *testing.T) {
 		clock.Advance(time.Second)
 	}
 	list := rec.List()
-	if len(list) != 2 {
-		t.Fatalf("retained = %d", len(list))
+	if len(list) != maxBundles {
+		t.Fatalf("retained = %d, want %d", len(list), maxBundles)
 	}
 	// Newest first.
-	if list[0].ID != ids[2] || list[1].ID != ids[1] {
-		t.Errorf("list = [%s %s], want [%s %s]", list[0].ID, list[1].ID, ids[2], ids[1])
+	if list[0].ID != ids[maxBundles] || list[1].ID != ids[maxBundles-1] {
+		t.Errorf("list = [%s %s …], want [%s %s …]", list[0].ID, list[1].ID, ids[maxBundles], ids[maxBundles-1])
 	}
 	if _, err := os.Stat(filepath.Join(rec.Dir(), ids[0])); !os.IsNotExist(err) {
 		t.Errorf("evicted bundle dir still on disk: %v", err)
@@ -265,7 +264,7 @@ func TestRetentionPrunesOldest(t *testing.T) {
 
 func TestRestartReindexesBundles(t *testing.T) {
 	clock := newFakeClock()
-	rec, _, _, _, _ := newTestRecorder(t, clock, 8)
+	rec, _, _, _, _ := newTestRecorder(t, clock)
 	m1, err := rec.CaptureNow()
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +320,7 @@ func TestNewRefusesMissingDependencies(t *testing.T) {
 
 func TestClosedRecorderRejectsWork(t *testing.T) {
 	clock := newFakeClock()
-	rec, _, _, _, _ := newTestRecorder(t, clock, 8)
+	rec, _, _, _, _ := newTestRecorder(t, clock)
 	hook := rec.FiringHook()
 	rec.Close()
 	if _, err := rec.CaptureNow(); err == nil {

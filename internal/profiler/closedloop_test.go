@@ -140,26 +140,10 @@ func TestClosedLoopProfileRegression(t *testing.T) {
 
 	// The shipped daemon's wiring over the live simulation, every clock
 	// the simulated one: history store, scraper, regression SLO,
-	// recorder with the diff attachment, API service. The profiler is
-	// handed in pre-built: one-window diffs and a low sample floor are
-	// tuning no daemon setting expresses.
-	prof, err := profiler.New(profiler.Options{
-		Registry:    reg,
-		Epoch:       time.Minute,
-		Windows:     4,
-		DiffWindows: 1,
-		CPUWindow:   150 * time.Millisecond,
-		MinSamples:  5,
-		TopK:        10,
-		Now:         clock.Now,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// profiler, recorder with the diff attachment, API service.
 	cfg := daemon.Default()
 	cfg.Substrate = sub
 	cfg.Registry = reg
-	cfg.Profiler = prof
 	cfg.Now, cfg.Wall = clock.Now, clock.Now
 	cfg.LogOutput = io.Discard
 	cfg.CalibrationLookback = 30 * time.Minute
@@ -172,6 +156,7 @@ func TestClosedLoopProfileRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
+	prof := d.Profiler
 	scraper, rec := d.Scraper, d.Recorder
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
@@ -217,11 +202,21 @@ func TestClosedLoopProfileRegression(t *testing.T) {
 	}
 
 	// The container throttles SIGPROF delivery to a few samples per
-	// capture, so each phase accumulates several capture rounds into
-	// its epoch window to clear the MinSamples guard.
+	// capture, so each epoch accumulates several capture rounds; the
+	// diff merges three epochs, nine rounds, to clear the profiler's
+	// minimum-sample guard.
 	captureEpoch := func(fn func()) {
-		for i := 0; i < 6; i++ {
+		for i := 0; i < 3; i++ {
 			captureUnderLoad(t, prof, fn)
+		}
+	}
+	// fillDiffSpan captures fn into as many consecutive epochs as the
+	// diff merges, so the diff reads fn's windows only.
+	fillDiffSpan := func(fn func()) {
+		captureEpoch(fn)
+		for i := 1; i < prof.Status().DiffWindows; i++ {
+			stepMinute()
+			captureEpoch(fn)
 		}
 	}
 
@@ -252,7 +247,7 @@ func TestClosedLoopProfileRegression(t *testing.T) {
 	if bp.Value() == 0 {
 		t.Fatal("slow fault never drove backpressure")
 	}
-	captureEpoch(hotFaultSpin)
+	fillDiffSpan(hotFaultSpin)
 	scrape()
 	if got := alertState("phase 2"); got != string(telemetry.StateFiring) {
 		t.Fatalf("phase 2 alert state = %s, want %s", got, telemetry.StateFiring)
@@ -346,7 +341,7 @@ func TestClosedLoopProfileRegression(t *testing.T) {
 	if got := bp.Value(); got != 0 {
 		t.Fatalf("backpressure never drained after the fault: %g instances", got)
 	}
-	captureEpoch(steadyServeSpin)
+	fillDiffSpan(steadyServeSpin)
 	scrape()
 	if got := alertState("phase 3"); got != string(telemetry.StateOK) {
 		t.Fatalf("phase 3 alert state = %s, want %s (resolved)", got, telemetry.StateOK)

@@ -49,7 +49,7 @@ func TestParseRuntimeProfiles(t *testing.T) {
 	}
 	wg.Wait()
 
-	src := RuntimeSource(200 * time.Millisecond)
+	src := RuntimeSource()
 	for _, kind := range Kinds {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {

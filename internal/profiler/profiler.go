@@ -46,13 +46,13 @@ func ValidKind(s string) bool {
 type Source func(kind Kind) ([]byte, error)
 
 // RuntimeSource returns the production Source: CPU is sampled for
-// cpuWindow, the snapshot kinds come from pprof.Lookup.
-func RuntimeSource(cpuWindow time.Duration) Source {
+// CPUWindow, the snapshot kinds come from pprof.Lookup.
+func RuntimeSource() Source {
 	return func(kind Kind) ([]byte, error) {
 		var buf bytes.Buffer
 		var err error
 		if kind == KindCPU {
-			err = CaptureCPUProfile(&buf, cpuWindow)
+			err = CaptureCPUProfile(&buf, CPUWindow)
 		} else {
 			err = CaptureProfile(&buf, string(kind))
 		}
@@ -63,9 +63,24 @@ func RuntimeSource(cpuWindow time.Duration) Source {
 	}
 }
 
-// CPUWindow is how long each CPU capture samples unless Options says
-// otherwise. The daemon's capture interval must be longer.
-const CPUWindow = 250 * time.Millisecond
+const (
+	// CPUWindow is how long each CPU capture samples. The daemon's
+	// capture interval must be longer.
+	CPUWindow = 250 * time.Millisecond
+	// epoch is the width of one fold window.
+	epoch = time.Minute
+	// windowCap bounds the ring of completed epoch windows.
+	windowCap = 8
+	// diffWindows is how many recent windows (including the one being
+	// filled) queries and diffs merge over.
+	diffWindows = 3
+	// topK bounds the function/stack lists served by default.
+	topK = 20
+	// minSamples guards the regression diff: windows that folded fewer
+	// samples than this report an empty diff and a zero regression
+	// delta, so an idle process never fires the SLO.
+	minSamples = 10
+)
 
 // Options configures a Profiler. Zero fields take the defaults
 // documented on each.
@@ -78,22 +93,6 @@ type Options struct {
 
 	// Interval between capture rounds in Run. Default 10s.
 	Interval time.Duration
-	// CPUWindow is how long each CPU capture samples. Default the
-	// package's CPUWindow, 250ms.
-	CPUWindow time.Duration
-	// Epoch is the width of one fold window. Default 1m.
-	Epoch time.Duration
-	// Windows bounds the ring of completed epoch windows. Default 8.
-	Windows int
-	// DiffWindows is how many recent windows (including the one being
-	// filled) queries and diffs merge over. Default 3.
-	DiffWindows int
-	// TopK bounds the function/stack lists served by default. Default 20.
-	TopK int
-	// MinSamples guards the regression diff: windows that folded fewer
-	// samples than this report an empty diff and a zero regression
-	// delta, so an idle process never fires the SLO. Default 10.
-	MinSamples int64
 	// BaselinePath, when set, persists the baseline snapshot as JSON
 	// and reloads it on startup.
 	BaselinePath string
@@ -111,26 +110,8 @@ func (o *Options) withDefaults() Options {
 	if out.Interval <= 0 {
 		out.Interval = 10 * time.Second
 	}
-	if out.CPUWindow <= 0 {
-		out.CPUWindow = CPUWindow
-	}
-	if out.Epoch <= 0 {
-		out.Epoch = time.Minute
-	}
-	if out.Windows <= 0 {
-		out.Windows = 8
-	}
-	if out.DiffWindows <= 0 {
-		out.DiffWindows = 3
-	}
-	if out.TopK <= 0 {
-		out.TopK = 20
-	}
-	if out.MinSamples <= 0 {
-		out.MinSamples = 10
-	}
 	if out.Source == nil {
-		out.Source = RuntimeSource(out.CPUWindow)
+		out.Source = RuntimeSource()
 	}
 	if out.Now == nil {
 		out.Now = time.Now
@@ -389,14 +370,14 @@ func (p *Profiler) CaptureOnce() error {
 }
 
 // rotateLocked advances the epoch window ring to now, completing the
-// current window when it has aged past Epoch, and auto-establishes
+// current window when it has aged past epoch, and auto-establishes
 // the baseline after the first window completes.
 func (p *Profiler) rotateLocked(now time.Time) {
 	if p.cur == nil {
 		p.cur = newWindow(now)
 		return
 	}
-	if now.Sub(p.cur.start) < p.opts.Epoch {
+	if now.Sub(p.cur.start) < epoch {
 		return
 	}
 	// Auto-establish the baseline from the view that includes the
@@ -405,17 +386,17 @@ func (p *Profiler) rotateLocked(now time.Time) {
 		p.setBaselineLocked(now, true)
 	}
 	p.ring = append(p.ring, p.cur)
-	if len(p.ring) > p.opts.Windows {
-		p.ring = p.ring[len(p.ring)-p.opts.Windows:]
+	if len(p.ring) > windowCap {
+		p.ring = p.ring[len(p.ring)-windowCap:]
 	}
 	p.cur = newWindow(now)
 }
 
-// mergedLocked merges the DiffWindows most recent windows (the one
+// mergedLocked merges the diffWindows most recent windows (the one
 // being filled plus the newest completed ones) for kind.
 func (p *Profiler) mergedLocked(kind Kind) *Table {
 	out := NewTable()
-	n := p.opts.DiffWindows - 1
+	n := diffWindows - 1
 	if n > len(p.ring) {
 		n = len(p.ring)
 	}
@@ -487,8 +468,8 @@ func (p *Profiler) diffLocked(kind Kind, n int) *Diff {
 		return nil
 	}
 	cur := p.mergedLocked(kind)
-	d := &Diff{Kind: kind, Total: cur.Total, Samples: cur.Samples, Unit: cur.Unit, MinSamples: p.opts.MinSamples}
-	if cur.Samples < p.opts.MinSamples {
+	d := &Diff{Kind: kind, Total: cur.Total, Samples: cur.Samples, Unit: cur.Unit, MinSamples: minSamples}
+	if cur.Samples < minSamples {
 		d.Guarded = true
 		return d
 	}
@@ -557,7 +538,7 @@ func (p *Profiler) refreshMetrics(now time.Time) {
 // Top returns the merged recent per-function table for kind.
 func (p *Profiler) Top(kind Kind, n int) (funcs []FuncStat, total int64, samples int64, unit string) {
 	if n <= 0 {
-		n = p.opts.TopK
+		n = topK
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -568,7 +549,7 @@ func (p *Profiler) Top(kind Kind, n int) (funcs []FuncStat, total int64, samples
 // Flame returns the merged recent flame stacks for kind.
 func (p *Profiler) Flame(kind Kind, n int) (stacks []StackStat, total int64, unit string) {
 	if n <= 0 {
-		n = p.opts.TopK
+		n = topK
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -580,7 +561,7 @@ func (p *Profiler) Flame(kind Kind, n int) (stacks []StackStat, total int64, uni
 // baseline has been established yet.
 func (p *Profiler) DiffKind(kind Kind, n int) *Diff {
 	if n <= 0 {
-		n = p.opts.TopK
+		n = topK
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -593,11 +574,11 @@ func (p *Profiler) Status() Status {
 	defer p.mu.Unlock()
 	st := Status{
 		Interval:        p.opts.Interval.String(),
-		CPUWindow:       p.opts.CPUWindow.String(),
-		Epoch:           p.opts.Epoch.String(),
-		WindowCap:       p.opts.Windows,
-		DiffWindows:     p.opts.DiffWindows,
-		TopK:            p.opts.TopK,
+		CPUWindow:       CPUWindow.String(),
+		Epoch:           epoch.String(),
+		WindowCap:       windowCap,
+		DiffWindows:     diffWindows,
+		TopK:            topK,
 		WindowsRetained: len(p.ring),
 		Captures:        make(map[Kind]uint64, len(Kinds)),
 		Samples:         make(map[Kind]int64, len(Kinds)),
@@ -632,7 +613,7 @@ func (p *Profiler) Status() Status {
 }
 
 // DiffArtifact renders the full regression report (every kind, up to
-// TopK entries each) as indented JSON — the incident recorder attaches
+// topK entries each) as indented JSON — the incident recorder attaches
 // it to bundles as profile-diff.json.
 func (p *Profiler) DiffArtifact() ([]byte, error) {
 	p.mu.Lock()
@@ -643,7 +624,7 @@ func (p *Profiler) DiffArtifact() ([]byte, error) {
 		Diffs       []*Diff       `json:"diffs"`
 	}{GeneratedAt: p.opts.Now(), Baseline: p.baselineMetaLocked()}
 	for _, kind := range Kinds {
-		if d := p.diffLocked(kind, p.opts.TopK); d != nil {
+		if d := p.diffLocked(kind, topK); d != nil {
 			report.Diffs = append(report.Diffs, d)
 		}
 	}

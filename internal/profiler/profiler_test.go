@@ -2,6 +2,7 @@ package profiler
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -68,17 +69,7 @@ func (s *syntheticSource) source(Kind) ([]byte, error) {
 
 func newTestProfiler(t *testing.T, clock *fakeClock, src Source, mutate func(*Options)) *Profiler {
 	t.Helper()
-	opts := Options{
-		Registry:    telemetry.NewRegistry(),
-		Interval:    10 * time.Second,
-		Epoch:       time.Minute,
-		Windows:     3,
-		DiffWindows: 1,
-		TopK:        10,
-		MinSamples:  1,
-		Now:         clock.Now,
-		Source:      src,
-	}
+	opts := Options{Registry: telemetry.NewRegistry(), Now: clock.Now, Source: src}
 	if mutate != nil {
 		mutate(&opts)
 	}
@@ -89,6 +80,18 @@ func newTestProfiler(t *testing.T, clock *fakeClock, src Source, mutate func(*Op
 	return p
 }
 
+// fillWindow folds stacks into p's current window minSamples times, so
+// that any diff span holding the window clears the minSamples guard.
+func fillWindow(t *testing.T, p *Profiler, src *syntheticSource, stacks map[string]int64) {
+	t.Helper()
+	src.set(cpuProfileBytes(t, true, stacks))
+	for i := 0; i < minSamples; i++ {
+		if err := p.CaptureOnce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestWindowRingRetention drives epoch rotation with a fake clock and
 // checks the ring stays bounded and old windows fall out of the
 // merged query view.
@@ -97,31 +100,36 @@ func TestWindowRingRetention(t *testing.T) {
 	src := &syntheticSource{}
 	p := newTestProfiler(t, clock, src.source, nil)
 
-	// Six epochs, each folding a distinctly named function.
-	names := []string{"e0", "e1", "e2", "e3", "e4", "e5"}
-	for _, name := range names {
-		src.set(cpuProfileBytes(t, true, map[string]int64{"main;" + name: 100}))
+	// Two epochs more than the ring holds, each folding a distinctly
+	// named function.
+	const epochs = windowCap + 2
+	name := func(i int) string { return fmt.Sprintf("e%d", i) }
+	for i := 0; i < epochs; i++ {
+		src.set(cpuProfileBytes(t, true, map[string]int64{"main;" + name(i): 100}))
 		if err := p.CaptureOnce(); err != nil {
-			t.Fatalf("capture %s: %v", name, err)
+			t.Fatalf("capture %s: %v", name(i), err)
 		}
-		clock.Advance(time.Minute + time.Second)
+		clock.Advance(epoch + time.Second)
 	}
 	st := p.Status()
-	if st.WindowsRetained > 3 {
-		t.Fatalf("ring holds %d completed windows, cap is 3", st.WindowsRetained)
+	if st.WindowsRetained > windowCap {
+		t.Fatalf("ring holds %d completed windows, cap is %d", st.WindowsRetained, windowCap)
 	}
-	if st.WindowsRetained != 3 {
-		t.Fatalf("ring holds %d completed windows, want 3 after 6 epochs", st.WindowsRetained)
+	if st.WindowsRetained != windowCap {
+		t.Fatalf("ring holds %d completed windows, want %d after %d epochs", st.WindowsRetained, windowCap, epochs)
 	}
-	// DiffWindows=1: only the window being filled (e5) is queried;
-	// evicted epochs must be invisible.
+	// Queries merge the window being filled and the diffWindows-1
+	// newest completed ones; older epochs, evicted or not, must be
+	// invisible.
 	funcs, _, _, _ := p.Top(KindCPU, 0)
 	seen := map[string]bool{}
 	for _, fs := range funcs {
 		seen[fs.Function] = true
 	}
-	if seen["e0"] || seen["e1"] {
-		t.Fatalf("evicted-epoch functions still visible: %v", seen)
+	for i := 0; i < epochs; i++ {
+		if want := i >= epochs-diffWindows; seen[name(i)] != want {
+			t.Fatalf("%s visible = %v, want %v: the query view is the %d newest windows (%v)", name(i), seen[name(i)], want, diffWindows, seen)
+		}
 	}
 
 	// A wider merged view (all retained windows) must still see the
@@ -133,32 +141,25 @@ func TestWindowRingRetention(t *testing.T) {
 	for _, fs := range all.Funcs(0) {
 		wide[fs.Function] = true
 	}
-	// Ring holds the 3 newest completed windows (e2..e4) plus the one
-	// being filled (e5); e0/e1 were evicted.
-	for _, want := range []string{"e2", "e3", "e4", "e5"} {
-		if !wide[want] {
-			t.Fatalf("retained window function %s missing from merged view %v", want, wide)
-		}
-	}
-	for _, gone := range []string{"e0", "e1"} {
-		if wide[gone] {
-			t.Fatalf("evicted window function %s still in merged view", gone)
+	// The ring holds the windowCap newest completed windows plus the
+	// one being filled; the first epoch was evicted.
+	for i := 0; i < epochs; i++ {
+		if want := i >= epochs-1-windowCap; wide[name(i)] != want {
+			t.Fatalf("%s in merged view = %v, want %v (%v)", name(i), wide[name(i)], want, wide)
 		}
 	}
 }
 
 // TestBaselineDiff exercises auto-baselining, regression ranking and
-// the MinSamples guard.
+// the minSamples guard.
 func TestBaselineDiff(t *testing.T) {
 	clock := newFakeClock()
 	src := &syntheticSource{}
 	p := newTestProfiler(t, clock, src.source, nil)
+	regressed := map[string]int64{"main;steady": 300, "main;hotNew": 600, "main;other": 100}
 
 	// Healthy epoch: steady dominates.
-	src.set(cpuProfileBytes(t, true, map[string]int64{"main;steady": 900, "main;other": 100}))
-	if err := p.CaptureOnce(); err != nil {
-		t.Fatal(err)
-	}
+	fillWindow(t, p, src, map[string]int64{"main;steady": 900, "main;other": 100})
 	if p.Status().Baseline != nil {
 		t.Fatal("baseline before any completed window")
 	}
@@ -166,14 +167,23 @@ func TestBaselineDiff(t *testing.T) {
 
 	// Regressed epoch: hotNew eats 60% of the profile. The capture also
 	// rotates the first window out, establishing the auto baseline.
-	src.set(cpuProfileBytes(t, true, map[string]int64{"main;steady": 300, "main;hotNew": 600, "main;other": 100}))
-	if err := p.CaptureOnce(); err != nil {
-		t.Fatal(err)
-	}
+	fillWindow(t, p, src, regressed)
 	st := p.Status()
 	if st.Baseline == nil || !st.Baseline.Auto {
 		t.Fatalf("auto baseline not established: %+v", st.Baseline)
 	}
+	// The diff span still holds the healthy window, which halves
+	// hotNew's share.
+	if delta := p.DiffKind(KindCPU, 5).TopDelta(); delta < 0.25 || delta > 0.35 {
+		t.Fatalf("hotNew delta %f over one healthy and one regressed window, want ~0.3", delta)
+	}
+	// Once regressed epochs fill the diff span, the regression shows
+	// at full strength.
+	for i := 1; i < diffWindows; i++ {
+		clock.Advance(61 * time.Second)
+		fillWindow(t, p, src, regressed)
+	}
+	st = p.Status()
 	d := p.DiffKind(KindCPU, 5)
 	if d == nil || len(d.Entries) == 0 {
 		t.Fatalf("no diff: %+v", d)
@@ -200,11 +210,11 @@ func TestBaselineDiff(t *testing.T) {
 		t.Fatalf("delta %f after re-baseline, want ~0", d.TopDelta())
 	}
 
-	// MinSamples guard: a near-empty window reports a guarded diff and
+	// minSamples guard: a near-empty window reports a guarded diff and
 	// a zero delta even against a real baseline.
 	clock.Advance(61 * time.Second)
 	src.set(cpuProfileBytes(t, true, map[string]int64{"main;blip": 1}))
-	p2 := newTestProfiler(t, clock, src.source, func(o *Options) { o.MinSamples = 10 })
+	p2 := newTestProfiler(t, clock, src.source, nil)
 	if err := p2.CaptureOnce(); err != nil {
 		t.Fatal(err)
 	}
@@ -296,14 +306,10 @@ func TestDiffArtifact(t *testing.T) {
 	clock := newFakeClock()
 	src := &syntheticSource{}
 	p := newTestProfiler(t, clock, src.source, nil)
-	src.set(cpuProfileBytes(t, true, map[string]int64{"main;steady": 900}))
-	if err := p.CaptureOnce(); err != nil {
-		t.Fatal(err)
-	}
-	clock.Advance(61 * time.Second)
-	src.set(cpuProfileBytes(t, true, map[string]int64{"main;hotNew": 900}))
-	if err := p.CaptureOnce(); err != nil {
-		t.Fatal(err)
+	fillWindow(t, p, src, map[string]int64{"main;steady": 900})
+	for i := 0; i < diffWindows; i++ {
+		clock.Advance(61 * time.Second)
+		fillWindow(t, p, src, map[string]int64{"main;hotNew": 900})
 	}
 	art, err := p.DiffArtifact()
 	if err != nil {

@@ -12,16 +12,13 @@ import (
 // -race (scripts/verify.sh does) it proves the Profiler's locking.
 func TestConcurrentCaptureQueryBaseline(t *testing.T) {
 	clock := newFakeClock()
-	p := newTestProfiler(t, clock, nil, func(o *Options) {
-		o.Epoch = 50 * time.Millisecond
-		o.Source = func(kind Kind) ([]byte, error) {
-			// Vary the profile so folds keep inserting new functions.
-			return cpuProfileBytes(t, false, map[string]int64{
-				"main;steady": 100,
-				fmt.Sprintf("main;f%d", time.Now().UnixNano()%97): 50,
-			}), nil
-		}
-	})
+	p := newTestProfiler(t, clock, func(kind Kind) ([]byte, error) {
+		// Vary the profile so folds keep inserting new functions.
+		return cpuProfileBytes(t, false, map[string]int64{
+			"main;steady": 100,
+			fmt.Sprintf("main;f%d", time.Now().UnixNano()%97): 50,
+		}), nil
+	}, nil)
 
 	const workers = 4
 	const iters = 50
@@ -37,7 +34,7 @@ func TestConcurrentCaptureQueryBaseline(t *testing.T) {
 					t.Errorf("capture: %v", err)
 					return
 				}
-				clock.Advance(7 * time.Millisecond)
+				clock.Advance(epoch / 7)
 			}
 		}()
 	}

@@ -221,8 +221,6 @@ type Options struct {
 	// QueueDepth bounds waiting items before admission control sheds.
 	// Default 64.
 	QueueDepth int
-	// Now is the wall clock (tests). Default time.Now.
-	Now func() time.Time
 	// Registry receives the caladrius_sched_* series. Default: a
 	// private registry.
 	Registry *telemetry.Registry
@@ -233,7 +231,6 @@ type Options struct {
 type Scheduler struct {
 	workers int
 	depth   int
-	now     func() time.Time
 	reg     *telemetry.Registry
 
 	queueDepthG *telemetry.Gauge
@@ -270,14 +267,10 @@ func New(opts Options) *Scheduler {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
 	}
-	if opts.Now == nil {
-		opts.Now = time.Now
-	}
 	opts.Registry = cmp.Or(opts.Registry, telemetry.NewRegistry())
 	s := &Scheduler{
 		workers:   opts.Workers,
 		depth:     opts.QueueDepth,
-		now:       opts.Now,
 		reg:       opts.Registry,
 		tenants:   map[string]int{},
 		inflight:  map[flightKey]*run{},
@@ -351,7 +344,7 @@ func (s *Scheduler) Submit(ctx context.Context, req Request, fn func(context.Con
 		fn:       fn,
 		ctx:      context.WithoutCancel(ctx),
 		r:        r,
-		enqueued: s.now(),
+		enqueued: time.Now(),
 		waitSpan: telemetry.SpanFromContext(ctx).Child("queue-wait"),
 	}
 	if req.Hash != 0 {
@@ -443,11 +436,11 @@ func (s *Scheduler) worker() {
 		kc := s.kindCountersLocked(it.req.Kind)
 		s.mu.Unlock()
 
-		s.waitHist.Observe(s.now().Sub(it.enqueued).Seconds())
+		s.waitHist.Observe(time.Since(it.enqueued).Seconds())
 		it.waitSpan.End()
-		start := s.now()
+		start := time.Now()
 		result, err := runSafely(it.ctx, it.fn)
-		elapsed := s.now().Sub(start)
+		elapsed := time.Since(start)
 
 		s.mu.Lock()
 		s.busy--

@@ -27,8 +27,10 @@
 # PRs quote, how many functions (and lines) and exported variables
 # under internal/ only tests reach, from the reachability test in
 # exports_test.go, how many daemon settings there are (YAML keys and
-# flags among them), from the settings table's shape test, and the
-# TSDB's resident bytes a sample against their budgets, from the two
+# flags among them), from the settings table's shape test, how many
+# option fields internal/ declares and how many of them are seams only
+# tests set, from the option test in exports_test.go, and the TSDB's
+# resident bytes a sample against their budgets, from the two
 # memory-budget tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -70,5 +72,6 @@ echo "verify: all checks passed"
 scripts/loc.sh
 go test -run '^TestEveryFunctionNamesItsUser$' -v . | grep -o 'test-only functions: .*'
 go test -run '^TestSettingsTableShape$' -v ./internal/config | grep -o 'settings: .*'
+go test -run '^TestEveryOptionNamesItsUser$' -v . | grep -o 'option fields: .*'
 go test -run '^TestResidentBytesPerSample$' -v ./internal/tsdb | grep -o 'resident bytes/sample.*'
 go test -run '^TestWarmUpResidentBytesPerSample$' -v ./internal/heron | grep -o 'resident bytes/sample.*'
