@@ -162,11 +162,7 @@ func BenchmarkSimulatorMinuteWithInjector(b *testing.B) {
 // gives every record the same window, which audit.resolve_ms times.
 // Refilling the ring is not timed.
 func BenchmarkAuditResolveFullRing(b *testing.B) {
-	sub, err := heron.SimulateWordCount(heron.WordCountOptions{SplitterP: 3, CounterP: 4, RatePerMinute: 45e6}, 2*time.Hour)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prov, err := metrics.NewTSDBProvider(sub.DB, time.Minute)
+	d, err := metrics.DeployWordCount(heron.WordCountOptions{SplitterP: 3, CounterP: 4, RatePerMinute: 45e6}, 0, 120)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -182,8 +178,8 @@ func BenchmarkAuditResolveFullRing(b *testing.B) {
 	const ring = 4096 // the ledger's capacity
 	b.Run("live-clock", func(b *testing.B) {
 		led, err := audit.NewLedger(audit.Options{
-			Provider: prov, History: tsdb.New(time.Hour), Registry: telemetry.NewRegistry(),
-			Now: func() time.Time { return sub.AsOf },
+			Provider: d.Provider, History: tsdb.New(time.Hour), Registry: telemetry.NewRegistry(),
+			Now: func() time.Time { return d.AsOf },
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -192,11 +188,11 @@ func BenchmarkAuditResolveFullRing(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			for j := 0; j < ring; j++ {
-				rec.CreatedAt = sub.AsOf.Add(-time.Duration(ring-1-j) * time.Second)
+				rec.CreatedAt = d.AsOf.Add(-time.Duration(ring-1-j) * time.Second)
 				led.Record(rec)
 			}
 			b.StartTimer()
-			if n := led.ResolveOnce(sub.AsOf); n != ring {
+			if n := led.ResolveOnce(d.AsOf); n != ring {
 				b.Fatalf("ResolveOnce = %d, want %d", n, ring)
 			}
 		}
@@ -249,12 +245,12 @@ func BenchmarkSLOEvaluateArmed(b *testing.B) {
 // tune switches back on what it measures.
 func benchDaemon(b *testing.B, warm time.Duration, tune func(*daemon.Config)) *daemon.Daemon {
 	b.Helper()
-	sub, err := heron.SimulateWordCount(heron.WordCountOptions{RatePerMinute: 8e6}, warm)
+	dep, err := metrics.DeployWordCount(heron.WordCountOptions{RatePerMinute: 8e6}, 0, int(warm/time.Minute))
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := daemon.Default()
-	cfg.Substrate = sub
+	cfg.Substrate = dep.Substrate
 	cfg.CalibrationLookback = warm
 	cfg.CalibrationWarmup = 2
 	cfg.LogOutput = io.Discard

@@ -11,6 +11,7 @@ import (
 
 	"caladrius/internal/daemon"
 	"caladrius/internal/heron"
+	"caladrius/internal/metrics"
 	"caladrius/internal/workload"
 )
 
@@ -20,15 +21,15 @@ import (
 func newTestServer(t *testing.T, mutate ...func(*daemon.Config)) (*httptest.Server, *daemon.Daemon) {
 	t.Helper()
 	const warm = 30 * time.Minute
-	sub, err := heron.SimulateWordCount(heron.WordCountOptions{
+	dep, err := metrics.DeployWordCount(heron.WordCountOptions{
 		SplitterP: 3, CounterP: 8,
 		Schedule: workload.StepRate(20e6/60, 45e6/60, warm/2),
-	}, warm)
+	}, 0, int(warm/time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := daemon.Default()
-	cfg.Substrate = sub
+	cfg.Substrate = dep.Substrate
 	cfg.CalibrationLookback = warm
 	cfg.LogOutput = io.Discard
 	cfg.ProfileInterval = 0

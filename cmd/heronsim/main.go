@@ -18,12 +18,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"caladrius/internal/chaos"
 	"caladrius/internal/heron"
 	"caladrius/internal/metrics"
-	"caladrius/internal/topology"
 	"caladrius/internal/workload"
 )
 
@@ -83,9 +81,8 @@ func run(o options, out, errOut io.Writer) error {
 		}
 		opts.Schedule = trace.Schedule()
 	}
-	// The simulation is built here rather than deployed through
-	// metrics.DeployWordCount because a fault plan has to be armed on it
-	// before it runs.
+	// The simulation is built before it is deployed so a fault plan can
+	// be armed on it first.
 	sim, err := heron.NewWordCount(opts)
 	if err != nil {
 		return err
@@ -104,20 +101,14 @@ func run(o options, out, errOut io.Writer) error {
 			return fmt.Errorf("the fault plan's metrics faults %v cannot fire: "+
 				"heronsim reads the simulator's own store, with no metrics provider between", m)
 		}
-		top, err := heron.WordCountTopology(o.spoutP, o.splitterP, o.counterP)
-		if err != nil {
-			return err
-		}
-		pack, err := topology.RoundRobinPack(top, o.containers)
-		if err != nil {
-			return err
-		}
-		if inj, err = chaos.NewInjector(plan, top, pack); err != nil {
+		sub := sim.Substrate()
+		if inj, err = chaos.NewInjector(plan, sub.Topology, sub.Plan); err != nil {
 			return err
 		}
 		sim.WithFaultInjector(inj)
 	}
-	if err := sim.Run(time.Duration(o.minutes) * time.Minute); err != nil {
+	d, err := metrics.Deploy(sim, 0, o.minutes)
+	if err != nil {
 		return err
 	}
 	if inj != nil {
@@ -125,11 +116,6 @@ func run(o options, out, errOut io.Writer) error {
 			fmt.Fprint(errOut, trace)
 		}
 	}
-	prov, err := metrics.NewTSDBProvider(sim.DB(), time.Minute)
-	if err != nil {
-		return err
-	}
-	start, end := sim.Start(), sim.Start().Add(time.Duration(o.minutes)*time.Minute)
 
 	if o.csv {
 		fmt.Fprintln(out, "minute,component,source,arrival,execute,emit,backpressure_ms,cpu_cores")
@@ -137,18 +123,18 @@ func run(o options, out, errOut io.Writer) error {
 		fmt.Fprintf(out, "%-7s %-10s %14s %14s %14s %14s %10s %9s\n",
 			"minute", "component", "source", "arrival", "execute", "emit", "bp_ms", "cpu")
 	}
-	for _, comp := range []string{"spout", "splitter", "counter"} {
-		ws, err := prov.ComponentWindows("word-count", comp, start, end)
+	for _, c := range d.Topology.Components() {
+		ws, err := d.Provider.ComponentWindows(d.Topology.Name(), c.Name, d.Start, d.AsOf)
 		if err != nil {
 			return err
 		}
 		for i, w := range ws {
 			if o.csv {
 				fmt.Fprintf(out, "%d,%s,%.0f,%.0f,%.0f,%.0f,%.0f,%.3f\n",
-					i, comp, w.Source, w.Arrival, w.Execute, w.Emit, w.BackpressureMs, w.CPULoad)
+					i, c.Name, w.Source, w.Arrival, w.Execute, w.Emit, w.BackpressureMs, w.CPULoad)
 			} else {
 				fmt.Fprintf(out, "%-7d %-10s %14.0f %14.0f %14.0f %14.0f %10.0f %9.3f\n",
-					i, comp, w.Source, w.Arrival, w.Execute, w.Emit, w.BackpressureMs, w.CPULoad)
+					i, c.Name, w.Source, w.Arrival, w.Execute, w.Emit, w.BackpressureMs, w.CPULoad)
 			}
 		}
 	}
@@ -160,7 +146,7 @@ func run(o options, out, errOut io.Writer) error {
 		}
 	}
 	if o.save != "" {
-		if err := sim.DB().SaveFile(o.save); err != nil {
+		if err := d.DB.SaveFile(o.save); err != nil {
 			return err
 		}
 		fmt.Fprintf(errOut, "metrics snapshot written to %s\n", o.save)

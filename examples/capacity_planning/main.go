@@ -80,10 +80,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	prov, start, end := d.Provider, d.Start, d.End
+	prov, start, end, top := d.Provider, d.Start, d.AsOf, d.Topology
 
 	// --- 2. Pick the best forecast model by backtest. ------------------
-	history, err := prov.SourceRate("word-count", []string{"spout"}, start, end)
+	history, err := prov.SourceRate(top.Name(), top.Spouts(), start, end)
 	if err != nil {
 		return err
 	}
@@ -130,7 +130,6 @@ func run() error {
 	fmt.Printf("== %s forecasts tomorrow's peak at %.1f M tuples/min (upper band)\n", best.Model, peak/1e6)
 
 	// --- 4. Plan capacity for the peak and dry-run-verify it. ----------
-	top := d.Topology
 	models, err := core.CalibrateTopologyFromProvider(prov, top, start, end, core.CalibrationOptions{Warmup: d.Warmup})
 	if err != nil {
 		return err
@@ -143,11 +142,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	plan["spout"] = 8
+	for _, spout := range top.Spouts() {
+		plan[spout] = top.Component(spout).Parallelism // spouts stay as deployed
+	}
 	// Only components whose saturation point was observed can be
 	// sized; the rest keep their current (never-saturated) parallelism.
 	for _, c := range top.Components() {
-		if m, ok := models[c.Name]; ok && !m.Instance.SaturatedObservable() && c.Name != "spout" {
+		if m, ok := models[c.Name]; ok && !m.Instance.SaturatedObservable() {
 			if plan[c.Name] < c.Parallelism {
 				fmt.Printf("   (%s never saturated in the trace; keeping its current parallelism %d)\n", c.Name, c.Parallelism)
 				plan[c.Name] = c.Parallelism

@@ -27,6 +27,7 @@ import (
 	"caladrius/internal/core"
 	"caladrius/internal/daemon"
 	"caladrius/internal/heron"
+	"caladrius/internal/metrics"
 	"caladrius/internal/workload"
 )
 
@@ -44,27 +45,19 @@ func run() error {
 	// the saturation point from history alone.
 	spec := workload.TrafficSpec{Base: 16e6, DailyAmplitude: 0.4}
 	fmt.Println("== simulating 3 days of seasonal traffic on word-count (splitter=2, counter=3)")
-	sim, err := heron.NewWordCount(heron.WordCountOptions{
+	// The seasonal schedule is anchored at the simulator's start.
+	history, err := metrics.DeployWordCount(heron.WordCountOptions{
 		SplitterP: 2, CounterP: 3,
-		Tick: time.Second,
-	})
-	if err != nil {
-		return err
-	}
-	// Rebuild with the seasonal schedule anchored at the simulation
-	// start.
-	history, err := heron.SimulateWordCount(heron.WordCountOptions{
-		SplitterP: 2, CounterP: 3,
-		Schedule: workload.SeasonalRate(spec, sim.Start()),
+		Schedule: workload.SeasonalRate(spec, heron.DefaultStart),
 		Tick:     time.Second,
-	}, 3*24*time.Hour)
+	}, 0, 3*24*60)
 	if err != nil {
 		return err
 	}
 
 	// --- Stand up the Caladrius service over that history. -----------
 	cfg := daemon.Default()
-	cfg.Substrate = history
+	cfg.Substrate = history.Substrate
 	cfg.LogOutput = io.Discard
 	cfg.CalibrationLookback = 3 * 24 * time.Hour
 	cfg.CalibrationWarmup = 10

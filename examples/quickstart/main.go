@@ -43,18 +43,17 @@ func run() error {
 
 	// --- 2. Calibrate component models from observed metrics. --------
 	fmt.Println("== 2. calibrating component models from 15 minutes of metrics")
+	top := deployed.Topology
 	models := map[string]*core.ComponentModel{}
-	components := []string{"spout", "splitter", "counter"}
-	parallelism := map[string]int{"spout": 8, "splitter": 2, "counter": 3}
-	for _, comp := range components {
-		m, err := core.CalibrateFromProvider(deployed.Provider, "word-count", comp, parallelism[comp],
-			deployed.Start, deployed.End, core.CalibrationOptions{Warmup: warmup})
+	for _, c := range top.Components() {
+		m, err := core.CalibrateFromProvider(deployed.Provider, top.Name(), c.Name, c.Parallelism,
+			deployed.Start, deployed.AsOf, core.CalibrationOptions{Warmup: warmup})
 		if err != nil {
-			return fmt.Errorf("calibrate %s: %w", comp, err)
+			return fmt.Errorf("calibrate %s: %w", c.Name, err)
 		}
-		models[comp] = m
+		models[c.Name] = m
 		fmt.Printf("   %-8s α=%.3f  per-instance SP=%s  ψ=%.2e\n",
-			comp, m.Instance.Alpha, fmtRate(m.Instance.SP), m.CPUPsi)
+			c.Name, m.Instance.Alpha, fmtRate(m.Instance.SP), m.CPUPsi)
 	}
 	// Nothing saturated at 18 M/min, so the saturation points are still
 	// unknown (SP = ∞ above). §V-B needs one observation in the
@@ -62,13 +61,13 @@ func run() error {
 	// backpressure only the tightest component saturates, so each bolt
 	// gets its own profiling run in which *it* is the bottleneck.
 	fmt.Println("== 2b. profiling saturation: one run per bolt, each as the bottleneck")
-	profile := func(splitterP, counterP int, rate float64, comp string, p int) error {
+	profile := func(splitterP, counterP int, rate float64, comp string) error {
 		d, err := metrics.DeployWordCount(heron.WordCountOptions{SplitterP: splitterP, CounterP: counterP, RatePerMinute: rate}, warmup, 11)
 		if err != nil {
 			return err
 		}
-		m, err := core.CalibrateFromProvider(d.Provider, "word-count", comp, p,
-			d.Start, d.End, core.CalibrationOptions{Warmup: warmup})
+		m, err := core.CalibrateFromProvider(d.Provider, d.Topology.Name(), comp, d.Topology.Component(comp).Parallelism,
+			d.Start, d.AsOf, core.CalibrationOptions{Warmup: warmup})
 		if err != nil {
 			return err
 		}
@@ -77,22 +76,18 @@ func run() error {
 	}
 	// Splitter bottleneck: p=2 splitter behind a wide counter, driven
 	// past 2×SP.
-	if err := profile(2, 6, 40e6, "splitter", 2); err != nil {
+	if err := profile(2, 6, 40e6, "splitter"); err != nil {
 		return err
 	}
 	// Counter bottleneck: p=3 counter behind a wide splitter.
-	if err := profile(6, 3, 35e6, "counter", 3); err != nil {
+	if err := profile(6, 3, 35e6, "counter"); err != nil {
 		return err
 	}
-	for _, comp := range components {
-		fmt.Printf("   %-8s per-instance SP now %s\n", comp, fmtRate(models[comp].Instance.SP))
+	for _, c := range top.Components() {
+		fmt.Printf("   %-8s per-instance SP now %s\n", c.Name, fmtRate(models[c.Name].Instance.SP))
 	}
 
 	// --- 3. Dry-run the future without deploying. ---------------------
-	top, err := heron.WordCountTopology(8, 2, 3)
-	if err != nil {
-		return err
-	}
 	tm, err := core.NewTopologyModel(top, models)
 	if err != nil {
 		return err
@@ -109,7 +104,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	plan["spout"] = 8
+	for _, spout := range top.Spouts() {
+		plan[spout] = top.Component(spout).Parallelism // spouts stay as deployed
+	}
 	fmt.Printf("   suggested plan: splitter=%d counter=%d\n", plan["splitter"], plan["counter"])
 	pred2, err := tm.Predict(plan, futureRate)
 	if err != nil {

@@ -146,7 +146,7 @@ func calibrate() (map[string]*core.ComponentModel, error) {
 		if err != nil {
 			return nil, err
 		}
-		runModels, err := core.CalibrateTopologyFromProvider(d.Provider, d.Topology, d.Start, d.End, core.CalibrationOptions{Warmup: d.Warmup})
+		runModels, err := core.CalibrateTopologyFromProvider(d.Provider, d.Topology, d.Start, d.AsOf, core.CalibrationOptions{Warmup: d.Warmup})
 		if err != nil {
 			return nil, err
 		}

@@ -35,8 +35,7 @@ func run() error {
 
 	// --- Dhalion: symptom → diagnosis → resolution, repeatedly. -------
 	fmt.Println("== dhalion (reactive):")
-	deployer := &dhalion.WordCountDeployer{RatePerMinute: rate}
-	dres, err := dhalion.Scaler{SLOThroughputTPM: slo}.Run(initial, deployer)
+	dres, err := dhalion.Scaler{RatePerMinute: rate, SLOThroughputTPM: slo}.Run(initial)
 	if err != nil {
 		return err
 	}

@@ -43,7 +43,6 @@ var testOnly = map[string]string{
 	"heron.Cluster.Elapsed":             "PAPER.md row 2: Cluster",
 	"heron.Cluster.Run":                 "PAPER.md row 2: Cluster",
 	"heron.Cluster.Update":              "PAPER.md row 2: Cluster update, incl. dry-run",
-	"heron.Simulation.Elapsed":          "heron.Cluster.Elapsed and Cluster.Update (PAPER.md row 2)",
 	"topology.Topology.WithParallelism": "heron.Cluster.Update (PAPER.md row 2); internal/tracker TestUpdateBumpsVersion",
 
 	// Seams other packages' tests drive.

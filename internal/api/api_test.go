@@ -48,22 +48,18 @@ func newDeployment(t *testing.T) deployment {
 // result as a deployment.
 func simulate(t *testing.T, opts heron.WordCountOptions, warm time.Duration) deployment {
 	t.Helper()
-	sub, err := heron.SimulateWordCount(opts, warm)
+	d, err := metrics.DeployWordCount(opts, 0, int(warm/time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := tracker.New(func() time.Time { return sub.AsOf })
-	if err := tr.Register(sub.Topology, sub.Plan); err != nil {
-		t.Fatal(err)
-	}
-	provider, err := metrics.NewTSDBProvider(sub.DB, time.Minute)
-	if err != nil {
+	tr := tracker.New(func() time.Time { return d.AsOf })
+	if err := tr.Register(d.Topology, d.Plan); err != nil {
 		t.Fatal(err)
 	}
 	cfg := config.Default()
 	cfg.CalibrationLookback = warm
 	cfg.CalibrationWarmup = 3
-	return deployment{tr: tr, provider: provider, cfg: cfg, asOf: sub.AsOf}
+	return deployment{tr: tr, provider: d.Provider, cfg: cfg, asOf: d.AsOf}
 }
 
 // withRequired fills each of opts' required components (and the clock)

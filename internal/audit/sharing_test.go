@@ -76,15 +76,11 @@ func (p *countingProvider) total() (queries, most int) {
 // returns a provider over its metrics and the instant they end at.
 func wordCountActuals(t testing.TB, minutes int) (*metrics.TSDBProvider, time.Time) {
 	t.Helper()
-	sub, err := heron.SimulateWordCount(heron.WordCountOptions{SplitterP: 3, CounterP: 4, RatePerMinute: 45e6}, time.Duration(minutes)*time.Minute)
+	d, err := metrics.DeployWordCount(heron.WordCountOptions{SplitterP: 3, CounterP: 4, RatePerMinute: 45e6}, 0, minutes)
 	if err != nil {
-		t.Fatalf("SimulateWordCount: %v", err)
+		t.Fatalf("DeployWordCount: %v", err)
 	}
-	prov, err := metrics.NewTSDBProvider(sub.DB, time.Minute)
-	if err != nil {
-		t.Fatalf("provider: %v", err)
-	}
-	return prov, sub.AsOf
+	return d.Provider, d.AsOf
 }
 
 var wordCountCalibration = []core.ComponentCalibration{
@@ -156,19 +152,15 @@ func TestResolveFullRingSharesWindows(t *testing.T) {
 // apart join different actuals — keys share only when identical.
 func TestResolveDistinctInstantsKeepOwnWindows(t *testing.T) {
 	// An unsaturated ramp: every minute's throughput differs.
-	sub, err := heron.SimulateWordCount(heron.WordCountOptions{
+	d, err := metrics.DeployWordCount(heron.WordCountOptions{
 		SplitterP: 3, CounterP: 4,
 		Schedule: func(elapsed time.Duration) float64 { return (10e6 + 10e6*elapsed.Minutes()/12) / 60 },
-	}, 12*time.Minute)
+	}, 0, 12)
 	if err != nil {
-		t.Fatalf("SimulateWordCount: %v", err)
+		t.Fatalf("DeployWordCount: %v", err)
 	}
-	prov, err := metrics.NewTSDBProvider(sub.DB, time.Minute)
-	if err != nil {
-		t.Fatalf("provider: %v", err)
-	}
-	now := sub.AsOf
-	counting := &countingProvider{Provider: prov}
+	now := d.AsOf
+	counting := &countingProvider{Provider: d.Provider}
 	led := testLedger(t, Options{Provider: counting, Now: func() time.Time { return now }})
 	const n = 5
 	for i := 0; i < n; i++ {
@@ -183,7 +175,7 @@ func TestResolveDistinctInstantsKeepOwnWindows(t *testing.T) {
 	seen := map[float64]bool{}
 	for i := 0; i < n; i++ {
 		got, _ := led.Get(int64(i + 1))
-		want := resolvedAlone(t, prov, fleetRecord(i, got.CreatedAt), now)
+		want := resolvedAlone(t, d.Provider, fleetRecord(i, got.CreatedAt), now)
 		if !reflect.DeepEqual(got.Observed, want.Observed) || !reflect.DeepEqual(got.Errors, want.Errors) {
 			t.Fatalf("record %d: pass joined %+v, alone %+v", i, got.Observed, want.Observed)
 		}

@@ -95,8 +95,8 @@ type Config struct {
 	// in-process callers by assignment. Their rows of the settings table
 	// describe them; 0 and "" mean off only where said there.
 
-	// Demo substrate: WarmMinutes of simulated word-count history at
-	// Rate tuples/minute, or the heronsim snapshot in MetricsFile.
+	// Demo substrate: WarmMinutes of word-count history simulated at
+	// Rate and SplitterP/CounterP, or MetricsFile's heronsim snapshot.
 	Rate                float64
 	SplitterP, CounterP int
 	WarmMinutes         int

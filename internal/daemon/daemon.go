@@ -336,7 +336,7 @@ func (d *Daemon) substrate() (*heron.Substrate, error) {
 	case cfg.Substrate != nil:
 		return cfg.Substrate, nil
 	case cfg.MetricsFile != "":
-		sub, err := heron.LoadWordCountSnapshot(cfg.MetricsFile, cfg.SplitterP, cfg.CounterP)
+		sub, err := heron.LoadWordCountSnapshot(cfg.MetricsFile)
 		if err == nil {
 			d.logger.Info("loaded metrics snapshot", "file", cfg.MetricsFile, "points", sub.DB.TotalPoints(), "as_of", sub.AsOf)
 		}
@@ -347,12 +347,16 @@ func (d *Daemon) substrate() (*heron.Substrate, error) {
 	if cfg.CalibrationLookback > warm {
 		d.cfg.CalibrationLookback = warm // the simulated history is no longer than that
 	}
-	return heron.SimulateWordCount(heron.WordCountOptions{
+	dep, err := metrics.DeployWordCount(heron.WordCountOptions{
 		SplitterP: cfg.SplitterP,
 		CounterP:  cfg.CounterP,
 		Schedule:  workload.ConstantRate(cfg.Rate / 60),
 		Metrics:   d.Registry,
-	}, warm)
+	}, 0, cfg.WarmMinutes)
+	if err != nil {
+		return nil, err
+	}
+	return dep.Substrate, nil
 }
 
 // loadHistory restores the self-monitoring store from HistoryFile, or

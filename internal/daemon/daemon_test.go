@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -18,8 +19,10 @@ import (
 	"testing"
 	"time"
 
+	"caladrius/internal/api"
 	"caladrius/internal/audit"
 	"caladrius/internal/heron"
+	"caladrius/internal/metrics"
 	"caladrius/internal/telemetry"
 	"caladrius/internal/tsdb"
 	"caladrius/internal/workload"
@@ -318,19 +321,8 @@ func TestDaemonShape(t *testing.T) {
 // does, with the same statuses.
 func TestSnapshotSubstrateServesSameSurface(t *testing.T) {
 	simulated := testConfig()
-	sub, err := heron.SimulateWordCount(heron.WordCountOptions{
-		SplitterP: simulated.SplitterP,
-		CounterP:  simulated.CounterP,
-		Schedule:  workload.ConstantRate(simulated.Rate / 60),
-	}, time.Duration(simulated.WarmMinutes)*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
 	snapshot := testConfig()
-	snapshot.MetricsFile = filepath.Join(t.TempDir(), "metrics.json")
-	if err := sub.DB.SaveFile(snapshot.MetricsFile); err != nil {
-		t.Fatal(err)
-	}
+	snapshot.MetricsFile = saveDemoHistory(t, simulated)
 
 	probes := []struct {
 		method, path string
@@ -365,6 +357,67 @@ func TestSnapshotSubstrateServesSameSurface(t *testing.T) {
 		if err := d.Close(); err != nil {
 			t.Errorf("%s: Close: %v", name, err)
 		}
+	}
+}
+
+// saveDemoHistory writes the demo history cfg would simulate to a
+// metrics snapshot file, as `heronsim -save` does, and returns its path.
+func saveDemoHistory(t *testing.T, cfg Config) string {
+	t.Helper()
+	dep, err := metrics.DeployWordCount(heron.WordCountOptions{
+		SplitterP: cfg.SplitterP,
+		CounterP:  cfg.CounterP,
+		Schedule:  workload.ConstantRate(cfg.Rate / 60),
+	}, 0, cfg.WarmMinutes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "metrics.json")
+	if err := dep.DB.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestSnapshotCarriesItsPlan: a snapshot saved at splitter 2 / counter
+// 6 and served with the default -splitter/-counter (3 / 4) registers
+// its own parallelisms, and answers the splitter-4 what-if as a daemon
+// simulating the same history with matching flags does: 4 × 10.8 M =
+// 43.2 M, not the 28.8 M of a per-instance SP calibrated over three
+// splitters where two ran.
+func TestSnapshotCarriesItsPlan(t *testing.T) {
+	matching := testConfig()
+	matching.SplitterP, matching.CounterP = 2, 6
+	snapshot := testConfig()
+	snapshot.MetricsFile = saveDemoHistory(t, matching)
+
+	splitter4 := func(name string, cfg Config) float64 {
+		d, err := New(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		defer d.Close()
+		info, err := d.Tracker.Get("word-count")
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for comp, want := range map[string]int{"spout": 8, "splitter": 2, "counter": 6} {
+			if got := info.Topology.Component(comp).Parallelism; got != want {
+				t.Errorf("%s: registered %s parallelism %d, want %d", name, comp, got, want)
+			}
+		}
+		rec := httptest.NewRecorder()
+		d.Handler().ServeHTTP(rec, httptest.NewRequest("POST", predictPath, strings.NewReader(`{"parallelism": {"splitter": 4}}`)))
+		var resp api.PerformanceResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("%s: predict = %d, %v (%s)", name, rec.Code, err, rec.Body)
+		}
+		return resp.Prediction.SaturationSource
+	}
+	want := splitter4("matching flags", matching)
+	got := splitter4("snapshot", snapshot)
+	if got != want || math.Abs(got-43.2e6) > 0.02*43.2e6 {
+		t.Errorf("splitter-4 saturation from the snapshot = %.4g, want %.4g as with matching flags (≈43.2 M)", got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package dhalion
 
 import (
 	"fmt"
+	"maps"
 	"math"
 
 	"caladrius/internal/core"
@@ -45,7 +46,7 @@ func (c CaladriusTuner) Run(initial map[string]int) (Result, error) {
 	if c.SLOThroughputTPM <= 0 || c.RatePerMinute <= 0 {
 		return Result{}, fmt.Errorf("dhalion: caladrius tuner needs positive rate and SLO")
 	}
-	current := cloneInts(initial)
+	current := maps.Clone(initial)
 	known := map[string]*knownModel{}
 	res := Result{}
 	for round := 0; round < tunerMaxRounds; round++ {
@@ -53,7 +54,7 @@ func (c CaladriusTuner) Run(initial map[string]int) (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		r := Round{Parallelisms: cloneInts(current), Measurement: m}
+		r := Round{Parallelisms: maps.Clone(current), Measurement: m}
 		sloMet := m.SinkThroughputTPM >= c.SLOThroughputTPM*(1-sloTolerance)
 		hasBp := m.BackpressureMsPerMin >= backpressureThresholdMs
 		if sloMet && !hasBp {
@@ -65,7 +66,7 @@ func (c CaladriusTuner) Run(initial map[string]int) (Result, error) {
 			return res.stop(r, false)
 		}
 		// Calibrate what this deployment can teach us.
-		models, err := core.CalibrateTopologyFromProvider(d.Provider, d.Topology, d.Start, d.End, core.CalibrationOptions{Warmup: d.Warmup})
+		models, err := core.CalibrateTopologyFromProvider(d.Provider, d.Topology, d.Start, d.AsOf, core.CalibrationOptions{Warmup: d.Warmup})
 		if err != nil {
 			return res, fmt.Errorf("dhalion: round %d calibrate: %w", round+1, err)
 		}
@@ -112,14 +113,14 @@ func (c CaladriusTuner) Run(initial map[string]int) (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		plan["spout"] = current["spout"] // spouts stay fixed, as in §V
+		for _, spout := range d.Topology.Spouts() {
+			plan[spout] = current[spout] // spouts stay fixed, as in §V
+		}
 		// Components with unknown SP cannot be sized yet; keep their
 		// current parallelism so the next bottleneck reveals itself.
 		for comp, k := range known {
-			if math.IsInf(k.sp, 1) && comp != "spout" {
-				if plan[comp] < current[comp] {
-					plan[comp] = current[comp]
-				}
+			if math.IsInf(k.sp, 1) && plan[comp] < current[comp] {
+				plan[comp] = current[comp]
 			}
 		}
 		r.Diagnosis = fmt.Sprintf("model plan → splitter=%d counter=%d", plan["splitter"], plan["counter"])
@@ -130,6 +131,6 @@ func (c CaladriusTuner) Run(initial map[string]int) (Result, error) {
 		current = plan
 	}
 	res.Reason = "round budget exhausted"
-	res.FinalParallelisms = cloneInts(current)
+	res.FinalParallelisms = maps.Clone(current)
 	return res, nil
 }

@@ -8,15 +8,14 @@
 // adjustment, the "plan → deploy → stabilize → analyze loop" the paper
 // says can take weeks on production topologies.
 //
-// The package is deliberately engine-agnostic: it drives any Deployer,
-// and the heron-simulator implementation lives alongside so benchmarks
-// can race Dhalion's round count against Caladrius' single dry-run
-// iteration.
+// Both loops deploy word-count on the heron simulator through the
+// package's one deploy, so benchmarks can race Dhalion's round count
+// against Caladrius' single dry-run iteration.
 package dhalion
 
 import (
-	"errors"
 	"fmt"
+	"maps"
 
 	"caladrius/internal/heron"
 	"caladrius/internal/metrics"
@@ -34,13 +33,6 @@ type Measurement struct {
 	// SinkThroughputTPM is the summed processing throughput of sink
 	// components in tuples/minute (the SLO metric).
 	SinkThroughputTPM float64
-}
-
-// Deployer deploys a configuration and measures its stabilised
-// behaviour. Each call represents a full deploy-stabilise-measure
-// round.
-type Deployer interface {
-	Deploy(parallelisms map[string]int) (Measurement, error)
 }
 
 // Round records one iteration of the scaling loop.
@@ -72,7 +64,7 @@ func (res *Result) stop(r Round, converged bool) (Result, error) {
 	res.Rounds = append(res.Rounds, r)
 	res.Converged = converged
 	res.Reason = r.Diagnosis
-	res.FinalParallelisms = cloneInts(r.Parallelisms)
+	res.FinalParallelisms = maps.Clone(r.Parallelisms)
 	return *res, nil
 }
 
@@ -96,6 +88,8 @@ const (
 
 // Scaler is the symptom → diagnosis → resolution loop.
 type Scaler struct {
+	// RatePerMinute is the offered source rate.
+	RatePerMinute float64
 	// SLOThroughputTPM is the required sink throughput.
 	SLOThroughputTPM float64
 	// MaxRounds bounds the loop. Default 12.
@@ -103,16 +97,13 @@ type Scaler struct {
 }
 
 // Run executes the scaling loop from the initial configuration.
-func (s Scaler) Run(initial map[string]int, d Deployer) (Result, error) {
-	if s.SLOThroughputTPM <= 0 {
-		return Result{}, fmt.Errorf("dhalion: non-positive SLO %g", s.SLOThroughputTPM)
+func (s Scaler) Run(initial map[string]int) (Result, error) {
+	if s.SLOThroughputTPM <= 0 || s.RatePerMinute <= 0 {
+		return Result{}, fmt.Errorf("dhalion: scaler needs positive rate and SLO, got %g and %g", s.RatePerMinute, s.SLOThroughputTPM)
 	}
 	maxRounds := s.MaxRounds
 	if maxRounds == 0 {
 		maxRounds = defaultMaxRounds
-	}
-	if d == nil {
-		return Result{}, errors.New("dhalion: nil deployer")
 	}
 	current := map[string]int{}
 	for k, v := range initial {
@@ -123,11 +114,11 @@ func (s Scaler) Run(initial map[string]int, d Deployer) (Result, error) {
 	}
 	res := Result{}
 	for round := 0; round < maxRounds; round++ {
-		m, err := d.Deploy(cloneInts(current))
+		m, _, err := deploy(s.RatePerMinute, current, scalerMeasureMinutes)
 		if err != nil {
 			return res, fmt.Errorf("dhalion: round %d deploy: %w", round+1, err)
 		}
-		r := Round{Parallelisms: cloneInts(current), Measurement: m}
+		r := Round{Parallelisms: maps.Clone(current), Measurement: m}
 
 		sloMet := m.SinkThroughputTPM >= s.SLOThroughputTPM*(1-sloTolerance)
 		hasBp := m.BackpressureMsPerMin >= backpressureThresholdMs
@@ -168,32 +159,8 @@ func (s Scaler) Run(initial map[string]int, d Deployer) (Result, error) {
 		res.Rounds = append(res.Rounds, r)
 	}
 	res.Reason = "round budget exhausted"
-	res.FinalParallelisms = cloneInts(current)
+	res.FinalParallelisms = maps.Clone(current)
 	return res, nil
-}
-
-func cloneInts(m map[string]int) map[string]int {
-	out := make(map[string]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// WordCountDeployer deploys word-count configurations on the heron
-// simulator: each Deploy runs a fresh simulation to steady state and
-// summarises it, exactly the cost profile of a real deployment round
-// (compressed in time).
-type WordCountDeployer struct {
-	// RatePerMinute is the offered source rate.
-	RatePerMinute float64
-}
-
-// Deploy implements Deployer: it waits stabiliseMinutes and measures
-// scalerMeasureMinutes.
-func (w WordCountDeployer) Deploy(parallelisms map[string]int) (Measurement, error) {
-	m, _, err := deploy(w.RatePerMinute, parallelisms, scalerMeasureMinutes)
-	return m, err
 }
 
 // Every deployment of either loop stabilises for stabiliseMinutes;
@@ -206,7 +173,9 @@ const (
 )
 
 // deploy runs one word-count deployment at rate and returns its summary
-// measurement together with the deployment it was read from.
+// measurement together with the deployment it was read from. Each call
+// runs a fresh simulation to steady state, exactly the cost profile of
+// a real deployment round (compressed in time).
 func deploy(rate float64, parallelisms map[string]int, measureMinutes int) (Measurement, *metrics.Deployment, error) {
 	d, err := metrics.DeployWordCount(heron.WordCountOptions{
 		SpoutP:        parallelisms["spout"],
@@ -218,14 +187,14 @@ func deploy(rate float64, parallelisms map[string]int, measureMinutes int) (Meas
 		return Measurement{}, nil, err
 	}
 	m := Measurement{ComponentBackpressureMs: map[string]float64{}}
-	for _, comp := range []string{"spout", "splitter", "counter"} {
-		ss, err := d.SteadyState(comp)
+	for _, c := range d.Topology.Components() {
+		ss, err := d.SteadyState(c.Name)
 		if err != nil {
 			return Measurement{}, nil, err
 		}
-		m.ComponentBackpressureMs[comp] = ss.BackpressureMs
-		if comp == "counter" {
-			m.SinkThroughputTPM = ss.Execute
+		m.ComponentBackpressureMs[c.Name] = ss.BackpressureMs
+		if len(d.Topology.Outbound(c.Name)) == 0 {
+			m.SinkThroughputTPM += ss.Execute
 		}
 	}
 	if m.BackpressureMsPerMin, err = d.BackpressureMs(); err != nil {

@@ -15,9 +15,8 @@ const (
 )
 
 func TestScalerConvergesOnSLO(t *testing.T) {
-	d := &WordCountDeployer{RatePerMinute: offeredRate}
-	s := Scaler{SLOThroughputTPM: sloRate}
-	res, err := s.Run(map[string]int{"spout": 8, "splitter": 1, "counter": 1}, d)
+	s := Scaler{RatePerMinute: offeredRate, SLOThroughputTPM: sloRate}
+	res, err := s.Run(map[string]int{"spout": 8, "splitter": 1, "counter": 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,9 +46,8 @@ func TestScalerConvergesOnSLO(t *testing.T) {
 }
 
 func TestScalerAlreadyHealthy(t *testing.T) {
-	d := &WordCountDeployer{RatePerMinute: offeredRate}
-	s := Scaler{SLOThroughputTPM: sloRate}
-	res, err := s.Run(map[string]int{"spout": 8, "splitter": 5, "counter": 6}, d)
+	s := Scaler{RatePerMinute: offeredRate, SLOThroughputTPM: sloRate}
+	res, err := s.Run(map[string]int{"spout": 8, "splitter": 5, "counter": 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,9 +59,8 @@ func TestScalerAlreadyHealthy(t *testing.T) {
 func TestScalerSourceLimited(t *testing.T) {
 	// Offered traffic can never meet the SLO; the scaler must stop
 	// rather than scale forever.
-	d := &WordCountDeployer{RatePerMinute: 5e6}
-	s := Scaler{SLOThroughputTPM: sloRate}
-	res, err := s.Run(map[string]int{"spout": 8, "splitter": 2, "counter": 2}, d)
+	s := Scaler{RatePerMinute: 5e6, SLOThroughputTPM: sloRate}
+	res, err := s.Run(map[string]int{"spout": 8, "splitter": 2, "counter": 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,22 +76,20 @@ func TestScalerSourceLimited(t *testing.T) {
 }
 
 func TestScalerValidation(t *testing.T) {
-	d := &WordCountDeployer{RatePerMinute: 1e6}
-	if _, err := (Scaler{}).Run(map[string]int{"spout": 1}, d); err == nil {
+	if _, err := (Scaler{RatePerMinute: 1e6}).Run(map[string]int{"spout": 1}); err == nil {
 		t.Error("zero SLO accepted")
 	}
-	if _, err := (Scaler{SLOThroughputTPM: 1}).Run(map[string]int{"spout": 0}, d); err == nil {
+	if _, err := (Scaler{RatePerMinute: 1e6, SLOThroughputTPM: 1}).Run(map[string]int{"spout": 0}); err == nil {
 		t.Error("zero parallelism accepted")
 	}
-	if _, err := (Scaler{SLOThroughputTPM: 1}).Run(map[string]int{"spout": 1}, nil); err == nil {
-		t.Error("nil deployer accepted")
+	if _, err := (Scaler{SLOThroughputTPM: 1}).Run(map[string]int{"spout": 1}); err == nil {
+		t.Error("zero rate accepted")
 	}
 }
 
 func TestScalerRoundBudget(t *testing.T) {
-	d := &WordCountDeployer{RatePerMinute: offeredRate}
-	s := Scaler{SLOThroughputTPM: sloRate, MaxRounds: 2}
-	res, err := s.Run(map[string]int{"spout": 8, "splitter": 1, "counter": 1}, d)
+	s := Scaler{RatePerMinute: offeredRate, SLOThroughputTPM: sloRate, MaxRounds: 2}
+	res, err := s.Run(map[string]int{"spout": 8, "splitter": 1, "counter": 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +111,7 @@ func TestCaladriusBeatsDhalionOnDeployments(t *testing.T) {
 	initial := map[string]int{"spout": 8, "splitter": 1, "counter": 1}
 
 	// --- Dhalion: reactive rounds.
-	dd := &WordCountDeployer{RatePerMinute: offeredRate}
-	dres, err := Scaler{SLOThroughputTPM: sloRate}.Run(initial, dd)
+	dres, err := Scaler{RatePerMinute: offeredRate, SLOThroughputTPM: sloRate}.Run(initial)
 	if err != nil {
 		t.Fatal(err)
 	}

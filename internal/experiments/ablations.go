@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"caladrius/internal/core"
 	"caladrius/internal/graph"
@@ -20,10 +19,9 @@ import (
 // intact (the spout's burst-resume keeps the duty cycle near 1), while
 // widening the drain window lengthens each cycle without changing the
 // per-minute average — evidence the model's binary backpressure
-// approximation is robust to the watermark configuration. It builds
-// its own simulations and measures them as metrics.Deployments, rather
-// than deploying through metrics.DeployWordCount, because word-count's
-// options do not reach the watermarks.
+// approximation is robust to the watermark configuration. Word-count's
+// options do not reach the watermarks, so each run assembles its own
+// heron.Config and deploys it through metrics.Deploy.
 func ablationWatermarkGap(sweep SweepOptions) ([]Table, error) {
 	t := Table{
 		Title:   "Backpressure bimodality vs watermark configuration (ablation of §IV-B1's assumption)",
@@ -51,15 +49,10 @@ func ablationWatermarkGap(sweep SweepOptions) ([]Table, error) {
 		if err != nil {
 			return 0, err
 		}
-		total := time.Duration(sweep.WarmupMinutes+sweep.MeasureMinutes) * time.Minute
-		if err := sim.Run(total); err != nil {
-			return 0, err
-		}
-		prov, err := metrics.NewTSDBProvider(sim.DB(), time.Minute)
+		d, err := metrics.Deploy(sim, sweep.WarmupMinutes, sweep.MeasureMinutes)
 		if err != nil {
 			return 0, err
 		}
-		d := metrics.Deployment{Provider: prov, Start: sim.Start(), End: sim.Start().Add(total), Topology: top, Warmup: sweep.WarmupMinutes}
 		return d.BackpressureMs()
 	}
 	// One task per (config, below/above-SP rate) pair; the shared
@@ -107,11 +100,12 @@ func ablationCalibrationAttribution(sweep SweepOptions) ([]Table, error) {
 		return nil, err
 	}
 	opts := core.CalibrationOptions{Warmup: d.Warmup}
-	naive, err := core.CalibrateFromProvider(d.Provider, "word-count", "splitter", 6, d.Start, d.End, opts)
+	splitter := d.Topology.Component("splitter")
+	naive, err := core.CalibrateFromProvider(d.Provider, d.Topology.Name(), splitter.Name, splitter.Parallelism, d.Start, d.AsOf, opts)
 	if err != nil {
 		return nil, err
 	}
-	aware, err := core.CalibrateTopologyFromProvider(d.Provider, d.Topology, d.Start, d.End, opts)
+	aware, err := core.CalibrateTopologyFromProvider(d.Provider, d.Topology, d.Start, d.AsOf, opts)
 	if err != nil {
 		return nil, err
 	}

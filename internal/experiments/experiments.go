@@ -162,17 +162,6 @@ func (o SweepOptions) validate() error {
 	return nil
 }
 
-// measurePoint deploys word-count for one sweep-shaped run and returns
-// the steady-state per-minute metrics of a component.
-func measurePoint(opts heron.WordCountOptions, sweep SweepOptions, component string) (metrics.SteadyState, error) {
-	opts.Tick = sweep.Tick
-	d, err := metrics.DeployWordCount(opts, sweep.WarmupMinutes, sweep.MeasureMinutes)
-	if err != nil {
-		return metrics.SteadyState{}, err
-	}
-	return d.SteadyState(component)
-}
-
 // measuredCI is a repeated observation of one component at one rate:
 // means with 90%-style low/high bounds across noise-seeded repeats,
 // mirroring the paper's "avg / 0.9low / 0.9high" series.
@@ -183,16 +172,21 @@ type measuredCI struct {
 	CPU                  float64
 }
 
-// measureCI repeats measurePoint with Repeats independent noise seeds,
-// fanned across the sweep's worker pool; the per-repeat seeds and the
-// order statistics are accumulated in are those of the old sequential
-// loop, so the result is bit-identical at any parallelism.
+// measureCI deploys word-count for Repeats sweep-shaped runs with
+// independent noise seeds, fanned across the sweep's worker pool, and
+// summarises a component's steady state over them; the per-repeat seeds
+// and the order statistics are accumulated in are those of the old
+// sequential loop, so the result is bit-identical at any parallelism.
 func measureCI(opts heron.WordCountOptions, sweep SweepOptions, component string) (measuredCI, error) {
-	opts.ServiceNoiseStd = sweep.NoiseStd
+	opts.Tick, opts.ServiceNoiseStd = sweep.Tick, sweep.NoiseStd
 	states, err := RunPoints(sweep, sweep.Repeats, func(r int) (metrics.SteadyState, error) {
 		o := opts
 		o.NoiseSeed = RepeatSeed(r)
-		return measurePoint(o, sweep, component)
+		d, err := metrics.DeployWordCount(o, sweep.WarmupMinutes, sweep.MeasureMinutes)
+		if err != nil {
+			return metrics.SteadyState{}, err
+		}
+		return d.SteadyState(component)
 	})
 	if err != nil {
 		return measuredCI{}, err
@@ -234,12 +228,12 @@ func calibrateSplitter(splitterP, counterP int, linearRate, satRate float64, swe
 			return nil, err
 		}
 		out := map[string]*core.ComponentModel{}
-		for comp, p := range map[string]int{"spout": 8, "splitter": splitterP, "counter": counterP} {
-			m, err := core.CalibrateFromProvider(d.Provider, "word-count", comp, p, d.Start, d.End, core.CalibrationOptions{Warmup: d.Warmup})
+		for _, c := range d.Topology.Components() {
+			m, err := core.CalibrateFromProvider(d.Provider, d.Topology.Name(), c.Name, c.Parallelism, d.Start, d.AsOf, core.CalibrationOptions{Warmup: d.Warmup})
 			if err != nil {
-				return nil, fmt.Errorf("calibrate %s: %w", comp, err)
+				return nil, fmt.Errorf("calibrate %s: %w", c.Name, err)
 			}
-			out[comp] = m
+			out[c.Name] = m
 		}
 		return out, nil
 	})

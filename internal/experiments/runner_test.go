@@ -110,9 +110,13 @@ func TestRunPointsFailingSimulation(t *testing.T) {
 		if i == badIdx {
 			p = -1 // rejected by the topology builder
 		}
-		return measurePoint(heron.WordCountOptions{
-			SplitterP: p, CounterP: 3, RatePerMinute: 8e6, NoiseSeed: RepeatSeed(i),
-		}, sweep, "splitter")
+		d, err := metrics.DeployWordCount(heron.WordCountOptions{
+			SplitterP: p, CounterP: 3, RatePerMinute: 8e6, NoiseSeed: RepeatSeed(i), Tick: sweep.Tick,
+		}, sweep.WarmupMinutes, sweep.MeasureMinutes)
+		if err != nil {
+			return metrics.SteadyState{}, err
+		}
+		return d.SteadyState("splitter")
 	})
 	if err == nil {
 		t.Fatal("expected the mid-sweep simulation failure to surface")

@@ -90,14 +90,12 @@ func dhalionVsCaladrius(SweepOptions) ([]Table, error) {
 	slo := rate * heron.SplitterAlpha * 0.98
 
 	// Dhalion's reactive loop and Caladrius' model-driven loop explore
-	// independent deployment sequences; race them on two workers. Each
-	// task gets its own copy of the initial parallelisms because both
-	// loops treat the map as scratch state.
+	// independent deployment sequences from one start, which neither
+	// writes; race them on two workers.
+	start := map[string]int{"spout": 8, "splitter": 1, "counter": 1}
 	results, err := RunPoints(SweepOptions{}, 2, func(i int) (dhalion.Result, error) {
-		start := map[string]int{"spout": 8, "splitter": 1, "counter": 1}
 		if i == 0 {
-			dd := &dhalion.WordCountDeployer{RatePerMinute: rate}
-			return dhalion.Scaler{SLOThroughputTPM: slo}.Run(start, dd)
+			return dhalion.Scaler{RatePerMinute: rate, SLOThroughputTPM: slo}.Run(start)
 		}
 		return dhalion.CaladriusTuner{RatePerMinute: rate, SLOThroughputTPM: slo}.Run(start)
 	})

@@ -1,10 +1,13 @@
 package heron
 
 import (
+	"fmt"
+	"strconv"
 	"time"
 
 	"caladrius/internal/telemetry"
 	"caladrius/internal/topology"
+	"caladrius/internal/tsdb"
 	"caladrius/internal/workload"
 )
 
@@ -96,10 +99,13 @@ func (o WordCountOptions) withDefaults() WordCountOptions {
 	return o
 }
 
+// wordCountName names the evaluation topology.
+const wordCountName = "word-count"
+
 // WordCountTopology builds the paper's 3-stage topology (Fig. 1a) with
 // the given parallelisms.
 func WordCountTopology(spoutP, splitterP, counterP int) (*topology.Topology, error) {
-	return topology.NewBuilder("word-count").
+	return topology.NewBuilder(wordCountName).
 		AddSpout("spout", spoutP).
 		AddBolt("splitter", splitterP).
 		AddBolt("counter", counterP).
@@ -162,4 +168,61 @@ func NewWordCount(opts WordCountOptions) (*Simulation, error) {
 		NoiseSeed:       opts.NoiseSeed,
 		Metrics:         opts.Metrics,
 	})
+}
+
+// wordCountPlan rebuilds the evaluation topology and its packing plan
+// from the labels of a snapshot's per-instance series, skipping the
+// topology-wide pseudo-component. A component's parallelism p is its
+// number of series, each a distinct instance 0..p−1 in the container
+// round-robin packing over the n distinct container labels, 0..n−1,
+// puts it.
+func wordCountPlan(series []tsdb.Series) (*topology.Topology, *topology.PackingPlan, error) {
+	p := map[string]int{"spout": 0, "splitter": 0, "counter": 0}
+	containers := map[string]bool{}
+	for _, s := range series {
+		l := s.Labels
+		c := l["component"]
+		switch _, ok := p[c]; {
+		case c == TopologyComponent:
+			continue
+		case l["topology"] != wordCountName:
+			return nil, nil, fmt.Errorf("topology %q, want %q", l["topology"], wordCountName)
+		case !ok:
+			return nil, nil, fmt.Errorf("component %q is not one of %s's", c, wordCountName)
+		}
+		p[c]++
+		containers[l["container"]] = true
+	}
+	n := len(containers)
+	for c := range containers {
+		if i, err := strconv.Atoi(c); err != nil || strconv.Itoa(i) != c || i < 0 || i >= n {
+			return nil, nil, fmt.Errorf("container %q among %d distinct: want containers 0..%d", c, n, n-1)
+		}
+	}
+	top, err := WordCountTopology(p["spout"], p["splitter"], p["counter"])
+	if err != nil {
+		return nil, nil, err
+	}
+	plan, err := topology.RoundRobinPack(top, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	want := map[[3]string]bool{}
+	for _, id := range top.Instances() {
+		c, _ := plan.ContainerOf(id)
+		want[[3]string{id.Component, strconv.Itoa(id.Index), strconv.Itoa(c)}] = true
+	}
+	for _, s := range series {
+		l := s.Labels
+		k := [3]string{l["component"], l["instance"], l["container"]}
+		if k[0] == TopologyComponent {
+			continue
+		}
+		if !want[k] {
+			return nil, nil, fmt.Errorf("%s instance %q in container %q: want each of instances 0..%d once, packed round-robin over %d containers",
+				k[0], k[1], k[2], p[k[0]]-1, n)
+		}
+		delete(want, k)
+	}
+	return top, plan, nil
 }

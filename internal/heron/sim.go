@@ -60,6 +60,10 @@ const (
 // topology-wide metrics (e.g. topology backpressure time) are stored.
 const TopologyComponent = "__topology__"
 
+// DefaultStart is the simulated wall-clock origin of a Config that sets
+// none: 2026-01-05 00:00 UTC, a Monday, so weekly seasonality aligns.
+var DefaultStart = time.Date(2026, 1, 5, 0, 0, 0, 0, time.UTC)
+
 // Default watermarks match Heron's defaults quoted in the paper.
 const (
 	DefaultHighWatermarkBytes = 100e6
@@ -100,8 +104,7 @@ type Config struct {
 	Tick time.Duration
 	// DB receives metrics; one is created when nil.
 	DB *tsdb.DB
-	// Start is the simulated wall-clock origin. Default 2026-01-05
-	// 00:00 UTC (a Monday, so weekly seasonality aligns).
+	// Start is the simulated wall-clock origin. Default DefaultStart.
 	Start time.Time
 	// ServiceNoiseStd makes the run behave like a real deployment on a
 	// shared cluster: each instance's capacity is scaled once per run
@@ -301,7 +304,7 @@ func New(cfg Config) (*Simulation, error) {
 		cfg.DB = tsdb.New(0)
 	}
 	if cfg.Start.IsZero() {
-		cfg.Start = time.Date(2026, 1, 5, 0, 0, 0, 0, time.UTC)
+		cfg.Start = DefaultStart
 	}
 	for _, c := range t.Components() {
 		p, ok := cfg.Profiles[c.Name]

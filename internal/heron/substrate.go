@@ -33,24 +33,12 @@ func (s *Simulation) Substrate() *Substrate {
 	}
 }
 
-// SimulateWordCount runs the evaluation topology for warm of simulated
-// time and returns the resulting substrate.
-func SimulateWordCount(opts WordCountOptions, warm time.Duration) (*Substrate, error) {
-	sim, err := NewWordCount(opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := sim.Run(warm); err != nil {
-		return nil, err
-	}
-	return sim.Substrate(), nil
-}
-
 // LoadWordCountSnapshot builds a substrate over a `heronsim -save`
-// metrics snapshot of the evaluation topology at the given
-// parallelisms. AsOf is one rollup minute past the newest
-// execute-count sample.
-func LoadWordCountSnapshot(path string, splitterP, counterP int) (*Substrate, error) {
+// metrics snapshot of the evaluation topology. The snapshot carries its
+// own plan: each component's parallelism and each instance's container
+// come from the labels of its execute-count series (see wordCountPlan).
+// AsOf is one rollup minute past the newest execute-count sample.
+func LoadWordCountSnapshot(path string) (*Substrate, error) {
 	db, err := tsdb.LoadFile(path)
 	if err != nil {
 		return nil, err
@@ -59,14 +47,14 @@ func LoadWordCountSnapshot(path string, splitterP, counterP int) (*Substrate, er
 	if err != nil {
 		return nil, fmt.Errorf("snapshot has no execute-count metrics: %w", err)
 	}
-	o := WordCountOptions{SplitterP: splitterP, CounterP: counterP}.withDefaults()
-	top, err := WordCountTopology(o.SpoutP, o.SplitterP, o.CounterP)
+	asOf := latest.T.Add(time.Minute)
+	series, err := db.Query(MetricExecuteCount, nil, time.Time{}, asOf)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := topology.RoundRobinPack(top, o.Containers)
+	top, plan, err := wordCountPlan(series)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("snapshot %s: %w", path, err)
 	}
-	return &Substrate{DB: db, AsOf: latest.T.Add(time.Minute), Topology: top, Plan: plan}, nil
+	return &Substrate{DB: db, AsOf: asOf, Topology: top, Plan: plan}, nil
 }

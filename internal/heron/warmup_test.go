@@ -16,15 +16,18 @@ import (
 // topology at splitter 3, counter 4, simulated for a day.
 func warmUpStore(t testing.TB) *tsdb.DB {
 	t.Helper()
-	sub, err := SimulateWordCount(WordCountOptions{
+	sim, err := NewWordCount(WordCountOptions{
 		SplitterP: 3,
 		CounterP:  4,
 		Schedule:  workload.ConstantRate(45e6 / 60),
-	}, 1440*time.Minute)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sub.DB
+	if err := sim.Run(1440 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	return sim.Substrate().DB
 }
 
 // TestWarmUpSnapshotBytes pins the bytes of the warm-up store's

@@ -5,41 +5,49 @@ import (
 	"time"
 
 	"caladrius/internal/heron"
-	"caladrius/internal/topology"
 )
 
-// Deployment is one measured word-count run: a provider over the
-// metrics it wrote, the [Start, End) window they cover, the deployed
-// topology, and how many of the window's leading minutes are warm-up.
+// Deployment is one measured simulated run: the substrate it left, with
+// AsOf at the end of the measured window, a provider over its metrics,
+// the window's Start, and how many leading minutes are warm-up.
 type Deployment struct {
-	Provider   *TSDBProvider
-	Start, End time.Time
-	Topology   *topology.Topology
-	Warmup     int
+	*heron.Substrate
+	Provider *TSDBProvider
+	Start    time.Time
+	Warmup   int
 }
 
-// DeployWordCount deploys the evaluation topology under opts and runs
-// it for warmup+measure simulated minutes: the deploy → stabilise →
-// measure step of the paper's evaluation loop (§V) and of every scaling
-// round. The run is a deterministic function of opts.
+// Deploy runs sim, any topology, for warmup+measure simulated minutes
+// from where it stands and measures that window: the deploy → stabilise
+// → measure step of the paper's evaluation loop (§V) and of every
+// scaling round. The run is a deterministic function of the simulation.
+func Deploy(sim *heron.Simulation, warmup, measure int) (*Deployment, error) {
+	start := sim.Start().Add(sim.Elapsed())
+	if err := sim.Run(time.Duration(warmup+measure) * time.Minute); err != nil {
+		return nil, err
+	}
+	sub := sim.Substrate()
+	return &Deployment{
+		Substrate: sub,
+		Provider:  &TSDBProvider{db: sub.DB, window: time.Minute},
+		Start:     start,
+		Warmup:    warmup,
+	}, nil
+}
+
+// DeployWordCount deploys the evaluation topology under opts, the way
+// heron.NewWordCount builds it.
 func DeployWordCount(opts heron.WordCountOptions, warmup, measure int) (*Deployment, error) {
-	total := time.Duration(warmup+measure) * time.Minute
-	sub, err := heron.SimulateWordCount(opts, total)
+	sim, err := heron.NewWordCount(opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Deployment{
-		Provider: &TSDBProvider{db: sub.DB, window: time.Minute},
-		Start:    sub.AsOf.Add(-total),
-		End:      sub.AsOf,
-		Topology: sub.Topology,
-		Warmup:   warmup,
-	}, nil
+	return Deploy(sim, warmup, measure)
 }
 
 // SteadyState summarises a component's windows after the warm-up.
 func (d *Deployment) SteadyState(component string) (SteadyState, error) {
-	ws, err := d.Provider.ComponentWindows(d.Topology.Name(), component, d.Start, d.End)
+	ws, err := d.Provider.ComponentWindows(d.Topology.Name(), component, d.Start, d.AsOf)
 	if err != nil {
 		return SteadyState{}, err
 	}
@@ -49,7 +57,7 @@ func (d *Deployment) SteadyState(component string) (SteadyState, error) {
 // BackpressureMs is the mean per-window topology backpressure time
 // after the warm-up.
 func (d *Deployment) BackpressureMs() (float64, error) {
-	pts, err := d.Provider.TopologyBackpressureMs(d.Topology.Name(), d.Start.Add(time.Duration(d.Warmup)*time.Minute), d.End)
+	pts, err := d.Provider.TopologyBackpressureMs(d.Topology.Name(), d.Start.Add(time.Duration(d.Warmup)*time.Minute), d.AsOf)
 	if err != nil {
 		return 0, err
 	}
