@@ -118,3 +118,18 @@ func TestMetricsFaultPlanRefused(t *testing.T) {
 		t.Errorf("metrics-outage plan error = %v, want one naming metrics-outage", err)
 	}
 }
+
+// TestNonFiniteTraceRefused: a trace whose rate is not a finite number
+// stops the run with an error naming the line, instead of replaying
+// NaN into the simulator.
+func TestNonFiniteTraceRefused(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "nan.csv")
+	if err := os.WriteFile(trace, []byte("elapsed_seconds,tuples_per_minute\n0,12000000\n300,NaN\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o := defaultOptions()
+	o.tracePath = trace
+	if err := run(o, &bytes.Buffer{}, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "line 3") {
+		t.Errorf("NaN trace error = %v, want one naming line 3", err)
+	}
+}

@@ -32,18 +32,10 @@ var testOnly = map[string]string{
 	"core.InstanceModel.Saturated":      "PAPER.md row 1: the saturation test behind Eqs. 1–3",
 	"core.ComponentModel.InverseOutput": "PAPER.md row 1: Eq. 13 at component level",
 
-	// PAPER.md inventory row 2: the multi-topology Cluster with the
-	// update command and its dry-run mode.
-	"heron.NewCluster":                  "PAPER.md row 2: Cluster",
-	"heron.Cluster.DB":                  "PAPER.md row 2: Cluster",
-	"heron.Cluster.Submit":              "PAPER.md row 2: Cluster",
-	"heron.Cluster.Kill":                "PAPER.md row 2: Cluster",
-	"heron.Cluster.Topologies":          "PAPER.md row 2: Cluster",
-	"heron.Cluster.Info":                "PAPER.md row 2: Cluster",
-	"heron.Cluster.Elapsed":             "PAPER.md row 2: Cluster",
-	"heron.Cluster.Run":                 "PAPER.md row 2: Cluster",
-	"heron.Cluster.Update":              "PAPER.md row 2: Cluster update, incl. dry-run",
-	"topology.Topology.WithParallelism": "heron.Cluster.Update (PAPER.md row 2); internal/tracker TestUpdateBumpsVersion",
+	// PAPER.md inventory row 2: `heron update` on the running
+	// simulation, and the topology copy it deploys.
+	"heron.Simulation.Update":           "PAPER.md row 2: `heron update`, incl. dry-run",
+	"topology.Topology.WithParallelism": "heron.Simulation.Update (PAPER.md row 2); internal/tracker TestUpdateBumpsVersion",
 
 	// Seams other packages' tests drive.
 	"heron.Simulation.SetRouteAlpha":        "internal/audit TestClosedLoopAccuracyDrift",
@@ -54,7 +46,7 @@ var testOnly = map[string]string{
 	"tracker.Tracker.Remove":                "internal/api TestTrackerRemoveEvictsEntry",
 	"tracker.Tracker.notify":                "tracker.Tracker.Update and Remove",
 	"tsdb.DB.SeriesCount":                   "internal/telemetry TestScrapeHistogramBucketsAndQuantiles",
-	"topology.PackingPlan.InstanceCount":    "internal/heron TestClusterUpdateDryRun",
+	"topology.PackingPlan.InstanceCount":    "internal/heron TestUpdateDryRun",
 	"topology.Builder.AddBoltWithResources": "internal/heron TestOOMRestartsUnderMemoryPressure",
 	"workload.StepRate":                     "internal/api and cmd/calctl test deployments, internal/heron TestSimulatorEventTelemetry",
 
@@ -501,9 +493,8 @@ var seams = map[string]string{
 	"usage.Options.Now":                  "internal/usage TestWindowRotation and the accountant tests: a fixed clock",
 	"heron.WordCountOptions.CounterKeys": "internal/core TestBiasedFieldsGroupingModel (Eq. 11) and TestCalibrateTopologyInputShares: skewed keys",
 
-	// PAPER.md inventory row 2: the multi-topology Cluster.
-	"heron.Config.DB":    "PAPER.md row 2: heron.Cluster shares one store across its topologies",
-	"heron.Config.Start": "PAPER.md row 2: heron.Cluster.Update restarts a topology where the old one stopped",
+	// PAPER.md inventory row 2: several topologies in one store.
+	"heron.Config.DB": "PAPER.md row 2: internal/heron TestSharedDBSeparatesTopologies, simulations sharing one store",
 }
 
 // TestEveryOptionNamesItsUser fails for an option field that code the

@@ -124,6 +124,47 @@ func TestQuickSinkThroughputClampsAtSaturation(t *testing.T) {
 	}
 }
 
+// TestQuickPredictionScalesWithParallelism: Eq. 9 is linear in the
+// parallelism, so scaling every component's parallelism and the source
+// rate by k scales the saturation point and the sink throughput by k
+// and leaves the backpressure risk as it was.
+func TestQuickPredictionScalesWithParallelism(t *testing.T) {
+	scaled := func(want, got float64, k int) bool {
+		if math.IsInf(want, 1) {
+			return math.IsInf(got, 1)
+		}
+		return math.Abs(got-float64(k)*want) <= 1e-9*float64(k)*want
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		tm, err := randomChainModel(r)
+		if err != nil {
+			return false
+		}
+		rate := r.Float64() * 2e7
+		base, err := tm.Predict(nil, rate)
+		if err != nil {
+			return false
+		}
+		for k := 1; k <= 4; k++ {
+			ps := map[string]int{}
+			for _, c := range tm.topo.Components() {
+				ps[c.Name] = k * c.Parallelism
+			}
+			got, err := tm.Predict(ps, float64(k)*rate)
+			if err != nil || got.Risk != base.Risk ||
+				!scaled(base.SaturationSource, got.SaturationSource, k) ||
+				!scaled(base.SinkThroughput, got.SinkThroughput, k) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestQuickCPUMonotoneInParallelismAtFixedRate(t *testing.T) {
 	// More parallelism never lowers modelled throughput, so CPU (ψ ×
 	// input) is non-decreasing in p.

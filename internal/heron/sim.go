@@ -60,8 +60,8 @@ const (
 // topology-wide metrics (e.g. topology backpressure time) are stored.
 const TopologyComponent = "__topology__"
 
-// DefaultStart is the simulated wall-clock origin of a Config that sets
-// none: 2026-01-05 00:00 UTC, a Monday, so weekly seasonality aligns.
+// DefaultStart is the simulated wall-clock origin of every simulation:
+// 2026-01-05 00:00 UTC, a Monday, so weekly seasonality aligns.
 var DefaultStart = time.Date(2026, 1, 5, 0, 0, 0, 0, time.UTC)
 
 // Default watermarks match Heron's defaults quoted in the paper.
@@ -102,10 +102,10 @@ type Config struct {
 	// Tick is the simulation step, at most the one-minute metrics
 	// window. Default 100 ms.
 	Tick time.Duration
-	// DB receives metrics; one is created when nil.
+	// DB receives metrics; one is created when nil. Simulations given
+	// the same DB share one store, their series told apart by the
+	// topology label.
 	DB *tsdb.DB
-	// Start is the simulated wall-clock origin. Default DefaultStart.
-	Start time.Time
 	// ServiceNoiseStd makes the run behave like a real deployment on a
 	// shared cluster: each instance's capacity is scaled once per run
 	// by a Gaussian factor (the host it landed on), and jittered each
@@ -303,9 +303,6 @@ func New(cfg Config) (*Simulation, error) {
 	if cfg.DB == nil {
 		cfg.DB = tsdb.New(0)
 	}
-	if cfg.Start.IsZero() {
-		cfg.Start = DefaultStart
-	}
 	for _, c := range t.Components() {
 		p, ok := cfg.Profiles[c.Name]
 		if !ok {
@@ -434,8 +431,8 @@ func New(cfg Config) (*Simulation, error) {
 // DB returns the metrics database the simulation writes to.
 func (s *Simulation) DB() *tsdb.DB { return s.db }
 
-// Start returns the simulated wall-clock origin.
-func (s *Simulation) Start() time.Time { return s.cfg.Start }
+// Start returns the simulated wall-clock origin, DefaultStart.
+func (s *Simulation) Start() time.Time { return DefaultStart }
 
 // Elapsed returns the simulated time processed so far.
 func (s *Simulation) Elapsed() time.Duration { return s.elapsed }
@@ -722,7 +719,7 @@ func (s *Simulation) stage(h *tsdb.SeriesHandle, t time.Time, v float64) {
 // series handles interned at New, as one batch, and resets the
 // accumulators.
 func (s *Simulation) flushWindow() {
-	stamp := s.cfg.Start.Add(s.windowEnd)
+	stamp := DefaultStart.Add(s.windowEnd)
 	s.batch = s.batch[:0]
 	for _, inst := range s.instances {
 		sr := &inst.series

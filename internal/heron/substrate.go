@@ -27,7 +27,7 @@ type Substrate struct {
 func (s *Simulation) Substrate() *Substrate {
 	return &Substrate{
 		DB:       s.db,
-		AsOf:     s.cfg.Start.Add(s.elapsed),
+		AsOf:     DefaultStart.Add(s.elapsed),
 		Topology: s.cfg.Topology,
 		Plan:     s.cfg.Plan,
 	}

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -129,5 +130,40 @@ func TestDeployWordCountMatchesHandRun(t *testing.T) {
 				t.Error("steady state of a component the topology lacks")
 			}
 		})
+	}
+}
+
+// TestDeployAfterUpdate: a `heron update` followed by a deployment
+// measures the updated topology from the update instant. Word-count
+// saturates its one splitter at 15 M tuples/minute; scaled out to two,
+// the measured window carries the new plan and the full offered load.
+func TestDeployAfterUpdate(t *testing.T) {
+	sim := simulate(t, func() (*heron.Simulation, error) {
+		return heron.NewWordCount(heron.WordCountOptions{SplitterP: 1, RatePerMinute: 15e6})
+	}, 8)
+	if _, err := sim.Update(map[string]int{"splitter": 2}, false); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Deploy(sim, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := sim.Start().Add(8 * time.Minute)
+	if !d.Start.Equal(start) || !d.AsOf.Equal(start.Add(5*time.Minute)) {
+		t.Fatalf("window [%s, %s), want [%s, +5m)", d.Start, d.AsOf, start)
+	}
+	if d.Plan.Version != 2 || d.Topology.Component("splitter").Parallelism != 2 {
+		t.Fatalf("deployed plan version %d with splitter ×%d, want version 2 with ×2",
+			d.Plan.Version, d.Topology.Component("splitter").Parallelism)
+	}
+	ss, err := d.SteadyState("splitter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ss.Windows != 3 || math.Abs(ss.Execute-15e6)/15e6 > 0.03 {
+		t.Errorf("splitter steady state %+v, want 3 windows executing ≈15e6", ss)
+	}
+	if bp, err := d.BackpressureMs(); err != nil || bp > 1000 {
+		t.Errorf("BackpressureMs = %g, %v; want ≤ 1000 after scaling out", bp, err)
 	}
 }

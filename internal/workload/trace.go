@@ -2,8 +2,10 @@ package workload
 
 import (
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -56,7 +58,8 @@ func NewTrace(points []TracePoint) (*Trace, error) {
 //
 // The elapsed column accepts plain seconds ("300") or Go durations
 // ("5m"). Lines starting with '#' and a header line of non-numeric
-// fields are skipped.
+// fields are skipped. A rate must be finite, and an offset finite and
+// within a time.Duration (±292 years).
 func ParseTraceCSV(r io.Reader) (*Trace, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
@@ -77,7 +80,7 @@ func ParseTraceCSV(r io.Reader) (*Trace, error) {
 		}
 		elapsed, err := parseElapsed(strings.TrimSpace(rec[0]))
 		if err != nil {
-			if line == 1 {
+			if line == 1 && errors.Is(err, errNotElapsed) {
 				continue // header row
 			}
 			return nil, fmt.Errorf("workload: trace csv line %d: %w", line, err)
@@ -89,20 +92,33 @@ func ParseTraceCSV(r io.Reader) (*Trace, error) {
 			}
 			return nil, fmt.Errorf("workload: trace csv line %d: bad rate %q", line, rec[1])
 		}
+		if math.IsNaN(rate) || math.IsInf(rate, 0) {
+			return nil, fmt.Errorf("workload: trace csv line %d: rate %q is not finite", line, rec[1])
+		}
 		points = append(points, TracePoint{Elapsed: elapsed, RatePerMinute: rate})
 	}
 	return NewTrace(points)
 }
 
+// errNotElapsed marks an elapsed field that is neither a number nor a
+// Go duration, as a header's is.
+var errNotElapsed = errors.New("want seconds or a Go duration")
+
 func parseElapsed(s string) (time.Duration, error) {
-	if secs, err := strconv.ParseFloat(s, 64); err == nil {
-		return time.Duration(secs * float64(time.Second)), nil
+	secs, err := strconv.ParseFloat(s, 64)
+	if errors.Is(err, strconv.ErrSyntax) {
+		d, err := time.ParseDuration(s)
+		if err != nil {
+			return 0, fmt.Errorf("bad elapsed %q: %w", s, errNotElapsed)
+		}
+		return d, nil
 	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, fmt.Errorf("bad elapsed %q (seconds or Go duration)", s)
+	// As float64 the bounds are −2⁶³ and 2⁶³, so the upper one is
+	// strict; NaN fails both.
+	if ns := secs * float64(time.Second); ns >= math.MinInt64 && ns < math.MaxInt64 {
+		return time.Duration(ns), nil
 	}
-	return d, nil
+	return 0, fmt.Errorf("elapsed %q seconds is not finite or does not fit a time.Duration", s)
 }
 
 // Duration returns the offset of the last sample.

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -95,16 +97,25 @@ elapsed_seconds,tuples_per_minute
 }
 
 func TestParseTraceCSVErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"0\n",               // one column
-		"0,1\nbad,2\n",      // bad elapsed on a data row
-		"0,1\n300,notnum\n", // bad rate on a data row
-		"0,1\n0,2\n",        // duplicate offsets
+	cases := []struct{ src, want string }{
+		{"", "empty trace"},
+		{"0\n", "line 1: want 2 columns"},
+		{"0,1\nbad,2\n", "line 2: bad elapsed"},
+		{"0,1\n300,notnum\n", "line 2: bad rate"},
+		{"0,1\n0,2\n", "duplicate trace offset"},
+		// A rate or offset that is no finite number, or an offset past
+		// a time.Duration, would reach the simulator as NaN, +Inf or a
+		// platform-dependent conversion.
+		{"0,NaN\n", "line 1: rate \"NaN\" is not finite"},
+		{"0,1\n60,+Inf\n", "line 2: rate \"+Inf\" is not finite"},
+		{"0,1\n1e300,5\n", "line 2: elapsed \"1e300\" seconds is not finite"},
+		{"0,1\nNaN,5\n", "line 2: elapsed \"NaN\" seconds is not finite"},
+		{"0,1\n+Inf,5\n", "line 2: elapsed \"+Inf\" seconds is not finite"},
+		{"NaN,5\n", "line 1: elapsed \"NaN\" seconds is not finite"},
 	}
-	for _, src := range cases {
-		if _, err := ParseTraceCSV(strings.NewReader(src)); err == nil {
-			t.Errorf("ParseTraceCSV(%q): expected error", src)
+	for _, c := range cases {
+		if _, err := ParseTraceCSV(strings.NewReader(c.src)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ParseTraceCSV(%q) = %v, want an error containing %q", c.src, err, c.want)
 		}
 	}
 }
@@ -120,4 +131,42 @@ func TestTraceDrivesSimulatorSchedule(t *testing.T) {
 	if got := s(time.Hour); got != 100 {
 		t.Errorf("schedule = %g", got)
 	}
+}
+
+// FuzzParseTraceCSV: the trace reader never panics, and a trace it
+// accepts is one the simulator can replay: finite, non-negative rates
+// at strictly increasing, non-negative offsets, and a finite rate at
+// any elapsed time however the trace is replayed.
+func FuzzParseTraceCSV(f *testing.F) {
+	// The head of examples/capacity_planning's recorded day.
+	f.Add([]byte("elapsed_seconds,tuples_per_minute\n0,10000000\n900,10000000\n25200,10000000\n26100,10700000\n27000,11400000\n86400,10000000\n"), int64(26500*time.Second))
+	for _, src := range []string{"0,NaN\n", "0,+Inf\n", "0,1\n1e300,5\n", "NaN,5\n", "+Inf,5\n", "0,1\n5m,1.7976931348623157e308\n"} {
+		f.Add([]byte(src), int64(time.Minute))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, at int64) {
+		tr, err := ParseTraceCSV(bytes.NewReader(data))
+		if err != nil {
+			if tr != nil {
+				t.Fatalf("ParseTraceCSV returned a trace with error %v", err)
+			}
+			return
+		}
+		for i, p := range tr.points {
+			if math.IsNaN(p.RatePerMinute) || math.IsInf(p.RatePerMinute, 0) || p.RatePerMinute < 0 || p.Elapsed < 0 {
+				t.Fatalf("sample %d = %+v: want a finite, non-negative rate at a non-negative offset", i, p)
+			}
+			if i > 0 && p.Elapsed <= tr.points[i-1].Elapsed {
+				t.Fatalf("sample %d at %s does not follow %s", i, p.Elapsed, tr.points[i-1].Elapsed)
+			}
+		}
+		for _, tr.Interpolate = range []bool{false, true} {
+			for _, tr.Loop = range []bool{false, true} {
+				for _, el := range []time.Duration{time.Duration(at), tr.Duration() / 2, tr.Duration()} {
+					if r := tr.Schedule()(el); math.IsNaN(r) || math.IsInf(r, 0) {
+						t.Fatalf("rate at %s (interpolate %v, loop %v) = %g", el, tr.Interpolate, tr.Loop, r)
+					}
+				}
+			}
+		}
+	})
 }

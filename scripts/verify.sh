@@ -9,12 +9,12 @@
 # run under -race here), the nested benchmark module's vet and tests —
 # it compiles against internal/*, so a signature change that breaks it
 # fails here and not in the benchmark driver — then a short fuzz smoke
-# over the nine parsers that face untrusted input (config YAML — both
+# over the ten parsers that face untrusted input (config YAML — both
 # the untyped yamlite layer and the typed settings on top of it — API
 # range queries, Gremlin graph queries, pprof protobuf profiles, TSDB
 # snapshot files, the packing plan a metrics snapshot's labels carry,
 # audit ledger snapshot files, chaos fault plans, incident manifests
-# re-indexed at restart), two TSDB differentials
+# re-indexed at restart, heronsim's traffic traces), two TSDB differentials
 # (Downsample against its map-based reference, and every read and the
 # snapshot bytes against the []Point store kept as the oracle) and the
 # TSDB chunk codec's round trip (any non-decreasing run of instants and
@@ -66,6 +66,7 @@ go test -run '^$' -fuzz '^FuzzWordCountPlan$' -fuzztime "$FUZZTIME" ./internal/h
 go test -run '^$' -fuzz '^FuzzAuditReadSnapshot$' -fuzztime "$FUZZTIME" ./internal/audit
 go test -run '^$' -fuzz '^FuzzParsePlan$' -fuzztime "$FUZZTIME" ./internal/chaos
 go test -run '^$' -fuzz '^FuzzReadManifest$' -fuzztime "$FUZZTIME" ./internal/incident
+go test -run '^$' -fuzz '^FuzzParseTraceCSV$' -fuzztime "$FUZZTIME" ./internal/workload
 go test -run '^$' -fuzz '^FuzzDownsampleMatchesReference$' -fuzztime "$FUZZTIME" ./internal/tsdb
 go test -run '^$' -fuzz '^FuzzStoreMatchesOracle$' -fuzztime "$FUZZTIME" ./internal/tsdb
 go test -run '^$' -fuzz '^FuzzChunkRoundTrip$' -fuzztime "$FUZZTIME" ./internal/tsdb
