@@ -130,7 +130,7 @@ func run() error {
 	fmt.Printf("== %s forecasts tomorrow's peak at %.1f M tuples/min (upper band)\n", best.Model, peak/1e6)
 
 	// --- 4. Plan capacity for the peak and dry-run-verify it. ----------
-	models, err := core.CalibrateTopologyFromProvider(prov, top, start, end, core.CalibrationOptions{Warmup: d.Warmup})
+	models, _, err := core.CalibrateTopologyFromProviderReport(prov, top, start, end, core.CalibrationOptions{Warmup: d.Warmup})
 	if err != nil {
 		return err
 	}

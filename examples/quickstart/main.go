@@ -44,14 +44,12 @@ func run() error {
 	// --- 2. Calibrate component models from observed metrics. --------
 	fmt.Println("== 2. calibrating component models from 15 minutes of metrics")
 	top := deployed.Topology
-	models := map[string]*core.ComponentModel{}
+	models, _, err := core.CalibrateTopologyFromProviderReport(deployed.Provider, top, deployed.Start, deployed.AsOf, core.CalibrationOptions{Warmup: warmup})
+	if err != nil {
+		return err
+	}
 	for _, c := range top.Components() {
-		m, err := core.CalibrateFromProvider(deployed.Provider, top.Name(), c.Name, c.Parallelism,
-			deployed.Start, deployed.AsOf, core.CalibrationOptions{Warmup: warmup})
-		if err != nil {
-			return fmt.Errorf("calibrate %s: %w", c.Name, err)
-		}
-		models[c.Name] = m
+		m := models[c.Name]
 		fmt.Printf("   %-8s α=%.3f  per-instance SP=%s  ψ=%.2e\n",
 			c.Name, m.Instance.Alpha, fmtRate(m.Instance.SP), m.CPUPsi)
 	}
@@ -66,12 +64,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		m, err := core.CalibrateFromProvider(d.Provider, d.Topology.Name(), comp, d.Topology.Component(comp).Parallelism,
-			d.Start, d.AsOf, core.CalibrationOptions{Warmup: warmup})
+		run, _, err := core.CalibrateTopologyFromProviderReport(d.Provider, d.Topology, d.Start, d.AsOf, core.CalibrationOptions{Warmup: warmup})
 		if err != nil {
 			return err
 		}
-		models[comp], err = core.MergeCalibrations(models[comp], m)
+		models[comp], err = core.MergeCalibrations(models[comp], run[comp])
 		return err
 	}
 	// Splitter bottleneck: p=2 splitter behind a wide counter, driven

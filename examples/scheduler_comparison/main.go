@@ -146,24 +146,17 @@ func calibrate() (map[string]*core.ComponentModel, error) {
 		if err != nil {
 			return nil, err
 		}
-		runModels, err := core.CalibrateTopologyFromProvider(d.Provider, d.Topology, d.Start, d.AsOf, core.CalibrationOptions{Warmup: d.Warmup})
+		runModels, _, err := core.CalibrateTopologyFromProviderReport(d.Provider, d.Topology, d.Start, d.AsOf, core.CalibrationOptions{Warmup: d.Warmup})
 		if err != nil {
 			return nil, err
 		}
 		for comp, m := range runModels {
-			prev, ok := models[comp]
-			switch {
-			case !ok:
-				models[comp] = m
-			case prev.Parallelism == m.Parallelism:
-				merged, err := core.MergeCalibrations(prev, m)
-				if err != nil {
+			if prev, ok := models[comp]; ok {
+				if m, err = core.MergeCalibrations(prev, m); err != nil {
 					return nil, err
 				}
-				models[comp] = merged
-			case m.Instance.SaturatedObservable() && !prev.Instance.SaturatedObservable():
-				models[comp] = m
 			}
+			models[comp] = m
 		}
 	}
 	return models, nil

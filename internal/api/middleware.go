@@ -35,23 +35,23 @@ func RequestTraceID(ctx context.Context) string {
 	return id
 }
 
-// sanitizeTraceID accepts a client-supplied trace id only when it is
-// short and printable-token shaped, so log lines and response headers
-// cannot be polluted with arbitrary bytes.
-func sanitizeTraceID(id string) string {
-	if id == "" || len(id) > 64 {
-		return ""
+// isToken reports whether a client-supplied trace id or tenant is
+// short and printable-token shaped, so log lines, response headers and
+// metric label values cannot be polluted with arbitrary bytes.
+func isToken(s string) bool {
+	if s == "" || len(s) > 64 {
+		return false
 	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
+	for i := 0; i < len(s); i++ {
+		c := s[i]
 		switch {
 		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9':
 		case c == '-' || c == '_' || c == '.' || c == ':':
 		default:
-			return ""
+			return false
 		}
 	}
-	return id
+	return true
 }
 
 // --- tenants ---------------------------------------------------------------
@@ -81,26 +81,6 @@ func RequestTenant(ctx context.Context) string {
 // to carry the request's tenant into an async job's fresh context.
 func ContextWithTenant(ctx context.Context, tenant string) context.Context {
 	return context.WithValue(ctx, reqTenantKey{}, tenant)
-}
-
-// sanitizeTenant accepts a client-supplied tenant only when it is
-// short and token-shaped (same alphabet as trace ids), so tenants are
-// safe as metric label values and log fields. Anything else — empty,
-// oversized, binary — bills as anonymous.
-func sanitizeTenant(t string) string {
-	if t == "" || len(t) > 64 {
-		return AnonymousTenant
-	}
-	for i := 0; i < len(t); i++ {
-		c := t[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9':
-		case c == '-' || c == '_' || c == '.' || c == ':':
-		default:
-			return AnonymousTenant
-		}
-	}
-	return t
 }
 
 // statusClasses index requests_total counters: status/100-1.
@@ -217,12 +197,17 @@ func instrument(next http.Handler, inst *httpInstruments, logger *slog.Logger, a
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		inst.inFlight.Inc()
-		trace := sanitizeTraceID(r.Header.Get(TraceHeader))
-		if trace == "" {
+		trace := r.Header.Get(TraceHeader)
+		if !isToken(trace) {
 			trace = "req-" + strconv.FormatUint(traceSeq.Add(1), 10)
 		}
 		w.Header().Set(TraceHeader, trace)
-		tenant := sanitizeTenant(r.Header.Get(TenantHeader))
+		// A tenant that is not a token — empty, oversized, binary —
+		// bills as anonymous.
+		tenant := r.Header.Get(TenantHeader)
+		if !isToken(tenant) {
+			tenant = AnonymousTenant
+		}
 		ctx := context.WithValue(r.Context(), reqTraceKey{}, trace)
 		r = r.WithContext(ContextWithTenant(ctx, tenant))
 		rec := statusRecorder{ResponseWriter: w, status: http.StatusOK, tenant: tenant, acct: acct}

@@ -86,7 +86,7 @@ func TestClosedLoopAccuracyDrift(t *testing.T) {
 		t.Fatalf("topology: %v", err)
 	}
 	now := start.Add(30 * time.Minute)
-	models, err := core.CalibrateTopologyFromProvider(prov, top, start, now, core.CalibrationOptions{Warmup: 3})
+	models, _, err := core.CalibrateTopologyFromProviderReport(prov, top, start, now, core.CalibrationOptions{Warmup: 3})
 	if err != nil {
 		t.Fatalf("calibrate: %v", err)
 	}
@@ -240,7 +240,7 @@ func TestClosedLoopAccuracyDrift(t *testing.T) {
 	// Phase 3 — re-calibrate against the post-shift behaviour; fresh
 	// predictions push the drifted runs out of the rolling window and
 	// the alert resolves.
-	models2, err := core.CalibrateTopologyFromProvider(prov, top, mutEnd.Add(-5*time.Minute), mutEnd, core.CalibrationOptions{Warmup: 1})
+	models2, _, err := core.CalibrateTopologyFromProviderReport(prov, top, mutEnd.Add(-5*time.Minute), mutEnd, core.CalibrationOptions{Warmup: 1})
 	if err != nil {
 		t.Fatalf("re-calibrate: %v", err)
 	}

@@ -121,7 +121,7 @@ func TestClosedLoopDriftDuringSlowFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := start.Add(30 * time.Minute)
-	models, err := core.CalibrateTopologyFromProvider(prov, topo, start, now, core.CalibrationOptions{Warmup: 3})
+	models, _, err := core.CalibrateTopologyFromProviderReport(prov, topo, start, now, core.CalibrationOptions{Warmup: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestClosedLoopDriftDuringSlowFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	now = now.Add(15*time.Minute - time.Second)
-	models2, err := core.CalibrateTopologyFromProvider(prov, topo, now.Add(-5*time.Minute), now, core.CalibrationOptions{Warmup: 1})
+	models2, _, err := core.CalibrateTopologyFromProviderReport(prov, topo, now.Add(-5*time.Minute), now, core.CalibrationOptions{Warmup: 1})
 	if err != nil {
 		t.Fatalf("re-calibrate: %v", err)
 	}

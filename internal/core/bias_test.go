@@ -42,7 +42,7 @@ func TestBiasedFieldsGroupingModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := CalibrateTopologyFromProvider(prov, top, sim.Start(), sim.Start().Add(12*time.Minute), CalibrationOptions{Warmup: 4})
+		run, _, err := CalibrateTopologyFromProviderReport(prov, top, sim.Start(), sim.Start().Add(12*time.Minute), CalibrationOptions{Warmup: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -201,44 +201,6 @@ func calibrateMasked(name string, parallelism int, comp []metrics.Window, inst [
 	return m, nil
 }
 
-// CalibrateFromProvider calibrates one component by querying a metrics
-// provider over [start, end), including per-instance input shares.
-func CalibrateFromProvider(p metrics.Provider, topologyName, component string, parallelism int, start, end time.Time, opts CalibrationOptions) (*ComponentModel, error) {
-	comp, err := p.ComponentWindows(topologyName, component, start, end)
-	if err != nil {
-		return nil, fmt.Errorf("core: calibrate %q: %w", component, err)
-	}
-	inst := make([][]metrics.Window, parallelism)
-	for i := 0; i < parallelism; i++ {
-		iw, err := p.InstanceWindows(topologyName, component, i, start, end)
-		if err != nil {
-			// Per-instance series are optional; fall back to uniform.
-			inst = nil
-			break
-		}
-		inst[i] = iw
-	}
-	return CalibrateComponent(component, parallelism, comp, inst, opts)
-}
-
-// CalibrateTopologyFromProvider calibrates every component of a
-// topology over [start, end), attributing backpressure to the right
-// component: a window counts as a saturation observation for component
-// C only when no component downstream of C was also in backpressure in
-// that window. Backpressure propagates upstream in Heron — when a
-// downstream bolt saturates, the spouts' burst-resume cycles can push
-// upstream queues over the high watermark too, so an upstream
-// component's own backpressure metric is only trustworthy when its
-// descendants are quiet.
-//
-// Metric gaps are tolerated by widening: see
-// CalibrateTopologyFromProviderReport, of which this is the
-// report-discarding form.
-func CalibrateTopologyFromProvider(p metrics.Provider, topo *topology.Topology, start, end time.Time, opts CalibrationOptions) (map[string]*ComponentModel, error) {
-	models, _, err := CalibrateTopologyFromProviderReport(p, topo, start, end, opts)
-	return models, err
-}
-
 // CalibrationReport describes how much a calibration had to degrade to
 // produce a model. A degraded calibration is still usable — the audit
 // ledger carries the flag so its predictions can be discounted.
@@ -254,8 +216,17 @@ type CalibrationReport struct {
 	Sparse []string
 }
 
-// CalibrateTopologyFromProviderReport is CalibrateTopologyFromProvider
-// plus gap tolerance: when any component contributes fewer than
+// CalibrateTopologyFromProviderReport calibrates every component of a
+// topology over [start, end), attributing backpressure to the right
+// component: a window counts as a saturation observation for component
+// C only when no component downstream of C was also in backpressure in
+// that window. Backpressure propagates upstream in Heron — when a
+// downstream bolt saturates, the spouts' burst-resume cycles can push
+// upstream queues over the high watermark too, so an upstream
+// component's own backpressure metric is only trustworthy when its
+// descendants are quiet.
+//
+// Metric gaps are tolerated: when any component contributes fewer than
 // minWindows post-warmup windows over [start, end) — a metrics gap, a
 // short history — the observe window's start is pulled back (doubling
 // the lookback each attempt, capped at maxWidenFactor times the
@@ -379,16 +350,17 @@ func calibrateTopologySpan(p metrics.Provider, topo *topology.Topology, start, e
 // MergeCalibrations combines models of the same component calibrated
 // from different runs (e.g. one unsaturated run for α/ψ and one
 // saturated run for SP), preferring finite saturation points and
-// non-zero CPU slopes. Both models must be calibrated at the same
-// parallelism.
+// non-zero CPU slopes. α, SP and ψ are per-instance quantities (Eq. 9),
+// so the runs may differ in parallelism; the merged model then takes
+// b's parallelism and input shares, as b is the later deployment.
 func MergeCalibrations(a, b *ComponentModel) (*ComponentModel, error) {
 	if a.Component != b.Component {
 		return nil, fmt.Errorf("core: merging models of %q and %q", a.Component, b.Component)
 	}
-	if a.Parallelism != b.Parallelism {
-		return nil, fmt.Errorf("core: merging %q calibrated at parallelism %d and %d", a.Component, a.Parallelism, b.Parallelism)
-	}
 	out := *a
+	if a.Parallelism != b.Parallelism {
+		out.Parallelism, out.InputShares = b.Parallelism, b.InputShares
+	}
 	// α: average the two estimates (both regimes estimate it).
 	out.Instance.Alpha = (a.Instance.Alpha + b.Instance.Alpha) / 2
 	if math.IsInf(out.Instance.SP, 1) {

@@ -35,10 +35,7 @@ func TestCalibrateTopologyAttributesBottleneck(t *testing.T) {
 	opts := CalibrationOptions{Warmup: 4}
 
 	// Naive calibration is fooled: the splitter looks saturated.
-	naive, err := CalibrateFromProvider(prov, "word-count", "splitter", 6, sim.Start(), window, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	naive := calibrateNaive(t, prov, "splitter", 6, sim.Start(), window, opts)
 	if !naive.Instance.SaturatedObservable() {
 		t.Fatalf("precondition failed: naive calibration should see spurious splitter backpressure")
 	}
@@ -52,7 +49,7 @@ func TestCalibrateTopologyAttributesBottleneck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	models, err := CalibrateTopologyFromProvider(prov, top, sim.Start(), window, opts)
+	models, _, err := CalibrateTopologyFromProviderReport(prov, top, sim.Start(), window, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,6 +72,29 @@ func TestCalibrateTopologyAttributesBottleneck(t *testing.T) {
 	}
 }
 
+// calibrateNaive calibrates one word-count component from its own
+// windows alone, trusting its backpressure metric whatever its
+// descendants report — the per-component calibration that topology-aware
+// attribution replaces.
+func calibrateNaive(t *testing.T, prov metrics.Provider, component string, parallelism int, start, end time.Time, opts CalibrationOptions) *ComponentModel {
+	t.Helper()
+	comp, err := prov.ComponentWindows("word-count", component, start, end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := make([][]metrics.Window, parallelism)
+	for i := range inst {
+		if inst[i], err = prov.InstanceWindows("word-count", component, i, start, end); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := CalibrateComponent(component, parallelism, comp, inst, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // TestCalibrateTopologySplitterBottleneck is the mirror case: the
 // splitter binds, the counter inherits nothing (it never backpressures
 // behind a slow splitter), and the splitter's SP is calibrated.
@@ -94,7 +114,7 @@ func TestCalibrateTopologySplitterBottleneck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	models, err := CalibrateTopologyFromProvider(prov, top, sim.Start(), sim.Start().Add(12*time.Minute), CalibrationOptions{Warmup: 4})
+	models, _, err := CalibrateTopologyFromProviderReport(prov, top, sim.Start(), sim.Start().Add(12*time.Minute), CalibrationOptions{Warmup: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +150,7 @@ func TestCalibrateTopologyInputShares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	models, err := CalibrateTopologyFromProvider(prov, top, sim.Start(), sim.Start().Add(8*time.Minute), CalibrationOptions{Warmup: 3})
+	models, _, err := CalibrateTopologyFromProviderReport(prov, top, sim.Start(), sim.Start().Add(8*time.Minute), CalibrationOptions{Warmup: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,7 @@ func TestDiamondCriticalPathIdentification(t *testing.T) {
 	top := diamondTopology(t, 2, 2)
 	for _, rate := range []float64{3e6, 9e6} { // heavy p=2 saturates at 6 M/min
 		sim, prov := runDiamond(t, 2, 2, rate, 12)
-		run, err := CalibrateTopologyFromProvider(prov, top, sim.Start(), sim.Start().Add(12*time.Minute), CalibrationOptions{Warmup: 4})
+		run, _, err := CalibrateTopologyFromProviderReport(prov, top, sim.Start(), sim.Start().Add(12*time.Minute), CalibrationOptions{Warmup: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestDiamondCriticalPathIdentification(t *testing.T) {
 	{
 		sim, prov := runDiamond(t, 12, 2, 30e6, 12)
 		wide := diamondTopology(t, 12, 2)
-		run, err := CalibrateTopologyFromProvider(prov, wide, sim.Start(), sim.Start().Add(12*time.Minute), CalibrationOptions{Warmup: 4})
+		run, _, err := CalibrateTopologyFromProviderReport(prov, wide, sim.Start(), sim.Start().Add(12*time.Minute), CalibrationOptions{Warmup: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestDiamondGlobalBackpressureThrottlesBothBranches(t *testing.T) {
 	top := diamondTopology(t, 2, 2)
 	for _, rate := range []float64{3e6, 9e6} {
 		sim, prov := runDiamond(t, 2, 2, rate, 12)
-		run, err := CalibrateTopologyFromProvider(prov, top, sim.Start(), sim.Start().Add(12*time.Minute), CalibrationOptions{Warmup: 4})
+		run, _, err := CalibrateTopologyFromProviderReport(prov, top, sim.Start(), sim.Start().Add(12*time.Minute), CalibrationOptions{Warmup: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

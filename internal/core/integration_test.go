@@ -28,12 +28,15 @@ func calibrateWordCount(t *testing.T, splitterP, counterP int, linearRate, satRa
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallelisms := map[string]int{"spout": 8, "splitter": splitterP, "counter": counterP}
-		for comp, p := range parallelisms {
-			m, err := CalibrateFromProvider(prov, "word-count", comp, p, sim.Start(), sim.Start().Add(12*time.Minute), CalibrationOptions{Warmup: 4})
-			if err != nil {
-				t.Fatalf("calibrate %s run %d: %v", comp, i, err)
-			}
+		top, err := heron.WordCountTopology(8, splitterP, counterP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, _, err := CalibrateTopologyFromProviderReport(prov, top, sim.Start(), sim.Start().Add(12*time.Minute), CalibrationOptions{Warmup: 4})
+		if err != nil {
+			t.Fatalf("calibrate run %d: %v", i, err)
+		}
+		for comp, m := range run {
 			if prev, ok := models[comp]; ok {
 				merged, err := MergeCalibrations(prev, m)
 				if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -332,8 +333,19 @@ func TestMergeCalibrations(t *testing.T) {
 	if _, err := MergeCalibrations(linear, &ComponentModel{Component: "other", Parallelism: 1, Instance: InstanceModel{Alpha: 1, SP: 1}}); err == nil {
 		t.Error("cross-component merge accepted")
 	}
-	if _, err := MergeCalibrations(linear, &ComponentModel{Component: "c", Parallelism: 2, Instance: InstanceModel{Alpha: 1, SP: 1}}); err == nil {
-		t.Error("cross-parallelism merge accepted")
+	// α, SP and ψ are per-instance, so runs at different parallelisms
+	// merge; the deployment-shaped fields are the later run's.
+	linear.InputShares = []float64{1}
+	wide := &ComponentModel{Component: "c", Parallelism: 2, Instance: InstanceModel{Alpha: 7.7, SP: 11e6}, InputShares: []float64{0.6, 0.4}}
+	m, err = MergeCalibrations(linear, wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Parallelism != 2 || !slices.Equal(m.InputShares, wide.InputShares) {
+		t.Errorf("cross-parallelism merge: parallelism %d, shares %v; want 2, %v", m.Parallelism, m.InputShares, wide.InputShares)
+	}
+	if !almost(m.Instance.Alpha, 7.6, 1e-9) || m.Instance.SP != 11e6 || m.CPUPsi != 1e-7 {
+		t.Errorf("cross-parallelism merge: alpha %g, SP %g, psi %g; want 7.6, 11e6, 1e-7", m.Instance.Alpha, m.Instance.SP, m.CPUPsi)
 	}
 }
 

@@ -3,7 +3,6 @@ package dhalion
 import (
 	"fmt"
 	"maps"
-	"math"
 
 	"caladrius/internal/core"
 )
@@ -17,6 +16,11 @@ import (
 // saturates), so severely under-provisioned topologies converge in a
 // few rounds — one per distinct bottleneck — instead of Dhalion's one
 // round per scaling increment.
+//
+// Each round's calibration merges into what earlier rounds learned
+// through core.MergeCalibrations: α is averaged across rounds, ψ keeps
+// the first non-zero slope, and a pinned SP — intrinsic to the
+// component, not to the parallelism it was observed at — is kept.
 type CaladriusTuner struct {
 	// RatePerMinute is the offered source rate.
 	RatePerMinute float64
@@ -30,24 +34,13 @@ const (
 	tunerMaxRounds = 6
 )
 
-// knownModel accumulates per-component knowledge across rounds. α and
-// ψ refresh every round; the per-instance SP — which is intrinsic to
-// the component, not to the parallelism it was observed at — is kept
-// once a saturated observation pins it.
-type knownModel struct {
-	alpha, psi float64
-	sp         float64 // +Inf until observed
-	shares     []float64
-	sharesP    int
-}
-
 // Run tunes the word-count topology from the initial parallelisms.
 func (c CaladriusTuner) Run(initial map[string]int) (Result, error) {
 	if c.SLOThroughputTPM <= 0 || c.RatePerMinute <= 0 {
 		return Result{}, fmt.Errorf("dhalion: caladrius tuner needs positive rate and SLO")
 	}
 	current := maps.Clone(initial)
-	known := map[string]*knownModel{}
+	known := map[string]*core.ComponentModel{}
 	res := Result{}
 	for round := 0; round < tunerMaxRounds; round++ {
 		m, d, err := deploy(c.RatePerMinute, current, tunerMeasureMinutes)
@@ -66,46 +59,25 @@ func (c CaladriusTuner) Run(initial map[string]int) (Result, error) {
 			return res.stop(r, false)
 		}
 		// Calibrate what this deployment can teach us.
-		models, err := core.CalibrateTopologyFromProvider(d.Provider, d.Topology, d.Start, d.AsOf, core.CalibrationOptions{Warmup: d.Warmup})
+		models, _, err := core.CalibrateTopologyFromProviderReport(d.Provider, d.Topology, d.Start, d.AsOf, core.CalibrationOptions{Warmup: d.Warmup})
 		if err != nil {
 			return res, fmt.Errorf("dhalion: round %d calibrate: %w", round+1, err)
 		}
+		// Merge it into everything known so far, and plan from that.
 		newlyPinned := ""
 		for comp, cm := range models {
-			k, ok := known[comp]
-			if !ok {
-				k = &knownModel{sp: math.Inf(1)}
-				known[comp] = k
-			}
-			k.alpha = cm.Instance.Alpha
-			if cm.CPUPsi > 0 {
-				k.psi = cm.CPUPsi
-			}
-			if cm.Instance.SaturatedObservable() {
-				if math.IsInf(k.sp, 1) {
-					newlyPinned = comp
+			prev := known[comp]
+			if prev != nil {
+				if cm, err = core.MergeCalibrations(prev, cm); err != nil {
+					return res, err
 				}
-				k.sp = cm.Instance.SP
 			}
-			if len(cm.InputShares) > 0 {
-				k.shares, k.sharesP = cm.InputShares, cm.Parallelism
+			if cm.Instance.SaturatedObservable() && (prev == nil || !prev.Instance.SaturatedObservable()) {
+				newlyPinned = comp
 			}
+			known[comp] = cm
 		}
-		// Plan the next round from everything known so far.
-		composite := map[string]*core.ComponentModel{}
-		for comp, k := range known {
-			cm := &core.ComponentModel{
-				Component:   comp,
-				Parallelism: current[comp],
-				Instance:    core.InstanceModel{Alpha: k.alpha, SP: k.sp},
-				CPUPsi:      k.psi,
-			}
-			if k.sharesP == current[comp] {
-				cm.InputShares = k.shares
-			}
-			composite[comp] = cm
-		}
-		tm, err := core.NewTopologyModel(d.Topology, composite)
+		tm, err := core.NewTopologyModel(d.Topology, known)
 		if err != nil {
 			return res, err
 		}
@@ -118,8 +90,8 @@ func (c CaladriusTuner) Run(initial map[string]int) (Result, error) {
 		}
 		// Components with unknown SP cannot be sized yet; keep their
 		// current parallelism so the next bottleneck reveals itself.
-		for comp, k := range known {
-			if math.IsInf(k.sp, 1) && plan[comp] < current[comp] {
+		for comp, cm := range known {
+			if !cm.Instance.SaturatedObservable() && plan[comp] < current[comp] {
 				plan[comp] = current[comp]
 			}
 		}

@@ -100,12 +100,24 @@ func ablationCalibrationAttribution(sweep SweepOptions) ([]Table, error) {
 		return nil, err
 	}
 	opts := core.CalibrationOptions{Warmup: d.Warmup}
+	// The naive baseline trusts the splitter's own backpressure metric:
+	// CalibrateComponent over its component and instance windows alone.
 	splitter := d.Topology.Component("splitter")
-	naive, err := core.CalibrateFromProvider(d.Provider, d.Topology.Name(), splitter.Name, splitter.Parallelism, d.Start, d.AsOf, opts)
+	comp, err := d.Provider.ComponentWindows(d.Topology.Name(), splitter.Name, d.Start, d.AsOf)
 	if err != nil {
 		return nil, err
 	}
-	aware, err := core.CalibrateTopologyFromProvider(d.Provider, d.Topology, d.Start, d.AsOf, opts)
+	inst := make([][]metrics.Window, splitter.Parallelism)
+	for i := range inst {
+		if inst[i], err = d.Provider.InstanceWindows(d.Topology.Name(), splitter.Name, i, d.Start, d.AsOf); err != nil {
+			return nil, err
+		}
+	}
+	naive, err := core.CalibrateComponent(splitter.Name, splitter.Parallelism, comp, inst, opts)
+	if err != nil {
+		return nil, err
+	}
+	aware, _, err := core.CalibrateTopologyFromProviderReport(d.Provider, d.Topology, d.Start, d.AsOf, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -213,7 +213,8 @@ func measureCI(opts heron.WordCountOptions, sweep SweepOptions, component string
 
 // calibrateSplitter calibrates the splitter (and friends) at the given
 // parallelism from one linear and one saturated run, as §V-B
-// prescribes.
+// prescribes, the way the service calibrates: backpressure a component
+// shares with a descendant is not its own saturation.
 func calibrateSplitter(splitterP, counterP int, linearRate, satRate float64, sweep SweepOptions) (map[string]*core.ComponentModel, error) {
 	// The linear and the saturated calibration runs are independent
 	// simulations; run both through the pool, then merge in the fixed
@@ -227,15 +228,8 @@ func calibrateSplitter(splitterP, counterP int, linearRate, satRate float64, swe
 		if err != nil {
 			return nil, err
 		}
-		out := map[string]*core.ComponentModel{}
-		for _, c := range d.Topology.Components() {
-			m, err := core.CalibrateFromProvider(d.Provider, d.Topology.Name(), c.Name, c.Parallelism, d.Start, d.AsOf, core.CalibrationOptions{Warmup: d.Warmup})
-			if err != nil {
-				return nil, fmt.Errorf("calibrate %s: %w", c.Name, err)
-			}
-			out[c.Name] = m
-		}
-		return out, nil
+		models, _, err := core.CalibrateTopologyFromProviderReport(d.Provider, d.Topology, d.Start, d.AsOf, core.CalibrationOptions{Warmup: d.Warmup})
+		return models, err
 	})
 	if err != nil {
 		return nil, err

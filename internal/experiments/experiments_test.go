@@ -140,6 +140,23 @@ func TestFig09CounterValidation(t *testing.T) {
 	}
 }
 
+// TestFig09CalibrationAttributesBottleneck calibrates as Fig. 9 does.
+// In its saturated run the counter binds, and the splitter's queues
+// trip only behind it, so the splitter's SP must stay unknown rather
+// than take the inherited backpressure as its own saturation.
+func TestFig09CalibrationAttributesBottleneck(t *testing.T) {
+	models, err := calibrateSplitter(8, 3, 20e6, 35e6, DefaultSweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp := models["splitter"].Instance.SP; !math.IsInf(sp, 1) {
+		t.Errorf("splitter SP = %.3g M/min, want +Inf: the counter is the bottleneck", sp/1e6)
+	}
+	if !models["counter"].Instance.SaturatedObservable() {
+		t.Error("counter SP not calibrated despite being the bottleneck")
+	}
+}
+
 func TestFig10CriticalPathError(t *testing.T) {
 	tbl := run(t, "fig10", fastSweep)["fig10"]
 	for _, row := range tbl.Rows {

@@ -3,7 +3,12 @@ package profiler
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/json"
+	"math"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 )
 
 // FuzzPprofParse throws arbitrary bytes at the pprof reader. The
@@ -67,6 +72,56 @@ func FuzzPprofParse(f *testing.F) {
 		merged.Merge(tbl)
 		if merged.Total != tbl.Total || merged.Samples != tbl.Samples {
 			t.Fatalf("merge changed totals: %d/%d vs %d/%d", merged.Total, merged.Samples, tbl.Total, tbl.Samples)
+		}
+	})
+}
+
+// FuzzLoadBaseline throws arbitrary bytes at the baseline reader, the
+// file -profile-baseline names. The contract under fuzzing:
+// loadBaseline never panics, and a baseline it accepts diffs every
+// function of every kind within [−1, 1] of its share.
+func FuzzLoadBaseline(f *testing.F) {
+	clock := newFakeClock()
+	src := &syntheticSource{}
+	path := filepath.Join(f.TempDir(), "baseline.json")
+	p := newTestProfiler(f, clock, src.source, func(o *Options) { o.BaselinePath = path })
+	fillWindow(f, p, src, map[string]int64{"main;steady": 900, "main;other": 100})
+	clock.Advance(61 * time.Second)
+	// Completing the first window saves the baseline; this one stays
+	// the live profile the fuzzed baselines are diffed against.
+	fillWindow(f, p, src, map[string]int64{"main;steady": 300, "main;hotNew": 700})
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(saved)
+	for _, c := range hostileBaselines {
+		b := validBaseline()
+		c.edit(b)
+		data, err := json.Marshal(b)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		b, err := loadBaseline(path)
+		if err != nil {
+			return
+		}
+		p.mu.Lock()
+		p.baseline = b
+		p.mu.Unlock()
+		for _, kind := range Kinds {
+			for _, e := range p.DiffKind(kind, len(b.Kinds[kind].Funcs)+2).Entries {
+				if math.Abs(e.DeltaFlat) > 1 || math.Abs(e.DeltaCum) > 1 {
+					t.Fatalf("%s %s: deltas flat %g, cum %g outside [-1, 1]", kind, e.Function, e.DeltaFlat, e.DeltaCum)
+				}
+			}
 		}
 	})
 }

@@ -631,7 +631,12 @@ func (p *Profiler) DiffArtifact() ([]byte, error) {
 	return json.MarshalIndent(report, "", "  ")
 }
 
-// loadBaseline reads and validates a persisted baseline snapshot.
+// loadBaseline reads and validates a persisted baseline snapshot. It
+// holds what setBaselineLocked writes: exactly the Kinds, shares in
+// [0, 1], non-negative totals, at most baselineFuncsCap distinct named
+// functions per kind. Anything else would diff into deltas outside
+// [−1, 1] (a live function against flat_frac −3 "regresses" by 4) or
+// turn every function of a missing kind into a regression.
 func loadBaseline(path string) (*Baseline, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -641,11 +646,35 @@ func loadBaseline(path string) (*Baseline, error) {
 	if err := json.Unmarshal(data, &b); err != nil {
 		return nil, fmt.Errorf("profiler: baseline %s: %w", path, err)
 	}
-	if b.Version != BaselineVersion {
-		return nil, fmt.Errorf("profiler: baseline %s: version %d, want %d", path, b.Version, BaselineVersion)
+	bad := func(format string, args ...any) (*Baseline, error) {
+		return nil, fmt.Errorf("profiler: baseline %s: %s", path, fmt.Sprintf(format, args...))
 	}
-	if b.Kinds == nil {
-		b.Kinds = make(map[Kind]baselineKind)
+	if b.Version != BaselineVersion {
+		return bad("version %d, want %d", b.Version, BaselineVersion)
+	}
+	if len(b.Kinds) != len(Kinds) {
+		return bad("%d kinds, want %v", len(b.Kinds), Kinds)
+	}
+	for _, kind := range Kinds {
+		bk, ok := b.Kinds[kind]
+		switch {
+		case !ok:
+			return bad("no %s kind", kind)
+		case bk.Total < 0 || bk.Samples < 0:
+			return bad("%s: total %d, samples %d", kind, bk.Total, bk.Samples)
+		case len(bk.Funcs) > baselineFuncsCap:
+			return bad("%s: %d functions, cap %d", kind, len(bk.Funcs), baselineFuncsCap)
+		}
+		seen := make(map[string]bool, len(bk.Funcs))
+		for _, f := range bk.Funcs {
+			if f.Function == "" || seen[f.Function] {
+				return bad("%s: empty or duplicate function %q", kind, f.Function)
+			}
+			seen[f.Function] = true
+			if !(f.FlatFrac >= 0 && f.FlatFrac <= 1 && f.CumFrac >= 0 && f.CumFrac <= 1) {
+				return bad("%s: %s shares flat %g, cum %g outside [0, 1]", kind, f.Function, f.FlatFrac, f.CumFrac)
+			}
+		}
 	}
 	return &b, nil
 }

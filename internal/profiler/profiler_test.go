@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -67,7 +68,7 @@ func (s *syntheticSource) source(Kind) ([]byte, error) {
 	return s.data, nil
 }
 
-func newTestProfiler(t *testing.T, clock *fakeClock, src Source, mutate func(*Options)) *Profiler {
+func newTestProfiler(t testing.TB, clock *fakeClock, src Source, mutate func(*Options)) *Profiler {
 	t.Helper()
 	opts := Options{Registry: telemetry.NewRegistry(), Now: clock.Now, Source: src}
 	if mutate != nil {
@@ -82,7 +83,7 @@ func newTestProfiler(t *testing.T, clock *fakeClock, src Source, mutate func(*Op
 
 // fillWindow folds stacks into p's current window minSamples times, so
 // that any diff span holding the window clears the minSamples guard.
-func fillWindow(t *testing.T, p *Profiler, src *syntheticSource, stacks map[string]int64) {
+func fillWindow(t testing.TB, p *Profiler, src *syntheticSource, stacks map[string]int64) {
 	t.Helper()
 	src.set(cpuProfileBytes(t, true, stacks))
 	for i := 0; i < minSamples; i++ {
@@ -297,6 +298,77 @@ func TestBaselinePersistence(t *testing.T) {
 	}
 	if _, err := New(Options{Registry: telemetry.NewRegistry(), BaselinePath: path, Source: src.source, Now: clock.Now}); err == nil {
 		t.Fatal("New accepted a future-versioned baseline")
+	}
+}
+
+// validBaseline is a well-formed baseline over every kind.
+func validBaseline() *Baseline {
+	b := &Baseline{Version: BaselineVersion, Kinds: make(map[Kind]baselineKind, len(Kinds))}
+	for _, k := range Kinds {
+		b.Kinds[k] = baselineKind{Total: 1000, Samples: 10, Funcs: []BaselineFunc{
+			{Function: "steady", FlatFrac: 0.9, CumFrac: 1},
+			{Function: "other", FlatFrac: 0.1, CumFrac: 0.1},
+		}}
+	}
+	return b
+}
+
+// editKind applies edit to one kind of b.
+func editKind(b *Baseline, k Kind, edit func(*baselineKind)) {
+	bk := b.Kinds[k]
+	edit(&bk)
+	b.Kinds[k] = bk
+}
+
+// hostileBaselines each break one rule a baseline file is held to.
+var hostileBaselines = []struct {
+	name string
+	edit func(*Baseline)
+}{
+	{"negative flat share", func(b *Baseline) { b.Kinds[KindCPU].Funcs[0].FlatFrac = -3 }},
+	{"flat share above one", func(b *Baseline) { b.Kinds[KindHeap].Funcs[1].FlatFrac = 1.5 }},
+	{"negative cum share", func(b *Baseline) { b.Kinds[KindMutex].Funcs[1].CumFrac = -0.1 }},
+	{"extra kind", func(b *Baseline) { b.Kinds["bogus"] = baselineKind{Total: -5} }},
+	{"missing kind", func(b *Baseline) { delete(b.Kinds, KindGoroutine) }},
+	{"unknown kind for a known one", func(b *Baseline) {
+		b.Kinds["bogus"] = b.Kinds[KindHeap]
+		delete(b.Kinds, KindHeap)
+	}},
+	{"negative total", func(b *Baseline) { editKind(b, KindCPU, func(bk *baselineKind) { bk.Total = -5 }) }},
+	{"negative samples", func(b *Baseline) { editKind(b, KindHeap, func(bk *baselineKind) { bk.Samples = -1 }) }},
+	{"empty function name", func(b *Baseline) { b.Kinds[KindCPU].Funcs[1].Function = "" }},
+	{"duplicate function", func(b *Baseline) { b.Kinds[KindCPU].Funcs[1].Function = "steady" }},
+	{"functions beyond the cap", func(b *Baseline) {
+		editKind(b, KindGoroutine, func(bk *baselineKind) {
+			bk.Funcs = nil
+			for i := 0; i <= baselineFuncsCap; i++ {
+				bk.Funcs = append(bk.Funcs, BaselineFunc{Function: fmt.Sprintf("f%d", i)})
+			}
+		})
+	}},
+}
+
+// TestLoadBaselineRefusesHostile checks that boot refuses, naming the
+// file, a baseline that would diff outside [−1, 1] or read a missing
+// kind as a regression of its whole share.
+func TestLoadBaselineRefusesHostile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "baseline.json")
+	clock := newFakeClock()
+	src := &syntheticSource{}
+	if err := saveBaseline(path, validBaseline()); err != nil {
+		t.Fatal(err)
+	}
+	newTestProfiler(t, clock, src.source, func(o *Options) { o.BaselinePath = path })
+	for _, c := range hostileBaselines {
+		b := validBaseline()
+		c.edit(b)
+		if err := saveBaseline(path, b); err != nil {
+			t.Fatal(err)
+		}
+		_, err := New(Options{Registry: telemetry.NewRegistry(), BaselinePath: path, Source: src.source, Now: clock.Now})
+		if err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: New returned %v, want an error naming %s", c.name, err, path)
+		}
 	}
 }
 

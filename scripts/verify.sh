@@ -9,11 +9,11 @@
 # run under -race here), the nested benchmark module's vet and tests —
 # it compiles against internal/*, so a signature change that breaks it
 # fails here and not in the benchmark driver — then a short fuzz smoke
-# over the ten parsers that face untrusted input (config YAML — both
+# over the eleven parsers that face untrusted input (config YAML — both
 # the untyped yamlite layer and the typed settings on top of it — API
-# range queries, Gremlin graph queries, pprof protobuf profiles, TSDB
-# snapshot files, the packing plan a metrics snapshot's labels carry,
-# audit ledger snapshot files, chaos fault plans, incident manifests
+# range queries, Gremlin graph queries, pprof protobuf profiles, the
+# profiler's baseline files, TSDB snapshot files, the packing plan a
+# metrics snapshot's labels carry, audit ledger snapshot files, chaos fault plans, incident manifests
 # re-indexed at restart, heronsim's traffic traces), two TSDB differentials
 # (Downsample against its map-based reference, and every read and the
 # snapshot bytes against the []Point store kept as the oracle) and the
@@ -61,6 +61,7 @@ go test -run '^$' -fuzz '^FuzzConfigParse$' -fuzztime "$FUZZTIME" ./internal/con
 go test -run '^$' -fuzz '^FuzzParseQueryRange$' -fuzztime "$FUZZTIME" ./internal/api
 go test -run '^$' -fuzz '^FuzzGremlinQuery$' -fuzztime "$FUZZTIME" ./internal/graph
 go test -run '^$' -fuzz '^FuzzPprofParse$' -fuzztime "$FUZZTIME" ./internal/profiler
+go test -run '^$' -fuzz '^FuzzLoadBaseline$' -fuzztime "$FUZZTIME" ./internal/profiler
 go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime "$FUZZTIME" ./internal/tsdb
 go test -run '^$' -fuzz '^FuzzWordCountPlan$' -fuzztime "$FUZZTIME" ./internal/heron
 go test -run '^$' -fuzz '^FuzzAuditReadSnapshot$' -fuzztime "$FUZZTIME" ./internal/audit
