@@ -94,35 +94,50 @@ func BenchmarkSweepParallel8(b *testing.B) { benchSweepParallel(b, 8) }
 
 // --- micro-benchmarks -----------------------------------------------------
 
-// BenchmarkSimulatorMinute/bare measures the cost of simulating one
-// minute of the 12-instance word-count topology without a registry at
-// the default 100 ms tick, one Run per minute. It has no twin in the
-// benchmark, whose heron.sim_minute_us times the daemon's warm-up shape
-// (splitter 3, counter 4, 45e6 tuples/min, event telemetry into a
-// registry); DESIGN.md's simulator section and ROADMAP's parked
-// event-driven core cite its number.
+// BenchmarkSimulatorMinute measures one simulated minute of the
+// 12-instance word-count topology at the default 100 ms tick, without
+// a registry, one Run per minute. It has no twin in the benchmark,
+// whose heron.sim_minute_us times the daemon's warm-up shape (splitter
+// 3, counter 4, 45e6 tuples/min, event telemetry into a registry);
+// DESIGN.md's simulator section cites its numbers.
 func BenchmarkSimulatorMinute(b *testing.B) {
-	b.Run("bare", func(b *testing.B) {
-		sim, err := heron.NewWordCount(heron.WordCountOptions{RatePerMinute: 8e6})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := sim.Run(time.Minute); err != nil {
+	for _, c := range []struct {
+		name string
+		opts heron.WordCountOptions
+	}{
+		// bare runs at 8e6/min, below SP and without noise, so its
+		// state is a fixed point and every minute after the first few
+		// is replayed: it explains what a replayed minute costs, the
+		// rate calls of the spout guards and one window's append.
+		{"bare", heron.WordCountOptions{RatePerMinute: 8e6}},
+		// noisy runs the same minute at DefaultSweep's σ, which never
+		// replays: it explains the stepped minute that every
+		// simulation of figures-batch pays.
+		{"noisy", heron.WordCountOptions{RatePerMinute: 8e6, ServiceNoiseStd: experiments.DefaultSweep.NoiseStd, NoiseSeed: 1}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			sim, err := heron.NewWordCount(c.opts)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := sim.Run(time.Minute); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkSimulatorMinuteWithInjector measures the same minute with a
 // fault injector attached whose plan never fires inside the benchmark
-// horizon — the per-tick cost of the chaos hook itself. It explains
-// the hook's fault-free overhead budget: <5% over
-// BenchmarkSimulatorMinute/bare at 0 allocs/op. The benchmark's
-// heron.sim_minute_us is an injector-free minute.
+// horizon. A simulation with an injector never replays, so this is a
+// noiseless stepped minute with the chaos hook idle: it explains what
+// a run under a fault plan (heronsim -faults, the chaos tests) pays a
+// minute. The benchmark's heron.sim_minute_us is an injector-free,
+// replayed minute.
 func BenchmarkSimulatorMinuteWithInjector(b *testing.B) {
 	sim, err := heron.NewWordCount(heron.WordCountOptions{RatePerMinute: 8e6})
 	if err != nil {

@@ -56,9 +56,12 @@ type FaultInjector interface {
 
 // WithFaultInjector attaches (or, with nil, detaches) a fault injector
 // to the simulation. Attach before Run; effects begin on the next
-// tick.
+// tick. Either way it drops the windows recorded for replay: a
+// simulation with an injector steps every tick, and one detached from
+// it may keep a fault's effects.
 func (s *Simulation) WithFaultInjector(inj FaultInjector) {
 	s.injector = inj
+	s.replay = replayer{}
 }
 
 // applyFaults runs the injector protocol for one tick and returns the

@@ -34,6 +34,7 @@ func (s *Simulation) SetRouteAlpha(component, dest string, alpha float64) error 
 	if !found {
 		return fmt.Errorf("heron: no route %s->%s", component, dest)
 	}
+	s.replay = replayer{} // the recorded windows ran at the old alpha
 	return nil
 }
 

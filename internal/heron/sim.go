@@ -99,8 +99,9 @@ type Config struct {
 	// hysteresis; defaults 100 MB / 50 MB.
 	HighWatermarkBytes float64
 	LowWatermarkBytes  float64
-	// Tick is the simulation step, at most the one-minute metrics
-	// window. Default 100 ms.
+	// Tick is the simulation step; it must divide the one-minute
+	// metrics window, so every window holds the same ticks. Default
+	// 100 ms.
 	Tick time.Duration
 	// DB receives metrics; one is created when nil. Simulations given
 	// the same DB share one store, their series told apart by the
@@ -244,6 +245,19 @@ type cumTotals struct {
 	queueDropped, routeDropped, restarts, bpMs float64
 }
 
+// add adds one window's totals into c.
+func (c *cumTotals) add(w *cumTotals) {
+	c.source += w.source
+	c.arrived += w.arrived
+	c.executed += w.executed
+	c.emitted += w.emitted
+	c.failed += w.failed
+	c.queueDropped += w.queueDropped
+	c.routeDropped += w.routeDropped
+	c.restarts += w.restarts
+	c.bpMs += w.bpMs
+}
+
 // Simulation is a runnable instance of the simulator. Create with New;
 // a Simulation is single-goroutine (drive it from one caller).
 type Simulation struct {
@@ -253,7 +267,6 @@ type Simulation struct {
 	byComp    map[string][]*instanceState
 	elapsed   time.Duration
 	windowEnd time.Duration
-	topoBP    bool // backpressure state broadcast this tick (previous tick's flags)
 	wTopoBpMs float64
 	noise     *rand.Rand // nil when ServiceNoiseStd == 0
 	events    *simEvents // nil when Config.Metrics is nil
@@ -265,6 +278,8 @@ type Simulation struct {
 	topoBpSeries *tsdb.SeriesHandle
 	batch        []tsdb.BatchSample // flushWindow's staging buffer, reused
 	tickMs       float64            // float64(Tick.Milliseconds()), hoisted
+
+	replay replayer // steady-state replay (replay.go)
 }
 
 // New validates the configuration and builds a simulation.
@@ -299,6 +314,9 @@ func New(cfg Config) (*Simulation, error) {
 	}
 	if metricsInterval < cfg.Tick {
 		return nil, fmt.Errorf("heron: metrics interval %s below tick %s", metricsInterval, cfg.Tick)
+	}
+	if metricsInterval%cfg.Tick != 0 {
+		return nil, fmt.Errorf("heron: tick %s does not divide the %s metrics window", cfg.Tick, metricsInterval)
 	}
 	if cfg.DB == nil {
 		cfg.DB = tsdb.New(0)
@@ -439,13 +457,17 @@ func (s *Simulation) Elapsed() time.Duration { return s.elapsed }
 
 // Run advances the simulation by the given simulated duration, writing
 // metrics for every completed rollup window, then publishes the ticks'
-// event telemetry.
+// event telemetry. A whole window that starts from a recorded
+// steady-state boundary is replayed rather than stepped (replay.go).
 func (s *Simulation) Run(d time.Duration) error {
 	if d < 0 {
 		return fmt.Errorf("heron: negative duration %s", d)
 	}
 	end := s.elapsed + d
 	for s.elapsed < end {
+		if w := s.replay.next; w != nil && s.elapsed == s.windowEnd && s.windowEnd+metricsInterval <= end && s.replayWindow(w) {
+			continue
+		}
 		s.step()
 	}
 	s.publishEvents()
@@ -476,13 +498,14 @@ func (s *Simulation) step() {
 	dt := s.cfg.Tick
 	dtSec := dt.Seconds()
 	var tickProcessed, tickDropped float64
+	rec := s.replay.rec
 
 	// Backpressure state broadcast: spouts react to the flags set at
 	// the end of the previous tick (one-tick propagation delay).
-	s.topoBP = false
+	topoBP := false
 	for _, inst := range s.instances {
 		if inst.bp {
-			s.topoBP = true
+			topoBP = true
 			break
 		}
 	}
@@ -502,22 +525,16 @@ func (s *Simulation) step() {
 			capacity *= f
 		}
 		if inst.isSpout {
-			offered := inst.rate(s.elapsed) * dtSec / inst.peers
-			if offered < 0 {
-				offered = 0
-			}
+			offered := inst.offered(s.elapsed, dtSec)
 			inst.wSource += offered
 			inst.backlog += offered
+			limit := noPull
 			if inst.downTicks > 0 {
 				// Offline (crash or stall fault): the source keeps
 				// producing into the external backlog, but nothing is
 				// pulled.
 				inst.downTicks--
-			} else if !s.topoBP {
-				processed = inst.backlog
-				if processed > capacity {
-					processed = capacity
-				}
+			} else if !topoBP {
 				// A spout draining backlog at its maximum pull rate
 				// must not overshoot downstream queues within one
 				// tick: in the real system, in-flight data is bounded
@@ -525,11 +542,16 @@ func (s *Simulation) step() {
 				// halts as soon as the receiver's high watermark is
 				// reached. Bound this tick's pull by the downstream
 				// headroom (queue space up to the watermark plus one
-				// tick of downstream processing).
-				if room := s.downstreamHeadroom(inst, dtSec); processed > room {
-					processed = room
+				// tick of downstream processing) as well as capacity.
+				limit = capacity
+				if room := s.downstreamHeadroom(inst, dtSec); limit > room {
+					limit = room
 				}
+				processed = pull(inst.backlog, limit)
 				inst.backlog -= processed
+			}
+			if rec != nil {
+				rec.spouts = append(rec.spouts, spoutTick{offered, limit, processed})
 			}
 		} else {
 			arrived := inst.arrivedTick
@@ -618,8 +640,7 @@ func (s *Simulation) step() {
 	}
 
 	// Update watermark-based backpressure flags.
-	tally := &s.tally
-	tally.active = 0
+	var on, off, active float64
 	for _, inst := range s.instances {
 		was := inst.bp
 		pending := inst.queueTuples * inst.profile.BytesPerTuple
@@ -630,25 +651,55 @@ func (s *Simulation) step() {
 		}
 		if inst.bp {
 			inst.wBpMs += s.tickMs
-			tally.active++
+			active++
 			if !was {
-				tally.bpOn++
+				on++
 			}
 		} else if was {
-			tally.bpOff++
+			off++
 		}
 	}
-	if s.topoBP {
+	if topoBP {
 		s.wTopoBpMs += s.tickMs
 	}
+	tally := &s.tally
 	tally.ticks++
 	tally.processed += tickProcessed
 	tally.dropped += tickDropped
+	tally.bpOn += on
+	tally.bpOff += off
+	tally.active = active
+	if rec != nil {
+		rec.ticks = append(rec.ticks, tickTally{tickProcessed, tickDropped})
+		rec.bpOn += on
+		rec.bpOff += off
+		rec.active = active
+	}
 
 	s.elapsed += dt
 	if s.elapsed >= s.windowEnd+metricsInterval {
 		s.flushWindow()
+		s.atBoundary()
 	}
+}
+
+// offered is a spout instance's external load for the tick starting at
+// elapsed: its share of the component's rate, never negative.
+func (inst *instanceState) offered(elapsed time.Duration, dtSec float64) float64 {
+	o := inst.rate(elapsed) * dtSec / inst.peers
+	if o < 0 {
+		return 0
+	}
+	return o
+}
+
+// pull is what a spout takes from its external backlog in a tick whose
+// pull is bounded by limit.
+func pull(backlog, limit float64) float64 {
+	if backlog > limit {
+		return limit
+	}
+	return backlog
 }
 
 // downstreamHeadroom returns how many tuples a spout instance may emit
@@ -717,14 +768,19 @@ func (s *Simulation) stage(h *tsdb.SeriesHandle, t time.Time, v float64) {
 
 // flushWindow writes the accumulated window metrics through the
 // series handles interned at New, as one batch, and resets the
-// accumulators.
+// accumulators. A window being recorded for replay keeps the batch and
+// each instance's window totals.
 func (s *Simulation) flushWindow() {
 	stamp := DefaultStart.Add(s.windowEnd)
+	rec := s.replay.rec
 	s.batch = s.batch[:0]
 	for _, inst := range s.instances {
 		sr := &inst.series
 		if inst.isSpout {
 			s.stage(sr.source, stamp, inst.wSource)
+			if rec != nil {
+				rec.backlogAt = append(rec.backlogAt, len(s.batch))
+			}
 			s.stage(sr.backlog, stamp, inst.backlog)
 		}
 		s.stage(sr.arrival, stamp, inst.wArrived)
@@ -746,22 +802,24 @@ func (s *Simulation) flushWindow() {
 		}
 		s.stage(sr.pending, stamp, inst.queueTuples*inst.profile.BytesPerTuple)
 		s.stage(sr.restarts, stamp, inst.wRestarts)
-		c := &inst.cum
-		c.source += inst.wSource
-		c.arrived += inst.wArrived
-		c.executed += inst.wExecuted
-		c.emitted += inst.wEmitted
-		c.failed += inst.wFailed
-		c.queueDropped += inst.wQueueDropped
-		c.routeDropped += inst.wRouteDropped
-		c.restarts += inst.wRestarts
-		c.bpMs += inst.wBpMs
+		w := cumTotals{
+			source: inst.wSource, arrived: inst.wArrived, executed: inst.wExecuted,
+			emitted: inst.wEmitted, failed: inst.wFailed, queueDropped: inst.wQueueDropped,
+			routeDropped: inst.wRouteDropped, restarts: inst.wRestarts, bpMs: inst.wBpMs,
+		}
+		inst.cum.add(&w)
+		if rec != nil {
+			rec.totals = append(rec.totals, w)
+		}
 		inst.wSource, inst.wArrived, inst.wExecuted, inst.wEmitted = 0, 0, 0, 0
 		inst.wFailed, inst.wBpMs, inst.wCPUSecs, inst.wRestarts = 0, 0, 0, 0
 		inst.wLatMs, inst.wLatTicks = 0, 0
 		inst.wQueueDropped, inst.wRouteDropped = 0, 0
 	}
 	s.stage(s.topoBpSeries, stamp, s.wTopoBpMs)
+	if rec != nil {
+		rec.batch = append(rec.batch, s.batch...)
+	}
 	s.db.AppendBatch(s.batch)
 	s.wTopoBpMs = 0
 	s.windowEnd += metricsInterval

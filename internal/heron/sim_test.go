@@ -391,6 +391,33 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestTickMustDivideWindow refuses a tick that leaves the one-minute
+// windows holding unequal numbers of ticks, naming the tick and the
+// window: at 70 ms a spout offered 750,000 tuples/min reported 750,750,
+// then 749,875 per window. Every tick the repo ships divides a minute.
+func TestTickMustDivideWindow(t *testing.T) {
+	for _, tick := range []time.Duration{70 * time.Millisecond, 7 * time.Second, 45 * time.Second} {
+		_, err := NewWordCount(WordCountOptions{RatePerMinute: 750_000, Tick: tick})
+		if err == nil || !strings.Contains(err.Error(), "tick "+tick.String()) || !strings.Contains(err.Error(), "1m0s metrics window") {
+			t.Errorf("tick %s: error %v, want one naming the tick and the 1m0s metrics window", tick, err)
+		}
+	}
+	for _, tick := range []time.Duration{30 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond, time.Second, time.Minute} {
+		sim := runWordCount(t, WordCountOptions{RatePerMinute: 750_000, Tick: tick}, 3)
+		series, err := sim.DB().Query(MetricSourceCount, nil, time.Time{}, sim.Start().Add(time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sr := range series {
+			for _, p := range sr.Points {
+				if math.Abs(p.V-750_000/8) > 1e-6 {
+					t.Errorf("tick %s: spout %s offered %g in the window ending %s, want %g", tick, sr.Labels["instance"], p.V, p.T, 750_000.0/8)
+				}
+			}
+		}
+	}
+}
+
 func TestRunRejectsNegativeDuration(t *testing.T) {
 	s, err := NewWordCount(WordCountOptions{RatePerMinute: 1e6})
 	if err != nil {

@@ -18,7 +18,9 @@
 # (Downsample against its map-based reference, and every read and the
 # snapshot bytes against the []Point store kept as the oracle) and the
 # TSDB chunk codec's round trip (any non-decreasing run of instants and
-# value bits decodes to itself),
+# value bits decodes to itself), and the simulator's Run, which replays
+# steady-state windows, against its raw step loop (word-count at a
+# fuzzed rate step, parallelism, tick and Run chunk),
 # and finally a ~10s smoke soak: caladriussoak sends one fixed request
 # cycle to an in-process daemon through a chaos metrics outage and
 # exits non-zero unless the
@@ -71,6 +73,7 @@ go test -run '^$' -fuzz '^FuzzParseTraceCSV$' -fuzztime "$FUZZTIME" ./internal/w
 go test -run '^$' -fuzz '^FuzzDownsampleMatchesReference$' -fuzztime "$FUZZTIME" ./internal/tsdb
 go test -run '^$' -fuzz '^FuzzStoreMatchesOracle$' -fuzztime "$FUZZTIME" ./internal/tsdb
 go test -run '^$' -fuzz '^FuzzChunkRoundTrip$' -fuzztime "$FUZZTIME" ./internal/tsdb
+go test -run '^$' -fuzz '^FuzzRunMatchesStep$' -fuzztime "$FUZZTIME" ./internal/heron
 go run ./cmd/caladriussoak -duration 6s -slo-window 4s -settle 12s > /dev/null
 echo "verify: all checks passed"
 scripts/loc.sh
