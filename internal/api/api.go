@@ -93,8 +93,8 @@ type Service struct {
 	// queued through.
 	schedr *sched.Scheduler
 	// calcache holds calibrated topology models keyed by (topology,
-	// packing-plan version, provider window); invalidated by tracker
-	// change hooks and forced recalibrations.
+	// packing-plan version, calibration lookback); invalidated by
+	// tracker change hooks and forced recalibrations.
 	calcache *sched.CalCache
 }
 
@@ -240,9 +240,6 @@ type TrafficRequest struct {
 	// will run all model implementations defined in the configuration
 	// and concatenate the results").
 	Models []string `json:"models,omitempty"`
-	// AsOf anchors "now" for metric queries; zero means the service
-	// clock. Simulated deployments pass the simulation time.
-	AsOf time.Time `json:"as_of,omitempty"`
 }
 
 // TrafficModelResult is one model's forecast output.
@@ -272,8 +269,6 @@ type PerformanceRequest struct {
 	UseForecast    bool `json:"use_forecast,omitempty"`
 	HorizonMinutes int  `json:"horizon_minutes,omitempty"`
 	SourceMinutes  int  `json:"source_minutes,omitempty"`
-	// AsOf anchors metric queries.
-	AsOf time.Time `json:"as_of,omitempty"`
 }
 
 // PerformanceResponse is the performance endpoint's result payload.
@@ -334,8 +329,8 @@ func (s *Service) runRank(ctx context.Context, topoName string, req TrafficReque
 	if req.SourceMinutes <= 0 {
 		req.SourceMinutes = int(s.cfg.CalibrationLookback / time.Minute)
 	}
-	asOf := s.orNow(req.AsOf)
-	history, err := s.sourceRate(ctx, topoName, info.Topology.Spouts(), asOf.Add(-time.Duration(req.SourceMinutes)*time.Minute), asOf)
+	now := s.now()
+	history, err := s.sourceRate(ctx, topoName, info.Topology.Spouts(), now.Add(-time.Duration(req.SourceMinutes)*time.Minute), now)
 	if err != nil {
 		return nil, fmt.Errorf("traffic history: %w", err)
 	}
@@ -556,8 +551,15 @@ func schedPriority(op string, isSync bool) sched.Priority {
 // --- model execution ------------------------------------------------------
 
 // runTraffic fits the configured traffic models on the topology's
-// source-throughput history and forecasts the horizon.
+// source-throughput history up to the service clock and forecasts the
+// horizon.
 func (s *Service) runTraffic(ctx context.Context, topoName string, req TrafficRequest) (*TrafficResponse, error) {
+	return s.traffic(ctx, topoName, req, s.now())
+}
+
+// traffic is runTraffic at the instant now, which a forecast-backed
+// performance run shares with its calibration.
+func (s *Service) traffic(ctx context.Context, topoName string, req TrafficRequest, now time.Time) (*TrafficResponse, error) {
 	info, err := s.trackerGet(ctx, topoName)
 	if err != nil {
 		return nil, err
@@ -568,9 +570,8 @@ func (s *Service) runTraffic(ctx context.Context, topoName string, req TrafficRe
 	if req.HorizonMinutes <= 0 {
 		req.HorizonMinutes = 60
 	}
-	asOf := s.orNow(req.AsOf)
-	start := asOf.Add(-time.Duration(req.SourceMinutes) * time.Minute)
-	history, err := s.sourceRate(ctx, topoName, info.Topology.Spouts(), start, asOf)
+	start := now.Add(-time.Duration(req.SourceMinutes) * time.Minute)
+	history, err := s.sourceRate(ctx, topoName, info.Topology.Spouts(), start, now)
 	if err != nil {
 		return nil, fmt.Errorf("traffic history: %w", err)
 	}
@@ -592,7 +593,7 @@ func (s *Service) runTraffic(ctx context.Context, topoName string, req TrafficRe
 		}
 	}
 	resp := &TrafficResponse{Topology: topoName}
-	horizon := forecast.Horizon(asOf, time.Minute, req.HorizonMinutes)
+	horizon := forecast.Horizon(now, time.Minute, req.HorizonMinutes)
 	for _, ref := range refs {
 		_, sp := telemetry.StartSpan(ctx, "forecast:"+ref.Name)
 		m, err := forecast.New(ref.Name, ref.Options)
@@ -622,20 +623,19 @@ func (s *Service) runTraffic(ctx context.Context, topoName string, req TrafficRe
 
 // runPerformance evaluates a proposed configuration.
 func (s *Service) runPerformance(ctx context.Context, topoName string, req PerformanceRequest) (*PerformanceResponse, error) {
-	asOf := s.orNow(req.AsOf)
-	tm, calCached, err := s.topologyModel(ctx, topoName, asOf)
+	now := s.now()
+	tm, calCached, err := s.topologyModel(ctx, topoName, now)
 	if err != nil {
 		return nil, err
 	}
 	rate := req.SourceRateTPM
 	if req.UseForecast {
 		fctx, fsp := telemetry.StartSpan(ctx, "forecast")
-		tr, err := s.runTraffic(fctx, topoName, TrafficRequest{
+		tr, err := s.traffic(fctx, topoName, TrafficRequest{
 			SourceMinutes:  req.SourceMinutes,
 			HorizonMinutes: req.HorizonMinutes,
 			Models:         []string{s.cfg.TrafficModels[0].Name},
-			AsOf:           asOf,
-		})
+		}, now)
 		fsp.End()
 		if err != nil {
 			return nil, err
@@ -647,7 +647,7 @@ func (s *Service) runPerformance(ctx context.Context, topoName string, req Perfo
 				rate = p.Upper
 			}
 		}
-	} else if rate, err = s.evalRate(ctx, topoName, asOf, rate); err != nil {
+	} else if rate, err = s.evalRate(ctx, topoName, now, rate); err != nil {
 		return nil, err
 	}
 	// A run is counterfactual — audited for context but not graded —
@@ -679,25 +679,16 @@ func (s *Service) sourceRate(ctx context.Context, topoName string, spouts []stri
 	return s.provider.SourceRate(topoName, spouts, start, end)
 }
 
-// orNow anchors a request: its own as_of, or the service clock when
-// the client left it zero.
-func (s *Service) orNow(asOf time.Time) time.Time {
-	if asOf.IsZero() {
-		return s.now()
-	}
-	return asOf
-}
-
 // evalRate is the source rate a predict/plan run evaluates at: the
 // requested one, or — when zero — the last point of the trailing 15
 // minutes of observed source throughput.
-func (s *Service) evalRate(ctx context.Context, topoName string, asOf time.Time, rate float64) (float64, error) {
+func (s *Service) evalRate(ctx context.Context, topoName string, now time.Time, rate float64) (float64, error) {
 	if rate == 0 {
 		info, err := s.trackerGet(ctx, topoName)
 		if err != nil {
 			return 0, err
 		}
-		pts, err := s.sourceRate(ctx, topoName, info.Topology.Spouts(), asOf.Add(-15*time.Minute), asOf)
+		pts, err := s.sourceRate(ctx, topoName, info.Topology.Spouts(), now.Add(-15*time.Minute), now)
 		if err != nil {
 			return 0, fmt.Errorf("current source rate: %w", err)
 		}
@@ -711,14 +702,15 @@ func (s *Service) evalRate(ctx context.Context, topoName string, asOf time.Time,
 
 // topologyModel returns the calibrated model for the topology, served
 // from the calibration cache while the packing-plan version and
-// provider window are unchanged (and the entry's TTL, when configured,
-// has not passed). cached reports whether the request skipped the
+// calibration lookback are unchanged (and the entry's TTL, when
+// configured, has not passed); a miss calibrates over the lookback
+// ending at now. cached reports whether the request skipped the
 // fetch→calibrate stages — either a cache hit, or a wait on a
 // calibration another concurrent request was already running (the
 // cache's singleflight). The run is recorded under a "calibrate" span
 // (attr cache=hit|miss|coalesced); on a true miss the core calibration
 // reports per-component stage timings into it.
-func (s *Service) topologyModel(ctx context.Context, topoName string, asOf time.Time) (tm *core.TopologyModel, cached bool, err error) {
+func (s *Service) topologyModel(ctx context.Context, topoName string, now time.Time) (tm *core.TopologyModel, cached bool, err error) {
 	ctx, sp := telemetry.StartSpan(ctx, "calibrate")
 	defer sp.End()
 	info, err := s.trackerGet(ctx, topoName)
@@ -726,30 +718,27 @@ func (s *Service) topologyModel(ctx context.Context, topoName string, asOf time.
 		return nil, false, err
 	}
 	tm, source, err := s.calcache.Load(topoName, info.Plan.Version, s.cfg.CalibrationLookback, func() (*core.TopologyModel, error) {
-		return s.calibrate(ctx, topoName, info, asOf)
+		return s.calibrate(ctx, topoName, info, now)
 	})
 	sp.SetAttr("cache", string(source))
 	return tm, err == nil && source != sched.CalMiss, err
 }
 
 // calibrate is the miss path of topologyModel: a full recalibration
-// over the lookback window ending at asOf (zero = now).
-func (s *Service) calibrate(ctx context.Context, topoName string, info tracker.Info, asOf time.Time) (*core.TopologyModel, error) {
+// over the lookback window ending at now.
+func (s *Service) calibrate(ctx context.Context, topoName string, info tracker.Info, now time.Time) (*core.TopologyModel, error) {
 	// A cache miss performs a full recalibration — usually the most
 	// expensive run a request triggers, so it is metered and charged to
 	// the requesting principal like any predict/plan run.
 	mark := s.sampler.Begin()
 	defer func() { s.chargeRun(ctx, topoName, s.sampler.End(mark)) }()
 
-	if asOf.IsZero() {
-		asOf = s.now()
-	}
-	start := asOf.Add(-s.cfg.CalibrationLookback)
+	start := now.Add(-s.cfg.CalibrationLookback)
 	// Topology-aware calibration attributes backpressure to the true
 	// bottleneck, discarding the spurious upstream backpressure that
 	// burst-resume cycles induce.
 	sp := telemetry.SpanFromContext(ctx)
-	models, crep, err := core.CalibrateTopologyFromProviderReport(s.provider, info.Topology, start, asOf, core.CalibrationOptions{
+	models, crep, err := core.CalibrateTopologyFromProviderReport(s.provider, info.Topology, start, now, core.CalibrationOptions{
 		Warmup: s.cfg.CalibrationWarmup,
 		Window: s.cfg.MetricsWindow,
 		Stages: sp,
@@ -774,7 +763,7 @@ func (s *Service) calibrate(ctx context.Context, topoName string, info tracker.I
 	if _, _, err := s.graphs.Get(info.Topology, info.Plan); err != nil {
 		return nil, err
 	}
-	s.audit.NoteCalibration(topoName, asOf)
+	s.audit.NoteCalibration(topoName, now)
 	s.logger.Info("calibrated topology model", "topology", topoName, "plan_version", info.Plan.Version)
 	return tm, nil
 }
@@ -790,9 +779,9 @@ func (s *Service) invalidateModel(topoName string) {
 // runCalibrate forces a recalibration. The eviction happens here, inside
 // the scheduled run: a calibrate that admission control sheds must leave
 // the cached model in place.
-func (s *Service) runCalibrate(ctx context.Context, topoName string, req PerformanceRequest) (map[string]any, error) {
+func (s *Service) runCalibrate(ctx context.Context, topoName string, _ struct{}) (map[string]any, error) {
 	s.invalidateModel(topoName)
-	if _, _, err := s.topologyModel(ctx, topoName, req.AsOf); err != nil {
+	if _, _, err := s.topologyModel(ctx, topoName, s.now()); err != nil {
 		return nil, err
 	}
 	return map[string]any{"topology": topoName, "calibrated": true}, nil
@@ -801,7 +790,7 @@ func (s *Service) runCalibrate(ctx context.Context, topoName string, req Perform
 // runModel reports the calibrated model parameters, calibrating first
 // on a cold cache — hence a scheduled run like any other.
 func (s *Service) runModel(ctx context.Context, topoName string, _ struct{}) (ModelResponse, error) {
-	tm, _, err := s.topologyModel(ctx, topoName, time.Time{})
+	tm, _, err := s.topologyModel(ctx, topoName, s.now())
 	if err != nil {
 		return ModelResponse{}, err
 	}
@@ -816,8 +805,6 @@ type SuggestRequest struct {
 	SourceRateTPM float64 `json:"source_rate_tpm,omitempty"`
 	// Headroom is the planning margin (default 0.2).
 	Headroom float64 `json:"headroom,omitempty"`
-	// AsOf anchors metric queries.
-	AsOf time.Time `json:"as_of,omitempty"`
 }
 
 // SuggestResponse carries the suggested plan and its dry-run
@@ -831,12 +818,12 @@ type SuggestResponse struct {
 
 // runSuggest plans the minimal safe parallelisms for a source rate.
 func (s *Service) runSuggest(ctx context.Context, topoName string, req SuggestRequest) (*SuggestResponse, error) {
-	asOf := s.orNow(req.AsOf)
-	tm, calCached, err := s.topologyModel(ctx, topoName, asOf)
+	now := s.now()
+	tm, calCached, err := s.topologyModel(ctx, topoName, now)
 	if err != nil {
 		return nil, err
 	}
-	rate, err := s.evalRate(ctx, topoName, asOf, req.SourceRateTPM)
+	rate, err := s.evalRate(ctx, topoName, now, req.SourceRateTPM)
 	if err != nil {
 		return nil, err
 	}

@@ -306,7 +306,10 @@ func TestAsyncJobFailure(t *testing.T) {
 }
 
 func TestHTTPErrors(t *testing.T) {
-	_, srv, _ := testEnv(t)
+	_, srv, now := testEnv(t)
+	// A model run reads the service clock; no request can set it, not
+	// even to the clock's own reading.
+	asOf := `{"as_of": "` + now.Format(time.RFC3339) + `"}`
 	cases := []struct {
 		method, path, body string
 		want               int
@@ -333,6 +336,11 @@ func TestHTTPErrors(t *testing.T) {
 		{"POST", "/api/v1/model/topology/word-count/performance?sync=true", `{"source_rate_tpm": 5} {"parallelism": {"counter": 9}}`, http.StatusBadRequest, "data after the JSON value"},
 		{"POST", "/api/v1/model/topology/word-count/performance?sync=true", `{"source_rate_tpm": 5} x`, http.StatusBadRequest, "data after the JSON value"},
 		{"POST", "/api/v1/model/topology/word-count/query?sync=true", `{"query": "` + strings.Repeat("a", 1<<20) + `"}`, http.StatusRequestEntityTooLarge, "1 MiB"},
+		{"POST", "/api/v1/model/topology/word-count/performance?sync=true", asOf, http.StatusBadRequest, "as_of"},
+		{"POST", "/api/v1/model/topology/word-count/suggest?sync=true", asOf, http.StatusBadRequest, "as_of"},
+		{"POST", "/api/v1/model/traffic/word-count?sync=true", asOf, http.StatusBadRequest, "as_of"},
+		{"POST", "/api/v1/model/traffic/word-count/rank?sync=true", asOf, http.StatusBadRequest, "as_of"},
+		{"POST", "/api/v1/model/topology/word-count/calibrate?sync=true", `{"source_rate_tpm": 5}`, http.StatusBadRequest, "source_rate_tpm"},
 	}
 	for _, c := range cases {
 		req, err := http.NewRequest(c.method, srv.URL+c.path, bytes.NewReader([]byte(c.body)))
@@ -355,7 +363,7 @@ func TestHTTPErrors(t *testing.T) {
 }
 
 func TestCalibrateEndpointAndCache(t *testing.T) {
-	svc, srv, asOf := testEnv(t)
+	svc, srv, _ := testEnv(t)
 	// First performance call calibrates and caches.
 	resp := postJSON(t, srv.URL+"/api/v1/model/topology/word-count/performance?sync=true", PerformanceRequest{SourceRateTPM: 10e6})
 	decode[PerformanceResponse](t, resp, http.StatusOK)
@@ -363,7 +371,7 @@ func TestCalibrateEndpointAndCache(t *testing.T) {
 		t.Fatal("model not cached after first call")
 	}
 	// Force recalibration.
-	resp2 := postJSON(t, srv.URL+"/api/v1/model/topology/word-count/calibrate?sync=true", PerformanceRequest{AsOf: asOf})
+	resp2 := postJSON(t, srv.URL+"/api/v1/model/topology/word-count/calibrate?sync=true", struct{}{})
 	out := decode[map[string]any](t, resp2, http.StatusOK)
 	if out["calibrated"] != true {
 		t.Errorf("calibrate = %v", out)

@@ -63,7 +63,7 @@ func TestProviderUnavailableReturns503(t *testing.T) {
 	srv := httptest.NewServer(svc.Handler())
 	t.Cleanup(srv.Close)
 
-	resp := postJSON(t, srv.URL+"/api/v1/model/topology/word-count/calibrate?sync=true", PerformanceRequest{AsOf: now})
+	resp := postJSON(t, srv.URL+"/api/v1/model/topology/word-count/calibrate?sync=true", struct{}{})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503", resp.StatusCode)

@@ -16,7 +16,7 @@ const (
 	// MetricCalMisses counts lookups with no usable entry.
 	MetricCalMisses = "caladrius_calcache_misses_total"
 	// MetricCalStale counts lookups that found an entry but rejected it
-	// (plan version or window superseded, or TTL expired).
+	// (plan version or lookback superseded, or TTL expired).
 	MetricCalStale = "caladrius_calcache_stale_total"
 	// MetricCalInvalidations counts explicit evictions (tracker update,
 	// packing-plan change, forced recalibration).
@@ -25,13 +25,20 @@ const (
 	MetricCalEntries = "caladrius_calcache_entries"
 )
 
-// calEntry is one cached calibrated model. An entry is usable only for
-// the exact (plan version, provider window) it was built from.
-type calEntry struct {
+// calKey names one calibration: what an entry answers for, and what a
+// flight computes.
+type calKey struct {
+	topology    string
 	planVersion int
-	window      time.Duration
-	model       *core.TopologyModel
-	storedAt    time.Time
+	lookback    time.Duration
+}
+
+// calEntry is one cached calibrated model. An entry is usable only for
+// the exact key it was built from.
+type calEntry struct {
+	key      calKey
+	model    *core.TopologyModel
+	storedAt time.Time
 }
 
 // CalCacheOptions configures a CalCache.
@@ -47,8 +54,8 @@ type CalCacheOptions struct {
 }
 
 // CalCache caches calibrated topology models keyed by topology name,
-// with entries validated against (packing-plan version, provider
-// window) and an optional TTL. The hit path performs zero heap
+// with entries validated against (packing-plan version, calibration
+// lookback) and an optional TTL. The hit path performs zero heap
 // allocations — an RLock, one map probe and an atomic counter — which
 // is what makes warm predicts skip the fetch→calibrate stages for free.
 // The counters are the registry's; Stats reads them.
@@ -59,9 +66,9 @@ type CalCache struct {
 	mu      sync.RWMutex
 	entries map[string]calEntry
 
-	// flights is the per-topology calibration singleflight (see Load).
+	// flights is the per-calibration singleflight (see Load).
 	flightMu sync.Mutex
-	flights  map[string]*calFlight
+	flights  map[calKey]*calFlight
 
 	hitsC    *telemetry.Counter
 	missesC  *telemetry.Counter
@@ -85,7 +92,7 @@ func NewCalCache(opts CalCacheOptions) *CalCache {
 		ttl:      opts.TTL,
 		now:      opts.Now,
 		entries:  map[string]calEntry{},
-		flights:  map[string]*calFlight{},
+		flights:  map[calKey]*calFlight{},
 		hitsC:    r.Counter(MetricCalHits, nil),
 		missesC:  r.Counter(MetricCalMisses, nil),
 		staleC:   r.Counter(MetricCalStale, nil),
@@ -95,10 +102,10 @@ func NewCalCache(opts CalCacheOptions) *CalCache {
 }
 
 // Lookup returns the cached model for topology iff it was calibrated
-// against exactly planVersion and window and (with a TTL configured)
+// against exactly planVersion and lookback and (with a TTL configured)
 // has not expired. The hit path is 0 allocs/op.
-func (c *CalCache) Lookup(topology string, planVersion int, window time.Duration) (*core.TopologyModel, bool) {
-	m, present := c.usable(topology, planVersion, window)
+func (c *CalCache) Lookup(topology string, planVersion int, lookback time.Duration) (*core.TopologyModel, bool) {
+	m, present := c.usable(calKey{topology, planVersion, lookback})
 	switch {
 	case m != nil:
 		c.hitsC.Inc()
@@ -111,13 +118,12 @@ func (c *CalCache) Lookup(topology string, planVersion int, window time.Duration
 }
 
 // usable is Lookup without the counting: the model if the topology's
-// entry answers for (planVersion, window) now, and whether there is an
-// entry at all.
-func (c *CalCache) usable(topology string, planVersion int, window time.Duration) (m *core.TopologyModel, present bool) {
+// entry answers for k now, and whether there is an entry at all.
+func (c *CalCache) usable(k calKey) (m *core.TopologyModel, present bool) {
 	c.mu.RLock()
-	e, ok := c.entries[topology]
+	e, ok := c.entries[k.topology]
 	c.mu.RUnlock()
-	if !ok || e.planVersion != planVersion || e.window != window ||
+	if !ok || e.key != k ||
 		(c.ttl > 0 && c.now().Sub(e.storedAt) >= c.ttl) {
 		return nil, ok
 	}
@@ -135,7 +141,7 @@ const (
 )
 
 // calFlight is one in-progress calibration other Loads of the same
-// topology wait on.
+// calKey wait on.
 type calFlight struct {
 	done  chan struct{}
 	model *core.TopologyModel
@@ -143,55 +149,56 @@ type calFlight struct {
 }
 
 // Load is Lookup backed by calibrate: on a miss it runs calibrate and
-// Stores the model, and concurrent misses on one topology share a
-// single run — two predicts on a cold topology calibrate once, not
-// twice. It counts as one lookup. A failed calibration is handed to
+// Stores the model, and concurrent misses on one (topology, planVersion,
+// lookback) share a single run — two predicts on a cold topology
+// calibrate once, not twice, while a load at a newer plan version runs
+// its own. It counts as one lookup. A failed calibration is handed to
 // the calls that joined it and is not cached. calibrate runs with no
 // cache lock held, so Lookup and Invalidate do not wait on it; an
 // Invalidate during the run does not stop its model being stored.
-func (c *CalCache) Load(topology string, planVersion int, window time.Duration, calibrate func() (*core.TopologyModel, error)) (*core.TopologyModel, CalSource, error) {
-	if m, ok := c.Lookup(topology, planVersion, window); ok {
+func (c *CalCache) Load(topology string, planVersion int, lookback time.Duration, calibrate func() (*core.TopologyModel, error)) (*core.TopologyModel, CalSource, error) {
+	if m, ok := c.Lookup(topology, planVersion, lookback); ok {
 		return m, CalHit, nil
 	}
+	key := calKey{topology, planVersion, lookback}
 	c.flightMu.Lock()
-	if f, ok := c.flights[topology]; ok {
+	if f, ok := c.flights[key]; ok {
 		c.flightMu.Unlock()
 		<-f.done
 		return f.model, CalCoalesced, f.err
 	}
 	f := &calFlight{done: make(chan struct{})}
-	c.flights[topology] = f
+	c.flights[key] = f
 	c.flightMu.Unlock()
 	defer func() {
 		c.flightMu.Lock()
-		delete(c.flights, topology)
+		delete(c.flights, key)
 		c.flightMu.Unlock()
 		close(f.done)
 	}()
 	// A flight that landed between the lookup and taking the lead has
 	// filled the cache already.
-	if m, _ := c.usable(topology, planVersion, window); m != nil {
+	if m, _ := c.usable(key); m != nil {
 		f.model = m
 		return m, CalHit, nil
 	}
 	if f.model, f.err = calibrate(); f.err == nil {
-		c.Store(topology, planVersion, window, f.model)
+		c.Store(topology, planVersion, lookback, f.model)
 	}
 	return f.model, CalMiss, f.err
 }
 
 // Store caches model for topology. A later Store for the same topology
 // replaces the entry (newest calibration wins).
-func (c *CalCache) Store(topology string, planVersion int, window time.Duration, model *core.TopologyModel) {
+func (c *CalCache) Store(topology string, planVersion int, lookback time.Duration, model *core.TopologyModel) {
 	if model == nil {
 		return
 	}
 	c.mu.Lock()
 	c.entries[topology] = calEntry{
-		planVersion: planVersion,
-		window:      window,
-		model:       model,
-		storedAt:    c.now(),
+		key:      calKey{topology, planVersion, lookback},
+		model:    model,
+		storedAt: c.now(),
 	}
 	n := len(c.entries)
 	c.mu.Unlock()

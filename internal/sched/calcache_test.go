@@ -35,15 +35,15 @@ func TestCalCacheLookupStore(t *testing.T) {
 }
 
 // TestCalCacheKeyedValidation: an entry only serves the exact plan
-// version and provider window it was calibrated against.
+// version and calibration lookback it was calibrated against.
 func TestCalCacheKeyedValidation(t *testing.T) {
 	c := NewCalCache(CalCacheOptions{})
 	c.Store("wc", 3, 10*time.Minute, testModel(t))
 	cases := []struct {
-		name    string
-		version int
-		window  time.Duration
-		wantHit bool
+		name     string
+		version  int
+		lookback time.Duration
+		wantHit  bool
 	}{
 		{"exact match", 3, 10 * time.Minute, true},
 		{"older plan version", 2, 10 * time.Minute, false},
@@ -52,8 +52,8 @@ func TestCalCacheKeyedValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, ok := c.Lookup("wc", tc.version, tc.window); ok != tc.wantHit {
-				t.Fatalf("Lookup(v=%d, w=%s) hit = %v; want %v", tc.version, tc.window, ok, tc.wantHit)
+			if _, ok := c.Lookup("wc", tc.version, tc.lookback); ok != tc.wantHit {
+				t.Fatalf("Lookup(v=%d, lookback=%s) hit = %v; want %v", tc.version, tc.lookback, ok, tc.wantHit)
 			}
 		})
 	}
@@ -315,6 +315,51 @@ func TestCalCacheLoadFlight(t *testing.T) {
 				t.Errorf("cache holds %d entries for wc after the flight, want %d", n, tc.entries)
 			}
 		})
+	}
+}
+
+// TestCalCacheLoadFlightPerPlanVersion: a load at a newer plan version
+// that arrives during an older version's calibration runs its own
+// calibration; it does not join the older flight and come back with
+// the superseded model.
+func TestCalCacheLoadFlightPerPlanVersion(t *testing.T) {
+	c := NewCalCache(CalCacheOptions{})
+	v1, v2 := testModel(t), testModel(t)
+	running, release := make(chan struct{}), make(chan struct{})
+	v1Src := make(chan CalSource, 1)
+	go func() {
+		_, src, _ := c.Load("wc", 1, time.Minute, func() (*core.TopologyModel, error) {
+			close(running)
+			<-release
+			return v1, nil
+		})
+		v1Src <- src
+	}()
+	<-running
+	type outcome struct {
+		m   *core.TopologyModel
+		src CalSource
+		err error
+	}
+	v2Out := make(chan outcome, 1)
+	go func() {
+		m, src, err := c.Load("wc", 2, time.Minute, func() (*core.TopologyModel, error) { return v2, nil })
+		v2Out <- outcome{m, src, err}
+	}()
+	var o outcome
+	select {
+	case o = <-v2Out:
+		close(release)
+	case <-time.After(10 * time.Second):
+		// The version-2 load is waiting on the version-1 flight.
+		close(release)
+		o = <-v2Out
+	}
+	if o.err != nil || o.m != v2 || o.src != CalMiss {
+		t.Errorf("Load at plan version 2 during a version-1 calibration = %p, %q, %v; want its own model %p, %q", o.m, o.src, o.err, v2, CalMiss)
+	}
+	if src := <-v1Src; src != CalMiss {
+		t.Errorf("the version-1 load = %q, want %q", src, CalMiss)
 	}
 }
 

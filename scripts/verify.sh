@@ -6,7 +6,9 @@
 # suite again under the race detector (every package,
 # not a hand-kept list: the chaos invariant suite's 3-seed × every-
 # fault-kind matrix, the soak package and the daemon lifecycle test all
-# run under -race here), the nested benchmark module's vet and tests —
+# run under -race here), the calibration cache's tests ten times more
+# under the race detector (its flight map is state several model runs
+# reach at once; ~1s), the nested benchmark module's vet and tests —
 # it compiles against internal/*, so a signature change that breaks it
 # fails here and not in the benchmark driver — then a short fuzz smoke
 # over the eleven parsers that face untrusted input (config YAML — both
@@ -56,6 +58,7 @@ go vet ./...
 go test ./...
 go test -run '^$' -bench . -benchtime 1x ./... > /dev/null
 go test -race ./...
+go test -race -count=10 -run CalCache ./internal/sched
 (cd benchmark && go vet ./... && go test ./...)
 FUZZTIME="${VERIFY_FUZZTIME:-10s}"
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime "$FUZZTIME" ./internal/yamlite
