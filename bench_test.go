@@ -110,10 +110,16 @@ func BenchmarkSimulatorMinute(b *testing.B) {
 		// is replayed: it explains what a replayed minute costs, the
 		// rate calls of the spout guards and one window's append.
 		{"bare", heron.WordCountOptions{RatePerMinute: 8e6}},
-		// noisy runs the same minute at DefaultSweep's σ, which never
-		// replays: it explains the stepped minute that every
-		// simulation of figures-batch pays.
+		// noisy runs the same minute at DefaultSweep's σ. Every
+		// instance has slack on every tick, so after the first minute
+		// each window is committed whole from the slack memo: it
+		// explains the committed minute of a figures-batch simulation
+		// below saturation, the capacity draws and the coverage checks.
 		{"noisy", heron.WordCountOptions{RatePerMinute: 8e6, ServiceNoiseStd: experiments.DefaultSweep.NoiseStd, NoiseSeed: 1}},
+		// noisy-saturated runs 15e6/min, above SP, at the same σ: its
+		// queues never drain, so every tick is stepped. It explains the
+		// stepped minute of a saturated figures-batch simulation.
+		{"noisy-saturated", heron.WordCountOptions{RatePerMinute: 15e6, ServiceNoiseStd: experiments.DefaultSweep.NoiseStd, NoiseSeed: 1}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			sim, err := heron.NewWordCount(c.opts)

@@ -48,7 +48,7 @@ var settings = []setting{
 	{func(c *Config) any { return &c.SchedQueueDepth }, "sched.queue_depth", "sched-queue", 0, 1, most, "model-run scheduler admission queue depth (excess sheds with 429); every model run goes through the scheduler, so there is no depth 0"},
 	{func(c *Config) any { return &c.CalCacheTTL }, "sched.cache_ttl_minutes", "calcache-ttl", time.Minute, 0, most, "calibration cache entry lifetime; 0 keeps entries until invalidation"},
 
-	{func(c *Config) any { return &c.Rate }, "", "rate", 0, 1, math.Inf(1), "demo topology offered source rate (tuples/minute)"},
+	{func(c *Config) any { return &c.Rate }, "", "rate", 0, 1, most, "demo topology offered source rate (tuples/minute)"},
 	{func(c *Config) any { return &c.SplitterP }, "", "splitter", 0, 1, most, "splitter parallelism of the simulated demo history; a -metrics snapshot carries its own"},
 	{func(c *Config) any { return &c.CounterP }, "", "counter", 0, 1, most, "counter parallelism of the simulated demo history; a -metrics snapshot carries its own"},
 	{func(c *Config) any { return &c.WarmMinutes }, "", "warm-minutes", 0, 1, 366 * 24 * 60, "simulated minutes of metric history to pre-populate, a year at most"},

@@ -258,6 +258,12 @@ func TestEveryBoundIsEnforced(t *testing.T) {
 		} else if !math.IsInf(s.max, 0) && !isString(s) {
 			outside = append(outside, most*1.5)
 		}
+		if _, ok := s.field(&Config{}).(*float64); ok {
+			// A float flag parses "+Inf" and "NaN": an infinite -rate
+			// booted, then failed every {} performance request's
+			// encode with a 500.
+			outside = append(outside, math.Inf(1), math.NaN())
+		}
 		for _, x := range outside {
 			cfg := Default()
 			s.put(&cfg, x)

@@ -149,7 +149,8 @@ type SweepOptions struct {
 var DefaultSweep = SweepOptions{WarmupMinutes: 5, MeasureMinutes: 6, Tick: 100 * time.Millisecond, Repeats: 5, NoiseStd: 0.015}
 
 // validate refuses a sweep that measures nothing, which would fill the
-// tables with NaN.
+// tables with NaN, and a negative worker count, which would run at the
+// default as if asked to.
 func (o SweepOptions) validate() error {
 	switch {
 	case o.Repeats < 1:
@@ -158,6 +159,8 @@ func (o SweepOptions) validate() error {
 		return fmt.Errorf("experiments: %d measured minutes, want at least 1", o.MeasureMinutes)
 	case o.Tick <= 0:
 		return fmt.Errorf("experiments: non-positive tick %s", o.Tick)
+	case o.Parallelism < 0:
+		return fmt.Errorf("experiments: parallelism %d, want 0 (GOMAXPROCS) or more workers", o.Parallelism)
 	}
 	return nil
 }

@@ -224,6 +224,7 @@ func TestRunRefusesEmptySweep(t *testing.T) {
 		"repeats":          func(o *SweepOptions) { o.Repeats = 0 },
 		"measured minutes": func(o *SweepOptions) { o.MeasureMinutes = 0 },
 		"tick":             func(o *SweepOptions) { o.Tick = 0 },
+		"parallelism":      func(o *SweepOptions) { o.Parallelism = -3 },
 	} {
 		sweep := fastSweep
 		mutate(&sweep)

@@ -11,12 +11,13 @@ import (
 )
 
 // TestRunDoesNotAllocate holds a warm Run(time.Minute) to no
-// allocation, on a noisy simulation, which steps every tick, and on a
-// noiseless one, which replays its steady state. Warm means past the
-// first 20 minutes, in which replay fills its ring of boundary states
-// and the store grows each series' first chunk; the store allocates
-// again only when it seals a series' 120-sample chunk, after minute
-// 111, the last one measured.
+// allocation, on noisy simulations below SP, whose slack windows are
+// committed from the memo (the row named stepped predates that), and on
+// a noiseless one, which replays its steady state. Warm means
+// past the first 20 minutes, in which replay fills its ring of boundary
+// states, the slack record and memo are made, and the store grows each
+// series' first chunk; the store allocates again only when it seals a
+// series' 120-sample chunk, after minute 111, the last one measured.
 func TestRunDoesNotAllocate(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -24,6 +25,7 @@ func TestRunDoesNotAllocate(t *testing.T) {
 	}{
 		{"stepped", WordCountOptions{RatePerMinute: 8e6, ServiceNoiseStd: 0.015, NoiseSeed: 1}},
 		{"replayed", WordCountOptions{RatePerMinute: 8e6}},
+		{"noisy-below-sp", WordCountOptions{SplitterP: 2, CounterP: 3, RatePerMinute: 18e6, ServiceNoiseStd: 0.05, NoiseSeed: 2}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			sim, err := NewWordCount(c.opts)
@@ -35,6 +37,10 @@ func TestRunDoesNotAllocate(t *testing.T) {
 			}
 			if replaying := sim.replay.next != nil; replaying != (c.opts.ServiceNoiseStd == 0) {
 				t.Fatalf("replay armed: %t, want %t", replaying, c.opts.ServiceNoiseStd == 0)
+			}
+			belowSP := c.opts.RatePerMinute < SplitterServiceRate*60*float64(max(c.opts.SplitterP, 1))
+			if slack, want := sim.slack.memo != nil, c.opts.ServiceNoiseStd > 0 && belowSP; slack != want {
+				t.Fatalf("slack memo: %t, want %t", slack, want)
 			}
 			allocs := testing.AllocsPerRun(90, func() {
 				if err := sim.Run(time.Minute); err != nil {

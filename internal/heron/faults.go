@@ -56,24 +56,26 @@ type FaultInjector interface {
 
 // WithFaultInjector attaches (or, with nil, detaches) a fault injector
 // to the simulation. Attach before Run; effects begin on the next
-// tick. Either way it drops the windows recorded for replay: a
-// simulation with an injector steps every tick, and one detached from
-// it may keep a fault's effects.
+// tick. Either way it drops the windows and the slack record kept
+// for replay: a simulation with an injector steps every tick, and one
+// detached from it may keep a fault's effects.
 func (s *Simulation) WithFaultInjector(inj FaultInjector) {
 	s.injector = inj
 	s.replay = replayer{}
+	s.slack = slack{}
 }
 
 // applyFaults runs the injector protocol for one tick and returns the
 // tuples dropped by one-shot queue drops so step() can count them in
 // event telemetry.
 func (s *Simulation) applyFaults() float64 {
+	dtSec := s.cfg.Tick.Seconds()
 	if !s.injector.BeginTick(s.elapsed) {
 		if s.faultTick {
 			// The last fault just cleared: restore every instance.
 			for _, inst := range s.instances {
 				inst.fUnreach = false
-				inst.slow = inst.baseSlow
+				inst.setSlow(inst.baseSlow, dtSec)
 			}
 			s.faultTick = false
 		}
@@ -85,9 +87,9 @@ func (s *Simulation) applyFaults() float64 {
 		f := s.injector.InstanceFault(inst.id)
 		inst.fUnreach = f.Unreachable
 		if f.SlowFactor > 0 {
-			inst.slow = inst.baseSlow * f.SlowFactor
+			inst.setSlow(inst.baseSlow*f.SlowFactor, dtSec)
 		} else {
-			inst.slow = inst.baseSlow
+			inst.setSlow(inst.baseSlow, dtSec)
 		}
 		if f.Down && inst.downTicks == 0 {
 			// One tick of downtime per Down tick keeps overlapping OOM

@@ -34,7 +34,8 @@ func (s *Simulation) SetRouteAlpha(component, dest string, alpha float64) error 
 	if !found {
 		return fmt.Errorf("heron: no route %s->%s", component, dest)
 	}
-	s.replay = replayer{} // the recorded windows ran at the old alpha
+	// The recorded windows and the slack record ran at the old alpha.
+	s.replay, s.slack = replayer{}, slack{}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package heron
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -156,6 +157,9 @@ func NewWordCount(opts WordCountOptions) (*Simulation, error) {
 	}
 	schedule := opts.Schedule
 	if schedule == nil {
+		if r := opts.RatePerMinute; !(r >= 0) || math.IsInf(r, 1) {
+			return nil, fmt.Errorf("heron: source rate %g tuples/minute, want a finite rate ≥ 0", r)
+		}
 		schedule = workload.ConstantRate(opts.RatePerMinute / 60)
 	}
 	return New(Config{

@@ -10,11 +10,18 @@ package heron
 // recorded load and pulls the recorded tuples. step stays the only
 // definition of the semantics: replay copies windows step recorded, and
 // recomputes nothing but the backlog, through step's own expressions.
+//
+// Noisy slack windows. Noise stops states from recurring, but a tick
+// that starts quiet (see busy) and in which every capacity covers its
+// instance's demand adds the same whatever the capacities, so such a
+// window is committed whole (slackWindow). Its capacities are still
+// drawn, in step's order: the random stream stays the one stepping uses.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"time"
 
 	"caladrius/internal/tsdb"
 )
@@ -41,7 +48,7 @@ type tickTally struct{ processed, dropped float64 }
 
 // recordedWindow is one stepped metrics window: the boundary states it
 // started and ended in, each tick at the spouts, the tick tallies, and
-// what the window wrote.
+// what the window wrote. A slack memo is one too.
 type recordedWindow struct {
 	start, end          []byte      // boundary states (appendState)
 	spouts              []spoutTick // tick-major: every spout of tick 0, then of tick 1, …
@@ -53,7 +60,8 @@ type recordedWindow struct {
 }
 
 // replayer is a Simulation's replay state. It stays empty while the
-// simulation has service noise or a fault injector.
+// simulation has a fault injector; under service noise only
+// slackWindow uses it, for key and, while it records the memo, rec.
 type replayer struct {
 	seen    [replayPeriods][]byte // the last boundary states, the n-th at seen[n%replayPeriods]
 	n       int
@@ -63,6 +71,22 @@ type replayer struct {
 	rec     *recordedWindow // the window step is recording, or nil
 	next    *recordedWindow // the recorded window that starts in the current state, or nil
 	backlog []float64       // spout backlogs while a window is checked
+}
+
+// slackInst is an instance's part of a quiet tick: its demand (a
+// spout's offered load, a bolt's arrivals), all of which it executed,
+// and what it failed, emitted and spent in CPU seconds.
+type slackInst struct{ demand, failed, emitted, cpu float64 }
+
+// slack is a noisy Simulation's slack-window state. The slack record
+// (tally and each instance's and route's slack fields) is the last
+// stepped tick that opened a window known quiet and ended quiet; memo
+// is the first window committed whole from it, or nil.
+type slack struct {
+	quiet    bool // known quiet: so at the boundary, and after every tick since
+	recorded bool
+	tally    tickTally
+	memo     *recordedWindow
 }
 
 // appendState appends the boundary state replay compares: each
@@ -172,6 +196,21 @@ func (s *Simulation) replayWindow(w *recordedWindow) bool {
 		r.windows, r.period, r.next = nil, 0, nil
 		return false
 	}
+	j := 0
+	for _, inst := range s.instances {
+		if inst.isSpout {
+			inst.backlog = r.backlog[j]
+			j++
+		}
+	}
+	s.commitWindow(w)
+	return true
+}
+
+// commitWindow commits w as the window starting now: its tick tallies,
+// added in step's order, its end state, its batch restamped and with
+// each spout's backlog gauge, and its window totals; then the boundary.
+func (s *Simulation) commitWindow(w *recordedWindow) {
 	tally := &s.tally
 	for _, t := range w.ticks {
 		tally.processed += t.processed
@@ -182,29 +221,23 @@ func (s *Simulation) replayWindow(w *recordedWindow) bool {
 	tally.bpOff += w.bpOff
 	tally.active = w.active
 	s.restoreState(w.end)
-	j := 0
-	for _, inst := range s.instances {
-		if inst.isSpout {
-			inst.backlog = r.backlog[j]
-			j++
-		}
-	}
 	stamp := DefaultStart.Add(s.windowEnd)
 	s.batch = append(s.batch[:0], w.batch...)
 	for i := range s.batch {
 		s.batch[i].T = stamp
 	}
-	for j, i := range w.backlogAt {
-		s.batch[i].V = r.backlog[j]
-	}
-	s.db.AppendBatch(s.batch)
+	j := 0
 	for i, inst := range s.instances {
 		inst.cum.add(&w.totals[i])
+		if inst.isSpout {
+			s.batch[w.backlogAt[j]].V = inst.backlog
+			j++
+		}
 	}
+	s.db.AppendBatch(s.batch)
 	s.elapsed += metricsInterval
 	s.windowEnd += metricsInterval
 	s.atBoundary()
-	return true
 }
 
 // replays reports whether, tick by tick, every spout is offered the
@@ -249,4 +282,101 @@ func (s *Simulation) replays(w *recordedWindow) bool {
 		at += dt
 	}
 	return true
+}
+
+// busy reports whether the instance has a queue, arrivals in flight, a
+// backlog, offline ticks, backpressure or a partition.
+func (inst *instanceState) busy() bool {
+	return inst.queueTuples != 0 || inst.arrivedTick != 0 || inst.backlog != 0 || inst.downTicks != 0 || inst.bp || inst.fUnreach
+}
+
+// slackWindow runs the quiet window starting now against the slack
+// record, drawing each tick's capacities and checking that they cover
+// it. If all do, the window is committed whole: from the memo when it
+// starts in the memo's state, else by applying the record tick by tick,
+// and what it wrote becomes the memo. If tick k's do not, the k covered
+// ticks are applied and tick k is stepped at the capacities drawn.
+func (s *Simulation) slackWindow() {
+	dt := s.cfg.Tick
+	dtSec := dt.Seconds()
+	n := int(metricsInterval / dt)
+	at := s.elapsed
+	for k := range n {
+		s.drawCapacities()
+		if !s.covers(at, dtSec) {
+			for range k {
+				s.applySlack()
+			}
+			s.tick(0)
+			return
+		}
+		at += dt
+	}
+	r := &s.replay
+	r.key = s.appendState(r.key[:0])
+	if m := s.slack.memo; m != nil && bytes.Equal(m.start, r.key) {
+		s.commitWindow(m)
+		return
+	}
+	r.rec = &recordedWindow{start: bytes.Clone(r.key)}
+	for range n {
+		s.applySlack() // the last one flushes the window into r.rec
+	}
+	s.slack.memo, r.rec = r.rec, nil
+	s.slack.memo.end = s.appendState(nil)
+}
+
+// covers reports whether, in the quiet tick starting at `at`, every
+// spout is offered the recorded load and no capacity just drawn is
+// below the recorded demand. Then the tick adds what the record did:
+// step reads its capacities only in a spout's min(offered, capacity,
+// headroom), whose headroom allowed the load in the record, and a
+// bolt's min(arrived, capacity).
+func (s *Simulation) covers(at time.Duration, dtSec float64) bool {
+	for i, inst := range s.instances {
+		d := inst.slack.demand
+		if d > s.caps[i] || inst.isSpout && inst.offered(at, dtSec) != d {
+			return false
+		}
+	}
+	return true
+}
+
+// keepSlack makes the tick just stepped, a window's first, with
+// tallies t, the slack record, and drops the memo. The window's
+// accumulators, zero before it, hold what it added.
+func (s *Simulation) keepSlack(t tickTally) {
+	for _, inst := range s.instances {
+		inst.slack = slackInst{inst.wExecuted, inst.wFailed, inst.wEmitted, inst.wCPUSecs}
+		for ri := range inst.routes {
+			r := &inst.routes[ri]
+			r.slackEmit = r.wStreamEmit
+		}
+	}
+	s.slack.recorded, s.slack.tally, s.slack.memo = true, t, nil
+}
+
+// applySlack adds the slack record as the next tick, as stepping a
+// covered tick would; a quiet bolt's latency adds 0 ms a tick.
+func (s *Simulation) applySlack() {
+	for _, inst := range s.instances {
+		d := &inst.slack
+		if inst.isSpout {
+			inst.wSource += d.demand
+		} else {
+			inst.wArrived += d.demand
+			inst.wLatTicks++
+		}
+		inst.wExecuted += d.demand
+		inst.wFailed += d.failed
+		for ri := range inst.routes {
+			if r := &inst.routes[ri]; r.slackEmit != 0 {
+				r.wStreamEmit += r.slackEmit
+				r.emitSeen = true
+			}
+		}
+		inst.wEmitted += d.emitted
+		inst.wCPUSecs += d.cpu
+	}
+	s.endTick(s.slack.tally, 0, 0, 0)
 }

@@ -91,12 +91,22 @@ func diamondCase() replayCase {
 	}
 }
 
+// sweepNoise is experiments.DefaultSweep.NoiseStd, the σ of every
+// simulation the figures run.
+const sweepNoise = 0.015
+
+// noisy is opts at service noise sigma, seeded.
+func noisy(opts WordCountOptions, sigma float64) WordCountOptions {
+	opts.ServiceNoiseStd, opts.NoiseSeed = sigma, 7
+	return opts
+}
+
 // replayCases are the simulations TestRunMatchesStepLoop drives.
 // SP, the splitter's saturation point, is 10.8 M tuples/minute an
 // instance.
 func replayCases() []replayCase {
-	mid := func(name string, change func(*Simulation) error) replayCase {
-		c := wordCountCase(name, WordCountOptions{SplitterP: 2, CounterP: 3, RatePerMinute: 30e6}, 0)
+	mid := func(name string, opts WordCountOptions, change func(*Simulation) error) replayCase {
+		c := wordCountCase(name, opts, 0)
 		c.drive = func(s *Simulation, run func(time.Duration)) error {
 			run(20 * time.Minute)
 			if err := change(s); err != nil {
@@ -109,6 +119,19 @@ func replayCases() []replayCase {
 	}
 	counterBound := wordCountCase("counter-bound", WordCountOptions{SplitterP: 4, CounterP: 2, RatePerMinute: 40e6}, 40)
 	counterBound.steps = true
+	stepping := func(c replayCase) replayCase {
+		c.steps = true
+		return c
+	}
+	// Into saturation at 10m0.3s, and out of it again at 25m.
+	intoAndOut := func(e time.Duration) float64 {
+		if e >= 10*time.Minute+300*time.Millisecond && e < 25*time.Minute {
+			return 15e6 / 60
+		}
+		return 8e6 / 60
+	}
+	alpha := func(s *Simulation) error { return s.SetRouteAlpha("splitter", "counter", 9) }
+	p2 := WordCountOptions{SplitterP: 2, CounterP: 3, RatePerMinute: 30e6}
 	return []replayCase{
 		wordCountCase("below-sp", WordCountOptions{RatePerMinute: 8e6}, 40),
 		wordCountCase("at-sp", WordCountOptions{RatePerMinute: 10.8e6}, 40),
@@ -130,19 +153,34 @@ func replayCases() []replayCase {
 		// pull, until a tick pulls less than the recorded one.
 		wordCountCase("backlog-drain", WordCountOptions{Schedule: workload.StepRate(15e6/60, 8e6/60, 10*time.Minute)}, 40),
 		diamondCase(),
-		mid("set-route-alpha", func(s *Simulation) error { return s.SetRouteAlpha("splitter", "counter", 9) }),
-		mid("update", func(s *Simulation) error {
+		mid("set-route-alpha", p2, alpha),
+		mid("update", p2, func(s *Simulation) error {
 			_, err := s.Update(map[string]int{"splitter": 3, "counter": 4}, false)
 			return err
 		}),
+		// Service noise: windows in which every instance had slack are
+		// committed whole; a saturated run steps every window.
+		wordCountCase("noisy-below-sp", noisy(WordCountOptions{RatePerMinute: 8e6}, sweepNoise), 40),
+		wordCountCase("noisy-below-sp-p4", noisy(WordCountOptions{SplitterP: 4, CounterP: 6, RatePerMinute: 40e6}, sweepNoise), 40),
+		// 0.95 SP: some windows hold a tick whose splitter capacity
+		// falls short, so they apply the covered ticks from the record
+		// and step the first uncovered one; the rest come from the memo.
+		wordCountCase("noisy-near-sp", noisy(WordCountOptions{RatePerMinute: 10.3e6}, sweepNoise), 40),
+		wordCountCase("noisy-wide", noisy(WordCountOptions{RatePerMinute: 9e6}, 0.05), 40),
+		stepping(wordCountCase("noisy-at-sp", noisy(WordCountOptions{RatePerMinute: 10.8e6}, sweepNoise), 40)),
+		stepping(wordCountCase("noisy-above-sp", noisy(WordCountOptions{RatePerMinute: 15e6}, sweepNoise), 40)),
+		wordCountCase("noisy-into-and-out-of-saturation", noisy(WordCountOptions{Schedule: intoAndOut}, sweepNoise), 45),
+		mid("noisy-set-route-alpha", noisy(WordCountOptions{SplitterP: 2, CounterP: 3, RatePerMinute: 15e6}, sweepNoise), alpha),
 	}
 }
 
 // TestRunMatchesStepLoop holds Run, which replays steady-state windows,
 // to the raw step loop: the same snapshot bytes, Totals, Snapshot and
 // caladrius_sim_* instruments, over simulations below, at and above
-// saturation, across a rate step, through SetRouteAlpha and Update, and
-// with Run called in whole minutes, 90 s and 17 s.
+// saturation, across a rate step, through SetRouteAlpha and Update,
+// with and without service noise, and with Run called in whole
+// minutes, 90 s and 17 s. A case that does not step every window ends
+// with a recorded window armed, or a slack memo.
 func TestRunMatchesStepLoop(t *testing.T) {
 	chunks := []time.Duration{0, time.Minute, 90 * time.Second, 17 * time.Second}
 	for _, c := range replayCases() {
@@ -152,7 +190,7 @@ func TestRunMatchesStepLoop(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if armed := got.replay.next != nil; chunk == 0 && armed == c.steps {
+				if armed := got.replay.next != nil || got.slack.memo != nil; chunk == 0 && armed == c.steps {
 					t.Errorf("replay armed at the end: %t, want %t", armed, !c.steps)
 				}
 			})
@@ -216,23 +254,36 @@ func runMatchesStepLoop(c replayCase, chunk time.Duration) (*Simulation, error) 
 
 // FuzzRunMatchesStep drives word-count from a fuzzed configuration: a
 // rate that steps between two levels either side of SP at a fuzzed
-// instant, parallelisms, a tick that divides the minute and a Run
-// chunk of up to 5 minutes (0: one Run). Run must match the raw step loop on every compared output.
+// instant, parallelisms, a tick that divides the minute, a Run chunk of
+// up to 5 minutes (0: one Run), and service noise of σ up to 0.5 from a
+// fuzzed seed. Run must match the raw step loop on every compared
+// output.
 func FuzzRunMatchesStep(f *testing.F) {
-	f.Add(uint8(1), uint8(3), 8.0, 15.0, int64(300_000), uint8(0), uint16(0))
-	f.Add(uint8(3), uint8(4), 45.0, 45.0, int64(0), uint8(1), uint16(600))
-	f.Add(uint8(1), uint8(3), 400.0, 500.0, int64(600_300), uint8(1), uint16(0))
-	f.Add(uint8(0), uint8(2), 18.0, 8.0, int64(180_000), uint8(1), uint16(0))
+	f.Add(uint8(1), uint8(3), 8.0, 15.0, int64(300_000), uint8(0), uint16(0), 0.0, int64(0))
+	f.Add(uint8(3), uint8(4), 45.0, 45.0, int64(0), uint8(1), uint16(600), 0.0, int64(0))
+	f.Add(uint8(1), uint8(3), 400.0, 500.0, int64(600_300), uint8(1), uint16(0), 0.0, int64(0))
+	f.Add(uint8(0), uint8(2), 18.0, 8.0, int64(180_000), uint8(1), uint16(0), 0.0, int64(0))
+	// Noisy: below SP throughout, into saturation, out of it, and near
+	// SP at a wide σ.
+	f.Add(uint8(0), uint8(2), 8.0, 8.0, int64(0), uint8(1), uint16(0), 0.015, int64(1))
+	f.Add(uint8(1), uint8(3), 15.0, 40.0, int64(300_000), uint8(0), uint16(170), 0.015, int64(2))
+	f.Add(uint8(0), uint8(2), 15.0, 6.0, int64(240_000), uint8(1), uint16(900), 0.015, int64(3))
+	f.Add(uint8(0), uint8(2), 9.0, 10.3, int64(420_000), uint8(3), uint16(0), 0.05, int64(4))
 	ticks := []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond, time.Second, 30 * time.Millisecond}
-	f.Fuzz(func(t *testing.T, splitter, counter uint8, before, after float64, stepMs int64, tick uint8, chunk100ms uint16) {
+	f.Fuzz(func(t *testing.T, splitter, counter uint8, before, after float64, stepMs int64, tick uint8, chunk100ms uint16, sigma float64, seed int64) {
 		if !(before >= 0 && before <= 1e3 && after >= 0 && after <= 1e3) {
 			t.Skip("rates outside 0–1000 M tuples/minute")
 		}
+		if !(sigma >= 0 && sigma <= 0.5) {
+			t.Skip("service noise outside 0–0.5")
+		}
 		c := wordCountCase("fuzz", WordCountOptions{
-			SplitterP: 1 + int(splitter%4),
-			CounterP:  1 + int(counter%4),
-			Schedule:  workload.StepRate(before*1e6/60, after*1e6/60, time.Duration(stepMs%(12*60_000))*time.Millisecond),
-			Tick:      ticks[int(tick)%len(ticks)],
+			SplitterP:       1 + int(splitter%4),
+			CounterP:        1 + int(counter%4),
+			Schedule:        workload.StepRate(before*1e6/60, after*1e6/60, time.Duration(stepMs%(12*60_000))*time.Millisecond),
+			Tick:            ticks[int(tick)%len(ticks)],
+			ServiceNoiseStd: sigma,
+			NoiseSeed:       seed,
 		}, 12)
 		chunk := time.Duration(chunk100ms%3000) * 100 * time.Millisecond
 		if _, err := runMatchesStepLoop(c, chunk); err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"time"
 
@@ -173,6 +174,8 @@ type route struct {
 	wStreamEmit float64
 	emitSeen    bool
 	series      *tsdb.SeriesHandle
+
+	slackEmit float64 // the stream emit of the slack record
 }
 
 // instanceSeries bundles an instance's interned tsdb series handles,
@@ -237,6 +240,12 @@ type instanceState struct {
 	cum cumTotals
 
 	routes []route
+
+	// svc, ServiceRate·slow·Tick (set with slow by setSlow), and hwm,
+	// the high watermark in tuples, are hoisted out of step. They go
+	// last: ahead of the hot fields, stepped ticks read slower.
+	svc, hwm float64
+	slack    slackInst // the instance's part of the slack record
 }
 
 // cumTotals accumulates flushed window counters for Totals().
@@ -278,8 +287,10 @@ type Simulation struct {
 	topoBpSeries *tsdb.SeriesHandle
 	batch        []tsdb.BatchSample // flushWindow's staging buffer, reused
 	tickMs       float64            // float64(Tick.Milliseconds()), hoisted
+	caps         []float64          // a noisy tick's capacities, drawn before its instance loop
 
 	replay replayer // steady-state replay (replay.go)
+	slack  slack    // noisy slack-window replay (replay.go)
 }
 
 // New validates the configuration and builds a simulation.
@@ -303,8 +314,8 @@ func New(cfg Config) (*Simulation, error) {
 	if cfg.LowWatermarkBytes == 0 {
 		cfg.LowWatermarkBytes = DefaultLowWatermarkBytes
 	}
-	if cfg.LowWatermarkBytes <= 0 || cfg.HighWatermarkBytes <= cfg.LowWatermarkBytes {
-		return nil, fmt.Errorf("heron: watermarks high %g must exceed low %g > 0", cfg.HighWatermarkBytes, cfg.LowWatermarkBytes)
+	if !(cfg.LowWatermarkBytes > 0 && cfg.HighWatermarkBytes > cfg.LowWatermarkBytes) || math.IsInf(cfg.HighWatermarkBytes, 1) {
+		return nil, fmt.Errorf("heron: watermarks high %g must exceed low %g > 0, both finite", cfg.HighWatermarkBytes, cfg.LowWatermarkBytes)
 	}
 	if cfg.Tick == 0 {
 		cfg.Tick = 100 * time.Millisecond
@@ -342,10 +353,11 @@ func New(cfg Config) (*Simulation, error) {
 		}
 	}
 
-	if cfg.ServiceNoiseStd < 0 {
-		return nil, fmt.Errorf("heron: negative service noise %g", cfg.ServiceNoiseStd)
+	if !(cfg.ServiceNoiseStd >= 0) || math.IsInf(cfg.ServiceNoiseStd, 1) {
+		return nil, fmt.Errorf("heron: service noise %g, want a finite σ ≥ 0", cfg.ServiceNoiseStd)
 	}
 	s := &Simulation{cfg: cfg, db: cfg.DB, byComp: map[string][]*instanceState{}}
+	dtSec := cfg.Tick.Seconds()
 	if cfg.Metrics != nil {
 		s.events = newSimEvents(cfg.Metrics, t.Name())
 	}
@@ -370,13 +382,15 @@ func New(cfg Config) (*Simulation, error) {
 			container: cont,
 			profile:   cfg.Profiles[id.Component].withDefaults(),
 			isSpout:   comp.Kind == topology.Spout,
-			slow:      slow,
 			baseSlow:  slow,
 			ramBytes:  float64(comp.Resources.RAMMB) * 1e6,
 		}
+		inst.setSlow(slow, dtSec)
+		inst.hwm = cfg.HighWatermarkBytes / inst.profile.BytesPerTuple
 		s.instances = append(s.instances, inst)
 		s.byComp[id.Component] = append(s.byComp[id.Component], inst)
 	}
+	s.caps = make([]float64, len(s.instances))
 	// Precompute routing tables.
 	for _, inst := range s.instances {
 		for _, stream := range t.Outbound(inst.id.Component) {
@@ -458,15 +472,23 @@ func (s *Simulation) Elapsed() time.Duration { return s.elapsed }
 // Run advances the simulation by the given simulated duration, writing
 // metrics for every completed rollup window, then publishes the ticks'
 // event telemetry. A whole window that starts from a recorded
-// steady-state boundary is replayed rather than stepped (replay.go).
+// steady-state boundary is replayed rather than stepped, and so is a
+// noisy quiet window in which every instance has slack (replay.go).
 func (s *Simulation) Run(d time.Duration) error {
 	if d < 0 {
 		return fmt.Errorf("heron: negative duration %s", d)
 	}
 	end := s.elapsed + d
 	for s.elapsed < end {
-		if w := s.replay.next; w != nil && s.elapsed == s.windowEnd && s.windowEnd+metricsInterval <= end && s.replayWindow(w) {
-			continue
+		if s.elapsed == s.windowEnd && s.windowEnd+metricsInterval <= end {
+			if w := s.replay.next; w != nil && s.replayWindow(w) {
+				continue
+			}
+			s.slack.quiet = s.noise != nil && s.injector == nil && !slices.ContainsFunc(s.instances, (*instanceState).busy)
+			if s.slack.quiet && s.slack.recorded {
+				s.slackWindow()
+				continue
+			}
 		}
 		s.step()
 	}
@@ -495,9 +517,35 @@ func (s *Simulation) publishEvents() {
 
 // step advances one tick.
 func (s *Simulation) step() {
-	dt := s.cfg.Tick
-	dtSec := dt.Seconds()
-	var tickProcessed, tickDropped float64
+	var dropped float64
+	if s.injector != nil {
+		dropped = s.applyFaults()
+	}
+	if s.noise != nil {
+		s.drawCapacities()
+	}
+	s.tick(dropped)
+}
+
+// drawCapacities draws a noisy tick's capacities into s.caps, in
+// instance order, jittering each service capacity; nothing else draws.
+func (s *Simulation) drawCapacities() {
+	for i, inst := range s.instances {
+		f := 1 + s.cfg.ServiceNoiseStd*s.noise.NormFloat64()
+		if f < 0 {
+			f = 0
+		}
+		s.caps[i] = inst.svc * f
+	}
+}
+
+// tick advances one tick at the capacities drawn into s.caps; dropped
+// is what the fault injector's queue drops lost. A window's first tick,
+// known to start quiet, that ends quiet becomes the slack record
+// (replay.go).
+func (s *Simulation) tick(dropped float64) {
+	dtSec := s.cfg.Tick.Seconds()
+	tickProcessed, tickDropped := 0.0, dropped
 	rec := s.replay.rec
 
 	// Backpressure state broadcast: spouts react to the flags set at
@@ -510,19 +558,11 @@ func (s *Simulation) step() {
 		}
 	}
 
-	if s.injector != nil {
-		tickDropped += s.applyFaults()
-	}
-
-	for _, inst := range s.instances {
+	for i, inst := range s.instances {
 		var processed float64
-		capacity := inst.profile.ServiceRate * inst.slow * dtSec
+		capacity := inst.svc // noiseless capacities are not drawn
 		if s.noise != nil {
-			f := 1 + s.cfg.ServiceNoiseStd*s.noise.NormFloat64()
-			if f < 0 {
-				f = 0
-			}
-			capacity *= f
+			capacity = s.caps[i]
 		}
 		if inst.isSpout {
 			offered := inst.offered(s.elapsed, dtSec)
@@ -544,7 +584,7 @@ func (s *Simulation) step() {
 				// headroom (queue space up to the watermark plus one
 				// tick of downstream processing) as well as capacity.
 				limit = capacity
-				if room := s.downstreamHeadroom(inst, dtSec); limit > room {
+				if room := downstreamHeadroom(inst); limit > room {
 					limit = room
 				}
 				processed = pull(inst.backlog, limit)
@@ -639,8 +679,10 @@ func (s *Simulation) step() {
 		}
 	}
 
-	// Update watermark-based backpressure flags.
+	// Update watermark-based backpressure flags, and whether a tick known
+	// to start quiet ends quiet.
 	var on, off, active float64
+	quiet := s.slack.quiet
 	for _, inst := range s.instances {
 		was := inst.bp
 		pending := inst.queueTuples * inst.profile.BytesPerTuple
@@ -658,25 +700,35 @@ func (s *Simulation) step() {
 		} else if was {
 			off++
 		}
+		quiet = quiet && !inst.busy()
 	}
 	if topoBP {
 		s.wTopoBpMs += s.tickMs
 	}
+	t := tickTally{tickProcessed, tickDropped}
+	if s.slack.quiet = quiet; quiet && s.elapsed == s.windowEnd {
+		s.keepSlack(t)
+	}
+	s.endTick(t, on, off, active)
+}
+
+// endTick adds a tick's tallies, advances the clock and flushes a
+// completed window.
+func (s *Simulation) endTick(t tickTally, on, off, active float64) {
 	tally := &s.tally
 	tally.ticks++
-	tally.processed += tickProcessed
-	tally.dropped += tickDropped
+	tally.processed += t.processed
+	tally.dropped += t.dropped
 	tally.bpOn += on
 	tally.bpOff += off
 	tally.active = active
-	if rec != nil {
-		rec.ticks = append(rec.ticks, tickTally{tickProcessed, tickDropped})
+	if rec := s.replay.rec; rec != nil {
+		rec.ticks = append(rec.ticks, t)
 		rec.bpOn += on
 		rec.bpOff += off
 		rec.active = active
 	}
-
-	s.elapsed += dt
+	s.elapsed += s.cfg.Tick
 	if s.elapsed >= s.windowEnd+metricsInterval {
 		s.flushWindow()
 		s.atBoundary()
@@ -707,7 +759,7 @@ func pull(backlog, limit float64) float64 {
 // watermark, allowing for one tick of downstream processing. The
 // constraint is evaluated per route and converted to input tuples via
 // the route's I/O coefficient.
-func (s *Simulation) downstreamHeadroom(inst *instanceState, dtSec float64) float64 {
+func downstreamHeadroom(inst *instanceState) float64 {
 	room := math.Inf(1)
 	for ri := range inst.routes {
 		r := &inst.routes[ri]
@@ -719,7 +771,7 @@ func (s *Simulation) downstreamHeadroom(inst *instanceState, dtSec float64) floa
 		case topology.ShuffleGrouping:
 			minH := math.Inf(1)
 			for _, down := range r.toInstances {
-				if h := s.instanceHeadroom(down, dtSec); h < minH {
+				if h := instanceHeadroom(down); h < minH {
 					minH = h
 				}
 			}
@@ -730,19 +782,19 @@ func (s *Simulation) downstreamHeadroom(inst *instanceState, dtSec float64) floa
 				if r.weights[i] <= 0 {
 					continue
 				}
-				if a := s.instanceHeadroom(down, dtSec) / r.weights[i]; a < allowedOut {
+				if a := instanceHeadroom(down) / r.weights[i]; a < allowedOut {
 					allowedOut = a
 				}
 			}
 		case topology.AllGrouping:
 			allowedOut = math.Inf(1)
 			for _, down := range r.toInstances {
-				if h := s.instanceHeadroom(down, dtSec); h < allowedOut {
+				if h := instanceHeadroom(down); h < allowedOut {
 					allowedOut = h
 				}
 			}
 		case topology.GlobalGrouping:
-			allowedOut = s.instanceHeadroom(r.toInstances[0], dtSec)
+			allowedOut = instanceHeadroom(r.toInstances[0])
 		}
 		if a := allowedOut / r.alpha; a < room {
 			room = a
@@ -753,12 +805,19 @@ func (s *Simulation) downstreamHeadroom(inst *instanceState, dtSec float64) floa
 
 // instanceHeadroom is one downstream instance's tuple headroom this
 // tick: queue space up to the high watermark plus one tick of service.
-func (s *Simulation) instanceHeadroom(down *instanceState, dtSec float64) float64 {
-	h := s.cfg.HighWatermarkBytes/down.profile.BytesPerTuple - (down.queueTuples + down.arrivedTick)
+func instanceHeadroom(down *instanceState) float64 {
+	h := down.hwm - (down.queueTuples + down.arrivedTick)
 	if h < 0 {
 		h = 0
 	}
-	return h + down.profile.ServiceRate*down.slow*dtSec
+	return h + down.svc
+}
+
+// setSlow sets the instance's service-rate multiplier and, with it, its
+// tick capacity before jitter.
+func (inst *instanceState) setSlow(slow, dtSec float64) {
+	inst.slow = slow
+	inst.svc = inst.profile.ServiceRate * slow * dtSec
 }
 
 // stage queues one sample of the window being flushed.

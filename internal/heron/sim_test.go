@@ -1,6 +1,7 @@
 package heron
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -375,6 +376,13 @@ func TestConfigValidation(t *testing.T) {
 			p["spout"] = sp
 			c.Profiles = p
 		}, "service rate"},
+		// Every comparison with NaN is false, so these checks state
+		// what New accepts, and NaN fails them.
+		{"NaN watermarks", func(c *Config) { c.HighWatermarkBytes, c.LowWatermarkBytes = math.NaN(), math.NaN() }, "watermarks"},
+		{"NaN high watermark", func(c *Config) { c.HighWatermarkBytes = math.NaN() }, "watermarks"},
+		{"infinite high watermark", func(c *Config) { c.HighWatermarkBytes = math.Inf(1) }, "watermarks"},
+		{"NaN service noise", func(c *Config) { c.ServiceNoiseStd = math.NaN() }, "service noise"},
+		{"infinite service noise", func(c *Config) { c.ServiceNoiseStd = math.Inf(1) }, "service noise"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -386,6 +394,16 @@ func TestConfigValidation(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), c.frag) {
 				t.Errorf("error %q missing %q", err, c.frag)
+			}
+		})
+	}
+	// NewWordCount's constant rate: heronsim -rate NaN printed a table
+	// of NaN, and -rate -5e6 simulated no load.
+	for _, r := range []float64{math.NaN(), math.Inf(1), -5e6} {
+		t.Run(fmt.Sprintf("word-count rate %g", r), func(t *testing.T) {
+			_, err := NewWordCount(WordCountOptions{RatePerMinute: r})
+			if err == nil || !strings.Contains(err.Error(), "source rate") {
+				t.Errorf("error %v, want one naming the source rate", err)
 			}
 		})
 	}
