@@ -200,7 +200,7 @@ func BenchmarkAuditResolveFullRing(b *testing.B) {
 	b.Run("live-clock", func(b *testing.B) {
 		led, err := audit.NewLedger(audit.Options{
 			Provider: d.Provider, History: tsdb.New(time.Hour), Registry: telemetry.NewRegistry(),
-			Now: func() time.Time { return d.AsOf },
+			Now: func() time.Time { return d.AsOf }, SeriesNow: func() time.Time { return d.AsOf }, MetricsWindow: time.Minute,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -245,6 +245,7 @@ func BenchmarkSLOEvaluateArmed(b *testing.B) {
 		History:  db,
 		Logs:     telemetry.NewLogRing(0),
 		Tracer:   telemetry.NewTracer(0, nil),
+		Cooldown: 5 * time.Minute,
 		Now:      func() time.Time { return now },
 		Logger:   slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})

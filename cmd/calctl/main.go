@@ -167,7 +167,7 @@ func trafficCmd(c *client, args []string) error {
 	topo := args[0]
 	fs := flag.NewFlagSet("traffic", flag.ContinueOnError)
 	sourceMinutes := fs.Int("source-minutes", 0, "history window to fit on")
-	horizonMinutes := fs.Int("horizon-minutes", 60, "forecast horizon")
+	horizonMinutes := fs.Int("horizon-minutes", 0, "forecast horizon; 0 = server default")
 	model := fs.String("model", "", "restrict to one model")
 	sync := fs.Bool("sync", true, "run synchronously")
 	if err := fs.Parse(args[1:]); err != nil {
@@ -189,7 +189,7 @@ func perfCmd(c *client, args []string) error {
 	rate := fs.Float64("rate", 0, "source rate to evaluate (tuples/minute); 0 = latest observed")
 	pFlag := fs.String("p", "", "parallelism overrides, e.g. splitter=4,counter=6")
 	useForecast := fs.Bool("forecast", false, "evaluate at the forecast peak instead of -rate")
-	horizonMinutes := fs.Int("horizon-minutes", 60, "forecast horizon when -forecast is set")
+	horizonMinutes := fs.Int("horizon-minutes", 0, "forecast horizon when -forecast is set; 0 = server default")
 	sync := fs.Bool("sync", true, "run synchronously")
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
@@ -222,7 +222,7 @@ func suggestCmd(c *client, args []string) error {
 	topo := args[0]
 	fs := flag.NewFlagSet("suggest", flag.ContinueOnError)
 	rate := fs.Float64("rate", 0, "source rate to plan for (tuples/minute); 0 = latest observed")
-	headroom := fs.Float64("headroom", 0.2, "capacity margin")
+	headroom := fs.Float64("headroom", 0, "capacity margin; 0 = server default")
 	sync := fs.Bool("sync", true, "run synchronously")
 	if err := fs.Parse(args[1:]); err != nil {
 		return err

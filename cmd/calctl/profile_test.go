@@ -1,6 +1,8 @@
 package main
 
 import (
+	"log/slog"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -21,7 +23,9 @@ func withProfiler(t *testing.T) func(*daemon.Config) {
 	reg := telemetry.NewRegistry()
 	p, err := profiler.New(profiler.Options{
 		Registry: reg,
+		Interval: 10 * time.Second,
 		Now:      func() time.Time { return clock },
+		Logger:   slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn})),
 		Source: func(kind profiler.Kind) ([]byte, error) {
 			stacks := map[string]int64{"main;steady": 900, "main;other": 100}
 			if hot {

@@ -16,14 +16,23 @@ import (
 
 func usageCmd(c *client, args []string) error {
 	fs := flag.NewFlagSet("usage", flag.ContinueOnError)
-	by := fs.String("by", "requests", "ranking key: requests|errors|wall|cpu|allocs|ticks|runs")
-	n := fs.Int("n", 10, "principals to list")
+	by := fs.String("by", "", "ranking key: requests|errors|wall|cpu|allocs|ticks|runs; empty = server default")
+	n := fs.Int("n", 0, "principals to list; 0 = server default")
 	raw := fs.Bool("raw", false, "dump the raw JSON payload instead of the table")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	v := url.Values{"by": {*by}, "n": {strconv.Itoa(*n)}}
-	path := "/api/v1/usage?" + v.Encode()
+	v := url.Values{}
+	if *by != "" {
+		v.Set("by", *by)
+	}
+	if *n != 0 {
+		v.Set("n", strconv.Itoa(*n))
+	}
+	path := "/api/v1/usage"
+	if len(v) > 0 {
+		path += "?" + v.Encode()
+	}
 	if *raw {
 		return c.getJSON(path)
 	}

@@ -490,7 +490,6 @@ var seams = map[string]string{
 	"chaos.ProviderOptions.Now":          "internal/chaos TestFaultyProviderOutage and TestFaultyProviderLatency: a fixed clock",
 	"chaos.ProviderOptions.Sleep":        "internal/chaos TestFaultyProviderLatency: records the injected delays instead of sleeping",
 	"soak.DaemonOptions.Now":             "internal/soak TestSoakDeterministicFaultCycle: a manual clock",
-	"usage.Options.Now":                  "internal/usage TestWindowRotation and the accountant tests: a fixed clock",
 	"heron.WordCountOptions.CounterKeys": "internal/core TestBiasedFieldsGroupingModel (Eq. 11) and TestCalibrateTopologyInputShares: skewed keys",
 
 	// PAPER.md inventory row 2: several topologies in one store.
@@ -502,25 +501,7 @@ var seams = map[string]string{
 // seams entry that a program writes or that no longer exists.
 func TestEveryOptionNamesItsUser(t *testing.T) {
 	l, roots, r := programReach(t)
-	options := map[types.Object]string{}
-	for _, p := range l.ordered {
-		if !strings.HasPrefix(p.rel, "internal/") {
-			continue
-		}
-		scope := p.types.Scope()
-		for _, name := range scope.Names() {
-			if name != "Config" && !strings.HasSuffix(name, "Options") || p.key+"."+name == "config.Config" {
-				continue
-			}
-			if st, ok := scope.Lookup(name).Type().Underlying().(*types.Struct); ok {
-				for i := 0; i < st.NumFields(); i++ {
-					if f := st.Field(i); f.Exported() {
-						options[f] = p.key + "." + name + "." + f.Name()
-					}
-				}
-			}
-		}
-	}
+	options := optionFields(l)
 
 	w := fieldWrites{options: options, from: map[types.Object][]types.Object{}}
 	for _, p := range roots {
@@ -560,6 +541,144 @@ func TestEveryOptionNamesItsUser(t *testing.T) {
 		}
 	}
 	t.Logf("option fields: %d (%d seams)", len(options), len(seams))
+}
+
+// optionFields maps every option field under internal/ (an exported
+// field of a struct named Config, Options or …Options, bar
+// config.Config) to its pkg.Type.Field key.
+func optionFields(l *loader) map[types.Object]string {
+	options := map[types.Object]string{}
+	for _, p := range l.ordered {
+		if !strings.HasPrefix(p.rel, "internal/") {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			if name != "Config" && !strings.HasSuffix(name, "Options") || p.key+"."+name == "config.Config" {
+				continue
+			}
+			if st, ok := scope.Lookup(name).Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() {
+						options[f] = p.key + "." + name + "." + f.Name()
+					}
+				}
+			}
+		}
+	}
+	return options
+}
+
+// fallbacks names, for every option field whose zero value the code
+// replaces (if x.F == 0 { x.F = … }, or cmp.Or(x.F, …)), the non-test
+// caller that leaves the field zero, or the DESIGN convention the
+// fallback keeps. Any other fallback restates a default config.Default()
+// already states, or stands in for a value every caller passes: the
+// field is then taken as given.
+var fallbacks = map[string]string{
+	// The nil-registry convention (DESIGN, Composition root): a nil
+	// registry is a private one.
+	"api.Options.Telemetry":          "DESIGN Composition root",
+	"sched.Options.Registry":         "DESIGN Composition root",
+	"sched.CalCacheOptions.Registry": "DESIGN Composition root; internal/api and benchmark/layers.go leave it nil",
+	"usage.Options.Registry":         "DESIGN Composition root",
+
+	// A setting's zero that means something.
+	"sched.Options.Workers": "the sched.workers setting's 0 means max(2, GOMAXPROCS)",
+
+	// Fields a program leaves zero.
+	"api.Options.Tracer":             "benchmark/stack.go: a private tracer",
+	"sched.CalCacheOptions.Now":      "benchmark/layers.go: time.Now",
+	"telemetry.ScrapeOptions.Now":    "benchmark/stack.go: time.Now",
+	"usage.Options.Now":              "benchmark/stack.go: time.Now",
+	"soak.DaemonOptions.Now":         "cmd/caladriussoak through soak.RunSoak: time.Now",
+	"incident.Options.CPUProfile":    "internal/daemon: a 2 s CPU profile",
+	"profiler.Options.Source":        "internal/daemon: the runtime's own profiles",
+	"core.CalibrationOptions.Window": "the examples, internal/dhalion and internal/experiments: the simulator's 1-minute metrics window",
+
+	// The word-count preset's zero value is the paper's evaluation
+	// shape (§V: 8 spouts, 1 splitter, 3 counters on 2 containers,
+	// uniform keys).
+	"heron.WordCountOptions.SpoutP":      "internal/daemon, benchmark/stack.go and the internal/experiments sweeps: 8 spouts",
+	"heron.WordCountOptions.SplitterP":   "cmd/heronsim passes -splitter through, 0 included: 1 splitter",
+	"heron.WordCountOptions.CounterP":    "cmd/heronsim passes -counter through, 0 included: 3 counters",
+	"heron.WordCountOptions.Containers":  "internal/daemon, benchmark/stack.go and the internal/experiments sweeps: 2 containers",
+	"heron.WordCountOptions.CounterKeys": "internal/daemon, benchmark/stack.go and the internal/experiments sweeps: uniform keys",
+	"heron.Config.Plan":                  "internal/experiments ablation-watermarks: round-robin on 2 containers",
+	"heron.Config.HighWatermarkBytes":    "heron.NewWordCount, so every word-count program: DefaultHighWatermarkBytes",
+	"heron.Config.LowWatermarkBytes":     "heron.NewWordCount, so every word-count program: DefaultLowWatermarkBytes",
+	"heron.Config.Tick":                  "heron.NewWordCount for internal/daemon and benchmark/stack.go, which leave WordCountOptions.Tick zero: 100 ms",
+	"heron.Config.DB":                    "heron.NewWordCount and internal/experiments ablation-watermarks: a private store",
+}
+
+// TestEveryFallbackNamesItsUser fails for a fallback on an option field
+// that fallbacks does not list, and for a fallbacks row that no
+// fallback matches.
+func TestEveryFallbackNamesItsUser(t *testing.T) {
+	l, _, _ := programReach(t)
+	options := optionFields(l)
+	field := func(p *pkg, e ast.Expr) string {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			return options[p.info.Uses[sel.Sel]]
+		}
+		return ""
+	}
+	isZero := func(p *pkg, e ast.Expr) bool {
+		tv := p.info.Types[e]
+		return tv.IsNil() || tv.Value != nil && (tv.Value.ExactString() == "0" || tv.Value.ExactString() == `""`)
+	}
+	found := map[string]bool{}
+	flag := func(key string, pos token.Pos) {
+		found[key] = true
+		if fallbacks[key] == "" {
+			t.Errorf("%s (%s) falls back when zero: take it as given, or name the caller that leaves it zero in fallbacks",
+				key, l.fset.Position(pos))
+		}
+	}
+	for _, p := range l.ordered {
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.IfStmt:
+					cond, ok := ast.Unparen(n.Cond).(*ast.BinaryExpr)
+					if !ok {
+						break
+					}
+					key := field(p, cond.X)
+					if key == "" || !isZero(p, cond.Y) {
+						if key = field(p, cond.Y); key == "" || !isZero(p, cond.X) {
+							break
+						}
+					}
+					assigns := false
+					ast.Inspect(n.Body, func(m ast.Node) bool {
+						if as, ok := m.(*ast.AssignStmt); ok && slices.ContainsFunc(as.Lhs, func(e ast.Expr) bool { return field(p, e) == key }) {
+							assigns = true
+						}
+						return !assigns
+					})
+					if assigns {
+						flag(key, n.Pos())
+					}
+				case *ast.CallExpr:
+					if fn, ok := n.Fun.(*ast.SelectorExpr); ok && len(n.Args) > 0 {
+						if obj := p.info.Uses[fn.Sel]; obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "cmp" && obj.Name() == "Or" {
+							if key := field(p, n.Args[0]); key != "" {
+								flag(key, n.Pos())
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	for key := range fallbacks {
+		if !found[key] {
+			t.Errorf("fallbacks lists %s, which no code falls back on", key)
+		}
+	}
+	t.Logf("option fallbacks: %d", len(found))
 }
 
 // fieldWrites collects the struct fields that code sets: by key or

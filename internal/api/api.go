@@ -46,6 +46,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -103,11 +104,11 @@ type Service struct {
 // no endpoint or model run has a shape without them.
 type Options struct {
 	// Logger receives the structured access log and service events.
-	// Default: slog.Default().
+	// Required.
 	Logger *slog.Logger
-	// Now anchors metric queries and job timestamps. Default: time.Now.
-	// A frozen demo clock here does not affect telemetry: spans and
-	// request latencies always measure real wall time.
+	// Now anchors metric queries and job timestamps. Required. A frozen
+	// demo clock here does not affect telemetry: spans and request
+	// latencies always measure real wall time.
 	Now func() time.Time
 	// Telemetry is the metrics registry to instrument into. Default: a
 	// fresh private registry.
@@ -163,6 +164,8 @@ func NewService(cfg config.Config, tr *tracker.Tracker, provider metrics.Provide
 		field string
 		unset bool
 	}{
+		{"Logger", opts.Logger == nil},
+		{"Now", opts.Now == nil},
 		{"Scheduler", opts.Scheduler == nil},
 		{"History", opts.History == nil},
 		{"SLO", opts.SLO == nil},
@@ -172,12 +175,6 @@ func NewService(cfg config.Config, tr *tracker.Tracker, provider metrics.Provide
 		if req.unset {
 			return nil, fmt.Errorf("api: Options.%s is required", req.field)
 		}
-	}
-	if opts.Logger == nil {
-		opts.Logger = slog.Default()
-	}
-	if opts.Now == nil {
-		opts.Now = time.Now
 	}
 	if opts.Telemetry == nil {
 		opts.Telemetry = telemetry.NewRegistry()
@@ -434,7 +431,15 @@ const TraceHeader = "X-Caladrius-Trace"
 // either way. A GET has no job form: it always runs synchronously.
 func (s *Service) dispatch(w http.ResponseWriter, r *http.Request, op, topoName string, req any, fn func(context.Context) (any, error)) {
 	tenant := RequestTenant(r.Context())
-	isSync := r.Method == http.MethodGet || r.URL.Query().Get("sync") == "true"
+	isSync := r.Method == http.MethodGet
+	if v := r.URL.Query().Get("sync"); v != "" {
+		b, err := strconv.ParseBool(v)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "sync: want true or false")
+			return
+		}
+		isSync = isSync || b
+	}
 	sreq := sched.Request{
 		Topology: topoName,
 		Kind:     op,
@@ -1079,6 +1084,22 @@ func writeError(w http.ResponseWriter, err error) {
 
 func httpError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]any{"error": msg})
+}
+
+// positiveParam reads query parameter name as a positive integer, or
+// def when it is absent. Any other value answers a 400 naming the
+// parameter and reports false.
+func positiveParam(w http.ResponseWriter, q url.Values, name string, def int) (int, bool) {
+	v := q.Get(name)
+	if v == "" {
+		return def, true
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n <= 0 {
+		httpError(w, http.StatusBadRequest, name+": want a positive integer")
+		return 0, false
+	}
+	return n, true
 }
 
 // writeJSON encodes v before committing the status line, so a value

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -67,11 +68,15 @@ func simulate(t *testing.T, opts heron.WordCountOptions, warm time.Duration) dep
 // the test — built on whichever of Telemetry and History opts does give.
 func withRequired(t *testing.T, provider metrics.Provider, now time.Time, opts Options) Options {
 	t.Helper()
+	cfg := config.Default()
+	if opts.Logger == nil {
+		opts.Logger = slog.Default()
+	}
 	if opts.Now == nil {
 		opts.Now = func() time.Time { return now }
 	}
 	if opts.Scheduler == nil {
-		opts.Scheduler = sched.New(sched.Options{})
+		opts.Scheduler = sched.New(sched.Options{QueueDepth: cfg.SchedQueueDepth})
 		t.Cleanup(opts.Scheduler.Close)
 	}
 	if opts.Telemetry == nil {
@@ -87,12 +92,13 @@ func withRequired(t *testing.T, provider metrics.Provider, now time.Time, opts O
 		}
 	}
 	if opts.Audit == nil {
-		if opts.Audit, err = audit.NewLedger(audit.Options{Provider: provider, History: opts.History, Registry: opts.Telemetry, Now: opts.Now}); err != nil {
+		if opts.Audit, err = audit.NewLedger(audit.Options{Provider: provider, History: opts.History, Registry: opts.Telemetry,
+			Now: opts.Now, SeriesNow: opts.Now, MetricsWindow: cfg.MetricsWindow}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if opts.Usage == nil {
-		opts.Usage = usage.New(usage.Options{Registry: opts.Telemetry})
+		opts.Usage = usage.New(usage.Options{Capacity: cfg.UsageTopK, Window: cfg.UsageWindow, Registry: opts.Telemetry})
 	}
 	return opts
 }
@@ -341,6 +347,11 @@ func TestHTTPErrors(t *testing.T) {
 		{"POST", "/api/v1/model/traffic/word-count?sync=true", asOf, http.StatusBadRequest, "as_of"},
 		{"POST", "/api/v1/model/traffic/word-count/rank?sync=true", asOf, http.StatusBadRequest, "as_of"},
 		{"POST", "/api/v1/model/topology/word-count/calibrate?sync=true", `{"source_rate_tpm": 5}`, http.StatusBadRequest, "source_rate_tpm"},
+		// sync is a boolean: a value that is not one is refused, not
+		// taken as a request for an async job.
+		{"POST", "/api/v1/model/topology/word-count/performance?sync=yes", "{}", http.StatusBadRequest, "sync"},
+		{"POST", "/api/v1/model/topology/word-count/performance?sync=1", "{}", http.StatusOK, ""},
+		{"POST", "/api/v1/model/topology/word-count/performance?sync=True", "{}", http.StatusOK, ""},
 	}
 	for _, c := range cases {
 		req, err := http.NewRequest(c.method, srv.URL+c.path, bytes.NewReader([]byte(c.body)))
@@ -428,7 +439,7 @@ func TestModelInspectionEndpoint(t *testing.T) {
 
 func TestServiceConstructorValidation(t *testing.T) {
 	cfg := config.Default()
-	scheduler := sched.New(sched.Options{})
+	scheduler := sched.New(sched.Options{QueueDepth: cfg.SchedQueueDepth})
 	defer scheduler.Close()
 	if _, err := NewService(cfg, nil, nil, Options{Scheduler: scheduler}); err == nil {
 		t.Error("nil deps accepted")
@@ -445,6 +456,8 @@ func TestServiceConstructorValidation(t *testing.T) {
 	}
 	// Each required option, left nil on its own, is refused by name.
 	for field, unset := range map[string]func(*Options){
+		"Logger":    func(o *Options) { o.Logger = nil },
+		"Now":       func(o *Options) { o.Now = nil },
 		"Scheduler": func(o *Options) { o.Scheduler = nil },
 		"History":   func(o *Options) { o.History = nil },
 		"SLO":       func(o *Options) { o.SLO = nil },

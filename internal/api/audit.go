@@ -135,14 +135,9 @@ func (s *Service) handleAuditList(w http.ResponseWriter, r *http.Request) {
 		}
 		f.Until = t
 	}
-	f.Limit = 50
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			httpError(w, http.StatusBadRequest, "limit: want a positive integer")
-			return
-		}
-		f.Limit = n
+	var ok bool
+	if f.Limit, ok = positiveParam(w, q, "limit", 50); !ok {
+		return
 	}
 	recs := s.audit.List(f)
 	if recs == nil {

@@ -2,6 +2,7 @@ package api
 
 import (
 	"io"
+	"log/slog"
 	"net/http"
 	"path/filepath"
 	"strings"
@@ -27,7 +28,10 @@ func testRecorder(t *testing.T) *incident.Recorder {
 		History:    tsdb.New(time.Hour),
 		Logs:       logs,
 		Tracer:     tracer,
+		Cooldown:   5 * time.Minute,
 		CPUProfile: 20 * time.Millisecond,
+		Now:        time.Now,
+		Logger:     slog.Default(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package api
 
 import (
 	"net/http"
-	"strconv"
 
 	"caladrius/internal/profiler"
 )
@@ -56,16 +55,8 @@ func profileParams(w http.ResponseWriter, r *http.Request) (profiler.Kind, int, 
 		httpError(w, http.StatusBadRequest, "kind must be one of cpu|heap|goroutine|mutex")
 		return "", 0, false
 	}
-	n := 0 // 0 = server-side topk default
-	if raw := q.Get("n"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v <= 0 {
-			httpError(w, http.StatusBadRequest, "n must be a positive integer")
-			return "", 0, false
-		}
-		n = v
-	}
-	return profiler.Kind(kind), n, true
+	n, ok := positiveParam(w, q, "n", 0) // 0 = server-side topk default
+	return profiler.Kind(kind), n, ok
 }
 
 func (s *Service) handleProfiles(w http.ResponseWriter, _ *http.Request) {

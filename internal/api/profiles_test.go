@@ -3,7 +3,9 @@ package api
 import (
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -28,8 +30,10 @@ func testProfiler(t *testing.T) *profiler.Profiler {
 	}
 	p, err := profiler.New(profiler.Options{
 		Registry: telemetry.NewRegistry(),
-		Now:      func() time.Time { return clock },
+		Interval: 10 * time.Second,
 		Source:   src,
+		Now:      func() time.Time { return clock },
+		Logger:   slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn})),
 	})
 	if err != nil {
 		t.Fatal(err)

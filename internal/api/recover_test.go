@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"caladrius/internal/telemetry"
 	"caladrius/internal/usage"
@@ -19,7 +20,7 @@ import (
 func TestPanicRecovery(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	var logBuf bytes.Buffer
-	svc := &Service{tel: reg, logger: slog.New(slog.NewTextHandler(&logBuf, nil)), usage: usage.New(usage.Options{})}
+	svc := &Service{tel: reg, logger: slog.New(slog.NewTextHandler(&logBuf, nil)), usage: usage.New(usage.Options{Capacity: 256, Window: 15 * time.Minute})}
 
 	srv := httptest.NewServer(svc.router([]route{
 		{"GET", "/api/v1/health", func(*Service, http.ResponseWriter, *http.Request) {

@@ -234,7 +234,7 @@ func TestRouteTableContract(t *testing.T) {
 // its own label.
 func TestDisabledSubsystemsAnswer404(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	handler := (&Service{tel: reg, logger: slog.New(slog.NewTextHandler(io.Discard, nil)), usage: usage.New(usage.Options{})}).Handler()
+	handler := (&Service{tel: reg, logger: slog.New(slog.NewTextHandler(io.Discard, nil)), usage: usage.New(usage.Options{Capacity: 256, Window: 15 * time.Minute})}).Handler()
 	optional := 0
 	for _, rt := range routes {
 		if rt.needs == nil {

@@ -58,14 +58,9 @@ func (s *Service) handleUsage(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "by: want one of requests, errors, wall, cpu, allocs, ticks, runs")
 		return
 	}
-	n := 10
-	if v := q.Get("n"); v != "" {
-		parsed, err := strconv.Atoi(v)
-		if err != nil || parsed <= 0 {
-			httpError(w, http.StatusBadRequest, "n: want a positive integer")
-			return
-		}
-		n = parsed
+	n, ok := positiveParam(w, q, "n", 10)
+	if !ok {
+		return
 	}
 
 	snap := s.usage.Snapshot()

@@ -180,7 +180,7 @@ func TestUsageEndToEndTwoTenants(t *testing.T) {
 // TestUsageEndpointValidation covers the strict query-parameter
 // contract of /api/v1/usage.
 func TestUsageEndpointValidation(t *testing.T) {
-	acct := usage.New(usage.Options{})
+	acct := usage.New(usage.Options{Capacity: 256, Window: 15 * time.Minute})
 	_, srv, _ := testEnvWith(t, Options{Usage: acct})
 	bad := []string{
 		"?by=bogus",
@@ -212,7 +212,7 @@ func TestUsageEndpointValidation(t *testing.T) {
 // TestUsageTenantSanitization: hostile or malformed tenant headers are
 // coerced to the anonymous principal rather than minting series.
 func TestUsageTenantSanitization(t *testing.T) {
-	acct := usage.New(usage.Options{})
+	acct := usage.New(usage.Options{Capacity: 256, Window: 15 * time.Minute})
 	_, srv, _ := testEnvWith(t, Options{Usage: acct})
 	hostile := []string{
 		"",
@@ -243,7 +243,7 @@ func TestUsageTenantSanitization(t *testing.T) {
 // eviction counter accounts for the overflow.
 func TestUsageHostileHighCardinality(t *testing.T) {
 	const churn = 10000
-	acct := usage.New(usage.Options{Capacity: 16})
+	acct := usage.New(usage.Options{Capacity: 16, Window: 15 * time.Minute})
 	_, srv, _ := testEnvWith(t, Options{Usage: acct})
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}}
 	for i := 0; i < churn; i++ {

@@ -23,7 +23,7 @@
 package audit
 
 import (
-	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -165,22 +165,22 @@ type Options struct {
 	Provider metrics.Provider
 	// History receives the per-record caladrius_model_ape points. It is
 	// the store the scraper copies Registry into and the SLO rules
-	// evaluate. Required.
+	// evaluate.
 	History *tsdb.DB
-	// Registry receives the run counters and rolling gauges. Required:
-	// the gauges reach History only through the scraper that walks it.
+	// Registry receives the run counters and rolling gauges; the gauges
+	// reach History only through the scraper that walks it.
 	Registry *telemetry.Registry
 	// Now stamps records; align it with the service clock (the clock
-	// the metrics provider's data lives on). Default: time.Now.
+	// the metrics provider's data lives on).
 	Now func() time.Time
 	// SeriesNow stamps the caladrius_model_ape points appended into
 	// History. It exists because a daemon may model a frozen or
 	// simulated service clock while its self-monitoring history runs on
 	// wall time — pass time.Now there so accuracy points land in the
-	// SLO evaluation window. Default: Now.
+	// SLO evaluation window.
 	SeriesNow func() time.Time
 	// MetricsWindow is the provider's rollup interval, used to convert
-	// per-window counts to tuples/minute. Default 1m.
+	// per-window counts to tuples/minute.
 	MetricsWindow time.Duration
 }
 
@@ -286,26 +286,22 @@ func (rs *rollingStats) add(errs *Errors) {
 	}
 }
 
-// NewLedger builds a ledger. Provider, History and Registry are
-// required.
+// NewLedger builds a ledger. Every option is required.
 func NewLedger(opts Options) (*Ledger, error) {
-	if opts.Provider == nil {
-		return nil, errors.New("audit: ledger needs a metrics provider")
-	}
-	if opts.History == nil {
-		return nil, errors.New("audit: ledger needs a history store")
-	}
-	if opts.Registry == nil {
-		return nil, errors.New("audit: ledger needs a telemetry registry")
-	}
-	if opts.Now == nil {
-		opts.Now = time.Now
-	}
-	if opts.SeriesNow == nil {
-		opts.SeriesNow = opts.Now
-	}
-	if opts.MetricsWindow <= 0 {
-		opts.MetricsWindow = time.Minute
+	for _, req := range []struct {
+		what, field string
+		unset       bool
+	}{
+		{"a metrics provider", "Provider", opts.Provider == nil},
+		{"a history store", "History", opts.History == nil},
+		{"a telemetry registry", "Registry", opts.Registry == nil},
+		{"a clock", "Now", opts.Now == nil},
+		{"a series clock", "SeriesNow", opts.SeriesNow == nil},
+		{"a positive metrics window", "MetricsWindow", opts.MetricsWindow <= 0},
+	} {
+		if req.unset {
+			return nil, fmt.Errorf("audit: ledger needs %s (Options.%s)", req.what, req.field)
+		}
 	}
 	reg := opts.Registry
 	reg.SetHelp(MetricRuns, "Model runs recorded in the audit ledger, by topology and model.")

@@ -85,6 +85,15 @@ func testLedger(t testing.TB, opts Options) *Ledger {
 	if opts.Registry == nil {
 		opts.Registry = telemetry.NewRegistry()
 	}
+	if opts.Now == nil {
+		opts.Now = time.Now
+	}
+	if opts.SeriesNow == nil {
+		opts.SeriesNow = opts.Now
+	}
+	if opts.MetricsWindow == 0 {
+		opts.MetricsWindow = time.Minute
+	}
 	led, err := NewLedger(opts)
 	if err != nil {
 		t.Fatalf("NewLedger: %v", err)
@@ -265,6 +274,9 @@ func TestNewLedgerRefusesMissingDependencies(t *testing.T) {
 		{"metrics provider", Options{History: db, Registry: reg}},
 		{"history store", Options{Provider: &stubProvider{}, Registry: reg}},
 		{"telemetry registry", Options{Provider: &stubProvider{}, History: db}},
+		{"clock", Options{Provider: &stubProvider{}, History: db, Registry: reg}},
+		{"series clock", Options{Provider: &stubProvider{}, History: db, Registry: reg, Now: time.Now}},
+		{"positive metrics window", Options{Provider: &stubProvider{}, History: db, Registry: reg, Now: time.Now, SeriesNow: time.Now, MetricsWindow: -time.Minute}},
 	} {
 		if _, err := NewLedger(tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("NewLedger without a %s: err = %v", tc.want, err)

@@ -90,10 +90,12 @@ func TestResolvePartialActuals(t *testing.T) {
 	}}
 	db := tsdb.New(0)
 	led, err := NewLedger(Options{
-		Provider: prov,
-		History:  db,
-		Registry: telemetry.NewRegistry(),
-		Now:      func() time.Time { return now },
+		Provider:      prov,
+		History:       db,
+		Registry:      telemetry.NewRegistry(),
+		Now:           func() time.Time { return now },
+		SeriesNow:     func() time.Time { return now },
+		MetricsWindow: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,10 +142,12 @@ func TestResolveEmptyWindowStaysPending(t *testing.T) {
 	prov := &partialProvider{origin: origin, windows: map[string][]metrics.Window{}}
 	db := tsdb.New(0)
 	led, err := NewLedger(Options{
-		Provider: prov,
-		History:  db,
-		Registry: telemetry.NewRegistry(),
-		Now:      func() time.Time { return now },
+		Provider:      prov,
+		History:       db,
+		Registry:      telemetry.NewRegistry(),
+		Now:           func() time.Time { return now },
+		SeriesNow:     func() time.Time { return now },
+		MetricsWindow: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)

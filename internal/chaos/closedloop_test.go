@@ -133,10 +133,12 @@ func TestClosedLoopDriftDuringSlowFault(t *testing.T) {
 	db := tsdb.New(24 * time.Hour)
 	reg := telemetry.NewRegistry()
 	led, err := audit.NewLedger(audit.Options{
-		Provider: prov,
-		History:  db,
-		Registry: reg,
-		Now:      func() time.Time { return now },
+		Provider:      prov,
+		History:       db,
+		Registry:      reg,
+		Now:           func() time.Time { return now },
+		SeriesNow:     func() time.Time { return now },
+		MetricsWindow: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +298,8 @@ func TestDegradedCalibrationFlagReachesLedger(t *testing.T) {
 	}
 	tm.Degraded = rep.Degraded
 
-	led, err := audit.NewLedger(audit.Options{Provider: fp, History: tsdb.New(0), Registry: telemetry.NewRegistry()})
+	led, err := audit.NewLedger(audit.Options{Provider: fp, History: tsdb.New(0), Registry: telemetry.NewRegistry(),
+		Now: time.Now, SeriesNow: time.Now, MetricsWindow: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}

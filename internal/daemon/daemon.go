@@ -186,7 +186,7 @@ func New(cfg Config) (*Daemon, error) {
 	if d.History, err = d.loadHistory(); err != nil {
 		return nil, err
 	}
-	d.Scraper = telemetry.NewScraper(reg, d.History, telemetry.ScrapeOptions{Interval: cfg.ScrapeInterval, Now: d.wall})
+	d.Scraper = telemetry.NewScraper(reg, d.History, telemetry.ScrapeOptions{Now: d.wall})
 	d.Scraper.AddCollector(telemetry.RegisterRuntime(reg, d.wall(), d.wall))
 
 	// Prediction audit ledger: records every model run, and a resolver
@@ -251,7 +251,7 @@ func New(cfg Config) (*Daemon, error) {
 	// per-principal caladrius_tenant_* series land in the shared
 	// registry, so the scraper carries them into the history store and
 	// query_range/SLO/dash work on them unchanged.
-	acct := usage.New(usage.Options{Capacity: cfg.UsageTopK, Window: cfg.UsageWindow, Registry: reg})
+	acct := usage.New(usage.Options{Capacity: cfg.UsageTopK, Window: cfg.UsageWindow, Now: d.wall, Registry: reg})
 	var simTicks func() uint64
 	if cfg.MetricsFile == "" {
 		// Model runs can drive simulator ticks; meter them per
@@ -407,7 +407,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 	loops, stop := context.WithCancel(ctx)
 	d.stopLoops = stop
 	d.logger.Info("self-monitoring scraper running", "interval", d.cfg.ScrapeInterval, "retention", d.cfg.HistoryRetention)
-	d.goLoop(func() { d.Scraper.Run(loops) })
+	d.goLoop(func() { d.Scraper.Run(loops, d.cfg.ScrapeInterval) })
 	d.logger.Info("audit resolver running", "interval", d.cfg.AuditResolveInterval)
 	d.goLoop(func() { d.Ledger.Run(loops, d.cfg.AuditResolveInterval) })
 	if d.Profiler != nil {

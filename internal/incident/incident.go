@@ -123,8 +123,8 @@ type Manifest struct {
 	Notes []string `json:"notes,omitempty"`
 }
 
-// Options configures a Recorder. Dir, Registry and the three signal
-// sources (History, Logs, Tracer) are required.
+// Options configures a Recorder. Every field but CPUProfile and
+// Attachments is required.
 type Options struct {
 	// Dir is the bundle root; one subdirectory per incident.
 	Dir string
@@ -138,7 +138,7 @@ type Options struct {
 	// Tracer supplies the recent span ring.
 	Tracer *telemetry.Tracer
 	// Cooldown is the per-rule minimum spacing between SLO-triggered
-	// captures. Default: 5 minutes.
+	// captures.
 	Cooldown time.Duration
 	// CPUProfile is how long the CPU profile samples. Default: 2s.
 	CPUProfile time.Duration
@@ -147,10 +147,9 @@ type Options struct {
 	// diff table as profile-diff.json). A failing Capture becomes a
 	// manifest note, never a failed bundle.
 	Attachments []Attachment
-	// Now stamps captures and anchors the metrics window (fake clocks
-	// in tests). Default: time.Now.
+	// Now stamps captures and anchors the metrics window.
 	Now func() time.Time
-	// Logger receives recorder events. Default: slog.Default().
+	// Logger receives recorder events.
 	Logger *slog.Logger
 }
 
@@ -193,32 +192,25 @@ type captureReq struct {
 // indexing any bundles a previous process left there, and starts the
 // capture worker.
 func New(opts Options) (*Recorder, error) {
-	if opts.Dir == "" {
-		return nil, errors.New("incident: recorder needs a bundle directory")
-	}
-	if opts.Registry == nil {
-		return nil, errors.New("incident: recorder needs a telemetry registry")
-	}
-	if opts.History == nil {
-		return nil, errors.New("incident: recorder needs a history store")
-	}
-	if opts.Logs == nil {
-		return nil, errors.New("incident: recorder needs a log ring")
-	}
-	if opts.Tracer == nil {
-		return nil, errors.New("incident: recorder needs a tracer")
-	}
-	if opts.Cooldown <= 0 {
-		opts.Cooldown = 5 * time.Minute
+	for _, req := range []struct {
+		what, field string
+		unset       bool
+	}{
+		{"a bundle directory", "Dir", opts.Dir == ""},
+		{"a telemetry registry", "Registry", opts.Registry == nil},
+		{"a history store", "History", opts.History == nil},
+		{"a log ring", "Logs", opts.Logs == nil},
+		{"a tracer", "Tracer", opts.Tracer == nil},
+		{"a positive cooldown", "Cooldown", opts.Cooldown <= 0},
+		{"a clock", "Now", opts.Now == nil},
+		{"a logger", "Logger", opts.Logger == nil},
+	} {
+		if req.unset {
+			return nil, fmt.Errorf("incident: recorder needs %s (Options.%s)", req.what, req.field)
+		}
 	}
 	if opts.CPUProfile <= 0 {
 		opts.CPUProfile = 2 * time.Second
-	}
-	if opts.Now == nil {
-		opts.Now = time.Now
-	}
-	if opts.Logger == nil {
-		opts.Logger = slog.Default()
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("incident: %w", err)

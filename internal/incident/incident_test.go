@@ -283,7 +283,7 @@ func TestRestartReindexesBundles(t *testing.T) {
 	}
 
 	rec2, err := New(Options{Dir: dir, Registry: telemetry.NewRegistry(), History: tsdb.New(time.Hour),
-		Logs: telemetry.NewLogRing(8), Tracer: telemetry.NewTracer(8, nil), Now: clock.Now,
+		Logs: telemetry.NewLogRing(8), Tracer: telemetry.NewTracer(8, nil), Cooldown: 5 * time.Minute, Now: clock.Now,
 		Logger: slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelError}))})
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +298,8 @@ func TestRestartReindexesBundles(t *testing.T) {
 func TestNewRefusesMissingDependencies(t *testing.T) {
 	full := func() Options {
 		return Options{Dir: t.TempDir(), Registry: telemetry.NewRegistry(), History: tsdb.New(time.Hour),
-			Logs: telemetry.NewLogRing(8), Tracer: telemetry.NewTracer(8, nil)}
+			Logs: telemetry.NewLogRing(8), Tracer: telemetry.NewTracer(8, nil), Cooldown: 5 * time.Minute,
+			Now: time.Now, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}
 	}
 	for want, unset := range map[string]func(*Options){
 		"bundle directory":   func(o *Options) { o.Dir = "" },
@@ -306,6 +307,9 @@ func TestNewRefusesMissingDependencies(t *testing.T) {
 		"history store":      func(o *Options) { o.History = nil },
 		"log ring":           func(o *Options) { o.Logs = nil },
 		"tracer":             func(o *Options) { o.Tracer = nil },
+		"positive cooldown":  func(o *Options) { o.Cooldown = -time.Second },
+		"clock":              func(o *Options) { o.Now = nil },
+		"logger":             func(o *Options) { o.Logger = nil },
 	} {
 		opts := full()
 		unset(&opts)
@@ -361,7 +365,7 @@ func TestRestartRefusesUnsafeManifests(t *testing.T) {
 		m.Artifacts = append(m.Artifacts, Artifact{Name: name})
 		writeBundle(t, dir, "escape", m)
 		rec, err := New(Options{Dir: dir, Registry: telemetry.NewRegistry(), History: tsdb.New(time.Hour),
-			Logs: telemetry.NewLogRing(8), Tracer: telemetry.NewTracer(8, nil),
+			Logs: telemetry.NewLogRing(8), Tracer: telemetry.NewTracer(8, nil), Cooldown: 5 * time.Minute, Now: time.Now,
 			Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 		if err != nil {
 			t.Fatal(err)

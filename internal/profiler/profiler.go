@@ -82,16 +82,16 @@ const (
 	minSamples = 10
 )
 
-// Options configures a Profiler. Zero fields take the defaults
-// documented on each.
+// Options configures a Profiler. Registry, Interval, Now and Logger
+// are required.
 type Options struct {
 	// Registry receives the caladrius_profile_* instruments. The
 	// telemetry scraper appends every registered instrument to the
 	// TSDB, so setting gauges here is all the profiler needs to do to
-	// feed SLO rules and dashboards. Required.
+	// feed SLO rules and dashboards.
 	Registry *telemetry.Registry
 
-	// Interval between capture rounds in Run. Default 10s.
+	// Interval between capture rounds in Run.
 	Interval time.Duration
 	// BaselinePath, when set, persists the baseline snapshot as JSON
 	// and reloads it on startup.
@@ -99,27 +99,10 @@ type Options struct {
 
 	// Source overrides profile capture (tests). Default RuntimeSource.
 	Source Source
-	// Now overrides the clock (tests).
+	// Now stamps captures and epoch windows.
 	Now func() time.Time
 	// Logger receives capture errors and baseline events.
 	Logger *slog.Logger
-}
-
-func (o *Options) withDefaults() Options {
-	out := *o
-	if out.Interval <= 0 {
-		out.Interval = 10 * time.Second
-	}
-	if out.Source == nil {
-		out.Source = RuntimeSource()
-	}
-	if out.Now == nil {
-		out.Now = time.Now
-	}
-	if out.Logger == nil {
-		out.Logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn}))
-	}
-	return out
 }
 
 // BaselineVersion is the on-disk baseline format version; loading a
@@ -259,10 +242,22 @@ type Profiler struct {
 
 // New builds a Profiler and, when Options.BaselinePath names an
 // existing file, loads the persisted baseline from it.
-func New(opts Options) (*Profiler, error) {
-	o := opts.withDefaults()
-	if o.Registry == nil {
-		return nil, errors.New("profiler: Options.Registry is required")
+func New(o Options) (*Profiler, error) {
+	for _, req := range []struct {
+		field string
+		unset bool
+	}{
+		{"Registry", o.Registry == nil},
+		{"Interval", o.Interval <= 0},
+		{"Now", o.Now == nil},
+		{"Logger", o.Logger == nil},
+	} {
+		if req.unset {
+			return nil, fmt.Errorf("profiler: Options.%s is required", req.field)
+		}
+	}
+	if o.Source == nil {
+		o.Source = RuntimeSource()
 	}
 	reg := o.Registry
 	reg.SetHelp("caladrius_profile_captures_total", "Profile captures completed, by kind.")

@@ -3,6 +3,7 @@ package profiler
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -68,9 +69,15 @@ func (s *syntheticSource) source(Kind) ([]byte, error) {
 	return s.data, nil
 }
 
+// testOptions are the options every test profiler starts from.
+func testOptions(clock *fakeClock, src Source) Options {
+	return Options{Registry: telemetry.NewRegistry(), Interval: 10 * time.Second, Source: src, Now: clock.Now,
+		Logger: slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn}))}
+}
+
 func newTestProfiler(t testing.TB, clock *fakeClock, src Source, mutate func(*Options)) *Profiler {
 	t.Helper()
-	opts := Options{Registry: telemetry.NewRegistry(), Now: clock.Now, Source: src}
+	opts := testOptions(clock, src)
 	if mutate != nil {
 		mutate(&opts)
 	}
@@ -79,6 +86,21 @@ func newTestProfiler(t testing.TB, clock *fakeClock, src Source, mutate func(*Op
 		t.Fatal(err)
 	}
 	return p
+}
+
+func TestNewRefusesMissingOptions(t *testing.T) {
+	for field, unset := range map[string]func(*Options){
+		"Registry": func(o *Options) { o.Registry = nil },
+		"Interval": func(o *Options) { o.Interval = -time.Second },
+		"Now":      func(o *Options) { o.Now = nil },
+		"Logger":   func(o *Options) { o.Logger = nil },
+	} {
+		opts := testOptions(newFakeClock(), (&syntheticSource{}).source)
+		unset(&opts)
+		if _, err := New(opts); err == nil || !strings.Contains(err.Error(), "Options."+field) {
+			t.Errorf("no %s: err = %v, want it to name Options.%s", field, err, field)
+		}
+	}
 }
 
 // fillWindow folds stacks into p's current window minSamples times, so
@@ -282,7 +304,9 @@ func TestBaselinePersistence(t *testing.T) {
 			t.Fatalf("cut at %d of %d: loaded baseline %+v from a truncated file", cut, len(data), b)
 		}
 	}
-	if _, err := New(Options{Registry: telemetry.NewRegistry(), BaselinePath: cutPath, Source: src.source, Now: clock.Now}); err == nil {
+	opts := testOptions(clock, src.source)
+	opts.BaselinePath = cutPath
+	if _, err := New(opts); err == nil {
 		t.Fatal("New accepted a truncated baseline")
 	}
 
@@ -296,7 +320,8 @@ func TestBaselinePersistence(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Options{Registry: telemetry.NewRegistry(), BaselinePath: path, Source: src.source, Now: clock.Now}); err == nil {
+	opts.BaselinePath = path
+	if _, err := New(opts); err == nil {
 		t.Fatal("New accepted a future-versioned baseline")
 	}
 }
@@ -365,7 +390,9 @@ func TestLoadBaselineRefusesHostile(t *testing.T) {
 		if err := saveBaseline(path, b); err != nil {
 			t.Fatal(err)
 		}
-		_, err := New(Options{Registry: telemetry.NewRegistry(), BaselinePath: path, Source: src.source, Now: clock.Now})
+		opts := testOptions(clock, src.source)
+		opts.BaselinePath = path
+		_, err := New(opts)
 		if err == nil || !strings.Contains(err.Error(), path) {
 			t.Errorf("%s: New returned %v, want an error naming %s", c.name, err, path)
 		}

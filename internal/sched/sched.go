@@ -219,7 +219,6 @@ type Options struct {
 	// Workers bounds concurrent model runs. Default max(2, GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds waiting items before admission control sheds.
-	// Default 64.
 	QueueDepth int
 	// Registry receives the caladrius_sched_* series. Default: a
 	// private registry.
@@ -263,9 +262,6 @@ func New(opts Options) *Scheduler {
 		if opts.Workers < 2 {
 			opts.Workers = 2
 		}
-	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 64
 	}
 	opts.Registry = cmp.Or(opts.Registry, telemetry.NewRegistry())
 	s := &Scheduler{

@@ -64,9 +64,9 @@ func SoakSLORules(w time.Duration) []telemetry.Rule {
 
 // StartDaemon assembles a daemon through the composition root and
 // serves it on a loopback port. Callers own the scrape loop: run
-// d.Scraper.Run(ctx) for wall-clock soaks, or call d.Scraper.ScrapeOnce
-// with explicit timestamps for deterministic tests. Always Close the
-// daemon.
+// d.Scraper.Run(ctx, scrapeInterval) for wall-clock soaks, or call
+// d.Scraper.ScrapeOnce with explicit timestamps for deterministic
+// tests. Always Close the daemon.
 func StartDaemon(opts DaemonOptions) (*Daemon, error) {
 	if opts.Now == nil {
 		opts.Now = time.Now

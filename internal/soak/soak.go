@@ -287,7 +287,7 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		return nil, fmt.Errorf("soak: daemon: %w", err)
 	}
 	scrapeCtx, stopScraper := context.WithCancel(context.Background())
-	go d.Scraper.Run(scrapeCtx)
+	go d.Scraper.Run(scrapeCtx, scrapeInterval)
 
 	client := &http.Client{Timeout: 10 * time.Second}
 	l := &load{base: d.URL, client: client, now: time.Now}

@@ -31,10 +31,9 @@ import (
 // appended, last duration, retained points) into the same registry, so
 // the pipeline observes itself.
 type Scraper struct {
-	reg      *Registry
-	db       *tsdb.DB
-	interval time.Duration
-	now      func() time.Time
+	reg *Registry
+	db  *tsdb.DB
+	now func() time.Time
 
 	mu           sync.Mutex
 	lastScrape   time.Time
@@ -84,8 +83,6 @@ var scrapeQuantiles = [...]float64{0.5, 0.95, 0.99}
 
 // ScrapeOptions configures a Scraper.
 type ScrapeOptions struct {
-	// Interval is the scrape period for Run. Default: 5s.
-	Interval time.Duration
 	// Now stamps scrape times in Run. Default: time.Now.
 	Now func() time.Time
 }
@@ -94,9 +91,6 @@ type ScrapeOptions struct {
 func NewScraper(reg *Registry, db *tsdb.DB, opts ScrapeOptions) *Scraper {
 	if reg == nil || db == nil {
 		panic("telemetry: scraper needs a registry and a history db")
-	}
-	if opts.Interval <= 0 {
-		opts.Interval = 5 * time.Second
 	}
 	if opts.Now == nil {
 		opts.Now = time.Now
@@ -108,7 +102,6 @@ func NewScraper(reg *Registry, db *tsdb.DB, opts ScrapeOptions) *Scraper {
 	return &Scraper{
 		reg:          reg,
 		db:           db,
-		interval:     opts.Interval,
 		now:          opts.Now,
 		prevCounters: map[string]prevCounter{},
 		prevBuckets:  map[string]prevBuckets{},
@@ -320,9 +313,10 @@ func scrapeLabels(l Labels, extraKey, extraVal string) tsdb.Labels {
 	return out
 }
 
-// Run scrapes every Interval until ctx is cancelled.
-func (s *Scraper) Run(ctx context.Context) {
-	tick := time.NewTicker(s.interval)
+// Run scrapes every interval, which must be positive, until ctx is
+// cancelled.
+func (s *Scraper) Run(ctx context.Context, interval time.Duration) {
+	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
 		select {

@@ -53,7 +53,7 @@ func benchRegistry(b *testing.B) *Registry {
 func BenchmarkScrapeWithConcurrentReads(b *testing.B) {
 	reg := benchRegistry(b)
 	db := tsdb.New(15 * time.Minute)
-	s := NewScraper(reg, db, ScrapeOptions{Interval: time.Second})
+	s := NewScraper(reg, db, ScrapeOptions{})
 	base := time.Unix(1_700_000_000, 0).UTC()
 	s.ScrapeOnce(base)
 	stop := make(chan struct{})

@@ -20,7 +20,7 @@ func TestScrapeUnderRegistryChurn(t *testing.T) {
 	reg := NewRegistry()
 	db := tsdb.New(time.Hour)
 	base := time.Unix(1_700_000_000, 0)
-	s := NewScraper(reg, db, ScrapeOptions{Interval: time.Second})
+	s := NewScraper(reg, db, ScrapeOptions{})
 
 	// Stable instruments so every scrape has work to do.
 	stable := reg.Counter("stress_requests_total", Labels{"route": "stable"})

@@ -192,10 +192,10 @@ func TestScraperRunLoop(t *testing.T) {
 	reg := NewRegistry()
 	db := tsdb.New(0)
 	reg.Gauge("g", nil).Set(1)
-	s := NewScraper(reg, db, ScrapeOptions{Interval: 5 * time.Millisecond})
+	s := NewScraper(reg, db, ScrapeOptions{})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
-	go func() { s.Run(ctx); close(done) }()
+	go func() { s.Run(ctx, 5*time.Millisecond); close(done) }()
 	deadline := time.After(2 * time.Second)
 	for db.TotalPoints() == 0 {
 		select {

@@ -15,7 +15,7 @@ import (
 // cap and the conservation invariant must both hold exactly.
 func TestAccountantConcurrentChurn(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	a := New(Options{Capacity: 16, Now: fixedNow(usageT0), Registry: reg})
+	a := New(Options{Capacity: 16, Window: 15 * time.Minute, Now: fixedNow(usageT0), Registry: reg})
 	const (
 		workers = 8
 		perW    = 300

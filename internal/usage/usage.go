@@ -127,9 +127,9 @@ type entry struct {
 
 // Options configures an Accountant.
 type Options struct {
-	// Capacity bounds live principals (the top-K cap). Default 256.
+	// Capacity bounds live principals (the top-K cap).
 	Capacity int
-	// Window is the trailing ranking window. Default 15m.
+	// Window is the trailing ranking window.
 	Window time.Duration
 	// Now stamps window slots. Default time.Now.
 	Now func() time.Time
@@ -159,12 +159,6 @@ type Accountant struct {
 
 // New builds an accountant.
 func New(opts Options) *Accountant {
-	if opts.Capacity <= 0 {
-		opts.Capacity = 256
-	}
-	if opts.Window <= 0 {
-		opts.Window = 15 * time.Minute
-	}
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}

@@ -59,7 +59,7 @@ func TestAccountantRecordAndSnapshot(t *testing.T) {
 }
 
 func TestAccountantInFlight(t *testing.T) {
-	a := New(Options{Now: fixedNow(usageT0)})
+	a := New(Options{Capacity: 256, Window: 15 * time.Minute, Now: fixedNow(usageT0)})
 	a.Begin("t", "x")
 	a.Begin("t", "x")
 	if p, _ := find(a.Snapshot(), "t", "x"); p.InFlight != 2 {
@@ -73,7 +73,7 @@ func TestAccountantInFlight(t *testing.T) {
 
 func TestWindowRotation(t *testing.T) {
 	now := usageT0
-	a := New(Options{Window: 8 * time.Minute, Now: func() time.Time { return now }})
+	a := New(Options{Capacity: 256, Window: 8 * time.Minute, Now: func() time.Time { return now }})
 	a.Finish("t", "x", 200, time.Second)
 	p, _ := find(a.Snapshot(), "t", "x")
 	if p.Window.Requests != 1 {
@@ -101,7 +101,7 @@ func TestWindowRotation(t *testing.T) {
 
 func TestEvictionIntoOtherConservesTotals(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	a := New(Options{Capacity: 8, Now: fixedNow(usageT0), Registry: reg})
+	a := New(Options{Capacity: 8, Window: 15 * time.Minute, Now: fixedNow(usageT0), Registry: reg})
 	const churn = 200
 	for i := 0; i < churn; i++ {
 		tenant := fmt.Sprintf("tenant-%d", i)
@@ -175,7 +175,7 @@ func seriesTenants(reg *telemetry.Registry) map[string]bool {
 }
 
 func TestLRUPrefersColdVictim(t *testing.T) {
-	a := New(Options{Capacity: 2, Now: fixedNow(usageT0)})
+	a := New(Options{Capacity: 2, Window: 15 * time.Minute, Now: fixedNow(usageT0)})
 	a.Finish("old", "x", 200, time.Millisecond)
 	a.Finish("hot", "x", 200, time.Millisecond)
 	a.Finish("hot", "x", 200, time.Millisecond) // touch: hot is MRU
@@ -193,7 +193,7 @@ func TestLRUPrefersColdVictim(t *testing.T) {
 }
 
 func TestEvictionSkipsInFlight(t *testing.T) {
-	a := New(Options{Capacity: 2, Now: fixedNow(usageT0)})
+	a := New(Options{Capacity: 2, Window: 15 * time.Minute, Now: fixedNow(usageT0)})
 	a.Begin("busy", "x") // LRU but in flight
 	a.Begin("idle", "x")
 	a.Finish("idle", "x", 200, time.Millisecond)
@@ -209,7 +209,7 @@ func TestEvictionSkipsInFlight(t *testing.T) {
 }
 
 func TestRollupPrincipalSharesOtherBucket(t *testing.T) {
-	a := New(Options{Capacity: 4, Now: fixedNow(usageT0)})
+	a := New(Options{Capacity: 4, Window: 15 * time.Minute, Now: fixedNow(usageT0)})
 	a.Finish(Rollup, Rollup, 200, time.Millisecond)
 	snap := a.Snapshot()
 	if len(snap) != 1 || !snap[0].Rollup {
@@ -220,19 +220,9 @@ func TestRollupPrincipalSharesOtherBucket(t *testing.T) {
 	}
 }
 
-func TestDefaults(t *testing.T) {
-	a := New(Options{})
-	if a.Capacity() != 256 {
-		t.Errorf("capacity = %d, want 256", a.Capacity())
-	}
-	if a.Window() != 15*time.Minute {
-		t.Errorf("window = %v, want 15m", a.Window())
-	}
-}
-
 func TestRecordPathDoesNotAllocate(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	a := New(Options{Capacity: 4, Now: fixedNow(usageT0), Registry: reg})
+	a := New(Options{Capacity: 4, Window: 15 * time.Minute, Now: fixedNow(usageT0), Registry: reg})
 	a.Finish("t", "x", 200, time.Millisecond) // warm: entry + series exist
 	a.RecordRun("t", "x", time.Millisecond, time.Millisecond, 10, 1)
 	allocs := testing.AllocsPerRun(200, func() {

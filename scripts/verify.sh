@@ -34,7 +34,9 @@
 # exports_test.go, how many daemon settings there are (YAML keys and
 # flags among them), from the settings table's shape test, how many
 # option fields internal/ declares and how many of them are seams only
-# tests set, from the option test in exports_test.go, and the TSDB's
+# tests set, from the option test in exports_test.go, how many option
+# fields the code replaces when zero, each named with the caller that
+# leaves it zero, from the fallback test beside it, and the TSDB's
 # resident bytes a sample against their budgets, from the two
 # memory-budget tests.
 set -euo pipefail
@@ -83,5 +85,6 @@ scripts/loc.sh
 go test -run '^TestEveryFunctionNamesItsUser$' -v . | grep -o 'test-only functions: .*'
 go test -run '^TestSettingsTableShape$' -v ./internal/config | grep -o 'settings: .*'
 go test -run '^TestEveryOptionNamesItsUser$' -v . | grep -o 'option fields: .*'
+go test -run '^TestEveryFallbackNamesItsUser$' -v . | grep -o 'option fallbacks: .*'
 go test -run '^TestResidentBytesPerSample$' -v ./internal/tsdb | grep -o 'resident bytes/sample.*'
 go test -run '^TestWarmUpResidentBytesPerSample$' -v ./internal/heron | grep -o 'resident bytes/sample.*'
