@@ -27,7 +27,7 @@
 // perf flags:     -rate TPM -p comp=N[,comp=N...] -forecast -sync
 // dash flags:     -interval 2s -window 5m -step 10s -iterations N -no-clear -width 60
 // accuracy flags: -topology NAME -model predict|plan -tenant NAME -limit N -raw
-// usage flags:    -by requests|errors|wall|cpu|allocs|ticks|runs -n N -raw
+// usage flags:    -by requests|errors|wall|cpu|allocs|runs -n N -raw
 // profile flags:  -kind cpu|heap|goroutine|mutex -n N -raw
 package main
 

@@ -45,7 +45,7 @@ func profileCmd(c *client, args []string) error {
 		return err
 	}
 	v := url.Values{"kind": {*kind}}
-	if *n > 0 {
+	if *n != 0 {
 		v.Set("n", strconv.Itoa(*n))
 	}
 	switch sub {

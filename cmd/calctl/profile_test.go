@@ -113,6 +113,7 @@ func TestProfileCommandErrors(t *testing.T) {
 		{"profile", "bogus"},                 // unknown subcommand
 		{"profile", "top", "-kind", "bogus"}, // server-side 400
 		{"profile", "top", "-n", "x"},        // flag parse error
+		{"profile", "top", "-n", "-1"},       // server-side 400
 	}
 	for _, args := range bad {
 		out, err := captureStdout(t, func() error {

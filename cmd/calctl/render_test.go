@@ -85,7 +85,7 @@ func renderServer(t *testing.T) *httptest.Server {
 					Totals: usage.Totals{Requests: 40},
 					Window: usage.Totals{
 						Requests: 12, Errors: 1, LatencyNanos: 36e6, Runs: 4,
-						WallNanos: 4e6, CPUNanos: 2.5e6, AllocBytes: 3 << 20, SimTicks: 960,
+						WallNanos: 4e6, CPUNanos: 2.5e6, AllocBytes: 3 << 20,
 					},
 				},
 				{Principal: usage.Principal{Tenant: "team-b"}, Window: usage.Totals{AllocBytes: 900}},
@@ -219,10 +219,10 @@ id     topology       model    created              pred_sink_tpm  obs_sink_tpm 
 `
 
 const renderGoldenUsage = `usage over the last 5m0s (ranked by requests; 2/256 principals live, 1 evicted into other)
-tenant           topology       reqs     errs    mean_ms   runs   cpu_ms    allocs     ticks
-team-a           word-count     12       1       3.000     4      2.500     3.00MiB    960
-team-b                          0        0       -         0      0.000     900B       0
-(other)          other          5        0       1.000     0      0.000     2.00GiB    0
+tenant           topology       reqs     errs    mean_ms   runs   cpu_ms    allocs
+team-a           word-count     12       1       3.000     4      2.500     3.00MiB
+team-b                          0        0       -         0      0.000     900B
+(other)          other          5        0       1.000     0      0.000     2.00GiB
 
 scheduler: 40 runs, 3 coalesced, 1 shed (429); queue 1/64, 2 active tenants, calcache hit rate 91%
 `

@@ -16,7 +16,7 @@ import (
 
 func usageCmd(c *client, args []string) error {
 	fs := flag.NewFlagSet("usage", flag.ContinueOnError)
-	by := fs.String("by", "", "ranking key: requests|errors|wall|cpu|allocs|ticks|runs; empty = server default")
+	by := fs.String("by", "", "ranking key: requests|errors|wall|cpu|allocs|runs; empty = server default")
 	n := fs.Int("n", 0, "principals to list; 0 = server default")
 	raw := fs.Bool("raw", false, "dump the raw JSON payload instead of the table")
 	if err := fs.Parse(args); err != nil {
@@ -47,8 +47,8 @@ func usageCmd(c *client, args []string) error {
 		fmt.Println("no usage recorded yet")
 		return nil
 	}
-	fmt.Printf("%-16s %-14s %-8s %-7s %-9s %-6s %-9s %-10s %s\n",
-		"tenant", "topology", "reqs", "errs", "mean_ms", "runs", "cpu_ms", "allocs", "ticks")
+	fmt.Printf("%-16s %-14s %-8s %-7s %-9s %-6s %-9s %s\n",
+		"tenant", "topology", "reqs", "errs", "mean_ms", "runs", "cpu_ms", "allocs")
 	for _, p := range resp.Top {
 		meanMs := "-"
 		if p.Window.Requests > 0 {
@@ -58,10 +58,10 @@ func usageCmd(c *client, args []string) error {
 		if p.Rollup {
 			tenant = "(other)"
 		}
-		fmt.Printf("%-16s %-14s %-8d %-7d %-9s %-6d %-9.3f %-10s %d\n",
+		fmt.Printf("%-16s %-14s %-8d %-7d %-9s %-6d %-9.3f %s\n",
 			tenant, p.Topology, p.Window.Requests, p.Window.Errors, meanMs,
 			p.Window.Runs, float64(p.Window.CPUNanos)/1e6,
-			fmtBytes(p.Window.AllocBytes), p.Window.SimTicks)
+			fmtBytes(p.Window.AllocBytes))
 	}
 
 	// Admission-control context for the table above: how much of the

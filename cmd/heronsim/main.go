@@ -62,6 +62,19 @@ func main() {
 }
 
 func run(o options, out, errOut io.Writer) error {
+	// The word-count preset reads a zero parallelism as its own default,
+	// so a zero here would print a table for a shape nobody asked for.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"spout", o.spoutP}, {"splitter", o.splitterP}, {"counter", o.counterP},
+		{"containers", o.containers}, {"minutes", o.minutes},
+	} {
+		if f.v <= 0 {
+			return fmt.Errorf("-%s %d: want a positive value", f.name, f.v)
+		}
+	}
 	opts := heron.WordCountOptions{
 		SpoutP:        o.spoutP,
 		SplitterP:     o.splitterP,

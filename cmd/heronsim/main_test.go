@@ -104,6 +104,32 @@ func TestBadFaultPlan(t *testing.T) {
 	}
 }
 
+// TestNonPositiveShapeRefused: a zero or negative parallelism,
+// container count or run length is an error that names its flag, not a
+// run of the preset's shape or an empty table.
+func TestNonPositiveShapeRefused(t *testing.T) {
+	for flag, set := range map[string]func(*options, int){
+		"-spout":      func(o *options, v int) { o.spoutP = v },
+		"-splitter":   func(o *options, v int) { o.splitterP = v },
+		"-counter":    func(o *options, v int) { o.counterP = v },
+		"-containers": func(o *options, v int) { o.containers = v },
+		"-minutes":    func(o *options, v int) { o.minutes = v },
+	} {
+		for _, v := range []int{0, -1} {
+			o := defaultOptions()
+			set(&o, v)
+			var out bytes.Buffer
+			err := run(o, &out, &bytes.Buffer{})
+			if err == nil || !strings.Contains(err.Error(), flag+" ") {
+				t.Errorf("%s %d: err = %v, want one naming %s", flag, v, err, flag)
+			}
+			if out.Len() > 0 {
+				t.Errorf("%s %d: printed %d bytes before refusing", flag, v, out.Len())
+			}
+		}
+	}
+}
+
 // TestMetricsFaultPlanRefused: heronsim reads the simulator's own store,
 // so a metrics fault could never fire and the run would print a clean
 // table with no fault trace. A plan holding one is an error.

@@ -600,8 +600,8 @@ var fallbacks = map[string]string{
 	// shape (§V: 8 spouts, 1 splitter, 3 counters on 2 containers,
 	// uniform keys).
 	"heron.WordCountOptions.SpoutP":      "internal/daemon, benchmark/stack.go and the internal/experiments sweeps: 8 spouts",
-	"heron.WordCountOptions.SplitterP":   "cmd/heronsim passes -splitter through, 0 included: 1 splitter",
-	"heron.WordCountOptions.CounterP":    "cmd/heronsim passes -counter through, 0 included: 3 counters",
+	"heron.WordCountOptions.SplitterP":   "the preset's zero-value convention, which the tests' word-count fixtures use: 1 splitter",
+	"heron.WordCountOptions.CounterP":    "the preset's zero-value convention, which the tests' word-count fixtures use: 3 counters",
 	"heron.WordCountOptions.Containers":  "internal/daemon, benchmark/stack.go and the internal/experiments sweeps: 2 containers",
 	"heron.WordCountOptions.CounterKeys": "internal/daemon, benchmark/stack.go and the internal/experiments sweeps: uniform keys",
 	"heron.Config.Plan":                  "internal/experiments ablation-watermarks: round-robin on 2 containers",

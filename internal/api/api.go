@@ -85,7 +85,7 @@ type Service struct {
 	incidents   *incident.Recorder
 	usage       *usage.Accountant
 	profiler    *profiler.Profiler
-	sampler     *core.CostSampler
+	sampler     core.CostSampler
 	jobsRunning *telemetry.Gauge
 	jobsDone    *telemetry.Counter
 	jobsFailed  *telemetry.Counter
@@ -135,10 +135,6 @@ type Options struct {
 	// flame stacks the profiles endpoints serve. Nil leaves
 	// /api/v1/profiles answering 404.
 	Profiler *profiler.Profiler
-	// SimTicks optionally supplies a monotonic simulator-tick total so
-	// model-run costs include the ticks they drove (the demo sim's
-	// caladrius_sim_ticks_total).
-	SimTicks func() uint64
 	// Scheduler is the bounded model-run scheduler every predict/plan/
 	// calibrate request is queued through: identical concurrent requests
 	// coalesce into one run, and admission control sheds excess load as
@@ -201,7 +197,6 @@ func NewService(cfg config.Config, tr *tracker.Tracker, provider metrics.Provide
 		incidents:   opts.Incidents,
 		usage:       opts.Usage,
 		profiler:    opts.Profiler,
-		sampler:     &core.CostSampler{Ticks: opts.SimTicks},
 		jobsRunning: reg.Gauge("caladrius_jobs_running", nil),
 		jobsDone:    reg.Counter("caladrius_jobs_completed_total", telemetry.Labels{"outcome": "done"}),
 		jobsFailed:  reg.Counter("caladrius_jobs_completed_total", telemetry.Labels{"outcome": "failed"}),
@@ -660,7 +655,7 @@ func (s *Service) runPerformance(ctx context.Context, topoName string, req Perfo
 	// at its currently observed rate.
 	counterfactual := len(req.Parallelism) > 0 || req.SourceRateTPM != 0 || req.UseForecast
 	_, psp := telemetry.StartSpan(ctx, "predict")
-	pred, cost, err := tm.PredictMeasured(s.auditRecorder(ctx, topoName, "predict", counterfactual, calCached), s.sampler, req.Parallelism, rate)
+	pred, cost, err := tm.PredictMeasured(s.auditRecorder(ctx, topoName, "predict", counterfactual, calCached), &s.sampler, req.Parallelism, rate)
 	psp.End()
 	s.chargeRun(ctx, topoName, cost)
 	if err != nil {
@@ -847,7 +842,7 @@ func (s *Service) runSuggest(ctx context.Context, topoName string, req SuggestRe
 	}
 	// Plans evaluate a hypothetical parallelism — always counterfactual.
 	_, prSp := telemetry.StartSpan(ctx, "predict")
-	pred, cost, err := tm.PredictMeasured(s.auditRecorder(ctx, topoName, "plan", true, calCached), s.sampler, plan, rate)
+	pred, cost, err := tm.PredictMeasured(s.auditRecorder(ctx, topoName, "plan", true, calCached), &s.sampler, plan, rate)
 	prSp.End()
 	s.chargeRun(ctx, topoName, cost)
 	if err != nil {

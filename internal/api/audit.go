@@ -34,17 +34,13 @@ func (r ledgerRecorder) RecordRun(run core.ModelRun) {
 	if len(cp.Path) > 0 {
 		sink = cp.Path[len(cp.Path)-1]
 	}
-	var cost *core.RunCost
-	if run.Cost != (core.RunCost{}) {
-		c := run.Cost
-		cost = &c
-	}
+	cost := run.Cost
 	r.led.Record(audit.Record{
 		Topology:          r.topology,
 		Model:             r.model,
 		TraceID:           r.traceID,
 		Tenant:            r.tenant,
-		Cost:              cost,
+		Cost:              &cost,
 		SourceRateTPM:     run.SourceRate,
 		Parallelism:       run.Parallelism,
 		Counterfactual:    r.counterfactual,

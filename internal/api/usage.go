@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"time"
 
 	"caladrius/internal/core"
 	"caladrius/internal/usage"
@@ -21,7 +20,6 @@ var usageSortKeys = map[string]func(usage.Totals) uint64{
 	"wall":     func(t usage.Totals) uint64 { return t.WallNanos },
 	"cpu":      func(t usage.Totals) uint64 { return t.CPUNanos },
 	"allocs":   func(t usage.Totals) uint64 { return t.AllocBytes },
-	"ticks":    func(t usage.Totals) uint64 { return t.SimTicks },
 	"runs":     func(t usage.Totals) uint64 { return t.Runs },
 }
 
@@ -55,7 +53,7 @@ func (s *Service) handleUsage(w http.ResponseWriter, r *http.Request) {
 	}
 	key, ok := usageSortKeys[by]
 	if !ok {
-		httpError(w, http.StatusBadRequest, "by: want one of requests, errors, wall, cpu, allocs, ticks, runs")
+		httpError(w, http.StatusBadRequest, "by: want one of requests, errors, wall, cpu, allocs, runs")
 		return
 	}
 	n, ok := positiveParam(w, q, "n", 10)
@@ -105,12 +103,7 @@ func (s *Service) handleUsage(w http.ResponseWriter, r *http.Request) {
 }
 
 // chargeRun attributes one model run's measured cost to the request's
-// (tenant, topology) principal. No-op for unmetered (zero) costs.
+// (tenant, topology) principal.
 func (s *Service) chargeRun(ctx context.Context, topology string, cost core.RunCost) {
-	if cost == (core.RunCost{}) {
-		return
-	}
-	s.usage.RecordRun(RequestTenant(ctx), topology,
-		time.Duration(cost.WallNanos), time.Duration(cost.CPUNanos),
-		cost.AllocBytes, cost.SimTicks)
+	s.usage.RecordRun(RequestTenant(ctx), topology, cost.Wall(), cost.CPU(), cost.AllocBytes, 0)
 }

@@ -184,6 +184,7 @@ func TestUsageEndpointValidation(t *testing.T) {
 	_, srv, _ := testEnvWith(t, Options{Usage: acct})
 	bad := []string{
 		"?by=bogus",
+		"?by=ticks", // no model run moves a simulator tick
 		"?n=0",
 		"?n=-3",
 		"?n=ten",

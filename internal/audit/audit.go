@@ -147,8 +147,8 @@ type Record struct {
 	// (shared across records of one calibration — do not mutate).
 	Calibration []core.ComponentCalibration `json:"calibration,omitempty"`
 
-	// Cost is the run's measured resource footprint; nil when the run
-	// was not metered.
+	// Cost is the run's measured resource footprint. The API meters
+	// every run; nil only in a record built without one.
 	Cost *core.RunCost `json:"cost,omitempty"`
 
 	Predicted Predicted `json:"predicted"`

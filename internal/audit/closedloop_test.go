@@ -132,7 +132,7 @@ func TestClosedLoopAccuracyDrift(t *testing.T) {
 				t.Fatalf("sim.Run: %v", err)
 			}
 			now = now.Add(time.Minute)
-			pred, _, err := m.PredictMeasured(rec, nil, nil, rate)
+			pred, _, err := m.PredictMeasured(rec, &core.CostSampler{}, nil, rate)
 			if err != nil {
 				t.Fatalf("PredictMeasured: %v", err)
 			}

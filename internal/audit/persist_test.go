@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"caladrius/internal/core"
 	"caladrius/internal/metrics"
 )
 
@@ -92,11 +93,41 @@ func TestSnapshotHeaderCount(t *testing.T) {
 	}
 }
 
+// legacyCostSnapshot is a snapshot written while run costs still
+// carried a simulator-tick delta: its record's cost has a "sim_ticks"
+// key that RunCost no longer has.
+const legacyCostSnapshot = `{"format":"caladrius-audit","version":1,"records":1}` + "\n" +
+	`{"id":7,"created_at":"2026-08-08T12:00:00Z","topology":"word-count","model":"predict","tenant":"team-a",` +
+	`"cost":{"wall_ns":1500000,"cpu_ns":1200000,"alloc_bytes":40960,"sim_ticks":0},` +
+	`"source_rate_tpm":20000000,"counterfactual":false,"predicted":{"sink_tpm":110,"output_tpm":110,` +
+	`"saturation_source_tpm":0,"backpressure_risk":"low","total_cpu_cores":2,"sink":"counter"},"resolved":false}` + "\n"
+
+// TestSnapshotLoadsLegacyCost: a ledger saved before the tick dimension
+// went still loads, and its costs survive.
+func TestSnapshotLoadsLegacyCost(t *testing.T) {
+	led := testLedger(t, Options{Now: func() time.Time { return audT0 }})
+	if err := led.ReadSnapshot(strings.NewReader(legacyCostSnapshot)); err != nil {
+		t.Fatal(err)
+	}
+	rec, ok := led.Get(7)
+	if !ok {
+		t.Fatalf("record 7 missing after load; ledger holds %+v", led.List(Filter{}))
+	}
+	want := core.RunCost{WallNanos: 1500000, CPUNanos: 1200000, AllocBytes: 40960}
+	if rec.Cost == nil || *rec.Cost != want {
+		t.Errorf("cost = %+v, want %+v", rec.Cost, want)
+	}
+	if rec.Tenant != "team-a" || rec.Predicted.SinkTPM != 110 || rec.Predicted.Risk != "low" {
+		t.Errorf("record = %+v", rec)
+	}
+}
+
 // FuzzAuditReadSnapshot: whatever the file says, the loader returns —
 // with the ledger untouched on an error, and within its capacity, with
 // ids still unique, on success.
 func FuzzAuditReadSnapshot(f *testing.F) {
 	f.Add(snapshotBytes(f))
+	f.Add([]byte(legacyCostSnapshot))
 	for src := range hostileHeaders {
 		f.Add([]byte(src))
 	}

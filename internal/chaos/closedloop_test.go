@@ -168,7 +168,7 @@ func TestClosedLoopDriftDuringSlowFault(t *testing.T) {
 				t.Fatal(err)
 			}
 			now = now.Add(time.Minute)
-			if _, _, err := m.PredictMeasured(rec, nil, nil, rate); err != nil {
+			if _, _, err := m.PredictMeasured(rec, &core.CostSampler{}, nil, rate); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -303,7 +303,7 @@ func TestDegradedCalibrationFlagReachesLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := tm.PredictMeasured(loopRecorder{led: led}, nil, nil, 8e6); err != nil {
+	if _, _, err := tm.PredictMeasured(loopRecorder{led: led}, &core.CostSampler{}, nil, 8e6); err != nil {
 		t.Fatal(err)
 	}
 	recs := led.List(audit.Filter{})

@@ -9,9 +9,9 @@ import (
 // Model-run resource metering. The usage accountant (internal/usage)
 // charges every predict/plan/calibrate run to a (tenant, topology)
 // principal; RunCost is what it charges: the wall time, CPU thread
-// time, heap allocation and simulator ticks the run consumed. Like
-// RunRecorder, the sampler keeps core free of any usage dependency —
-// the API tier owns attribution, core only measures.
+// time and heap allocation the run consumed. Like RunRecorder, the
+// sampler keeps core free of any usage dependency — the API tier owns
+// attribution, core only measures.
 
 // RunCost is the measured resource footprint of one model run.
 type RunCost struct {
@@ -25,58 +25,38 @@ type RunCost struct {
 	// ReadMemStats, but attributes concurrent runs' allocations too; an
 	// accounting approximation, not an isolation boundary).
 	AllocBytes uint64 `json:"alloc_bytes"`
-	// SimTicks is the simulator-tick delta over the run, when the
-	// sampler has a tick source.
-	SimTicks uint64 `json:"sim_ticks"`
 }
 
 // Wall and CPU return the components as durations.
 func (c RunCost) Wall() time.Duration { return time.Duration(c.WallNanos) }
 func (c RunCost) CPU() time.Duration  { return time.Duration(c.CPUNanos) }
 
-// CostSampler measures RunCosts. The zero value works; Ticks
-// optionally supplies a monotonic simulator-tick total (the heron sim's
-// caladrius_sim_ticks_total) so tick deltas ride along. A nil sampler
-// is valid everywhere and measures nothing.
-type CostSampler struct {
-	Ticks func() uint64
-}
+// CostSampler measures RunCosts. It has no state: the zero value
+// measures.
+type CostSampler struct{}
 
 // CostMark is an in-progress measurement returned by Begin.
 type CostMark struct {
 	start  time.Time
 	cpu    int64
 	allocs uint64
-	ticks  uint64
-	active bool
 }
 
 // Begin starts a measurement, pinning the calling goroutine to its OS
 // thread so the thread CPU clock covers exactly this run. Every Begin
 // must be paired with End on the same goroutine.
-func (s *CostSampler) Begin() CostMark {
-	if s == nil {
-		return CostMark{}
-	}
+func (*CostSampler) Begin() CostMark {
 	runtime.LockOSThread()
-	m := CostMark{
+	return CostMark{
 		start:  time.Now(),
 		cpu:    threadCPUNanos(),
 		allocs: heapAllocBytes(),
-		active: true,
 	}
-	if s.Ticks != nil {
-		m.ticks = s.Ticks()
-	}
-	return m
 }
 
 // End completes a measurement started by Begin and unpins the
-// goroutine. Ending an inactive mark (nil sampler) reports zero cost.
-func (s *CostSampler) End(m CostMark) RunCost {
-	if s == nil || !m.active {
-		return RunCost{}
-	}
+// goroutine.
+func (*CostSampler) End(m CostMark) RunCost {
 	var c RunCost
 	if cpu := threadCPUNanos(); cpu > m.cpu {
 		c.CPUNanos = cpu - m.cpu
@@ -85,11 +65,6 @@ func (s *CostSampler) End(m CostMark) RunCost {
 	c.WallNanos = time.Since(m.start).Nanoseconds()
 	if a := heapAllocBytes(); a > m.allocs {
 		c.AllocBytes = a - m.allocs
-	}
-	if s.Ticks != nil {
-		if t := s.Ticks(); t > m.ticks {
-			c.SimTicks = t - m.ticks
-		}
 	}
 	return c
 }
@@ -108,10 +83,9 @@ func heapAllocBytes() uint64 {
 // PredictMeasured is Predict plus a RunRecorder notified of the
 // completed run and resource metering: the run is evaluated under a
 // sampler mark and its RunCost is returned and stamped into the audit
-// record. A nil sampler reports zero cost; a nil recorder skips
-// auditing. Failed evaluations still report their cost — the caller
-// paid for them — but are not recorded: there is no prediction to
-// audit.
+// record. A nil recorder skips auditing. Failed evaluations still
+// report their cost — the caller paid for them — but are not recorded:
+// there is no prediction to audit.
 func (tm *TopologyModel) PredictMeasured(rec RunRecorder, s *CostSampler, parallelisms map[string]int, sourceRate float64) (TopologyPrediction, RunCost, error) {
 	m := s.Begin()
 	pred, err := tm.Predict(parallelisms, sourceRate)

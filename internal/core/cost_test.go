@@ -30,8 +30,7 @@ func costTestModel(t *testing.T) *TopologyModel {
 }
 
 func TestCostSamplerMeasuresWork(t *testing.T) {
-	ticks := uint64(100)
-	s := &CostSampler{Ticks: func() uint64 { return ticks }}
+	s := &CostSampler{}
 	m := s.Begin()
 	// Burn a little CPU and heap so every meter moves.
 	buf := make([]byte, 1<<20)
@@ -42,7 +41,6 @@ func TestCostSamplerMeasuresWork(t *testing.T) {
 			x += int(buf[i])
 		}
 	}
-	ticks = 140
 	c := s.End(m)
 	_ = x
 	if c.WallNanos < int64(5*time.Millisecond) {
@@ -56,17 +54,6 @@ func TestCostSamplerMeasuresWork(t *testing.T) {
 	}
 	if c.AllocBytes < 1<<20 {
 		t.Errorf("alloc bytes = %d, want ≥ 1MiB", c.AllocBytes)
-	}
-	if c.SimTicks != 40 {
-		t.Errorf("sim ticks = %d, want 40", c.SimTicks)
-	}
-}
-
-func TestCostSamplerNilSafe(t *testing.T) {
-	var s *CostSampler
-	c := s.End(s.Begin())
-	if c != (RunCost{}) {
-		t.Errorf("nil sampler cost = %+v, want zero", c)
 	}
 }
 

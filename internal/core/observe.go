@@ -41,8 +41,7 @@ type ModelRun struct {
 	// Degraded is true when the model behind the run was calibrated in
 	// degraded mode (widened or sparse observe window).
 	Degraded bool
-	// Cost is the run's measured resource footprint (zero when the run
-	// was not metered — see PredictMeasured).
+	// Cost is the run's measured resource footprint.
 	Cost RunCost
 }
 

@@ -252,13 +252,6 @@ func New(cfg Config) (*Daemon, error) {
 	// registry, so the scraper carries them into the history store and
 	// query_range/SLO/dash work on them unchanged.
 	acct := usage.New(usage.Options{Capacity: cfg.UsageTopK, Window: cfg.UsageWindow, Now: d.wall, Registry: reg})
-	var simTicks func() uint64
-	if cfg.MetricsFile == "" {
-		// Model runs can drive simulator ticks; meter them per
-		// principal off the sim's own tick counter.
-		ticksC := reg.Counter("caladrius_sim_ticks_total", telemetry.Labels{"topology": sub.Topology.Name()})
-		simTicks = func() uint64 { return uint64(ticksC.Value()) }
-	}
 	logger.Info("usage accounting enabled", "topk", cfg.UsageTopK, "window", cfg.UsageWindow)
 
 	// Incident flight recorder: armed on the SLO evaluator, capturing a
@@ -312,7 +305,6 @@ func New(cfg Config) (*Daemon, error) {
 		Audit:       d.Ledger,
 		Incidents:   d.Recorder,
 		Usage:       acct,
-		SimTicks:    simTicks,
 		Scheduler:   d.Scheduler,
 		CalCacheTTL: cfg.CalCacheTTL,
 		Profiler:    d.Profiler,

@@ -25,6 +25,7 @@ import (
 	"caladrius/internal/metrics"
 	"caladrius/internal/telemetry"
 	"caladrius/internal/tsdb"
+	"caladrius/internal/usage"
 	"caladrius/internal/workload"
 )
 
@@ -312,6 +313,58 @@ func TestDaemonShape(t *testing.T) {
 		}
 		if err := d.Close(); err != nil {
 			t.Errorf("%s: Close: %v", name, err)
+		}
+	}
+}
+
+// TestEveryRunMeterMoves: one tenant's synchronous prediction, plan and
+// forced calibration move every usage total the accountant keeps but
+// Errors, so a dimension that no model run can move fails here.
+func TestEveryRunMeterMoves(t *testing.T) {
+	d, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for _, path := range []string{
+		predictPath,
+		"/api/v1/model/topology/word-count/suggest?sync=true",
+		"/api/v1/model/topology/word-count/calibrate?sync=true",
+	} {
+		req := httptest.NewRequest("POST", path, strings.NewReader("{}"))
+		req.Header.Set(api.TenantHeader, "team-a")
+		rec := httptest.NewRecorder()
+		d.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("POST %s = %d, want 200 (%s)", path, rec.Code, rec.Body)
+		}
+	}
+	rec := httptest.NewRecorder()
+	d.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/api/v1/usage", nil))
+	var resp api.UsageResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("usage: %v (%s)", err, rec.Body)
+	}
+	var tot *usage.Totals
+	for i := range resp.Top {
+		if p := resp.Top[i]; p.Tenant == "team-a" && p.Topology == "word-count" {
+			tot = &resp.Top[i].Totals
+		}
+	}
+	if tot == nil {
+		t.Fatalf("no team-a/word-count principal in %+v", resp.Top)
+	}
+	v := reflect.ValueOf(*tot)
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		switch {
+		case name == "Errors":
+			continue
+		case name == "CPUNanos" && runtime.GOOS != "linux":
+			continue // the portable sampler reads no thread clock
+		}
+		if v.Field(i).Uint() == 0 {
+			t.Errorf("Totals.%s = 0 after three model runs: no run moves it (%+v)", name, *tot)
 		}
 	}
 }

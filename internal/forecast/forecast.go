@@ -10,15 +10,14 @@
 //     outlier-robust Huber regression — for the strongly seasonal
 //     traffic the paper observes in most production topologies.
 //
-// Models are registered by name so the service can select them from
-// configuration, as the original system does with YAML model lists.
+// Models are named so the service can select them from configuration,
+// as the original system does with YAML model lists.
 package forecast
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"caladrius/internal/tsdb"
@@ -81,39 +80,27 @@ func sortedCopy(pts []tsdb.Point) []tsdb.Point {
 // parsed YAML model configuration).
 type Factory func(options map[string]any) (Model, error)
 
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Factory{}
-)
-
-// Register adds a named model factory. It panics on duplicates, which
-// indicates a programming error at init time.
-func Register(name string, f Factory) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("forecast: duplicate model %q", name))
-	}
-	registry[name] = f
+// models is every traffic model, by the name configuration selects it
+// with.
+var models = map[string]Factory{
+	"summary":     NewSummary,
+	"prophet":     NewProphet,
+	"holtwinters": NewHoltWinters,
 }
 
-// New instantiates a registered model by name.
+// New instantiates a model by name.
 func New(name string, options map[string]any) (Model, error) {
-	registryMu.RLock()
-	f, ok := registry[name]
-	registryMu.RUnlock()
+	f, ok := models[name]
 	if !ok {
 		return nil, fmt.Errorf("forecast: unknown model %q (registered: %v)", name, Names())
 	}
 	return f(options)
 }
 
-// Names lists registered model names, sorted.
+// Names lists the model names, sorted.
 func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
+	out := make([]string, 0, len(models))
+	for n := range models {
 		out = append(out, n)
 	}
 	sort.Strings(out)

@@ -53,15 +53,6 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	Register("summary", NewSummary)
-}
-
 func TestSummaryModel(t *testing.T) {
 	m, err := NewSummary(map[string]any{"stat": "median"})
 	if err != nil {

@@ -228,7 +228,3 @@ func (h *HoltWinters) Predict(times []time.Time) ([]Prediction, error) {
 	}
 	return out, nil
 }
-
-func init() {
-	Register("holtwinters", NewHoltWinters)
-}

@@ -232,7 +232,3 @@ func (p *Prophet) Predict(times []time.Time) ([]Prediction, error) {
 	}
 	return out, nil
 }
-
-func init() {
-	Register("prophet", NewProphet)
-}

