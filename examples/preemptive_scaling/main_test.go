@@ -7,8 +7,8 @@ func Example() {
 	// Output:
 	// == simulating 3 days of seasonal traffic on word-count (splitter=2, counter=3)
 	// == caladrius service listening
-	// == 1. prophet forecasts tomorrow's peak: 23.7 M tuples/min around 06:00
+	// == 1. prophet forecasts tomorrow's peak: 22.3 M tuples/min around 05:59
 	// == 2. current plan at the peak: risk high (saturates at 21.6 M, bottleneck splitter)
-	// == 3. proposal splitter=3: risk low, predicted CPU 5.0 cores
-	// done: scale splitter 2 → 3 before 06:00 to ride out the peak (no deployments spent).
+	// == 3. proposal splitter=3: risk low, predicted CPU 4.7 cores
+	// done: scale splitter 2 → 3 before 05:59 to ride out the peak (no deployments spent).
 }

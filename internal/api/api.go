@@ -223,9 +223,11 @@ func (s *Service) Handler() http.Handler { return s.router(routes) }
 
 // TrafficRequest asks for a source-throughput forecast for a topology.
 type TrafficRequest struct {
-	// SourceMinutes is the length of metric history to fit on.
+	// SourceMinutes is the length of metric history to fit on: 0 for
+	// the calibration lookback, at most maxSourceMinutes.
 	SourceMinutes int `json:"source_minutes"`
-	// HorizonMinutes is how far ahead to forecast.
+	// HorizonMinutes is how far ahead to forecast: 0 for an hour, at
+	// most maxHorizonMinutes.
 	HorizonMinutes int `json:"horizon_minutes"`
 	// Models optionally restricts which configured models run; empty
 	// runs all configured models (the paper: "by default, the endpoint
@@ -258,9 +260,11 @@ type PerformanceRequest struct {
 	SourceRateTPM float64 `json:"source_rate_tpm,omitempty"`
 	// UseForecast evaluates at the configured traffic model's peak
 	// forecast over the horizon instead (preemptive scaling).
-	UseForecast    bool `json:"use_forecast,omitempty"`
-	HorizonMinutes int  `json:"horizon_minutes,omitempty"`
-	SourceMinutes  int  `json:"source_minutes,omitempty"`
+	UseForecast bool `json:"use_forecast,omitempty"`
+	// HorizonMinutes and SourceMinutes shape that forecast, bounded
+	// as TrafficRequest's are.
+	HorizonMinutes int `json:"horizon_minutes,omitempty"`
+	SourceMinutes  int `json:"source_minutes,omitempty"`
 }
 
 // PerformanceResponse is the performance endpoint's result payload.
@@ -1016,8 +1020,35 @@ func decodeBody(body io.Reader, v any) error {
 	if _, err := dec.Token(); err != io.EOF {
 		return errors.New("bad request body: data after the JSON value")
 	}
+	if w, ok := v.(interface{ windowMinutes() (int, int) }); ok {
+		return checkWindows(w.windowMinutes())
+	}
 	return nil
 }
+
+// The largest history and horizon a forecast request may ask for: a
+// year of history, the -warm-minutes ceiling, and a week ahead,
+// Prophet's longest season. Each window's size is the size of a fit
+// or of a response, so neither may be left to the client.
+const (
+	maxSourceMinutes  = 366 * 24 * 60
+	maxHorizonMinutes = 7 * 24 * 60
+)
+
+// checkWindows refuses a negative or oversized history or horizon
+// window, naming the field. Zero keeps meaning the default.
+func checkWindows(sourceMinutes, horizonMinutes int) error {
+	if sourceMinutes < 0 || sourceMinutes > maxSourceMinutes {
+		return fmt.Errorf("bad request body: source_minutes %d outside [0, %d]", sourceMinutes, maxSourceMinutes)
+	}
+	if horizonMinutes < 0 || horizonMinutes > maxHorizonMinutes {
+		return fmt.Errorf("bad request body: horizon_minutes %d outside [0, %d]", horizonMinutes, maxHorizonMinutes)
+	}
+	return nil
+}
+
+func (r *TrafficRequest) windowMinutes() (int, int)     { return r.SourceMinutes, r.HorizonMinutes }
+func (r *PerformanceRequest) windowMinutes() (int, int) { return r.SourceMinutes, r.HorizonMinutes }
 
 // errInvalidRequest marks a model run rejected for what the client
 // asked (a negative rate, an unknown graph), not for anything the

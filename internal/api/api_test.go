@@ -347,6 +347,21 @@ func TestHTTPErrors(t *testing.T) {
 		{"POST", "/api/v1/model/traffic/word-count?sync=true", asOf, http.StatusBadRequest, "as_of"},
 		{"POST", "/api/v1/model/traffic/word-count/rank?sync=true", asOf, http.StatusBadRequest, "as_of"},
 		{"POST", "/api/v1/model/topology/word-count/calibrate?sync=true", `{"source_rate_tpm": 5}`, http.StatusBadRequest, "source_rate_tpm"},
+		// A forecast window is bounded on both sides: a negative one was
+		// read as the default, and an oversized one sized the daemon's
+		// memory (horizon) or overflowed into "no data" (source).
+		{"POST", "/api/v1/model/traffic/word-count?sync=true", `{"horizon_minutes": 10081}`, http.StatusBadRequest, "horizon_minutes"},
+		{"POST", "/api/v1/model/traffic/word-count?sync=true", `{"horizon_minutes": -1}`, http.StatusBadRequest, "horizon_minutes"},
+		{"POST", "/api/v1/model/traffic/word-count?sync=true", `{"source_minutes": 527041}`, http.StatusBadRequest, "source_minutes"},
+		{"POST", "/api/v1/model/traffic/word-count?sync=true", `{"source_minutes": -1}`, http.StatusBadRequest, "source_minutes"},
+		{"POST", "/api/v1/model/traffic/word-count", `{"horizon_minutes": 10081}`, http.StatusBadRequest, "horizon_minutes"},
+		{"POST", "/api/v1/model/traffic/word-count", `{"source_minutes": -1}`, http.StatusBadRequest, "source_minutes"},
+		{"POST", "/api/v1/model/traffic/word-count/rank?sync=true", `{"source_minutes": 527041}`, http.StatusBadRequest, "source_minutes"},
+		{"POST", "/api/v1/model/traffic/word-count/rank?sync=true", `{"source_minutes": -1}`, http.StatusBadRequest, "source_minutes"},
+		{"POST", "/api/v1/model/topology/word-count/performance?sync=true", `{"use_forecast": true, "horizon_minutes": 10081}`, http.StatusBadRequest, "horizon_minutes"},
+		{"POST", "/api/v1/model/topology/word-count/performance?sync=true", `{"use_forecast": true, "horizon_minutes": -1}`, http.StatusBadRequest, "horizon_minutes"},
+		{"POST", "/api/v1/model/topology/word-count/performance?sync=true", `{"use_forecast": true, "source_minutes": 527041}`, http.StatusBadRequest, "source_minutes"},
+		{"POST", "/api/v1/model/topology/word-count/performance?sync=true", `{"use_forecast": true, "source_minutes": -1}`, http.StatusBadRequest, "source_minutes"},
 		// sync is a boolean: a value that is not one is refused, not
 		// taken as a request for an async job.
 		{"POST", "/api/v1/model/topology/word-count/performance?sync=yes", "{}", http.StatusBadRequest, "sync"},

@@ -291,8 +291,14 @@ func (tm *TopologyModel) Predict(parallelisms map[string]int, sourceRate float64
 	out.OutputRate = critical.OutputRate
 	out.SinkThroughput = critical.SinkThroughput
 	out.Risk = tm.classifyRisk(sourceRate, out.SaturationSource)
-	for _, cpu := range seen {
-		out.TotalCPU += cpu
+	// Sum in path order, not map order, so the total's bits repeat.
+	for _, pp := range out.Paths {
+		for _, cp := range pp.Components {
+			if cpu, ok := seen[cp.Component]; ok {
+				out.TotalCPU += cpu
+				delete(seen, cp.Component)
+			}
+		}
 	}
 	return out, nil
 }

@@ -3,6 +3,10 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -189,5 +193,43 @@ func TestRunPointsSequentialErrorPath(t *testing.T) {
 	}
 	if calls != 4 {
 		t.Fatalf("sequential path made %d calls, want 4 (stop at first failure)", calls)
+	}
+}
+
+// TestRunPointsHonoursTheSweep reads the package's source: every
+// RunPoints call must pass the sweep it was given, not a fresh
+// SweepOptions literal, which would fan out to GOMAXPROCS workers
+// whatever figures -parallel asked for.
+func TestRunPointsHonoursTheSweep(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			fn := call.Fun
+			if ix, ok := fn.(*ast.IndexExpr); ok {
+				fn = ix.X
+			}
+			if id, ok := fn.(*ast.Ident); !ok || id.Name != "RunPoints" {
+				return true
+			}
+			if _, ok := call.Args[0].(*ast.CompositeLit); ok {
+				t.Errorf("%s: RunPoints gets a SweepOptions literal; pass the experiment's sweep", fset.Position(call.Pos()))
+			}
+			return true
+		})
 	}
 }

@@ -17,8 +17,8 @@ import (
 // compare their forecast accuracy over the next day. The paper's
 // premise is that seasonal production traffic defeats summary
 // statistics but suits an additive seasonal model. It simulates no
-// deployment, so the sweep does not shape it.
-func trafficForecast(SweepOptions) ([]Table, error) {
+// deployment, so the sweep shapes only its worker pool.
+func trafficForecast(sweep SweepOptions) ([]Table, error) {
 	t := Table{
 		Title:   "Traffic forecasting on seasonal traffic: prophet vs summary (§IV-A)",
 		Columns: []string{"horizon_hour", "truth_Mtpm", "prophet_Mtpm", "summary_Mtpm"},
@@ -40,7 +40,7 @@ func trafficForecast(SweepOptions) ([]Table, error) {
 	// The two models fit and predict independently over the same
 	// history; run them as two pool tasks.
 	names := []string{"prophet", "summary"}
-	preds, err := RunPoints(SweepOptions{}, len(names), func(i int) ([]forecast.Prediction, error) {
+	preds, err := RunPoints(sweep, len(names), func(i int) ([]forecast.Prediction, error) {
 		m, err := forecast.New(names[i], nil)
 		if err != nil {
 			return nil, err
@@ -80,8 +80,8 @@ func trafficForecast(SweepOptions) ([]Table, error) {
 // deploy-measure rounds, while Caladrius' model-driven loop needs one
 // round per distinct bottleneck plus the final verification. Both loops
 // deploy with their own fixed minutes at the simulator's default tick,
-// not the sweep's.
-func dhalionVsCaladrius(SweepOptions) ([]Table, error) {
+// not the sweep's; the sweep shapes only the worker pool.
+func dhalionVsCaladrius(sweep SweepOptions) ([]Table, error) {
 	t := Table{
 		Title:   "Deployments to reach SLO: Dhalion reactive scaling vs Caladrius dry-run planning",
 		Columns: []string{"round", "dhalion_splitter_p", "dhalion_counter_p", "dhalion_throughput_Mtpm"},
@@ -93,7 +93,7 @@ func dhalionVsCaladrius(SweepOptions) ([]Table, error) {
 	// independent deployment sequences from one start, which neither
 	// writes; race them on two workers.
 	start := map[string]int{"spout": 8, "splitter": 1, "counter": 1}
-	results, err := RunPoints(SweepOptions{}, 2, func(i int) (dhalion.Result, error) {
+	results, err := RunPoints(sweep, 2, func(i int) (dhalion.Result, error) {
 		if i == 0 {
 			return dhalion.Scaler{RatePerMinute: rate, SLOThroughputTPM: slo}.Run(start)
 		}

@@ -33,7 +33,7 @@ func Backtest(name string, options map[string]any, history []tsdb.Point, holdout
 	if holdout <= 0 || holdout >= 1 {
 		return Accuracy{}, fmt.Errorf("forecast: holdout fraction %g outside (0,1)", holdout)
 	}
-	pts := sortedCopy(history)
+	pts := ascending(history)
 	if len(pts) < 10 {
 		return Accuracy{}, fmt.Errorf("%w: %d points", ErrInsufficentData, len(pts))
 	}

@@ -60,9 +60,18 @@ func Horizon(last time.Time, step time.Duration, n int) []time.Time {
 	return out
 }
 
-// sortedCopy returns pts sorted ascending by time without mutating the
-// input, dropping exact duplicates (keeping the last value).
-func sortedCopy(pts []tsdb.Point) []tsdb.Point {
+// ascending returns pts in ascending time order without exact
+// duplicates (the last value kept): pts itself when it already is
+// strictly ascending, as every TSDB read is, and a sorted copy
+// otherwise. It never writes to pts, and callers only read the result.
+func ascending(pts []tsdb.Point) []tsdb.Point {
+	i := 1
+	for i < len(pts) && pts[i-1].T.Before(pts[i].T) {
+		i++
+	}
+	if i >= len(pts) {
+		return pts
+	}
 	cp := append([]tsdb.Point(nil), pts...)
 	sort.SliceStable(cp, func(i, j int) bool { return cp[i].T.Before(cp[j].T) })
 	out := cp[:0]

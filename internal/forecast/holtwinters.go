@@ -3,6 +3,7 @@ package forecast
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"caladrius/internal/linalg"
@@ -104,7 +105,7 @@ func (h *HoltWinters) Name() string { return "holtwinters" }
 
 // Fit implements Model.
 func (h *HoltWinters) Fit(pts []tsdb.Point) error {
-	pts = sortedCopy(pts)
+	pts = ascending(pts)
 	if len(pts) < 4 {
 		return fmt.Errorf("%w: %d points, need ≥ 4", ErrInsufficentData, len(pts))
 	}
@@ -189,9 +190,10 @@ func (h *HoltWinters) Fit(pts []tsdb.Point) error {
 	if len(resid) > 30 {
 		resid = resid[len(resid)/3:]
 	}
+	slices.Sort(resid)
 	a := (1 - h.IntervalLevel) / 2
-	h.residLo = linalg.Quantile(resid, a)
-	h.residHi = linalg.Quantile(resid, 1-a)
+	h.residLo = linalg.QuantileSorted(resid, a)
+	h.residHi = linalg.QuantileSorted(resid, 1-a)
 	h.origin = origin
 	h.lastTime = origin.Add(time.Duration(nBuckets-1) * h.Step)
 	h.fitted = true

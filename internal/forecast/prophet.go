@@ -3,6 +3,7 @@ package forecast
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"caladrius/internal/linalg"
@@ -97,7 +98,7 @@ const (
 
 // Fit implements Model.
 func (p *Prophet) Fit(pts []tsdb.Point) error {
-	pts = sortedCopy(pts)
+	pts = ascending(pts)
 	if len(pts) < 10 {
 		return fmt.Errorf("%w: %d points, need ≥ 10", ErrInsufficentData, len(pts))
 	}
@@ -132,30 +133,44 @@ func (p *Prophet) Fit(pts []tsdb.Point) error {
 	}
 	p.scale = maxAbs
 
-	x := linalg.NewMatrix(len(pts), p.featureCount())
+	// The design is kept compact: each point's offset in days and its
+	// Fourier block, computed once. The intercept, slope and hinges are
+	// rebuilt into the caller's row on every pass.
+	trend, cols := 2+len(p.cps), p.featureCount()
+	seasons := cols - trend
+	days := make([]float64, len(pts))
+	fourier := make([]float64, len(pts)*seasons)
 	y := make([]float64, len(pts))
 	for i, pt := range pts {
-		p.fillRow(x.Row(i), pt.T)
+		days[i] = pt.T.Sub(p.origin).Hours() / 24
+		p.fillSeasons(fourier[i*seasons:(i+1)*seasons], days[i])
 		y[i] = pt.V / p.scale
 	}
-	beta, err := linalg.HuberRegression(x, y, p.Ridge)
+	rows := func(i int, row []float64) {
+		p.fillTrend(row, days[i])
+		copy(row[trend:], fourier[i*seasons:(i+1)*seasons])
+	}
+	beta, err := linalg.HuberRegression(rows, cols, y, p.Ridge)
 	if err != nil {
 		return fmt.Errorf("forecast: prophet fit: %w", err)
 	}
 	p.beta = beta
 
-	// Residual quantiles for intervals (on the original scale).
-	pred, err := x.MulVec(beta)
-	if err != nil {
-		return err
-	}
-	resid := make([]float64, len(y))
+	// Residual quantiles for intervals (on the original scale), written
+	// over y.
+	row := make([]float64, cols)
 	for i := range y {
-		resid[i] = (y[i] - pred[i]) * p.scale
+		rows(i, row)
+		var v float64
+		for j, b := range beta {
+			v += row[j] * b
+		}
+		y[i] = (y[i] - v) * p.scale
 	}
+	slices.Sort(y)
 	alpha := (1 - p.IntervalLevel) / 2
-	p.residLo = linalg.Quantile(resid, alpha)
-	p.residHi = linalg.Quantile(resid, 1-alpha)
+	p.residLo = linalg.QuantileSorted(y, alpha)
+	p.residHi = linalg.QuantileSorted(y, 1-alpha)
 	p.fitted = true
 	return nil
 }
@@ -174,17 +189,27 @@ func (p *Prophet) featureCount() int {
 // fillRow writes the design-matrix row for time t.
 func (p *Prophet) fillRow(row []float64, t time.Time) {
 	days := t.Sub(p.origin).Hours() / 24
+	p.fillTrend(row, days)
+	p.fillSeasons(row[2+len(p.cps):], days)
+}
+
+// fillTrend writes a row's intercept, slope and changepoint hinges.
+func (p *Prophet) fillTrend(row []float64, days float64) {
 	row[0] = 1
 	row[1] = days
-	idx := 2
-	for _, cp := range p.cps {
-		if days > cp {
-			row[idx] = days - cp
-		} else {
-			row[idx] = 0
+	hinges := row[2 : 2+len(p.cps)]
+	for i, cp := range p.cps {
+		if days <= cp { // the changepoints ascend: the rest are 0 too
+			clear(hinges[i:])
+			return
 		}
-		idx++
+		hinges[i] = days - cp
 	}
+}
+
+// fillSeasons writes a row's Fourier block: daily, then weekly terms.
+func (p *Prophet) fillSeasons(row []float64, days float64) {
+	idx := 0
 	if p.dailyOn {
 		frac := 2 * math.Pi * (days - math.Floor(days))
 		for o := 1; o <= p.DailyOrder; o++ {

@@ -55,7 +55,7 @@ func (s *Summary) Name() string { return "summary" }
 
 // Fit implements Model.
 func (s *Summary) Fit(pts []tsdb.Point) error {
-	pts = sortedCopy(pts)
+	pts = ascending(pts)
 	if len(pts) == 0 {
 		return fmt.Errorf("%w: no points", ErrInsufficentData)
 	}

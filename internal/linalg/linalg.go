@@ -1,8 +1,10 @@
-// Package linalg provides the small dense linear-algebra kernel used by
-// Caladrius' forecasting models: column-major-free dense matrices,
-// Cholesky factorisation, ordinary and ridge least squares, and
-// iteratively re-weighted least squares with Huber weights for
-// outlier-robust regression.
+// Package linalg provides the small linear-algebra kernel used by
+// Caladrius' forecasting models: a dense matrix for the normal
+// equations, Cholesky factorisation, and ridge-regularised Huber
+// regression by iteratively re-weighted least squares over a design
+// whose rows the caller writes on demand, so no fit holds its design
+// matrix. It also holds the sample statistics (quantiles, mean,
+// standard deviation) that the models and the experiments read.
 //
 // The package is deliberately minimal — it implements exactly what the
 // Prophet-substitute in internal/forecast requires — but each routine is
@@ -52,91 +54,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// Transpose returns mᵀ as a new matrix.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Data[j*t.Cols+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return t
-}
-
-// MulVec returns m·x for a vector x of length m.Cols.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if m.Cols != len(x) {
-		return nil, fmt.Errorf("%w: (%dx%d)·vec(%d)", ErrShape, m.Rows, m.Cols, len(x))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
-// Gram computes mᵀ·m exploiting symmetry.
-func (m *Matrix) Gram() *Matrix {
-	n := m.Cols
-	g := NewMatrix(n, n)
-	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		for i := 0; i < n; i++ {
-			vi := row[i]
-			if vi == 0 {
-				continue
-			}
-			gi := g.Row(i)
-			for j := i; j < n; j++ {
-				gi[j] += vi * row[j]
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			g.Set(j, i, g.At(i, j))
-		}
-	}
-	return g
-}
-
-// WeightedGram computes mᵀ·W·m for diagonal weights w (len m.Rows).
-func (m *Matrix) WeightedGram(w []float64) (*Matrix, error) {
-	if len(w) != m.Rows {
-		return nil, fmt.Errorf("%w: weights %d, rows %d", ErrShape, len(w), m.Rows)
-	}
-	n := m.Cols
-	g := NewMatrix(n, n)
-	for r := 0; r < m.Rows; r++ {
-		wr := w[r]
-		if wr == 0 {
-			continue
-		}
-		row := m.Row(r)
-		for i := 0; i < n; i++ {
-			vi := wr * row[i]
-			if vi == 0 {
-				continue
-			}
-			gi := g.Row(i)
-			for j := i; j < n; j++ {
-				gi[j] += vi * row[j]
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			g.Set(j, i, g.At(i, j))
-		}
-	}
-	return g, nil
 }
 
 // Cholesky computes the lower-triangular factor L with A = L·Lᵀ for a
@@ -231,51 +148,6 @@ func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
 	return SolveCholesky(l, b)
 }
 
-// RidgeLeastSquares solves min ‖X·β − y‖² + λ‖β‖². λ must be ≥ 0.
-func RidgeLeastSquares(x *Matrix, y []float64, lambda float64) ([]float64, error) {
-	if x.Rows != len(y) {
-		return nil, fmt.Errorf("%w: design %dx%d, response %d", ErrShape, x.Rows, x.Cols, len(y))
-	}
-	if lambda < 0 {
-		return nil, fmt.Errorf("linalg: negative ridge penalty %g", lambda)
-	}
-	g := x.Gram()
-	for i := 0; i < g.Rows; i++ {
-		g.Set(i, i, g.At(i, i)+lambda)
-	}
-	rhs, err := x.Transpose().MulVec(y)
-	if err != nil {
-		return nil, err
-	}
-	return SolveSPD(g, rhs)
-}
-
-// WeightedRidge solves min Σ wᵢ(Xᵢ·β − yᵢ)² + λ‖β‖².
-func WeightedRidge(x *Matrix, y, w []float64, lambda float64) ([]float64, error) {
-	if x.Rows != len(y) || x.Rows != len(w) {
-		return nil, fmt.Errorf("%w: design %dx%d, response %d, weights %d", ErrShape, x.Rows, x.Cols, len(y), len(w))
-	}
-	g, err := x.WeightedGram(w)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < g.Rows; i++ {
-		g.Set(i, i, g.At(i, i)+lambda)
-	}
-	rhs := make([]float64, x.Cols)
-	for r := 0; r < x.Rows; r++ {
-		wy := w[r] * y[r]
-		if wy == 0 {
-			continue
-		}
-		row := x.Row(r)
-		for j, v := range row {
-			rhs[j] += v * wy
-		}
-	}
-	return SolveSPD(g, rhs)
-}
-
 // Huber regression's IRLS constants. Residuals within huberDelta times
 // the residual scale (MAD-based) get weight 1; beyond it weights decay
 // as huberDelta·scale/|r|. 1.345 is the threshold of 95% Gaussian
@@ -287,25 +159,45 @@ const (
 	huberTol     = 1e-8
 )
 
-// HuberRegression fits β minimising the Huber loss of X·β − y via IRLS,
-// with the ridge penalty lambda applied at every iteration. It is
-// robust to a moderate fraction of gross outliers in y.
-func HuberRegression(x *Matrix, y []float64, lambda float64) ([]float64, error) {
-	beta, err := RidgeLeastSquares(x, y, lambda)
+// RowSource writes row i of a design matrix into dst, whose length is
+// the column count, so that a regression can rebuild its rows on every
+// pass instead of holding all of them.
+type RowSource func(i int, dst []float64)
+
+// HuberRegression fits β (cols coefficients) minimising the Huber loss
+// of X·β − y via IRLS, where rows writes row i of X and y has one value
+// per row. Column 0 is the intercept: the ridge penalty lambda applies
+// to every other coefficient, at every iteration. A penalised intercept
+// would offset every residual alike, and the MAD scale, seeing no
+// spread, would weight every point as an outlier. The fit is robust to
+// a moderate fraction of gross outliers in y.
+func HuberRegression(rows RowSource, cols int, y []float64, lambda float64) ([]float64, error) {
+	if lambda < 0 {
+		return nil, fmt.Errorf("linalg: negative ridge penalty %g", lambda)
+	}
+	row := make([]float64, cols)
+	g := NewMatrix(cols, cols)
+	rhs := make([]float64, cols)
+	w := make([]float64, len(y))
+	for i := range w {
+		w[i] = 1
+	}
+	beta, err := weightedRidge(rows, row, y, w, lambda, g, rhs)
 	if err != nil {
 		return nil, err
 	}
-	w := make([]float64, x.Rows)
-	resid := make([]float64, x.Rows)
+	resid := make([]float64, len(y))
+	scratch := make([]float64, len(y))
 	for iter := 0; iter < huberMaxIter; iter++ {
-		pred, err := x.MulVec(beta)
-		if err != nil {
-			return nil, err
-		}
 		for i := range resid {
-			resid[i] = y[i] - pred[i]
+			rows(i, row)
+			var s float64
+			for j, v := range row {
+				s += v * beta[j]
+			}
+			resid[i] = y[i] - s
 		}
-		scale := MAD(resid) * 1.4826
+		scale := mad(resid, scratch) * 1.4826
 		if scale < 1e-12 {
 			return beta, nil // perfect fit to working precision
 		}
@@ -317,7 +209,7 @@ func HuberRegression(x *Matrix, y []float64, lambda float64) ([]float64, error) 
 				w[i] = thresh / ar
 			}
 		}
-		next, err := WeightedRidge(x, y, w, lambda)
+		next, err := weightedRidge(rows, row, y, w, lambda, g, rhs)
 		if err != nil {
 			return nil, err
 		}
@@ -333,17 +225,58 @@ func HuberRegression(x *Matrix, y []float64, lambda float64) ([]float64, error) 
 	return beta, nil
 }
 
-// MAD computes the median absolute deviation from the median.
-func MAD(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
+// weightedRidge solves min Σ wᵢ(Xᵢ·β − yᵢ)² + λ‖β₁…‖², the intercept
+// β₀ unpenalised. One pass over the rows, each written into row,
+// accumulates Xᵀ·W·X (its upper triangle, then mirrored) into g and
+// Xᵀ·W·y into rhs.
+func weightedRidge(rows RowSource, row, y, w []float64, lambda float64, g *Matrix, rhs []float64) ([]float64, error) {
+	clear(g.Data)
+	clear(rhs)
+	n := g.Cols
+	for r, wr := range w {
+		if wr == 0 {
+			continue
+		}
+		rows(r, row)
+		for i, v := range row {
+			vi := wr * v
+			if vi == 0 {
+				continue
+			}
+			tail := row[i:]
+			gi := g.Data[i*n+i:][:len(tail)]
+			for j, t := range tail {
+				gi[j] += vi * t
+			}
+		}
+		if wy := wr * y[r]; wy != 0 {
+			for j, v := range row {
+				rhs[j] += v * wy
+			}
+		}
 	}
-	med := Median(xs)
-	dev := make([]float64, len(xs))
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			g.Set(j, i, g.At(i, j))
+		}
+		if i > 0 {
+			g.Set(i, i, g.At(i, i)+lambda)
+		}
+	}
+	return SolveSPD(g, rhs)
+}
+
+// mad is the median absolute deviation of xs from its median. It sorts
+// in scratch, which has the length of xs.
+func mad(xs, scratch []float64) float64 {
+	copy(scratch, xs)
+	slices.Sort(scratch)
+	med := QuantileSorted(scratch, 0.5)
 	for i, v := range xs {
-		dev[i] = math.Abs(v - med)
+		scratch[i] = math.Abs(v - med)
 	}
-	return Median(dev)
+	slices.Sort(scratch)
+	return QuantileSorted(scratch, 0.5)
 }
 
 // Median returns the median of xs without mutating it.
@@ -365,14 +298,23 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	cp := append([]float64(nil), xs...)
 	slices.Sort(cp)
-	pos := q * float64(len(cp)-1)
+	return QuantileSorted(cp, q)
+}
+
+// QuantileSorted is Quantile for xs already sorted ascending, so that
+// several quantiles of one sample cost one sort.
+func QuantileSorted(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	pos := min(max(q, 0), 1) * float64(len(xs)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
-		return cp[lo]
+		return xs[lo]
 	}
 	frac := pos - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac
+	return xs[lo]*(1-frac) + xs[hi]*frac
 }
 
 func minOf(xs []float64) float64 {

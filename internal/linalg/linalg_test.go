@@ -13,7 +13,7 @@ func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*(1+math.Abs(a)+math.Abs(b))
 }
 
-// Mul returns m·b, the plain triple loop that Gram's symmetric
+// Mul returns m·b, the plain triple loop that weightedRidge's symmetric
 // accumulation is checked against.
 func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
 	if m.Cols != b.Rows {
@@ -29,6 +29,57 @@ func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
 		}
 	}
 	return out, nil
+}
+
+// Transpose returns mᵀ as a new matrix.
+func (m *Matrix) Transpose() *Matrix {
+	t := NewMatrix(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			t.Set(j, i, m.At(i, j))
+		}
+	}
+	return t
+}
+
+// MulVec returns m·x for a vector x of length m.Cols.
+func (m *Matrix) MulVec(x []float64) ([]float64, error) {
+	if m.Cols != len(x) {
+		return nil, fmt.Errorf("%w: (%dx%d)·vec(%d)", ErrShape, m.Rows, m.Cols, len(x))
+	}
+	out := make([]float64, m.Rows)
+	for i := range out {
+		for j, v := range m.Row(i) {
+			out[i] += v * x[j]
+		}
+	}
+	return out, nil
+}
+
+// gram is mᵀ·m by the plain product.
+func gram(m *Matrix) *Matrix {
+	g, _ := m.Transpose().Mul(m)
+	return g
+}
+
+// rowsOf reads the design from a dense matrix.
+func rowsOf(m *Matrix) RowSource {
+	return func(i int, dst []float64) { copy(dst, m.Row(i)) }
+}
+
+// ridge solves min Σ wᵢ(Xᵢ·β − yᵢ)² + λ‖β‖² through weightedRidge, with
+// unit weights when w is nil, and returns the normal equations'
+// matrix and right-hand side beside β.
+func ridge(x *Matrix, y, w []float64, lambda float64) (beta []float64, g *Matrix, rhs []float64, err error) {
+	if w == nil {
+		w = make([]float64, x.Rows)
+		for i := range w {
+			w[i] = 1
+		}
+	}
+	g, rhs = NewMatrix(x.Cols, x.Cols), make([]float64, x.Cols)
+	beta, err = weightedRidge(rowsOf(x), make([]float64, x.Cols), y, w, lambda, g, rhs)
+	return beta, g, rhs, err
 }
 
 func TestMatrixBasics(t *testing.T) {
@@ -82,20 +133,36 @@ func TestMulAndMulVec(t *testing.T) {
 	}
 }
 
+// TestGramMatchesExplicit checks the normal equations weightedRidge
+// accumulates in one pass over the rows against the plain products
+// Xᵀ·X and Xᵀ·y.
 func TestGramMatchesExplicit(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	m := NewMatrix(13, 5)
 	for i := range m.Data {
 		m.Data[i] = r.NormFloat64()
 	}
-	g := m.Gram()
-	explicit, err := m.Transpose().Mul(m)
+	y := make([]float64, m.Rows)
+	for i := range y {
+		y[i] = r.NormFloat64()
+	}
+	_, g, rhs, err := ridge(m, y, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	explicit := gram(m)
 	for i := range g.Data {
 		if !almostEqual(g.Data[i], explicit.Data[i], 1e-12) {
 			t.Fatalf("Gram[%d] = %g, explicit %g", i, g.Data[i], explicit.Data[i])
+		}
+	}
+	xty, err := m.Transpose().MulVec(y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range rhs {
+		if !almostEqual(rhs[j], xty[j], 1e-12) {
+			t.Fatalf("Xᵀy[%d] = %g, explicit %g", j, rhs[j], xty[j])
 		}
 	}
 }
@@ -103,7 +170,7 @@ func TestGramMatchesExplicit(t *testing.T) {
 func TestWeightedGram(t *testing.T) {
 	m := &Matrix{Rows: 3, Cols: 2, Data: []float64{1, 2, 3, 4, 5, 6}}
 	w := []float64{2, 0, 1}
-	g, err := m.WeightedGram(w)
+	_, g, rhs, err := ridge(m, []float64{1, 1, 1}, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +181,9 @@ func TestWeightedGram(t *testing.T) {
 			t.Fatalf("WeightedGram = %+v, want %+v", g.Data, want.Data)
 		}
 	}
-	if _, err := m.WeightedGram([]float64{1}); !errors.Is(err, ErrShape) {
-		t.Errorf("shape mismatch not detected")
+	// Explicit: 2*[1,2] + 1*[5,6]
+	if rhs[0] != 2+5 || rhs[1] != 4+6 {
+		t.Errorf("XᵀWy = %v, want [7 10]", rhs)
 	}
 }
 
@@ -128,7 +196,7 @@ func TestCholeskySolveRoundTrip(t *testing.T) {
 		for i := range b.Data {
 			b.Data[i] = r.NormFloat64()
 		}
-		a := b.Gram()
+		a := gram(b)
 		for i := 0; i < n; i++ {
 			a.Set(i, i, a.At(i, i)+1)
 		}
@@ -165,7 +233,7 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 func TestSolveSPDJitterRecovers(t *testing.T) {
 	// Rank-deficient Gram matrix; plain Cholesky fails, jitter succeeds.
 	x := &Matrix{Rows: 3, Cols: 2, Data: []float64{1, 1, 2, 2, 3, 3}}
-	g := x.Gram()
+	g := gram(x)
 	rhs := []float64{1, 1}
 	got, err := SolveSPD(g, rhs)
 	if err != nil {
@@ -196,7 +264,7 @@ func TestLeastSquaresRecoversCoefficients(t *testing.T) {
 		}
 		y[i] += r.NormFloat64() * 0.01
 	}
-	beta, err := RidgeLeastSquares(x, y, 0)
+	beta, _, _, err := ridge(x, y, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,25 +275,27 @@ func TestLeastSquaresRecoversCoefficients(t *testing.T) {
 	}
 }
 
+// TestRidgeShrinks checks that the penalty shrinks the slope and
+// leaves the intercept, column 0, where least squares puts it.
 func TestRidgeShrinks(t *testing.T) {
-	x := &Matrix{Rows: 3, Cols: 1, Data: []float64{1, 1, 1}}
-	y := []float64{3, 3, 3}
-	ols, err := RidgeLeastSquares(x, y, 0)
+	x := &Matrix{Rows: 3, Cols: 2, Data: []float64{1, -1, 1, 0, 1, 1}}
+	y := []float64{1, 3, 5}
+	ols, _, _, err := ridge(x, y, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ridge, err := RidgeLeastSquares(x, y, 10)
+	shrunk, _, _, err := ridge(x, y, nil, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(math.Abs(ridge[0]) < math.Abs(ols[0])) {
-		t.Errorf("ridge %g should shrink below OLS %g", ridge[0], ols[0])
+	if !(math.Abs(shrunk[1]) < math.Abs(ols[1])) {
+		t.Errorf("ridge slope %g should shrink below OLS %g", shrunk[1], ols[1])
 	}
-	if _, err := RidgeLeastSquares(x, y, -1); err == nil {
+	if !almostEqual(shrunk[0], 3, 1e-12) || !almostEqual(ols[0], 3, 1e-12) {
+		t.Errorf("intercepts: ridge %g, OLS %g, want 3 for both", shrunk[0], ols[0])
+	}
+	if _, err := HuberRegression(rowsOf(x), 2, y, -1); err == nil {
 		t.Error("negative lambda accepted")
-	}
-	if _, err := RidgeLeastSquares(x, []float64{1}, 0); !errors.Is(err, ErrShape) {
-		t.Errorf("shape mismatch not detected: %v", err)
 	}
 }
 
@@ -244,7 +314,7 @@ func TestHuberIgnoresOutliers(t *testing.T) {
 	for i := 0; i < n/10; i++ {
 		y[r.Intn(n)] += 500
 	}
-	beta, err := HuberRegression(x, y, 0)
+	beta, err := HuberRegression(rowsOf(x), 2, y, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +322,7 @@ func TestHuberIgnoresOutliers(t *testing.T) {
 		t.Errorf("huber beta = %v, want ~[5 2]", beta)
 	}
 	// OLS by contrast should be visibly pulled by the outliers.
-	ols, err := RidgeLeastSquares(x, y, 0)
+	ols, _, _, err := ridge(x, y, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +334,7 @@ func TestHuberIgnoresOutliers(t *testing.T) {
 func TestHuberPerfectFitShortCircuits(t *testing.T) {
 	x := &Matrix{Rows: 3, Cols: 2, Data: []float64{1, 0, 1, 1, 1, 2}}
 	y := []float64{1, 3, 5}
-	beta, err := HuberRegression(x, y, 0)
+	beta, err := HuberRegression(rowsOf(x), 2, y, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +410,7 @@ func TestQuickQuantileMonotoneInQ(t *testing.T) {
 
 func TestMADAndStddev(t *testing.T) {
 	xs := []float64{1, 1, 2, 2, 4, 6, 9}
-	if got := MAD(xs); got != 1 {
+	if got := mad(xs, make([]float64, len(xs))); got != 1 {
 		t.Errorf("MAD = %g, want 1", got)
 	}
 	if got := Stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9}); !almostEqual(got, 2.138, 1e-3) {
@@ -348,9 +418,6 @@ func TestMADAndStddev(t *testing.T) {
 	}
 	if Stddev([]float64{5}) != 0 {
 		t.Errorf("single-element stddev should be 0")
-	}
-	if MAD(nil) != 0 {
-		t.Errorf("empty MAD should be 0")
 	}
 }
 
