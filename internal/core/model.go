@@ -8,9 +8,11 @@
 //     shuffle and fields groupings, scaling a fitted curve to a new
 //     parallelism (Eq. 9), and propagating observed per-instance bias
 //     under a traffic change (Eq. 11);
-//   - the topology model of Equations 12–14: chaining component models
-//     along critical paths, inverting the chain to locate the topology
-//     saturation point, and classifying backpressure risk;
+//   - the topology model of Equations 12–14: one pass over the DAG in
+//     topological order sums each component's inbound streams, locates
+//     the topology saturation point where the first component
+//     saturates, and classifies backpressure risk; every spout→sink
+//     path is reported from that pass;
 //   - the CPU-load model of §V-E: ψ = CPU / input-rate per component,
 //     composed with the throughput model to predict CPU under a new
 //     parallelism or source rate;
@@ -124,9 +126,9 @@ type ComponentModel struct {
 	// StreamAlphas splits the aggregate I/O coefficient over the
 	// component's outbound streams, keyed "streamName->destination".
 	// The values sum to Instance.Alpha. Nil when per-stream emit
-	// metrics were unavailable at calibration; fan-out predictions then
-	// fall back to the aggregate coefficient (overestimating branch
-	// rates — linear chains are unaffected).
+	// metrics were unavailable at calibration; every outbound edge then
+	// carries the aggregate coefficient (overestimating a fan-out's
+	// branch rates — linear chains are unaffected).
 	StreamAlphas map[string]float64
 }
 

@@ -375,13 +375,23 @@ func wordCountModel(t *testing.T) *TopologyModel {
 	return tm
 }
 
-func TestPredictPathChaining(t *testing.T) {
-	tm := wordCountModel(t)
-	// Linear regime: 10 M/min source → splitter out 76 M → counter in 76 M.
-	pred, err := tm.PredictPath([]string{"spout", "splitter", "counter"}, nil, 10e6)
+// predictPath evaluates the model and returns its only path.
+func predictPath(t *testing.T, tm *TopologyModel, parallelisms map[string]int, rate float64) PathPrediction {
+	t.Helper()
+	pred, err := tm.Predict(parallelisms, rate)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(pred.Paths) != 1 {
+		t.Fatalf("paths = %d, want 1", len(pred.Paths))
+	}
+	return pred.Paths[0]
+}
+
+func TestPredictChaining(t *testing.T) {
+	tm := wordCountModel(t)
+	// Linear regime: 10 M/min source → splitter out 76 M → counter in 76 M.
+	pred := predictPath(t, tm, nil, 10e6)
 	if !almost(pred.Components[1].OutputRate, 76e6, 1e-9) {
 		t.Errorf("splitter out = %g", pred.Components[1].OutputRate)
 	}
@@ -400,10 +410,7 @@ func TestPredictPathChaining(t *testing.T) {
 		t.Errorf("risk at 10M = %v", pred.Risk)
 	}
 	// Above t'0: high risk and clamped output.
-	hot, err := tm.PredictPath([]string{"spout", "splitter", "counter"}, nil, 25e6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hot := predictPath(t, tm, nil, 25e6)
 	if hot.Risk != RiskHigh {
 		t.Errorf("risk at 25M = %v", hot.Risk)
 	}
@@ -414,22 +421,15 @@ func TestPredictPathChaining(t *testing.T) {
 		t.Errorf("saturated splitter out = %g", hot.Components[1].OutputRate)
 	}
 	// Near t'0 within margin: high.
-	near, err := tm.PredictPath([]string{"spout", "splitter", "counter"}, nil, 18.5e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if near.Risk != RiskHigh {
+	if near := predictPath(t, tm, nil, 18.5e6); near.Risk != RiskHigh {
 		t.Errorf("risk at 18.5M (margin) = %v", near.Risk)
 	}
 }
 
-func TestPredictPathWithOverrides(t *testing.T) {
+func TestPredictWithOverrides(t *testing.T) {
 	tm := wordCountModel(t)
 	// Scale splitter to 4: t'0 moves to 35.8M (counter binds).
-	pred, err := tm.PredictPath([]string{"spout", "splitter", "counter"}, map[string]int{"splitter": 4}, 10e6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pred := predictPath(t, tm, map[string]int{"splitter": 4}, 10e6)
 	if pred.Bottleneck != "counter" {
 		t.Errorf("bottleneck = %q", pred.Bottleneck)
 	}
@@ -441,16 +441,10 @@ func TestPredictPathWithOverrides(t *testing.T) {
 
 func TestPredictErrors(t *testing.T) {
 	tm := wordCountModel(t)
-	if _, err := tm.PredictPath(nil, nil, 1); err == nil {
-		t.Error("empty path accepted")
-	}
-	if _, err := tm.PredictPath([]string{"ghost"}, nil, 1); !errors.Is(err, ErrNotCalibrated) {
-		t.Errorf("unknown component: %v", err)
-	}
-	if _, err := tm.PredictPath([]string{"spout"}, nil, -1); err == nil {
+	if _, err := tm.Predict(nil, -1); err == nil {
 		t.Error("negative rate accepted")
 	}
-	if _, err := tm.PredictPath([]string{"spout"}, map[string]int{"spout": 0}, 1); err == nil {
+	if _, err := tm.Predict(map[string]int{"spout": 0}, 1); err == nil {
 		t.Error("zero parallelism accepted")
 	}
 }
@@ -475,6 +469,60 @@ func TestTopologyPredict(t *testing.T) {
 	}
 	if pred.Risk != RiskLow {
 		t.Errorf("risk = %v", pred.Risk)
+	}
+}
+
+// TestTwoSpoutsShareTheSourceRate: metrics.SourceRate sums the
+// spouts, so each of two spouts carries t₀/2 and a sink fed by both
+// saturates when their sum reaches its own capacity.
+func TestTwoSpoutsShareTheSourceRate(t *testing.T) {
+	top, err := topology.NewBuilder("two-spouts").
+		AddSpout("a", 1).
+		AddSpout("b", 1).
+		AddBolt("sink", 2).
+		Connect("a", "sink", topology.ShuffleGrouping).
+		Connect("b", "sink", topology.ShuffleGrouping).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm, err := NewTopologyModel(top, map[string]*ComponentModel{
+		"a":    {Component: "a", Parallelism: 1, Instance: InstanceModel{Alpha: 1, SP: math.Inf(1)}},
+		"b":    {Component: "b", Parallelism: 1, Instance: InstanceModel{Alpha: 1, SP: math.Inf(1)}},
+		"sink": {Component: "sink", Parallelism: 2, Instance: InstanceModel{Alpha: 0, SP: 5e6}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := tm.Predict(nil, 8e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pred.Paths) != 2 {
+		t.Fatalf("paths = %d, want 2", len(pred.Paths))
+	}
+	if pred.SaturationSource != 10e6 || pred.Bottleneck != "sink" || pred.Risk != RiskLow {
+		t.Errorf("t'0 %g at %q, risk %v; want 10e6 at sink, low", pred.SaturationSource, pred.Bottleneck, pred.Risk)
+	}
+	for _, pp := range pred.Paths {
+		spout, sink := pp.Components[0], pp.Components[1]
+		if spout.SourceRate != 4e6 || sink.SourceRate != 8e6 || sink.Saturated {
+			t.Errorf("%v: spout %g, sink %g (saturated %v); want 4e6, 8e6, false", pp.Path, spout.SourceRate, sink.SourceRate, sink.Saturated)
+		}
+	}
+	hot, err := tm.Predict(nil, 12e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hot.SinkThroughput != 10e6 || hot.Risk != RiskHigh || !hot.Paths[0].Components[1].Saturated {
+		t.Errorf("at 12e6: sink %g, risk %v; want 10e6 saturated, high", hot.SinkThroughput, hot.Risk)
+	}
+	plan, err := tm.SuggestParallelism(8e6, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan["sink"] != 2 {
+		t.Errorf("suggested sink p = %d, want ceil(8e6·1.25/5e6) = 2", plan["sink"])
 	}
 }
 

@@ -3,26 +3,43 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
 	"caladrius/internal/topology"
 )
 
-// randomChainModel builds a random linear topology with calibrated
-// models, for property testing the composite predictions.
-func randomChainModel(r *rand.Rand) (*TopologyModel, error) {
-	n := 2 + r.Intn(4) // bolts
-	b := topology.NewBuilder("chain").AddSpout("s", 1+r.Intn(4))
-	prev := "s"
-	models := map[string]*ComponentModel{
-		"s": {Component: "s", Parallelism: 1, Instance: InstanceModel{Alpha: 1, SP: math.Inf(1)}},
+// randomDAGModel builds a random topology with calibrated models, for
+// property testing the composite predictions. One or two spouts feed
+// two to five bolts, each reading one or two earlier components, so the
+// DAG has chains, fan-out, fan-in and diamonds; half the fan-out
+// components split their α into per-stream coefficients.
+func randomDAGModel(r *rand.Rand) (*TopologyModel, error) {
+	b := topology.NewBuilder("dag")
+	models := map[string]*ComponentModel{}
+	var names []string
+	read := map[string]bool{}
+	connect := func(from, to string) {
+		b.Connect(from, to, topology.ShuffleGrouping)
+		read[from] = true
 	}
-	models["s"].Parallelism = 1
-	for i := 0; i < n; i++ {
-		name := "b" + string(rune('0'+i))
+	spouts := 1 + r.Intn(2)
+	for i := range spouts {
+		name := "s" + strconv.Itoa(i)
+		b.AddSpout(name, 1+r.Intn(4))
+		models[name] = &ComponentModel{Component: name, Parallelism: 1, Instance: InstanceModel{Alpha: 1, SP: math.Inf(1)}}
+		names = append(names, name)
+	}
+	for i := range 2 + r.Intn(4) {
+		name := "b" + strconv.Itoa(i)
 		p := 1 + r.Intn(5)
-		b.AddBolt(name, p).Connect(prev, name, topology.ShuffleGrouping)
+		b.AddBolt(name, p)
+		from := names[r.Intn(len(names))]
+		connect(from, name)
+		if other := names[r.Intn(len(names))]; other != from && r.Intn(2) == 0 {
+			connect(other, name)
+		}
 		sp := math.Inf(1)
 		if r.Intn(2) == 0 {
 			sp = 1e5 + r.Float64()*1e7
@@ -33,11 +50,33 @@ func randomChainModel(r *rand.Rand) (*TopologyModel, error) {
 			Instance:    InstanceModel{Alpha: 0.1 + r.Float64()*10, SP: sp},
 			CPUPsi:      r.Float64() * 1e-6,
 		}
-		prev = name
+		names = append(names, name)
+	}
+	for _, s := range names[:spouts] {
+		if !read[s] {
+			connect(s, names[len(names)-1])
+		}
 	}
 	top, err := b.Build()
 	if err != nil {
 		return nil, err
+	}
+	for _, name := range names {
+		outs := top.Outbound(name)
+		if len(outs) < 2 || r.Intn(2) == 0 {
+			continue
+		}
+		m := models[name]
+		weights := make([]float64, len(outs))
+		var sum float64
+		for j := range weights {
+			weights[j] = 0.1 + r.Float64()
+			sum += weights[j]
+		}
+		m.StreamAlphas = map[string]float64{}
+		for j, s := range outs {
+			m.StreamAlphas[StreamAlphaKey(s.Name, s.To)] = m.Instance.Alpha * weights[j] / sum
+		}
 	}
 	return NewTopologyModel(top, models)
 }
@@ -45,7 +84,7 @@ func randomChainModel(r *rand.Rand) (*TopologyModel, error) {
 func TestQuickPredictMonotoneInRate(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		tm, err := randomChainModel(r)
+		tm, err := randomDAGModel(r)
 		if err != nil {
 			return false
 		}
@@ -70,7 +109,7 @@ func TestQuickPredictMonotoneInRate(t *testing.T) {
 func TestQuickRiskFlipsExactlyAtSaturation(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		tm, err := randomChainModel(r)
+		tm, err := randomDAGModel(r)
 		if err != nil {
 			return false
 		}
@@ -80,7 +119,7 @@ func TestQuickRiskFlipsExactlyAtSaturation(t *testing.T) {
 		}
 		t0sat := probe.SaturationSource
 		if math.IsInf(t0sat, 1) {
-			// Unsaturatable chain: always low risk.
+			// Unsaturatable topology: always low risk.
 			pred, err := tm.Predict(nil, 1e12)
 			return err == nil && pred.Risk == RiskLow
 		}
@@ -99,7 +138,7 @@ func TestQuickRiskFlipsExactlyAtSaturation(t *testing.T) {
 func TestQuickSinkThroughputClampsAtSaturation(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		tm, err := randomChainModel(r)
+		tm, err := randomDAGModel(r)
 		if err != nil {
 			return false
 		}
@@ -137,7 +176,7 @@ func TestQuickPredictionScalesWithParallelism(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		tm, err := randomChainModel(r)
+		tm, err := randomDAGModel(r)
 		if err != nil {
 			return false
 		}
@@ -156,6 +195,76 @@ func TestQuickPredictionScalesWithParallelism(t *testing.T) {
 				!scaled(base.SaturationSource, got.SaturationSource, k) ||
 				!scaled(base.SinkThroughput, got.SinkThroughput, k) {
 				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickOneComponentOneRow: a component's row totals every inbound
+// stream, so it is the same on every path that reaches it.
+func TestQuickOneComponentOneRow(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		tm, err := randomDAGModel(r)
+		if err != nil {
+			return false
+		}
+		pred, err := tm.Predict(nil, r.Float64()*1e8)
+		if err != nil {
+			return false
+		}
+		rows := map[string]ComponentPrediction{}
+		for _, pp := range pred.Paths {
+			for _, row := range pp.Components {
+				if first, ok := rows[row.Component]; ok && first != row {
+					return false
+				}
+				rows[row.Component] = row
+			}
+		}
+		return len(rows) == len(tm.nodes)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickPlannerAndModelAgree: Predict at SuggestParallelism's plan
+// keeps every component at or below 1/(1+h) of its saturation source
+// rate, wherever that is finite.
+func TestQuickPlannerAndModelAgree(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		tm, err := randomDAGModel(r)
+		if err != nil {
+			return false
+		}
+		// The busiest component's rate stays under 1e8 tuples/minute,
+		// which keeps the planned parallelisms small.
+		maxGain := 0.0
+		for _, n := range tm.nodes {
+			maxGain = max(maxGain, n.gain)
+		}
+		rate, headroom := r.Float64()*1e8/maxGain, r.Float64()
+		plan, err := tm.SuggestParallelism(rate, headroom)
+		if err != nil {
+			return false
+		}
+		pred, err := tm.Predict(plan, rate)
+		if err != nil {
+			return false
+		}
+		for _, pp := range pred.Paths {
+			for _, row := range pp.Components {
+				m, _ := tm.Component(row.Component)
+				limit := m.SaturationSource(row.Parallelism) / (1 + headroom)
+				if row.SourceRate > limit*(1+1e-12) {
+					return false
+				}
 			}
 		}
 		return true

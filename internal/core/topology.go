@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"caladrius/internal/topology"
@@ -17,8 +18,9 @@ const (
 	RiskHigh Risk = "high"
 )
 
-// ComponentPrediction is the modelled state of one component on a path
-// under a proposed configuration.
+// ComponentPrediction is the modelled state of one component under a
+// proposed configuration. A component on several paths has the same
+// row on each: its rates total every inbound stream.
 type ComponentPrediction struct {
 	Component   string  `json:"component"`
 	Parallelism int     `json:"parallelism"`
@@ -31,8 +33,8 @@ type ComponentPrediction struct {
 	CPULoad float64 `json:"cpu_load_cores"`
 }
 
-// PathPrediction is the result of chaining component models along one
-// spout→sink path (Eq. 12–14).
+// PathPrediction reports one spout→sink path of the topology
+// prediction (Eq. 12–14).
 type PathPrediction struct {
 	Path []string `json:"path"`
 	// OutputRate is t_cp, the path's output throughput at the given
@@ -43,9 +45,9 @@ type PathPrediction struct {
 	// "topology output throughput" in Fig. 10, since sinks emit
 	// nothing downstream.
 	SinkThroughput float64 `json:"sink_throughput_tpm"`
-	// SaturationSource is t′₀, the topology source rate at which this
-	// path first saturates (Eq. 13); +Inf when nothing on the path has
-	// a finite saturation point.
+	// SaturationSource is t′₀, the topology source rate at which a
+	// component on this path first saturates (Eq. 13); +Inf when
+	// nothing on the path has a finite saturation point.
 	SaturationSource float64 `json:"saturation_source_tpm"`
 	// Bottleneck names the component that saturates first.
 	Bottleneck string `json:"bottleneck"`
@@ -56,14 +58,20 @@ type PathPrediction struct {
 	Components []ComponentPrediction `json:"components"`
 }
 
+// riskMargin widens the high-risk band of Eq. 14: the risk is high when
+// t₀ ≥ (1 − riskMargin)·t′₀.
+const riskMargin = 0.1
+
 // TopologyModel composes calibrated component models over a topology's
-// paths.
+// DAG.
 type TopologyModel struct {
 	topo   *topology.Topology
 	models map[string]*ComponentModel
-	// RiskMargin widens the high-risk band of Eq. 14: the risk is high
-	// when t₀ ≥ (1 − RiskMargin)·t′₀. Default 0.1.
-	RiskMargin float64
+	// nodes holds every component in topological order and paths every
+	// spout→sink path as indices into nodes; both are fixed at
+	// construction, as the topology and its models are.
+	nodes []node
+	paths [][]int
 	// Degraded marks a low-confidence model: its calibration needed a
 	// widened observe window or still ran on sparse windows (see
 	// CalibrateTopologyFromProviderReport). Every audited run carries
@@ -77,13 +85,39 @@ type TopologyModel struct {
 	calSnap     []ComponentCalibration
 }
 
+// node is one component's place in the rate propagation.
+type node struct {
+	name        string
+	model       *ComponentModel
+	parallelism int // the topology's own
+	spout       bool
+	// gain is gᵢ, the component's source rate per unit of t₀ in the
+	// linear regime: 1/(number of spouts) for a spout, since the spouts
+	// share t₀ evenly, and otherwise the sum over inbound edges of α
+	// times the upstream gain.
+	gain float64
+	out  []edge
+}
+
+// edge carries α times its upstream component's input rate to a
+// downstream component; α sums every stream between the two
+// (AlphaTowards).
+type edge struct {
+	to    int
+	alpha float64
+}
+
 // NewTopologyModel validates that every component has a model and
 // builds the composite.
 func NewTopologyModel(topo *topology.Topology, models map[string]*ComponentModel) (*TopologyModel, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("core: nil topology")
 	}
-	for _, name := range topo.ComponentNames() {
+	names := topo.ComponentNames()
+	index := make(map[string]int, len(names))
+	tm := &TopologyModel{topo: topo, models: models, nodes: make([]node, len(names))}
+	spouts := float64(len(topo.Spouts()))
+	for i, name := range names {
 		m, ok := models[name]
 		if !ok {
 			return nil, fmt.Errorf("%w: component %q has no model", ErrNotCalibrated, name)
@@ -91,8 +125,43 @@ func NewTopologyModel(topo *topology.Topology, models map[string]*ComponentModel
 		if err := m.Validate(); err != nil {
 			return nil, err
 		}
+		c := topo.Component(name)
+		tm.nodes[i] = node{name: name, model: m, parallelism: c.Parallelism, spout: c.Kind == topology.Spout}
+		index[name] = i
 	}
-	return &TopologyModel{topo: topo, models: models, RiskMargin: 0.1}, nil
+	for i := range tm.nodes {
+		n := &tm.nodes[i]
+		if n.spout {
+			n.gain = 1 / spouts
+		}
+		// Group the outbound streams by destination, in declaration
+		// order, and sum their coefficients: on fan-out components the
+		// aggregate α overestimates what one branch receives (Eqs. 4–5).
+		var keys [][]string
+		for _, s := range topo.Outbound(n.name) {
+			to := index[s.To]
+			j := slices.IndexFunc(n.out, func(e edge) bool { return e.to == to })
+			if j < 0 {
+				j = len(n.out)
+				n.out = append(n.out, edge{to: to})
+				keys = append(keys, nil)
+			}
+			keys[j] = append(keys[j], StreamAlphaKey(s.Name, s.To))
+		}
+		for j := range n.out {
+			e := &n.out[j]
+			e.alpha = n.model.AlphaTowards(keys[j])
+			tm.nodes[e.to].gain += e.alpha * n.gain
+		}
+	}
+	for _, path := range topo.Paths() {
+		nodes := make([]int, len(path))
+		for j, name := range path {
+			nodes[j] = index[name]
+		}
+		tm.paths = append(tm.paths, nodes)
+	}
+	return tm, nil
 }
 
 // Component returns the model of one component.
@@ -104,110 +173,15 @@ func (tm *TopologyModel) Component(name string) (*ComponentModel, bool) {
 // Topology returns the modelled topology.
 func (tm *TopologyModel) Topology() *topology.Topology { return tm.topo }
 
-// parallelismOf resolves a component's parallelism under the proposed
-// overrides.
-func (tm *TopologyModel) parallelismOf(name string, overrides map[string]int) int {
-	if p, ok := overrides[name]; ok {
-		return p
-	}
-	return tm.topo.Component(name).Parallelism
-}
-
-// PredictPath chains component models along the given component path
-// (Eq. 12), locates its saturation point by forward accumulation of
-// the inverse chain (Eq. 13) and classifies backpressure risk
-// (Eq. 14). parallelisms overrides component parallelism (nil = the
-// topology's current values); sourceRate is the topology source
-// throughput t₀ in tuples/minute.
-func (tm *TopologyModel) PredictPath(path []string, parallelisms map[string]int, sourceRate float64) (PathPrediction, error) {
-	if len(path) == 0 {
-		return PathPrediction{}, fmt.Errorf("core: empty path")
-	}
-	if sourceRate < 0 {
-		return PathPrediction{}, fmt.Errorf("core: negative source rate %g", sourceRate)
-	}
-	pred := PathPrediction{Path: append([]string(nil), path...), SaturationSource: math.Inf(1)}
-	rate := sourceRate
-	gain := 1.0 // product of upstream edge α: maps t₀ to this component's source rate
-	for i, name := range path {
-		m, ok := tm.models[name]
-		if !ok {
-			return PathPrediction{}, fmt.Errorf("%w: component %q has no model", ErrNotCalibrated, name)
-		}
-		p := tm.parallelismOf(name, parallelisms)
-		if p < 1 {
-			return PathPrediction{}, fmt.Errorf("core: component %q parallelism %d", name, p)
-		}
-		in := m.Input(p, rate)
-		out := m.Output(p, rate)
-		sat := m.SaturationSource(p)
-		cp := ComponentPrediction{
-			Component:   name,
-			Parallelism: p,
-			SourceRate:  rate,
-			InputRate:   in,
-			OutputRate:  out,
-			Saturated:   rate >= sat,
-		}
-		if m.CPUPsi > 0 {
-			cp.CPULoad = m.CPUPsi * in
-		}
-		pred.Components = append(pred.Components, cp)
-
-		// Eq. 13 by forward accumulation: this component saturates when
-		// t₀·gain ≥ sat, i.e. t₀ ≥ sat/gain.
-		if gain > 0 && !math.IsInf(sat, 1) {
-			if t0sat := sat / gain; t0sat < pred.SaturationSource {
-				pred.SaturationSource = t0sat
-				pred.Bottleneck = name
-			}
-		}
-		// Follow the path edge with the stream-specific coefficient:
-		// on fan-out components the aggregate α overestimates what one
-		// branch receives (Eqs. 4–5).
-		if i+1 < len(path) {
-			edgeAlpha := tm.edgeAlpha(m, name, path[i+1])
-			rate = edgeAlpha * in
-			gain *= edgeAlpha
-		} else {
-			rate = out
-		}
-	}
-	pred.OutputRate = rate
-	pred.SinkThroughput = pred.Components[len(pred.Components)-1].InputRate
-	pred.Risk = tm.classifyRisk(sourceRate, pred.SaturationSource)
-	return pred, nil
-}
-
-// edgeAlpha is the I/O coefficient from component name towards its
-// path successor: the per-stream coefficients of all streams on the
-// edge when calibrated, otherwise the aggregate coefficient.
-func (tm *TopologyModel) edgeAlpha(m *ComponentModel, name, next string) float64 {
-	var keys []string
-	for _, s := range tm.topo.Outbound(name) {
-		if s.To == next {
-			keys = append(keys, StreamAlphaKey(s.Name, s.To))
-		}
-	}
-	return m.AlphaTowards(keys)
-}
-
-func (tm *TopologyModel) classifyRisk(t0, t0sat float64) Risk {
-	if math.IsInf(t0sat, 1) {
-		return RiskLow
-	}
-	margin := tm.RiskMargin
-	if margin < 0 {
-		margin = 0
-	}
-	if t0 >= (1-margin)*t0sat {
+func classifyRisk(t0, t0sat float64) Risk {
+	if !math.IsInf(t0sat, 1) && t0 >= (1-riskMargin)*t0sat {
 		return RiskHigh
 	}
 	return RiskLow
 }
 
-// TopologyPrediction aggregates path predictions for a whole topology
-// under one proposed configuration.
+// TopologyPrediction is the topology model's answer for one proposed
+// configuration, reported per path.
 type TopologyPrediction struct {
 	// SourceRate is the evaluated topology source throughput t₀.
 	SourceRate float64 `json:"source_rate_tpm"`
@@ -223,7 +197,7 @@ type TopologyPrediction struct {
 	// throughput — the paper's "topology output" metric.
 	SinkThroughput float64 `json:"sink_throughput_tpm"`
 	// SaturationSource is the topology saturation point t′₀: the
-	// minimum over paths.
+	// lowest over components.
 	SaturationSource float64 `json:"saturation_source_tpm"`
 	// Bottleneck names the component limiting the topology.
 	Bottleneck string `json:"bottleneck"`
@@ -234,81 +208,104 @@ type TopologyPrediction struct {
 	TotalCPU float64 `json:"total_cpu_cores"`
 }
 
-// Predict evaluates the topology at the given source rate under
-// optional parallelism overrides, modelling every spout→sink path.
+// Predict evaluates the topology at the given source rate t₀
+// (tuples/minute) under optional parallelism overrides (nil = the
+// topology's current values) in one pass over the DAG in topological
+// order.
 //
-// Multi-path topologies are evaluated in two passes, reflecting global
-// backpressure: the first pass locates the topology saturation point
-// t′₀ over all paths; the second evaluates every path at the effective
-// source rate min(t₀, t′₀), because once any path's component
-// saturates, the spouts are stopped and *all* paths throttle together.
-// Risk is still classified against the requested t₀.
+// Each component saturates at t₀ = SaturationSource/gᵢ, and the lowest
+// of these is the topology saturation point t′₀ (Eq. 13). Rates are
+// then propagated once at min(t₀, t′₀), reflecting global
+// backpressure: once any component saturates the spouts are stopped
+// and every path throttles together. The spouts share t₀ evenly, as
+// metrics.SourceRate sums them; any other component's source rate sums
+// α times the input rate of each upstream component (Eq. 12), so a
+// component that merges branches carries all of them. Every path
+// reads its rows from that one evaluation; risk (Eq. 14) is still
+// classified against the requested t₀.
 func (tm *TopologyModel) Predict(parallelisms map[string]int, sourceRate float64) (TopologyPrediction, error) {
-	paths := tm.topo.Paths()
-	if len(paths) == 0 {
+	if sourceRate < 0 {
+		return TopologyPrediction{}, fmt.Errorf("core: negative source rate %g", sourceRate)
+	}
+	if len(tm.paths) == 0 {
 		return TopologyPrediction{}, fmt.Errorf("core: topology %q has no paths", tm.topo.Name())
 	}
 	out := TopologyPrediction{SourceRate: sourceRate, SaturationSource: math.Inf(1)}
-	for _, path := range paths {
-		pp, err := tm.PredictPath(path, parallelisms, sourceRate)
-		if err != nil {
-			return TopologyPrediction{}, err
+	rows := make([]ComponentPrediction, len(tm.nodes))
+	// sat[i] is component i's saturation source rate, t0sat[i] the t₀
+	// at which it is reached.
+	sat := make([]float64, 2*len(tm.nodes))
+	sat, t0sat := sat[:len(tm.nodes)], sat[len(tm.nodes):]
+	for i, n := range tm.nodes {
+		p := n.parallelism
+		if o, ok := parallelisms[n.name]; ok {
+			p = o
 		}
-		if pp.SaturationSource < out.SaturationSource {
-			out.SaturationSource = pp.SaturationSource
-			out.Bottleneck = pp.Bottleneck
+		if p < 1 {
+			return TopologyPrediction{}, fmt.Errorf("core: component %q parallelism %d", n.name, p)
+		}
+		rows[i] = ComponentPrediction{Component: n.name, Parallelism: p}
+		sat[i], t0sat[i] = n.model.SaturationSource(p), math.Inf(1)
+		if n.gain > 0 && !math.IsInf(sat[i], 1) {
+			t0sat[i] = sat[i] / n.gain
+		}
+		if t0sat[i] < out.SaturationSource {
+			out.SaturationSource = t0sat[i]
+			out.Bottleneck = n.name
 		}
 	}
-	effective := sourceRate
-	if out.SaturationSource < effective {
-		effective = out.SaturationSource
-	}
-	seen := map[string]float64{}
-	for _, path := range paths {
-		pp, err := tm.PredictPath(path, parallelisms, effective)
-		if err != nil {
-			return TopologyPrediction{}, err
+	effective := math.Min(sourceRate, out.SaturationSource)
+	for i, n := range tm.nodes {
+		r := &rows[i]
+		if n.spout {
+			r.SourceRate = n.gain * effective
 		}
-		// Keep the risk/saturation bookkeeping of the requested rate.
-		pp.Risk = tm.classifyRisk(sourceRate, pp.SaturationSource)
-		out.Paths = append(out.Paths, pp)
-		// CPU: sum each component once even if it appears on several
-		// paths; a component's input rate is path-dependent only for
-		// multi-input components, where the highest estimate is kept
-		// (conservative).
-		for _, cp := range pp.Components {
-			if cp.CPULoad > seen[cp.Component] {
-				seen[cp.Component] = cp.CPULoad
+		in := math.Min(r.SourceRate, sat[i])
+		r.InputRate = in
+		r.OutputRate = n.model.Instance.Alpha * in
+		r.Saturated = r.SourceRate >= sat[i]
+		if n.model.CPUPsi > 0 {
+			r.CPULoad = n.model.CPUPsi * in
+		}
+		out.TotalCPU += r.CPULoad
+		for _, e := range n.out {
+			rows[e.to].SourceRate += e.alpha * in
+		}
+	}
+	out.Paths = make([]PathPrediction, len(tm.paths))
+	for k, path := range tm.paths {
+		pp := PathPrediction{
+			Path:             make([]string, len(path)),
+			SaturationSource: math.Inf(1),
+			Components:       make([]ComponentPrediction, len(path)),
+		}
+		for j, i := range path {
+			pp.Path[j], pp.Components[j] = tm.nodes[i].name, rows[i]
+			if t0sat[i] < pp.SaturationSource {
+				pp.SaturationSource = t0sat[i]
+				pp.Bottleneck = tm.nodes[i].name
 			}
 		}
+		last := pp.Components[len(pp.Components)-1]
+		pp.OutputRate, pp.SinkThroughput = last.OutputRate, last.InputRate
+		pp.Risk = classifyRisk(sourceRate, pp.SaturationSource)
+		out.Paths[k] = pp
 	}
-	critical := out.Paths[0]
-	for _, pp := range out.Paths[1:] {
-		if pp.SaturationSource < critical.SaturationSource {
-			critical = pp
-		}
-	}
-	out.OutputRate = critical.OutputRate
-	out.SinkThroughput = critical.SinkThroughput
-	out.Risk = tm.classifyRisk(sourceRate, out.SaturationSource)
-	// Sum in path order, not map order, so the total's bits repeat.
-	for _, pp := range out.Paths {
-		for _, cp := range pp.Components {
-			if cpu, ok := seen[cp.Component]; ok {
-				out.TotalCPU += cpu
-				delete(seen, cp.Component)
-			}
-		}
-	}
+	critical := out.CriticalPath()
+	out.OutputRate, out.SinkThroughput = critical.OutputRate, critical.SinkThroughput
+	out.Risk = classifyRisk(sourceRate, out.SaturationSource)
 	return out, nil
 }
 
 // SuggestParallelism proposes the minimal per-component parallelisms
 // that keep every component below saturation at the given topology
 // source rate with the given headroom fraction (e.g. 0.2 keeps each
-// component at ≤ 1/1.2 of its saturation input). This is the planning
-// primitive that lets Caladrius replace Dhalion's multi-round scaling
-// with a single dry-run iteration.
+// component at ≤ 1/1.2 of its saturation input). Each component is
+// sized for gᵢ·t₀, its source rate in the linear regime (the suggestion
+// keeps everything unsaturated, making the assumption
+// self-consistent). This is the planning primitive that lets Caladrius
+// replace Dhalion's multi-round scaling with a single dry-run
+// iteration.
 func (tm *TopologyModel) SuggestParallelism(sourceRate, headroom float64) (map[string]int, error) {
 	if sourceRate < 0 {
 		return nil, fmt.Errorf("core: negative source rate %g", sourceRate)
@@ -316,41 +313,13 @@ func (tm *TopologyModel) SuggestParallelism(sourceRate, headroom float64) (map[s
 	if headroom < 0 {
 		return nil, fmt.Errorf("core: negative headroom %g", headroom)
 	}
-	// Component source rates: propagate sourceRate through the DAG in
-	// topological order assuming the linear regime (the suggestion
-	// keeps everything unsaturated, making the assumption
-	// self-consistent).
-	inRate := map[string]float64{}
-	for _, spout := range tm.topo.Spouts() {
-		inRate[spout] += sourceRate / float64(len(tm.topo.Spouts()))
-	}
-	result := map[string]int{}
-	for _, name := range tm.topo.ComponentNames() {
-		m, ok := tm.models[name]
-		if !ok {
-			return nil, fmt.Errorf("%w: component %q has no model", ErrNotCalibrated, name)
-		}
-		rate := inRate[name]
+	result := make(map[string]int, len(tm.nodes))
+	for _, n := range tm.nodes {
 		p := 1
-		if !math.IsInf(m.Instance.SP, 1) && m.Instance.SP > 0 {
-			p = int(math.Ceil(rate * (1 + headroom) / m.Instance.SP))
-			if p < 1 {
-				p = 1
-			}
+		if sp := n.model.Instance.SP; !math.IsInf(sp, 1) {
+			p = max(1, int(math.Ceil(n.gain*sourceRate*(1+headroom)/sp)))
 		}
-		result[name] = p
-		outs := tm.topo.Outbound(name)
-		for _, s := range outs {
-			var streamAlpha float64
-			if len(m.StreamAlphas) > 0 {
-				streamAlpha = m.StreamAlphas[StreamAlphaKey(s.Name, s.To)]
-			} else {
-				// Without per-stream calibration, split the aggregate
-				// α evenly across outbound streams.
-				streamAlpha = m.Instance.Alpha / float64(len(outs))
-			}
-			inRate[s.To] += streamAlpha * rate
-		}
+		result[n.name] = p
 	}
 	return result, nil
 }

@@ -3,9 +3,11 @@ package forecast
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
+	"caladrius/internal/linalg"
 	"caladrius/internal/tsdb"
 	"caladrius/internal/workload"
 )
@@ -86,6 +88,42 @@ func TestSummaryModel(t *testing.T) {
 	}
 	if stats.Count != 100 || stats.Min != 0 || stats.Max != 99 || stats.Mean != 49.5 {
 		t.Errorf("stats = %+v", stats)
+	}
+}
+
+// TestSummaryStatsReadOneSort: the statistics Fit reads off one sorted
+// copy are the bits of each one computed on its own from the
+// time-ordered values.
+func TestSummaryStatsReadOneSort(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	var pts []tsdb.Point
+	var vals []float64
+	for i := 0; i < 997; i++ {
+		v := 1e6 * math.Exp(r.NormFloat64())
+		pts = append(pts, tsdb.Point{T: t0.Add(time.Duration(i) * time.Minute), V: v})
+		vals = append(vals, v)
+	}
+	m, _ := NewSummary(nil)
+	if err := m.Fit(pts); err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.(*Summary).Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := SummaryStats{
+		Count:  len(vals),
+		Mean:   linalg.Mean(vals),
+		Median: linalg.Quantile(vals, 0.5),
+		Min:    linalg.Quantile(vals, 0),
+		Max:    linalg.Quantile(vals, 1),
+		Stddev: linalg.Stddev(vals),
+		Q10:    linalg.Quantile(vals, 0.10),
+		Q90:    linalg.Quantile(vals, 0.90),
+		Q95:    linalg.Quantile(vals, 0.95),
+	}
+	if got != want {
+		t.Errorf("stats = %+v\nwant    %+v", got, want)
 	}
 }
 

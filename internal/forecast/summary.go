@@ -2,6 +2,7 @@ package forecast
 
 import (
 	"fmt"
+	"slices"
 
 	"caladrius/internal/linalg"
 	"caladrius/internal/tsdb"
@@ -63,16 +64,20 @@ func (s *Summary) Fit(pts []tsdb.Point) error {
 	for i, p := range pts {
 		vals[i] = p.V
 	}
+	// Mean and Stddev sum in time order; the order statistics then
+	// read one sort of the same values.
+	mean, stddev := linalg.Mean(vals), linalg.Stddev(vals)
+	slices.Sort(vals)
 	s.stats = SummaryStats{
 		Count:  len(vals),
-		Mean:   linalg.Mean(vals),
-		Median: linalg.Median(vals),
-		Min:    linalg.Quantile(vals, 0),
-		Max:    linalg.Quantile(vals, 1),
-		Stddev: linalg.Stddev(vals),
-		Q10:    linalg.Quantile(vals, 0.10),
-		Q90:    linalg.Quantile(vals, 0.90),
-		Q95:    linalg.Quantile(vals, 0.95),
+		Mean:   mean,
+		Median: linalg.QuantileSorted(vals, 0.5),
+		Min:    linalg.QuantileSorted(vals, 0),
+		Max:    linalg.QuantileSorted(vals, 1),
+		Stddev: stddev,
+		Q10:    linalg.QuantileSorted(vals, 0.10),
+		Q90:    linalg.QuantileSorted(vals, 0.90),
+		Q95:    linalg.QuantileSorted(vals, 0.95),
 	}
 	s.fit = true
 	return nil

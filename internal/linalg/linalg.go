@@ -279,11 +279,6 @@ func mad(xs, scratch []float64) float64 {
 	return QuantileSorted(scratch, 0.5)
 }
 
-// Median returns the median of xs without mutating it.
-func Median(xs []float64) float64 {
-	return Quantile(xs, 0.5)
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
 // interpolation between order statistics. It does not mutate xs.
 func Quantile(xs []float64, q float64) float64 {

@@ -345,7 +345,7 @@ func TestHuberPerfectFitShortCircuits(t *testing.T) {
 
 func TestQuantileAndMedian(t *testing.T) {
 	xs := []float64{9, 1, 8, 2, 7, 3, 6, 4, 5}
-	if got := Median(xs); got != 5 {
+	if got := Quantile(xs, 0.5); got != 5 {
 		t.Errorf("median = %g", got)
 	}
 	if got := Quantile(xs, 0); got != 1 {
