@@ -32,6 +32,7 @@ import (
 	"caladrius/internal/experiments"
 	"caladrius/internal/heron"
 	"caladrius/internal/incident"
+	"caladrius/internal/instrument"
 	"caladrius/internal/metrics"
 	"caladrius/internal/telemetry"
 	"caladrius/internal/topology"
@@ -199,7 +200,7 @@ func BenchmarkAuditResolveFullRing(b *testing.B) {
 	const ring = 4096 // the ledger's capacity
 	b.Run("live-clock", func(b *testing.B) {
 		led, err := audit.NewLedger(audit.Options{
-			Provider: d.Provider, History: tsdb.New(time.Hour), Registry: telemetry.NewRegistry(),
+			Provider: d.Provider, History: tsdb.New(time.Hour), Registry: instrument.NewRegistry(),
 			Now: func() time.Time { return d.AsOf }, SeriesNow: func() time.Time { return d.AsOf }, MetricsWindow: time.Minute,
 		})
 		if err != nil {
@@ -227,7 +228,7 @@ func BenchmarkAuditResolveFullRing(b *testing.B) {
 // recorder must cost nothing beyond the evaluation itself. It is the
 // armed-hook twin of the benchmark's telemetry.slo_evaluate_us.
 func BenchmarkSLOEvaluateArmed(b *testing.B) {
-	reg := telemetry.NewRegistry()
+	reg := instrument.NewRegistry()
 	db := tsdb.New(24 * time.Hour)
 	t0 := time.Date(2026, 6, 1, 12, 0, 0, 0, time.UTC)
 	for i := -20; i <= 0; i++ {

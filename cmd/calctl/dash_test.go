@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"caladrius/internal/daemon"
-	"caladrius/internal/telemetry"
+	"caladrius/internal/instrument"
 )
 
 // TestDashCommand drives traffic, scrapes twice so derived series
@@ -70,10 +70,10 @@ func TestDashSchedulerPanel(t *testing.T) {
 }
 
 func TestBucketQuantileGuards(t *testing.T) {
-	buckets := []telemetry.BucketJSON{{LE: 1, Count: 5}, {LE: 2, Count: 10}}
+	buckets := []instrument.BucketJSON{{LE: 1, Count: 5}, {LE: 2, Count: 10}}
 	// A zero-count histogram or an empty bucket slice must report 0,
 	// not NaN (rank 0/0) — the metrics table prints the result.
-	if got := bucketQuantile([]telemetry.BucketJSON{{LE: 1}, {LE: 2}}, 0.95); got != 0 {
+	if got := bucketQuantile([]instrument.BucketJSON{{LE: 1}, {LE: 2}}, 0.95); got != 0 {
 		t.Errorf("zero-count quantile = %g, want 0", got)
 	}
 	if got := bucketQuantile(nil, 0.95); got != 0 {

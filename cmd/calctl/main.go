@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"caladrius/internal/api"
+	"caladrius/internal/instrument"
 	"caladrius/internal/telemetry"
 )
 
@@ -303,7 +304,7 @@ func metricsCmd(c *client, args []string) error {
 	if *raw {
 		return c.getJSON("/metrics?format=json")
 	}
-	var metrics []telemetry.MetricJSON
+	var metrics []instrument.MetricJSON
 	if err := c.getDecode("/metrics?format=json", &metrics); err != nil {
 		return err
 	}
@@ -358,7 +359,7 @@ func metricsCmd(c *client, args []string) error {
 
 // bucketQuantile adapts the JSON buckets of a histogram series to
 // telemetry.EstimateQuantile, which owns the interpolation and guards.
-func bucketQuantile(buckets []telemetry.BucketJSON, q float64) float64 {
+func bucketQuantile(buckets []instrument.BucketJSON, q float64) float64 {
 	bounds, cum := make([]float64, len(buckets)), make([]float64, len(buckets))
 	for i, b := range buckets {
 		bounds[i], cum[i] = b.LE, float64(b.Count)
@@ -366,7 +367,7 @@ func bucketQuantile(buckets []telemetry.BucketJSON, q float64) float64 {
 	return telemetry.EstimateQuantile(bounds, cum, q)
 }
 
-func labelString(labels telemetry.Labels) string {
+func labelString(labels instrument.Labels) string {
 	if len(labels) == 0 {
 		return ""
 	}

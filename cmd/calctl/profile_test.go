@@ -8,9 +8,9 @@ import (
 	"time"
 
 	"caladrius/internal/daemon"
+	"caladrius/internal/instrument"
 	"caladrius/internal/profiler"
 	"caladrius/internal/profiler/pproftest"
-	"caladrius/internal/telemetry"
 )
 
 // withProfiler wires a profiler with synthetic windows — one steady,
@@ -20,7 +20,7 @@ func withProfiler(t *testing.T) func(*daemon.Config) {
 	t.Helper()
 	clock := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	hot := false
-	reg := telemetry.NewRegistry()
+	reg := instrument.NewRegistry()
 	p, err := profiler.New(profiler.Options{
 		Registry: reg,
 		Interval: 10 * time.Second,

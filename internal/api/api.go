@@ -57,6 +57,7 @@ import (
 	"caladrius/internal/forecast"
 	"caladrius/internal/graph"
 	"caladrius/internal/incident"
+	"caladrius/internal/instrument"
 	"caladrius/internal/metrics"
 	"caladrius/internal/profiler"
 	"caladrius/internal/sched"
@@ -77,7 +78,7 @@ type Service struct {
 	logger   *slog.Logger
 	now      func() time.Time
 
-	tel         *telemetry.Registry
+	tel         *instrument.Registry
 	tracer      *telemetry.Tracer
 	history     *tsdb.DB
 	slo         *telemetry.SLO
@@ -86,9 +87,9 @@ type Service struct {
 	usage       *usage.Accountant
 	profiler    *profiler.Profiler
 	sampler     core.CostSampler
-	jobsRunning *telemetry.Gauge
-	jobsDone    *telemetry.Counter
-	jobsFailed  *telemetry.Counter
+	jobsRunning *instrument.Gauge
+	jobsDone    *instrument.Counter
+	jobsFailed  *instrument.Counter
 
 	// schedr is the bounded model-run scheduler every model run is
 	// queued through.
@@ -112,7 +113,7 @@ type Options struct {
 	Now func() time.Time
 	// Telemetry is the metrics registry to instrument into. Default: a
 	// fresh private registry.
-	Telemetry *telemetry.Registry
+	Telemetry *instrument.Registry
 	// Tracer records model-pipeline traces. Default: a fresh tracer
 	// retaining telemetry.DefaultMaxTraces traces.
 	Tracer *telemetry.Tracer
@@ -173,7 +174,7 @@ func NewService(cfg config.Config, tr *tracker.Tracker, provider metrics.Provide
 		}
 	}
 	if opts.Telemetry == nil {
-		opts.Telemetry = telemetry.NewRegistry()
+		opts.Telemetry = instrument.NewRegistry()
 	}
 	if opts.Tracer == nil {
 		opts.Tracer = telemetry.NewTracer(0, nil)
@@ -198,8 +199,8 @@ func NewService(cfg config.Config, tr *tracker.Tracker, provider metrics.Provide
 		usage:       opts.Usage,
 		profiler:    opts.Profiler,
 		jobsRunning: reg.Gauge("caladrius_jobs_running", nil),
-		jobsDone:    reg.Counter("caladrius_jobs_completed_total", telemetry.Labels{"outcome": "done"}),
-		jobsFailed:  reg.Counter("caladrius_jobs_completed_total", telemetry.Labels{"outcome": "failed"}),
+		jobsDone:    reg.Counter("caladrius_jobs_completed_total", instrument.Labels{"outcome": "done"}),
+		jobsFailed:  reg.Counter("caladrius_jobs_completed_total", instrument.Labels{"outcome": "failed"}),
 		schedr:      opts.Scheduler,
 		calcache: sched.NewCalCache(sched.CalCacheOptions{
 			TTL:      opts.CalCacheTTL,

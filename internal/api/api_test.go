@@ -16,6 +16,7 @@ import (
 	"caladrius/internal/config"
 	"caladrius/internal/core"
 	"caladrius/internal/heron"
+	"caladrius/internal/instrument"
 	"caladrius/internal/metrics"
 	"caladrius/internal/sched"
 	"caladrius/internal/telemetry"
@@ -80,7 +81,7 @@ func withRequired(t *testing.T, provider metrics.Provider, now time.Time, opts O
 		t.Cleanup(opts.Scheduler.Close)
 	}
 	if opts.Telemetry == nil {
-		opts.Telemetry = telemetry.NewRegistry()
+		opts.Telemetry = instrument.NewRegistry()
 	}
 	if opts.History == nil {
 		opts.History = tsdb.New(0)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"caladrius/internal/audit"
+	"caladrius/internal/instrument"
 	"caladrius/internal/telemetry"
 	"caladrius/internal/tsdb"
 )
@@ -167,7 +168,7 @@ func TestAuditEndToEnd(t *testing.T) {
 // service built from the snapshots serves the error series over
 // /api/v1/query_range and the resolved records over /api/v1/audit.
 func TestShutdownSnapshotRestoresAuditHistory(t *testing.T) {
-	db, reg := tsdb.New(24*time.Hour), telemetry.NewRegistry()
+	db, reg := tsdb.New(24*time.Hour), instrument.NewRegistry()
 	env := auditEnv(t, Options{History: db, Telemetry: reg})
 
 	// One graded run, resolved and scraped so caladrius_model_* series

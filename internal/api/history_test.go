@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"caladrius/internal/instrument"
 	"caladrius/internal/telemetry"
 	"caladrius/internal/tsdb"
 )
@@ -30,7 +31,7 @@ func getDecode[T any](t *testing.T, rawURL string, wantStatus int) T {
 // tripped rule observed firing through /api/v1/alerts. As in the daemon,
 // each scrape evaluates the rules; the endpoint only reads the result.
 func TestSelfMonitoringEndToEnd(t *testing.T) {
-	reg := telemetry.NewRegistry()
+	reg := instrument.NewRegistry()
 	db := tsdb.New(time.Hour)
 	scraper := telemetry.NewScraper(reg, db, telemetry.ScrapeOptions{})
 	sloNow := histT0.Add(20 * time.Second)
@@ -122,7 +123,7 @@ func TestSelfMonitoringEndToEnd(t *testing.T) {
 	// Each later scrape's evaluation sustained the alert without another
 	// transition, and a second read adds none either.
 	getDecode[AlertsResponse](t, srv.URL+"/api/v1/alerts", http.StatusOK)
-	fired := reg.Counter("caladrius_slo_transitions_total", telemetry.Labels{"rule": "traffic-seen", "to": "firing"})
+	fired := reg.Counter("caladrius_slo_transitions_total", instrument.Labels{"rule": "traffic-seen", "to": "firing"})
 	if got := fired.Value(); got != 1 {
 		t.Errorf("traffic-seen firing transitions = %g, want 1", got)
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"caladrius/internal/incident"
+	"caladrius/internal/instrument"
 	"caladrius/internal/telemetry"
 	"caladrius/internal/tsdb"
 )
@@ -24,7 +25,7 @@ func testRecorder(t *testing.T) *incident.Recorder {
 	tracer.Start("req-seed", "performance").End()
 	rec, err := incident.New(incident.Options{
 		Dir:        filepath.Join(t.TempDir(), "incidents"),
-		Registry:   telemetry.NewRegistry(),
+		Registry:   instrument.NewRegistry(),
 		History:    tsdb.New(time.Hour),
 		Logs:       logs,
 		Tracer:     tracer,

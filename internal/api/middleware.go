@@ -9,7 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"caladrius/internal/telemetry"
+	"caladrius/internal/instrument"
 	"caladrius/internal/usage"
 )
 
@@ -28,7 +28,7 @@ type reqTraceKey struct{}
 var traceSeq atomic.Uint64
 
 // RequestTraceID returns the trace id the middleware assigned to the
-// request, or "" when the request did not pass through instrument
+// request, or "" when the request did not pass through instrumentHTTP
 // (direct handler tests).
 func RequestTraceID(ctx context.Context) string {
 	id, _ := ctx.Value(reqTraceKey{}).(string)
@@ -68,7 +68,7 @@ type reqTenantKey struct{}
 
 // RequestTenant returns the sanitized tenant the middleware attributed
 // the request to, or AnonymousTenant when the request did not pass
-// through instrument (direct handler tests, async job contexts built
+// through instrumentHTTP (direct handler tests, async job contexts built
 // before the tenant was re-injected).
 func RequestTenant(ctx context.Context) string {
 	if t, _ := ctx.Value(reqTenantKey{}).(string); t != "" {
@@ -91,21 +91,21 @@ var statusClasses = [5]string{"1xx", "2xx", "3xx", "4xx", "5xx"}
 // no registrations, no lookups, no allocations.
 type routeInstruments struct {
 	label    string
-	requests [5]*telemetry.Counter
-	latency  *telemetry.Histogram
-	bytes    *telemetry.Counter
+	requests [5]*instrument.Counter
+	latency  *instrument.Histogram
+	bytes    *instrument.Counter
 }
 
 // httpInstruments is the middleware's instrument set: routes[i] counts
 // the requests of table[i], other those no row matched.
 type httpInstruments struct {
-	inFlight *telemetry.Gauge
-	panics   *telemetry.Counter
+	inFlight *instrument.Gauge
+	panics   *instrument.Counter
 	routes   []*routeInstruments
 	other    *routeInstruments
 }
 
-func newHTTPInstruments(reg *telemetry.Registry, table []route) *httpInstruments {
+func newHTTPInstruments(reg *instrument.Registry, table []route) *httpInstruments {
 	reg.SetHelp("caladrius_http_requests_total", "Requests served, by route pattern and status class.")
 	reg.SetHelp("caladrius_http_request_duration_seconds", "Request latency, by route pattern.")
 	reg.SetHelp("caladrius_http_response_bytes_total", "Response body bytes written, by route pattern.")
@@ -114,11 +114,11 @@ func newHTTPInstruments(reg *telemetry.Registry, table []route) *httpInstruments
 	register := func(label string) *routeInstruments {
 		ri := &routeInstruments{
 			label:   label,
-			latency: reg.Histogram("caladrius_http_request_duration_seconds", telemetry.DefLatencyBuckets, telemetry.Labels{"route": label}),
-			bytes:   reg.Counter("caladrius_http_response_bytes_total", telemetry.Labels{"route": label}),
+			latency: reg.Histogram("caladrius_http_request_duration_seconds", instrument.DefLatencyBuckets, instrument.Labels{"route": label}),
+			bytes:   reg.Counter("caladrius_http_response_bytes_total", instrument.Labels{"route": label}),
 		}
 		for i, class := range statusClasses {
-			ri.requests[i] = reg.Counter("caladrius_http_requests_total", telemetry.Labels{"route": label, "class": class})
+			ri.requests[i] = reg.Counter("caladrius_http_requests_total", instrument.Labels{"route": label, "class": class})
 		}
 		return ri
 	}
@@ -177,7 +177,7 @@ func (r *statusRecorder) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// instrument wraps next with request telemetry and the structured
+// instrumentHTTP wraps next with request telemetry and the structured
 // access log: per-route request counters by status class, latency
 // histograms, response-byte counters, an in-flight gauge, and one log
 // line per request on the service logger. A panicking handler is
@@ -193,7 +193,7 @@ func (r *statusRecorder) Write(p []byte) (int, error) {
 //
 // next is the ServeMux the route table is registered on; the row it
 // matches reports itself through statusRecorder.matched.
-func instrument(next http.Handler, inst *httpInstruments, logger *slog.Logger, acct *usage.Accountant) http.Handler {
+func instrumentHTTP(next http.Handler, inst *httpInstruments, logger *slog.Logger, acct *usage.Accountant) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		inst.inFlight.Inc()

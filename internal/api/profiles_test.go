@@ -10,9 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"caladrius/internal/instrument"
 	"caladrius/internal/profiler"
 	"caladrius/internal/profiler/pproftest"
-	"caladrius/internal/telemetry"
 )
 
 // testProfiler builds a profiler that folds synthetic profiles: one
@@ -29,7 +29,7 @@ func testProfiler(t *testing.T) *profiler.Profiler {
 		return pproftest.CPUProfile(stacks), nil
 	}
 	p, err := profiler.New(profiler.Options{
-		Registry: telemetry.NewRegistry(),
+		Registry: instrument.NewRegistry(),
 		Interval: 10 * time.Second,
 		Source:   src,
 		Now:      func() time.Time { return clock },

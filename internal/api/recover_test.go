@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"caladrius/internal/telemetry"
+	"caladrius/internal/instrument"
 	"caladrius/internal/usage"
 )
 
@@ -18,7 +18,7 @@ import (
 // started still counts as a 5xx in the instruments; both increment the
 // panic counter, log the stack and leave the in-flight gauge at zero.
 func TestPanicRecovery(t *testing.T) {
-	reg := telemetry.NewRegistry()
+	reg := instrument.NewRegistry()
 	var logBuf bytes.Buffer
 	svc := &Service{tel: reg, logger: slog.New(slog.NewTextHandler(&logBuf, nil)), usage: usage.New(usage.Options{Capacity: 256, Window: 15 * time.Minute})}
 
@@ -62,7 +62,7 @@ func TestPanicRecovery(t *testing.T) {
 		t.Errorf("panics counter = %g, want 2", got)
 	}
 	for _, route := range []string{"/api/v1/health", "/api/v1/alerts"} {
-		c := reg.Counter("caladrius_http_requests_total", telemetry.Labels{"route": route, "class": "5xx"})
+		c := reg.Counter("caladrius_http_requests_total", instrument.Labels{"route": route, "class": "5xx"})
 		if got := c.Value(); got != 1 {
 			t.Errorf("%s 5xx = %g, want 1", route, got)
 		}

@@ -83,7 +83,7 @@ func (s *Service) router(table []route) http.Handler {
 	mux.HandleFunc("/", func(w http.ResponseWriter, _ *http.Request) {
 		httpError(w, http.StatusNotFound, "no such endpoint")
 	})
-	return instrument(mux, inst, s.logger, s.usage)
+	return instrumentHTTP(mux, inst, s.logger, s.usage)
 }
 
 // serve is what ServeMux calls for a matched row: it tells the

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"caladrius/internal/instrument"
 	"caladrius/internal/telemetry"
 	"caladrius/internal/tsdb"
 	"caladrius/internal/usage"
@@ -26,7 +27,7 @@ import (
 type contractEnv struct {
 	t       *testing.T
 	handler http.Handler
-	reg     *telemetry.Registry
+	reg     *instrument.Registry
 	acct    *usage.Accountant
 	logs    *bytes.Buffer
 	sent    int
@@ -36,7 +37,7 @@ const contractTenant = "contract"
 
 func newContractEnv(t *testing.T) *contractEnv {
 	t.Helper()
-	reg := telemetry.NewRegistry()
+	reg := instrument.NewRegistry()
 	db := tsdb.New(time.Hour)
 	slo, err := telemetry.NewSLO(db, reg, time.Now, []telemetry.Rule{
 		{Name: "traffic-seen", Metric: "caladrius_http_requests_total", Agg: tsdb.AggMax, Window: time.Minute, Threshold: 0.5},
@@ -233,7 +234,7 @@ func TestRouteTableContract(t *testing.T) {
 // subsystem's notice, whatever the method, and is still counted under
 // its own label.
 func TestDisabledSubsystemsAnswer404(t *testing.T) {
-	reg := telemetry.NewRegistry()
+	reg := instrument.NewRegistry()
 	handler := (&Service{tel: reg, logger: slog.New(slog.NewTextHandler(io.Discard, nil)), usage: usage.New(usage.Options{Capacity: 256, Window: 15 * time.Minute})}).Handler()
 	optional := 0
 	for _, rt := range routes {
@@ -248,7 +249,7 @@ func TestDisabledSubsystemsAnswer404(t *testing.T) {
 				t.Errorf("%s %s: %d %q, want 404 %q", method, rt.pattern, rec.Code, rec.Body, rt.needs.notice)
 			}
 		}
-		if got := reg.Counter("caladrius_http_requests_total", telemetry.Labels{"route": rt.pattern, "class": "4xx"}).Value(); got != 2 {
+		if got := reg.Counter("caladrius_http_requests_total", instrument.Labels{"route": rt.pattern, "class": "4xx"}).Value(); got != 2 {
 			t.Errorf("%s: 4xx = %g, want 2", rt.pattern, got)
 		}
 	}
@@ -296,7 +297,7 @@ var goldenRouteLabels = []string{
 // the handler instruments into — every HTTP family pre-registers
 // exactly the golden set.
 func TestRouteLabelsGolden(t *testing.T) {
-	reg := telemetry.NewRegistry()
+	reg := instrument.NewRegistry()
 	(&Service{tel: reg}).Handler()
 	for _, family := range []string{"caladrius_http_requests_total", "caladrius_http_request_duration_seconds", "caladrius_http_response_bytes_total"} {
 		seen := map[string]bool{}

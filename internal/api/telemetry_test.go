@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"caladrius/internal/instrument"
 	"caladrius/internal/telemetry"
 )
 
@@ -29,19 +30,19 @@ func TestMiddlewareCounts(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	health2xx := reg.Counter("caladrius_http_requests_total", telemetry.Labels{"route": "/api/v1/health", "class": "2xx"})
+	health2xx := reg.Counter("caladrius_http_requests_total", instrument.Labels{"route": "/api/v1/health", "class": "2xx"})
 	if got := health2xx.Value(); got != 3 {
 		t.Errorf("health 2xx = %g, want 3", got)
 	}
-	job4xx := reg.Counter("caladrius_http_requests_total", telemetry.Labels{"route": "/api/v1/jobs/{id}", "class": "4xx"})
+	job4xx := reg.Counter("caladrius_http_requests_total", instrument.Labels{"route": "/api/v1/jobs/{id}", "class": "4xx"})
 	if got := job4xx.Value(); got != 1 {
 		t.Errorf("job 4xx = %g, want 1", got)
 	}
-	lat := reg.Histogram("caladrius_http_request_duration_seconds", telemetry.DefLatencyBuckets, telemetry.Labels{"route": "/api/v1/health"})
+	lat := reg.Histogram("caladrius_http_request_duration_seconds", instrument.DefLatencyBuckets, instrument.Labels{"route": "/api/v1/health"})
 	if got := lat.Count(); got != 3 {
 		t.Errorf("health latency observations = %d, want 3", got)
 	}
-	bytes := reg.Counter("caladrius_http_response_bytes_total", telemetry.Labels{"route": "/api/v1/health"})
+	bytes := reg.Counter("caladrius_http_response_bytes_total", instrument.Labels{"route": "/api/v1/health"})
 	if got := bytes.Value(); got <= 0 {
 		t.Errorf("health response bytes = %g, want > 0", got)
 	}
@@ -182,7 +183,7 @@ func TestAsyncJobTrace(t *testing.T) {
 	if stages < 3 {
 		t.Errorf("async trace has %d named pipeline stages, want ≥ 3 (got %v)", stages, names)
 	}
-	if got := svc.tel.Counter("caladrius_jobs_completed_total", telemetry.Labels{"outcome": "done"}).Value(); got < 1 {
+	if got := svc.tel.Counter("caladrius_jobs_completed_total", instrument.Labels{"outcome": "done"}).Value(); got < 1 {
 		t.Errorf("jobs done counter = %g, want ≥ 1", got)
 	}
 	if got := svc.tel.Gauge("caladrius_jobs_running", nil).Value(); got != 0 {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"caladrius/internal/instrument"
 	"caladrius/internal/telemetry"
 	"caladrius/internal/tsdb"
 	"caladrius/internal/usage"
@@ -61,7 +62,7 @@ func findUsage(top []usage.PrincipalUsage, tenant, topology string) *usage.Princ
 // back out via query_range, and audit records carry the tenant and are
 // filterable by it.
 func TestUsageEndToEndTwoTenants(t *testing.T) {
-	reg := telemetry.NewRegistry()
+	reg := instrument.NewRegistry()
 	db := tsdb.New(time.Hour)
 	scraper := telemetry.NewScraper(reg, db, telemetry.ScrapeOptions{})
 	acct := usage.New(usage.Options{Capacity: 32, Window: 15 * time.Minute, Registry: reg})

@@ -28,8 +28,8 @@ import (
 	"time"
 
 	"caladrius/internal/core"
+	"caladrius/internal/instrument"
 	"caladrius/internal/metrics"
-	"caladrius/internal/telemetry"
 	"caladrius/internal/tsdb"
 )
 
@@ -169,7 +169,7 @@ type Options struct {
 	History *tsdb.DB
 	// Registry receives the run counters and rolling gauges; the gauges
 	// reach History only through the scraper that walks it.
-	Registry *telemetry.Registry
+	Registry *instrument.Registry
 	// Now stamps records; align it with the service clock (the clock
 	// the metrics provider's data lives on).
 	Now func() time.Time
@@ -216,7 +216,7 @@ type rollingStats struct {
 type Ledger struct {
 	provider      metrics.Provider
 	db            *tsdb.DB
-	reg           *telemetry.Registry
+	reg           *instrument.Registry
 	now           func() time.Time
 	seriesNow     func() time.Time
 	metricsWindow time.Duration
@@ -227,18 +227,18 @@ type Ledger struct {
 	n    int
 	seq  int64 // last assigned id; ids start at 1
 
-	runs            map[modelKey]*telemetry.Counter
+	runs            map[modelKey]*instrument.Counter
 	rolling         map[modelKey]*rollingStats
 	inst            map[modelKey]*instruments
-	calAgeG         map[string]*telemetry.Gauge
+	calAgeG         map[string]*instrument.Gauge
 	lastCalibration map[string]time.Time
 }
 
 // instruments is where the resolver writes one (topology, model)'s
 // results, interned so a pass builds no label maps.
 type instruments struct {
-	resolved                    *telemetry.Counter
-	mapeG, signedG, precG, recG *telemetry.Gauge // registered with the first audited record
+	resolved                    *instrument.Counter
+	mapeG, signedG, precG, recG *instrument.Gauge // registered with the first audited record
 	ape                         *tsdb.SeriesHandle
 }
 
@@ -246,7 +246,7 @@ func (l *Ledger) instrumentsLocked(key modelKey) *instruments {
 	in := l.inst[key]
 	if in == nil {
 		in = &instruments{
-			resolved: l.reg.Counter(MetricResolved, telemetry.Labels{"topology": key.topology, "model": key.model}),
+			resolved: l.reg.Counter(MetricResolved, instrument.Labels{"topology": key.topology, "model": key.model}),
 			ape:      l.db.Handle(MetricAPE, tsdb.Labels{"topology": key.topology, "model": key.model}),
 		}
 		l.inst[key] = in
@@ -319,10 +319,10 @@ func NewLedger(opts Options) (*Ledger, error) {
 		seriesNow:       opts.SeriesNow,
 		metricsWindow:   opts.MetricsWindow,
 		recs:            make([]Record, capacity),
-		runs:            map[modelKey]*telemetry.Counter{},
+		runs:            map[modelKey]*instrument.Counter{},
 		rolling:         map[modelKey]*rollingStats{},
 		inst:            map[modelKey]*instruments{},
-		calAgeG:         map[string]*telemetry.Gauge{},
+		calAgeG:         map[string]*instrument.Gauge{},
 		lastCalibration: map[string]time.Time{},
 	}, nil
 }
@@ -350,7 +350,7 @@ func (l *Ledger) Record(rec Record) int64 {
 	}
 	c := l.runs[modelKey{rec.Topology, rec.Model}]
 	if c == nil {
-		c = l.reg.Counter(MetricRuns, telemetry.Labels{"topology": rec.Topology, "model": rec.Model})
+		c = l.reg.Counter(MetricRuns, instrument.Labels{"topology": rec.Topology, "model": rec.Model})
 		l.runs[modelKey{rec.Topology, rec.Model}] = c
 	}
 	l.mu.Unlock()
@@ -378,10 +378,10 @@ func (l *Ledger) NoteCalibration(topology string, at time.Time) {
 	g.Set(0)
 }
 
-func (l *Ledger) calAgeGaugeLocked(topology string) *telemetry.Gauge {
+func (l *Ledger) calAgeGaugeLocked(topology string) *instrument.Gauge {
 	g := l.calAgeG[topology]
 	if g == nil {
-		g = l.reg.Gauge(MetricCalibrationAge, telemetry.Labels{"topology": topology})
+		g = l.reg.Gauge(MetricCalibrationAge, instrument.Labels{"topology": topology})
 		l.calAgeG[topology] = g
 	}
 	return g

@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"caladrius/internal/core"
+	"caladrius/internal/instrument"
 	"caladrius/internal/metrics"
-	"caladrius/internal/telemetry"
 	"caladrius/internal/tsdb"
 )
 
@@ -83,7 +83,7 @@ func testLedger(t testing.TB, opts Options) *Ledger {
 		opts.History = tsdb.New(0)
 	}
 	if opts.Registry == nil {
-		opts.Registry = telemetry.NewRegistry()
+		opts.Registry = instrument.NewRegistry()
 	}
 	if opts.Now == nil {
 		opts.Now = time.Now
@@ -266,7 +266,7 @@ func TestLedgerSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestNewLedgerRefusesMissingDependencies(t *testing.T) {
-	db, reg := tsdb.New(0), telemetry.NewRegistry()
+	db, reg := tsdb.New(0), instrument.NewRegistry()
 	for _, tc := range []struct {
 		want string
 		opts Options
@@ -292,12 +292,12 @@ func TestLedgerSnapshotRejectsForeignFormat(t *testing.T) {
 }
 
 func TestLedgerRecordCountersAndRunsMetric(t *testing.T) {
-	reg := telemetry.NewRegistry()
+	reg := instrument.NewRegistry()
 	now := audT0
 	led := testLedger(t, Options{Registry: reg, Now: func() time.Time { return now }})
 	led.Record(predictRecord(1))
 	led.Record(predictRecord(2))
-	c := reg.Counter(MetricRuns, telemetry.Labels{"topology": "word-count", "model": "predict"})
+	c := reg.Counter(MetricRuns, instrument.Labels{"topology": "word-count", "model": "predict"})
 	if c.Value() != 2 {
 		t.Fatalf("%s = %g, want 2", MetricRuns, c.Value())
 	}

@@ -7,6 +7,7 @@ import (
 
 	"caladrius/internal/core"
 	"caladrius/internal/heron"
+	"caladrius/internal/instrument"
 	"caladrius/internal/metrics"
 	"caladrius/internal/telemetry"
 	"caladrius/internal/tsdb"
@@ -96,7 +97,7 @@ func TestClosedLoopAccuracyDrift(t *testing.T) {
 	}
 
 	db := tsdb.New(24 * time.Hour)
-	reg := telemetry.NewRegistry()
+	reg := instrument.NewRegistry()
 	led := testLedger(t, Options{
 		Provider: prov,
 		History:  db,
@@ -118,8 +119,8 @@ func TestClosedLoopAccuracyDrift(t *testing.T) {
 		return n
 	}
 	rec := loopRecorder{led: led}
-	firing := reg.Counter("caladrius_slo_transitions_total", telemetry.Labels{"rule": "model-accuracy-drift", "to": "firing"})
-	resolved := reg.Counter("caladrius_slo_transitions_total", telemetry.Labels{"rule": "model-accuracy-drift", "to": "resolved"})
+	firing := reg.Counter("caladrius_slo_transitions_total", instrument.Labels{"rule": "model-accuracy-drift", "to": "firing"})
+	resolved := reg.Counter("caladrius_slo_transitions_total", instrument.Labels{"rule": "model-accuracy-drift", "to": "resolved"})
 
 	// predictN advances the sim/ledger clock minute by minute, auditing
 	// one prediction of the deployed configuration per minute, and

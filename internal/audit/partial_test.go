@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"caladrius/internal/instrument"
 	"caladrius/internal/metrics"
-	"caladrius/internal/telemetry"
 	"caladrius/internal/tsdb"
 )
 
@@ -92,7 +92,7 @@ func TestResolvePartialActuals(t *testing.T) {
 	led, err := NewLedger(Options{
 		Provider:      prov,
 		History:       db,
-		Registry:      telemetry.NewRegistry(),
+		Registry:      instrument.NewRegistry(),
 		Now:           func() time.Time { return now },
 		SeriesNow:     func() time.Time { return now },
 		MetricsWindow: time.Minute,
@@ -144,7 +144,7 @@ func TestResolveEmptyWindowStaysPending(t *testing.T) {
 	led, err := NewLedger(Options{
 		Provider:      prov,
 		History:       db,
-		Registry:      telemetry.NewRegistry(),
+		Registry:      instrument.NewRegistry(),
 		Now:           func() time.Time { return now },
 		SeriesNow:     func() time.Time { return now },
 		MetricsWindow: time.Minute,

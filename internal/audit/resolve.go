@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"caladrius/internal/core"
+	"caladrius/internal/instrument"
 	"caladrius/internal/metrics"
-	"caladrius/internal/telemetry"
 	"caladrius/internal/tsdb"
 )
 
@@ -89,7 +89,7 @@ func (l *Ledger) ResolveOnce(now time.Time) int {
 	// skipped.
 	seriesAt := l.seriesNow()
 	var apes []tsdb.BatchSample
-	resolved := map[*telemetry.Counter]int{}
+	resolved := map[*instrument.Counter]int{}
 	l.mu.Lock()
 	applied := 0
 	for _, res := range resolutions {
@@ -295,7 +295,7 @@ func (l *Ledger) refreshGauges(now time.Time) {
 		}
 		in := l.instrumentsLocked(key)
 		if in.mapeG == nil {
-			labels := telemetry.Labels{"topology": key.topology, "model": key.model}
+			labels := instrument.Labels{"topology": key.topology, "model": key.model}
 			in.mapeG = l.reg.Gauge(MetricMAPE, labels)
 			in.signedG = l.reg.Gauge(MetricSignedError, labels)
 			in.precG = l.reg.Gauge(MetricPrecision, labels)

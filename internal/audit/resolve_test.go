@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"caladrius/internal/core"
+	"caladrius/internal/instrument"
 	"caladrius/internal/metrics"
 	"caladrius/internal/telemetry"
 	"caladrius/internal/tsdb"
@@ -122,7 +123,7 @@ func TestResolveOnceJoins(t *testing.T) {
 		},
 	}
 	db := tsdb.New(time.Hour)
-	reg := telemetry.NewRegistry()
+	reg := instrument.NewRegistry()
 	led := testLedger(t, Options{
 		Provider: prov, History: db, Registry: reg,
 		Now: func() time.Time { return now },
@@ -169,10 +170,10 @@ func TestResolveOnceJoins(t *testing.T) {
 	if !pt.T.Equal(audT0) || pt.V != 0.1 {
 		t.Fatalf("APE point = %+v, want 0.1 at %s", pt, audT0)
 	}
-	if g := reg.Gauge(MetricMAPE, telemetry.Labels{"topology": "word-count", "model": "predict"}); g.Value() != 0.1 {
+	if g := reg.Gauge(MetricMAPE, instrument.Labels{"topology": "word-count", "model": "predict"}); g.Value() != 0.1 {
 		t.Fatalf("%s gauge = %g, want 0.1", MetricMAPE, g.Value())
 	}
-	c := reg.Counter(MetricResolved, telemetry.Labels{"topology": "word-count", "model": "predict"})
+	c := reg.Counter(MetricResolved, instrument.Labels{"topology": "word-count", "model": "predict"})
 	if c.Value() != 1 {
 		t.Fatalf("%s = %g, want 1", MetricResolved, c.Value())
 	}
@@ -271,7 +272,7 @@ func TestResolveDivergedSeriesClock(t *testing.T) {
 		"counter": sinkWindows(audT0, 5, 100),
 	}}
 	db := tsdb.New(500 * 24 * time.Hour)
-	reg := telemetry.NewRegistry()
+	reg := instrument.NewRegistry()
 	led := testLedger(t, Options{
 		Provider:  prov,
 		History:   db,

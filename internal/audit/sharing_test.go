@@ -10,8 +10,8 @@ import (
 
 	"caladrius/internal/core"
 	"caladrius/internal/heron"
+	"caladrius/internal/instrument"
 	"caladrius/internal/metrics"
-	"caladrius/internal/telemetry"
 	"caladrius/internal/tsdb"
 )
 
@@ -228,7 +228,7 @@ func TestResolveUnavailableWindowSharedAndRetried(t *testing.T) {
 func TestResolvedCounterOverlappingPasses(t *testing.T) {
 	prov, now := wordCountActuals(t, 12)
 	stalling := &countingProvider{Provider: prov, entered: make(chan struct{}), release: make(chan struct{})}
-	reg := telemetry.NewRegistry()
+	reg := instrument.NewRegistry()
 	led := testLedger(t, Options{Provider: stalling, Registry: reg, History: tsdb.New(0), Now: func() time.Time { return now }})
 	const n = 32
 	for i := 0; i < n; i++ {
@@ -252,7 +252,7 @@ func TestResolvedCounterOverlappingPasses(t *testing.T) {
 	if len(stats) != 1 || stats[0].Resolved != n {
 		t.Fatalf("Stats = %+v, want %d resolved", stats, n)
 	}
-	c := reg.Counter(MetricResolved, telemetry.Labels{"topology": "word-count", "model": "predict"})
+	c := reg.Counter(MetricResolved, instrument.Labels{"topology": "word-count", "model": "predict"})
 	if int(c.Value()) != stats[0].Resolved {
 		t.Fatalf("%s = %g, Stats().Resolved = %d", MetricResolved, c.Value(), stats[0].Resolved)
 	}
@@ -262,7 +262,7 @@ func TestResolvedCounterOverlappingPasses(t *testing.T) {
 // it covers the interned handles and the shared instruments.
 func TestLedgerConcurrentUse(t *testing.T) {
 	prov, now := wordCountActuals(t, 12)
-	led := testLedger(t, Options{Provider: prov, Registry: telemetry.NewRegistry(), History: tsdb.New(0), Now: func() time.Time { return now }})
+	led := testLedger(t, Options{Provider: prov, Registry: instrument.NewRegistry(), History: tsdb.New(0), Now: func() time.Time { return now }})
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
 		wg.Add(4)

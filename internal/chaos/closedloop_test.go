@@ -8,6 +8,7 @@ import (
 	"caladrius/internal/audit"
 	"caladrius/internal/core"
 	"caladrius/internal/heron"
+	"caladrius/internal/instrument"
 	"caladrius/internal/metrics"
 	"caladrius/internal/telemetry"
 	"caladrius/internal/topology"
@@ -131,7 +132,7 @@ func TestClosedLoopDriftDuringSlowFault(t *testing.T) {
 	}
 
 	db := tsdb.New(24 * time.Hour)
-	reg := telemetry.NewRegistry()
+	reg := instrument.NewRegistry()
 	led, err := audit.NewLedger(audit.Options{
 		Provider:      prov,
 		History:       db,
@@ -158,8 +159,8 @@ func TestClosedLoopDriftDuringSlowFault(t *testing.T) {
 		return n
 	}
 	rec := loopRecorder{led: led}
-	firing := reg.Counter("caladrius_slo_transitions_total", telemetry.Labels{"rule": "model-accuracy-drift", "to": "firing"})
-	resolved := reg.Counter("caladrius_slo_transitions_total", telemetry.Labels{"rule": "model-accuracy-drift", "to": "resolved"})
+	firing := reg.Counter("caladrius_slo_transitions_total", instrument.Labels{"rule": "model-accuracy-drift", "to": "firing"})
+	resolved := reg.Counter("caladrius_slo_transitions_total", instrument.Labels{"rule": "model-accuracy-drift", "to": "resolved"})
 
 	predictN := func(m *core.TopologyModel, n int) {
 		t.Helper()
@@ -298,7 +299,7 @@ func TestDegradedCalibrationFlagReachesLedger(t *testing.T) {
 	}
 	tm.Degraded = rep.Degraded
 
-	led, err := audit.NewLedger(audit.Options{Provider: fp, History: tsdb.New(0), Registry: telemetry.NewRegistry(),
+	led, err := audit.NewLedger(audit.Options{Provider: fp, History: tsdb.New(0), Registry: instrument.NewRegistry(),
 		Now: time.Now, SeriesNow: time.Now, MetricsWindow: time.Minute})
 	if err != nil {
 		t.Fatal(err)

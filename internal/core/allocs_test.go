@@ -28,7 +28,7 @@ func TestModelRunAllocationBudget(t *testing.T) {
 		name   string
 		run    func()
 		budget float64
-	}{{"Predict", predict, 7}, {"SuggestParallelism", suggest, 2}} {
+	}{{"Predict", predict, 5}, {"SuggestParallelism", suggest, 2}} {
 		if got := testing.AllocsPerRun(100, c.run); got != c.budget {
 			t.Errorf("%s allocates %v per run, budget %v", c.name, got, c.budget)
 		}

@@ -151,18 +151,26 @@ func (c *ComponentModel) AlphaTowards(keys []string) float64 {
 	return a
 }
 
-func (c *ComponentModel) shares(p int) []float64 {
+// maxShare is the largest per-instance input share at parallelism p:
+// the observed shares at the calibrated parallelism, uniform 1/p at any
+// other, and 0 when p < 1. Under a different parallelism the
+// fields-grouping routing cannot be predicted (hash modulo changes);
+// per the paper we assume the load-balanced case (Eq. 9) unless a
+// custom model is plugged in.
+func (c *ComponentModel) maxShare(p int) float64 {
 	if p == c.Parallelism && len(c.InputShares) == p {
-		return c.InputShares
+		m := 0.0
+		for _, w := range c.InputShares {
+			if w > m {
+				m = w
+			}
+		}
+		return m
 	}
-	// Under a different parallelism the fields-grouping routing cannot
-	// be predicted (hash modulo changes); per the paper we assume the
-	// load-balanced case (Eq. 9) unless a custom model is plugged in.
-	s := make([]float64, p)
-	for i := range s {
-		s[i] = 1 / float64(p)
+	if p < 1 {
+		return 0
 	}
-	return s
+	return 1 / float64(p)
 }
 
 // Input is the component input throughput at parallelism p for a given
@@ -206,12 +214,7 @@ func (c *ComponentModel) SaturationSource(p int) float64 {
 	if math.IsInf(c.Instance.SP, 1) {
 		return math.Inf(1)
 	}
-	maxShare := 0.0
-	for _, w := range c.shares(p) {
-		if w > maxShare {
-			maxShare = w
-		}
-	}
+	maxShare := c.maxShare(p)
 	if maxShare == 0 {
 		return math.Inf(1)
 	}

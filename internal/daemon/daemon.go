@@ -25,6 +25,7 @@ import (
 	"caladrius/internal/config"
 	"caladrius/internal/heron"
 	"caladrius/internal/incident"
+	"caladrius/internal/instrument"
 	"caladrius/internal/metrics"
 	"caladrius/internal/profiler"
 	"caladrius/internal/sched"
@@ -48,7 +49,7 @@ type Config struct {
 	Substrate *heron.Substrate
 	// Registry is the registry to instrument into, for callers whose
 	// simulation already counts into one. Default: a fresh one.
-	Registry *telemetry.Registry
+	Registry *instrument.Registry
 	// LogOutput receives the text log. Default os.Stderr.
 	LogOutput io.Writer
 	// Now is the model clock metric queries, the tracker and audit
@@ -98,7 +99,7 @@ func Default() Config {
 // its live components, for in-process callers that drive the loops by
 // hand instead of calling Run; only Recorder and Profiler can be nil.
 type Daemon struct {
-	Registry  *telemetry.Registry
+	Registry  *instrument.Registry
 	Tracker   *tracker.Tracker
 	History   *tsdb.DB
 	Scraper   *telemetry.Scraper
@@ -130,7 +131,7 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	d := &Daemon{cfg: cfg, Registry: cfg.Registry, wall: cfg.Wall}
 	if d.Registry == nil {
-		d.Registry = telemetry.NewRegistry()
+		d.Registry = instrument.NewRegistry()
 	}
 	if d.wall == nil {
 		d.wall = time.Now
@@ -491,7 +492,7 @@ func (d *Daemon) shutdown() error {
 // debugMux serves the operational debug surface: pprof profiles,
 // expvar and the metrics registry. Kept off the API listener so
 // profiling endpoints are only reachable where DebugAddr points.
-func debugMux(reg *telemetry.Registry) *http.ServeMux {
+func debugMux(reg *instrument.Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -22,6 +22,7 @@ import (
 	"caladrius/internal/api"
 	"caladrius/internal/audit"
 	"caladrius/internal/heron"
+	"caladrius/internal/instrument"
 	"caladrius/internal/metrics"
 	"caladrius/internal/telemetry"
 	"caladrius/internal/tsdb"
@@ -655,7 +656,7 @@ func TestAlertReadsAdvanceNothing(t *testing.T) {
 		return resp.Alerts[0].State
 	}
 	transitions := func(to string) float64 {
-		return d.Registry.Counter("caladrius_slo_transitions_total", telemetry.Labels{"rule": "traffic-seen", "to": to}).Value()
+		return d.Registry.Counter("caladrius_slo_transitions_total", instrument.Labels{"rule": "traffic-seen", "to": to}).Value()
 	}
 
 	if got := state(); got != telemetry.StateNoData {

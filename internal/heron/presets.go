@@ -6,7 +6,7 @@ import (
 	"strconv"
 	"time"
 
-	"caladrius/internal/telemetry"
+	"caladrius/internal/instrument"
 	"caladrius/internal/topology"
 	"caladrius/internal/tsdb"
 	"caladrius/internal/workload"
@@ -78,7 +78,7 @@ type WordCountOptions struct {
 	Tick time.Duration
 	// Metrics forwards to Config: the telemetry registry receiving
 	// simulator event counters (nil disables them).
-	Metrics *telemetry.Registry
+	Metrics *instrument.Registry
 }
 
 func (o WordCountOptions) withDefaults() WordCountOptions {

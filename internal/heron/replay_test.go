@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"caladrius/internal/telemetry"
+	"caladrius/internal/instrument"
 	"caladrius/internal/topology"
 	"caladrius/internal/workload"
 )
@@ -28,7 +28,7 @@ func stepLoop(s *Simulation, d time.Duration) {
 // between runs. A case whose state never recurs steps every window.
 type replayCase struct {
 	name  string
-	build func(reg *telemetry.Registry) (*Simulation, error)
+	build func(reg *instrument.Registry) (*Simulation, error)
 	drive func(s *Simulation, run func(time.Duration)) error
 	steps bool
 }
@@ -37,7 +37,7 @@ type replayCase struct {
 func wordCountCase(name string, opts WordCountOptions, minutes int) replayCase {
 	return replayCase{
 		name: name,
-		build: func(reg *telemetry.Registry) (*Simulation, error) {
+		build: func(reg *instrument.Registry) (*Simulation, error) {
 			o := opts
 			o.Metrics = reg
 			return NewWordCount(o)
@@ -56,7 +56,7 @@ func wordCountCase(name string, opts WordCountOptions, minutes int) replayCase {
 func diamondCase() replayCase {
 	return replayCase{
 		name: "diamond",
-		build: func(reg *telemetry.Registry) (*Simulation, error) {
+		build: func(reg *instrument.Registry) (*Simulation, error) {
 			top, err := topology.NewBuilder("diamond").
 				AddSpout("src", 4).
 				AddBolt("heavy", 1).
@@ -212,7 +212,7 @@ func TestRunMatchesStepLoop(t *testing.T) {
 // Run simulation, or an error naming the first thing that differs.
 func runMatchesStepLoop(c replayCase, chunk time.Duration) (*Simulation, error) {
 	var sims [2]*Simulation
-	var regs [2]*telemetry.Registry
+	var regs [2]*instrument.Registry
 	for i, loop := range []func(*Simulation, time.Duration){
 		func(s *Simulation, d time.Duration) {
 			if err := s.Run(d); err != nil {
@@ -221,7 +221,7 @@ func runMatchesStepLoop(c replayCase, chunk time.Duration) (*Simulation, error) 
 		},
 		stepLoop,
 	} {
-		regs[i] = telemetry.NewRegistry()
+		regs[i] = instrument.NewRegistry()
 		s, err := c.build(regs[i])
 		if err != nil {
 			return nil, err

@@ -9,7 +9,7 @@ import (
 	"strconv"
 	"time"
 
-	"caladrius/internal/telemetry"
+	"caladrius/internal/instrument"
 	"caladrius/internal/topology"
 	"caladrius/internal/tsdb"
 	"caladrius/internal/workload"
@@ -121,22 +121,22 @@ type Config struct {
 	// counts, backpressure on/off transitions and active instances, and
 	// tuples processed/dropped, published once per Run. Nil disables
 	// event telemetry.
-	Metrics *telemetry.Registry
+	Metrics *instrument.Registry
 }
 
 // simEvents bundles the simulator's telemetry instruments, labelled by
 // topology so several simulations can share one registry.
 type simEvents struct {
-	ticks     *telemetry.Counter
-	bpOn      *telemetry.Counter
-	bpOff     *telemetry.Counter
-	bpActive  *telemetry.Gauge
-	processed *telemetry.Counter
-	dropped   *telemetry.Counter
+	ticks     *instrument.Counter
+	bpOn      *instrument.Counter
+	bpOff     *instrument.Counter
+	bpActive  *instrument.Gauge
+	processed *instrument.Counter
+	dropped   *instrument.Counter
 }
 
-func newSimEvents(reg *telemetry.Registry, topo string) *simEvents {
-	l := telemetry.Labels{"topology": topo}
+func newSimEvents(reg *instrument.Registry, topo string) *simEvents {
+	l := instrument.Labels{"topology": topo}
 	reg.SetHelp("caladrius_sim_ticks_total", "Simulation ticks executed.")
 	reg.SetHelp("caladrius_sim_backpressure_transitions_total", "Instance backpressure flag flips, by new state.")
 	reg.SetHelp("caladrius_sim_backpressure_active_instances", "Instances currently initiating backpressure.")
@@ -144,8 +144,8 @@ func newSimEvents(reg *telemetry.Registry, topo string) *simEvents {
 	reg.SetHelp("caladrius_sim_tuples_dropped_total", "Tuples lost to user-logic failures and OOM restarts.")
 	return &simEvents{
 		ticks:     reg.Counter("caladrius_sim_ticks_total", l),
-		bpOn:      reg.Counter("caladrius_sim_backpressure_transitions_total", telemetry.Labels{"topology": topo, "state": "on"}),
-		bpOff:     reg.Counter("caladrius_sim_backpressure_transitions_total", telemetry.Labels{"topology": topo, "state": "off"}),
+		bpOn:      reg.Counter("caladrius_sim_backpressure_transitions_total", instrument.Labels{"topology": topo, "state": "on"}),
+		bpOff:     reg.Counter("caladrius_sim_backpressure_transitions_total", instrument.Labels{"topology": topo, "state": "off"}),
 		bpActive:  reg.Gauge("caladrius_sim_backpressure_active_instances", l),
 		processed: reg.Counter("caladrius_sim_tuples_processed_total", l),
 		dropped:   reg.Counter("caladrius_sim_tuples_dropped_total", l),

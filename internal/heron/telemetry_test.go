@@ -7,14 +7,14 @@ import (
 	"testing"
 	"time"
 
-	"caladrius/internal/telemetry"
+	"caladrius/internal/instrument"
 	"caladrius/internal/workload"
 )
 
 // saturatingWordCount saturates a single splitter (SP ≈ 10.8 M/min) for
 // 5 minutes, then drops well below saturation so queues drain and the
 // backpressure flags clear. reg may be nil.
-func saturatingWordCount(t *testing.T, reg *telemetry.Registry) *Simulation {
+func saturatingWordCount(t *testing.T, reg *instrument.Registry) *Simulation {
 	t.Helper()
 	sim, err := NewWordCount(WordCountOptions{
 		SplitterP: 1,
@@ -41,14 +41,14 @@ type simEventValues struct {
 	ticks, processed, dropped, bpOn, bpOff, active float64
 }
 
-func readSimEvents(reg *telemetry.Registry) simEventValues {
-	l := telemetry.Labels{"topology": "word-count"}
+func readSimEvents(reg *instrument.Registry) simEventValues {
+	l := instrument.Labels{"topology": "word-count"}
 	return simEventValues{
 		ticks:     reg.Counter("caladrius_sim_ticks_total", l).Value(),
 		processed: reg.Counter("caladrius_sim_tuples_processed_total", l).Value(),
 		dropped:   reg.Counter("caladrius_sim_tuples_dropped_total", l).Value(),
-		bpOn:      reg.Counter("caladrius_sim_backpressure_transitions_total", telemetry.Labels{"topology": "word-count", "state": "on"}).Value(),
-		bpOff:     reg.Counter("caladrius_sim_backpressure_transitions_total", telemetry.Labels{"topology": "word-count", "state": "off"}).Value(),
+		bpOn:      reg.Counter("caladrius_sim_backpressure_transitions_total", instrument.Labels{"topology": "word-count", "state": "on"}).Value(),
+		bpOff:     reg.Counter("caladrius_sim_backpressure_transitions_total", instrument.Labels{"topology": "word-count", "state": "off"}).Value(),
 		active:    reg.Gauge("caladrius_sim_backpressure_active_instances", l).Value(),
 	}
 }
@@ -57,7 +57,7 @@ func readSimEvents(reg *telemetry.Registry) simEventValues {
 // out of saturation and checks the simulator's event counters: ticks,
 // processed tuples and backpressure transitions in both directions.
 func TestSimulatorEventTelemetry(t *testing.T) {
-	reg := telemetry.NewRegistry()
+	reg := instrument.NewRegistry()
 	sim := saturatingWordCount(t, reg)
 	if err := sim.Run(15 * time.Minute); err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestSimulatorEventTelemetry(t *testing.T) {
 // output independent of its event telemetry: the same run with and
 // without a registry writes byte-identical metric snapshots.
 func TestEventTelemetryLeavesMetricsUnchanged(t *testing.T) {
-	with := saturatingWordCount(t, telemetry.NewRegistry())
+	with := saturatingWordCount(t, instrument.NewRegistry())
 	without := saturatingWordCount(t, nil)
 	for _, sim := range []*Simulation{with, without} {
 		if err := sim.Run(15 * time.Minute); err != nil {
@@ -105,7 +105,7 @@ func TestEventTelemetryLeavesMetricsUnchanged(t *testing.T) {
 // gauge counts the instances in backpressure and the tick counter
 // counts the ticks so far.
 func TestEventTelemetryPerRunEquivalence(t *testing.T) {
-	oneReg, chunkReg := telemetry.NewRegistry(), telemetry.NewRegistry()
+	oneReg, chunkReg := instrument.NewRegistry(), instrument.NewRegistry()
 	one, chunked := saturatingWordCount(t, oneReg), saturatingWordCount(t, chunkReg)
 	if err := one.Run(15 * time.Minute); err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestEventTelemetryPerRunEquivalence(t *testing.T) {
 // tick publishes nothing: in particular it does not reset the
 // backpressure gauge.
 func TestRunZeroLeavesTelemetryUntouched(t *testing.T) {
-	reg := telemetry.NewRegistry()
+	reg := instrument.NewRegistry()
 	sim := saturatingWordCount(t, reg)
 	if err := sim.Run(3 * time.Minute); err != nil {
 		t.Fatal(err)

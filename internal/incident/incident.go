@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"caladrius/internal/instrument"
 	"caladrius/internal/profiler"
 	"caladrius/internal/telemetry"
 	"caladrius/internal/tsdb"
@@ -129,7 +130,7 @@ type Options struct {
 	// Dir is the bundle root; one subdirectory per incident.
 	Dir string
 	// Registry receives the caladrius_incident_* self-metrics.
-	Registry *telemetry.Registry
+	Registry *instrument.Registry
 	// History is the self-monitoring store the firing rule's series
 	// window is extracted from.
 	History *tsdb.DB
@@ -172,14 +173,14 @@ type Recorder struct {
 	// pprof.StartCPUProfile calls would fail.
 	captureMu sync.Mutex
 
-	captures   map[string]*telemetry.Counter // by trigger
-	suppressed *telemetry.Counter
-	dropped    *telemetry.Counter
-	failures   *telemetry.Counter
-	duration   *telemetry.Histogram
-	retained   *telemetry.Gauge
-	diskBytes  *telemetry.Gauge
-	lastUnix   *telemetry.Gauge
+	captures   map[string]*instrument.Counter // by trigger
+	suppressed *instrument.Counter
+	dropped    *instrument.Counter
+	failures   *instrument.Counter
+	duration   *instrument.Histogram
+	retained   *instrument.Gauge
+	diskBytes  *instrument.Gauge
+	lastUnix   *instrument.Gauge
 }
 
 type captureReq struct {
@@ -229,14 +230,14 @@ func New(opts Options) (*Recorder, error) {
 		lastCapture: map[string]time.Time{},
 		queue:       make(chan captureReq, 8),
 		done:        make(chan struct{}),
-		captures: map[string]*telemetry.Counter{
-			TriggerSLO:    reg.Counter("caladrius_incident_captures_total", telemetry.Labels{"trigger": TriggerSLO}),
-			TriggerManual: reg.Counter("caladrius_incident_captures_total", telemetry.Labels{"trigger": TriggerManual}),
+		captures: map[string]*instrument.Counter{
+			TriggerSLO:    reg.Counter("caladrius_incident_captures_total", instrument.Labels{"trigger": TriggerSLO}),
+			TriggerManual: reg.Counter("caladrius_incident_captures_total", instrument.Labels{"trigger": TriggerManual}),
 		},
 		suppressed: reg.Counter("caladrius_incident_suppressed_total", nil),
 		dropped:    reg.Counter("caladrius_incident_dropped_total", nil),
 		failures:   reg.Counter("caladrius_incident_failures_total", nil),
-		duration:   reg.Histogram("caladrius_incident_capture_duration_seconds", telemetry.DefLatencyBuckets, nil),
+		duration:   reg.Histogram("caladrius_incident_capture_duration_seconds", instrument.DefLatencyBuckets, nil),
 		retained:   reg.Gauge("caladrius_incident_retained_bundles", nil),
 		diskBytes:  reg.Gauge("caladrius_incident_disk_bytes", nil),
 		lastUnix:   reg.Gauge("caladrius_incident_last_capture_timestamp_seconds", nil),

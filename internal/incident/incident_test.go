@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"caladrius/internal/instrument"
 	"caladrius/internal/telemetry"
 	"caladrius/internal/tsdb"
 )
@@ -67,9 +68,9 @@ func testAlert(rule telemetry.Rule, at time.Time) telemetry.Alert {
 
 // newTestRecorder builds a fully-sourced recorder with a fast CPU
 // profile window and a fake clock.
-func newTestRecorder(t *testing.T, clock *fakeClock) (*Recorder, *telemetry.Registry, *telemetry.LogRing, *telemetry.Tracer, *tsdb.DB) {
+func newTestRecorder(t *testing.T, clock *fakeClock) (*Recorder, *instrument.Registry, *telemetry.LogRing, *telemetry.Tracer, *tsdb.DB) {
 	t.Helper()
-	reg := telemetry.NewRegistry()
+	reg := instrument.NewRegistry()
 	logs := telemetry.NewLogRing(64)
 	tracer := telemetry.NewTracer(16, nil)
 	db := tsdb.New(24 * time.Hour)
@@ -91,7 +92,7 @@ func newTestRecorder(t *testing.T, clock *fakeClock) (*Recorder, *telemetry.Regi
 	return rec, reg, logs, tracer, db
 }
 
-func counterValue(t *testing.T, reg *telemetry.Registry, name string, labels telemetry.Labels) float64 {
+func counterValue(t *testing.T, reg *instrument.Registry, name string, labels instrument.Labels) float64 {
 	t.Helper()
 	return reg.Counter(name, labels).Value()
 }
@@ -158,7 +159,7 @@ func TestCaptureNowBundle(t *testing.T) {
 	if _, ok := rec.ArtifactPath(m.ID, "../../etc/passwd"); ok {
 		t.Error("ArtifactPath resolved an unlisted name")
 	}
-	if got := counterValue(t, reg, "caladrius_incident_captures_total", telemetry.Labels{"trigger": TriggerManual}); got != 1 {
+	if got := counterValue(t, reg, "caladrius_incident_captures_total", instrument.Labels{"trigger": TriggerManual}); got != 1 {
 		t.Errorf("manual captures = %g", got)
 	}
 }
@@ -196,7 +197,7 @@ func TestFiringHookCooldown(t *testing.T) {
 	if n := len(rec.List()); n != 2 {
 		t.Fatalf("bundles after cooldown elapsed = %d", n)
 	}
-	if got := counterValue(t, reg, "caladrius_incident_captures_total", telemetry.Labels{"trigger": TriggerSLO}); got != 2 {
+	if got := counterValue(t, reg, "caladrius_incident_captures_total", instrument.Labels{"trigger": TriggerSLO}); got != 2 {
 		t.Errorf("slo captures = %g", got)
 	}
 
@@ -282,7 +283,7 @@ func TestRestartReindexesBundles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec2, err := New(Options{Dir: dir, Registry: telemetry.NewRegistry(), History: tsdb.New(time.Hour),
+	rec2, err := New(Options{Dir: dir, Registry: instrument.NewRegistry(), History: tsdb.New(time.Hour),
 		Logs: telemetry.NewLogRing(8), Tracer: telemetry.NewTracer(8, nil), Cooldown: 5 * time.Minute, Now: clock.Now,
 		Logger: slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelError}))})
 	if err != nil {
@@ -297,7 +298,7 @@ func TestRestartReindexesBundles(t *testing.T) {
 
 func TestNewRefusesMissingDependencies(t *testing.T) {
 	full := func() Options {
-		return Options{Dir: t.TempDir(), Registry: telemetry.NewRegistry(), History: tsdb.New(time.Hour),
+		return Options{Dir: t.TempDir(), Registry: instrument.NewRegistry(), History: tsdb.New(time.Hour),
 			Logs: telemetry.NewLogRing(8), Tracer: telemetry.NewTracer(8, nil), Cooldown: 5 * time.Minute,
 			Now: time.Now, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}
 	}
@@ -364,7 +365,7 @@ func TestRestartRefusesUnsafeManifests(t *testing.T) {
 		m := ok("escape")
 		m.Artifacts = append(m.Artifacts, Artifact{Name: name})
 		writeBundle(t, dir, "escape", m)
-		rec, err := New(Options{Dir: dir, Registry: telemetry.NewRegistry(), History: tsdb.New(time.Hour),
+		rec, err := New(Options{Dir: dir, Registry: instrument.NewRegistry(), History: tsdb.New(time.Hour),
 			Logs: telemetry.NewLogRing(8), Tracer: telemetry.NewTracer(8, nil), Cooldown: 5 * time.Minute, Now: time.Now,
 			Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 		if err != nil {

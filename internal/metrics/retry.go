@@ -1,12 +1,11 @@
 package metrics
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"time"
 
-	"caladrius/internal/telemetry"
+	"caladrius/internal/instrument"
 	"caladrius/internal/tsdb"
 )
 
@@ -35,18 +34,16 @@ type RetryConfig struct {
 type RetryingProvider struct {
 	inner    Provider
 	cfg      RetryConfig
-	retries  *telemetry.Counter
-	failures *telemetry.Counter
+	retries  *instrument.Counter
+	failures *instrument.Counter
 	sleep    func(time.Duration) // injectable for tests
 }
 
-// NewRetryingProvider wraps inner, counting into reg (nil: a private
-// registry).
-func NewRetryingProvider(inner Provider, cfg RetryConfig, reg *telemetry.Registry) *RetryingProvider {
-	reg = cmp.Or(reg, telemetry.NewRegistry())
+// NewRetryingProvider wraps inner, counting into reg.
+func NewRetryingProvider(inner Provider, cfg RetryConfig, reg *instrument.Registry) *RetryingProvider {
 	reg.SetHelp("caladrius_fetch_retries_total", "Metrics-provider fetch attempts retried after a transient failure.")
 	reg.SetHelp("caladrius_fetch_failures_total", "Metrics-provider fetches that failed after exhausting retries.")
-	l := telemetry.Labels{"provider": "metrics"}
+	l := instrument.Labels{"provider": "metrics"}
 	return &RetryingProvider{
 		inner:    inner,
 		cfg:      cfg,

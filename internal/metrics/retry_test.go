@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"caladrius/internal/telemetry"
+	"caladrius/internal/instrument"
 	"caladrius/internal/tsdb"
 )
 
@@ -68,7 +68,7 @@ func unavailable() error { return fmt.Errorf("%w: backend sulking", ErrUnavailab
 
 func TestRetryRecoversFromTransientFailures(t *testing.T) {
 	inner := &flakyProvider{failN: 2, err: unavailable()}
-	reg := telemetry.NewRegistry()
+	reg := instrument.NewRegistry()
 	p := NewRetryingProvider(inner, RetryConfig{Retries: 2, Backoff: 10 * time.Millisecond}, reg)
 	var slept []time.Duration
 	p.sleep = func(d time.Duration) { slept = append(slept, d) }
@@ -84,17 +84,17 @@ func TestRetryRecoversFromTransientFailures(t *testing.T) {
 	if len(slept) != 2 || slept[0] != 10*time.Millisecond || slept[1] != 20*time.Millisecond {
 		t.Errorf("backoff sequence %v, want [10ms 20ms]", slept)
 	}
-	if v := reg.Counter("caladrius_fetch_retries_total", telemetry.Labels{"provider": "metrics"}).Value(); v != 2 {
+	if v := reg.Counter("caladrius_fetch_retries_total", instrument.Labels{"provider": "metrics"}).Value(); v != 2 {
 		t.Errorf("retries counter = %g, want 2", v)
 	}
-	if v := reg.Counter("caladrius_fetch_failures_total", telemetry.Labels{"provider": "metrics"}).Value(); v != 0 {
+	if v := reg.Counter("caladrius_fetch_failures_total", instrument.Labels{"provider": "metrics"}).Value(); v != 0 {
 		t.Errorf("failures counter = %g, want 0 (the fetch succeeded)", v)
 	}
 }
 
 func TestRetryExhaustionCountsFailure(t *testing.T) {
 	inner := &flakyProvider{failN: 10, err: unavailable()}
-	reg := telemetry.NewRegistry()
+	reg := instrument.NewRegistry()
 	p := NewRetryingProvider(inner, RetryConfig{Retries: 2, Backoff: time.Millisecond}, reg)
 	p.sleep = func(time.Duration) {}
 
@@ -105,14 +105,14 @@ func TestRetryExhaustionCountsFailure(t *testing.T) {
 	if inner.calls.Load() != 3 {
 		t.Errorf("calls = %d, want 3 (1 + 2 retries)", inner.calls.Load())
 	}
-	if v := reg.Counter("caladrius_fetch_failures_total", telemetry.Labels{"provider": "metrics"}).Value(); v != 1 {
+	if v := reg.Counter("caladrius_fetch_failures_total", instrument.Labels{"provider": "metrics"}).Value(); v != 1 {
 		t.Errorf("failures counter = %g, want 1", v)
 	}
 }
 
 func TestNoRetryOnDefinitiveErrors(t *testing.T) {
 	inner := &flakyProvider{failN: 10, err: fmt.Errorf("%w: empty range", ErrNoData)}
-	p := NewRetryingProvider(inner, RetryConfig{Retries: 5, Backoff: time.Millisecond}, nil)
+	p := NewRetryingProvider(inner, RetryConfig{Retries: 5, Backoff: time.Millisecond}, instrument.NewRegistry())
 	p.sleep = func(d time.Duration) { t.Errorf("slept %s for a definitive error", d) }
 
 	_, err := p.InstanceWindows("t", "c", 0, time.Time{}, time.Time{})
@@ -128,7 +128,7 @@ func TestAttemptTimeoutBecomesUnavailable(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
 	inner := &flakyProvider{block: block}
-	p := NewRetryingProvider(inner, RetryConfig{Retries: 1, Backoff: time.Millisecond, Timeout: 5 * time.Millisecond}, nil)
+	p := NewRetryingProvider(inner, RetryConfig{Retries: 1, Backoff: time.Millisecond, Timeout: 5 * time.Millisecond}, instrument.NewRegistry())
 	p.sleep = func(time.Duration) {}
 
 	_, err := p.TopologyBackpressureMs("t", time.Time{}, time.Time{})
@@ -145,7 +145,7 @@ func TestAttemptTimeoutBecomesUnavailable(t *testing.T) {
 // the failure; the policy's defaults are config.Default()'s to state.
 func TestRetryDefaults(t *testing.T) {
 	inner := &flakyProvider{failN: 1, err: unavailable()}
-	reg := telemetry.NewRegistry()
+	reg := instrument.NewRegistry()
 	failing := NewRetryingProvider(inner, RetryConfig{}, reg)
 	failing.sleep = func(d time.Duration) { t.Errorf("slept %s with Retries 0", d) }
 	if _, err := failing.SourceRate("t", []string{"s"}, time.Time{}, time.Time{}); !errors.Is(err, ErrUnavailable) {
@@ -154,11 +154,11 @@ func TestRetryDefaults(t *testing.T) {
 	if inner.calls.Load() != 1 {
 		t.Errorf("calls = %d, want 1 (Retries 0 is no retry)", inner.calls.Load())
 	}
-	if v := reg.Counter("caladrius_fetch_failures_total", telemetry.Labels{"provider": "metrics"}).Value(); v != 1 {
+	if v := reg.Counter("caladrius_fetch_failures_total", instrument.Labels{"provider": "metrics"}).Value(); v != 1 {
 		t.Errorf("failures counter = %g, want 1", v)
 	}
 	// All five methods pass through a healthy inner provider.
-	p := NewRetryingProvider(&flakyProvider{}, RetryConfig{}, nil)
+	p := NewRetryingProvider(&flakyProvider{}, RetryConfig{}, instrument.NewRegistry())
 	if _, err := p.ComponentWindows("t", "c", time.Time{}, time.Time{}); err != nil {
 		t.Error(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"caladrius/internal/daemon"
 	"caladrius/internal/heron"
 	"caladrius/internal/incident"
+	"caladrius/internal/instrument"
 	"caladrius/internal/profiler"
 	"caladrius/internal/telemetry"
 )
@@ -107,7 +108,7 @@ func TestClosedLoopProfileRegression(t *testing.T) {
 		delta = 0.3
 	)
 
-	reg := telemetry.NewRegistry()
+	reg := instrument.NewRegistry()
 	sim, err := heron.NewWordCount(heron.WordCountOptions{
 		SplitterP:     3,
 		CounterP:      4,
@@ -161,7 +162,7 @@ func TestClosedLoopProfileRegression(t *testing.T) {
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 
-	bp := reg.Gauge("caladrius_sim_backpressure_active_instances", telemetry.Labels{"topology": "word-count"})
+	bp := reg.Gauge("caladrius_sim_backpressure_active_instances", instrument.Labels{"topology": "word-count"})
 	stepMinute := func() {
 		t.Helper()
 		if err := sim.Run(time.Minute); err != nil {

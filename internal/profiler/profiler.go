@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"caladrius/internal/atomicfile"
-	"caladrius/internal/telemetry"
+	"caladrius/internal/instrument"
 )
 
 // Kind names one of the profile kinds the continuous profiler
@@ -89,7 +89,7 @@ type Options struct {
 	// telemetry scraper appends every registered instrument to the
 	// TSDB, so setting gauges here is all the profiler needs to do to
 	// feed SLO rules and dashboards.
-	Registry *telemetry.Registry
+	Registry *instrument.Registry
 
 	// Interval between capture rounds in Run.
 	Interval time.Duration
@@ -230,14 +230,14 @@ type Profiler struct {
 
 	// instruments (registry-owned; scraped automatically). Status reads
 	// its capture counts and duty ratio from them.
-	mCaptures map[Kind]*telemetry.Counter
-	mErrors   *telemetry.Counter
-	mSamples  map[Kind]*telemetry.Counter
-	mDelta    map[Kind]*telemetry.Gauge
-	mWindows  *telemetry.Gauge
-	mBaseAge  *telemetry.Gauge
-	mDuty     *telemetry.Gauge
-	mDur      *telemetry.Histogram
+	mCaptures map[Kind]*instrument.Counter
+	mErrors   *instrument.Counter
+	mSamples  map[Kind]*instrument.Counter
+	mDelta    map[Kind]*instrument.Gauge
+	mWindows  *instrument.Gauge
+	mBaseAge  *instrument.Gauge
+	mDuty     *instrument.Gauge
+	mDur      *instrument.Histogram
 }
 
 // New builds a Profiler and, when Options.BaselinePath names an
@@ -271,17 +271,17 @@ func New(o Options) (*Profiler, error) {
 	p := &Profiler{
 		opts:      o,
 		lastErr:   make(map[Kind]string),
-		mCaptures: make(map[Kind]*telemetry.Counter, len(Kinds)),
-		mSamples:  make(map[Kind]*telemetry.Counter, len(Kinds)),
-		mDelta:    make(map[Kind]*telemetry.Gauge, len(Kinds)),
+		mCaptures: make(map[Kind]*instrument.Counter, len(Kinds)),
+		mSamples:  make(map[Kind]*instrument.Counter, len(Kinds)),
+		mDelta:    make(map[Kind]*instrument.Gauge, len(Kinds)),
 		mErrors:   reg.Counter("caladrius_profile_capture_errors_total", nil),
 		mWindows:  reg.Gauge("caladrius_profile_windows", nil),
 		mBaseAge:  reg.Gauge("caladrius_profile_baseline_age_seconds", nil),
 		mDuty:     reg.Gauge("caladrius_profile_duty_ratio", nil),
-		mDur:      reg.Histogram("caladrius_profile_capture_duration_seconds", telemetry.DefLatencyBuckets, nil),
+		mDur:      reg.Histogram("caladrius_profile_capture_duration_seconds", instrument.DefLatencyBuckets, nil),
 	}
 	for _, k := range Kinds {
-		l := telemetry.Labels{"kind": string(k)}
+		l := instrument.Labels{"kind": string(k)}
 		p.mCaptures[k] = reg.Counter("caladrius_profile_captures_total", l)
 		p.mSamples[k] = reg.Counter("caladrius_profile_samples_total", l)
 		p.mDelta[k] = reg.Gauge("caladrius_profile_top_regression_delta", l)

@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"caladrius/internal/telemetry"
+	"caladrius/internal/instrument"
 )
 
 // allWindowsLocked merges every retained window for kind: the widest
@@ -71,7 +71,7 @@ func (s *syntheticSource) source(Kind) ([]byte, error) {
 
 // testOptions are the options every test profiler starts from.
 func testOptions(clock *fakeClock, src Source) Options {
-	return Options{Registry: telemetry.NewRegistry(), Interval: 10 * time.Second, Source: src, Now: clock.Now,
+	return Options{Registry: instrument.NewRegistry(), Interval: 10 * time.Second, Source: src, Now: clock.Now,
 		Logger: slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn}))}
 }
 

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"caladrius/internal/core"
-	"caladrius/internal/telemetry"
+	"caladrius/internal/instrument"
 )
 
 // Series the calibration cache registers.
@@ -50,7 +50,7 @@ type CalCacheOptions struct {
 	Now func() time.Time
 	// Registry receives the caladrius_calcache_* series. Default: a
 	// private registry.
-	Registry *telemetry.Registry
+	Registry *instrument.Registry
 }
 
 // CalCache caches calibrated topology models keyed by topology name,
@@ -70,11 +70,11 @@ type CalCache struct {
 	flightMu sync.Mutex
 	flights  map[calKey]*calFlight
 
-	hitsC    *telemetry.Counter
-	missesC  *telemetry.Counter
-	staleC   *telemetry.Counter
-	invalidC *telemetry.Counter
-	entriesG *telemetry.Gauge
+	hitsC    *instrument.Counter
+	missesC  *instrument.Counter
+	staleC   *instrument.Counter
+	invalidC *instrument.Counter
+	entriesG *instrument.Gauge
 }
 
 // NewCalCache builds an empty cache.
@@ -82,7 +82,7 @@ func NewCalCache(opts CalCacheOptions) *CalCache {
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
-	r := cmp.Or(opts.Registry, telemetry.NewRegistry())
+	r := cmp.Or(opts.Registry, instrument.NewRegistry())
 	r.SetHelp(MetricCalHits, "Calibration-cache lookups served from cache.")
 	r.SetHelp(MetricCalMisses, "Calibration-cache lookups with no usable entry.")
 	r.SetHelp(MetricCalStale, "Calibration-cache lookups rejected as superseded or expired.")

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"caladrius/internal/core"
-	"caladrius/internal/telemetry"
+	"caladrius/internal/instrument"
 )
 
 func testModel(t *testing.T) *core.TopologyModel {
@@ -168,7 +168,7 @@ func TestCalCacheInvalidationScope(t *testing.T) {
 // invalidations across topologies; run under -race this is the
 // invalidation race coverage the scheduler contract requires.
 func TestCalCacheConcurrentInvalidateLookup(t *testing.T) {
-	reg := telemetry.NewRegistry()
+	reg := instrument.NewRegistry()
 	c := NewCalCache(CalCacheOptions{TTL: time.Hour, Registry: reg})
 	topos := make([]string, 8)
 	for i := range topos {
@@ -366,7 +366,7 @@ func TestCalCacheLoadFlightPerPlanVersion(t *testing.T) {
 // TestCalCacheHitDoesNotAllocate: a hit is what a warm predict pays
 // for its model, so Lookup on a hit allocates nothing.
 func TestCalCacheHitDoesNotAllocate(t *testing.T) {
-	c := NewCalCache(CalCacheOptions{TTL: time.Hour, Registry: telemetry.NewRegistry()})
+	c := NewCalCache(CalCacheOptions{TTL: time.Hour, Registry: instrument.NewRegistry()})
 	c.Store("wordcount", 7, 10*time.Minute, testModel(t))
 	allocs := testing.AllocsPerRun(1000, func() {
 		if _, ok := c.Lookup("wordcount", 7, 10*time.Minute); !ok {

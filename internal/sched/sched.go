@@ -37,6 +37,7 @@ import (
 	"sync"
 	"time"
 
+	"caladrius/internal/instrument"
 	"caladrius/internal/telemetry"
 )
 
@@ -222,7 +223,7 @@ type Options struct {
 	QueueDepth int
 	// Registry receives the caladrius_sched_* series. Default: a
 	// private registry.
-	Registry *telemetry.Registry
+	Registry *instrument.Registry
 }
 
 // Scheduler is the bounded model-run execution tier. All methods are
@@ -230,11 +231,11 @@ type Options struct {
 type Scheduler struct {
 	workers int
 	depth   int
-	reg     *telemetry.Registry
+	reg     *instrument.Registry
 
-	queueDepthG *telemetry.Gauge
-	busyG       *telemetry.Gauge
-	waitHist    *telemetry.Histogram
+	queueDepthG *instrument.Gauge
+	busyG       *instrument.Gauge
+	waitHist    *instrument.Histogram
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -243,7 +244,7 @@ type Scheduler struct {
 	tenants     map[string]int // queued+running leaders per tenant
 	inflight    map[flightKey]*run
 	runCounts   map[string]*kindCounters // by kind
-	shedByT     map[string]*telemetry.Counter
+	shedByT     map[string]*instrument.Counter
 	closed      bool
 	busy        int
 	avgRunNanos float64 // EWMA of completed run durations
@@ -251,8 +252,8 @@ type Scheduler struct {
 }
 
 type kindCounters struct {
-	runs      *telemetry.Counter
-	coalesced *telemetry.Counter
+	runs      *instrument.Counter
+	coalesced *instrument.Counter
 }
 
 // New builds a scheduler and starts its workers.
@@ -263,7 +264,7 @@ func New(opts Options) *Scheduler {
 			opts.Workers = 2
 		}
 	}
-	opts.Registry = cmp.Or(opts.Registry, telemetry.NewRegistry())
+	opts.Registry = cmp.Or(opts.Registry, instrument.NewRegistry())
 	s := &Scheduler{
 		workers:   opts.Workers,
 		depth:     opts.QueueDepth,
@@ -271,7 +272,7 @@ func New(opts Options) *Scheduler {
 		tenants:   map[string]int{},
 		inflight:  map[flightKey]*run{},
 		runCounts: map[string]*kindCounters{},
-		shedByT:   map[string]*telemetry.Counter{},
+		shedByT:   map[string]*instrument.Counter{},
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.reg.SetHelp(MetricQueueDepth, "Model runs waiting in the scheduler queue.")
@@ -282,7 +283,7 @@ func New(opts Options) *Scheduler {
 	s.reg.SetHelp(MetricSheds, "Submissions shed by admission control, by tenant (cardinality-capped).")
 	s.queueDepthG = s.reg.Gauge(MetricQueueDepth, nil)
 	s.busyG = s.reg.Gauge(MetricWorkersBusy, nil)
-	s.waitHist = s.reg.Histogram(MetricWaitSeconds, telemetry.DefLatencyBuckets, nil)
+	s.waitHist = s.reg.Histogram(MetricWaitSeconds, instrument.DefLatencyBuckets, nil)
 	s.wg.Add(s.workers)
 	for i := 0; i < s.workers; i++ {
 		go s.worker()
@@ -382,8 +383,8 @@ func (s *Scheduler) kindCountersLocked(kind string) *kindCounters {
 	kc, ok := s.runCounts[kind]
 	if !ok {
 		kc = &kindCounters{
-			runs:      s.reg.Counter(MetricRuns, telemetry.Labels{"kind": kind}),
-			coalesced: s.reg.Counter(MetricCoalesced, telemetry.Labels{"kind": kind}),
+			runs:      s.reg.Counter(MetricRuns, instrument.Labels{"kind": kind}),
+			coalesced: s.reg.Counter(MetricCoalesced, instrument.Labels{"kind": kind}),
 		}
 		s.runCounts[kind] = kc
 	}
@@ -393,7 +394,7 @@ func (s *Scheduler) kindCountersLocked(kind string) *kindCounters {
 // shedCounterLocked interns the per-tenant shed counter, capped at
 // shedTenantCap distinct tenants (overflow → "other"). Caller holds
 // s.mu.
-func (s *Scheduler) shedCounterLocked(tenant string) *telemetry.Counter {
+func (s *Scheduler) shedCounterLocked(tenant string) *instrument.Counter {
 	if c, ok := s.shedByT[tenant]; ok {
 		return c
 	}
@@ -403,7 +404,7 @@ func (s *Scheduler) shedCounterLocked(tenant string) *telemetry.Counter {
 			return c
 		}
 	}
-	c := s.reg.Counter(MetricSheds, telemetry.Labels{"tenant": tenant})
+	c := s.reg.Counter(MetricSheds, instrument.Labels{"tenant": tenant})
 	s.shedByT[tenant] = c
 	return c
 }

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"caladrius/internal/telemetry"
+	"caladrius/internal/instrument"
 )
 
 func newTestScheduler(t *testing.T, workers, depth int) *Scheduler {
@@ -383,7 +383,7 @@ func TestCloseFailsQueuedAndRejectsNew(t *testing.T) {
 // TestSchedulerConcurrentChurn hammers Submit/Wait from many
 // goroutines across tenants and kinds; meaningful under -race.
 func TestSchedulerConcurrentChurn(t *testing.T) {
-	reg := telemetry.NewRegistry()
+	reg := instrument.NewRegistry()
 	s := New(Options{Workers: 4, QueueDepth: 32, Registry: reg})
 	defer s.Close()
 	var wg sync.WaitGroup
@@ -430,7 +430,7 @@ func TestSchedulerConcurrentChurn(t *testing.T) {
 // TestShedTenantCardinalityCap: hostile tenants minting fresh names
 // cannot grow the shed counter set past the cap.
 func TestShedTenantCardinalityCap(t *testing.T) {
-	reg := telemetry.NewRegistry()
+	reg := instrument.NewRegistry()
 	s := New(Options{Workers: 1, QueueDepth: 1, Registry: reg})
 	defer s.Close()
 	release := make(chan struct{})

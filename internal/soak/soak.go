@@ -24,6 +24,7 @@ import (
 
 	"caladrius/internal/api"
 	"caladrius/internal/chaos"
+	"caladrius/internal/instrument"
 	"caladrius/internal/telemetry"
 )
 
@@ -318,8 +319,8 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	stopScraper()
 	for _, r := range d.SLO.Rules() {
 		res.Transitions[r.Name] = RuleTransitions{
-			ToFiring:   d.Registry.Counter("caladrius_slo_transitions_total", telemetry.Labels{"rule": r.Name, "to": "firing"}).Value(),
-			ToResolved: d.Registry.Counter("caladrius_slo_transitions_total", telemetry.Labels{"rule": r.Name, "to": "resolved"}).Value(),
+			ToFiring:   d.Registry.Counter("caladrius_slo_transitions_total", instrument.Labels{"rule": r.Name, "to": "firing"}).Value(),
+			ToResolved: d.Registry.Counter("caladrius_slo_transitions_total", instrument.Labels{"rule": r.Name, "to": "resolved"}).Value(),
 		}
 	}
 	if err := d.Close(); err != nil {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"caladrius/internal/chaos"
+	"caladrius/internal/instrument"
 	"caladrius/internal/telemetry"
 )
 
@@ -148,9 +149,9 @@ func TestSoakDeterministicFaultCycle(t *testing.T) {
 	}
 
 	fired := d.Registry.Counter("caladrius_slo_transitions_total",
-		telemetry.Labels{"rule": "http-5xx-rate", "to": "firing"}).Value()
+		instrument.Labels{"rule": "http-5xx-rate", "to": "firing"}).Value()
 	resolved := d.Registry.Counter("caladrius_slo_transitions_total",
-		telemetry.Labels{"rule": "http-5xx-rate", "to": "resolved"}).Value()
+		instrument.Labels{"rule": "http-5xx-rate", "to": "resolved"}).Value()
 	if fired < 1 || resolved < 1 {
 		t.Errorf("http-5xx-rate transitions: to_firing=%g to_resolved=%g, want >=1 each", fired, resolved)
 	}

@@ -3,16 +3,21 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+
+	"caladrius/internal/instrument"
 )
 
+// The instrument registry's tests sit beside Handler, which serves the
+// exposition they pin as /metrics. The one that reads a histogram's
+// unexported bounds is in internal/instrument.
+
 func TestCounterGaugeBasics(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("requests_total", Labels{"route": "/x"})
+	r := instrument.NewRegistry()
+	c := r.Counter("requests_total", instrument.Labels{"route": "/x"})
 	c.Inc()
 	c.Add(2.5)
 	c.Add(-7) // ignored: counters are monotonic
@@ -20,7 +25,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Errorf("counter = %g, want 3.5", got)
 	}
 	// Idempotent registration returns the same instrument.
-	if c2 := r.Counter("requests_total", Labels{"route": "/x"}); c2 != c {
+	if c2 := r.Counter("requests_total", instrument.Labels{"route": "/x"}); c2 != c {
 		t.Error("re-registration returned a new counter")
 	}
 	g := r.Gauge("in_flight", nil)
@@ -38,7 +43,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 }
 
 func TestKindConflictPanics(t *testing.T) {
-	r := NewRegistry()
+	r := instrument.NewRegistry()
 	r.Counter("m", nil)
 	defer func() {
 		if recover() == nil {
@@ -48,45 +53,14 @@ func TestKindConflictPanics(t *testing.T) {
 	r.Gauge("m", nil)
 }
 
-// TestHistogramBucketBoundaries pins the "le" semantics: an
-// observation equal to an upper bound lands in that bucket.
-func TestHistogramBucketBoundaries(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat", []float64{1, 2, 5}, nil)
-	for _, v := range []float64{0.5, 1, 1.0001, 2, 5, 5.0001, 100} {
-		h.Observe(v)
-	}
-	cum := h.Cumulative()
-	want := []uint64{2, 4, 5, 7} // ≤1: {0.5,1}; ≤2: +{1.0001,2}; ≤5: +{5}; +Inf: +{5.0001,100}
-	if len(cum) != len(want) {
-		t.Fatalf("cumulative buckets = %v", cum)
-	}
-	for i := range want {
-		if cum[i] != want[i] {
-			t.Errorf("bucket %d = %d, want %d (all %v)", i, cum[i], want[i], cum)
-		}
-	}
-	if h.Count() != 7 {
-		t.Errorf("count = %d", h.Count())
-	}
-	if got := h.Sum(); got < 114.5 || got > 114.6 {
-		t.Errorf("sum = %g", got)
-	}
-	// Unsorted/duplicate/+Inf bounds are normalised at registration.
-	h2 := r.Histogram("lat2", []float64{5, 1, 1, 2, math.Inf(1)}, nil)
-	if len(h2.bounds) != 3 || h2.bounds[0] != 1 || h2.bounds[2] != 5 {
-		t.Errorf("normalised bounds = %v", h2.bounds)
-	}
-}
-
 // TestPrometheusGolden pins the exact text exposition format.
 func TestPrometheusGolden(t *testing.T) {
-	r := NewRegistry()
+	r := instrument.NewRegistry()
 	r.SetHelp("http_requests_total", "Requests served.")
-	r.Counter("http_requests_total", Labels{"route": "/a", "class": "2xx"}).Add(3)
-	r.Counter("http_requests_total", Labels{"route": "/b", "class": "5xx"}).Inc()
+	r.Counter("http_requests_total", instrument.Labels{"route": "/a", "class": "2xx"}).Add(3)
+	r.Counter("http_requests_total", instrument.Labels{"route": "/b", "class": "5xx"}).Inc()
 	r.Gauge("in_flight", nil).Set(2)
-	h := r.Histogram("latency_seconds", []float64{0.1, 0.5}, Labels{"route": "/a"})
+	h := r.Histogram("latency_seconds", []float64{0.1, 0.5}, instrument.Labels{"route": "/a"})
 	h.Observe(0.05)
 	h.Observe(0.25)
 	h.Observe(0.25)
@@ -115,8 +89,8 @@ latency_seconds_count{route="/a"} 4
 }
 
 func TestLabelEscaping(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("m", Labels{"q": "a\"b\\c\nd"}).Inc()
+	r := instrument.NewRegistry()
+	r.Counter("m", instrument.Labels{"q": "a\"b\\c\nd"}).Inc()
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -128,10 +102,10 @@ func TestLabelEscaping(t *testing.T) {
 
 func TestSnapshotJSONAndHandler(t *testing.T) {
 	// An empty registry is an empty list, not null.
-	if b, err := json.Marshal(NewRegistry().Snapshot()); err != nil || string(b) != "[]" {
+	if b, err := json.Marshal(instrument.NewRegistry().Snapshot()); err != nil || string(b) != "[]" {
 		t.Errorf("empty snapshot = %s, %v; want []", b, err)
 	}
-	r := NewRegistry()
+	r := instrument.NewRegistry()
 	r.Counter("c", nil).Add(7)
 	r.Histogram("h", []float64{1}, nil).Observe(0.5)
 
@@ -162,7 +136,7 @@ func TestSnapshotJSONAndHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer respJ.Body.Close()
-	var decoded []MetricJSON
+	var decoded []instrument.MetricJSON
 	if err := json.NewDecoder(respJ.Body).Decode(&decoded); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +148,7 @@ func TestSnapshotJSONAndHandler(t *testing.T) {
 // TestRegistryConcurrency exercises registration and updates from many
 // goroutines; run under -race.
 func TestRegistryConcurrency(t *testing.T) {
-	r := NewRegistry()
+	r := instrument.NewRegistry()
 	const workers, perWorker = 8, 2000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -184,7 +158,7 @@ func TestRegistryConcurrency(t *testing.T) {
 			c := r.Counter("shared_total", nil)
 			h := r.Histogram("shared_hist", []float64{1, 10}, nil)
 			g := r.Gauge("shared_gauge", nil)
-			own := r.Counter("per_worker_total", Labels{"w": fmt.Sprintf("%d", w)})
+			own := r.Counter("per_worker_total", instrument.Labels{"w": fmt.Sprintf("%d", w)})
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				own.Inc()
@@ -220,7 +194,7 @@ func TestRegistryConcurrency(t *testing.T) {
 // observation wins, untraced observations leave it alone, and the
 // exemplar rides out in the JSON snapshot.
 func TestHistogramExemplar(t *testing.T) {
-	r := NewRegistry()
+	r := instrument.NewRegistry()
 	h := r.Histogram("lat_ex", []float64{1}, nil)
 	if h.Exemplar() != nil {
 		t.Fatal("fresh histogram has an exemplar")

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"runtime"
 	"time"
+
+	"caladrius/internal/instrument"
 )
 
 // RegisterRuntime registers process-level gauges (goroutines, heap,
@@ -10,7 +12,7 @@ import (
 // pass it to Scraper.AddCollector so every scrape records a fresh
 // runtime sample. start anchors the uptime gauge; now defaults to
 // time.Now.
-func RegisterRuntime(reg *Registry, start time.Time, now func() time.Time) func() {
+func RegisterRuntime(reg *instrument.Registry, start time.Time, now func() time.Time) func() {
 	if now == nil {
 		now = time.Now
 	}

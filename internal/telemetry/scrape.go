@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"caladrius/internal/instrument"
 	"caladrius/internal/tsdb"
 )
 
@@ -31,7 +32,7 @@ import (
 // appended, last duration, retained points) into the same registry, so
 // the pipeline observes itself.
 type Scraper struct {
-	reg *Registry
+	reg *instrument.Registry
 	db  *tsdb.DB
 	now func() time.Time
 
@@ -45,10 +46,10 @@ type Scraper struct {
 	collectors   []func()
 	afterScrape  []func(time.Time)
 
-	runs    *Counter
-	samples *Counter
-	lastDur *Gauge
-	points  *Gauge
+	runs    *instrument.Counter
+	samples *instrument.Counter
+	lastDur *instrument.Gauge
+	points  *instrument.Gauge
 }
 
 // prevCounter and prevBuckets carry the previous scrape's value of one
@@ -88,7 +89,7 @@ type ScrapeOptions struct {
 }
 
 // NewScraper builds a scraper from reg into db.
-func NewScraper(reg *Registry, db *tsdb.DB, opts ScrapeOptions) *Scraper {
+func NewScraper(reg *instrument.Registry, db *tsdb.DB, opts ScrapeOptions) *Scraper {
 	if reg == nil || db == nil {
 		panic("telemetry: scraper needs a registry and a history db")
 	}
@@ -154,7 +155,7 @@ func (s *Scraper) ScrapeOnce(t time.Time) int {
 	s.gen++
 	for _, fam := range snap {
 		for _, ser := range fam.Series {
-			key := fam.Name + "{" + labelSig(ser.Labels) + "}"
+			key := fam.Name + "{" + ser.Labels.Signature() + "}"
 			switch fam.Type {
 			case "counter":
 				v := *ser.Value
@@ -175,7 +176,7 @@ func (s *Scraper) ScrapeOnce(t time.Time) int {
 				for i, b := range ser.Buckets {
 					cum[i] = float64(b.Count)
 					bounds[i] = b.LE
-					le := formatFloat(b.LE)
+					le := strconv.FormatFloat(b.LE, 'g', -1, 64)
 					if b.LE > 1e300 {
 						le = "+Inf"
 					}
@@ -228,7 +229,7 @@ func (s *Scraper) ScrapeOnce(t time.Time) int {
 // generation-refreshing) the series handle under hkey. Caller holds
 // s.mu; the batch flushes through one AppendBatch at the end of the
 // walk.
-func (s *Scraper) emit(hkey, metric string, labels Labels, extraKey, extraVal string, t time.Time, v float64) {
+func (s *Scraper) emit(hkey, metric string, labels instrument.Labels, extraKey, extraVal string, t time.Time, v float64) {
 	e, ok := s.handles[hkey]
 	if !ok {
 		e = scrapeHandle{h: s.db.Handle(metric, scrapeLabels(labels, extraKey, extraVal))}
@@ -241,7 +242,7 @@ func (s *Scraper) emit(hkey, metric string, labels Labels, extraKey, extraVal st
 // appendQuantiles derives the per-interval quantile points of one
 // histogram series from the bucket increase since the previous scrape.
 // Caller holds s.mu.
-func (s *Scraper) appendQuantiles(name string, labels Labels, key string, bounds, cum []float64, t time.Time) {
+func (s *Scraper) appendQuantiles(name string, labels instrument.Labels, key string, bounds, cum []float64, t time.Time) {
 	prev, ok := s.prevBuckets[key]
 	if !ok || len(prev.cum) != len(cum) {
 		return
@@ -299,7 +300,7 @@ func EstimateQuantile(bounds, cum []float64, q float64) float64 {
 
 // scrapeLabels converts registry labels to tsdb labels, optionally
 // attaching one extra pair (the bucket `le`).
-func scrapeLabels(l Labels, extraKey, extraVal string) tsdb.Labels {
+func scrapeLabels(l instrument.Labels, extraKey, extraVal string) tsdb.Labels {
 	if len(l) == 0 && extraKey == "" {
 		return nil
 	}

@@ -5,15 +5,16 @@ import (
 	"testing"
 	"time"
 
+	"caladrius/internal/instrument"
 	"caladrius/internal/tsdb"
 )
 
 // benchRegistry builds a registry shaped like a live daemon's: per-route
 // HTTP instruments, scheduler gauges/counters, usage accountant series —
 // a few hundred exported series once histogram buckets fan out.
-func benchRegistry(b *testing.B) *Registry {
+func benchRegistry(b *testing.B) *instrument.Registry {
 	b.Helper()
-	reg := NewRegistry()
+	reg := instrument.NewRegistry()
 	routes := []string{
 		"model_topology_traffic", "model_topology_performance",
 		"model_topology_suggest", "history_query_range", "audit_runs",
@@ -21,22 +22,22 @@ func benchRegistry(b *testing.B) *Registry {
 	}
 	for _, r := range routes {
 		for _, class := range []string{"2xx", "4xx", "5xx"} {
-			reg.Counter("caladrius_http_requests_total", Labels{"route": r, "class": class}).Add(100)
+			reg.Counter("caladrius_http_requests_total", instrument.Labels{"route": r, "class": class}).Add(100)
 		}
-		h := reg.Histogram("caladrius_http_request_duration_seconds", DefLatencyBuckets, Labels{"route": r})
+		h := reg.Histogram("caladrius_http_request_duration_seconds", instrument.DefLatencyBuckets, instrument.Labels{"route": r})
 		for i := 0; i < 64; i++ {
 			h.Observe(float64(i%13) * 0.003)
 		}
-		reg.Gauge("caladrius_http_inflight_requests", Labels{"route": r}).Set(2)
+		reg.Gauge("caladrius_http_inflight_requests", instrument.Labels{"route": r}).Set(2)
 	}
 	for i := 0; i < 16; i++ {
 		t := fmt.Sprintf("tenant-%d", i)
-		reg.Counter("caladrius_usage_requests_total", Labels{"tenant": t}).Add(50)
-		reg.Counter("caladrius_sched_sheds_total", Labels{"tenant": t}).Add(3)
+		reg.Counter("caladrius_usage_requests_total", instrument.Labels{"tenant": t}).Add(50)
+		reg.Counter("caladrius_sched_sheds_total", instrument.Labels{"tenant": t}).Add(3)
 	}
 	reg.Gauge("caladrius_sched_queue_depth", nil).Set(4)
 	reg.Gauge("caladrius_sched_workers_busy", nil).Set(2)
-	wait := reg.Histogram("caladrius_sched_queue_wait_seconds", DefLatencyBuckets, nil)
+	wait := reg.Histogram("caladrius_sched_queue_wait_seconds", instrument.DefLatencyBuckets, nil)
 	for i := 0; i < 64; i++ {
 		wait.Observe(float64(i%7) * 0.001)
 	}

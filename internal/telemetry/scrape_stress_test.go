@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"caladrius/internal/instrument"
 	"caladrius/internal/tsdb"
 )
 
@@ -17,14 +18,14 @@ import (
 // churned-away series must be evicted without tripping the detector.
 func TestScrapeUnderRegistryChurn(t *testing.T) {
 	const iters = 150
-	reg := NewRegistry()
+	reg := instrument.NewRegistry()
 	db := tsdb.New(time.Hour)
 	base := time.Unix(1_700_000_000, 0)
 	s := NewScraper(reg, db, ScrapeOptions{})
 
 	// Stable instruments so every scrape has work to do.
-	stable := reg.Counter("stress_requests_total", Labels{"route": "stable"})
-	hist := reg.Histogram("stress_latency_seconds", nil, Labels{"route": "stable"})
+	stable := reg.Counter("stress_requests_total", instrument.Labels{"route": "stable"})
+	hist := reg.Histogram("stress_latency_seconds", nil, instrument.Labels{"route": "stable"})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -51,7 +52,7 @@ func TestScrapeUnderRegistryChurn(t *testing.T) {
 				return
 			default:
 			}
-			lbl := Labels{"tenant": "t" + strconv.Itoa(i%8)}
+			lbl := instrument.Labels{"tenant": "t" + strconv.Itoa(i%8)}
 			reg.Counter("stress_churn_total", lbl).Add(1)
 			reg.Gauge("stress_churn_gauge", lbl).Set(float64(i))
 			if i%3 == 0 {

@@ -6,17 +6,18 @@ import (
 	"testing"
 	"time"
 
+	"caladrius/internal/instrument"
 	"caladrius/internal/tsdb"
 )
 
 var scrapeT0 = time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
 
 func TestScrapeCountersGaugesAndRates(t *testing.T) {
-	reg := NewRegistry()
+	reg := instrument.NewRegistry()
 	db := tsdb.New(0)
 	s := NewScraper(reg, db, ScrapeOptions{})
 
-	c := reg.Counter("requests_total", Labels{"route": "/x"})
+	c := reg.Counter("requests_total", instrument.Labels{"route": "/x"})
 	g := reg.Gauge("in_flight", nil)
 	c.Add(10)
 	g.Set(3)
@@ -55,7 +56,7 @@ func TestScrapeCountersGaugesAndRates(t *testing.T) {
 }
 
 func TestScrapeCounterReset(t *testing.T) {
-	reg := NewRegistry()
+	reg := instrument.NewRegistry()
 	db := tsdb.New(0)
 	s := NewScraper(reg, db, ScrapeOptions{})
 	c := reg.Counter("events_total", nil)
@@ -79,10 +80,10 @@ func TestScrapeCounterReset(t *testing.T) {
 }
 
 func TestScrapeHistogramBucketsAndQuantiles(t *testing.T) {
-	reg := NewRegistry()
+	reg := instrument.NewRegistry()
 	db := tsdb.New(0)
 	s := NewScraper(reg, db, ScrapeOptions{})
-	h := reg.Histogram("latency_seconds", []float64{0.1, 0.2, 0.4}, Labels{"route": "/x"})
+	h := reg.Histogram("latency_seconds", []float64{0.1, 0.2, 0.4}, instrument.Labels{"route": "/x"})
 	h.Observe(0.05)
 	s.ScrapeOnce(scrapeT0)
 
@@ -151,7 +152,7 @@ func TestEstimateQuantile(t *testing.T) {
 }
 
 func TestScraperCollectorsAndHooks(t *testing.T) {
-	reg := NewRegistry()
+	reg := instrument.NewRegistry()
 	db := tsdb.New(0)
 	s := NewScraper(reg, db, ScrapeOptions{})
 	collected, hooked := 0, 0
@@ -165,7 +166,7 @@ func TestScraperCollectorsAndHooks(t *testing.T) {
 }
 
 func TestRegisterRuntime(t *testing.T) {
-	reg := NewRegistry()
+	reg := instrument.NewRegistry()
 	start := scrapeT0
 	now := start.Add(90 * time.Second)
 	collect := RegisterRuntime(reg, start, func() time.Time { return now })
@@ -189,7 +190,7 @@ func TestRegisterRuntime(t *testing.T) {
 }
 
 func TestScraperRunLoop(t *testing.T) {
-	reg := NewRegistry()
+	reg := instrument.NewRegistry()
 	db := tsdb.New(0)
 	reg.Gauge("g", nil).Set(1)
 	s := NewScraper(reg, db, ScrapeOptions{})

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"caladrius/internal/instrument"
 	"caladrius/internal/tsdb"
 )
 
@@ -93,14 +94,14 @@ type SLO struct {
 	mu         sync.Mutex
 	latest     []Alert // what the last Evaluate returned
 	firing     map[string]time.Time
-	toFiring   map[string]*Counter
-	toResolved map[string]*Counter
+	toFiring   map[string]*instrument.Counter
+	toResolved map[string]*instrument.Counter
 	onFiring   []func(Rule, Alert)
 }
 
 // NewSLO validates rules, registers their transition counters on reg
 // and returns the evaluator. now anchors windows (nil = time.Now).
-func NewSLO(db *tsdb.DB, reg *Registry, now func() time.Time, rules []Rule) (*SLO, error) {
+func NewSLO(db *tsdb.DB, reg *instrument.Registry, now func() time.Time, rules []Rule) (*SLO, error) {
 	if db == nil || reg == nil {
 		return nil, errors.New("telemetry: SLO needs a history db and a registry")
 	}
@@ -113,8 +114,8 @@ func NewSLO(db *tsdb.DB, reg *Registry, now func() time.Time, rules []Rule) (*SL
 		now:        now,
 		rules:      append([]Rule(nil), rules...),
 		firing:     map[string]time.Time{},
-		toFiring:   map[string]*Counter{},
-		toResolved: map[string]*Counter{},
+		toFiring:   map[string]*instrument.Counter{},
+		toResolved: map[string]*instrument.Counter{},
 	}
 	seen := map[string]bool{}
 	for i := range s.rules {
@@ -141,8 +142,8 @@ func NewSLO(db *tsdb.DB, reg *Registry, now func() time.Time, rules []Rule) (*SL
 		if math.IsNaN(r.Threshold) || math.IsInf(r.Threshold, 0) {
 			return nil, fmt.Errorf("telemetry: SLO rule %q has non-finite threshold", r.Name)
 		}
-		s.toFiring[r.Name] = reg.Counter("caladrius_slo_transitions_total", Labels{"rule": r.Name, "to": "firing"})
-		s.toResolved[r.Name] = reg.Counter("caladrius_slo_transitions_total", Labels{"rule": r.Name, "to": "resolved"})
+		s.toFiring[r.Name] = reg.Counter("caladrius_slo_transitions_total", instrument.Labels{"rule": r.Name, "to": "firing"})
+		s.toResolved[r.Name] = reg.Counter("caladrius_slo_transitions_total", instrument.Labels{"rule": r.Name, "to": "resolved"})
 		s.latest = append(s.latest, Alert{Rule: r.Name, Description: r.Description, State: StateNoData,
 			Threshold: r.Threshold, Op: string(r.Op), Window: r.Window.String()})
 	}

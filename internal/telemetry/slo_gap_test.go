@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"caladrius/internal/instrument"
 	"caladrius/internal/tsdb"
 )
 
@@ -93,11 +94,11 @@ func TestSLOScrapeGapsDoNotFlap(t *testing.T) {
 					}
 				}
 			}
-			got := reg.Counter("caladrius_slo_transitions_total", Labels{"rule": "hot", "to": "firing"}).Value()
+			got := reg.Counter("caladrius_slo_transitions_total", instrument.Labels{"rule": "hot", "to": "firing"}).Value()
 			if got != tc.wantFiring {
 				t.Errorf("firing transitions = %g, want %g", got, tc.wantFiring)
 			}
-			got = reg.Counter("caladrius_slo_transitions_total", Labels{"rule": "hot", "to": "resolved"}).Value()
+			got = reg.Counter("caladrius_slo_transitions_total", instrument.Labels{"rule": "hot", "to": "resolved"}).Value()
 			if got != tc.wantResolved {
 				t.Errorf("resolved transitions = %g, want %g", got, tc.wantResolved)
 			}
@@ -131,7 +132,7 @@ func TestSLORatioIdleDenominatorIsGap(t *testing.T) {
 	if a := s.Evaluate()[0]; a.State != StateNoData {
 		t.Fatalf("idle-window alert = %+v, want no_data", a)
 	}
-	if got := reg.Counter("caladrius_slo_transitions_total", Labels{"rule": "errs", "to": "resolved"}).Value(); got != 0 {
+	if got := reg.Counter("caladrius_slo_transitions_total", instrument.Labels{"rule": "errs", "to": "resolved"}).Value(); got != 0 {
 		t.Errorf("resolved transitions during gap = %g, want 0", got)
 	}
 
@@ -144,7 +145,7 @@ func TestSLORatioIdleDenominatorIsGap(t *testing.T) {
 	if a := s.Evaluate()[0]; a.State != StateOK {
 		t.Fatalf("recovered alert = %+v, want ok", a)
 	}
-	if got := reg.Counter("caladrius_slo_transitions_total", Labels{"rule": "errs", "to": "resolved"}).Value(); got != 1 {
+	if got := reg.Counter("caladrius_slo_transitions_total", instrument.Labels{"rule": "errs", "to": "resolved"}).Value(); got != 1 {
 		t.Errorf("resolved transitions = %g, want 1", got)
 	}
 }

@@ -4,15 +4,16 @@ import (
 	"testing"
 	"time"
 
+	"caladrius/internal/instrument"
 	"caladrius/internal/tsdb"
 )
 
 var sloT0 = time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
 
-func sloFixture(t *testing.T, rules []Rule, now *time.Time) (*SLO, *tsdb.DB, *Registry) {
+func sloFixture(t *testing.T, rules []Rule, now *time.Time) (*SLO, *tsdb.DB, *instrument.Registry) {
 	t.Helper()
 	db := tsdb.New(0)
-	reg := NewRegistry()
+	reg := instrument.NewRegistry()
 	s, err := NewSLO(db, reg, func() time.Time { return *now }, rules)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +40,7 @@ func TestSLOThresholdFiresAndResolves(t *testing.T) {
 		t.Fatalf("breach alert = %+v", a)
 	}
 	firedAt := *a.Since
-	if got := reg.Counter("caladrius_slo_transitions_total", Labels{"rule": "hot", "to": "firing"}).Value(); got != 1 {
+	if got := reg.Counter("caladrius_slo_transitions_total", instrument.Labels{"rule": "hot", "to": "firing"}).Value(); got != 1 {
 		t.Errorf("firing transitions = %g, want 1", got)
 	}
 
@@ -48,7 +49,7 @@ func TestSLOThresholdFiresAndResolves(t *testing.T) {
 	if alerts[0].State != StateFiring || !alerts[0].Since.Equal(firedAt) {
 		t.Errorf("sustained alert = %+v", alerts[0])
 	}
-	if got := reg.Counter("caladrius_slo_transitions_total", Labels{"rule": "hot", "to": "firing"}).Value(); got != 1 {
+	if got := reg.Counter("caladrius_slo_transitions_total", instrument.Labels{"rule": "hot", "to": "firing"}).Value(); got != 1 {
 		t.Errorf("firing transitions after sustain = %g, want 1", got)
 	}
 
@@ -59,7 +60,7 @@ func TestSLOThresholdFiresAndResolves(t *testing.T) {
 	if alerts[0].State != StateOK || alerts[0].Since != nil {
 		t.Errorf("resolved alert = %+v", alerts[0])
 	}
-	if got := reg.Counter("caladrius_slo_transitions_total", Labels{"rule": "hot", "to": "resolved"}).Value(); got != 1 {
+	if got := reg.Counter("caladrius_slo_transitions_total", instrument.Labels{"rule": "hot", "to": "resolved"}).Value(); got != 1 {
 		t.Errorf("resolved transitions = %g, want 1", got)
 	}
 }
@@ -124,7 +125,7 @@ func TestSLONoDataKeepsFiringTimestamp(t *testing.T) {
 
 func TestSLOValidation(t *testing.T) {
 	db := tsdb.New(0)
-	reg := NewRegistry()
+	reg := instrument.NewRegistry()
 	bad := [][]Rule{
 		{{Name: "", Metric: "m"}},                            // missing name
 		{{Name: "a", Metric: ""}},                            // missing metric
@@ -152,7 +153,7 @@ func TestSLOValidation(t *testing.T) {
 
 func TestDefaultSLORulesValid(t *testing.T) {
 	db := tsdb.New(0)
-	reg := NewRegistry()
+	reg := instrument.NewRegistry()
 	s, err := NewSLO(db, reg, nil, DefaultSLORules())
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"caladrius/internal/telemetry"
+	"caladrius/internal/instrument"
 )
 
 // TestAccountantConcurrentChurn hammers the accountant from many
@@ -14,7 +14,7 @@ import (
 // run concurrently — the suite scripts/verify.sh races. Afterwards the
 // cap and the conservation invariant must both hold exactly.
 func TestAccountantConcurrentChurn(t *testing.T) {
-	reg := telemetry.NewRegistry()
+	reg := instrument.NewRegistry()
 	a := New(Options{Capacity: 16, Window: 15 * time.Minute, Now: fixedNow(usageT0), Registry: reg})
 	const (
 		workers = 8

@@ -31,7 +31,7 @@ import (
 	"sync"
 	"time"
 
-	"caladrius/internal/telemetry"
+	"caladrius/internal/instrument"
 )
 
 // Series the accountant registers per live principal, labelled
@@ -99,14 +99,14 @@ const windowSlots = 8
 
 // instruments holds one principal's registry series.
 type instruments struct {
-	requests *telemetry.Counter
-	errors   *telemetry.Counter
-	latency  *telemetry.Histogram
-	inFlight *telemetry.Gauge
-	wall     *telemetry.Counter
-	cpu      *telemetry.Counter
-	allocs   *telemetry.Counter
-	runs     *telemetry.Counter
+	requests *instrument.Counter
+	errors   *instrument.Counter
+	latency  *instrument.Histogram
+	inFlight *instrument.Gauge
+	wall     *instrument.Counter
+	cpu      *instrument.Counter
+	allocs   *instrument.Counter
+	runs     *instrument.Counter
 }
 
 type entry struct {
@@ -131,7 +131,7 @@ type Options struct {
 	Now func() time.Time
 	// Registry receives per-principal series and the accountant's
 	// self-metrics. Default: a private registry.
-	Registry *telemetry.Registry
+	Registry *instrument.Registry
 }
 
 // Accountant is the bounded per-principal usage meter. All methods are
@@ -141,10 +141,10 @@ type Accountant struct {
 	window   time.Duration
 	slotDur  time.Duration
 	now      func() time.Time
-	reg      *telemetry.Registry
+	reg      *instrument.Registry
 
-	evictions  *telemetry.Counter
-	principals *telemetry.Gauge
+	evictions  *instrument.Counter
+	principals *instrument.Gauge
 
 	mu      sync.Mutex
 	entries map[Principal]*entry
@@ -158,7 +158,7 @@ func New(opts Options) *Accountant {
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
-	opts.Registry = cmp.Or(opts.Registry, telemetry.NewRegistry())
+	opts.Registry = cmp.Or(opts.Registry, instrument.NewRegistry())
 	a := &Accountant{
 		capacity: opts.Capacity,
 		window:   opts.Window,
@@ -314,11 +314,11 @@ func (a *Accountant) otherCount() int {
 }
 
 func (a *Accountant) registerLocked(p Principal) *instruments {
-	l := telemetry.Labels{"tenant": p.Tenant, "topology": p.Topology}
+	l := instrument.Labels{"tenant": p.Tenant, "topology": p.Topology}
 	return &instruments{
 		requests: a.reg.Counter(MetricRequests, l),
 		errors:   a.reg.Counter(MetricErrors, l),
-		latency:  a.reg.Histogram(MetricLatency, telemetry.DefLatencyBuckets, l),
+		latency:  a.reg.Histogram(MetricLatency, instrument.DefLatencyBuckets, l),
 		inFlight: a.reg.Gauge(MetricInFlight, l),
 		wall:     a.reg.Counter(MetricWallSecs, l),
 		cpu:      a.reg.Counter(MetricCPUSecs, l),
@@ -328,7 +328,7 @@ func (a *Accountant) registerLocked(p Principal) *instruments {
 }
 
 func (a *Accountant) unregisterLocked(p Principal) {
-	l := telemetry.Labels{"tenant": p.Tenant, "topology": p.Topology}
+	l := instrument.Labels{"tenant": p.Tenant, "topology": p.Topology}
 	for _, name := range []string{
 		MetricRequests, MetricErrors, MetricLatency, MetricInFlight,
 		MetricWallSecs, MetricCPUSecs, MetricAllocBytes, MetricRuns,

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"caladrius/internal/telemetry"
+	"caladrius/internal/instrument"
 )
 
 var usageT0 = time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
@@ -100,7 +100,7 @@ func TestWindowRotation(t *testing.T) {
 }
 
 func TestEvictionIntoOtherConservesTotals(t *testing.T) {
-	reg := telemetry.NewRegistry()
+	reg := instrument.NewRegistry()
 	a := New(Options{Capacity: 8, Window: 15 * time.Minute, Now: fixedNow(usageT0), Registry: reg})
 	const churn = 200
 	for i := 0; i < churn; i++ {
@@ -161,7 +161,7 @@ func TestEvictionIntoOtherConservesTotals(t *testing.T) {
 
 // seriesTenants collects the distinct tenant label values currently
 // exported for the per-principal request counter.
-func seriesTenants(reg *telemetry.Registry) map[string]bool {
+func seriesTenants(reg *instrument.Registry) map[string]bool {
 	tenants := map[string]bool{}
 	for _, fam := range reg.Snapshot() {
 		if fam.Name != MetricRequests {
@@ -221,7 +221,7 @@ func TestRollupPrincipalSharesOtherBucket(t *testing.T) {
 }
 
 func TestRecordPathDoesNotAllocate(t *testing.T) {
-	reg := telemetry.NewRegistry()
+	reg := instrument.NewRegistry()
 	a := New(Options{Capacity: 4, Window: 15 * time.Minute, Now: fixedNow(usageT0), Registry: reg})
 	a.Finish("t", "x", 200, time.Millisecond) // warm: entry + series exist
 	a.RecordRun("t", "x", time.Millisecond, time.Millisecond, 10, 0)

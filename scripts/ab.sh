@@ -21,6 +21,13 @@
 #                 compare` reads it);
 #   within bound  otherwise.
 #
+# Below that table come the CPU twins of the wall metrics, read from
+# the notes each run's log already carries: figures-batch's CPU per
+# sequential suite, a serving workload's daemon CPU per paced request
+# and its closed loop's median answers/s. Each shows both sides'
+# median and quartiles and the pairs b won; twins do not enter the
+# verdict.
+#
 # Failed operations are printed per side as failed/attempted. The
 # script edits nothing under benchmark/ and leaves no worktree behind.
 # It needs git, jq and awk.
@@ -114,6 +121,35 @@ jq -r '.end_to_end[] | "\(.name) \(.better) \(.bound)"' "$dir/a/BENCHMARK.json" 
 			printf "%d/%d lost %d  %s\n", won, n, lost, v
 		}')
 	printf '%-20s %-6s %12s %12s %12s   %12s %12s %12s   %s\n' "$name" "$better" "$ma" "$qa1" "$qa3" "$mb" "$qb1" "$qb3" "$verdict"
+done
+# note <side> <sed script> prints the number the script extracts from
+# each run's "note:" lines, one per seed, in seed order.
+note() {
+	for ((i = 1; i <= pairs; i++)); do
+		sed -n "$2" "$dir/$1.$i.log" | tail -1
+	done
+}
+# The CPU twins of the wall metrics, read from the notes the benchmark
+# already prints; they inform the reader and do not enter the verdict.
+twins=(
+	"cpu_us_per_suite lower s/^note: suite wall: .*CPU per sequential suite \([0-9.]*\) us$/\1/p"
+	"daemon_cpu_us_per_req lower s/^note: paced: .*daemon CPU \([0-9.]*\) us\/request$/\1/p"
+	"closed_loop_answers_s higher s/^note: closed loop: .*, median \([0-9.]*\)$/\1/p"
+)
+header=0
+for twin in "${twins[@]}"; do
+	read -r name better script <<<"$twin"
+	[ "$(note a "$script" | wc -l)" -eq "$pairs" ] && [ "$(note b "$script" | wc -l)" -eq "$pairs" ] || continue
+	if ((!header)); then
+		printf '\nCPU twins (not in the verdict)\n%-22s %-6s %12s %12s %12s   %12s %12s %12s   %s\n' twin better "a median" "a q1" "a q3" "b median" "b q1" "b q3" "b won"
+		header=1
+	fi
+	read -r ma qa1 qa3 < <(note a "$script" | stats)
+	read -r mb qb1 qb3 < <(note b "$script" | stats)
+	won=$(paste <(note a "$script") <(note b "$script") | awk -v better="$better" -v n="$pairs" '
+		{ d = $2 - $1; if (better == "higher") d = -d; if (d < 0) won++; else if (d > 0) lost++ }
+		END { printf "%d/%d lost %d\n", won, n, lost }')
+	printf '%-22s %-6s %12s %12s %12s   %12s %12s %12s   %s\n' "$name" "$better" "$ma" "$qa1" "$qa3" "$mb" "$qb1" "$qb3" "$won"
 done
 for side in a b; do
 	cat "$dir/$side".*.json | jq -s -r --arg s "$side" '"failed/attempted " + $s + ": \(map(.failed) | add)/\(map(.attempted) | add), correct in \(map(select(.correct)) | length) of \(length) runs"'
