@@ -7,7 +7,7 @@ func Example() {
 	// Output:
 	// == replaying the recorded daily profile (peak 30 M tuples/min) for 3 days through word-count (splitter=6, counter=3)
 	// == backtest ranking on the topology's own history (last 20% held out):
-	//    holtwinters  MAPE   1.0%  interval coverage   0%
+	//    holtwinters  MAPE   0.8%  interval coverage   0%
 	//    prophet      MAPE   1.6%  interval coverage  66%
 	//    summary      MAPE  25.9%  interval coverage  80%
 	// == holtwinters forecasts tomorrow's peak at 29.9 M tuples/min (upper band)

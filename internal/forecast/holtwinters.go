@@ -211,7 +211,7 @@ func (h *HoltWinters) Predict(times []time.Time) ([]Prediction, error) {
 	out := make([]Prediction, len(times))
 	for i, t := range times {
 		stepsAhead := float64(t.Sub(h.lastTime)) / float64(h.Step)
-		slot := int(math.Round(float64(t.Sub(h.origin))/float64(h.Step))) % seasonLen
+		slot := int(math.Floor(float64(t.Sub(h.origin))/float64(h.Step))) % seasonLen
 		if slot < 0 {
 			slot += seasonLen
 		}

@@ -164,3 +164,37 @@ func TestHoltWintersCustomPeriod(t *testing.T) {
 		t.Errorf("hourly MAPE = %.3f", got)
 	}
 }
+
+// TestHoltWintersPredictReadsFittedSlot: Fit files a point under the
+// step bucket that holds it, so Predict must read a time's season from
+// that bucket too, not from the nearest bucket boundary. A noiseless
+// series alternates a high and a low 5-minute bucket (period 10 min);
+// 3 minutes into a low bucket the forecast is the low level.
+func TestHoltWintersPredictReadsFittedSlot(t *testing.T) {
+	level := func(tm time.Time) float64 {
+		if int(tm.Sub(t0)/(5*time.Minute))%2 == 0 {
+			return 200
+		}
+		return 100
+	}
+	var pts []tsdb.Point
+	for i := 0; i < 120; i++ {
+		tm := t0.Add(time.Duration(i) * time.Minute)
+		pts = append(pts, tsdb.Point{T: tm, V: level(tm)})
+	}
+	m, err := NewHoltWinters(map[string]any{"period_minutes": 10, "step_minutes": 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Fit(pts); err != nil {
+		t.Fatal(err)
+	}
+	at := t0.Add(120*time.Minute + 5*time.Minute + 3*time.Minute)
+	preds, err := m.Predict([]time.Time{at})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := preds[0].Mean; math.Abs(got-level(at)) > 10 {
+		t.Errorf("forecast 3 min into a low bucket = %.1f, want ≈ %.0f", got, level(at))
+	}
+}

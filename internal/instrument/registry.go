@@ -151,6 +151,11 @@ func (h *Histogram) Sum() float64 { return h.sum.Load() }
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
+// Bounds returns the histogram's finite upper bounds in ascending
+// order; the +Inf bucket is implicit. The slice is shared with every
+// series of the name and must not be modified.
+func (h *Histogram) Bounds() []float64 { return h.bounds }
+
 // Cumulative returns the cumulative per-bucket counts, one per bound
 // plus the +Inf bucket.
 func (h *Histogram) Cumulative() []uint64 {
@@ -190,12 +195,11 @@ type family struct {
 	name    string
 	kind    kind
 	help    string
-	buckets []float64 // histograms only
-	series  map[string]*series
+	buckets []float64          // histograms only
+	series  map[string]*series // by label signature
 }
 
 type series struct {
-	sig    string // sorted k="v" label signature
 	labels Labels
 	inst   any // *Counter | *Gauge | *Histogram
 }
@@ -244,7 +248,7 @@ func (r *Registry) Gauge(name string, labels Labels) *Gauge {
 // exported. Reports whether a series was removed. The family and its
 // help text stay registered.
 func (r *Registry) Unregister(name string, labels Labels) bool {
-	sig := labels.Signature()
+	sig := labels.signature()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
@@ -267,7 +271,7 @@ func (r *Registry) Histogram(name string, buckets []float64, labels Labels) *His
 }
 
 func (r *Registry) register(name string, k kind, buckets []float64, labels Labels) any {
-	sig := labels.Signature()
+	sig := labels.signature()
 	r.mu.RLock()
 	if f, ok := r.families[name]; ok && f.kind == k {
 		if s, ok := f.series[sig]; ok {
@@ -308,7 +312,7 @@ func (r *Registry) register(name string, k kind, buckets []float64, labels Label
 	default:
 		inst = &Histogram{bounds: f.buckets, counts: make([]atomic.Uint64, len(f.buckets)+1)}
 	}
-	f.series[sig] = &series{sig: sig, labels: cloneLabels(labels), inst: inst}
+	f.series[sig] = &series{labels: cloneLabels(labels), inst: inst}
 	return inst
 }
 
@@ -354,10 +358,10 @@ func cloneLabels(l Labels) Labels {
 	return out
 }
 
-// Signature renders labels as a deterministic `k="v",…` signature, also
-// used verbatim inside the braces of the Prometheus exposition. The
-// telemetry scraper keys its per-series state by it.
-func (l Labels) Signature() string {
+// signature renders labels as a deterministic `k="v",…` signature: the
+// registry's series key, also used verbatim inside the braces of the
+// Prometheus exposition.
+func (l Labels) signature() string {
 	if len(l) == 0 {
 		return ""
 	}
@@ -413,6 +417,17 @@ func (r *Registry) each(family func(name string, f *family), series func(sig str
 			series(sig, f.series[sig])
 		}
 	}
+}
+
+// Each calls fn for every series in export order (see each) under the
+// registry's read lock: the metric name, the series' label signature,
+// its labels and its *Counter, *Gauge or *Histogram. fn must neither
+// keep labels nor call back into the registry.
+func (r *Registry) Each(fn func(name, sig string, labels Labels, inst any)) {
+	var name string
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	r.each(func(n string, _ *family) { name = n }, func(sig string, s *series) { fn(name, sig, s.labels, s.inst) })
 }
 
 // WritePrometheus renders the registry in the Prometheus text

@@ -1,6 +1,6 @@
 // Package telemetry is Caladrius' self-observation layer over the
 // instrument registry (internal/instrument): the /metrics handler, the
-// scraper that turns registry snapshots into queryable history, the
+// scraper that walks the registry in place into queryable history, the
 // SLO evaluator over that history, lightweight span tracing for
 // model-pipeline runs and the in-memory log ring. The registry itself
 // lives in the leaf package so that code which only counts (the

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"context"
+	"math"
 	"strconv"
 	"sync"
 	"time"
@@ -36,15 +37,14 @@ type Scraper struct {
 	db  *tsdb.DB
 	now func() time.Time
 
-	mu           sync.Mutex
-	lastScrape   time.Time
-	gen          uint64 // scrape generation, for stale-state pruning
-	prevCounters map[string]prevCounter
-	prevBuckets  map[string]prevBuckets
-	handles      map[string]scrapeHandle
-	batch        []tsdb.BatchSample
-	collectors   []func()
-	afterScrape  []func(time.Time)
+	mu          sync.Mutex
+	lastScrape  time.Time
+	gen         uint64 // scrape generation, for stale-state pruning
+	state       map[seriesKey]*scraped
+	inc         []float64 // one histogram's bucket increase, reused
+	batch       []tsdb.BatchSample
+	collectors  []func()
+	afterScrape []func(time.Time)
 
 	runs    *instrument.Counter
 	samples *instrument.Counter
@@ -52,30 +52,27 @@ type Scraper struct {
 	points  *instrument.Gauge
 }
 
-// prevCounter and prevBuckets carry the previous scrape's value of one
-// series plus the generation it was last seen in. Series that vanish
-// from the registry (unregistered by the usage accountant's top-K
-// eviction) are swept after each scrape, so principal churn cannot
-// grow the scraper's derived-rate state without bound.
-type prevCounter struct {
-	v   float64
-	gen uint64
-}
+// seriesKey names one registry series: its metric name and the
+// registry's own label signature for it.
+type seriesKey struct{ name, sig string }
 
-type prevBuckets struct {
-	cum []float64
-	gen uint64
-}
-
-// scrapeHandle caches one interned tsdb.SeriesHandle, generation-swept
-// like the prev* maps. Interning once per series (instead of paying
-// label canonicalisation plus a writer-lock round-trip per sample per
-// scrape) and flushing the walk through one AppendBatch is what keeps
-// the scraper's exclusive TSDB section short under load — measured by
-// the benchmark's telemetry.scrape_ms.
-type scrapeHandle struct {
-	h   *tsdb.SeriesHandle
-	gen uint64
+// scraped is the scrape state of one registry series. It is made the
+// first time a scrape sees the series and swept by the first scrape
+// that no longer does (the usage accountant's top-K eviction
+// unregisters series), so principal churn cannot grow it without
+// bound.
+//
+// out holds the tsdb.SeriesHandles the series writes, in order: a
+// counter's total and rate; a gauge's value; a histogram's buckets,
+// count, sum and quantiles. A handle creates no series before its
+// first append. Interning them once per series and flushing the walk
+// through one AppendBatch keeps the scraper's exclusive TSDB section
+// short under load (the benchmark's telemetry.scrape_ms).
+type scraped struct {
+	out    []*tsdb.SeriesHandle
+	bounds []float64 // a histogram's upper bounds, +Inf last
+	prev   []float64 // the previous scrape's counter total or cumulative buckets; empty before one
+	gen    uint64
 }
 
 // scrapeQuantiles are the per-interval histogram quantiles the scraper
@@ -101,16 +98,14 @@ func NewScraper(reg *instrument.Registry, db *tsdb.DB, opts ScrapeOptions) *Scra
 	reg.SetHelp("caladrius_scrape_last_duration_seconds", "Wall-clock cost of the most recent scrape.")
 	reg.SetHelp("caladrius_history_points", "Points retained in the history store after the last scrape.")
 	return &Scraper{
-		reg:          reg,
-		db:           db,
-		now:          opts.Now,
-		prevCounters: map[string]prevCounter{},
-		prevBuckets:  map[string]prevBuckets{},
-		handles:      map[string]scrapeHandle{},
-		runs:         reg.Counter("caladrius_scrape_runs_total", nil),
-		samples:      reg.Counter("caladrius_scrape_samples_total", nil),
-		lastDur:      reg.Gauge("caladrius_scrape_last_duration_seconds", nil),
-		points:       reg.Gauge("caladrius_history_points", nil),
+		reg:     reg,
+		db:      db,
+		now:     opts.Now,
+		state:   map[seriesKey]*scraped{},
+		runs:    reg.Counter("caladrius_scrape_runs_total", nil),
+		samples: reg.Counter("caladrius_scrape_samples_total", nil),
+		lastDur: reg.Gauge("caladrius_scrape_last_duration_seconds", nil),
+		points:  reg.Gauge("caladrius_history_points", nil),
 	}
 }
 
@@ -147,67 +142,56 @@ func (s *Scraper) ScrapeOnce(t time.Time) int {
 	for _, c := range s.collectors {
 		c()
 	}
-	snap := s.reg.Snapshot()
 	var dt float64
 	if !s.lastScrape.IsZero() {
 		dt = t.Sub(s.lastScrape).Seconds()
 	}
 	s.gen++
-	for _, fam := range snap {
-		for _, ser := range fam.Series {
-			key := fam.Name + "{" + ser.Labels.Signature() + "}"
-			switch fam.Type {
-			case "counter":
-				v := *ser.Value
-				s.emit(key, fam.Name, ser.Labels, "", "", t, v)
-				if prev, ok := s.prevCounters[key]; ok && dt > 0 {
-					pv := prev.v
-					if v < pv { // counter reset: rate restarts from zero
-						pv = 0
-					}
-					s.emit(key+"|rate", fam.Name+":rate", ser.Labels, "", "", t, (v-pv)/dt)
+	s.reg.Each(func(name, sig string, labels instrument.Labels, inst any) {
+		st := s.state[seriesKey{name, sig}]
+		if st == nil {
+			st = s.newScraped(name, labels, inst)
+			s.state[seriesKey{name, sig}] = st
+		}
+		st.gen = s.gen
+		switch inst := inst.(type) {
+		case *instrument.Counter:
+			v := inst.Value()
+			s.emit(st.out[0], t, v)
+			if len(st.prev) == 1 && dt > 0 {
+				pv := st.prev[0]
+				if v < pv { // counter reset: rate restarts from zero
+					pv = 0
 				}
-				s.prevCounters[key] = prevCounter{v: v, gen: s.gen}
-			case "gauge":
-				s.emit(key, fam.Name, ser.Labels, "", "", t, *ser.Value)
-			case "histogram":
-				cum := make([]float64, len(ser.Buckets))
-				bounds := make([]float64, len(ser.Buckets))
-				for i, b := range ser.Buckets {
-					cum[i] = float64(b.Count)
-					bounds[i] = b.LE
-					le := strconv.FormatFloat(b.LE, 'g', -1, 64)
-					if b.LE > 1e300 {
-						le = "+Inf"
-					}
-					s.emit(key+"|le="+le, fam.Name+"_bucket", ser.Labels, "le", le, t, cum[i])
-				}
-				s.emit(key+"|count", fam.Name+"_count", ser.Labels, "", "", t, float64(*ser.Count))
-				s.emit(key+"|sum", fam.Name+"_sum", ser.Labels, "", "", t, *ser.Sum)
-				s.appendQuantiles(fam.Name, ser.Labels, key, bounds, cum, t)
-				s.prevBuckets[key] = prevBuckets{cum: cum, gen: s.gen}
+				s.emit(st.out[1], t, (v-pv)/dt)
+			}
+			st.prev = append(st.prev[:0], v)
+		case *instrument.Gauge:
+			s.emit(st.out[0], t, inst.Value())
+		case *instrument.Histogram:
+			cum := inst.Cumulative()
+			sum, count := inst.Sum(), inst.Count()
+			for i, c := range cum {
+				s.emit(st.out[i], t, float64(c))
+			}
+			s.emit(st.out[len(cum)], t, float64(count))
+			s.emit(st.out[len(cum)+1], t, sum)
+			s.appendQuantiles(st, cum, t)
+			st.prev = st.prev[:0]
+			for _, c := range cum {
+				st.prev = append(st.prev, float64(c))
 			}
 		}
-	}
+	})
 	// One exclusive TSDB section for the whole walk, instead of a
 	// writer-lock round-trip per sample.
 	s.db.AppendBatch(s.batch)
 	n := len(s.batch)
 	s.batch = s.batch[:0]
 	// Sweep state of series the registry no longer exports.
-	for key, p := range s.prevCounters {
-		if p.gen != s.gen {
-			delete(s.prevCounters, key)
-		}
-	}
-	for key, p := range s.prevBuckets {
-		if p.gen != s.gen {
-			delete(s.prevBuckets, key)
-		}
-	}
-	for key, h := range s.handles {
-		if h.gen != s.gen {
-			delete(s.handles, key)
+	for k, st := range s.state {
+		if st.gen != s.gen {
+			delete(s.state, k)
 		}
 	}
 	s.lastScrape = t
@@ -225,45 +209,64 @@ func (s *Scraper) ScrapeOnce(t time.Time) int {
 	return n
 }
 
-// emit stages one sample into the scrape batch, interning (and
-// generation-refreshing) the series handle under hkey. Caller holds
-// s.mu; the batch flushes through one AppendBatch at the end of the
-// walk.
-func (s *Scraper) emit(hkey, metric string, labels instrument.Labels, extraKey, extraVal string, t time.Time, v float64) {
-	e, ok := s.handles[hkey]
-	if !ok {
-		e = scrapeHandle{h: s.db.Handle(metric, scrapeLabels(labels, extraKey, extraVal))}
+// newScraped interns the handles of one registry series. Caller holds
+// s.mu and, inside the registry walk, its read lock; db.Handle copies
+// labels.
+func (s *Scraper) newScraped(name string, labels instrument.Labels, inst any) *scraped {
+	l := tsdb.Labels(labels)
+	switch inst := inst.(type) {
+	case *instrument.Counter:
+		return &scraped{out: []*tsdb.SeriesHandle{s.db.Handle(name, l), s.db.Handle(name+":rate", l)}}
+	case *instrument.Histogram:
+		st := &scraped{bounds: append(append([]float64(nil), inst.Bounds()...), math.Inf(1))}
+		le := make(tsdb.Labels, len(l)+1)
+		for k, v := range l {
+			le[k] = v
+		}
+		for _, b := range st.bounds {
+			le["le"] = strconv.FormatFloat(b, 'g', -1, 64) // +Inf formats as "+Inf"
+			st.out = append(st.out, s.db.Handle(name+"_bucket", le))
+		}
+		st.out = append(st.out, s.db.Handle(name+"_count", l), s.db.Handle(name+"_sum", l))
+		for _, q := range scrapeQuantiles {
+			st.out = append(st.out, s.db.Handle(QuantileSeries(name, q), l))
+		}
+		return st
+	default: // *instrument.Gauge
+		return &scraped{out: []*tsdb.SeriesHandle{s.db.Handle(name, l)}}
 	}
-	e.gen = s.gen
-	s.handles[hkey] = e
-	s.batch = append(s.batch, tsdb.BatchSample{H: e.h, T: t, V: v})
+}
+
+// emit stages one sample into the scrape batch. Caller holds s.mu; the
+// batch flushes through one AppendBatch at the end of the walk.
+func (s *Scraper) emit(h *tsdb.SeriesHandle, t time.Time, v float64) {
+	s.batch = append(s.batch, tsdb.BatchSample{H: h, T: t, V: v})
 }
 
 // appendQuantiles derives the per-interval quantile points of one
 // histogram series from the bucket increase since the previous scrape.
 // Caller holds s.mu.
-func (s *Scraper) appendQuantiles(name string, labels instrument.Labels, key string, bounds, cum []float64, t time.Time) {
-	prev, ok := s.prevBuckets[key]
-	if !ok || len(prev.cum) != len(cum) {
+func (s *Scraper) appendQuantiles(st *scraped, cum []uint64, t time.Time) {
+	if len(st.prev) != len(cum) {
 		return
 	}
-	inc := make([]float64, len(cum))
-	for i := range cum {
-		d := cum[i] - prev.cum[i]
+	inc := s.inc[:0]
+	for i, c := range cum {
+		d := float64(c) - st.prev[i]
 		if d < 0 { // histogram reset: skip this interval
 			return
 		}
-		inc[i] = d
-		if i > 0 && inc[i] < inc[i-1] { // guard against atomic-read skew
-			inc[i] = inc[i-1]
+		if i > 0 && d < inc[i-1] { // guard against atomic-read skew
+			d = inc[i-1]
 		}
+		inc = append(inc, d)
 	}
+	s.inc = inc
 	if inc[len(inc)-1] <= 0 { // nothing observed this interval
 		return
 	}
-	for _, q := range scrapeQuantiles {
-		v := EstimateQuantile(bounds, inc, q)
-		s.emit(key+"|"+QuantileSeries("", q), QuantileSeries(name, q), labels, "", "", t, v)
+	for j, q := range scrapeQuantiles {
+		s.emit(st.out[len(cum)+2+j], t, EstimateQuantile(st.bounds, inc, q))
 	}
 }
 
@@ -296,22 +299,6 @@ func EstimateQuantile(bounds, cum []float64, q float64) float64 {
 		lo, below = bounds[i], c
 	}
 	return lo
-}
-
-// scrapeLabels converts registry labels to tsdb labels, optionally
-// attaching one extra pair (the bucket `le`).
-func scrapeLabels(l instrument.Labels, extraKey, extraVal string) tsdb.Labels {
-	if len(l) == 0 && extraKey == "" {
-		return nil
-	}
-	out := make(tsdb.Labels, len(l)+1)
-	for k, v := range l {
-		out[k] = v
-	}
-	if extraKey != "" {
-		out[extraKey] = extraVal
-	}
-	return out
 }
 
 // Run scrapes every interval, which must be positive, until ctx is

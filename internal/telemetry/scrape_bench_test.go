@@ -12,8 +12,8 @@ import (
 // benchRegistry builds a registry shaped like a live daemon's: per-route
 // HTTP instruments, scheduler gauges/counters, usage accountant series —
 // a few hundred exported series once histogram buckets fan out.
-func benchRegistry(b *testing.B) *instrument.Registry {
-	b.Helper()
+func benchRegistry(tb testing.TB) *instrument.Registry {
+	tb.Helper()
 	reg := instrument.NewRegistry()
 	routes := []string{
 		"model_topology_traffic", "model_topology_performance",

@@ -11,11 +11,12 @@ import (
 )
 
 // TestScrapeUnderRegistryChurn is the race stress for the scrape path:
-// ScrapeOnce (snapshot + rate derivation + handle-cached batch append)
-// racing against series registration/unregistration churn, live
+// ScrapeOnce (registry walk + rate derivation + batch append) racing
+// against series registration/unregistration churn, live
 // counter/histogram traffic, and TSDB readers on the history store.
-// The handle cache's generation sweep only runs inside ScrapeOnce, so
-// churned-away series must be evicted without tripping the detector.
+// The sweep of per-series scrape state runs only inside ScrapeOnce, so
+// churned-away series must be dropped without tripping the detector;
+// TestScrapeSweepsChurnedSeries checks what the sweep keeps.
 func TestScrapeUnderRegistryChurn(t *testing.T) {
 	const iters = 150
 	reg := instrument.NewRegistry()
@@ -41,7 +42,7 @@ func TestScrapeUnderRegistryChurn(t *testing.T) {
 	}()
 
 	// Registration churn: short-lived tenant series appear and vanish
-	// between scrapes — the path that grows and sweeps the handle cache.
+	// between scrapes — the path that grows and sweeps the scrape state.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -64,7 +65,7 @@ func TestScrapeUnderRegistryChurn(t *testing.T) {
 	}()
 
 	// Instrument traffic: counters and histogram observations while
-	// snapshots are being taken.
+	// the registry is being walked.
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func(w int) {

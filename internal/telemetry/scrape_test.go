@@ -3,6 +3,7 @@ package telemetry
 import (
 	"context"
 	"math"
+	"strconv"
 	"testing"
 	"time"
 
@@ -59,23 +60,59 @@ func TestScrapeCounterReset(t *testing.T) {
 	reg := instrument.NewRegistry()
 	db := tsdb.New(0)
 	s := NewScraper(reg, db, ScrapeOptions{})
-	c := reg.Counter("events_total", nil)
-	c.Add(100)
+	reg.Counter("events_total", nil).Add(100)
 	s.ScrapeOnce(scrapeT0)
-	// Simulate a restart: previous value recorded as 100, new registry
-	// value drops below it.
-	s.mu.Lock()
-	s.prevCounters["events_total{}"] = prevCounter{v: 1000, gen: s.gen}
-	s.mu.Unlock()
-	c.Add(5)
+	// Simulate a restart: the series is registered afresh between two
+	// scrapes and its total drops below the 100 scraped before.
+	reg.Unregister("events_total", nil)
+	reg.Counter("events_total", nil).Add(5)
 	s.ScrapeOnce(scrapeT0.Add(10 * time.Second))
 	rate, err := db.Query("events_total:rate", nil, scrapeT0, scrapeT0.Add(time.Minute))
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || len(rate) != 1 {
+		t.Fatalf("rate series = %+v, err %v", rate, err)
 	}
-	// Reset clamps to restart-from-zero: 105/10s.
-	if got := rate[0].Points[len(rate[0].Points)-1].V; math.Abs(got-10.5) > 1e-9 {
-		t.Errorf("post-reset rate = %g, want 10.5", got)
+	// Reset clamps to restart-from-zero: 5/10s.
+	if got := rate[0].Points[len(rate[0].Points)-1].V; math.Abs(got-0.5) > 1e-9 {
+		t.Errorf("post-reset rate = %g, want 0.5", got)
+	}
+}
+
+// TestScrapeSweepsChurnedSeries churns counter, gauge and histogram
+// series across scrapes, as the usage accountant's top-K eviction
+// does: after every scrape the scraper holds state for exactly the
+// series the registry still exports.
+func TestScrapeSweepsChurnedSeries(t *testing.T) {
+	reg := instrument.NewRegistry()
+	s := NewScraper(reg, tsdb.New(0), ScrapeOptions{})
+	live := map[string]bool{}
+	for i := 0; i < 12; i++ {
+		// Tenants i .. i+i%4 are live for this scrape; older ones leave.
+		for tenant := range live {
+			if n, _ := strconv.Atoi(tenant); n < i {
+				lbl := instrument.Labels{"tenant": tenant}
+				reg.Unregister("churn_total", lbl)
+				reg.Unregister("churn_inflight", lbl)
+				reg.Unregister("churn_seconds", lbl)
+				delete(live, tenant)
+			}
+		}
+		for n := i; n <= i+i%4; n++ {
+			tenant := strconv.Itoa(n)
+			lbl := instrument.Labels{"tenant": tenant}
+			reg.Counter("churn_total", lbl).Inc()
+			reg.Gauge("churn_inflight", lbl).Set(float64(n))
+			reg.Histogram("churn_seconds", nil, lbl).Observe(0.01)
+			live[tenant] = true
+		}
+		s.ScrapeOnce(scrapeT0.Add(time.Duration(i) * time.Second))
+		series := 0
+		reg.Each(func(string, string, instrument.Labels, any) { series++ })
+		s.mu.Lock()
+		held := len(s.state)
+		s.mu.Unlock()
+		if held != series || series != 3*len(live)+4 { // + the scraper's own four
+			t.Fatalf("scrape %d: scraper holds %d series states, registry exports %d (%d tenants live)", i, held, series, len(live))
+		}
 	}
 }
 

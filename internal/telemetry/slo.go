@@ -91,12 +91,17 @@ type SLO struct {
 	now   func() time.Time
 	rules []Rule
 
-	mu         sync.Mutex
-	latest     []Alert // what the last Evaluate returned
-	firing     map[string]time.Time
-	toFiring   map[string]*instrument.Counter
-	toResolved map[string]*instrument.Counter
-	onFiring   []func(Rule, Alert)
+	mu       sync.Mutex
+	latest   []Alert     // what the last Evaluate returned
+	state    []ruleState // parallel to rules
+	onFiring []func(Rule, Alert)
+}
+
+// ruleState is one rule's firing state and its transition counters.
+type ruleState struct {
+	since      time.Time // when the rule last flipped to firing; zero while not firing
+	toFiring   *instrument.Counter
+	toResolved *instrument.Counter
 }
 
 // NewSLO validates rules, registers their transition counters on reg
@@ -109,14 +114,7 @@ func NewSLO(db *tsdb.DB, reg *instrument.Registry, now func() time.Time, rules [
 		now = time.Now
 	}
 	reg.SetHelp("caladrius_slo_transitions_total", "SLO rule state flips, by rule and new state.")
-	s := &SLO{
-		db:         db,
-		now:        now,
-		rules:      append([]Rule(nil), rules...),
-		firing:     map[string]time.Time{},
-		toFiring:   map[string]*instrument.Counter{},
-		toResolved: map[string]*instrument.Counter{},
-	}
+	s := &SLO{db: db, now: now, rules: append([]Rule(nil), rules...)}
 	seen := map[string]bool{}
 	for i := range s.rules {
 		r := &s.rules[i]
@@ -142,8 +140,10 @@ func NewSLO(db *tsdb.DB, reg *instrument.Registry, now func() time.Time, rules [
 		if math.IsNaN(r.Threshold) || math.IsInf(r.Threshold, 0) {
 			return nil, fmt.Errorf("telemetry: SLO rule %q has non-finite threshold", r.Name)
 		}
-		s.toFiring[r.Name] = reg.Counter("caladrius_slo_transitions_total", instrument.Labels{"rule": r.Name, "to": "firing"})
-		s.toResolved[r.Name] = reg.Counter("caladrius_slo_transitions_total", instrument.Labels{"rule": r.Name, "to": "resolved"})
+		s.state = append(s.state, ruleState{
+			toFiring:   reg.Counter("caladrius_slo_transitions_total", instrument.Labels{"rule": r.Name, "to": "firing"}),
+			toResolved: reg.Counter("caladrius_slo_transitions_total", instrument.Labels{"rule": r.Name, "to": "resolved"}),
+		})
 		s.latest = append(s.latest, Alert{Rule: r.Name, Description: r.Description, State: StateNoData,
 			Threshold: r.Threshold, Op: string(r.Op), Window: r.Window.String()})
 	}
@@ -180,56 +180,40 @@ func (s *SLO) Alerts() []Alert {
 // transition counters as needed.
 func (s *SLO) Evaluate() []Alert {
 	now := s.now()
-	type transition struct {
-		rule  Rule
-		alert Alert
-	}
-	var fired []transition
+	var fired []int // rules that flipped to firing
 	s.mu.Lock()
 	out := make([]Alert, 0, len(s.rules))
-	for _, r := range s.rules {
+	for i, r := range s.rules {
+		st := &s.state[i]
 		a := Alert{
 			Rule:        r.Name,
 			Description: r.Description,
+			State:       StateNoData,
 			Threshold:   r.Threshold,
 			Op:          string(r.Op),
 			Window:      r.Window.String(),
 			EvaluatedAt: now,
 		}
-		v, ok := s.eval(r, now)
-		if !ok {
-			a.State = StateNoData
-			if since, f := s.firing[r.Name]; f {
-				a.Since = &since
-			}
-			out = append(out, a)
-			continue
-		}
-		val := v
-		a.Value = &val
-		breach := (r.Op == OpGreater && v > r.Threshold) || (r.Op == OpLess && v < r.Threshold)
-		since, wasFiring := s.firing[r.Name]
-		newlyFiring := false
-		switch {
-		case breach && !wasFiring:
-			since = now
-			s.firing[r.Name] = since
-			s.toFiring[r.Name].Inc()
-			newlyFiring = true
-		case !breach && wasFiring:
-			delete(s.firing, r.Name)
-			s.toResolved[r.Name].Inc()
-		}
-		if breach {
-			a.State = StateFiring
-			a.Since = &since
-		} else {
+		if v, ok := s.eval(r, now); ok {
+			a.Value = &v
 			a.State = StateOK
+			if (r.Op == OpGreater && v > r.Threshold) || (r.Op == OpLess && v < r.Threshold) {
+				a.State = StateFiring
+				if st.since.IsZero() {
+					st.since = now
+					st.toFiring.Inc()
+					fired = append(fired, i)
+				}
+			} else if !st.since.IsZero() {
+				st.since = time.Time{}
+				st.toResolved.Inc()
+			}
+		}
+		if !st.since.IsZero() {
+			since := st.since
+			a.Since = &since
 		}
 		out = append(out, a)
-		if newlyFiring {
-			fired = append(fired, transition{rule: r, alert: a})
-		}
 	}
 	s.latest = out
 	var hooks []func(Rule, Alert)
@@ -237,9 +221,9 @@ func (s *SLO) Evaluate() []Alert {
 		hooks = append(hooks, s.onFiring...)
 	}
 	s.mu.Unlock()
-	for _, tr := range fired {
+	for _, i := range fired {
 		for _, fn := range hooks {
-			fn(tr.rule, tr.alert)
+			fn(s.rules[i], out[i])
 		}
 	}
 	return append([]Alert(nil), out...)
