@@ -593,7 +593,6 @@ var fallbacks = map[string]string{
 	"usage.Options.Now":              "benchmark/stack.go: time.Now",
 	"soak.DaemonOptions.Now":         "cmd/caladriussoak through soak.RunSoak: time.Now",
 	"incident.Options.CPUProfile":    "internal/daemon: a 2 s CPU profile",
-	"profiler.Options.Source":        "internal/daemon: the runtime's own profiles",
 	"core.CalibrationOptions.Window": "the examples, internal/dhalion and internal/experiments: the simulator's 1-minute metrics window",
 
 	// The word-count preset's zero value is the paper's evaluation

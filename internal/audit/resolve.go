@@ -43,19 +43,41 @@ type resolution struct {
 	errs     *Errors
 }
 
+// pendingRecord is what the join reads of a pending record, copied out
+// of the ring so provider queries run unlocked. Calibration is shared
+// and never mutated; the join reads its component names.
+type pendingRecord struct {
+	id             int64
+	topology       string
+	createdAt      time.Time
+	counterfactual bool
+	calibration    []core.ComponentCalibration
+	predicted      Predicted
+}
+
 // ResolveOnce runs one resolver cycle at the given instant: joins
 // every pending record whose observation window has data, updates the
 // rolling accuracy state, appends each graded record's
 // caladrius_model_ape point and refreshes the gauges. It returns the
 // number of records resolved.
 func (l *Ledger) ResolveOnce(now time.Time) int {
-	// Copy pending records out so provider queries run unlocked.
+	// Copy pending records out, sized by the count pending, so provider
+	// queries run unlocked.
+	isPending := func(rec *Record) bool { return !rec.Resolved && !rec.CreatedAt.After(now) }
 	l.mu.Lock()
-	pending := make([]Record, 0, l.n)
+	n := 0
 	for i := 0; i < l.n; i++ {
-		rec := l.recs[(l.head+i)%capacity]
-		if !rec.Resolved && !rec.CreatedAt.After(now) {
-			pending = append(pending, rec)
+		if isPending(&l.recs[(l.head+i)%capacity]) {
+			n++
+		}
+	}
+	pending := make([]pendingRecord, 0, n)
+	for i := 0; i < l.n; i++ {
+		if rec := &l.recs[(l.head+i)%capacity]; isPending(rec) {
+			pending = append(pending, pendingRecord{
+				id: rec.ID, topology: rec.Topology, createdAt: rec.CreatedAt, counterfactual: rec.Counterfactual,
+				calibration: rec.Calibration, predicted: rec.Predicted,
+			})
 		}
 	}
 	l.mu.Unlock()
@@ -70,14 +92,15 @@ func (l *Ledger) ResolveOnce(now time.Time) int {
 		backpressure: map[windowKey]backpressureActuals{},
 	}
 	resolutions := make([]resolution, 0, len(pending))
-	for _, rec := range pending {
+	for i := range pending {
+		rec := &pending[i]
 		obs, ok := l.observe(rec, &seen)
 		if !ok {
 			continue
 		}
-		res := resolution{id: rec.ID, observed: obs}
-		if !rec.Counterfactual {
-			res.errs = computeErrors(rec.Predicted, obs)
+		res := resolution{id: rec.id, observed: obs}
+		if !rec.counterfactual {
+			res.errs = computeErrors(rec.predicted, obs)
 		}
 		resolutions = append(resolutions, res)
 	}
@@ -192,17 +215,17 @@ func (p *pass) topologyBackpressure(topology string, start, end time.Time) (floa
 
 // observe joins one record with its actuals. ok is false when the
 // observation window has no usable data yet (retry later).
-func (l *Ledger) observe(rec Record, seen *pass) (Observed, bool) {
-	start := rec.CreatedAt.Add(-observeWindow)
-	end := rec.CreatedAt
-	sink := rec.Predicted.Sink
+func (l *Ledger) observe(rec *pendingRecord, seen *pass) (Observed, bool) {
+	start := rec.createdAt.Add(-observeWindow)
+	end := rec.createdAt
+	sink := rec.predicted.Sink
 	if sink == "" {
-		sink = rec.Predicted.Bottleneck
+		sink = rec.predicted.Bottleneck
 	}
 	if sink == "" {
 		return Observed{}, false
 	}
-	ss, ok := seen.component(rec.Topology, sink, start, end)
+	ss, ok := seen.component(rec.topology, sink, start, end)
 	if !ok {
 		return Observed{}, false
 	}
@@ -215,14 +238,14 @@ func (l *Ledger) observe(rec Record, seen *pass) (Observed, bool) {
 		SinkTPM: ss.Execute * float64(time.Minute) / float64(l.metricsWindow),
 	}
 	// Backpressure against the calibration saturation threshold.
-	if obs.BackpressureMsPerWindow, ok = seen.topologyBackpressure(rec.Topology, start, end); !ok {
+	if obs.BackpressureMsPerWindow, ok = seen.topologyBackpressure(rec.topology, start, end); !ok {
 		return Observed{}, false
 	}
 	obs.Backpressure = obs.BackpressureMsPerWindow >= core.SaturatedBpMs
 	// CPU: sum observed component loads over the calibrated components
 	// (the same set TotalCPU was predicted over).
-	for _, cc := range rec.Calibration {
-		if css, ok := seen.component(rec.Topology, cc.Component, start, end); ok {
+	for _, cc := range rec.calibration {
+		if css, ok := seen.component(rec.topology, cc.Component, start, end); ok {
 			obs.TotalCPUCores += css.CPULoad
 		}
 	}

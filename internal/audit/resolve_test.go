@@ -179,6 +179,25 @@ func TestResolveOnceJoins(t *testing.T) {
 	}
 }
 
+// TestResolveResolvedRingAllocatesNothing: a pass copies out only the
+// pending records, so a pass over a full ring with none pending
+// allocates nothing.
+func TestResolveResolvedRingAllocatesNothing(t *testing.T) {
+	prov := &stubProvider{windows: map[string][]metrics.Window{"counter": sinkWindows(audT0, 5, 250_000)}}
+	led := testLedger(t, Options{Provider: prov, Now: func() time.Time { return audT0 }})
+	rec := predictRecord(275_000)
+	rec.Calibration = []core.ComponentCalibration{{Component: "counter", Parallelism: 3, Alpha: 1}}
+	for i := 0; i < capacity; i++ {
+		led.Record(rec)
+	}
+	if n := led.ResolveOnce(audT0); n != capacity {
+		t.Fatalf("ResolveOnce = %d, want the full ring %d", n, capacity)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { led.ResolveOnce(audT0) }); allocs != 0 {
+		t.Fatalf("a pass over a resolved ring allocates %.1f/op, want 0", allocs)
+	}
+}
+
 // TestResolvePendingRetry: a record whose observation window is still
 // empty stays pending and resolves on a later cycle once data exists.
 func TestResolvePendingRetry(t *testing.T) {

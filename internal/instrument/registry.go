@@ -156,16 +156,15 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // series of the name and must not be modified.
 func (h *Histogram) Bounds() []float64 { return h.bounds }
 
-// Cumulative returns the cumulative per-bucket counts, one per bound
-// plus the +Inf bucket.
-func (h *Histogram) Cumulative() []uint64 {
-	out := make([]uint64, len(h.counts))
+// AppendCumulative appends the cumulative per-bucket counts, one per
+// bound plus the +Inf bucket, to dst and returns the extended slice.
+func (h *Histogram) AppendCumulative(dst []uint64) []uint64 {
 	var acc uint64
 	for i := range h.counts {
 		acc += h.counts[i].Load()
-		out[i] = acc
+		dst = append(dst, acc)
 	}
-	return out
+	return dst
 }
 
 // DefLatencyBuckets covers request latencies from 1 ms to 10 s.
@@ -419,15 +418,19 @@ func (r *Registry) each(family func(name string, f *family), series func(sig str
 	}
 }
 
-// Each calls fn for every series in export order (see each) under the
+// Each calls fn for every series, in no set order, under the
 // registry's read lock: the metric name, the series' label signature,
-// its labels and its *Counter, *Gauge or *Histogram. fn must neither
+// its labels and its *Counter, *Gauge or *Histogram. It walks the maps
+// in place, unlike the sorted walk the exports take. fn must neither
 // keep labels nor call back into the registry.
 func (r *Registry) Each(fn func(name, sig string, labels Labels, inst any)) {
-	var name string
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	r.each(func(n string, _ *family) { name = n }, func(sig string, s *series) { fn(name, sig, s.labels, s.inst) })
+	for name, f := range r.families {
+		for sig, s := range f.series {
+			fn(name, sig, s.labels, s.inst)
+		}
+	}
 }
 
 // WritePrometheus renders the registry in the Prometheus text
@@ -449,7 +452,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		case *Gauge:
 			writeSample(&b, name, sig, "", inst.Value())
 		case *Histogram:
-			cum := inst.Cumulative()
+			cum := inst.AppendCumulative(nil)
 			for i, bound := range inst.bounds {
 				writeSample(&b, name+"_bucket", sig, `le="`+formatFloat(bound)+`"`, float64(cum[i]))
 			}
@@ -531,7 +534,7 @@ func (r *Registry) Snapshot() []MetricJSON {
 			v := inst.Value()
 			sj.Value = &v
 		case *Histogram:
-			cum := inst.Cumulative()
+			cum := inst.AppendCumulative(nil)
 			for i, bound := range inst.bounds {
 				sj.Buckets = append(sj.Buckets, BucketJSON{LE: bound, Count: cum[i]})
 			}

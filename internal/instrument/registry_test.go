@@ -13,7 +13,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	for _, v := range []float64{0.5, 1, 1.0001, 2, 5, 5.0001, 100} {
 		h.Observe(v)
 	}
-	cum := h.Cumulative()
+	cum := h.AppendCumulative(nil)
 	want := []uint64{2, 4, 5, 7} // ≤1: {0.5,1}; ≤2: +{1.0001,2}; ≤5: +{5}; +Inf: +{5.0001,100}
 	if len(cum) != len(want) {
 		t.Fatalf("cumulative buckets = %v", cum)

@@ -93,55 +93,63 @@ func (t *Table) Fold(p *Profile) {
 				}
 			}
 		}
-		if len(t.frames) == 0 {
-			continue
-		}
-		t.Total += v
-		t.Samples++
+		t.foldFrames(v)
+	}
+}
 
-		// Flat goes to the leaf; cum to every distinct function on the
-		// stack. The generation counter replaces a per-sample seen-set
-		// so the steady-state fold allocates nothing.
-		t.gen++
-		t.entry(t.frames[0]).stat.Flat += v
-		for _, name := range t.frames {
-			e := t.entry(name)
-			if e.gen != t.gen {
-				e.gen = t.gen
-				e.stat.Cum += v
-			}
-		}
+// foldFrames accounts one sample of value v whose resolved frames,
+// leaf first, are in t.frames. It is the fold body that both entry
+// points share: Fold for decoded pprof profiles and foldStack for the
+// runtime's own records. A sample without frames is skipped.
+func (t *Table) foldFrames(v int64) {
+	if len(t.frames) == 0 {
+		return
+	}
+	t.Total += v
+	t.Samples++
 
-		// Merge the stack (root first) into the flame map, keyed by an
-		// FNV-1a hash of the frame sequence; the joined string is built
-		// only the first time a stack is seen.
-		h := uint64(14695981039346656037) // FNV-1a offset basis
-		for i := len(t.frames) - 1; i >= 0; i-- {
-			for j := 0; j < len(t.frames[i]); j++ {
-				h ^= uint64(t.frames[i][j])
-				h *= 1099511628211
-			}
-			h ^= uint64(';')
+	// Flat goes to the leaf; cum to every distinct function on the
+	// stack. The generation counter replaces a per-sample seen-set
+	// so the steady-state fold allocates nothing.
+	t.gen++
+	t.entry(t.frames[0]).stat.Flat += v
+	for _, name := range t.frames {
+		e := t.entry(name)
+		if e.gen != t.gen {
+			e.gen = t.gen
+			e.stat.Cum += v
+		}
+	}
+
+	// Merge the stack (root first) into the flame map, keyed by an
+	// FNV-1a hash of the frame sequence; the joined string is built
+	// only the first time a stack is seen.
+	h := uint64(14695981039346656037) // FNV-1a offset basis
+	for i := len(t.frames) - 1; i >= 0; i-- {
+		for j := 0; j < len(t.frames[i]); j++ {
+			h ^= uint64(t.frames[i][j])
 			h *= 1099511628211
 		}
-		se := t.stacks[h]
-		if se == nil {
-			n := 0
-			for i := range t.frames {
-				n += len(t.frames[i]) + 1
-			}
-			b := make([]byte, 0, n)
-			for i := len(t.frames) - 1; i >= 0; i-- {
-				if len(b) > 0 {
-					b = append(b, ';')
-				}
-				b = append(b, t.frames[i]...)
-			}
-			se = &stackEntry{stack: string(b)}
-			t.stacks[h] = se
-		}
-		se.value += v
+		h ^= uint64(';')
+		h *= 1099511628211
 	}
+	se := t.stacks[h]
+	if se == nil {
+		n := 0
+		for i := range t.frames {
+			n += len(t.frames[i]) + 1
+		}
+		b := make([]byte, 0, n)
+		for i := len(t.frames) - 1; i >= 0; i-- {
+			if len(b) > 0 {
+				b = append(b, ';')
+			}
+			b = append(b, t.frames[i]...)
+		}
+		se = &stackEntry{stack: string(b)}
+		t.stacks[h] = se
+	}
+	se.value += v
 }
 
 func (t *Table) entry(name string) *funcEntry {

@@ -1,11 +1,11 @@
 // Package profiler implements Caladrius' always-on continuous
 // profiler: it periodically captures CPU/heap/goroutine/mutex
-// profiles from the running process via runtime/pprof, decodes them
+// profiles from the running process — CPU via runtime/pprof, decoded
 // with a minimal stdlib-only pprof protobuf reader (a sibling of
 // internal/yamlite in spirit: just enough of the format, no external
-// dependencies), and folds the samples into per-function flat/cum
-// tables and merged flame stacks held in a bounded ring of epoch
-// windows. A persisted baseline snapshot lets the profiler rank the
+// dependencies), the snapshot kinds from the runtime's own profile
+// records — and folds the samples into per-function flat/cum tables
+// and merged flame stacks held in a bounded ring of epoch windows. A persisted baseline snapshot lets the profiler rank the
 // top regressing functions by flat-share delta, which feeds the
 // profile-hot-function-regression SLO and the incident recorder.
 package profiler

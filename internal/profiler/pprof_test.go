@@ -49,7 +49,17 @@ func TestParseRuntimeProfiles(t *testing.T) {
 	}
 	wg.Wait()
 
-	src := RuntimeSource()
+	// The raw pprof bytes: CPU as the profiler captures it, the
+	// snapshot kinds as incident bundles write them.
+	src := func(kind Kind) ([]byte, error) {
+		var buf bytes.Buffer
+		if kind == KindCPU {
+			err := CaptureCPUProfile(&buf, CPUWindow)
+			return buf.Bytes(), err
+		}
+		err := CaptureProfile(&buf, string(kind))
+		return buf.Bytes(), err
+	}
 	for _, kind := range Kinds {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {

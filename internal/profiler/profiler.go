@@ -41,27 +41,14 @@ func ValidKind(s string) bool {
 	return false
 }
 
-// Source produces raw pprof bytes for one profile kind. Tests swap in
-// synthetic sources; production uses the runtime/pprof-backed default.
+// Source produces raw pprof bytes for one profile kind, which the
+// profiler parses and folds into the current window's table for that
+// kind. Tests serve synthetic profiles through it. Left nil, the
+// profiler folds from the runtime: CPU is sampled for CPUWindow through
+// CaptureCPUProfile and Parse, because the runtime hands out CPU
+// samples only as pprof bytes; heap, goroutine and mutex are folded
+// straight from the runtime's profile records (see records).
 type Source func(kind Kind) ([]byte, error)
-
-// RuntimeSource returns the production Source: CPU is sampled for
-// CPUWindow, the snapshot kinds come from pprof.Lookup.
-func RuntimeSource() Source {
-	return func(kind Kind) ([]byte, error) {
-		var buf bytes.Buffer
-		var err error
-		if kind == KindCPU {
-			err = CaptureCPUProfile(&buf, CPUWindow)
-		} else {
-			err = CaptureProfile(&buf, string(kind))
-		}
-		if err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	}
-}
 
 const (
 	// CPUWindow is how long each CPU capture samples. The daemon's
@@ -97,7 +84,8 @@ type Options struct {
 	// and reloads it on startup.
 	BaselinePath string
 
-	// Source overrides profile capture (tests). Default RuntimeSource.
+	// Source overrides profile capture (tests). Default: the runtime's
+	// own profiles.
 	Source Source
 	// Now stamps captures and epoch windows.
 	Now func() time.Time
@@ -222,6 +210,7 @@ type Profiler struct {
 	opts Options
 
 	mu       sync.Mutex
+	records  records // the runtime's record buffers, when Source is nil
 	cur      *epochWindow
 	ring     []*epochWindow // completed windows, oldest first
 	baseline *Baseline
@@ -255,9 +244,6 @@ func New(o Options) (*Profiler, error) {
 		if req.unset {
 			return nil, fmt.Errorf("profiler: Options.%s is required", req.field)
 		}
-	}
-	if o.Source == nil {
-		o.Source = RuntimeSource()
 	}
 	reg := o.Registry
 	reg.SetHelp("caladrius_profile_captures_total", "Profile captures completed, by kind.")
@@ -318,19 +304,15 @@ func (p *Profiler) Run(ctx context.Context) {
 	}
 }
 
-// CaptureOnce runs one capture round: every kind is captured through
-// the Source, parsed, and folded into the current epoch window; the
-// regression gauges are refreshed afterwards. Returns the first
-// capture/parse error, after attempting all kinds.
+// CaptureOnce runs one capture round: every kind is captured and
+// folded into the current epoch window (see Source); the regression
+// gauges are refreshed afterwards. Returns the first capture/parse
+// error, after attempting all kinds.
 func (p *Profiler) CaptureOnce() error {
 	start := p.opts.Now()
 	var firstErr error
 	for _, kind := range Kinds {
-		data, err := p.opts.Source(kind)
-		var prof *Profile
-		if err == nil {
-			prof, err = Parse(data)
-		}
+		folded, err := p.capture(kind)
 		if err != nil {
 			p.mErrors.Inc()
 			p.mu.Lock()
@@ -341,14 +323,6 @@ func (p *Profiler) CaptureOnce() error {
 			}
 			continue
 		}
-		p.mu.Lock()
-		p.rotateLocked(p.opts.Now())
-		tbl := p.cur.tables[kind]
-		before := tbl.Samples
-		tbl.Fold(prof)
-		folded := tbl.Samples - before
-		delete(p.lastErr, kind)
-		p.mu.Unlock()
 		p.mCaptures[kind].Inc()
 		if folded > 0 {
 			p.mSamples[kind].Add(float64(folded))
@@ -362,6 +336,44 @@ func (p *Profiler) CaptureOnce() error {
 	p.mu.Unlock()
 	p.refreshMetrics(end)
 	return firstErr
+}
+
+// capture folds one capture of kind into the current window and
+// returns the samples it folded. pprof bytes, from the Source or the
+// CPU profiler, are captured and parsed outside the lock; the
+// runtime's records are read under it, into buffers the Profiler
+// keeps.
+func (p *Profiler) capture(kind Kind) (int64, error) {
+	var prof *Profile
+	if p.opts.Source != nil || kind == KindCPU {
+		var data []byte
+		var err error
+		if p.opts.Source != nil {
+			data, err = p.opts.Source(kind)
+		} else {
+			var buf bytes.Buffer
+			err = CaptureCPUProfile(&buf, CPUWindow)
+			data = buf.Bytes()
+		}
+		if err == nil {
+			prof, err = Parse(data)
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.rotateLocked(p.opts.Now())
+	tbl := p.cur.tables[kind]
+	before := tbl.Samples
+	if prof != nil {
+		tbl.Fold(prof)
+	} else if err := p.records.fold(kind, tbl); err != nil {
+		return 0, err
+	}
+	delete(p.lastErr, kind)
+	return tbl.Samples - before, nil
 }
 
 // rotateLocked advances the epoch window ring to now, completing the

@@ -13,13 +13,12 @@ import (
 )
 
 // warmScrapeAllocs is what one warm ScrapeOnce of benchRegistry (a few
-// hundred samples) costs in heap allocations: the registry walk's
-// sorted name and signature lists, one cumulative-bucket read per
-// histogram, and what the store allocates as its chunks fill. It is
-// the measured count (go1.24, linux/amd64); a change that spends
-// allocations per series or per sample on the scrape path raises it
-// here, in review.
-const warmScrapeAllocs = 33
+// hundred samples) costs in heap allocations: what the store allocates
+// as its chunks fill; the registry walk and the cumulative-bucket reads
+// allocate nothing. It is the measured count
+// (go1.24, linux/amd64); a change that spends allocations per series or
+// per sample on the scrape path raises it here, in review.
+const warmScrapeAllocs = 9
 
 // TestWarmScrapeAllocationBudget pins warmScrapeAllocs once every
 // series' scrape state is interned.

@@ -41,6 +41,7 @@ type Scraper struct {
 	lastScrape  time.Time
 	gen         uint64 // scrape generation, for stale-state pruning
 	state       map[seriesKey]*scraped
+	cum         []uint64  // one histogram's cumulative buckets, reused
 	inc         []float64 // one histogram's bucket increase, reused
 	batch       []tsdb.BatchSample
 	collectors  []func()
@@ -169,7 +170,8 @@ func (s *Scraper) ScrapeOnce(t time.Time) int {
 		case *instrument.Gauge:
 			s.emit(st.out[0], t, inst.Value())
 		case *instrument.Histogram:
-			cum := inst.Cumulative()
+			s.cum = inst.AppendCumulative(s.cum[:0])
+			cum := s.cum
 			sum, count := inst.Sum(), inst.Count()
 			for i, c := range cum {
 				s.emit(st.out[i], t, float64(c))

@@ -36,9 +36,10 @@
 # option fields internal/ declares and how many of them are seams only
 # tests set, from the option test in exports_test.go, how many option
 # fields the code replaces when zero, each named with the caller that
-# leaves it zero, from the fallback test beside it, and the TSDB's
+# leaves it zero, from the fallback test beside it, the TSDB's
 # resident bytes a sample against their budgets, from the two
-# memory-budget tests.
+# memory-budget tests, and the bytes one continuous-profiler capture
+# round allocates against its budgets, from the profiler's.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -88,3 +89,4 @@ go test -run '^TestEveryOptionNamesItsUser$' -v . | grep -o 'option fields: .*'
 go test -run '^TestEveryFallbackNamesItsUser$' -v . | grep -o 'option fallbacks: .*'
 go test -run '^TestResidentBytesPerSample$' -v ./internal/tsdb | grep -o 'resident bytes/sample.*'
 go test -run '^TestWarmUpResidentBytesPerSample$' -v ./internal/heron | grep -o 'resident bytes/sample.*'
+go test -run '^TestCaptureRoundAllocationBudget$' -v ./internal/profiler | grep -o 'capture round bytes.*'
