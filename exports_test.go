@@ -51,7 +51,7 @@ var testOnly = map[string]string{
 	"workload.StepRate":                     "internal/api and cmd/calctl test deployments, internal/heron TestSimulatorEventTelemetry",
 
 	// A package that exists to support tests.
-	"profiler/pproftest": "internal/api and cmd/calctl profiler tests",
+	"profiler/pproftest": "internal/api, cmd/calctl and internal/profiler tests",
 }
 
 // TestEveryFunctionNamesItsUser type-checks the module from source and

@@ -25,22 +25,25 @@ type ledgerRecorder struct {
 	tenant         string
 	counterfactual bool
 	cachedCal      bool
+	// cost holds the run's cost for the record's Cost pointer: the
+	// recorder is on the heap already, and the ledger copies the value.
+	cost core.RunCost
 }
 
-func (r ledgerRecorder) RecordRun(run core.ModelRun) {
+func (r *ledgerRecorder) RecordRun(run core.ModelRun) {
 	p := run.Prediction
 	cp := p.CriticalPath()
 	sink := ""
 	if len(cp.Path) > 0 {
 		sink = cp.Path[len(cp.Path)-1]
 	}
-	cost := run.Cost
+	r.cost = run.Cost
 	r.led.Record(audit.Record{
 		Topology:          r.topology,
 		Model:             r.model,
 		TraceID:           r.traceID,
 		Tenant:            r.tenant,
-		Cost:              &cost,
+		Cost:              &r.cost,
 		SourceRateTPM:     run.SourceRate,
 		Parallelism:       run.Parallelism,
 		Counterfactual:    r.counterfactual,
@@ -63,7 +66,7 @@ func (r ledgerRecorder) RecordRun(run core.ModelRun) {
 // marks runs whose calibration was served from the cache (or another
 // request's in-flight calibration) rather than performed fresh.
 func (s *Service) auditRecorder(ctx context.Context, topology, model string, counterfactual, cachedCal bool) core.RunRecorder {
-	return ledgerRecorder{
+	return &ledgerRecorder{
 		led:            s.audit,
 		topology:       topology,
 		model:          model,

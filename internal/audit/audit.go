@@ -17,9 +17,10 @@
 // accuracy-drift and stale-calibration SLO rules
 // (telemetry.ModelAccuracyRules).
 //
-// The record hot path — Ledger.Record — performs no allocation: the
-// ring is preallocated, ids are integers, and the run counters are
-// interned per (topology, model).
+// The record hot path — Ledger.Record — performs no allocation once
+// it has seen a record's names and parallelism configuration: the ring
+// is preallocated, ids are integers, and names, configurations and the
+// run counters are interned.
 package audit
 
 import (
@@ -221,11 +222,15 @@ type Ledger struct {
 	seriesNow     func() time.Time
 	metricsWindow time.Duration
 
-	mu   sync.Mutex
-	recs []Record // preallocated ring
-	head int      // index of the oldest record
-	n    int
-	seq  int64 // last assigned id; ids start at 1
+	mu       sync.Mutex
+	recs     []entry // preallocated ring
+	head     int     // index of the oldest record
+	n        int
+	seq      int64 // last assigned id; ids start at 1
+	interned *interned
+	// spare is the buffers of the last finished resolver pass, which
+	// the next one reuses; nil while a pass holds them.
+	spare *resolver
 
 	runs            map[modelKey]*instrument.Counter
 	rolling         map[modelKey]*rollingStats
@@ -318,7 +323,9 @@ func NewLedger(opts Options) (*Ledger, error) {
 		now:             opts.Now,
 		seriesNow:       opts.SeriesNow,
 		metricsWindow:   opts.MetricsWindow,
-		recs:            make([]Record, capacity),
+		recs:            make([]entry, capacity),
+		interned:        newInterned(),
+		spare:           &resolver{},
 		runs:            map[modelKey]*instrument.Counter{},
 		rolling:         map[modelKey]*rollingStats{},
 		inst:            map[modelKey]*instruments{},
@@ -329,8 +336,10 @@ func NewLedger(opts Options) (*Ledger, error) {
 
 // Record appends one audit record and returns its id. The caller fills
 // everything except ID, CreatedAt (when zero) and resolution fields.
-// This is the hot path: 0 allocs/op after the first record of each
-// (topology, model) pair.
+// The ledger keeps no pointer into rec but its shared calibration
+// snapshot. This is the hot path: 0 allocs/op once a record's names,
+// parallelism configuration and (topology, model) run counter have
+// been interned.
 func (l *Ledger) Record(rec Record) int64 {
 	l.mu.Lock()
 	if rec.CreatedAt.IsZero() {
@@ -341,17 +350,20 @@ func (l *Ledger) Record(rec Record) int64 {
 	rec.Resolved = false
 	rec.ResolvedAt, rec.Observed, rec.Errors = nil, nil, nil
 	l.evictLocked(rec.CreatedAt)
+	slot := l.head
 	if l.n < capacity {
-		l.recs[(l.head+l.n)%capacity] = rec
+		slot = (l.head + l.n) % capacity
 		l.n++
 	} else {
-		l.recs[l.head] = rec
 		l.head = (l.head + 1) % capacity
 	}
-	c := l.runs[modelKey{rec.Topology, rec.Model}]
+	e := &l.recs[slot]
+	e.pack(&rec, l.interned)
+	key := modelKey{e.topology, e.model}
+	c := l.runs[key]
 	if c == nil {
-		c = l.reg.Counter(MetricRuns, instrument.Labels{"topology": rec.Topology, "model": rec.Model})
-		l.runs[modelKey{rec.Topology, rec.Model}] = c
+		c = l.reg.Counter(MetricRuns, instrument.Labels{"topology": key.topology, "model": key.model})
+		l.runs[key] = c
 	}
 	l.mu.Unlock()
 	c.Inc()
@@ -361,8 +373,8 @@ func (l *Ledger) Record(rec Record) int64 {
 // evictLocked drops records older than the retention horizon.
 func (l *Ledger) evictLocked(now time.Time) {
 	horizon := now.Add(-retention)
-	for l.n > 0 && l.recs[l.head].CreatedAt.Before(horizon) {
-		l.recs[l.head] = Record{}
+	for l.n > 0 && l.recs[l.head].createdAt.Before(horizon) {
+		l.recs[l.head] = entry{}
 		l.head = (l.head + 1) % capacity
 		l.n--
 	}
@@ -405,23 +417,25 @@ func (l *Ledger) Collector() func() {
 func (l *Ledger) Get(id int64) (Record, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	rec, _, ok := l.getLocked(id)
-	return rec, ok
+	e := l.getLocked(id)
+	if e == nil {
+		return Record{}, false
+	}
+	return e.unpack(), true
 }
 
-// getLocked resolves an id to its ring slot: ids are sequential, so a
-// record's offset from the oldest retained id is its distance from
-// head.
-func (l *Ledger) getLocked(id int64) (Record, int, bool) {
+// getLocked finds an id's ring slot, or nil: the ring holds
+// consecutive ids, so a record's offset from the oldest retained id is
+// its distance from head.
+func (l *Ledger) getLocked(id int64) *entry {
 	if l.n == 0 {
-		return Record{}, 0, false
+		return nil
 	}
-	oldest := l.recs[l.head].ID
-	if id < oldest || id > l.seq {
-		return Record{}, 0, false
+	off := id - l.recs[l.head].id
+	if off < 0 || off >= int64(l.n) {
+		return nil
 	}
-	idx := (l.head + int(id-oldest)) % capacity
-	return l.recs[idx], idx, true
+	return &l.recs[(l.head+int(off))%capacity]
 }
 
 // Filter selects records for List. Zero fields match everything.
@@ -446,26 +460,26 @@ func (l *Ledger) List(f Filter) []Record {
 	defer l.mu.Unlock()
 	out := make([]Record, 0, min(f.Limit, l.n))
 	for i := l.n - 1; i >= 0 && len(out) < f.Limit; i-- {
-		rec := l.recs[(l.head+i)%capacity]
-		if f.Topology != "" && rec.Topology != f.Topology {
+		e := &l.recs[(l.head+i)%capacity]
+		if f.Topology != "" && e.topology != f.Topology {
 			continue
 		}
-		if f.Model != "" && rec.Model != f.Model {
+		if f.Model != "" && e.model != f.Model {
 			continue
 		}
-		if f.Tenant != "" && rec.Tenant != f.Tenant {
+		if f.Tenant != "" && e.tenant != f.Tenant {
 			continue
 		}
-		if f.Resolved != nil && rec.Resolved != *f.Resolved {
+		if f.Resolved != nil && e.has(flagResolved) != *f.Resolved {
 			continue
 		}
-		if !f.Since.IsZero() && rec.CreatedAt.Before(f.Since) {
+		if !f.Since.IsZero() && e.createdAt.Before(f.Since) {
 			continue
 		}
-		if !f.Until.IsZero() && !rec.CreatedAt.Before(f.Until) {
+		if !f.Until.IsZero() && !e.createdAt.Before(f.Until) {
 			continue
 		}
-		out = append(out, rec)
+		out = append(out, e.unpack())
 	}
 	return out
 }

@@ -152,18 +152,29 @@ func TestLedgerRecordGetList(t *testing.T) {
 
 // TestLedgerRecordDoesNotAllocate: every prediction request pays
 // Record synchronously. Once the first record has interned the
-// (topology, model) run counter, Record overwrites the preallocated
-// ring in place and allocates nothing.
+// (topology, model) run counter, its names and its parallelism, Record
+// packs it into the preallocated ring in place and allocates nothing:
+// not for its cost, which the entry holds by value, nor for a
+// parallelism map like one seen before.
 func TestLedgerRecordDoesNotAllocate(t *testing.T) {
 	led := testLedger(t, Options{Now: func() time.Time { return audT0 }})
 	rec := predictRecord(1.9e7)
 	rec.CreatedAt = audT0
 	rec.Calibration = []core.ComponentCalibration{{Component: "counter", Parallelism: 4, Alpha: 0.001}}
+	costed := rec
+	costed.Cost = &core.RunCost{WallNanos: 1500, CPUNanos: 1200, AllocBytes: 4096}
+	costed.Parallelism = map[string]int{"splitter": 4, "counter": 2}
 	for i := 0; i < capacity; i++ { // fill the ring: every measured Record overwrites
 		led.Record(rec)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { led.Record(rec) }); allocs != 0 {
-		t.Fatalf("Record allocates %.1f/op on the ring-overwrite path, want 0", allocs)
+	led.Record(costed)
+	for _, tc := range []struct {
+		name string
+		rec  Record
+	}{{"bare", rec}, {"with cost and parallelism", costed}} {
+		if allocs := testing.AllocsPerRun(100, func() { led.Record(tc.rec) }); allocs != 0 {
+			t.Errorf("Record of a %s record allocates %.1f/op on the ring-overwrite path, want 0", tc.name, allocs)
+		}
 	}
 }
 

@@ -33,9 +33,9 @@ type snapshotHeader struct {
 // first.
 func (l *Ledger) WriteSnapshot(w io.Writer) error {
 	l.mu.Lock()
-	recs := make([]Record, 0, l.n)
+	entries := make([]entry, 0, l.n)
 	for i := 0; i < l.n; i++ {
-		recs = append(recs, l.recs[(l.head+i)%capacity])
+		entries = append(entries, l.recs[(l.head+i)%capacity])
 	}
 	cals := make(map[string]time.Time, len(l.lastCalibration))
 	for topo, at := range l.lastCalibration {
@@ -45,11 +45,11 @@ func (l *Ledger) WriteSnapshot(w io.Writer) error {
 
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	if err := enc.Encode(snapshotHeader{Format: snapshotFormat, Version: snapshotVersion, Records: len(recs), Calibrations: cals}); err != nil {
+	if err := enc.Encode(snapshotHeader{Format: snapshotFormat, Version: snapshotVersion, Records: len(entries), Calibrations: cals}); err != nil {
 		return err
 	}
-	for _, rec := range recs {
-		if err := enc.Encode(rec); err != nil {
+	for i := range entries {
+		if err := enc.Encode(entries[i].unpack()); err != nil {
 			return err
 		}
 	}
@@ -57,11 +57,13 @@ func (l *Ledger) WriteSnapshot(w io.Writer) error {
 }
 
 // ReadSnapshot loads records from r into the ledger, replacing its
-// contents. Records beyond capacity keep only the newest; resolved
-// non-counterfactual records replay into the rolling accuracy state in
-// order, so gauges and stats resume where the previous process left
-// off. A snapshot that is malformed, or holds another number of records
-// than its header says, is an error that leaves the ledger as it was.
+// contents; ids continue from the last record loaded. Records beyond
+// capacity keep only the newest; resolved non-counterfactual records
+// replay into the rolling accuracy state in order, so gauges and stats
+// resume where the previous process left off. A snapshot that is
+// malformed, holds another number of records than its header says, or
+// whose ids are not consecutive, is an error that leaves the ledger as
+// it was.
 func (l *Ledger) ReadSnapshot(r io.Reader) error {
 	br := bufio.NewReader(r)
 	var hdr snapshotHeader
@@ -89,6 +91,11 @@ func (l *Ledger) ReadSnapshot(r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("audit: snapshot record %d: %w", len(recs)+1, err)
 		}
+		// The ring holds consecutive ids, which Get and the resolver
+		// find records by; a file that does not is not a ledger's.
+		if n := len(recs); rec.ID <= 0 || n > 0 && rec.ID != recs[n-1].ID+1 {
+			return fmt.Errorf("audit: snapshot record %d: id %d does not follow the ids before it", n+1, rec.ID)
+		}
 		recs = append(recs, rec)
 	}
 	if len(recs) != hdr.Records {
@@ -100,19 +107,17 @@ func (l *Ledger) ReadSnapshot(r io.Reader) error {
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for i := range l.recs {
-		l.recs[i] = Record{}
-	}
+	clear(l.recs)
 	l.head, l.n = 0, 0
 	l.rolling = map[modelKey]*rollingStats{}
-	for i, rec := range recs {
-		l.recs[i] = rec
+	for i := range recs {
+		rec := &recs[i]
+		e := &l.recs[i]
+		e.pack(rec, l.interned)
 		l.n++
-		if rec.ID > l.seq {
-			l.seq = rec.ID
-		}
+		l.seq = rec.ID
 		if rec.Resolved {
-			l.rollingLocked(modelKey{rec.Topology, rec.Model}).add(rec.Errors)
+			l.rollingLocked(modelKey{e.topology, e.model}).add(rec.Errors)
 		}
 	}
 	for topo, at := range hdr.Calibrations {

@@ -69,8 +69,11 @@ func TestSnapshotTruncated(t *testing.T) {
 }
 
 // hostileHeaders are snapshots whose header count is not the number of
-// records that follow; the first two crashed or over-allocated the boot.
+// records that follow — the first two crashed or over-allocated the
+// boot — or whose ids are not a ring's consecutive ones.
 var hostileHeaders = map[string]string{
+	`{"format":"caladrius-audit","version":1,"records":2}` + "\n" + `{"id":1}` + "\n" + `{"id":3}` + "\n":             "record 2: id 3 does not follow",
+	`{"format":"caladrius-audit","version":1,"records":1}` + "\n" + `{"id":0}` + "\n":                                 "record 1: id 0 does not follow",
 	`{"format":"caladrius-audit","version":1,"records":-1}` + "\n":                                                    "header says -1 records",
 	`{"format":"caladrius-audit","version":1,"records":1e12}` + "\n":                                                  "snapshot header",
 	`{"format":"caladrius-audit","version":1,"records":1000000000000}` + "\n":                                         "header says 1000000000000 records, read 0",
@@ -124,7 +127,9 @@ func TestSnapshotLoadsLegacyCost(t *testing.T) {
 
 // FuzzAuditReadSnapshot: whatever the file says, the loader returns —
 // with the ledger untouched on an error, and within its capacity, with
-// ids still unique, on success.
+// ids still unique, on success. What a loaded ledger writes, it reads
+// back to write the same bytes again: read→write→read→write is a fixed
+// point, whatever the packed ring entry drops or derives.
 func FuzzAuditReadSnapshot(f *testing.F) {
 	f.Add(snapshotBytes(f))
 	f.Add([]byte(legacyCostSnapshot))
@@ -141,6 +146,20 @@ func FuzzAuditReadSnapshot(f *testing.F) {
 		}
 		if led.Len() > 8 {
 			t.Fatalf("loaded %d records into a ledger of capacity 8", led.Len())
+		}
+		var first, second bytes.Buffer
+		if err := led.WriteSnapshot(&first); err != nil {
+			t.Fatalf("WriteSnapshot after a load: %v", err)
+		}
+		again := testLedger(t, Options{Now: func() time.Time { return audT0 }})
+		if err := again.ReadSnapshot(bytes.NewReader(first.Bytes())); err != nil {
+			t.Fatalf("ReadSnapshot of what a loaded ledger wrote: %v\n%s", err, first.Bytes())
+		}
+		if err := again.WriteSnapshot(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("read→write→read→write is not a fixed point:\n%s\nthen\n%s", first.Bytes(), second.Bytes())
 		}
 		id := led.Record(predictRecord(1))
 		for _, rec := range led.List(Filter{}) {

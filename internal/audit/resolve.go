@@ -35,12 +35,18 @@ import (
 // prediction against the deployed configuration's actuals would score
 // the model on a question it was not asked.
 
-// resolution is one record's computed join, carried out of the
-// unlocked provider-query phase and applied under the ledger lock.
-type resolution struct {
-	id       int64
-	observed Observed
-	errs     *Errors
+// resolveBatch bounds how many pending records one step of a pass
+// copies out of the ring, joins unlocked and applies, so a pass over a
+// full ring of pending records holds buffers for a batch, not a ring.
+const resolveBatch = 256
+
+// resolver is the buffers a pass works in. The ledger keeps the last
+// pass's (Ledger.spare) for the next one; a pass that overlaps another
+// gets its own.
+type resolver struct {
+	pending []pendingRecord
+	joined  []resolution
+	apes    []tsdb.BatchSample
 }
 
 // pendingRecord is what the join reads of a pending record, copied out
@@ -55,100 +61,133 @@ type pendingRecord struct {
 	predicted      Predicted
 }
 
+// resolution is one record's computed join, carried out of the
+// unlocked provider-query phase and applied under the ledger lock.
+type resolution struct {
+	id       int64
+	observed Observed
+	errs     Errors
+	graded   bool // errs is set: the record is not counterfactual
+}
+
 // ResolveOnce runs one resolver cycle at the given instant: joins
 // every pending record whose observation window has data, updates the
 // rolling accuracy state, appends each graded record's
 // caladrius_model_ape point and refreshes the gauges. It returns the
 // number of records resolved.
+//
+// It works through the pending records in id order, resolveBatch at a
+// time, with one provider cache for the whole pass: a window that
+// records of several batches join against is still queried once.
 func (l *Ledger) ResolveOnce(now time.Time) int {
-	// Copy pending records out, sized by the count pending, so provider
-	// queries run unlocked.
-	isPending := func(rec *Record) bool { return !rec.Resolved && !rec.CreatedAt.After(now) }
 	l.mu.Lock()
-	n := 0
-	for i := 0; i < l.n; i++ {
-		if isPending(&l.recs[(l.head+i)%capacity]) {
-			n++
-		}
-	}
-	pending := make([]pendingRecord, 0, n)
-	for i := 0; i < l.n; i++ {
-		if rec := &l.recs[(l.head+i)%capacity]; isPending(rec) {
-			pending = append(pending, pendingRecord{
-				id: rec.ID, topology: rec.Topology, createdAt: rec.CreatedAt, counterfactual: rec.Counterfactual,
-				calibration: rec.Calibration, predicted: rec.Predicted,
-			})
-		}
-	}
+	r, last := l.spare, l.seq
+	l.spare = nil
 	l.mu.Unlock()
-	if len(pending) == 0 {
-		l.refreshGauges(now)
-		return 0
+	if r == nil {
+		r = &resolver{}
 	}
+	seen := pass{provider: l.provider}
+	seriesAt := l.seriesNow()
+	applied := 0
+	for after := int64(0); after < last; {
+		after = l.collect(r, after, last, now)
+		r.joined = r.joined[:0]
+		for i := range r.pending {
+			rec := &r.pending[i]
+			obs, ok := l.observe(rec, &seen)
+			if !ok {
+				continue
+			}
+			res := resolution{id: rec.id, observed: obs, graded: !rec.counterfactual}
+			if res.graded {
+				res.errs = computeErrors(rec.predicted, obs)
+			}
+			r.joined = append(r.joined, res)
+		}
+		applied += l.apply(r, now, seriesAt)
+	}
+	l.mu.Lock()
+	l.spare = r
+	l.mu.Unlock()
+	l.refreshGauges(now)
+	return applied
+}
 
-	seen := pass{
-		provider:     l.provider,
-		components:   map[windowKey]componentActuals{},
-		backpressure: map[windowKey]backpressureActuals{},
+// collect copies into r.pending, in id order, up to resolveBatch
+// records with ids in (after, last] that are pending at now. It returns
+// the id to continue after: the last one copied when the batch is
+// full, else last.
+func (l *Ledger) collect(r *resolver, after, last int64, now time.Time) int64 {
+	r.pending = r.pending[:0]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.n == 0 {
+		return last
 	}
-	resolutions := make([]resolution, 0, len(pending))
-	for i := range pending {
-		rec := &pending[i]
-		obs, ok := l.observe(rec, &seen)
-		if !ok {
+	// The ring holds consecutive ids, so the first id after after is
+	// its offset from the oldest.
+	for i := max(0, min(int64(l.n), after+1-l.recs[l.head].id)); i < int64(l.n); i++ {
+		e := &l.recs[(int64(l.head)+i)%capacity]
+		if e.id > last {
+			break
+		}
+		if e.has(flagResolved) || e.createdAt.After(now) {
 			continue
 		}
-		res := resolution{id: rec.id, observed: obs}
-		if !rec.counterfactual {
-			res.errs = computeErrors(rec.predicted, obs)
+		r.pending = append(r.pending, pendingRecord{
+			id: e.id, topology: e.topology, createdAt: e.createdAt, counterfactual: e.has(flagCounterfactual),
+			calibration: e.calibration, predicted: e.predicted,
+		})
+		if len(r.pending) == resolveBatch {
+			return e.id
 		}
-		resolutions = append(resolutions, res)
 	}
+	return last
+}
 
-	// Apply under lock, oldest first — the rolling window order the
-	// closed-loop accuracy test replicates. Everything a record's
-	// resolution feeds (rolling stats, resolved counter, APE point) is
-	// counted here, where a record a concurrent pass already applied is
-	// skipped.
-	seriesAt := l.seriesNow()
-	var apes []tsdb.BatchSample
-	resolved := map[*instrument.Counter]int{}
-	l.mu.Lock()
+// apply writes r.joined into the ring under the lock, oldest first —
+// the rolling window order the closed-loop accuracy test replicates —
+// and appends the graded records' APE points. Everything a record's
+// resolution feeds (rolling stats, resolved counter, APE point) is
+// counted here, where a record a concurrent pass already applied is
+// skipped. It returns the number applied.
+func (l *Ledger) apply(r *resolver, now, seriesAt time.Time) int {
+	r.apes = r.apes[:0]
 	applied := 0
-	for _, res := range resolutions {
-		rec, idx, ok := l.getLocked(res.id)
-		if !ok || rec.Resolved {
+	l.mu.Lock()
+	for i := range r.joined {
+		res := &r.joined[i]
+		e := l.getLocked(res.id)
+		if e == nil || e.has(flagResolved) {
 			continue // evicted or raced
 		}
-		at := now
-		obs := res.observed
-		l.recs[idx].Resolved = true
-		l.recs[idx].ResolvedAt = &at
-		l.recs[idx].Observed = &obs
-		l.recs[idx].Errors = res.errs
-		key := modelKey{rec.Topology, rec.Model}
-		l.rollingLocked(key).add(res.errs)
+		e.flags |= flagResolved | flagResolvedAt
+		e.resolvedAt = now
+		e.observe(res.observed)
+		var errs *Errors
+		if res.graded {
+			e.grade(res.errs, l.interned)
+			errs = &res.errs
+		}
+		key := modelKey{e.topology, e.model}
+		l.rollingLocked(key).add(errs)
 		in := l.instrumentsLocked(key)
-		resolved[in.resolved]++
-		if res.errs != nil {
+		in.resolved.Inc()
+		if errs != nil {
 			// On a unified clock the record's creation instant is the
 			// natural stamp; when the series clock diverges (frozen demo
 			// clock) use the cycle instant so points stay in window.
-			stamp := rec.CreatedAt
+			stamp := e.createdAt
 			if !seriesAt.Equal(now) {
 				stamp = seriesAt
 			}
-			apes = append(apes, tsdb.BatchSample{H: in.ape, T: stamp, V: res.errs.SinkAPE})
+			r.apes = append(r.apes, tsdb.BatchSample{H: in.ape, T: stamp, V: errs.SinkAPE})
 		}
 		applied++
 	}
 	l.mu.Unlock()
-
-	for c, n := range resolved {
-		c.Add(float64(n))
-	}
-	l.db.AppendBatch(apes)
-	l.refreshGauges(now)
+	l.db.AppendBatch(r.apes)
 	return applied
 }
 
@@ -173,7 +212,9 @@ type backpressureActuals struct {
 // each distinct window is queried once however many records join
 // against it — a failure included: its records stay pending together
 // and the next pass asks again. Only identical keys share; records
-// created at different instants keep their own exact windows.
+// created at different instants keep their own exact windows. Its maps
+// are made on the first query, so a pass with nothing pending
+// allocates none.
 type pass struct {
 	provider     metrics.Provider
 	components   map[windowKey]componentActuals
@@ -184,6 +225,9 @@ func (p *pass) component(topology, component string, start, end time.Time) (metr
 	key := windowKey{topology, component, end}
 	a, seen := p.components[key]
 	if !seen {
+		if p.components == nil {
+			p.components = map[windowKey]componentActuals{}
+		}
 		if ws, err := p.provider.ComponentWindows(topology, component, start, end); err == nil && len(ws) > 0 {
 			a.ss, err = metrics.Summarise(ws, 0)
 			a.ok = err == nil
@@ -199,6 +243,9 @@ func (p *pass) topologyBackpressure(topology string, start, end time.Time) (floa
 	key := windowKey{topology: topology, end: end}
 	a, seen := p.backpressure[key]
 	if !seen {
+		if p.backpressure == nil {
+			p.backpressure = map[windowKey]backpressureActuals{}
+		}
 		pts, err := p.provider.TopologyBackpressureMs(topology, start, end)
 		a.ok = err == nil || errors.Is(err, metrics.ErrNoData)
 		if err == nil && len(pts) > 0 {
@@ -255,8 +302,8 @@ func (l *Ledger) observe(rec *pendingRecord, seen *pass) (Observed, bool) {
 // computeErrors derives one audited record's error metrics. Relative
 // errors follow the experiments package's relErr convention exactly:
 // divided by the observed value, absolute when it is zero.
-func computeErrors(pred Predicted, obs Observed) *Errors {
-	e := &Errors{
+func computeErrors(pred Predicted, obs Observed) Errors {
+	e := Errors{
 		SinkAPE:    relErr(pred.SinkTPM, obs.SinkTPM),
 		SinkSigned: signedRelErr(pred.SinkTPM, obs.SinkTPM),
 		CPUSigned:  signedRelErr(pred.TotalCPUCores, obs.TotalCPUCores),

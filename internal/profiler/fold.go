@@ -17,7 +17,10 @@ type FuncStat struct {
 
 // StackStat is one merged flame stack: semicolon-joined frames,
 // root first (the folded-stacks format flame graph tooling expects),
-// with the summed sample value.
+// with the summed sample value. A ';' inside a frame's name — a
+// generic shape such as struct { a bool; b string } holds them — is
+// written as ':', as stackcollapse-perf does, so that splitting the
+// stack on ';' yields its frames.
 type StackStat struct {
 	Stack string `json:"stack"`
 	Value int64  `json:"value"`
@@ -122,12 +125,12 @@ func (t *Table) foldFrames(v int64) {
 	}
 
 	// Merge the stack (root first) into the flame map, keyed by an
-	// FNV-1a hash of the frame sequence; the joined string is built
-	// only the first time a stack is seen.
+	// FNV-1a hash of the joined stack's bytes; the joined string is
+	// built only the first time a stack is seen.
 	h := uint64(14695981039346656037) // FNV-1a offset basis
 	for i := len(t.frames) - 1; i >= 0; i-- {
 		for j := 0; j < len(t.frames[i]); j++ {
-			h ^= uint64(t.frames[i][j])
+			h ^= uint64(flameByte(t.frames[i][j]))
 			h *= 1099511628211
 		}
 		h ^= uint64(';')
@@ -144,12 +147,37 @@ func (t *Table) foldFrames(v int64) {
 			if len(b) > 0 {
 				b = append(b, ';')
 			}
-			b = append(b, t.frames[i]...)
+			for j := 0; j < len(t.frames[i]); j++ {
+				b = append(b, flameByte(t.frames[i][j]))
+			}
 		}
 		se = &stackEntry{stack: string(b)}
 		t.stacks[h] = se
 	}
 	se.value += v
+}
+
+// flameByte is c as a flame stack writes it inside a frame: the frame
+// separator ';' becomes ':'.
+func flameByte(c byte) byte {
+	if c == ';' {
+		return ':'
+	}
+	return c
+}
+
+// reset empties the table for a new snapshot. It keeps the entries,
+// zeroed and left out of Funcs, Stacks and Merge until a sample names
+// them again, so refolding a snapshot of the same functions and stacks
+// allocates nothing.
+func (t *Table) reset() {
+	t.Total, t.Samples = 0, 0
+	for _, e := range t.funcs {
+		e.stat.Flat, e.stat.Cum = 0, 0
+	}
+	for _, se := range t.stacks {
+		se.value = 0
+	}
 }
 
 func (t *Table) entry(name string) *funcEntry {
@@ -173,11 +201,17 @@ func (t *Table) Merge(src *Table) {
 	t.Total += src.Total
 	t.Samples += src.Samples
 	for name, e := range src.funcs {
+		if e.stat.Cum == 0 {
+			continue // left by reset
+		}
 		d := t.entry(name)
 		d.stat.Flat += e.stat.Flat
 		d.stat.Cum += e.stat.Cum
 	}
 	for h, se := range src.stacks {
+		if se.value == 0 {
+			continue
+		}
 		d := t.stacks[h]
 		if d == nil {
 			d = &stackEntry{stack: se.stack}
@@ -192,7 +226,9 @@ func (t *Table) Merge(src *Table) {
 func (t *Table) Funcs(n int) []FuncStat {
 	out := make([]FuncStat, 0, len(t.funcs))
 	for _, e := range t.funcs {
-		out = append(out, e.stat)
+		if e.stat.Cum > 0 { // zero only in an entry reset left
+			out = append(out, e.stat)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Flat != out[j].Flat {
@@ -211,7 +247,9 @@ func (t *Table) Funcs(n int) []FuncStat {
 func (t *Table) Stacks(n int) []StackStat {
 	out := make([]StackStat, 0, len(t.stacks))
 	for _, se := range t.stacks {
-		out = append(out, StackStat{Stack: se.stack, Value: se.value})
+		if se.value > 0 {
+			out = append(out, StackStat{Stack: se.stack, Value: se.value})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Value != out[j].Value {

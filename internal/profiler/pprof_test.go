@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"caladrius/internal/profiler/pproftest"
 )
 
 // spin burns CPU until stop closes, in a function whose name shows up
@@ -217,6 +219,34 @@ func TestFoldRecursion(t *testing.T) {
 		if fs.Function == "main" && (fs.Cum != 50 || fs.Flat != 0) {
 			t.Fatalf("main: %+v, want flat=0 cum=50", fs)
 		}
+	}
+}
+
+// TestFlameEscapesFrameSeparator: a function name holding ';' — here a
+// generic shape the runtime names — stays one frame of its flame
+// stack, written with ':', and keeps its own name in the function
+// table.
+func TestFlameEscapesFrameSeparator(t *testing.T) {
+	const shape = "internal/sync.(*HashTrieMap[go.shape.struct { net/netip.isV6 bool; net/netip.zoneV6 string },go.shape.*uint8]).All"
+	p, err := Parse(pproftest.CPUProfileOf([]pproftest.Sample{
+		{Frames: []string{"main.main", shape}, Value: 30},
+		{Frames: []string{"main.main", strings.ReplaceAll(shape, ";", ":")}, Value: 12},
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := NewTable()
+	tbl.Fold(p)
+	stacks := tbl.Stacks(0)
+	if len(stacks) != 1 {
+		t.Fatalf("stacks = %+v, want the two samples merged into the one stack they render as", stacks)
+	}
+	frames := strings.Split(stacks[0].Stack, ";")
+	if want := strings.ReplaceAll(shape, ";", ":"); len(frames) != 2 || frames[0] != "main.main" || frames[1] != want || stacks[0].Value != 42 {
+		t.Fatalf("stack = %+v, want main.main;%s = 42", stacks[0], want)
+	}
+	if funcs := tbl.Funcs(1); len(funcs) != 1 || funcs[0].Function != shape || funcs[0].Flat != 30 {
+		t.Fatalf("top function = %+v, want %s flat 30 under its own name", funcs, shape)
 	}
 }
 

@@ -9,6 +9,7 @@ package pproftest
 import (
 	"encoding/binary"
 	"sort"
+	"strings"
 )
 
 func appendTag(b []byte, field, wire uint64) []byte {
@@ -37,7 +38,23 @@ func CPUProfile(stacks map[string]int64) []byte {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	samples := make([]Sample, len(keys))
+	for i, k := range keys {
+		samples[i] = Sample{Frames: strings.Split(k, ";"), Value: stacks[k]}
+	}
+	return CPUProfileOf(samples)
+}
 
+// Sample is one stack of a synthetic profile: its function names, root
+// first, and its value in nanoseconds.
+type Sample struct {
+	Frames []string
+	Value  int64
+}
+
+// CPUProfileOf renders samples as CPUProfile does, in their order. A
+// function name may hold any byte, ';' included.
+func CPUProfileOf(samples []Sample) []byte {
 	strs := []string{""}
 	strIdx := map[string]uint64{"": 0}
 	intern := func(s string) uint64 {
@@ -51,23 +68,8 @@ func CPUProfile(stacks map[string]int64) []byte {
 	}
 	funcID := map[string]uint64{}
 	var funcNames []string
-	frames := func(stack string) []string {
-		// "root;mid;leaf" → leaf-first, matching the wire format.
-		var parts []string
-		start := 0
-		for i := 0; i <= len(stack); i++ {
-			if i == len(stack) || stack[i] == ';' {
-				parts = append(parts, stack[start:i])
-				start = i + 1
-			}
-		}
-		for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
-			parts[i], parts[j] = parts[j], parts[i]
-		}
-		return parts
-	}
-	for _, stack := range keys {
-		for _, fr := range frames(stack) {
+	for _, smp := range samples {
+		for _, fr := range smp.Frames {
 			if _, ok := funcID[fr]; !ok {
 				funcID[fr] = uint64(len(funcNames) + 1)
 				funcNames = append(funcNames, fr)
@@ -82,16 +84,17 @@ func CPUProfile(stacks map[string]int64) []byte {
 		vt = appendVarintField(vt, 2, intern(st[1]))
 		out = appendBytesField(out, 1, vt)
 	}
-	for _, stack := range keys {
+	for _, smp := range samples {
+		// Leaf first, matching the wire format.
 		var locs []byte
-		for _, fr := range frames(stack) {
-			locs = binary.AppendUvarint(locs, funcID[fr])
+		for i := len(smp.Frames) - 1; i >= 0; i-- {
+			locs = binary.AppendUvarint(locs, funcID[smp.Frames[i]])
 		}
 		var s []byte
 		s = appendBytesField(s, 1, locs)
 		var vals []byte
 		vals = binary.AppendUvarint(vals, 1) // samples count
-		vals = binary.AppendUvarint(vals, uint64(stacks[stack]))
+		vals = binary.AppendUvarint(vals, uint64(smp.Value))
 		s = appendBytesField(s, 2, vals)
 		out = appendBytesField(out, 2, s)
 	}

@@ -31,6 +31,12 @@ const (
 // Kinds lists every captured profile kind, in capture order.
 var Kinds = []Kind{KindCPU, KindHeap, KindGoroutine, KindMutex}
 
+// snapshot reports whether kind is a point-in-time snapshot — the heap
+// in use, the live goroutines — that each capture replaces, rather
+// than what accrued since the last capture (CPU time, mutex delay),
+// which each capture adds to its window.
+func (k Kind) snapshot() bool { return k == KindHeap || k == KindGoroutine }
+
 // ValidKind reports whether s names a captured profile kind.
 func ValidKind(s string) bool {
 	for _, k := range Kinds {
@@ -366,6 +372,9 @@ func (p *Profiler) capture(kind Kind) (int64, error) {
 	defer p.mu.Unlock()
 	p.rotateLocked(p.opts.Now())
 	tbl := p.cur.tables[kind]
+	if kind.snapshot() {
+		tbl.reset()
+	}
 	before := tbl.Samples
 	if prof != nil {
 		tbl.Fold(prof)
@@ -400,9 +409,19 @@ func (p *Profiler) rotateLocked(now time.Time) {
 }
 
 // mergedLocked merges the diffWindows most recent windows (the one
-// being filled plus the newest completed ones) for kind.
+// being filled plus the newest completed ones) for kind. A snapshot
+// kind reports its newest capture instead: the current window's, or
+// before the window's first, the newest completed window's.
 func (p *Profiler) mergedLocked(kind Kind) *Table {
 	out := NewTable()
+	if kind.snapshot() {
+		if p.cur != nil && p.cur.tables[kind].Samples > 0 {
+			out.Merge(p.cur.tables[kind])
+		} else if len(p.ring) > 0 {
+			out.Merge(p.ring[len(p.ring)-1].tables[kind])
+		}
+		return out
+	}
 	n := diffWindows - 1
 	if n > len(p.ring) {
 		n = len(p.ring)

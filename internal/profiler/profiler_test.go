@@ -115,6 +115,40 @@ func fillWindow(t testing.TB, p *Profiler, src *syntheticSource, stacks map[stri
 	}
 }
 
+// TestSnapshotKindsReplace: every capture of a heap or goroutine
+// snapshot replaces the last one, inside a window and across a
+// rotation, while CPU and mutex captures add up what accrued.
+func TestSnapshotKindsReplace(t *testing.T) {
+	clock := newFakeClock()
+	src := &syntheticSource{}
+	src.set(cpuProfileBytes(t, true, map[string]int64{"main;alloc": 300, "main;other": 100}))
+	p := newTestProfiler(t, clock, src.source, nil)
+	check := func(captures int, sums int64) {
+		t.Helper()
+		for _, kind := range Kinds {
+			want := int64(400)
+			if !kind.snapshot() {
+				want = sums
+			}
+			if funcs, total, samples, _ := p.Top(kind, 0); total != want || samples != want/200 {
+				t.Errorf("%s after %d captures: total %d over %d samples (%+v), want %d", kind, captures, total, samples, funcs, want)
+			}
+		}
+	}
+	for i := 1; i <= 3; i++ {
+		if err := p.CaptureOnce(); err != nil {
+			t.Fatal(err)
+		}
+		check(i, int64(i)*400)
+	}
+	// A new window: CPU and mutex sum the captures of the diff span.
+	clock.Advance(epoch + time.Second)
+	if err := p.CaptureOnce(); err != nil {
+		t.Fatal(err)
+	}
+	check(4, 4*400)
+}
+
 // TestWindowRingRetention drives epoch rotation with a fake clock and
 // checks the ring stays bounded and old windows fall out of the
 // merged query view.

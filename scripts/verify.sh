@@ -38,8 +38,10 @@
 # fields the code replaces when zero, each named with the caller that
 # leaves it zero, from the fallback test beside it, the TSDB's
 # resident bytes a sample against their budgets, from the two
-# memory-budget tests, and the bytes one continuous-profiler capture
-# round allocates against its budgets, from the profiler's.
+# memory-budget tests, the audit ledger's resident bytes a record
+# against its budget, from the ledger's, and the bytes one
+# continuous-profiler capture round allocates against its budgets,
+# from the profiler's.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -89,4 +91,5 @@ go test -run '^TestEveryOptionNamesItsUser$' -v . | grep -o 'option fields: .*'
 go test -run '^TestEveryFallbackNamesItsUser$' -v . | grep -o 'option fallbacks: .*'
 go test -run '^TestResidentBytesPerSample$' -v ./internal/tsdb | grep -o 'resident bytes/sample.*'
 go test -run '^TestWarmUpResidentBytesPerSample$' -v ./internal/heron | grep -o 'resident bytes/sample.*'
+go test -run '^TestLedgerResidentBytesPerRecord$' -v ./internal/audit | grep -o 'ledger resident bytes/record.*'
 go test -run '^TestCaptureRoundAllocationBudget$' -v ./internal/profiler | grep -o 'capture round bytes.*'
