@@ -421,7 +421,7 @@ func (l *Ledger) Get(id int64) (Record, bool) {
 	if e == nil {
 		return Record{}, false
 	}
-	return e.unpack(), true
+	return e.unpack(&recordArrays{}), true
 }
 
 // getLocked finds an id's ring slot, or nil: the ring holds
@@ -458,8 +458,21 @@ func (l *Ledger) List(f Filter) []Record {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Record, 0, min(f.Limit, l.n))
-	for i := l.n - 1; i >= 0 && len(out) < f.Limit; i-- {
+	// Two walks: the first sizes the page, so the second unpacks it into
+	// one array a pointer field.
+	var size pageSize
+	l.pageLocked(f, size.add)
+	out := make([]Record, 0, size.records)
+	arrays := size.arrays()
+	l.pageLocked(f, func(e *entry) { out = append(out, e.unpack(&arrays)) })
+	return out
+}
+
+// pageLocked calls fn with each record f selects, newest first, up to
+// f.Limit. The caller holds l.mu.
+func (l *Ledger) pageLocked(f Filter, fn func(*entry)) {
+	n := 0
+	for i := l.n - 1; i >= 0 && n < f.Limit; i-- {
 		e := &l.recs[(l.head+i)%capacity]
 		if f.Topology != "" && e.topology != f.Topology {
 			continue
@@ -479,9 +492,9 @@ func (l *Ledger) List(f Filter) []Record {
 		if !f.Until.IsZero() && !e.createdAt.Before(f.Until) {
 			continue
 		}
-		out = append(out, e.unpack())
+		fn(e)
+		n++
 	}
-	return out
 }
 
 // Len returns the number of retained records.

@@ -21,7 +21,8 @@ import (
 // interned (see interned), so a topology name sliced out of a request
 // line does not keep that line alive, and the records of one
 // configuration share one slice. Record and ReadSnapshot pack an entry; Get, List and
-// WriteSnapshot unpack one, to a Record equal to the one packed.
+// WriteSnapshot unpack one, to a Record equal to the one packed, whose
+// pointer fields point into arrays the caller passes (recordArrays).
 type entry struct {
 	id          int64
 	createdAt   time.Time
@@ -139,8 +140,51 @@ func (e *entry) grade(errs Errors, in *interned) {
 	e.flags |= flagErrors
 }
 
-// unpack rebuilds the Record e was packed from.
-func (e *entry) unpack() Record {
+// recordArrays hold what unpacked Records' pointer fields point to,
+// one array per field, so that a page of records costs an allocation a
+// field rather than one a record. Unpacking appends to them: arrays a
+// pageSize made take its page without growing, and a zero recordArrays
+// allocates what one record needs.
+type recordArrays struct {
+	costs    []core.RunCost
+	times    []time.Time
+	observed []Observed
+	errs     []Errors
+}
+
+// pageSize counts what unpacking a page of entries takes: its records
+// and the values of each recordArrays array.
+type pageSize struct{ records, costs, times, observed, errs int }
+
+func (p *pageSize) add(e *entry) {
+	p.records++
+	if e.has(flagCost) {
+		p.costs++
+	}
+	if e.has(flagResolvedAt) {
+		p.times++
+	}
+	if e.has(flagObserved) {
+		p.observed++
+	}
+	if e.has(flagErrors) {
+		p.errs++
+	}
+}
+
+// arrays returns recordArrays with room for the page.
+func (p *pageSize) arrays() recordArrays {
+	return recordArrays{
+		costs:    make([]core.RunCost, 0, p.costs),
+		times:    make([]time.Time, 0, p.times),
+		observed: make([]Observed, 0, p.observed),
+		errs:     make([]Errors, 0, p.errs),
+	}
+}
+
+// unpack rebuilds the Record e was packed from, its pointer fields
+// into a's arrays.
+func (e *entry) unpack(a *recordArrays) Record {
 	rec := Record{
 		ID:                e.id,
 		Topology:          e.topology,
@@ -163,15 +207,15 @@ func (e *entry) unpack() Record {
 		}
 	}
 	if e.has(flagCost) {
-		c := e.cost
-		rec.Cost = &c
+		a.costs = append(a.costs, e.cost)
+		rec.Cost = &a.costs[len(a.costs)-1]
 	}
 	if e.has(flagResolvedAt) {
-		at := e.resolvedAt
-		rec.ResolvedAt = &at
+		a.times = append(a.times, e.resolvedAt)
+		rec.ResolvedAt = &a.times[len(a.times)-1]
 	}
 	if e.has(flagObserved) {
-		o := &Observed{
+		a.observed = append(a.observed, Observed{
 			Start:                   e.createdAt.Add(-observeWindow),
 			End:                     e.createdAt,
 			Windows:                 e.observed.windows,
@@ -179,15 +223,16 @@ func (e *entry) unpack() Record {
 			BackpressureMsPerWindow: e.observed.bpMsPerWindow,
 			Backpressure:            e.has(flagBackpressure),
 			TotalCPUCores:           e.observed.cpu,
-		}
+		})
+		o := &a.observed[len(a.observed)-1]
 		if e.window != nil {
 			o.Start, o.End = e.window[0], e.window[1]
 		}
 		rec.Observed = o
 	}
 	if e.has(flagErrors) {
-		errs := e.errs
-		rec.Errors = &errs
+		a.errs = append(a.errs, e.errs)
+		rec.Errors = &a.errs[len(a.errs)-1]
 	}
 	return rec
 }

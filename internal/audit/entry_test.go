@@ -77,7 +77,7 @@ func TestEntryRoundTrip(t *testing.T) {
 	for i, rec := range append([]Record{live}, shapes...) {
 		var e entry
 		e.pack(&rec, in)
-		if got := e.unpack(); !reflect.DeepEqual(got, rec) {
+		if got := e.unpack(&recordArrays{}); !reflect.DeepEqual(got, rec) {
 			t.Errorf("shape %d: unpack = %+v, want %+v", i, got, rec)
 		}
 	}
@@ -119,3 +119,51 @@ func TestEntryRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestListAllocations pins what List allocates for a page over a full
+// ring: the result slice, one array for each pointer field its records
+// fill, and each record's parallelism map — none of it per record
+// otherwise.
+func TestListAllocations(t *testing.T) {
+	shapes := recordShapes()
+	recs := make([]Record, capacity)
+	for i := range recs {
+		recs[i] = shapes[i%len(shapes)]
+		recs[i].ID = int64(i + 1)
+	}
+	led := testLedger(t, Options{Now: func() time.Time { return audT0 }})
+	if err := led.ReadSnapshot(bytes.NewReader(snapshotOf(t, recs))); err != nil {
+		t.Fatal(err)
+	}
+	page := led.List(Filter{Limit: 50})
+	var maps int
+	var par map[string]int
+	var costs, times, observed, errs bool
+	for _, rec := range page {
+		if rec.Parallelism != nil {
+			maps++
+			par = rec.Parallelism
+		}
+		costs = costs || rec.Cost != nil
+		times = times || rec.ResolvedAt != nil
+		observed = observed || rec.Observed != nil
+		errs = errs || rec.Errors != nil
+	}
+	if len(page) != 50 || !costs || !times || !observed || !errs || maps == 0 {
+		t.Fatalf("the page of %d records does not fill every pointer field", len(page))
+	}
+	// What one parallelism map costs: its header and its slots.
+	perMap := testing.AllocsPerRun(20, func() {
+		m := make(map[string]int, len(par))
+		for c, n := range par {
+			m[c] = n
+		}
+		mapSink = m
+	})
+	want := 1 + 4 + float64(maps)*perMap
+	if got := testing.AllocsPerRun(20, func() { led.List(Filter{Limit: 50}) }); got != want {
+		t.Errorf("List(Limit: 50) allocates %v times, want %v: the page, 4 field arrays and %d parallelism maps of %v", got, want, maps, perMap)
+	}
+}
+
+var mapSink map[string]int

@@ -48,8 +48,11 @@ func (l *Ledger) WriteSnapshot(w io.Writer) error {
 	if err := enc.Encode(snapshotHeader{Format: snapshotFormat, Version: snapshotVersion, Records: len(entries), Calibrations: cals}); err != nil {
 		return err
 	}
+	var arrays recordArrays
 	for i := range entries {
-		if err := enc.Encode(entries[i].unpack()); err != nil {
+		// Each record is encoded before the next reuses the arrays.
+		arrays = recordArrays{arrays.costs[:0], arrays.times[:0], arrays.observed[:0], arrays.errs[:0]}
+		if err := enc.Encode(entries[i].unpack(&arrays)); err != nil {
 			return err
 		}
 	}

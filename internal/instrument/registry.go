@@ -15,9 +15,11 @@
 package instrument
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -393,29 +395,58 @@ func escapeLabel(v string) string {
 
 // --- export ----------------------------------------------------------------
 
-// each walks the registry in export order, deterministic by metric
-// name and then label signature: family for each family that holds an
-// instrument, then series for each of its series. The caller holds r.mu.
-func (r *Registry) each(family func(name string, f *family), series func(sig string, s *series)) {
-	names := make([]string, 0, len(r.families))
-	for n, f := range r.families {
+// row is one entry of the export: a family's header, or one of its
+// series.
+type row struct {
+	name, help string
+	kind       kind // on a header
+	sig        string
+	s          *series // nil on a header
+}
+
+// rows returns the registry in export order, deterministic by metric
+// name and then label signature: for each family that holds an
+// instrument, its header, then its series. It holds the read lock only
+// while it copies: a series is never changed once registered, and its
+// instrument is read with atomics.
+func (r *Registry) rows() []row {
+	r.mu.RLock()
+	n := 0
+	for _, f := range r.families {
 		if f.kind != -1 { // -1: a help-only placeholder
-			names = append(names, n)
+			n += 1 + len(f.series)
 		}
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		f := r.families[n]
-		family(n, f)
-		sigs := make([]string, 0, len(f.series))
-		for sig := range f.series {
-			sigs = append(sigs, sig)
+	out := make([]row, 0, n)
+	for name, f := range r.families {
+		if f.kind == -1 {
+			continue
 		}
-		sort.Strings(sigs)
-		for _, sig := range sigs {
-			series(sig, f.series[sig])
+		out = append(out, row{name: name, help: f.help, kind: f.kind})
+		for sig, s := range f.series {
+			out = append(out, row{name: name, sig: sig, s: s})
 		}
 	}
+	r.mu.RUnlock()
+	sort.Sort(exportOrder(out))
+	return out
+}
+
+// exportOrder sorts rows by name, each family's header first, then by
+// label signature.
+type exportOrder []row
+
+func (o exportOrder) Len() int      { return len(o) }
+func (o exportOrder) Swap(i, j int) { o[i], o[j] = o[j], o[i] }
+func (o exportOrder) Less(i, j int) bool {
+	a, b := &o[i], &o[j]
+	if a.name != b.name {
+		return a.name < b.name
+	}
+	if (a.s == nil) != (b.s == nil) {
+		return a.s == nil
+	}
+	return a.sig < b.sig
 }
 
 // Each calls fn for every series, in no set order, under the
@@ -434,59 +465,88 @@ func (r *Registry) Each(fn func(name, sig string, labels Labels, inst any)) {
 }
 
 // WritePrometheus renders the registry in the Prometheus text
-// exposition format.
+// exposition format. It copies the rows out under the read lock and
+// streams them to w through one buffer, reusing one array of
+// cumulative bucket counts. A write error sticks in the buffer, and the
+// final Flush reports it.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	var b strings.Builder
-	var name string
-	r.mu.RLock()
-	r.each(func(n string, f *family) {
-		name = n
-		if f.help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", n, f.help)
-		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", n, f.kind)
-	}, func(sig string, s *series) {
-		switch inst := s.inst.(type) {
-		case *Counter:
-			writeSample(&b, name, sig, "", inst.Value())
-		case *Gauge:
-			writeSample(&b, name, sig, "", inst.Value())
-		case *Histogram:
-			cum := inst.AppendCumulative(nil)
-			for i, bound := range inst.bounds {
-				writeSample(&b, name+"_bucket", sig, `le="`+formatFloat(bound)+`"`, float64(cum[i]))
+	bw := bufio.NewWriter(w)
+	var cum []uint64
+	for _, row := range r.rows() {
+		if row.s == nil {
+			if row.help != "" {
+				writeLine(bw, "# HELP ", row.name, " ", row.help)
 			}
-			writeSample(&b, name+"_bucket", sig, `le="+Inf"`, float64(cum[len(cum)-1]))
-			writeSample(&b, name+"_sum", sig, "", inst.Sum())
-			writeSample(&b, name+"_count", sig, "", float64(inst.Count()))
+			writeLine(bw, "# TYPE ", row.name, " ", row.kind.String())
+			continue
 		}
-	})
-	r.mu.RUnlock()
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-func writeSample(b *strings.Builder, name, sig, extra string, v float64) {
-	b.WriteString(name)
-	if sig != "" || extra != "" {
-		b.WriteByte('{')
-		b.WriteString(sig)
-		if sig != "" && extra != "" {
-			b.WriteByte(',')
+		switch inst := row.s.inst.(type) {
+		case *Counter:
+			writeSample(bw, row.name, "", row.sig, false, 0, inst.Value())
+		case *Gauge:
+			writeSample(bw, row.name, "", row.sig, false, 0, inst.Value())
+		case *Histogram:
+			cum = inst.AppendCumulative(slices.Grow(cum[:0], len(inst.counts)))
+			for i, n := range cum {
+				le := math.Inf(1)
+				if i < len(inst.bounds) {
+					le = inst.bounds[i]
+				}
+				writeSample(bw, row.name, "_bucket", row.sig, true, le, float64(n))
+			}
+			writeSample(bw, row.name, "_sum", row.sig, false, 0, inst.Sum())
+			writeSample(bw, row.name, "_count", row.sig, false, 0, float64(inst.Count()))
 		}
-		b.WriteString(extra)
-		b.WriteByte('}')
 	}
-	b.WriteByte(' ')
-	b.WriteString(formatFloat(v))
-	b.WriteByte('\n')
+	return bw.Flush()
 }
 
-func formatFloat(v float64) string {
+// writeLine writes the parts and a newline.
+func writeLine(w *bufio.Writer, parts ...string) {
+	for _, p := range parts {
+		w.WriteString(p)
+	}
+	w.WriteByte('\n')
+}
+
+// writeSample writes one sample line: name+suffix, the label signature
+// and, for a bucket, its le label, then v.
+func writeSample(w *bufio.Writer, name, suffix, sig string, bucket bool, le, v float64) {
+	w.WriteString(name)
+	w.WriteString(suffix)
+	if sig != "" || bucket {
+		w.WriteByte('{')
+		w.WriteString(sig)
+		if bucket {
+			if sig != "" {
+				w.WriteByte(',')
+			}
+			w.WriteString(`le="`)
+			writeFloat(w, le)
+			w.WriteByte('"')
+		}
+		w.WriteByte('}')
+	}
+	w.WriteByte(' ')
+	writeFloat(w, v)
+	w.WriteByte('\n')
+}
+
+// writeFloat writes v as the exposition spells it, formatted in the
+// free end of w's buffer, which it first flushes to make room for the
+// longest.
+func writeFloat(w *bufio.Writer, v float64) {
+	const longest = len("-2.2250738585072014e-308")
+	if w.Available() < longest {
+		w.Flush()
+	}
+	b := w.AvailableBuffer()
 	if math.IsInf(v, 1) {
-		return "+Inf"
+		b = append(b, "+Inf"...)
+	} else {
+		b = strconv.AppendFloat(b, v, 'g', -1, 64)
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	w.Write(b)
 }
 
 // BucketJSON is one cumulative histogram bucket in the JSON export.
@@ -520,13 +580,13 @@ type MetricJSON struct {
 // like WritePrometheus.
 func (r *Registry) Snapshot() []MetricJSON {
 	out := []MetricJSON{} // an empty registry encodes as [], not null
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	r.each(func(n string, f *family) {
-		out = append(out, MetricJSON{Name: n, Type: f.kind.String(), Help: f.help})
-	}, func(_ string, s *series) {
-		sj := SeriesJSON{Labels: cloneLabels(s.labels)}
-		switch inst := s.inst.(type) {
+	for _, row := range r.rows() {
+		if row.s == nil {
+			out = append(out, MetricJSON{Name: row.name, Type: row.kind.String(), Help: row.help})
+			continue
+		}
+		sj := SeriesJSON{Labels: cloneLabels(row.s.labels)}
+		switch inst := row.s.inst.(type) {
 		case *Counter:
 			v := inst.Value()
 			sj.Value = &v
@@ -545,6 +605,6 @@ func (r *Registry) Snapshot() []MetricJSON {
 		}
 		mj := &out[len(out)-1]
 		mj.Series = append(mj.Series, sj)
-	})
+	}
 	return out
 }

@@ -32,6 +32,17 @@ type pointSeries struct {
 	points []Point // sorted by T ascending
 }
 
+// Matches reports whether every key in sel is present in l with an
+// equal value. An empty selector matches everything.
+func (l Labels) Matches(sel Labels) bool {
+	for k, v := range sel {
+		if l[k] != v {
+			return false
+		}
+	}
+	return true
+}
+
 func newPointDB(retention time.Duration) *pointDB {
 	return &pointDB{metrics: make(map[string]map[string]*pointSeries), retention: retention}
 }
@@ -238,7 +249,7 @@ func sameError(a, b error) bool {
 // under each selector, then Latest, LabelValues and TotalPoints.
 func checkOracle(t *testing.T, db *DB, ref *pointDB, start, end time.Time) {
 	t.Helper()
-	for _, sel := range []Labels{nil, {"component": "a"}, {"component": "b", "instance": "1"}, {"stream": "x"}, {"component": "absent"}} {
+	for _, sel := range []Labels{nil, {"component": "a"}, {"component": "b", "instance": "1"}, {"stream": "x"}, {"stream": ""}, {"component": "absent"}} {
 		for _, metric := range []string{"m", "absent"} {
 			where := fmt.Sprintf("(%q, %v, [%s, %s))", metric, sel, start, end)
 			got, gotErr := db.Query(metric, sel, start, end)

@@ -19,7 +19,7 @@ import (
 // budget, for two shapes. Each store holds every series as sealed
 // chunks (chunk.go), each stream cut to its length, which the allocator
 // rounds up to its size class, plus a 40-byte chunk header and each
-// series' labels, cursors and index entries. Measured on go1.24,
+// series' canonical key, cursors and index entry. Measured on go1.24,
 // linux/amd64. An appended budget keeps a fifth over its measurement
 // and a loaded one a twenty-fifth, the headroom the first budgets kept.
 var residentShapes = []struct {
@@ -31,19 +31,22 @@ var residentShapes = []struct {
 }{
 	// Counts: series i holds i·m at minute m. The values are integers,
 	// and the chunks whose decimal stream is shorter seal decimal at
-	// e = 0. Measured 2.06–2.19 appended, over two sittings, and 2.21
-	// loaded; 2.96 and 3.11 with Gorilla chunks only.
+	// e = 0. Measured 1.82–1.95 appended (the higher when the package's
+	// other tests run first) and 1.96–1.97 loaded; 2.06–2.19 and
+	// 2.21 while each series also kept a label map, 2.96 and 3.11 with
+	// Gorilla chunks only.
 	{"counts", 200, 1440, time.Minute, func(_ *rand.Rand, i int) []float64 {
 		vs := make([]float64, 1440)
 		for m := range vs {
 			vs[m] = float64(i * m)
 		}
 		return vs
-	}, 2.6, 2.3},
+	}, 2.35, 2.05},
 	// The shape of the benchmark's preloaded history: a bounded random
 	// walk at three decimals every 5 s. Every chunk seals decimal at
-	// e = 3, with 16-bit differences. Measured 3.61 appended and 3.63
-	// loaded; 8.68 and 8.72 with Gorilla chunks only.
+	// e = 3, with 16-bit differences. Measured 3.12 appended and 3.12
+	// loaded; 3.61 and 3.63 while each series also kept a label map,
+	// 8.68 and 8.72 with Gorilla chunks only.
 	{"walk", 800, 720, 5 * time.Second, func(rng *rand.Rand, _ int) []float64 {
 		const lo, hi = 0, 1e3
 		vs := make([]float64, 720)
@@ -53,7 +56,7 @@ var residentShapes = []struct {
 			vs[m] = math.Round(v*1e3) / 1e3
 		}
 		return vs
-	}, 4.35, 3.8},
+	}, 3.75, 3.25},
 }
 
 // TestResidentBytesPerSample measures heap growth after a GC divided by
@@ -117,6 +120,49 @@ func TestResidentBytesPerSample(t *testing.T) {
 		if fromSnapshot > shape.loaded {
 			t.Errorf("%s: loaded store holds %.2f bytes/sample, budget %g", shape.name, fromSnapshot, shape.loaded)
 		}
+	}
+}
+
+// seriesBudget is TestSeriesResidentBytes' budget, bytes a series:
+// measured 327–346 (go1.24, linux/amd64; the higher when the package's
+// other tests run first), 663 while each series also kept a label map,
+// which its handle cloned.
+const seriesBudget = 360
+
+// TestSeriesResidentBytes measures what a series costs beside its
+// samples: heap growth after a GC, divided by the series, for 1,920
+// series shaped like the scraper's latency-bucket series (route,
+// method, class and le labels), one sample each, their handles
+// dropped. Each keeps its canonical key, its index entry, its cursors
+// and one chunk.
+func TestSeriesResidentBytes(t *testing.T) {
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	les := []string{"0.001", "0.0025", "0.005", "0.01", "0.025", "0.05", "0.1", "0.25", "0.5", "1", "2.5", "+Inf"}
+	before := heap()
+	db := New(0)
+	n := 0
+	for r := 0; r < 20; r++ {
+		route := "/api/v1/model/topology/t" + strconv.Itoa(r) + "/performance"
+		for _, method := range []string{"GET", "POST"} {
+			for _, class := range []string{"2xx", "3xx", "4xx", "5xx"} {
+				for _, le := range les {
+					db.Handle("caladrius_http_request_duration_seconds_bucket",
+						Labels{"route": route, "method": method, "class": class, "le": le}).Append(t0, float64(n))
+					n++
+				}
+			}
+		}
+	}
+	perSeries := float64(int64(heap()-before)) / float64(n)
+	runtime.KeepAlive(db)
+	t.Logf("resident bytes/series: %.0f over %d series (budget %d)", perSeries, n, seriesBudget)
+	if perSeries > seriesBudget {
+		t.Errorf("a series holds %.0f bytes beside its sample, budget %d", perSeries, seriesBudget)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"os"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"caladrius/internal/atomicfile"
@@ -25,7 +26,11 @@ import (
 // text dump of a simulation use heronsim -csv.
 //
 // A file is one JSON header line (so `head -1` identifies it), then
-// one record per series in (metric, canonical labels) order:
+// one record per series in order of metric, then of its labels' plain
+// join (each name=value in name order, joined by ',' without the
+// escapes of a canonical key), then of its canonical key. The plain
+// join is the order files were written in when it was the store's key;
+// the key breaks ties between label sets whose plain joins coincide:
 //
 //	uvarint len, metric
 //	uvarint label count, then per label in key order:
@@ -62,23 +67,21 @@ func (db *DB) WriteSnapshot(w io.Writer) error {
 	defer db.mu.RUnlock()
 
 	type entry struct {
-		metric string
-		key    string
-		data   *seriesData
+		metric    string
+		join, key string
+		data      *seriesData
 	}
 	var entries []entry
 	var total uint64
 	for metric, bySeries := range db.metrics {
 		for key, sd := range bySeries {
-			entries = append(entries, entry{metric, key, sd})
+			entries = append(entries, entry{metric, unescape(key), key, sd})
 			total += uint64(sd.len())
 		}
 	}
 	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].metric != entries[j].metric {
-			return entries[i].metric < entries[j].metric
-		}
-		return entries[i].key < entries[j].key
+		a, b := &entries[i], &entries[j]
+		return cmp.Or(strings.Compare(a.metric, b.metric), strings.Compare(a.join, b.join), strings.Compare(a.key, b.key)) < 0
 	})
 
 	bw := bufio.NewWriter(w)
@@ -92,18 +95,18 @@ func (db *DB) WriteSnapshot(w io.Writer) error {
 		return err
 	}
 	var buf []byte
-	var keys []string
 	var ss []sample
 	for _, e := range entries {
-		keys = keys[:0]
-		for k := range e.data.labels {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
 		buf = appendString(buf[:0], e.metric)
-		buf = binary.AppendUvarint(buf, uint64(len(keys)))
-		for _, k := range keys {
-			buf = appendString(appendString(buf, k), e.data.labels[k])
+		pairs := 0
+		for k := e.key; k != ""; pairs++ {
+			_, _, k, _ = cutPair(k)
+		}
+		buf = binary.AppendUvarint(buf, uint64(pairs))
+		for k := e.key; k != ""; {
+			var name, value string
+			name, value, k, _ = cutPair(k)
+			buf = appendString(appendString(buf, unescape(name)), unescape(value))
 		}
 		ss = e.data.appendSamples(ss[:0])
 		buf = binary.AppendUvarint(buf, uint64(len(ss)))
@@ -174,9 +177,13 @@ func decodeSnapshot(data []byte) (*DB, error) {
 type snapshotDecoder struct {
 	buf []byte
 	err error
-	// prevMetric and prevKey identify the last series read: series
-	// arrive in strictly ascending order, which rules out duplicates.
-	prevMetric, prevKey string
+	// prevMetric, prevJoin and prevKey identify the last series read:
+	// series arrive in strictly ascending order (see WriteSnapshot),
+	// which rules out duplicates. metric is prevMetric as a string; join
+	// and key are the buffers the next record is read into.
+	prevMetric, prevJoin, prevKey []byte
+	metric                        string
+	join, key                     []byte
 	// samples holds the record being read, before it is encoded.
 	samples []sample
 }
@@ -218,37 +225,48 @@ func (d *snapshotDecoder) take(n uint64) []byte {
 	return b
 }
 
-func (d *snapshotDecoder) string() string { return string(d.take(d.uvarint())) }
+func (d *snapshotDecoder) bytes() []byte { return d.take(d.uvarint()) }
 
 // series reads one series record and installs it into db (whose lock
 // the caller holds), returning the number of points the record held.
 func (d *snapshotDecoder) series(db *DB) (uint64, error) {
-	metric := d.string()
-	// Labels grow pair by pair: each costs input bytes, so a hostile
-	// count runs out of input long before it costs memory.
-	labels := Labels{}
-	for n, prev := d.uvarint(), ""; n > 0 && d.err == nil; n-- {
-		k, v := d.string(), d.string()
-		if len(labels) > 0 && k <= prev {
-			d.fail(fmt.Errorf("label %q out of order", k))
+	metric := d.bytes()
+	// The key and the plain join grow pair by pair: each costs input
+	// bytes, so a hostile count runs out of input long before it costs
+	// memory.
+	join, key := d.join[:0], d.key[:0]
+	var prev []byte
+	for i, n := 0, d.uvarint(); uint64(i) < n && d.err == nil; i++ {
+		k, v := d.bytes(), d.bytes()
+		if i > 0 {
+			if bytes.Compare(k, prev) <= 0 {
+				d.fail(fmt.Errorf("label %q out of order", k))
+			}
+			join, key = append(join, ','), append(key, ',')
 		}
-		labels[k], prev = v, k
+		join = append(append(append(join, k...), '='), v...)
+		key = appendPair(key, k, v)
+		prev = k
 	}
 	n := d.uvarint()
-	key := labels.canonical()
 	switch {
 	case d.err != nil:
 		return 0, d.err
-	case metric == "":
+	case len(metric) == 0:
 		return 0, errors.New("empty metric")
 	case n == 0:
 		return 0, errors.New("no points")
 	case n > uint64(len(d.buf)/minPointBytes):
 		return 0, io.ErrUnexpectedEOF
-	case metric < d.prevMetric || (metric == d.prevMetric && key <= d.prevKey):
+	case cmp.Or(bytes.Compare(metric, d.prevMetric), bytes.Compare(join, d.prevJoin), bytes.Compare(key, d.prevKey)) <= 0:
 		return 0, fmt.Errorf("series %s{%s} out of order", metric, key)
 	}
-	d.prevMetric, d.prevKey = metric, key
+	if !bytes.Equal(metric, d.prevMetric) {
+		d.metric = string(metric)
+	}
+	d.prevMetric = metric
+	d.join, d.prevJoin = d.prevJoin, join
+	d.key, d.prevKey = d.prevKey, key
 
 	ss := slices.Grow(d.samples[:0], int(n))[:n]
 	d.samples = ss
@@ -272,7 +290,7 @@ func (d *snapshotDecoder) series(db *DB) (uint64, error) {
 	if !sorted {
 		slices.SortStableFunc(ss, func(a, b sample) int { return cmp.Compare(a.ns, b.ns) })
 	}
-	sd := db.seriesLocked(metric, key, labels)
+	sd := db.seriesLocked(d.metric, string(key))
 	sd.push(ss...)
 	db.trimLocked(sd)
 	return n, nil

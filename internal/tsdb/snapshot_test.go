@@ -294,6 +294,10 @@ func FuzzReadSnapshot(f *testing.F) {
 	unlabelled.Handle("m", nil).Append(minuteAt(0), 1)
 	f.Add(snapshotBytes(f, unlabelled))
 	f.Add(rawSnapshot(1, 4, rawSeries("m", []string{"k", "v"}, 5, 3, 9, 3)))
+	f.Add(snapshotBytes(f, lookalikeStore()))
+	if old, err := os.ReadFile("testdata/escaped-labels.tsdb"); err == nil {
+		f.Add(old)
+	}
 	for _, src := range hostileSnapshots() {
 		f.Add(src)
 	}

@@ -11,6 +11,7 @@
 package tsdb
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -30,41 +31,41 @@ var ErrNoData = errors.New("tsdb: no data points match the query")
 //	topology, component, instance, container, stream
 type Labels map[string]string
 
-// canonical renders labels in deterministic order for use as a map key.
+// canonical renders labels as a series' identity, the key the store
+// indexes it by and the only form in which it keeps them: the pairs in
+// name order, each name=value, joined by ','. A backslash, ',' or '='
+// in a name or value is escaped by a backslash before it, so no two
+// label sets share a key, and a set free of those bytes renders as the
+// plain join.
 func (l Labels) canonical() string {
 	if len(l) == 0 {
 		return ""
 	}
 	// Label sets are tiny (node/instance/component — rarely past four
-	// keys), so a fixed stack buffer plus insertion sort beats the
-	// allocate-sort-build path on the Append hot path; the sized Grow
-	// leaves the builder's single buffer as the only allocation.
+	// keys), so fixed stack buffers plus insertion sort beat the
+	// allocate-sort-build path; the key's bytes are the one allocation.
 	var buf [8]string
 	keys := buf[:0]
 	if len(l) > len(buf) {
 		keys = make([]string, 0, len(l))
 	}
-	size := 2*len(l) - 1 // one '=' per pair, ',' between pairs
-	for k, v := range l {
+	for k := range l {
 		keys = append(keys, k)
-		size += len(k) + len(v)
 	}
 	for i := 1; i < len(keys); i++ {
 		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
 			keys[j], keys[j-1] = keys[j-1], keys[j]
 		}
 	}
-	var b strings.Builder
-	b.Grow(size)
+	var stack [128]byte
+	key := stack[:0]
 	for i, k := range keys {
 		if i > 0 {
-			b.WriteByte(',')
+			key = append(key, ',')
 		}
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(l[k])
+		key = appendPair(key, k, l[k])
 	}
-	return b.String()
+	return string(key)
 }
 
 // Clone returns an independent copy of l.
@@ -76,11 +77,158 @@ func (l Labels) Clone() Labels {
 	return c
 }
 
-// Matches reports whether every key in sel is present in l with an
-// equal value. An empty selector matches everything.
-func (l Labels) Matches(sel Labels) bool {
+// appendPair appends one escaped name=value pair of a key to dst.
+func appendPair[S ~string | ~[]byte](dst []byte, name, value S) []byte {
+	return appendEscaped(append(appendEscaped(dst, name), '='), value)
+}
+
+// escaped are the bytes a key escapes.
+const escaped = `\,=`
+
+// appendEscaped appends s to dst with a backslash before each
+// backslash, ',' and '='.
+func appendEscaped[S ~string | ~[]byte](dst []byte, s S) []byte {
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '\\', ',', '=':
+			dst = append(dst, '\\')
+		}
+		dst = append(dst, s[i])
+	}
+	return dst
+}
+
+// unescape undoes appendEscaped. Over a whole key it gives the plain
+// join, the order snapshots keep (snapshot.go). It allocates only when
+// s holds an escape.
+func unescape(s string) string {
+	if strings.IndexByte(s, '\\') < 0 {
+		return s
+	}
+	b := make([]byte, 0, len(s))
+	for i := 0; i < len(s); i++ {
+		if s[i] == '\\' {
+			i++
+		}
+		b = append(b, s[i])
+	}
+	return string(b)
+}
+
+// cutPair splits a non-empty key into its first pair's escaped name
+// and value and the rest of the key after the ',' that ends the pair.
+// plain reports that the name holds no escape, so compares as is.
+func cutPair(key string) (name, value, rest string, plain bool) {
+	plain = true
+	i := 0
+	for ; key[i] != '='; i++ {
+		if key[i] == '\\' {
+			i++
+			plain = false
+		}
+	}
+	j := i + 1
+	for ; j < len(key) && key[j] != ','; j++ {
+		if key[j] == '\\' {
+			j++
+		}
+	}
+	if j < len(key) {
+		rest = key[j+1:]
+	}
+	return key[:i], key[i+1 : j], rest, plain
+}
+
+// compareNames orders two escaped names as the names they stand for,
+// the order a key keeps its pairs in; plain says neither holds an
+// escape.
+func compareNames(a, b string, plain bool) int {
+	if plain {
+		return strings.Compare(a, b)
+	}
+	for i, j := 0, 0; ; i, j = i+1, j+1 {
+		if i < len(a) && a[i] == '\\' {
+			i++
+		}
+		if j < len(b) && b[j] == '\\' {
+			j++
+		}
+		if i == len(a) || j == len(b) {
+			return cmp.Compare(len(a)-i, len(b)-j)
+		}
+		if a[i] != b[j] {
+			return cmp.Compare(a[i], b[j])
+		}
+	}
+}
+
+// keyLabels parses a key back into a fresh label map.
+func keyLabels(key string) Labels {
+	l := make(Labels, strings.Count(key, ",")+1)
+	for key != "" {
+		var name, value string
+		name, value, key, _ = cutPair(key)
+		l[unescape(name)] = unescape(value)
+	}
+	return l
+}
+
+// selector is a label selector as reads match it against keys: its
+// pairs in name order, escaped as in a key. A read renders it once; a
+// pair free of escaped bytes keeps the selector's own strings.
+type selector []selectorPair
+
+type selectorPair struct {
+	name, value string // escaped as in a key
+	plain       bool   // the name holds no escape
+}
+
+// newSelector renders sel into buf's storage, which a caller keeps on
+// its stack.
+func newSelector(sel Labels, buf []selectorPair) selector {
+	s := selector(buf[:0])
 	for k, v := range sel {
-		if l[k] != v {
+		s = append(s, selectorPair{name: k, value: v})
+		for i := len(s) - 1; i > 0 && s[i].name < s[i-1].name; i-- {
+			s[i], s[i-1] = s[i-1], s[i]
+		}
+	}
+	for i := range s {
+		p := &s[i]
+		if p.plain = !strings.ContainsAny(p.name, escaped); !p.plain {
+			p.name = string(appendEscaped(nil, p.name))
+		}
+		if strings.ContainsAny(p.value, escaped) {
+			p.value = string(appendEscaped(nil, p.value))
+		}
+	}
+	return s
+}
+
+// matches reports whether every pair of s is one of key's, a pair
+// with an empty value also when the key lacks its name, as a label map
+// reads a missing name. Both list their pairs in name order, so one
+// walk over the key decides, and it stops at the first key name past a
+// selector name.
+func (s selector) matches(key string) bool {
+	for _, p := range s {
+		found := false
+		for key != "" {
+			name, value, rest, plain := cutPair(key)
+			c := compareNames(name, p.name, plain && p.plain)
+			if c > 0 {
+				break
+			}
+			key = rest
+			if c == 0 {
+				if value != p.value {
+					return false
+				}
+				found = true
+				break
+			}
+		}
+		if !found && p.value != "" {
 			return false
 		}
 	}
@@ -136,9 +284,8 @@ func (s sample) point() Point { return Point{T: time.Unix(0, s.ns).UTC(), V: s.v
 // last is sealed, and so is the last once full; until then in-order
 // appends extend it from tail. Retention drops whole chunks from the
 // front and moves head past the cut samples of the one that straddles
-// the cutoff.
+// the cutoff. Its identity is the key the store indexes it by.
 type seriesData struct {
-	labels Labels
 	chunks []chunk
 	head   cursor // before the first retained sample of chunks[0]
 	tail   cursor // after the newest sample, where the last chunk goes on
@@ -246,11 +393,9 @@ func (db *DB) SetRetention(d time.Duration) {
 }
 
 // seriesLocked returns (creating if needed) the series of metric with
-// the given pre-canonicalised label key. A new series keeps labels
-// itself: the caller's own map, which nothing mutates after (a handle's
-// private copy, or the one a snapshot record was read into). Caller
-// holds db.mu.
-func (db *DB) seriesLocked(metric, key string, labels Labels) *seriesData {
+// the given canonical label key, which a new series is indexed by: the
+// one string the store keeps of its labels. Caller holds db.mu.
+func (db *DB) seriesLocked(metric, key string) *seriesData {
 	bySeries, ok := db.metrics[metric]
 	if !ok {
 		bySeries = make(map[string]*seriesData)
@@ -258,7 +403,7 @@ func (db *DB) seriesLocked(metric, key string, labels Labels) *seriesData {
 	}
 	sd, ok := bySeries[key]
 	if !ok {
-		sd = &seriesData{labels: labels}
+		sd = &seriesData{}
 		bySeries[key] = sd
 	}
 	return sd
@@ -311,13 +456,13 @@ func (db *DB) trimLocked(sd *seriesData) {
 // the simulator) that emit into a fixed set of series every window keep
 // their handles; a one-off writer calls db.Handle(m, l).Append(t, v).
 //
-// Handles are safe for concurrent use. A handle holds its own copy of
-// the labels, so callers may mutate the map passed to Handle.
+// Handles are safe for concurrent use. A handle keeps the labels only
+// as their canonical key, so callers may mutate the map passed to
+// Handle.
 type SeriesHandle struct {
 	db     *DB
 	metric string
 	key    string
-	labels Labels
 	sd     *seriesData // bound lazily on first Append, under db.mu
 }
 
@@ -328,7 +473,7 @@ func (db *DB) Handle(metric string, labels Labels) *SeriesHandle {
 	if metric == "" {
 		panic("tsdb: empty metric name")
 	}
-	return &SeriesHandle{db: db, metric: metric, key: labels.canonical(), labels: labels.Clone()}
+	return &SeriesHandle{db: db, metric: metric, key: labels.canonical()}
 }
 
 // Append records one observation into the interned series. The store
@@ -339,7 +484,7 @@ func (db *DB) Handle(metric string, labels Labels) *SeriesHandle {
 func (h *SeriesHandle) Append(t time.Time, v float64) {
 	h.db.mu.Lock()
 	if h.sd == nil {
-		h.sd = h.db.seriesLocked(h.metric, h.key, h.labels)
+		h.sd = h.db.seriesLocked(h.metric, h.key)
 	}
 	h.db.appendLocked(h.sd, t, v)
 	h.db.mu.Unlock()
@@ -373,7 +518,7 @@ func (db *DB) AppendBatch(samples []BatchSample) {
 			panic("tsdb: AppendBatch with a handle from a different DB")
 		}
 		if h.sd == nil {
-			h.sd = db.seriesLocked(h.metric, h.key, h.labels)
+			h.sd = db.seriesLocked(h.metric, h.key)
 		}
 		db.appendLocked(h.sd, samples[i].T, samples[i].V)
 	}
@@ -390,7 +535,7 @@ func (db *DB) SeriesCount(metric string) int {
 // inclusive bound, decoding them readBatch at a time. It reads the
 // store's chunks: valid only while db.mu is held.
 type seriesIter struct {
-	labels Labels
+	key    string   // the series' canonical labels
 	chunks []chunk  // chunks[0] is being read
 	cur    cursor   // after buf's last sample
 	buf    []sample // decoded samples not yet read, from the current one
@@ -488,8 +633,10 @@ func (db *DB) selectLocked(metric string, sel Labels, start, end time.Time) ([]s
 	var matched []match
 	total := 0
 	if !start.After(maxInstant) && end.After(minInstant) {
+		var buf [8]selectorPair
+		s := newSelector(sel, buf[:0])
 		for k, sd := range bySeries {
-			if sd.labels.Matches(sel) {
+			if s.matches(k) {
 				m := match{k, sd, min(readBatch, sd.len())}
 				matched = append(matched, m)
 				total += m.batch
@@ -503,7 +650,7 @@ func (db *DB) selectLocked(metric string, sel Labels, start, end time.Time) ([]s
 		back := backs[:0:m.batch]
 		backs = backs[m.batch:]
 		if it := m.sd.seek(lo, hi, back); it.ok() {
-			it.labels = m.sd.labels
+			it.key = m.key
 			out = append(out, it)
 		}
 	}
@@ -531,7 +678,7 @@ func (db *DB) Query(metric string, sel Labels, start, end time.Time) ([]Series, 
 		for ; it.ok(); it.next() {
 			pts = append(pts, it.buf[0].point())
 		}
-		out[i] = Series{Metric: metric, Labels: it.labels.Clone(), Points: pts}
+		out[i] = Series{Metric: metric, Labels: keyLabels(it.key), Points: pts}
 	}
 	return out, nil
 }
@@ -718,8 +865,10 @@ func (db *DB) Latest(metric string, sel Labels) (Point, error) {
 	defer db.mu.RUnlock()
 	var best sample
 	found := false
-	for _, sd := range db.metrics[metric] {
-		if !sd.labels.Matches(sel) || len(sd.chunks) == 0 {
+	var buf [8]selectorPair
+	s := newSelector(sel, buf[:0])
+	for key, sd := range db.metrics[metric] {
+		if !s.matches(key) || len(sd.chunks) == 0 {
 			continue
 		}
 		if !found || sd.tail.ns > best.ns {
@@ -738,10 +887,15 @@ func (db *DB) Latest(metric string, sel Labels) (Point, error) {
 func (db *DB) LabelValues(metric, key string) []string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	name := string(appendEscaped(nil, key))
 	set := map[string]struct{}{}
-	for _, sd := range db.metrics[metric] {
-		if v, ok := sd.labels[key]; ok {
-			set[v] = struct{}{}
+	for k := range db.metrics[metric] {
+		for k != "" {
+			var n, v string
+			if n, v, k, _ = cutPair(k); n == name {
+				set[unescape(v)] = struct{}{}
+				break
+			}
 		}
 	}
 	out := make([]string, 0, len(set))

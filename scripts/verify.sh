@@ -20,7 +20,9 @@
 # (Downsample against its map-based reference, and every read and the
 # snapshot bytes against the []Point store kept as the oracle) and the
 # TSDB chunk codec's round trip (any non-decreasing run of instants and
-# value bits decodes to itself), and the simulator's Run, which replays
+# value bits decodes to itself), the TSDB series key's (a label set's
+# escaped key parses back to it, and a selector matches the key as the
+# label map would), and the simulator's Run, which replays
 # steady-state windows, against its raw step loop (word-count at a
 # fuzzed rate step, parallelism, tick and Run chunk),
 # and finally a ~10s smoke soak: caladriussoak sends one fixed request
@@ -37,8 +39,8 @@
 # tests set, from the option test in exports_test.go, how many option
 # fields the code replaces when zero, each named with the caller that
 # leaves it zero, from the fallback test beside it, the TSDB's
-# resident bytes a sample against their budgets, from the two
-# memory-budget tests, the audit ledger's resident bytes a record
+# resident bytes a sample and a series against their budgets, from the
+# three memory-budget tests, the audit ledger's resident bytes a record
 # against its budget, from the ledger's, and the bytes one
 # continuous-profiler capture round allocates against its budgets,
 # from the profiler's.
@@ -81,6 +83,7 @@ go test -run '^$' -fuzz '^FuzzParseTraceCSV$' -fuzztime "$FUZZTIME" ./internal/w
 go test -run '^$' -fuzz '^FuzzDownsampleMatchesReference$' -fuzztime "$FUZZTIME" ./internal/tsdb
 go test -run '^$' -fuzz '^FuzzStoreMatchesOracle$' -fuzztime "$FUZZTIME" ./internal/tsdb
 go test -run '^$' -fuzz '^FuzzChunkRoundTrip$' -fuzztime "$FUZZTIME" ./internal/tsdb
+go test -run '^$' -fuzz '^FuzzKeyRoundTrip$' -fuzztime "$FUZZTIME" ./internal/tsdb
 go test -run '^$' -fuzz '^FuzzRunMatchesStep$' -fuzztime "$FUZZTIME" ./internal/heron
 go run ./cmd/caladriussoak -duration 6s -slo-window 4s -settle 12s > /dev/null
 echo "verify: all checks passed"
@@ -89,7 +92,7 @@ go test -run '^TestEveryFunctionNamesItsUser$' -v . | grep -o 'test-only functio
 go test -run '^TestSettingsTableShape$' -v ./internal/config | grep -o 'settings: .*'
 go test -run '^TestEveryOptionNamesItsUser$' -v . | grep -o 'option fields: .*'
 go test -run '^TestEveryFallbackNamesItsUser$' -v . | grep -o 'option fallbacks: .*'
-go test -run '^TestResidentBytesPerSample$' -v ./internal/tsdb | grep -o 'resident bytes/sample.*'
+go test -run '^(TestResidentBytesPerSample|TestSeriesResidentBytes)$' -v ./internal/tsdb | grep -o 'resident bytes/s.*'
 go test -run '^TestWarmUpResidentBytesPerSample$' -v ./internal/heron | grep -o 'resident bytes/sample.*'
 go test -run '^TestLedgerResidentBytesPerRecord$' -v ./internal/audit | grep -o 'ledger resident bytes/record.*'
 go test -run '^TestCaptureRoundAllocationBudget$' -v ./internal/profiler | grep -o 'capture round bytes.*'
