@@ -122,7 +122,7 @@ func renderServer(t *testing.T) *httptest.Server {
 			{Rule: "model-accuracy-drift", State: telemetry.StateNoData, Threshold: 0.2, Op: ">", Window: "10m0s"},
 		}},
 		"/api/v1/profiles": profiler.Status{
-			Interval: "10s", CPUWindow: "250ms", Epoch: "1m0s", WindowCap: 8, DiffWindows: 3, TopK: 20, WindowsRetained: 3,
+			Interval: "10s", CPUWindow: "250ms", Epoch: "1m0s", WindowCap: 2, DiffWindows: 3, TopK: 20, WindowsRetained: 2,
 			Captures:      map[profiler.Kind]uint64{profiler.KindCPU: 12, profiler.KindHeap: 12, profiler.KindGoroutine: 11, profiler.KindMutex: 10},
 			CaptureErrors: 1,
 			Samples:       map[profiler.Kind]int64{profiler.KindCPU: 340, profiler.KindHeap: 1 << 20, profiler.KindGoroutine: 44},
@@ -251,7 +251,7 @@ const renderGoldenIncidentShow = `incident 20260808T121500Z-slo  (v1, 2026-08-08
     mutex: profile busy
 `
 
-const renderGoldenProfile = `profiler: interval 10s, cpu window 250ms, epoch 1m0s, 3/8 windows retained, duty 2.50%
+const renderGoldenProfile = `profiler: interval 10s, cpu window 250ms, epoch 1m0s, 2/2 windows retained, duty 2.50%
 baseline: auto, created 2026-08-08T12:00:00Z, 42 functions
 kind       captures   samples        top_regression
 cpu        12         340            +0.0123

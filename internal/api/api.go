@@ -276,24 +276,12 @@ type PerformanceResponse struct {
 	EvaluatedRateTPM float64 `json:"evaluated_rate_tpm"`
 }
 
-// finiteSaturation is a saturation source as the API and the audit
-// ledger carry it. A topology or path that never saturates has
-// saturation source +Inf (Eq. 13 has no finite solution), and JSON has
-// no token for that; it goes out as the largest finite float — the
-// registry's convention for the +Inf histogram bound — so "rate <
-// saturation_source_tpm" still holds for every client.
-func finiteSaturation(v float64) float64 {
-	if math.IsInf(v, 1) {
-		return math.MaxFloat64
-	}
-	return v
-}
-
-// encodable applies finiteSaturation to a prediction and its paths.
+// encodable applies core.FiniteSaturation to a prediction and its
+// paths.
 func encodable(p *core.TopologyPrediction) {
-	p.SaturationSource = finiteSaturation(p.SaturationSource)
+	p.SaturationSource = core.FiniteSaturation(p.SaturationSource)
 	for i := range p.Paths {
-		p.Paths[i].SaturationSource = finiteSaturation(p.Paths[i].SaturationSource)
+		p.Paths[i].SaturationSource = core.FiniteSaturation(p.Paths[i].SaturationSource)
 	}
 }
 
@@ -659,13 +647,12 @@ func (s *Service) runPerformance(ctx context.Context, topoName string, req Perfo
 	// when it evaluates anything other than the deployed configuration
 	// at its currently observed rate.
 	counterfactual := len(req.Parallelism) > 0 || req.SourceRateTPM != 0 || req.UseForecast
-	_, psp := telemetry.StartSpan(ctx, "predict")
-	pred, cost, err := tm.PredictMeasured(s.auditRecorder(ctx, topoName, "predict", counterfactual, calCached), &s.sampler, req.Parallelism, rate)
-	psp.End()
+	pred, cost, err := tm.PredictMeasured(telemetry.SpanFromContext(ctx), &s.sampler, req.Parallelism, rate)
 	s.chargeRun(ctx, topoName, cost)
 	if err != nil {
 		return nil, err
 	}
+	s.recordRun(ctx, audit.RunRecord(tm, req.Parallelism, rate, pred), topoName, "predict", counterfactual, calCached, cost)
 	encodable(&pred)
 	return &PerformanceResponse{Topology: topoName, Prediction: pred, EvaluatedRateTPM: rate}, nil
 }
@@ -845,14 +832,13 @@ func (s *Service) runSuggest(ctx context.Context, topoName string, req SuggestRe
 	if err != nil {
 		return nil, err
 	}
-	// Plans evaluate a hypothetical parallelism — always counterfactual.
-	_, prSp := telemetry.StartSpan(ctx, "predict")
-	pred, cost, err := tm.PredictMeasured(s.auditRecorder(ctx, topoName, "plan", true, calCached), &s.sampler, plan, rate)
-	prSp.End()
+	pred, cost, err := tm.PredictMeasured(telemetry.SpanFromContext(ctx), &s.sampler, plan, rate)
 	s.chargeRun(ctx, topoName, cost)
 	if err != nil {
 		return nil, err
 	}
+	// Plans evaluate a hypothetical parallelism — always counterfactual.
+	s.recordRun(ctx, audit.RunRecord(tm, plan, rate, pred), topoName, "plan", true, calCached, cost)
 	encodable(&pred)
 	return &SuggestResponse{Topology: topoName, EvaluatedRateTPM: rate, Parallelism: plan, Prediction: pred}, nil
 }

@@ -11,70 +11,20 @@ import (
 )
 
 // The prediction audit surface: every model run the service performs
-// is recorded into the audit ledger (internal/audit) through the
-// core.RunRecorder hook, and exposed read-only here.
+// is recorded into the audit ledger (internal/audit), and exposed
+// read-only here.
 
-// ledgerRecorder adapts the audit ledger to core.RunRecorder, binding
-// the request-scoped identity core does not know: topology name, model
-// kind, trace id and whether the run was counterfactual.
-type ledgerRecorder struct {
-	led            *audit.Ledger
-	topology       string
-	model          string
-	traceID        string
-	tenant         string
-	counterfactual bool
-	cachedCal      bool
-	// cost holds the run's cost for the record's Cost pointer: the
-	// recorder is on the heap already, and the ledger copies the value.
-	cost core.RunCost
-}
-
-func (r *ledgerRecorder) RecordRun(run core.ModelRun) {
-	p := run.Prediction
-	cp := p.CriticalPath()
-	sink := ""
-	if len(cp.Path) > 0 {
-		sink = cp.Path[len(cp.Path)-1]
-	}
-	r.cost = run.Cost
-	r.led.Record(audit.Record{
-		Topology:          r.topology,
-		Model:             r.model,
-		TraceID:           r.traceID,
-		Tenant:            r.tenant,
-		Cost:              &r.cost,
-		SourceRateTPM:     run.SourceRate,
-		Parallelism:       run.Parallelism,
-		Counterfactual:    r.counterfactual,
-		Degraded:          run.Degraded,
-		CachedCalibration: r.cachedCal,
-		Calibration:       run.Calibration,
-		Predicted: audit.Predicted{
-			SinkTPM:             p.SinkThroughput,
-			OutputTPM:           cp.OutputRate,
-			SaturationSourceTPM: finiteSaturation(p.SaturationSource),
-			Bottleneck:          p.Bottleneck,
-			Risk:                string(p.Risk),
-			TotalCPUCores:       p.TotalCPU,
-			Sink:                sink,
-		},
-	})
-}
-
-// auditRecorder builds the RunRecorder for one model run. cachedCal
-// marks runs whose calibration was served from the cache (or another
-// request's in-flight calibration) rather than performed fresh.
-func (s *Service) auditRecorder(ctx context.Context, topology, model string, counterfactual, cachedCal bool) core.RunRecorder {
-	return &ledgerRecorder{
-		led:            s.audit,
-		topology:       topology,
-		model:          model,
-		traceID:        telemetry.SpanFromContext(ctx).TraceID(),
-		tenant:         RequestTenant(ctx),
-		counterfactual: counterfactual,
-		cachedCal:      cachedCal,
-	}
+// recordRun audits one completed model run: audit.RunRecord fills
+// what the model determines, and this adds the request-scoped identity
+// core does not know — topology, model kind, trace id, tenant, cost,
+// whether the run was counterfactual and whether its calibration was
+// served from the cache (or another request's in-flight calibration)
+// rather than performed fresh.
+func (s *Service) recordRun(ctx context.Context, rec audit.Record, topology, model string, counterfactual, cachedCal bool, cost core.RunCost) {
+	rec.Topology, rec.Model = topology, model
+	rec.TraceID, rec.Tenant = telemetry.SpanFromContext(ctx).TraceID(), RequestTenant(ctx)
+	rec.Cost, rec.Counterfactual, rec.CachedCalibration = &cost, counterfactual, cachedCal
+	s.audit.Record(rec)
 }
 
 // AuditListResponse is the payload of GET /api/v1/audit.

@@ -160,6 +160,35 @@ type Record struct {
 	Errors     *Errors    `json:"errors,omitempty"`
 }
 
+// RunRecord is the one place a model run becomes a record: it fills the
+// fields the model determines — the inputs, the calibration snapshot
+// and degraded flag of tm, and what pred predicts, with the sink taken
+// from the critical path and the saturation source made finite. The
+// caller adds the run's identity (topology, model kind, trace id,
+// tenant, cost, counterfactual and cached-calibration flags).
+func RunRecord(tm *core.TopologyModel, par map[string]int, rate float64, pred core.TopologyPrediction) Record {
+	cp := pred.CriticalPath()
+	sink := ""
+	if len(cp.Path) > 0 {
+		sink = cp.Path[len(cp.Path)-1]
+	}
+	return Record{
+		SourceRateTPM: rate,
+		Parallelism:   par,
+		Degraded:      tm.Degraded,
+		Calibration:   tm.CalibrationSnapshot(),
+		Predicted: Predicted{
+			SinkTPM:             pred.SinkThroughput,
+			OutputTPM:           cp.OutputRate,
+			SaturationSourceTPM: core.FiniteSaturation(pred.SaturationSource),
+			Bottleneck:          pred.Bottleneck,
+			Risk:                string(pred.Risk),
+			TotalCPUCores:       pred.TotalCPU,
+			Sink:                sink,
+		},
+	}
+}
+
 // Options configures a Ledger.
 type Options struct {
 	// Provider supplies the actuals the resolver joins against.

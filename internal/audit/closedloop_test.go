@@ -24,41 +24,6 @@ import (
 //     model-accuracy-drift rule to firing;
 //  3. re-calibrating against the post-shift data resolves it.
 
-// loopRecorder adapts the ledger to core.RunRecorder the same way the
-// API tier's recorder does.
-type loopRecorder struct {
-	led *Ledger
-}
-
-func (r loopRecorder) RecordRun(run core.ModelRun) {
-	p := run.Prediction
-	sat := p.SaturationSource
-	if math.IsInf(sat, 1) {
-		sat = math.MaxFloat64
-	}
-	cp := p.CriticalPath()
-	sink := ""
-	if len(cp.Path) > 0 {
-		sink = cp.Path[len(cp.Path)-1]
-	}
-	r.led.Record(Record{
-		Topology:      "word-count",
-		Model:         "predict",
-		SourceRateTPM: run.SourceRate,
-		Parallelism:   run.Parallelism,
-		Calibration:   run.Calibration,
-		Predicted: Predicted{
-			SinkTPM:             p.SinkThroughput,
-			OutputTPM:           cp.OutputRate,
-			SaturationSourceTPM: sat,
-			Bottleneck:          p.Bottleneck,
-			Risk:                string(p.Risk),
-			TotalCPUCores:       p.TotalCPU,
-			Sink:                sink,
-		},
-	})
-}
-
 func TestClosedLoopAccuracyDrift(t *testing.T) {
 	const (
 		rate      = 20e6 // tuples/minute: unsaturated at these parallelisms
@@ -118,7 +83,6 @@ func TestClosedLoopAccuracyDrift(t *testing.T) {
 		scraper.ScrapeOnce(now)
 		return n
 	}
-	rec := loopRecorder{led: led}
 	firing := reg.Counter("caladrius_slo_transitions_total", instrument.Labels{"rule": "model-accuracy-drift", "to": "firing"})
 	resolved := reg.Counter("caladrius_slo_transitions_total", instrument.Labels{"rule": "model-accuracy-drift", "to": "resolved"})
 
@@ -133,10 +97,13 @@ func TestClosedLoopAccuracyDrift(t *testing.T) {
 				t.Fatalf("sim.Run: %v", err)
 			}
 			now = now.Add(time.Minute)
-			pred, _, err := m.PredictMeasured(rec, &core.CostSampler{}, nil, rate)
+			pred, _, err := m.PredictMeasured(nil, &core.CostSampler{}, nil, rate)
 			if err != nil {
 				t.Fatalf("PredictMeasured: %v", err)
 			}
+			rec := RunRecord(m, nil, rate, pred)
+			rec.Topology, rec.Model = "word-count", "predict"
+			led.Record(rec)
 			preds = append(preds, pred.SinkThroughput)
 		}
 		return preds

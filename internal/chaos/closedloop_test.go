@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -23,40 +22,17 @@ import (
 // while the fault is active, and clears after the fault ends and the
 // model is recalibrated.
 
-// loopRecorder adapts the ledger to core.RunRecorder the way the API
-// tier does, including the degraded-calibration flag.
-type loopRecorder struct {
-	led *audit.Ledger
-}
-
-func (r loopRecorder) RecordRun(run core.ModelRun) {
-	p := run.Prediction
-	sat := p.SaturationSource
-	if math.IsInf(sat, 1) {
-		sat = math.MaxFloat64
+// auditRun predicts the deployed configuration at rate and records the
+// run the way the API does, through audit.RunRecord.
+func auditRun(t *testing.T, led *audit.Ledger, tm *core.TopologyModel, rate float64) {
+	t.Helper()
+	pred, _, err := tm.PredictMeasured(nil, &core.CostSampler{}, nil, rate)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cp := p.CriticalPath()
-	sink := ""
-	if len(cp.Path) > 0 {
-		sink = cp.Path[len(cp.Path)-1]
-	}
-	r.led.Record(audit.Record{
-		Topology:      "word-count",
-		Model:         "predict",
-		SourceRateTPM: run.SourceRate,
-		Parallelism:   run.Parallelism,
-		Degraded:      run.Degraded,
-		Calibration:   run.Calibration,
-		Predicted: audit.Predicted{
-			SinkTPM:             p.SinkThroughput,
-			OutputTPM:           cp.OutputRate,
-			SaturationSourceTPM: sat,
-			Bottleneck:          p.Bottleneck,
-			Risk:                string(p.Risk),
-			TotalCPUCores:       p.TotalCPU,
-			Sink:                sink,
-		},
-	})
+	rec := audit.RunRecord(tm, nil, rate, pred)
+	rec.Topology, rec.Model = "word-count", "predict"
+	led.Record(rec)
 }
 
 func alertState(t *testing.T, slo *telemetry.SLO, rule string) telemetry.AlertState {
@@ -158,7 +134,6 @@ func TestClosedLoopDriftDuringSlowFault(t *testing.T) {
 		scraper.ScrapeOnce(now)
 		return n
 	}
-	rec := loopRecorder{led: led}
 	firing := reg.Counter("caladrius_slo_transitions_total", instrument.Labels{"rule": "model-accuracy-drift", "to": "firing"})
 	resolved := reg.Counter("caladrius_slo_transitions_total", instrument.Labels{"rule": "model-accuracy-drift", "to": "resolved"})
 
@@ -169,9 +144,7 @@ func TestClosedLoopDriftDuringSlowFault(t *testing.T) {
 				t.Fatal(err)
 			}
 			now = now.Add(time.Minute)
-			if _, _, err := m.PredictMeasured(rec, &core.CostSampler{}, nil, rate); err != nil {
-				t.Fatal(err)
-			}
+			auditRun(t, led, m, rate)
 		}
 	}
 	mape := func(phase string) float64 {
@@ -304,9 +277,7 @@ func TestDegradedCalibrationFlagReachesLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := tm.PredictMeasured(loopRecorder{led: led}, &core.CostSampler{}, nil, 8e6); err != nil {
-		t.Fatal(err)
-	}
+	auditRun(t, led, tm, 8e6)
 	recs := led.List(audit.Filter{})
 	if len(recs) != 1 {
 		t.Fatalf("ledger holds %d records, want 1", len(recs))

@@ -9,7 +9,7 @@ import (
 // Model-run resource metering. The usage accountant (internal/usage)
 // charges every predict/plan/calibrate run to a (tenant, topology)
 // principal; RunCost is what it charges: the wall time, CPU thread
-// time and heap allocation the run consumed. Like RunRecorder, the
+// time and heap allocation the run consumed. Like StageTimer, the
 // sampler keeps core free of any usage dependency — the API tier owns
 // attribution, core only measures.
 
@@ -80,25 +80,15 @@ func heapAllocBytes() uint64 {
 	return 0
 }
 
-// PredictMeasured is Predict plus a RunRecorder notified of the
-// completed run and resource metering: the run is evaluated under a
-// sampler mark and its RunCost is returned and stamped into the audit
-// record. A nil recorder skips auditing. Failed evaluations still
-// report their cost — the caller paid for them — but are not recorded:
-// there is no prediction to audit.
-func (tm *TopologyModel) PredictMeasured(rec RunRecorder, s *CostSampler, parallelisms map[string]int, sourceRate float64) (TopologyPrediction, RunCost, error) {
+// PredictMeasured is Predict under a "predict" stage of st (nil: no
+// stage) and a sampler mark: the run's RunCost is returned with the
+// prediction. Failed evaluations still report their cost — the caller
+// paid for them.
+func (tm *TopologyModel) PredictMeasured(st StageTimer, s *CostSampler, parallelisms map[string]int, sourceRate float64) (TopologyPrediction, RunCost, error) {
+	if st != nil {
+		defer st.StartStage("predict")()
+	}
 	m := s.Begin()
 	pred, err := tm.Predict(parallelisms, sourceRate)
-	cost := s.End(m)
-	if err == nil && rec != nil {
-		rec.RecordRun(ModelRun{
-			Parallelism: parallelisms,
-			SourceRate:  sourceRate,
-			Prediction:  pred,
-			Calibration: tm.CalibrationSnapshot(),
-			Degraded:    tm.Degraded,
-			Cost:        cost,
-		})
-	}
-	return pred, cost, err
+	return pred, s.End(m), err
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -59,20 +60,27 @@ func TestCostSamplerMeasuresWork(t *testing.T) {
 
 func TestPredictMeasuredRecordsCost(t *testing.T) {
 	tm := costTestModel(t)
-	var got ModelRun
-	rec := recorderFunc(func(r ModelRun) { got = r })
-	_, cost, err := tm.PredictMeasured(rec, &CostSampler{}, nil, 0)
+	st := &stageLog{}
+	_, cost, err := tm.PredictMeasured(st, &CostSampler{}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cost.WallNanos <= 0 {
 		t.Errorf("cost wall = %d, want > 0", cost.WallNanos)
 	}
-	if got.Cost != cost {
-		t.Errorf("recorded cost %+v != returned %+v", got.Cost, cost)
+	if want := []string{"start predict", "end predict"}; !slices.Equal(st.events, want) {
+		t.Errorf("stages = %q, want %q", st.events, want)
+	}
+	// A nil timer opens no stage.
+	if _, _, err := tm.PredictMeasured(nil, &CostSampler{}, nil, 0); err != nil {
+		t.Fatal(err)
 	}
 }
 
-type recorderFunc func(ModelRun)
+// stageLog is a StageTimer that logs each stage's start and end.
+type stageLog struct{ events []string }
 
-func (f recorderFunc) RecordRun(r ModelRun) { f(r) }
+func (l *stageLog) StartStage(name string) func() {
+	l.events = append(l.events, "start "+name)
+	return func() { l.events = append(l.events, "end "+name) }
+}

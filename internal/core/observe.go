@@ -5,11 +5,9 @@ import (
 	"sort"
 )
 
-// The audit hook. Like StageTimer for tracing, RunRecorder keeps core
-// free of any audit/telemetry dependency: the API tier passes the
-// prediction audit ledger (internal/audit) through PredictMeasured and
-// core notifies it of every completed model evaluation, together with
-// the calibration snapshot the run was computed from.
+// What the audit ledger (internal/audit) and the API need of a model
+// run beyond the prediction itself: the calibration snapshot behind it,
+// the critical path, and a saturation source JSON can carry.
 
 // ComponentCalibration is an immutable snapshot of one component's
 // calibrated parameters (α, SP, ST, ψ) as carried in audit records. SP
@@ -24,35 +22,9 @@ type ComponentCalibration struct {
 	CPUPsi      float64  `json:"cpu_psi_cores_per_tpm,omitempty"`
 }
 
-// ModelRun is one completed model evaluation as delivered to a
-// RunRecorder: the inputs, the prediction and the calibration snapshot
-// behind it. Request-scoped identity (topology name, run kind, trace
-// id) is the caller's to add — core does not know it.
-type ModelRun struct {
-	// Parallelism is the evaluated per-component parallelism overrides
-	// (nil = the topology's current values).
-	Parallelism map[string]int
-	// SourceRate is the evaluated topology source rate t₀ (tuples/min).
-	SourceRate float64
-	// Prediction is the completed evaluation.
-	Prediction TopologyPrediction
-	// Calibration is the model's shared calibration snapshot.
-	Calibration []ComponentCalibration
-	// Degraded is true when the model behind the run was calibrated in
-	// degraded mode (widened or sparse observe window).
-	Degraded bool
-	// Cost is the run's measured resource footprint.
-	Cost RunCost
-}
-
-// RunRecorder receives completed model runs — the audit-ledger hook.
-type RunRecorder interface {
-	RecordRun(run ModelRun)
-}
-
 // CalibrationSnapshot returns the model's per-component calibration
 // snapshot, ordered by component name. The slice is computed once and
-// shared by every ModelRun emitted from this model — callers must not
+// shared by every audit record of this model — callers must not
 // mutate it.
 func (tm *TopologyModel) CalibrationSnapshot() []ComponentCalibration {
 	tm.calSnapOnce.Do(func() {
@@ -91,4 +63,17 @@ func (p TopologyPrediction) CriticalPath() PathPrediction {
 		}
 	}
 	return critical
+}
+
+// FiniteSaturation is a saturation source as the API and the audit
+// ledger carry it. A topology or path that never saturates has
+// saturation source +Inf (Eq. 13 has no finite solution), and JSON has
+// no token for that; it goes out as the largest finite float — the
+// registry's convention for the +Inf histogram bound — so "rate <
+// saturation_source_tpm" still holds for every client.
+func FiniteSaturation(v float64) float64 {
+	if math.IsInf(v, 1) {
+		return math.MaxFloat64
+	}
+	return v
 }

@@ -258,24 +258,18 @@ func New(cfg Config) (*Daemon, error) {
 	// Incident flight recorder: armed on the SLO evaluator, capturing a
 	// bundle the moment a rule starts firing.
 	if cfg.IncidentDir != "" {
-		var attachments []incident.Attachment
-		if d.Profiler != nil {
-			// Bundles from profiler-enabled daemons carry the baseline
-			// regression diff alongside the raw pprof captures.
-			attachments = append(attachments, incident.Attachment{
-				Name: "profile-diff.json", Capture: d.Profiler.DiffArtifact,
-			})
-		}
 		d.Recorder, err = incident.New(incident.Options{
-			Dir:         cfg.IncidentDir,
-			Registry:    reg,
-			History:     d.History,
-			Logs:        logRing,
-			Tracer:      tracer,
-			Cooldown:    cfg.IncidentCooldown,
-			Now:         d.wall,
-			Logger:      logger,
-			Attachments: attachments,
+			Dir:      cfg.IncidentDir,
+			Registry: reg,
+			History:  d.History,
+			Logs:     logRing,
+			Tracer:   tracer,
+			Cooldown: cfg.IncidentCooldown,
+			Now:      d.wall,
+			Logger:   logger,
+			// Bundles from profiler-enabled daemons carry the
+			// baseline regression diff alongside the raw captures.
+			Profiler: d.Profiler,
 		})
 		if err != nil {
 			return nil, err

@@ -370,6 +370,44 @@ func TestEveryRunMeterMoves(t *testing.T) {
 	}
 }
 
+// TestEverySLORuleHasItsSeries: every rule the daemon evaluates names
+// a metric it writes into History. The rule tables spell their metric
+// names as literals: a renamed series would leave its rule at no_data
+// forever, which no other test notices. After one sync predict, a
+// resolver pass, a profiler round and two scrapes with a request
+// between them (the derived :rate and :p95 series need two), each
+// rule's metric has a series.
+func TestEverySLORuleHasItsSeries(t *testing.T) {
+	start := time.Date(2026, 10, 1, 12, 0, 0, 0, time.UTC)
+	cfg := testConfig()
+	cfg.Wall = func() time.Time { return start }
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	serve := func(method, path string) {
+		rec := httptest.NewRecorder()
+		d.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader("{}")))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s = %d (%s)", method, path, rec.Code, rec.Body)
+		}
+	}
+	serve("POST", predictPath)
+	d.Ledger.ResolveOnce(d.now())
+	if err := d.Profiler.CaptureOnce(); err != nil {
+		t.Fatal(err)
+	}
+	d.Scraper.ScrapeOnce(start)
+	serve("GET", "/api/v1/health")
+	d.Scraper.ScrapeOnce(start.Add(5 * time.Second))
+	for _, r := range d.SLO.Rules() {
+		if d.History.SeriesCount(r.Metric) == 0 {
+			t.Errorf("rule %s evaluates %s, which has no series in History", r.Name, r.Metric)
+		}
+	}
+}
+
 // TestSnapshotSubstrateServesSameSurface: a daemon booted from a
 // heronsim metrics snapshot answers every mount the simulating daemon
 // does, with the same statuses.

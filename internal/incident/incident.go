@@ -53,10 +53,13 @@ const (
 	ArtifactGoroutine = "goroutine.pprof"
 	ArtifactMutex     = "mutex.pprof"
 	ArtifactBlock     = "block.pprof"
-	ArtifactLogs      = "logs.json"
-	ArtifactSpans     = "spans.json"
-	ArtifactMetrics   = "metrics.json"
-	manifestName      = "manifest.json"
+	// ArtifactProfileDiff is the continuous profiler's regression diff,
+	// present when the recorder has a profiler.
+	ArtifactProfileDiff = "profile-diff.json"
+	ArtifactLogs        = "logs.json"
+	ArtifactSpans       = "spans.json"
+	ArtifactMetrics     = "metrics.json"
+	manifestName        = "manifest.json"
 )
 
 // Capture triggers.
@@ -64,14 +67,6 @@ const (
 	TriggerSLO    = "slo"
 	TriggerManual = "manual"
 )
-
-// Attachment is an extra artifact contributed to every bundle by
-// another subsystem: Capture is invoked at bundle time and its bytes
-// land in the bundle directory under Name.
-type Attachment struct {
-	Name    string
-	Capture func() ([]byte, error)
-}
 
 // Artifact describes one file of a bundle.
 type Artifact struct {
@@ -125,7 +120,7 @@ type Manifest struct {
 }
 
 // Options configures a Recorder. Every field but CPUProfile and
-// Attachments is required.
+// Profiler is required.
 type Options struct {
 	// Dir is the bundle root; one subdirectory per incident.
 	Dir string
@@ -143,11 +138,11 @@ type Options struct {
 	Cooldown time.Duration
 	// CPUProfile is how long the CPU profile samples. Default: 2s.
 	CPUProfile time.Duration
-	// Attachments are extra artifacts other subsystems contribute to
-	// every bundle (the continuous profiler attaches its hot-function
-	// diff table as profile-diff.json). A failing Capture becomes a
-	// manifest note, never a failed bundle.
-	Attachments []Attachment
+	// Profiler, when set, is the continuous profiler whose baseline
+	// regression diff every bundle carries as ArtifactProfileDiff; a
+	// failing diff becomes a manifest note, never a failed bundle. Nil
+	// when the profiler is off.
+	Profiler *profiler.Profiler
 	// Now stamps captures and anchors the metrics window.
 	Now func() time.Time
 	// Logger receives recorder events.
@@ -504,22 +499,15 @@ func (r *Recorder) capture(req captureReq) (Manifest, error) {
 		}
 	}
 
-	// Contributed attachments (e.g. the profiler's regression diff).
-	for _, att := range r.opts.Attachments {
-		if !fileName(att.Name) || att.Capture == nil {
-			note("attachment %q: invalid name or nil capture", att.Name)
-			continue
+	// The profiler's regression diff, beside the raw captures.
+	if r.opts.Profiler != nil {
+		if data, err := r.opts.Profiler.DiffArtifact(); err != nil {
+			note("%s: %v", ArtifactProfileDiff, err)
+		} else if err := os.WriteFile(filepath.Join(dir, ArtifactProfileDiff), data, 0o644); err != nil {
+			note("%s: %v", ArtifactProfileDiff, err)
+		} else {
+			addArtifact(ArtifactProfileDiff)
 		}
-		data, err := att.Capture()
-		if err != nil {
-			note("%s: %v", att.Name, err)
-			continue
-		}
-		if err := os.WriteFile(filepath.Join(dir, att.Name), data, 0o644); err != nil {
-			note("%s: %v", att.Name, err)
-			continue
-		}
-		addArtifact(att.Name)
 	}
 
 	// Logs + spans, collecting trace ids for the join.

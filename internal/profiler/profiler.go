@@ -62,10 +62,9 @@ const (
 	CPUWindow = 250 * time.Millisecond
 	// epoch is the width of one fold window.
 	epoch = time.Minute
-	// windowCap bounds the ring of completed epoch windows.
-	windowCap = 8
 	// diffWindows is how many recent windows (including the one being
-	// filled) queries and diffs merge over.
+	// filled) queries and diffs merge over; the ring keeps the
+	// diffWindows−1 completed ones that view reaches.
 	diffWindows = 3
 	// topK bounds the function/stack lists served by default.
 	topK = 20
@@ -218,7 +217,7 @@ type Profiler struct {
 	mu       sync.Mutex
 	records  records // the runtime's record buffers, when Source is nil
 	cur      *epochWindow
-	ring     []*epochWindow // completed windows, oldest first
+	ring     []*epochWindow // the diffWindows−1 newest completed windows, oldest first
 	baseline *Baseline
 	lastErr  map[Kind]string
 	lastCap  time.Time
@@ -402,16 +401,17 @@ func (p *Profiler) rotateLocked(now time.Time) {
 		p.setBaselineLocked(now, true)
 	}
 	p.ring = append(p.ring, p.cur)
-	if len(p.ring) > windowCap {
-		p.ring = p.ring[len(p.ring)-windowCap:]
+	if len(p.ring) > diffWindows-1 {
+		p.ring = p.ring[len(p.ring)-(diffWindows-1):]
 	}
 	p.cur = newWindow(now)
 }
 
 // mergedLocked merges the diffWindows most recent windows (the one
-// being filled plus the newest completed ones) for kind. A snapshot
-// kind reports its newest capture instead: the current window's, or
-// before the window's first, the newest completed window's.
+// being filled plus the completed ones the ring keeps) for kind. A
+// snapshot kind reports its newest capture instead: the current
+// window's, or before the window's first, the newest completed
+// window's.
 func (p *Profiler) mergedLocked(kind Kind) *Table {
 	out := NewTable()
 	if kind.snapshot() {
@@ -422,11 +422,7 @@ func (p *Profiler) mergedLocked(kind Kind) *Table {
 		}
 		return out
 	}
-	n := diffWindows - 1
-	if n > len(p.ring) {
-		n = len(p.ring)
-	}
-	for _, w := range p.ring[len(p.ring)-n:] {
+	for _, w := range p.ring {
 		out.Merge(w.tables[kind])
 	}
 	if p.cur != nil {
@@ -602,7 +598,7 @@ func (p *Profiler) Status() Status {
 		Interval:        p.opts.Interval.String(),
 		CPUWindow:       CPUWindow.String(),
 		Epoch:           epoch.String(),
-		WindowCap:       windowCap,
+		WindowCap:       diffWindows - 1,
 		DiffWindows:     diffWindows,
 		TopK:            topK,
 		WindowsRetained: len(p.ring),

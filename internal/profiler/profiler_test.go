@@ -14,19 +14,6 @@ import (
 	"caladrius/internal/instrument"
 )
 
-// allWindowsLocked merges every retained window for kind: the widest
-// view the ring can answer.
-func (p *Profiler) allWindowsLocked(kind Kind) *Table {
-	out := NewTable()
-	for _, w := range p.ring {
-		out.Merge(w.tables[kind])
-	}
-	if p.cur != nil {
-		out.Merge(p.cur.tables[kind])
-	}
-	return out
-}
-
 // fakeClock is a mutex-guarded manual clock for driving epoch
 // rotation deterministically.
 type fakeClock struct {
@@ -159,7 +146,8 @@ func TestWindowRingRetention(t *testing.T) {
 
 	// Two epochs more than the ring holds, each folding a distinctly
 	// named function.
-	const epochs = windowCap + 2
+	const ringCap = diffWindows - 1
+	const epochs = ringCap + 2
 	name := func(i int) string { return fmt.Sprintf("e%d", i) }
 	for i := 0; i < epochs; i++ {
 		src.set(cpuProfileBytes(t, true, map[string]int64{"main;" + name(i): 100}))
@@ -169,15 +157,11 @@ func TestWindowRingRetention(t *testing.T) {
 		clock.Advance(epoch + time.Second)
 	}
 	st := p.Status()
-	if st.WindowsRetained > windowCap {
-		t.Fatalf("ring holds %d completed windows, cap is %d", st.WindowsRetained, windowCap)
-	}
-	if st.WindowsRetained != windowCap {
-		t.Fatalf("ring holds %d completed windows, want %d after %d epochs", st.WindowsRetained, windowCap, epochs)
+	if st.WindowsRetained != ringCap || st.WindowCap != ringCap {
+		t.Fatalf("ring holds %d completed windows (cap %d), want %d after %d epochs", st.WindowsRetained, st.WindowCap, ringCap, epochs)
 	}
 	// Queries merge the window being filled and the diffWindows-1
-	// newest completed ones; older epochs, evicted or not, must be
-	// invisible.
+	// newest completed ones; the evicted older epochs must be invisible.
 	funcs, _, _, _ := p.Top(KindCPU, 0)
 	seen := map[string]bool{}
 	for _, fs := range funcs {
@@ -186,23 +170,6 @@ func TestWindowRingRetention(t *testing.T) {
 	for i := 0; i < epochs; i++ {
 		if want := i >= epochs-diffWindows; seen[name(i)] != want {
 			t.Fatalf("%s visible = %v, want %v: the query view is the %d newest windows (%v)", name(i), seen[name(i)], want, diffWindows, seen)
-		}
-	}
-
-	// A wider merged view (all retained windows) must still see the
-	// survivors but not the evicted epochs.
-	p.mu.Lock()
-	all := p.allWindowsLocked(KindCPU)
-	p.mu.Unlock()
-	wide := map[string]bool{}
-	for _, fs := range all.Funcs(0) {
-		wide[fs.Function] = true
-	}
-	// The ring holds the windowCap newest completed windows plus the
-	// one being filled; the first epoch was evicted.
-	for i := 0; i < epochs; i++ {
-		if want := i >= epochs-1-windowCap; wide[name(i)] != want {
-			t.Fatalf("%s in merged view = %v, want %v (%v)", name(i), wide[name(i)], want, wide)
 		}
 	}
 }
