@@ -21,7 +21,7 @@ import (
 // measured count (go1.24, linux/amd64). A change that spends
 // allocations on this path raises it here, in review; a change that
 // saves some lowers it.
-const warmPredictAllocs = 115
+const warmPredictAllocs = 112
 
 // TestWarmPredictAllocationBudget pins warmPredictAllocs on a daemon
 // with no Run loops, so nothing but the request allocates while it is

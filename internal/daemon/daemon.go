@@ -312,6 +312,12 @@ func New(cfg Config) (*Daemon, error) {
 	mux.Handle("/tracker/", http.StripPrefix("/tracker", d.Tracker.Handler()))
 	mux.Handle("/metrics", telemetry.Handler(reg))
 	d.handler = mux
+	// Boot's garbage is the warm-up simulation's: its last collection
+	// marked about twice what the assembled daemon keeps, and the pacer
+	// would let the first serving cycle grow the heap to twice that
+	// mark. One collection here sizes that cycle from what serving
+	// keeps instead.
+	runtime.GC()
 	return d, nil
 }
 

@@ -577,34 +577,67 @@ type MetricJSON struct {
 }
 
 // Snapshot returns the registry contents for JSON rendering, ordered
-// like WritePrometheus.
+// like WritePrometheus. A first walk over the copied rows sizes one
+// backing array each for the series, their values, their counts and
+// their buckets, and the second carves every series from them, reusing
+// one array of cumulative counts: past a fixed few, what a call
+// allocates is each series' copy of its labels.
 func (r *Registry) Snapshot() []MetricJSON {
-	out := []MetricJSON{} // an empty registry encodes as [], not null
-	for _, row := range r.rows() {
+	rows := r.rows()
+	var families, nseries, nvalues, ncounts, nbuckets int
+	for _, row := range rows {
 		if row.s == nil {
-			out = append(out, MetricJSON{Name: row.name, Type: row.kind.String(), Help: row.help})
+			families++
 			continue
 		}
-		sj := SeriesJSON{Labels: cloneLabels(row.s.labels)}
+		nseries++
+		nvalues++ // a counter's or gauge's value, a histogram's sum
+		if h, ok := row.s.inst.(*Histogram); ok {
+			ncounts++
+			nbuckets += len(h.counts)
+		}
+	}
+	out := make([]MetricJSON, 0, families) // an empty registry encodes as [], not null
+	series := make([]SeriesJSON, nseries)
+	values := make([]float64, nvalues)
+	counts := make([]uint64, ncounts)
+	buckets := make([]BucketJSON, nbuckets)
+	var cum []uint64
+	first, n := 0, 0 // the current family's first series, the series carved
+	for _, row := range rows {
+		if row.s == nil {
+			out = append(out, MetricJSON{Name: row.name, Type: row.kind.String(), Help: row.help})
+			first = n
+			continue
+		}
+		sj, value := &series[n], &values[n]
+		n++
+		sj.Labels = cloneLabels(row.s.labels)
 		switch inst := row.s.inst.(type) {
 		case *Counter:
-			v := inst.Value()
-			sj.Value = &v
+			*value = inst.Value()
+			sj.Value = value
 		case *Gauge:
-			v := inst.Value()
-			sj.Value = &v
+			*value = inst.Value()
+			sj.Value = value
 		case *Histogram:
-			cum := inst.AppendCumulative(nil)
-			for i, bound := range inst.bounds {
-				sj.Buckets = append(sj.Buckets, BucketJSON{LE: bound, Count: cum[i]})
+			cum = inst.AppendCumulative(slices.Grow(cum[:0], len(inst.counts)))
+			bs := buckets[:len(cum):len(cum)]
+			buckets = buckets[len(cum):]
+			for j, c := range cum {
+				le := math.MaxFloat64
+				if j < len(inst.bounds) {
+					le = inst.bounds[j]
+				}
+				bs[j] = BucketJSON{LE: le, Count: c}
 			}
-			sj.Buckets = append(sj.Buckets, BucketJSON{LE: math.MaxFloat64, Count: cum[len(cum)-1]})
-			sum, cnt := inst.Sum(), inst.Count()
-			sj.Sum, sj.Count = &sum, &cnt
+			*value = inst.Sum()
+			counts[0] = inst.Count()
+			sj.Buckets, sj.Sum, sj.Count = bs, value, &counts[0]
+			counts = counts[1:]
 			sj.Exemplar = inst.Exemplar()
 		}
-		mj := &out[len(out)-1]
-		mj.Series = append(mj.Series, sj)
+		out[len(out)-1].Series = series[first:n:n]
 	}
 	return out
 }

@@ -10,6 +10,7 @@ package metrics
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"caladrius/internal/heron"
@@ -175,24 +176,39 @@ func (p *TSDBProvider) SourceRate(topology string, spouts []string, start, end t
 	if len(spouts) == 0 {
 		return nil, errors.New("metrics: no spout components given")
 	}
-	// Windows stand in for points so the spouts merge by time the way
-	// metrics do; a window starts at +0, which keeps the sum's bits.
-	var totals []Window
+	var total []tsdb.Point
 	for _, spout := range spouts {
 		pts, err := p.points(heron.MetricSourceCount, tsdb.Labels{"topology": topology, "component": spout}, start, end, tsdb.AggSum)
 		if err != nil {
 			return nil, err
 		}
-		totals = mergeWindows(totals, pts, func(w *Window, v float64) { w.Source += v })
+		total = sumByTime(total, pts)
 	}
-	if len(totals) == 0 {
+	if len(total) == 0 {
 		return nil, fmt.Errorf("%w: source rate of %q spouts %v", ErrNoData, topology, spouts)
 	}
-	out := make([]tsdb.Point, len(totals))
-	for i, w := range totals {
-		out[i] = tsdb.Point{T: w.T, V: w.Source}
+	return total, nil
+}
+
+// sumByTime adds each point of pts (ascending) to the point of sum
+// (ascending) at its instant, inserting the instants sum lacks, and
+// returns the extended sum. With no sum yet, pts itself becomes the
+// totals: a rollup's AggSum starts at +0, as an inserted total does.
+func sumByTime(sum, pts []tsdb.Point) []tsdb.Point {
+	if sum == nil {
+		return pts
 	}
-	return out, nil
+	i := 0
+	for _, pt := range pts {
+		for i < len(sum) && sum[i].T.Before(pt.T) {
+			i++
+		}
+		if i == len(sum) || !sum[i].T.Equal(pt.T) {
+			sum = slices.Insert(sum, i, tsdb.Point{T: pt.T})
+		}
+		sum[i].V += pt.V
+	}
+	return sum
 }
 
 // TopologyBackpressureMs implements Provider.

@@ -195,3 +195,31 @@ func TestMergeWindowsOffGrid(t *testing.T) {
 		t.Fatalf("windows = %d, want one per distinct minute (8)", len(got))
 	}
 }
+
+// TestSourceRateOffGrid sums spouts sampled at different instants, so
+// totals are inserted before, between and after the ones already there,
+// and a -0 sample totals +0, as in the reference.
+func TestSourceRateOffGrid(t *testing.T) {
+	db := tsdb.New(0)
+	at := func(m int) time.Time { return time.Date(2026, 7, 1, 0, m, 0, 0, time.UTC) }
+	samples := map[string][]int{"a": {2, 4, 6}, "b": {1, 3, 4, 9}, "c": {0, 9, 11}}
+	for spout, ms := range samples {
+		h := db.Handle(heron.MetricSourceCount, tsdb.Labels{"topology": "t", "component": spout, "instance": "0"})
+		for _, m := range ms {
+			v := float64(m) + 0.1
+			if m == 0 {
+				v = math.Copysign(0, -1)
+			}
+			h.Append(at(m), v)
+		}
+	}
+	p, err := NewTSDBProvider(db, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spouts := range [][]string{{"a", "b", "c"}, {"c", "a"}, {"c"}} {
+		want, wantErr := p.referenceSourceRate("t", spouts, at(0), at(30))
+		got, gotErr := p.SourceRate("t", spouts, at(0), at(30))
+		sameBits(t, fmt.Sprintf("SourceRate(%v)", spouts), got, want, gotErr, wantErr)
+	}
+}

@@ -104,6 +104,34 @@ func TestTracerFIFOEvictionAtDefaultCapacity(t *testing.T) {
 	}
 }
 
+// TestTraceIDCollisionKeepsSpansInTheirOwnTrace: two requests that
+// send one X-Caladrius-Trace id each open a root under it. The second
+// replaces the first, and the first request's later spans must not land
+// under the second's root.
+func TestTraceIDCollisionKeepsSpansInTheirOwnTrace(t *testing.T) {
+	tr := NewTracer(8, fakeClock(time.Millisecond))
+	first := tr.Start("client-7", "performance")
+	second := tr.Start("client-7", "suggest")
+	if c := first.Child("calibrate"); c != nil {
+		t.Error("a replaced trace's span opened a child")
+	}
+	second.Child("plan").End()
+	first.SetAttr("mode", "sync")
+	first.End()
+	second.End()
+	tj, ok := tr.Snapshot("client-7")
+	if !ok {
+		t.Fatal("client-7 missing")
+	}
+	if len(tj.Spans) != 1 || tj.Spans[0].Name != "suggest" || tj.Spans[0].Attrs != nil ||
+		len(tj.Spans[0].Children) != 1 || tj.Spans[0].Children[0].Name != "plan" {
+		t.Errorf("client-7 = %+v, want only the second request's suggest → plan", tj.Spans)
+	}
+	if first.TraceID() != "client-7" || tr.Len() != 1 {
+		t.Errorf("trace id %q, retained %d", first.TraceID(), tr.Len())
+	}
+}
+
 func TestNilSpanSafety(t *testing.T) {
 	var s *Span
 	s.End()

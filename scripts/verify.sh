@@ -41,9 +41,10 @@
 # leaves it zero, from the fallback test beside it, the TSDB's
 # resident bytes a sample and a series against their budgets, from the
 # three memory-budget tests, the audit ledger's resident bytes a record
-# against its budget, from the ledger's, and the bytes one
-# continuous-profiler capture round allocates against its budgets,
-# from the profiler's.
+# against its budget, from the ledger's, the tracer's resident bytes a
+# retained predict trace against its budget, from the tracer's, and the
+# bytes one continuous-profiler capture round allocates against its
+# budgets, from the profiler's.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -95,4 +96,5 @@ go test -run '^TestEveryFallbackNamesItsUser$' -v . | grep -o 'option fallbacks:
 go test -run '^(TestResidentBytesPerSample|TestSeriesResidentBytes)$' -v ./internal/tsdb | grep -o 'resident bytes/s.*'
 go test -run '^TestWarmUpResidentBytesPerSample$' -v ./internal/heron | grep -o 'resident bytes/sample.*'
 go test -run '^TestLedgerResidentBytesPerRecord$' -v ./internal/audit | grep -o 'ledger resident bytes/record.*'
+go test -run '^TestTraceResidentBytes$' -v ./internal/telemetry | grep -o 'trace store resident bytes/trace.*'
 go test -run '^TestCaptureRoundAllocationBudget$' -v ./internal/profiler | grep -o 'capture round bytes.*'
